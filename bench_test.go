@@ -1,9 +1,9 @@
 // Package repro's root benchmark harness: one testing.B benchmark per
-// table and figure of the paper's evaluation (see DESIGN.md for the
-// index), plus microbenchmarks of the hot substrate kernels. The macro
-// benchmarks run the same code paths as `cmd/bench` at a reduced "bench"
-// profile so `go test -bench=. -benchmem` finishes in minutes; use
-// `cmd/bench -profile standard` for fuller runs.
+// table and figure of the paper's evaluation (internal/experiments holds
+// the Table*/Figure* functions they call), plus microbenchmarks of the hot
+// substrate kernels. The macro benchmarks run the same code paths as
+// `cmd/bench` at a reduced "bench" profile so `go test -bench=. -benchmem`
+// finishes in minutes; use `cmd/bench -profile standard` for fuller runs.
 package repro
 
 import (

@@ -157,47 +157,64 @@ func (p *Problem) normalizers() (float64, float64) {
 //
 // Moves are evaluated incrementally: a single group's width change shifts
 // one variance term and one pair's time, and the minimax term is
-// re-evaluated in O(1) by tracking the top-two pair times. This keeps each
-// sweep O(G) and the whole solve well under a millisecond for the
-// thousands of groups real assignments produce.
+// re-evaluated in O(1) by tracking the top-two pair times. Each sweep is
+// O(G) and a solve takes O(G) sweeps, so the sweep's inner loop is what a
+// solve costs: it runs on dense per-group tables (pair index, variance term
+// and wire bytes at each width) with no map lookups. A 230-group solve
+// takes about a millisecond (BenchmarkSolve); the benchmark harness's
+// bitassign.solve_ms, which also times NewProblem's grouping and sorting of
+// some 20 000 messages, reads about 3 ms on its halo-reddit workload.
 func (p *Problem) Solve() []quant.BitWidth {
 	n := len(p.Groups)
 	widths := make([]quant.BitWidth, n)
-	for i := range widths {
-		widths[i] = quant.B2
-	}
 	if n == 0 {
 		return widths
 	}
 	varNorm, timeNorm := p.normalizers()
 	lam, mu := p.Lambda/varNorm, (1-p.Lambda)/timeNorm
 
-	// State: per-pair bytes, total variance, and the pair-time top-2.
-	pairIDs := map[int]int{} // pair → dense index
-	for _, g := range p.Groups {
-		if _, ok := pairIDs[g.Pair]; !ok {
-			pairIDs[g.Pair] = len(pairIDs)
+	// Dense pair indices, in order of first appearance among the groups.
+	pairOf := make([]int, n)
+	dense := make([]int, len(p.Theta))
+	for i := range dense {
+		dense[i] = -1
+	}
+	var pairTheta, pairGamma []float64
+	for i := range p.Groups {
+		pair := p.Groups[i].Pair
+		if dense[pair] < 0 {
+			dense[pair] = len(pairTheta)
+			pairTheta = append(pairTheta, p.Theta[pair])
+			pairGamma = append(pairGamma, p.Gamma[pair])
 		}
+		pairOf[i] = dense[pair]
 	}
-	pairBytes := make([]float64, len(pairIDs))
-	pairTheta := make([]float64, len(pairIDs))
-	pairGamma := make([]float64, len(pairIDs))
-	for pair, idx := range pairIDs {
-		pairTheta[idx] = p.Theta[pair]
-		pairGamma[idx] = p.Gamma[pair]
-	}
-	variance := 0.0
+	// Per-group variance term and wire bytes at each candidate width.
+	// level[i] indexes quant.Candidates; every group starts at 2 bits.
+	levels := len(quant.Candidates)
+	varAt := make([]float64, n*levels)
+	bytesAt := make([]int, n*levels)
 	for i := range p.Groups {
 		g := &p.Groups[i]
-		variance += varTerm(g.Beta, widths[i])
-		pairBytes[pairIDs[g.Pair]] += float64(p.groupBytes(g, widths[i]))
+		for k, w := range quant.Candidates {
+			varAt[i*levels+k] = varTerm(g.Beta, w)
+			bytesAt[i*levels+k] = p.groupBytes(g, w)
+		}
 	}
-	pairTime := func(idx int) float64 { return pairTheta[idx]*pairBytes[idx] + pairGamma[idx] }
+	level := make([]int, n)
+
+	// State: per-pair bytes, total variance, and the pair-time top-2.
+	pairBytes := make([]float64, len(pairTheta))
+	variance := 0.0
+	for i := range p.Groups {
+		variance += varAt[i*levels]
+		pairBytes[pairOf[i]] += float64(bytesAt[i*levels])
+	}
 	// top-two pair times (values only; recomputed as needed).
 	recomputeTop2 := func() (z1, z2 float64, z1idx int) {
 		z1, z2, z1idx = -1, -1, -1
 		for idx := range pairBytes {
-			t := pairTime(idx)
+			t := pairTheta[idx]*pairBytes[idx] + pairGamma[idx]
 			if t > z1 {
 				z2 = z1
 				z1, z1idx = t, idx
@@ -208,19 +225,14 @@ func (p *Problem) Solve() []quant.BitWidth {
 		return z1, z2, z1idx
 	}
 	z1, z2, z1idx := recomputeTop2()
+	cur := lam*variance + mu*z1
 
-	score := func(v, z float64) float64 { return lam*v + mu*z }
-	cur := score(variance, z1)
-
-	next := map[quant.BitWidth]quant.BitWidth{quant.B2: quant.B4, quant.B4: quant.B8}
-	prev := map[quant.BitWidth]quant.BitWidth{quant.B8: quant.B4, quant.B4: quant.B2}
-
-	// evalMove returns the score after changing group i to w.
-	evalMove := func(i int, w quant.BitWidth) float64 {
-		g := &p.Groups[i]
-		idx := pairIDs[g.Pair]
-		dv := varTerm(g.Beta, w) - varTerm(g.Beta, widths[i])
-		db := float64(p.groupBytes(g, w) - p.groupBytes(g, widths[i]))
+	// evalMove returns the score after moving group i to level k.
+	evalMove := func(i, k int) float64 {
+		idx := pairOf[i]
+		at, to := i*levels+level[i], i*levels+k
+		dv := varAt[to] - varAt[at]
+		db := float64(bytesAt[to] - bytesAt[at])
 		newT := pairTheta[idx]*(pairBytes[idx]+db) + pairGamma[idx]
 		// New max: the changed pair vs the best of the others.
 		others := z1
@@ -231,45 +243,38 @@ func (p *Problem) Solve() []quant.BitWidth {
 		if others > z {
 			z = others
 		}
-		return score(variance+dv, z)
-	}
-	apply := func(i int, w quant.BitWidth) {
-		g := &p.Groups[i]
-		idx := pairIDs[g.Pair]
-		variance += varTerm(g.Beta, w) - varTerm(g.Beta, widths[i])
-		pairBytes[idx] += float64(p.groupBytes(g, w) - p.groupBytes(g, widths[i]))
-		widths[i] = w
-		z1, z2, z1idx = recomputeTop2()
-		cur = score(variance, z1)
+		return lam*(variance+dv) + mu*z
 	}
 
-	improve := func() bool {
+	// Each move changes one group by one level; the number of productive
+	// moves is bounded by 2·n·levels in practice. Cap defensively.
+	for iter := 0; iter < 8*n+64; iter++ {
 		bestGain := 1e-15
-		bestIdx, bestW := -1, quant.B2
-		for i := range widths {
-			if w, ok := next[widths[i]]; ok {
-				if gain := cur - evalMove(i, w); gain > bestGain {
-					bestGain, bestIdx, bestW = gain, i, w
+		bestIdx, bestLevel := -1, 0
+		for i := range level {
+			if k := level[i] + 1; k < levels {
+				if gain := cur - evalMove(i, k); gain > bestGain {
+					bestGain, bestIdx, bestLevel = gain, i, k
 				}
 			}
-			if w, ok := prev[widths[i]]; ok {
-				if gain := cur - evalMove(i, w); gain > bestGain {
-					bestGain, bestIdx, bestW = gain, i, w
+			if k := level[i] - 1; k >= 0 {
+				if gain := cur - evalMove(i, k); gain > bestGain {
+					bestGain, bestIdx, bestLevel = gain, i, k
 				}
 			}
 		}
 		if bestIdx < 0 {
-			return false
-		}
-		apply(bestIdx, bestW)
-		return true
-	}
-	// Each move changes one group by one level; the number of productive
-	// moves is bounded by 2·n·levels in practice. Cap defensively.
-	for iter := 0; iter < 8*n+64; iter++ {
-		if !improve() {
 			break
 		}
+		at, to := bestIdx*levels+level[bestIdx], bestIdx*levels+bestLevel
+		variance += varAt[to] - varAt[at]
+		pairBytes[pairOf[bestIdx]] += float64(bytesAt[to] - bytesAt[at])
+		level[bestIdx] = bestLevel
+		z1, z2, z1idx = recomputeTop2()
+		cur = lam*variance + mu*z1
+	}
+	for i, k := range level {
+		widths[i] = quant.Candidates[k]
 	}
 	return widths
 }

@@ -42,6 +42,34 @@ func TestCodecSteadyStateAllocs(t *testing.T) {
 		check("fp32 row round trip", testing.AllocsPerRun(20, warm))
 	})
 
+	// The quantized exchange's own hot path: ranges scanned once into the
+	// arena's row-range scratch, mixed-width encode from them, and the
+	// backward receive's decode-and-add through one row of matrix scratch.
+	t.Run("quantized-exchange", func(t *testing.T) {
+		a := NewArena()
+		widths := make([]quant.BitWidth, rows)
+		for i := range widths {
+			widths[i] = quant.Candidates[i%len(quant.Candidates)]
+		}
+		dst := tensor.New(rows, dim)
+		warm := func() {
+			ranges := a.RowRanges(x.Rows)
+			quant.RowRanges(ranges, x, idx)
+			buf, err := quant.AppendQuantizedMixedRanges(a.GetBuf(quant.MixedSize(widths, dim)), x, idx, widths, ranges, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row := a.GetMat(1, dim)
+			if err := quant.DequantizeMixedAdd(buf, dst, idx, widths, row.Data); err != nil {
+				t.Fatal(err)
+			}
+			a.PutMat(row)
+			a.PutBuf(buf)
+		}
+		warm()
+		check("quantized exchange round trip", testing.AllocsPerRun(20, warm))
+	})
+
 	t.Run("ef-quant", func(t *testing.T) {
 		a := NewArena()
 		c := &efQuantCodec{bits: quant.B4}

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"sync"
 
+	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
@@ -43,6 +44,7 @@ type Arena struct {
 	free     [arenaClasses][][]byte
 	mats     []*tensor.Matrix
 	payloads [][]byte
+	ranges   []quant.RowRange
 }
 
 const (
@@ -259,8 +261,22 @@ func (a *Arena) Payloads(n int) [][]byte {
 	return p
 }
 
+// RowRanges returns a length-n container for per-row value ranges with
+// ARBITRARY contents; the caller fills the entries it reads. Like Payloads
+// it is one slice reused across calls on the same arena, so at most one is
+// live at a time (an exchange scans its rows, encodes, and is done).
+func (a *Arena) RowRanges(n int) []quant.RowRange {
+	if a == nil {
+		return make([]quant.RowRange, n)
+	}
+	if cap(a.ranges) < n {
+		a.ranges = make([]quant.RowRange, n)
+	}
+	return a.ranges[:n]
+}
+
 // dirtyArena returns an arena whose freelists are primed with poisoned
-// memory: byte buffers full of 0xA5 and matrices full of NaN. The
+// memory: byte buffers full of 0xA5, matrices and row ranges full of NaN. The
 // conformance exchange check and the decode fuzzer run codecs against it,
 // so a decoder or encoder that reads pooled memory it did not overwrite
 // produces loudly wrong values instead of silently correct zeroes.
@@ -291,6 +307,9 @@ func dirtyArena(dim int) *Arena {
 	}
 	for _, m := range mats {
 		a.PutMat(m)
+	}
+	for i := range a.RowRanges(1 << 10) {
+		a.ranges[i] = quant.RowRange{Min: nan, Max: nan}
 	}
 	return a
 }

@@ -79,23 +79,24 @@ func emptyRanges(lg *partition.LocalGraph, fwd bool) [][]float64 {
 	return out
 }
 
-// traceForward records (max−min)² of each row this device sends at layer l.
-func (st *assignState) traceForward(l int, xLocal *tensor.Matrix) {
+// traceForward records (max−min)² of each row this device sends at layer l,
+// from the exchange's own scan of those rows (env.sendRanges).
+func (st *assignState) traceForward(l int, ranges []quant.RowRange) {
 	for q := range st.fwdRange2[l] {
 		for j, r := range st.lg.SendTo[q] {
-			mn, mx := tensor.MinMax(xLocal.Row(int(r)))
-			d := float64(mx - mn)
+			d := float64(ranges[r].Max - ranges[r].Min)
 			st.fwdRange2[l][q][j] = d * d
 		}
 	}
 }
 
-// traceBackward records (max−min)² of each halo-gradient row at layer l.
-func (st *assignState) traceBackward(l int, dxFull *tensor.Matrix) {
+// traceBackward records (max−min)² of each halo-gradient row at layer l,
+// from env.haloRanges.
+func (st *assignState) traceBackward(l int, ranges []quant.RowRange) {
 	for p := range st.bwdRange2[l] {
 		for j, s := range st.lg.RecvFrom[p] {
-			mn, mx := tensor.MinMax(dxFull.Row(int(s) + st.lg.NumLocal))
-			d := float64(mx - mn)
+			rg := ranges[int(s)+st.lg.NumLocal]
+			d := float64(rg.Max - rg.Min)
 			st.bwdRange2[l][p][j] = d * d
 		}
 	}

@@ -69,13 +69,35 @@ func TestTraceForwardRanges(t *testing.T) {
 	st := newAssignState(&cfg, lg, dep.Dataset.Features.Cols)
 	x := tensor.New(lg.NumLocal, dep.Dataset.Features.Cols)
 	x.FillUniform(tensor.NewRNG(1), -3, 3)
-	st.traceForward(0, x)
+	st.traceForward(0, (&ExchangeEnv{Graph: lg}).sendRanges(x))
 	for q, rows := range lg.SendTo {
 		for j, r := range rows {
 			mn, mx := tensor.MinMax(x.Row(int(r)))
 			want := float64(mx-mn) * float64(mx-mn)
 			if math.Abs(st.fwdRange2[0][q][j]-want) > 1e-9 {
 				t.Fatalf("traced range² %v, want %v", st.fwdRange2[0][q][j], want)
+			}
+		}
+	}
+}
+
+func TestTraceBackwardRanges(t *testing.T) {
+	dep := deployTiny(t, 3)
+	cfg := DefaultConfig()
+	cfg.Hidden = 16
+	lg := dep.Locals[1]
+	st := newAssignState(&cfg, lg, dep.Dataset.Features.Cols)
+	dxFull := tensor.New(lg.NumLocal+lg.NumHalo, cfg.Hidden)
+	dxFull.FillUniform(tensor.NewRNG(2), -1, 1)
+	// The dirty arena hands out NaN-poisoned ranges: every halo row's entry
+	// must be overwritten by the scan.
+	env := &ExchangeEnv{Graph: lg, Scratch: dirtyArena(cfg.Hidden)}
+	st.traceBackward(1, env.haloRanges(dxFull))
+	for p, slots := range lg.RecvFrom {
+		for j, s := range slots {
+			mn, mx := tensor.MinMax(dxFull.Row(int(s) + lg.NumLocal))
+			if want := float64(mx-mn) * float64(mx-mn); st.bwdRange2[1][p][j] != want {
+				t.Fatalf("peer %d slot %d: traced range² %v, want %v", p, j, st.bwdRange2[1][p][j], want)
 			}
 		}
 	}

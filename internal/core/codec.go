@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/partition"
+	"repro/internal/quant"
 	"repro/internal/tensor"
 	"repro/internal/timing"
 )
@@ -67,6 +68,7 @@ type ExchangeEnv struct {
 
 	costs []layerCosts
 	halo  [][]int32 // lazily-built haloIdx cache, one list per peer
+	sent  []int32   // lazily-built sentRows cache
 }
 
 // HaloIdx returns the xFull row indices of the halo slots received from
@@ -84,6 +86,46 @@ func (e *ExchangeEnv) HaloIdx(p int) []int32 {
 		e.halo[p] = idx
 	}
 	return e.halo[p]
+}
+
+// sentRows returns, ascending, the local rows at least one peer receives
+// (the union of Graph.SendTo). Built once and cached on the env.
+func (e *ExchangeEnv) sentRows() []int32 {
+	if e.sent == nil {
+		marked := make([]bool, e.Graph.NumLocal)
+		for _, rows := range e.Graph.SendTo {
+			for _, r := range rows {
+				marked[r] = true
+			}
+		}
+		e.sent = []int32{}
+		for r, m := range marked {
+			if m {
+				e.sent = append(e.sent, int32(r))
+			}
+		}
+	}
+	return e.sent
+}
+
+// sendRanges scans every row of h this device sends exactly once, however
+// many peers receive it, and returns the ranges indexed by local row. The
+// result is arena scratch: valid until the next sendRanges/haloRanges call
+// on this env, entries of unsent rows arbitrary.
+func (e *ExchangeEnv) sendRanges(h *tensor.Matrix) []quant.RowRange {
+	ranges := e.Scratch.RowRanges(h.Rows)
+	quant.RowRanges(ranges, h, e.sentRows())
+	return ranges
+}
+
+// haloRanges is sendRanges for the backward exchange: the ranges of
+// dxFull's halo-gradient rows, indexed by dxFull row.
+func (e *ExchangeEnv) haloRanges(dxFull *tensor.Matrix) []quant.RowRange {
+	ranges := e.Scratch.RowRanges(dxFull.Rows)
+	for p := range e.Graph.RecvFrom {
+		quant.RowRanges(ranges, dxFull, e.HaloIdx(p))
+	}
+	return ranges
 }
 
 // ForwardCosts returns layer l's forward-stage compute costs.

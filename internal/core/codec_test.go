@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -172,6 +173,55 @@ func TestCodecForwardRoundTripTable(t *testing.T) {
 // row keeps exactly the k largest-magnitude entries and zeroes the rest,
 // and degenerate streams (zero rows, all-zero rows, full density) round-
 // trip cleanly.
+// TestFusedDecodeAddMatchesScatterAdd is the quantized backward receive in
+// miniature: several peers' mixed-width streams target overlapping local
+// rows. Decoding each row into one row of (poisoned) scratch and adding it
+// into dxLocal must equal, bit for bit, the path it replaced — decode the
+// stream into a staging matrix, then scatterAddRows32 — with peers applied
+// in the same order.
+func TestFusedDecodeAddMatchesScatterAdd(t *testing.T) {
+	const local, dim = 30, 21
+	rng := tensor.NewRNG(17)
+	peers := [][]int32{
+		{4, 0, 29, 7, 7, 12},
+		{7, 4, 5, 6, 28, 29, 0, 1, 2},
+		{12},
+	}
+	fused, staged := tensor.New(local, dim), tensor.New(local, dim)
+	fused.FillUniform(rng, -1, 1)
+	copy(staged.Data, fused.Data)
+	a := dirtyArena(dim)
+	for _, rows := range peers {
+		grads := tensor.New(len(rows), dim)
+		grads.FillNormal(rng, 0, 1e-2)
+		widths := quant.RandomWidths(len(rows), rng)
+		stream, err := quant.QuantizeMixed(grads, nil, widths, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		row := a.GetMat(1, dim)
+		if err := quant.DequantizeMixedAdd(stream, fused, rows, widths, row.Data); err != nil {
+			t.Fatal(err)
+		}
+		a.PutMat(row)
+
+		tmp := tensor.New(len(rows), dim)
+		if err := quant.DequantizeMixed(stream, tmp, nil, widths); err != nil {
+			t.Fatal(err)
+		}
+		scatterAddRows32(staged, rows, tmp)
+	}
+	for i := range staged.Data {
+		if math.Float32bits(fused.Data[i]) != math.Float32bits(staged.Data[i]) {
+			t.Fatalf("element %d: fused decode-add %v, decode + scatter-add %v", i, fused.Data[i], staged.Data[i])
+		}
+	}
+	if err := quant.DequantizeMixedAdd([]byte{1, 2, 3}, fused, peers[2], []quant.BitWidth{quant.B2}, make([]float32, dim)); err == nil {
+		t.Fatal("short stream accepted")
+	}
+}
+
 func TestTopKWireRoundTrip(t *testing.T) {
 	x := tensor.New(3, 6)
 	copy(x.Row(0), []float32{0.1, -5, 0.2, 3, -0.3, 0})

@@ -44,8 +44,14 @@ type quantState struct {
 	st *assignState
 }
 
-func (q *quantState) forwardQ(env *ExchangeEnv, l int, h, xFull *tensor.Matrix) error {
-	commDelta, err := exchangeHaloQ(env, q.st.fwdW[l], h, xFull)
+// forwardQ runs the quantized forward exchange; trace also feeds the scanned
+// row ranges to the assigner's tracer.
+func (q *quantState) forwardQ(env *ExchangeEnv, l int, h, xFull *tensor.Matrix, trace bool) error {
+	ranges := env.sendRanges(h)
+	if trace {
+		q.st.traceForward(l, ranges)
+	}
+	commDelta, err := exchangeHaloQ(env, q.st.fwdW[l], h, xFull, ranges)
 	if err != nil {
 		return err
 	}
@@ -68,11 +74,15 @@ func (q *quantState) forwardFP(env *ExchangeEnv, l int, h, xFull *tensor.Matrix)
 	return nil
 }
 
-func (q *quantState) backwardQ(env *ExchangeEnv, l int, dxFull, dxLocal *tensor.Matrix) error {
+func (q *quantState) backwardQ(env *ExchangeEnv, l int, dxFull, dxLocal *tensor.Matrix, trace bool) error {
 	clock := env.Dev.Clock()
 	bc := env.BackwardCosts(l)
 	clock.Advance(timing.Comp, bc.Marginal)
-	commDelta, err := exchangeGradQ(env, q.st.bwdW[l], dxFull, dxLocal)
+	ranges := env.haloRanges(dxFull)
+	if trace {
+		q.st.traceBackward(l, ranges)
+	}
+	commDelta, err := exchangeGradQ(env, q.st.bwdW[l], dxFull, dxLocal, ranges)
 	if err != nil {
 		return err
 	}
@@ -120,14 +130,14 @@ func (c *uniformCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.
 	if c.passthrough {
 		return c.forwardFP(env, l, h, xFull)
 	}
-	return c.forwardQ(env, l, h, xFull)
+	return c.forwardQ(env, l, h, xFull, false)
 }
 
 func (c *uniformCodec) Backward(env *ExchangeEnv, epoch, l int, dxFull, dxLocal *tensor.Matrix) error {
 	if c.passthrough {
 		return c.backwardFP(env, l, dxFull, dxLocal)
 	}
-	return c.backwardQ(env, l, dxFull, dxLocal)
+	return c.backwardQ(env, l, dxFull, dxLocal, false)
 }
 
 func (c *uniformCodec) EpochEnd(*ExchangeEnv, int) error { return nil }
@@ -167,11 +177,11 @@ func newRandomCodec(env *CodecEnv) (MessageCodec, error) {
 func (c *randomCodec) Name() string { return CodecRandom }
 
 func (c *randomCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.Matrix) error {
-	return c.forwardQ(env, l, h, xFull)
+	return c.forwardQ(env, l, h, xFull, false)
 }
 
 func (c *randomCodec) Backward(env *ExchangeEnv, epoch, l int, dxFull, dxLocal *tensor.Matrix) error {
-	return c.backwardQ(env, l, dxFull, dxLocal)
+	return c.backwardQ(env, l, dxFull, dxLocal, false)
 }
 
 func (c *randomCodec) EpochEnd(env *ExchangeEnv, epoch int) error {
@@ -223,25 +233,21 @@ func (c *adaptiveCodec) tracingEpoch(env *ExchangeEnv, epoch int) bool {
 }
 
 func (c *adaptiveCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.Matrix) error {
-	if c.tracingEpoch(env, epoch) {
-		c.st.traceForward(l, h)
-	}
 	if epoch == 0 {
 		// Bootstrap epoch: full precision while tracing (no widths assigned
 		// yet), with the overlap schedule already active.
+		c.st.traceForward(l, env.sendRanges(h))
 		return c.forwardFP(env, l, h, xFull)
 	}
-	return c.forwardQ(env, l, h, xFull)
+	return c.forwardQ(env, l, h, xFull, c.tracingEpoch(env, epoch))
 }
 
 func (c *adaptiveCodec) Backward(env *ExchangeEnv, epoch, l int, dxFull, dxLocal *tensor.Matrix) error {
-	if c.tracingEpoch(env, epoch) {
-		c.st.traceBackward(l, dxFull)
-	}
 	if epoch == 0 {
+		c.st.traceBackward(l, env.haloRanges(dxFull))
 		return c.backwardFP(env, l, dxFull, dxLocal)
 	}
-	return c.backwardQ(env, l, dxFull, dxLocal)
+	return c.backwardQ(env, l, dxFull, dxLocal, c.tracingEpoch(env, epoch))
 }
 
 // EpochEnd re-solves the bi-objective assignment problem at each period

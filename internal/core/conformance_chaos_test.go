@@ -213,6 +213,13 @@ func TestChaosConformanceCatchesBrokenTransports(t *testing.T) {
 		{"post-restart corruption", brokenFactory(func(d Transport) Transport { return lateCorruptDev{d} }), "chaos-crash-recovery"},
 	}
 	for _, tc := range cases {
+		if raceEnabled && tc.wantCheck == "chaos-ownership" {
+			// The recycled-buffer stub's violation is a data race by
+			// construction once real training runs over it: the race
+			// detector reports it before the ownership check can, and
+			// fails the test for the very bug the stub plants.
+			continue
+		}
 		vs := ConformTransportChaos(tc.factory, 4)
 		found := false
 		for _, v := range vs {

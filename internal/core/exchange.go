@@ -241,11 +241,13 @@ func quantRecvElems(wt *widthTable, dim int) int {
 }
 
 // exchangeHaloQ performs the quantized forward halo exchange with per-slot
-// widths. Charges Quant for the quantize/de-quantize kernels; Comm is
-// charged inside RingAll2All. Returns the Comm seconds this call added
-// (used by the overlap schedule).
+// widths. ranges holds the range of every sent row of xLocal
+// (env.sendRanges), so a row bound for several peers is scanned once.
+// Charges Quant for the quantize/de-quantize kernels; Comm is charged
+// inside RingAll2All. Returns the Comm seconds this call added (used by the
+// overlap schedule).
 func exchangeHaloQ(env *ExchangeEnv, wt *widthTable,
-	xLocal, xFull *tensor.Matrix) (timing.Seconds, error) {
+	xLocal, xFull *tensor.Matrix, ranges []quant.RowRange) (timing.Seconds, error) {
 	dev, lg, a := env.Dev, env.Graph, env.Scratch
 	n := dev.Size()
 	model := dev.Model()
@@ -255,9 +257,9 @@ func exchangeHaloQ(env *ExchangeEnv, wt *widthTable,
 		if q == dev.Rank() || len(lg.SendTo[q]) == 0 {
 			continue
 		}
-		buf, err := quant.AppendQuantizedMixed(
+		buf, err := quant.AppendQuantizedMixedRanges(
 			a.GetBuf(quant.MixedSize(wt.send[q], xLocal.Cols)),
-			xLocal, lg.SendTo[q], wt.send[q], dev.Rand())
+			xLocal, lg.SendTo[q], wt.send[q], ranges, dev.Rand())
 		if err != nil {
 			return 0, err
 		}
@@ -281,9 +283,10 @@ func exchangeHaloQ(env *ExchangeEnv, wt *widthTable,
 
 // exchangeGradQ performs the quantized backward exchange (embedding
 // gradients / "errors"). wt is the backward width table: send[p] covers
-// slots RecvFrom[p], recv[q] covers rows SendTo[q].
+// slots RecvFrom[p], recv[q] covers rows SendTo[q]; ranges holds the range
+// of every halo row of dxFull (env.haloRanges).
 func exchangeGradQ(env *ExchangeEnv, wt *widthTable,
-	dxFull, dxLocal *tensor.Matrix) (timing.Seconds, error) {
+	dxFull, dxLocal *tensor.Matrix, ranges []quant.RowRange) (timing.Seconds, error) {
 	dev, lg, a := env.Dev, env.Graph, env.Scratch
 	n := dev.Size()
 	model := dev.Model()
@@ -293,9 +296,9 @@ func exchangeGradQ(env *ExchangeEnv, wt *widthTable,
 		if p == dev.Rank() || len(lg.RecvFrom[p]) == 0 {
 			continue
 		}
-		buf, err := quant.AppendQuantizedMixed(
+		buf, err := quant.AppendQuantizedMixedRanges(
 			a.GetBuf(quant.MixedSize(wt.send[p], dxFull.Cols)),
-			dxFull, env.HaloIdx(p), wt.send[p], dev.Rand())
+			dxFull, env.HaloIdx(p), wt.send[p], ranges, dev.Rand())
 		if err != nil {
 			return 0, err
 		}
@@ -304,21 +307,19 @@ func exchangeGradQ(env *ExchangeEnv, wt *widthTable,
 	before := dev.Clock().Spent(timing.Comm)
 	recv := dev.RingAll2All(payloads)
 	commDelta := dev.Clock().Spent(timing.Comm) - before
+	// Several peers may target the same local row, so gradients are added,
+	// not stored: each row is decoded into one row of scratch and added
+	// into dxLocal from there, peers in rank order.
+	row := a.GetMat(1, dxLocal.Cols)
 	for q := 0; q < n; q++ {
 		if q == dev.Rank() || len(lg.SendTo[q]) == 0 {
 			continue
 		}
-		// Decode group-by-group via DequantizeMixed into arena scratch,
-		// then scatter-add (cannot decode straight into dxLocal because
-		// multiple devices may target the same local row).
-		rows := lg.SendTo[q]
-		tmp := a.GetMat(len(rows), dxLocal.Cols)
-		if err := quant.DequantizeMixed(recv[q], tmp, nil, wt.recv[q]); err != nil {
+		if err := quant.DequantizeMixedAdd(recv[q], dxLocal, lg.SendTo[q], wt.recv[q], row.Data); err != nil {
 			return 0, fmt.Errorf("rank %d grads from %d: %w", dev.Rank(), q, err)
 		}
-		scatterAddRows32(dxLocal, rows, tmp)
-		a.PutMat(tmp)
 	}
+	a.PutMat(row)
 	a.ReleaseAll(recv)
 	dev.Clock().Advance(timing.Quant, model.QuantTime(quantRecvElems(wt, dxLocal.Cols)))
 	return commDelta, nil

@@ -233,6 +233,11 @@ func (w *worker) run() error {
 	if err := w.checkCrashSupport(); err != nil {
 		return err
 	}
+	// final holds the last epoch's evaluation logits: the parameters do not
+	// change after that epoch's optimizer step, so the final test/val
+	// scores read the same forward pass instead of repeating it.
+	var final *tensor.Matrix
+	finalVal := math.NaN()
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		if canceled := w.pollCancel(); canceled {
 			return ErrCanceled
@@ -253,11 +258,15 @@ func (w *worker) run() error {
 		}
 
 		valAcc := math.NaN()
-		if cfg.EvalEvery > 0 && (epoch%cfg.EvalEvery == 0 || epoch == cfg.Epochs-1) {
-			var err error
-			valAcc, err = w.evaluate(w.ld.val)
+		last := epoch == cfg.Epochs-1
+		if cfg.EvalEvery > 0 && (epoch%cfg.EvalEvery == 0 || last) {
+			logits, err := w.evalLogits()
 			if err != nil {
 				return err
+			}
+			valAcc = w.score(logits, w.ld.val)
+			if last {
+				final, finalVal = logits, valAcc
 			}
 		}
 		w.dev.Barrier()
@@ -273,17 +282,17 @@ func (w *worker) run() error {
 		}
 	}
 	// Final metrics.
-	test, err := w.evaluate(w.ld.test)
-	if err != nil {
-		return err
+	if final == nil {
+		var err error
+		if final, err = w.evalLogits(); err != nil {
+			return err
+		}
+		finalVal = w.score(final, w.ld.val)
 	}
-	val, err := w.evaluate(w.ld.val)
-	if err != nil {
-		return err
-	}
+	test := w.score(final, w.ld.test)
 	if w.dev.Rank() == 0 {
 		w.res.FinalTest = test
-		w.res.FinalVal = val
+		w.res.FinalVal = finalVal
 	}
 	return nil
 }
@@ -495,13 +504,16 @@ func (w *worker) globalSum(x float64) float64 {
 	return sum
 }
 
-// evaluate computes accuracy (single-label) or micro-F1 (multi-label) over
-// the masked local rows, aggregated globally. Uncharged (metrics sideband).
-func (w *worker) evaluate(mask []bool) (float64, error) {
-	logits, err := w.forward(-1, false)
-	if err != nil {
-		return 0, err
-	}
+// evalLogits runs the evaluation forward pass: full precision, no dropout,
+// uncharged raw halo exchanges, no RNG draws.
+func (w *worker) evalLogits() (*tensor.Matrix, error) {
+	return w.forward(-1, false)
+}
+
+// score computes accuracy (single-label) or micro-F1 (multi-label) of
+// logits over the masked local rows, aggregated globally. Uncharged
+// (metrics sideband).
+func (w *worker) score(logits *tensor.Matrix, mask []bool) float64 {
 	var counts [3]float64
 	if w.task == synthetic.SingleLabel {
 		for i := 0; i < logits.Rows; i++ {
@@ -546,13 +558,13 @@ func (w *worker) evaluate(mask []bool) (float64, error) {
 	}
 	if w.task == synthetic.SingleLabel {
 		if tot[1] == 0 {
-			return 0, nil
+			return 0
 		}
-		return tot[0] / tot[1], nil
+		return tot[0] / tot[1]
 	}
 	denom := 2*tot[0] + tot[1] + tot[2]
 	if denom == 0 {
-		return 0, nil
+		return 0
 	}
-	return 2 * tot[0] / denom, nil
+	return 2 * tot[0] / denom
 }

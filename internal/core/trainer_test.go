@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/quant"
 	"repro/internal/synthetic"
 	"repro/internal/timing"
@@ -153,4 +155,83 @@ func totalBytes(bm [][]int64) int64 {
 		}
 	}
 	return s
+}
+
+// rawCountingRuntime counts rank 0's raw (uncharged, evaluation-only) halo
+// exchanges of a run, wrapped around the in-process backend through the
+// transportFactory seam.
+type rawCountingRuntime struct {
+	Runtime
+	rawAll2All atomic.Int64
+}
+
+type rawCountingTransport struct {
+	Transport
+	rt *rawCountingRuntime
+}
+
+func (t rawCountingTransport) RawAll2All(payloads [][]byte) [][]byte {
+	if t.Rank() == 0 {
+		t.rt.rawAll2All.Add(1)
+	}
+	return t.Transport.RawAll2All(payloads)
+}
+
+func (rt *rawCountingRuntime) Run(seed uint64, body func(Transport) error) error {
+	return rt.Runtime.Run(seed, func(tr Transport) error {
+		return body(rawCountingTransport{Transport: tr, rt: rt})
+	})
+}
+
+// TestFinalEvalSharesOneForwardPass pins the evaluation schedule of a run:
+// one full-precision forward pass (Layers raw halo exchanges) per
+// evaluated epoch, and the final test/val scores read the last epoch's
+// pass instead of repeating it twice on unchanged parameters. Evaluation
+// consumes no RNG and raw collectives are uncharged, so the scores cannot
+// depend on how often the run evaluated.
+func TestFinalEvalSharesOneForwardPass(t *testing.T) {
+	ds := synthetic.MustLoad("tiny", 1)
+	inprocess, err := LookupTransport(TransportInprocess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train := func(evalEvery int) (*metrics.RunResult, int64) {
+		cfg := tinyConfig(AdaQP)
+		cfg.EvalEvery = evalEvery
+		var rt *rawCountingRuntime
+		cfg.transportFactory = func(spec TransportSpec) Runtime {
+			rt = &rawCountingRuntime{Runtime: inprocess(spec)}
+			return rt
+		}
+		res, err := Train(ds, 3, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, rt.rawAll2All.Load()
+	}
+	layers := int64(tinyConfig(AdaQP).Layers)
+
+	// 12 epochs, eval every 4: epochs 0, 4, 8 and the last one, 11.
+	every4, raw := train(4)
+	if want := 4 * layers; raw != want {
+		t.Errorf("eval every 4: %d raw halo exchanges, want %d (4 evaluated epochs × %d layers, final scores included)", raw, want, layers)
+	}
+	if last := every4.Epochs[len(every4.Epochs)-1]; every4.FinalVal != last.ValAcc {
+		t.Errorf("FinalVal %v differs from the last epoch's ValAcc %v", every4.FinalVal, last.ValAcc)
+	}
+
+	// Evaluation off: the final scores need exactly one pass of their own.
+	never, raw := train(0)
+	if raw != layers {
+		t.Errorf("eval off: %d raw halo exchanges, want %d (one final pass)", raw, layers)
+	}
+	if never.FinalTest != every4.FinalTest || never.FinalVal != every4.FinalVal {
+		t.Errorf("final scores depend on the eval schedule: test %v vs %v, val %v vs %v",
+			never.FinalTest, every4.FinalTest, never.FinalVal, every4.FinalVal)
+	}
+	for i := range never.Epochs {
+		if never.Epochs[i].Loss != every4.Epochs[i].Loss {
+			t.Fatalf("epoch %d: loss depends on the eval schedule", i)
+		}
+	}
 }

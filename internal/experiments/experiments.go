@@ -1,8 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§2.2 motivation and §5). Each Table*/Figure* function runs
-// the corresponding workload and prints rows shaped like the paper's.
-// DESIGN.md carries the experiment index; EXPERIMENTS.md records the
-// paper-vs-measured comparison.
+// the corresponding workload and prints rows shaped like the paper's;
+// `cmd/bench -table N` / `-figure N` is the index.
 package experiments
 
 import (

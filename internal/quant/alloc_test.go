@@ -52,4 +52,22 @@ func TestRoundTripSteadyStateAllocs(t *testing.T) {
 	if avg != 0 && !raceEnabled {
 		t.Errorf("mixed round trip allocates %.1f times per run, want 0", avg)
 	}
+
+	// The exchange's variant: ranges scanned once into caller scratch and
+	// shared by the encoder, decode-and-add through one scratch row.
+	ranges := make([]RowRange, x.Rows)
+	row := make([]float32, x.Cols)
+	avg = testing.AllocsPerRun(20, func() {
+		RowRanges(ranges, x, idx)
+		stream, err := AppendQuantizedMixedRanges(buf, x, idx, widths, ranges, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := DequantizeMixedAdd(stream, dst, idx, widths, row); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 && !raceEnabled {
+		t.Errorf("shared-range encode + decode-add allocates %.1f times per run, want 0", avg)
+	}
 }

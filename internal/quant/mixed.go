@@ -39,6 +39,14 @@ var groupOrder = []BitWidth{B8, B4, B2}
 // is a valid dst. Rows are encoded one at a time straight into the output
 // — no per-group index slices or sub-buffers are built.
 func AppendQuantizedMixed(dst []byte, x *tensor.Matrix, idx []int32, widths []BitWidth, rng *tensor.RNG) ([]byte, error) {
+	return AppendQuantizedMixedRanges(dst, x, idx, widths, nil, rng)
+}
+
+// AppendQuantizedMixedRanges is AppendQuantizedMixed for a caller that has
+// already scanned the rows: ranges[r] must be the RowRange of x's row r
+// (see RowRanges) for every encoded row, so a row sent to several peers is
+// scanned once, not once per peer. ranges nil scans each row here.
+func AppendQuantizedMixedRanges(dst []byte, x *tensor.Matrix, idx []int32, widths []BitWidth, ranges []RowRange, rng *tensor.RNG) ([]byte, error) {
 	if idx != nil && len(idx) != len(widths) {
 		return nil, fmt.Errorf("quant: %d indices but %d widths", len(idx), len(widths))
 	}
@@ -47,8 +55,11 @@ func AppendQuantizedMixed(dst []byte, x *tensor.Matrix, idx []int32, widths []Bi
 			return nil, fmt.Errorf("quant: row %d has unpackable bit-width %d", i, b)
 		}
 	}
+	size := MixedSize(widths, x.Cols)
+	dst = Grow(dst, size)
+	out := dst[len(dst)-size:]
+	g := loadGen(rng)
 	for _, b := range groupOrder {
-		packed := b.PackedSize(x.Cols)
 		for i, w := range widths {
 			if w != b {
 				continue
@@ -57,13 +68,15 @@ func AppendQuantizedMixed(dst []byte, x *tensor.Matrix, idx []int32, widths []Bi
 			if idx != nil {
 				r = int(idx[i])
 			}
-			off := len(dst)
-			dst = Grow(dst, headerBytes+packed)
-			meta := QuantizeRow(x.Row(r), b, dst[off+headerBytes:off+headerBytes+packed], rng)
-			binary.LittleEndian.PutUint32(dst[off:], math.Float32bits(meta.Zero))
-			binary.LittleEndian.PutUint32(dst[off+4:], math.Float32bits(meta.Scale))
+			row := x.Row(r)
+			if ranges != nil {
+				out = appendRow(out, row, ranges[r], b, &g)
+			} else {
+				out = appendRow(out, row, rangeOf(row), b, &g)
+			}
 		}
 	}
+	g.store(rng)
 	return dst, nil
 }
 
@@ -79,6 +92,19 @@ func QuantizeMixed(x *tensor.Matrix, idx []int32, widths []BitWidth, rng *tensor
 // (or rows 0..len(widths)-1 if nil), using the same widths assignment the
 // sender used.
 func DequantizeMixed(stream []byte, dst *tensor.Matrix, dstRows []int32, widths []BitWidth) error {
+	return dequantizeMixed(stream, dst, dstRows, widths, nil)
+}
+
+// DequantizeMixedAdd is DequantizeMixed with += semantics: every decoded
+// row is added into its dst row, in stream order, so rows of dst that
+// several streams target accumulate (the backward scatter-add). Each row is
+// decoded into row — scratch of len ≥ dst.Cols with arbitrary contents —
+// and added from there; no rows×dim staging matrix exists.
+func DequantizeMixedAdd(stream []byte, dst *tensor.Matrix, dstRows []int32, widths []BitWidth, row []float32) error {
+	return dequantizeMixed(stream, dst, dstRows, widths, row[:dst.Cols])
+}
+
+func dequantizeMixed(stream []byte, dst *tensor.Matrix, dstRows []int32, widths []BitWidth, addVia []float32) error {
 	if dstRows != nil && len(dstRows) != len(widths) {
 		return fmt.Errorf("quant: %d dst rows but %d widths", len(dstRows), len(widths))
 	}
@@ -90,7 +116,6 @@ func DequantizeMixed(stream []byte, dst *tensor.Matrix, dstRows []int32, widths 
 	if want := MixedSize(widths, dst.Cols); len(stream) != want {
 		return fmt.Errorf("quant: mixed stream is %d bytes, want %d", len(stream), want)
 	}
-	off := 0
 	for _, b := range groupOrder {
 		packed := b.PackedSize(dst.Cols)
 		for i, w := range widths {
@@ -102,11 +127,20 @@ func DequantizeMixed(stream []byte, dst *tensor.Matrix, dstRows []int32, widths 
 				r = int(dstRows[i])
 			}
 			meta := RowMeta{
-				Zero:  math.Float32frombits(binary.LittleEndian.Uint32(stream[off:])),
-				Scale: math.Float32frombits(binary.LittleEndian.Uint32(stream[off+4:])),
+				Zero:  math.Float32frombits(binary.LittleEndian.Uint32(stream)),
+				Scale: math.Float32frombits(binary.LittleEndian.Uint32(stream[4:])),
 			}
-			DequantizeRow(stream[off+headerBytes:off+headerBytes+packed], meta, b, dst.Row(r))
-			off += headerBytes + packed
+			codes := stream[headerBytes : headerBytes+packed]
+			stream = stream[headerBytes+packed:]
+			if addVia == nil {
+				DequantizeRow(codes, meta, b, dst.Row(r))
+				continue
+			}
+			DequantizeRow(codes, meta, b, addVia)
+			d := dst.Row(r)
+			for j, v := range addVia {
+				d[j] += v
+			}
 		}
 	}
 	return nil

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/tensor"
 )
@@ -56,8 +57,7 @@ func (b BitWidth) PackedSize(n int) int {
 	if b == B32 {
 		return 4 * n
 	}
-	vp := b.ValuesPerByte()
-	return (n + vp - 1) / vp
+	return (n*int(b) + 7) / 8
 }
 
 // RowMeta carries the per-row affine parameters needed to de-quantize.
@@ -79,107 +79,199 @@ func WireSize(rows, dim int, b BitWidth) int {
 	return rows * (headerBytes + b.PackedSize(dim))
 }
 
+// RowRange is one row's value range — exactly what tensor.MinMax returns
+// for it. Callers that send the same row to several peers scan it once
+// (RowRanges) and hand the result to every encoder.
+type RowRange struct{ Min, Max float32 }
+
+func rangeOf(h []float32) RowRange {
+	mn, mx := tensor.MinMax(h)
+	return RowRange{mn, mx}
+}
+
+// RowRanges scans rows idx of x once each and stores their ranges in
+// dst[row]; dst needs len ≥ x.Rows and entries of rows not listed are left
+// untouched.
+func RowRanges(dst []RowRange, x *tensor.Matrix, idx []int32) {
+	for _, r := range idx {
+		dst[r] = rangeOf(x.Row(int(r)))
+	}
+}
+
+// gen is the stochastic-rounding generator held by value: an Append* call
+// loads the caller's xoshiro256** state once, every row kernel runs it from
+// locals, and the call stores it back at the end. The stream is exactly
+// tensor.RNG's, so interleaving with other users of the same RNG is
+// unchanged.
+type gen struct{ s0, s1, s2, s3 uint64 }
+
+func loadGen(rng *tensor.RNG) gen {
+	s := rng.State().S
+	return gen{s[0], s[1], s[2], s[3]}
+}
+
+func (g gen) store(rng *tensor.RNG) {
+	st := rng.State()
+	st.S = [4]uint64{g.s0, g.s1, g.s2, g.s3}
+	rng.SetState(st)
+}
+
 // QuantizeRow quantizes one float32 vector into codes at width b, writing
 // packed bytes to dst (len ≥ PackedSize(len(h))) and returning the row
 // meta. rng supplies stochastic-rounding randomness.
 //
 // Codes are packed LSB-first: value i occupies bits [i*b, (i+1)*b) of the
-// stream, accumulated into a uint64 and flushed eight bytes at a time, so
-// the hot loop has no per-value division or read-modify-write. Every byte
-// of dst[:PackedSize(len(h))] is overwritten, so dst may hold stale data
-// (e.g. a pooled buffer).
+// stream. Every byte of dst[:PackedSize(len(h))] is overwritten, so dst may
+// hold stale data (e.g. a pooled buffer).
+//
+// Determinism contract: with t = (h[i]−min)·(1/scale), element i consumes
+// exactly one rng.Float32 draw unless t ≤ 0 (elements equal to the row
+// minimum, and every element of a constant row, draw nothing); draws happen
+// in element order. Fixed-seed losses and golden frames depend on it.
 func QuantizeRow(h []float32, b BitWidth, dst []byte, rng *tensor.RNG) RowMeta {
-	mn, mx := tensor.MinMax(h)
-	levels := float32(b.Levels())
-	scale := (mx - mn) / levels
+	g := loadGen(rng)
+	meta := quantizeRow(h, rangeOf(h), b, dst, &g)
+	g.store(rng)
+	return meta
+}
+
+// quantizeRow is the single-pass row kernel behind every encoder: rg is
+// the row's precomputed range and g the generator state, advanced in place.
+// Elements are rounded a chunk at a time into one code per byte (one loop
+// for every width, the generator in registers), then packed with the
+// width's constant shifts.
+func quantizeRow(h []float32, rg RowRange, b BitWidth, dst []byte, g *gen) RowMeta {
+	mn := rg.Min
+	maxCode := b.Levels()
+	scale := (rg.Max - mn) / float32(maxCode)
 	meta := RowMeta{Zero: mn, Scale: scale}
-	packed := b.PackedSize(len(h))
+	dst = dst[:b.PackedSize(len(h))]
 	if scale == 0 {
 		// Constant row: all codes zero; de-quantization returns Zero.
-		for i := range dst[:packed] {
-			dst[i] = 0
-		}
+		clear(dst)
 		return meta
 	}
 	inv := 1 / scale
-	shift := uint(b)
-	maxCode := b.Levels()
-	perWord := 64 / int(b)
-	i, o, n := 0, 0, len(h)
-	for ; n-i >= perWord; i += perWord {
-		var word uint64
-		pos := uint(0)
-		for _, v := range h[i : i+perWord] {
-			t := (v - mn) * inv
-			code := stochasticRound(t, rng)
-			if code > maxCode {
-				code = maxCode
-			}
-			word |= uint64(code) << pos
-			pos += shift
-		}
-		binary.LittleEndian.PutUint64(dst[o:], word)
-		o += 8
+	// round floors by truncation, which is the floor while t < 2^32. t
+	// exceeds the level count by rounding error at most — unless the range
+	// is so small that 1/scale overflowed: then every t is +Inf or NaN, its
+	// fraction is NaN, and nothing may round up.
+	var roundUp uint32
+	if inv <= math.MaxFloat32 {
+		roundUp = 1
 	}
-	if i < n {
-		var word uint64
-		pos := uint(0)
-		for _, v := range h[i:n] {
-			t := (v - mn) * inv
-			code := stochasticRound(t, rng)
-			if code > maxCode {
-				code = maxCode
-			}
-			word |= uint64(code) << pos
-			pos += shift
+	var codes [codeChunk]uint8
+	for len(h) > 0 {
+		n := min(codeChunk, len(h))
+		g.round(codes[:n], h[:n], mn, inv, maxCode, roundUp)
+		h = h[n:]
+		if n < codeChunk {
+			clear(codes[n:]) // pad the last byte's unused code slots
 		}
-		for ; o < packed; o++ {
-			dst[o] = byte(word)
-			word >>= 8
-		}
+		packed := b.PackedSize(n)
+		pack(dst[:packed], codes[:], b)
+		dst = dst[packed:]
 	}
 	return meta
 }
 
-// stochasticRound rounds t to ⌈t⌉ with probability t−⌊t⌋, else ⌊t⌋.
-func stochasticRound(t float32, rng *tensor.RNG) uint32 {
-	if t <= 0 {
-		return 0
+// codeChunk is how many elements are rounded before packing; a multiple of
+// every width's codes-per-byte, so only a row's last chunk ends mid-byte.
+const codeChunk = 64
+
+// round stochastically rounds (h[i]-mn)*inv to a code in [0, maxCode] for
+// every element, one generator step per element that draws.
+func (g *gen) round(codes []uint8, h []float32, mn, inv float32, maxCode, roundUp uint32) {
+	s0, s1, s2, s3 := g.s0, g.s1, g.s2, g.s3
+	codes = codes[:len(h)]
+	for i, v := range h {
+		t := (v - mn) * inv
+		var code uint32
+		if !(t <= 0) { // NaN draws too
+			// One xoshiro256** step — tensor.RNG.Float32, inlined.
+			r := bits.RotateLeft64(s1*5, 7) * 9
+			x := s1 << 17
+			s2 ^= s0
+			s3 ^= s1
+			s1 ^= s2
+			s0 ^= s3
+			s2 ^= x
+			s3 = bits.RotateLeft64(s3, 45)
+			u := float32(r>>40) / (1 << 24)
+
+			c := uint32(t) // ⌊t⌋
+			var up uint32
+			if u < t-float32(c) {
+				up = roundUp
+			}
+			code = min(c+up, maxCode)
+		}
+		codes[i] = uint8(code)
 	}
-	fl := float32(math.Floor(float64(t)))
-	frac := t - fl
-	c := uint32(fl)
-	if rng.Float32() < frac {
-		c++
-	}
-	return c
+	g.s0, g.s1, g.s2, g.s3 = s0, s1, s2, s3
 }
 
-// DequantizeRow recovers dim float32 values from packed codes, reading the
-// stream a uint64 word at a time (mirror of QuantizeRow's layout).
-func DequantizeRow(src []byte, meta RowMeta, b BitWidth, out []float32) {
-	mask := uint64(b.Levels())
-	shift := uint(b)
-	scale, zero := meta.Scale, meta.Zero
-	perWord := 64 / int(b)
-	i, o, n := 0, 0, len(out)
-	for ; n-i >= perWord; i += perWord {
-		word := binary.LittleEndian.Uint64(src[o:])
-		o += 8
-		for j := 0; j < perWord; j++ {
-			out[i+j] = float32(word&mask)*scale + zero
-			word >>= shift
+// pack fills dst with one-per-byte codes packed at width b, LSB-first.
+func pack(dst []byte, codes []uint8, b BitWidth) {
+	switch b {
+	case B8:
+		copy(dst, codes)
+	case B4:
+		for k := range dst {
+			c := codes[2*k : 2*k+2]
+			dst[k] = c[0] | c[1]<<4
 		}
+	case B2:
+		for k := range dst {
+			c := codes[4*k : 4*k+4]
+			dst[k] = c[0] | c[1]<<2 | c[2]<<4 | c[3]<<6
+		}
+	default:
+		panic(fmt.Sprintf("quant: cannot pack width %d", b))
 	}
-	if i < n {
-		var word uint64
-		for k := b.PackedSize(n) - 1; k >= o; k-- {
-			word = word<<8 | uint64(src[k])
+}
+
+// DequantizeRow recovers len(out) float32 values from packed codes
+// (mirror of QuantizeRow's layout), one loop per width. The 2- and 4-bit
+// loops look codes up in a per-row table of the 4 or 16 values a row can
+// take, each computed by the same float32(code)*scale+zero expression the
+// 8-bit loop applies per element.
+func DequantizeRow(src []byte, meta RowMeta, b BitWidth, out []float32) {
+	scale, zero := meta.Scale, meta.Zero
+	n := len(out)
+	src = src[:b.PackedSize(n)]
+	switch b {
+	case B8:
+		out = out[:len(src)]
+		for i, c := range src {
+			out[i] = float32(c)*scale + zero
 		}
-		for ; i < n; i++ {
-			out[i] = float32(word&mask)*scale + zero
-			word >>= shift
+	case B4:
+		var tab [16]float32
+		for c := range tab {
+			tab[c] = float32(c)*scale + zero
 		}
+		for i, c := range src[:n/2] {
+			o := out[2*i : 2*i+2]
+			o[0], o[1] = tab[c&15], tab[c>>4]
+		}
+		if n%2 != 0 {
+			out[n-1] = tab[src[n/2]&15]
+		}
+	case B2:
+		var tab [4]float32
+		for c := range tab {
+			tab[c] = float32(c)*scale + zero
+		}
+		for i, c := range src[:n/4] {
+			o := out[4*i : 4*i+4]
+			o[0], o[1], o[2], o[3] = tab[c&3], tab[c>>2&3], tab[c>>4&3], tab[c>>6]
+		}
+		for i := n &^ 3; i < n; i++ {
+			out[i] = tab[src[n/4]>>(2*uint(i%4))&3]
+		}
+	default:
+		panic(fmt.Sprintf("quant: cannot de-quantize width %d", b))
 	}
 }
 
@@ -206,20 +298,30 @@ func AppendQuantizedRows(dst []byte, x *tensor.Matrix, idx []int32, b BitWidth, 
 	if idx != nil {
 		rows = len(idx)
 	}
-	packed := b.PackedSize(x.Cols)
-	off := len(dst)
-	dst = Grow(dst, WireSize(rows, x.Cols, b))
+	size := WireSize(rows, x.Cols, b)
+	dst = Grow(dst, size)
+	out := dst[len(dst)-size:]
+	g := loadGen(rng)
 	for i := 0; i < rows; i++ {
 		r := i
 		if idx != nil {
 			r = int(idx[i])
 		}
-		meta := QuantizeRow(x.Row(r), b, dst[off+headerBytes:off+headerBytes+packed], rng)
-		binary.LittleEndian.PutUint32(dst[off:], math.Float32bits(meta.Zero))
-		binary.LittleEndian.PutUint32(dst[off+4:], math.Float32bits(meta.Scale))
-		off += headerBytes + packed
+		row := x.Row(r)
+		out = appendRow(out, row, rangeOf(row), b, &g)
 	}
+	g.store(rng)
 	return dst
+}
+
+// appendRow encodes one wire row — [Zero][Scale][packed codes] — at the
+// front of out and returns the rest of out.
+func appendRow(out []byte, row []float32, rg RowRange, b BitWidth, g *gen) []byte {
+	end := headerBytes + b.PackedSize(len(row))
+	meta := quantizeRow(row, rg, b, out[headerBytes:end], g)
+	binary.LittleEndian.PutUint32(out, math.Float32bits(meta.Zero))
+	binary.LittleEndian.PutUint32(out[4:], math.Float32bits(meta.Scale))
+	return out[end:]
 }
 
 // QuantizeRows encodes the given rows of x (selected by idx; all rows if
@@ -241,6 +343,9 @@ func QuantizeRows(x *tensor.Matrix, idx []int32, b BitWidth, rng *tensor.RNG) []
 // DequantizeRows decodes a stream produced by QuantizeRows into dst rows
 // dstRows[i] (or rows 0..n-1 if dstRows is nil).
 func DequantizeRows(stream []byte, dst *tensor.Matrix, dstRows []int32, rows int, b BitWidth) error {
+	if !b.Packable() {
+		return fmt.Errorf("quant: cannot de-quantize bit-width %d", b)
+	}
 	packed := b.PackedSize(dst.Cols)
 	want := rows * (headerBytes + packed)
 	if len(stream) != want {

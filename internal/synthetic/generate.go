@@ -4,8 +4,7 @@
 // power-law graphs (R-MAT) with planted community structure whose shape
 // parameters — node/edge ratio, feature dimensionality, class count,
 // single- vs multi-label task — match each dataset, scaled down ~100× so
-// the full experiment suite runs on a laptop. See DESIGN.md for the
-// substitution rationale.
+// the full experiment suite runs on a laptop.
 package synthetic
 
 import (

@@ -16,8 +16,8 @@
 // Calibration targets V100-class compute (~8 TFLOP/s effective on GNN
 // kernels) and 100 Gbps links, matching the paper's cluster. The absolute
 // seconds these models print are estimates; every conclusion drawn from
-// them in EXPERIMENTS.md is about ratios and orderings, which the affine
-// model preserves.
+// them (the tables and figures internal/experiments regenerates) is about
+// ratios and orderings, which the affine model preserves.
 package timing
 
 import "fmt"
