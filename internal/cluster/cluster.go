@@ -14,6 +14,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/tensor"
@@ -26,7 +27,6 @@ type Cluster struct {
 	model  *timing.CostModel
 	clocks []*timing.Clock
 
-	barrier *barrier
 	// exchange[src][dst] is the buffer src posted for dst in the current
 	// collective.
 	exchange [][][]byte
@@ -38,13 +38,22 @@ type Cluster struct {
 	bytesMu    sync.Mutex
 	bytesMoved [][]int64
 
-	// Split-phase collective state: the barrier cannot serve a
-	// non-blocking Start, so in-flight start/wait collectives rendezvous
-	// through this sequence-keyed store instead.
-	splitMu    sync.Mutex
-	splitCond  *sync.Cond
+	// Rendezvous state, reset by every Run. arrived/gen are the reusable
+	// N-party barrier; the barrier cannot serve a non-blocking Start, so
+	// in-flight start/wait collectives rendezvous through the
+	// sequence-keyed splitColls store instead. aborted is set when a device
+	// body fails and unwinds every waiter.
+	mu         sync.Mutex
+	cond       *sync.Cond
+	arrived    int
+	gen        int
 	splitColls map[int]*splitColl
+	aborted    bool
 }
+
+// abortRun is the sentinel panic that unwinds device goroutines when a
+// peer's body fails, so a mid-run error cannot strand the others in a wait.
+type abortRun struct{}
 
 // splitColl is one in-flight split-phase collective, keyed by each
 // device's program-order sequence number (SPMD: every device's k-th Start
@@ -71,7 +80,6 @@ func New(n int, model *timing.CostModel) *Cluster {
 		n:        n,
 		model:    model,
 		clocks:   make([]*timing.Clock, n),
-		barrier:  newBarrier(n),
 		exchange: make([][][]byte, n),
 		mats:     make([][]*tensor.Matrix, n),
 		times:    make([]timing.Seconds, n),
@@ -84,16 +92,12 @@ func New(n int, model *timing.CostModel) *Cluster {
 		c.bytesMoved[i] = make([]int64, n)
 		c.exchange[i] = make([][]byte, n)
 	}
-	c.splitCond = sync.NewCond(&c.splitMu)
-	c.splitColls = make(map[int]*splitColl)
+	c.cond = sync.NewCond(&c.mu)
 	return c
 }
 
 // Size returns the device count.
 func (c *Cluster) Size() int { return c.n }
-
-// Model returns the cost model.
-func (c *Cluster) Model() *timing.CostModel { return c.model }
 
 // Clocks returns the per-device simulated clocks (read after Run returns).
 func (c *Cluster) Clocks() []*timing.Clock { return c.clocks }
@@ -109,29 +113,16 @@ func (c *Cluster) BytesMoved() [][]int64 {
 	return out
 }
 
-// ResetClocks zeroes all device clocks and byte counters.
-func (c *Cluster) ResetClocks() {
-	for _, cl := range c.clocks {
-		cl.Reset()
-	}
-	c.bytesMu.Lock()
-	for i := range c.bytesMoved {
-		for j := range c.bytesMoved[i] {
-			c.bytesMoved[i][j] = 0
-		}
-	}
-	c.bytesMu.Unlock()
-}
-
 // Device is the per-goroutine handle passed to Run's body.
 type Device struct {
 	c    *Cluster
 	rank int
 	RNG  *tensor.RNG
 
-	// sizes is reusable accounting scratch for RingAll2All (every entry is
-	// rewritten per call). The received containers themselves are always
-	// freshly allocated: callers are allowed to retain them.
+	// sizes is the reusable bytes[src][dst] table the charge functions read
+	// (the cells a collective charges are rewritten per call). The received
+	// containers themselves are always freshly allocated: callers are
+	// allowed to retain them.
 	sizes [][]int
 	// sums is reusable reduction scratch for AllReduceSum, private to this
 	// device between barriers.
@@ -141,15 +132,67 @@ type Device struct {
 	splitSeq int
 }
 
-// sizesScratch returns the n×n RingAll2All size table, reused across calls.
-func (d *Device) sizesScratch(n int) [][]int {
-	if len(d.sizes) != n {
-		d.sizes = make([][]int, n)
+// sizeTable returns the device's n×n scratch table.
+func (d *Device) sizeTable() [][]int {
+	if d.sizes == nil {
+		d.sizes = make([][]int, d.c.n)
 		for i := range d.sizes {
-			d.sizes[i] = make([]int, n)
+			d.sizes[i] = make([]int, d.c.n)
 		}
 	}
 	return d.sizes
+}
+
+// postedSizes returns the bytes[src][dst] table of the buffers currently
+// posted in the exchange. Call it only between the barriers that fence a
+// collective's reads.
+func (d *Device) postedSizes() [][]int {
+	sizes := d.sizeTable()
+	for src, row := range d.c.exchange {
+		for dst, buf := range row {
+			sizes[src][dst] = len(buf)
+		}
+	}
+	return sizes
+}
+
+// postAll publishes payloads[q] for every peer q and waits until every
+// device has done the same.
+func (d *Device) postAll(payloads [][]byte) {
+	if len(payloads) != d.c.n {
+		panic(fmt.Sprintf("cluster: all2all got %d payloads for %d devices", len(payloads), d.c.n))
+	}
+	for q, buf := range payloads {
+		if q != d.rank {
+			d.c.exchange[d.rank][q] = buf
+		}
+	}
+	d.c.sync()
+}
+
+// collect returns what every peer posted for this device (nil for self) in
+// a fresh container, then releases the exchange for the next collective.
+func (d *Device) collect() [][]byte {
+	received := make([][]byte, d.c.n)
+	for p := range received {
+		if p != d.rank {
+			received[p] = d.c.exchange[p][d.rank]
+		}
+	}
+	d.c.sync()
+	return received
+}
+
+// addBytes records src's sends of one collective: sizes[dst] payload bytes
+// to every other device.
+func (c *Cluster) addBytes(src int, sizes []int) {
+	c.bytesMu.Lock()
+	for dst, n := range sizes {
+		if dst != src {
+			c.bytesMoved[src][dst] += int64(n)
+		}
+	}
+	c.bytesMu.Unlock()
 }
 
 // Rank returns this device's id in [0, Size).
@@ -177,16 +220,34 @@ func DeviceRNG(seed uint64, rank int) *tensor.RNG {
 
 // Run starts n goroutines executing body and waits for all to finish.
 // Each device gets an RNG derived from seed and its rank. The first
-// non-nil error is returned.
+// non-nil error (by rank) is returned; a failing body unwinds every peer
+// blocked in a collective instead of stranding it. Clocks and byte totals
+// carry over from earlier Runs, rendezvous state does not.
 func (c *Cluster) Run(seed uint64, body func(*Device) error) error {
+	c.mu.Lock()
+	c.arrived, c.aborted = 0, false
+	c.splitColls = make(map[int]*splitColl)
+	c.mu.Unlock()
 	errs := make([]error, c.n)
 	var wg sync.WaitGroup
 	for r := 0; r < c.n; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					if _, ok := p.(abortRun); !ok {
+						panic(p)
+					}
+				}
+			}()
 			dev := &Device{c: c, rank: rank, RNG: DeviceRNG(seed, rank)}
-			errs[rank] = body(dev)
+			if errs[rank] = body(dev); errs[rank] != nil {
+				c.mu.Lock()
+				c.aborted = true
+				c.cond.Broadcast()
+				c.mu.Unlock()
+			}
 		}(r)
 	}
 	wg.Wait()
@@ -203,15 +264,9 @@ func (c *Cluster) Run(seed uint64, body func(*Device) error) error {
 func (d *Device) Barrier() {
 	c := d.c
 	c.times[d.rank] = d.Clock().Now()
-	c.barrier.wait()
-	var mx timing.Seconds
-	for _, t := range c.times {
-		if t > mx {
-			mx = t
-		}
-	}
-	d.Clock().AdvanceTo(timing.Idle, mx)
-	c.barrier.wait()
+	c.sync()
+	d.Clock().AdvanceTo(timing.Idle, slices.Max(c.times))
+	c.sync()
 }
 
 // RingAll2All exchanges byte buffers with every other device using the
@@ -223,43 +278,15 @@ func (d *Device) Barrier() {
 // self). The Comm category is charged; the entry wait is charged to Idle.
 func (d *Device) RingAll2All(payloads [][]byte) [][]byte {
 	c := d.c
-	n := c.n
-	if len(payloads) != n {
-		panic(fmt.Sprintf("cluster: RingAll2All got %d payloads for %d devices", len(payloads), n))
-	}
 	d.Barrier()
-	// Post all outgoing buffers, then account time round by round.
-	for q := 0; q < n; q++ {
-		if q != d.rank {
-			c.exchange[d.rank][q] = payloads[q]
-		}
-	}
-	c.barrier.wait()
-	sizes := d.sizesScratch(n)
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if dst != src {
-				sizes[src][dst] = len(c.exchange[src][dst])
-			} else {
-				sizes[src][dst] = 0
-			}
-		}
-	}
-	for round := 1; round < n; round++ {
-		dst := (d.rank + round) % n
+	d.postAll(payloads)
+	// Account time round by round, in schedule order.
+	sizes := d.postedSizes()
+	for round := 1; round < c.n; round++ {
 		d.Clock().Advance(timing.Comm, All2AllRoundTime(c.model, sizes, round))
-		c.bytesMu.Lock()
-		c.bytesMoved[d.rank][dst] += int64(len(c.exchange[d.rank][dst]))
-		c.bytesMu.Unlock()
 	}
-	received := make([][]byte, n)
-	for p := 0; p < n; p++ {
-		if p != d.rank {
-			received[p] = c.exchange[p][d.rank]
-		}
-	}
-	c.barrier.wait()
-	return received
+	c.addBytes(d.rank, sizes[d.rank])
+	return d.collect()
 }
 
 // All2AllRoundTime returns ring round `round`'s cost for the given
@@ -272,10 +299,7 @@ func All2AllRoundTime(model *timing.CostModel, bytes [][]int, round int) timing.
 	var roundTime timing.Seconds
 	for src := 0; src < n; src++ {
 		dst := (src + round) % n
-		t := model.TransferTime(src, dst, bytes[src][dst])
-		if t > roundTime {
-			roundTime = t
-		}
+		roundTime = max(roundTime, model.TransferTime(src, dst, bytes[src][dst]))
 	}
 	return roundTime
 }
@@ -306,6 +330,47 @@ func AllReduceTime(model *timing.CostModel, n, rank, bytes int) timing.Seconds {
 		timing.Seconds(2*float64(n-1)*model.Gamma())
 }
 
+// GatherTime returns what a gather into root costs every device for the
+// given sizes (bytes[src][root]): the slowest incoming transfer.
+func GatherTime(model *timing.CostModel, bytes [][]int, root int) timing.Seconds {
+	var t timing.Seconds
+	for src := range bytes {
+		if src != root {
+			t = max(t, model.TransferTime(src, root, bytes[src][root]))
+		}
+	}
+	return t
+}
+
+// ScatterTime returns what a scatter from root costs every device for the
+// given sizes (bytes[root][dst]): the slowest outgoing transfer.
+func ScatterTime(model *timing.CostModel, bytes [][]int, root int) timing.Seconds {
+	var t timing.Seconds
+	for dst, size := range bytes[root] {
+		if dst != root {
+			t = max(t, model.TransferTime(root, dst, size))
+		}
+	}
+	return t
+}
+
+// BroadcastTime returns the cost of root's sequential broadcast
+// (bytes[root][dst], SANCUS's pattern, §5.1) up to and including receiver
+// last: root serializes its sends in rank order, so the whole broadcast is
+// last = n−1 and a receiver that leaves as soon as its own copy landed
+// pays the prefix ending at its rank. Summed in rank order — like every
+// function here, backends must charge exactly this accumulation so
+// simulated clocks stay bit-identical across transports.
+func BroadcastTime(model *timing.CostModel, bytes [][]int, root, last int) timing.Seconds {
+	var t timing.Seconds
+	for dst := 0; dst <= last; dst++ {
+		if dst != root {
+			t += model.TransferTime(root, dst, bytes[root][dst])
+		}
+	}
+	return t
+}
+
 // AllReduceSum sums the given matrices elementwise across devices; every
 // device ends with the identical total (summed in rank order, so the
 // result is deterministic). Time is charged per the bandwidth-optimal ring
@@ -314,7 +379,7 @@ func (d *Device) AllReduceSum(ms []*tensor.Matrix) {
 	c := d.c
 	d.Barrier()
 	c.mats[d.rank] = ms
-	c.barrier.wait()
+	c.sync()
 	// Deterministic reduction: every device sums rank-ordered copies into
 	// its private, reusable scratch.
 	if len(d.sums) != len(ms) {
@@ -336,11 +401,11 @@ func (d *Device) AllReduceSum(ms []*tensor.Matrix) {
 		bytes += len(m.Data) * 4
 	}
 	d.Clock().Advance(timing.Comm, AllReduceTime(c.model, c.n, d.rank, bytes))
-	c.barrier.wait()
+	c.sync()
 	for i := range ms {
 		ms[i].CopyFrom(sums[i])
 	}
-	c.barrier.wait()
+	c.sync()
 }
 
 // GatherBytes collects every device's payload at root. Non-root devices
@@ -349,19 +414,9 @@ func (d *Device) GatherBytes(root int, payload []byte) [][]byte {
 	c := d.c
 	d.Barrier()
 	c.exchange[d.rank][root] = payload
-	c.barrier.wait()
+	c.sync()
 	var out [][]byte
-	var t timing.Seconds
-	for src := 0; src < c.n; src++ {
-		if src == root {
-			continue
-		}
-		tt := c.model.TransferTime(src, root, len(c.exchange[src][root]))
-		if tt > t {
-			t = tt
-		}
-	}
-	d.Clock().Advance(timing.Comm, t)
+	d.Clock().Advance(timing.Comm, GatherTime(c.model, d.postedSizes(), root))
 	if d.rank != root {
 		c.bytesMu.Lock()
 		c.bytesMoved[d.rank][root] += int64(len(payload))
@@ -373,7 +428,7 @@ func (d *Device) GatherBytes(root int, payload []byte) [][]byte {
 			out[src] = c.exchange[src][root]
 		}
 	}
-	c.barrier.wait()
+	c.sync()
 	return out
 }
 
@@ -387,20 +442,10 @@ func (d *Device) ScatterBytes(root int, payloads [][]byte) []byte {
 			c.exchange[root][q] = payloads[q]
 		}
 	}
-	c.barrier.wait()
-	var t timing.Seconds
-	for dst := 0; dst < c.n; dst++ {
-		if dst == root {
-			continue
-		}
-		tt := c.model.TransferTime(root, dst, len(c.exchange[root][dst]))
-		if tt > t {
-			t = tt
-		}
-	}
-	d.Clock().Advance(timing.Comm, t)
+	c.sync()
+	d.Clock().Advance(timing.Comm, ScatterTime(c.model, d.postedSizes(), root))
 	out := c.exchange[root][d.rank]
-	c.barrier.wait()
+	c.sync()
 	return out
 }
 
@@ -416,29 +461,17 @@ func (d *Device) BroadcastBytes(root int, payload []byte) []byte {
 			}
 		}
 	}
-	c.barrier.wait()
-	var t timing.Seconds
-	for dst := 0; dst < c.n; dst++ {
-		if dst == root {
-			continue
-		}
-		t += c.model.TransferTime(root, dst, len(c.exchange[root][dst]))
-	}
-	d.Clock().Advance(timing.Comm, t)
+	c.sync()
+	sizes := d.postedSizes()
+	d.Clock().Advance(timing.Comm, BroadcastTime(c.model, sizes, root, c.n-1))
 	var out []byte
 	if d.rank == root {
 		out = payload
-		c.bytesMu.Lock()
-		for dst := 0; dst < c.n; dst++ {
-			if dst != root {
-				c.bytesMoved[root][dst] += int64(len(c.exchange[root][dst]))
-			}
-		}
-		c.bytesMu.Unlock()
+		c.addBytes(root, sizes[root])
 	} else {
 		out = c.exchange[root][d.rank]
 	}
-	c.barrier.wait()
+	c.sync()
 	return out
 }
 
@@ -462,7 +495,7 @@ const (
 
 // splitGet returns (creating if needed) the in-flight collective for seq,
 // panicking if devices disagree on what collective seq is. Caller holds
-// c.splitMu.
+// c.mu.
 func (c *Cluster) splitGet(seq int, op string, root int) *splitColl {
 	coll := c.splitColls[seq]
 	if coll == nil {
@@ -489,15 +522,15 @@ func (d *Device) startSplit(op string, root int, post func(*splitColl)) *splitPe
 	seq := d.splitSeq
 	d.splitSeq++
 	start := d.Clock().Now()
-	c.splitMu.Lock()
+	c.mu.Lock()
 	coll := c.splitGet(seq, op, root)
 	if d.rank == root {
 		post(coll)
 	}
 	coll.at[d.rank] = start
 	coll.posted++
-	c.splitCond.Broadcast()
-	c.splitMu.Unlock()
+	c.cond.Broadcast()
+	c.mu.Unlock()
 	return &splitPending{d: d, seq: seq, op: op, root: root, start: start}
 }
 
@@ -540,50 +573,36 @@ func (p *splitPending) Wait() []byte {
 	p.done = true
 	d := p.d
 	c := d.c
-	c.splitMu.Lock()
+	c.mu.Lock()
 	coll := c.splitColls[p.seq]
-	for coll.posted < c.n {
-		c.splitCond.Wait()
+	for coll.posted < c.n && !c.aborted {
+		c.cond.Wait()
 	}
-	// align is the blocking path's barrier point: the latest Start. wire
-	// replicates the blocking collective's charge exactly (same loop, same
-	// accumulation order) so staleness-0 clocks stay bit-identical.
-	var align timing.Seconds
-	for _, t := range coll.at {
-		if t > align {
-			align = t
-		}
+	if c.aborted {
+		c.mu.Unlock()
+		panic(abortRun{})
 	}
-	var wire timing.Seconds
-	for dst := 0; dst < c.n; dst++ {
-		if dst == p.root {
-			continue
-		}
-		tt := c.model.TransferTime(p.root, dst, len(coll.bufs[dst]))
-		switch p.op {
-		case opSplitBroadcast:
-			wire += tt // root serializes its sends
-		case opSplitScatter:
-			if tt > wire {
-				wire = tt
-			}
-		}
+	// align is the blocking path's barrier point: the latest Start. wire is
+	// the blocking collective's charge, from the same shared function, so
+	// staleness-0 clocks stay bit-identical.
+	align := slices.Max(coll.at)
+	sizes := d.sizeTable()
+	for dst, buf := range coll.bufs {
+		sizes[p.root][dst] = len(buf)
+	}
+	wire := ScatterTime(c.model, sizes, p.root)
+	if p.op == opSplitBroadcast {
+		wire = BroadcastTime(c.model, sizes, p.root, c.n-1)
 	}
 	out := coll.bufs[d.rank]
 	if p.op == opSplitBroadcast && d.rank == p.root {
-		c.bytesMu.Lock()
-		for dst := 0; dst < c.n; dst++ {
-			if dst != p.root {
-				c.bytesMoved[p.root][dst] += int64(len(coll.bufs[dst]))
-			}
-		}
-		c.bytesMu.Unlock()
+		c.addBytes(p.root, sizes[p.root])
 	}
 	coll.done++
 	if coll.done == c.n {
 		delete(c.splitColls, p.seq)
 	}
-	c.splitMu.Unlock()
+	c.mu.Unlock()
 	timing.FinishDeferred(d.Clock(), p.start, align, wire)
 	return out
 }
@@ -593,69 +612,43 @@ func (p *splitPending) Wait() []byte {
 // the modeled system — e.g. computing validation metrics, which the paper
 // also excludes from per-epoch timings.
 func (d *Device) RawAll2All(payloads [][]byte) [][]byte {
-	c := d.c
-	if len(payloads) != c.n {
-		panic(fmt.Sprintf("cluster: RawAll2All got %d payloads for %d devices", len(payloads), c.n))
-	}
-	c.barrier.wait()
-	for q := 0; q < c.n; q++ {
-		if q != d.rank {
-			c.exchange[d.rank][q] = payloads[q]
-		}
-	}
-	c.barrier.wait()
-	received := make([][]byte, c.n)
-	for p := 0; p < c.n; p++ {
-		if p != d.rank {
-			received[p] = c.exchange[p][d.rank]
-		}
-	}
-	c.barrier.wait()
-	return received
+	d.c.sync()
+	d.postAll(payloads)
+	return d.collect()
 }
 
 // RawAllGather shares one buffer from every device with every device,
 // charging no simulated time (metrics sideband).
 func (d *Device) RawAllGather(payload []byte) [][]byte {
 	c := d.c
-	c.barrier.wait()
+	c.sync()
 	c.exchange[d.rank][d.rank] = payload
-	c.barrier.wait()
+	c.sync()
 	out := make([][]byte, c.n)
 	for p := 0; p < c.n; p++ {
 		out[p] = c.exchange[p][p]
 	}
-	c.barrier.wait()
+	c.sync()
 	return out
 }
 
-// barrier is a reusable N-party barrier.
-type barrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	n       int
-	arrived int
-	gen     int
-}
-
-func newBarrier(n int) *barrier {
-	b := &barrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *barrier) wait() {
-	b.mu.Lock()
-	gen := b.gen
-	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		b.gen++
-		b.cond.Broadcast()
-	} else {
-		for gen == b.gen {
-			b.cond.Wait()
-		}
+// sync is the reusable N-party barrier every collective is built from. It
+// panics with abortRun — before or while waiting — once a peer's body has
+// failed.
+func (c *Cluster) sync() {
+	c.mu.Lock()
+	gen := c.gen
+	if c.arrived++; c.arrived == c.n {
+		c.arrived = 0
+		c.gen++
+		c.cond.Broadcast()
 	}
-	b.mu.Unlock()
+	for gen == c.gen && !c.aborted {
+		c.cond.Wait()
+	}
+	aborted := c.aborted
+	c.mu.Unlock()
+	if aborted {
+		panic(abortRun{})
+	}
 }

@@ -26,9 +26,12 @@ import (
 //   - crash/restart is a trainer-level protocol (worker.run), not a
 //     transport concern: the plan only fixes the site.
 //
-// Both backends issue the same per-device sequence of charged collectives,
-// so the op counter below — and with it the whole failure schedule — is
-// identical across backends by construction.
+// The wrapper is a decorator rather than a hook inside the collective
+// engine because it must also wrap the reference backend and
+// user-registered transports. A training run issues the same per-device
+// sequence of charged collectives on every backend, so the op counter below
+// — and with it the whole failure schedule — is identical across backends
+// by construction.
 
 // faultStats accumulates fault/recovery counters across all devices of a
 // run; TrainDeployedCtx surfaces them as metrics.FaultStats.

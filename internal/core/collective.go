@@ -1,0 +1,683 @@
+package core
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"slices"
+	"sync"
+
+	"repro/internal/cluster"
+	"repro/internal/tensor"
+	"repro/internal/timing"
+)
+
+// This file is the one collective engine behind the sharded-async and
+// proc-sharded backends. The engine owns everything the simulated clock
+// depends on — the sequence-numbered coordination record (who posted, at
+// what simulated time, shipping how many bytes to whom), the charge rules
+// (package cluster's pure functions, timing.FinishDeferred), the byte
+// ledger, abort and unwinding — and every Transport method exactly once.
+// Payload bytes never enter the record: they reach their receiver through
+// a delivery, and the engine's charges cannot depend on when they do.
+
+// delivery is how a posted payload reaches its receiver: a pointer handed
+// straight back (transport_sharded.go) or a frame through a fleet of
+// worker processes (transport_proc.go). A delivery guarantees exactly-once
+// hand-off: every send results in exactly one deliver call with the same
+// (seq, src, dst) and the payload's bytes, from any goroutine, at any
+// later time, in any order; the receiver owns the delivered buffer.
+type delivery interface {
+	// start readies the delivery for one Run. fail reports a broken
+	// delivery outside any send call.
+	start(deliver func(seq, src, dst int, payload []byte), fail func(error)) error
+	// send hands one payload over. It may block on the transport but never
+	// on the receiver, and the payload is not retained once it returns
+	// unless it is the very buffer later delivered.
+	send(seq, src, dst int, payload []byte) error
+	// stop reaps whatever start brought up; broken reports that the
+	// delivery itself failed mid-run.
+	stop(broken bool) error
+}
+
+// Collective op tags, used to catch devices whose collective sequences
+// diverge (a contract violation that would otherwise corrupt payloads).
+// Split-phase ops have their own tags: a run where one device issues the
+// blocking form and another the split form of the same collective has
+// diverged and must panic.
+const (
+	opBarrier        = "Barrier"
+	opRing           = "RingAll2All"
+	opAllReduce      = "AllReduceSum"
+	opGather         = "GatherBytes"
+	opScatter        = "ScatterBytes"
+	opBroadcast      = "BroadcastBytes"
+	opStartBroadcast = "StartBroadcast"
+	opStartScatter   = "StartScatter"
+	opRawRing        = "RawAll2All"
+	opRawGather      = "RawAllGather"
+)
+
+// abortRun is the sentinel panic that unwinds device goroutines when a
+// peer's body fails or the delivery breaks, so a mid-run error cannot
+// strand the others in a wait.
+type abortRun struct{}
+
+// coll is one sequence number's coordination record.
+type coll struct {
+	op      string
+	arrived int
+	posted  []bool
+	at      []timing.Seconds // poster's clock at post time
+	sizes   [][]int          // sizes[src][dst]: bytes src ships to dst (nil row: nothing)
+}
+
+func (c *coll) maxAt() timing.Seconds {
+	return slices.Max(c.at)
+}
+
+// frameKey addresses one delivered payload.
+type frameKey struct{ seq, src, dst int }
+
+// engine is the Runtime shared by every device of one run.
+type engine struct {
+	n     int
+	model *timing.CostModel
+	dlv   delivery
+	// stale is the run-ahead bound: a device may enter a blocking
+	// collective at most stale sequence numbers past the slowest device's
+	// last completed one, and beyond 0 the one-to-many collectives stop
+	// waiting for devices they do not depend on.
+	stale int
+	// slots bounds how many devices execute at a time; a device blocked in
+	// a wait gives its slot up, so fewer slots than devices cannot
+	// deadlock.
+	slots chan struct{}
+
+	clocks []*timing.Clock
+
+	mu         sync.Mutex
+	cond       *sync.Cond
+	bytesMoved [][]int64 // with clocks, the only state that outlives a Run
+	colls      map[int]*coll
+	inbox      map[frameKey][]byte
+	done       []int // collectives completed per device
+	minDone    int   // every sequence below this is completed everywhere and pruned
+	aborted    bool
+	abortErr   error // first delivery failure (nil when a body failed)
+}
+
+func newEngine(spec TransportSpec, slots, stale int, dlv delivery) *engine {
+	n := spec.Parts
+	model := spec.Model
+	if model == nil {
+		model = timing.Default()
+	}
+	e := &engine{
+		n:          n,
+		model:      model,
+		dlv:        dlv,
+		stale:      max(stale, 0),
+		slots:      make(chan struct{}, min(slots, n)),
+		clocks:     make([]*timing.Clock, n),
+		bytesMoved: make([][]int64, n),
+	}
+	e.cond = sync.NewCond(&e.mu)
+	for i := range e.clocks {
+		e.clocks[i] = timing.NewClock()
+		e.bytesMoved[i] = make([]int64, n)
+	}
+	return e
+}
+
+func (e *engine) Size() int               { return e.n }
+func (e *engine) Clocks() []*timing.Clock { return e.clocks }
+
+func (e *engine) BytesMoved() [][]int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	out := make([][]int64, e.n)
+	for i := range out {
+		out[i] = slices.Clone(e.bytesMoved[i])
+	}
+	return out
+}
+
+// Run resets the coordination state (clocks and byte totals persist),
+// starts the delivery, runs body on every device and stops the delivery.
+// The first body error (by rank) wins over a delivery failure, which wins
+// over a failed stop.
+func (e *engine) Run(seed uint64, body func(Transport) error) error {
+	inbox := make(map[frameKey][]byte)
+	e.mu.Lock()
+	e.colls, e.inbox = make(map[int]*coll), inbox
+	e.done, e.minDone = make([]int, e.n), 0
+	e.aborted, e.abortErr = false, nil
+	e.mu.Unlock()
+	// deliver writes this Run's inbox, so a straggling hand-off from a
+	// delivery that was killed cannot leak into the next Run. It never
+	// blocks on a device, so delivery goroutines cannot deadlock against
+	// device waits.
+	deliver := func(seq, src, dst int, payload []byte) {
+		e.mu.Lock()
+		inbox[frameKey{seq, src, dst}] = payload
+		e.cond.Broadcast()
+		e.mu.Unlock()
+	}
+	if err := e.dlv.start(deliver, e.abort); err != nil {
+		return err
+	}
+	errs := make([]error, e.n)
+	var wg sync.WaitGroup
+	for rank := 0; rank < e.n; rank++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					if _, ok := p.(abortRun); !ok {
+						panic(p)
+					}
+				}
+			}()
+			e.slots <- struct{}{}
+			defer func() { <-e.slots }()
+			dev := &device{e: e, rank: rank, rng: cluster.DeviceRNG(seed, rank)}
+			if errs[rank] = body(dev); errs[rank] != nil {
+				e.abort(nil)
+			}
+		}()
+	}
+	wg.Wait()
+	e.mu.Lock()
+	wireErr := e.abortErr
+	e.mu.Unlock()
+	stopErr := e.dlv.stop(wireErr != nil)
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	if wireErr != nil {
+		return wireErr
+	}
+	return stopErr
+}
+
+// abort unwinds every device; err is non-nil when the delivery failed.
+func (e *engine) abort(err error) {
+	e.mu.Lock()
+	e.aborted = true
+	if e.abortErr == nil {
+		e.abortErr = err
+	}
+	e.cond.Broadcast()
+	e.mu.Unlock()
+}
+
+// wait blocks until pred holds (evaluated under the engine lock), giving
+// up this device's execution slot while blocked. Panics with abortRun if
+// the run was aborted.
+func (e *engine) wait(pred func() bool) {
+	e.mu.Lock()
+	for !e.aborted && !pred() {
+		<-e.slots
+		e.cond.Wait()
+		e.mu.Unlock()
+		e.slots <- struct{}{}
+		e.mu.Lock()
+	}
+	aborted := e.aborted
+	e.mu.Unlock()
+	if aborted {
+		panic(abortRun{})
+	}
+}
+
+// fail aborts the run over a delivery failure and unwinds the caller.
+func (e *engine) fail(err error) {
+	e.abort(err)
+	panic(abortRun{})
+}
+
+// addBytes records src's sends of one collective in the byte ledger: its
+// posted size vector, sizes[dst] payload bytes to every peer.
+func (e *engine) addBytes(src int, sizes []int) {
+	e.mu.Lock()
+	for dst, n := range sizes {
+		e.bytesMoved[src][dst] += int64(n)
+	}
+	e.mu.Unlock()
+}
+
+// device is one device's Transport endpoint.
+type device struct {
+	e    *engine
+	rank int
+	seq  int // next collective sequence number
+	rng  *tensor.RNG
+	sums []float32 // AllReduceSum reduction scratch
+}
+
+func (d *device) Rank() int                { return d.rank }
+func (d *device) Size() int                { return d.e.n }
+func (d *device) Clock() *timing.Clock     { return d.e.clocks[d.rank] }
+func (d *device) Model() *timing.CostModel { return d.e.model }
+func (d *device) Rand() *tensor.RNG        { return d.rng }
+
+// next claims this device's next sequence number. A blocking collective
+// first waits out the run-ahead bound; a split-phase Start must not (it
+// is non-blocking by contract, and at staleness 0 waiting here would
+// deadlock the start-all/wait-all schedule) — its collective counts
+// against the bound once its Wait completes it.
+func (d *device) next(blocking bool) int {
+	seq := d.seq
+	d.seq++
+	if blocking {
+		d.e.wait(func() bool { return seq-d.e.minDone <= d.e.stale })
+	}
+	return seq
+}
+
+// send hands one payload to the delivery. Self-sends never happen: a
+// device's own payload stays a local pointer, like the reference returns
+// it.
+func (d *device) send(seq, dst int, payload []byte) {
+	if err := d.e.dlv.send(seq, d.rank, dst, payload); err != nil {
+		d.e.fail(err)
+	}
+}
+
+// sendPeers hands payloads[dst] to every peer and returns the size vector
+// to post (nothing is shipped to self, so its own entry stays 0).
+func (d *device) sendPeers(seq int, payloads [][]byte) []int {
+	sizes := make([]int, len(payloads))
+	for dst, p := range payloads {
+		if dst != d.rank {
+			sizes[dst] = len(p)
+			d.send(seq, dst, p)
+		}
+	}
+	return sizes
+}
+
+// replicate returns the payloads vector that ships the same buffer to
+// every device.
+func (d *device) replicate(payload []byte) [][]byte {
+	out := make([][]byte, d.e.n)
+	for i := range out {
+		out[i] = payload
+	}
+	return out
+}
+
+// post publishes this device's arrival at sequence seq — its simulated
+// time and what it ships to whom — and returns that time. It follows the
+// sends, so a peer that sees the post never waits on the pointer delivery.
+func (d *device) post(seq int, op string, sizes []int) timing.Seconds {
+	e := d.e
+	now := d.Clock().Now()
+	e.mu.Lock()
+	if e.aborted {
+		e.mu.Unlock()
+		panic(abortRun{})
+	}
+	c, ok := e.colls[seq]
+	if !ok {
+		c = &coll{op: op, posted: make([]bool, e.n), at: make([]timing.Seconds, e.n), sizes: make([][]int, e.n)}
+		e.colls[seq] = c
+	}
+	if c.op != op {
+		e.mu.Unlock()
+		panic(fmt.Sprintf("core: collective %d is %s on one device and %s on another (devices diverged)", seq, c.op, op))
+	}
+	c.posted[d.rank], c.at[d.rank], c.sizes[d.rank] = true, now, sizes
+	c.arrived++
+	e.cond.Broadcast()
+	e.mu.Unlock()
+	return now
+}
+
+// waitFor blocks until src has posted sequence seq — every device when src
+// is negative — and returns the record.
+func (d *device) waitFor(seq, src int) *coll {
+	e := d.e
+	var c *coll
+	e.wait(func() bool {
+		c = e.colls[seq]
+		return c != nil && (c.arrived == e.n || src >= 0 && c.posted[src])
+	})
+	return c
+}
+
+// rendezvous waits for every device to post seq and charges the gap to the
+// slowest arrival to Idle — the entry of every lockstep collective.
+func (d *device) rendezvous(seq int) *coll {
+	c := d.waitFor(seq, -1)
+	d.Clock().AdvanceTo(timing.Idle, c.maxAt())
+	return c
+}
+
+// recv blocks until the payload src sent this device at seq has been
+// delivered, and consumes it.
+func (d *device) recv(seq, src int) []byte {
+	e := d.e
+	key := frameKey{seq, src, d.rank}
+	var buf []byte
+	e.wait(func() bool {
+		b, ok := e.inbox[key]
+		if ok {
+			buf = b
+			delete(e.inbox, key)
+		}
+		return ok
+	})
+	return buf
+}
+
+// recvPeers receives one payload from every peer into a fresh container
+// (callers may retain it); own fills this device's slot.
+func (d *device) recvPeers(seq int, own []byte) [][]byte {
+	out := make([][]byte, d.e.n)
+	for src := range out {
+		if src == d.rank {
+			out[src] = own
+		} else {
+			out[src] = d.recv(seq, src)
+		}
+	}
+	return out
+}
+
+// complete marks this device done with one more collective, advancing the
+// run-ahead horizon and pruning records every device has consumed.
+func (d *device) complete() {
+	e := d.e
+	e.mu.Lock()
+	e.done[d.rank]++
+	for low := slices.Min(e.done); e.minDone < low; e.minDone++ {
+		delete(e.colls, e.minDone)
+	}
+	e.cond.Broadcast()
+	e.mu.Unlock()
+}
+
+// Barrier aligns all devices; everyone's clock advances to the slowest
+// arrival (gap charged to Idle). A barrier is inherently synchronous, so
+// it rendezvouses at every staleness bound.
+func (d *device) Barrier() {
+	seq := d.next(true)
+	d.post(seq, opBarrier, nil)
+	d.rendezvous(seq)
+	d.complete()
+}
+
+// RingAll2All exchanges per-destination buffers over the ring schedule.
+// Every device's payload is a dependency of every other device, so the
+// collective rendezvouses at any staleness; arrival gaps are charged to
+// Idle and each round costs as much as its slowest link, round by round in
+// schedule order — the same float additions as the reference, so clocks
+// agree to the last bit.
+func (d *device) RingAll2All(payloads [][]byte) [][]byte {
+	e := d.e
+	if len(payloads) != e.n {
+		panic(fmt.Sprintf("core: %s got %d payloads for %d devices", opRing, len(payloads), e.n))
+	}
+	seq := d.next(true)
+	sizes := d.sendPeers(seq, payloads)
+	d.post(seq, opRing, sizes)
+	c := d.rendezvous(seq)
+	for round := 1; round < e.n; round++ {
+		d.Clock().Advance(timing.Comm, cluster.All2AllRoundTime(e.model, c.sizes, round))
+	}
+	e.addBytes(d.rank, sizes)
+	received := d.recvPeers(seq, nil)
+	d.complete()
+	return received
+}
+
+// AllReduceSum sums matrices elementwise across devices (ring-allreduce
+// time model). Every device ships its matrices as raw float32 bits and
+// reduces the contributions in rank order, its own at its rank — the same
+// float additions as the reference, so the result is bit-identical, and
+// the poster may keep mutating its matrices while stragglers still read.
+func (d *device) AllReduceSum(ms []*tensor.Matrix) {
+	e := d.e
+	blob := appendMats(ms)
+	seq := d.next(true)
+	d.sendPeers(seq, d.replicate(blob))
+	d.post(seq, opAllReduce, nil)
+	d.rendezvous(seq)
+	elems := (len(blob) - 4 - 8*len(ms)) / 4
+	if cap(d.sums) < elems {
+		d.sums = make([]float32, elems)
+	}
+	sums := d.sums[:elems]
+	for src, b := range d.recvPeers(seq, blob) {
+		if err := addMats(sums, b, ms, src == 0); err != nil {
+			e.fail(fmt.Errorf("core: allreduce decode from rank %d: %w", src, err))
+		}
+	}
+	d.Clock().Advance(timing.Comm, cluster.AllReduceTime(e.model, e.n, d.rank, 4*elems))
+	for _, m := range ms {
+		sums = sums[copy(m.Data, sums):]
+	}
+	d.complete()
+}
+
+// GatherBytes collects every device's payload at root. At staleness 0
+// every device aligns on the slowest arrival and charges the slowest
+// incoming transfer (the reference model); beyond it, senders charge only
+// their own transfer and run ahead — only root pays for stragglers.
+func (d *device) GatherBytes(root int, payload []byte) [][]byte {
+	e := d.e
+	seq := d.next(true)
+	var sizes []int
+	if d.rank != root {
+		sizes = make([]int, e.n)
+		sizes[root] = len(payload)
+		d.send(seq, root, payload)
+	}
+	d.post(seq, opGather, sizes)
+	if e.stale > 0 && d.rank != root {
+		d.Clock().Advance(timing.Comm, e.model.TransferTime(d.rank, root, len(payload)))
+	} else {
+		c := d.rendezvous(seq)
+		d.Clock().Advance(timing.Comm, cluster.GatherTime(e.model, c.sizes, root))
+	}
+	var out [][]byte
+	if d.rank == root {
+		out = d.recvPeers(seq, payload)
+	} else {
+		e.addBytes(d.rank, sizes)
+	}
+	d.complete()
+	return out
+}
+
+// ScatterBytes distributes payloads[i] from root to device i (max outgoing
+// transfer charged; scatter bytes are never counted — assignment metadata,
+// matching the reference ledger). payloads is only read on root.
+func (d *device) ScatterBytes(root int, payloads [][]byte) []byte {
+	return d.startOneToMany(opScatter, root, payloads).Wait()
+}
+
+// BroadcastBytes sends root's payload to all devices (sequential broadcast
+// timing — SANCUS's pattern).
+func (d *device) BroadcastBytes(root int, payload []byte) []byte {
+	return d.startOneToMany(opBroadcast, root, d.replicate(payload)).Wait()
+}
+
+// StartScatter begins a split-phase scatter. Start never blocks (not even
+// on the run-ahead bound) and root's payloads leave immediately; Wait
+// performs the rendezvous and charges the blocking schedule through
+// timing.FinishDeferred, so compute issued in between hides wire time as
+// Overlap.
+func (d *device) StartScatter(root int, payloads [][]byte) PendingCollective {
+	return d.startOneToMany(opStartScatter, root, payloads)
+}
+
+// StartBroadcast begins a split-phase broadcast under the same contract as
+// StartScatter.
+func (d *device) StartBroadcast(root int, payload []byte) PendingCollective {
+	return d.startOneToMany(opStartBroadcast, root, d.replicate(payload))
+}
+
+// pending is a started scatter or broadcast — the split-phase handle, and
+// the blocking forms too: by contract a Start immediately followed by its
+// Wait charges bitwise like the blocking collective.
+type pending struct {
+	d         *device
+	seq, root int
+	broadcast bool // sequential-send timing and byte-accounted; else scatter
+	blocking  bool
+	start     timing.Seconds
+	own       []byte // root's self-delivery, never sent
+	done      bool
+}
+
+// startOneToMany enters a scatter or broadcast: root ships payloads[dst]
+// to every peer, everyone posts. Non-root devices' payloads are ignored.
+func (d *device) startOneToMany(op string, root int, payloads [][]byte) *pending {
+	p := &pending{
+		d:         d,
+		root:      root,
+		broadcast: op == opBroadcast || op == opStartBroadcast,
+		blocking:  op == opBroadcast || op == opScatter,
+	}
+	p.seq = d.next(p.blocking)
+	var sizes []int
+	if d.rank == root {
+		if len(payloads) != d.e.n {
+			panic(fmt.Sprintf("core: %s got %d payloads for %d devices", op, len(payloads), d.e.n))
+		}
+		sizes = d.sendPeers(p.seq, payloads)
+		p.own = payloads[root]
+	}
+	p.start = d.post(p.seq, op, sizes)
+	return p
+}
+
+// Wait completes the collective. At staleness 0 it aligns on the slowest
+// Start and charges the whole transfer, like the reference. Beyond it a
+// device depends only on root's post: root charges the whole transfer, a
+// scatter receiver its own slice, a broadcast receiver the sequential
+// prefix up to its own turn — late receivers never delay early ones.
+func (p *pending) Wait() []byte {
+	if p.done {
+		panic("core: split-phase handle waited twice")
+	}
+	p.done = true
+	d, e, root := p.d, p.d.e, p.root
+	partial := e.stale > 0 && d.rank != root
+	var c *coll
+	var align, wire timing.Seconds
+	if e.stale > 0 {
+		c = d.waitFor(p.seq, root)
+		align = c.at[root]
+	} else {
+		c = d.waitFor(p.seq, -1)
+		align = c.maxAt()
+	}
+	switch {
+	case p.broadcast && partial:
+		wire = cluster.BroadcastTime(e.model, c.sizes, root, d.rank)
+	case p.broadcast:
+		wire = cluster.BroadcastTime(e.model, c.sizes, root, e.n-1)
+	case partial:
+		wire = e.model.TransferTime(root, d.rank, c.sizes[root][d.rank])
+	default:
+		wire = cluster.ScatterTime(e.model, c.sizes, root)
+	}
+	out := p.own
+	if d.rank != root {
+		out = d.recv(p.seq, root)
+	} else if p.broadcast {
+		e.addBytes(root, c.sizes[root])
+	}
+	if p.blocking {
+		// Not FinishDeferred: a blocking receiver that arrives after a
+		// relaxed root's transfer ended still pays it in full.
+		d.Clock().AdvanceTo(timing.Idle, align)
+		d.Clock().Advance(timing.Comm, wire)
+	} else {
+		timing.FinishDeferred(d.Clock(), p.start, align, wire)
+	}
+	d.complete()
+	return out
+}
+
+// RawAll2All moves buffers like RingAll2All but charges no time.
+func (d *device) RawAll2All(payloads [][]byte) [][]byte {
+	if len(payloads) != d.e.n {
+		panic(fmt.Sprintf("core: %s got %d payloads for %d devices", opRawRing, len(payloads), d.e.n))
+	}
+	seq := d.next(true)
+	d.sendPeers(seq, payloads)
+	d.post(seq, opRawRing, nil)
+	received := d.recvPeers(seq, nil)
+	d.complete()
+	return received
+}
+
+// RawAllGather shares one buffer from every device with every device,
+// charging no time (metrics sideband).
+func (d *device) RawAllGather(payload []byte) [][]byte {
+	seq := d.next(true)
+	d.sendPeers(seq, d.replicate(payload))
+	d.post(seq, opRawGather, nil)
+	out := d.recvPeers(seq, payload)
+	d.complete()
+	return out
+}
+
+var _ Transport = (*device)(nil)
+
+// appendMats serializes matrices for a delivery: u32 count, then per
+// matrix u32 rows, u32 cols and the raw float32 bit patterns — bit-exact
+// across the round trip, which the deterministic reduction requires.
+func appendMats(ms []*tensor.Matrix) []byte {
+	size := 4
+	for _, m := range ms {
+		size += 8 + 4*len(m.Data)
+	}
+	b := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(ms)))
+	for _, m := range ms {
+		b = binary.LittleEndian.AppendUint32(b, uint32(m.Rows))
+		b = binary.LittleEndian.AppendUint32(b, uint32(m.Cols))
+		for _, v := range m.Data {
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
+		}
+	}
+	return b
+}
+
+// addMats accumulates an appendMats stream into acc (or overwrites acc when
+// first), element by element in stream order, validating the stream against
+// the matrices it must be shaped like.
+func addMats(acc []float32, b []byte, like []*tensor.Matrix, first bool) error {
+	if len(b) < 4 || int(binary.LittleEndian.Uint32(b)) != len(like) {
+		return fmt.Errorf("matrix stream does not hold %d matrices", len(like))
+	}
+	b = b[4:]
+	for i, m := range like {
+		n := len(m.Data)
+		if len(b) < 8+4*n ||
+			int(binary.LittleEndian.Uint32(b)) != m.Rows || int(binary.LittleEndian.Uint32(b[4:])) != m.Cols {
+			return fmt.Errorf("matrix %d is truncated or not %dx%d", i, m.Rows, m.Cols)
+		}
+		for j, data := 0, b[8:]; j < n; j++ {
+			v := math.Float32frombits(binary.LittleEndian.Uint32(data[4*j:]))
+			if first {
+				acc[j] = v
+			} else {
+				acc[j] += v
+			}
+		}
+		acc, b = acc[n:], b[8+4*n:]
+	}
+	if len(b) != 0 {
+		return fmt.Errorf("matrix stream has %d trailing bytes", len(b))
+	}
+	return nil
+}

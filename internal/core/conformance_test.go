@@ -231,29 +231,6 @@ func TestShardedStalenessReducesIdle(t *testing.T) {
 	}
 }
 
-// TestShardedRunErrorPropagation: a device body failing mid-collective
-// must surface its error instead of stranding peers in a wait.
-func TestShardedRunErrorPropagation(t *testing.T) {
-	rt := newShardedRuntime(TransportSpec{Parts: 4, Workers: 2})
-	err := rt.Run(1, func(dev Transport) error {
-		if dev.Rank() == 2 {
-			return errTestBody
-		}
-		dev.Barrier()
-		dev.Barrier()
-		return nil
-	})
-	if err != errTestBody {
-		t.Fatalf("Run returned %v, want the failing device's error", err)
-	}
-}
-
-var errTestBody = &testBodyError{}
-
-type testBodyError struct{}
-
-func (*testBodyError) Error() string { return "device body failed" }
-
 // ---- deliberately broken transports: the conformance suite must catch
 // each class of contract violation ----
 

@@ -13,9 +13,11 @@ import (
 
 // Transport is the device-side communication surface the trainer and the
 // message codecs are written against. The in-process cluster.Device is the
-// reference implementation; future backends (sharded clusters, async
-// queues, RPC fabrics) satisfy the same contract without the training loop
-// changing.
+// independent reference implementation; the collective engine
+// (collective.go) implements the contract once for the sharded-async and
+// proc-sharded backends, which differ only in how a payload is delivered.
+// User-registered backends satisfy the same contract without the training
+// loop changing.
 //
 // Collective semantics follow package cluster: every collective must be
 // entered by all devices of the runtime, payload buffers are owned by the

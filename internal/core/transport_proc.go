@@ -1,15 +1,10 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
 	"sync"
 
-	"repro/internal/cluster"
-	"repro/internal/tensor"
-	"repro/internal/timing"
 	"repro/internal/wire"
 )
 
@@ -31,75 +26,22 @@ import (
 // is where the per-run socket directory is created (default the system
 // temp directory).
 //
-// Time model: identical to the lockstep reference — every collective is a
-// full rendezvous whose coordination metadata (arrival clocks, payload
-// sizes) stays in the parent, so Idle/Comm charges reproduce the
-// in-process cluster bit for bit even though payload delivery crosses the
-// kernel. TransportSpec.Staleness is ignored: run-ahead is a scheduling
-// relaxation of the in-memory backend, and this backend exists to pin the
-// wire, not to relax it.
+// Time model: identical to the lockstep reference — the engine in
+// collective.go runs at staleness 0, so every collective is a full
+// rendezvous whose coordination record (arrival clocks, payload sizes)
+// stays in the parent, and Idle/Comm charges reproduce the in-process
+// cluster bit for bit even though payload delivery crosses the kernel.
+// TransportSpec.Staleness is ignored: run-ahead is a scheduling relaxation
+// of the in-memory backend, and this backend exists to pin the wire, not
+// to relax it.
 const TransportProcSharded = "proc-sharded"
 
 func init() {
 	RegisterTransport(TransportProcSharded, newProcRuntime)
 }
 
-// procAbort is the sentinel panic that unwinds device goroutines when a
-// peer's body fails or the worker fleet breaks mid-run.
-type procAbort struct{}
-
-// procKey addresses one in-flight wire delivery.
-type procKey struct {
-	seq, src, dst int
-}
-
-// procColl is one sequence number's collective coordination record: who
-// has posted, at what simulated time, and with what payload sizes (the
-// charging inputs — the payload bytes themselves travel through the
-// worker fleet, not through this struct).
-type procColl struct {
-	op      string
-	arrived int
-	posted  []bool
-	at      []timing.Seconds
-	sizes   [][]int // per-source payload size vectors (op-specific shape)
-}
-
-func (c *procColl) maxAt() timing.Seconds {
-	var mx timing.Seconds
-	for _, t := range c.at {
-		if t > mx {
-			mx = t
-		}
-	}
-	return mx
-}
-
-// procState is shared by all devices of one proc-sharded runtime.
-type procState struct {
-	n          int
-	w          int // worker process count
-	model      *timing.CostModel
-	socketBase string
-
-	clocks []*timing.Clock
-
-	mu         sync.Mutex
-	cond       *sync.Cond
-	colls      map[int]*procColl
-	done       []int
-	minDone    int
-	pruned     int
-	deliveries map[procKey][]byte
-	aborted    bool
-	abortErr   error // first wire-level failure (nil for body errors)
-	bytesMoved [][]int64
-	stats      wire.PoolStats // accumulated across Runs
-
-	pool *wire.Pool
-	dir  string
-}
-
+// newProcRuntime builds the engine at staleness 0 with one execution slot
+// per device and the worker fleet as its delivery.
 func newProcRuntime(spec TransportSpec) Runtime {
 	n := spec.Parts
 	if n <= 0 {
@@ -108,814 +50,95 @@ func newProcRuntime(spec TransportSpec) Runtime {
 	if n >= wire.ParentID {
 		panic(fmt.Sprintf("core: proc-sharded supports at most %d devices, got %d", wire.ParentID-1, n))
 	}
-	model := spec.Model
-	if model == nil {
-		model = timing.Default()
+	workers := spec.Workers
+	if workers <= 0 {
+		workers = 2
 	}
-	w := spec.Workers
-	if w <= 0 {
-		w = 2
-	}
-	if w > n {
-		w = n
-	}
-	s := &procState{
-		n:          n,
-		w:          w,
-		model:      model,
-		socketBase: spec.SocketDir,
-		clocks:     make([]*timing.Clock, n),
-		bytesMoved: make([][]int64, n),
-	}
-	s.cond = sync.NewCond(&s.mu)
-	for i := range s.clocks {
-		s.clocks[i] = timing.NewClock()
-		s.bytesMoved[i] = make([]int64, n)
-	}
-	return &procRuntime{s: s}
+	fleet := &procFleet{workers: min(workers, n), socketBase: spec.SocketDir}
+	return &procRuntime{engine: newEngine(spec, n, 0, fleet), s: fleet}
 }
 
-// procRuntime adapts procState to the Runtime interface.
+// procRuntime is the engine plus access to its fleet's wire accounting.
 type procRuntime struct {
-	s *procState
-}
-
-func (r *procRuntime) Size() int               { return r.s.n }
-func (r *procRuntime) Clocks() []*timing.Clock { return r.s.clocks }
-
-func (r *procRuntime) BytesMoved() [][]int64 {
-	s := r.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([][]int64, s.n)
-	for i := range out {
-		out[i] = append([]int64(nil), s.bytesMoved[i]...)
-	}
-	return out
+	*engine
+	s *procFleet
 }
 
 // WireStats reports the framed-byte accounting accumulated over every Run
 // this runtime has executed (parent counters plus per-worker reports; see
-// wire.PoolStats). Populated on graceful shutdowns only — an aborted
-// fleet is killed, not interviewed.
+// wire.PoolStats). Populated on graceful shutdowns only — a broken fleet
+// is killed, not interviewed.
 func (r *procRuntime) WireStats() wire.PoolStats {
-	s := r.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := s.stats
-	out.Workers = append([]wire.Stats(nil), s.stats.Workers...)
+	r.s.mu.Lock()
+	defer r.s.mu.Unlock()
+	out := r.s.stats
+	out.Workers = append([]wire.Stats(nil), out.Workers...)
 	return out
 }
 
-func (r *procRuntime) Run(seed uint64, body func(Transport) error) error {
-	s := r.s
-	if err := s.start(); err != nil {
-		return err
-	}
-	errs := make([]error, s.n)
-	var wg sync.WaitGroup
-	for rank := 0; rank < s.n; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					if _, ok := p.(procAbort); ok {
-						return // a peer's body failed or the wire broke; reported elsewhere
-					}
-					panic(p)
-				}
-			}()
-			dev := &procDevice{s: s, rank: rank, rng: cluster.DeviceRNG(seed, rank)}
-			if err := body(dev); err != nil {
-				errs[rank] = err
-				s.abortWith(nil)
-			}
-		}(rank)
-	}
-	wg.Wait()
-	stopErr := s.stop()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	s.mu.Lock()
-	wireErr := s.abortErr
-	s.mu.Unlock()
-	if wireErr != nil {
-		return wireErr
-	}
-	return stopErr
+// procFleet is the frame delivery: one worker fleet per Run, every payload
+// a wire.Frame whose freshly-read copy the receiver owns outright.
+type procFleet struct {
+	workers    int
+	socketBase string
+
+	pool *wire.Pool // set between start and stop
+	dir  string
+
+	mu    sync.Mutex
+	stats wire.PoolStats // accumulated across Runs
 }
 
-// start resets the per-run coordination state and brings up a fresh
-// worker fleet (clocks and byte totals persist across Runs, like every
-// other backend's).
-func (s *procState) start() error {
-	s.mu.Lock()
-	s.colls = make(map[int]*procColl)
-	s.deliveries = make(map[procKey][]byte)
-	s.done = make([]int, s.n)
-	s.minDone, s.pruned = 0, 0
-	s.aborted, s.abortErr = false, nil
-	s.mu.Unlock()
-
+// start brings up a fresh worker fleet in a new socket directory.
+func (f *procFleet) start(deliver func(seq, src, dst int, payload []byte), fail func(error)) error {
 	var dir string
 	var err error
-	if s.socketBase == "" {
+	if f.socketBase == "" {
 		dir, err = os.MkdirTemp("", "adaqp-wire-")
 	} else {
-		if err := os.MkdirAll(s.socketBase, 0o755); err != nil {
+		if err := os.MkdirAll(f.socketBase, 0o755); err != nil {
 			return fmt.Errorf("core: proc-sharded socket dir: %w", err)
 		}
-		dir, err = os.MkdirTemp(s.socketBase, "run-")
+		dir, err = os.MkdirTemp(f.socketBase, "run-")
 	}
 	if err != nil {
 		return fmt.Errorf("core: proc-sharded socket dir: %w", err)
 	}
-	pool, err := wire.StartPool(dir, s.w, s.deliver, func(err error) { s.abortWith(err) })
+	onData := func(fr wire.Frame) { deliver(int(fr.Seq), int(fr.Src), int(fr.Dst), fr.Payload) }
+	pool, err := wire.StartPool(dir, f.workers, onData, fail)
 	if err != nil {
 		os.RemoveAll(dir)
 		return err
 	}
-	s.mu.Lock()
-	s.pool, s.dir = pool, dir
-	s.mu.Unlock()
+	f.pool, f.dir = pool, dir
 	return nil
+}
+
+// send ships one payload into the fleet; it enters at worker src mod W.
+func (f *procFleet) send(seq, src, dst int, payload []byte) error {
+	return f.pool.Send(wire.Frame{
+		Op:      wire.OpData,
+		Seq:     uint32(seq),
+		Src:     uint16(src),
+		Dst:     uint16(dst),
+		Payload: payload,
+	})
 }
 
 // stop reaps the worker fleet and removes the socket directory. A healthy
 // or body-aborted run shuts down gracefully (collecting worker stats); a
 // broken wire is killed outright.
-func (s *procState) stop() error {
-	s.mu.Lock()
-	pool, dir := s.pool, s.dir
-	broken := s.abortErr != nil
-	s.pool, s.dir = nil, ""
-	s.mu.Unlock()
-	if pool == nil {
-		return nil
-	}
+func (f *procFleet) stop(broken bool) error {
+	pool, dir := f.pool, f.dir
+	f.pool, f.dir = nil, ""
 	defer os.RemoveAll(dir)
 	if broken {
 		pool.Kill()
 		return nil
 	}
 	stats, err := pool.Shutdown()
-	s.mu.Lock()
-	s.stats.Add(stats)
-	s.mu.Unlock()
+	f.mu.Lock()
+	f.stats.Add(stats)
+	f.mu.Unlock()
 	return err
-}
-
-// deliver is the pool's onData callback: it publishes one wire-delivered
-// payload for its destination device to consume. Never blocks, so pool
-// reader goroutines cannot deadlock against device waits.
-func (s *procState) deliver(f wire.Frame) {
-	s.mu.Lock()
-	s.deliveries[procKey{int(f.Seq), int(f.Src), int(f.Dst)}] = f.Payload
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-func (s *procState) abortWith(err error) {
-	s.mu.Lock()
-	s.aborted = true
-	if err != nil && s.abortErr == nil {
-		s.abortErr = err
-	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// wait blocks until pred holds (evaluated under the state lock). Panics
-// with procAbort if the run aborted.
-func (s *procState) wait(pred func() bool) {
-	s.mu.Lock()
-	for !s.aborted && !pred() {
-		s.cond.Wait()
-	}
-	aborted := s.aborted
-	s.mu.Unlock()
-	if aborted {
-		panic(procAbort{})
-	}
-}
-
-// collLocked returns (creating on demand) sequence seq's collective.
-// Callers hold s.mu.
-func (s *procState) collLocked(seq int, op string) *procColl {
-	c, ok := s.colls[seq]
-	if !ok {
-		c = &procColl{
-			op:     op,
-			posted: make([]bool, s.n),
-			at:     make([]timing.Seconds, s.n),
-			sizes:  make([][]int, s.n),
-		}
-		s.colls[seq] = c
-	}
-	if c.op != op {
-		panic(fmt.Sprintf("core: proc-sharded collective %d is %s on one device and %s on another (devices diverged)", seq, c.op, op))
-	}
-	return c
-}
-
-// recvWire blocks until the frame (seq, src→dst) has crossed the worker
-// fleet, then consumes it. The returned buffer was freshly allocated by
-// the pool's socket reader, so the receiver owns it outright — releasing
-// it into the receiver's arena trivially satisfies the ownership contract.
-func (s *procState) recvWire(seq, src, dst int) []byte {
-	key := procKey{seq, src, dst}
-	var buf []byte
-	s.wait(func() bool {
-		b, ok := s.deliveries[key]
-		if !ok {
-			return false
-		}
-		buf = b
-		delete(s.deliveries, key)
-		return true
-	})
-	return buf
-}
-
-func (s *procState) addBytes(src, dst int, n int) {
-	s.mu.Lock()
-	s.bytesMoved[src][dst] += int64(n)
-	s.mu.Unlock()
-}
-
-// procDevice is one device's Transport endpoint.
-type procDevice struct {
-	s    *procState
-	rank int
-	seq  int // next collective sequence number
-	rng  *tensor.RNG
-
-	// sizes is reusable RingAll2All charging scratch, read only between
-	// this device's post and complete of one sequence.
-	sizes [][]int
-	// sums is reusable AllReduceSum reduction scratch, private to this
-	// device.
-	sums []*tensor.Matrix
-}
-
-func (d *procDevice) sizesScratch(n int) [][]int {
-	if len(d.sizes) != n {
-		d.sizes = make([][]int, n)
-		for i := range d.sizes {
-			d.sizes[i] = make([]int, n)
-		}
-	}
-	return d.sizes
-}
-
-func (d *procDevice) Rank() int                { return d.rank }
-func (d *procDevice) Size() int                { return d.s.n }
-func (d *procDevice) Clock() *timing.Clock     { return d.s.clocks[d.rank] }
-func (d *procDevice) Model() *timing.CostModel { return d.s.model }
-func (d *procDevice) Rand() *tensor.RNG        { return d.rng }
-
-// post registers this device's next collective: arrival clock and payload
-// sizes go into the in-parent coordination record (the payload bytes
-// themselves travel as frames). Non-blocking — rendezvous happens in the
-// wait, and split-phase Starts must not block by contract.
-func (d *procDevice) post(op string, sizes []int) (int, timing.Seconds) {
-	s := d.s
-	seq := d.seq
-	d.seq++
-	start := d.Clock().Now()
-	s.mu.Lock()
-	if s.aborted {
-		s.mu.Unlock()
-		panic(procAbort{})
-	}
-	c := s.collLocked(seq, op)
-	c.posted[d.rank] = true
-	c.at[d.rank] = start
-	c.sizes[d.rank] = sizes
-	c.arrived++
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	return seq, start
-}
-
-// send ships one payload into the worker fleet. Self-sends never happen:
-// a device's own payload stays a local pointer, exactly like the
-// reference backend returns it.
-func (d *procDevice) send(seq, dst int, payload []byte) {
-	err := d.s.pool.Send(wire.Frame{
-		Op:      wire.OpData,
-		Seq:     uint32(seq),
-		Src:     uint16(d.rank),
-		Dst:     uint16(dst),
-		Payload: payload,
-	})
-	if err != nil {
-		d.s.abortWith(err)
-		panic(procAbort{})
-	}
-}
-
-// waitAll blocks until every device has posted sequence seq.
-func (d *procDevice) waitAll(seq int) *procColl {
-	s := d.s
-	var c *procColl
-	s.wait(func() bool {
-		cc, ok := s.colls[seq]
-		if !ok {
-			return false
-		}
-		c = cc
-		return cc.arrived == s.n
-	})
-	return c
-}
-
-// complete marks this device done with sequence seq, pruning
-// fully-consumed coordination records.
-func (d *procDevice) complete(seq int) {
-	s := d.s
-	s.mu.Lock()
-	s.done[d.rank]++
-	min := s.done[0]
-	for _, v := range s.done[1:] {
-		if v < min {
-			min = v
-		}
-	}
-	if min > s.minDone {
-		s.minDone = min
-		for k := s.pruned; k < min; k++ {
-			delete(s.colls, k)
-		}
-		s.pruned = min
-	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// Barrier aligns all devices; everyone's clock advances to the slowest
-// arrival (gap charged to Idle).
-func (d *procDevice) Barrier() {
-	seq, _ := d.post(opBarrier, nil)
-	c := d.waitAll(seq)
-	d.Clock().AdvanceTo(timing.Idle, c.maxAt())
-	d.complete(seq)
-}
-
-// RingAll2All exchanges per-destination buffers over the ring schedule.
-// Charging reproduces the reference (arrival gap to Idle, per-round link
-// maxima to Comm, in schedule order); payload delivery crosses the worker
-// fleet.
-func (d *procDevice) RingAll2All(payloads [][]byte) [][]byte {
-	s := d.s
-	n := s.n
-	if len(payloads) != n {
-		panic(fmt.Sprintf("core: RingAll2All got %d payloads for %d devices", len(payloads), n))
-	}
-	sizes := make([]int, n)
-	for dst, p := range payloads {
-		if dst != d.rank {
-			sizes[dst] = len(p)
-		}
-	}
-	seq, _ := d.post(opRing, sizes)
-	for dst := 0; dst < n; dst++ {
-		if dst != d.rank {
-			d.send(seq, dst, payloads[dst])
-		}
-	}
-	c := d.waitAll(seq)
-	d.Clock().AdvanceTo(timing.Idle, c.maxAt())
-	tbl := d.sizesScratch(n)
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if dst != src {
-				tbl[src][dst] = c.sizes[src][dst]
-			} else {
-				tbl[src][dst] = 0
-			}
-		}
-	}
-	for round := 1; round < n; round++ {
-		d.Clock().Advance(timing.Comm, cluster.All2AllRoundTime(s.model, tbl, round))
-		s.addBytes(d.rank, (d.rank+round)%n, len(payloads[(d.rank+round)%n]))
-	}
-	received := make([][]byte, n)
-	for p := 0; p < n; p++ {
-		if p != d.rank {
-			received[p] = s.recvWire(seq, p, d.rank)
-		}
-	}
-	d.complete(seq)
-	return received
-}
-
-// AllReduceSum sums matrices elementwise across devices (ring-allreduce
-// time model). Every device serializes its matrices (raw float32 bits, so
-// the reduction is bit-exact) to all peers and reduces the decoded copies
-// in rank order — the same float additions as the reference.
-func (d *procDevice) AllReduceSum(ms []*tensor.Matrix) {
-	s := d.s
-	clones := make([]*tensor.Matrix, len(ms))
-	for i, m := range ms {
-		clones[i] = m.Clone()
-	}
-	seq, _ := d.post(opAllReduce, nil)
-	blob := appendMats(nil, ms)
-	for dst := 0; dst < s.n; dst++ {
-		if dst != d.rank {
-			d.send(seq, dst, blob)
-		}
-	}
-	c := d.waitAll(seq)
-	d.Clock().AdvanceTo(timing.Idle, c.maxAt())
-	contrib := make([][]*tensor.Matrix, s.n)
-	for r := 0; r < s.n; r++ {
-		if r == d.rank {
-			contrib[r] = clones
-			continue
-		}
-		mats, err := parseMats(s.recvWire(seq, r, d.rank), len(ms))
-		if err != nil {
-			s.abortWith(fmt.Errorf("core: allreduce decode from rank %d: %w", r, err))
-			panic(procAbort{})
-		}
-		contrib[r] = mats
-	}
-	if len(d.sums) != len(ms) {
-		d.sums = make([]*tensor.Matrix, len(ms))
-	}
-	sums := d.sums
-	for i := range ms {
-		if sums[i] == nil || !sums[i].SameShape(contrib[0][i]) {
-			sums[i] = tensor.New(contrib[0][i].Rows, contrib[0][i].Cols)
-		}
-		sums[i].CopyFrom(contrib[0][i])
-		for r := 1; r < s.n; r++ {
-			sums[i].AddInPlace(contrib[r][i])
-		}
-	}
-	bytes := 0
-	for _, m := range ms {
-		bytes += len(m.Data) * 4
-	}
-	d.Clock().Advance(timing.Comm, cluster.AllReduceTime(s.model, s.n, d.rank, bytes))
-	for i := range ms {
-		ms[i].CopyFrom(sums[i])
-	}
-	d.complete(seq)
-}
-
-// GatherBytes collects every device's payload at root over the wire;
-// everyone aligns on the slowest arrival and charges the slowest incoming
-// transfer, like the lockstep reference.
-func (d *procDevice) GatherBytes(root int, payload []byte) [][]byte {
-	s := d.s
-	seq, _ := d.post(opGather, []int{len(payload)})
-	if d.rank != root {
-		d.send(seq, root, payload)
-	}
-	c := d.waitAll(seq)
-	d.Clock().AdvanceTo(timing.Idle, c.maxAt())
-	var t timing.Seconds
-	for src := 0; src < s.n; src++ {
-		if src == root {
-			continue
-		}
-		if tt := s.model.TransferTime(src, root, c.sizes[src][0]); tt > t {
-			t = tt
-		}
-	}
-	d.Clock().Advance(timing.Comm, t)
-	if d.rank != root {
-		s.addBytes(d.rank, root, len(payload))
-		d.complete(seq)
-		return nil
-	}
-	out := make([][]byte, s.n)
-	for src := range out {
-		if src == root {
-			out[src] = payload
-		} else {
-			out[src] = s.recvWire(seq, src, root)
-		}
-	}
-	d.complete(seq)
-	return out
-}
-
-// ScatterBytes distributes payloads[i] from root to device i over the
-// wire (max outgoing transfer charged, scatter bytes never counted —
-// assignment metadata, matching the reference ledger).
-func (d *procDevice) ScatterBytes(root int, payloads [][]byte) []byte {
-	s := d.s
-	var sizes []int
-	if d.rank == root {
-		if len(payloads) != s.n {
-			panic(fmt.Sprintf("core: ScatterBytes got %d payloads for %d devices", len(payloads), s.n))
-		}
-		sizes = make([]int, s.n)
-		for dst, p := range payloads {
-			sizes[dst] = len(p)
-		}
-	}
-	seq, _ := d.post(opScatter, sizes)
-	if d.rank == root {
-		for dst := 0; dst < s.n; dst++ {
-			if dst != root {
-				d.send(seq, dst, payloads[dst])
-			}
-		}
-	}
-	c := d.waitAll(seq)
-	d.Clock().AdvanceTo(timing.Idle, c.maxAt())
-	var t timing.Seconds
-	for dst := 0; dst < s.n; dst++ {
-		if dst == root {
-			continue
-		}
-		if tt := s.model.TransferTime(root, dst, c.sizes[root][dst]); tt > t {
-			t = tt
-		}
-	}
-	d.Clock().Advance(timing.Comm, t)
-	var out []byte
-	if d.rank == root {
-		out = payloads[root]
-	} else {
-		out = s.recvWire(seq, root, d.rank)
-	}
-	d.complete(seq)
-	return out
-}
-
-// BroadcastBytes sends root's payload to all devices (sequential
-// broadcast timing — SANCUS's pattern); every receiver's copy crosses the
-// worker fleet.
-func (d *procDevice) BroadcastBytes(root int, payload []byte) []byte {
-	s := d.s
-	var sizes []int
-	if d.rank == root {
-		sizes = []int{len(payload)}
-	}
-	seq, _ := d.post(opBroadcast, sizes)
-	if d.rank == root {
-		for dst := 0; dst < s.n; dst++ {
-			if dst != root {
-				d.send(seq, dst, payload)
-			}
-		}
-	}
-	c := d.waitAll(seq)
-	d.Clock().AdvanceTo(timing.Idle, c.maxAt())
-	size := c.sizes[root][0]
-	var t timing.Seconds
-	for dst := 0; dst < s.n; dst++ {
-		if dst != root {
-			t += s.model.TransferTime(root, dst, size)
-		}
-	}
-	d.Clock().Advance(timing.Comm, t)
-	var buf []byte
-	if d.rank == root {
-		buf = payload
-		for dst := 0; dst < s.n; dst++ {
-			if dst != root {
-				s.addBytes(root, dst, size)
-			}
-		}
-	} else {
-		buf = s.recvWire(seq, root, d.rank)
-	}
-	d.complete(seq)
-	return buf
-}
-
-// StartBroadcast begins a split-phase broadcast: root's frames enter the
-// worker fleet immediately (the wire transfer genuinely proceeds during
-// the overlap window), while clock charging waits for Wait, routed
-// through timing.FinishDeferred like every backend.
-func (d *procDevice) StartBroadcast(root int, payload []byte) PendingCollective {
-	var sizes []int
-	if d.rank == root {
-		sizes = []int{len(payload)}
-	}
-	seq, start := d.post(opStartBroadcast, sizes)
-	if d.rank == root {
-		for dst := 0; dst < d.s.n; dst++ {
-			if dst != root {
-				d.send(seq, dst, payload)
-			}
-		}
-	}
-	return &procPending{d: d, seq: seq, op: opStartBroadcast, root: root, start: start, own: payload}
-}
-
-// StartScatter is the split-phase form of ScatterBytes under the same
-// start/wait contract as StartBroadcast.
-func (d *procDevice) StartScatter(root int, payloads [][]byte) PendingCollective {
-	var sizes []int
-	var own []byte
-	if d.rank == root {
-		if len(payloads) != d.s.n {
-			panic(fmt.Sprintf("core: StartScatter got %d payloads for %d devices", len(payloads), d.s.n))
-		}
-		sizes = make([]int, d.s.n)
-		for dst, p := range payloads {
-			sizes[dst] = len(p)
-		}
-		own = payloads[root]
-	}
-	seq, start := d.post(opStartScatter, sizes)
-	if d.rank == root {
-		for dst := 0; dst < d.s.n; dst++ {
-			if dst != root {
-				d.send(seq, dst, payloads[dst])
-			}
-		}
-	}
-	return &procPending{d: d, seq: seq, op: opStartScatter, root: root, start: start, own: own}
-}
-
-// procPending implements PendingCollective for the proc backend. own is
-// the root's self-delivery (never framed — exactly like the reference
-// returns the caller's pointer).
-type procPending struct {
-	d     *procDevice
-	seq   int
-	op    string
-	root  int
-	start timing.Seconds
-	own   []byte
-	done  bool
-}
-
-func (p *procPending) Wait() []byte {
-	if p.done {
-		panic("core: proc-sharded split-phase handle waited twice")
-	}
-	p.done = true
-	if p.op == opStartScatter {
-		return p.d.finishScatter(p)
-	}
-	return p.d.finishBroadcast(p)
-}
-
-// finishBroadcast completes a split-phase broadcast with the blocking
-// schedule's (align, wire) pair through timing.FinishDeferred.
-func (d *procDevice) finishBroadcast(p *procPending) []byte {
-	s := d.s
-	root := p.root
-	c := d.waitAll(p.seq)
-	size := c.sizes[root][0]
-	var t timing.Seconds
-	for dst := 0; dst < s.n; dst++ {
-		if dst != root {
-			t += s.model.TransferTime(root, dst, size)
-		}
-	}
-	var buf []byte
-	if d.rank == root {
-		buf = p.own
-		for dst := 0; dst < s.n; dst++ {
-			if dst != root {
-				s.addBytes(root, dst, size)
-			}
-		}
-	} else {
-		buf = s.recvWire(p.seq, root, d.rank)
-	}
-	timing.FinishDeferred(d.Clock(), p.start, c.maxAt(), t)
-	d.complete(p.seq)
-	return buf
-}
-
-// finishScatter completes a split-phase scatter (blocking ScatterBytes
-// schedule: max outgoing transfer at rendezvous).
-func (d *procDevice) finishScatter(p *procPending) []byte {
-	s := d.s
-	root := p.root
-	c := d.waitAll(p.seq)
-	var t timing.Seconds
-	for dst := 0; dst < s.n; dst++ {
-		if dst == root {
-			continue
-		}
-		if tt := s.model.TransferTime(root, dst, c.sizes[root][dst]); tt > t {
-			t = tt
-		}
-	}
-	var out []byte
-	if d.rank == root {
-		out = p.own
-	} else {
-		out = s.recvWire(p.seq, root, d.rank)
-	}
-	timing.FinishDeferred(d.Clock(), p.start, c.maxAt(), t)
-	d.complete(p.seq)
-	return out
-}
-
-// RawAll2All moves buffers like RingAll2All — through the worker fleet —
-// but charges no time (metrics sideband).
-func (d *procDevice) RawAll2All(payloads [][]byte) [][]byte {
-	s := d.s
-	if len(payloads) != s.n {
-		panic(fmt.Sprintf("core: RawAll2All got %d payloads for %d devices", len(payloads), s.n))
-	}
-	seq, _ := d.post(opRawRing, nil)
-	for dst := 0; dst < s.n; dst++ {
-		if dst != d.rank {
-			d.send(seq, dst, payloads[dst])
-		}
-	}
-	d.waitAll(seq)
-	received := make([][]byte, s.n)
-	for p := 0; p < s.n; p++ {
-		if p != d.rank {
-			received[p] = s.recvWire(seq, p, d.rank)
-		}
-	}
-	d.complete(seq)
-	return received
-}
-
-// RawAllGather shares one buffer from every device with every device,
-// charging no time.
-func (d *procDevice) RawAllGather(payload []byte) [][]byte {
-	s := d.s
-	seq, _ := d.post(opRawGather, nil)
-	for dst := 0; dst < s.n; dst++ {
-		if dst != d.rank {
-			d.send(seq, dst, payload)
-		}
-	}
-	d.waitAll(seq)
-	out := make([][]byte, s.n)
-	for p := 0; p < s.n; p++ {
-		if p == d.rank {
-			out[p] = payload
-		} else {
-			out[p] = s.recvWire(seq, p, d.rank)
-		}
-	}
-	d.complete(seq)
-	return out
-}
-
-var _ Transport = (*procDevice)(nil)
-
-// appendMats serializes matrices for the wire: u32 count, then per matrix
-// u32 rows, u32 cols and the raw float32 bit patterns — bit-exact across
-// the round trip, which the deterministic allreduce reduction requires.
-func appendMats(dst []byte, ms []*tensor.Matrix) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ms)))
-	for _, m := range ms {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(m.Rows))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(m.Cols))
-		for _, v := range m.Data {
-			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
-		}
-	}
-	return dst
-}
-
-// parseMats decodes an appendMats stream, validating the declared shapes
-// against the stream length and the expected matrix count.
-func parseMats(b []byte, want int) ([]*tensor.Matrix, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("matrix stream truncated at count")
-	}
-	count := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	if count != want {
-		return nil, fmt.Errorf("matrix stream has %d matrices, want %d", count, want)
-	}
-	ms := make([]*tensor.Matrix, count)
-	for i := range ms {
-		if len(b) < 8 {
-			return nil, fmt.Errorf("matrix %d truncated at shape", i)
-		}
-		rows := int(binary.LittleEndian.Uint32(b))
-		cols := int(binary.LittleEndian.Uint32(b[4:]))
-		b = b[8:]
-		n := rows * cols
-		if rows < 0 || cols < 0 || len(b) < n*4 {
-			return nil, fmt.Errorf("matrix %d (%dx%d) truncated at data", i, rows, cols)
-		}
-		m := tensor.New(rows, cols)
-		for j := 0; j < n; j++ {
-			m.Data[j] = math.Float32frombits(binary.LittleEndian.Uint32(b[j*4:]))
-		}
-		b = b[n*4:]
-		ms[i] = m
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("matrix stream has %d trailing bytes", len(b))
-	}
-	return ms, nil
 }

@@ -1,14 +1,6 @@
 package core
 
-import (
-	"fmt"
-	goruntime "runtime"
-	"sync"
-
-	"repro/internal/cluster"
-	"repro/internal/tensor"
-	"repro/internal/timing"
-)
+import goruntime "runtime"
 
 // TransportShardedAsync is the sharded async runtime: N simulated devices
 // multiplexed onto a bounded worker pool, with non-blocking sends that let
@@ -21,11 +13,12 @@ import (
 // without deadlocking (that is the sharding: device state is cheap, worker
 // slots model the machines actually running them).
 //
-// Data model: collectives are sequence-numbered per device. Payloads are
-// posted into a shared store keyed by (sequence, source) and matched
-// exactly — a receiver always gets the payload its peer produced for the
-// same collective, never stale data, so training results are bit-identical
-// to the in-process cluster at every staleness bound.
+// Data model: collectives are sequence-numbered per device (the engine in
+// collective.go). Payloads are handed over by pointer, keyed by (sequence,
+// source, destination) and matched exactly — a receiver always gets the
+// payload its peer produced for the same collective, never stale data, so
+// training results are bit-identical to the in-process cluster at every
+// staleness bound.
 //
 // Time model: at Staleness 0 every collective is a full rendezvous charged
 // exactly like package cluster (entry gap to Idle, transfer formulas to
@@ -42,771 +35,38 @@ func init() {
 	RegisterTransport(TransportShardedAsync, newShardedRuntime)
 }
 
-// Collective op tags, used to catch devices whose collective sequences
-// diverge (a contract violation that would otherwise corrupt payloads).
-const (
-	opBarrier   = "Barrier"
-	opRing      = "RingAll2All"
-	opAllReduce = "AllReduceSum"
-	opGather    = "GatherBytes"
-	opScatter   = "ScatterBytes"
-	opBroadcast = "BroadcastBytes"
-	opRawRing   = "RawAll2All"
-	opRawGather = "RawAllGather"
-	// Split-phase ops have their own tags: a run where one device issues
-	// the blocking form and another the split form of the same collective
-	// has diverged and must panic, not corrupt payloads.
-	opStartBroadcast = "StartBroadcast"
-	opStartScatter   = "StartScatter"
-)
-
-// shardedAbort is the sentinel panic that unwinds device goroutines when a
-// peer's body fails, so a mid-run error cannot strand the others in a wait.
-type shardedAbort struct{}
-
-// shardedColl is one sequence number's collective: who has posted, with
-// what payload, and at what simulated time.
-type shardedColl struct {
-	op      string
-	arrived int
-	posted  []bool
-	at      []timing.Seconds   // poster's clock at post time
-	bufs    [][][]byte         // per-source payload vectors
-	mats    [][]*tensor.Matrix // per-source matrices (allreduce)
-}
-
-func (c *shardedColl) maxAt() timing.Seconds {
-	var mx timing.Seconds
-	for _, t := range c.at {
-		if t > mx {
-			mx = t
-		}
-	}
-	return mx
-}
-
-// shardedState is shared by all devices of one sharded-async runtime.
-type shardedState struct {
-	n     int
-	stale int
-	model *timing.CostModel
-
-	clocks []*timing.Clock
-	tokens chan struct{} // worker pool: one buffered slot per worker
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	colls   map[int]*shardedColl // keyed by collective sequence number
-	done    []int                // collectives completed per device
-	minDone int
-	pruned  int // all sequences below this have been deleted
-
-	bytesMoved [][]int64
-	aborted    bool
-}
-
+// newShardedRuntime builds the engine with TransportSpec.Workers execution
+// slots (default one per CPU), TransportSpec.Staleness as the run-ahead
+// bound, and the pointer delivery.
 func newShardedRuntime(spec TransportSpec) Runtime {
-	n := spec.Parts
-	if n <= 0 {
+	if spec.Parts <= 0 {
 		panic("core: sharded-async needs at least one device")
-	}
-	model := spec.Model
-	if model == nil {
-		model = timing.Default()
 	}
 	workers := spec.Workers
 	if workers <= 0 {
 		workers = goruntime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	stale := spec.Staleness
-	if stale < 0 {
-		stale = 0
-	}
-	s := &shardedState{
-		n:          n,
-		stale:      stale,
-		model:      model,
-		clocks:     make([]*timing.Clock, n),
-		tokens:     make(chan struct{}, workers),
-		colls:      make(map[int]*shardedColl),
-		done:       make([]int, n),
-		bytesMoved: make([][]int64, n),
-	}
-	s.cond = sync.NewCond(&s.mu)
-	for i := 0; i < workers; i++ {
-		s.tokens <- struct{}{}
-	}
-	for i := range s.clocks {
-		s.clocks[i] = timing.NewClock()
-		s.bytesMoved[i] = make([]int64, n)
-	}
-	return &shardedRuntime{s: s}
+	return newEngine(spec, workers, spec.Staleness, &pointerDelivery{})
 }
 
-// shardedRuntime adapts shardedState to the Runtime interface.
-type shardedRuntime struct {
-	s *shardedState
+// pointerDelivery hands every payload straight to the engine: the buffer
+// the sender posted is the buffer its one receiver gets. Safe under
+// run-ahead because each buffer has exactly one consumer, which releases it
+// into its own arena only after decoding, and nothing is kept of the
+// sender's payloads container — callers may reuse theirs
+// (core.Arena.Payloads) while a straggler has yet to receive.
+type pointerDelivery struct {
+	deliver func(seq, src, dst int, payload []byte)
 }
 
-func (r *shardedRuntime) Size() int               { return r.s.n }
-func (r *shardedRuntime) Clocks() []*timing.Clock { return r.s.clocks }
-
-func (r *shardedRuntime) BytesMoved() [][]int64 {
-	s := r.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([][]int64, s.n)
-	for i := range out {
-		out[i] = append([]int64(nil), s.bytesMoved[i]...)
-	}
-	return out
-}
-
-func (r *shardedRuntime) Run(seed uint64, body func(Transport) error) error {
-	s := r.s
-	errs := make([]error, s.n)
-	var wg sync.WaitGroup
-	for rank := 0; rank < s.n; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					if _, ok := p.(shardedAbort); ok {
-						return // a peer's body failed; its error is reported
-					}
-					panic(p)
-				}
-			}()
-			s.acquire()
-			defer s.release()
-			dev := &shardedDevice{s: s, rank: rank, rng: cluster.DeviceRNG(seed, rank)}
-			if err := body(dev); err != nil {
-				errs[rank] = err
-				s.abort()
-			}
-		}(rank)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
+func (p *pointerDelivery) start(deliver func(seq, src, dst int, payload []byte), _ func(error)) error {
+	p.deliver = deliver
 	return nil
 }
 
-func (s *shardedState) acquire() { <-s.tokens }
-func (s *shardedState) release() { s.tokens <- struct{}{} }
-
-func (s *shardedState) abort() {
-	s.mu.Lock()
-	s.aborted = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
+func (p *pointerDelivery) send(seq, src, dst int, payload []byte) error {
+	p.deliver(seq, src, dst, payload)
+	return nil
 }
 
-// yieldWait blocks until pred holds (evaluated under the state lock),
-// releasing this device's worker slot while blocked so a pool smaller than
-// the device count cannot deadlock. Panics with shardedAbort if the run
-// was aborted.
-func (s *shardedState) yieldWait(pred func() bool) {
-	s.mu.Lock()
-	for !s.aborted && !pred() {
-		s.release()
-		s.cond.Wait()
-		s.mu.Unlock()
-		s.acquire()
-		s.mu.Lock()
-	}
-	aborted := s.aborted
-	s.mu.Unlock()
-	if aborted {
-		panic(shardedAbort{})
-	}
-}
-
-// collLocked returns (creating on demand) sequence seq's collective.
-// Callers hold s.mu.
-func (s *shardedState) collLocked(seq int, op string) *shardedColl {
-	c, ok := s.colls[seq]
-	if !ok {
-		c = &shardedColl{
-			op:     op,
-			posted: make([]bool, s.n),
-			at:     make([]timing.Seconds, s.n),
-			bufs:   make([][][]byte, s.n),
-			mats:   make([][]*tensor.Matrix, s.n),
-		}
-		s.colls[seq] = c
-	}
-	if c.op != op {
-		panic(fmt.Sprintf("core: sharded-async collective %d is %s on one device and %s on another (devices diverged)", seq, c.op, op))
-	}
-	return c
-}
-
-func (s *shardedState) addBytes(src, dst int, n int) {
-	s.mu.Lock()
-	s.bytesMoved[src][dst] += int64(n)
-	s.mu.Unlock()
-}
-
-// shardedDevice is one device's Transport endpoint.
-type shardedDevice struct {
-	s    *shardedState
-	rank int
-	seq  int // next collective sequence number
-	rng  *tensor.RNG
-
-	// sizes is reusable accounting scratch for RingAll2All: it is only read
-	// between this device's post and complete of one sequence.
-	sizes [][]int
-	// sums is reusable AllReduceSum reduction scratch, private to this
-	// device (the posted matrices are clones, so reuse here is safe).
-	sums []*tensor.Matrix
-}
-
-// sizesScratch returns the n×n RingAll2All size table, reused across calls.
-func (d *shardedDevice) sizesScratch(n int) [][]int {
-	if len(d.sizes) != n {
-		d.sizes = make([][]int, n)
-		for i := range d.sizes {
-			d.sizes[i] = make([]int, n)
-		}
-	}
-	return d.sizes
-}
-
-func (d *shardedDevice) Rank() int                { return d.rank }
-func (d *shardedDevice) Size() int                { return d.s.n }
-func (d *shardedDevice) Clock() *timing.Clock     { return d.s.clocks[d.rank] }
-func (d *shardedDevice) Model() *timing.CostModel { return d.s.model }
-func (d *shardedDevice) Rand() *tensor.RNG        { return d.rng }
-
-// post enters this device's next collective: it waits out the run-ahead
-// bound (a device may be at most Staleness collectives ahead of the
-// slowest device's last completed one), then publishes its payload and
-// simulated arrival time.
-func (d *shardedDevice) post(op string, bufs [][]byte, mats []*tensor.Matrix) int {
-	s := d.s
-	seq := d.seq
-	d.seq++
-	s.yieldWait(func() bool { return seq-s.minDone <= s.stale })
-	s.mu.Lock()
-	c := s.collLocked(seq, op)
-	c.posted[d.rank] = true
-	c.at[d.rank] = d.Clock().Now()
-	c.bufs[d.rank] = bufs
-	c.mats[d.rank] = mats
-	c.arrived++
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	return seq
-}
-
-// postNoWait publishes this device's part of a split-phase collective
-// without entering the staleness backpressure wait: Start is non-blocking
-// by contract (a device may hold several split handles in flight, and at
-// staleness 0 waiting here would deadlock the start-all/wait-all
-// schedule). The collective still counts against the bound once its Wait
-// completes it, so blocking collectives issued afterwards observe the
-// usual run-ahead limit.
-func (d *shardedDevice) postNoWait(op string, bufs [][]byte) (int, timing.Seconds) {
-	s := d.s
-	seq := d.seq
-	d.seq++
-	start := d.Clock().Now()
-	s.mu.Lock()
-	if s.aborted {
-		s.mu.Unlock()
-		panic(shardedAbort{})
-	}
-	c := s.collLocked(seq, op)
-	c.posted[d.rank] = true
-	c.at[d.rank] = start
-	c.bufs[d.rank] = bufs
-	c.arrived++
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	return seq, start
-}
-
-// waitAll blocks until every device has posted sequence seq.
-func (d *shardedDevice) waitAll(seq int) *shardedColl {
-	s := d.s
-	var c *shardedColl
-	s.yieldWait(func() bool {
-		cc, ok := s.colls[seq]
-		if !ok {
-			return false
-		}
-		c = cc
-		return cc.arrived == s.n
-	})
-	return c
-}
-
-// waitRank blocks until device src has posted sequence seq.
-func (d *shardedDevice) waitRank(seq, src int) *shardedColl {
-	s := d.s
-	var c *shardedColl
-	s.yieldWait(func() bool {
-		cc, ok := s.colls[seq]
-		if !ok {
-			return false
-		}
-		c = cc
-		return cc.posted[src]
-	})
-	return c
-}
-
-// complete marks this device done with sequence seq, advancing the
-// backpressure horizon and pruning fully-consumed collectives.
-func (d *shardedDevice) complete(seq int) {
-	s := d.s
-	s.mu.Lock()
-	s.done[d.rank]++
-	min := s.done[0]
-	for _, v := range s.done[1:] {
-		if v < min {
-			min = v
-		}
-	}
-	if min > s.minDone {
-		s.minDone = min
-		for k := s.pruned; k < min; k++ {
-			delete(s.colls, k)
-		}
-		s.pruned = min
-	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// Barrier aligns all devices; everyone's clock advances to the slowest
-// arrival (gap charged to Idle). A barrier is inherently synchronous, so
-// it rendezvouses at every staleness bound.
-func (d *shardedDevice) Barrier() {
-	seq := d.post(opBarrier, nil, nil)
-	c := d.waitAll(seq)
-	d.Clock().AdvanceTo(timing.Idle, c.maxAt())
-	d.complete(seq)
-}
-
-// RingAll2All exchanges per-destination buffers over the ring schedule.
-// Every device's payload is a dependency of every other device, so the
-// collective rendezvouses at any staleness; arrival gaps are charged to
-// Idle and each round costs as much as its slowest link, exactly like the
-// in-process cluster.
-func (d *shardedDevice) RingAll2All(payloads [][]byte) [][]byte {
-	s := d.s
-	n := s.n
-	if len(payloads) != n {
-		panic(fmt.Sprintf("core: RingAll2All got %d payloads for %d devices", len(payloads), n))
-	}
-	// Post a private copy of the container: callers may reuse theirs
-	// (core.Arena.Payloads) for the next collective while a run-ahead
-	// straggler is still reading this one. The buffers themselves are safe
-	// to post as-is — each has exactly one consumer, which releases it into
-	// its own arena only after decoding.
-	posted := make([][]byte, n)
-	copy(posted, payloads)
-	seq := d.post(opRing, posted, nil)
-	c := d.waitAll(seq)
-	d.Clock().AdvanceTo(timing.Idle, c.maxAt())
-	sizes := d.sizesScratch(n)
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if dst != src {
-				sizes[src][dst] = len(c.bufs[src][dst])
-			} else {
-				sizes[src][dst] = 0
-			}
-		}
-	}
-	// Charge round by round in schedule order — the same sequence of
-	// float additions as the reference, so clocks agree to the last bit.
-	for round := 1; round < n; round++ {
-		d.Clock().Advance(timing.Comm, cluster.All2AllRoundTime(s.model, sizes, round))
-		s.addBytes(d.rank, (d.rank+round)%n, len(payloads[(d.rank+round)%n]))
-	}
-	received := make([][]byte, n)
-	for p := 0; p < n; p++ {
-		if p != d.rank {
-			received[p] = c.bufs[p][d.rank]
-		}
-	}
-	d.complete(seq)
-	return received
-}
-
-// AllReduceSum sums matrices elementwise across devices (ring-allreduce
-// time model). Deterministic rank-ordered reduction over posted clones, so
-// results are bit-identical to the in-process cluster and the poster may
-// keep mutating its own matrices while stragglers still read.
-func (d *shardedDevice) AllReduceSum(ms []*tensor.Matrix) {
-	s := d.s
-	clones := make([]*tensor.Matrix, len(ms))
-	for i, m := range ms {
-		clones[i] = m.Clone()
-	}
-	seq := d.post(opAllReduce, nil, clones)
-	c := d.waitAll(seq)
-	d.Clock().AdvanceTo(timing.Idle, c.maxAt())
-	if len(d.sums) != len(ms) {
-		d.sums = make([]*tensor.Matrix, len(ms))
-	}
-	sums := d.sums
-	for i := range ms {
-		if sums[i] == nil || !sums[i].SameShape(c.mats[0][i]) {
-			sums[i] = tensor.New(c.mats[0][i].Rows, c.mats[0][i].Cols)
-		}
-		sums[i].CopyFrom(c.mats[0][i])
-		for r := 1; r < s.n; r++ {
-			sums[i].AddInPlace(c.mats[r][i])
-		}
-	}
-	bytes := 0
-	for _, m := range ms {
-		bytes += len(m.Data) * 4
-	}
-	d.Clock().Advance(timing.Comm, cluster.AllReduceTime(s.model, s.n, d.rank, bytes))
-	for i := range ms {
-		ms[i].CopyFrom(sums[i])
-	}
-	d.complete(seq)
-}
-
-// GatherBytes collects every device's payload at root. At staleness 0
-// every device aligns on the slowest arrival and charges the slowest
-// incoming transfer (the reference model); beyond it, senders post
-// non-blocking, charge only their own transfer and run ahead — only root
-// pays for stragglers.
-func (d *shardedDevice) GatherBytes(root int, payload []byte) [][]byte {
-	s := d.s
-	seq := d.post(opGather, [][]byte{payload}, nil)
-	if s.stale > 0 && d.rank != root {
-		d.Clock().Advance(timing.Comm, s.model.TransferTime(d.rank, root, len(payload)))
-		s.addBytes(d.rank, root, len(payload))
-		d.complete(seq)
-		return nil
-	}
-	c := d.waitAll(seq)
-	d.Clock().AdvanceTo(timing.Idle, c.maxAt())
-	var t timing.Seconds
-	for src := 0; src < s.n; src++ {
-		if src == root {
-			continue
-		}
-		if tt := s.model.TransferTime(src, root, len(c.bufs[src][0])); tt > t {
-			t = tt
-		}
-	}
-	d.Clock().Advance(timing.Comm, t)
-	if d.rank != root {
-		s.addBytes(d.rank, root, len(payload))
-		d.complete(seq)
-		return nil
-	}
-	out := make([][]byte, s.n)
-	for src := range out {
-		out[src] = c.bufs[src][0]
-	}
-	d.complete(seq)
-	return out
-}
-
-// ScatterBytes distributes payloads[i] from root to device i. At
-// staleness > 0 a receiver depends only on root's post — stragglers among
-// the other receivers cost it nothing.
-func (d *shardedDevice) ScatterBytes(root int, payloads [][]byte) []byte {
-	s := d.s
-	var bufs [][]byte
-	if d.rank == root {
-		if len(payloads) != s.n {
-			panic(fmt.Sprintf("core: ScatterBytes got %d payloads for %d devices", len(payloads), s.n))
-		}
-		bufs = payloads
-	}
-	seq := d.post(opScatter, bufs, nil)
-	if s.stale > 0 {
-		if d.rank == root {
-			var t timing.Seconds
-			for dst := 0; dst < s.n; dst++ {
-				if dst == root {
-					continue
-				}
-				if tt := s.model.TransferTime(root, dst, len(payloads[dst])); tt > t {
-					t = tt
-				}
-			}
-			d.Clock().Advance(timing.Comm, t)
-			d.complete(seq)
-			return payloads[root]
-		}
-		c := d.waitRank(seq, root)
-		d.Clock().AdvanceTo(timing.Idle, c.at[root])
-		out := c.bufs[root][d.rank]
-		d.Clock().Advance(timing.Comm, s.model.TransferTime(root, d.rank, len(out)))
-		d.complete(seq)
-		return out
-	}
-	c := d.waitAll(seq)
-	d.Clock().AdvanceTo(timing.Idle, c.maxAt())
-	var t timing.Seconds
-	for dst := 0; dst < s.n; dst++ {
-		if dst == root {
-			continue
-		}
-		if tt := s.model.TransferTime(root, dst, len(c.bufs[root][dst])); tt > t {
-			t = tt
-		}
-	}
-	d.Clock().Advance(timing.Comm, t)
-	out := c.bufs[root][d.rank]
-	d.complete(seq)
-	return out
-}
-
-// BroadcastBytes sends root's payload to all devices (sequential broadcast
-// timing — SANCUS's pattern). At staleness > 0 a receiver waits only for
-// root and charges the sequential prefix up to its own turn, so late
-// receivers never delay early ones.
-func (d *shardedDevice) BroadcastBytes(root int, payload []byte) []byte {
-	s := d.s
-	var bufs [][]byte
-	if d.rank == root {
-		bufs = [][]byte{payload}
-	}
-	seq := d.post(opBroadcast, bufs, nil)
-	if s.stale > 0 {
-		if d.rank == root {
-			var t timing.Seconds
-			for dst := 0; dst < s.n; dst++ {
-				if dst != root {
-					t += s.model.TransferTime(root, dst, len(payload))
-					s.addBytes(root, dst, len(payload))
-				}
-			}
-			d.Clock().Advance(timing.Comm, t)
-			d.complete(seq)
-			return payload
-		}
-		c := d.waitRank(seq, root)
-		buf := c.bufs[root][0]
-		d.Clock().AdvanceTo(timing.Idle, c.at[root])
-		var t timing.Seconds
-		for dst := 0; dst <= d.rank; dst++ {
-			if dst != root {
-				t += s.model.TransferTime(root, dst, len(buf))
-			}
-		}
-		d.Clock().Advance(timing.Comm, t)
-		d.complete(seq)
-		return buf
-	}
-	c := d.waitAll(seq)
-	d.Clock().AdvanceTo(timing.Idle, c.maxAt())
-	buf := c.bufs[root][0]
-	var t timing.Seconds
-	for dst := 0; dst < s.n; dst++ {
-		if dst != root {
-			t += s.model.TransferTime(root, dst, len(buf))
-		}
-	}
-	d.Clock().Advance(timing.Comm, t)
-	if d.rank == root {
-		for dst := 0; dst < s.n; dst++ {
-			if dst != root {
-				s.addBytes(root, dst, len(buf))
-			}
-		}
-	}
-	d.complete(seq)
-	return buf
-}
-
-// StartBroadcast begins a split-phase broadcast. Start never blocks (not
-// even on the staleness bound); Wait performs the same rendezvous and
-// charges the same (align, wire) schedule as the blocking BroadcastBytes
-// at the current staleness, routed through timing.FinishDeferred so
-// compute issued between Start and Wait hides wire time as Overlap.
-func (d *shardedDevice) StartBroadcast(root int, payload []byte) PendingCollective {
-	var bufs [][]byte
-	if d.rank == root {
-		bufs = [][]byte{payload}
-	}
-	seq, start := d.postNoWait(opStartBroadcast, bufs)
-	return &shardedPending{d: d, seq: seq, op: opStartBroadcast, root: root, start: start}
-}
-
-// StartScatter begins a split-phase scatter under the same contract as
-// StartBroadcast. payloads is only read on root.
-func (d *shardedDevice) StartScatter(root int, payloads [][]byte) PendingCollective {
-	var bufs [][]byte
-	if d.rank == root {
-		if len(payloads) != d.s.n {
-			panic(fmt.Sprintf("core: StartScatter got %d payloads for %d devices", len(payloads), d.s.n))
-		}
-		bufs = payloads
-	}
-	seq, start := d.postNoWait(opStartScatter, bufs)
-	return &shardedPending{d: d, seq: seq, op: opStartScatter, root: root, start: start}
-}
-
-// shardedPending implements PendingCollective for the sharded backend.
-type shardedPending struct {
-	d     *shardedDevice
-	seq   int
-	op    string
-	root  int
-	start timing.Seconds
-	done  bool
-}
-
-func (p *shardedPending) Wait() []byte {
-	if p.done {
-		panic("core: sharded split-phase handle waited twice")
-	}
-	p.done = true
-	if p.op == opStartScatter {
-		return p.d.finishScatter(p)
-	}
-	return p.d.finishBroadcast(p)
-}
-
-// finishBroadcast completes a split-phase broadcast, charging exactly the
-// blocking schedule's (align, wire) pair for the current staleness bound
-// through timing.FinishDeferred.
-func (d *shardedDevice) finishBroadcast(p *shardedPending) []byte {
-	s := d.s
-	root := p.root
-	if s.stale > 0 {
-		c := d.waitRank(p.seq, root)
-		buf := c.bufs[root][0]
-		var t timing.Seconds
-		if d.rank == root {
-			for dst := 0; dst < s.n; dst++ {
-				if dst != root {
-					t += s.model.TransferTime(root, dst, len(buf))
-					s.addBytes(root, dst, len(buf))
-				}
-			}
-		} else {
-			for dst := 0; dst <= d.rank; dst++ {
-				if dst != root {
-					t += s.model.TransferTime(root, dst, len(buf))
-				}
-			}
-		}
-		timing.FinishDeferred(d.Clock(), p.start, c.at[root], t)
-		d.complete(p.seq)
-		return buf
-	}
-	c := d.waitAll(p.seq)
-	buf := c.bufs[root][0]
-	var t timing.Seconds
-	for dst := 0; dst < s.n; dst++ {
-		if dst != root {
-			t += s.model.TransferTime(root, dst, len(buf))
-		}
-	}
-	if d.rank == root {
-		for dst := 0; dst < s.n; dst++ {
-			if dst != root {
-				s.addBytes(root, dst, len(buf))
-			}
-		}
-	}
-	timing.FinishDeferred(d.Clock(), p.start, c.maxAt(), t)
-	d.complete(p.seq)
-	return buf
-}
-
-// finishScatter completes a split-phase scatter (blocking ScatterBytes
-// schedule: max outgoing transfer at rendezvous, or root-only dependency
-// beyond staleness 0).
-func (d *shardedDevice) finishScatter(p *shardedPending) []byte {
-	s := d.s
-	root := p.root
-	if s.stale > 0 {
-		c := d.waitRank(p.seq, root)
-		if d.rank == root {
-			payloads := c.bufs[root]
-			var t timing.Seconds
-			for dst := 0; dst < s.n; dst++ {
-				if dst == root {
-					continue
-				}
-				if tt := s.model.TransferTime(root, dst, len(payloads[dst])); tt > t {
-					t = tt
-				}
-			}
-			timing.FinishDeferred(d.Clock(), p.start, c.at[root], t)
-			d.complete(p.seq)
-			return payloads[root]
-		}
-		out := c.bufs[root][d.rank]
-		timing.FinishDeferred(d.Clock(), p.start, c.at[root],
-			s.model.TransferTime(root, d.rank, len(out)))
-		d.complete(p.seq)
-		return out
-	}
-	c := d.waitAll(p.seq)
-	var t timing.Seconds
-	for dst := 0; dst < s.n; dst++ {
-		if dst == root {
-			continue
-		}
-		if tt := s.model.TransferTime(root, dst, len(c.bufs[root][dst])); tt > t {
-			t = tt
-		}
-	}
-	out := c.bufs[root][d.rank]
-	timing.FinishDeferred(d.Clock(), p.start, c.maxAt(), t)
-	d.complete(p.seq)
-	return out
-}
-
-// RawAll2All moves buffers like RingAll2All but charges no time.
-func (d *shardedDevice) RawAll2All(payloads [][]byte) [][]byte {
-	s := d.s
-	if len(payloads) != s.n {
-		panic(fmt.Sprintf("core: RawAll2All got %d payloads for %d devices", len(payloads), s.n))
-	}
-	// Same container-copy rule as RingAll2All: the caller may reuse its
-	// payloads container while run-ahead stragglers still read this one.
-	posted := make([][]byte, s.n)
-	copy(posted, payloads)
-	seq := d.post(opRawRing, posted, nil)
-	c := d.waitAll(seq)
-	received := make([][]byte, s.n)
-	for p := 0; p < s.n; p++ {
-		if p != d.rank {
-			received[p] = c.bufs[p][d.rank]
-		}
-	}
-	d.complete(seq)
-	return received
-}
-
-// RawAllGather shares one buffer from every device with every device,
-// charging no time (metrics sideband).
-func (d *shardedDevice) RawAllGather(payload []byte) [][]byte {
-	s := d.s
-	seq := d.post(opRawGather, [][]byte{payload}, nil)
-	c := d.waitAll(seq)
-	out := make([][]byte, s.n)
-	for p := 0; p < s.n; p++ {
-		out[p] = c.bufs[p][0]
-	}
-	d.complete(seq)
-	return out
-}
-
-var _ Transport = (*shardedDevice)(nil)
+func (p *pointerDelivery) stop(bool) error { return nil }

@@ -13,8 +13,8 @@
 //	    via RegisterCodec)
 //	    ▼
 //	Transport — how bytes move between devices
-//	    (in-process cluster today; sharded/async backends via
-//	    RegisterTransport)
+//	    (inprocess reference, sharded-async, proc-sharded; extensible
+//	    via RegisterTransport)
 //
 // Quickstart:
 //
@@ -54,7 +54,7 @@ const (
 	Vanilla = core.Vanilla
 	// AdaQP is the paper's system: adaptive quantization + overlap.
 	AdaQP = core.AdaQP
-	// AdaQPUniform quantizes every message at WithUniformBits's width.
+	// AdaQPUniform quantizes every message at CodecSpec.UniformBits.
 	AdaQPUniform = core.AdaQPUniform
 	// AdaQPRandom samples each message's width uniformly from {2,4,8}.
 	AdaQPRandom = core.AdaQPRandom
@@ -205,14 +205,15 @@ const (
 	CodecAdaptive = core.CodecAdaptive
 	CodecPipeGCN  = core.CodecPipeGCN
 	CodecSancus   = core.CodecSancus
-	// CodecEFQuant quantizes every message at WithUniformBits's width and
+	// CodecEFQuant quantizes every message at CodecSpec.UniformBits and
 	// carries the quantization error as a residual into the next epoch.
 	CodecEFQuant = core.CodecEFQuant
 	// CodecTopK ships only each row's top-⌈density·dim⌉ entries by
-	// magnitude (WithTopKDensity).
+	// magnitude (CodecSpec.TopKDensity).
 	CodecTopK = core.CodecTopK
 	// CodecDelta ships 8-bit residuals against the previous epoch's
-	// payload, refreshed by full-precision keyframes (WithDeltaKeyframe).
+	// payload, refreshed by full-precision keyframes
+	// (CodecSpec.DeltaKeyframeEvery).
 	CodecDelta = core.CodecDelta
 )
 

@@ -43,25 +43,27 @@ func TestNewDefaults(t *testing.T) {
 func TestOptionValidation(t *testing.T) {
 	ds := adaqp.MustLoadDataset("tiny", 1)
 	bad := map[string]adaqp.Option{
-		"parts":     adaqp.WithParts(0),
-		"epochs":    adaqp.WithEpochs(0),
-		"layers":    adaqp.WithLayers(0),
-		"hidden":    adaqp.WithHidden(-1),
-		"lr":        adaqp.WithLR(0),
-		"dropout":   adaqp.WithDropout(1.5),
-		"lambda":    adaqp.WithLambda(2),
-		"group":     adaqp.WithGroupSize(0),
-		"period":    adaqp.WithReassignPeriod(0),
-		"bits":      adaqp.WithUniformBits(3),
-		"seed":      adaqp.WithSeed(0),
-		"eval":      adaqp.WithEvalEvery(-1),
-		"sancus":    adaqp.WithSancus(0, 0),
-		"density":   adaqp.WithTopKDensity(1.5),
-		"density0":  adaqp.WithTopKDensity(0),
-		"keyframe":  adaqp.WithDeltaKeyframe(0),
-		"costmodel": adaqp.WithCostModel(nil),
-		"method":    adaqp.WithMethod(adaqp.Method(42)),
-		"model":     adaqp.WithModel(adaqp.ModelKind(42)),
+		"parts":      adaqp.WithParts(0),
+		"epochs":     adaqp.WithEpochs(0),
+		"layers":     adaqp.WithLayers(0),
+		"hidden":     adaqp.WithHidden(-1),
+		"lr":         adaqp.WithLR(0),
+		"dropout":    adaqp.WithDropout(1.5),
+		"lambda":     adaqp.WithLambda(2),
+		"group":      adaqp.WithGroupSize(0),
+		"period":     adaqp.WithReassignPeriod(0),
+		"bits":       adaqp.WithCodec(adaqp.CodecSpec{UniformBits: 3}),
+		"seed":       adaqp.WithSeed(0),
+		"eval":       adaqp.WithEvalEvery(-1),
+		"sancus":     adaqp.WithCodec(adaqp.CodecSpec{SancusDrift: -0.1, SancusMaxStale: 2}),
+		"maxstale":   adaqp.WithCodec(adaqp.CodecSpec{SancusDrift: 0.1}),
+		"density":    adaqp.WithCodec(adaqp.CodecSpec{TopKDensity: 1.5}),
+		"density-":   adaqp.WithCodec(adaqp.CodecSpec{TopKDensity: -0.5}),
+		"densityNaN": adaqp.WithCodec(adaqp.CodecSpec{TopKDensity: math.NaN()}),
+		"keyframe":   adaqp.WithCodec(adaqp.CodecSpec{DeltaKeyframeEvery: -1}),
+		"costmodel":  adaqp.WithCostModel(nil),
+		"method":     adaqp.WithMethod(adaqp.Method(42)),
+		"model":      adaqp.WithModel(adaqp.ModelKind(42)),
 	}
 	for name, opt := range bad {
 		if _, err := adaqp.New(ds, opt); err == nil {
@@ -143,9 +145,7 @@ func TestCustomCodecRegistration(t *testing.T) {
 func TestCompressionCodecsTrainPublicAPI(t *testing.T) {
 	ds := adaqp.MustLoadDataset("tiny", 1)
 	eng, err := adaqp.New(ds, tinyOpts(
-		adaqp.WithUniformBits(4),
-		adaqp.WithTopKDensity(0.2),
-		adaqp.WithDeltaKeyframe(3))...)
+		adaqp.WithCodec(adaqp.CodecSpec{UniformBits: 4, TopKDensity: 0.2, DeltaKeyframeEvery: 3}))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestFP32PassthroughParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pass, err := eng.Run(adaqp.WithMethod(adaqp.AdaQPUniform), adaqp.WithUniformBits(32))
+	pass, err := eng.Run(adaqp.WithMethod(adaqp.AdaQPUniform), adaqp.WithCodec(adaqp.CodecSpec{UniformBits: 32}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestFP32PassthroughParity(t *testing.T) {
 	}
 	// And a genuinely quantized width must NOT match — the parity above is
 	// meaningful only if quantization normally changes the trajectory.
-	q2, err := eng.Run(adaqp.WithMethod(adaqp.AdaQPUniform), adaqp.WithUniformBits(2))
+	q2, err := eng.Run(adaqp.WithMethod(adaqp.AdaQPUniform), adaqp.WithCodec(adaqp.CodecSpec{UniformBits: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,8 +394,6 @@ func TestShardedTransportPublicAPI(t *testing.T) {
 		t.Fatalf("staleness-8 wall-clock %v exceeds synchronous %v", async.WallClock, ref.WallClock)
 	}
 	for name, opt := range map[string]adaqp.Option{
-		"workers":           adaqp.WithWorkers(-1),
-		"staleness":         adaqp.WithStalenessBound(-1),
 		"spec-workers":      adaqp.WithTransport(adaqp.TransportSpec{Workers: -1}),
 		"spec-staleness":    adaqp.WithTransport(adaqp.TransportSpec{Staleness: -1}),
 		"spec-bits":         adaqp.WithCodec(adaqp.CodecSpec{UniformBits: 3}),

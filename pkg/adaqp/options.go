@@ -202,40 +202,6 @@ func WithCodec(spec CodecSpec) Option {
 	}
 }
 
-// WithWorkers bounds how many simulated devices execute concurrently on
-// transports that multiplex devices onto a worker pool (TransportShardedAsync).
-// 0 (the default) uses one worker per available CPU; the in-process
-// transport ignores it.
-//
-// Deprecated: set Workers in WithTransport's TransportSpec instead.
-func WithWorkers(n int) Option {
-	return func(s *settings) error {
-		if n < 0 {
-			return fmt.Errorf("adaqp: workers must be >= 0, got %d", n)
-		}
-		s.cfg.TransportWorkers = n
-		return nil
-	}
-}
-
-// WithStalenessBound sets how many collective operations a device may run
-// ahead of the slowest straggler on async transports. 0 (the default)
-// keeps lockstep semantics — results and simulated clocks bit-identical to
-// the in-process reference; positive bounds keep results bit-identical but
-// let fast devices overlap one-to-many collectives with stragglers' work,
-// reducing simulated idle time. The in-process transport ignores it.
-//
-// Deprecated: set Staleness in WithTransport's TransportSpec instead.
-func WithStalenessBound(n int) Option {
-	return func(s *settings) error {
-		if n < 0 {
-			return fmt.Errorf("adaqp: staleness bound must be >= 0, got %d", n)
-		}
-		s.cfg.TransportStaleness = n
-		return nil
-	}
-}
-
 // WithEpochs sets the training epoch budget.
 func WithEpochs(n int) Option {
 	return func(s *settings) error {
@@ -330,66 +296,6 @@ func parseBits(bits int) (quant.BitWidth, error) {
 		return 0, fmt.Errorf("adaqp: bit-width must be 2, 4, 8 or 32, got %d", bits)
 	}
 	return b, nil
-}
-
-// WithUniformBits sets the width AdaQPUniform (and the uniform codec)
-// quantizes at: 2, 4, 8, or 32 for the full-precision passthrough.
-//
-// Deprecated: set UniformBits in WithCodec's CodecSpec instead.
-func WithUniformBits(bits int) Option {
-	return func(s *settings) error {
-		b, err := parseBits(bits)
-		if err != nil {
-			return err
-		}
-		s.cfg.UniformBits = b
-		return nil
-	}
-}
-
-// WithTopKDensity sets the fraction of each row's entries the topk codec
-// keeps, in (0, 1] (default 0.1).
-//
-// Deprecated: set TopKDensity in WithCodec's CodecSpec instead.
-func WithTopKDensity(d float64) Option {
-	return func(s *settings) error {
-		if !(d > 0 && d <= 1) { // written to also reject NaN
-			return fmt.Errorf("adaqp: top-k density must be in (0,1], got %v", d)
-		}
-		s.cfg.TopKDensity = d
-		return nil
-	}
-}
-
-// WithDeltaKeyframe sets how often (in epochs) the delta codec ships a
-// full-precision keyframe instead of a quantized residual against the
-// previous epoch's payload (default 10).
-//
-// Deprecated: set DeltaKeyframeEvery in WithCodec's CodecSpec instead.
-func WithDeltaKeyframe(every int) Option {
-	return func(s *settings) error {
-		if every < 1 {
-			return fmt.Errorf("adaqp: delta keyframe period must be >= 1, got %d", every)
-		}
-		s.cfg.DeltaKeyframeEvery = every
-		return nil
-	}
-}
-
-// WithSancus sets SANCUS's staleness controls: re-broadcast when relative
-// drift exceeds drift, or at the latest every maxStale epochs.
-//
-// Deprecated: set SancusDrift/SancusMaxStale in WithCodec's CodecSpec
-// instead.
-func WithSancus(drift float64, maxStale int) Option {
-	return func(s *settings) error {
-		if drift <= 0 || maxStale < 1 {
-			return fmt.Errorf("adaqp: sancus drift must be positive and maxStale >= 1")
-		}
-		s.cfg.SancusDrift = drift
-		s.cfg.SancusMaxStale = maxStale
-		return nil
-	}
 }
 
 // WithSeed sets the seed driving weight init, dropout and stochastic
