@@ -217,9 +217,8 @@ func BenchmarkEpochAdaQP(b *testing.B) {
 // worker pool and a relaxed staleness bound (its async fast path), and a
 // SANCUS blocking/overlap pair demonstrating the split-phase schedule.
 // Every sub-benchmark reports the run's simulated wall-clock as
-// sim-wallclock-sec; benchdiff's -wallclock-threshold and -wallclock-less
-// gates consume it (CI asserts the overlap variant's simulated epoch is
-// shorter than the blocking one's).
+// sim-wallclock-sec (that the overlap variant's simulated epoch is shorter
+// than the blocking one's is asserted by core's TestOverlapReducesWallClock).
 func BenchmarkEpochTransports(b *testing.B) {
 	run := func(b *testing.B, opts ...adaqp.Option) {
 		b.Helper()
@@ -292,10 +291,9 @@ func BenchmarkEpochChaos(b *testing.B) {
 
 // BenchmarkSchedulerThroughput measures the serving layer: 120 small
 // fixed-seed sessions submitted by 10 concurrent clients (with back-off on
-// queue-full rejections) through a 4-worker Scheduler. Beyond ns/op (the
-// benchdiff-gated trajectory), it reports sessions/s and the p50/p99
-// completion latency — the capacity numbers the ROADMAP's serving
-// direction is judged by.
+// queue-full rejections) through a 4-worker Scheduler. Beyond ns/op it
+// reports sessions/s and the p50/p99 completion latency — the capacity
+// numbers the ROADMAP's serving direction is judged by.
 func BenchmarkSchedulerThroughput(b *testing.B) {
 	const (
 		clients       = 10

@@ -152,7 +152,7 @@ func main() {
 	fmt.Printf("per-epoch        comm %.4fs  comp %.4fs  quant %.4fs  idle %.4fs\n",
 		per.Comm, per.Comp, per.Quant, per.Idle)
 	if ovl := res.OverlapSeconds(); ovl > 0 {
-		fmt.Printf("overlap          %.2fs of wire time hidden behind compute\n", ovl)
+		fmt.Printf("overlap          %.3gs of compute and messages ran concurrently (summed over devices)\n", ovl)
 	}
 	if f := res.Faults; f.Any() {
 		fmt.Printf("faults           stragglers %d  retries %d (%.3fs)  crashes %d (%.3fs recovery)\n",

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand/v2"
 	"net/http"
@@ -30,7 +31,7 @@ func newServer(sched *adaqp.Scheduler) *server { return &server{sched: sched} }
 
 // handler routes the daemon's API:
 //
-//	POST   /jobs            submit a JobSpec          202 | 400 | 429 | 503
+//	POST   /jobs            submit a JobSpec          202 | 400 | 413 | 429 | 503
 //	GET    /jobs            list sessions             200
 //	GET    /jobs/{id}       one session's status      200 | 404
 //	GET    /jobs/{id}/result  finished session metrics  200 | 404 | 409
@@ -113,11 +114,28 @@ func sessionJSON(h *adaqp.SessionHandle) jobJSON {
 	return j
 }
 
+// maxJobBody caps a POST /jobs body. Real specs are a few hundred bytes.
+const maxJobBody = 1 << 20
+
 func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 	var spec adaqp.JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	err := dec.Decode(&spec)
+	if err == nil {
+		// The spec must be the whole body: after it only EOF is acceptable.
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("unexpected data after the spec")
+		}
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "job spec exceeds %d bytes", tooLarge.Limit)
+		return
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid job spec: %v", err)
 		return
 	}
@@ -278,5 +296,5 @@ func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
 	writef("adaqpd_fault_retry_seconds_total", "Simulated seconds spent on fault retries and backoff.", float64(f.RetryTime))
 	write("adaqpd_fault_crashes_total", "counter", "Injected device crashes recovered from checkpoints.", f.Crashes)
 	writef("adaqpd_fault_recovery_seconds_total", "Simulated seconds of crash downtime and recovery.", float64(f.RecoveryTime))
-	writef("adaqpd_overlap_seconds_total", "Simulated seconds of collective wire time hidden behind compute by split-phase overlap.", float64(s.sched.OverlapTotal()))
+	writef("adaqpd_overlap_seconds_total", "Simulated seconds compute and collectives ran concurrently (AdaQP/PipeGCN schedules, split-phase overlap).", float64(s.sched.OverlapTotal()))
 }

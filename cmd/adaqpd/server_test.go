@@ -92,7 +92,9 @@ func TestSubmitPollResultRoundTrip(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d, want 202", resp.StatusCode)
 	}
-	if job.ID == "" || job.Status != "queued" {
+	// A free worker may pick the job up before the 202 body is rendered
+	// (seen under -race), so "running" is as valid an answer as "queued".
+	if job.ID == "" || (job.Status != "queued" && job.Status != "running") {
 		t.Fatalf("submit response = %+v", job)
 	}
 
@@ -144,11 +146,36 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown method", `{"dataset":"tiny","method":"no-such"}`},
 		{"missing dataset", `{}`},
 		{"invalid epochs", `{"dataset":"tiny","epochs":-3}`},
+		{"garbage after the spec", tinyJob + ` x`},
+		{"second spec after the spec", tinyJob + "\n" + tinyJob},
 	} {
 		resp, _ := postJob(t, ts, tc.body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", tc.name, resp.StatusCode)
 		}
+	}
+	if resp, _ := postJob(t, ts, tinyJob+" \n\t"); resp.StatusCode != http.StatusAccepted {
+		t.Errorf("trailing whitespace: status = %d, want 202", resp.StatusCode)
+	}
+}
+
+// TestOversizedSpecIs413: the body is capped before decoding, wherever the
+// excess sits — inside the spec or as padding after it.
+func TestOversizedSpecIs413(t *testing.T) {
+	ts, sched := testServer(t)
+	pad := strings.Repeat(" ", 2<<20)
+	for name, body := range map[string]string{
+		"2 MiB string field": `{"dataset":"` + strings.Repeat("a", 2<<20) + `"}`,
+		"2 MiB of padding":   tinyJob + pad,
+	} {
+		rec := httptest.NewRecorder()
+		ts.Config.Handler.ServeHTTP(rec, httptest.NewRequest("POST", "/jobs", strings.NewReader(body)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status = %d, want 413", name, rec.Code)
+		}
+	}
+	if n := len(sched.Sessions()); n != 0 {
+		t.Errorf("%d sessions admitted from oversized bodies, want 0", n)
 	}
 }
 

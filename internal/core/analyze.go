@@ -36,11 +36,7 @@ func AnalyzeOverlap(dep *Deployment, cfg Config, b quant.BitWidth, model *timing
 	}
 	ds := dep.Dataset
 	parts := len(dep.Locals)
-	dims := make([]int, cfg.Layers)
-	dims[0] = ds.Features.Cols
-	for l := 1; l < cfg.Layers; l++ {
-		dims[l] = cfg.Hidden
-	}
+	dims := messageDims(&cfg, ds.Features.Cols)
 	// Per-epoch ring-all2all time at width b: L forward exchanges plus
 	// L−1 backward exchanges, each paid round by round with the slowest
 	// pair setting the round's pace (the straggler effect of §2.2). All

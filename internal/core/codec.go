@@ -140,18 +140,6 @@ func (e *ExchangeEnv) BackwardCosts(l int) StageCosts {
 	return StageCosts{Total: c.bwdTotal, Central: c.bwdCentral, Marginal: c.bwdMarginal}
 }
 
-// ChargeOverlap charges the Fig. 7 schedule to the device clock:
-// central-graph computation runs concurrently with marginal-graph
-// communication (whose commDelta was already charged by the collective),
-// then marginal computation follows.
-func (e *ExchangeEnv) ChargeOverlap(central, marginal, commDelta timing.Seconds) {
-	clock := e.Dev.Clock()
-	if central > commDelta {
-		clock.Advance(timing.Comp, central-commDelta)
-	}
-	clock.Advance(timing.Comp, marginal)
-}
-
 // CodecEnv is the construction-time context for one device's codec
 // instance.
 type CodecEnv struct {

@@ -16,16 +16,11 @@ func newFP32Codec(*CodecEnv) (MessageCodec, error) { return fp32Codec{}, nil }
 func (fp32Codec) Name() string { return CodecFP32 }
 
 func (fp32Codec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.Matrix) error {
-	if err := exchangeHaloFP(env, h, xFull, false); err != nil {
-		return err
-	}
-	env.Dev.Clock().Advance(timing.Comp, env.ForwardCosts(l).Total)
-	return nil
+	return env.stage(fpCoder{}, sequential, true, l, h, xFull)
 }
 
 func (fp32Codec) Backward(env *ExchangeEnv, epoch, l int, dxFull, dxLocal *tensor.Matrix) error {
-	env.Dev.Clock().Advance(timing.Comp, env.BackwardCosts(l).Total)
-	return exchangeGradFP(env, dxFull, dxLocal)
+	return env.stage(fpCoder{}, sequential, false, l, dxFull, dxLocal)
 }
 
 func (fp32Codec) EpochEnd(*ExchangeEnv, int) error { return nil }
@@ -36,75 +31,73 @@ func (fp32Codec) ForwardWireSizes(lg *partition.LocalGraph, dim int) []int {
 
 // ---- shared quantized exchange with the overlap schedule ----
 
-// quantState embeds the width tables and implements the quantized
-// forward/backward exchanges under AdaQP's computation–communication
-// overlap schedule. The three quantizing codecs differ only in how the
-// tables are produced (uniform / random / adaptively assigned).
-type quantState struct {
-	st *assignState
+// mixedCoder ships rows at per-slot bit-widths (the quant mixed-width
+// stream). ranges holds the range of every row this stage sends, scanned
+// once however many peers receive the row.
+type mixedCoder struct {
+	wt     *widthTable
+	ranges []quant.RowRange
 }
 
-// forwardQ runs the quantized forward exchange; trace also feeds the scanned
-// row ranges to the assigner's tracer.
-func (q *quantState) forwardQ(env *ExchangeEnv, l int, h, xFull *tensor.Matrix, trace bool) error {
-	ranges := env.sendRanges(h)
+func (m *mixedCoder) encode(e *ExchangeEnv, p int, x *tensor.Matrix, idx []int32) ([]byte, error) {
+	return quant.AppendQuantizedMixedRanges(e.Scratch.GetBuf(quant.MixedSize(m.wt.send[p], x.Cols)),
+		x, idx, m.wt.send[p], m.ranges, e.Dev.Rand())
+}
+
+func (m *mixedCoder) decode(e *ExchangeEnv, p int, buf []byte, dst *tensor.Matrix, idx []int32, add bool) error {
+	if !add {
+		return quant.DequantizeMixed(buf, dst, idx, m.wt.recv[p])
+	}
+	// Each row is decoded into one row of scratch and added from there.
+	row := e.Scratch.GetMat(1, dst.Cols)
+	err := quant.DequantizeMixedAdd(buf, dst, idx, m.wt.recv[p], row.Data)
+	e.Scratch.PutMat(row)
+	return err
+}
+
+func (*mixedCoder) passes() (int, int) { return 1, 1 }
+
+// quantState embeds the width tables and runs the quantized exchanges
+// under AdaQP's overlapped schedule. The three quantizing codecs differ
+// only in how the tables are produced (uniform / random / adaptively
+// assigned).
+type quantState struct {
+	st    *assignState
+	coder mixedCoder
+}
+
+// forward runs the overlapped forward exchange at the current width tables,
+// or at full precision when fp (AdaQP's bootstrap epoch; the 32-bit
+// passthrough). trace also feeds the scanned row ranges to the assigner's
+// tracer.
+func (q *quantState) forward(env *ExchangeEnv, l int, h, xFull *tensor.Matrix, fp, trace bool) error {
+	var ranges []quant.RowRange
+	if !fp || trace {
+		ranges = env.sendRanges(h)
+	}
 	if trace {
 		q.st.traceForward(l, ranges)
 	}
-	commDelta, err := exchangeHaloQ(env, q.st.fwdW[l], h, xFull, ranges)
-	if err != nil {
-		return err
+	if fp {
+		return env.stage(fpCoder{}, overlapped, true, l, h, xFull)
 	}
-	fc := env.ForwardCosts(l)
-	env.ChargeOverlap(fc.Central, fc.Marginal, commDelta)
-	return nil
+	q.coder = mixedCoder{wt: q.st.fwdW[l], ranges: ranges}
+	return env.stage(&q.coder, overlapped, true, l, h, xFull)
 }
 
-// forwardFP is the full-precision forward exchange under the overlap
-// schedule (AdaQP's bootstrap epoch; the 32-bit passthrough).
-func (q *quantState) forwardFP(env *ExchangeEnv, l int, h, xFull *tensor.Matrix) error {
-	clock := env.Dev.Clock()
-	before := clock.Spent(timing.Comm)
-	if err := exchangeHaloFP(env, h, xFull, false); err != nil {
-		return err
+func (q *quantState) backward(env *ExchangeEnv, l int, dxFull, dxLocal *tensor.Matrix, fp, trace bool) error {
+	var ranges []quant.RowRange
+	if !fp || trace {
+		ranges = env.haloRanges(dxFull)
 	}
-	commDelta := clock.Spent(timing.Comm) - before
-	fc := env.ForwardCosts(l)
-	env.ChargeOverlap(fc.Central, fc.Marginal, commDelta)
-	return nil
-}
-
-func (q *quantState) backwardQ(env *ExchangeEnv, l int, dxFull, dxLocal *tensor.Matrix, trace bool) error {
-	clock := env.Dev.Clock()
-	bc := env.BackwardCosts(l)
-	clock.Advance(timing.Comp, bc.Marginal)
-	ranges := env.haloRanges(dxFull)
 	if trace {
 		q.st.traceBackward(l, ranges)
 	}
-	commDelta, err := exchangeGradQ(env, q.st.bwdW[l], dxFull, dxLocal, ranges)
-	if err != nil {
-		return err
+	if fp {
+		return env.stage(fpCoder{}, overlapped, false, l, dxFull, dxLocal)
 	}
-	if bc.Central > commDelta {
-		clock.Advance(timing.Comp, bc.Central-commDelta)
-	}
-	return nil
-}
-
-func (q *quantState) backwardFP(env *ExchangeEnv, l int, dxFull, dxLocal *tensor.Matrix) error {
-	clock := env.Dev.Clock()
-	bc := env.BackwardCosts(l)
-	clock.Advance(timing.Comp, bc.Marginal)
-	before := clock.Spent(timing.Comm)
-	if err := exchangeGradFP(env, dxFull, dxLocal); err != nil {
-		return err
-	}
-	commDelta := clock.Spent(timing.Comm) - before
-	if bc.Central > commDelta {
-		clock.Advance(timing.Comp, bc.Central-commDelta)
-	}
-	return nil
+	q.coder = mixedCoder{wt: q.st.bwdW[l], ranges: ranges}
+	return env.stage(&q.coder, overlapped, false, l, dxFull, dxLocal)
 }
 
 // ---- uniform: every message at Config.UniformBits ----
@@ -127,17 +120,11 @@ func newUniformCodec(env *CodecEnv) (MessageCodec, error) {
 func (c *uniformCodec) Name() string { return CodecUniform }
 
 func (c *uniformCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.Matrix) error {
-	if c.passthrough {
-		return c.forwardFP(env, l, h, xFull)
-	}
-	return c.forwardQ(env, l, h, xFull, false)
+	return c.forward(env, l, h, xFull, c.passthrough, false)
 }
 
 func (c *uniformCodec) Backward(env *ExchangeEnv, epoch, l int, dxFull, dxLocal *tensor.Matrix) error {
-	if c.passthrough {
-		return c.backwardFP(env, l, dxFull, dxLocal)
-	}
-	return c.backwardQ(env, l, dxFull, dxLocal, false)
+	return c.backward(env, l, dxFull, dxLocal, c.passthrough, false)
 }
 
 func (c *uniformCodec) EpochEnd(*ExchangeEnv, int) error { return nil }
@@ -177,11 +164,11 @@ func newRandomCodec(env *CodecEnv) (MessageCodec, error) {
 func (c *randomCodec) Name() string { return CodecRandom }
 
 func (c *randomCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.Matrix) error {
-	return c.forwardQ(env, l, h, xFull, false)
+	return c.forward(env, l, h, xFull, false, false)
 }
 
 func (c *randomCodec) Backward(env *ExchangeEnv, epoch, l int, dxFull, dxLocal *tensor.Matrix) error {
-	return c.backwardQ(env, l, dxFull, dxLocal, false)
+	return c.backward(env, l, dxFull, dxLocal, false, false)
 }
 
 func (c *randomCodec) EpochEnd(env *ExchangeEnv, epoch int) error {
@@ -233,21 +220,13 @@ func (c *adaptiveCodec) tracingEpoch(env *ExchangeEnv, epoch int) bool {
 }
 
 func (c *adaptiveCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.Matrix) error {
-	if epoch == 0 {
-		// Bootstrap epoch: full precision while tracing (no widths assigned
-		// yet), with the overlap schedule already active.
-		c.st.traceForward(l, env.sendRanges(h))
-		return c.forwardFP(env, l, h, xFull)
-	}
-	return c.forwardQ(env, l, h, xFull, c.tracingEpoch(env, epoch))
+	// Bootstrap epoch 0: full precision while tracing (no widths assigned
+	// yet), with the overlapped schedule already active.
+	return c.forward(env, l, h, xFull, epoch == 0, c.tracingEpoch(env, epoch))
 }
 
 func (c *adaptiveCodec) Backward(env *ExchangeEnv, epoch, l int, dxFull, dxLocal *tensor.Matrix) error {
-	if epoch == 0 {
-		c.st.traceBackward(l, env.haloRanges(dxFull))
-		return c.backwardFP(env, l, dxFull, dxLocal)
-	}
-	return c.backwardQ(env, l, dxFull, dxLocal, c.tracingEpoch(env, epoch))
+	return c.backward(env, l, dxFull, dxLocal, epoch == 0, c.tracingEpoch(env, epoch))
 }
 
 // EpochEnd re-solves the bi-objective assignment problem at each period
@@ -285,13 +264,11 @@ func newPipeGCNCodec(env *CodecEnv) (MessageCodec, error) {
 func (c *pipegcnCodec) Name() string { return CodecPipeGCN }
 
 func (c *pipegcnCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.Matrix) error {
-	lg, clock := env.Graph, env.Dev.Clock()
-	fc := env.ForwardCosts(l)
+	lg := env.Graph
 	if epoch == 0 {
-		if err := exchangeHaloFP(env, h, xFull, false); err != nil {
+		if err := env.stage(fpCoder{}, sequential, true, l, h, xFull); err != nil {
 			return err
 		}
-		clock.Advance(timing.Comp, fc.Total)
 		c.pipeHalo[l] = xFull.RowSlice(lg.NumLocal, xFull.Rows)
 		return nil
 	}
@@ -305,28 +282,20 @@ func (c *pipegcnCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.
 	// written and read), then double-buffer: the now-dead stale block
 	// becomes next epoch's cache.
 	fresh := env.Scratch.GetMat(xFull.Rows, xFull.Cols)
-	before := clock.Spent(timing.Comm)
-	if err := exchangeHaloFP(env, h, fresh, false); err != nil {
+	if err := env.stage(fpCoder{}, pipelined, true, l, h, fresh); err != nil {
 		return err
 	}
-	commDelta := clock.Spent(timing.Comm) - before
 	for i := 0; i < lg.NumHalo; i++ {
 		copy(stale.Row(i), fresh.Row(lg.NumLocal+i))
 	}
 	env.Scratch.PutMat(fresh)
-	if fc.Total > commDelta {
-		clock.Advance(timing.Comp, fc.Total-commDelta)
-	}
 	return nil
 }
 
 func (c *pipegcnCodec) Backward(env *ExchangeEnv, epoch, l int, dxFull, dxLocal *tensor.Matrix) error {
-	lg, clock := env.Graph, env.Dev.Clock()
-	bc := env.BackwardCosts(l)
 	if epoch == 0 {
-		clock.Advance(timing.Comp, bc.Total)
-		remote := tensor.New(lg.NumLocal, dxLocal.Cols)
-		if err := exchangeGradFP(env, dxFull, remote); err != nil {
+		remote := tensor.New(env.Graph.NumLocal, dxLocal.Cols)
+		if err := env.stage(fpCoder{}, sequential, false, l, dxFull, remote); err != nil {
 			return err
 		}
 		dxLocal.AddInPlace(remote)
@@ -334,20 +303,12 @@ func (c *pipegcnCodec) Backward(env *ExchangeEnv, epoch, l int, dxFull, dxLocal 
 		return nil
 	}
 	// Apply last epoch's remote gradients; ship fresh ones overlapped with
-	// computation. After the add the old block is dead, so re-zero it
-	// (exchangeGradFP scatter-adds) and receive in place — no new matrix.
-	dxLocal.AddInPlace(c.pipeGrad[l])
+	// computation. After the add the old block is dead, so re-zero it (the
+	// backward exchange accumulates) and receive in place — no new matrix.
 	remote := c.pipeGrad[l]
+	dxLocal.AddInPlace(remote)
 	remote.Zero()
-	before := clock.Spent(timing.Comm)
-	if err := exchangeGradFP(env, dxFull, remote); err != nil {
-		return err
-	}
-	commDelta := clock.Spent(timing.Comm) - before
-	if bc.Total > commDelta {
-		clock.Advance(timing.Comp, bc.Total-commDelta)
-	}
-	return nil
+	return env.stage(fpCoder{}, pipelined, false, l, dxFull, remote)
 }
 
 func (c *pipegcnCodec) EpochEnd(*ExchangeEnv, int) error { return nil }

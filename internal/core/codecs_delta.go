@@ -6,7 +6,6 @@ import (
 	"repro/internal/partition"
 	"repro/internal/quant"
 	"repro/internal/tensor"
-	"repro/internal/timing"
 )
 
 // ---- delta: residual encoding against the previous epoch's payload ----
@@ -126,6 +125,7 @@ type deltaCodec struct {
 	// wire order RecvFrom[p], receives in wire order SendTo[q]).
 	prevFwdSend, prevFwdRecv [][]*tensor.Matrix
 	prevBwdSend, prevBwdRecv [][]*tensor.Matrix
+	coder                    deltaCoder
 }
 
 func newDeltaCodec(env *CodecEnv) (MessageCodec, error) {
@@ -149,84 +149,50 @@ func (c *deltaCodec) Name() string { return CodecDelta }
 // sending and receiving side.
 func (c *deltaCodec) Stateful() bool { return true }
 
-func (c *deltaCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.Matrix) error {
-	lg, dev := env.Graph, env.Dev
-	n := dev.Size()
-	key := deltaKeyframe(env.Cfg, epoch)
-	if !key {
-		// Residual epochs quantize (and self-dequantize, to advance the
-		// sender's reference) every element shipped.
-		dev.Clock().Advance(timing.Quant, dev.Model().QuantTime(2*wireElems(lg.SendTo, h.Cols)))
+// deltaCoder is one layer direction's rowCoder for one epoch: whether the
+// epoch ships keyframes, and that direction's per-peer references on the
+// sending and receiving side.
+type deltaCoder struct {
+	key                bool
+	sendPrev, recvPrev []*tensor.Matrix
+}
+
+func (d *deltaCoder) encode(e *ExchangeEnv, p int, x *tensor.Matrix, idx []int32) ([]byte, error) {
+	return encodeDelta(e.Scratch, x, idx, &d.sendPrev[p], d.key, e.Dev.Rand())
+}
+
+func (d *deltaCoder) decode(e *ExchangeEnv, p int, buf []byte, dst *tensor.Matrix, idx []int32, add bool) error {
+	rec, err := decodeDelta(e.Scratch, buf, len(idx), dst.Cols, &d.recvPrev[p], d.key)
+	if err != nil {
+		return err
 	}
-	a := env.Scratch
-	payloads := a.Payloads(n)
-	for q := 0; q < n; q++ {
-		if q == dev.Rank() || len(lg.SendTo[q]) == 0 {
-			continue
-		}
-		buf, err := encodeDelta(a, h, lg.SendTo[q], &c.prevFwdSend[l][q], key, dev.Rand())
-		if err != nil {
-			return err
-		}
-		payloads[q] = buf
+	if add {
+		scatterAddRows32(dst, idx, rec)
+		return nil
 	}
-	recv := dev.RingAll2All(payloads)
-	for p := 0; p < n; p++ {
-		if p == dev.Rank() || len(lg.RecvFrom[p]) == 0 {
-			continue
-		}
-		rec, err := decodeDelta(a, recv[p], len(lg.RecvFrom[p]), h.Cols, &c.prevFwdRecv[l][p], key)
-		if err != nil {
-			return fmt.Errorf("delta: rank %d from %d: %w", dev.Rank(), p, err)
-		}
-		for j, slot := range lg.RecvFrom[p] {
-			copy(xFull.Row(lg.NumLocal+int(slot)), rec.Row(j))
-		}
+	for j, r := range idx {
+		copy(dst.Row(int(r)), rec.Row(j))
 	}
-	a.ReleaseAll(recv)
-	if !key {
-		dev.Clock().Advance(timing.Quant, dev.Model().QuantTime(wireElems(lg.RecvFrom, xFull.Cols)))
-	}
-	dev.Clock().Advance(timing.Comp, env.ForwardCosts(l).Total)
 	return nil
 }
 
+// passes: residual epochs quantize and self-dequantize (to advance the
+// sender's reference) every element shipped; keyframes run no kernel.
+func (d *deltaCoder) passes() (int, int) {
+	if d.key {
+		return 0, 0
+	}
+	return 2, 1
+}
+
+func (c *deltaCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.Matrix) error {
+	c.coder = deltaCoder{key: deltaKeyframe(env.Cfg, epoch), sendPrev: c.prevFwdSend[l], recvPrev: c.prevFwdRecv[l]}
+	return env.stage(&c.coder, sequential, true, l, h, xFull)
+}
+
 func (c *deltaCodec) Backward(env *ExchangeEnv, epoch, l int, dxFull, dxLocal *tensor.Matrix) error {
-	lg, dev := env.Graph, env.Dev
-	n := dev.Size()
-	key := deltaKeyframe(env.Cfg, epoch)
-	dev.Clock().Advance(timing.Comp, env.BackwardCosts(l).Total)
-	if !key {
-		dev.Clock().Advance(timing.Quant, dev.Model().QuantTime(2*wireElems(lg.RecvFrom, dxFull.Cols)))
-	}
-	a := env.Scratch
-	payloads := a.Payloads(n)
-	for p := 0; p < n; p++ {
-		if p == dev.Rank() || len(lg.RecvFrom[p]) == 0 {
-			continue
-		}
-		buf, err := encodeDelta(a, dxFull, env.HaloIdx(p), &c.prevBwdSend[l][p], key, dev.Rand())
-		if err != nil {
-			return err
-		}
-		payloads[p] = buf
-	}
-	recv := dev.RingAll2All(payloads)
-	for q := 0; q < n; q++ {
-		if q == dev.Rank() || len(lg.SendTo[q]) == 0 {
-			continue
-		}
-		rec, err := decodeDelta(a, recv[q], len(lg.SendTo[q]), dxLocal.Cols, &c.prevBwdRecv[l][q], key)
-		if err != nil {
-			return fmt.Errorf("delta: rank %d grads from %d: %w", dev.Rank(), q, err)
-		}
-		scatterAddRows32(dxLocal, lg.SendTo[q], rec)
-	}
-	a.ReleaseAll(recv)
-	if !key {
-		dev.Clock().Advance(timing.Quant, dev.Model().QuantTime(wireElems(lg.SendTo, dxLocal.Cols)))
-	}
-	return nil
+	c.coder = deltaCoder{key: deltaKeyframe(env.Cfg, epoch), sendPrev: c.prevBwdSend[l], recvPrev: c.prevBwdRecv[l]}
+	return env.stage(&c.coder, sequential, false, l, dxFull, dxLocal)
 }
 
 func (c *deltaCodec) EpochEnd(*ExchangeEnv, int) error { return nil }

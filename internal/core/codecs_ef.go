@@ -6,7 +6,6 @@ import (
 	"repro/internal/partition"
 	"repro/internal/quant"
 	"repro/internal/tensor"
-	"repro/internal/timing"
 )
 
 // ---- ef-quant: uniform quantization with error feedback ----
@@ -21,8 +20,8 @@ import (
 //
 // Wire format per destination: the quant.QuantizeRows stream (per row:
 // [Zero float32][Scale float32][packed codes]) at Config.UniformBits.
-// The schedule is sequential (no AdaQP overlap): compression competitors
-// are modeled as drop-in replacements for the fp32 exchange.
+// The schedule is `sequential`: compression competitors are modeled as
+// drop-in replacements for the fp32 exchange.
 
 type efQuantCodec struct {
 	bits quant.BitWidth
@@ -31,6 +30,7 @@ type efQuantCodec struct {
 	// bwdResid[l][p] covers the backward sends (wire order RecvFrom[p]).
 	fwdResid [][]*tensor.Matrix
 	bwdResid [][]*tensor.Matrix
+	coder    efCoder
 }
 
 func newEFQuantCodec(env *CodecEnv) (MessageCodec, error) {
@@ -90,74 +90,46 @@ func (c *efQuantCodec) encodeEF(a *Arena, x *tensor.Matrix, idx []int32, resid *
 	return stream, nil
 }
 
-func (c *efQuantCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.Matrix) error {
-	lg, dev := env.Graph, env.Dev
-	n := dev.Size()
-	model := dev.Model()
-	// Send-side kernels run twice over every element: quantize, then the
-	// error-feedback self-dequantization that measures the residual.
-	dev.Clock().Advance(timing.Quant, model.QuantTime(2*wireElems(lg.SendTo, h.Cols)))
-	a := env.Scratch
-	payloads := a.Payloads(n)
-	for q := 0; q < n; q++ {
-		if q == dev.Rank() || len(lg.SendTo[q]) == 0 {
-			continue
+// efCoder is one layer direction's rowCoder: the codec's width plus that
+// direction's per-peer residuals.
+type efCoder struct {
+	codec *efQuantCodec
+	resid []*tensor.Matrix
+}
+
+func (f *efCoder) encode(e *ExchangeEnv, p int, x *tensor.Matrix, idx []int32) ([]byte, error) {
+	return f.codec.encodeEF(e.Scratch, x, idx, f.resid[p], e.Dev.Rand())
+}
+
+func (f *efCoder) decode(e *ExchangeEnv, _ int, buf []byte, dst *tensor.Matrix, idx []int32, add bool) error {
+	var err error
+	if add {
+		tmp := e.Scratch.GetMat(len(idx), dst.Cols)
+		if err = quant.DequantizeRows(buf, tmp, nil, tmp.Rows, f.codec.bits); err == nil {
+			scatterAddRows32(dst, idx, tmp)
 		}
-		buf, err := c.encodeEF(a, h, lg.SendTo[q], c.fwdResid[l][q], dev.Rand())
-		if err != nil {
-			return err
-		}
-		payloads[q] = buf
+		e.Scratch.PutMat(tmp)
+	} else {
+		err = quant.DequantizeRows(buf, dst, idx, len(idx), f.codec.bits)
 	}
-	recv := dev.RingAll2All(payloads)
-	for p := 0; p < n; p++ {
-		if p == dev.Rank() || len(lg.RecvFrom[p]) == 0 {
-			continue
-		}
-		idx := env.HaloIdx(p)
-		if err := quant.DequantizeRows(recv[p], xFull, idx, len(idx), c.bits); err != nil {
-			return fmt.Errorf("ef-quant: rank %d from %d: %w", dev.Rank(), p, err)
-		}
+	if err != nil {
+		return fmt.Errorf("ef-quant: %w", err)
 	}
-	a.ReleaseAll(recv)
-	dev.Clock().Advance(timing.Quant, model.QuantTime(wireElems(lg.RecvFrom, xFull.Cols)))
-	dev.Clock().Advance(timing.Comp, env.ForwardCosts(l).Total)
 	return nil
 }
 
+// passes: send-side kernels run twice over every element — quantize, then
+// the error-feedback self-dequantization that measures the residual.
+func (*efCoder) passes() (int, int) { return 2, 1 }
+
+func (c *efQuantCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.Matrix) error {
+	c.coder = efCoder{codec: c, resid: c.fwdResid[l]}
+	return env.stage(&c.coder, sequential, true, l, h, xFull)
+}
+
 func (c *efQuantCodec) Backward(env *ExchangeEnv, epoch, l int, dxFull, dxLocal *tensor.Matrix) error {
-	lg, dev := env.Graph, env.Dev
-	n := dev.Size()
-	model := dev.Model()
-	dev.Clock().Advance(timing.Comp, env.BackwardCosts(l).Total)
-	dev.Clock().Advance(timing.Quant, model.QuantTime(2*wireElems(lg.RecvFrom, dxFull.Cols)))
-	a := env.Scratch
-	payloads := a.Payloads(n)
-	for p := 0; p < n; p++ {
-		if p == dev.Rank() || len(lg.RecvFrom[p]) == 0 {
-			continue
-		}
-		buf, err := c.encodeEF(a, dxFull, env.HaloIdx(p), c.bwdResid[l][p], dev.Rand())
-		if err != nil {
-			return err
-		}
-		payloads[p] = buf
-	}
-	recv := dev.RingAll2All(payloads)
-	for q := 0; q < n; q++ {
-		if q == dev.Rank() || len(lg.SendTo[q]) == 0 {
-			continue
-		}
-		tmp := a.GetMat(len(lg.SendTo[q]), dxLocal.Cols)
-		if err := quant.DequantizeRows(recv[q], tmp, nil, tmp.Rows, c.bits); err != nil {
-			return fmt.Errorf("ef-quant: rank %d grads from %d: %w", dev.Rank(), q, err)
-		}
-		scatterAddRows32(dxLocal, lg.SendTo[q], tmp)
-		a.PutMat(tmp)
-	}
-	a.ReleaseAll(recv)
-	dev.Clock().Advance(timing.Quant, model.QuantTime(wireElems(lg.SendTo, dxLocal.Cols)))
-	return nil
+	c.coder = efCoder{codec: c, resid: c.bwdResid[l]}
+	return env.stage(&c.coder, sequential, false, l, dxFull, dxLocal)
 }
 
 func (c *efQuantCodec) EpochEnd(*ExchangeEnv, int) error { return nil }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/partition"
 	"repro/internal/tensor"
-	"repro/internal/timing"
 )
 
 // ---- topk: magnitude top-k sparsification ----
@@ -106,14 +105,14 @@ func topkSelect(row []float32, k int, heapIdx []int, heapAbs []float64, keep []i
 // largest-magnitude entries. Ties break toward the lower column index,
 // and the kept indices are written in ascending order, so the stream is
 // deterministic. Allocates its own scratch; the codec hot path uses
-// topkCodec.encode with instance scratch and an arena buffer instead.
+// topkCodec.encodeRows with instance scratch and an arena buffer instead.
 func encodeTopK(x *tensor.Matrix, idx []int32, k int) []byte {
-	return (&topkCodec{}).encode(nil, x, idx, k)
+	return (&topkCodec{}).encodeRows(nil, x, idx, k)
 }
 
-// encode is encodeTopK with the codec's reusable selection scratch and an
-// arena output buffer (every byte of which is overwritten).
-func (c *topkCodec) encode(a *Arena, x *tensor.Matrix, idx []int32, k int) []byte {
+// encodeRows is encodeTopK with the codec's reusable selection scratch and
+// an arena output buffer (every byte of which is overwritten).
+func (c *topkCodec) encodeRows(a *Arena, x *tensor.Matrix, idx []int32, k int) []byte {
 	if cap(c.heapIdx) < k {
 		c.heapIdx = make([]int, k)
 		c.heapAbs = make([]float64, k)
@@ -200,64 +199,26 @@ func newTopKCodec(env *CodecEnv) (MessageCodec, error) {
 
 func (c *topkCodec) Name() string { return CodecTopK }
 
+// The codec is its own rowCoder: the wire format has no per-stage state.
+
+func (c *topkCodec) encode(e *ExchangeEnv, _ int, x *tensor.Matrix, idx []int32) ([]byte, error) {
+	return c.encodeRows(e.Scratch, x, idx, topkK(x.Cols, c.density)), nil
+}
+
+func (c *topkCodec) decode(_ *ExchangeEnv, _ int, buf []byte, dst *tensor.Matrix, idx []int32, add bool) error {
+	return decodeTopK(buf, dst, idx, 0, add)
+}
+
+// passes: selection scans every candidate element and the receiver
+// scatters every slot; both are charged like the quantization kernels.
+func (c *topkCodec) passes() (int, int) { return 1, 1 }
+
 func (c *topkCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.Matrix) error {
-	lg, dev := env.Graph, env.Dev
-	n := dev.Size()
-	model := dev.Model()
-	k := topkK(h.Cols, c.density)
-	// Selection scans every candidate element; charge it like the
-	// quantization kernels.
-	dev.Clock().Advance(timing.Quant, model.QuantTime(wireElems(lg.SendTo, h.Cols)))
-	a := env.Scratch
-	payloads := a.Payloads(n)
-	for q := 0; q < n; q++ {
-		if q == dev.Rank() || len(lg.SendTo[q]) == 0 {
-			continue
-		}
-		payloads[q] = c.encode(a, h, lg.SendTo[q], k)
-	}
-	recv := dev.RingAll2All(payloads)
-	for p := 0; p < n; p++ {
-		if p == dev.Rank() || len(lg.RecvFrom[p]) == 0 {
-			continue
-		}
-		if err := decodeTopK(recv[p], xFull, lg.RecvFrom[p], lg.NumLocal, false); err != nil {
-			return fmt.Errorf("topk: rank %d from %d: %w", dev.Rank(), p, err)
-		}
-	}
-	a.ReleaseAll(recv)
-	dev.Clock().Advance(timing.Quant, model.QuantTime(wireElems(lg.RecvFrom, xFull.Cols)))
-	dev.Clock().Advance(timing.Comp, env.ForwardCosts(l).Total)
-	return nil
+	return env.stage(c, sequential, true, l, h, xFull)
 }
 
 func (c *topkCodec) Backward(env *ExchangeEnv, epoch, l int, dxFull, dxLocal *tensor.Matrix) error {
-	lg, dev := env.Graph, env.Dev
-	n := dev.Size()
-	model := dev.Model()
-	k := topkK(dxFull.Cols, c.density)
-	dev.Clock().Advance(timing.Comp, env.BackwardCosts(l).Total)
-	dev.Clock().Advance(timing.Quant, model.QuantTime(wireElems(lg.RecvFrom, dxFull.Cols)))
-	a := env.Scratch
-	payloads := a.Payloads(n)
-	for p := 0; p < n; p++ {
-		if p == dev.Rank() || len(lg.RecvFrom[p]) == 0 {
-			continue
-		}
-		payloads[p] = c.encode(a, dxFull, env.HaloIdx(p), k)
-	}
-	recv := dev.RingAll2All(payloads)
-	for q := 0; q < n; q++ {
-		if q == dev.Rank() || len(lg.SendTo[q]) == 0 {
-			continue
-		}
-		if err := decodeTopK(recv[q], dxLocal, lg.SendTo[q], 0, true); err != nil {
-			return fmt.Errorf("topk: rank %d grads from %d: %w", dev.Rank(), q, err)
-		}
-	}
-	a.ReleaseAll(recv)
-	dev.Clock().Advance(timing.Quant, model.QuantTime(wireElems(lg.SendTo, dxLocal.Cols)))
-	return nil
+	return env.stage(c, sequential, false, l, dxFull, dxLocal)
 }
 
 func (c *topkCodec) EpochEnd(*ExchangeEnv, int) error { return nil }

@@ -136,9 +136,8 @@ func TestOverlapLossParity(t *testing.T) {
 }
 
 // TestOverlapReducesWallClock: hiding broadcast wire time behind the
-// central-graph forward compute must strictly shorten the simulated epoch
-// (the win BENCH_9 records), and the hidden seconds must be visible under
-// the Overlap phase.
+// central-graph forward compute must strictly shorten the simulated
+// epoch, and the hidden seconds must be visible under the Overlap phase.
 func TestOverlapReducesWallClock(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
 	dep := Deploy(ds, 4, GCN, partition.Block)

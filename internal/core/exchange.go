@@ -115,18 +115,71 @@ func scatterAddRows32(dst *tensor.Matrix, idx []int32, src *tensor.Matrix) {
 	}
 }
 
-// exchangeHaloFP performs the full-precision forward halo exchange
-// (Vanilla), filling xFull's halo rows. When raw is true no simulated time
-// is charged (evaluation sideband).
-func exchangeHaloFP(env *ExchangeEnv, xLocal, xFull *tensor.Matrix, raw bool) error {
-	dev, lg, a := env.Dev, env.Graph, env.Scratch
+// A rowCoder is one wire format for the rows one peer needs: the only part
+// of a halo exchange that differs between codecs. Implementations are
+// zero-size or live in a field of their codec instance and are passed by
+// pointer, so handing one to exchange never allocates.
+type rowCoder interface {
+	// encode serializes rows idx of x for peer into an arena buffer whose
+	// ownership passes to the transport.
+	encode(e *ExchangeEnv, peer int, x *tensor.Matrix, idx []int32) ([]byte, error)
+	// decode lands peer's payload in dst rows idx: stored when add is false
+	// (forward halo fill), accumulated when true (backward scatter-add —
+	// several peers may target the same local row).
+	decode(e *ExchangeEnv, peer int, buf []byte, dst *tensor.Matrix, idx []int32, add bool) error
+	// passes returns how many kernel scans per wire element the send and
+	// receive sides charge to timing.Quant (0 = none).
+	passes() (send, recv int)
+}
+
+// fpCoder ships raw little-endian float32 rows (fp32, PipeGCN, the
+// quantizing codecs' full-precision epochs, evaluation).
+type fpCoder struct{}
+
+func (fpCoder) encode(e *ExchangeEnv, _ int, x *tensor.Matrix, idx []int32) ([]byte, error) {
+	return appendRows(e.Scratch.GetBuf(4*len(idx)*x.Cols), x, idx), nil
+}
+
+func (fpCoder) decode(_ *ExchangeEnv, _ int, buf []byte, dst *tensor.Matrix, idx []int32, add bool) error {
+	if add {
+		return addBytesToRows(buf, dst, idx)
+	}
+	return bytesToRows(buf, dst, idx, 0)
+}
+
+func (fpCoder) passes() (int, int) { return 0, 0 }
+
+// wireRows returns the rows exchanged with peer p on one side of the wire:
+// the local rows p needs (Graph.SendTo[p]) or the halo rows p owns
+// (HaloIdx(p)). Forward sends local rows and fills halo rows; backward
+// reverses both.
+func (e *ExchangeEnv) wireRows(p int, local bool) []int32 {
+	if local {
+		return e.Graph.SendTo[p]
+	}
+	return e.HaloIdx(p)
+}
+
+// exchange is the one halo exchange: encode each peer's rows of src, ring
+// all2all, decode what arrives into dst (peers in rank order) and release
+// the received buffers. Forward ships SendTo rows of the local block and
+// fills dst's halo rows; backward ships src's halo-gradient rows back to
+// their owners, who add them into their local rows. raw moves the bytes
+// over the uncharged sideband (evaluation).
+func (e *ExchangeEnv) exchange(c rowCoder, fwd, raw bool, src, dst *tensor.Matrix) error {
+	dev, a := e.Dev, e.Scratch
 	n := dev.Size()
 	payloads := a.Payloads(n)
-	for q := 0; q < n; q++ {
-		if q == dev.Rank() || len(lg.SendTo[q]) == 0 {
+	for p := 0; p < n; p++ {
+		idx := e.wireRows(p, fwd)
+		if p == dev.Rank() || len(idx) == 0 {
 			continue
 		}
-		payloads[q] = appendRows(a.GetBuf(4*len(lg.SendTo[q])*xLocal.Cols), xLocal, lg.SendTo[q])
+		buf, err := c.encode(e, p, src, idx)
+		if err != nil {
+			return err
+		}
+		payloads[p] = buf
 	}
 	var recv [][]byte
 	if raw {
@@ -135,10 +188,11 @@ func exchangeHaloFP(env *ExchangeEnv, xLocal, xFull *tensor.Matrix, raw bool) er
 		recv = dev.RingAll2All(payloads)
 	}
 	for p := 0; p < n; p++ {
-		if p == dev.Rank() || len(lg.RecvFrom[p]) == 0 {
+		idx := e.wireRows(p, !fwd)
+		if p == dev.Rank() || len(idx) == 0 {
 			continue
 		}
-		if err := bytesToRows(recv[p], xFull, lg.RecvFrom[p], lg.NumLocal); err != nil {
+		if err := c.decode(e, p, recv[p], dst, idx, !fwd); err != nil {
 			return fmt.Errorf("rank %d from %d: %w", dev.Rank(), p, err)
 		}
 	}
@@ -146,31 +200,65 @@ func exchangeHaloFP(env *ExchangeEnv, xLocal, xFull *tensor.Matrix, raw bool) er
 	return nil
 }
 
-// exchangeGradFP performs the full-precision backward exchange: dxFull's
-// halo rows go back to their owners and are scatter-added into dxLocal.
-func exchangeGradFP(env *ExchangeEnv, dxFull, dxLocal *tensor.Matrix) error {
-	dev, lg, a := env.Dev, env.Graph, env.Scratch
-	n := dev.Size()
-	payloads := a.Payloads(n)
-	for p := 0; p < n; p++ {
-		if p == dev.Rank() || len(lg.RecvFrom[p]) == 0 {
-			continue
-		}
-		// Halo rows live at NumLocal+slot; reuse appendRows via the
-		// shifted index list.
-		idx := env.HaloIdx(p)
-		payloads[p] = appendRows(a.GetBuf(4*len(idx)*dxFull.Cols), dxFull, idx)
+// schedule names how a layer stage's compute interleaves with its
+// messages. Each codec picks one in code; it is not a user option.
+type schedule int
+
+const (
+	// sequential: nothing hides. Forward computes after the halo arrives,
+	// backward computes before the gradients leave.
+	sequential schedule = iota
+	// overlapped is AdaQP's Fig. 7: central-graph compute runs while the
+	// marginal-graph messages are in flight; marginal compute needs them
+	// (forward) or produces them (backward) and stays serial.
+	overlapped
+	// pipelined is PipeGCN: the messages are consumed next epoch, so the
+	// whole stage's compute runs while they are in flight.
+	pipelined
+)
+
+// stage runs one layer stage's exchange and charges its simulated time
+// under sched: backward serial compute, send-side kernels, the exchange
+// (Idle/Comm inside the collective), receive-side kernels, the compute
+// the messages failed to hide, forward serial compute. It is the only
+// place compute hides behind Comm.
+func (e *ExchangeEnv) stage(c rowCoder, sched schedule, fwd bool, l int, src, dst *tensor.Matrix) error {
+	clock, model, lg := e.Dev.Clock(), e.Dev.Model(), e.Graph
+	costs, sendLists, recvLists := e.ForwardCosts(l), lg.SendTo, lg.RecvFrom
+	if !fwd {
+		costs, sendLists, recvLists = e.BackwardCosts(l), lg.RecvFrom, lg.SendTo
 	}
-	recv := dev.RingAll2All(payloads)
-	for q := 0; q < n; q++ {
-		if q == dev.Rank() || len(lg.SendTo[q]) == 0 {
-			continue
-		}
-		if err := addBytesToRows(recv[q], dxLocal, lg.SendTo[q]); err != nil {
-			return fmt.Errorf("rank %d grads from %d: %w", dev.Rank(), q, err)
-		}
+	serial, hidden := costs.Total, timing.Seconds(0)
+	switch sched {
+	case overlapped:
+		serial, hidden = costs.Marginal, costs.Central
+	case pipelined:
+		serial, hidden = 0, costs.Total
 	}
-	a.ReleaseAll(recv)
+	if !fwd {
+		clock.Advance(timing.Comp, serial)
+	}
+	sendPasses, recvPasses := c.passes()
+	if sendPasses > 0 {
+		clock.Advance(timing.Quant, model.QuantTime(sendPasses*wireElems(sendLists, src.Cols)))
+	}
+	before := clock.Spent(timing.Comm)
+	if err := e.exchange(c, fwd, false, src, dst); err != nil {
+		return err
+	}
+	comm := clock.Spent(timing.Comm) - before
+	if recvPasses > 0 {
+		clock.Advance(timing.Quant, model.QuantTime(recvPasses*wireElems(recvLists, dst.Cols)))
+	}
+	// Hidden compute ran concurrently with the messages: only what outlasts
+	// them advances the clock, and the concurrent seconds are recorded.
+	if hidden > comm {
+		clock.Advance(timing.Comp, hidden-comm)
+	}
+	clock.AddOverlap(min(hidden, comm))
+	if fwd {
+		clock.Advance(timing.Comp, serial)
+	}
 	return nil
 }
 
@@ -220,109 +308,6 @@ func newWidthTable(lg *partition.LocalGraph, fwd bool, def quant.BitWidth) *widt
 		wt.recv[d] = quant.UniformWidths(recvLen, def)
 	}
 	return wt
-}
-
-// quantElems returns how many float32 elements this device quantizes when
-// sending with table wt at dim columns (for the Quant time charge).
-func quantSendElems(wt *widthTable, dim int) int {
-	n := 0
-	for _, ws := range wt.send {
-		n += len(ws) * dim
-	}
-	return n
-}
-
-func quantRecvElems(wt *widthTable, dim int) int {
-	n := 0
-	for _, ws := range wt.recv {
-		n += len(ws) * dim
-	}
-	return n
-}
-
-// exchangeHaloQ performs the quantized forward halo exchange with per-slot
-// widths. ranges holds the range of every sent row of xLocal
-// (env.sendRanges), so a row bound for several peers is scanned once.
-// Charges Quant for the quantize/de-quantize kernels; Comm is charged
-// inside RingAll2All. Returns the Comm seconds this call added (used by the
-// overlap schedule).
-func exchangeHaloQ(env *ExchangeEnv, wt *widthTable,
-	xLocal, xFull *tensor.Matrix, ranges []quant.RowRange) (timing.Seconds, error) {
-	dev, lg, a := env.Dev, env.Graph, env.Scratch
-	n := dev.Size()
-	model := dev.Model()
-	dev.Clock().Advance(timing.Quant, model.QuantTime(quantSendElems(wt, xLocal.Cols)))
-	payloads := a.Payloads(n)
-	for q := 0; q < n; q++ {
-		if q == dev.Rank() || len(lg.SendTo[q]) == 0 {
-			continue
-		}
-		buf, err := quant.AppendQuantizedMixedRanges(
-			a.GetBuf(quant.MixedSize(wt.send[q], xLocal.Cols)),
-			xLocal, lg.SendTo[q], wt.send[q], ranges, dev.Rand())
-		if err != nil {
-			return 0, err
-		}
-		payloads[q] = buf
-	}
-	before := dev.Clock().Spent(timing.Comm)
-	recv := dev.RingAll2All(payloads)
-	commDelta := dev.Clock().Spent(timing.Comm) - before
-	for p := 0; p < n; p++ {
-		if p == dev.Rank() || len(lg.RecvFrom[p]) == 0 {
-			continue
-		}
-		if err := quant.DequantizeMixed(recv[p], xFull, env.HaloIdx(p), wt.recv[p]); err != nil {
-			return 0, fmt.Errorf("rank %d from %d: %w", dev.Rank(), p, err)
-		}
-	}
-	a.ReleaseAll(recv)
-	dev.Clock().Advance(timing.Quant, model.QuantTime(quantRecvElems(wt, xFull.Cols)))
-	return commDelta, nil
-}
-
-// exchangeGradQ performs the quantized backward exchange (embedding
-// gradients / "errors"). wt is the backward width table: send[p] covers
-// slots RecvFrom[p], recv[q] covers rows SendTo[q]; ranges holds the range
-// of every halo row of dxFull (env.haloRanges).
-func exchangeGradQ(env *ExchangeEnv, wt *widthTable,
-	dxFull, dxLocal *tensor.Matrix, ranges []quant.RowRange) (timing.Seconds, error) {
-	dev, lg, a := env.Dev, env.Graph, env.Scratch
-	n := dev.Size()
-	model := dev.Model()
-	dev.Clock().Advance(timing.Quant, model.QuantTime(quantSendElems(wt, dxFull.Cols)))
-	payloads := a.Payloads(n)
-	for p := 0; p < n; p++ {
-		if p == dev.Rank() || len(lg.RecvFrom[p]) == 0 {
-			continue
-		}
-		buf, err := quant.AppendQuantizedMixedRanges(
-			a.GetBuf(quant.MixedSize(wt.send[p], dxFull.Cols)),
-			dxFull, env.HaloIdx(p), wt.send[p], ranges, dev.Rand())
-		if err != nil {
-			return 0, err
-		}
-		payloads[p] = buf
-	}
-	before := dev.Clock().Spent(timing.Comm)
-	recv := dev.RingAll2All(payloads)
-	commDelta := dev.Clock().Spent(timing.Comm) - before
-	// Several peers may target the same local row, so gradients are added,
-	// not stored: each row is decoded into one row of scratch and added
-	// into dxLocal from there, peers in rank order.
-	row := a.GetMat(1, dxLocal.Cols)
-	for q := 0; q < n; q++ {
-		if q == dev.Rank() || len(lg.SendTo[q]) == 0 {
-			continue
-		}
-		if err := quant.DequantizeMixedAdd(recv[q], dxLocal, lg.SendTo[q], wt.recv[q], row.Data); err != nil {
-			return 0, fmt.Errorf("rank %d grads from %d: %w", dev.Rank(), q, err)
-		}
-	}
-	a.PutMat(row)
-	a.ReleaseAll(recv)
-	dev.Clock().Advance(timing.Quant, model.QuantTime(quantRecvElems(wt, dxLocal.Cols)))
-	return commDelta, nil
 }
 
 // fpAll2AllBytes returns the per-destination payload sizes of a

@@ -122,6 +122,30 @@ func TestPipeGCNOverlapReducesEpochTime(t *testing.T) {
 	}
 }
 
+// TestAdaQPReportsOverlapSeconds: AdaQP's own schedule hides central-graph
+// compute behind its messages, and the run must say how much — as
+// bookkeeping only, so every device's wall-clock categories still add up
+// to its clock.
+func TestAdaQPReportsOverlapSeconds(t *testing.T) {
+	ds := synthetic.MustLoad("tiny", 1)
+	dep := Deploy(ds, 3, GCN, partition.Block)
+	cfg := tinyConfig(AdaQP)
+	clocks := captureClocks(t, &cfg)
+	res, err := TrainDeployed(dep, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.OverlapSeconds() <= 0 {
+		t.Fatalf("adaptive run reports OverlapSeconds() = %v, want > 0", res.OverlapSeconds())
+	}
+	for r, c := range clocks() {
+		sum, now := float64(res.PerDevice[r].Total()), float64(c.Now())
+		if math.Abs(sum-now) > 1e-9*now {
+			t.Fatalf("device %d: Comm+Comp+Quant+Idle+Assign = %v but Now() = %v", r, sum, now)
+		}
+	}
+}
+
 func TestUniformBitsOrderTraffic(t *testing.T) {
 	// 2-bit < 4-bit < 8-bit < full precision in total bytes moved.
 	ds := synthetic.MustLoad("tiny", 1)

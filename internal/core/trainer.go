@@ -424,7 +424,7 @@ func (w *worker) forward(epoch int, train bool) (*tensor.Matrix, error) {
 			copy(xFull.Row(i), h.Row(i))
 		}
 		if !train {
-			if err := exchangeHaloFP(w.env, h, xFull, true); err != nil {
+			if err := w.env.exchange(fpCoder{}, true, true, h, xFull); err != nil {
 				return nil, err
 			}
 			h = lay.forward(w.lg, xFull, w.dev.Rand(), false)

@@ -22,9 +22,9 @@ type EpochStat struct {
 }
 
 // Breakdown aggregates simulated time by category across one run.
-// Overlap is bookkeeping-only — collective latency hidden behind
-// concurrent compute by a split-phase schedule — and is excluded from
-// Total (the hidden seconds already elapsed under Comp).
+// Overlap is bookkeeping-only — seconds compute and a collective ran
+// concurrently (see timing.Overlap) — and is excluded from Total: those
+// seconds already elapsed under Comp or Comm.
 type Breakdown struct {
 	Comm, Comp, Quant, Idle, Assign, Overlap timing.Seconds
 }
@@ -160,8 +160,8 @@ func (r *RunResult) Phases() []PhaseBreakdown {
 	return out
 }
 
-// OverlapSeconds sums the hidden collective latency across all devices
-// (zero unless the run used the split-phase overlap schedule).
+// OverlapSeconds sums, across all devices, the seconds compute and
+// messages ran concurrently (zero for schedules that hide nothing).
 func (r *RunResult) OverlapSeconds() timing.Seconds {
 	var t timing.Seconds
 	for _, b := range r.PerDevice {

@@ -117,11 +117,13 @@ const (
 	Quant
 	Idle // barrier wait
 	Assign
-	// Overlap is bookkeeping-only: collective latency that a split-phase
-	// start/wait pair hid behind concurrent compute. It never advances the
-	// clock (the hidden seconds already elapsed under Comp) and is excluded
-	// from wall-clock totals; it exists so breakdowns show how much wire
-	// time a schedule managed to hide instead of charging to Comm/Idle.
+	// Overlap is bookkeeping-only: seconds during which compute and a
+	// collective ran concurrently. It never advances the clock — those
+	// seconds already elapsed under Comp (split-phase start/wait, where the
+	// hidden wire time goes uncharged) or under Comm (the closed-form
+	// schedules of core's stage, where the hidden compute goes uncharged) —
+	// and is excluded from wall-clock totals; it exists so breakdowns show
+	// how much a schedule managed to hide.
 	Overlap
 )
 
@@ -168,10 +170,12 @@ func (c *Clock) AdvanceTo(cat Category, t Seconds) {
 	}
 }
 
-// AddOverlap records dt seconds of collective latency hidden behind
-// concurrent compute. Unlike Advance it never moves the clock: the hidden
-// time already elapsed (charged to Comp by the work that hid it), so this
-// only annotates the breakdown. Non-positive dt is a no-op.
+// AddOverlap records dt seconds during which compute and a collective ran
+// concurrently. Unlike Advance it never moves the clock: the seconds
+// already elapsed, charged once — to Comp when FinishDeferred hides wire
+// time behind compute, to Comm when a closed-form schedule hides compute
+// behind wire time — so this only annotates the breakdown. Non-positive dt
+// is a no-op.
 func (c *Clock) AddOverlap(dt Seconds) {
 	if dt > 0 {
 		c.breakdown[Overlap] += dt

@@ -124,3 +124,60 @@ func TestBreakdownIsCopy(t *testing.T) {
 		t.Fatal("Breakdown must return a copy")
 	}
 }
+
+// TestClosedFormOverlapVersusFinishDeferred pins how the closed-form overlap
+// rule (blocking collective, then only the central compute that outlasts
+// ΔComm — what core's stage charges for AdaQP) relates to running the same
+// central compute between a split-phase Start and FinishDeferred. They end
+// at the same instant unless a peer arrives late AND central compute
+// outlasts the wire: FinishDeferred also hides the Idle wait, the closed
+// form hides only behind Comm. Moving AdaQP onto a split-phase ring is
+// therefore a fidelity change that lowers simulated wall-clock, not a
+// bit-identical refactor.
+func TestClosedFormOverlapVersusFinishDeferred(t *testing.T) {
+	type split struct{ comm, comp, idle Seconds }
+	for _, tc := range []struct {
+		name                           string
+		align, wire, central, marginal Seconds
+		closedEnd, deferredEnd         Seconds
+		closed, deferred               split
+	}{
+		{"nobody late, central > wire", 0, 1, 1.5, 0.25, 1.75, 1.75,
+			split{1, 0.75, 0}, split{0, 1.75, 0}},
+		{"nobody late, central <= wire", 0, 1, 0.5, 0.25, 1.25, 1.25,
+			split{1, 0.25, 0}, split{0.5, 0.75, 0}},
+		{"late peer, central <= wire", 1, 1, 0.5, 0.25, 2.25, 2.25,
+			split{1, 0.25, 1}, split{1, 0.75, 0.5}},
+		{"late peer, central > wire", 1, 1, 1.5, 0.25, 2.75, 2.25,
+			split{1, 0.75, 1}, split{0.5, 1.75, 0}},
+	} {
+		closed := NewClock()
+		closed.AdvanceTo(Idle, tc.align)
+		closed.Advance(Comm, tc.wire)
+		if tc.central > tc.wire {
+			closed.Advance(Comp, tc.central-tc.wire)
+		}
+		closed.Advance(Comp, tc.marginal)
+
+		deferred := NewClock()
+		start := deferred.Now()
+		deferred.Advance(Comp, tc.central)
+		FinishDeferred(deferred, start, tc.align, tc.wire)
+		deferred.Advance(Comp, tc.marginal)
+
+		for _, side := range []struct {
+			rule  string
+			clock *Clock
+			end   Seconds
+			want  split
+		}{{"closed form", closed, tc.closedEnd, tc.closed}, {"FinishDeferred", deferred, tc.deferredEnd, tc.deferred}} {
+			if side.clock.Now() != side.end {
+				t.Errorf("%s: %s ends at %v, want %v", tc.name, side.rule, side.clock.Now(), side.end)
+			}
+			got := split{side.clock.Spent(Comm), side.clock.Spent(Comp), side.clock.Spent(Idle)}
+			if got != side.want {
+				t.Errorf("%s: %s charges comm/comp/idle %+v, want %+v", tc.name, side.rule, got, side.want)
+			}
+		}
+	}
+}

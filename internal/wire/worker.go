@@ -223,12 +223,14 @@ func (w *workerState) handleConn(c net.Conn) {
 			continue
 		}
 		w.bytesRead.Add(uint64(FrameSize(len(f.Payload))))
-		n, err := w.parent.writeFrame(f)
-		if err != nil {
+		// Counted before the write: once the parent has the run's last frame
+		// it may send OpShutdown, and parentLoop answers with these counters
+		// from another goroutine.
+		w.bytesWritten.Add(uint64(FrameSize(len(f.Payload))))
+		if _, err := w.parent.writeFrame(f); err != nil {
 			w.fail(fmt.Errorf("deliver to parent: %w", err))
 			return
 		}
-		w.bytesWritten.Add(uint64(n))
 	}
 }
 

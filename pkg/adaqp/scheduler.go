@@ -273,9 +273,9 @@ func (sc *Scheduler) FaultTotals() FaultStats {
 	return sc.faults
 }
 
-// OverlapTotal returns the simulated seconds of collective wire time hidden
-// behind compute (the split-phase overlap schedule) summed across every
-// completed session, monotonic like FaultTotals.
+// OverlapTotal returns the simulated seconds compute and collectives ran
+// concurrently (RunResult.OverlapSeconds) summed across every completed
+// session, monotonic like FaultTotals.
 func (sc *Scheduler) OverlapTotal() Seconds {
 	sc.faultMu.Lock()
 	defer sc.faultMu.Unlock()
