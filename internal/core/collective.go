@@ -21,20 +21,29 @@ import (
 // Payload bytes never enter the record: they reach their receiver through
 // a delivery, and the engine's charges cannot depend on when they do.
 
-// delivery is how a posted payload reaches its receiver: a pointer handed
-// straight back (transport_sharded.go) or a frame through a fleet of
-// worker processes (transport_proc.go). A delivery guarantees exactly-once
-// hand-off: every send results in exactly one deliver call with the same
-// (seq, src, dst) and the payload's bytes, from any goroutine, at any
-// later time, in any order; the receiver owns the delivered buffer.
+// parcel is one payload in flight, addressed by the collective it belongs
+// to and its two ends.
+type parcel struct {
+	frameKey
+	payload []byte
+}
+
+// delivery is how posted payloads reach their receivers: pointers handed
+// straight back (transport_sharded.go) or frames through a fleet of worker
+// processes (transport_proc.go). A device sends everything it ships in one
+// collective as one post, so a transport can put it on the wire as one
+// write. A delivery guarantees exactly-once hand-off: every parcel sent is
+// delivered exactly once, with the same key and the payload's bytes, from
+// any goroutine, at any later time, in any order; the receiver owns the
+// delivered buffer.
 type delivery interface {
 	// start readies the delivery for one Run. fail reports a broken
 	// delivery outside any send call.
-	start(deliver func(seq, src, dst int, payload []byte), fail func(error)) error
-	// send hands one payload over. It may block on the transport but never
-	// on the receiver, and the payload is not retained once it returns
-	// unless it is the very buffer later delivered.
-	send(seq, src, dst int, payload []byte) error
+	start(deliver func(parcel), fail func(error)) error
+	// send hands one post over. It may block on the transport but never on
+	// a receiver. The post slice is the caller's again once it returns, and
+	// no payload is retained unless it is the very buffer later delivered.
+	send(post []parcel) error
 	// stop reaps whatever start brought up; broken reports that the
 	// delivery itself failed mid-run.
 	stop(broken bool) error
@@ -158,9 +167,9 @@ func (e *engine) Run(seed uint64, body func(Transport) error) error {
 	// delivery that was killed cannot leak into the next Run. It never
 	// blocks on a device, so delivery goroutines cannot deadlock against
 	// device waits.
-	deliver := func(seq, src, dst int, payload []byte) {
+	deliver := func(p parcel) {
 		e.mu.Lock()
-		inbox[frameKey{seq, src, dst}] = payload
+		inbox[p.frameKey] = p.payload
 		e.cond.Broadcast()
 		e.mu.Unlock()
 	}
@@ -257,6 +266,7 @@ type device struct {
 	seq  int // next collective sequence number
 	rng  *tensor.RNG
 	sums []float32 // AllReduceSum reduction scratch
+	out  []parcel  // sendPeers' post scratch
 }
 
 func (d *device) Rank() int                { return d.rank }
@@ -279,25 +289,27 @@ func (d *device) next(blocking bool) int {
 	return seq
 }
 
-// send hands one payload to the delivery. Self-sends never happen: a
-// device's own payload stays a local pointer, like the reference returns
-// it.
-func (d *device) send(seq, dst int, payload []byte) {
-	if err := d.e.dlv.send(seq, d.rank, dst, payload); err != nil {
+// send hands one post to the delivery. Self-sends never happen: a device's
+// own payload stays a local pointer, like the reference returns it.
+func (d *device) send(post ...parcel) {
+	if err := d.e.dlv.send(post); err != nil {
 		d.e.fail(err)
 	}
 }
 
-// sendPeers hands payloads[dst] to every peer and returns the size vector
-// to post (nothing is shipped to self, so its own entry stays 0).
+// sendPeers hands payloads[dst] to every peer as one post and returns the
+// size vector to post (nothing is shipped to self, so its own entry stays
+// 0).
 func (d *device) sendPeers(seq int, payloads [][]byte) []int {
 	sizes := make([]int, len(payloads))
+	d.out = d.out[:0]
 	for dst, p := range payloads {
 		if dst != d.rank {
 			sizes[dst] = len(p)
-			d.send(seq, dst, p)
+			d.out = append(d.out, parcel{frameKey{seq, d.rank, dst}, p})
 		}
 	}
+	d.send(d.out...)
 	return sizes
 }
 
@@ -476,7 +488,7 @@ func (d *device) GatherBytes(root int, payload []byte) [][]byte {
 	if d.rank != root {
 		sizes = make([]int, e.n)
 		sizes[root] = len(payload)
-		d.send(seq, root, payload)
+		d.send(parcel{frameKey{seq, d.rank, root}, payload})
 	}
 	d.post(seq, opGather, sizes)
 	if e.stale > 0 && d.rank != root {

@@ -171,10 +171,10 @@ type reorderDelivery struct {
 	queue   []func()
 	stopped bool
 	done    chan struct{}
-	deliver func(seq, src, dst int, payload []byte)
+	deliver func(parcel)
 }
 
-func (r *reorderDelivery) start(deliver func(seq, src, dst int, payload []byte), _ func(error)) error {
+func (r *reorderDelivery) start(deliver func(parcel), _ func(error)) error {
 	r.cond = sync.NewCond(&r.mu)
 	r.deliver, r.stopped, r.done = deliver, false, make(chan struct{})
 	go func() {
@@ -200,13 +200,14 @@ func (r *reorderDelivery) start(deliver func(seq, src, dst int, payload []byte),
 	return nil
 }
 
-func (r *reorderDelivery) send(seq, src, dst int, payload []byte) error {
-	var copied []byte
-	if payload != nil {
-		copied = append([]byte{}, payload...)
-	}
+func (r *reorderDelivery) send(post []parcel) error {
 	r.mu.Lock()
-	r.queue = append(r.queue, func() { r.deliver(seq, src, dst, copied) })
+	for _, p := range post {
+		if p.payload != nil {
+			p.payload = append([]byte{}, p.payload...)
+		}
+		r.queue = append(r.queue, func() { r.deliver(p) })
+	}
 	r.cond.Signal()
 	r.mu.Unlock()
 	return nil

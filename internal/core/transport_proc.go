@@ -16,6 +16,8 @@ import (
 // worker r mod W, hop to the destination rank's worker, and come back to
 // the parent — so codec wire formats, not pointers, are what devices
 // exchange, and byte accounting can be checked against real framed bytes.
+// Everything a device ships in one collective — its post — enters the fleet
+// as one vectored write; package wire documents the data path behind it.
 //
 // Process model: the backend re-executes its own binary (wire.MaybeWorker
 // is the worker entry point, armed by environment variables) once per
@@ -90,7 +92,7 @@ type procFleet struct {
 }
 
 // start brings up a fresh worker fleet in a new socket directory.
-func (f *procFleet) start(deliver func(seq, src, dst int, payload []byte), fail func(error)) error {
+func (f *procFleet) start(deliver func(parcel), fail func(error)) error {
 	var dir string
 	var err error
 	if f.socketBase == "" {
@@ -104,7 +106,9 @@ func (f *procFleet) start(deliver func(seq, src, dst int, payload []byte), fail 
 	if err != nil {
 		return fmt.Errorf("core: proc-sharded socket dir: %w", err)
 	}
-	onData := func(fr wire.Frame) { deliver(int(fr.Seq), int(fr.Src), int(fr.Dst), fr.Payload) }
+	onData := func(fr wire.Frame) {
+		deliver(parcel{frameKey{int(fr.Seq), int(fr.Src), int(fr.Dst)}, fr.Payload})
+	}
 	pool, err := wire.StartPool(dir, f.workers, onData, fail)
 	if err != nil {
 		os.RemoveAll(dir)
@@ -114,15 +118,20 @@ func (f *procFleet) start(deliver func(seq, src, dst int, payload []byte), fail 
 	return nil
 }
 
-// send ships one payload into the fleet; it enters at worker src mod W.
-func (f *procFleet) send(seq, src, dst int, payload []byte) error {
-	return f.pool.Send(wire.Frame{
-		Op:      wire.OpData,
-		Seq:     uint32(seq),
-		Src:     uint16(src),
-		Dst:     uint16(dst),
-		Payload: payload,
-	})
+// send ships one post into the fleet as one write; a device's post enters
+// at worker src mod W.
+func (f *procFleet) send(post []parcel) error {
+	frames := make([]wire.Frame, len(post))
+	for i, p := range post {
+		frames[i] = wire.Frame{
+			Op:      wire.OpData,
+			Seq:     uint32(p.seq),
+			Src:     uint16(p.src),
+			Dst:     uint16(p.dst),
+			Payload: p.payload,
+		}
+	}
+	return f.pool.SendPost(frames)
 }
 
 // stop reaps the worker fleet and removes the socket directory. A healthy

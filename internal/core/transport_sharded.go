@@ -56,16 +56,18 @@ func newShardedRuntime(spec TransportSpec) Runtime {
 // sender's payloads container — callers may reuse theirs
 // (core.Arena.Payloads) while a straggler has yet to receive.
 type pointerDelivery struct {
-	deliver func(seq, src, dst int, payload []byte)
+	deliver func(parcel)
 }
 
-func (p *pointerDelivery) start(deliver func(seq, src, dst int, payload []byte), _ func(error)) error {
+func (p *pointerDelivery) start(deliver func(parcel), _ func(error)) error {
 	p.deliver = deliver
 	return nil
 }
 
-func (p *pointerDelivery) send(seq, src, dst int, payload []byte) error {
-	p.deliver(seq, src, dst, payload)
+func (p *pointerDelivery) send(post []parcel) error {
+	for _, pc := range post {
+		p.deliver(pc)
+	}
 	return nil
 }
 

@@ -21,6 +21,17 @@
 //
 // The format is fixed by the golden fixtures under testdata/ — changing it
 // is a wire-protocol break and must update those fixtures deliberately.
+//
+// Data path. Batching lives at the stream level, never in the frame format.
+// Everything one device ships in one collective — a post — leaves the
+// parent as one vectored write with the payloads in place (conn.writeFrames).
+// A worker is a router: it decodes through a frameReader, whose payloads
+// alias one reusable per-connection buffer, copies each routed frame into
+// its target connection's pending buffer and flushes the moment its input
+// holds no further complete frame — so a steady-state forward allocates
+// nothing and no frame is ever held across a blocking read. The parent's
+// reader decodes the same way and clones each payload for its consumer.
+// ReadFrame is the allocating decoder for callers that keep the payload.
 package wire
 
 import (
@@ -89,6 +100,12 @@ func FrameSize(payloadLen int) int { return FrameOverhead + payloadLen }
 // transport's control, so exceeding MaxPayload is a programming error, not
 // an input condition.
 func AppendFrame(dst []byte, f Frame) []byte {
+	return append(appendHeader(dst, f), f.Payload...)
+}
+
+// appendHeader appends everything of f's encoding but the payload bytes:
+// the length prefix (which counts them) and the fixed header.
+func appendHeader(dst []byte, f Frame) []byte {
 	if len(f.Payload) > MaxPayload {
 		panic(fmt.Sprintf("wire: %d-byte payload exceeds MaxPayload (%d)", len(f.Payload), MaxPayload))
 	}
@@ -96,8 +113,20 @@ func AppendFrame(dst []byte, f Frame) []byte {
 	dst = append(dst, Version, f.Op)
 	dst = binary.LittleEndian.AppendUint32(dst, f.Seq)
 	dst = binary.LittleEndian.AppendUint16(dst, f.Src)
-	dst = binary.LittleEndian.AppendUint16(dst, f.Dst)
-	return append(dst, f.Payload...)
+	return binary.LittleEndian.AppendUint16(dst, f.Dst)
+}
+
+// parseLength validates a length prefix (pre must hold at least prefixLen
+// bytes) and returns the byte count of the rest of the frame.
+func parseLength(pre []byte) (int, error) {
+	length := binary.LittleEndian.Uint32(pre)
+	if length < headerLen {
+		return 0, fmt.Errorf("%w: length %d below header size %d", ErrShortFrame, length, headerLen)
+	}
+	if length > headerLen+MaxPayload {
+		return 0, fmt.Errorf("%w: length %d", ErrFrameTooLarge, length)
+	}
+	return int(length), nil
 }
 
 // parseHeader decodes the post-prefix fixed header (h must hold at least
@@ -126,21 +155,18 @@ func ParseFrame(b []byte) (Frame, int, error) {
 	if len(b) < prefixLen {
 		return Frame{}, 0, fmt.Errorf("%w: %d bytes, need %d for the length prefix", ErrShortFrame, len(b), prefixLen)
 	}
-	length := binary.LittleEndian.Uint32(b)
-	if length < headerLen {
-		return Frame{}, 0, fmt.Errorf("%w: length %d below header size %d", ErrShortFrame, length, headerLen)
+	length, err := parseLength(b)
+	if err != nil {
+		return Frame{}, 0, err
 	}
-	if length > headerLen+MaxPayload {
-		return Frame{}, 0, fmt.Errorf("%w: length %d", ErrFrameTooLarge, length)
-	}
-	if uint64(len(b)-prefixLen) < uint64(length) {
+	if len(b)-prefixLen < length {
 		return Frame{}, 0, fmt.Errorf("%w: length %d with only %d bytes after the prefix", ErrShortFrame, length, len(b)-prefixLen)
 	}
 	f, err := parseHeader(b[prefixLen:])
 	if err != nil {
 		return Frame{}, 0, err
 	}
-	total := prefixLen + int(length)
+	total := prefixLen + length
 	f.Payload = b[FrameOverhead:total:total]
 	return f, total, nil
 }
@@ -178,12 +204,9 @@ func ReadFrame(r io.Reader) (Frame, error) {
 		}
 		return Frame{}, err
 	}
-	length := binary.LittleEndian.Uint32(pre[:])
-	if length < headerLen {
-		return Frame{}, fmt.Errorf("%w: length %d below header size %d", ErrShortFrame, length, headerLen)
-	}
-	if length > headerLen+MaxPayload {
-		return Frame{}, fmt.Errorf("%w: length %d", ErrFrameTooLarge, length)
+	length, err := parseLength(pre[:])
+	if err != nil {
+		return Frame{}, err
 	}
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -193,7 +216,7 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	if err != nil {
 		return Frame{}, err
 	}
-	if plen := int(length) - headerLen; plen > 0 {
+	if plen := length - headerLen; plen > 0 {
 		payload, err := readChunked(r, plen)
 		if err != nil {
 			return Frame{}, fmt.Errorf("%w: EOF inside a %d-byte payload", ErrShortFrame, plen)

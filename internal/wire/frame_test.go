@@ -180,5 +180,14 @@ func FuzzFrameDecode(f *testing.F) {
 				t.Fatalf("ReadFrame returned a %d-byte payload", len(fr.Payload))
 			}
 		}
+
+		// The reusing reader of the data path: the same frames and the
+		// same end as ReadFrame, in a buffer that only the bytes actually
+		// received can have grown.
+		reuse := newFrameReader(bytes.NewReader(data))
+		sameOutcome(t, "fuzz input", reuse, bytes.NewReader(data))
+		if len(reuse.buf) > max(readChunk, 2*len(data)) {
+			t.Fatalf("reusing reader grew its buffer to %d bytes on %d bytes of input", len(reuse.buf), len(data))
+		}
 	})
 }

@@ -1,11 +1,11 @@
 package wire
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"os"
 	"os/exec"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -58,11 +58,23 @@ type poolProc struct {
 	waitErr  error
 }
 
+// acknowledge records the worker's OpReady. There is one per worker: a
+// second is a protocol error. Only the connection's reader calls it.
+func (pp *poolProc) acknowledge() error {
+	select {
+	case <-pp.ready:
+		return errors.New("second ready acknowledgment")
+	default:
+		close(pp.ready)
+		return nil
+	}
+}
+
 // Pool is the parent side of a worker fleet: it re-executes the current
 // binary into worker processes, connects to each over its Unix socket,
 // and routes data frames by source shard. Delivered frames arrive on the
 // onData callback from internal reader goroutines; onError reports a
-// broken fleet (a dead worker or socket) outside any Send call.
+// broken fleet (a dead worker or socket) outside any send call.
 type Pool struct {
 	workers int
 	procs   []*poolProc
@@ -75,6 +87,11 @@ type Pool struct {
 
 	shuttingDown atomic.Bool
 	readers      sync.WaitGroup
+	// delivered is signaled, once shutdown began, after every frame handed
+	// over and when a reader ends (readerEnded). One slot: it carries "look
+	// again", not a count.
+	delivered   chan struct{}
+	readerEnded atomic.Bool
 
 	mu      sync.Mutex
 	stats   []Stats
@@ -94,11 +111,12 @@ func StartPool(dir string, workers int, onData func(Frame), onError func(error))
 		return nil, fmt.Errorf("wire: resolve executable for re-exec: %w", err)
 	}
 	p := &Pool{
-		workers: workers,
-		onData:  onData,
-		onError: onError,
-		stats:   make([]Stats, workers),
-		statsOK: make([]bool, workers),
+		workers:   workers,
+		onData:    onData,
+		onError:   onError,
+		delivered: make(chan struct{}, 1),
+		stats:     make([]Stats, workers),
+		statsOK:   make([]bool, workers),
 	}
 	for i := 0; i < workers; i++ {
 		cmd := exec.Command(exe)
@@ -129,7 +147,7 @@ func StartPool(dir string, workers int, onData func(Frame), onError func(error))
 			return nil, fmt.Errorf("wire: dial worker %d (is wire.MaybeWorker wired into this binary's main/TestMain?): %w", i, err)
 		}
 		pp.conn = &conn{c: c}
-		if _, err := pp.conn.writeFrame(Frame{Op: OpHello, Src: ParentID}); err != nil {
+		if _, err := pp.conn.writeFrames(Frame{Op: OpHello, Src: ParentID}); err != nil {
 			p.Kill()
 			return nil, fmt.Errorf("wire: hello to worker %d: %w", i, err)
 		}
@@ -160,22 +178,30 @@ func (p *Pool) fail(err error) {
 // shutdown) or a read error.
 func (p *Pool) readLoop(i int, pp *poolProc) {
 	defer p.readers.Done()
-	br := bufio.NewReaderSize(pp.conn.c, readChunk)
+	defer func() {
+		p.readerEnded.Store(true)
+		p.progress()
+	}()
+	fr := newFrameReader(pp.conn.c)
 	for {
-		f, err := ReadFrame(br)
+		f, err := fr.next()
+		if err == nil && f.Op == OpReady {
+			err = pp.acknowledge()
+		}
 		if err != nil {
 			if !p.shuttingDown.Load() {
-				p.fail(fmt.Errorf("wire: worker %d read: %w", i, err))
+				p.fail(fmt.Errorf("wire: worker %d connection: %w", i, err))
 			}
 			return
 		}
 		switch f.Op {
-		case OpReady:
-			close(pp.ready)
 		case OpData:
 			p.deliveredFrames.Add(1)
 			p.deliveredBytes.Add(uint64(FrameSize(len(f.Payload))))
+			// The reader's buffer is reused; the consumer owns its payload.
+			f.Payload = slices.Clone(f.Payload)
 			p.onData(f)
+			p.progress()
 		case OpStats:
 			s, err := parseStats(f.Payload)
 			p.mu.Lock()
@@ -187,19 +213,47 @@ func (p *Pool) readLoop(i int, pp *poolProc) {
 	}
 }
 
-// Send routes one data frame into the fleet via the worker owning f.Src's
-// shard. Safe for concurrent use. The payload is fully written before
-// Send returns, so the caller may reuse it.
-func (p *Pool) Send(f Frame) error {
-	shard := int(f.Src) % p.workers
-	n, err := p.procs[shard].conn.writeFrame(f)
-	if err != nil {
-		return fmt.Errorf("wire: send to worker %d: %w", shard, err)
+// progress wakes a Shutdown that is waiting for in-flight frames.
+func (p *Pool) progress() {
+	if p.shuttingDown.Load() {
+		select {
+		case p.delivered <- struct{}{}:
+		default:
+		}
 	}
-	p.sentFrames.Add(1)
-	p.sentBytes.Add(uint64(n))
-	if int(f.Dst)%p.workers != shard {
-		p.interBytes.Add(uint64(n))
+}
+
+// Send routes one data frame into the fleet: a post of one.
+func (p *Pool) Send(f Frame) error {
+	return p.SendPost([]Frame{f})
+}
+
+// SendPost routes a post — the data frames one rank ships in one collective
+// — into the fleet via the worker owning the source rank's shard, as one
+// vectored write (frames of different source shards go out as one write per
+// run of equal shards). Safe for concurrent use. The payloads are fully
+// written before SendPost returns, so the caller may reuse them and post.
+func (p *Pool) SendPost(post []Frame) error {
+	for len(post) > 0 {
+		shard := int(post[0].Src) % p.workers
+		k := 1
+		for k < len(post) && int(post[k].Src)%p.workers == shard {
+			k++
+		}
+		n, err := p.procs[shard].conn.writeFrames(post[:k]...)
+		if err != nil {
+			return fmt.Errorf("wire: send to worker %d: %w", shard, err)
+		}
+		inter := 0
+		for _, f := range post[:k] {
+			if int(f.Dst)%p.workers != shard {
+				inter += FrameSize(len(f.Payload))
+			}
+		}
+		p.sentFrames.Add(uint64(k))
+		p.sentBytes.Add(uint64(n))
+		p.interBytes.Add(uint64(inter))
+		post = post[k:]
 	}
 	return nil
 }
@@ -230,8 +284,22 @@ func (p *Pool) Shutdown() (PoolStats, error) {
 			firstErr = err
 		}
 	}
+	// A worker answers OpShutdown as soon as it reads it, but a frame bound
+	// for it may still be with a peer. Every frame sent comes back exactly
+	// once, so wait for the stragglers before asking — unless a reader is
+	// gone, and with it the frames it would have brought.
+	timeout := time.After(reapTimeout)
+drain:
+	for p.deliveredFrames.Load() < p.sentFrames.Load() && !p.readerEnded.Load() {
+		select {
+		case <-p.delivered:
+		case <-timeout:
+			keep(errors.New("wire: frames still in flight at shutdown"))
+			break drain
+		}
+	}
 	for i, pp := range p.procs {
-		if _, err := pp.conn.writeFrame(Frame{Op: OpShutdown, Src: ParentID}); err != nil {
+		if _, err := pp.conn.writeFrames(Frame{Op: OpShutdown, Src: ParentID}); err != nil {
 			keep(fmt.Errorf("wire: shutdown to worker %d: %w", i, err))
 		}
 	}

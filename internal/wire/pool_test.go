@@ -3,7 +3,10 @@ package wire
 import (
 	"bytes"
 	"fmt"
+	"net"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -139,19 +142,27 @@ func TestPoolRoundTrip(t *testing.T) {
 	if stats.InterWorkerBytes != wantInterBytes {
 		t.Errorf("InterWorkerBytes = %d, want %d", stats.InterWorkerBytes, wantInterBytes)
 	}
+	checkConservation(t, stats, workers)
+}
+
+// checkConservation asserts what holds for every gracefully shut down
+// pool: every frame sent came back, every sent frame was routed exactly
+// once, worker reads are parent sends plus the inter-worker hop's receive
+// side, and worker writes are parent deliveries plus its send side.
+func checkConservation(t *testing.T, stats PoolStats, workers int) {
+	t.Helper()
 	if len(stats.Workers) != workers {
 		t.Fatalf("got %d worker reports, want %d", len(stats.Workers), workers)
 	}
 	var routed, read, written uint64
-	for i, ws := range stats.Workers {
-		t.Logf("worker %d: read=%d written=%d routed=%d", i, ws.BytesRead, ws.BytesWritten, ws.FramesRouted)
+	for _, ws := range stats.Workers {
 		routed += ws.FramesRouted
 		read += ws.BytesRead
 		written += ws.BytesWritten
 	}
-	// Conservation: every sent frame is routed exactly once; worker reads
-	// are parent sends plus the inter-worker hop's receive side; worker
-	// writes are parent deliveries plus the inter-worker hop's send side.
+	if stats.DeliveredFrames != stats.SentFrames || stats.DeliveredBytes != stats.SentBytes {
+		t.Errorf("delivered %d frames / %d bytes, sent %d / %d", stats.DeliveredFrames, stats.DeliveredBytes, stats.SentFrames, stats.SentBytes)
+	}
 	if routed != stats.SentFrames {
 		t.Errorf("sum FramesRouted = %d, want SentFrames = %d", routed, stats.SentFrames)
 	}
@@ -160,6 +171,173 @@ func TestPoolRoundTrip(t *testing.T) {
 	}
 	if written != stats.DeliveredBytes+stats.InterWorkerBytes {
 		t.Errorf("sum BytesWritten = %d, want DeliveredBytes+InterWorkerBytes = %d", written, stats.DeliveredBytes+stats.InterWorkerBytes)
+	}
+}
+
+// devicePost is what rank src of n ships in one collective: one frame to
+// every other rank.
+func devicePost(seq uint32, src, n int, payload func(dst int) []byte) []Frame {
+	var post []Frame
+	for dst := 0; dst < n; dst++ {
+		if dst != src {
+			post = append(post, Frame{Op: OpData, Seq: seq, Src: uint16(src), Dst: uint16(dst), Payload: payload(dst)})
+		}
+	}
+	return post
+}
+
+// TestPoolMixedPost sends, as single posts through a real two-worker
+// fleet, every kind of frame the data path treats differently: same-shard
+// and cross-shard, empty, small, and one past the pending-buffer limit that
+// is written through. All come back intact and the books balance.
+func TestPoolMixedPost(t *testing.T) {
+	const workers, ranks = 2, 8
+	col := newCollector()
+	errc := make(chan error, 8)
+	pool, err := StartPool(t.TempDir(), workers, col.onData, func(err error) { errc <- err })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Kill()
+	payload := func(src int) func(int) []byte {
+		return func(dst int) []byte {
+			switch dst {
+			case (src + 1) % ranks:
+				return nil
+			case (src + 2) % ranks:
+				return bytes.Repeat([]byte{byte(src), byte(dst), 0xEE}, (pendingLimit+3)/3+1)
+			}
+			return bytes.Repeat([]byte{byte(16*src + dst)}, 100*dst+src)
+		}
+	}
+	want := map[[2]uint16][]byte{}
+	for src := 0; src < ranks; src++ {
+		post := devicePost(uint32(src), src, ranks, payload(src))
+		for _, f := range post {
+			want[[2]uint16{f.Src, f.Dst}] = f.Payload
+		}
+		if err := pool.SendPost(post); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range col.waitFor(t, len(want)) {
+		key := [2]uint16{f.Src, f.Dst}
+		sent, ok := want[key]
+		if !ok || f.Seq != uint32(f.Src) || !bytes.Equal(f.Payload, sent) {
+			t.Fatalf("frame %d->%d seq %d (%d bytes) is not what was sent, or came twice", f.Src, f.Dst, f.Seq, len(f.Payload))
+		}
+		delete(want, key)
+	}
+	stats, err := pool.Shutdown()
+	if err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	select {
+	case err := <-errc:
+		t.Fatalf("pool reported an error during a clean run: %v", err)
+	default:
+	}
+	if stats.SentFrames != ranks*(ranks-1) {
+		t.Errorf("SentFrames = %d, want %d", stats.SentFrames, ranks*(ranks-1))
+	}
+	checkConservation(t, stats, workers)
+}
+
+// TestPoolShutdownRightAfterPost shuts the fleet down with a post still in
+// flight, over and over: Shutdown must wait for the frames that are with a
+// peer worker, and every worker must flush what it holds and count it
+// before it reports, or the books of some iteration will not balance.
+func TestPoolShutdownRightAfterPost(t *testing.T) {
+	const workers, ranks = 2, 8
+	iterations := 200
+	if raceEnabled {
+		iterations = 10 // the race runtime holds every exiting worker for a second
+	}
+	for i := 0; i < iterations; i++ {
+		var delivered atomic.Uint64
+		pool, err := StartPool(t.TempDir(), workers, func(Frame) { delivered.Add(1) }, func(err error) { t.Errorf("iteration %d: %v", i, err) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		post := devicePost(uint32(i), i%ranks, ranks, func(dst int) []byte { return bytes.Repeat([]byte{byte(dst)}, 1000*dst) })
+		if err := pool.SendPost(post); err != nil {
+			pool.Kill()
+			t.Fatal(err)
+		}
+		stats, err := pool.Shutdown()
+		if err != nil {
+			pool.Kill()
+			t.Fatalf("iteration %d: shutdown: %v", i, err)
+		}
+		if stats.SentFrames != ranks-1 || delivered.Load() != ranks-1 {
+			t.Fatalf("iteration %d: sent %d frames, %d delivered, want %d", i, stats.SentFrames, delivered.Load(), ranks-1)
+		}
+		checkConservation(t, stats, workers)
+		if t.Failed() {
+			t.Fatalf("iteration %d: %+v", i, stats)
+		}
+	}
+}
+
+// TestPoolSecondReadyIsProtocolError: a worker acknowledges readiness once.
+// A second OpReady fails the pool through onError instead of panicking the
+// parent.
+func TestPoolSecondReadyIsProtocolError(t *testing.T) {
+	ours, theirs := net.Pipe()
+	defer ours.Close()
+	defer theirs.Close()
+	errc := make(chan error, 1)
+	p := &Pool{workers: 1, onError: func(err error) { errc <- err }}
+	pp := &poolProc{conn: &conn{c: ours}, ready: make(chan struct{})}
+	p.readers.Add(1)
+	go p.readLoop(0, pp)
+	ready := AppendFrame(nil, Frame{Op: OpReady})
+	if _, err := theirs.Write(append(ready, ready...)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-errc:
+		if !strings.Contains(err.Error(), "second ready") {
+			t.Errorf("onError got %v, want the protocol error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a second OpReady was not reported")
+	}
+	<-pp.ready
+	p.readers.Wait()
+}
+
+// BenchmarkPoolForward is the data path under the load wire-yelp puts on
+// it: posts of 7 frames of 9 KiB (a device's post in one collective at 8
+// ranks, at that workload's measured mean payload) through a two-worker
+// fleet, each timed from the send to the last delivery.
+func BenchmarkPoolForward(b *testing.B) {
+	const workers, ranks, size = 2, 8, 9 << 10
+	delivered := make(chan struct{}, ranks) // a post's deliveries never block the reader
+	pool, err := StartPool(b.TempDir(), workers, func(Frame) { delivered <- struct{}{} }, func(err error) { b.Error(err) })
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pool.Kill()
+	payload := make([]byte, size)
+	posts := make([][]Frame, ranks)
+	for src := range posts {
+		posts[src] = devicePost(0, src, ranks, func(int) []byte { return payload })
+	}
+	b.SetBytes((ranks - 1) * size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := pool.SendPost(posts[i%ranks]); err != nil {
+			b.Fatal(err)
+		}
+		for k := 0; k < ranks-1; k++ {
+			<-delivered
+		}
+	}
+	b.StopTimer()
+	if _, err := pool.Shutdown(); err != nil {
+		b.Fatal(err)
 	}
 }
 

@@ -1,12 +1,12 @@
 package wire
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -65,20 +65,88 @@ func MaybeWorker() {
 	os.Exit(0)
 }
 
-// conn is a socket with a write lock and a reusable encode buffer; frames
-// from concurrent routers interleave at frame granularity, never mid-frame.
+// pendingLimit bounds a connection's pending buffer: a frame that would
+// take it past the limit flushes it first, and a frame larger than the
+// limit is written through without being copied.
+const pendingLimit = 256 << 10
+
+// conn is a socket with a write lock, so frames from concurrent writers
+// interleave at frame granularity, never mid-frame. It has two ways in:
+// writeFrames puts a post on the wire at once, enqueue defers to flush.
 type conn struct {
-	c   net.Conn
-	mu  sync.Mutex
-	buf []byte
+	c    net.Conn
+	mu   sync.Mutex
+	pend []byte      // enqueued frames not yet written
+	hdrs []byte      // writeFrames' encoded headers
+	vecs [][]byte    // writeFrames' header and payload slices
+	bufs net.Buffers // vecs as WriteTo consumes it (a field so it is not reallocated per write)
 }
 
-// writeFrame encodes and writes f, returning its framed size.
-func (wc *conn) writeFrame(f Frame) (int, error) {
+// writeFrames writes frames as one vectored write — each header from a
+// reused buffer, each payload in place — behind anything still pending. It
+// returns their framed size.
+func (wc *conn) writeFrames(frames ...Frame) (int, error) {
 	wc.mu.Lock()
 	defer wc.mu.Unlock()
-	wc.buf = AppendFrame(wc.buf[:0], f)
-	return wc.c.Write(wc.buf)
+	if err := wc.flushLocked(); err != nil {
+		return 0, err
+	}
+	return wc.writeLocked(frames...)
+}
+
+func (wc *conn) writeLocked(frames ...Frame) (int, error) {
+	// Grown up front: vecs holds slices of hdrs, which must not move.
+	wc.hdrs = slices.Grow(wc.hdrs[:0], len(frames)*FrameOverhead)
+	wc.vecs = wc.vecs[:0]
+	size := 0
+	for _, f := range frames {
+		start := len(wc.hdrs)
+		wc.hdrs = appendHeader(wc.hdrs, f)
+		wc.vecs = append(wc.vecs, wc.hdrs[start:])
+		if len(f.Payload) > 0 {
+			wc.vecs = append(wc.vecs, f.Payload)
+		}
+		size += FrameSize(len(f.Payload))
+	}
+	wc.bufs = wc.vecs
+	_, err := wc.bufs.WriteTo(wc.c)
+	clear(wc.vecs) // drop the payload references
+	return size, err
+}
+
+// enqueue copies f's encoding into the pending buffer; the caller owes a
+// flush before it next blocks. f.Payload may alias a buffer the caller is
+// about to reuse.
+func (wc *conn) enqueue(f Frame) error {
+	wc.mu.Lock()
+	defer wc.mu.Unlock()
+	if size := FrameSize(len(f.Payload)); len(wc.pend)+size > pendingLimit {
+		if err := wc.flushLocked(); err != nil {
+			return err
+		}
+		if size > pendingLimit {
+			_, err := wc.writeLocked(f)
+			return err
+		}
+	}
+	wc.pend = AppendFrame(wc.pend, f)
+	return nil
+}
+
+// flush writes the pending buffer out, if any.
+func (wc *conn) flush() error {
+	wc.mu.Lock()
+	defer wc.mu.Unlock()
+	return wc.flushLocked()
+}
+
+func (wc *conn) flushLocked() error {
+	if len(wc.pend) == 0 {
+		return nil
+	}
+	_, err := wc.c.Write(wc.pend)
+	wc.pend = wc.pend[:0]
+	return err
 }
 
 func dialRetry(path string, timeout time.Duration) (net.Conn, error) {
@@ -100,6 +168,12 @@ func dialRetry(path string, timeout time.Duration) (net.Conn, error) {
 // every data frame originating from those ranks, and it forwards each to
 // the destination shard's owner (itself included), which delivers the
 // frame back to the parent.
+//
+// One goroutine serves each inbound connection. It enqueues routed frames
+// on their target connections and flushes every target as soon as its own
+// input holds no further complete frame — never on a timer, never holding a
+// frame across a blocking read — so however many frames one read brought in
+// leave in one write per target.
 type workerState struct {
 	index   int
 	workers int
@@ -117,14 +191,8 @@ type workerState struct {
 	framesRouted atomic.Uint64
 }
 
-func runWorker(dir string, index, workers int) error {
-	l, err := net.Listen("unix", SocketPath(dir, index))
-	if err != nil {
-		return err
-	}
-	defer l.Close()
-
-	w := &workerState{
+func newWorkerState(index, workers int) *workerState {
+	return &workerState{
 		index:     index,
 		workers:   workers,
 		peers:     make([]*conn, workers),
@@ -132,6 +200,16 @@ func runWorker(dir string, index, workers int) error {
 		done:      make(chan struct{}),
 		result:    make(chan error, 1),
 	}
+}
+
+func runWorker(dir string, index, workers int) error {
+	l, err := net.Listen("unix", SocketPath(dir, index))
+	if err != nil {
+		return err
+	}
+	defer l.Close()
+
+	w := newWorkerState(index, workers)
 	go w.acceptLoop(l)
 
 	// Dial every other worker's socket (our outbound routing channels),
@@ -145,7 +223,7 @@ func runWorker(dir string, index, workers int) error {
 			return fmt.Errorf("dial peer %d: %w", j, err)
 		}
 		pc := &conn{c: c}
-		if _, err := pc.writeFrame(Frame{Op: OpHello, Src: uint16(index)}); err != nil {
+		if _, err := pc.writeFrames(Frame{Op: OpHello, Src: uint16(index)}); err != nil {
 			return fmt.Errorf("hello to peer %d: %w", j, err)
 		}
 		w.mu.Lock()
@@ -161,7 +239,7 @@ func runWorker(dir string, index, workers int) error {
 	case <-time.After(dialTimeout):
 		return errors.New("parent connection never arrived")
 	}
-	if _, err := w.parent.writeFrame(Frame{Op: OpReady, Src: uint16(index)}); err != nil {
+	if _, err := w.parent.writeFrames(Frame{Op: OpReady, Src: uint16(index)}); err != nil {
 		return fmt.Errorf("ready ack: %w", err)
 	}
 	return <-w.result
@@ -192,42 +270,54 @@ func (w *workerState) acceptLoop(l net.Listener) {
 // handleConn identifies a freshly accepted connection by its hello frame
 // and runs the matching reader loop.
 func (w *workerState) handleConn(c net.Conn) {
-	br := bufio.NewReaderSize(c, readChunk)
-	hello, err := ReadFrame(br)
+	fr := newFrameReader(c)
+	hello, err := fr.next()
 	if err != nil || hello.Op != OpHello {
 		c.Close()
 		return
 	}
 	if hello.Src == ParentID {
-		pc := &conn{c: c}
 		w.mu.Lock()
-		w.parent = pc
+		dup := w.parent != nil
+		if !dup {
+			w.parent = &conn{c: c}
+		}
 		w.mu.Unlock()
+		if dup {
+			// There is one parent: a second claim is a protocol error, and
+			// the connection making it is dropped.
+			c.Close()
+			return
+		}
 		close(w.parentSet)
-		w.parentLoop(br)
+		w.parentLoop(fr)
 		return
 	}
 	// Inbound peer connection: frames another worker routed to us for
 	// delivery. Wait for the parent connection — it is the only place
 	// these frames can go.
 	<-w.parentSet
+	w.peerLoop(fr)
+}
+
+// peerLoop delivers the frames one peer routed here to the parent.
+func (w *workerState) peerLoop(fr *frameReader) {
 	for {
-		f, err := ReadFrame(br)
+		f, err := fr.next()
 		if err != nil {
 			// A peer closing its outbound connection is how shutdown
 			// looks from here; a mid-run crash surfaces in the parent as
 			// a dead worker process, so it is not reported again.
 			return
 		}
-		if f.Op != OpData {
-			continue
+		if f.Op == OpData {
+			w.bytesRead.Add(uint64(FrameSize(len(f.Payload))))
+			err = w.forward(w.parent, f)
 		}
-		w.bytesRead.Add(uint64(FrameSize(len(f.Payload))))
-		// Counted before the write: once the parent has the run's last frame
-		// it may send OpShutdown, and parentLoop answers with these counters
-		// from another goroutine.
-		w.bytesWritten.Add(uint64(FrameSize(len(f.Payload))))
-		if _, err := w.parent.writeFrame(f); err != nil {
+		if err == nil && !fr.buffered() {
+			err = w.parent.flush()
+		}
+		if err != nil {
 			w.fail(fmt.Errorf("deliver to parent: %w", err))
 			return
 		}
@@ -235,11 +325,11 @@ func (w *workerState) handleConn(c net.Conn) {
 }
 
 // parentLoop services the parent connection: data frames are routed to
-// their destination shard, OpShutdown answers with OpStats and ends the
-// worker.
-func (w *workerState) parentLoop(br *bufio.Reader) {
+// their destination shard, OpShutdown flushes every target, answers with
+// OpStats and ends the worker.
+func (w *workerState) parentLoop(fr *frameReader) {
 	for {
-		f, err := ReadFrame(br)
+		f, err := fr.next()
 		if err != nil {
 			w.fail(fmt.Errorf("parent read: %w", err))
 			return
@@ -248,22 +338,27 @@ func (w *workerState) parentLoop(br *bufio.Reader) {
 		case OpData:
 			w.bytesRead.Add(uint64(FrameSize(len(f.Payload))))
 			w.framesRouted.Add(1)
-			if err := w.route(f); err != nil {
-				w.fail(err)
-				return
-			}
+			err = w.route(f)
 		case OpShutdown:
 			close(w.done)
-			stats := Stats{
-				BytesRead:    w.bytesRead.Load(),
-				BytesWritten: w.bytesWritten.Load(),
-				FramesRouted: w.framesRouted.Load(),
+			if err = w.flushAll(); err == nil {
+				_, err = w.parent.writeFrames(Frame{
+					Op:  OpStats,
+					Src: uint16(w.index),
+					Payload: appendStats(nil, Stats{
+						BytesRead:    w.bytesRead.Load(),
+						BytesWritten: w.bytesWritten.Load(),
+						FramesRouted: w.framesRouted.Load(),
+					}),
+				})
 			}
-			_, err := w.parent.writeFrame(Frame{
-				Op:      OpStats,
-				Src:     uint16(w.index),
-				Payload: appendStats(nil, stats),
-			})
+			w.fail(err)
+			return
+		}
+		if err == nil && !fr.buffered() {
+			err = w.flushAll()
+		}
+		if err != nil {
 			w.fail(err)
 			return
 		}
@@ -272,21 +367,43 @@ func (w *workerState) parentLoop(br *bufio.Reader) {
 
 func (w *workerState) route(f Frame) error {
 	shard := int(f.Dst) % w.workers
-	var target *conn
-	if shard == w.index {
-		target = w.parent
-	} else {
-		w.mu.Lock()
-		target = w.peers[shard]
-		w.mu.Unlock()
-		if target == nil {
-			return fmt.Errorf("no connection to peer %d", shard)
-		}
+	target := w.target(shard)
+	if target == nil {
+		return fmt.Errorf("no connection to peer %d", shard)
 	}
-	n, err := target.writeFrame(f)
-	if err != nil {
+	if err := w.forward(target, f); err != nil {
 		return fmt.Errorf("route to shard %d: %w", shard, err)
 	}
-	w.bytesWritten.Add(uint64(n))
+	return nil
+}
+
+// forward enqueues f on target. The frame is counted first: once the parent
+// holds the run's last frame it may send OpShutdown, and parentLoop answers
+// with these counters from another goroutine.
+func (w *workerState) forward(target *conn, f Frame) error {
+	w.bytesWritten.Add(uint64(FrameSize(len(f.Payload))))
+	return target.enqueue(f)
+}
+
+// target is where frames for shard go: the parent for our own shard, else
+// the outbound connection to its owner (nil while it is not dialed yet).
+func (w *workerState) target(shard int) *conn {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if shard == w.index {
+		return w.parent
+	}
+	return w.peers[shard]
+}
+
+// flushAll flushes every target this worker writes data frames to.
+func (w *workerState) flushAll() error {
+	for shard := 0; shard < w.workers; shard++ {
+		if pc := w.target(shard); pc != nil {
+			if err := pc.flush(); err != nil {
+				return fmt.Errorf("flush to shard %d: %w", shard, err)
+			}
+		}
+	}
 	return nil
 }
