@@ -7,7 +7,9 @@ package graph
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
 
 	"repro/internal/tensor"
 )
@@ -194,9 +196,9 @@ func (g *CSR) SpMM(out, x *tensor.Matrix) {
 		panic(fmt.Sprintf("graph: SpMM shape mismatch graph %dx%d, x %dx%d, out %dx%d",
 			g.N, g.Cols, x.Rows, x.Cols, out.Rows, out.Cols))
 	}
-	// Small graphs skip the closure entirely: one passed to parallelOver
-	// always heap-escapes (the go statement leaks it), even when run inline.
-	if g.N < 2*parallelMinChunk {
+	// The sequential path skips the closure entirely: one passed to
+	// parallelOver always heap-escapes (the go statement leaks it).
+	if !parallelizable(g.N) {
 		g.spMMRange(out, x, 0, g.N)
 		return
 	}
@@ -215,10 +217,7 @@ func (g *CSR) spMMRange(out, x *tensor.Matrix, lo, hi int) {
 			if g.Weights != nil {
 				w = g.Weights[p]
 			}
-			src := x.Row(int(g.ColIdx[p]))
-			for j, v := range src {
-				orow[j] += w * v
-			}
+			tensor.Axpy(orow, x.Row(int(g.ColIdx[p])), w)
 		}
 	}
 }
@@ -240,42 +239,33 @@ func (g *CSR) SpMMT(out, y *tensor.Matrix) {
 			if g.Weights != nil {
 				w = g.Weights[p]
 			}
-			dst := out.Row(int(g.ColIdx[p]))
-			for j, v := range yrow {
-				dst[j] += w * v
-			}
+			tensor.Axpy(out.Row(int(g.ColIdx[p])), yrow, w)
 		}
 	}
 }
 
-// parallelOver splits [0, n) across goroutines (same contract as
-// tensor.parallelRows; duplicated to avoid exporting it from tensor).
-const parallelMinChunk = 256
+// parallelizable reports whether parallelOver would fan out over n rows:
+// below two chunks of 256 rows the goroutine spawn costs more than the rows
+// it splits.
+func parallelizable(n int) bool {
+	return runtime.GOMAXPROCS(0) > 1 && n >= 512
+}
 
+// parallelOver runs fn over [0, n) split into one contiguous chunk per
+// GOMAXPROCS worker. fn must only touch its own rows, so the split cannot
+// change a result.
 func parallelOver(n int, fn func(lo, hi int)) {
-	const minChunk = parallelMinChunk
-	if n < 2*minChunk {
-		fn(0, n)
-		return
-	}
-	workers := 8
+	workers := runtime.GOMAXPROCS(0)
 	chunk := (n + workers - 1) / workers
-	done := make(chan struct{}, workers)
-	count := 0
+	var wg sync.WaitGroup
 	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		count++
+		wg.Add(1)
 		go func(lo, hi int) {
+			defer wg.Done()
 			fn(lo, hi)
-			done <- struct{}{}
-		}(lo, hi)
+		}(lo, min(lo+chunk, n))
 	}
-	for i := 0; i < count; i++ {
-		<-done
-	}
+	wg.Wait()
 }
 
 // AvgDegree returns the mean out-degree.

@@ -163,6 +163,55 @@ func TestSpMMMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestSparseKernelsMatchNaiveBits holds SpMM and SpMMT to edge-by-edge
+// loops that add each output element's terms in edge order, as float32 bits:
+// every feature width 1–70 (every vector/tail split of tensor.Axpy), with
+// weights and without, and one graph large enough to fan out.
+func TestSparseKernelsMatchNaiveBits(t *testing.T) {
+	rng := tensor.NewRNG(29)
+	mustEqualBits := func(what string, f int, got, want *tensor.Matrix) {
+		t.Helper()
+		for i := range want.Data {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+				t.Fatalf("%s width %d: element %d = %v, naive loop %v", what, f, i, got.Data[i], want.Data[i])
+			}
+		}
+	}
+	for f := 1; f <= 70; f++ {
+		n := 30
+		if f%31 == 0 {
+			n = 700 // past the parallelOver gate
+		}
+		g := randomGraph(rng, n, 5*n)
+		for _, norm := range []Norm{NormSym, NormNone} {
+			g.NormalizeWeights(norm)
+			x := tensor.New(n, f)
+			x.FillUniform(rng, -1, 1)
+
+			got := tensor.New(n, f)
+			got.Fill(float32(math.NaN())) // SpMM overwrites
+			g.SpMM(got, x)
+			mustEqualBits("SpMM", f, got, spMMNaive(g, x))
+
+			want := tensor.New(n, f)
+			for u := 0; u < n; u++ {
+				for p := g.RowPtr[u]; p < g.RowPtr[u+1]; p++ {
+					w := float32(1)
+					if g.Weights != nil {
+						w = g.Weights[p]
+					}
+					for j := 0; j < f; j++ {
+						want.Data[int(g.ColIdx[p])*f+j] += w * x.At(u, j)
+					}
+				}
+			}
+			got.Fill(float32(math.NaN())) // SpMMT zeroes first
+			g.SpMMT(got, x)
+			mustEqualBits("SpMMT", f, got, want)
+		}
+	}
+}
+
 // TestSpMMTIsTranspose: for any graph A and matrices x, y:
 // ⟨A·x, y⟩ == ⟨x, Aᵀ·y⟩ — the adjoint property the backward pass relies on.
 func TestSpMMTIsTranspose(t *testing.T) {

@@ -62,6 +62,49 @@ var rowShapes = []struct {
 		}
 		h[0] = float32(math.NaN())
 	}},
+	// The next four aim at the vector rounder: one special value inside an
+	// otherwise ordinary chunk of a wide row sends that chunk, and only that
+	// chunk, to the scalar kernel.
+	{"nan-mid-chunk", func(h []float32, rng *tensor.RNG) {
+		for i := range h {
+			h[i] = rng.Float32()*6 - 3
+		}
+		h[len(h)/2] = float32(math.NaN())
+	}},
+	{"inf-mid-chunk", func(h []float32, rng *tensor.RNG) {
+		for i := range h {
+			h[i] = rng.Float32()*6 - 3
+		}
+		h[len(h)/2] = float32(math.Inf(1 - 2*rng.Intn(2)))
+	}},
+	{"overflowed-inverse", func(h []float32, rng *tensor.RNG) {
+		// A range of at most three denormal steps: 1/scale is +Inf.
+		for i := range h {
+			h[i] = math.Float32frombits(uint32(rng.Intn(4)))
+		}
+	}},
+	{"minimum-mid-chunk", func(h []float32, rng *tensor.RNG) {
+		for i := range h {
+			h[i] = rng.Float32()*4 - 1.5
+		}
+		mn, _ := tensor.MinMax(h)
+		for i := 3; i < len(h); i += 5 + rng.Intn(7) {
+			h[i] = mn // draws nothing, neighbours do
+		}
+	}},
+}
+
+// eachKernel runs fn with the rounder chosen at init and, where that is the
+// vector one, again with only the scalar kernel; name tells failures apart.
+func eachKernel(fn func(name string)) {
+	if !useVector {
+		fn("scalar")
+		return
+	}
+	defer func() { useVector = true }()
+	fn("vector")
+	useVector = false
+	fn("scalar")
 }
 
 // fillReLUSparse fills h like a post-ReLU activation row: about half the
@@ -74,40 +117,43 @@ func fillReLUSparse(h []float32, rng *tensor.RNG) {
 	}
 }
 
-// checkRowMatchesReference quantizes h with the production kernel and the
+// checkRowMatchesReference quantizes h with each production kernel and the
 // frozen oracle from identical generator states and demands equal bytes,
 // equal meta bits and an equal generator end state, then holds the decoder
 // to its oracle on the produced bytes.
 func checkRowMatchesReference(t *testing.T, h []float32, b BitWidth, seed uint64) {
 	t.Helper()
-	packed := b.PackedSize(len(h))
-	got := bytes.Repeat([]byte{0xA5}, packed)
-	want := bytes.Repeat([]byte{0x5A}, packed)
-	rng, ref := tensor.NewRNG(seed), tensor.NewRNG(seed)
-	// A cached Box-Muller half must survive the call untouched.
-	rng.NormFloat64()
-	ref.NormFloat64()
+	eachKernel(func(kernel string) {
+		t.Helper()
+		packed := b.PackedSize(len(h))
+		got := bytes.Repeat([]byte{0xA5}, packed)
+		want := bytes.Repeat([]byte{0x5A}, packed)
+		rng, ref := tensor.NewRNG(seed), tensor.NewRNG(seed)
+		// A cached Box-Muller half must survive the call untouched.
+		rng.NormFloat64()
+		ref.NormFloat64()
 
-	gm := QuantizeRow(h, b, got, rng)
-	wm := refQuantizeRow(h, b, want, ref)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("B%d len %d: packed bytes differ\n got  %x\n want %x", b, len(h), got, want)
-	}
-	if math.Float32bits(gm.Zero) != math.Float32bits(wm.Zero) || math.Float32bits(gm.Scale) != math.Float32bits(wm.Scale) {
-		t.Fatalf("B%d len %d: meta %+v, want %+v", b, len(h), gm, wm)
-	}
-	if rng.State() != ref.State() {
-		t.Fatalf("B%d len %d: generator state diverged from the reference", b, len(h))
-	}
-
-	out, refOut := make([]float32, len(h)), make([]float32, len(h))
-	DequantizeRow(got, gm, b, out)
-	refDequantizeRow(want, wm, b, refOut)
-	for i := range out {
-		if math.Float32bits(out[i]) != math.Float32bits(refOut[i]) {
-			t.Fatalf("B%d len %d: decoded[%d] = %v, reference %v", b, len(h), i, out[i], refOut[i])
+		gm := QuantizeRow(h, b, got, rng)
+		wm := refQuantizeRow(h, b, want, ref)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s B%d len %d: packed bytes differ\n got  %x\n want %x", kernel, b, len(h), got, want)
 		}
-	}
+		if math.Float32bits(gm.Zero) != math.Float32bits(wm.Zero) || math.Float32bits(gm.Scale) != math.Float32bits(wm.Scale) {
+			t.Fatalf("%s B%d len %d: meta %+v, want %+v", kernel, b, len(h), gm, wm)
+		}
+		if rng.State() != ref.State() {
+			t.Fatalf("%s B%d len %d: generator state diverged from the reference", kernel, b, len(h))
+		}
+
+		out, refOut := make([]float32, len(h)), make([]float32, len(h))
+		DequantizeRow(got, gm, b, out)
+		refDequantizeRow(want, wm, b, refOut)
+		for i := range out {
+			if math.Float32bits(out[i]) != math.Float32bits(refOut[i]) {
+				t.Fatalf("%s B%d len %d: decoded[%d] = %v, reference %v", kernel, b, len(h), i, out[i], refOut[i])
+			}
+		}
+	})
 }
 
 // TestQuantizeRowMatchesReference sweeps every width over lengths that hit
@@ -147,6 +193,28 @@ func FuzzQuantizeRowMatchesReference(f *testing.F) {
 	f.Add(seedRow(1e-44, 0, 3e-45, 1e-40), uint8(1), uint64(2))
 	f.Add(seedRow(float32(math.NaN()), 1, float32(math.Inf(1))), uint8(2), uint64(3))
 	f.Add(seedRow(-math.MaxFloat32, math.MaxFloat32, 0), uint8(2), uint64(4))
+	// Rows wide enough for the vector rounder, each with one of the values
+	// it must hand to the scalar kernel or treat as drawing nothing.
+	wide := func(special ...float32) []byte {
+		vals := make([]float32, 100)
+		rng := tensor.NewRNG(uint64(len(special)))
+		for i := range vals {
+			vals[i] = rng.Float32()*2 - 1
+		}
+		for i, v := range special {
+			vals[20+9*i] = v
+		}
+		return seedRow(vals...)
+	}
+	f.Add(wide(), uint8(0), uint64(5))
+	f.Add(wide(float32(math.NaN())), uint8(1), uint64(6))
+	f.Add(wide(float32(math.Inf(1)), float32(math.Inf(-1))), uint8(2), uint64(7))
+	f.Add(wide(-1, -1, -1, -1, -1, -1), uint8(0), uint64(8)) // the row minimum, repeated mid-chunk
+	tiny := make([]float32, 72)
+	for i := range tiny {
+		tiny[i] = math.Float32frombits(uint32(i % 3)) // 1/scale overflows
+	}
+	f.Add(seedRow(tiny...), uint8(1), uint64(9))
 	f.Fuzz(func(t *testing.T, raw []byte, width uint8, seed uint64) {
 		n := len(raw) / 4
 		if n == 0 || n > 700 {
@@ -164,30 +232,36 @@ func FuzzQuantizeRowMatchesReference(f *testing.F) {
 // per-row oracle loop: same bytes, same generator end state, with and
 // without an index list.
 func TestAppendEncodersMatchReference(t *testing.T) {
-	x := tensor.New(23, 37)
-	fillReLUSparse(x.Data, tensor.NewRNG(5))
-	idx := []int32{22, 0, 7, 7, 13, 1}
-	for _, b := range Candidates {
-		for _, rows := range [][]int32{nil, idx} {
-			rng, ref := tensor.NewRNG(9), tensor.NewRNG(9)
-			got := AppendQuantizedRows([]byte{0xEE}, x, rows, b, rng)
-			want := []byte{0xEE}
-			n := x.Rows
-			if rows != nil {
-				n = len(rows)
-			}
-			for i := 0; i < n; i++ {
-				r := i
-				if rows != nil {
-					r = int(rows[i])
-				}
-				want = refAppendRow(want, x.Row(r), b, ref)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("B%d idx=%v: AppendQuantizedRows differs from the reference stream", b, rows != nil)
-			}
-			if rng.State() != ref.State() {
-				t.Fatalf("B%d idx=%v: generator state diverged", b, rows != nil)
+	// 37 columns is one vector group of 32 and a scalar tail; 100 is a full
+	// chunk, a 32-group and a tail.
+	for _, cols := range []int{37, 100} {
+		x := tensor.New(23, cols)
+		fillReLUSparse(x.Data, tensor.NewRNG(5))
+		idx := []int32{22, 0, 7, 7, 13, 1}
+		for _, b := range Candidates {
+			for _, rows := range [][]int32{nil, idx} {
+				eachKernel(func(kernel string) {
+					rng, ref := tensor.NewRNG(9), tensor.NewRNG(9)
+					got := AppendQuantizedRows([]byte{0xEE}, x, rows, b, rng)
+					want := []byte{0xEE}
+					n := x.Rows
+					if rows != nil {
+						n = len(rows)
+					}
+					for i := 0; i < n; i++ {
+						r := i
+						if rows != nil {
+							r = int(rows[i])
+						}
+						want = refAppendRow(want, x.Row(r), b, ref)
+					}
+					if !bytes.Equal(got, want) {
+						t.Fatalf("%s B%d cols %d idx=%v: AppendQuantizedRows differs from the reference stream", kernel, b, cols, rows != nil)
+					}
+					if rng.State() != ref.State() {
+						t.Fatalf("%s B%d cols %d idx=%v: generator state diverged", kernel, b, cols, rows != nil)
+					}
+				})
 			}
 		}
 	}

@@ -179,9 +179,57 @@ func quantizeRow(h []float32, rg RowRange, b BitWidth, dst []byte, g *gen) RowMe
 // every width's codes-per-byte, so only a row's last chunk ends mid-byte.
 const codeChunk = 64
 
+// useVector is decided once, at init; the tests clear it to run the scalar
+// kernel on the same host.
+var useVector = hasAVX2()
+
 // round stochastically rounds (h[i]-mn)*inv to a code in [0, maxCode] for
-// every element, one generator step per element that draws.
+// every element, one generator step per element that draws. The longest
+// multiple-of-8 prefix goes through the vector kernel when it can take it;
+// the rest, or everything, through the scalar one. Both draw for the same
+// elements in the same order.
 func (g *gen) round(codes []uint8, h []float32, mn, inv float32, maxCode, roundUp uint32) {
+	if n8 := len(h) &^ 7; n8 != 0 && useVector && roundUp != 0 &&
+		g.roundVector(codes[:n8], h[:n8], mn, inv, maxCode) {
+		codes, h = codes[n8:], h[n8:]
+	}
+	g.roundScalar(codes, h, mn, inv, maxCode, roundUp)
+}
+
+// roundVector is round for a multiple of 8 elements (at most codeChunk) of a
+// row whose 1/scale did not overflow. AVX2 finds the elements that draw, the
+// generator steps once for each of them in element order, and AVX2 turns
+// t and the draws into codes. It reports false, having drawn nothing, when
+// some t is NaN or outside [0, 2^24): the scalar kernel must round those.
+func (g *gen) roundVector(codes []uint8, h []float32, mn, inv float32, maxCode uint32) bool {
+	mask, ok := roundMaskAVX2(h, mn, inv)
+	if !ok {
+		return false
+	}
+	// An element that does not draw has t = ±0: its fraction is ±0, and the
+	// zero left in its slot is not below that.
+	var draws [codeChunk]uint32
+	s0, s1, s2, s3 := g.s0, g.s1, g.s2, g.s3
+	for ; mask != 0; mask &= mask - 1 {
+		// One xoshiro256** step — tensor.RNG.Float32's, as in roundScalar.
+		r := bits.RotateLeft64(s1*5, 7) * 9
+		x := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= x
+		s3 = bits.RotateLeft64(s3, 45)
+		draws[bits.TrailingZeros64(mask)] = uint32(r >> 40)
+	}
+	g.s0, g.s1, g.s2, g.s3 = s0, s1, s2, s3
+	roundFinishAVX2(codes, h, &draws, mn, inv, maxCode)
+	return true
+}
+
+// roundScalar is round one element at a time: the portable kernel, and the
+// one every input the vector kernel declines falls back to.
+func (g *gen) roundScalar(codes []uint8, h []float32, mn, inv float32, maxCode, roundUp uint32) {
 	s0, s1, s2, s3 := g.s0, g.s1, g.s2, g.s3
 	codes = codes[:len(h)]
 	for i, v := range h {

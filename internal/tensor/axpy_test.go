@@ -1,0 +1,271 @@
+package tensor
+
+import (
+	"encoding/binary"
+	"math"
+	"testing"
+)
+
+// The tests below hold the assembly Axpy to the portable loop, and the
+// kernels built on it to naive loops, as float32 BITS: the per-element
+// operation order is the contract, so "close" is a failure. The one freedom
+// is which NaN: when two operands of a multiply or add are NaN, x86 returns
+// the first, and which comes first in compiled Go code is the register
+// allocator's choice (it differs under -race), so a NaN equals any NaN.
+
+// axpySpecials are the float32 bit patterns arithmetic treats specially:
+// quiet and signalling NaNs with distinct payloads and signs, infinities,
+// signed zeros, the denormal range's ends, the normal range's ends, and
+// values whose product or sum rounds.
+var axpySpecials = []uint32{
+	0x7FC00000, 0xFFC00000, 0x7FC00001, 0xFFC12345, 0x7F800001, 0xFFBFFFFF,
+	0x7F800000, 0xFF800000, 0x00000000, 0x80000000,
+	0x00000001, 0x807FFFFF, 0x00800000, 0x7F7FFFFF, 0xFF7FFFFF,
+	0x3F800000, 0xBF800000, 0x3F800800, 0x33800000, 0x4B800000,
+}
+
+// fillAxpy fills v with random values, about one in four of them special.
+func fillAxpy(rng *RNG, v []float32) {
+	for i := range v {
+		if rng.Intn(4) == 0 {
+			v[i] = math.Float32frombits(axpySpecials[rng.Intn(len(axpySpecials))])
+		} else {
+			v[i] = rng.Float32()*8 - 4
+		}
+	}
+}
+
+// portableFuses is whether the compiler turned axpyGo's multiply and add
+// into one fused operation (GOAMD64=v3, arm64, ...). The assembly never
+// fuses, so on such a build the two legitimately differ: (1+2⁻¹²)² rounds to
+// 1+2⁻¹¹ and the sum below is 0, while a fused multiply-add keeps the 2⁻²⁴.
+var portableFuses = func() bool {
+	x := math.Float32frombits(0x3F800800)
+	dst := []float32{-math.Float32frombits(0x3F801000)}
+	axpyGo(dst, []float32{x}, x)
+	return dst[0] != 0
+}()
+
+func skipIfPortableFuses(t testing.TB) {
+	t.Helper()
+	if portableFuses {
+		t.Skip("this build fuses multiply-adds in Go code; the assembly is unfused by contract")
+	}
+}
+
+// sameBits reports whether a and b are the same float32 value bit for bit,
+// or both NaN.
+func sameBits(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || a != a && b != b
+}
+
+// checkAxpyMatchesPortable runs Axpy and axpyGo on copies of dst and demands
+// equal bits.
+func checkAxpyMatchesPortable(t testing.TB, dst, src []float32, alpha float32) {
+	t.Helper()
+	got := append([]float32(nil), dst...)
+	want := append([]float32(nil), dst...)
+	Axpy(got, src, alpha)
+	axpyGo(want, src[:len(dst)], alpha)
+	for i := range got {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("len %d alpha %#08x: [%d] = %#08x, portable %#08x (dst %#08x src %#08x)",
+				len(dst), math.Float32bits(alpha), i, math.Float32bits(got[i]), math.Float32bits(want[i]),
+				math.Float32bits(dst[i]), math.Float32bits(src[i]))
+		}
+	}
+}
+
+func TestAxpyMatchesPortable(t *testing.T) {
+	skipIfPortableFuses(t)
+	if !useAVX2 {
+		t.Log("no AVX2 on this host: Axpy is the portable loop")
+	}
+	rng := NewRNG(3)
+	alphas := []float32{0, 1, -1, 0.37, -2.5e-3}
+	for _, u := range axpySpecials {
+		alphas = append(alphas, math.Float32frombits(u))
+	}
+	dbuf, sbuf := make([]float32, 160), make([]float32, 160)
+	for n := 0; n <= 130; n++ {
+		for trial, alpha := range alphas {
+			// Unaligned starts: dst and src begin at different element
+			// offsets of their backing arrays.
+			doff, soff := trial%10, (trial*7+n)%10
+			dst, src := dbuf[doff:doff+n], sbuf[soff:soff+n]
+			fillAxpy(rng, dst)
+			fillAxpy(rng, src)
+			checkAxpyMatchesPortable(t, dst, src, alpha)
+		}
+	}
+	// Every special against every special, in all three positions, inside a
+	// vector lane and in the scalar tail.
+	for _, a := range axpySpecials {
+		for _, d := range axpySpecials {
+			dst, src := make([]float32, 13), make([]float32, 13)
+			for i := range dst {
+				dst[i] = math.Float32frombits(d)
+				src[i] = math.Float32frombits(axpySpecials[i%len(axpySpecials)])
+			}
+			checkAxpyMatchesPortable(t, dst, src, math.Float32frombits(a))
+			for i := range src {
+				src[i] = math.Float32frombits(axpySpecials[(i+7)%len(axpySpecials)])
+			}
+			checkAxpyMatchesPortable(t, dst, src, math.Float32frombits(a))
+		}
+	}
+}
+
+// TestAxpyStaysInsideSlice runs the kernel on sub-slices at every element
+// offset 0–9 of a sentinel-filled buffer: nothing outside dst may move, src
+// is read-only, and a longer src changes nothing.
+func TestAxpyStaysInsideSlice(t *testing.T) {
+	const sentinel = 0xDEADBEEF
+	lengths := []int{0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 39, 40, 41, 47, 63, 64, 65, 100, 130}
+	buf, sbuf := make([]float32, 160), make([]float32, 160)
+	for off := 0; off <= 9; off++ {
+		for _, n := range lengths {
+			for i := range buf {
+				buf[i] = math.Float32frombits(sentinel)
+				sbuf[i] = float32(i) + 0.5
+			}
+			dst := buf[off : off+n : off+n]
+			for i := range dst {
+				dst[i] = 1
+			}
+			Axpy(dst, sbuf[9-off:], 2) // src longer than dst
+			for i, v := range buf {
+				inside := i >= off && i < off+n
+				switch {
+				case !inside && math.Float32bits(v) != sentinel:
+					t.Fatalf("off %d len %d: buf[%d] outside the slice changed to %#08x", off, n, i, math.Float32bits(v))
+				case inside && v != 1+2*(float32(i-off+9-off)+0.5):
+					t.Fatalf("off %d len %d: dst[%d] = %v", off, n, i-off, v)
+				}
+			}
+			for i, v := range sbuf {
+				if v != float32(i)+0.5 {
+					t.Fatalf("off %d len %d: src[%d] was written", off, n, i)
+				}
+			}
+		}
+	}
+}
+
+func TestAxpyShortSrcPanics(t *testing.T) {
+	for _, n := range []int{3, 40} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Axpy with len(dst) %d and a shorter src did not panic", n)
+				}
+			}()
+			Axpy(make([]float32, n), make([]float32, n-1), 1)
+		}()
+	}
+}
+
+// FuzzAxpyMatchesPortable reinterprets raw bytes as dst and src so the
+// fuzzer reaches bit patterns and lengths the table does not name.
+func FuzzAxpyMatchesPortable(f *testing.F) {
+	f.Add([]byte{0, 0, 128, 63, 0, 0, 192, 127}, uint32(0x3F800000), uint8(0), uint8(0))
+	f.Add(make([]byte, 8*33), uint32(0x7FC00001), uint8(3), uint8(5))
+	f.Add(make([]byte, 8*9), uint32(0xFF800000), uint8(9), uint8(1))
+	f.Fuzz(func(t *testing.T, raw []byte, alphaBits uint32, doff, soff uint8) {
+		skipIfPortableFuses(t)
+		n := len(raw) / 8
+		if n > 1024 {
+			return
+		}
+		d, s := int(doff%10), int(soff%10)
+		dst, src := make([]float32, d+n)[d:], make([]float32, s+n)[s:]
+		for i := range dst {
+			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+			src[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*(n+i):]))
+		}
+		checkAxpyMatchesPortable(t, dst, src, math.Float32frombits(alphaBits))
+	})
+}
+
+// sparsify zeroes about a third of m so the kernels' av == 0 skips run.
+func sparsify(rng *RNG, m *Matrix) {
+	for i := range m.Data {
+		if rng.Intn(3) == 0 {
+			m.Data[i] = 0
+		}
+	}
+}
+
+func mustEqualBits(t *testing.T, what string, got, want *Matrix) {
+	t.Helper()
+	for i := range want.Data {
+		if !sameBits(got.Data[i], want.Data[i]) {
+			t.Fatalf("%s %dx%d: element %d = %v (%#08x), naive loop %v (%#08x)", what, want.Rows, want.Cols, i,
+				got.Data[i], math.Float32bits(got.Data[i]), want.Data[i], math.Float32bits(want.Data[i]))
+		}
+	}
+}
+
+// TestDenseKernelsMatchNaiveBits: MatMulInto and TMatMulInto against a
+// triple loop that adds the k products of one output element in k order,
+// for every output width 1–70 (every vector/tail split) and for a row count
+// that fans out across goroutines.
+func TestDenseKernelsMatchNaiveBits(t *testing.T) {
+	skipIfPortableFuses(t)
+	rng := NewRNG(17)
+	for n := 1; n <= 70; n++ {
+		rows := 5
+		if n%23 == 0 {
+			rows = 300 // past the parallelRows gate
+		}
+		k := 1 + n%13
+		a, b := randomMatrix(rng, rows, k), randomMatrix(rng, k, n)
+		sparsify(rng, a)
+		want := New(rows, n)
+		for i := 0; i < rows; i++ {
+			for j := 0; j < n; j++ {
+				var s float32
+				for kk := 0; kk < k; kk++ {
+					if av := a.At(i, kk); av != 0 {
+						s += av * b.At(kk, j)
+					}
+				}
+				want.Set(i, j, s)
+			}
+		}
+		got := New(rows, n)
+		got.Fill(float32(math.NaN())) // Into overwrites
+		MatMulInto(got, a, b)
+		mustEqualBits(t, "MatMulInto", got, want)
+
+		// aᵀ×b with a k×rows: the same sums, reached through tMatMulRange.
+		at := a.Transpose()
+		got.Fill(float32(math.NaN()))
+		TMatMulInto(got, at, b)
+		mustEqualBits(t, "TMatMulInto", got, want)
+	}
+}
+
+func TestMatrixAXPYAndScatterAddBits(t *testing.T) {
+	skipIfPortableFuses(t)
+	rng := NewRNG(23)
+	for _, cols := range []int{1, 7, 8, 33, 64, 70} {
+		m, o := randomMatrix(rng, 6, cols), randomMatrix(rng, 6, cols)
+		want := m.Clone()
+		for i, v := range o.Data {
+			want.Data[i] += -0.75 * v
+		}
+		m.AXPY(-0.75, o)
+		mustEqualBits(t, "AXPY", m, want)
+
+		idx := []int{4, 0, 4, 2, 5, 0}
+		want = m.Clone()
+		for i, r := range idx {
+			for j, v := range o.Row(i) {
+				want.Data[r*cols+j] += v
+			}
+		}
+		m.ScatterAddRows(idx, o)
+		mustEqualBits(t, "ScatterAddRows", m, want)
+	}
+}

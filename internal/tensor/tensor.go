@@ -1,11 +1,24 @@
-// Package tensor provides dense float32 matrices and the parallel numeric
-// kernels used throughout the AdaQP reproduction: blocked GEMM, transposed
-// GEMM variants, elementwise maps, row reductions and deterministic random
+// Package tensor provides dense float32 matrices and the numeric kernels
+// used throughout the AdaQP reproduction: GEMM and its two transposed
+// variants, elementwise maps, row reductions and deterministic random
 // initialization.
 //
-// All matrices are row-major. Kernels split work across goroutines by row
-// blocks; results are bit-for-bit deterministic for a fixed GOMAXPROCS-free
-// partitioning because each goroutine writes a disjoint row range.
+// All matrices are row-major. The large kernels split work across goroutines
+// by output rows; each goroutine writes a disjoint row range, so a result
+// does not depend on GOMAXPROCS or on how the rows were split.
+//
+// The order of operations on each output element is part of the API: an
+// element of a × b is 0 plus its k products added one at a time in ascending
+// k, every product rounded to float32 before it is added (no fused
+// multiply-add). Fixed-seed losses, wire bytes and the golden files are
+// functions of that order. Axpy is the loop under MatMul, TMatMul, AXPY,
+// ScatterAddRows and graph's SpMM/SpMMT (MatMulT is one scalar dot product
+// per element). On amd64 with AVX2 it is assembly that vectorises across the
+// output index and keeps multiply and add apart for exactly this reason;
+// everywhere else it is the Go loop the assembly is tested against. A
+// compiler that fuses float32 multiply-adds in Go code (arm64, GOAMD64=v3)
+// rounds differently, which is why internal/core/testdata/codec_golden.txt
+// is checked on amd64 only and was generated with GOAMD64=v1.
 package tensor
 
 import (
@@ -157,13 +170,32 @@ func matMulRange(out, a, b *Matrix, lo, hi int) {
 				continue
 			}
 			brow := b.Data[k*n : (k+1)*n]
-			axpy(orow, brow, av)
+			Axpy(orow, brow, av)
 		}
 	}
 }
 
-// axpy computes dst += alpha * src with 4-way unrolling.
-func axpy(dst, src []float32, alpha float32) {
+// Axpy computes dst[i] += alpha*src[i] for every i < len(dst): one float32
+// multiply, then one float32 add, per element, never fused. src must be at
+// least as long as dst (it panics otherwise) and must not overlap it at a
+// different offset. Every axpy-shaped loop of the dense and sparse kernels
+// runs through here; the AVX2 path and the portable loop produce the same
+// bits for every input (a NaN result is a NaN in both; its payload is no
+// more specified than it is for compiled Go code).
+func Axpy(dst, src []float32, alpha float32) {
+	src = src[:len(dst)]
+	if useAVX2 && len(dst) >= 8 {
+		axpyAVX2(dst, src, alpha)
+		return
+	}
+	axpyGo(dst, src, alpha)
+}
+
+// useAVX2 is decided once, at init.
+var useAVX2 = hasAVX2()
+
+// axpyGo is the portable Axpy and the oracle the assembly is held to.
+func axpyGo(dst, src []float32, alpha float32) {
 	n := len(dst)
 	i := 0
 	for ; i+4 <= n; i += 4 {
@@ -241,7 +273,7 @@ func tMatMulRange(out, a, b *Matrix, lo, hi int) {
 		brow := b.Data[k*b.Cols : (k+1)*b.Cols]
 		for i := lo; i < hi; i++ {
 			if av := arow[i]; av != 0 {
-				axpy(out.Data[i*b.Cols:(i+1)*b.Cols], brow, av)
+				Axpy(out.Data[i*b.Cols:(i+1)*b.Cols], brow, av)
 			}
 		}
 	}
@@ -322,7 +354,7 @@ func (m *Matrix) Scale(alpha float32) {
 // AXPY computes m += alpha * o.
 func (m *Matrix) AXPY(alpha float32, o *Matrix) {
 	mustSameShape("AXPY", m, o)
-	axpy(m.Data, o.Data, alpha)
+	Axpy(m.Data, o.Data, alpha)
 }
 
 // Hadamard returns the elementwise product a ⊙ b.
@@ -384,7 +416,7 @@ func (m *Matrix) ScatterAddRows(idx []int, src *Matrix) {
 		panic("tensor: ScatterAddRows shape mismatch")
 	}
 	for i, r := range idx {
-		axpy(m.Row(r), src.Row(i), 1)
+		Axpy(m.Row(r), src.Row(i), 1)
 	}
 }
 
