@@ -265,8 +265,7 @@ type device struct {
 	rank int
 	seq  int // next collective sequence number
 	rng  *tensor.RNG
-	sums []float32 // AllReduceSum reduction scratch
-	out  []parcel  // sendPeers' post scratch
+	out  []parcel // sendPeers' post scratch
 }
 
 func (d *device) Rank() int                { return d.rank }
@@ -448,32 +447,37 @@ func (d *device) RingAll2All(payloads [][]byte) [][]byte {
 	return received
 }
 
-// AllReduceSum sums matrices elementwise across devices (ring-allreduce
-// time model). Every device ships its matrices as raw float32 bits and
-// reduces the contributions in rank order, its own at its rank — the same
-// float additions as the reference, so the result is bit-identical, and
-// the poster may keep mutating its matrices while stragglers still read.
+// AllReduceSum sums matrices elementwise across devices and charges the
+// ring all-reduce of the time model, whatever moves underneath. What moves is
+// a reduce at rank 0 and a broadcast back, 2(N−1) parcels: every peer ships
+// its matrices to rank 0 as raw float32 bits, rank 0 adds them to its own in
+// rank order — the same float additions as the reference, so the result is
+// bit-identical — and ships the sums to every peer. Both directions are
+// serialized copies, so a device may keep mutating its matrices while a
+// straggler has yet to read.
 func (d *device) AllReduceSum(ms []*tensor.Matrix) {
 	e := d.e
-	blob := appendMats(ms)
 	seq := d.next(true)
-	d.sendPeers(seq, d.replicate(blob))
+	if d.rank != 0 {
+		d.send(parcel{frameKey{seq, d.rank, 0}, appendMats(ms)})
+	}
 	d.post(seq, opAllReduce, nil)
 	d.rendezvous(seq)
-	elems := (len(blob) - 4 - 8*len(ms)) / 4
-	if cap(d.sums) < elems {
-		d.sums = make([]float32, elems)
-	}
-	sums := d.sums[:elems]
-	for src, b := range d.recvPeers(seq, blob) {
-		if err := addMats(sums, b, ms, src == 0); err != nil {
-			e.fail(fmt.Errorf("core: allreduce decode from rank %d: %w", src, err))
+	if d.rank == 0 {
+		for src := 1; src < e.n; src++ {
+			if err := readMats(ms, d.recv(seq, src), true); err != nil {
+				e.fail(fmt.Errorf("core: allreduce: rank 0 decoding rank %d's matrices: %w", src, err))
+			}
 		}
+		d.sendPeers(seq, d.replicate(appendMats(ms)))
+	} else if err := readMats(ms, d.recv(seq, 0), false); err != nil {
+		e.fail(fmt.Errorf("core: allreduce: rank %d decoding rank 0's sums: %w", d.rank, err))
 	}
-	d.Clock().Advance(timing.Comm, cluster.AllReduceTime(e.model, e.n, d.rank, 4*elems))
+	bytes := 0
 	for _, m := range ms {
-		sums = sums[copy(m.Data, sums):]
+		bytes += 4 * len(m.Data)
 	}
+	d.Clock().Advance(timing.Comm, cluster.AllReduceTime(e.model, e.n, d.rank, bytes))
 	d.complete()
 }
 
@@ -664,15 +668,16 @@ func appendMats(ms []*tensor.Matrix) []byte {
 	return b
 }
 
-// addMats accumulates an appendMats stream into acc (or overwrites acc when
-// first), element by element in stream order, validating the stream against
-// the matrices it must be shaped like.
-func addMats(acc []float32, b []byte, like []*tensor.Matrix, first bool) error {
-	if len(b) < 4 || int(binary.LittleEndian.Uint32(b)) != len(like) {
-		return fmt.Errorf("matrix stream does not hold %d matrices", len(like))
+// readMats decodes an appendMats stream into ms — added to what they hold,
+// or overwriting it — element by element in stream order. The stream must be
+// shaped exactly like ms; a matrix is only touched once its header and length
+// have been checked.
+func readMats(ms []*tensor.Matrix, b []byte, add bool) error {
+	if len(b) < 4 || int(binary.LittleEndian.Uint32(b)) != len(ms) {
+		return fmt.Errorf("matrix stream does not hold %d matrices", len(ms))
 	}
 	b = b[4:]
-	for i, m := range like {
+	for i, m := range ms {
 		n := len(m.Data)
 		if len(b) < 8+4*n ||
 			int(binary.LittleEndian.Uint32(b)) != m.Rows || int(binary.LittleEndian.Uint32(b[4:])) != m.Cols {
@@ -680,13 +685,13 @@ func addMats(acc []float32, b []byte, like []*tensor.Matrix, first bool) error {
 		}
 		for j, data := 0, b[8:]; j < n; j++ {
 			v := math.Float32frombits(binary.LittleEndian.Uint32(data[4*j:]))
-			if first {
-				acc[j] = v
+			if add {
+				m.Data[j] += v
 			} else {
-				acc[j] += v
+				m.Data[j] = v
 			}
 		}
-		acc, b = acc[n:], b[8+4*n:]
+		b = b[8+4*n:]
 	}
 	if len(b) != 0 {
 		return fmt.Errorf("matrix stream has %d trailing bytes", len(b))

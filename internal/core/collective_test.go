@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	goruntime "runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/tensor"
 	"repro/internal/timing"
 )
 
@@ -81,6 +85,9 @@ func TestRunErrorPropagationAndReuse(t *testing.T) {
 			dev.StartBroadcast(0, payload).Wait()
 		}},
 		{"on the root of a scatter", parts - 1, func(dev Transport) { dev.ScatterBytes(parts-1, nil) }},
+		// The peers' blobs are already on their way to rank 0; the next Run
+		// reuses their sequence number and must not find them.
+		{"on the reducing rank of an all-reduce", 0, func(dev Transport) { dev.AllReduceSum(cancellingMats(dev.Rank())) }},
 	}
 	for _, name := range TransportNames() {
 		f, err := LookupTransport(name)
@@ -150,14 +157,215 @@ func TestRunErrorPropagationAndReuse(t *testing.T) {
 						t.Errorf("reuse run %d left %d coordination records and %d undelivered payloads behind — pruning did not restart with the Run", round, len(e.colls), len(e.inbox))
 					}
 				}
-				deadline := time.Now().Add(5 * time.Second)
-				for goruntime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-					time.Sleep(10 * time.Millisecond)
-				}
-				if n := goruntime.NumGoroutine(); n > baseline {
-					t.Errorf("%d goroutines after Run, %d before: Run leaked", n, baseline)
-				}
+				expectNoNewGoroutines(t, baseline)
 			})
+		}
+	}
+	// Between an all-reduce's two phases: rank 0 has reduced and charged, its
+	// sums never arrive, and its body fails. Every peer is past the
+	// rendezvous, waiting for a parcel — and is unwound all the same.
+	t.Run("engine/between the two phases of an all-reduce", func(t *testing.T) {
+		baseline := goruntime.NumGoroutine()
+		var lossy atomic.Bool // the wire loses everything rank 0 sends
+		lossy.Store(true)
+		rt := newEngine(TransportSpec{Parts: parts, Model: dyadicModel()}, 2, 0, &tappedDelivery{tap: func(post []parcel) []parcel {
+			if lossy.Load() && len(post) > 0 && post[0].src == 0 {
+				return nil
+			}
+			return post
+		}})
+		var ran atomic.Int32
+		err := runWithin(t, rt, func(dev Transport) error {
+			dev.AllReduceSum(cancellingMats(dev.Rank()))
+			if dev.Rank() == 0 {
+				return boom
+			}
+			ran.Add(1)
+			return nil
+		})
+		if !errors.Is(err, boom) || ran.Load() != 0 {
+			t.Fatalf("Run returned %v and %d peers left the all-reduce without rank 0's sums; want rank 0's error and none", err, ran.Load())
+		}
+		lossy.Store(false)
+		if err := runWithin(t, rt, func(dev Transport) error {
+			defer ran.Add(1)
+			return reuseScript(dev)
+		}); err != nil || ran.Load() != parts {
+			t.Fatalf("reuse run: %v, %d of %d bodies ran", err, ran.Load(), parts)
+		}
+		if len(rt.colls) != 0 || len(rt.inbox) != 0 {
+			t.Errorf("reuse run left %d coordination records and %d undelivered payloads behind", len(rt.colls), len(rt.inbox))
+		}
+		expectNoNewGoroutines(t, baseline)
+	})
+}
+
+// expectNoNewGoroutines gives exiting goroutines a moment, then demands the
+// count is back at baseline.
+func expectNoNewGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for goruntime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := goruntime.NumGoroutine(); n > baseline {
+		t.Errorf("%d goroutines after Run, %d before: Run leaked", n, baseline)
+	}
+}
+
+// tappedDelivery is the pointer delivery with the test on the wire: tap sees
+// every post and returns what travels on — the same post, fewer parcels, or
+// altered copies.
+type tappedDelivery struct {
+	pointerDelivery
+	tap func(post []parcel) []parcel
+}
+
+func (t *tappedDelivery) send(post []parcel) error {
+	return t.pointerDelivery.send(t.tap(post))
+}
+
+// cancellingMats is rank's contribution to an all-reduce whose float32 sum
+// depends on the order of the additions: 1e8 and −1e8 cancel only if nothing
+// small was absorbed in between, so every association of the ranks gives
+// different bits.
+func cancellingMats(rank int) []*tensor.Matrix {
+	terms := []float32{1e8, 1, -1e8, 3e-3, 16777216, 0.5, -16777217, 1e-8}
+	a, b := tensor.New(3, 5), tensor.New(1, 7)
+	for i := range a.Data {
+		a.Data[i] = terms[(rank+i)%len(terms)]
+	}
+	for i := range b.Data {
+		b.Data[i] = terms[(3*rank+i+2)%len(terms)] * float32(i+1)
+	}
+	return []*tensor.Matrix{a, b}
+}
+
+// TestAllReduceMovesTwoBlobsPerPeer: an all-reduce is a reduce at rank 0 and
+// a broadcast back — 2(N−1) parcels of one serialized blob each, not one from
+// every device to every other.
+func TestAllReduceMovesTwoBlobsPerPeer(t *testing.T) {
+	const rounds = 3
+	blob := int64(len(appendMats(cancellingMats(0))))
+	for _, n := range []int{2, 3, 8} {
+		var parcels, wireBytes atomic.Int64
+		rt := newEngine(TransportSpec{Parts: n}, 2, 0, &tappedDelivery{tap: func(post []parcel) []parcel {
+			for _, p := range post {
+				parcels.Add(1)
+				wireBytes.Add(int64(len(p.payload)))
+			}
+			return post
+		}})
+		if err := runWithin(t, rt, func(dev Transport) error {
+			for i := 0; i < rounds; i++ {
+				dev.AllReduceSum(cancellingMats(dev.Rank()))
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		want := int64(2 * (n - 1))
+		if got := parcels.Load(); got != rounds*want {
+			t.Errorf("N=%d: %d parcels per all-reduce, want 2(N−1) = %d", n, got/rounds, want)
+		}
+		if got := wireBytes.Load(); got != rounds*want*blob {
+			t.Errorf("N=%d: %d bytes per all-reduce, want 2(N−1)·%d = %d", n, got/rounds, blob, want*blob)
+		}
+	}
+}
+
+// TestAllReduceMatchesReferenceBits: on inputs whose sum depends on the order
+// of the additions, with devices arriving at different simulated times, every
+// engine-backed transport — and the engine over a delivery that hands rank
+// 0's sums over late and out of order — ends with the reference cluster's
+// bits on every device and the reference's clocks.
+func TestAllReduceMatchesReferenceBits(t *testing.T) {
+	const parts = 5
+	run := func(name string, rt Runtime) ([][]float32, []*timing.Clock) {
+		sums := make([][]float32, parts)
+		if err := runWithin(t, rt, func(dev Transport) error {
+			for round := 0; round < 2; round++ {
+				dev.Clock().Advance(timing.Comp, timing.Seconds(1+(dev.Rank()+round)%3)/8)
+				ms := cancellingMats(dev.Rank() + round)
+				dev.AllReduceSum(ms)
+				for _, m := range ms {
+					sums[dev.Rank()] = append(sums[dev.Rank()], m.Data...)
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return sums, rt.Clocks()
+	}
+	spec := TransportSpec{Parts: parts, Workers: 2, Model: dyadicModel()}
+	reference, err := LookupTransport(TransportInprocess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantClocks := run(TransportInprocess, reference(spec))
+	runtimes := map[string]Runtime{
+		TransportShardedAsync:               newShardedRuntime(spec),
+		TransportProcSharded:                newProcRuntime(spec),
+		"engine over a reordering delivery": newEngine(spec, 2, 0, &reorderDelivery{}),
+	}
+	for name, rt := range runtimes {
+		got, clocks := run(name, rt)
+		for r := range want {
+			for i := range want[r] {
+				if math.Float32bits(got[r][i]) != math.Float32bits(want[r][i]) {
+					t.Errorf("%s: rank %d element %d = %v (%#08x), reference %v (%#08x)", name, r, i,
+						got[r][i], math.Float32bits(got[r][i]), want[r][i], math.Float32bits(want[r][i]))
+					break
+				}
+			}
+			if g, w := clocks[r], wantClocks[r]; g.Now() != w.Now() || fmt.Sprint(g.Breakdown()) != fmt.Sprint(w.Breakdown()) {
+				t.Errorf("%s: rank %d clock %v %v, reference %v %v", name, r, g.Now(), g.Breakdown(), w.Now(), w.Breakdown())
+			}
+		}
+	}
+	// The inputs do what they are for: another association, other bits.
+	reversed := cancellingMats(parts - 1)
+	for r := parts - 2; r >= 0; r-- {
+		for i, m := range cancellingMats(r) {
+			reversed[i].AddInPlace(m)
+		}
+	}
+	firstRound := want[0][:len(reversed[0].Data)+len(reversed[1].Data)]
+	if fmt.Sprint(append(append([]float32(nil), reversed[0].Data...), reversed[1].Data...)) == fmt.Sprint(firstRound) {
+		t.Error("the inputs sum to the same bits in reverse rank order; they do not test the order")
+	}
+}
+
+// TestAllReduceCorruptBlobFailsTheRun: a damaged blob on its way into rank 0
+// and a damaged sum on its way out each fail the run with an error naming the
+// decoding rank and the rank whose bytes they were, and strand nobody.
+func TestAllReduceCorruptBlobFailsTheRun(t *testing.T) {
+	const parts = 4
+	for _, tc := range []struct {
+		src, dst int
+		want     string
+	}{
+		{2, 0, "rank 0 decoding rank 2's matrices"},
+		{0, 3, "rank 3 decoding rank 0's sums"},
+	} {
+		// One bad link: the payload from src to dst arrives a byte short.
+		rt := newEngine(TransportSpec{Parts: parts}, 2, 0, &tappedDelivery{tap: func(post []parcel) []parcel {
+			post = append([]parcel(nil), post...)
+			for i, p := range post {
+				if p.src == tc.src && p.dst == tc.dst {
+					post[i].payload = p.payload[:len(p.payload)-1]
+				}
+			}
+			return post
+		}})
+		err := runWithin(t, rt, func(dev Transport) error {
+			dev.AllReduceSum(cancellingMats(dev.Rank()))
+			dev.Barrier()
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("corrupt blob %d→%d: Run returned %v, want an error saying %q", tc.src, tc.dst, err, tc.want)
 		}
 	}
 }

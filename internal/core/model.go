@@ -91,8 +91,9 @@ func (l *gnnLayer) forward(lg *partition.LocalGraph, xFull *tensor.Matrix, rng *
 // backward consumes the gradient of this layer's output over local rows and
 // returns the gradient w.r.t. xFull (halo rows included; they are the
 // "embedding gradients"/errors to ship back to their owners). When
-// needInput is false (layer 0) the expensive input-gradient computation is
-// skipped and nil is returned; weight gradients are always accumulated.
+// needInput is false (layer 0) nothing reads that gradient, so neither half
+// of it is computed — not the dense dz·Wᵀ, not the transposed aggregation —
+// and nil is returned; weight gradients are always accumulated.
 func (l *gnnLayer) backward(lg *partition.LocalGraph, dout *tensor.Matrix, needInput bool) *tensor.Matrix {
 	dz := dout
 	if !l.last {
@@ -100,10 +101,11 @@ func (l *gnnLayer) backward(lg *partition.LocalGraph, dout *tensor.Matrix, needI
 		dz = l.relu.Backward(dz)
 		dz = l.ln.Backward(dz)
 	}
-	dLinIn := l.lin.Backward(dz)
 	if !needInput {
+		l.lin.BackwardParams(dz)
 		return nil
 	}
+	dLinIn := l.lin.Backward(dz)
 	if l.dxFull == nil {
 		l.dxFull = tensor.New(lg.NumLocal+lg.NumHalo, l.inDim)
 	}

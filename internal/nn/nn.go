@@ -116,10 +116,21 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	return y
 }
 
-// Backward accumulates dW, db and returns dx.
+// Backward accumulates dW and db like BackwardParams and returns
+// dx = dy·Wᵀ, the gradient with respect to the saved input.
 func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
+	l.BackwardParams(dy)
+	l.dx = ensure(l.dx, dy.Rows, l.W.Value.Rows)
+	tensor.MatMulTInto(l.dx, dy, l.W.Value)
+	return l.dx
+}
+
+// BackwardParams accumulates dW and db and stops there: the backward of a
+// layer whose input needs no gradient (the model's first), which so never
+// computes, nor holds scratch for, its rows × in input gradient.
+func (l *Linear) BackwardParams(dy *tensor.Matrix) {
 	if l.x == nil {
-		panic("nn: Linear.Backward before Forward")
+		panic("nn: Linear backward before Forward")
 	}
 	// dW is computed into scratch then accumulated, keeping the float
 	// addition order of the two-step TMatMul + AddInPlace formulation.
@@ -133,9 +144,6 @@ func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 			brow[j] += row[j]
 		}
 	}
-	l.dx = ensure(l.dx, dy.Rows, l.W.Value.Rows)
-	tensor.MatMulTInto(l.dx, dy, l.W.Value)
-	return l.dx
 }
 
 // ensure returns m if it already has the wanted shape, else a fresh

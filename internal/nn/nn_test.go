@@ -82,6 +82,59 @@ func TestLinearGradCheck(t *testing.T) {
 	}
 }
 
+// TestLinearBackwardParamsMatchesBackward: the parameter-only backward
+// leaves W.Grad and B.Grad exactly as Backward does — float32 bits, across two
+// accumulating calls, on ordinary inputs and on inputs salted with zeros,
+// infinities, denormals and NaNs (a NaN equals any NaN: which payload survives
+// an addition of two is the register allocator's choice) — and never
+// materialises the input gradient.
+func TestLinearBackwardParamsMatchesBackward(t *testing.T) {
+	specials := []float32{
+		0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, math.MaxFloat32, 1 + 1.0/4096,
+	}
+	rng := tensor.NewRNG(11)
+	for trial := 0; trial < 12; trial++ {
+		rows, in, out := 1+rng.Intn(40), 1+rng.Intn(20), 1+rng.Intn(20)
+		if trial == 0 {
+			rows, in = 300, 260 // past the kernels' goroutine gate
+		}
+		full, params := NewLinear("t", in, out, tensor.NewRNG(5)), NewLinear("t", in, out, tensor.NewRNG(5))
+		for call := 0; call < 2; call++ {
+			x, dy := tensor.New(rows, in), tensor.New(rows, out)
+			x.FillUniform(rng, -2, 2)
+			dy.FillUniform(rng, -2, 2)
+			if trial%2 == 1 {
+				for _, m := range []*tensor.Matrix{x, dy} {
+					for i := range m.Data {
+						if rng.Intn(5) == 0 {
+							m.Data[i] = specials[rng.Intn(len(specials))]
+						}
+					}
+				}
+			}
+			full.Forward(x)
+			params.Forward(x)
+			if dx := full.Backward(dy); dx.Rows != rows || dx.Cols != in {
+				t.Fatalf("Backward returned a %dx%d input gradient for a %dx%d input", dx.Rows, dx.Cols, rows, in)
+			}
+			params.BackwardParams(dy)
+		}
+		if params.dx != nil {
+			t.Fatalf("trial %d: BackwardParams left a %dx%d input gradient behind", trial, params.dx.Rows, params.dx.Cols)
+		}
+		for i, p := range params.Params() {
+			want := full.Params()[i].Grad.Data
+			for j, got := range p.Grad.Data {
+				if math.Float32bits(got) != math.Float32bits(want[j]) && !(got != got && want[j] != want[j]) {
+					t.Fatalf("trial %d (%dx%d→%d): %s grad[%d] = %v (%#08x), Backward's %v (%#08x)", trial, rows, in, out,
+						p.Name, j, got, math.Float32bits(got), want[j], math.Float32bits(want[j]))
+				}
+			}
+		}
+	}
+}
+
 func TestReLU(t *testing.T) {
 	r := &ReLU{}
 	y := r.Forward(tensor.FromSlice(1, 4, []float32{-1, 0, 2, -3}))

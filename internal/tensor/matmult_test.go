@@ -1,0 +1,200 @@
+package tensor
+
+import (
+	"encoding/binary"
+	"math"
+	"testing"
+)
+
+// The tests below hold MatMulTInto to a triple loop over dot — the portable
+// path and the contract — as float32 bits, under the rules of axpy_test.go:
+// "close" is a failure and a NaN equals any NaN.
+
+// offsetMatrix returns a rows×cols matrix that starts off elements into its
+// backing array, so rows begin at addresses no vector width divides.
+func offsetMatrix(rows, cols, off int) *Matrix {
+	return FromSlice(rows, cols, make([]float32, off+rows*cols)[off:])
+}
+
+// checkMatMulTMatchesDot demands out = a × bᵀ element for element as dot
+// computes it, starting from an out full of NaNs (Into overwrites).
+func checkMatMulTMatchesDot(t testing.TB, out, a, b *Matrix) {
+	t.Helper()
+	out.Fill(float32(math.NaN()))
+	MatMulTInto(out, a, b)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Rows; j++ {
+			if got, want := out.At(i, j), dot(a.Row(i), b.Row(j)); !sameBits(got, want) {
+				t.Fatalf("%dx%d × (%dx%d)ᵀ: element (%d,%d) = %v (%#08x), dot %v (%#08x)", a.Rows, a.Cols, b.Rows, b.Cols,
+					i, j, got, math.Float32bits(got), want, math.Float32bits(want))
+			}
+		}
+	}
+}
+
+func TestMatMulTMatchesDot(t *testing.T) {
+	skipIfPortableFuses(t)
+	if !useAVX2 {
+		t.Log("no AVX2 on this host: MatMulT is dot")
+	}
+	rng := NewRNG(29)
+	// Every inner length 0–23 (whole groups of four and every tail) against
+	// every output width 1–78 (below one vector, every 32/8/scalar split).
+	for k := 0; k <= 23; k++ {
+		for n := 1; n <= 78; n++ {
+			rows := 1 + (k+n)%3
+			if k == 9 && n%31 == 0 {
+				rows = 300 // past the parallelRows gate
+			}
+			a, b := offsetMatrix(rows, k, n%10), offsetMatrix(n, k, k%10)
+			if (k+n)%2 == 0 {
+				fillAxpy(rng, a.Data)
+				fillAxpy(rng, b.Data)
+			} else {
+				a.FillUniform(rng, -2, 2)
+				b.FillUniform(rng, -2, 2)
+			}
+			checkMatMulTMatchesDot(t, offsetMatrix(rows, n, (k*3+n)%10), a, b)
+		}
+	}
+}
+
+// TestMatMulTSpecials puts one special value in every k position of a sum
+// that is otherwise ordinary, and fills whole operands with each special:
+// signed zeros (a sum of −0 products is +0, because s starts at +0),
+// infinities of both signs meeting in one group, denormal products, NaNs.
+func TestMatMulTSpecials(t *testing.T) {
+	skipIfPortableFuses(t)
+	rng := NewRNG(31)
+	const rows, k, n = 2, 11, 19 // two groups of four and a tail of three; two vectors and a scalar tail
+	out := New(rows, n)
+	for _, u := range axpySpecials {
+		special := math.Float32frombits(u)
+		for pos := 0; pos < k; pos++ {
+			a, b := randomMatrix(rng, rows, k), randomMatrix(rng, n, k)
+			for i := 0; i < rows; i++ {
+				a.Set(i, pos, special)
+			}
+			checkMatMulTMatchesDot(t, out, a, b)
+			for j := 0; j < n; j++ {
+				b.Set(j, (pos+j)%k, -special)
+			}
+			checkMatMulTMatchesDot(t, out, a, b)
+		}
+		for _, v := range axpySpecials {
+			a, b := New(rows, k), New(n, k)
+			a.Fill(special)
+			b.Fill(math.Float32frombits(v))
+			checkMatMulTMatchesDot(t, out, a, b)
+		}
+	}
+	a, b := New(rows, k), New(n, k)
+	a.Fill(float32(math.Copysign(0, -1)))
+	b.Fill(1)
+	MatMulTInto(out, a, b)
+	for i, v := range out.Data {
+		if math.Float32bits(v) != 0 {
+			t.Fatalf("sum of negative-zero products: element %d = %#08x, want +0", i, math.Float32bits(v))
+		}
+	}
+}
+
+// TestMatMulTStaysInsideSlices runs the kernel on matrices at every element
+// offset 0–9 of sentinel-filled buffers: nothing outside out may move, every
+// element of out is written, and a and b are read-only.
+func TestMatMulTStaysInsideSlices(t *testing.T) {
+	const sentinel = 0xDEADBEEF
+	fill := func(buf []float32) {
+		for i := range buf {
+			buf[i] = math.Float32frombits(sentinel)
+		}
+	}
+	shapes := [][3]int{{1, 1, 8}, {3, 4, 8}, {2, 5, 9}, {3, 7, 31}, {2, 8, 32}, {3, 3, 33}, {1, 6, 40}, {2, 9, 47}, {2, 4, 64}, {1, 13, 78}}
+	for off := 0; off <= 9; off++ {
+		for _, sh := range shapes {
+			rows, k, n := sh[0], sh[1], sh[2]
+			obuf := make([]float32, rows*n+20)
+			abuf, bbuf := make([]float32, rows*k+20), make([]float32, n*k+20)
+			fill(obuf)
+			fill(abuf)
+			fill(bbuf)
+			out := FromSlice(rows, n, obuf[off:off+rows*n:off+rows*n])
+			a := FromSlice(rows, k, abuf[9-off:9-off+rows*k])
+			b := FromSlice(n, k, bbuf[off:off+n*k])
+			for i := range a.Data {
+				a.Data[i] = float32(i%7) - 3
+			}
+			for i := range b.Data {
+				b.Data[i] = float32(i%5) + 0.5
+			}
+			aWant, bWant := append([]float32(nil), abuf...), append([]float32(nil), bbuf...)
+			MatMulTInto(out, a, b)
+			for i, v := range obuf {
+				inside := i >= off && i < off+rows*n
+				switch {
+				case !inside && math.Float32bits(v) != sentinel:
+					t.Fatalf("off %d shape %v: out buffer[%d] outside the matrix changed to %#08x", off, sh, i, math.Float32bits(v))
+				case inside && v != dot(a.Row((i-off)/n), b.Row((i-off)%n)):
+					t.Fatalf("off %d shape %v: out[%d] = %v", off, sh, i-off, v)
+				}
+			}
+			for i := range abuf {
+				if !sameBits(abuf[i], aWant[i]) {
+					t.Fatalf("off %d shape %v: a's buffer[%d] was written", off, sh, i)
+				}
+			}
+			for i := range bbuf {
+				if !sameBits(bbuf[i], bWant[i]) {
+					t.Fatalf("off %d shape %v: b's buffer[%d] was written", off, sh, i)
+				}
+			}
+		}
+	}
+}
+
+// TestMatMulTSteadyStateAllocs: the transposed copy of b comes from a pool,
+// so a warmed MatMulTInto below the goroutine gate does not allocate.
+func TestMatMulTSteadyStateAllocs(t *testing.T) {
+	rng := NewRNG(37)
+	a, b, out := randomMatrix(rng, 12, 16), randomMatrix(rng, 27, 16), New(12, 27)
+	MatMulTInto(out, a, b)
+	if avg := testing.AllocsPerRun(50, func() { MatMulTInto(out, a, b) }); avg != 0 && !raceEnabled {
+		t.Errorf("MatMulTInto allocates %.1f times per call, want 0", avg)
+	}
+}
+
+// FuzzMatMulTMatchesDot reinterprets raw bytes as a and b so the fuzzer
+// reaches bit patterns and shapes the tables do not name.
+func FuzzMatMulTMatchesDot(f *testing.F) {
+	f.Add(make([]byte, 4*(2*5+9*5)), uint8(5), uint8(9), uint8(0))
+	f.Add([]byte{0, 0, 128, 63, 0, 0, 192, 127, 0, 0, 128, 255, 1, 0, 0, 0}, uint8(1), uint8(3), uint8(7))
+	f.Add(make([]byte, 4*(3*23+40*23)), uint8(23), uint8(40), uint8(3))
+	// Ordinary values, whose sums round differently under any other
+	// association: two rows of a against 35 rows of b, eleven wide.
+	rng := NewRNG(41)
+	ordinary := make([]byte, 0, 4*(2+35)*11)
+	for i := 0; i < cap(ordinary)/4; i++ {
+		ordinary = binary.LittleEndian.AppendUint32(ordinary, math.Float32bits(rng.Float32()*4-2))
+	}
+	f.Add(ordinary, uint8(11), uint8(34), uint8(0))
+	f.Fuzz(func(t *testing.T, raw []byte, kk, nn, off uint8) {
+		skipIfPortableFuses(t)
+		k, n := int(kk%40), 1+int(nn%80)
+		// raw holds b (n rows of k), then as many rows of a as are left.
+		rows := 0
+		if k > 0 {
+			rows = (len(raw)/4 - n*k) / k
+		}
+		if rows < 1 || rows > 64 {
+			return
+		}
+		a, b := offsetMatrix(rows, k, int(off%10)), offsetMatrix(n, k, int(off/10%10))
+		for i := range b.Data {
+			b.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		for i := range a.Data {
+			a.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*(n*k+i):]))
+		}
+		checkMatMulTMatchesDot(t, offsetMatrix(rows, n, int(off%7)), a, b)
+	})
+}

@@ -12,13 +12,16 @@
 // k, every product rounded to float32 before it is added (no fused
 // multiply-add). Fixed-seed losses, wire bytes and the golden files are
 // functions of that order. Axpy is the loop under MatMul, TMatMul, AXPY,
-// ScatterAddRows and graph's SpMM/SpMMT (MatMulT is one scalar dot product
-// per element). On amd64 with AVX2 it is assembly that vectorises across the
-// output index and keeps multiply and add apart for exactly this reason;
-// everywhere else it is the Go loop the assembly is tested against. A
-// compiler that fuses float32 multiply-adds in Go code (arm64, GOAMD64=v3)
-// rounds differently, which is why internal/core/testdata/codec_golden.txt
-// is checked on amd64 only and was generated with GOAMD64=v1.
+// ScatterAddRows and graph's SpMM/SpMMT. An element of a × bᵀ is dot's sum
+// instead, and dot's grouping is part of the same contract: 0, plus
+// ((p0+p1)+p2)+p3 for every four k in ascending order, plus the leftover
+// products one at a time. On amd64 with AVX2 both loops are assembly that
+// vectorises across the output index (MatMulT over a transposed copy of b)
+// and keeps multiply and add apart for exactly this reason; everywhere else
+// they are the Go loops the assembly is tested against. A compiler that
+// fuses float32 multiply-adds in Go code (arm64, GOAMD64=v3) rounds
+// differently, which is why internal/core/testdata/codec_golden.txt is
+// checked on amd64 only and was generated with GOAMD64=v1.
 package tensor
 
 import (
@@ -216,7 +219,8 @@ func MatMulT(a, b *Matrix) *Matrix {
 	return out
 }
 
-// MatMulTInto computes out = a × bᵀ, overwriting out.
+// MatMulTInto computes out = a × bᵀ, overwriting out. Every element is
+// dot(row of a, row of b), bit for bit, whichever path computes it.
 func MatMulTInto(out, a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulT inner dim mismatch %dx%d × (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -224,19 +228,64 @@ func MatMulTInto(out, a, b *Matrix) {
 	if out.Rows != a.Rows || out.Cols != b.Rows {
 		panic("tensor: MatMulTInto shape mismatch")
 	}
+	if MatMulTHook != nil {
+		MatMulTHook(a.Rows, a.Cols, b.Rows)
+	}
+	// The vector kernel takes whole groups of eight output columns from a
+	// copy of b transposed once per call; the columns past them, and every
+	// column without AVX2, are dot over b's own rows.
+	vecCols := 0
+	var bt []float32
+	if useAVX2 && b.Rows >= 8 {
+		vecCols = b.Rows &^ 7
+		scratch := transposeCols(b, vecCols)
+		defer transposePool.Put(scratch)
+		bt = *scratch
+	}
 	if !parallelizable(a.Rows) {
-		matMulTRange(out, a, b, 0, a.Rows)
+		matMulTRange(out, a, b, bt, vecCols, 0, a.Rows)
 		return
 	}
-	parallelRows(a.Rows, func(lo, hi int) { matMulTRange(out, a, b, lo, hi) })
+	parallelRows(a.Rows, func(lo, hi int) { matMulTRange(out, a, b, bt, vecCols, lo, hi) })
 }
 
-func matMulTRange(out, a, b *Matrix, lo, hi int) {
-	k := a.Cols
+// MatMulTHook, when non-nil, is called with (rows, inner, cols) of every
+// MatMulTInto. It is a test hook — a census of which products a caller
+// asks for — and nothing outside tests sets it.
+var MatMulTHook func(rows, inner, cols int)
+
+// transposePool keeps MatMulTInto's transposed copies of b between calls.
+var transposePool = sync.Pool{New: func() any { return new([]float32) }}
+
+// transposeCols returns pooled scratch holding the first cols rows of b,
+// transposed: b.Cols rows of cols floats.
+func transposeCols(b *Matrix, cols int) *[]float32 {
+	scratch := transposePool.Get().(*[]float32)
+	need := b.Cols * cols
+	if cap(*scratch) < need {
+		*scratch = make([]float32, need)
+	}
+	bt := (*scratch)[:need]
+	*scratch = bt
+	for j := 0; j < cols; j++ {
+		for k, v := range b.Row(j) {
+			bt[k*cols+j] = v
+		}
+	}
+	return scratch
+}
+
+// matMulTRange fills rows [lo, hi) of out: the first vecCols columns by the
+// vector kernel from bt, the rest by dot.
+func matMulTRange(out, a, b *Matrix, bt []float32, vecCols, lo, hi int) {
+	k, n := a.Cols, b.Rows
 	for i := lo; i < hi; i++ {
 		arow := a.Data[i*k : (i+1)*k]
-		orow := out.Data[i*b.Rows : (i+1)*b.Rows]
-		for j := 0; j < b.Rows; j++ {
+		orow := out.Data[i*n : (i+1)*n]
+		if vecCols > 0 {
+			dotColsAVX2(orow[:vecCols], arow, bt)
+		}
+		for j := vecCols; j < n; j++ {
 			orow[j] = dot(arow, b.Data[j*k:(j+1)*k])
 		}
 	}
@@ -279,6 +328,8 @@ func tMatMulRange(out, a, b *Matrix, lo, hi int) {
 	}
 }
 
+// dot is the portable a·b and the oracle the MatMulT assembly is held to;
+// its grouping of four products is part of the per-element order contract.
 func dot(a, b []float32) float32 {
 	var s float32
 	n := len(a)
