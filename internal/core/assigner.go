@@ -191,35 +191,7 @@ func solveAllProblems(dev Transport, cfg *Config, st *assignState, reports []*tr
 	results := make(chan solved, 2*st.layers)
 	launch := func(layer int, fwd bool) {
 		defer wg.Done()
-		dim := st.dims[layer]
-		var msgs []bitassign.Message
-		for src := 0; src < n; src++ {
-			var ranges [][]float64
-			if fwd {
-				ranges = reports[src].Fwd[layer]
-			} else {
-				ranges = reports[src].Bwd[layer]
-			}
-			for dst := 0; dst < n; dst++ {
-				if src == dst {
-					continue
-				}
-				for j, r2 := range ranges[dst] {
-					beta := float64(dim) * r2 / 6
-					if fwd {
-						// Receiver-side Σα² factor: dst's halo slots fed
-						// by src, wire position j.
-						beta *= reports[dst].RecvAlpha[src][j]
-					}
-					// Backward scatter-adds with unit coefficients (α was
-					// applied on the sender inside the transposed
-					// aggregation), so Σα² = 1 there.
-					msgs = append(msgs, bitassign.Message{
-						Pair: src*n + dst, Slot: j, Dim: dim, Beta: beta,
-					})
-				}
-			}
-		}
+		msgs := problemMessages(reports, layer, fwd, st.dims[layer])
 		prob := bitassign.NewProblem(msgs, cfg.GroupSize, theta, gamma, cfg.Lambda)
 		widths := prob.Solve()
 		// Simulated solver cost: greedy move loop is O(groups² · pairs)
@@ -277,6 +249,52 @@ func solveAllProblems(dev Transport, cfg *Config, st *assignState, reports []*tr
 		}
 	}
 	return out, totalCost
+}
+
+// problemMessages lists one bitassign.Message per traced row of one (layer,
+// direction): pair src→dst, wire position j, β from the traced range²
+// (Theorem 3). The list is sized from the reports' row counts up front: it
+// runs to one entry per boundary row per peer, on every assignment epoch.
+func problemMessages(reports []*traceMsg, layer int, fwd bool, dim int) []bitassign.Message {
+	n := len(reports)
+	ranges := func(src int) [][]float64 {
+		if fwd {
+			return reports[src].Fwd[layer]
+		}
+		return reports[src].Bwd[layer]
+	}
+	total := 0
+	for src := 0; src < n; src++ {
+		for dst, rs := range ranges(src) {
+			if dst != src {
+				total += len(rs)
+			}
+		}
+	}
+	msgs := make([]bitassign.Message, 0, total)
+	for src := 0; src < n; src++ {
+		rs := ranges(src)
+		for dst := 0; dst < n; dst++ {
+			if src == dst {
+				continue
+			}
+			for j, r2 := range rs[dst] {
+				beta := float64(dim) * r2 / 6
+				if fwd {
+					// Receiver-side Σα² factor: dst's halo slots fed
+					// by src, wire position j.
+					beta *= reports[dst].RecvAlpha[src][j]
+				}
+				// Backward scatter-adds with unit coefficients (α was
+				// applied on the sender inside the transposed
+				// aggregation), so Σα² = 1 there.
+				msgs = append(msgs, bitassign.Message{
+					Pair: src*n + dst, Slot: j, Dim: dim, Beta: beta,
+				})
+			}
+		}
+	}
+	return msgs
 }
 
 func emptyWidthGrid(layers, n int) [][][]quant.BitWidth {

@@ -202,6 +202,62 @@ func TestAssignWireRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAssignmentAllocationBound: the assigner's three large buffers — a
+// device's encoded trace, the master's message list per problem and each
+// device's encoded width tables — are sized from the message before they are
+// filled, so each is one allocation exactly as long as what went into it.
+func TestAssignmentAllocationBound(t *testing.T) {
+	dep := deployTiny(t, 3)
+	cfg := DefaultConfig()
+	cfg.Hidden = 16
+	reports := make([]*traceMsg, 3)
+	for r, lg := range dep.Locals {
+		st := newAssignState(&cfg, lg, dep.Dataset.Features.Cols)
+		m := &traceMsg{Rank: r, Fwd: st.fwdRange2, Bwd: st.bwdRange2, RecvAlpha: make([][]float64, 3)}
+		for p := range m.RecvAlpha {
+			m.RecvAlpha[p] = make([]float64, len(lg.RecvFrom[p]))
+		}
+		reports[r] = m
+	}
+	widths := &widthMsg{}
+	for _, cube := range []*[][][]quant.BitWidth{&widths.FwdSend, &widths.FwdRecv, &widths.BwdSend, &widths.BwdRecv} {
+		*cube = emptyWidthGrid(cfg.Layers, 3)
+		for l := range *cube {
+			for d := range (*cube)[l] {
+				(*cube)[l][d] = quant.UniformWidths(len(dep.Locals[0].SendTo[d]), quant.B4)
+			}
+		}
+	}
+
+	rows := 0
+	for _, lg := range dep.Locals {
+		for _, send := range lg.SendTo {
+			rows += len(send)
+		}
+	}
+	if msgs := problemMessages(reports, 1, true, cfg.Hidden); len(msgs) != rows || cap(msgs) != rows {
+		t.Fatalf("problemMessages: len %d cap %d for %d boundary rows", len(msgs), cap(msgs), rows)
+	}
+	if enc := encodeTrace(reports[1]); len(enc) != cap(enc) {
+		t.Fatalf("encodeTrace: %d bytes in a buffer of %d", len(enc), cap(enc))
+	}
+	if enc := encodeWidths(widths); len(enc) != cap(enc) {
+		t.Fatalf("encodeWidths: %d bytes in a buffer of %d", len(enc), cap(enc))
+	}
+	if raceEnabled {
+		return // the race detector instruments the allocator
+	}
+	for what, fn := range map[string]func(){
+		"problemMessages": func() { problemMessages(reports, 1, false, cfg.Hidden) },
+		"encodeTrace":     func() { encodeTrace(reports[1]) },
+		"encodeWidths":    func() { encodeWidths(widths) },
+	} {
+		if avg := testing.AllocsPerRun(20, fn); avg != 1 {
+			t.Errorf("%s allocates %.1f times per call, want 1", what, avg)
+		}
+	}
+}
+
 func TestAdaQPWidthsAdaptAfterAssignment(t *testing.T) {
 	// After one AdaQP run with a mid-range λ, the assignment should not be
 	// the trivial all-8-bit default everywhere: some messages must have

@@ -23,6 +23,9 @@ import (
 //
 // Decoders validate every length against the remaining bytes, so a
 // corrupted stream errors instead of panicking or over-allocating.
+// Encoders size their buffer from the message first (the *Size functions
+// mirror the append* ones), so a payload is one allocation, not a slice
+// grown a doubling at a time on every assignment epoch.
 
 func appendU32(b []byte, v uint32) []byte {
 	return binary.LittleEndian.AppendUint32(b, v)
@@ -34,6 +37,33 @@ func appendF64Slice(b []byte, xs []float64) []byte {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
 	}
 	return b
+}
+
+func f64GridSize(g [][]float64) int {
+	size := 4
+	for _, s := range g {
+		size += 4 + 8*len(s)
+	}
+	return size
+}
+
+func f64CubeSize(c [][][]float64) int {
+	size := 4
+	for _, g := range c {
+		size += f64GridSize(g)
+	}
+	return size
+}
+
+func widthCubeSize(c [][][]quant.BitWidth) int {
+	size := 4
+	for _, g := range c {
+		size += 4
+		for _, ws := range g {
+			size += 4 + len(ws)
+		}
+	}
+	return size
 }
 
 func appendF64Grid(b []byte, g [][]float64) []byte {
@@ -173,7 +203,8 @@ func (r *wireReader) widthCube(what string) [][][]quant.BitWidth {
 }
 
 func encodeTrace(m *traceMsg) []byte {
-	b := appendU32(nil, uint32(m.Rank))
+	b := make([]byte, 0, 4+f64GridSize(m.RecvAlpha)+f64CubeSize(m.Fwd)+f64CubeSize(m.Bwd))
+	b = appendU32(b, uint32(m.Rank))
 	b = appendF64Grid(b, m.RecvAlpha)
 	b = appendF64Cube(b, m.Fwd)
 	return appendF64Cube(b, m.Bwd)
@@ -194,7 +225,8 @@ func decodeTrace(b []byte, m *traceMsg) error {
 }
 
 func encodeWidths(m *widthMsg) []byte {
-	b := appendWidthCube(nil, m.FwdSend)
+	b := make([]byte, 0, widthCubeSize(m.FwdSend)+widthCubeSize(m.FwdRecv)+widthCubeSize(m.BwdSend)+widthCubeSize(m.BwdRecv))
+	b = appendWidthCube(b, m.FwdSend)
 	b = appendWidthCube(b, m.FwdRecv)
 	b = appendWidthCube(b, m.BwdSend)
 	return appendWidthCube(b, m.BwdRecv)

@@ -413,15 +413,19 @@ func (w *worker) forward(epoch int, train bool) (*tensor.Matrix, error) {
 		for l := 0; l < cfg.Layers; l++ {
 			w.xFull[l] = tensor.New(w.lg.NumLocal+w.lg.NumHalo, w.model.layers[l].inDim)
 		}
+		// Layer 0's local rows are the device's features: they never
+		// change and exchanges write halo rows only, so they are copied
+		// here once rather than on every pass.
+		copy(w.xFull[0].Data, h.Data)
 	}
 	for l := 0; l < cfg.Layers; l++ {
 		lay := w.model.layers[l]
-		// Per-layer scratch: local rows are re-copied and every halo row is
-		// rewritten by the exchange, so reuse across epochs (and between
-		// train and eval passes) is safe.
+		// Per-layer scratch: above layer 0 the local rows are re-copied,
+		// and every halo row is rewritten by the exchange, so reuse across
+		// epochs (and between train and eval passes) is safe.
 		xFull := w.xFull[l]
-		for i := 0; i < w.lg.NumLocal; i++ {
-			copy(xFull.Row(i), h.Row(i))
+		if l > 0 {
+			copy(xFull.Data, h.Data)
 		}
 		if !train {
 			if err := w.env.exchange(fpCoder{}, true, true, h, xFull); err != nil {

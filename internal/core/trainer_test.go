@@ -8,7 +8,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/chaos"
+	"repro/internal/cpu"
 	"repro/internal/metrics"
+	"repro/internal/nn"
 	"repro/internal/partition"
 	"repro/internal/quant"
 	"repro/internal/synthetic"
@@ -329,6 +332,136 @@ func TestLayerZeroHoldsNoInputGradient(t *testing.T) {
 			if held != (l > 0) {
 				t.Errorf("%v: layer %d's Linear holds an input gradient: %v, want %v", kind, l, held, l > 0)
 			}
+		}
+	}
+}
+
+// featureWatchCodec counts the layer-0 forward exchanges whose xFull does
+// not hold, in its local rows, exactly the features it is handed next to it.
+type featureWatchCodec struct {
+	MessageCodec
+	seen, stale *atomic.Int64
+}
+
+func (c featureWatchCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.Matrix) error {
+	if l == 0 {
+		c.seen.Add(1)
+		for i, v := range h.Data {
+			if math.Float32bits(xFull.Data[i]) != math.Float32bits(v) {
+				c.stale.Add(1)
+				break
+			}
+		}
+	}
+	return c.MessageCodec.Forward(env, epoch, l, h, xFull)
+}
+
+// TestLayerZeroFeaturesSurviveEveryPass: worker.forward copies the device's
+// features into layer 0's xFull once, when it allocates it. They must still
+// be there at every later training pass — after evaluation passes, which
+// share the block; after a crashed epoch and its rollback; and under
+// pipegcn, which fills halo rows from a cache and receives into scratch.
+func TestLayerZeroFeaturesSurviveEveryPass(t *testing.T) {
+	const parts = 4
+	dep := Deploy(synthetic.MustLoad("tiny", 1), parts, GCN, partition.Block)
+	for _, tc := range []struct {
+		codec  string
+		faults chaos.Spec
+		passes int64 // training passes per device
+	}{
+		{CodecFP32, chaos.Spec{Seed: 5, CrashEpoch: 3, RestartPenalty: 50}, 6 + 1},
+		{CodecPipeGCN, chaos.Spec{}, 6},
+	} {
+		inner, err := LookupCodec(tc.codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seen, stale atomic.Int64
+		cfg := confTrainConfig(tc.codec) // 6 epochs, evaluation every 3
+		cfg.Faults = tc.faults
+		cfg.codecFactory = func(env *CodecEnv) (MessageCodec, error) {
+			c, err := inner(env)
+			return featureWatchCodec{c, &seen, &stale}, err
+		}
+		confTrain(t, dep, cfg)
+		if seen.Load() != parts*tc.passes || stale.Load() != 0 {
+			t.Errorf("%s: %d of %d layer-0 passes (want %d) found xFull's local rows changed", tc.codec, stale.Load(), seen.Load(), parts*tc.passes)
+		}
+	}
+}
+
+// TestEpochBitsWithAndWithoutAVX2 runs products-sim's shapes (100 features,
+// hidden 64, 47 classes, four parts of 400 rows — past tensor's goroutine
+// gate) twice, with the assembly kernels as the host has them and with
+// cpu.AVX2 cleared so that every kernel is its Go loop, and compares as bits:
+// through the trainer, two AdaQP epochs' losses, accuracies and simulated
+// clocks; on one device by hand, a forward and a backward pass's logits,
+// loss, input gradient and every parameter gradient. The per-kernel
+// differential tests say each kernel equals its loop; this says nothing
+// between the kernels depends on which one ran.
+func TestEpochBitsWithAndWithoutAVX2(t *testing.T) {
+	if !cpu.AVX2 {
+		t.Skip("no AVX2 kernels on this host or in this build: both runs would be the Go loops")
+	}
+	ds := synthetic.MustLoad("products-sim", 0.1)
+	dep := Deploy(ds, 4, GCN, partition.Block)
+	epoch := func() (bits []uint64) {
+		add := func(vs ...float64) {
+			for _, v := range vs {
+				bits = append(bits, math.Float64bits(v))
+			}
+		}
+		addMat := func(m *tensor.Matrix) {
+			for _, v := range m.Data {
+				bits = append(bits, uint64(math.Float32bits(v)))
+			}
+		}
+		cfg := DefaultConfig()
+		cfg.Method, cfg.Hidden, cfg.Epochs, cfg.EvalEvery, cfg.ReassignPeriod = AdaQP, 64, 2, 1, 1
+		res, err := TrainDeployed(dep, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range res.Epochs {
+			add(e.Loss, e.ValAcc, float64(e.SimTime))
+		}
+		add(res.FinalTest, float64(res.WallClock))
+
+		lg := dep.Locals[1]
+		ld := shardData(ds, lg)
+		dm := newDeviceModel(&cfg, lg, ds.Features.Cols, ds.NumClasses, timing.Default())
+		rng := tensor.NewRNG(7)
+		h := ld.x
+		for _, lay := range dm.layers {
+			xFull := tensor.New(lg.NumLocal+lg.NumHalo, lay.inDim)
+			xFull.FillUniform(rng, -1, 1) // the halo rows
+			copy(xFull.Data, h.Data)
+			h = lay.forward(lg, xFull, rng, true)
+		}
+		addMat(h)
+		loss, d := nn.SoftmaxCrossEntropyScaled(h, ld.labels, ld.train, 100)
+		add(loss)
+		for l := cfg.Layers - 1; l >= 0; l-- {
+			if dxFull := dm.layers[l].backward(lg, d, l > 0); l > 0 {
+				addMat(dxFull)
+				d = dxFull.RowSlice(0, lg.NumLocal)
+			}
+		}
+		for _, p := range dm.params() {
+			addMat(p.Grad)
+		}
+		return bits
+	}
+	got := epoch()
+	defer func() { cpu.AVX2 = true }()
+	cpu.AVX2 = false
+	want := epoch()
+	if len(got) != len(want) {
+		t.Fatalf("%d values with the assembly, %d with the Go loops", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("value %d of %d: %#x with the assembly, %#x with the Go loops", i, len(want), got[i], want[i])
 		}
 	}
 }

@@ -1,0 +1,81 @@
+// Package kerneltest is the one differential harness behind the tests of the
+// assembly kernels in internal/tensor and internal/quant: a kernel's vector
+// path and the Go loop it stands in for must write the same bits, and
+// nothing else.
+package kerneltest
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/cpu"
+)
+
+// Same reports whether a and b are the same value bit for bit, or both NaN:
+// when two operands of an x86 multiply or add are NaN the result is the
+// first, and which comes first in compiled Go code is the register
+// allocator's choice (it differs under -race), so a NaN equals any NaN.
+func Same[T float32 | uint8](a, b T) bool {
+	return bitsOf(a) == bitsOf(b) || a != a && b != b
+}
+
+// Differential runs kernel twice, as the host would run it and with cpu.AVX2
+// cleared so that the portable Go loop runs, each time on a fresh copy of
+// dst that starts off elements into a sentinel-filled buffer and has no
+// spare capacity. It fails t unless the two results are Same element for
+// element, every sentinel around them is intact, and every readOnly slice —
+// the inputs kernel captures — still holds the bits it started with. On a
+// host without AVX2, and under the noasm tag, both runs are the Go loop.
+func Differential[T float32 | uint8](t testing.TB, what string, dst []T, off int, kernel func(dst []T), readOnly ...[]float32) {
+	t.Helper()
+	const guard = 16
+	var sentinel T
+	switch s := any(&sentinel).(type) {
+	case *float32:
+		*s = math.Float32frombits(0xDEADBEEF)
+	case *uint8:
+		*s = 0xC3
+	}
+	inputs := make([][]float32, len(readOnly))
+	for i, in := range readOnly {
+		inputs[i] = append([]float32(nil), in...)
+	}
+	run := func(path string) []T {
+		buf := make([]T, off+len(dst)+guard)
+		for i := range buf {
+			buf[i] = sentinel
+		}
+		out := buf[off : off+len(dst) : off+len(dst)]
+		copy(out, dst)
+		kernel(out)
+		for i, v := range buf {
+			if (i < off || i >= off+len(dst)) && !Same(v, sentinel) {
+				t.Fatalf("%s, %s path: element %d of the buffer, outside dst[%d:%d], was written", what, path, i, off, off+len(dst))
+			}
+		}
+		for i, in := range readOnly {
+			for j := range in {
+				if bitsOf(in[j]) != bitsOf(inputs[i][j]) {
+					t.Fatalf("%s, %s path: input %d was written at [%d]", what, path, i, j)
+				}
+			}
+		}
+		return out
+	}
+	got := run("host")
+	defer func(have bool) { cpu.AVX2 = have }(cpu.AVX2)
+	cpu.AVX2 = false
+	want := run("portable")
+	for i := range want {
+		if !Same(got[i], want[i]) {
+			t.Fatalf("%s: [%d] = %v, portable loop %v (as bits %#x, %#x)", what, i, got[i], want[i], bitsOf(got[i]), bitsOf(want[i]))
+		}
+	}
+}
+
+func bitsOf[T float32 | uint8](v T) uint32 {
+	if f, ok := any(v).(float32); ok {
+		return math.Float32bits(f)
+	}
+	return uint32(any(v).(uint8))
+}

@@ -155,30 +155,39 @@ func ensure(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
 	return tensor.New(rows, cols)
 }
 
+// laneMask is all ones when keep is set and zero when it is not. Whether an
+// activation is positive, or survives dropout, is a coin flip per element,
+// so ReLU and Dropout select with this mask and an AND on the float's bits
+// rather than a branch the predictor loses half the time. x&ones is x, NaN
+// payload included, and x&0 is +0: what the branches they replace assigned.
+func laneMask(keep bool) uint32 {
+	var m uint32
+	if keep {
+		m = 1
+	}
+	return -m
+}
+
 // ReLU activation with saved mask.
 type ReLU struct {
-	mask     []bool
+	mask     []uint32 // laneMask(x > 0) per element
 	out, dxm *tensor.Matrix
 }
 
-// Forward returns max(x, 0), saving the active mask.
+// Forward returns max(x, 0), saving the active mask; NaN and −0 map to +0.
 func (r *ReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
 	r.out = ensure(r.out, x.Rows, x.Cols)
-	out := r.out
 	if cap(r.mask) < len(x.Data) {
-		r.mask = make([]bool, len(x.Data))
+		r.mask = make([]uint32, len(x.Data))
 	}
 	r.mask = r.mask[:len(x.Data)]
+	out, mask := r.out.Data[:len(x.Data)], r.mask[:len(x.Data)]
 	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-			r.mask[i] = true
-		} else {
-			out.Data[i] = 0
-			r.mask[i] = false
-		}
+		m := laneMask(v > 0)
+		out[i] = math.Float32frombits(math.Float32bits(v) & m)
+		mask[i] = m
 	}
-	return out
+	return r.out
 }
 
 // Backward gates dy by the saved mask.
@@ -187,15 +196,11 @@ func (r *ReLU) Backward(dy *tensor.Matrix) *tensor.Matrix {
 		panic("nn: ReLU.Backward shape mismatch")
 	}
 	r.dxm = ensure(r.dxm, dy.Rows, dy.Cols)
-	out := r.dxm
+	out, mask := r.dxm.Data[:len(dy.Data)], r.mask[:len(dy.Data)]
 	for i, v := range dy.Data {
-		if r.mask[i] {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = 0
-		}
+		out[i] = math.Float32frombits(math.Float32bits(v) & mask[i])
 	}
-	return out
+	return r.dxm
 }
 
 // LayerNorm normalizes each row to zero mean/unit variance then applies a
@@ -312,21 +317,17 @@ func (dp *Dropout) Forward(x *tensor.Matrix, rng *tensor.RNG, train bool) *tenso
 	keep := 1 - dp.P
 	scale := 1 / keep
 	dp.out = ensure(dp.out, x.Rows, x.Cols)
-	out := dp.out
 	if cap(dp.mask) < len(x.Data) {
 		dp.mask = make([]float32, len(x.Data))
 	}
 	dp.mask = dp.mask[:len(x.Data)]
+	out, mask, scaleBits := dp.out.Data[:len(x.Data)], dp.mask[:len(x.Data)], math.Float32bits(scale)
 	for i, v := range x.Data {
-		if rng.Float32() < keep {
-			dp.mask[i] = scale
-			out.Data[i] = v * scale
-		} else {
-			dp.mask[i] = 0
-			out.Data[i] = 0
-		}
+		m := laneMask(rng.Float32() < keep) // one draw per element, in order
+		out[i] = math.Float32frombits(math.Float32bits(v*scale) & m)
+		mask[i] = math.Float32frombits(scaleBits & m)
 	}
-	return out
+	return dp.out
 }
 
 // Backward gates dy by the dropout mask.

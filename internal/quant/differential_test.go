@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/tensor"
 )
 
@@ -97,13 +98,13 @@ var rowShapes = []struct {
 // eachKernel runs fn with the rounder chosen at init and, where that is the
 // vector one, again with only the scalar kernel; name tells failures apart.
 func eachKernel(fn func(name string)) {
-	if !useVector {
+	if !cpu.AVX2 {
 		fn("scalar")
 		return
 	}
-	defer func() { useVector = true }()
+	defer func() { cpu.AVX2 = true }()
 	fn("vector")
-	useVector = false
+	cpu.AVX2 = false
 	fn("scalar")
 }
 

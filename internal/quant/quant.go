@@ -16,6 +16,7 @@ import (
 	"math"
 	"math/bits"
 
+	"repro/internal/cpu"
 	"repro/internal/tensor"
 )
 
@@ -179,17 +180,13 @@ func quantizeRow(h []float32, rg RowRange, b BitWidth, dst []byte, g *gen) RowMe
 // every width's codes-per-byte, so only a row's last chunk ends mid-byte.
 const codeChunk = 64
 
-// useVector is decided once, at init; the tests clear it to run the scalar
-// kernel on the same host.
-var useVector = hasAVX2()
-
 // round stochastically rounds (h[i]-mn)*inv to a code in [0, maxCode] for
 // every element, one generator step per element that draws. The longest
 // multiple-of-8 prefix goes through the vector kernel when it can take it;
 // the rest, or everything, through the scalar one. Both draw for the same
 // elements in the same order.
 func (g *gen) round(codes []uint8, h []float32, mn, inv float32, maxCode, roundUp uint32) {
-	if n8 := len(h) &^ 7; n8 != 0 && useVector && roundUp != 0 &&
+	if n8 := len(h) &^ 7; cpu.Vector(len(h)) && roundUp != 0 &&
 		g.roundVector(codes[:n8], h[:n8], mn, inv, maxCode) {
 		codes, h = codes[n8:], h[n8:]
 	}

@@ -1,8 +1,6 @@
-package quant
+//go:build !noasm
 
-// hasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM state
-// (CPUID leaves 1 and 7, XGETBV).
-func hasAVX2() bool
+package quant
 
 // roundMaskAVX2 computes t = (h[i]-mn)*inv for every element and returns the
 // bit mask of the elements that draw, !(t <= 0), bit i for h[i]. ok is false

@@ -1,24 +1,21 @@
 package quant
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"repro/internal/kerneltest"
 	"repro/internal/tensor"
 )
 
-// TestRoundKernelsAgree drives gen.round below the row kernel, with the
-// vector rounder on and off, on (h, min, 1/scale) triples a consistent row
-// cannot produce but a caller-supplied RowRange can: t < 0, t ≥ 2^24, t past
-// 2^32, NaN. Codes and generator end state must match for every chunk
-// length and at every element offset 0–9 of sentinel-filled buffers, and
-// nothing outside codes[:n] may move.
+// TestRoundKernelsAgree drives gen.round below the row kernel, on the vector
+// and the scalar rounder (kerneltest.Differential), on (h, min, 1/scale)
+// triples a consistent row cannot produce but a caller-supplied RowRange can:
+// t < 0, t ≥ 2^24, t past 2^32, NaN. Codes and generator end state must match
+// for every chunk length and at every element offset 0–9 of sentinel-filled
+// buffers, nothing outside codes[:n] may move, and h is read-only.
 func TestRoundKernelsAgree(t *testing.T) {
-	if !useVector {
-		t.Skip("no AVX2 on this host: round is the scalar kernel")
-	}
-	defer func() { useVector = true }()
-
 	type params struct {
 		mn, inv          float32
 		maxCode, roundUp uint32
@@ -52,35 +49,14 @@ func TestRoundKernelsAgree(t *testing.T) {
 			if c.plant != 0 {
 				h[n/3] = c.plant
 			}
-			want := make([]uint8, n)
-			ref := gen{1, 2, 3, uint64(n)}
-			useVector = false
-			ref.round(want, h, c.mn, c.inv, c.maxCode, c.roundUp)
-
-			cbuf := make([]uint8, codeChunk+20)
-			for i := range cbuf {
-				cbuf[i] = 0xC3
-			}
-			before := append([]float32(nil), hbuf...)
-			g := gen{1, 2, 3, uint64(n)}
-			useVector = true
-			g.round(cbuf[off:off+n], h, c.mn, c.inv, c.maxCode, c.roundUp)
-
-			if g != ref {
+			var ends []gen
+			kerneltest.Differential(t, fmt.Sprintf("round %+v len %d", c, n), make([]uint8, n), off, func(codes []uint8) {
+				g := gen{1, 2, 3, uint64(n)}
+				g.round(codes, h, c.mn, c.inv, c.maxCode, c.roundUp)
+				ends = append(ends, g)
+			}, hbuf)
+			if ends[0] != ends[1] {
 				t.Fatalf("%+v len %d: generator state differs between the kernels", c, n)
-			}
-			for i, v := range cbuf {
-				switch inside := i >= off && i < off+n; {
-				case inside && v != want[i-off]:
-					t.Fatalf("%+v len %d: code[%d] = %d, scalar kernel %d", c, n, i-off, v, want[i-off])
-				case !inside && v != 0xC3:
-					t.Fatalf("%+v len %d off %d: byte %d outside codes was written", c, n, off, i)
-				}
-			}
-			for i := range hbuf {
-				if math.Float32bits(hbuf[i]) != math.Float32bits(before[i]) {
-					t.Fatalf("%+v len %d: h[%d] was written", c, n, i-off)
-				}
 			}
 		}
 	}

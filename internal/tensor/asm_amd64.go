@@ -1,0 +1,35 @@
+//go:build !noasm
+
+package tensor
+
+// The AVX2 kernels. Each runs only where cpu.Vector said so, keeps multiply
+// and add apart like the Go loop it stands in for, and is held to that loop
+// as float32 bits by the tests.
+
+// axpyAVX2 is Axpy for len(src) >= len(dst) >= 8: 8 lanes of VMULPS then
+// VADDPS and a VMULSS/VADDSS tail.
+//
+//go:noescape
+func axpyAVX2(dst, src []float32, alpha float32)
+
+// dotColsAVX2 computes out[j] = dot(a, column j of bt) for every j, where bt
+// is len(a) rows of len(out) floats and len(out) is a positive multiple of 8.
+// Eight columns share a vector; within a lane the operations are dot's, in
+// dot's order: the four products of a group of four k added left to right,
+// that sum added to the accumulator, then the leftover k one at a time.
+//
+//go:noescape
+func dotColsAVX2(out, a, bt []float32)
+
+// accumAVX2 adds k scaled rows of b into each of the rows rows of dst, both
+// row-major and n wide, keeping the sums in registers across all k:
+//
+//	dst[r][j] = ((init + α(r,0)·b[0][j]) + α(r,1)·b[1][j]) + …
+//
+// with α(r,kk) = a[r*aRowStride + kk*aKStride], a term skipped when its α is
+// ±0 (a NaN α is not skipped), and init the value dst[r][j] holds when load
+// is set and +0 otherwise. Per element that is the chain of Axpy calls it
+// replaces. rows, n >= 1; k >= 0; strides in elements.
+//
+//go:noescape
+func accumAVX2(dst *float32, rows, n int, a *float32, aRowStride, aKStride int, b *float32, k int, load bool)

@@ -2,16 +2,19 @@ package tensor
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
+
+	"repro/internal/cpu"
+	"repro/internal/kerneltest"
 )
 
 // The tests below hold the assembly Axpy to the portable loop, and the
 // kernels built on it to naive loops, as float32 BITS: the per-element
 // operation order is the contract, so "close" is a failure. The one freedom
-// is which NaN: when two operands of a multiply or add are NaN, x86 returns
-// the first, and which comes first in compiled Go code is the register
-// allocator's choice (it differs under -race), so a NaN equals any NaN.
+// is which NaN (kerneltest.Same). kerneltest.Differential is the harness:
+// the vector path against the Go loop on a sentinel-guarded dst.
 
 // axpySpecials are the float32 bit patterns arithmetic treats specially:
 // quiet and signalling NaNs with distinct payloads and signs, infinities,
@@ -53,32 +56,17 @@ func skipIfPortableFuses(t testing.TB) {
 	}
 }
 
-// sameBits reports whether a and b are the same float32 value bit for bit,
-// or both NaN.
-func sameBits(a, b float32) bool {
-	return math.Float32bits(a) == math.Float32bits(b) || a != a && b != b
-}
-
-// checkAxpyMatchesPortable runs Axpy and axpyGo on copies of dst and demands
-// equal bits.
-func checkAxpyMatchesPortable(t testing.TB, dst, src []float32, alpha float32) {
+// checkAxpyMatchesPortable holds Axpy to axpyGo on a dst that starts off
+// elements into its buffer.
+func checkAxpyMatchesPortable(t testing.TB, dst, src []float32, alpha float32, off int) {
 	t.Helper()
-	got := append([]float32(nil), dst...)
-	want := append([]float32(nil), dst...)
-	Axpy(got, src, alpha)
-	axpyGo(want, src[:len(dst)], alpha)
-	for i := range got {
-		if !sameBits(got[i], want[i]) {
-			t.Fatalf("len %d alpha %#08x: [%d] = %#08x, portable %#08x (dst %#08x src %#08x)",
-				len(dst), math.Float32bits(alpha), i, math.Float32bits(got[i]), math.Float32bits(want[i]),
-				math.Float32bits(dst[i]), math.Float32bits(src[i]))
-		}
-	}
+	what := fmt.Sprintf("Axpy len %d alpha %#08x", len(dst), math.Float32bits(alpha))
+	kerneltest.Differential(t, what, dst, off, func(d []float32) { Axpy(d, src, alpha) }, src)
 }
 
 func TestAxpyMatchesPortable(t *testing.T) {
 	skipIfPortableFuses(t)
-	if !useAVX2 {
+	if !cpu.AVX2 {
 		t.Log("no AVX2 on this host: Axpy is the portable loop")
 	}
 	rng := NewRNG(3)
@@ -86,16 +74,16 @@ func TestAxpyMatchesPortable(t *testing.T) {
 	for _, u := range axpySpecials {
 		alphas = append(alphas, math.Float32frombits(u))
 	}
-	dbuf, sbuf := make([]float32, 160), make([]float32, 160)
+	dst, sbuf := make([]float32, 130), make([]float32, 160)
 	for n := 0; n <= 130; n++ {
 		for trial, alpha := range alphas {
 			// Unaligned starts: dst and src begin at different element
 			// offsets of their backing arrays.
 			doff, soff := trial%10, (trial*7+n)%10
-			dst, src := dbuf[doff:doff+n], sbuf[soff:soff+n]
-			fillAxpy(rng, dst)
+			src := sbuf[soff : soff+n]
+			fillAxpy(rng, dst[:n])
 			fillAxpy(rng, src)
-			checkAxpyMatchesPortable(t, dst, src, alpha)
+			checkAxpyMatchesPortable(t, dst[:n], src, alpha, doff)
 		}
 	}
 	// Every special against every special, in all three positions, inside a
@@ -107,47 +95,32 @@ func TestAxpyMatchesPortable(t *testing.T) {
 				dst[i] = math.Float32frombits(d)
 				src[i] = math.Float32frombits(axpySpecials[i%len(axpySpecials)])
 			}
-			checkAxpyMatchesPortable(t, dst, src, math.Float32frombits(a))
+			checkAxpyMatchesPortable(t, dst, src, math.Float32frombits(a), 0)
 			for i := range src {
 				src[i] = math.Float32frombits(axpySpecials[(i+7)%len(axpySpecials)])
 			}
-			checkAxpyMatchesPortable(t, dst, src, math.Float32frombits(a))
+			checkAxpyMatchesPortable(t, dst, src, math.Float32frombits(a), 0)
 		}
 	}
 }
 
-// TestAxpyStaysInsideSlice runs the kernel on sub-slices at every element
-// offset 0–9 of a sentinel-filled buffer: nothing outside dst may move, src
-// is read-only, and a longer src changes nothing.
+// TestAxpyStaysInsideSlice runs the kernel on a dst at every element offset
+// 0–9 of a sentinel-filled buffer: nothing outside dst may move, src is
+// read-only, and a longer src changes nothing.
 func TestAxpyStaysInsideSlice(t *testing.T) {
-	const sentinel = 0xDEADBEEF
+	skipIfPortableFuses(t)
 	lengths := []int{0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 39, 40, 41, 47, 63, 64, 65, 100, 130}
-	buf, sbuf := make([]float32, 160), make([]float32, 160)
+	src := make([]float32, 160)
+	for i := range src {
+		src[i] = float32(i) + 0.5
+	}
 	for off := 0; off <= 9; off++ {
 		for _, n := range lengths {
-			for i := range buf {
-				buf[i] = math.Float32frombits(sentinel)
-				sbuf[i] = float32(i) + 0.5
-			}
-			dst := buf[off : off+n : off+n]
+			dst := make([]float32, n)
 			for i := range dst {
 				dst[i] = 1
 			}
-			Axpy(dst, sbuf[9-off:], 2) // src longer than dst
-			for i, v := range buf {
-				inside := i >= off && i < off+n
-				switch {
-				case !inside && math.Float32bits(v) != sentinel:
-					t.Fatalf("off %d len %d: buf[%d] outside the slice changed to %#08x", off, n, i, math.Float32bits(v))
-				case inside && v != 1+2*(float32(i-off+9-off)+0.5):
-					t.Fatalf("off %d len %d: dst[%d] = %v", off, n, i-off, v)
-				}
-			}
-			for i, v := range sbuf {
-				if v != float32(i)+0.5 {
-					t.Fatalf("off %d len %d: src[%d] was written", off, n, i)
-				}
-			}
+			checkAxpyMatchesPortable(t, dst, src[9-off:], 2, off) // src longer than dst
 		}
 	}
 }
@@ -177,13 +150,13 @@ func FuzzAxpyMatchesPortable(f *testing.F) {
 		if n > 1024 {
 			return
 		}
-		d, s := int(doff%10), int(soff%10)
-		dst, src := make([]float32, d+n)[d:], make([]float32, s+n)[s:]
+		s := int(soff % 10)
+		dst, src := make([]float32, n), make([]float32, s+n)[s:]
 		for i := range dst {
 			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 			src[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*(n+i):]))
 		}
-		checkAxpyMatchesPortable(t, dst, src, math.Float32frombits(alphaBits))
+		checkAxpyMatchesPortable(t, dst, src, math.Float32frombits(alphaBits), int(doff%10))
 	})
 }
 
@@ -199,7 +172,7 @@ func sparsify(rng *RNG, m *Matrix) {
 func mustEqualBits(t *testing.T, what string, got, want *Matrix) {
 	t.Helper()
 	for i := range want.Data {
-		if !sameBits(got.Data[i], want.Data[i]) {
+		if !kerneltest.Same(got.Data[i], want.Data[i]) {
 			t.Fatalf("%s %dx%d: element %d = %v (%#08x), naive loop %v (%#08x)", what, want.Rows, want.Cols, i,
 				got.Data[i], math.Float32bits(got.Data[i]), want.Data[i], math.Float32bits(want.Data[i]))
 		}

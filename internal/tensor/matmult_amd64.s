@@ -1,3 +1,5 @@
+//go:build !noasm
+
 #include "textflag.h"
 
 // GROUP4 adds one group of four k to the accumulator of the eight columns at

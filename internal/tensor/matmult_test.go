@@ -2,12 +2,16 @@ package tensor
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
+
+	"repro/internal/cpu"
+	"repro/internal/kerneltest"
 )
 
-// The tests below hold MatMulTInto to a triple loop over dot — the portable
-// path and the contract — as float32 bits, under the rules of axpy_test.go:
+// The tests below hold MatMulTInto to dot over b's rows — the portable path
+// and the contract — as float32 bits, under the rules of axpy_test.go:
 // "close" is a failure and a NaN equals any NaN.
 
 // offsetMatrix returns a rows×cols matrix that starts off elements into its
@@ -17,24 +21,21 @@ func offsetMatrix(rows, cols, off int) *Matrix {
 }
 
 // checkMatMulTMatchesDot demands out = a × bᵀ element for element as dot
-// computes it, starting from an out full of NaNs (Into overwrites).
-func checkMatMulTMatchesDot(t testing.TB, out, a, b *Matrix) {
+// computes it, on an out that starts off elements into its buffer and is
+// full of NaNs beforehand (Into overwrites).
+func checkMatMulTMatchesDot(t testing.TB, a, b *Matrix, off int) {
 	t.Helper()
+	out := New(a.Rows, b.Rows)
 	out.Fill(float32(math.NaN()))
-	MatMulTInto(out, a, b)
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < b.Rows; j++ {
-			if got, want := out.At(i, j), dot(a.Row(i), b.Row(j)); !sameBits(got, want) {
-				t.Fatalf("%dx%d × (%dx%d)ᵀ: element (%d,%d) = %v (%#08x), dot %v (%#08x)", a.Rows, a.Cols, b.Rows, b.Cols,
-					i, j, got, math.Float32bits(got), want, math.Float32bits(want))
-			}
-		}
-	}
+	what := fmt.Sprintf("MatMulTInto %dx%d × (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols)
+	kerneltest.Differential(t, what, out.Data, off, func(d []float32) {
+		MatMulTInto(FromSlice(a.Rows, b.Rows, d), a, b)
+	}, a.Data, b.Data)
 }
 
 func TestMatMulTMatchesDot(t *testing.T) {
 	skipIfPortableFuses(t)
-	if !useAVX2 {
+	if !cpu.AVX2 {
 		t.Log("no AVX2 on this host: MatMulT is dot")
 	}
 	rng := NewRNG(29)
@@ -54,7 +55,7 @@ func TestMatMulTMatchesDot(t *testing.T) {
 				a.FillUniform(rng, -2, 2)
 				b.FillUniform(rng, -2, 2)
 			}
-			checkMatMulTMatchesDot(t, offsetMatrix(rows, n, (k*3+n)%10), a, b)
+			checkMatMulTMatchesDot(t, a, b, (k*3+n)%10)
 		}
 	}
 }
@@ -67,7 +68,6 @@ func TestMatMulTSpecials(t *testing.T) {
 	skipIfPortableFuses(t)
 	rng := NewRNG(31)
 	const rows, k, n = 2, 11, 19 // two groups of four and a tail of three; two vectors and a scalar tail
-	out := New(rows, n)
 	for _, u := range axpySpecials {
 		special := math.Float32frombits(u)
 		for pos := 0; pos < k; pos++ {
@@ -75,20 +75,20 @@ func TestMatMulTSpecials(t *testing.T) {
 			for i := 0; i < rows; i++ {
 				a.Set(i, pos, special)
 			}
-			checkMatMulTMatchesDot(t, out, a, b)
+			checkMatMulTMatchesDot(t, a, b, 0)
 			for j := 0; j < n; j++ {
 				b.Set(j, (pos+j)%k, -special)
 			}
-			checkMatMulTMatchesDot(t, out, a, b)
+			checkMatMulTMatchesDot(t, a, b, 0)
 		}
 		for _, v := range axpySpecials {
 			a, b := New(rows, k), New(n, k)
 			a.Fill(special)
 			b.Fill(math.Float32frombits(v))
-			checkMatMulTMatchesDot(t, out, a, b)
+			checkMatMulTMatchesDot(t, a, b, 0)
 		}
 	}
-	a, b := New(rows, k), New(n, k)
+	a, b, out := New(rows, k), New(n, k), New(rows, n)
 	a.Fill(float32(math.Copysign(0, -1)))
 	b.Fill(1)
 	MatMulTInto(out, a, b)
@@ -100,54 +100,22 @@ func TestMatMulTSpecials(t *testing.T) {
 }
 
 // TestMatMulTStaysInsideSlices runs the kernel on matrices at every element
-// offset 0–9 of sentinel-filled buffers: nothing outside out may move, every
-// element of out is written, and a and b are read-only.
+// offset 0–9 of their buffers: nothing outside out may move, and a and b are
+// read-only.
 func TestMatMulTStaysInsideSlices(t *testing.T) {
-	const sentinel = 0xDEADBEEF
-	fill := func(buf []float32) {
-		for i := range buf {
-			buf[i] = math.Float32frombits(sentinel)
-		}
-	}
+	skipIfPortableFuses(t)
 	shapes := [][3]int{{1, 1, 8}, {3, 4, 8}, {2, 5, 9}, {3, 7, 31}, {2, 8, 32}, {3, 3, 33}, {1, 6, 40}, {2, 9, 47}, {2, 4, 64}, {1, 13, 78}}
 	for off := 0; off <= 9; off++ {
 		for _, sh := range shapes {
 			rows, k, n := sh[0], sh[1], sh[2]
-			obuf := make([]float32, rows*n+20)
-			abuf, bbuf := make([]float32, rows*k+20), make([]float32, n*k+20)
-			fill(obuf)
-			fill(abuf)
-			fill(bbuf)
-			out := FromSlice(rows, n, obuf[off:off+rows*n:off+rows*n])
-			a := FromSlice(rows, k, abuf[9-off:9-off+rows*k])
-			b := FromSlice(n, k, bbuf[off:off+n*k])
+			a, b := offsetMatrix(rows, k, 9-off), offsetMatrix(n, k, off)
 			for i := range a.Data {
 				a.Data[i] = float32(i%7) - 3
 			}
 			for i := range b.Data {
 				b.Data[i] = float32(i%5) + 0.5
 			}
-			aWant, bWant := append([]float32(nil), abuf...), append([]float32(nil), bbuf...)
-			MatMulTInto(out, a, b)
-			for i, v := range obuf {
-				inside := i >= off && i < off+rows*n
-				switch {
-				case !inside && math.Float32bits(v) != sentinel:
-					t.Fatalf("off %d shape %v: out buffer[%d] outside the matrix changed to %#08x", off, sh, i, math.Float32bits(v))
-				case inside && v != dot(a.Row((i-off)/n), b.Row((i-off)%n)):
-					t.Fatalf("off %d shape %v: out[%d] = %v", off, sh, i-off, v)
-				}
-			}
-			for i := range abuf {
-				if !sameBits(abuf[i], aWant[i]) {
-					t.Fatalf("off %d shape %v: a's buffer[%d] was written", off, sh, i)
-				}
-			}
-			for i := range bbuf {
-				if !sameBits(bbuf[i], bWant[i]) {
-					t.Fatalf("off %d shape %v: b's buffer[%d] was written", off, sh, i)
-				}
-			}
+			checkMatMulTMatchesDot(t, a, b, off)
 		}
 	}
 }
@@ -195,6 +163,6 @@ func FuzzMatMulTMatchesDot(f *testing.F) {
 		for i := range a.Data {
 			a.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*(n*k+i):]))
 		}
-		checkMatMulTMatchesDot(t, offsetMatrix(rows, n, int(off%7)), a, b)
+		checkMatMulTMatchesDot(t, a, b, int(off%7))
 	})
 }

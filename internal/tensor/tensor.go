@@ -8,20 +8,23 @@
 // does not depend on GOMAXPROCS or on how the rows were split.
 //
 // The order of operations on each output element is part of the API: an
-// element of a × b is 0 plus its k products added one at a time in ascending
-// k, every product rounded to float32 before it is added (no fused
-// multiply-add). Fixed-seed losses, wire bytes and the golden files are
-// functions of that order. Axpy is the loop under MatMul, TMatMul, AXPY,
-// ScatterAddRows and graph's SpMM/SpMMT. An element of a × bᵀ is dot's sum
-// instead, and dot's grouping is part of the same contract: 0, plus
+// element of a × b or aᵀ × b is 0 plus its k products added one at a time in
+// ascending k, every product rounded to float32 before it is added (no fused
+// multiply-add), a product skipped when its a element is ±0. Fixed-seed
+// losses, wire bytes and the golden files are functions of that order. In Go
+// that is a chain of Axpy calls, one per k, which is also the loop under
+// AXPY, ScatterAddRows and graph's SpMM/SpMMT. An element of a × bᵀ is dot's
+// sum instead, and dot's grouping is part of the same contract: 0, plus
 // ((p0+p1)+p2)+p3 for every four k in ascending order, plus the leftover
-// products one at a time. On amd64 with AVX2 both loops are assembly that
-// vectorises across the output index (MatMulT over a transposed copy of b)
-// and keeps multiply and add apart for exactly this reason; everywhere else
-// they are the Go loops the assembly is tested against. A compiler that
-// fuses float32 multiply-adds in Go code (arm64, GOAMD64=v3) rounds
-// differently, which is why internal/core/testdata/codec_golden.txt is
-// checked on amd64 only and was generated with GOAMD64=v1.
+// products one at a time. On amd64 with AVX2 (cpu.Vector) all three are
+// assembly that vectorises across the output index — Axpy one k at a time,
+// MatMul and TMatMul with the output row held in registers across all k,
+// MatMulT over a transposed copy of b — and keeps multiply and add apart for
+// exactly this reason; everywhere else, and under the noasm build tag, they
+// are the Go loops the assembly is tested against. A compiler that fuses
+// float32 multiply-adds in Go code (arm64, GOAMD64=v3) rounds differently,
+// which is why internal/core/testdata/codec_golden.txt is checked on amd64
+// only and was generated with GOAMD64=v1.
 package tensor
 
 import (
@@ -29,6 +32,8 @@ import (
 	"math"
 	"runtime"
 	"sync"
+
+	"repro/internal/cpu"
 )
 
 // Matrix is a dense row-major float32 matrix.
@@ -160,7 +165,13 @@ func MatMulInto(out, a, b *Matrix) {
 }
 
 func matMulRange(out, a, b *Matrix, lo, hi int) {
-	n := b.Cols
+	inner, n := a.Cols, b.Cols
+	if cpu.Vector(n) && inner > 0 && lo < hi {
+		// Slicing first holds the kernel's reads and writes to the matrices.
+		o, ar, br := out.Data[lo*n:hi*n], a.Data[lo*inner:hi*inner], b.Data[:inner*n]
+		accumAVX2(&o[0], hi-lo, n, &ar[0], inner, 1, &br[0], inner, false)
+		return
+	}
 	for i := lo; i < hi; i++ {
 		orow := out.Data[i*n : (i+1)*n]
 		for j := range orow {
@@ -187,15 +198,12 @@ func matMulRange(out, a, b *Matrix, lo, hi int) {
 // more specified than it is for compiled Go code).
 func Axpy(dst, src []float32, alpha float32) {
 	src = src[:len(dst)]
-	if useAVX2 && len(dst) >= 8 {
+	if cpu.Vector(len(dst)) {
 		axpyAVX2(dst, src, alpha)
 		return
 	}
 	axpyGo(dst, src, alpha)
 }
-
-// useAVX2 is decided once, at init.
-var useAVX2 = hasAVX2()
 
 // axpyGo is the portable Axpy and the oracle the assembly is held to.
 func axpyGo(dst, src []float32, alpha float32) {
@@ -236,7 +244,7 @@ func MatMulTInto(out, a, b *Matrix) {
 	// column without AVX2, are dot over b's own rows.
 	vecCols := 0
 	var bt []float32
-	if useAVX2 && b.Rows >= 8 {
+	if cpu.Vector(b.Rows) {
 		vecCols = b.Rows &^ 7
 		scratch := transposeCols(b, vecCols)
 		defer transposePool.Put(scratch)
@@ -280,7 +288,7 @@ func transposeCols(b *Matrix, cols int) *[]float32 {
 func matMulTRange(out, a, b *Matrix, bt []float32, vecCols, lo, hi int) {
 	k, n := a.Cols, b.Rows
 	for i := lo; i < hi; i++ {
-		arow := a.Data[i*k : (i+1)*k]
+		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
 		orow := out.Data[i*n : (i+1)*n]
 		if vecCols > 0 {
 			dotColsAVX2(orow[:vecCols], arow, bt)
@@ -317,6 +325,20 @@ func TMatMulInto(out, a, b *Matrix) {
 }
 
 func tMatMulRange(out, a, b *Matrix, lo, hi int) {
+	m, n := a.Cols, b.Cols
+	if cpu.Vector(n) && lo < hi {
+		o := out.Data[lo*n : hi*n]
+		// a is walked down its columns, so the inner dimension goes in
+		// chunks whose rows of a and b stay in L1 while every tile of out
+		// passes over them. The sums are stored between chunks and loaded
+		// back, which leaves each element's additions in ascending k.
+		for k0 := 0; k0 < a.Rows; k0 += tMatMulChunk {
+			k1 := min(k0+tMatMulChunk, a.Rows)
+			ar, br := a.Data[k0*m+lo:(k1-1)*m+hi], b.Data[k0*n:k1*n]
+			accumAVX2(&o[0], hi-lo, n, &ar[0], 1, m, &br[0], k1-k0, true)
+		}
+		return
+	}
 	for k := 0; k < a.Rows; k++ {
 		arow := a.Data[k*a.Cols : (k+1)*a.Cols]
 		brow := b.Data[k*b.Cols : (k+1)*b.Cols]
@@ -327,6 +349,10 @@ func tMatMulRange(out, a, b *Matrix, lo, hi int) {
 		}
 	}
 }
+
+// tMatMulChunk is how many rows of a and b one pass of tMatMulRange's kernel
+// takes: 128 rows of a 64-wide b are 32 KiB.
+const tMatMulChunk = 128
 
 // dot is the portable a·b and the oracle the MatMulT assembly is held to;
 // its grouping of four products is part of the per-element order contract.
