@@ -1,9 +1,9 @@
 // Package repro's root benchmark harness: one testing.B benchmark per
 // table and figure of the paper's evaluation (internal/experiments holds
-// the Table*/Figure* functions they call), plus microbenchmarks of the hot
+// the registry they select from), plus microbenchmarks of the hot
 // substrate kernels. The macro benchmarks run the same code paths as
-// `cmd/bench` at a reduced "bench" profile so `go test -bench=. -benchmem`
-// finishes in minutes; use `cmd/bench -profile standard` for fuller runs.
+// `cmd/paper` at a reduced "bench" profile so `go test -bench=. -benchmem`
+// finishes in minutes; use `cmd/paper -profile standard` for fuller runs.
 package repro
 
 import (
@@ -32,56 +32,58 @@ var benchProfile = experiments.Profile{
 	EpochsLong: 10, EpochsShort: 3, Runs: 1, EvalEvery: 5,
 }
 
-func benchOptions() experiments.Options {
-	return experiments.Options{Profile: benchProfile, Out: io.Discard}
-}
-
-func runExperiment(b *testing.B, fn func(experiments.Options) error) {
+// runExperiment times one registry experiment on a fresh Runner per
+// iteration, so nothing is served from an earlier iteration's trainings.
+func runExperiment(b *testing.B, id string) {
 	b.Helper()
+	exps, err := experiments.Select([]string{id})
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < b.N; i++ {
-		if err := fn(benchOptions()); err != nil {
+		rep, err := exps[0].Run(&experiments.Runner{Profile: benchProfile})
+		if err == nil {
+			err = rep.WriteText(io.Discard)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkTable1 regenerates the Vanilla communication-overhead table.
-func BenchmarkTable1(b *testing.B) { runExperiment(b, experiments.Table1) }
+func BenchmarkTable1(b *testing.B) { runExperiment(b, "t1") }
 
 // BenchmarkTable2 regenerates the central-comp vs 2-bit-comm comparison.
-func BenchmarkTable2(b *testing.B) { runExperiment(b, experiments.Table2) }
+func BenchmarkTable2(b *testing.B) { runExperiment(b, "t2") }
 
 // BenchmarkFigure2 regenerates the per-device-pair data-size figure.
-func BenchmarkFigure2(b *testing.B) { runExperiment(b, experiments.Figure2) }
+func BenchmarkFigure2(b *testing.B) { runExperiment(b, "f2") }
 
 // BenchmarkFigure3 regenerates the all-vs-marginal computation figure.
-func BenchmarkFigure3(b *testing.B) { runExperiment(b, experiments.Figure3) }
+func BenchmarkFigure3(b *testing.B) { runExperiment(b, "f3") }
 
 // BenchmarkTable4 regenerates the headline accuracy/throughput comparison.
-func BenchmarkTable4(b *testing.B) { runExperiment(b, experiments.Table4) }
+func BenchmarkTable4(b *testing.B) { runExperiment(b, "t4") }
 
 // BenchmarkTable5And9 regenerates the wall-clock comparison tables.
-func BenchmarkTable5And9(b *testing.B) { runExperiment(b, experiments.Table5And9) }
+func BenchmarkTable5And9(b *testing.B) { runExperiment(b, "t5") }
 
 // BenchmarkTable6 regenerates the uniform-vs-adaptive ablation.
-func BenchmarkTable6(b *testing.B) { runExperiment(b, experiments.Table6) }
+func BenchmarkTable6(b *testing.B) { runExperiment(b, "t6") }
 
 // BenchmarkTable7 regenerates the 24-device scalability table.
-func BenchmarkTable7(b *testing.B) { runExperiment(b, experiments.Table7) }
+func BenchmarkTable7(b *testing.B) { runExperiment(b, "t7") }
 
 // BenchmarkFigure9 regenerates the convergence-curve series (Reddit +
-// products subset; Figure 12 is the same code over all datasets).
-func BenchmarkFigure9(b *testing.B) {
-	runExperiment(b, func(o experiments.Options) error {
-		return experiments.Figure9And12(o, []string{"products-sim"})
-	})
-}
+// products subset; Figure 12 is the same view over all datasets).
+func BenchmarkFigure9(b *testing.B) { runExperiment(b, "f9") }
 
 // BenchmarkFigure10 regenerates the time-breakdown figure.
-func BenchmarkFigure10(b *testing.B) { runExperiment(b, experiments.Figure10) }
+func BenchmarkFigure10(b *testing.B) { runExperiment(b, "f10") }
 
 // BenchmarkFigure11 regenerates the sensitivity sweeps.
-func BenchmarkFigure11(b *testing.B) { runExperiment(b, experiments.Figure11) }
+func BenchmarkFigure11(b *testing.B) { runExperiment(b, "f11") }
 
 // ---- substrate microbenchmarks ----
 

@@ -116,20 +116,22 @@ type faultDevice struct {
 // straggler slowdown on the local work since the last collective, run the
 // collective, then charge any scheduled transient failures.
 func (d *faultDevice) around(fn func()) {
-	r := d.Transport.Rank()
-	ck := d.Transport.Clock()
-	if s := d.plan.Slowdown[r]; s > 1 {
-		if work := ck.Now() - d.last; work > 0 {
-			ck.Advance(timing.Comp, work*timing.Seconds(s-1))
-		}
-	}
-	commBefore := ck.Spent(timing.Comm)
+	d.chargeSlowdown()
+	commBefore := d.Transport.Clock().Spent(timing.Comm)
 	fn()
-	if fails := d.plan.Failures(r, d.op); fails > 0 {
-		// Each failed attempt lost the transfer it had started (the
-		// collective's measured Comm charge) and then backed off before
-		// retrying. Charged after the collective's own alignment: peers
-		// observe the retries at the next rendezvous, not this one.
+	d.chargeRetries(d.op, commBefore)
+	d.op++
+}
+
+// chargeRetries charges op's scheduled transient failures once the
+// collective has completed. Each failed attempt lost the transfer it had
+// started — the Comm this device paid for the collective since commBefore —
+// and then backed off, twice as long each time, before retrying. Charged
+// after the collective's own alignment: peers observe the retries at the
+// next rendezvous, not this one. It closes the slowdown window.
+func (d *faultDevice) chargeRetries(op int, commBefore timing.Seconds) {
+	ck := d.Transport.Clock()
+	if fails := d.plan.Failures(d.Transport.Rank(), op); fails > 0 {
 		lost := ck.Spent(timing.Comm) - commBefore
 		backoff := timing.Seconds(d.plan.Spec.Backoff)
 		var retryTime timing.Seconds
@@ -141,7 +143,6 @@ func (d *faultDevice) around(fn func()) {
 		}
 		d.stats.addRetries(int64(fails), retryTime)
 	}
-	d.op++
 	d.last = ck.Now()
 }
 
@@ -229,24 +230,9 @@ type faultPending struct {
 }
 
 func (p *faultPending) Wait() []byte {
-	d := p.d
-	r := d.Transport.Rank()
-	ck := d.Transport.Clock()
-	d.chargeSlowdown()
-	commBefore := ck.Spent(timing.Comm)
+	p.d.chargeSlowdown()
+	commBefore := p.d.Transport.Clock().Spent(timing.Comm)
 	out := p.inner.Wait()
-	if fails := d.plan.Failures(r, p.op); fails > 0 {
-		lost := ck.Spent(timing.Comm) - commBefore
-		backoff := timing.Seconds(d.plan.Spec.Backoff)
-		var retryTime timing.Seconds
-		for i := 0; i < fails; i++ {
-			ck.Advance(timing.Idle, backoff)
-			ck.Advance(timing.Comm, lost)
-			retryTime += backoff + lost
-			backoff *= 2
-		}
-		d.stats.addRetries(int64(fails), retryTime)
-	}
-	d.last = ck.Now()
+	p.d.chargeRetries(p.op, commBefore)
 	return out
 }

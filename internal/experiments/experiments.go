@@ -1,27 +1,25 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§2.2 motivation and §5). Each Table*/Figure* function runs
-// the corresponding workload and prints rows shaped like the paper's;
-// `cmd/bench -table N` / `-figure N` is the index.
+// evaluation (§2.2 motivation and §5). A Cell is one fixed-seed training; a
+// Runner trains each Cell an invocation asks for once; every table and
+// figure is a view that turns the Runner's results into a typed Report;
+// Experiments is the registry `cmd/paper -table N` / `-figure N` indexes.
 package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/partition"
 	"repro/internal/synthetic"
 	"repro/internal/tensor"
 	"repro/internal/timing"
 )
 
-// Profile scales the experiments. Quick finishes the whole suite in
-// minutes on a laptop; Full approaches the paper's configuration (hours).
+// Profile scales the experiments.
 type Profile struct {
-	Name string
-	// Scale multiplies dataset node/edge counts (1.0 = the ~100×-reduced
-	// registry defaults).
-	Scale synthetic.Scale
+	Name  string
+	Scale synthetic.Scale // of dataset node/edge counts (1.0 = the ~100×-reduced registry defaults)
 	// FeatureCap truncates feature dimension (0 = no cap). Reddit's 602
 	// features dominate quick-mode compute; capping preserves behaviour
 	// because every synthetic feature dimension carries class signal.
@@ -34,100 +32,156 @@ type Profile struct {
 	EvalEvery               int
 }
 
-// Quick is the default CI-scale profile.
-var Quick = Profile{
-	Name: "quick", Scale: 0.15, FeatureCap: 96, Hidden: 48,
-	EpochsLong: 60, EpochsShort: 5, Runs: 1, EvalEvery: 5,
+// Profiles are what `cmd/paper -profile` accepts: quick, the default,
+// takes about a minute for the whole suite; standard is for overnight
+// runs; full mirrors the paper's setup on the whole registry (hours).
+var Profiles = []Profile{
+	{Name: "quick", Scale: 0.15, FeatureCap: 96, Hidden: 48, EpochsLong: 60, EpochsShort: 5, Runs: 1, EvalEvery: 5},
+	{Name: "standard", Scale: 0.5, Hidden: 128, EpochsLong: 200, EpochsShort: 10, Runs: 3, EvalEvery: 5},
+	{Name: "full", Scale: 1, Hidden: 256, EpochsLong: 250, EpochsShort: 20, Runs: 3, EvalEvery: 5},
 }
 
-// Standard is a heavier profile for overnight runs.
-var Standard = Profile{
-	Name: "standard", Scale: 0.5, FeatureCap: 0, Hidden: 128,
-	EpochsLong: 200, EpochsShort: 10, Runs: 3, EvalEvery: 5,
+var (
+	// partsFor lists a dataset's two partition settings in Table 4 as device
+	// counts; setting names one the paper's way, machines × devices in each.
+	partsFor = map[string][]int{"reddit-sim": {2, 4}, "yelp-sim": {2, 4}, "products-sim": {4, 8}, "amazon-sim": {4, 8}}
+	setting  = map[int]string{2: "2M-1D", 4: "2M-2D", 8: "2M-4D", 24: "6M-4D"}
+	// rival is the published system Table 4 sets beside Vanilla and AdaQP.
+	rival = map[core.ModelKind]core.Method{core.GCN: core.SANCUS, core.GraphSAGE: core.PipeGCN}
+)
+
+// Cell is one fixed-seed training and the Runner's memo key: everything
+// that determines the result, nothing else. Its config is derived from it,
+// so no experiment can set a core.Config field, hook or factory the key
+// does not see; every deployment uses partition.Block.
+type Cell struct {
+	Dataset    string
+	Scale      synthetic.Scale
+	FeatureCap int
+	Parts      int
+	Model      core.ModelKind
+	Method     core.Method
+
+	Hidden, Epochs, EvalEvery, GroupSize, ReassignPeriod int
+	Lambda                                               float64
+	Seed                                                 uint64
 }
 
-// Full mirrors the paper's setup on the full synthetic registry scale.
-var Full = Profile{
-	Name: "full", Scale: 1, FeatureCap: 0, Hidden: 256,
-	EpochsLong: 250, EpochsShort: 20, Runs: 3, EvalEvery: 5,
-}
-
-// Setting is one "xM-yD" partition configuration from the paper.
-type Setting struct {
-	Label string
-	Parts int
-}
-
-// Paper partition settings per dataset (Table 4).
-func settingsFor(dataset string) []Setting {
-	switch dataset {
-	case "reddit-sim", "yelp-sim":
-		return []Setting{{"2M-1D", 2}, {"2M-2D", 4}}
-	default:
-		return []Setting{{"2M-2D", 4}, {"2M-4D", 8}}
-	}
-}
-
-// loadDataset applies the profile's scale and feature cap.
-func (p Profile) loadDataset(name string) (*synthetic.Dataset, error) {
-	ds, err := synthetic.Load(name, p.Scale)
-	if err != nil {
-		return nil, err
-	}
-	if p.FeatureCap > 0 && ds.Features.Cols > p.FeatureCap {
-		capped := tensor.New(ds.Features.Rows, p.FeatureCap)
-		for i := 0; i < ds.Features.Rows; i++ {
-			copy(capped.Row(i), ds.Features.Row(i)[:p.FeatureCap])
-		}
-		ds.Features = capped
-	}
-	return ds, nil
-}
-
-func (p Profile) baseConfig(model core.ModelKind, method core.Method, epochs int, seed uint64) core.Config {
+func (c Cell) config() core.Config {
 	cfg := core.DefaultConfig()
-	cfg.Model = model
-	cfg.Method = method
-	cfg.Hidden = p.Hidden
-	cfg.Epochs = epochs
-	cfg.EvalEvery = p.EvalEvery
-	cfg.Seed = seed
-	// Re-assign roughly 4 times per run regardless of length.
-	cfg.ReassignPeriod = epochs / 4
-	if cfg.ReassignPeriod < 2 {
-		cfg.ReassignPeriod = 2
-	}
+	cfg.Model, cfg.Method, cfg.Seed = c.Model, c.Method, c.Seed
+	cfg.Hidden, cfg.Epochs, cfg.EvalEvery = c.Hidden, c.Epochs, c.EvalEvery
+	cfg.GroupSize, cfg.Lambda, cfg.ReassignPeriod = c.GroupSize, c.Lambda, c.ReassignPeriod
 	return cfg
 }
 
-// runRepeated trains Runs times with different seeds and summarizes.
-func (p Profile) runRepeated(dep *core.Deployment, cfg core.Config, model *timing.CostModel) ([]*metrics.RunResult, metrics.Summary, error) {
-	var runs []*metrics.RunResult
-	for r := 0; r < p.Runs; r++ {
-		cfg.Seed = uint64(1000*r + 1)
-		res, err := core.TrainDeployed(dep, cfg, model)
-		if err != nil {
-			return nil, metrics.Summary{}, err
-		}
-		runs = append(runs, res)
+// Runner serves one invocation's trainings: each distinct Cell trains once
+// and every experiment that asks for it shares the result, so Table 5/9,
+// Fig. 9/12, Table 6's Adaptive rows and Fig. 11's λ = 0.5 row cost nothing
+// after Table 4. That is sound because evaluation is off the simulated
+// clock and draws no randomness (TestEvalIsOffTheClock) and because
+// results are never mutated. A Runner needs only its Profile set.
+type Runner struct {
+	Profile   Profile
+	Trainings int // trainings executed so far (memo misses)
+	runs      map[Cell]*metrics.RunResult
+	// The dataset in use and its deployments, keyed by Cells with only the
+	// fields that select them set. Experiments walk the grid dataset by
+	// dataset, so each loads once and memory is bounded by one dataset.
+	data Cell
+	ds   *synthetic.Dataset
+	deps map[Cell]*core.Deployment
+}
+
+// failure is what deploy and train panic with and Experiment.Run returns.
+type failure struct{ err error }
+
+// cell is at the profile's size with the paper's AdaQP knobs and seed 1.
+func (r *Runner) cell(dataset string, parts int, model core.ModelKind, method core.Method, epochs int) Cell {
+	p, def := r.Profile, core.DefaultConfig()
+	return Cell{
+		Dataset: dataset, Scale: p.Scale, FeatureCap: p.FeatureCap, Parts: parts, Model: model, Method: method,
+		Hidden: p.Hidden, Epochs: epochs, EvalEvery: p.EvalEvery, GroupSize: def.GroupSize, Lambda: def.Lambda,
+		// Re-assign roughly 4 times per run regardless of length.
+		ReassignPeriod: max(epochs/4, 2), Seed: 1,
 	}
-	return runs, metrics.Summarize(runs), nil
 }
 
-// Options configures an experiment invocation.
-type Options struct {
-	Profile Profile
-	Out     io.Writer
-	Model   *timing.CostModel // nil → scaled default (see modelFor)
+// grid lists, in the paper's row order, the cells of Table 4's dataset ×
+// setting × model × method grid that keep accepts (nil: all). Every
+// experiment that walks the grid, whole or in part, filters this one loop.
+func (r *Runner) grid(epochs int, keep func(Cell) bool) []Cell {
+	var cells []Cell
+	for _, name := range []string{"reddit-sim", "yelp-sim", "products-sim", "amazon-sim"} {
+		for _, parts := range partsFor[name] {
+			for _, mk := range []core.ModelKind{core.GCN, core.GraphSAGE} {
+				for _, m := range []core.Method{core.Vanilla, rival[mk], core.AdaQP} {
+					if c := r.cell(name, parts, mk, m, epochs); keep == nil || keep(c) {
+						cells = append(cells, c)
+					}
+				}
+			}
+		}
+	}
+	return cells
 }
 
-// realNodeCounts are the node counts of the datasets the -sim graphs stand
-// in for (paper Table 3), used to scale the cost model.
+// deploy returns c's deployment, built on first use: load, cap, partition.
+func (r *Runner) deploy(c Cell) *core.Deployment {
+	d := Cell{Dataset: c.Dataset, Scale: c.Scale, FeatureCap: c.FeatureCap}
+	if d != r.data {
+		ds, err := synthetic.Load(d.Dataset, d.Scale)
+		if err != nil {
+			panic(failure{err})
+		}
+		if d.FeatureCap > 0 && ds.Features.Cols > d.FeatureCap {
+			capped := tensor.New(ds.Features.Rows, d.FeatureCap)
+			for i := 0; i < ds.Features.Rows; i++ {
+				copy(capped.Row(i), ds.Features.Row(i)[:d.FeatureCap])
+			}
+			ds.Features = capped
+		}
+		r.data, r.ds, r.deps = d, ds, map[Cell]*core.Deployment{}
+	}
+	d.Parts, d.Model = c.Parts, c.Model
+	if r.deps[d] == nil {
+		r.deps[d] = core.Deploy(r.ds, d.Parts, d.Model, partition.Block)
+	}
+	return r.deps[d]
+}
+
+// train returns c's result, training it unless this Runner already has.
+func (r *Runner) train(c Cell) *metrics.RunResult {
+	if r.runs == nil {
+		r.runs = map[Cell]*metrics.RunResult{}
+	}
+	if r.runs[c] == nil {
+		dep := r.deploy(c)
+		res, err := core.TrainDeployed(dep, c.config(), modelFor(dep.Dataset))
+		if err != nil {
+			panic(failure{fmt.Errorf("%s %s on %s/%d: %w", c.Model, c.Method, c.Dataset, c.Parts, err)})
+		}
+		r.Trainings++
+		r.runs[c] = res
+	}
+	return r.runs[c]
+}
+
+// summarize is Table 4's accuracy (%) and throughput cells: c over the
+// profile's runs, seeds 1, 1001, 2001, …
+func (r *Runner) summarize(c Cell) (MeanStd, float64) {
+	var runs []*metrics.RunResult
+	for i := 0; i < r.Profile.Runs; i++ {
+		c.Seed = uint64(1000*i + 1)
+		runs = append(runs, r.train(c))
+	}
+	s := metrics.Summarize(runs)
+	return MeanStd{100 * s.MeanAcc, 100 * s.StdAcc}, s.MeanThroughput
+}
+
+// realNodeCounts are the sizes of the datasets the -sim graphs stand in for.
 var realNodeCounts = map[string]float64{
-	"reddit-sim":   232965,
-	"yelp-sim":     716847,
-	"products-sim": 2449029,
-	"amazon-sim":   1569960,
+	"reddit-sim": 232965, "yelp-sim": 716847, "products-sim": 2449029, "amazon-sim": 1569960,
 }
 
 // modelFor returns the cost model for experiments on ds. The synthetic
@@ -138,31 +192,14 @@ var realNodeCounts = map[string]float64{
 // a scaled physical model: per-epoch byte/FLOP ratios, and therefore
 // communication-cost percentages, speedups and crossovers, match a
 // full-size run. Latency γ is scale-free and kept as is.
-func (o Options) modelFor(ds *synthetic.Dataset) *timing.CostModel {
-	if o.Model != nil {
-		return o.Model
-	}
+func modelFor(ds *synthetic.Dataset) *timing.CostModel {
 	m := timing.Default()
-	real, ok := realNodeCounts[ds.Name]
-	if !ok {
-		return m
+	if real, ok := realNodeCounts[ds.Name]; ok {
+		factor := max(real/float64(ds.NumNodes()), 1)
+		m.DenseFLOPS /= factor
+		m.SparseFLOPS /= factor
+		m.QuantRate /= factor
+		m.Bandwidth /= factor
 	}
-	factor := real / float64(ds.NumNodes())
-	if factor < 1 {
-		factor = 1
-	}
-	m.DenseFLOPS /= factor
-	m.SparseFLOPS /= factor
-	m.QuantRate /= factor
-	m.Bandwidth /= factor
 	return m
-}
-
-func (o *Options) printf(format string, args ...any) {
-	fmt.Fprintf(o.Out, format, args...)
-}
-
-// header prints a section banner.
-func (o *Options) header(id, title string) {
-	o.printf("\n=== %s — %s (profile %s) ===\n", id, title, o.Profile.Name)
 }

@@ -2,89 +2,409 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"math"
+	"os"
+	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/synthetic"
 )
 
-// smoke is an ultra-reduced profile so each experiment finishes in well
+// smoke is an ultra-reduced profile so every experiment finishes in well
 // under a second while still executing its full code path.
 var smoke = Profile{
 	Name: "smoke", Scale: 0.05, FeatureCap: 24, Hidden: 16,
 	EpochsLong: 3, EpochsShort: 2, Runs: 1, EvalEvery: 2,
 }
 
-func smokeOptions() (Options, *bytes.Buffer) {
-	var buf bytes.Buffer
-	return Options{Profile: smoke, Out: &buf}, &buf
+var updateGolden = flag.Bool("update-golden", false,
+	"rewrite testdata/smoke_all.golden from this tree (only for an intended change of the printed numbers)")
+
+// smokeAll is `-all` at the smoke profile, run once for the whole test
+// binary on one Runner: the reports by id and how many trainings each
+// experiment added. Tests are views over it, as the experiments are views
+// over the Runner.
+var smokeAll = sync.OnceValue(func() (s struct {
+	runner  *Runner
+	ids     []string
+	reports map[string]*Report
+	trained map[string]int
+	err     error
+}) {
+	s.runner, s.reports, s.trained = &Runner{Profile: smoke}, map[string]*Report{}, map[string]int{}
+	exps, err := Select(IDs())
+	for _, e := range exps {
+		if err != nil {
+			break
+		}
+		before := s.runner.Trainings
+		s.reports[e.ID], err = e.Run(s.runner)
+		s.trained[e.ID] = s.runner.Trainings - before
+		s.ids = append(s.ids, e.ID)
+	}
+	s.err = err
+	return s
+})
+
+func report(t *testing.T, id string) *Report {
+	t.Helper()
+	s := smokeAll()
+	if s.err != nil {
+		t.Fatal(s.err)
+	}
+	return s.reports[id]
 }
 
-func TestTable1Smoke(t *testing.T) {
-	o, buf := smokeOptions()
-	if err := Table1(o); err != nil {
+// num is the float64 cell of row i under the column called name.
+func num(t *testing.T, rep *Report, i int, name string) float64 {
+	t.Helper()
+	c := slices.IndexFunc(rep.Columns, func(c Column) bool { return c.Name == name })
+	v, ok := rep.Rows[i][c].(float64)
+	if !ok {
+		t.Fatalf("%s row %d column %q holds %#v, not a float64", rep.ID, i, name, rep.Rows[i][c])
+	}
+	return v
+}
+
+// The reports, rendered, are token for token what the parent commit's
+// printf-per-experiment code printed at the same profile: the golden was
+// captured there, before the refactor. Column padding is free; every label,
+// number and printed precision is fixed. It also proves the Runner's reuse
+// changes nothing, since the parent trained every table's cells afresh.
+func TestReportsMatchGolden(t *testing.T) {
+	var buf bytes.Buffer
+	for _, id := range smokeAll().ids {
+		if err := report(t, id).WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const path = "testdata/smoke_all.golden"
+	if *updateGolden {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	golden, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{"Table 1", "reddit-sim", "2M-2D", "%"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output missing %q:\n%s", want, out)
+	got, want := strings.Split(buf.String(), "\n"), strings.Split(string(golden), "\n")
+	for i := range max(len(got), len(want)) {
+		var g, w []string
+		if i < len(got) {
+			g = strings.Fields(got[i])
+		}
+		if i < len(want) {
+			w = strings.Fields(want[i])
+		}
+		if !slices.Equal(g, w) {
+			t.Fatalf("line %d:\n got  %q\n want %q", i+1, g, w)
 		}
 	}
 }
 
+// Each cell trains once: of the 166 trainings the parent's `-all` ran, 89
+// are distinct. Table 5/9 and Fig. 9/12 are views over Table 4's runs,
+// Table 6 trains only its Uniform rows and Fig. 11 all but its λ = 0.5 row.
+func TestEachCellTrainsOnce(t *testing.T) {
+	report(t, "t4")
+	s := smokeAll()
+	want := map[string]int{"t1": 6, "f2": 0, "t2": 0, "f3": 0, "t4": 48, "t9": 0, "t6": 4, "t7": 4, "f12": 0, "f10": 16, "f11": 11}
+	if !reflect.DeepEqual(s.trained, want) {
+		t.Fatalf("trainings per experiment\n got  %v\n want %v", s.trained, want)
+	}
+	if s.runner.Trainings != 89 {
+		t.Fatalf("%d trainings, want 89", s.runner.Trainings)
+	}
+}
+
+func TestSelect(t *testing.T) {
+	ids := func(ids ...string) []string { return ids }
+	for _, c := range []struct{ ask, want []string }{
+		{ids("t5"), ids("t9")}, // Table 9 holds Table 5
+		{ids("t9", "t5"), ids("t9")},
+		{ids("f9"), ids("f12")}, // f9 ⊂ f12
+		{ids("f12", "f9"), ids("f12")},
+		{ids("f11", "t1", "f2", "t1"), ids("t1", "f2", "f11")},
+		{IDs(), ids("t1", "f2", "t2", "f3", "t4", "t9", "t6", "t7", "f12", "f10", "f11")},
+	} {
+		exps, err := Select(c.ask)
+		if err != nil {
+			t.Fatalf("Select(%v): %v", c.ask, err)
+		}
+		var got []string
+		for _, e := range exps {
+			got = append(got, e.ID)
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("Select(%v) = %v, want %v", c.ask, got, c.want)
+		}
+	}
+	for _, bad := range []string{"t3", "f7", "tx", "4", ""} {
+		_, err := Select(ids("t1", bad))
+		if err == nil || !strings.Contains(err.Error(), "t1, f2, t2") {
+			t.Errorf("Select(%q): error %v should name the valid ids", bad, err)
+		}
+	}
+}
+
+// A failed load or training surfaces as Run's error, not as a panic.
+func TestRunReturnsTrainingErrors(t *testing.T) {
+	for name, turn := range map[string]func(*Cell){
+		"dataset": func(c *Cell) { c.Dataset = "no-such-sim" },
+		"lambda":  func(c *Cell) { c.Lambda = 2 },
+	} {
+		e := Experiment{ID: "t0", Build: func(r *Runner) *Report {
+			c := r.cell("reddit-sim", 2, core.GCN, core.AdaQP, 2)
+			turn(&c)
+			r.train(c)
+			return &Report{}
+		}}
+		if rep, err := e.Run(&Runner{Profile: smoke}); err == nil || rep != nil || !strings.HasPrefix(err.Error(), "t0: ") {
+			t.Errorf("bad %s: report %v, error %v", name, rep, err)
+		}
+	}
+}
+
+// The one equivalence the views rely on: evaluation is off the simulated
+// clock and draws no randomness, so a run that records validation accuracy
+// (Table 4, Fig. 9/12) and one that does not (what Table 5/9 used to train)
+// agree in every clock, score and loss bit, for every method an experiment
+// trains.
+func TestEvalIsOffTheClock(t *testing.T) {
+	r := &Runner{Profile: smoke}
+	for _, c := range []Cell{
+		r.cell("reddit-sim", 4, core.GCN, core.Vanilla, 6),
+		r.cell("reddit-sim", 4, core.GCN, core.SANCUS, 6),
+		r.cell("reddit-sim", 4, core.GCN, core.AdaQP, 6),
+		r.cell("products-sim", 4, core.GraphSAGE, core.PipeGCN, 6),
+		r.cell("products-sim", 4, core.GraphSAGE, core.AdaQP, 6),
+		r.cell("products-sim", 4, core.GraphSAGE, core.AdaQPRandom, 6),
+	} {
+		g := c.Model.String() + " " + c.Method.String()
+		with := r.train(c)
+		c.EvalEvery = 0
+		without := r.train(c)
+		if xs, _ := with.Curve(); len(xs) == 0 {
+			t.Fatalf("%v: the evaluating run recorded no curve", g)
+		}
+		if with.WallClock != without.WallClock || with.AssignTime != without.AssignTime || with.FinalTest != without.FinalTest ||
+			!reflect.DeepEqual(with.PerDevice, without.PerDevice) {
+			t.Errorf("%v: evaluation moved a clock or the score:\n with    %v %v %v\n without %v %v %v", g,
+				with.WallClock, with.AssignTime, with.FinalTest, without.WallClock, without.AssignTime, without.FinalTest)
+		}
+		for i, e := range with.Epochs {
+			if o := without.Epochs[i]; math.Float64bits(e.Loss) != math.Float64bits(o.Loss) || e.SimTime != o.SimTime {
+				t.Errorf("%v epoch %d: loss %v at %v with evaluation, %v at %v without", g, i, e.Loss, e.SimTime, o.Loss, o.SimTime)
+			}
+		}
+	}
+	if r.Trainings != 12 {
+		t.Fatalf("%d trainings, want 12: EvalEvery must be part of the memo key", r.Trainings)
+	}
+}
+
+// Turning any field of a Cell must miss the memo; asking again must hit.
+// Reflection walks the fields so that one added later is covered too.
+func TestMemoKeyIsTheWholeCell(t *testing.T) {
+	r := &Runner{Profile: smoke}
+	base := r.cell("reddit-sim", 2, core.GCN, core.AdaQP, 4)
+	base.Lambda = 0.25
+	turned := map[string]any{
+		"Dataset": "yelp-sim", "Scale": synthetic.Scale(0.04), "FeatureCap": 16, "Parts": 3,
+		"Model": core.GraphSAGE, "Method": core.AdaQPRandom, "Hidden": 8, "Epochs": 5, "EvalEvery": 0,
+		"GroupSize": 7, "Lambda": 0.75, "ReassignPeriod": 3, "Seed": uint64(2),
+	}
+	train := func(c Cell) int {
+		before := r.Trainings
+		r.train(c)
+		return r.Trainings - before
+	}
+	if train(base) != 1 || train(base) != 0 {
+		t.Fatal("the same cell must train once")
+	}
+	typ := reflect.TypeOf(base)
+	for i := range typ.NumField() {
+		name := typ.Field(i).Name
+		v, ok := turned[name]
+		if !ok {
+			t.Fatalf("Cell.%s is new: give it a turned value here", name)
+		}
+		c := base
+		reflect.ValueOf(&c).Elem().Field(i).Set(reflect.ValueOf(v))
+		if train(c) != 1 {
+			t.Errorf("a different %s reused another cell's training", name)
+		}
+		if train(c) != 0 || train(base) != 0 {
+			t.Errorf("%s: a cell already trained trained again", name)
+		}
+	}
+}
+
+// Table 1 (§2.2's motivation): Vanilla spends most of every epoch
+// communicating, on every dataset and partition setting.
+func TestTable1Smoke(t *testing.T) {
+	rep := report(t, "t1")
+	if len(rep.Rows) != 6 {
+		t.Fatalf("%d rows, want 6", len(rep.Rows))
+	}
+	for i, row := range rep.Rows {
+		if share := num(t, rep, i, "Communication Cost"); share <= 50 || share >= 100 {
+			t.Errorf("%v %v: communication share %.1f%% outside (50, 100)", row[0], row[1], share)
+		}
+		if remote := num(t, rep, i, "Remote Neighbor Ratio"); remote <= 0 || remote >= 100 {
+			t.Errorf("%v %v: remote-neighbor ratio %.1f%%", row[0], row[1], remote)
+		}
+	}
+}
+
+// Fig. 2: all 4·3 ordered device pairs, and the imbalance between them
+// that motivates the assigner's minimax term.
 func TestFigure2Smoke(t *testing.T) {
-	o, buf := smokeOptions()
-	if err := Figure2(o); err != nil {
-		t.Fatal(err)
+	rep := report(t, "f2")
+	if len(rep.Rows) != 12 || rep.Rows[0][0] != "0_1" || rep.Rows[11][0] != "3_2" {
+		t.Fatalf("pairs: %v", rep.Rows)
 	}
-	if !strings.Contains(buf.String(), "imbalance") {
-		t.Fatalf("figure 2 should report imbalance:\n%s", buf.String())
+	if len(rep.Notes) != 1 || !strings.HasPrefix(rep.Notes[0], "imbalance (max/min): ") {
+		t.Fatalf("figure 2 should report the imbalance: %q", rep.Notes)
 	}
 }
 
+// Table 2 / §2.2: even at 2 bits a device's marginal communication outlasts
+// its central computation, so the overlap hides the latter completely —
+// on all 8 devices.
+func TestTable2CentralComputeIsHidden(t *testing.T) {
+	rep := report(t, "t2")
+	if len(rep.Rows) != 8 {
+		t.Fatalf("%d devices, want 8", len(rep.Rows))
+	}
+	for i, row := range rep.Rows {
+		if comm, comp := num(t, rep, i, "comm. (s)"), num(t, rep, i, "Comp. (s)"); comp > comm || row[3] != "yes" {
+			t.Errorf("%v: central compute %.4fs against %.4fs of communication, hidden? %v", row[0], comp, comm, row[3])
+		}
+	}
+}
+
+// Fig. 3: marginal nodes are part of all nodes, and the printed ratio is
+// their share.
+func TestFigure3MarginalWithinAll(t *testing.T) {
+	rep := report(t, "f3")
+	for i, row := range rep.Rows {
+		all, marginal, ratio := num(t, rep, i, "All (s)"), num(t, rep, i, "Marginal (s)"), num(t, rep, i, "Ratio (%)")
+		if marginal <= 0 || marginal > all || math.Abs(ratio-100*marginal/all) > 1e-4 {
+			t.Errorf("%v: marginal %v of all %v, ratio %v%%", row[0], marginal, all, ratio)
+		}
+	}
+}
+
+// Table 6: the Adaptive rows are Table 4's products-sim AdaQP rows — same
+// cells, so same numbers — and each follows its Uniform twin.
 func TestTable6Smoke(t *testing.T) {
-	o, buf := smokeOptions()
-	if err := Table6(o); err != nil {
-		t.Fatal(err)
+	rep, t4 := report(t, "t6"), report(t, "t4")
+	var adaptive [][]any
+	for _, row := range t4.Rows {
+		if row[0] == "products-sim" && row[3] == core.AdaQP.String() {
+			adaptive = append(adaptive, []any{row[1], row[2], "Adaptive", row[4], row[5]})
+		}
 	}
-	out := buf.String()
-	if !strings.Contains(out, "Uniform") || !strings.Contains(out, "Adaptive") {
-		t.Fatalf("table 6 incomplete:\n%s", out)
+	if len(rep.Rows) != 8 || len(adaptive) != 4 {
+		t.Fatalf("%d rows over %d AdaQP cells", len(rep.Rows), len(adaptive))
+	}
+	for i, want := range adaptive {
+		uniform, got := rep.Rows[2*i], rep.Rows[2*i+1]
+		if uniform[2] != "Uniform" || !reflect.DeepEqual(uniform[:2], want[:2]) {
+			t.Errorf("row %d: %v is not the Uniform twin of %v", 2*i, uniform, want)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("row %d: %v, Table 4 has %v", 2*i+1, got, want)
+		}
 	}
 }
 
-func TestFigure9Smoke(t *testing.T) {
-	o, buf := smokeOptions()
-	if err := Figure9And12(o, []string{"products-sim"}); err != nil {
-		t.Fatal(err)
+// Table 7: AdaQP still out-runs Vanilla on 24 devices.
+func TestTable7AdaQPAheadOn24Devices(t *testing.T) {
+	rep := report(t, "t7")
+	if len(rep.Rows) != 4 {
+		t.Fatalf("%d rows, want 4", len(rep.Rows))
 	}
-	out := buf.String()
-	for _, want := range []string{"method,epoch,val_acc", "Vanilla,0,", "AdaQP,0,"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("curves missing %q:\n%s", want, out)
+	for _, i := range []int{1, 3} {
+		vanilla, adaqp := num(t, rep, i-1, "Throughput (epoch/s)"), num(t, rep, i, "Throughput (epoch/s)")
+		if rep.Rows[i][1] != "AdaQP" || adaqp <= vanilla || num(t, rep, i, "") != adaqp/vanilla {
+			t.Errorf("%v: %v %.3f epoch/s against Vanilla's %.3f", rep.Rows[i][0], rep.Rows[i][1], adaqp, vanilla)
+		}
+	}
+}
+
+// Fig. 9/12 is a view: after Table 4 it trains nothing. One curve per
+// dataset × model × method on the dataset's first partition setting, each
+// starting at epoch 0 with a point per evaluation.
+func TestFigure9Smoke(t *testing.T) {
+	rep := report(t, "f12")
+	if n := smokeAll().trained["f12"]; n != 0 {
+		t.Errorf("Fig. 9/12 trained %d cells after Table 4", n)
+	}
+	// 4 datasets × 2 models × 3 methods, evaluated at epochs 0 and 2.
+	if len(rep.Rows) != 48 {
+		t.Fatalf("%d points, want 48", len(rep.Rows))
+	}
+	for i, row := range rep.Rows {
+		if row[4] != 2*(i%2) || row[2] != setting[partsFor[row[0].(string)][0]] {
+			t.Fatalf("point %d: %v", i, row)
+		}
+	}
+}
+
+// Fig. 10: the bars are the whole bar. Behind every row, each device's
+// Comm + Comp + Quant + Idle + Assign (Overlap annotates hidden time and
+// is not added) is that device's clock — which is the run's wall-clock on
+// every device, the slowest included, because each epoch closes with an
+// all-reduce — and only AdaQP spends time quantizing.
+func TestFigure10BreakdownSumsToClock(t *testing.T) {
+	rep := report(t, "f10")
+	var rows int
+	for c, res := range smokeAll().runner.runs {
+		if c.Epochs != 4*smoke.EpochsShort {
+			continue
+		}
+		rows++
+		for d, b := range res.PerDevice {
+			if sum, wall := float64(b.Total()), float64(res.WallClock); math.Abs(sum-wall) > 1e-9*wall {
+				t.Errorf("%s %s/%d device %d: categories sum to %v, wall-clock %v", c.Method, c.Dataset, c.Parts, d, sum, wall)
+			}
+			if quantizes := b.Quant > 0; quantizes != (c.Method == core.AdaQP) {
+				t.Errorf("%s %s/%d device %d: Quant %v", c.Method, c.Dataset, c.Parts, d, b.Quant)
+			}
+		}
+	}
+	if rows != len(rep.Rows) || rows != 16 {
+		t.Fatalf("%d runs behind %d rows, want 16", rows, len(rep.Rows))
+	}
+	for i, row := range rep.Rows {
+		if q := num(t, rep, i, "Quant(s)"); (q > 0) != (row[2] == "AdaQP") {
+			t.Errorf("%v %v %v: Quant(s) %v", row[0], row[1], row[2], q)
 		}
 	}
 }
 
 func TestLoadDatasetFeatureCap(t *testing.T) {
-	ds, err := smoke.loadDataset("yelp-sim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.Features.Cols != smoke.FeatureCap {
-		t.Fatalf("feature cap not applied: %d cols", ds.Features.Cols)
+	r := &Runner{Profile: smoke}
+	if dep := r.deploy(r.cell("yelp-sim", 2, core.GCN, core.Vanilla, 1)); dep.Dataset.Features.Cols != smoke.FeatureCap {
+		t.Fatalf("feature cap not applied: %d cols", dep.Dataset.Features.Cols)
 	}
 }
 
 func TestModelForScales(t *testing.T) {
-	o, _ := smokeOptions()
-	ds, err := smoke.loadDataset("products-sim")
+	ds, err := synthetic.Load("products-sim", smoke.Scale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := o.modelFor(ds)
-	def := o.modelFor(&synthetic.Dataset{Name: "not-registered"})
+	m := modelFor(ds)
+	def := modelFor(&synthetic.Dataset{Name: "not-registered"})
 	if m.Bandwidth >= def.Bandwidth || m.DenseFLOPS >= def.DenseFLOPS {
 		t.Fatal("scaled model should be slower than default")
 	}
@@ -100,10 +420,10 @@ func TestModelForScales(t *testing.T) {
 }
 
 func TestSettingsFor(t *testing.T) {
-	if s := settingsFor("reddit-sim"); s[0].Parts != 2 || s[1].Parts != 4 {
-		t.Fatalf("reddit settings %v", s)
+	if p := partsFor["reddit-sim"]; setting[p[0]] != "2M-1D" || setting[p[1]] != "2M-2D" {
+		t.Fatalf("reddit settings %v", p)
 	}
-	if s := settingsFor("amazon-sim"); s[0].Parts != 4 || s[1].Parts != 8 {
-		t.Fatalf("amazon settings %v", s)
+	if p := partsFor["amazon-sim"]; setting[p[0]] != "2M-2D" || setting[p[1]] != "2M-4D" {
+		t.Fatalf("amazon settings %v", p)
 	}
 }

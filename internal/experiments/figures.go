@@ -1,180 +1,95 @@
 package experiments
 
 import (
-	"math"
+	"fmt"
+	"slices"
+	"strconv"
 
 	"repro/internal/core"
-	"repro/internal/partition"
-	"repro/internal/quant"
-	"repro/internal/synthetic"
 )
 
-// Figure2 — data size transferred across each device pair in the GCN's
+// figure2 — data size transferred across each device pair in the GCN's
 // first layer, amazon-sim with 4 partitions. The imbalance across pairs is
 // what motivates the minimax term of the bit-width assignment (Eqn. 10).
-func Figure2(o Options) error {
-	o.header("Figure 2", "Per-device-pair data size, amazon-sim, 4 partitions")
-	ds, err := o.Profile.loadDataset("amazon-sim")
-	if err != nil {
-		return err
-	}
-	dep := core.Deploy(ds, 4, core.GCN, partition.Block)
-	pairs := core.PairBytesFirstLayer(dep)
-	o.printf("%-12s %14s\n", "Device Pair", "Data size (MB)")
-	mn, mx := math.Inf(1), 0.0
-	for src := range pairs {
-		for dst, b := range pairs[src] {
-			if src == dst {
-				continue
-			}
-			mb := float64(b) / 1e6
-			o.printf("%d_%-10d %14.3f\n", src, dst, mb)
-			if mb < mn {
-				mn = mb
-			}
-			if mb > mx {
-				mx = mb
+func figure2(r *Runner) *Report {
+	rep := &Report{Columns: []Column{{Name: "Device Pair"}, {Name: "Data size (MB)", Prec: 3}}}
+	var sizes []float64
+	for src, row := range core.PairBytesFirstLayer(r.deploy(r.cell("amazon-sim", 4, core.GCN, core.Vanilla, 1))) {
+		for dst, b := range row {
+			if src != dst {
+				sizes = append(sizes, float64(b)/1e6)
+				rep.add(strconv.Itoa(src)+"_"+strconv.Itoa(dst), float64(b)/1e6)
 			}
 		}
 	}
-	if mn > 0 {
-		o.printf("imbalance (max/min): %.2fx\n", mx/mn)
+	if mn := slices.Min(sizes); mn > 0 {
+		rep.Notes = []string{fmt.Sprintf("imbalance (max/min): %.2fx", slices.Max(sizes)/mn)}
 	}
-	return nil
+	return rep
 }
 
-// Figure3 — computation time of all nodes vs marginal nodes only,
-// products-sim with 8 partitions: the central share is what the overlap
-// schedule hides.
-func Figure3(o Options) error {
-	o.header("Figure 3", "Computation time: all vs marginal nodes, products-sim, 8 partitions")
-	// Analytic (no training): always full registry scale, hidden 256.
-	ds, err := synthetic.Load("products-sim", 1)
-	if err != nil {
-		return err
+// figure3 — computation time of all nodes vs marginal nodes only: the
+// central share is what the overlap schedule hides.
+func figure3(r *Runner) *Report {
+	rep := &Report{Columns: []Column{{Name: "Device"}, {Name: "All (s)", Prec: 4}, {Name: "Marginal (s)", Prec: 4},
+		{Name: "Ratio (%)", Prec: 1, Post: "%"}}}
+	for _, d := range r.overlap() {
+		rep.add("Device"+strconv.Itoa(d.Device), float64(d.TotalComp), float64(d.MarginalComp), 100*float64(d.MarginalComp/d.TotalComp))
 	}
-	dep := core.Deploy(ds, 8, core.GCN, partition.Block)
-	cfg := o.Profile.baseConfig(core.GCN, core.Vanilla, 1, 1)
-	cfg.Hidden = 256
-	rep := core.AnalyzeOverlap(dep, cfg, quant.B2, o.modelFor(ds))
-	o.printf("%-9s %12s %16s %12s\n", "Device", "All (s)", "Marginal (s)", "Ratio (%)")
-	for _, d := range rep {
-		ratio := 0.0
-		if d.TotalComp > 0 {
-			ratio = 100 * float64(d.MarginalComp/d.TotalComp)
-		}
-		o.printf("Device%-3d %12.4f %16.4f %11.1f%%\n", d.Device, d.TotalComp, d.MarginalComp, ratio)
-	}
-	return nil
+	return rep
 }
 
-// Figure9And12 — epoch-to-validation-accuracy convergence curves for all
-// methods. Figure 9 is the Reddit/products subset; Figure 12 covers all
-// datasets. Curves are printed as CSV series (epoch,acc per method).
-func Figure9And12(o Options, datasets []string) error {
-	o.header("Figure 9/12", "Convergence curves (validation accuracy by epoch)")
-	if len(datasets) == 0 {
-		datasets = []string{"reddit-sim", "products-sim"}
-	}
-	for _, name := range datasets {
-		ds, err := o.Profile.loadDataset(name)
-		if err != nil {
-			return err
-		}
-		s := settingsFor(name)[0]
-		for _, mk := range []core.ModelKind{core.GCN, core.GraphSAGE} {
-			dep := core.Deploy(ds, s.Parts, mk, partition.Block)
-			methods := []core.Method{core.Vanilla, core.SANCUS, core.AdaQP}
-			if mk == core.GraphSAGE {
-				methods = []core.Method{core.Vanilla, core.PipeGCN, core.AdaQP}
-			}
-			o.printf("\n# %s %s %s\n", name, mk, s.Label)
-			o.printf("method,epoch,val_acc\n")
-			for _, m := range methods {
-				cfg := o.Profile.baseConfig(mk, m, o.Profile.EpochsLong, 1)
-				res, err := core.TrainDeployed(dep, cfg, o.modelFor(ds))
-				if err != nil {
-					return err
-				}
-				xs, ys := res.Curve()
-				for i := range xs {
-					o.printf("%s,%d,%.4f\n", m, xs[i], ys[i])
-				}
-			}
+// figure9And12 — validation accuracy by epoch for every method on each
+// dataset's first partition setting, as CSV series: Figure 12, of which
+// Figure 9 is the Reddit/products part. A view over Table 4's first seed.
+func figure9And12(r *Runner) *Report {
+	rep := &Report{SeriesKey: 3, Columns: []Column{colDataset, colModel, colParts,
+		{Name: "method"}, {Name: "epoch"}, {Name: "val_acc", Prec: 4}}}
+	for _, c := range r.grid(r.Profile.EpochsLong, func(c Cell) bool { return c.Parts == partsFor[c.Dataset][0] }) {
+		xs, ys := r.train(c).Curve()
+		for i := range xs {
+			rep.add(c.Dataset, c.Model.String(), setting[c.Parts], c.Method.String(), xs[i], ys[i])
 		}
 	}
-	return nil
+	return rep
 }
 
-// Figure10 — time breakdown: (a) per-epoch communication / computation /
+// figure10 — time breakdown: (a) per-epoch communication / computation /
 // quantization for Vanilla vs AdaQP; (b) wall-clock training vs assignment.
-func Figure10(o Options) error {
-	o.header("Figure 10", "Time breakdown of Vanilla and AdaQP (GCN)")
-	o.printf("%-14s %-8s %-9s %10s %10s %10s | %10s %10s\n",
-		"Dataset", "Parts", "Method", "Comm(s)", "Comp(s)", "Quant(s)", "Train(s)", "Assign(s)")
-	for _, name := range []string{"reddit-sim", "yelp-sim", "products-sim", "amazon-sim"} {
-		ds, err := o.Profile.loadDataset(name)
-		if err != nil {
-			return err
-		}
-		for _, s := range settingsFor(name) {
-			dep := core.Deploy(ds, s.Parts, core.GCN, partition.Block)
-			for _, m := range []core.Method{core.Vanilla, core.AdaQP} {
-				cfg := o.Profile.baseConfig(core.GCN, m, o.Profile.EpochsShort*4, 1)
-				cfg.EvalEvery = 0
-				res, err := core.TrainDeployed(dep, cfg, o.modelFor(ds))
-				if err != nil {
-					return err
-				}
-				per := res.PerEpoch()
-				o.printf("%-14s %-8s %-9s %10.4f %10.4f %10.4f | %10.2f %10.2f\n",
-					name, s.Label, m, per.Comm+per.Idle, per.Comp, per.Quant,
-					res.WallClock-res.AssignTime, res.AssignTime)
-			}
-		}
+func figure10(r *Runner) *Report {
+	rep := &Report{Columns: []Column{colDataset, colParts, colMethod,
+		{Name: "Comm(s)", Prec: 4}, {Name: "Comp(s)", Prec: 4}, {Name: "Quant(s)", Prec: 4},
+		{Name: "Train(s)", Prec: 2, Panel: true}, {Name: "Assign(s)", Prec: 2}}}
+	for _, c := range r.grid(r.Profile.EpochsShort*4, func(c Cell) bool { return c.Model == core.GCN && c.Method != core.SANCUS }) {
+		c.EvalEvery = 0
+		res := r.train(c)
+		per := res.PerEpoch()
+		rep.add(c.Dataset, setting[c.Parts], c.Method.String(), float64(per.Comm+per.Idle), float64(per.Comp), float64(per.Quant),
+			float64(res.WallClock-res.AssignTime), float64(res.AssignTime))
 	}
-	return nil
+	return rep
 }
 
-// Figure11 — sensitivity of AdaQP to group size, λ and the re-assignment
-// period: accuracy and assignment overhead, GCN on products-sim 2M-4D.
-func Figure11(o Options) error {
-	o.header("Figure 11", "Sensitivity: group size, lambda, re-assignment period")
-	ds, err := o.Profile.loadDataset("products-sim")
-	if err != nil {
-		return err
-	}
-	dep := core.Deploy(ds, 8, core.GCN, partition.Block)
-	run := func(mut func(*core.Config)) (acc float64, overhead float64, err error) {
-		cfg := o.Profile.baseConfig(core.GCN, core.AdaQP, o.Profile.EpochsLong, 1)
-		mut(&cfg)
-		res, err := core.TrainDeployed(dep, cfg, o.modelFor(ds))
-		if err != nil {
-			return 0, 0, err
+// figure11 — accuracy and assignment overhead of GCN on products-sim 2M-4D:
+// each row is Table 4's cell with one knob turned; λ = 0.5 is that cell.
+func figure11(r *Runner) *Report {
+	rep := &Report{Columns: []Column{{Name: "Knob"}, {Name: "Value", Prec: 2},
+		{Name: "Accuracy(%)", Prec: 2, Post: "%"}, {Name: "Overhead(s)", Prec: 4}}}
+	for _, knob := range []struct {
+		name   string
+		values []any
+		turn   func(*Cell, any)
+	}{
+		{"group-size", []any{50, 500, 2000, 10000}, func(c *Cell, v any) { c.GroupSize = v.(int) }},
+		{"lambda", []any{0.0, 0.25, 0.5, 0.75, 1.0}, func(c *Cell, v any) { c.Lambda = v.(float64) }},
+		{"period", []any{10, 25, 50}, func(c *Cell, v any) { c.ReassignPeriod = v.(int) }},
+	} {
+		for _, v := range knob.values {
+			c := r.cell("products-sim", 8, core.GCN, core.AdaQP, r.Profile.EpochsLong)
+			knob.turn(&c, v)
+			res := r.train(c)
+			rep.add(knob.name, v, 100*res.FinalTest, float64(res.AssignTime))
 		}
-		return res.FinalTest, float64(res.AssignTime), nil
 	}
-	o.printf("%-12s %-10s %12s %14s\n", "Knob", "Value", "Accuracy(%)", "Overhead(s)")
-	for _, gs := range []int{50, 500, 2000, 10000} {
-		acc, ov, err := run(func(c *core.Config) { c.GroupSize = gs })
-		if err != nil {
-			return err
-		}
-		o.printf("%-12s %-10d %11.2f%% %14.4f\n", "group-size", gs, 100*acc, ov)
-	}
-	for _, lam := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		acc, ov, err := run(func(c *core.Config) { c.Lambda = lam })
-		if err != nil {
-			return err
-		}
-		o.printf("%-12s %-10.2f %11.2f%% %14.4f\n", "lambda", lam, 100*acc, ov)
-	}
-	for _, period := range []int{10, 25, 50} {
-		acc, ov, err := run(func(c *core.Config) { c.ReassignPeriod = period })
-		if err != nil {
-			return err
-		}
-		o.printf("%-12s %-10d %11.2f%% %14.4f\n", "period", period, 100*acc, ov)
-	}
-	return nil
+	return rep
 }

@@ -1,211 +1,124 @@
 package experiments
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/core"
-	"repro/internal/partition"
 	"repro/internal/quant"
-	"repro/internal/synthetic"
 )
 
-// Table1 — communication overhead of Vanilla: communication cost (% of
-// epoch time) and remote-neighbor ratio per dataset/partition setting.
-func Table1(o Options) error {
-	o.header("Table 1", "Communication overhead in Vanilla")
-	o.printf("%-14s %-10s %18s %22s\n", "Dataset", "Partition", "Communication Cost", "Remote Neighbor Ratio")
-	cases := []struct {
-		ds       string
-		settings []Setting
-	}{
-		{"reddit-sim", []Setting{{"2M-1D", 2}, {"2M-2D", 4}}},
-		{"products-sim", []Setting{{"2M-2D", 4}, {"2M-4D", 8}}},
-		{"amazon-sim", []Setting{{"2M-2D", 4}, {"2M-4D", 8}}},
+// Columns shared by the reports that walk the grid.
+var (
+	colDataset    = Column{Name: "Dataset"}
+	colParts      = Column{Name: "Parts"}
+	colModel      = Column{Name: "Model"}
+	colMethod     = Column{Name: "Method"}
+	colAccuracy   = Column{Name: "Accuracy(%)", Prec: 2}
+	colThroughput = Column{Name: "Throughput (epoch/s)", Prec: 3}
+	colSpeedup    = Column{Prec: 2, Pre: "(", Post: "x)"} // over the Vanilla row above
+)
+
+// speedup is tp over the Vanilla throughput of the same deployment, or nil
+// on the Vanilla row itself, which sets *vanilla.
+func speedup(m core.Method, tp float64, vanilla *float64) any {
+	if m == core.Vanilla {
+		*vanilla = tp
+		return nil
 	}
-	for _, c := range cases {
-		ds, err := o.Profile.loadDataset(c.ds)
-		if err != nil {
-			return err
-		}
-		for _, s := range c.settings {
-			dep := core.Deploy(ds, s.Parts, core.GCN, partition.Block)
-			cfg := o.Profile.baseConfig(core.GCN, core.Vanilla, o.Profile.EpochsShort, 1)
-			cfg.EvalEvery = 0
-			res, err := core.TrainDeployed(dep, cfg, o.modelFor(ds))
-			if err != nil {
-				return err
-			}
-			o.printf("%-14s %-10s %17.2f%% %21.2f%%\n",
-				c.ds, s.Label, 100*res.CommCost(), 100*dep.Stats.RemoteNeighborAvg)
-		}
-	}
-	return nil
+	return tp / *vanilla
 }
 
-// Table2 — central-node computation time vs marginal-node communication
-// time with 2-bit quantized messages, products-sim on 8 partitions.
-// Communication must exceed computation on every device for the overlap to
-// hide central computation completely (§2.2).
-func Table2(o Options) error {
-	o.header("Table 2", "Central comp vs 2-bit marginal comm, products-sim 8 partitions")
-	// This experiment is analytic (no training), so it always runs at the
-	// registry's full scale with the paper's hidden size 256.
-	ds, err := synthetic.Load("products-sim", 1)
-	if err != nil {
-		return err
+// table1 — Vanilla's communication cost (% of epoch time) and
+// remote-neighbor ratio per dataset and partition setting.
+func table1(r *Runner) *Report {
+	rep := &Report{Columns: []Column{colDataset, {Name: "Partition"},
+		{Name: "Communication Cost", Prec: 2, Post: "%"}, {Name: "Remote Neighbor Ratio", Prec: 2, Post: "%"}}}
+	for _, c := range r.grid(r.Profile.EpochsShort, func(c Cell) bool {
+		return c.Dataset != "yelp-sim" && c.Model == core.GCN && c.Method == core.Vanilla
+	}) {
+		c.EvalEvery = 0
+		rep.add(c.Dataset, setting[c.Parts], 100*r.train(c).CommCost(), 100*r.deploy(c).Stats.RemoteNeighborAvg)
 	}
-	dep := core.Deploy(ds, 8, core.GCN, partition.Block)
-	cfg := o.Profile.baseConfig(core.GCN, core.AdaQPUniform, 1, 1)
-	cfg.Hidden = 256
-	rep := core.AnalyzeOverlap(dep, cfg, quant.B2, o.modelFor(ds))
-	o.printf("%-9s %10s %10s %10s\n", "Device", "comm. (s)", "Comp. (s)", "hidden?")
-	for _, d := range rep {
+	return rep
+}
+
+// overlap is the analytic (no training) per-device comm/comp split behind
+// Table 2 and Fig. 3: products-sim on 8 partitions at 2-bit, always at the
+// registry's full scale with the paper's hidden size 256.
+func (r *Runner) overlap() []core.DeviceOverlap {
+	c := r.cell("products-sim", 8, core.GCN, core.AdaQPUniform, 1)
+	c.Scale, c.FeatureCap, c.Hidden = 1, 0, 256
+	dep := r.deploy(c)
+	return core.AnalyzeOverlap(dep, c.config(), quant.B2, modelFor(dep.Dataset))
+}
+
+// table2 — central-node computation vs marginal-node communication at
+// 2 bits: communication must exceed computation on every device for the
+// overlap to hide central computation completely (§2.2).
+func table2(r *Runner) *Report {
+	rep := &Report{Columns: []Column{{Name: "Device"}, {Name: "comm. (s)", Prec: 4}, {Name: "Comp. (s)", Prec: 4}, {Name: "hidden?"}}}
+	for _, d := range r.overlap() {
 		hidden := "yes"
 		if d.CentralComp > d.CommSeconds {
 			hidden = "NO"
 		}
-		o.printf("Device%-3d %10.4f %10.4f %10s\n", d.Device, d.CommSeconds, d.CentralComp, hidden)
+		rep.add("Device"+strconv.Itoa(d.Device), float64(d.CommSeconds), float64(d.CentralComp), hidden)
 	}
-	return nil
+	return rep
 }
 
-// Table4 — the headline comparison: accuracy and throughput of Vanilla,
+// table4 — the headline comparison: accuracy and throughput of Vanilla,
 // PipeGCN/SANCUS and AdaQP over datasets × models × partition settings.
-func Table4(o Options) error {
-	o.header("Table 4", "Training performance comparison")
-	o.printf("%-14s %-7s %-10s %-13s %12s %22s\n",
-		"Dataset", "Parts", "Model", "Method", "Accuracy(%)", "Throughput (epoch/s)")
-	for _, name := range []string{"reddit-sim", "yelp-sim", "products-sim", "amazon-sim"} {
-		ds, err := o.Profile.loadDataset(name)
-		if err != nil {
-			return err
-		}
-		for _, s := range settingsFor(name) {
-			for _, mk := range []core.ModelKind{core.GCN, core.GraphSAGE} {
-				dep := core.Deploy(ds, s.Parts, mk, partition.Block)
-				methods := []core.Method{core.Vanilla, core.SANCUS, core.AdaQP}
-				if mk == core.GraphSAGE {
-					methods = []core.Method{core.Vanilla, core.PipeGCN, core.AdaQP}
-				}
-				var vanillaTP float64
-				for _, m := range methods {
-					cfg := o.Profile.baseConfig(mk, m, o.Profile.EpochsLong, 1)
-					runs, sum, err := o.Profile.runRepeated(dep, cfg, o.modelFor(ds))
-					if err != nil {
-						return err
-					}
-					_ = runs
-					speedup := ""
-					if m == core.Vanilla {
-						vanillaTP = sum.MeanThroughput
-					} else if vanillaTP > 0 {
-						speedup = fmt.Sprintf(" (%.2fx)", sum.MeanThroughput/vanillaTP)
-					}
-					o.printf("%-14s %-7s %-10s %-13s %6.2f±%.2f %15.3f%s\n",
-						name, s.Label, mk, m, 100*sum.MeanAcc, 100*sum.StdAcc,
-						sum.MeanThroughput, speedup)
-				}
-			}
-		}
+func table4(r *Runner) *Report {
+	rep := &Report{Columns: []Column{colDataset, colParts, colModel, colMethod, colAccuracy, colThroughput, colSpeedup}}
+	var vanilla float64
+	for _, c := range r.grid(r.Profile.EpochsLong, nil) {
+		acc, tp := r.summarize(c)
+		rep.add(c.Dataset, setting[c.Parts], c.Model.String(), c.Method.String(), acc, tp, speedup(c.Method, tp, &vanilla))
 	}
-	return nil
+	return rep
 }
 
-// Table5And9 — wall-clock training time for every dataset (Table 9); the
-// paper's Table 5 is the AmazonProducts subset.
-func Table5And9(o Options) error {
-	o.header("Table 5/9", "Wall-clock training time (s)")
-	o.printf("%-14s %-7s %-10s %-13s %16s %14s\n",
-		"Dataset", "Parts", "Model", "Method", "Wall-clock (s)", "Assign (s)")
-	for _, name := range []string{"reddit-sim", "yelp-sim", "products-sim", "amazon-sim"} {
-		ds, err := o.Profile.loadDataset(name)
-		if err != nil {
-			return err
-		}
-		for _, s := range settingsFor(name) {
-			for _, mk := range []core.ModelKind{core.GCN, core.GraphSAGE} {
-				dep := core.Deploy(ds, s.Parts, mk, partition.Block)
-				methods := []core.Method{core.Vanilla, core.SANCUS, core.AdaQP}
-				if mk == core.GraphSAGE {
-					methods = []core.Method{core.Vanilla, core.PipeGCN, core.AdaQP}
-				}
-				for _, m := range methods {
-					cfg := o.Profile.baseConfig(mk, m, o.Profile.EpochsLong, 1)
-					cfg.EvalEvery = 0
-					res, err := core.TrainDeployed(dep, cfg, o.modelFor(ds))
-					if err != nil {
-						return err
-					}
-					o.printf("%-14s %-7s %-10s %-13s %16.2f %14.2f\n",
-						name, s.Label, mk, m, res.WallClock, res.AssignTime)
-				}
-			}
-		}
+// table5And9 — wall-clock training time for every dataset (Table 9); the
+// paper's Table 5 is the AmazonProducts subset. A view over Table 4's
+// first-seed runs.
+func table5And9(r *Runner) *Report {
+	rep := &Report{Columns: []Column{colDataset, colParts, colModel, colMethod,
+		{Name: "Wall-clock (s)", Prec: 2}, {Name: "Assign (s)", Prec: 2}}}
+	for _, c := range r.grid(r.Profile.EpochsLong, nil) {
+		res := r.train(c)
+		rep.add(c.Dataset, setting[c.Parts], c.Model.String(), c.Method.String(), float64(res.WallClock), float64(res.AssignTime))
 	}
-	return nil
+	return rep
 }
 
-// Table6 — adaptive bit-width assignment vs uniform random sampling,
-// products-sim, GCN + GraphSAGE, 2M-2D and 2M-4D.
-func Table6(o Options) error {
-	o.header("Table 6", "Uniform sampling vs adaptive assignment, products-sim")
-	o.printf("%-7s %-10s %-10s %12s %22s\n", "Parts", "Model", "Method", "Accuracy(%)", "Throughput (epoch/s)")
-	ds, err := o.Profile.loadDataset("products-sim")
-	if err != nil {
-		return err
-	}
-	for _, s := range []Setting{{"2M-2D", 4}, {"2M-4D", 8}} {
-		for _, mk := range []core.ModelKind{core.GCN, core.GraphSAGE} {
-			dep := core.Deploy(ds, s.Parts, mk, partition.Block)
-			for _, m := range []core.Method{core.AdaQPRandom, core.AdaQP} {
-				cfg := o.Profile.baseConfig(mk, m, o.Profile.EpochsLong, 1)
-				_, sum, err := o.Profile.runRepeated(dep, cfg, o.modelFor(ds))
-				if err != nil {
-					return err
-				}
-				label := "Uniform"
-				if m == core.AdaQP {
-					label = "Adaptive"
-				}
-				o.printf("%-7s %-10s %-10s %6.2f±%.2f %15.3f\n",
-					s.Label, mk, label, 100*sum.MeanAcc, 100*sum.StdAcc, sum.MeanThroughput)
-			}
+// table6 — adaptive bit-width assignment vs uniform random sampling on
+// products-sim. The Adaptive rows are Table 4's AdaQP cells.
+func table6(r *Runner) *Report {
+	rep := &Report{Columns: []Column{colParts, colModel, colMethod, colAccuracy, colThroughput}}
+	sampling := map[core.Method]string{core.AdaQPRandom: "Uniform", core.AdaQP: "Adaptive"}
+	for _, c := range r.grid(r.Profile.EpochsLong, func(c Cell) bool { return c.Dataset == "products-sim" && c.Method == core.AdaQP }) {
+		for _, c.Method = range []core.Method{core.AdaQPRandom, core.AdaQP} {
+			acc, tp := r.summarize(c)
+			rep.add(setting[c.Parts], c.Model.String(), sampling[c.Method], acc, tp)
 		}
 	}
-	return nil
+	return rep
 }
 
-// Table7 — scalability: 24 devices (6M-4D), GraphSAGE, throughput of
-// Vanilla vs AdaQP.
-func Table7(o Options) error {
-	o.header("Table 7", "Training throughput on the 6M-4D partition (24 devices)")
-	o.printf("%-14s %-10s %22s\n", "Dataset", "Method", "Throughput (epoch/s)")
+// table7 — scalability: GraphSAGE on 24 devices (6M-4D).
+func table7(r *Runner) *Report {
+	rep := &Report{Columns: []Column{colDataset, colMethod, colThroughput, colSpeedup}}
+	var vanilla float64
 	for _, name := range []string{"products-sim", "amazon-sim"} {
-		// 24 devices need the largest graphs available: always registry
-		// scale (profile feature caps still apply), so per-pair messages
-		// stay meaningfully sized.
-		ds, err := synthetic.Load(name, 1)
-		if err != nil {
-			return err
-		}
-		dep := core.Deploy(ds, 24, core.GraphSAGE, partition.Block)
-		var vanillaTP float64
 		for _, m := range []core.Method{core.Vanilla, core.AdaQP} {
-			cfg := o.Profile.baseConfig(core.GraphSAGE, m, o.Profile.EpochsShort*2, 1)
-			cfg.EvalEvery = 0
-			res, err := core.TrainDeployed(dep, cfg, o.modelFor(ds))
-			if err != nil {
-				return err
-			}
-			tp := res.Throughput()
-			speedup := ""
-			if m == core.Vanilla {
-				vanillaTP = tp
-			} else if vanillaTP > 0 {
-				speedup = fmt.Sprintf(" (%.2fx)", tp/vanillaTP)
-			}
-			o.printf("%-14s %-10s %15.3f%s\n", name, m, tp, speedup)
+			c := r.cell(name, 24, core.GraphSAGE, m, r.Profile.EpochsShort*2)
+			// 24 devices need the largest graphs available, the whole
+			// registry graph, for per-pair messages to stay meaningfully sized.
+			c.Scale, c.FeatureCap, c.EvalEvery = 1, 0, 0
+			tp := r.train(c).Throughput()
+			rep.add(name, m.String(), tp, speedup(m, tp, &vanilla))
 		}
 	}
-	return nil
+	return rep
 }

@@ -8,7 +8,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/timing"
 )
@@ -181,14 +180,6 @@ func (r *RunResult) Throughput() float64 {
 	return float64(len(r.Epochs)) / float64(t)
 }
 
-// EndToEndThroughput includes assignment overhead.
-func (r *RunResult) EndToEndThroughput() float64 {
-	if r.WallClock <= 0 {
-		return 0
-	}
-	return float64(len(r.Epochs)) / float64(r.WallClock)
-}
-
 // AvgBreakdown averages the per-device breakdowns.
 func (r *RunResult) AvgBreakdown() Breakdown {
 	var sum Breakdown
@@ -274,56 +265,4 @@ func MeanStd(xs []float64) (mean, std float64) {
 	}
 	std = math.Sqrt(std / float64(len(xs)))
 	return mean, std
-}
-
-// EpochsToReach returns the first epoch whose recorded validation accuracy
-// reaches target, or -1.
-func (r *RunResult) EpochsToReach(target float64) int {
-	for _, e := range r.Epochs {
-		if !math.IsNaN(e.ValAcc) && e.ValAcc >= target {
-			return e.Epoch
-		}
-	}
-	return -1
-}
-
-// BestVal returns the best recorded validation accuracy.
-func (r *RunResult) BestVal() float64 {
-	best := 0.0
-	for _, e := range r.Epochs {
-		if !math.IsNaN(e.ValAcc) && e.ValAcc > best {
-			best = e.ValAcc
-		}
-	}
-	return best
-}
-
-// PairVolumes flattens BytesMoved into sorted "src_dst" → bytes entries
-// (Fig. 2's per-device-pair data sizes).
-func (r *RunResult) PairVolumes() []PairVolume {
-	var out []PairVolume
-	for s := range r.BytesMoved {
-		for d, b := range r.BytesMoved[s] {
-			if s != d && b > 0 {
-				out = append(out, PairVolume{Src: s, Dst: d, Bytes: b})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
-		}
-		return out[i].Dst < out[j].Dst
-	})
-	return out
-}
-
-// PairVolume is one device pair's transferred byte count.
-type PairVolume struct {
-	Src, Dst int
-	Bytes    int64
-}
-
-func (p PairVolume) String() string {
-	return fmt.Sprintf("%d_%d: %.2f MB", p.Src, p.Dst, float64(p.Bytes)/1e6)
 }

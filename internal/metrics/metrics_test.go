@@ -56,9 +56,6 @@ func TestThroughputExcludesAssign(t *testing.T) {
 	if got := r.Throughput(); math.Abs(got-3.0/8.0) > 1e-12 {
 		t.Fatalf("throughput %v", got)
 	}
-	if got := r.EndToEndThroughput(); math.Abs(got-0.3) > 1e-12 {
-		t.Fatalf("end-to-end %v", got)
-	}
 }
 
 func TestAvgBreakdownAndCommCost(t *testing.T) {
@@ -77,19 +74,6 @@ func TestCurveSkipsNaN(t *testing.T) {
 	xs, ys := result().Curve()
 	if len(xs) != 2 || xs[1] != 2 || ys[1] != 0.8 {
 		t.Fatalf("curve %v %v", xs, ys)
-	}
-}
-
-func TestEpochsToReach(t *testing.T) {
-	r := result()
-	if r.EpochsToReach(0.7) != 2 {
-		t.Fatal("EpochsToReach")
-	}
-	if r.EpochsToReach(0.99) != -1 {
-		t.Fatal("unreachable target should give -1")
-	}
-	if r.BestVal() != 0.8 {
-		t.Fatal("BestVal")
 	}
 }
 
@@ -116,17 +100,5 @@ func TestMeanStd(t *testing.T) {
 	m, s = MeanStd(nil)
 	if m != 0 || s != 0 {
 		t.Fatal("empty MeanStd")
-	}
-}
-
-func TestPairVolumes(t *testing.T) {
-	r := result()
-	r.BytesMoved = [][]int64{{0, 100}, {200, 0}}
-	pv := r.PairVolumes()
-	if len(pv) != 2 || pv[0].Src != 0 || pv[0].Bytes != 100 || pv[1].Bytes != 200 {
-		t.Fatalf("pair volumes %v", pv)
-	}
-	if pv[0].String() == "" {
-		t.Fatal("stringer empty")
 	}
 }

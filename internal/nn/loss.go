@@ -135,34 +135,3 @@ func Accuracy(logits *tensor.Matrix, labels []int, mask []bool) float64 {
 	}
 	return float64(correct) / float64(total)
 }
-
-// MicroF1 returns the micro-averaged F1 over masked rows for multi-label
-// predictions (logit > 0 ⇒ predicted positive) — the paper's metric for
-// Yelp and AmazonProducts.
-func MicroF1(logits, targets *tensor.Matrix, mask []bool) float64 {
-	var tp, fp, fn float64
-	for i := 0; i < logits.Rows; i++ {
-		if !mask[i] {
-			continue
-		}
-		lrow := logits.Row(i)
-		trow := targets.Row(i)
-		for j, z := range lrow {
-			pred := z > 0
-			actual := trow[j] > 0.5
-			switch {
-			case pred && actual:
-				tp++
-			case pred && !actual:
-				fp++
-			case !pred && actual:
-				fn++
-			}
-		}
-	}
-	denom := 2*tp + fp + fn
-	if denom == 0 {
-		return 0
-	}
-	return 2 * tp / denom
-}

@@ -63,20 +63,6 @@ func (p *Param) Restore(c ParamCheckpoint) {
 // NumElements returns the parameter size.
 func (p *Param) NumElements() int { return len(p.Value.Data) }
 
-// Module is anything owning parameters.
-type Module interface {
-	Params() []*Param
-}
-
-// ParamCount sums the sizes of a module's parameters.
-func ParamCount(m Module) int {
-	n := 0
-	for _, p := range m.Params() {
-		n += p.NumElements()
-	}
-	return n
-}
-
 // Linear is y = xW + b.
 type Linear struct {
 	W, B *Param
@@ -97,7 +83,7 @@ func NewLinear(name string, in, out int, rng *tensor.RNG) *Linear {
 	return l
 }
 
-// Params implements Module.
+// Params returns the layer's trainable parameters.
 func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }
 
 // Forward computes xW + b and saves x for backward.
@@ -225,7 +211,7 @@ func NewLayerNorm(name string, dim int) *LayerNorm {
 	return ln
 }
 
-// Params implements Module.
+// Params returns the layer's trainable parameters.
 func (ln *LayerNorm) Params() []*Param { return []*Param{ln.Gamma, ln.Beta} }
 
 // Forward normalizes rows and applies γ·x̂ + β.

@@ -343,16 +343,6 @@ func TestAccuracy(t *testing.T) {
 	}
 }
 
-func TestMicroF1(t *testing.T) {
-	logits := tensor.FromSlice(2, 2, []float32{1, -1, 1, 1})
-	targets := tensor.FromSlice(2, 2, []float32{1, 0, 0, 1})
-	// tp=2 (0,0 and 1,1), fp=1 (1,0), fn=0 → F1 = 4/5.
-	f1 := MicroF1(logits, targets, []bool{true, true})
-	if math.Abs(f1-0.8) > 1e-9 {
-		t.Fatalf("micro-F1 %v", f1)
-	}
-}
-
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimize ||w - target||² — Adam should get close quickly.
 	p := NewParam("w", 1, 4)
@@ -385,8 +375,12 @@ func TestAdamReset(t *testing.T) {
 func TestParamCount(t *testing.T) {
 	rng := tensor.NewRNG(9)
 	l := NewLinear("t", 10, 5, rng)
-	if ParamCount(l) != 55 {
-		t.Fatalf("ParamCount %d, want 55", ParamCount(l))
+	n := 0
+	for _, p := range l.Params() {
+		n += p.NumElements()
+	}
+	if n != 55 {
+		t.Fatalf("a 10×5 Linear has %d parameters, want 55", n)
 	}
 }
 

@@ -49,9 +49,6 @@ func (b BitWidth) Packable() bool { return b == B2 || b == B4 || b == B8 }
 // Levels returns 2^b − 1, the number of quantization steps.
 func (b BitWidth) Levels() uint32 { return (1 << b) - 1 }
 
-// ValuesPerByte returns how many codes fit in one byte.
-func (b BitWidth) ValuesPerByte() int { return 8 / int(b) }
-
 // PackedSize returns the number of bytes needed for n codes at width b
 // (raw float32 bytes for the B32 passthrough).
 func (b BitWidth) PackedSize(n int) int {
@@ -424,13 +421,3 @@ func RowVarianceBound(h []float32, b BitWidth) float64 {
 // FullPrecisionSize returns the bytes for rows×dim float32 (the Vanilla
 // wire size).
 func FullPrecisionSize(rows, dim int) int { return rows * dim * 4 }
-
-// CompressionRatio returns full-precision bytes ÷ quantized bytes for a
-// rows×dim block at width b.
-func CompressionRatio(rows, dim int, b BitWidth) float64 {
-	q := WireSize(rows, dim, b)
-	if q == 0 {
-		return 0
-	}
-	return float64(FullPrecisionSize(rows, dim)) / float64(q)
-}

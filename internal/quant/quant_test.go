@@ -12,14 +12,10 @@ func TestBitWidthHelpers(t *testing.T) {
 	cases := []struct {
 		b      BitWidth
 		levels uint32
-		vpb    int
-	}{{B2, 3, 4}, {B4, 15, 2}, {B8, 255, 1}}
+	}{{B2, 3}, {B4, 15}, {B8, 255}}
 	for _, c := range cases {
 		if c.b.Levels() != c.levels {
 			t.Fatalf("%d-bit levels %d", c.b, c.b.Levels())
-		}
-		if c.b.ValuesPerByte() != c.vpb {
-			t.Fatalf("%d-bit vpb %d", c.b, c.b.ValuesPerByte())
 		}
 	}
 	if !B4.Valid() || BitWidth(3).Valid() || BitWidth(0).Valid() {
@@ -188,11 +184,14 @@ func TestDequantizeRowsSizeMismatch(t *testing.T) {
 
 func TestCompressionRatio(t *testing.T) {
 	// Large rows: 2-bit ≈ 16×, 4-bit ≈ 8×, 8-bit ≈ 4× (minus header).
-	r := CompressionRatio(100, 1024, B2)
+	ratio := func(b BitWidth) float64 {
+		return float64(FullPrecisionSize(100, 1024)) / float64(WireSize(100, 1024, b))
+	}
+	r := ratio(B2)
 	if r < 12 || r > 16 {
 		t.Fatalf("2-bit ratio %v", r)
 	}
-	r = CompressionRatio(100, 1024, B8)
+	r = ratio(B8)
 	if r < 3.5 || r > 4 {
 		t.Fatalf("8-bit ratio %v", r)
 	}

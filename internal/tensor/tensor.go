@@ -452,22 +452,6 @@ func (m *Matrix) HadamardInPlace(o *Matrix) {
 	}
 }
 
-// Apply maps fn over every element, in place.
-func (m *Matrix) Apply(fn func(float32) float32) {
-	for i, v := range m.Data {
-		m.Data[i] = fn(v)
-	}
-}
-
-// Map returns a new matrix with fn applied to every element.
-func (m *Matrix) Map(fn func(float32) float32) *Matrix {
-	out := New(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = fn(v)
-	}
-	return out
-}
-
 // RowSlice returns a new matrix holding rows [lo, hi) of m (copied).
 func (m *Matrix) RowSlice(lo, hi int) *Matrix {
 	if lo < 0 || hi > m.Rows || lo > hi {
