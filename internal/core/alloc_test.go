@@ -44,7 +44,7 @@ func TestCodecSteadyStateAllocs(t *testing.T) {
 
 	// The quantized exchange's own hot path: ranges scanned once into the
 	// arena's row-range scratch, mixed-width encode from them, and the
-	// backward receive's decode-and-add through one row of matrix scratch.
+	// backward receive's decode-and-add straight into the gradient rows.
 	t.Run("quantized-exchange", func(t *testing.T) {
 		a := NewArena()
 		widths := make([]quant.BitWidth, rows)
@@ -59,11 +59,9 @@ func TestCodecSteadyStateAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			row := a.GetMat(1, dim)
-			if err := quant.DequantizeMixedAdd(buf, dst, idx, widths, row.Data); err != nil {
+			if err := quant.DequantizeMixedAdd(buf, dst, idx, widths); err != nil {
 				t.Fatal(err)
 			}
-			a.PutMat(row)
 			a.PutBuf(buf)
 		}
 		warm()

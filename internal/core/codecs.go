@@ -45,14 +45,10 @@ func (m *mixedCoder) encode(e *ExchangeEnv, p int, x *tensor.Matrix, idx []int32
 }
 
 func (m *mixedCoder) decode(e *ExchangeEnv, p int, buf []byte, dst *tensor.Matrix, idx []int32, add bool) error {
-	if !add {
-		return quant.DequantizeMixed(buf, dst, idx, m.wt.recv[p])
+	if add {
+		return quant.DequantizeMixedAdd(buf, dst, idx, m.wt.recv[p])
 	}
-	// Each row is decoded into one row of scratch and added from there.
-	row := e.Scratch.GetMat(1, dst.Cols)
-	err := quant.DequantizeMixedAdd(buf, dst, idx, m.wt.recv[p], row.Data)
-	e.Scratch.PutMat(row)
-	return err
+	return quant.DequantizeMixed(buf, dst, idx, m.wt.recv[p])
 }
 
 func (*mixedCoder) passes() (int, int) { return 1, 1 }

@@ -390,11 +390,14 @@ func TestLayerZeroFeaturesSurviveEveryPass(t *testing.T) {
 	}
 }
 
-// TestEpochBitsWithAndWithoutAVX2 runs products-sim's shapes (100 features,
-// hidden 64, 47 classes, four parts of 400 rows — past tensor's goroutine
-// gate) twice, with the assembly kernels as the host has them and with
-// cpu.AVX2 cleared so that every kernel is its Go loop, and compares as bits:
-// through the trainer, two AdaQP epochs' losses, accuracies and simulated
+// TestEpochBitsWithAndWithoutAVX2 runs two workloads' shapes — products-sim's
+// (100 features, hidden 64, 47 classes, four parts of 400 rows, past tensor's
+// goroutine gate: the dense kernels) and halo-reddit's (602 features,
+// hidden 16, 41 classes, eight hash parts where nearly every row is a halo
+// message: MinMax, the rounder-packer and both de-quantize forms at 602 and
+// 16 columns) — twice, with the assembly kernels as the host has them and
+// with cpu.AVX2 cleared so that every kernel is its Go loop, and compares as
+// bits: through the trainer, AdaQP epochs' losses, accuracies and simulated
 // clocks; on one device by hand, a forward and a backward pass's logits,
 // loss, input gradient and every parameter gradient. The per-kernel
 // differential tests say each kernel equals its loop; this says nothing
@@ -403,8 +406,17 @@ func TestEpochBitsWithAndWithoutAVX2(t *testing.T) {
 	if !cpu.AVX2 {
 		t.Skip("no AVX2 kernels on this host or in this build: both runs would be the Go loops")
 	}
-	ds := synthetic.MustLoad("products-sim", 0.1)
-	dep := Deploy(ds, 4, GCN, partition.Block)
+	t.Run("products-sim", func(t *testing.T) {
+		epochBitsWithAndWithoutAVX2(t, Deploy(synthetic.MustLoad("products-sim", 0.1), 4, GCN, partition.Block), 64, 2)
+	})
+	t.Run("halo-reddit", func(t *testing.T) {
+		// Three epochs: the first is AdaQP's full-precision bootstrap.
+		epochBitsWithAndWithoutAVX2(t, Deploy(synthetic.MustLoad("reddit-sim", 0.1), 8, GCN, partition.Hash), 16, 3)
+	})
+}
+
+func epochBitsWithAndWithoutAVX2(t *testing.T, dep *Deployment, hidden, epochs int) {
+	ds := dep.Dataset
 	epoch := func() (bits []uint64) {
 		add := func(vs ...float64) {
 			for _, v := range vs {
@@ -417,7 +429,7 @@ func TestEpochBitsWithAndWithoutAVX2(t *testing.T) {
 			}
 		}
 		cfg := DefaultConfig()
-		cfg.Method, cfg.Hidden, cfg.Epochs, cfg.EvalEvery, cfg.ReassignPeriod = AdaQP, 64, 2, 1, 1
+		cfg.Method, cfg.Hidden, cfg.Epochs, cfg.EvalEvery, cfg.ReassignPeriod = AdaQP, hidden, epochs, 1, 1
 		res, err := TrainDeployed(dep, cfg, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -19,6 +19,17 @@ func Same[T float32 | uint8](a, b T) bool {
 	return bitsOf(a) == bitsOf(b) || a != a && b != b
 }
 
+// Widths are the row lengths the differential tests sweep: every split into
+// vectors and a tail up to 130, then yelp-sim's and reddit-sim's feature
+// widths.
+func Widths() []int {
+	w := make([]int, 0, 132)
+	for n := 1; n <= 130; n++ {
+		w = append(w, n)
+	}
+	return append(w, 300, 602)
+}
+
 // Differential runs kernel twice, as the host would run it and with cpu.AVX2
 // cleared so that the portable Go loop runs, each time on a fresh copy of
 // dst that starts off elements into a sentinel-filled buffer and has no

@@ -308,10 +308,18 @@ func (dp *Dropout) Forward(x *tensor.Matrix, rng *tensor.RNG, train bool) *tenso
 	}
 	dp.mask = dp.mask[:len(x.Data)]
 	out, mask, scaleBits := dp.out.Data[:len(x.Data)], dp.mask[:len(x.Data)], math.Float32bits(scale)
-	for i, v := range x.Data {
-		m := laneMask(rng.Float32() < keep) // one draw per element, in order
-		out[i] = math.Float32frombits(math.Float32bits(v*scale) & m)
-		mask[i] = math.Float32frombits(scaleBits & m)
+	// One draw per element, in order, a buffer of them at a time: the
+	// generator runs from registers while it fills one.
+	var draws [256]uint32
+	for lo := 0; lo < len(out); lo += len(draws) {
+		xs := x.Data[lo:min(lo+len(draws), len(out))]
+		d, o, mk := draws[:len(xs)], out[lo:lo+len(xs)], mask[lo:lo+len(xs)]
+		rng.FillUint24(d)
+		for i, v := range xs {
+			m := laneMask(float32(d[i])/(1<<24) < keep) // rng.Float32() < keep
+			o[i] = math.Float32frombits(math.Float32bits(v*scale) & m)
+			mk[i] = math.Float32frombits(scaleBits & m)
+		}
 	}
 	return dp.out
 }

@@ -54,16 +54,15 @@ func TestRoundTripSteadyStateAllocs(t *testing.T) {
 	}
 
 	// The exchange's variant: ranges scanned once into caller scratch and
-	// shared by the encoder, decode-and-add through one scratch row.
+	// shared by the encoder, decode-and-add straight into dst.
 	ranges := make([]RowRange, x.Rows)
-	row := make([]float32, x.Cols)
 	avg = testing.AllocsPerRun(20, func() {
 		RowRanges(ranges, x, idx)
 		stream, err := AppendQuantizedMixedRanges(buf, x, idx, widths, ranges, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := DequantizeMixedAdd(stream, dst, idx, widths, row); err != nil {
+		if err := DequantizeMixedAdd(stream, dst, idx, widths); err != nil {
 			t.Fatal(err)
 		}
 	})

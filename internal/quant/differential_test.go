@@ -216,6 +216,15 @@ func FuzzQuantizeRowMatchesReference(f *testing.F) {
 		tiny[i] = math.Float32frombits(uint32(i % 3)) // 1/scale overflows
 	}
 	f.Add(seedRow(tiny...), uint8(1), uint64(9))
+	// Every width through the vector rounder's packer: an ordinary row and a
+	// post-ReLU one, whose elements at the minimum draw nothing and sit on
+	// the draws an earlier chunk left; 130 is two chunks and a 2-element tail.
+	sparse := make([]float32, 130)
+	fillReLUSparse(sparse, tensor.NewRNG(10))
+	for w := range Candidates {
+		f.Add(wide(), uint8(w), uint64(11+w))
+		f.Add(seedRow(sparse...), uint8(w), uint64(14+w))
+	}
 	f.Fuzz(func(t *testing.T, raw []byte, width uint8, seed uint64) {
 		n := len(raw) / 4
 		if n == 0 || n > 700 {

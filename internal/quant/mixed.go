@@ -92,19 +92,18 @@ func QuantizeMixed(x *tensor.Matrix, idx []int32, widths []BitWidth, rng *tensor
 // (or rows 0..len(widths)-1 if nil), using the same widths assignment the
 // sender used.
 func DequantizeMixed(stream []byte, dst *tensor.Matrix, dstRows []int32, widths []BitWidth) error {
-	return dequantizeMixed(stream, dst, dstRows, widths, nil)
+	return dequantizeMixed(stream, dst, dstRows, widths, false)
 }
 
 // DequantizeMixedAdd is DequantizeMixed with += semantics: every decoded
 // row is added into its dst row, in stream order, so rows of dst that
-// several streams target accumulate (the backward scatter-add). Each row is
-// decoded into row — scratch of len ≥ dst.Cols with arbitrary contents —
-// and added from there; no rows×dim staging matrix exists.
-func DequantizeMixedAdd(stream []byte, dst *tensor.Matrix, dstRows []int32, widths []BitWidth, row []float32) error {
-	return dequantizeMixed(stream, dst, dstRows, widths, row[:dst.Cols])
+// several streams target accumulate (the backward scatter-add). Values go
+// from the codes into the sums; no decoded row is staged anywhere.
+func DequantizeMixedAdd(stream []byte, dst *tensor.Matrix, dstRows []int32, widths []BitWidth) error {
+	return dequantizeMixed(stream, dst, dstRows, widths, true)
 }
 
-func dequantizeMixed(stream []byte, dst *tensor.Matrix, dstRows []int32, widths []BitWidth, addVia []float32) error {
+func dequantizeMixed(stream []byte, dst *tensor.Matrix, dstRows []int32, widths []BitWidth, add bool) error {
 	if dstRows != nil && len(dstRows) != len(widths) {
 		return fmt.Errorf("quant: %d dst rows but %d widths", len(dstRows), len(widths))
 	}
@@ -132,15 +131,7 @@ func dequantizeMixed(stream []byte, dst *tensor.Matrix, dstRows []int32, widths 
 			}
 			codes := stream[headerBytes : headerBytes+packed]
 			stream = stream[headerBytes+packed:]
-			if addVia == nil {
-				DequantizeRow(codes, meta, b, dst.Row(r))
-				continue
-			}
-			DequantizeRow(codes, meta, b, addVia)
-			d := dst.Row(r)
-			for j, v := range addVia {
-				d[j] += v
-			}
+			dequantizeRow(codes, meta, b, dst.Row(r), add)
 		}
 	}
 	return nil

@@ -141,3 +141,80 @@ func TestMixedRejectsPassthroughWidth(t *testing.T) {
 		t.Fatal("B32 must be Valid but not Packable")
 	}
 }
+
+// TestMixedStreamUnbiasedWithinVarianceBound takes Theorem 1 past the single
+// row: 12 rows of 203 columns (three chunks, an 8-lane group and a 3-element
+// tail) at widths cycling through {2, 4, 8}, each row with its own scale and
+// offset, through one AppendQuantizedMixedRanges → DequantizeMixed round trip
+// per rounding seed, 200 fixed seeds, on the vector kernels and on the Go
+// loops. With e = dq(q(h)) − h and S the row's step:
+//
+//   - every element's mean error over the seeds is within 5 standard errors
+//     of 0, and so is every row's; one rounding has variance S²·f(1−f) ≤ S²/4
+//     for a fraction f, so the standard errors are at most S/(2√200) and
+//     S/(2√(200·203));
+//   - every row's mean ‖e‖² is at most 1.1 × D·S²/6. The theorem's 1/6 is
+//     the mean of f(1−f) over a uniform fraction; 203 uniform values sample
+//     it to about 3 %, hence the 10 %.
+func TestMixedStreamUnbiasedWithinVarianceBound(t *testing.T) {
+	const rows, dim, trials = 12, 203, 200
+	fill := tensor.NewRNG(77)
+	x := tensor.New(rows+3, dim)
+	for r := 0; r < x.Rows; r++ {
+		for j, row := 0, x.Row(r); j < dim; j++ {
+			row[j] = (fill.Float32()*2-1)*float32(r+1) + float32(r%4)
+		}
+	}
+	idx, dstRows := make([]int32, rows), make([]int32, rows)
+	widths := make([]BitWidth, rows)
+	for i := range idx {
+		idx[i] = int32((i*5 + 2) % x.Rows) // 15 rows, stride 5: no repeats in 12
+		dstRows[i] = int32(rows - 1 - i)
+		widths[i] = Candidates[i%len(Candidates)]
+	}
+	ranges := make([]RowRange, x.Rows)
+	RowRanges(ranges, x, idx)
+	eachKernel(func(kernel string) {
+		sum := make([]float64, rows*dim)
+		sq := make([]float64, rows)
+		dst := tensor.New(rows, dim)
+		var stream []byte
+		for seed := uint64(0); seed < trials; seed++ {
+			var err error
+			stream, err = AppendQuantizedMixedRanges(stream[:0], x, idx, widths, ranges, tensor.NewRNG(1000+seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := DequantizeMixed(stream, dst, dstRows, widths); err != nil {
+				t.Fatal(err)
+			}
+			for i := range idx {
+				h, out := x.Row(int(idx[i])), dst.Row(int(dstRows[i]))
+				for j := range h {
+					e := float64(out[j]) - float64(h[j])
+					sum[i*dim+j] += e
+					sq[i] += e * e
+				}
+			}
+		}
+		for i, b := range widths {
+			rg := ranges[idx[i]]
+			step := float64(rg.Max-rg.Min) / float64(b.Levels())
+			var rowMean float64
+			for j, s := range sum[i*dim : (i+1)*dim] {
+				if mean, tol := s/trials, 5*step/(2*math.Sqrt(trials)); math.Abs(mean) > tol {
+					t.Errorf("%s: row %d (B%d) element %d: mean error %v over %d seeds, want within %v of 0", kernel, i, b, j, mean, trials, tol)
+				}
+				rowMean += s / trials / dim
+			}
+			if tol := 5 * step / (2 * math.Sqrt(trials*dim)); math.Abs(rowMean) > tol {
+				t.Errorf("%s: row %d (B%d): mean error %v, want within %v of 0", kernel, i, b, rowMean, tol)
+			}
+			if got, bound := sq[i]/trials, RowVarianceBound(x.Row(int(idx[i])), b); got > 1.1*bound {
+				t.Errorf("%s: row %d (B%d): mean squared error %v exceeds Theorem 1's D·S²/6 = %v by more than 10 %%", kernel, i, b, got, bound)
+			} else if got < 0.5*bound {
+				t.Errorf("%s: row %d (B%d): mean squared error %v is under half of D·S²/6 = %v: is the rounding still stochastic?", kernel, i, b, got, bound)
+			}
+		}
+	})
+}

@@ -7,7 +7,17 @@
 // independently with its own zero-point Z = min(h) and scale
 // S = (max(h)−min(h))/(2^b−1). Stochastic rounding makes the de-quantized
 // estimate unbiased with variance D·S²/6 (Theorem 1) — both properties are
-// verified by tests.
+// verified by tests, for one row and through a mixed-width stream.
+//
+// The Go loops in this file define the bytes and the values: which elements
+// draw and in what order (QuantizeRow), LSB-first packing (pack), and
+// float32(code)*S + Z with the multiply rounded before the add
+// (dequantizeGo). On amd64 with AVX2 (cpu.Vector) the multiple-of-8 prefix
+// of every 64-element chunk is rounded and packed, and of every row
+// de-quantized — stored or accumulated — by the kernels of round_amd64.s and
+// dequant_amd64.s, held to those loops as bits by the differential tests;
+// the loops take the remaining 1–7 elements, whatever the vector rounder
+// declines, and every other host.
 package quant
 
 import (
@@ -100,15 +110,21 @@ func RowRanges(dst []RowRange, x *tensor.Matrix, idx []int32) {
 // loads the caller's xoshiro256** state once, every row kernel runs it from
 // locals, and the call stores it back at the end. The stream is exactly
 // tensor.RNG's, so interleaving with other users of the same RNG is
-// unchanged.
-type gen struct{ s0, s1, s2, s3 uint64 }
+// unchanged. It also carries the vector rounder's two chunk buffers, so they
+// are cleared once per call, not once per chunk.
+type gen struct {
+	s0, s1, s2, s3 uint64
+
+	t     [codeChunk]float32 // roundMaskAVX2's (h[i]-mn)*inv
+	draws [codeChunk]uint32  // the draws of the elements that drew, each < 2^24
+}
 
 func loadGen(rng *tensor.RNG) gen {
 	s := rng.State().S
-	return gen{s[0], s[1], s[2], s[3]}
+	return gen{s0: s[0], s1: s[1], s2: s[2], s3: s[3]}
 }
 
-func (g gen) store(rng *tensor.RNG) {
+func (g *gen) store(rng *tensor.RNG) {
 	st := rng.State()
 	st.S = [4]uint64{g.s0, g.s1, g.s2, g.s3}
 	rng.SetState(st)
@@ -135,13 +151,11 @@ func QuantizeRow(h []float32, b BitWidth, dst []byte, rng *tensor.RNG) RowMeta {
 
 // quantizeRow is the single-pass row kernel behind every encoder: rg is
 // the row's precomputed range and g the generator state, advanced in place.
-// Elements are rounded a chunk at a time into one code per byte (one loop
-// for every width, the generator in registers), then packed with the
-// width's constant shifts.
+// Elements are rounded and packed a chunk at a time, the generator in
+// registers.
 func quantizeRow(h []float32, rg RowRange, b BitWidth, dst []byte, g *gen) RowMeta {
 	mn := rg.Min
-	maxCode := b.Levels()
-	scale := (rg.Max - mn) / float32(maxCode)
+	scale := (rg.Max - mn) / float32(b.Levels())
 	meta := RowMeta{Zero: mn, Scale: scale}
 	dst = dst[:b.PackedSize(len(h))]
 	if scale == 0 {
@@ -158,51 +172,54 @@ func quantizeRow(h []float32, rg RowRange, b BitWidth, dst []byte, g *gen) RowMe
 	if inv <= math.MaxFloat32 {
 		roundUp = 1
 	}
-	var codes [codeChunk]uint8
 	for len(h) > 0 {
 		n := min(codeChunk, len(h))
-		g.round(codes[:n], h[:n], mn, inv, maxCode, roundUp)
-		h = h[n:]
-		if n < codeChunk {
-			clear(codes[n:]) // pad the last byte's unused code slots
-		}
 		packed := b.PackedSize(n)
-		pack(dst[:packed], codes[:], b)
-		dst = dst[packed:]
+		g.round(dst[:packed], h[:n], mn, inv, b, roundUp)
+		h, dst = h[n:], dst[packed:]
 	}
 	return meta
 }
 
-// codeChunk is how many elements are rounded before packing; a multiple of
-// every width's codes-per-byte, so only a row's last chunk ends mid-byte.
+// codeChunk is how many elements are rounded at a time; a multiple of every
+// width's codes-per-byte, so only a row's last chunk ends mid-byte.
 const codeChunk = 64
 
-// round stochastically rounds (h[i]-mn)*inv to a code in [0, maxCode] for
-// every element, one generator step per element that draws. The longest
-// multiple-of-8 prefix goes through the vector kernel when it can take it;
-// the rest, or everything, through the scalar one. Both draw for the same
-// elements in the same order.
-func (g *gen) round(codes []uint8, h []float32, mn, inv float32, maxCode, roundUp uint32) {
+// round stochastically rounds (h[i]-mn)*inv to a code in [0, 2^b-1] for
+// every element of a chunk, one generator step per element that draws, and
+// packs the codes into dst at width b. The longest multiple-of-8 prefix goes
+// through the vector kernel when it can take it, straight into dst — eight
+// codes are a whole number of bytes at every width; the rest, or everything,
+// is rounded by the scalar kernel into one code per byte and packed from
+// there. Both draw for the same elements in the same order.
+func (g *gen) round(dst []byte, h []float32, mn, inv float32, b BitWidth, roundUp uint32) {
 	if n8 := len(h) &^ 7; cpu.Vector(len(h)) && roundUp != 0 &&
-		g.roundVector(codes[:n8], h[:n8], mn, inv, maxCode) {
-		codes, h = codes[n8:], h[n8:]
+		g.roundVector(dst[:n8*int(b)/8], h[:n8], mn, inv, b) {
+		dst, h = dst[n8*int(b)/8:], h[n8:]
+		if len(h) == 0 {
+			return
+		}
 	}
-	g.roundScalar(codes, h, mn, inv, maxCode, roundUp)
+	var codes [codeChunk]uint8 // zeros past len(h) pad the last byte
+	g.roundScalar(codes[:len(h)], h, mn, inv, b.Levels(), roundUp)
+	pack(dst, codes[:], b)
 }
 
 // roundVector is round for a multiple of 8 elements (at most codeChunk) of a
-// row whose 1/scale did not overflow. AVX2 finds the elements that draw, the
-// generator steps once for each of them in element order, and AVX2 turns
-// t and the draws into codes. It reports false, having drawn nothing, when
-// some t is NaN or outside [0, 2^24): the scalar kernel must round those.
-func (g *gen) roundVector(codes []uint8, h []float32, mn, inv float32, maxCode uint32) bool {
-	mask, ok := roundMaskAVX2(h, mn, inv)
+// row whose 1/scale did not overflow. AVX2 computes every t and finds the
+// elements that draw, the generator steps once for each of them in element
+// order, and AVX2 turns t and the draws into packed codes. It reports false,
+// having drawn and written nothing, when some t is NaN or outside [0, 2^24):
+// the scalar kernel must round those.
+func (g *gen) roundVector(dst []byte, h []float32, mn, inv float32, b BitWidth) bool {
+	mask, ok := roundMaskAVX2(&g.t, h, mn, inv)
 	if !ok {
 		return false
 	}
-	// An element that does not draw has t = ±0: its fraction is ±0, and the
-	// zero left in its slot is not below that.
-	var draws [codeChunk]uint32
+	// An element that does not draw has t = ±0: its fraction is ±0, and no
+	// draw is below that — not the zero its slot starts with, not one an
+	// earlier chunk left there.
+	draws := &g.draws
 	s0, s1, s2, s3 := g.s0, g.s1, g.s2, g.s3
 	for ; mask != 0; mask &= mask - 1 {
 		// One xoshiro256** step — tensor.RNG.Float32's, as in roundScalar.
@@ -217,12 +234,13 @@ func (g *gen) roundVector(codes []uint8, h []float32, mn, inv float32, maxCode u
 		draws[bits.TrailingZeros64(mask)] = uint32(r >> 40)
 	}
 	g.s0, g.s1, g.s2, g.s3 = s0, s1, s2, s3
-	roundFinishAVX2(codes, h, &draws, mn, inv, maxCode)
+	roundFinishAVX2(dst, &g.t, draws, int(b))
 	return true
 }
 
-// roundScalar is round one element at a time: the portable kernel, and the
-// one every input the vector kernel declines falls back to.
+// roundScalar rounds one element at a time to one code per byte: the
+// portable kernel, and the one every input the vector kernel declines falls
+// back to.
 func (g *gen) roundScalar(codes []uint8, h []float32, mn, inv float32, maxCode, roundUp uint32) {
 	s0, s1, s2, s3 := g.s0, g.s1, g.s2, g.s3
 	codes = codes[:len(h)]
@@ -253,7 +271,8 @@ func (g *gen) roundScalar(codes []uint8, h []float32, mn, inv float32, maxCode, 
 	g.s0, g.s1, g.s2, g.s3 = s0, s1, s2, s3
 }
 
-// pack fills dst with one-per-byte codes packed at width b, LSB-first.
+// pack fills dst with one-per-byte codes packed at width b, LSB-first; codes
+// holds a whole number of bytes' worth.
 func pack(dst []byte, codes []uint8, b BitWidth) {
 	switch b {
 	case B8:
@@ -274,14 +293,51 @@ func pack(dst []byte, codes []uint8, b BitWidth) {
 }
 
 // DequantizeRow recovers len(out) float32 values from packed codes
-// (mirror of QuantizeRow's layout), one loop per width. The 2- and 4-bit
-// loops look codes up in a per-row table of the 4 or 16 values a row can
-// take, each computed by the same float32(code)*scale+zero expression the
-// 8-bit loop applies per element.
+// (mirror of QuantizeRow's layout): out[i] = float32(code)*Scale + Zero,
+// the multiply rounded before the add.
 func DequantizeRow(src []byte, meta RowMeta, b BitWidth, out []float32) {
+	dequantizeRow(src, meta, b, out, false)
+}
+
+// dequantizeRow is DequantizeRow, or with add set the same values added
+// into out (out[i] += …) without being stored anywhere first. The longest
+// multiple-of-8 prefix goes through the vector kernel on a host that has
+// one; eight codes end on a byte at every width, so the rest is a row of
+// its own for the Go loops.
+func dequantizeRow(src []byte, meta RowMeta, b BitWidth, out []float32, add bool) {
+	if !b.Packable() {
+		panic(fmt.Sprintf("quant: cannot de-quantize width %d", b))
+	}
+	src = src[:b.PackedSize(len(out))]
+	if cpu.Vector(len(out)) {
+		n8 := len(out) &^ 7
+		dequantizeAVX2(out[:n8], src, meta.Scale, meta.Zero, int(b), add)
+		if src, out = src[n8*int(b)/8:], out[n8:]; len(out) == 0 {
+			return
+		}
+	}
+	if !add {
+		dequantizeGo(src, meta, b, out)
+		return
+	}
+	var row [codeChunk]float32
+	for len(out) > 0 {
+		n := min(codeChunk, len(out))
+		dequantizeGo(src[:b.PackedSize(n)], meta, b, row[:n])
+		for i, v := range row[:n] {
+			out[i] += v
+		}
+		src, out = src[n*int(b)/8:], out[n:]
+	}
+}
+
+// dequantizeGo is the portable store-form decoder, one loop per width. The
+// 2- and 4-bit loops look codes up in a per-row table of the 4 or 16 values
+// a row can take, each computed by the same float32(code)*scale+zero
+// expression the 8-bit loop applies per element.
+func dequantizeGo(src []byte, meta RowMeta, b BitWidth, out []float32) {
 	scale, zero := meta.Scale, meta.Zero
 	n := len(out)
-	src = src[:b.PackedSize(n)]
 	switch b {
 	case B8:
 		out = out[:len(src)]
@@ -312,8 +368,6 @@ func DequantizeRow(src []byte, meta RowMeta, b BitWidth, out []float32) {
 		for i := n &^ 3; i < n; i++ {
 			out[i] = tab[src[n/4]>>(2*uint(i%4))&3]
 		}
-	default:
-		panic(fmt.Sprintf("quant: cannot de-quantize width %d", b))
 	}
 }
 

@@ -76,11 +76,7 @@ func poisonSkipped(rng *RNG, a, b *Matrix) {
 func TestAccumulateMatchesPortable(t *testing.T) {
 	skipIfPortableFuses(t)
 	rng := NewRNG(43)
-	widths := []int{300, 602}
-	for n := 1; n <= 130; n++ {
-		widths = append(widths, n)
-	}
-	for _, n := range widths {
+	for _, n := range kerneltest.Widths() {
 		for ki, k := range []int{0, 1, 127, 128, 129, 1000} {
 			m := 1 + (n+ki)%9
 			if k == 1 && n%32 == 0 || k == 127 && n == 47 {

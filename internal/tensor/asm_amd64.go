@@ -33,3 +33,10 @@ func dotColsAVX2(out, a, bt []float32)
 //
 //go:noescape
 func accumAVX2(dst *float32, rows, n int, a *float32, aRowStride, aKStride int, b *float32, k int, load bool)
+
+// minMaxAVX2 returns the least and the greatest element of v, len(v) >= 8,
+// as minMaxGo does — NaN only if v[0] is NaN, later NaNs skipped — except
+// that a result equal to zero may carry either zero's sign.
+//
+//go:noescape
+func minMaxAVX2(v []float32) (mn, mx float32)

@@ -15,3 +15,7 @@ func dotColsAVX2(out, a, bt []float32) {
 func accumAVX2(dst *float32, rows, n int, a *float32, aRowStride, aKStride int, b *float32, k int, load bool) {
 	panic("tensor: no AVX2 kernels in this build")
 }
+
+func minMaxAVX2(v []float32) (mn, mx float32) {
+	panic("tensor: no AVX2 kernels in this build")
+}

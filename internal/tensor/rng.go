@@ -1,6 +1,9 @@
 package tensor
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a small, fast, deterministic xoshiro256**-based pseudo-random
 // generator. Every stochastic component in the reproduction (weight init,
@@ -57,6 +60,26 @@ func (r *RNG) Float64() float64 {
 // Float32 returns a uniform sample in [0, 1).
 func (r *RNG) Float32() float32 {
 	return float32(r.Uint64()>>40) / (1 << 24)
+}
+
+// FillUint24 fills dst with the next len(dst) draws as Float32 takes them:
+// Float32 would have returned float32(dst[i]) / (1 << 24) for i = 0, 1, …
+// in that order, and the generator ends where those calls would have left
+// it. The state lives in locals for the whole fill, which is what a loop
+// with one draw per element cannot have through the pointer.
+func (r *RNG) FillUint24(dst []uint32) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := range dst {
+		dst[i] = uint32(bits.RotateLeft64(s1*5, 7) * 9 >> 40)
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = bits.RotateLeft64(s3, 45)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // Intn returns a uniform sample in [0, n). Panics if n <= 0.

@@ -146,3 +146,24 @@ func TestFillNormalStats(t *testing.T) {
 		t.Fatalf("FillNormal mean %v", mean)
 	}
 }
+
+// TestFillUint24IsFloat32sStream: a fill is that many Float32 calls — same
+// values in the same order, same end state, a cached Box-Muller half left
+// alone — at lengths on both sides of any buffer a caller might use.
+func TestFillUint24IsFloat32sStream(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 255, 256, 257, 1000} {
+		bulk, one := NewRNG(uint64(n)+5), NewRNG(uint64(n)+5)
+		bulk.NormFloat64()
+		one.NormFloat64()
+		draws := make([]uint32, n)
+		bulk.FillUint24(draws)
+		for i, d := range draws {
+			if want := one.Float32(); float32(d)/(1<<24) != want {
+				t.Fatalf("len %d: draw %d is %v, Float32 returned %v", n, i, float32(d)/(1<<24), want)
+			}
+		}
+		if bulk.State() != one.State() {
+			t.Fatalf("len %d: the generator ended in a different state than %d Float32 calls leave", n, n)
+		}
+	}
+}

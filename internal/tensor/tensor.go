@@ -540,9 +540,39 @@ func (m *Matrix) MaxAbs() float32 {
 	return mx
 }
 
-// MinMax returns the minimum and maximum element of a vector.
-// Returns (0, 0) for an empty slice.
+// MinMax returns the minimum and maximum element of a vector, (0, 0) for an
+// empty one, with the bits a left-to-right scan `if x < mn { mn = x }`,
+// `if x > mx { mx = x }` from mn = mx = v[0] leaves:
+//
+//   - the result is NaN only if v[0] is NaN (then both are); a NaN anywhere
+//     else compares false and is skipped;
+//   - among elements that compare equal the first one seen wins. Only the
+//     two zeros are equal with different bits: the minimum of {+0, −0} is +0
+//     and of {−0, +0} is −0, likewise the maximum.
+//
+// The quantizer stores mn as a row's zero point, so a zero's sign reaches
+// the wire (quant.RowMeta.Zero, the golden frames): the contract is
+// load-bearing, and the AVX2 path is held to minMaxGo as bits.
 func MinMax(v []float32) (mn, mx float32) {
+	if !cpu.Vector(len(v)) {
+		return minMaxGo(v)
+	}
+	mn, mx = minMaxAVX2(v)
+	if mn == 0 || mx == 0 {
+		// The lanes do not know which zero came first; the row does.
+		z := firstZero(v)
+		if mn == 0 {
+			mn = z
+		}
+		if mx == 0 {
+			mx = z
+		}
+	}
+	return mn, mx
+}
+
+// minMaxGo is MinMax's portable loop and the oracle of the vector path.
+func minMaxGo(v []float32) (mn, mx float32) {
 	if len(v) == 0 {
 		return 0, 0
 	}
@@ -556,6 +586,15 @@ func MinMax(v []float32) (mn, mx float32) {
 		}
 	}
 	return mn, mx
+}
+
+// firstZero returns the first ±0 of v, which has one.
+func firstZero(v []float32) float32 {
+	i := 0
+	for v[i] != 0 {
+		i++
+	}
+	return v[i]
 }
 
 // ArgMaxRow returns the column index of the largest element in row i.
