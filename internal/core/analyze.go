@@ -45,23 +45,16 @@ func AnalyzeOverlap(dep *Deployment, cfg Config, b quant.BitWidth, model *timing
 	var ringComm timing.Seconds
 	ownComm := make([]timing.Seconds, parts)
 	for l := 0; l < cfg.Layers; l++ {
-		for _, fwd := range []bool{true, false} {
-			if !fwd && l == 0 {
+		for _, dir := range directions {
+			if dir == backward && l == 0 {
 				continue
 			}
 			bytes := make([][]int, parts)
 			for src, lg := range dep.Locals {
 				bytes[src] = make([]int, parts)
-				for dst := 0; dst < parts; dst++ {
-					if dst == src {
-						continue
-					}
-					rows := len(lg.SendTo[dst])
-					if !fwd {
-						rows = len(lg.RecvFrom[dst])
-					}
-					if rows > 0 {
-						bytes[src][dst] = quant.WireSize(rows, dims[l], b)
+				for dst, rows := range dir.sent(lg) {
+					if dst != src && len(rows) > 0 {
+						bytes[src][dst] = quant.WireSize(len(rows), dims[l], b)
 					}
 				}
 			}
@@ -79,8 +72,8 @@ func AnalyzeOverlap(dep *Deployment, cfg Config, b quant.BitWidth, model *timing
 		dm := newDeviceModel(&cfg, lg, ds.Features.Cols, ds.NumClasses, model)
 		o := DeviceOverlap{Device: rank}
 		for _, c := range dm.costs {
-			o.CentralComp += c.fwdCentral + c.bwdCentral
-			o.MarginalComp += c.fwdMarginal + c.bwdMarginal
+			o.CentralComp += c[forward].Central + c[backward].Central
+			o.MarginalComp += c[forward].Marginal + c[backward].Marginal
 		}
 		// The device is busy for the synchronized ring duration; weight
 		// slightly by its own link load so per-device texture survives.

@@ -12,10 +12,10 @@ import (
 // Arena is a per-device scratch allocator for the encode/exchange/decode
 // hot loop. One arena serves one ExchangeEnv (one device, one run) and is
 // only ever touched from that device's goroutine, so its freelists need no
-// locking; overflow and refill go through global sync.Pools shared by all
-// devices, which is where buffers migrate between devices (a payload
-// encoded from rank A's arena is released into rank B's after B decodes
-// it — see the ownership rules below).
+// locking. Buffers migrate between devices through the exchange itself: a
+// payload encoded from rank A's arena is released into rank B's after B
+// decodes it (see the ownership rules below), and a finished run hands its
+// whole arena to the next one (Recycle).
 //
 // Ownership rules (documented in README "Performance"):
 //
@@ -52,26 +52,11 @@ const (
 	arenaMaxBits = 26 // largest pooled class: 64 MiB
 	arenaClasses = arenaMaxBits - arenaMinBits + 1
 
-	// Per-class local freelist bounds; beyond these, buffers overflow to
-	// the global pools (and oversize/undersize buffers are dropped).
+	// Per-class local freelist bounds; beyond these (and outside the size
+	// classes) released buffers are dropped.
 	arenaMaxFreeBufs = 64
 	arenaMaxFreeMats = 32
 )
-
-// arenaPools are the global backing stores, one per size class. They hold
-// *[]byte so Put does not allocate on the hot path (boxing happens only on
-// local-freelist overflow, which is rare). matPools mirror them for matrix
-// scratch, classed by element capacity.
-var (
-	arenaPools [arenaClasses]sync.Pool
-	matPools   [arenaClasses]sync.Pool
-)
-
-// putGlobalBuf boxes b into its class pool. Kept out of PutBuf so taking
-// &b there does not force every released buffer's header to escape.
-func putGlobalBuf(c int, b []byte) {
-	arenaPools[c].Put(&b)
-}
 
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{} }
@@ -128,14 +113,11 @@ func (a *Arena) GetBuf(n int) []byte {
 			return b
 		}
 	}
-	if p, _ := arenaPools[c].Get().(*[]byte); p != nil {
-		return (*p)[:0]
-	}
 	return make([]byte, 0, 1<<(uint(c)+arenaMinBits))
 }
 
 // PutBuf releases a buffer for reuse. Buffers smaller than the minimum
-// class or larger than the maximum are dropped.
+// class are dropped, as is one whose class freelist is full.
 func (a *Arena) PutBuf(b []byte) {
 	if a == nil || cap(b) < 1<<arenaMinBits {
 		return
@@ -147,9 +129,7 @@ func (a *Arena) PutBuf(b []byte) {
 	}
 	if len(a.free[c]) < arenaMaxFreeBufs {
 		a.free[c] = append(a.free[c], b[:0])
-		return
 	}
-	putGlobalBuf(c, b[:0])
 }
 
 // ReleaseAll returns every non-nil buffer in bufs to the arena and nils
@@ -183,13 +163,6 @@ func (a *Arena) GetMat(rows, cols int) *tensor.Matrix {
 				return m
 			}
 		}
-		if c := arenaClassFor(need); c >= 0 {
-			if m, _ := matPools[c].Get().(*tensor.Matrix); m != nil {
-				m.Rows, m.Cols = rows, cols
-				m.Data = m.Data[:need]
-				return m
-			}
-		}
 	}
 	return tensor.New(rows, cols)
 }
@@ -204,42 +177,6 @@ func (a *Arena) PutMat(m *tensor.Matrix) {
 	if len(a.mats) < arenaMaxFreeMats {
 		a.mats = append(a.mats, m)
 	}
-}
-
-// putGlobalMat releases a matrix into its element-capacity class pool
-// (floor class, so a class-c hit always has capacity ≥ the class size).
-func putGlobalMat(m *tensor.Matrix) {
-	if cap(m.Data) < 1<<arenaMinBits {
-		return
-	}
-	c := bits.Len(uint(cap(m.Data))) - 1 - arenaMinBits
-	if c >= arenaClasses {
-		return
-	}
-	matPools[c].Put(m)
-}
-
-// Flush migrates the arena's freelists into the global pools, so the next
-// run's arenas (in the same process — repeated Engine.Run calls, the
-// scheduler, benchmarks) warm up from recycled memory instead of fresh
-// allocations. Call it once per device when a run finishes; the arena
-// remains usable afterwards.
-func (a *Arena) Flush() {
-	if a == nil {
-		return
-	}
-	for c := range a.free {
-		for i, b := range a.free[c] {
-			putGlobalBuf(c, b)
-			a.free[c][i] = nil
-		}
-		a.free[c] = a.free[c][:0]
-	}
-	for i, m := range a.mats {
-		putGlobalMat(m)
-		a.mats[i] = nil
-	}
-	a.mats = a.mats[:0]
 }
 
 // Payloads returns a length-n all-nil container for staging per-peer

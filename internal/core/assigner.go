@@ -28,15 +28,13 @@ type assignState struct {
 	// β (Theorem 3) for each of this device's halo slots. Static.
 	alphaSq []float64
 
-	// Traced (max−min)² per sent message, refreshed on tracing epochs:
-	// fwdRange2[l][dst][j] for forward sends (wire order SendTo[dst]);
-	// bwdRange2[l][src][j] for backward sends (wire order RecvFrom[src]).
-	fwdRange2 [][][]float64
-	bwdRange2 [][][]float64
+	// range2[dir][l][peer][j] is the traced (max−min)² of the j-th message
+	// sent to peer at layer l (wire order dir.sent), refreshed on tracing
+	// epochs.
+	range2 [2][][][]float64
 
-	// Current width tables, per layer.
-	fwdW []*widthTable
-	bwdW []*widthTable
+	// widths[dir][l] is the current width table.
+	widths [2][]*widthTable
 }
 
 func newAssignState(cfg *Config, lg *partition.LocalGraph, inDim int) *assignState {
@@ -54,50 +52,26 @@ func newAssignState(cfg *Config, lg *partition.LocalGraph, inDim int) *assignSta
 			}
 		}
 	}
-	st.fwdRange2 = make([][][]float64, cfg.Layers)
-	st.bwdRange2 = make([][][]float64, cfg.Layers)
-	st.fwdW = make([]*widthTable, cfg.Layers)
-	st.bwdW = make([]*widthTable, cfg.Layers)
-	for l := 0; l < cfg.Layers; l++ {
-		st.fwdRange2[l] = emptyRanges(lg, true)
-		st.bwdRange2[l] = emptyRanges(lg, false)
-		st.fwdW[l] = newWidthTable(lg, true, quant.B8)
-		st.bwdW[l] = newWidthTable(lg, false, quant.B8)
+	for _, dir := range directions {
+		st.range2[dir] = make([][][]float64, cfg.Layers)
+		for l := range st.range2[dir] {
+			st.range2[dir][l] = make([][]float64, lg.Parts)
+			for p, rows := range dir.sent(lg) {
+				st.range2[dir][l][p] = make([]float64, len(rows))
+			}
+		}
 	}
+	st.installUniformWidths(quant.B8)
 	return st
 }
 
-func emptyRanges(lg *partition.LocalGraph, fwd bool) [][]float64 {
-	out := make([][]float64, lg.Parts)
-	for d := range out {
-		n := len(lg.SendTo[d])
-		if !fwd {
-			n = len(lg.RecvFrom[d])
-		}
-		out[d] = make([]float64, n)
-	}
-	return out
-}
-
-// traceForward records (max−min)² of each row this device sends at layer l,
-// from the exchange's own scan of those rows (env.sendRanges).
-func (st *assignState) traceForward(l int, ranges []quant.RowRange) {
-	for q := range st.fwdRange2[l] {
-		for j, r := range st.lg.SendTo[q] {
+// trace records (max−min)² of each row this device sends in direction dir at
+// layer l, from the exchange's own scan of those rows (env.ranges).
+func (st *assignState) trace(env *ExchangeEnv, dir direction, l int, ranges []quant.RowRange) {
+	for p, out := range st.range2[dir][l] {
+		for j, r := range env.wireRows(dir, p) {
 			d := float64(ranges[r].Max - ranges[r].Min)
-			st.fwdRange2[l][q][j] = d * d
-		}
-	}
-}
-
-// traceBackward records (max−min)² of each halo-gradient row at layer l,
-// from env.haloRanges.
-func (st *assignState) traceBackward(l int, ranges []quant.RowRange) {
-	for p := range st.bwdRange2[l] {
-		for j, s := range st.lg.RecvFrom[p] {
-			rg := ranges[int(s)+st.lg.NumLocal]
-			d := float64(rg.Max - rg.Min)
-			st.bwdRange2[l][p][j] = d * d
+			out[j] = d * d
 		}
 	}
 }
@@ -108,15 +82,14 @@ type traceMsg struct {
 	Rank int
 	// RecvAlpha[src][j] = Σα² for halo slots RecvFrom[src][j].
 	RecvAlpha [][]float64
-	// Fwd[l][dst][j], Bwd[l][src][j]: traced range².
-	Fwd [][][]float64
-	Bwd [][][]float64
+	// Range2[dir][l][peer][j]: traced range², assignState's layout.
+	Range2 [2][][][]float64
 }
 
 type widthMsg struct {
-	// FwdSend[l][dst][j], FwdRecv[l][src][j], BwdSend[l][dst][j],
-	// BwdRecv[l][src][j].
-	FwdSend, FwdRecv, BwdSend, BwdRecv [][][]quant.BitWidth
+	// Send[dir][l][dst][j] and Recv[dir][l][src][j]: one device's width
+	// tables.
+	Send, Recv [2][][][]quant.BitWidth
 }
 
 // runAssignment executes the 4-step protocol. Every device must call it;
@@ -126,7 +99,7 @@ type widthMsg struct {
 // exactly the paper's "blocks the current training worker".
 func runAssignment(dev Transport, cfg *Config, st *assignState) error {
 	n := dev.Size()
-	report := traceMsg{Rank: dev.Rank(), Fwd: st.fwdRange2, Bwd: st.bwdRange2}
+	report := traceMsg{Rank: dev.Rank(), Range2: st.range2}
 	report.RecvAlpha = make([][]float64, n)
 	for p := 0; p < n; p++ {
 		as := make([]float64, len(st.lg.RecvFrom[p]))
@@ -159,9 +132,10 @@ func runAssignment(dev Transport, cfg *Config, st *assignState) error {
 	if err := decodeWidths(mine, &wm); err != nil {
 		return fmt.Errorf("core: rank %d decoding widths: %w", dev.Rank(), err)
 	}
-	for l := 0; l < st.layers; l++ {
-		st.fwdW[l] = &widthTable{send: wm.FwdSend[l], recv: wm.FwdRecv[l]}
-		st.bwdW[l] = &widthTable{send: wm.BwdSend[l], recv: wm.BwdRecv[l]}
+	for _, dir := range directions {
+		for l := range st.widths[dir] {
+			st.widths[dir][l] = &widthTable{send: wm.Send[dir][l], recv: wm.Recv[dir][l]}
+		}
 	}
 	return nil
 }
@@ -183,68 +157,61 @@ func solveAllProblems(dev Transport, cfg *Config, st *assignState, reports []*tr
 
 	type solved struct {
 		layer  int
-		fwd    bool
+		dir    direction
 		widths map[int][]quant.BitWidth // pair → per-slot widths
 		cost   timing.Seconds
 	}
 	var wg sync.WaitGroup
 	results := make(chan solved, 2*st.layers)
-	launch := func(layer int, fwd bool) {
+	launch := func(layer int, dir direction) {
 		defer wg.Done()
-		msgs := problemMessages(reports, layer, fwd, st.dims[layer])
+		msgs := problemMessages(reports, layer, dir, st.dims[layer])
 		prob := bitassign.NewProblem(msgs, cfg.GroupSize, theta, gamma, cfg.Lambda)
 		widths := prob.Solve()
 		// Simulated solver cost: greedy move loop is O(groups² · pairs)
 		// objective evaluations in the worst case; charge a per-evaluation
 		// constant calibrated to the paper's ~5% wall-clock overhead.
 		cost := timing.Seconds(1e-3 + 5e-8*float64(len(prob.Groups)*len(prob.Groups)))
-		results <- solved{layer: layer, fwd: fwd, widths: prob.ExpandToSlots(widths), cost: cost}
+		results <- solved{layer: layer, dir: dir, widths: prob.ExpandToSlots(widths), cost: cost}
 	}
 	for l := 0; l < st.layers; l++ {
-		wg.Add(1)
-		go launch(l, true)
-		if l > 0 { // layer 0 has no backward exchange
+		for _, dir := range directions {
+			if dir == backward && l == 0 {
+				continue // layer 0 has no backward exchange
+			}
 			wg.Add(1)
-			go launch(l, false)
+			go launch(l, dir)
 		}
 	}
 	wg.Wait()
 	close(results)
 
 	out := make([]*widthMsg, n)
-	for r := 0; r < n; r++ {
-		wm := &widthMsg{
-			FwdSend: emptyWidthGrid(st.layers, n), FwdRecv: emptyWidthGrid(st.layers, n),
-			BwdSend: emptyWidthGrid(st.layers, n), BwdRecv: emptyWidthGrid(st.layers, n),
+	for r := range out {
+		out[r] = &widthMsg{}
+		for _, dir := range directions {
+			out[r].Send[dir], out[r].Recv[dir] = emptyWidthGrid(st.layers, n), emptyWidthGrid(st.layers, n)
 		}
-		// Default sizes/widths for slots the solver did not cover
-		// (all-constant rows trace to β=0 but still occupy slots — they
-		// are covered; this is belt-and-braces for empty pairs).
-		out[r] = wm
 	}
 	var totalCost timing.Seconds
 	for s := range results {
 		totalCost += s.cost
 		for pair, ws := range s.widths {
 			src, dst := pair/n, pair%n
-			if s.fwd {
-				out[src].FwdSend[s.layer][dst] = ws
-				out[dst].FwdRecv[s.layer][src] = ws
-			} else {
-				out[src].BwdSend[s.layer][dst] = ws
-				out[dst].BwdRecv[s.layer][src] = ws
-			}
+			out[src].Send[s.dir][s.layer][dst] = ws
+			out[dst].Recv[s.dir][s.layer][src] = ws
 		}
 	}
-	// Fill any missing tables with sizes from the reports so width tables
-	// always match wire sizes.
+	// Fill the tables the solver did not cover (empty pairs, layer 0
+	// backward) with sizes from the reports so width tables always match
+	// wire sizes.
 	for r := 0; r < n; r++ {
-		for l := 0; l < st.layers; l++ {
-			for d := 0; d < n; d++ {
-				fixWidths(&out[r].FwdSend[l][d], len(reports[r].Fwd[l][d]))
-				fixWidths(&out[r].FwdRecv[l][d], len(reports[d].Fwd[l][r]))
-				fixWidths(&out[r].BwdSend[l][d], len(reports[r].Bwd[l][d]))
-				fixWidths(&out[r].BwdRecv[l][d], len(reports[d].Bwd[l][r]))
+		for _, dir := range directions {
+			for l := 0; l < st.layers; l++ {
+				for d := 0; d < n; d++ {
+					fixWidths(&out[r].Send[dir][l][d], len(reports[r].Range2[dir][l][d]))
+					fixWidths(&out[r].Recv[dir][l][d], len(reports[d].Range2[dir][l][r]))
+				}
 			}
 		}
 	}
@@ -255,17 +222,11 @@ func solveAllProblems(dev Transport, cfg *Config, st *assignState, reports []*tr
 // direction): pair src→dst, wire position j, β from the traced range²
 // (Theorem 3). The list is sized from the reports' row counts up front: it
 // runs to one entry per boundary row per peer, on every assignment epoch.
-func problemMessages(reports []*traceMsg, layer int, fwd bool, dim int) []bitassign.Message {
+func problemMessages(reports []*traceMsg, layer int, dir direction, dim int) []bitassign.Message {
 	n := len(reports)
-	ranges := func(src int) [][]float64 {
-		if fwd {
-			return reports[src].Fwd[layer]
-		}
-		return reports[src].Bwd[layer]
-	}
 	total := 0
-	for src := 0; src < n; src++ {
-		for dst, rs := range ranges(src) {
+	for src, rep := range reports {
+		for dst, rs := range rep.Range2[dir][layer] {
 			if dst != src {
 				total += len(rs)
 			}
@@ -273,14 +234,14 @@ func problemMessages(reports []*traceMsg, layer int, fwd bool, dim int) []bitass
 	}
 	msgs := make([]bitassign.Message, 0, total)
 	for src := 0; src < n; src++ {
-		rs := ranges(src)
+		rs := reports[src].Range2[dir][layer]
 		for dst := 0; dst < n; dst++ {
 			if src == dst {
 				continue
 			}
 			for j, r2 := range rs[dst] {
 				beta := float64(dim) * r2 / 6
-				if fwd {
+				if dir == forward {
 					// Receiver-side Σα² factor: dst's halo slots fed
 					// by src, wire position j.
 					beta *= reports[dst].RecvAlpha[src][j]
@@ -317,14 +278,14 @@ func fixWidths(ws *[]quant.BitWidth, want int) {
 // (AdaQPRandom), where no master scatter happens. The stream is seeded by
 // (seed, period index, layer, direction, src, dst) so sender and receiver
 // agree exactly.
-func pairDeterministicWidths(seed uint64, period, layer int, fwd bool, src, dst, n int) *tensor.RNG {
+func pairDeterministicWidths(seed uint64, period, layer int, dir direction, src, dst, n int) *tensor.RNG {
 	h := seed
 	mix := func(x uint64) {
 		h ^= x + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
 	}
 	mix(uint64(period + 1))
 	mix(uint64(layer + 1))
-	if fwd {
+	if dir == forward {
 		mix(3)
 	} else {
 		mix(5)
@@ -337,27 +298,27 @@ func pairDeterministicWidths(seed uint64, period, layer int, fwd bool, src, dst,
 // installRandomWidths fills st's tables with the uniform-random sampling
 // scheme of Table 6, consistently on both endpoints of every pair.
 func (st *assignState) installRandomWidths(seed uint64, periodIdx, parts, rank int) {
-	for l := 0; l < st.layers; l++ {
-		for d := 0; d < parts; d++ {
-			if d == rank {
-				continue
+	for _, dir := range directions {
+		for l, wt := range st.widths[dir] {
+			for d := 0; d < parts; d++ {
+				if d == rank {
+					continue
+				}
+				wt.send[d] = quant.RandomWidths(len(dir.sent(st.lg)[d]),
+					pairDeterministicWidths(seed, periodIdx, l, dir, rank, d, parts))
+				wt.recv[d] = quant.RandomWidths(len(dir.filled(st.lg)[d]),
+					pairDeterministicWidths(seed, periodIdx, l, dir, d, rank, parts))
 			}
-			st.fwdW[l].send[d] = quant.RandomWidths(len(st.lg.SendTo[d]),
-				pairDeterministicWidths(seed, periodIdx, l, true, rank, d, parts))
-			st.fwdW[l].recv[d] = quant.RandomWidths(len(st.lg.RecvFrom[d]),
-				pairDeterministicWidths(seed, periodIdx, l, true, d, rank, parts))
-			st.bwdW[l].send[d] = quant.RandomWidths(len(st.lg.RecvFrom[d]),
-				pairDeterministicWidths(seed, periodIdx, l, false, rank, d, parts))
-			st.bwdW[l].recv[d] = quant.RandomWidths(len(st.lg.SendTo[d]),
-				pairDeterministicWidths(seed, periodIdx, l, false, d, rank, parts))
 		}
 	}
 }
 
 // installUniformWidths sets every message's width to b (AdaQPUniform).
 func (st *assignState) installUniformWidths(b quant.BitWidth) {
-	for l := 0; l < st.layers; l++ {
-		st.fwdW[l] = newWidthTable(st.lg, true, b)
-		st.bwdW[l] = newWidthTable(st.lg, false, b)
+	for _, dir := range directions {
+		st.widths[dir] = make([]*widthTable, st.layers)
+		for l := range st.widths[dir] {
+			st.widths[dir][l] = newWidthTable(st.lg, dir, b)
+		}
 	}
 }

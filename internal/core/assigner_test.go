@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -19,8 +20,8 @@ func deployTiny(t *testing.T, parts int) *Deployment {
 func TestWidthTableShapes(t *testing.T) {
 	dep := deployTiny(t, 3)
 	for _, lg := range dep.Locals {
-		fwd := newWidthTable(lg, true, quant.B4)
-		bwd := newWidthTable(lg, false, quant.B4)
+		fwd := newWidthTable(lg, forward, quant.B4)
+		bwd := newWidthTable(lg, backward, quant.B4)
 		for d := 0; d < lg.Parts; d++ {
 			if len(fwd.send[d]) != len(lg.SendTo[d]) || len(fwd.recv[d]) != len(lg.RecvFrom[d]) {
 				t.Fatalf("fwd table shape mismatch for pair %d", d)
@@ -69,13 +70,14 @@ func TestTraceForwardRanges(t *testing.T) {
 	st := newAssignState(&cfg, lg, dep.Dataset.Features.Cols)
 	x := tensor.New(lg.NumLocal, dep.Dataset.Features.Cols)
 	x.FillUniform(tensor.NewRNG(1), -3, 3)
-	st.traceForward(0, (&ExchangeEnv{Graph: lg}).sendRanges(x))
+	env := &ExchangeEnv{Graph: lg}
+	st.trace(env, forward, 0, env.ranges(forward, x))
 	for q, rows := range lg.SendTo {
 		for j, r := range rows {
 			mn, mx := tensor.MinMax(x.Row(int(r)))
 			want := float64(mx-mn) * float64(mx-mn)
-			if math.Abs(st.fwdRange2[0][q][j]-want) > 1e-9 {
-				t.Fatalf("traced range² %v, want %v", st.fwdRange2[0][q][j], want)
+			if math.Abs(st.range2[forward][0][q][j]-want) > 1e-9 {
+				t.Fatalf("traced range² %v, want %v", st.range2[forward][0][q][j], want)
 			}
 		}
 	}
@@ -92,12 +94,12 @@ func TestTraceBackwardRanges(t *testing.T) {
 	// The dirty arena hands out NaN-poisoned ranges: every halo row's entry
 	// must be overwritten by the scan.
 	env := &ExchangeEnv{Graph: lg, Scratch: dirtyArena(cfg.Hidden)}
-	st.traceBackward(1, env.haloRanges(dxFull))
+	st.trace(env, backward, 1, env.ranges(backward, dxFull))
 	for p, slots := range lg.RecvFrom {
 		for j, s := range slots {
 			mn, mx := tensor.MinMax(dxFull.Row(int(s) + lg.NumLocal))
-			if want := float64(mx-mn) * float64(mx-mn); st.bwdRange2[1][p][j] != want {
-				t.Fatalf("peer %d slot %d: traced range² %v, want %v", p, j, st.bwdRange2[1][p][j], want)
+			if want := float64(mx-mn) * float64(mx-mn); st.range2[backward][1][p][j] != want {
+				t.Fatalf("peer %d slot %d: traced range² %v, want %v", p, j, st.range2[backward][1][p][j], want)
 			}
 		}
 	}
@@ -121,8 +123,8 @@ func TestRandomWidthsAgreeAcrossEndpoints(t *testing.T) {
 				continue
 			}
 			for l := 0; l < cfg.Layers; l++ {
-				send := states[src].fwdW[l].send[dst]
-				recv := states[dst].fwdW[l].recv[src]
+				send := states[src].widths[forward][l].send[dst]
+				recv := states[dst].widths[forward][l].recv[src]
 				if len(send) != len(recv) {
 					t.Fatalf("layer %d pair %d→%d: width lengths differ", l, src, dst)
 				}
@@ -144,7 +146,7 @@ func TestInstallUniformWidths(t *testing.T) {
 	st := newAssignState(&cfg, dep.Locals[0], dep.Dataset.Features.Cols)
 	st.installUniformWidths(quant.B4)
 	for l := 0; l < cfg.Layers; l++ {
-		for _, ws := range st.fwdW[l].send {
+		for _, ws := range st.widths[forward][l].send {
 			for _, w := range ws {
 				if w != quant.B4 {
 					t.Fatalf("width %d after installUniformWidths", w)
@@ -158,30 +160,46 @@ func TestAssignWireRoundTrip(t *testing.T) {
 	in := traceMsg{
 		Rank:      2,
 		RecvAlpha: [][]float64{{1, 2}, nil},
-		Fwd:       [][][]float64{{{0.5}, {1.5, 2.5}}},
-		Bwd:       [][][]float64{{nil, {3}}},
+		Range2: [2][][][]float64{
+			forward:  {{{0.5}, {1.5, 2.5}}},
+			backward: {{nil, {3}}},
+		},
+	}
+	// The sideband bytes are a wire format: these are the encoder's output for
+	// the same two messages from before the structs were keyed by direction
+	// (forward cube, then backward; per direction Send, then Recv).
+	const (
+		wantTrace = "020000000200000002000000000000000000f03f0000000000000040000000000100000002000000" +
+			"01000000000000000000e03f02000000000000000000f83f00000000000004400100000002000000" +
+			"00000000010000000000000000000840"
+		wantWidths = "0100000002000000020000000208000000000100000002000000000000000100000004" +
+			"0000000001000000010000000100000008"
+	)
+	if got := hex.EncodeToString(encodeTrace(&in)); got != wantTrace {
+		t.Fatalf("encodeTrace bytes changed:\n got  %s\n want %s", got, wantTrace)
 	}
 	var out traceMsg
 	if err := decodeTrace(encodeTrace(&in), &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Rank != 2 || out.Fwd[0][1][1] != 2.5 || out.Bwd[0][1][0] != 3 {
+	if out.Rank != 2 || out.Range2[forward][0][1][1] != 2.5 || out.Range2[backward][0][1][0] != 3 {
 		t.Fatalf("trace round trip mangled: %+v", out)
 	}
 
 	win := widthMsg{
-		FwdSend: [][][]quant.BitWidth{{{quant.B2, quant.B8}, nil}},
-		FwdRecv: [][][]quant.BitWidth{{nil, {quant.B4}}},
-		BwdSend: [][][]quant.BitWidth{},
-		BwdRecv: [][][]quant.BitWidth{{{quant.B8}}},
+		Send: [2][][][]quant.BitWidth{forward: {{{quant.B2, quant.B8}, nil}}, backward: {}},
+		Recv: [2][][][]quant.BitWidth{forward: {{nil, {quant.B4}}}, backward: {{{quant.B8}}}},
 	}
 	enc := encodeWidths(&win)
+	if got := hex.EncodeToString(enc); got != wantWidths {
+		t.Fatalf("encodeWidths bytes changed:\n got  %s\n want %s", got, wantWidths)
+	}
 	var wout widthMsg
 	if err := decodeWidths(enc, &wout); err != nil {
 		t.Fatal(err)
 	}
-	if wout.FwdSend[0][0][0] != quant.B2 || wout.FwdSend[0][0][1] != quant.B8 ||
-		wout.FwdRecv[0][1][0] != quant.B4 || wout.BwdRecv[0][0][0] != quant.B8 {
+	if wout.Send[forward][0][0][0] != quant.B2 || wout.Send[forward][0][0][1] != quant.B8 ||
+		wout.Recv[forward][0][1][0] != quant.B4 || wout.Recv[backward][0][0][0] != quant.B8 {
 		t.Fatalf("width round trip mangled: %+v", wout)
 	}
 
@@ -213,14 +231,14 @@ func TestAssignmentAllocationBound(t *testing.T) {
 	reports := make([]*traceMsg, 3)
 	for r, lg := range dep.Locals {
 		st := newAssignState(&cfg, lg, dep.Dataset.Features.Cols)
-		m := &traceMsg{Rank: r, Fwd: st.fwdRange2, Bwd: st.bwdRange2, RecvAlpha: make([][]float64, 3)}
+		m := &traceMsg{Rank: r, Range2: st.range2, RecvAlpha: make([][]float64, 3)}
 		for p := range m.RecvAlpha {
 			m.RecvAlpha[p] = make([]float64, len(lg.RecvFrom[p]))
 		}
 		reports[r] = m
 	}
 	widths := &widthMsg{}
-	for _, cube := range []*[][][]quant.BitWidth{&widths.FwdSend, &widths.FwdRecv, &widths.BwdSend, &widths.BwdRecv} {
+	for _, cube := range []*[][][]quant.BitWidth{&widths.Send[forward], &widths.Recv[forward], &widths.Send[backward], &widths.Recv[backward]} {
 		*cube = emptyWidthGrid(cfg.Layers, 3)
 		for l := range *cube {
 			for d := range (*cube)[l] {
@@ -235,7 +253,7 @@ func TestAssignmentAllocationBound(t *testing.T) {
 			rows += len(send)
 		}
 	}
-	if msgs := problemMessages(reports, 1, true, cfg.Hidden); len(msgs) != rows || cap(msgs) != rows {
+	if msgs := problemMessages(reports, 1, forward, cfg.Hidden); len(msgs) != rows || cap(msgs) != rows {
 		t.Fatalf("problemMessages: len %d cap %d for %d boundary rows", len(msgs), cap(msgs), rows)
 	}
 	if enc := encodeTrace(reports[1]); len(enc) != cap(enc) {
@@ -248,7 +266,7 @@ func TestAssignmentAllocationBound(t *testing.T) {
 		return // the race detector instruments the allocator
 	}
 	for what, fn := range map[string]func(){
-		"problemMessages": func() { problemMessages(reports, 1, false, cfg.Hidden) },
+		"problemMessages": func() { problemMessages(reports, 1, backward, cfg.Hidden) },
 		"encodeTrace":     func() { encodeTrace(reports[1]) },
 		"encodeWidths":    func() { encodeWidths(widths) },
 	} {

@@ -18,8 +18,8 @@ import (
 //	f64 grid:    [u32 len] len × f64 slice
 //	f64 cube:    [u32 len] len × f64 grid
 //	width slice: [u32 len] len × 1 byte
-//	traceMsg:    [u32 rank] RecvAlpha grid · Fwd cube · Bwd cube
-//	widthMsg:    FwdSend · FwdRecv · BwdSend · BwdRecv width cubes
+//	traceMsg:    [u32 rank] RecvAlpha grid · forward, backward Range2 cubes
+//	widthMsg:    forward Send · Recv, backward Send · Recv width cubes
 //
 // Decoders validate every length against the remaining bytes, so a
 // corrupted stream errors instead of panicking or over-allocating.
@@ -203,11 +203,16 @@ func (r *wireReader) widthCube(what string) [][][]quant.BitWidth {
 }
 
 func encodeTrace(m *traceMsg) []byte {
-	b := make([]byte, 0, 4+f64GridSize(m.RecvAlpha)+f64CubeSize(m.Fwd)+f64CubeSize(m.Bwd))
-	b = appendU32(b, uint32(m.Rank))
+	size := 4 + f64GridSize(m.RecvAlpha)
+	for _, cube := range m.Range2 {
+		size += f64CubeSize(cube)
+	}
+	b := appendU32(make([]byte, 0, size), uint32(m.Rank))
 	b = appendF64Grid(b, m.RecvAlpha)
-	b = appendF64Cube(b, m.Fwd)
-	return appendF64Cube(b, m.Bwd)
+	for _, cube := range m.Range2 {
+		b = appendF64Cube(b, cube)
+	}
+	return b
 }
 
 func decodeTrace(b []byte, m *traceMsg) error {
@@ -219,24 +224,30 @@ func decodeTrace(b []byte, m *traceMsg) error {
 		r.off = 4
 	}
 	m.RecvAlpha = r.f64Grid("RecvAlpha")
-	m.Fwd = r.f64Cube("Fwd")
-	m.Bwd = r.f64Cube("Bwd")
+	for _, dir := range directions {
+		m.Range2[dir] = r.f64Cube("Range2")
+	}
 	return r.err
 }
 
 func encodeWidths(m *widthMsg) []byte {
-	b := make([]byte, 0, widthCubeSize(m.FwdSend)+widthCubeSize(m.FwdRecv)+widthCubeSize(m.BwdSend)+widthCubeSize(m.BwdRecv))
-	b = appendWidthCube(b, m.FwdSend)
-	b = appendWidthCube(b, m.FwdRecv)
-	b = appendWidthCube(b, m.BwdSend)
-	return appendWidthCube(b, m.BwdRecv)
+	size := 0
+	for _, dir := range directions {
+		size += widthCubeSize(m.Send[dir]) + widthCubeSize(m.Recv[dir])
+	}
+	b := make([]byte, 0, size)
+	for _, dir := range directions {
+		b = appendWidthCube(b, m.Send[dir])
+		b = appendWidthCube(b, m.Recv[dir])
+	}
+	return b
 }
 
 func decodeWidths(b []byte, m *widthMsg) error {
 	r := &wireReader{b: b}
-	m.FwdSend = r.widthCube("FwdSend")
-	m.FwdRecv = r.widthCube("FwdRecv")
-	m.BwdSend = r.widthCube("BwdSend")
-	m.BwdRecv = r.widthCube("BwdRecv")
+	for _, dir := range directions {
+		m.Send[dir] = r.widthCube("Send")
+		m.Recv[dir] = r.widthCube("Recv")
+	}
 	return r.err
 }

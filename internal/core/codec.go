@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/partition"
@@ -66,9 +64,9 @@ type ExchangeEnv struct {
 	// in which case every Arena method degrades to plain allocation.
 	Scratch *Arena
 
-	costs []layerCosts
-	halo  [][]int32 // lazily-built haloIdx cache, one list per peer
-	sent  []int32   // lazily-built sentRows cache
+	costs [][2]StageCosts // per layer, per direction
+	halo  [][]int32       // lazily-built haloIdx cache, one list per peer
+	sent  [2][]int32      // lazily-built sentRows cache, per direction
 }
 
 // HaloIdx returns the xFull row indices of the halo slots received from
@@ -88,57 +86,42 @@ func (e *ExchangeEnv) HaloIdx(p int) []int32 {
 	return e.halo[p]
 }
 
-// sentRows returns, ascending, the local rows at least one peer receives
-// (the union of Graph.SendTo). Built once and cached on the env.
-func (e *ExchangeEnv) sentRows() []int32 {
-	if e.sent == nil {
-		marked := make([]bool, e.Graph.NumLocal)
-		for _, rows := range e.Graph.SendTo {
-			for _, r := range rows {
+// sentRows returns, ascending, the rows of the matrix sent in direction dir
+// that at least one peer receives (the union of wireRows over the peers).
+// Built once per direction and cached on the env.
+func (e *ExchangeEnv) sentRows(dir direction) []int32 {
+	if e.sent[dir] == nil {
+		marked := make([]bool, e.Graph.NumLocal+e.Graph.NumHalo)
+		for p := 0; p < e.Graph.Parts; p++ {
+			for _, r := range e.wireRows(dir, p) {
 				marked[r] = true
 			}
 		}
-		e.sent = []int32{}
+		e.sent[dir] = []int32{}
 		for r, m := range marked {
 			if m {
-				e.sent = append(e.sent, int32(r))
+				e.sent[dir] = append(e.sent[dir], int32(r))
 			}
 		}
 	}
-	return e.sent
+	return e.sent[dir]
 }
 
-// sendRanges scans every row of h this device sends exactly once, however
-// many peers receive it, and returns the ranges indexed by local row. The
-// result is arena scratch: valid until the next sendRanges/haloRanges call
-// on this env, entries of unsent rows arbitrary.
-func (e *ExchangeEnv) sendRanges(h *tensor.Matrix) []quant.RowRange {
-	ranges := e.Scratch.RowRanges(h.Rows)
-	quant.RowRanges(ranges, h, e.sentRows())
-	return ranges
-}
-
-// haloRanges is sendRanges for the backward exchange: the ranges of
-// dxFull's halo-gradient rows, indexed by dxFull row.
-func (e *ExchangeEnv) haloRanges(dxFull *tensor.Matrix) []quant.RowRange {
-	ranges := e.Scratch.RowRanges(dxFull.Rows)
-	for p := range e.Graph.RecvFrom {
-		quant.RowRanges(ranges, dxFull, e.HaloIdx(p))
-	}
+// ranges scans every row of m this device sends in direction dir exactly
+// once, however many peers receive it, and returns the ranges indexed by row
+// of m. The result is arena scratch: valid until the next ranges call on
+// this env, entries of unsent rows arbitrary.
+func (e *ExchangeEnv) ranges(dir direction, m *tensor.Matrix) []quant.RowRange {
+	ranges := e.Scratch.RowRanges(m.Rows)
+	quant.RowRanges(ranges, m, e.sentRows(dir))
 	return ranges
 }
 
 // ForwardCosts returns layer l's forward-stage compute costs.
-func (e *ExchangeEnv) ForwardCosts(l int) StageCosts {
-	c := e.costs[l]
-	return StageCosts{Total: c.fwdTotal, Central: c.fwdCentral, Marginal: c.fwdMarginal}
-}
+func (e *ExchangeEnv) ForwardCosts(l int) StageCosts { return e.costs[l][forward] }
 
 // BackwardCosts returns layer l's backward-stage compute costs.
-func (e *ExchangeEnv) BackwardCosts(l int) StageCosts {
-	c := e.costs[l]
-	return StageCosts{Total: c.bwdTotal, Central: c.bwdCentral, Marginal: c.bwdMarginal}
-}
+func (e *ExchangeEnv) BackwardCosts(l int) StageCosts { return e.costs[l][backward] }
 
 // CodecEnv is the construction-time context for one device's codec
 // instance.
@@ -241,75 +224,23 @@ const (
 	CodecDelta    = "delta"    // residual vs previous epoch + keyframes
 )
 
-var (
-	codecMu       sync.RWMutex
-	codecRegistry = map[string]CodecFactory{}
-)
+var codecRegistry = registry[CodecFactory]{kind: "codec"}
 
 // RegisterCodec makes a message codec available under name. Registering a
 // duplicate name panics.
-func RegisterCodec(name string, f CodecFactory) {
-	codecMu.Lock()
-	defer codecMu.Unlock()
-	if _, dup := codecRegistry[name]; dup {
-		panic(fmt.Sprintf("core: codec %q registered twice", name))
-	}
-	codecRegistry[name] = f
-}
+func RegisterCodec(name string, f CodecFactory) { codecRegistry.register(name, f) }
 
 // LookupCodec resolves a registered codec factory.
-func LookupCodec(name string) (CodecFactory, error) {
-	codecMu.RLock()
-	defer codecMu.RUnlock()
-	f, ok := codecRegistry[name]
-	if !ok {
-		known := make([]string, 0, len(codecRegistry))
-		for n := range codecRegistry {
-			known = append(known, n)
-		}
-		sort.Strings(known)
-		return nil, fmt.Errorf("core: unknown codec %q (have %v)", name, known)
-	}
-	return f, nil
-}
+func LookupCodec(name string) (CodecFactory, error) { return codecRegistry.lookup(name) }
 
 // CodecNames lists the registered codecs, sorted.
-func CodecNames() []string {
-	codecMu.RLock()
-	defer codecMu.RUnlock()
-	names := make([]string, 0, len(codecRegistry))
-	for n := range codecRegistry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// CodecForMethod returns the codec a training method uses by default.
-// Config.Codec overrides it.
-func CodecForMethod(m Method) (string, error) {
-	switch m {
-	case Vanilla:
-		return CodecFP32, nil
-	case AdaQP:
-		return CodecAdaptive, nil
-	case AdaQPUniform:
-		return CodecUniform, nil
-	case AdaQPRandom:
-		return CodecRandom, nil
-	case PipeGCN:
-		return CodecPipeGCN, nil
-	case SANCUS:
-		return CodecSancus, nil
-	}
-	return "", fmt.Errorf("core: no codec for method %v", m)
-}
+func CodecNames() []string { return codecRegistry.names() }
 
 func init() {
 	RegisterCodec(CodecFP32, newFP32Codec)
-	RegisterCodec(CodecUniform, newUniformCodec)
-	RegisterCodec(CodecRandom, newRandomCodec)
-	RegisterCodec(CodecAdaptive, newAdaptiveCodec)
+	RegisterCodec(CodecUniform, newQuantCodec(CodecUniform))
+	RegisterCodec(CodecRandom, newQuantCodec(CodecRandom))
+	RegisterCodec(CodecAdaptive, newQuantCodec(CodecAdaptive))
 	RegisterCodec(CodecPipeGCN, newPipeGCNCodec)
 	RegisterCodec(CodecSancus, newSancusCodec)
 	RegisterCodec(CodecEFQuant, newEFQuantCodec)

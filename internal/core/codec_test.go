@@ -394,7 +394,7 @@ func TestEFQuantResidualTelescopes(t *testing.T) {
 	x := tensor.New(lg.NumLocal, 4)
 	rng := tensor.NewRNG(9)
 	x.FillUniform(rng, -1, 1)
-	resid := ef.fwdResid[0][dst]
+	resid := ef.resid[forward][0][dst]
 	sumTrue := tensor.New(rows, 4)
 	sumSent := tensor.New(rows, 4)
 	for epoch := 0; epoch < 8; epoch++ {

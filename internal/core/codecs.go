@@ -16,11 +16,11 @@ func newFP32Codec(*CodecEnv) (MessageCodec, error) { return fp32Codec{}, nil }
 func (fp32Codec) Name() string { return CodecFP32 }
 
 func (fp32Codec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.Matrix) error {
-	return env.stage(fpCoder{}, sequential, true, l, h, xFull)
+	return env.stage(fpCoder{}, sequential, forward, l, h, xFull)
 }
 
 func (fp32Codec) Backward(env *ExchangeEnv, epoch, l int, dxFull, dxLocal *tensor.Matrix) error {
-	return env.stage(fpCoder{}, sequential, false, l, dxFull, dxLocal)
+	return env.stage(fpCoder{}, sequential, backward, l, dxFull, dxLocal)
 }
 
 func (fp32Codec) EpochEnd(*ExchangeEnv, int) error { return nil }
@@ -45,202 +45,147 @@ func (m *mixedCoder) encode(e *ExchangeEnv, p int, x *tensor.Matrix, idx []int32
 }
 
 func (m *mixedCoder) decode(e *ExchangeEnv, p int, buf []byte, dst *tensor.Matrix, idx []int32, add bool) error {
+	return dequantizeMixed(buf, dst, idx, m.wt.recv[p], add)
+}
+
+// dequantizeMixed lands a mixed-width stream in dst rows idx: stored, or with
+// add set added straight from the codes.
+func dequantizeMixed(buf []byte, dst *tensor.Matrix, idx []int32, widths []quant.BitWidth, add bool) error {
 	if add {
-		return quant.DequantizeMixedAdd(buf, dst, idx, m.wt.recv[p])
+		return quant.DequantizeMixedAdd(buf, dst, idx, widths)
 	}
-	return quant.DequantizeMixed(buf, dst, idx, m.wt.recv[p])
+	return quant.DequantizeMixed(buf, dst, idx, widths)
 }
 
 func (*mixedCoder) passes() (int, int) { return 1, 1 }
 
-// quantState embeds the width tables and runs the quantized exchanges
-// under AdaQP's overlapped schedule. The three quantizing codecs differ
-// only in how the tables are produced (uniform / random / adaptively
-// assigned).
-type quantState struct {
-	st    *assignState
+// quantCodec is the quantizing codec: per-message bit-widths from a width
+// table per (layer, direction), under AdaQP's overlapped schedule. Its three
+// registry names are three width policies and nothing else:
+//
+//   - uniform: every message at Config.UniformBits, installed once (32 bits
+//     ships raw fp32 rows, overlap schedule intact);
+//   - random: widths sampled uniformly from {2,4,8} per message, re-drawn
+//     every ReassignPeriod epochs (Table 6's ablation);
+//   - adaptive: AdaQP — epoch 0 at full precision, messages traced on the
+//     last epoch of every period and the bi-objective problem re-solved from
+//     the traces.
+type quantCodec struct {
+	name  string         // registry name: the width policy
+	bits  quant.BitWidth // uniform only: the one width
+	st    *assignState   // nil for the 32-bit passthrough, which has no tables
 	coder mixedCoder
 }
 
-// forward runs the overlapped forward exchange at the current width tables,
-// or at full precision when fp (AdaQP's bootstrap epoch; the 32-bit
-// passthrough). trace also feeds the scanned row ranges to the assigner's
-// tracer.
-func (q *quantState) forward(env *ExchangeEnv, l int, h, xFull *tensor.Matrix, fp, trace bool) error {
-	var ranges []quant.RowRange
-	if !fp || trace {
-		ranges = env.sendRanges(h)
-	}
-	if trace {
-		q.st.traceForward(l, ranges)
-	}
-	if fp {
-		return env.stage(fpCoder{}, overlapped, true, l, h, xFull)
-	}
-	q.coder = mixedCoder{wt: q.st.fwdW[l], ranges: ranges}
-	return env.stage(&q.coder, overlapped, true, l, h, xFull)
-}
-
-func (q *quantState) backward(env *ExchangeEnv, l int, dxFull, dxLocal *tensor.Matrix, fp, trace bool) error {
-	var ranges []quant.RowRange
-	if !fp || trace {
-		ranges = env.haloRanges(dxFull)
-	}
-	if trace {
-		q.st.traceBackward(l, ranges)
-	}
-	if fp {
-		return env.stage(fpCoder{}, overlapped, false, l, dxFull, dxLocal)
-	}
-	q.coder = mixedCoder{wt: q.st.bwdW[l], ranges: ranges}
-	return env.stage(&q.coder, overlapped, false, l, dxFull, dxLocal)
-}
-
-// ---- uniform: every message at Config.UniformBits ----
-
-type uniformCodec struct {
-	quantState
-	bits        quant.BitWidth
-	passthrough bool // 32-bit: raw fp32 rows, overlap schedule intact
-}
-
-func newUniformCodec(env *CodecEnv) (MessageCodec, error) {
-	c := &uniformCodec{bits: env.Cfg.UniformBits, passthrough: env.Cfg.UniformBits == quant.B32}
-	if !c.passthrough {
+func newQuantCodec(name string) CodecFactory {
+	return func(env *CodecEnv) (MessageCodec, error) {
+		c := &quantCodec{name: name}
+		if name == CodecUniform {
+			c.bits = env.Cfg.UniformBits
+		}
+		if c.bits == quant.B32 {
+			return c, nil
+		}
 		c.st = newAssignState(env.Cfg, env.Graph(), env.InDim)
-		c.st.installUniformWidths(env.Cfg.UniformBits)
+		switch name {
+		case CodecUniform:
+			c.st.installUniformWidths(c.bits)
+		case CodecRandom:
+			c.st.installRandomWidths(env.Cfg.Seed, 0, len(env.Locals), env.Rank)
+		}
+		return c, nil
 	}
-	return c, nil
 }
 
-func (c *uniformCodec) Name() string { return CodecUniform }
+func (c *quantCodec) Name() string { return c.name }
 
-func (c *uniformCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.Matrix) error {
-	return c.forward(env, l, h, xFull, c.passthrough, false)
+// fullPrecision reports whether epoch's messages travel as raw fp32 rows:
+// every epoch of the 32-bit passthrough, and AdaQP's bootstrap epoch 0 (no
+// widths assigned yet). The overlapped schedule is active either way.
+func (c *quantCodec) fullPrecision(epoch int) bool {
+	return c.bits == quant.B32 || c.name == CodecAdaptive && epoch == 0
 }
 
-func (c *uniformCodec) Backward(env *ExchangeEnv, epoch, l int, dxFull, dxLocal *tensor.Matrix) error {
-	return c.backward(env, l, dxFull, dxLocal, c.passthrough, false)
+// tracing reports whether epoch's messages are traced for the assigner: the
+// bootstrap epoch and the last epoch of each re-assignment period.
+func (c *quantCodec) tracing(cfg *Config, epoch int) bool {
+	return c.name == CodecAdaptive && (epoch == 0 || (epoch+1)%cfg.ReassignPeriod == 0)
 }
 
-func (c *uniformCodec) EpochEnd(*ExchangeEnv, int) error { return nil }
+func (c *quantCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.Matrix) error {
+	return c.run(env, forward, epoch, l, h, xFull)
+}
 
-func (c *uniformCodec) ForwardErrorBound(mn, mx float32, _ int) float64 {
-	if c.passthrough {
-		return 0
+func (c *quantCodec) Backward(env *ExchangeEnv, epoch, l int, dxFull, dxLocal *tensor.Matrix) error {
+	return c.run(env, backward, epoch, l, dxFull, dxLocal)
+}
+
+// run is one overlapped exchange of layer l in direction dir at the current
+// width table. A tracing epoch also feeds the scanned row ranges to the
+// assigner's tracer.
+func (c *quantCodec) run(env *ExchangeEnv, dir direction, epoch, l int, src, dst *tensor.Matrix) error {
+	fp, trace := c.fullPrecision(epoch), c.tracing(env.Cfg, epoch)
+	var ranges []quant.RowRange
+	if !fp || trace {
+		ranges = env.ranges(dir, src)
 	}
-	return float64(mx-mn) / float64(c.bits.Levels())
-}
-
-func (c *uniformCodec) ForwardWireSizes(lg *partition.LocalGraph, dim int) []int {
-	if c.passthrough {
-		return fpAll2AllBytes(lg, dim)
+	if trace {
+		c.st.trace(env, dir, l, ranges)
 	}
-	out := make([]int, lg.Parts)
-	for q := range out {
-		out[q] = quant.MixedSize(c.st.fwdW[0].send[q], dim)
+	if fp {
+		return env.stage(fpCoder{}, overlapped, dir, l, src, dst)
 	}
-	return out
+	c.coder = mixedCoder{wt: c.st.widths[dir][l], ranges: ranges}
+	return env.stage(&c.coder, overlapped, dir, l, src, dst)
 }
 
-// ---- random: widths sampled uniformly from {2,4,8} per message ----
-
-type randomCodec struct {
-	quantState
-	rank int
-}
-
-func newRandomCodec(env *CodecEnv) (MessageCodec, error) {
-	c := &randomCodec{rank: env.Rank}
-	c.st = newAssignState(env.Cfg, env.Graph(), env.InDim)
-	c.st.installRandomWidths(env.Cfg.Seed, 0, len(env.Locals), env.Rank)
-	return c, nil
-}
-
-func (c *randomCodec) Name() string { return CodecRandom }
-
-func (c *randomCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.Matrix) error {
-	return c.forward(env, l, h, xFull, false, false)
-}
-
-func (c *randomCodec) Backward(env *ExchangeEnv, epoch, l int, dxFull, dxLocal *tensor.Matrix) error {
-	return c.backward(env, l, dxFull, dxLocal, false, false)
-}
-
-func (c *randomCodec) EpochEnd(env *ExchangeEnv, epoch int) error {
-	if epoch > 0 && epoch%env.Cfg.ReassignPeriod == 0 {
-		c.st.installRandomWidths(env.Cfg.Seed, epoch/env.Cfg.ReassignPeriod, env.Dev.Size(), c.rank)
+// EpochEnd moves the width tables on at a period boundary: random re-draws
+// them, adaptive re-solves the assignment from this epoch's traces.
+func (c *quantCodec) EpochEnd(env *ExchangeEnv, epoch int) error {
+	period := env.Cfg.ReassignPeriod
+	if c.name == CodecRandom && epoch > 0 && epoch%period == 0 {
+		c.st.installRandomWidths(env.Cfg.Seed, epoch/period, env.Dev.Size(), env.Dev.Rank())
+	}
+	if c.tracing(env.Cfg, epoch) {
+		return runAssignment(env.Dev, env.Cfg, c.st)
 	}
 	return nil
 }
 
-// Stateful: the installed width tables depend on how many re-assignment
-// periods have elapsed, so a rebuilt instance would rewind them.
-func (c *randomCodec) Stateful() bool { return true }
+// Stateful: random's tables depend on how many periods have elapsed and
+// adaptive's are solved from collected traces, so a rebuilt instance would
+// rewind them. Uniform's never change.
+func (c *quantCodec) Stateful() bool { return c.name != CodecUniform }
 
-// ForwardErrorBound: the sampled width can be as narrow as 2 bits.
-func (c *randomCodec) ForwardErrorBound(mn, mx float32, _ int) float64 {
-	return float64(mx-mn) / float64(quant.B2.Levels())
+// CheckpointState / RestoreCheckpoint: nothing to save. The width tables
+// change only in EpochEnd, which a doomed epoch never reaches, and a tracing
+// epoch's replay rewrites the traces its doomed attempt wrote, bit for bit.
+func (c *quantCodec) CheckpointState() any { return nil }
+
+func (c *quantCodec) RestoreCheckpoint(any) {}
+
+// ForwardErrorBound: one quantization step at the narrowest width an epoch-0
+// message can get — random may sample 2 bits.
+func (c *quantCodec) ForwardErrorBound(mn, mx float32, _ int) float64 {
+	if c.fullPrecision(0) {
+		return 0
+	}
+	b := c.bits
+	if c.name == CodecRandom {
+		b = quant.B2
+	}
+	return float64(mx-mn) / float64(b.Levels())
 }
 
-func (c *randomCodec) ForwardWireSizes(lg *partition.LocalGraph, dim int) []int {
+func (c *quantCodec) ForwardWireSizes(lg *partition.LocalGraph, dim int) []int {
+	if c.fullPrecision(0) {
+		return fpAll2AllBytes(lg, dim)
+	}
 	out := make([]int, lg.Parts)
 	for q := range out {
-		out[q] = quant.MixedSize(c.st.fwdW[0].send[q], dim)
+		out[q] = quant.MixedSize(c.st.widths[forward][0].send[q], dim)
 	}
 	return out
-}
-
-// ---- adaptive: AdaQP's traced, bi-objectively assigned widths ----
-
-type adaptiveCodec struct {
-	quantState
-}
-
-func newAdaptiveCodec(env *CodecEnv) (MessageCodec, error) {
-	c := &adaptiveCodec{}
-	c.st = newAssignState(env.Cfg, env.Graph(), env.InDim)
-	return c, nil
-}
-
-func (c *adaptiveCodec) Name() string { return CodecAdaptive }
-
-// tracingEpoch reports whether this epoch's messages are traced for the
-// assigner: the bootstrap epoch 0 (run at full precision) and the last
-// epoch of each re-assignment period.
-func (c *adaptiveCodec) tracingEpoch(env *ExchangeEnv, epoch int) bool {
-	if epoch == 0 {
-		return true
-	}
-	return (epoch+1)%env.Cfg.ReassignPeriod == 0
-}
-
-func (c *adaptiveCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.Matrix) error {
-	// Bootstrap epoch 0: full precision while tracing (no widths assigned
-	// yet), with the overlapped schedule already active.
-	return c.forward(env, l, h, xFull, epoch == 0, c.tracingEpoch(env, epoch))
-}
-
-func (c *adaptiveCodec) Backward(env *ExchangeEnv, epoch, l int, dxFull, dxLocal *tensor.Matrix) error {
-	return c.backward(env, l, dxFull, dxLocal, epoch == 0, c.tracingEpoch(env, epoch))
-}
-
-// EpochEnd re-solves the bi-objective assignment problem at each period
-// boundary using the traces collected this epoch.
-func (c *adaptiveCodec) EpochEnd(env *ExchangeEnv, epoch int) error {
-	if !c.tracingEpoch(env, epoch) {
-		return nil
-	}
-	return runAssignment(env.Dev, env.Cfg, c.st)
-}
-
-// Stateful: the solved width tables and collected traces live across
-// epochs.
-func (c *adaptiveCodec) Stateful() bool { return true }
-
-// ForwardWireSizes: the epoch-0 bootstrap runs at full precision.
-func (c *adaptiveCodec) ForwardWireSizes(lg *partition.LocalGraph, dim int) []int {
-	return fpAll2AllBytes(lg, dim)
 }
 
 // ---- pipegcn: cross-iteration pipelining with 1-epoch staleness ----
@@ -262,7 +207,7 @@ func (c *pipegcnCodec) Name() string { return CodecPipeGCN }
 func (c *pipegcnCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.Matrix) error {
 	lg := env.Graph
 	if epoch == 0 {
-		if err := env.stage(fpCoder{}, sequential, true, l, h, xFull); err != nil {
+		if err := env.stage(fpCoder{}, sequential, forward, l, h, xFull); err != nil {
 			return err
 		}
 		c.pipeHalo[l] = xFull.RowSlice(lg.NumLocal, xFull.Rows)
@@ -278,7 +223,7 @@ func (c *pipegcnCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.
 	// written and read), then double-buffer: the now-dead stale block
 	// becomes next epoch's cache.
 	fresh := env.Scratch.GetMat(xFull.Rows, xFull.Cols)
-	if err := env.stage(fpCoder{}, pipelined, true, l, h, fresh); err != nil {
+	if err := env.stage(fpCoder{}, pipelined, forward, l, h, fresh); err != nil {
 		return err
 	}
 	for i := 0; i < lg.NumHalo; i++ {
@@ -291,7 +236,7 @@ func (c *pipegcnCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.
 func (c *pipegcnCodec) Backward(env *ExchangeEnv, epoch, l int, dxFull, dxLocal *tensor.Matrix) error {
 	if epoch == 0 {
 		remote := tensor.New(env.Graph.NumLocal, dxLocal.Cols)
-		if err := env.stage(fpCoder{}, sequential, false, l, dxFull, remote); err != nil {
+		if err := env.stage(fpCoder{}, sequential, backward, l, dxFull, remote); err != nil {
 			return err
 		}
 		dxLocal.AddInPlace(remote)
@@ -304,7 +249,7 @@ func (c *pipegcnCodec) Backward(env *ExchangeEnv, epoch, l int, dxFull, dxLocal 
 	remote := c.pipeGrad[l]
 	dxLocal.AddInPlace(remote)
 	remote.Zero()
-	return env.stage(fpCoder{}, pipelined, false, l, dxFull, remote)
+	return env.stage(fpCoder{}, pipelined, backward, l, dxFull, remote)
 }
 
 func (c *pipegcnCodec) EpochEnd(*ExchangeEnv, int) error { return nil }

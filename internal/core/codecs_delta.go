@@ -119,28 +119,25 @@ func decodeDelta(a *Arena, buf []byte, rows, dim int, prev **tensor.Matrix, key 
 }
 
 type deltaCodec struct {
-	// prevFwdSend[l][q] is the sender-side reconstruction of the rows
-	// last shipped to q at layer l; prevFwdRecv[l][p] mirrors it on the
-	// receiving end. prevBwd* covers the backward direction (sends in
-	// wire order RecvFrom[p], receives in wire order SendTo[q]).
-	prevFwdSend, prevFwdRecv [][]*tensor.Matrix
-	prevBwdSend, prevBwdRecv [][]*tensor.Matrix
-	coder                    deltaCoder
+	// sendPrev[dir][l][p] is the sender-side reconstruction of the rows last
+	// shipped to p at layer l in direction dir; recvPrev[dir][l][p] mirrors
+	// the reference p keeps for what it shipped here.
+	sendPrev, recvPrev [2][][]*tensor.Matrix
+	coder              deltaCoder
 }
 
 func newDeltaCodec(env *CodecEnv) (MessageCodec, error) {
 	layers, parts := env.Cfg.Layers, env.Graph().Parts
-	grid := func() [][]*tensor.Matrix {
-		g := make([][]*tensor.Matrix, layers)
-		for l := range g {
-			g[l] = make([]*tensor.Matrix, parts)
+	grid := func() (g [2][][]*tensor.Matrix) {
+		for dir := range g {
+			g[dir] = make([][]*tensor.Matrix, layers)
+			for l := range g[dir] {
+				g[dir][l] = make([]*tensor.Matrix, parts)
+			}
 		}
 		return g
 	}
-	return &deltaCodec{
-		prevFwdSend: grid(), prevFwdRecv: grid(),
-		prevBwdSend: grid(), prevBwdRecv: grid(),
-	}, nil
+	return &deltaCodec{sendPrev: grid(), recvPrev: grid()}, nil
 }
 
 func (c *deltaCodec) Name() string { return CodecDelta }
@@ -186,13 +183,16 @@ func (d *deltaCoder) passes() (int, int) {
 }
 
 func (c *deltaCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.Matrix) error {
-	c.coder = deltaCoder{key: deltaKeyframe(env.Cfg, epoch), sendPrev: c.prevFwdSend[l], recvPrev: c.prevFwdRecv[l]}
-	return env.stage(&c.coder, sequential, true, l, h, xFull)
+	return c.run(env, forward, epoch, l, h, xFull)
 }
 
 func (c *deltaCodec) Backward(env *ExchangeEnv, epoch, l int, dxFull, dxLocal *tensor.Matrix) error {
-	c.coder = deltaCoder{key: deltaKeyframe(env.Cfg, epoch), sendPrev: c.prevBwdSend[l], recvPrev: c.prevBwdRecv[l]}
-	return env.stage(&c.coder, sequential, false, l, dxFull, dxLocal)
+	return c.run(env, backward, epoch, l, dxFull, dxLocal)
+}
+
+func (c *deltaCodec) run(env *ExchangeEnv, dir direction, epoch, l int, src, dst *tensor.Matrix) error {
+	c.coder = deltaCoder{key: deltaKeyframe(env.Cfg, epoch), sendPrev: c.sendPrev[dir][l], recvPrev: c.recvPrev[dir][l]}
+	return env.stage(&c.coder, sequential, dir, l, src, dst)
 }
 
 func (c *deltaCodec) EpochEnd(*ExchangeEnv, int) error { return nil }

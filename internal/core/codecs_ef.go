@@ -25,12 +25,15 @@ import (
 
 type efQuantCodec struct {
 	bits quant.BitWidth
-	// fwdResid[l][q] carries the accumulated quantization error of the
-	// rows this device sends to q at layer l (wire order SendTo[q]);
-	// bwdResid[l][p] covers the backward sends (wire order RecvFrom[p]).
-	fwdResid [][]*tensor.Matrix
-	bwdResid [][]*tensor.Matrix
-	coder    efCoder
+	// widths is bits repeated once per row of the longest stream a peer can
+	// send: a uniform stream is the mixed stream whose widths are all equal,
+	// and that is the decoder with a += form.
+	widths []quant.BitWidth
+	// resid[dir][l][p] carries the accumulated quantization error of the
+	// rows this device sends to p at layer l in direction dir (wire order
+	// dir.sent).
+	resid [2][][]*tensor.Matrix
+	coder efCoder
 }
 
 func newEFQuantCodec(env *CodecEnv) (MessageCodec, error) {
@@ -40,21 +43,22 @@ func newEFQuantCodec(env *CodecEnv) (MessageCodec, error) {
 	lg := env.Graph()
 	dims := messageDims(env.Cfg, env.InDim)
 	c := &efQuantCodec{
-		bits:     env.Cfg.UniformBits,
-		fwdResid: make([][]*tensor.Matrix, env.Cfg.Layers),
-		bwdResid: make([][]*tensor.Matrix, env.Cfg.Layers),
+		bits:   env.Cfg.UniformBits,
+		widths: quant.UniformWidths(max(lg.NumLocal, lg.NumHalo), env.Cfg.UniformBits),
 	}
-	for l := 0; l < env.Cfg.Layers; l++ {
-		c.fwdResid[l] = make([]*tensor.Matrix, lg.Parts)
-		c.bwdResid[l] = make([]*tensor.Matrix, lg.Parts)
-		for q := 0; q < lg.Parts; q++ {
-			if n := len(lg.SendTo[q]); n > 0 {
-				c.fwdResid[l][q] = tensor.New(n, dims[l])
-			}
+	for _, dir := range directions {
+		c.resid[dir] = make([][]*tensor.Matrix, env.Cfg.Layers)
+		for l := range c.resid[dir] {
+			c.resid[dir][l] = make([]*tensor.Matrix, lg.Parts)
 			// Layer 0 has no backward exchange (the trainer returns before
 			// the codec is called), so its residuals would be dead weight.
-			if n := len(lg.RecvFrom[q]); n > 0 && l > 0 {
-				c.bwdResid[l][q] = tensor.New(n, dims[l])
+			if dir == backward && l == 0 {
+				continue
+			}
+			for p, rows := range dir.sent(lg) {
+				if len(rows) > 0 {
+					c.resid[dir][l][p] = tensor.New(len(rows), dims[l])
+				}
 			}
 		}
 	}
@@ -101,18 +105,8 @@ func (f *efCoder) encode(e *ExchangeEnv, p int, x *tensor.Matrix, idx []int32) (
 	return f.codec.encodeEF(e.Scratch, x, idx, f.resid[p], e.Dev.Rand())
 }
 
-func (f *efCoder) decode(e *ExchangeEnv, _ int, buf []byte, dst *tensor.Matrix, idx []int32, add bool) error {
-	var err error
-	if add {
-		tmp := e.Scratch.GetMat(len(idx), dst.Cols)
-		if err = quant.DequantizeRows(buf, tmp, nil, tmp.Rows, f.codec.bits); err == nil {
-			scatterAddRows32(dst, idx, tmp)
-		}
-		e.Scratch.PutMat(tmp)
-	} else {
-		err = quant.DequantizeRows(buf, dst, idx, len(idx), f.codec.bits)
-	}
-	if err != nil {
+func (f *efCoder) decode(_ *ExchangeEnv, _ int, buf []byte, dst *tensor.Matrix, idx []int32, add bool) error {
+	if err := dequantizeMixed(buf, dst, idx, f.codec.widths[:len(idx)], add); err != nil {
 		return fmt.Errorf("ef-quant: %w", err)
 	}
 	return nil
@@ -123,56 +117,50 @@ func (f *efCoder) decode(e *ExchangeEnv, _ int, buf []byte, dst *tensor.Matrix, 
 func (*efCoder) passes() (int, int) { return 2, 1 }
 
 func (c *efQuantCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.Matrix) error {
-	c.coder = efCoder{codec: c, resid: c.fwdResid[l]}
-	return env.stage(&c.coder, sequential, true, l, h, xFull)
+	return c.run(env, forward, l, h, xFull)
 }
 
 func (c *efQuantCodec) Backward(env *ExchangeEnv, epoch, l int, dxFull, dxLocal *tensor.Matrix) error {
-	c.coder = efCoder{codec: c, resid: c.bwdResid[l]}
-	return env.stage(&c.coder, sequential, false, l, dxFull, dxLocal)
+	return c.run(env, backward, l, dxFull, dxLocal)
+}
+
+func (c *efQuantCodec) run(env *ExchangeEnv, dir direction, l int, src, dst *tensor.Matrix) error {
+	c.coder = efCoder{codec: c, resid: c.resid[dir][l]}
+	return env.stage(&c.coder, sequential, dir, l, src, dst)
 }
 
 func (c *efQuantCodec) EpochEnd(*ExchangeEnv, int) error { return nil }
 
-// efCheckpoint is a deep copy of the carried residuals, keyed by the same
-// [layer][peer] layout as the live state.
-type efCheckpoint struct {
-	fwd, bwd [][][]float32
-}
-
-func copyResid(resid [][]*tensor.Matrix) [][][]float32 {
-	out := make([][][]float32, len(resid))
-	for l, row := range resid {
-		out[l] = make([][]float32, len(row))
-		for q, m := range row {
-			if m != nil {
-				out[l][q] = append([]float32(nil), m.Data...)
-			}
-		}
-	}
-	return out
-}
-
-func restoreResid(resid [][]*tensor.Matrix, saved [][][]float32) {
-	for l, row := range resid {
-		for q, m := range row {
-			if m != nil {
-				copy(m.Data, saved[l][q])
-			}
-		}
-	}
-}
-
 // CheckpointState/RestoreCheckpoint make ef-quant crash-recoverable: the
-// residuals are the only cross-epoch state, so a deep copy suffices.
+// residuals are the only cross-epoch state, so a deep copy of their data, in
+// the live state's [direction][layer][peer] layout, suffices.
 func (c *efQuantCodec) CheckpointState() any {
-	return &efCheckpoint{fwd: copyResid(c.fwdResid), bwd: copyResid(c.bwdResid)}
+	var saved [2][][][]float32
+	for dir, grid := range c.resid {
+		saved[dir] = make([][][]float32, len(grid))
+		for l, row := range grid {
+			saved[dir][l] = make([][]float32, len(row))
+			for p, m := range row {
+				if m != nil {
+					saved[dir][l][p] = append([]float32(nil), m.Data...)
+				}
+			}
+		}
+	}
+	return saved
 }
 
 func (c *efQuantCodec) RestoreCheckpoint(state any) {
-	cp := state.(*efCheckpoint)
-	restoreResid(c.fwdResid, cp.fwd)
-	restoreResid(c.bwdResid, cp.bwd)
+	saved := state.([2][][][]float32)
+	for dir, grid := range c.resid {
+		for l, row := range grid {
+			for p, m := range row {
+				if m != nil {
+					copy(m.Data, saved[dir][l][p])
+				}
+			}
+		}
+	}
 }
 
 // ForwardErrorBound: at epoch 0 the residual is zero, so the decode error

@@ -214,11 +214,11 @@ func (c *topkCodec) decode(_ *ExchangeEnv, _ int, buf []byte, dst *tensor.Matrix
 func (c *topkCodec) passes() (int, int) { return 1, 1 }
 
 func (c *topkCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.Matrix) error {
-	return env.stage(c, sequential, true, l, h, xFull)
+	return env.stage(c, sequential, forward, l, h, xFull)
 }
 
 func (c *topkCodec) Backward(env *ExchangeEnv, epoch, l int, dxFull, dxLocal *tensor.Matrix) error {
-	return env.stage(c, sequential, false, l, dxFull, dxLocal)
+	return env.stage(c, sequential, backward, l, dxFull, dxLocal)
 }
 
 func (c *topkCodec) EpochEnd(*ExchangeEnv, int) error { return nil }

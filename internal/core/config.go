@@ -68,47 +68,56 @@ const (
 	SANCUS
 )
 
+// methods is the one table behind String, Methods, ParseMethod and
+// CodecForMethod, indexed by Method.
+var methods = [...]struct {
+	name  string // Method.String
+	short string // CLI short form ParseMethod also accepts, if any
+	codec string // default message codec
+}{
+	Vanilla:      {"Vanilla", "", CodecFP32},
+	AdaQP:        {"AdaQP", "", CodecAdaptive},
+	AdaQPUniform: {"AdaQP-uniform", "uniform", CodecUniform},
+	AdaQPRandom:  {"AdaQP-random", "random", CodecRandom},
+	PipeGCN:      {"PipeGCN", "", CodecPipeGCN},
+	SANCUS:       {"SANCUS", "", CodecSancus},
+}
+
 func (m Method) String() string {
-	switch m {
-	case Vanilla:
-		return "Vanilla"
-	case AdaQP:
-		return "AdaQP"
-	case AdaQPUniform:
-		return "AdaQP-uniform"
-	case AdaQPRandom:
-		return "AdaQP-random"
-	case PipeGCN:
-		return "PipeGCN"
-	case SANCUS:
-		return "SANCUS"
+	if m < 0 || int(m) >= len(methods) {
+		return fmt.Sprintf("Method(%d)", int(m))
 	}
-	return fmt.Sprintf("Method(%d)", int(m))
+	return methods[m].name
 }
 
 // Methods lists every training system in declaration order.
 func Methods() []Method {
-	return []Method{Vanilla, AdaQP, AdaQPUniform, AdaQPRandom, PipeGCN, SANCUS}
+	ms := make([]Method, len(methods))
+	for i := range ms {
+		ms[i] = Method(i)
+	}
+	return ms
 }
 
 // ParseMethod is the inverse of Method.String, also accepting the CLI
 // short forms ("uniform", "random"), case-insensitively.
 func ParseMethod(s string) (Method, error) {
-	switch strings.ToLower(s) {
-	case "vanilla":
-		return Vanilla, nil
-	case "adaqp":
-		return AdaQP, nil
-	case "adaqp-uniform", "uniform":
-		return AdaQPUniform, nil
-	case "adaqp-random", "random":
-		return AdaQPRandom, nil
-	case "pipegcn":
-		return PipeGCN, nil
-	case "sancus":
-		return SANCUS, nil
+	lower := strings.ToLower(s)
+	for m, row := range methods {
+		if lower == strings.ToLower(row.name) || row.short != "" && lower == row.short {
+			return Method(m), nil
+		}
 	}
 	return 0, fmt.Errorf("core: unknown method %q (want one of %v)", s, Methods())
+}
+
+// CodecForMethod returns the codec a training method uses by default.
+// Config.Codec overrides it.
+func CodecForMethod(m Method) (string, error) {
+	if m < 0 || int(m) >= len(methods) {
+		return "", fmt.Errorf("core: no codec for method %v", m)
+	}
+	return methods[m].codec, nil
 }
 
 // Config holds everything one training run needs. Defaults follow the

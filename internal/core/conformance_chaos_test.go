@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -135,6 +136,36 @@ func TestChaosCrashRecovery(t *testing.T) {
 		cfg.TransportStaleness = 4
 		cfg.Faults = spec
 		lossParity(t, "sharded staleness=4/"+codec, ref, confTrain(t, dep, cfg))
+	}
+}
+
+// TestChaosCrashRecoversPaperCodec: the quantizing codec's cross-epoch state
+// (width tables, traces) moves only in EpochEnd, which a doomed epoch never
+// reaches, so its empty checkpoint replays a crash bit for bit — whether the
+// crash lands on a tracing epoch (4: the replay rewrites the traces the
+// assigner then solves from), on the period boundary where random re-draws
+// its widths and adaptive first ships at the solved ones (5), or on a plain
+// epoch (6).
+func TestChaosCrashRecoversPaperCodec(t *testing.T) {
+	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
+	dep := Deploy(ds, 4, GCN, partition.Block)
+	for _, codec := range []string{CodecAdaptive, CodecRandom} {
+		base := confTrainConfig(codec)
+		base.Epochs, base.ReassignPeriod = 8, 5
+		ref := confTrain(t, dep, base)
+		for _, tr := range []string{TransportInprocess, TransportShardedAsync} {
+			for _, epoch := range []int{4, 5, 6} {
+				cfg := base
+				cfg.Transport = tr
+				cfg.Faults = chaos.Spec{Seed: 5, CrashEpoch: epoch, RestartPenalty: 50}
+				got := confTrain(t, dep, cfg)
+				label := fmt.Sprintf("%s/%s crash at epoch %d", tr, codec, epoch)
+				lossParity(t, label, ref, got)
+				if got.Faults.Crashes != 1 {
+					t.Errorf("%s: counted %d crashes, want 1", label, got.Faults.Crashes)
+				}
+			}
+		}
 	}
 }
 

@@ -20,6 +20,39 @@ import (
 // Hot-path payload buffers come from the device's Arena and are released
 // by the receiver after decode; see the ownership rules on Arena.
 
+// direction is which way a layer's messages travel. The paper calls
+// features, embeddings and embedding gradients alike "messages"; what tells
+// them apart here is the direction, and (layer, direction, peer) is the one
+// key of the message path: width tables, traces, residuals, references and
+// stage costs are all indexed by it, and every rule is written once for both
+// values.
+type direction uint8
+
+const (
+	forward  direction = iota // embeddings of local rows, to the peers whose halo they fill
+	backward                  // gradients of halo rows, back to the rows' owners
+)
+
+// directions lists both, in the order the assignment sideband ships them.
+var directions = [2]direction{forward, backward}
+
+// sent returns, per peer, the wire list of what a device sends in direction
+// d: its local rows the peer needs (SendTo) forward, the halo slots the peer
+// owns (RecvFrom) backward.
+func (d direction) sent(lg *partition.LocalGraph) [][]int32 {
+	if d == forward {
+		return lg.SendTo
+	}
+	return lg.RecvFrom
+}
+
+// filled returns, per peer, the wire list of what arrives in direction d —
+// what that peer sent: halo slots are stored forward, local rows accumulate
+// backward.
+func (d direction) filled(lg *partition.LocalGraph) [][]int32 {
+	return (d ^ 1).sent(lg)
+}
+
 // appendRows appends x's rows idx as little-endian float32 to dst and
 // returns the extended slice. Every appended byte is overwritten, so a
 // dirty pooled buffer is a valid dst.
@@ -149,12 +182,11 @@ func (fpCoder) decode(_ *ExchangeEnv, _ int, buf []byte, dst *tensor.Matrix, idx
 
 func (fpCoder) passes() (int, int) { return 0, 0 }
 
-// wireRows returns the rows exchanged with peer p on one side of the wire:
-// the local rows p needs (Graph.SendTo[p]) or the halo rows p owns
-// (HaloIdx(p)). Forward sends local rows and fills halo rows; backward
-// reverses both.
-func (e *ExchangeEnv) wireRows(p int, local bool) []int32 {
-	if local {
+// wireRows returns the rows of the matrix sent in direction dir that go to
+// peer p: dir.sent's list, with halo slots shifted past the local block
+// (HaloIdx). The rows filled from p are wireRows(dir^1, p).
+func (e *ExchangeEnv) wireRows(dir direction, p int) []int32 {
+	if dir == forward {
 		return e.Graph.SendTo[p]
 	}
 	return e.HaloIdx(p)
@@ -166,12 +198,12 @@ func (e *ExchangeEnv) wireRows(p int, local bool) []int32 {
 // fills dst's halo rows; backward ships src's halo-gradient rows back to
 // their owners, who add them into their local rows. raw moves the bytes
 // over the uncharged sideband (evaluation).
-func (e *ExchangeEnv) exchange(c rowCoder, fwd, raw bool, src, dst *tensor.Matrix) error {
+func (e *ExchangeEnv) exchange(c rowCoder, dir direction, raw bool, src, dst *tensor.Matrix) error {
 	dev, a := e.Dev, e.Scratch
 	n := dev.Size()
 	payloads := a.Payloads(n)
 	for p := 0; p < n; p++ {
-		idx := e.wireRows(p, fwd)
+		idx := e.wireRows(dir, p)
 		if p == dev.Rank() || len(idx) == 0 {
 			continue
 		}
@@ -188,11 +220,11 @@ func (e *ExchangeEnv) exchange(c rowCoder, fwd, raw bool, src, dst *tensor.Matri
 		recv = dev.RingAll2All(payloads)
 	}
 	for p := 0; p < n; p++ {
-		idx := e.wireRows(p, !fwd)
+		idx := e.wireRows(dir^1, p)
 		if p == dev.Rank() || len(idx) == 0 {
 			continue
 		}
-		if err := c.decode(e, p, recv[p], dst, idx, !fwd); err != nil {
+		if err := c.decode(e, p, recv[p], dst, idx, dir == backward); err != nil {
 			return fmt.Errorf("rank %d from %d: %w", dev.Rank(), p, err)
 		}
 	}
@@ -222,12 +254,8 @@ const (
 // (Idle/Comm inside the collective), receive-side kernels, the compute
 // the messages failed to hide, forward serial compute. It is the only
 // place compute hides behind Comm.
-func (e *ExchangeEnv) stage(c rowCoder, sched schedule, fwd bool, l int, src, dst *tensor.Matrix) error {
-	clock, model, lg := e.Dev.Clock(), e.Dev.Model(), e.Graph
-	costs, sendLists, recvLists := e.ForwardCosts(l), lg.SendTo, lg.RecvFrom
-	if !fwd {
-		costs, sendLists, recvLists = e.BackwardCosts(l), lg.RecvFrom, lg.SendTo
-	}
+func (e *ExchangeEnv) stage(c rowCoder, sched schedule, dir direction, l int, src, dst *tensor.Matrix) error {
+	clock, model, costs := e.Dev.Clock(), e.Dev.Model(), e.costs[l][dir]
 	serial, hidden := costs.Total, timing.Seconds(0)
 	switch sched {
 	case overlapped:
@@ -235,20 +263,20 @@ func (e *ExchangeEnv) stage(c rowCoder, sched schedule, fwd bool, l int, src, ds
 	case pipelined:
 		serial, hidden = 0, costs.Total
 	}
-	if !fwd {
+	if dir == backward {
 		clock.Advance(timing.Comp, serial)
 	}
 	sendPasses, recvPasses := c.passes()
 	if sendPasses > 0 {
-		clock.Advance(timing.Quant, model.QuantTime(sendPasses*wireElems(sendLists, src.Cols)))
+		clock.Advance(timing.Quant, model.QuantTime(sendPasses*wireElems(dir.sent(e.Graph), src.Cols)))
 	}
 	before := clock.Spent(timing.Comm)
-	if err := e.exchange(c, fwd, false, src, dst); err != nil {
+	if err := e.exchange(c, dir, false, src, dst); err != nil {
 		return err
 	}
 	comm := clock.Spent(timing.Comm) - before
 	if recvPasses > 0 {
-		clock.Advance(timing.Quant, model.QuantTime(recvPasses*wireElems(recvLists, dst.Cols)))
+		clock.Advance(timing.Quant, model.QuantTime(recvPasses*wireElems(dir.filled(e.Graph), dst.Cols)))
 	}
 	// Hidden compute ran concurrently with the messages: only what outlasts
 	// them advances the clock, and the concurrent seconds are recorded.
@@ -256,7 +284,7 @@ func (e *ExchangeEnv) stage(c rowCoder, sched schedule, fwd bool, l int, src, ds
 		clock.Advance(timing.Comp, hidden-comm)
 	}
 	clock.AddOverlap(min(hidden, comm))
-	if fwd {
+	if dir == forward {
 		clock.Advance(timing.Comp, serial)
 	}
 	return nil
@@ -292,20 +320,11 @@ type widthTable struct {
 	recv [][]quant.BitWidth
 }
 
-func newWidthTable(lg *partition.LocalGraph, fwd bool, def quant.BitWidth) *widthTable {
-	n := lg.Parts
-	wt := &widthTable{send: make([][]quant.BitWidth, n), recv: make([][]quant.BitWidth, n)}
-	for d := 0; d < n; d++ {
-		var sendLen, recvLen int
-		if fwd {
-			sendLen, recvLen = len(lg.SendTo[d]), len(lg.RecvFrom[d])
-		} else {
-			// Backward reverses direction: we send grads for slots we
-			// receive in forward, and receive grads for rows we send.
-			sendLen, recvLen = len(lg.RecvFrom[d]), len(lg.SendTo[d])
-		}
-		wt.send[d] = quant.UniformWidths(sendLen, def)
-		wt.recv[d] = quant.UniformWidths(recvLen, def)
+func newWidthTable(lg *partition.LocalGraph, dir direction, def quant.BitWidth) *widthTable {
+	wt := &widthTable{send: make([][]quant.BitWidth, lg.Parts), recv: make([][]quant.BitWidth, lg.Parts)}
+	for d := range wt.send {
+		wt.send[d] = quant.UniformWidths(len(dir.sent(lg)[d]), def)
+		wt.recv[d] = quant.UniformWidths(len(dir.filled(lg)[d]), def)
 	}
 	return wt
 }

@@ -56,7 +56,7 @@ func (s *stubCoder) decode(e *ExchangeEnv, p int, buf []byte, dst *tensor.Matrix
 // runStage runs one stage on every device of the ring deployment and
 // returns the per-device clocks, destination matrices and errors. Device
 // r's source rows are filled with 100r + 10row + col.
-func runStage(t *testing.T, c rowCoder, sched schedule, fwd bool, costs layerCosts) ([]*timing.Clock, []*tensor.Matrix, []error) {
+func runStage(t *testing.T, c rowCoder, sched schedule, dir direction, costs [2]StageCosts) ([]*timing.Clock, []*tensor.Matrix, []error) {
 	t.Helper()
 	const dim = 8
 	lgs := ringGraphs()
@@ -70,7 +70,7 @@ func runStage(t *testing.T, c rowCoder, sched schedule, fwd bool, costs layerCos
 		r := dev.Rank()
 		lg := lgs[r]
 		srcRows, dstRows := lg.NumLocal, lg.NumLocal+lg.NumHalo
-		if !fwd {
+		if dir == backward {
 			srcRows, dstRows = dstRows, srcRows
 		}
 		src, dst := tensor.New(srcRows, dim), tensor.New(dstRows, dim)
@@ -79,8 +79,8 @@ func runStage(t *testing.T, c rowCoder, sched schedule, fwd bool, costs layerCos
 				src.Row(i)[j] = float32(100*r + 10*i + j)
 			}
 		}
-		env := &ExchangeEnv{Dev: dev, Graph: lg, Scratch: NewArena(), costs: []layerCosts{costs}}
-		dsts[r], errs[r] = dst, env.stage(c, sched, fwd, 0, src, dst)
+		env := &ExchangeEnv{Dev: dev, Graph: lg, Scratch: NewArena(), costs: [][2]StageCosts{costs}}
+		dsts[r], errs[r] = dst, env.stage(c, sched, dir, 0, src, dst)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -96,21 +96,18 @@ func runStage(t *testing.T, c rowCoder, sched schedule, fwd bool, costs layerCos
 func TestStageSchedules(t *testing.T) {
 	// "long" compute outlasts the exchange (ΔComm is a few 2^-10 s here),
 	// "short" compute hides completely.
-	long := layerCosts{fwdTotal: 0.75, fwdCentral: 0.5, fwdMarginal: 0.25, bwdTotal: 1.5, bwdCentral: 1, bwdMarginal: 0.5}
-	short := layerCosts{fwdTotal: 3.0 / (1 << 13), fwdCentral: 1.0 / (1 << 12), fwdMarginal: 1.0 / (1 << 13),
-		bwdTotal: 3.0 / (1 << 12), bwdCentral: 1.0 / (1 << 11), bwdMarginal: 1.0 / (1 << 12)}
+	long := [2]StageCosts{forward: {Total: 0.75, Central: 0.5, Marginal: 0.25}, backward: {Total: 1.5, Central: 1, Marginal: 0.5}}
+	short := [2]StageCosts{forward: {Total: 3.0 / (1 << 13), Central: 1.0 / (1 << 12), Marginal: 1.0 / (1 << 13)},
+		backward: {Total: 3.0 / (1 << 12), Central: 1.0 / (1 << 11), Marginal: 1.0 / (1 << 12)}}
 	model := stageModel()
 	const wireElemsPerSide = 4 * 8 // 4 rows leave and 4 arrive per device, 8 columns
 	for _, sched := range []schedule{sequential, overlapped, pipelined} {
-		for _, fwd := range []bool{true, false} {
-			for name, costs := range map[string]layerCosts{"long": long, "short": short} {
+		for _, dir := range directions {
+			for name, costs := range map[string][2]StageCosts{"long": long, "short": short} {
 				for _, passes := range [][2]int{{0, 0}, {2, 1}} {
-					label := fmt.Sprintf("sched=%d fwd=%v %s passes=%v", sched, fwd, name, passes)
-					clocks, _, errs := runStage(t, &stubCoder{send: passes[0], recv: passes[1]}, sched, fwd, costs)
-					sc := StageCosts{costs.bwdTotal, costs.bwdCentral, costs.bwdMarginal}
-					if fwd {
-						sc = StageCosts{costs.fwdTotal, costs.fwdCentral, costs.fwdMarginal}
-					}
+					label := fmt.Sprintf("sched=%d dir=%d %s passes=%v", sched, dir, name, passes)
+					clocks, _, errs := runStage(t, &stubCoder{send: passes[0], recv: passes[1]}, sched, dir, costs)
+					sc := costs[dir]
 					for r, clock := range clocks {
 						if errs[r] != nil {
 							t.Fatalf("%s rank %d: %v", label, r, errs[r])
@@ -156,7 +153,7 @@ func TestStageSchedules(t *testing.T) {
 // accumulates every peer's halo-gradient row into the owner's local row.
 func TestExchangeRoutesRows(t *testing.T) {
 	val := func(r, row, col int) float32 { return float32(100*r + 10*row + col) }
-	_, dsts, errs := runStage(t, fpCoder{}, sequential, true, layerCosts{})
+	_, dsts, errs := runStage(t, fpCoder{}, sequential, forward, [2]StageCosts{})
 	for r, dst := range dsts {
 		if errs[r] != nil {
 			t.Fatal(errs[r])
@@ -171,7 +168,7 @@ func TestExchangeRoutesRows(t *testing.T) {
 			}
 		}
 	}
-	_, dsts, errs = runStage(t, fpCoder{}, sequential, false, layerCosts{})
+	_, dsts, errs = runStage(t, fpCoder{}, sequential, backward, [2]StageCosts{})
 	for r, dst := range dsts {
 		if errs[r] != nil {
 			t.Fatal(errs[r])
@@ -194,11 +191,11 @@ func TestExchangeRoutesRows(t *testing.T) {
 // "rank r from p: ..." with the coder's own error still matchable.
 func TestExchangeDecodeErrorNamesPeer(t *testing.T) {
 	boom := errors.New("stub: corrupt stream")
-	for _, fwd := range []bool{true, false} {
-		_, _, errs := runStage(t, &stubCoder{fail: boom}, sequential, fwd, layerCosts{})
+	for _, dir := range directions {
+		_, _, errs := runStage(t, &stubCoder{fail: boom}, sequential, dir, [2]StageCosts{})
 		for r, err := range errs {
 			if !errors.Is(err, boom) {
-				t.Fatalf("fwd=%v rank %d: error %v does not wrap the coder's", fwd, r, err)
+				t.Fatalf("dir=%d rank %d: error %v does not wrap the coder's", dir, r, err)
 			}
 			// Peers decode in rank order, so the first failing peer is the
 			// lowest rank other than r.
@@ -207,7 +204,7 @@ func TestExchangeDecodeErrorNamesPeer(t *testing.T) {
 				first = 1
 			}
 			if want := fmt.Sprintf("rank %d from %d: %v", r, first, boom); err.Error() != want {
-				t.Fatalf("fwd=%v rank %d: error %q, want %q", fwd, r, err, want)
+				t.Fatalf("dir=%d rank %d: error %q, want %q", dir, r, err, want)
 			}
 		}
 	}

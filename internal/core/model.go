@@ -126,18 +126,13 @@ func (l *gnnLayer) backward(lg *partition.LocalGraph, dout *tensor.Matrix, needI
 	return dxFull
 }
 
-// layerCosts caches the simulated compute cost of one layer on one device,
-// split into the central and marginal shares used by AdaQP's overlap
-// schedule. The split is computed from per-row work: a row's aggregation
-// cost is proportional to its edge count and its dense cost to the layer
-// dims; central rows touch only local columns, so their computation can
-// proceed while halo messages are in flight (§2.2).
-type layerCosts struct {
-	fwdTotal, fwdCentral, fwdMarginal timing.Seconds
-	bwdTotal, bwdCentral, bwdMarginal timing.Seconds
-}
-
-func computeLayerCosts(lg *partition.LocalGraph, l *gnnLayer, model *timing.CostModel) layerCosts {
+// computeLayerCosts returns the simulated compute cost of one layer on one
+// device, per direction, split into the central and marginal shares used by
+// AdaQP's overlap schedule. The split is computed from per-row work: a row's
+// aggregation cost is proportional to its edge count and its dense cost to
+// the layer dims; central rows touch only local columns, so their
+// computation can proceed while halo messages are in flight (§2.2).
+func computeLayerCosts(lg *partition.LocalGraph, l *gnnLayer, model *timing.CostModel) [2]StageCosts {
 	nnzCentral, nnzMarginal := 0, 0
 	for i := 0; i < lg.NumLocal; i++ {
 		d := lg.Adj.Degree(i)
@@ -171,15 +166,13 @@ func computeLayerCosts(lg *partition.LocalGraph, l *gnnLayer, model *timing.Cost
 		}
 		return t
 	}
-	c := layerCosts{
-		fwdCentral:  rowFwd(nnzCentral, nC),
-		fwdMarginal: rowFwd(nnzMarginal, nM),
-		bwdCentral:  rowBwd(nnzCentral, nC),
-		bwdMarginal: rowBwd(nnzMarginal, nM),
+	split := func(central, marginal timing.Seconds) StageCosts {
+		return StageCosts{Total: central + marginal, Central: central, Marginal: marginal}
 	}
-	c.fwdTotal = c.fwdCentral + c.fwdMarginal
-	c.bwdTotal = c.bwdCentral + c.bwdMarginal
-	return c
+	return [2]StageCosts{
+		forward:  split(rowFwd(nnzCentral, nC), rowFwd(nnzMarginal, nM)),
+		backward: split(rowBwd(nnzCentral, nC), rowBwd(nnzMarginal, nM)),
+	}
 }
 
 // deviceModel is the full L-layer model replica on one device. All devices
@@ -188,8 +181,8 @@ func computeLayerCosts(lg *partition.LocalGraph, l *gnnLayer, model *timing.Cost
 type deviceModel struct {
 	kind   ModelKind
 	layers []*gnnLayer
-	costs  []layerCosts
-	ps     []*nn.Param // cached params() result (the set is static)
+	costs  [][2]StageCosts // per layer, per direction
+	ps     []*nn.Param     // cached params() result (the set is static)
 }
 
 func newDeviceModel(cfg *Config, lg *partition.LocalGraph, inDim, numClasses int, model *timing.CostModel) *deviceModel {

@@ -23,7 +23,7 @@ import (
 var ErrCanceled = errors.New("core: training run canceled")
 
 // Train runs one full training job of cfg.Method over ds partitioned
-// parts ways (LDG partitioner) and returns the measured result. model may
+// parts ways (block partitioner) and returns the measured result. model may
 // be nil for the default V100/100Gbps calibration.
 func Train(ds *synthetic.Dataset, parts int, cfg Config, model *timing.CostModel) (*metrics.RunResult, error) {
 	dep := Deploy(ds, parts, cfg.Model, partition.Block)
@@ -428,7 +428,7 @@ func (w *worker) forward(epoch int, train bool) (*tensor.Matrix, error) {
 			copy(xFull.Data, h.Data)
 		}
 		if !train {
-			if err := w.env.exchange(fpCoder{}, true, true, h, xFull); err != nil {
+			if err := w.env.exchange(fpCoder{}, forward, true, h, xFull); err != nil {
 				return nil, err
 			}
 			h = lay.forward(w.lg, xFull, w.dev.Rand(), false)
@@ -452,7 +452,7 @@ func (w *worker) backward(epoch int, dlogits *tensor.Matrix) error {
 		dxFull := lay.backward(w.lg, d, needInput)
 		if !needInput {
 			// Layer 0 has no backward exchange on any codec.
-			w.dev.Clock().Advance(timing.Comp, w.model.costs[l].bwdTotal)
+			w.dev.Clock().Advance(timing.Comp, w.model.costs[l][backward].Total)
 			return nil
 		}
 		if w.dxLocal == nil {

@@ -141,50 +141,61 @@ func (r inprocessRuntime) Run(seed uint64, body func(Transport) error) error {
 // in-memory buffers under the simulated cost model.
 const TransportInprocess = "inprocess"
 
-var (
-	transportMu       sync.RWMutex
-	transportRegistry = map[string]RuntimeFactory{}
-)
-
-// RegisterTransport makes a runtime backend available under name.
-// Registering a duplicate name panics (registration is an init-time
-// programming decision, not a runtime condition).
-func RegisterTransport(name string, f RuntimeFactory) {
-	transportMu.Lock()
-	defer transportMu.Unlock()
-	if _, dup := transportRegistry[name]; dup {
-		panic(fmt.Sprintf("core: transport %q registered twice", name))
-	}
-	transportRegistry[name] = f
+// registry is the name → value table behind RegisterCodec and
+// RegisterTransport: filled at init time, read by every run.
+type registry[T any] struct {
+	kind string // "codec" or "transport", for messages
+	mu   sync.RWMutex
+	m    map[string]T
 }
 
-// LookupTransport resolves a registered runtime backend.
-func LookupTransport(name string) (RuntimeFactory, error) {
-	transportMu.RLock()
-	defer transportMu.RUnlock()
-	f, ok := transportRegistry[name]
+// register adds v under name; a duplicate name panics (registration is an
+// init-time programming decision, not a runtime condition).
+func (r *registry[T]) register(name string, v T) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, dup := r.m[name]; dup {
+		panic(fmt.Sprintf("core: %s %q registered twice", r.kind, name))
+	}
+	if r.m == nil {
+		r.m = map[string]T{}
+	}
+	r.m[name] = v
+}
+
+func (r *registry[T]) lookup(name string) (T, error) {
+	r.mu.RLock()
+	v, ok := r.m[name]
+	r.mu.RUnlock()
 	if !ok {
-		known := make([]string, 0, len(transportRegistry))
-		for n := range transportRegistry {
-			known = append(known, n)
-		}
-		sort.Strings(known)
-		return nil, fmt.Errorf("core: unknown transport %q (have %v)", name, known)
+		return v, fmt.Errorf("core: unknown %s %q (have %v)", r.kind, name, r.names())
 	}
-	return f, nil
+	return v, nil
 }
 
-// TransportNames lists the registered backends, sorted.
-func TransportNames() []string {
-	transportMu.RLock()
-	defer transportMu.RUnlock()
-	names := make([]string, 0, len(transportRegistry))
-	for n := range transportRegistry {
+// names lists the registered names, sorted.
+func (r *registry[T]) names() []string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	names := make([]string, 0, len(r.m))
+	for n := range r.m {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names
 }
+
+var transportRegistry = registry[RuntimeFactory]{kind: "transport"}
+
+// RegisterTransport makes a runtime backend available under name.
+// Registering a duplicate name panics.
+func RegisterTransport(name string, f RuntimeFactory) { transportRegistry.register(name, f) }
+
+// LookupTransport resolves a registered runtime backend.
+func LookupTransport(name string) (RuntimeFactory, error) { return transportRegistry.lookup(name) }
+
+// TransportNames lists the registered backends, sorted.
+func TransportNames() []string { return transportRegistry.names() }
 
 func init() {
 	RegisterTransport(TransportInprocess, func(spec TransportSpec) Runtime {

@@ -96,21 +96,6 @@ func (g *CSR) sortAndDedup() {
 	g.ColIdx = newCol
 }
 
-// Symmetrize returns a graph containing every edge of g in both directions
-// (duplicates removed). Self-loops are preserved once.
-func (g *CSR) Symmetrize() *CSR {
-	edges := make([]Edge, 0, 2*len(g.ColIdx))
-	for u := 0; u < g.N; u++ {
-		for _, v := range g.Neighbors(u) {
-			edges = append(edges, Edge{int32(u), v})
-			if int32(u) != v {
-				edges = append(edges, Edge{v, int32(u)})
-			}
-		}
-	}
-	return FromEdges(g.N, edges)
-}
-
 // WithSelfLoops returns a copy of g with a self-loop added to every node
 // that lacks one.
 func (g *CSR) WithSelfLoops() *CSR {
@@ -147,8 +132,8 @@ const (
 )
 
 // NormalizeWeights attaches aggregation coefficients to g in place.
-// Degrees are computed from g itself, so call after WithSelfLoops /
-// Symmetrize as appropriate.
+// Degrees are computed from g itself, so call after WithSelfLoops as
+// appropriate.
 func (g *CSR) NormalizeWeights(n Norm) {
 	switch n {
 	case NormNone:
@@ -285,27 +270,4 @@ func (g *CSR) MaxDegree() int {
 		}
 	}
 	return mx
-}
-
-// InducedSubgraph returns the subgraph over nodes (given as original IDs)
-// with node i of the result corresponding to nodes[i]. Edges to nodes
-// outside the set are dropped. Also returns the mapping old→new (-1 if
-// absent).
-func (g *CSR) InducedSubgraph(nodes []int32) (*CSR, []int32) {
-	remap := make([]int32, g.N)
-	for i := range remap {
-		remap[i] = -1
-	}
-	for newID, old := range nodes {
-		remap[old] = int32(newID)
-	}
-	var edges []Edge
-	for newU, old := range nodes {
-		for _, v := range g.Neighbors(int(old)) {
-			if nv := remap[v]; nv >= 0 {
-				edges = append(edges, Edge{int32(newU), nv})
-			}
-		}
-	}
-	return FromEdges(len(nodes), edges), remap
 }

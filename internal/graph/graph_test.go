@@ -52,19 +52,6 @@ func TestHasEdge(t *testing.T) {
 	}
 }
 
-func TestSymmetrize(t *testing.T) {
-	g := FromEdges(3, []Edge{{0, 1}, {1, 2}})
-	s := g.Symmetrize()
-	for _, e := range [][2]int{{0, 1}, {1, 0}, {1, 2}, {2, 1}} {
-		if !s.HasEdge(e[0], e[1]) {
-			t.Fatalf("missing edge %v", e)
-		}
-	}
-	if s.NumEdges() != 4 {
-		t.Fatalf("symmetrize edge count %d", s.NumEdges())
-	}
-}
-
 func TestWithSelfLoops(t *testing.T) {
 	g := FromEdges(3, []Edge{{0, 0}, {0, 1}})
 	sl := g.WithSelfLoops()
@@ -268,23 +255,5 @@ func TestDegreeStats(t *testing.T) {
 	}
 	if math.Abs(g.AvgDegree()-8.0/5.0) > 1e-9 {
 		t.Fatalf("AvgDegree %v", g.AvgDegree())
-	}
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	g := FromEdges(5, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}})
-	sub, remap := g.InducedSubgraph([]int32{1, 2, 3})
-	if sub.N != 3 {
-		t.Fatalf("sub nodes %d", sub.N)
-	}
-	// Edges 1→2 and 2→3 survive; 0→1, 3→4, 4→0 dropped.
-	if sub.NumEdges() != 2 {
-		t.Fatalf("sub edges %d", sub.NumEdges())
-	}
-	if remap[1] != 0 || remap[0] != -1 {
-		t.Fatalf("remap wrong: %v", remap)
-	}
-	if !sub.HasEdge(0, 1) || !sub.HasEdge(1, 2) {
-		t.Fatal("sub edges misplaced")
 	}
 }

@@ -374,14 +374,5 @@ func (a *Adam) StepCount() int { return a.step }
 // to an epoch boundary.
 func (a *Adam) SetStepCount(n int) { a.step = n }
 
-// Reset clears optimizer state (for reusing a model across runs).
-func (a *Adam) Reset(params []*Param) {
-	a.step = 0
-	for _, p := range params {
-		p.m.Zero()
-		p.v.Zero()
-	}
-}
-
 // String describes the optimizer configuration.
 func (a *Adam) String() string { return fmt.Sprintf("Adam(lr=%g)", a.LR) }

@@ -361,17 +361,6 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	}
 }
 
-func TestAdamReset(t *testing.T) {
-	p := NewParam("w", 1, 2)
-	opt := NewAdam(0.1)
-	p.Grad.Fill(1)
-	opt.Step([]*Param{p})
-	opt.Reset([]*Param{p})
-	if opt.step != 0 || p.m.Data[0] != 0 || p.v.Data[0] != 0 {
-		t.Fatal("reset incomplete")
-	}
-}
-
 func TestParamCount(t *testing.T) {
 	rng := tensor.NewRNG(9)
 	l := NewLinear("t", 10, 5, rng)

@@ -50,18 +50,42 @@ func AppendQuantizedMixedRanges(dst []byte, x *tensor.Matrix, idx []int32, width
 	if idx != nil && len(idx) != len(widths) {
 		return nil, fmt.Errorf("quant: %d indices but %d widths", len(idx), len(widths))
 	}
+	if err := checkPackable(widths); err != nil {
+		return nil, err
+	}
+	return appendStream(dst, MixedSize(widths, x.Cols), x, idx, len(widths), widths, 0, ranges, rng), nil
+}
+
+// checkPackable rejects a mixed stream's widths before any size is computed
+// from them.
+func checkPackable(widths []BitWidth) error {
 	for i, b := range widths {
 		if !b.Packable() {
-			return nil, fmt.Errorf("quant: row %d has unpackable bit-width %d", i, b)
+			return fmt.Errorf("quant: row %d has unpackable bit-width %d", i, b)
 		}
 	}
-	size := MixedSize(widths, x.Cols)
+	return nil
+}
+
+// appendStream is the one loop that writes wire rows — [Zero][Scale][packed
+// codes] — under every Append* encoder: n rows of x (rows idx, or 0..n-1 when
+// idx is nil) into size bytes appended to dst. Row i goes at widths[i], the
+// rows grouped by width in groupOrder and in wire order within a group;
+// widths nil is the one-group stream with every row at b (QuantizeRows'
+// layout — the same bytes as a mixed stream whose widths all equal b).
+// ranges, when not nil, holds row r's range at ranges[r].
+func appendStream(dst []byte, size int, x *tensor.Matrix, idx []int32, n int, widths []BitWidth, b BitWidth, ranges []RowRange, rng *tensor.RNG) []byte {
 	dst = Grow(dst, size)
 	out := dst[len(dst)-size:]
+	groups := groupOrder
+	if widths == nil {
+		groups = []BitWidth{b}
+	}
 	g := loadGen(rng)
-	for _, b := range groupOrder {
-		for i, w := range widths {
-			if w != b {
+	for _, b := range groups {
+		end := headerBytes + b.PackedSize(x.Cols)
+		for i := 0; i < n; i++ {
+			if widths != nil && widths[i] != b {
 				continue
 			}
 			r := i
@@ -69,15 +93,18 @@ func AppendQuantizedMixedRanges(dst []byte, x *tensor.Matrix, idx []int32, width
 				r = int(idx[i])
 			}
 			row := x.Row(r)
+			rg := rangeOf(row)
 			if ranges != nil {
-				out = appendRow(out, row, ranges[r], b, &g)
-			} else {
-				out = appendRow(out, row, rangeOf(row), b, &g)
+				rg = ranges[r]
 			}
+			meta := quantizeRow(row, rg, b, out[headerBytes:end], &g)
+			binary.LittleEndian.PutUint32(out, math.Float32bits(meta.Zero))
+			binary.LittleEndian.PutUint32(out[4:], math.Float32bits(meta.Scale))
+			out = out[end:]
 		}
 	}
 	g.store(rng)
-	return dst, nil
+	return dst
 }
 
 // QuantizeMixed encodes row x[idx[i]] at width widths[i] for every i,
@@ -107,18 +134,28 @@ func dequantizeMixed(stream []byte, dst *tensor.Matrix, dstRows []int32, widths 
 	if dstRows != nil && len(dstRows) != len(widths) {
 		return fmt.Errorf("quant: %d dst rows but %d widths", len(dstRows), len(widths))
 	}
-	for i, b := range widths {
-		if !b.Packable() {
-			return fmt.Errorf("quant: row %d has unpackable bit-width %d", i, b)
-		}
+	if err := checkPackable(widths); err != nil {
+		return err
 	}
 	if want := MixedSize(widths, dst.Cols); len(stream) != want {
 		return fmt.Errorf("quant: mixed stream is %d bytes, want %d", len(stream), want)
 	}
-	for _, b := range groupOrder {
-		packed := b.PackedSize(dst.Cols)
-		for i, w := range widths {
-			if w != b {
+	decodeStream(stream, dst, dstRows, len(widths), widths, 0, add)
+	return nil
+}
+
+// decodeStream is the one loop that reads wire rows, the mirror of
+// appendStream: the caller has checked the widths and the stream's length.
+// Each row is stored into its dst row, or with add set added into it.
+func decodeStream(stream []byte, dst *tensor.Matrix, dstRows []int32, n int, widths []BitWidth, b BitWidth, add bool) {
+	groups := groupOrder
+	if widths == nil {
+		groups = []BitWidth{b}
+	}
+	for _, b := range groups {
+		end := headerBytes + b.PackedSize(dst.Cols)
+		for i := 0; i < n; i++ {
+			if widths != nil && widths[i] != b {
 				continue
 			}
 			r := i
@@ -129,12 +166,10 @@ func dequantizeMixed(stream []byte, dst *tensor.Matrix, dstRows []int32, widths 
 				Zero:  math.Float32frombits(binary.LittleEndian.Uint32(stream)),
 				Scale: math.Float32frombits(binary.LittleEndian.Uint32(stream[4:])),
 			}
-			codes := stream[headerBytes : headerBytes+packed]
-			stream = stream[headerBytes+packed:]
-			dequantizeRow(codes, meta, b, dst.Row(r), add)
+			dequantizeRow(stream[headerBytes:end], meta, b, dst.Row(r), add)
+			stream = stream[end:]
 		}
 	}
-	return nil
 }
 
 // UniformWidths returns a widths slice assigning b to all n rows.

@@ -1,6 +1,8 @@
 package quant
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -216,5 +218,143 @@ func TestMixedStreamUnbiasedWithinVarianceBound(t *testing.T) {
 				t.Errorf("%s: row %d (B%d): mean squared error %v is under half of D·S²/6 = %v: is the rounding still stochastic?", kernel, i, b, got, bound)
 			}
 		}
+	})
+}
+
+// checkUniformIsOneGroupMixed holds the uniform stream (AppendQuantizedRows /
+// DequantizeRows at one width) to the mixed stream whose widths are all that
+// width: the same bytes behind a dirty prefix, the same generator end state,
+// the same floats stored, and — what lets a uniform codec decode its backward
+// stream with DequantizeMixedAdd — the same sums as staging the decoded rows
+// and adding them in stream order. idx nil means every row; a repeated entry
+// is a row shipped, stored over and added into more than once.
+func checkUniformIsOneGroupMixed(t testing.TB, x *tensor.Matrix, idx []int32, b BitWidth, seed uint64) {
+	t.Helper()
+	rows := x.Rows
+	if idx != nil {
+		rows = len(idx)
+	}
+	widths := UniformWidths(rows, b)
+	eachKernel(func(kernel string) {
+		t.Helper()
+		urng, mrng := tensor.NewRNG(seed), tensor.NewRNG(seed)
+		uni := AppendQuantizedRows([]byte{0xEE}, x, idx, b, urng)
+		mixed, err := AppendQuantizedMixed([]byte{0xEE}, x, idx, widths, mrng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(uni, mixed) {
+			t.Fatalf("%s B%d %dx%d idx=%v: uniform and one-group mixed streams differ", kernel, b, rows, x.Cols, idx)
+		}
+		if len(uni) != 1+WireSize(rows, x.Cols, b) || WireSize(rows, x.Cols, b) != MixedSize(widths, x.Cols) {
+			t.Fatalf("%s B%d: stream is %d bytes, WireSize %d, MixedSize %d", kernel, b, len(uni)-1, WireSize(rows, x.Cols, b), MixedSize(widths, x.Cols))
+		}
+		if urng.State() != mrng.State() {
+			t.Fatalf("%s B%d %dx%d: generator end states differ", kernel, b, rows, x.Cols)
+		}
+		stream := uni[1:]
+
+		nan := float32(math.NaN())
+		stored, storedMixed := tensor.New(x.Rows, x.Cols), tensor.New(x.Rows, x.Cols)
+		for i := range stored.Data {
+			stored.Data[i], storedMixed.Data[i] = nan, nan // rows idx skips stay poisoned on both
+		}
+		if err := DequantizeRows(stream, stored, idx, rows, b); err != nil {
+			t.Fatal(err)
+		}
+		if err := DequantizeMixed(stream, storedMixed, idx, widths); err != nil {
+			t.Fatal(err)
+		}
+
+		staged := tensor.New(rows, x.Cols)
+		if err := DequantizeRows(stream, staged, nil, rows, b); err != nil {
+			t.Fatal(err)
+		}
+		sums, sumsMixed := tensor.New(x.Rows, x.Cols), tensor.New(x.Rows, x.Cols)
+		fill := tensor.NewRNG(seed + 1)
+		for i := range sums.Data {
+			sums.Data[i] = fill.Float32()*2 - 1
+		}
+		copy(sumsMixed.Data, sums.Data)
+		for i := 0; i < rows; i++ {
+			r := i
+			if idx != nil {
+				r = int(idx[i])
+			}
+			for j, v := range staged.Row(i) {
+				sums.Row(r)[j] += v
+			}
+		}
+		if err := DequantizeMixedAdd(stream, sumsMixed, idx, widths); err != nil {
+			t.Fatal(err)
+		}
+		for i := range stored.Data {
+			if math.Float32bits(stored.Data[i]) != math.Float32bits(storedMixed.Data[i]) {
+				t.Fatalf("%s B%d %dx%d: stored element %d is %v from the uniform decoder, %v from the mixed one", kernel, b, rows, x.Cols, i, stored.Data[i], storedMixed.Data[i])
+			}
+			if math.Float32bits(sums.Data[i]) != math.Float32bits(sumsMixed.Data[i]) {
+				t.Fatalf("%s B%d %dx%d: summed element %d is %v staged, %v added from the codes", kernel, b, rows, x.Cols, i, sums.Data[i], sumsMixed.Data[i])
+			}
+		}
+	})
+}
+
+// uniformStreamCases are the (columns, row list) pairs the equivalence is
+// checked on, and the fuzz target's seeds: odd widths that leave a scalar
+// tail, widths that are whole vector groups and chunks, the 602 columns of
+// the widest message the benchmark ships; every row, a permuted subset, and
+// rows sent twice.
+var uniformStreamCases = []struct {
+	cols int
+	idx  []int32
+}{
+	{1, nil}, {7, nil}, {64, nil}, {100, nil}, {602, nil},
+	{7, []int32{10, 0, 3}}, {64, []int32{5, 5, 2, 5}}, {100, []int32{0, 10, 0, 10, 1}},
+	{37, []int32{}}, {602, []int32{9, 9}},
+}
+
+// TestUniformStreamIsOneGroupMixedStream is the equivalence the single stream
+// encoder and decoder rest on.
+func TestUniformStreamIsOneGroupMixedStream(t *testing.T) {
+	for _, tc := range uniformStreamCases {
+		x := tensor.New(11, tc.cols)
+		fillReLUSparse(x.Data, tensor.NewRNG(uint64(tc.cols)))
+		for _, b := range Candidates {
+			checkUniformIsOneGroupMixed(t, x, tc.idx, b, uint64(tc.cols)*8+uint64(b))
+		}
+	}
+}
+
+// FuzzUniformStreamIsOneGroupMixedStream drives the same comparison from raw
+// bytes reinterpreted as a float32 matrix of cols columns; pick, when not
+// empty, is the row list (each byte a row, modulo the row count).
+func FuzzUniformStreamIsOneGroupMixedStream(f *testing.F) {
+	for i, tc := range uniformStreamCases {
+		x := tensor.New(11, tc.cols)
+		fillReLUSparse(x.Data, tensor.NewRNG(uint64(tc.cols)))
+		raw := make([]byte, 4*len(x.Data))
+		for j, v := range x.Data {
+			binary.LittleEndian.PutUint32(raw[4*j:], math.Float32bits(v))
+		}
+		pick := make([]byte, len(tc.idx))
+		for j, r := range tc.idx {
+			pick[j] = byte(r)
+		}
+		f.Add(raw, uint16(tc.cols), pick, uint8(i), uint64(i))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, cols uint16, pick []byte, width uint8, seed uint64) {
+		n := len(raw) / 4
+		if cols == 0 || cols > 700 || n < int(cols) || n > 8192 || len(pick) > 64 {
+			return
+		}
+		x := tensor.New(n/int(cols), int(cols))
+		for i := range x.Data {
+			x.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		var idx []int32
+		for _, p := range pick {
+			idx = append(idx, int32(int(p)%x.Rows))
+		}
+		checkUniformIsOneGroupMixed(t, x, idx, Candidates[int(width)%len(Candidates)], seed)
 	})
 }

@@ -21,7 +21,6 @@
 package quant
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -394,30 +393,7 @@ func AppendQuantizedRows(dst []byte, x *tensor.Matrix, idx []int32, b BitWidth, 
 	if idx != nil {
 		rows = len(idx)
 	}
-	size := WireSize(rows, x.Cols, b)
-	dst = Grow(dst, size)
-	out := dst[len(dst)-size:]
-	g := loadGen(rng)
-	for i := 0; i < rows; i++ {
-		r := i
-		if idx != nil {
-			r = int(idx[i])
-		}
-		row := x.Row(r)
-		out = appendRow(out, row, rangeOf(row), b, &g)
-	}
-	g.store(rng)
-	return dst
-}
-
-// appendRow encodes one wire row — [Zero][Scale][packed codes] — at the
-// front of out and returns the rest of out.
-func appendRow(out []byte, row []float32, rg RowRange, b BitWidth, g *gen) []byte {
-	end := headerBytes + b.PackedSize(len(row))
-	meta := quantizeRow(row, rg, b, out[headerBytes:end], g)
-	binary.LittleEndian.PutUint32(out, math.Float32bits(meta.Zero))
-	binary.LittleEndian.PutUint32(out[4:], math.Float32bits(meta.Scale))
-	return out[end:]
+	return appendStream(dst, WireSize(rows, x.Cols, b), x, idx, rows, nil, b, nil, rng)
 }
 
 // QuantizeRows encodes the given rows of x (selected by idx; all rows if
@@ -442,25 +418,11 @@ func DequantizeRows(stream []byte, dst *tensor.Matrix, dstRows []int32, rows int
 	if !b.Packable() {
 		return fmt.Errorf("quant: cannot de-quantize bit-width %d", b)
 	}
-	packed := b.PackedSize(dst.Cols)
-	want := rows * (headerBytes + packed)
-	if len(stream) != want {
+	if want := WireSize(rows, dst.Cols, b); len(stream) != want {
 		return fmt.Errorf("quant: stream is %d bytes, want %d (rows=%d dim=%d b=%d)",
 			len(stream), want, rows, dst.Cols, b)
 	}
-	off := 0
-	for i := 0; i < rows; i++ {
-		meta := RowMeta{
-			Zero:  math.Float32frombits(binary.LittleEndian.Uint32(stream[off:])),
-			Scale: math.Float32frombits(binary.LittleEndian.Uint32(stream[off+4:])),
-		}
-		r := i
-		if dstRows != nil {
-			r = int(dstRows[i])
-		}
-		DequantizeRow(stream[off+headerBytes:off+headerBytes+packed], meta, b, dst.Row(r))
-		off += headerBytes + packed
-	}
+	decodeStream(stream, dst, dstRows, rows, nil, b, false)
 	return nil
 }
 

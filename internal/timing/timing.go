@@ -232,12 +232,6 @@ func (c *Clock) Breakdown() map[Category]Seconds {
 // Spent returns the total under cat.
 func (c *Clock) Spent(cat Category) Seconds { return c.breakdown[cat] }
 
-// Reset zeroes the clock and breakdown.
-func (c *Clock) Reset() {
-	c.now = 0
-	c.breakdown = make(map[Category]Seconds)
-}
-
 // MaxSeconds returns the max of a slice of clocks' Now (epoch time is the
 // slowest device in synchronous training).
 func MaxSeconds(clocks []*Clock) Seconds {

@@ -84,15 +84,6 @@ func TestClockNegativePanics(t *testing.T) {
 	NewClock().Advance(Comm, -1)
 }
 
-func TestClockReset(t *testing.T) {
-	c := NewClock()
-	c.Advance(Quant, 2)
-	c.Reset()
-	if c.Now() != 0 || c.Spent(Quant) != 0 {
-		t.Fatal("reset incomplete")
-	}
-}
-
 func TestMaxSeconds(t *testing.T) {
 	a, b := NewClock(), NewClock()
 	a.Advance(Comp, 1)
