@@ -6,9 +6,6 @@
 //	adaqp -dataset products-sim -model gcn -method adaqp -parts 4 -epochs 100
 //	adaqp -dataset yelp-sim -model sage -method pipegcn -parts 8
 //	adaqp -dataset tiny -method vanilla -codec uniform -bits 8
-//	adaqp -dataset tiny -method vanilla -codec ef-quant -bits 2
-//	adaqp -dataset tiny -method vanilla -codec topk -density 0.05
-//	adaqp -dataset tiny -method vanilla -codec delta -keyframe 20
 //	adaqp -dataset tiny -method sancus -transport sharded-async -staleness 8 -workers 4
 //	adaqp -dataset tiny -method sancus -transport sharded-async -staleness 8 -overlap
 //	adaqp -dataset tiny -method adaqp -chaos-stragglers 1 -chaos-slow 4 -chaos-crash-epoch 20
@@ -53,9 +50,7 @@ func main() {
 		lambda   = flag.Float64("lambda", 0.5, "variance/time trade-off λ ∈ [0,1]")
 		group    = flag.Int("group", 100, "message group size")
 		period   = flag.Int("period", 50, "bit-width re-assignment period (epochs)")
-		bits     = flag.Int("bits", 2, "uniform bit-width for -method uniform and -codec ef-quant (2|4|8|32)")
-		density  = flag.Float64("density", 0.1, "kept fraction per row for -codec topk, in (0,1]")
-		keyframe = flag.Int("keyframe", 10, "full-precision keyframe period (epochs) for -codec delta")
+		bits     = flag.Int("bits", 2, "uniform bit-width for -method uniform and -codec uniform (2|4|8|32)")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		evalEach = flag.Int("eval-every", 5, "epochs between validation evaluations")
 
@@ -101,8 +96,7 @@ func main() {
 		Parts: *parts, Epochs: *epochs, Hidden: *hidden,
 		LR: *lr, Dropout: dropout, Lambda: lambda, EvalEvery: evalEach,
 		GroupSize: *group, ReassignPeriod: *period,
-		UniformBits: *bits, TopKDensity: *density, DeltaKeyframe: *keyframe,
-		Seed: *seed,
+		UniformBits: *bits, Seed: *seed,
 	}
 	chaos := adaqp.FaultSpec{
 		Seed:       *chaosSeed,

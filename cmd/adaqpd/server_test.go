@@ -159,6 +159,24 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestRemovedSpecFieldIs400: a field the spec no longer has is refused by
+// name, never silently ignored.
+func TestRemovedSpecFieldIs400(t *testing.T) {
+	ts, sched := testServer(t)
+	rec := httptest.NewRecorder()
+	body := `{"dataset":"tiny","codec":"uniform","density":0.1}`
+	ts.Config.Handler.ServeHTTP(rec, httptest.NewRequest("POST", "/jobs", strings.NewReader(body)))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400", rec.Code)
+	}
+	if !strings.Contains(rec.Body.String(), `unknown field \"density\"`) {
+		t.Errorf("error body %q does not name the unknown field", rec.Body.String())
+	}
+	if n := len(sched.Sessions()); n != 0 {
+		t.Errorf("%d sessions admitted, want 0", n)
+	}
+}
+
 // TestOversizedSpecIs413: the body is capped before decoding, wherever the
 // excess sits — inside the spec or as padding after it.
 func TestOversizedSpecIs413(t *testing.T) {
@@ -354,7 +372,7 @@ func TestHealthzAndMetricsAndDrain(t *testing.T) {
 // and transport fields and verifies they reach the run via the result doc.
 func TestSpecFieldsReachTraining(t *testing.T) {
 	ts, _ := testServer(t, adaqp.WithMaxConcurrentSessions(1))
-	spec := `{"dataset":"tiny","scale":0.25,"parts":2,"method":"vanilla","codec":"ef-quant",
+	spec := `{"dataset":"tiny","scale":0.25,"parts":2,"method":"vanilla","codec":"uniform",
 	          "bits":4,"transport":"sharded-async","workers":2,"epochs":2,"hidden":8,"eval_every":0,"seed":3}`
 	resp, job := postJob(t, ts, spec)
 	if resp.StatusCode != http.StatusAccepted {
@@ -366,7 +384,7 @@ func TestSpecFieldsReachTraining(t *testing.T) {
 	}
 	var res resultJSON
 	getJSON(t, ts.URL+"/jobs/"+job.ID+"/result", &res)
-	if res.Codec != "ef-quant" {
-		t.Fatalf("codec = %q, want ef-quant (spec field lost?)", res.Codec)
+	if res.Codec != "uniform" {
+		t.Fatalf("codec = %q, want uniform (spec field lost?)", res.Codec)
 	}
 }

@@ -2,25 +2,18 @@
 // population with skewed variance contributions β across imbalanced device
 // pairs, then sweeps λ from pure-throughput (0) to pure-fidelity (1) and
 // shows how the solved assignment migrates between 2, 4 and 8 bits — the
-// trade-off of the paper's Eqn. 12.
-//
-// It then trains the full codec competitor family — fp32, adaptive,
-// ef-quant, topk and delta — on one shared deployment through the Engine
-// API, on both transport backends, and prints the loss/accuracy/wire-byte
-// comparison; per codec it also checks that the two backends produced
-// bit-identical fixed-seed loss curves.
+// trade-off of the paper's Eqn. 12. The trained comparisons are in
+// `go run ./cmd/paper -table 4,6` (systems; uniform vs adaptive widths).
 //
 //	go run ./examples/adaptive_bitwidth
 package main
 
 import (
 	"fmt"
-	"os"
 
 	"repro/internal/bitassign"
 	"repro/internal/quant"
 	"repro/internal/tensor"
-	"repro/pkg/adaqp"
 )
 
 func main() {
@@ -91,66 +84,4 @@ func main() {
 	fmt.Printf("\nλ=0.5 average assigned width: straggler pair %.2f bits, other pairs %.2f bits\n",
 		sum[true][0]/sum[true][1], sum[false][0]/sum[false][1])
 	fmt.Println("(the minimax time objective pushes the straggler pair toward lower precision)")
-
-	compareCodecs()
-}
-
-// compareCodecs trains the codec competitor family on one shared
-// deployment and prints the comparison, checking cross-backend loss
-// parity for every codec along the way.
-func compareCodecs() {
-	eng, err := adaqp.New(adaqp.MustLoadDataset("tiny", 1),
-		adaqp.WithParts(4),
-		adaqp.WithEpochs(30),
-		adaqp.WithHidden(64),
-		adaqp.WithEvalEvery(0),
-		adaqp.WithReassignPeriod(10),
-		adaqp.WithCodec(adaqp.CodecSpec{
-			UniformBits:        2,
-			TopKDensity:        0.1,
-			DeltaKeyframeEvery: 10,
-		}),
-		adaqp.WithSeed(1))
-	if err != nil {
-		fatal(err)
-	}
-
-	fmt.Printf("\ncodec comparison on one shared deployment (tiny, 4 devices, 30 epochs):\n\n")
-	fmt.Printf("%-10s %12s %10s %12s %14s %10s\n", "codec", "final loss", "test acc", "wall-clock", "wire MB", "parity")
-	for _, codec := range []string{
-		adaqp.CodecFP32, adaqp.CodecAdaptive, adaqp.CodecEFQuant, adaqp.CodecTopK, adaqp.CodecDelta,
-	} {
-		inproc, err := eng.Run(adaqp.WithCodec(adaqp.CodecSpec{Name: codec}))
-		if err != nil {
-			fatal(fmt.Errorf("%s on %s: %w", codec, adaqp.TransportInprocess, err))
-		}
-		sharded, err := eng.Run(
-			adaqp.WithCodec(adaqp.CodecSpec{Name: codec}),
-			adaqp.WithTransport(adaqp.TransportSpec{Name: adaqp.TransportShardedAsync, Workers: 2}))
-		if err != nil {
-			fatal(fmt.Errorf("%s on %s: %w", codec, adaqp.TransportShardedAsync, err))
-		}
-		parity := "bit-identical"
-		for i := range inproc.Epochs {
-			if inproc.Epochs[i].Loss != sharded.Epochs[i].Loss {
-				parity = fmt.Sprintf("DIVERGED@%d", i)
-				break
-			}
-		}
-		var bytes int64
-		for _, row := range inproc.BytesMoved {
-			for _, b := range row {
-				bytes += b
-			}
-		}
-		fmt.Printf("%-10s %12.4f %10.4f %11.2fs %14.2f %10s\n",
-			codec, inproc.Epochs[len(inproc.Epochs)-1].Loss, inproc.FinalTest,
-			float64(inproc.WallClock), float64(bytes)/1e6, parity)
-	}
-	fmt.Println("\n(parity compares fixed-seed loss curves on in-process vs sharded-async)")
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "adaptive_bitwidth: %v\n", err)
-	os.Exit(1)
 }

@@ -67,50 +67,4 @@ func TestCodecSteadyStateAllocs(t *testing.T) {
 		warm()
 		check("quantized exchange round trip", testing.AllocsPerRun(20, warm))
 	})
-
-	t.Run("ef-quant", func(t *testing.T) {
-		a := NewArena()
-		c := &efQuantCodec{bits: quant.B4}
-		resid := tensor.New(rows, dim)
-		dst := tensor.New(rows, dim)
-		warm := func() {
-			buf, err := c.encodeEF(a, x, idx, resid, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := quant.DequantizeRows(buf, dst, nil, rows, c.bits); err != nil {
-				t.Fatal(err)
-			}
-			a.PutBuf(buf)
-		}
-		warm()
-		check("ef-quant round trip", testing.AllocsPerRun(20, warm))
-	})
-
-	t.Run("delta-residual", func(t *testing.T) {
-		a := NewArena()
-		var sendPrev, recvPrev *tensor.Matrix
-		// Keyframe epoch establishes both references (and allocates them —
-		// that is the documented cold path).
-		kf, err := encodeDelta(a, x, idx, &sendPrev, true, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := decodeDelta(a, kf, rows, dim, &recvPrev, true); err != nil {
-			t.Fatal(err)
-		}
-		a.PutBuf(kf)
-		warm := func() {
-			buf, err := encodeDelta(a, x, idx, &sendPrev, false, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := decodeDelta(a, buf, rows, dim, &recvPrev, false); err != nil {
-				t.Fatal(err)
-			}
-			a.PutBuf(buf)
-		}
-		warm()
-		check("delta residual round trip", testing.AllocsPerRun(20, warm))
-	})
 }

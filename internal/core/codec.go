@@ -16,11 +16,9 @@ import (
 // shipped here cover the paper's systems — full-precision all2all (fp32),
 // uniform and adaptive quantization (AdaQP), random-width sampling,
 // cross-iteration pipelining (PipeGCN) and staleness-bounded broadcast
-// (SANCUS) — plus the standard compression competitor family
-// (error-feedback quantization, top-k sparsification, delta/keyframe
-// residuals); new schemes register alongside them without touching the
-// trainer's layer loop, and ConformCodec is the executable form of this
-// contract.
+// (SANCUS); new schemes register alongside them through RegisterCodec
+// without touching the trainer's layer loop, and ConformCodec is the
+// executable form of this contract.
 //
 // One codec instance serves one device for one training run; instances may
 // hold mutable state (width tables, staleness caches). All cross-device
@@ -160,7 +158,7 @@ type CodecFactory func(env *CodecEnv) (MessageCodec, error)
 // ---- optional codec-contract interfaces, enforced by ConformCodec ----
 
 // StatefulCodec is implemented by codecs whose instances carry mutable
-// cross-epoch state (error-feedback residuals, staleness caches, solved
+// cross-epoch state (staleness caches, stale halos, solved
 // width tables). The declaration is part of the codec contract: a codec
 // that does NOT declare state must produce bit-identical training results
 // when a fresh instance replaces it at any epoch boundary — which is what
@@ -219,9 +217,6 @@ const (
 	CodecAdaptive = "adaptive" // AdaQP: traced, adaptively assigned widths
 	CodecPipeGCN  = "pipegcn"  // cross-iteration staleness pipelining
 	CodecSancus   = "sancus"   // staleness-bounded sequential broadcast
-	CodecEFQuant  = "ef-quant" // uniform quantization + error feedback
-	CodecTopK     = "topk"     // magnitude top-k sparsification
-	CodecDelta    = "delta"    // residual vs previous epoch + keyframes
 )
 
 var codecRegistry = registry[CodecFactory]{kind: "codec"}
@@ -243,7 +238,4 @@ func init() {
 	RegisterCodec(CodecAdaptive, newQuantCodec(CodecAdaptive))
 	RegisterCodec(CodecPipeGCN, newPipeGCNCodec)
 	RegisterCodec(CodecSancus, newSancusCodec)
-	RegisterCodec(CodecEFQuant, newEFQuantCodec)
-	RegisterCodec(CodecTopK, newTopKCodec)
-	RegisterCodec(CodecDelta, newDeltaCodec)
 }

@@ -64,9 +64,6 @@ func TestCodecGolden(t *testing.T) {
 		{CodecAdaptive, CodecAdaptive, quant.B2},
 		{CodecPipeGCN, CodecPipeGCN, quant.B2},
 		{CodecSancus, CodecSancus, quant.B2},
-		{CodecEFQuant, CodecEFQuant, quant.B4},
-		{CodecTopK, CodecTopK, quant.B2},
-		{CodecDelta, CodecDelta, quant.B2},
 	}
 	hex := func(v float64) string { return fmt.Sprintf("%016x", math.Float64bits(v)) }
 	balanced := timing.Default()
@@ -84,7 +81,7 @@ func TestCodecGolden(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.Model, cfg.Codec, cfg.UniformBits = model, v.codec, v.bits
 				cfg.Hidden, cfg.Epochs, cfg.EvalEvery = 16, 7, 3
-				cfg.ReassignPeriod, cfg.GroupSize, cfg.DeltaKeyframeEvery = 3, 10, 3
+				cfg.ReassignPeriod, cfg.GroupSize = 3, 10
 				cfg.Dropout = 0.2
 				clocks := captureClocks(t, &cfg)
 				res, err := TrainDeployed(dep, cfg, models[parts])

@@ -119,9 +119,6 @@ func TestParseModelKindRoundTrip(t *testing.T) {
 // single epoch-0 forward exchange at each boundary bit-width and over an
 // all-zero tensor, asserting the decoded halo rows stay within the
 // codec's declared error bound (exactly, for codecs declaring no loss).
-// ef-quant is the one codec that rejects the 32-bit passthrough — its
-// error-feedback residual needs a packed stream — so that combination
-// expects a construction error instead.
 func TestCodecForwardRoundTripTable(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
 	dep := Deploy(ds, 3, GCN, partition.Block)
@@ -138,10 +135,10 @@ func TestCodecForwardRoundTripTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Only uniform and ef-quant consume UniformBits; for the rest one
-		// width covers the exchange, so skip the repeated runs.
+		// Only uniform consumes UniformBits; for the rest one width covers
+		// the exchange, so skip the repeated runs.
 		widths := []quant.BitWidth{quant.B2, quant.B4, quant.B8, quant.B32}
-		if name != CodecUniform && name != CodecEFQuant {
+		if name != CodecUniform {
 			widths = widths[:1]
 		}
 		for _, bits := range widths {
@@ -151,12 +148,6 @@ func TestCodecForwardRoundTripTable(t *testing.T) {
 					cfg.UniformBits = bits
 					if err := cfg.validate(); err != nil {
 						t.Fatal(err)
-					}
-					if name == CodecEFQuant && bits == quant.B32 {
-						if _, err := f(&CodecEnv{Cfg: &cfg, Locals: dep.Locals, Rank: 0, InDim: 8, Shared: &RunShared{}}); err == nil {
-							t.Fatal("ef-quant must reject the 32-bit passthrough")
-						}
-						return
 					}
 					col := &vioCollector{}
 					codecExchangeCheck(f, dep, cfg, 8, tc.fill, col)
@@ -169,10 +160,6 @@ func TestCodecForwardRoundTripTable(t *testing.T) {
 	}
 }
 
-// TestTopKWireRoundTrip pins the topk wire format directly: the decoded
-// row keeps exactly the k largest-magnitude entries and zeroes the rest,
-// and degenerate streams (zero rows, all-zero rows, full density) round-
-// trip cleanly.
 // TestFusedDecodeAddMatchesScatterAdd is the quantized backward receive in
 // miniature: several peers' mixed-width streams target overlapping local
 // rows. Adding each decoded row straight into dxLocal must equal, bit for
@@ -218,212 +205,13 @@ func TestFusedDecodeAddMatchesScatterAdd(t *testing.T) {
 	}
 }
 
-func TestTopKWireRoundTrip(t *testing.T) {
-	x := tensor.New(3, 6)
-	copy(x.Row(0), []float32{0.1, -5, 0.2, 3, -0.3, 0})
-	copy(x.Row(1), []float32{1, 1, 1, 1, 1, 1}) // ties break to low index
-	// Row 2 stays all-zero.
-	for _, k := range []int{1, 2, 6} {
-		buf := encodeTopK(x, []int32{0, 1, 2}, k)
-		if len(buf) != topkWireSize(3, k) {
-			t.Fatalf("k=%d: stream is %d bytes, want %d", k, len(buf), topkWireSize(3, k))
-		}
-		dst := tensor.New(3, 6)
-		dst.FillUniform(tensor.NewRNG(1), -1, 1) // must be overwritten
-		if err := decodeTopK(buf, dst, []int32{0, 1, 2}, 0, false); err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		for r := 0; r < 3; r++ {
-			kept := 0
-			for c, v := range dst.Row(r) {
-				if v != 0 {
-					kept++
-					if v != x.Row(r)[c] {
-						t.Errorf("k=%d row %d col %d: decoded %v, want %v", k, r, c, v, x.Row(r)[c])
-					}
-				}
-			}
-			if kept > k {
-				t.Errorf("k=%d row %d: %d non-zero entries decoded", k, r, kept)
-			}
-		}
-	}
-	// k=2 on row 0 must keep the two largest magnitudes (-5 and 3).
-	buf := encodeTopK(x, []int32{0}, 2)
-	dst := tensor.New(1, 6)
-	if err := decodeTopK(buf, dst, []int32{0}, 0, false); err != nil {
-		t.Fatal(err)
-	}
-	want := []float32{0, -5, 0, 3, 0, 0}
-	for c, v := range dst.Row(0) {
-		if v != want[c] {
-			t.Errorf("col %d: decoded %v, want %v", c, v, want[c])
-		}
-	}
-	// Zero-length row set: header-only stream, no-op decode.
-	empty := encodeTopK(x, nil, 2)
-	if len(empty) != 4 {
-		t.Fatalf("empty stream is %d bytes, want the 4-byte header", len(empty))
-	}
-	if err := decodeTopK(empty, dst, nil, 0, false); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupted streams must error, not panic.
-	for _, bad := range [][]byte{nil, {1}, {255, 255, 255, 255}, buf[:len(buf)-1]} {
-		if err := decodeTopK(bad, dst, []int32{0}, 0, false); err == nil {
-			t.Errorf("corrupted stream %v decoded without error", bad)
-		}
-	}
-}
-
-// TestDeltaWireRoundTrip pins the delta wire format: keyframes are exact,
-// residual epochs reconstruct prev + dequantized delta, and sender and
-// receiver references stay bit-identical across both phases.
-func TestDeltaWireRoundTrip(t *testing.T) {
-	rng := tensor.NewRNG(3)
-	x := tensor.New(4, 5)
-	x.FillUniform(rng, -1, 1)
-	idx := []int32{0, 2, 3}
-
-	var sendPrev, recvPrev *tensor.Matrix
-	key, err := encodeDelta(nil, x, idx, &sendPrev, true, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := decodeDelta(nil, key, len(idx), x.Cols, &recvPrev, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+// scatterAddRows32 adds src row i into dst row idx[i].
+func scatterAddRows32(dst *tensor.Matrix, idx []int32, src *tensor.Matrix) {
 	for i, r := range idx {
-		for c, v := range rec.Row(i) {
-			if v != x.Row(int(r))[c] {
-				t.Fatalf("keyframe row %d col %d: decoded %v, want exact %v", r, c, v, x.Row(int(r))[c])
-			}
+		d := dst.Row(int(r))
+		for j, v := range src.Row(i) {
+			d[j] += v
 		}
-	}
-
-	// Drift the source and ship a residual epoch.
-	for i := range x.Data {
-		x.Data[i] += 0.01 * float32(i%7)
-	}
-	delta, err := encodeDelta(nil, x, idx, &sendPrev, false, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err = decodeDelta(nil, delta, len(idx), x.Cols, &recvPrev, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sender and receiver references must agree bit for bit.
-	for i := range sendPrev.Data {
-		if sendPrev.Data[i] != recvPrev.Data[i] {
-			t.Fatalf("element %d: sender reference %v, receiver %v", i, sendPrev.Data[i], recvPrev.Data[i])
-		}
-	}
-	// The reconstruction is within the 8-bit bound of the true rows: the
-	// residual spans < 0.07 here, so one 8-bit step is well under 0.02.
-	for i, r := range idx {
-		row := x.Row(int(r))
-		for c, v := range rec.Row(i) {
-			diff := float64(v - row[c])
-			if diff < 0 {
-				diff = -diff
-			}
-			if diff > 0.02 {
-				t.Errorf("residual row %d col %d: decoded %v, want %v within the 8-bit delta bound", r, c, v, row[c])
-			}
-		}
-	}
-
-	// Tag and phase mismatches must error, not panic.
-	if _, err := decodeDelta(nil, delta, len(idx), x.Cols, &recvPrev, true); err == nil {
-		t.Error("residual payload accepted on a keyframe epoch")
-	}
-	if _, err := decodeDelta(nil, key, len(idx), x.Cols, &recvPrev, false); err == nil {
-		t.Error("keyframe payload accepted on a residual epoch")
-	}
-	var nilPrev *tensor.Matrix
-	if _, err := decodeDelta(nil, delta, len(idx), x.Cols, &nilPrev, false); err == nil {
-		t.Error("residual without a keyframe reference decoded without error")
-	}
-	if _, err := decodeDelta(nil, nil, len(idx), x.Cols, &recvPrev, false); err == nil {
-		t.Error("empty stream decoded without error")
-	}
-
-	// Zero-length row sets round-trip as tag-only streams.
-	var ep, rp *tensor.Matrix
-	kf, err := encodeDelta(nil, x, nil, &ep, true, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := decodeDelta(nil, kf, 0, x.Cols, &rp, true); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestEFQuantResidualTelescopes pins error feedback's defining property:
-// feeding the carried residual back into the next quantization makes the
-// *accumulated* transmitted signal track the accumulated true signal to
-// within a single quantization step, instead of drifting by one step per
-// epoch.
-func TestEFQuantResidualTelescopes(t *testing.T) {
-	cfg := codecConformConfig()
-	if err := cfg.validate(); err != nil {
-		t.Fatal(err)
-	}
-	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
-	dep := Deploy(ds, 2, GCN, partition.Block)
-	f, err := LookupCodec(CodecEFQuant)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := f(&CodecEnv{Cfg: &cfg, Locals: dep.Locals, Rank: 0, InDim: 4, Shared: &RunShared{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ef := c.(*efQuantCodec)
-	lg := dep.Locals[0]
-	var dst int
-	for q, rows := range lg.SendTo {
-		if len(rows) > 0 {
-			dst = q
-			break
-		}
-	}
-	rows := len(lg.SendTo[dst])
-	x := tensor.New(lg.NumLocal, 4)
-	rng := tensor.NewRNG(9)
-	x.FillUniform(rng, -1, 1)
-	resid := ef.resid[forward][0][dst]
-	sumTrue := tensor.New(rows, 4)
-	sumSent := tensor.New(rows, 4)
-	for epoch := 0; epoch < 8; epoch++ {
-		stream, err := ef.encodeEF(nil, x, lg.SendTo[dst], resid, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recon := tensor.New(rows, 4)
-		if err := quant.DequantizeRows(stream, recon, nil, rows, ef.bits); err != nil {
-			t.Fatal(err)
-		}
-		for i, r := range lg.SendTo[dst] {
-			for j := 0; j < 4; j++ {
-				sumTrue.Row(i)[j] += x.Row(int(r))[j]
-				sumSent.Row(i)[j] += recon.Row(i)[j]
-			}
-		}
-		// Error feedback telescopes: Σ sent = Σ true − resid, so the
-		// accumulated gap is exactly the current residual — bounded by
-		// one quantization step, not growing with the epoch count.
-		for i := 0; i < rows; i++ {
-			for j := 0; j < 4; j++ {
-				gap := sumTrue.Row(i)[j] - sumSent.Row(i)[j]
-				if d := gap - resid.Row(i)[j]; d > 1e-4 || d < -1e-4 {
-					t.Fatalf("epoch %d row %d col %d: accumulated gap %v != residual %v", epoch, i, j, gap, resid.Row(i)[j])
-				}
-			}
-		}
-		x.FillUniform(rng, -1, 1) // fresh signal each epoch
 	}
 }
 

@@ -143,18 +143,8 @@ type Config struct {
 	Lambda         float64
 	ReassignPeriod int
 
-	// UniformBits is the width used by AdaQPUniform (and by the ef-quant
-	// codec, whose error-feedback residual requires a packable width).
+	// UniformBits is the width used by AdaQPUniform.
 	UniformBits quant.BitWidth
-
-	// TopKDensity is the fraction of each row's entries the topk codec
-	// keeps, in (0, 1]. 0 selects the default 0.1.
-	TopKDensity float64
-
-	// DeltaKeyframeEvery is how often (in epochs) the delta codec ships a
-	// full-precision keyframe instead of a quantized residual against the
-	// previous epoch's payload. 0 selects the default 10.
-	DeltaKeyframeEvery int
 
 	// SANCUS staleness: a device re-broadcasts its boundary embeddings
 	// when their relative drift exceeds SancusDrift, or at the latest
@@ -236,23 +226,21 @@ type Config struct {
 // DefaultConfig returns the paper's unified training configuration.
 func DefaultConfig() Config {
 	return Config{
-		Model:              GCN,
-		Method:             Vanilla,
-		Layers:             3,
-		Hidden:             256,
-		LR:                 0.01,
-		Dropout:            0.5,
-		Epochs:             200,
-		EvalEvery:          5,
-		GroupSize:          100,
-		Lambda:             0.5,
-		ReassignPeriod:     50,
-		UniformBits:        quant.B2,
-		TopKDensity:        0.1,
-		DeltaKeyframeEvery: 10,
-		SancusDrift:        0.05,
-		SancusMaxStale:     8,
-		Seed:               1,
+		Model:          GCN,
+		Method:         Vanilla,
+		Layers:         3,
+		Hidden:         256,
+		LR:             0.01,
+		Dropout:        0.5,
+		Epochs:         200,
+		EvalEvery:      5,
+		GroupSize:      100,
+		Lambda:         0.5,
+		ReassignPeriod: 50,
+		UniformBits:    quant.B2,
+		SancusDrift:    0.05,
+		SancusMaxStale: 8,
+		Seed:           1,
 	}
 }
 
@@ -304,18 +292,6 @@ func (c *Config) validate() error {
 	}
 	if !c.UniformBits.Valid() {
 		return fmt.Errorf("core: invalid uniform bit-width %d", c.UniformBits)
-	}
-	if c.TopKDensity == 0 {
-		c.TopKDensity = 0.1
-	}
-	if !(c.TopKDensity > 0 && c.TopKDensity <= 1) { // also rejects NaN
-		return fmt.Errorf("core: top-k density %v outside (0,1]", c.TopKDensity)
-	}
-	if c.DeltaKeyframeEvery == 0 {
-		c.DeltaKeyframeEvery = 10
-	}
-	if c.DeltaKeyframeEvery < 0 {
-		return fmt.Errorf("core: delta keyframe period must be >= 1, got %d", c.DeltaKeyframeEvery)
 	}
 	if c.SancusDrift <= 0 {
 		c.SancusDrift = 0.05

@@ -109,17 +109,62 @@ func TestChaosTransientRetries(t *testing.T) {
 	}
 }
 
+// countingCodec is fp32 plus one piece of real cross-epoch state: the
+// number of forward exchanges this device has run. Forward checks the
+// count against (epoch, layer) before advancing it, so a crash whose
+// restore does not roll the count back fails the replayed epoch.
+type countingCodec struct {
+	MessageCodec
+	layers, forwards int
+	// restore is false in the broken twin, whose RestoreCheckpoint is a
+	// no-op.
+	restore bool
+}
+
+// countingConfig is confTrainConfig with cfg.Codec naming a countingCodec
+// injected through the factory seam, so it never enters the registry.
+func countingConfig(restore bool) Config {
+	cfg := confTrainConfig("counting")
+	cfg.codecFactory = func(env *CodecEnv) (MessageCodec, error) {
+		c, err := newFP32Codec(env)
+		if err != nil {
+			return nil, err
+		}
+		return &countingCodec{MessageCodec: c, layers: env.Cfg.Layers, restore: restore}, nil
+	}
+	return cfg
+}
+
+func (c *countingCodec) Stateful() bool { return true }
+
+func (c *countingCodec) CheckpointState() any { return c.forwards }
+
+func (c *countingCodec) RestoreCheckpoint(state any) {
+	if c.restore {
+		c.forwards = state.(int)
+	}
+}
+
+func (c *countingCodec) Forward(env *ExchangeEnv, epoch, layer int, h, xFull *tensor.Matrix) error {
+	if want := epoch*c.layers + layer; c.forwards != want {
+		return fmt.Errorf("forward count %d at epoch %d layer %d, want %d", c.forwards, epoch, layer, want)
+	}
+	c.forwards++
+	return c.MessageCodec.Forward(env, epoch, layer, h, xFull)
+}
+
 // TestChaosCrashRecovery: a scheduled crash replays the doomed epoch bit
-// for bit on both backends — including through ef-quant's checkpointed
-// error-feedback residuals — and counts exactly one crash.
+// for bit on every backend — including through a codec whose checkpoint
+// carries state the replay depends on — and counts exactly one crash.
 func TestChaosCrashRecovery(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
 	dep := Deploy(ds, 4, GCN, partition.Block)
 	spec := chaos.Spec{Seed: 5, CrashEpoch: 3, RestartPenalty: 50}
-	for _, codec := range []string{CodecFP32, CodecEFQuant} {
-		ref := confTrain(t, dep, confTrainConfig(codec))
+	for _, base := range []Config{confTrainConfig(CodecFP32), countingConfig(true)} {
+		codec := base.Codec
+		ref := confTrain(t, dep, base)
 		for _, tr := range TransportNames() {
-			cfg := confTrainConfig(codec)
+			cfg := base
 			cfg.Transport = tr
 			cfg.Faults = spec
 			got := confTrain(t, dep, cfg)
@@ -131,11 +176,27 @@ func TestChaosCrashRecovery(t *testing.T) {
 				t.Errorf("%s/%s: recovery time %v, want the restart penalty 50", tr, codec, got.Faults.RecoveryTime)
 			}
 		}
-		cfg := confTrainConfig(codec)
+		cfg := base
 		cfg.Transport = TransportShardedAsync
 		cfg.TransportStaleness = 4
 		cfg.Faults = spec
 		lossParity(t, "sharded staleness=4/"+codec, ref, confTrain(t, dep, cfg))
+	}
+}
+
+// TestChaosCrashCatchesLostCodecState is TestChaosCrashRecovery's mutation
+// check: the counting codec's twin ignores its checkpoint, so the replayed
+// epoch must fail instead of passing as a clean recovery.
+func TestChaosCrashCatchesLostCodecState(t *testing.T) {
+	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
+	dep := Deploy(ds, 4, GCN, partition.Block)
+	for _, tr := range TransportNames() {
+		cfg := countingConfig(false)
+		cfg.Transport = tr
+		cfg.Faults = chaos.Spec{Seed: 5, CrashEpoch: 3, RestartPenalty: 50}
+		if _, err := TrainDeployed(dep, cfg, nil); err == nil || !strings.Contains(err.Error(), "forward count") {
+			t.Errorf("%s: crash over a codec that drops its checkpoint: got err %v, want the forward-count check", tr, err)
+		}
 	}
 }
 
@@ -175,11 +236,13 @@ func TestChaosCrashRecoversPaperCodec(t *testing.T) {
 func TestChaosCrashRejectsUncheckpointableCodec(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
 	dep := Deploy(ds, 4, GCN, partition.Block)
-	cfg := confTrainConfig(CodecDelta)
-	cfg.Faults = chaos.Spec{Seed: 5, CrashEpoch: 3}
-	_, err := TrainDeployed(dep, cfg, nil)
-	if err == nil || !strings.Contains(err.Error(), "checkpoint") {
-		t.Fatalf("crash plan with stateful uncheckpointable codec: got err %v, want checkpoint-support rejection", err)
+	for _, codec := range []string{CodecPipeGCN, CodecSancus} {
+		cfg := confTrainConfig(codec)
+		cfg.Faults = chaos.Spec{Seed: 5, CrashEpoch: 3}
+		_, err := TrainDeployed(dep, cfg, nil)
+		if err == nil || !strings.Contains(err.Error(), "checkpoint") {
+			t.Errorf("%s: crash plan with stateful uncheckpointable codec: got err %v, want checkpoint-support rejection", codec, err)
+		}
 	}
 }
 

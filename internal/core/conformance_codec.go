@@ -32,8 +32,8 @@ import (
 //     in-process and sharded-async backends at staleness 0.
 
 // codecConformConfig is the small fixed training scenario the stateful
-// checks run: 4 epochs so re-assignment periods, delta keyframes and
-// SANCUS staleness bounds all trigger at least once.
+// checks run: 4 epochs so re-assignment periods and SANCUS staleness
+// bounds all trigger at least once.
 func codecConformConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Epochs = 4
@@ -41,7 +41,6 @@ func codecConformConfig() Config {
 	cfg.EvalEvery = 0
 	cfg.ReassignPeriod = 2
 	cfg.SancusMaxStale = 2
-	cfg.DeltaKeyframeEvery = 2
 	cfg.Seed = 7
 	return cfg
 }

@@ -173,13 +173,10 @@ func TestStatefulDeclarations(t *testing.T) {
 	want := map[string]bool{
 		CodecFP32:     false,
 		CodecUniform:  false,
-		CodecTopK:     false,
 		CodecRandom:   true,
 		CodecAdaptive: true,
 		CodecPipeGCN:  true,
 		CodecSancus:   true,
-		CodecEFQuant:  true,
-		CodecDelta:    true,
 	}
 	cfg := codecConformConfig()
 	if err := cfg.validate(); err != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -94,9 +93,9 @@ func TestShardedStalenessLossParity(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
 	dep := Deploy(ds, 4, GCN, partition.Block)
 	// Adaptive and SANCUS exercise the gather/scatter and broadcast paths;
-	// ef-quant and delta pin that residual state carried across epochs
-	// survives the run-ahead.
-	for _, codec := range []string{CodecAdaptive, CodecSancus, CodecEFQuant, CodecDelta} {
+	// PipeGCN pins that the stale halos it carries across epochs survive
+	// the run-ahead.
+	for _, codec := range []string{CodecAdaptive, CodecSancus, CodecPipeGCN} {
 		ref := confTrain(t, dep, confTrainConfig(codec))
 		for _, stale := range []int{1, 4, 16} {
 			cfg := confTrainConfig(codec)
@@ -178,29 +177,6 @@ func compareRuns(t *testing.T, label string, ref, got *metrics.RunResult, withTi
 	t.Helper()
 	if desc := runDivergence(ref, got, withTime); desc != "" {
 		t.Errorf("%s: runs diverged (%s)", label, desc)
-	}
-}
-
-// TestNewCodecCrossBackendParity pins the PR-5 codec family explicitly:
-// at staleness 0 each of ef-quant, topk and delta must produce loss
-// curves, simulated clocks and byte ledgers bit-identical to the
-// in-process reference regardless of the sharded backend's worker-pool
-// size (TestTransportLossParity covers them too via the registry, but
-// this test survives a registry reshuffle).
-func TestNewCodecCrossBackendParity(t *testing.T) {
-	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
-	dep := Deploy(ds, 4, GCN, partition.Block)
-	for _, codec := range []string{CodecEFQuant, CodecTopK, CodecDelta} {
-		cfg := confTrainConfig(codec)
-		cfg.DeltaKeyframeEvery = 2 // hit both keyframe and residual epochs
-		ref := confTrain(t, dep, cfg)
-		for _, workers := range []int{1, 3} {
-			got := cfg
-			got.Transport = TransportShardedAsync
-			got.TransportWorkers = workers
-			res := confTrain(t, dep, got)
-			compareRuns(t, fmt.Sprintf("%s/workers=%d", codec, workers), ref, res, true)
-		}
 	}
 }
 

@@ -23,9 +23,8 @@ import (
 // direction is which way a layer's messages travel. The paper calls
 // features, embeddings and embedding gradients alike "messages"; what tells
 // them apart here is the direction, and (layer, direction, peer) is the one
-// key of the message path: width tables, traces, residuals, references and
-// stage costs are all indexed by it, and every rule is written once for both
-// values.
+// key of the message path: width tables, traces and stage costs are all
+// indexed by it, and every rule is written once for both values.
 type direction uint8
 
 const (
@@ -135,16 +134,6 @@ func addBytesToRows(buf []byte, dst *tensor.Matrix, rows []int32) error {
 func gatherRowsInto(dst, x *tensor.Matrix, idx []int32) {
 	for i, r := range idx {
 		copy(dst.Row(i), x.Row(int(r)))
-	}
-}
-
-// scatterAddRows32 adds src row i into dst row idx[i].
-func scatterAddRows32(dst *tensor.Matrix, idx []int32, src *tensor.Matrix) {
-	for i, r := range idx {
-		d := dst.Row(int(r))
-		for j, v := range src.Row(i) {
-			d[j] += v
-		}
 	}
 }
 

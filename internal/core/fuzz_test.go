@@ -14,44 +14,26 @@ import (
 // seed corpus; CI additionally runs a short -fuzztime smoke.
 func FuzzCodecDecode(f *testing.F) {
 	// Seed with one valid stream per wire format so mutation starts from
-	// decodable inputs.
+	// decodable inputs: the uniform stream at every packed width, the
+	// adaptive codec's mixed-width stream and raw float32 rows.
 	x := tensor.New(3, 8)
 	rng := tensor.NewRNG(1)
 	x.FillUniform(rng, -1, 1)
 	idx := []int32{0, 1, 2}
-	f.Add(encodeTopK(x, idx, 2))
-	var prev *tensor.Matrix
-	if kf, err := encodeDelta(nil, x, idx, &prev, true, rng); err == nil {
-		f.Add(append([]byte(nil), kf...))
+	mixed := quant.RandomWidths(len(idx), tensor.NewRNG(2))
+	for _, b := range []quant.BitWidth{quant.B2, quant.B4, quant.B8} {
+		f.Add(quant.QuantizeRows(x, idx, b, rng))
 	}
-	if d, err := encodeDelta(nil, x, idx, &prev, false, rng); err == nil {
-		f.Add(append([]byte(nil), d...))
+	m, err := quant.QuantizeMixed(x, idx, mixed, rng)
+	if err != nil {
+		f.Fatal(err)
 	}
-	f.Add(quant.QuantizeRows(x, idx, quant.B2, rng))
+	f.Add(m)
 	f.Add(rowsToBytes(x, idx))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dst := tensor.New(4, 8)
 		rows := []int32{0, 1, 2}
-
-		// Decoders draw scratch from a previously-dirty arena (poisoned
-		// buffers and NaN matrices), mirroring the steady-state training
-		// loop: any read of pooled memory they did not overwrite shows up
-		// as corruption under mutation.
-		a := dirtyArena(8)
-
-		// topk: overwrite and scatter-add decode paths.
-		_ = decodeTopK(data, dst, rows, 1, false)
-		_ = decodeTopK(data, dst, rows, 0, true)
-
-		// delta: keyframe expectation, residual expectation with and
-		// without a reference — each against pooled dirty scratch.
-		var noRef *tensor.Matrix
-		_, _ = decodeDelta(a, data, 3, 8, &noRef, true)
-		noRef = nil
-		_, _ = decodeDelta(a, data, 3, 8, &noRef, false)
-		ref := tensor.New(3, 8)
-		_, _ = decodeDelta(a, data, 3, 8, &ref, false)
 
 		// Quantized streams: every packed width, plus the mixed-width
 		// grouped layout the adaptive codec ships.
@@ -59,6 +41,8 @@ func FuzzCodecDecode(f *testing.F) {
 			_ = quant.DequantizeRows(data, dst, rows, len(rows), b)
 			_ = quant.DequantizeMixed(data, dst, rows, quant.UniformWidths(len(rows), b))
 		}
+		_ = quant.DequantizeMixed(data, dst, rows, mixed)
+		_ = quant.DequantizeMixedAdd(data, dst, rows, mixed)
 
 		// Full-precision rows (fp32 / pipegcn / sancus payloads).
 		_ = bytesToRows(data, dst, rows, 1)

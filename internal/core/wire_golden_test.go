@@ -54,13 +54,6 @@ func TestWireGoldenFrames(t *testing.T) {
 	x, idx := goldenInput()
 	rows := []int32{0, 1, 2}
 
-	// The delta codec's residual stream needs the keyframe's reference
-	// state; build both payloads up front from one prev chain.
-	var encPrev *tensor.Matrix
-	deltaKey, err := encodeDelta(nil, x, idx, &encPrev, true, tensor.NewRNG(300))
-	if err != nil {
-		t.Fatalf("encodeDelta keyframe: %v", err)
-	}
 	negated := x.Clone()
 	for i, v := range negated.Data {
 		negated.Data[i] = -v
@@ -68,10 +61,6 @@ func TestWireGoldenFrames(t *testing.T) {
 	x2 := x.Clone()
 	for i := range x2.Data {
 		x2.Data[i] += 0.125
-	}
-	deltaResid, err := encodeDelta(nil, x2, idx, &encPrev, false, tensor.NewRNG(301))
-	if err != nil {
-		t.Fatalf("encodeDelta residual: %v", err)
 	}
 
 	quantized := func(b quant.BitWidth, seed uint64) []byte {
@@ -109,59 +98,39 @@ func TestWireGoldenFrames(t *testing.T) {
 	}
 	fullRows := fullRowsAt(rows)
 
+	// seq is each fixture's frame sequence number, fixed per case so that
+	// adding or removing a case leaves every other fixture's bytes alone.
 	cases := []struct {
 		name    string
+		seq     uint32
 		payload []byte
 		decode  func([]byte) error
 	}{
 		// Packed uniform streams (uniform codec wire format). B32 is not a
 		// packed stream — at full precision every quantizing codec ships
 		// the raw fp32 row passthrough, so *_b32 fixtures pin that layout.
-		{"uniform_b2", quantized(quant.B2, 100), dequantRows(quant.B2)},
-		{"uniform_b4", quantized(quant.B4, 101), dequantRows(quant.B4)},
-		{"uniform_b8", quantized(quant.B8, 102), dequantRows(quant.B8)},
-		{"uniform_b32", rowsToBytes(x, idx), fullRows},
-		// Error-feedback codec ships the same packed stream layout (the
-		// feedback state never crosses the wire).
-		{"efquant_b2", quantized(quant.B2, 110), dequantRows(quant.B2)},
-		{"efquant_b4", quantized(quant.B4, 111), dequantRows(quant.B4)},
-		{"efquant_b8", quantized(quant.B8, 112), dequantRows(quant.B8)},
-		{"efquant_b32", rowsToBytes(x2, idx), fullRows},
+		{"uniform_b2", 0, quantized(quant.B2, 100), dequantRows(quant.B2)},
+		{"uniform_b4", 1, quantized(quant.B4, 101), dequantRows(quant.B4)},
+		{"uniform_b8", 2, quantized(quant.B8, 102), dequantRows(quant.B8)},
+		{"uniform_b32", 3, rowsToBytes(x, idx), fullRows},
 		// Adaptive codec: grouped mixed-width layout for packable widths,
 		// fp32 passthrough at B32.
-		{"adaptive_b2", mixed(quant.B2, 120), dequantMixed(quant.B2)},
-		{"adaptive_b4", mixed(quant.B4, 121), dequantMixed(quant.B4)},
-		{"adaptive_b8", mixed(quant.B8, 122), dequantMixed(quant.B8)},
-		{"adaptive_b32", rowsToBytes(x, []int32{2, 1, 0}), fullRowsAt([]int32{2, 1, 0})},
+		{"adaptive_b2", 8, mixed(quant.B2, 120), dequantMixed(quant.B2)},
+		{"adaptive_b4", 9, mixed(quant.B4, 121), dequantMixed(quant.B4)},
+		{"adaptive_b8", 10, mixed(quant.B8, 122), dequantMixed(quant.B8)},
+		{"adaptive_b32", 11, rowsToBytes(x, []int32{2, 1, 0}), fullRowsAt([]int32{2, 1, 0})},
 		// Random-assignment codec shares the mixed grouped layout with a
 		// different width vector per round; same wire grammar.
-		{"random_b2", mixed(quant.B2, 130), dequantMixed(quant.B2)},
-		{"random_b4", mixed(quant.B4, 131), dequantMixed(quant.B4)},
-		{"random_b8", mixed(quant.B8, 132), dequantMixed(quant.B8)},
-		{"random_b32", rowsToBytes(x2, []int32{1, 0, 2}), fullRowsAt([]int32{1, 0, 2})},
+		{"random_b2", 12, mixed(quant.B2, 130), dequantMixed(quant.B2)},
+		{"random_b4", 13, mixed(quant.B4, 131), dequantMixed(quant.B4)},
+		{"random_b8", 14, mixed(quant.B8, 132), dequantMixed(quant.B8)},
+		{"random_b32", 15, rowsToBytes(x2, []int32{1, 0, 2}), fullRowsAt([]int32{1, 0, 2})},
 		// Full-precision row formats (inherently 32-bit): fp32 baseline,
 		// pipegcn's stale exchange, sancus' broadcast all serialize rows
 		// as little-endian float32.
-		{"fp32_b32", rowsToBytes(x, idx), fullRows},
-		{"pipegcn_b32", rowsToBytes(x2, idx), fullRows},
-		{"sancus_b32", rowsToBytes(negated, idx), fullRows},
-		// Sparsification and delta formats carry their own headers.
-		{"topk", encodeTopK(x, idx, 4), func(p []byte) error {
-			return decodeTopK(p, tensor.New(3, 8), rows, 0, false)
-		}},
-		{"delta_key", deltaKey, func(p []byte) error {
-			var prev *tensor.Matrix
-			_, err := decodeDelta(dirtyArena(8), p, 3, 8, &prev, true)
-			return err
-		}},
-		{"delta_resid", deltaResid, func(p []byte) error {
-			var prev *tensor.Matrix
-			if _, err := decodeDelta(dirtyArena(8), deltaKey, 3, 8, &prev, true); err != nil {
-				return err
-			}
-			_, err := decodeDelta(dirtyArena(8), p, 3, 8, &prev, false)
-			return err
-		}},
+		{"fp32_b32", 16, rowsToBytes(x, idx), fullRows},
+		{"pipegcn_b32", 17, rowsToBytes(x2, idx), fullRows},
+		{"sancus_b32", 18, rowsToBytes(negated, idx), fullRows},
 	}
 
 	if *updateGolden {
@@ -169,9 +138,9 @@ func TestWireGoldenFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i, tc := range cases {
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f := wire.Frame{Op: wire.OpData, Seq: uint32(i), Src: 1, Dst: 2, Payload: tc.payload}
+			f := wire.Frame{Op: wire.OpData, Seq: tc.seq, Src: 1, Dst: 2, Payload: tc.payload}
 			framed := wire.AppendFrame(nil, f)
 			path := filepath.Join(goldenDir, tc.name+".frame")
 			if *updateGolden {

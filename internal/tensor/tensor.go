@@ -405,22 +405,6 @@ func (m *Matrix) AddInPlace(o *Matrix) {
 	}
 }
 
-// SubInPlace computes m -= o.
-func (m *Matrix) SubInPlace(o *Matrix) {
-	mustSameShape("SubInPlace", m, o)
-	for i, v := range o.Data {
-		m.Data[i] -= v
-	}
-}
-
-// Sub returns a - b elementwise.
-func Sub(a, b *Matrix) *Matrix {
-	mustSameShape("Sub", a, b)
-	out := a.Clone()
-	out.SubInPlace(b)
-	return out
-}
-
 // Scale multiplies every element by alpha, in place.
 func (m *Matrix) Scale(alpha float32) {
 	for i := range m.Data {

@@ -11,13 +11,13 @@ import (
 	"testing/iotest"
 )
 
-// goldenStream is the 22 golden frames (one framed codec message each, see
+// goldenStream is the 15 golden frames (one framed codec message each, see
 // internal/core's TestWireGoldenFrames) back to back.
 func goldenStream(t *testing.T) (stream []byte, frames []Frame) {
 	t.Helper()
 	paths, err := filepath.Glob("testdata/*.frame")
-	if err != nil || len(paths) != 22 {
-		t.Fatalf("found %d golden frames (err %v), want 22", len(paths), err)
+	if err != nil || len(paths) != 15 {
+		t.Fatalf("found %d golden frames (err %v), want 15", len(paths), err)
 	}
 	for _, p := range paths {
 		b, err := os.ReadFile(p)
@@ -75,7 +75,7 @@ func sameOutcome(t *testing.T, label string, fr *frameReader, ref io.Reader) int
 }
 
 // TestFrameReaderMatchesReadFrame holds the reusing reader to the
-// allocating one on the golden frames: each on its own, then all 22 as one
+// allocating one on the golden frames: each on its own, then all 15 as one
 // stream arriving a byte at a time, in halves, and cut in two at every byte
 // offset.
 func TestFrameReaderMatchesReadFrame(t *testing.T) {

@@ -205,16 +205,6 @@ const (
 	CodecAdaptive = core.CodecAdaptive
 	CodecPipeGCN  = core.CodecPipeGCN
 	CodecSancus   = core.CodecSancus
-	// CodecEFQuant quantizes every message at CodecSpec.UniformBits and
-	// carries the quantization error as a residual into the next epoch.
-	CodecEFQuant = core.CodecEFQuant
-	// CodecTopK ships only each row's top-⌈density·dim⌉ entries by
-	// magnitude (CodecSpec.TopKDensity).
-	CodecTopK = core.CodecTopK
-	// CodecDelta ships 8-bit residuals against the previous epoch's
-	// payload, refreshed by full-precision keyframes
-	// (CodecSpec.DeltaKeyframeEvery).
-	CodecDelta = core.CodecDelta
 )
 
 // Transport is the device-side communication surface; Runtime launches

@@ -43,27 +43,23 @@ func TestNewDefaults(t *testing.T) {
 func TestOptionValidation(t *testing.T) {
 	ds := adaqp.MustLoadDataset("tiny", 1)
 	bad := map[string]adaqp.Option{
-		"parts":      adaqp.WithParts(0),
-		"epochs":     adaqp.WithEpochs(0),
-		"layers":     adaqp.WithLayers(0),
-		"hidden":     adaqp.WithHidden(-1),
-		"lr":         adaqp.WithLR(0),
-		"dropout":    adaqp.WithDropout(1.5),
-		"lambda":     adaqp.WithLambda(2),
-		"group":      adaqp.WithGroupSize(0),
-		"period":     adaqp.WithReassignPeriod(0),
-		"bits":       adaqp.WithCodec(adaqp.CodecSpec{UniformBits: 3}),
-		"seed":       adaqp.WithSeed(0),
-		"eval":       adaqp.WithEvalEvery(-1),
-		"sancus":     adaqp.WithCodec(adaqp.CodecSpec{SancusDrift: -0.1, SancusMaxStale: 2}),
-		"maxstale":   adaqp.WithCodec(adaqp.CodecSpec{SancusDrift: 0.1}),
-		"density":    adaqp.WithCodec(adaqp.CodecSpec{TopKDensity: 1.5}),
-		"density-":   adaqp.WithCodec(adaqp.CodecSpec{TopKDensity: -0.5}),
-		"densityNaN": adaqp.WithCodec(adaqp.CodecSpec{TopKDensity: math.NaN()}),
-		"keyframe":   adaqp.WithCodec(adaqp.CodecSpec{DeltaKeyframeEvery: -1}),
-		"costmodel":  adaqp.WithCostModel(nil),
-		"method":     adaqp.WithMethod(adaqp.Method(42)),
-		"model":      adaqp.WithModel(adaqp.ModelKind(42)),
+		"parts":     adaqp.WithParts(0),
+		"epochs":    adaqp.WithEpochs(0),
+		"layers":    adaqp.WithLayers(0),
+		"hidden":    adaqp.WithHidden(-1),
+		"lr":        adaqp.WithLR(0),
+		"dropout":   adaqp.WithDropout(1.5),
+		"lambda":    adaqp.WithLambda(2),
+		"group":     adaqp.WithGroupSize(0),
+		"period":    adaqp.WithReassignPeriod(0),
+		"bits":      adaqp.WithCodec(adaqp.CodecSpec{UniformBits: 3}),
+		"seed":      adaqp.WithSeed(0),
+		"eval":      adaqp.WithEvalEvery(-1),
+		"sancus":    adaqp.WithCodec(adaqp.CodecSpec{SancusDrift: -0.1, SancusMaxStale: 2}),
+		"maxstale":  adaqp.WithCodec(adaqp.CodecSpec{SancusDrift: 0.1}),
+		"costmodel": adaqp.WithCostModel(nil),
+		"method":    adaqp.WithMethod(adaqp.Method(42)),
+		"model":     adaqp.WithModel(adaqp.ModelKind(42)),
 	}
 	for name, opt := range bad {
 		if _, err := adaqp.New(ds, opt); err == nil {
@@ -92,7 +88,6 @@ func TestCodecRegistryLookup(t *testing.T) {
 	for _, want := range []string{
 		adaqp.CodecFP32, adaqp.CodecUniform, adaqp.CodecAdaptive,
 		adaqp.CodecSancus, adaqp.CodecRandom, adaqp.CodecPipeGCN,
-		adaqp.CodecEFQuant, adaqp.CodecTopK, adaqp.CodecDelta,
 	} {
 		if !have[want] {
 			t.Fatalf("codec %q missing from registry: %v", want, adaqp.Codecs())
@@ -139,17 +134,16 @@ func TestCustomCodecRegistration(t *testing.T) {
 	}
 }
 
-// TestCompressionCodecsTrainPublicAPI trains each new compression codec
-// through the Engine API with its knob set off-default, checking the run
-// records the codec and produces a finite, reproducible loss curve.
+// TestCompressionCodecsTrainPublicAPI trains each quantizing codec through
+// the Engine API with UniformBits off-default, checking the run records the
+// codec and produces a finite, reproducible loss curve.
 func TestCompressionCodecsTrainPublicAPI(t *testing.T) {
 	ds := adaqp.MustLoadDataset("tiny", 1)
-	eng, err := adaqp.New(ds, tinyOpts(
-		adaqp.WithCodec(adaqp.CodecSpec{UniformBits: 4, TopKDensity: 0.2, DeltaKeyframeEvery: 3}))...)
+	eng, err := adaqp.New(ds, tinyOpts(adaqp.WithCodec(adaqp.CodecSpec{UniformBits: 4}))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, codec := range []string{adaqp.CodecEFQuant, adaqp.CodecTopK, adaqp.CodecDelta} {
+	for _, codec := range []string{adaqp.CodecUniform, adaqp.CodecRandom, adaqp.CodecAdaptive} {
 		a, err := eng.Run(adaqp.WithCodec(adaqp.CodecSpec{Name: codec}))
 		if err != nil {
 			t.Fatalf("%s: %v", codec, err)
@@ -176,12 +170,12 @@ func TestCompressionCodecsTrainPublicAPI(t *testing.T) {
 // public seam: a built-in codec passes, and a wrapper that corrupts
 // decoded halos without declaring loss is caught.
 func TestVerifyCodecPublicAPI(t *testing.T) {
-	f, err := adaqp.LookupCodec(adaqp.CodecTopK)
+	f, err := adaqp.LookupCodec(adaqp.CodecUniform)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if vs := adaqp.VerifyCodec(f, 3); len(vs) > 0 {
-		t.Fatalf("built-in topk codec failed conformance: %v", vs)
+		t.Fatalf("built-in uniform codec failed conformance: %v", vs)
 	}
 	errFactory := func(*adaqp.CodecEnv) (adaqp.MessageCodec, error) {
 		return nil, errors.New("deliberately unconstructible")
@@ -397,8 +391,6 @@ func TestShardedTransportPublicAPI(t *testing.T) {
 		"spec-workers":      adaqp.WithTransport(adaqp.TransportSpec{Workers: -1}),
 		"spec-staleness":    adaqp.WithTransport(adaqp.TransportSpec{Staleness: -1}),
 		"spec-bits":         adaqp.WithCodec(adaqp.CodecSpec{UniformBits: 3}),
-		"spec-density":      adaqp.WithCodec(adaqp.CodecSpec{TopKDensity: 1.5}),
-		"spec-keyframe":     adaqp.WithCodec(adaqp.CodecSpec{DeltaKeyframeEvery: -2}),
 		"spec-sancus-drift": adaqp.WithCodec(adaqp.CodecSpec{SancusMaxStale: 3}),
 	} {
 		if _, err := adaqp.New(ds, opt); err == nil {

@@ -43,11 +43,9 @@ type JobSpec struct {
 	Lambda    *float64 `json:"lambda,omitempty"`
 	EvalEvery *int     `json:"eval_every,omitempty"`
 
-	GroupSize      int     `json:"group_size,omitempty"`
-	ReassignPeriod int     `json:"reassign_period,omitempty"`
-	UniformBits    int     `json:"bits,omitempty"`
-	TopKDensity    float64 `json:"density,omitempty"`
-	DeltaKeyframe  int     `json:"keyframe,omitempty"`
+	GroupSize      int `json:"group_size,omitempty"`
+	ReassignPeriod int `json:"reassign_period,omitempty"`
+	UniformBits    int `json:"bits,omitempty"`
 
 	Seed uint64 `json:"seed,omitempty"`
 
@@ -141,13 +139,8 @@ func (j JobSpec) Options() ([]Option, error) {
 	if j.ReassignPeriod != 0 {
 		opts = append(opts, WithReassignPeriod(j.ReassignPeriod))
 	}
-	if j.Codec != "" || j.UniformBits != 0 || j.TopKDensity != 0 || j.DeltaKeyframe != 0 {
-		opts = append(opts, WithCodec(CodecSpec{
-			Name:               j.Codec,
-			UniformBits:        j.UniformBits,
-			TopKDensity:        j.TopKDensity,
-			DeltaKeyframeEvery: j.DeltaKeyframe,
-		}))
+	if j.Codec != "" || j.UniformBits != 0 {
+		opts = append(opts, WithCodec(CodecSpec{Name: j.Codec, UniformBits: j.UniformBits}))
 	}
 	if j.Seed != 0 {
 		opts = append(opts, WithSeed(j.Seed))

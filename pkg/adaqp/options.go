@@ -148,15 +148,9 @@ type CodecSpec struct {
 	// Name overrides the message codec (any name in Codecs()); empty
 	// keeps the current selection (by default, derived from the method).
 	Name string
-	// UniformBits is the width the uniform and ef-quant codecs quantize
-	// at: 2, 4, 8, or 32 for the full-precision passthrough (default 2).
+	// UniformBits is the width the uniform codec quantizes at: 2, 4, 8,
+	// or 32 for the full-precision passthrough (default 2).
 	UniformBits int
-	// TopKDensity is the fraction of each row's entries the topk codec
-	// keeps, in (0, 1] (default 0.1).
-	TopKDensity float64
-	// DeltaKeyframeEvery is how often (in epochs) the delta codec ships a
-	// full-precision keyframe instead of a quantized residual (default 10).
-	DeltaKeyframeEvery int
 	// SancusDrift and SancusMaxStale are SANCUS's staleness controls:
 	// re-broadcast when relative drift exceeds SancusDrift (default 0.05),
 	// or at the latest every SancusMaxStale epochs (default 8). Set both
@@ -178,18 +172,6 @@ func WithCodec(spec CodecSpec) Option {
 				return err
 			}
 			s.cfg.UniformBits = b
-		}
-		if spec.TopKDensity != 0 {
-			if !(spec.TopKDensity > 0 && spec.TopKDensity <= 1) { // written to also reject NaN
-				return fmt.Errorf("adaqp: top-k density must be in (0,1], got %v", spec.TopKDensity)
-			}
-			s.cfg.TopKDensity = spec.TopKDensity
-		}
-		if spec.DeltaKeyframeEvery != 0 {
-			if spec.DeltaKeyframeEvery < 1 {
-				return fmt.Errorf("adaqp: delta keyframe period must be >= 1, got %d", spec.DeltaKeyframeEvery)
-			}
-			s.cfg.DeltaKeyframeEvery = spec.DeltaKeyframeEvery
 		}
 		if spec.SancusDrift != 0 || spec.SancusMaxStale != 0 {
 			if spec.SancusDrift <= 0 || spec.SancusMaxStale < 1 {

@@ -266,12 +266,11 @@ func TestJobSpecOptionsMatchExplicit(t *testing.T) {
 	dropout, lambda, evalEvery := 0.0, 0.25, 0
 	spec := JobSpec{
 		Dataset: "tiny", Scale: 0.5,
-		Model: "sage", Method: "uniform", Codec: CodecEFQuant,
+		Model: "sage", Method: "uniform", Codec: CodecUniform,
 		Transport: TransportShardedAsync, Workers: 2, Staleness: 3, Overlap: true,
 		Parts: 3, Epochs: 9, Layers: 2, Hidden: 24, LR: 0.02,
 		Dropout: &dropout, Lambda: &lambda, EvalEvery: &evalEvery,
-		GroupSize: 50, ReassignPeriod: 7, UniformBits: 4,
-		TopKDensity: 0.2, DeltaKeyframe: 5, Seed: 11,
+		GroupSize: 50, ReassignPeriod: 7, UniformBits: 4, Seed: 11,
 	}
 	opts, err := spec.Options()
 	if err != nil {
@@ -285,7 +284,7 @@ func TestJobSpecOptionsMatchExplicit(t *testing.T) {
 	explicit := defaultSettings()
 	if err := explicit.apply([]Option{
 		WithModel(GraphSAGE), WithMethod(AdaQPUniform),
-		WithCodec(CodecSpec{Name: CodecEFQuant, UniformBits: 4, TopKDensity: 0.2, DeltaKeyframeEvery: 5}),
+		WithCodec(CodecSpec{Name: CodecUniform, UniformBits: 4}),
 		WithTransport(TransportSpec{Name: TransportShardedAsync, Workers: 2, Staleness: 3, Overlap: true}),
 		WithParts(3), WithEpochs(9), WithLayers(2), WithHidden(24), WithLR(0.02),
 		WithDropout(0), WithLambda(0.25), WithEvalEvery(0),
