@@ -46,7 +46,7 @@ func AnalyzeOverlap(dep *Deployment, cfg Config, b quant.BitWidth, model *timing
 	ownComm := make([]timing.Seconds, parts)
 	for l := 0; l < cfg.Layers; l++ {
 		for _, dir := range directions {
-			if dir == backward && l == 0 {
+			if l < dir.firstLayer() {
 				continue
 			}
 			bytes := make([][]int, parts)

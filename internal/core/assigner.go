@@ -28,12 +28,12 @@ type assignState struct {
 	// β (Theorem 3) for each of this device's halo slots. Static.
 	alphaSq []float64
 
-	// range2[dir][l][peer][j] is the traced (max−min)² of the j-th message
+	// ranges[dir][l][peer][j] is the traced max−min of the j-th message
 	// sent to peer at layer l (wire order dir.sent), refreshed on tracing
-	// epochs.
-	range2 [2][][][]float64
+	// epochs. The master squares it; nil below dir.firstLayer().
+	ranges [2][][][]float32
 
-	// widths[dir][l] is the current width table.
+	// widths[dir][l] is the current width table; nil below dir.firstLayer().
 	widths [2][]*widthTable
 }
 
@@ -53,11 +53,11 @@ func newAssignState(cfg *Config, lg *partition.LocalGraph, inDim int) *assignSta
 		}
 	}
 	for _, dir := range directions {
-		st.range2[dir] = make([][][]float64, cfg.Layers)
-		for l := range st.range2[dir] {
-			st.range2[dir][l] = make([][]float64, lg.Parts)
+		st.ranges[dir] = make([][][]float32, cfg.Layers)
+		for l := dir.firstLayer(); l < cfg.Layers; l++ {
+			st.ranges[dir][l] = make([][]float32, lg.Parts)
 			for p, rows := range dir.sent(lg) {
-				st.range2[dir][l][p] = make([]float64, len(rows))
+				st.ranges[dir][l][p] = make([]float32, len(rows))
 			}
 		}
 	}
@@ -65,13 +65,12 @@ func newAssignState(cfg *Config, lg *partition.LocalGraph, inDim int) *assignSta
 	return st
 }
 
-// trace records (max−min)² of each row this device sends in direction dir at
+// trace records max−min of each row this device sends in direction dir at
 // layer l, from the exchange's own scan of those rows (env.ranges).
 func (st *assignState) trace(env *ExchangeEnv, dir direction, l int, ranges []quant.RowRange) {
-	for p, out := range st.range2[dir][l] {
+	for p, out := range st.ranges[dir][l] {
 		for j, r := range env.wireRows(dir, p) {
-			d := float64(ranges[r].Max - ranges[r].Min)
-			out[j] = d * d
+			out[j] = ranges[r].Max - ranges[r].Min
 		}
 	}
 }
@@ -82,13 +81,13 @@ type traceMsg struct {
 	Rank int
 	// RecvAlpha[src][j] = Σα² for halo slots RecvFrom[src][j].
 	RecvAlpha [][]float64
-	// Range2[dir][l][peer][j]: traced range², assignState's layout.
-	Range2 [2][][][]float64
+	// Range[dir][l][peer][j]: traced max−min, assignState's layout.
+	Range [2][][][]float32
 }
 
 type widthMsg struct {
 	// Send[dir][l][dst][j] and Recv[dir][l][src][j]: one device's width
-	// tables.
+	// tables, nil below dir.firstLayer().
 	Send, Recv [2][][][]quant.BitWidth
 }
 
@@ -99,15 +98,7 @@ type widthMsg struct {
 // exactly the paper's "blocks the current training worker".
 func runAssignment(dev Transport, cfg *Config, st *assignState) error {
 	n := dev.Size()
-	report := traceMsg{Rank: dev.Rank(), Range2: st.range2}
-	report.RecvAlpha = make([][]float64, n)
-	for p := 0; p < n; p++ {
-		as := make([]float64, len(st.lg.RecvFrom[p]))
-		for j, slot := range st.lg.RecvFrom[p] {
-			as[j] = st.alphaSq[slot]
-		}
-		report.RecvAlpha[p] = as
-	}
+	report := st.report(dev.Rank())
 	gathered := dev.GatherBytes(0, encodeTrace(&report))
 
 	var scattered [][]byte
@@ -133,16 +124,35 @@ func runAssignment(dev Transport, cfg *Config, st *assignState) error {
 		return fmt.Errorf("core: rank %d decoding widths: %w", dev.Rank(), err)
 	}
 	for _, dir := range directions {
-		for l := range st.widths[dir] {
+		if len(wm.Send[dir]) != st.layers || len(wm.Recv[dir]) != st.layers {
+			return fmt.Errorf("core: rank %d got width tables for %d/%d layers, want %d",
+				dev.Rank(), len(wm.Send[dir]), len(wm.Recv[dir]), st.layers)
+		}
+		for l := dir.firstLayer(); l < st.layers; l++ {
 			st.widths[dir][l] = &widthTable{send: wm.Send[dir][l], recv: wm.Recv[dir][l]}
 		}
 	}
 	return nil
 }
 
+// report is the trace device rank sends the master: its traced ranges and
+// the Σα² of every halo slot in wire order.
+func (st *assignState) report(rank int) traceMsg {
+	m := traceMsg{Rank: rank, Range: st.ranges, RecvAlpha: make([][]float64, st.lg.Parts)}
+	for p, slots := range st.lg.RecvFrom {
+		as := make([]float64, len(slots))
+		for j, slot := range slots {
+			as[j] = st.alphaSq[slot]
+		}
+		m.RecvAlpha[p] = as
+	}
+	return m
+}
+
 // solveAllProblems builds and solves one Problem per (layer, direction) on
 // the master, in parallel goroutines (the paper's thread pool, step 3),
-// and packages per-device width tables. Returns the simulated solve cost.
+// and packages per-device width tables. Returns the simulated solve cost:
+// the slowest problem's, since the problems run side by side.
 func solveAllProblems(dev Transport, cfg *Config, st *assignState, reports []*traceMsg) ([]*widthMsg, timing.Seconds) {
 	n := len(reports)
 	model := dev.Model()
@@ -168,17 +178,10 @@ func solveAllProblems(dev Transport, cfg *Config, st *assignState, reports []*tr
 		msgs := problemMessages(reports, layer, dir, st.dims[layer])
 		prob := bitassign.NewProblem(msgs, cfg.GroupSize, theta, gamma, cfg.Lambda)
 		widths := prob.Solve()
-		// Simulated solver cost: greedy move loop is O(groups² · pairs)
-		// objective evaluations in the worst case; charge a per-evaluation
-		// constant calibrated to the paper's ~5% wall-clock overhead.
-		cost := timing.Seconds(1e-3 + 5e-8*float64(len(prob.Groups)*len(prob.Groups)))
-		results <- solved{layer: layer, dir: dir, widths: prob.ExpandToSlots(widths), cost: cost}
+		results <- solved{layer: layer, dir: dir, widths: prob.ExpandToSlots(widths), cost: solveCost(len(prob.Groups))}
 	}
-	for l := 0; l < st.layers; l++ {
-		for _, dir := range directions {
-			if dir == backward && l == 0 {
-				continue // layer 0 has no backward exchange
-			}
+	for _, dir := range directions {
+		for l := dir.firstLayer(); l < st.layers; l++ {
 			wg.Add(1)
 			go launch(l, dir)
 		}
@@ -190,43 +193,49 @@ func solveAllProblems(dev Transport, cfg *Config, st *assignState, reports []*tr
 	for r := range out {
 		out[r] = &widthMsg{}
 		for _, dir := range directions {
-			out[r].Send[dir], out[r].Recv[dir] = emptyWidthGrid(st.layers, n), emptyWidthGrid(st.layers, n)
+			out[r].Send[dir], out[r].Recv[dir] = emptyWidthGrid(dir, st.layers, n), emptyWidthGrid(dir, st.layers, n)
 		}
 	}
-	var totalCost timing.Seconds
+	var slowest timing.Seconds
 	for s := range results {
-		totalCost += s.cost
+		slowest = max(slowest, s.cost)
 		for pair, ws := range s.widths {
 			src, dst := pair/n, pair%n
 			out[src].Send[s.dir][s.layer][dst] = ws
 			out[dst].Recv[s.dir][s.layer][src] = ws
 		}
 	}
-	// Fill the tables the solver did not cover (empty pairs, layer 0
-	// backward) with sizes from the reports so width tables always match
-	// wire sizes.
+	// Fill the tables the solver did not cover (pairs with no messages)
+	// with sizes from the reports so width tables always match wire sizes.
 	for r := 0; r < n; r++ {
 		for _, dir := range directions {
-			for l := 0; l < st.layers; l++ {
+			for l := dir.firstLayer(); l < st.layers; l++ {
 				for d := 0; d < n; d++ {
-					fixWidths(&out[r].Send[dir][l][d], len(reports[r].Range2[dir][l][d]))
-					fixWidths(&out[r].Recv[dir][l][d], len(reports[d].Range2[dir][l][r]))
+					fixWidths(&out[r].Send[dir][l][d], len(reports[r].Range[dir][l][d]))
+					fixWidths(&out[r].Recv[dir][l][d], len(reports[d].Range[dir][l][r]))
 				}
 			}
 		}
 	}
-	return out, totalCost
+	return out, slowest
+}
+
+// solveCost is the simulated host time of solving one problem of the given
+// group count. The greedy move loop is O(groups²) objective evaluations in
+// the worst case; the constants are a modelling choice, not a measurement.
+func solveCost(groups int) timing.Seconds {
+	return timing.Seconds(1e-3 + 5e-8*float64(groups*groups))
 }
 
 // problemMessages lists one bitassign.Message per traced row of one (layer,
-// direction): pair src→dst, wire position j, β from the traced range²
+// direction): pair src→dst, wire position j, β from the squared traced range
 // (Theorem 3). The list is sized from the reports' row counts up front: it
 // runs to one entry per boundary row per peer, on every assignment epoch.
 func problemMessages(reports []*traceMsg, layer int, dir direction, dim int) []bitassign.Message {
 	n := len(reports)
 	total := 0
 	for src, rep := range reports {
-		for dst, rs := range rep.Range2[dir][layer] {
+		for dst, rs := range rep.Range[dir][layer] {
 			if dst != src {
 				total += len(rs)
 			}
@@ -234,13 +243,14 @@ func problemMessages(reports []*traceMsg, layer int, dir direction, dim int) []b
 	}
 	msgs := make([]bitassign.Message, 0, total)
 	for src := 0; src < n; src++ {
-		rs := reports[src].Range2[dir][layer]
+		rs := reports[src].Range[dir][layer]
 		for dst := 0; dst < n; dst++ {
 			if src == dst {
 				continue
 			}
-			for j, r2 := range rs[dst] {
-				beta := float64(dim) * r2 / 6
+			for j, r := range rs[dst] {
+				d := float64(r)
+				beta := float64(dim) * (d * d) / 6
 				if dir == forward {
 					// Receiver-side Σα² factor: dst's halo slots fed
 					// by src, wire position j.
@@ -258,9 +268,9 @@ func problemMessages(reports []*traceMsg, layer int, dir direction, dim int) []b
 	return msgs
 }
 
-func emptyWidthGrid(layers, n int) [][][]quant.BitWidth {
+func emptyWidthGrid(dir direction, layers, n int) [][][]quant.BitWidth {
 	g := make([][][]quant.BitWidth, layers)
-	for l := range g {
+	for l := dir.firstLayer(); l < layers; l++ {
 		g[l] = make([][]quant.BitWidth, n)
 	}
 	return g
@@ -299,7 +309,8 @@ func pairDeterministicWidths(seed uint64, period, layer int, dir direction, src,
 // scheme of Table 6, consistently on both endpoints of every pair.
 func (st *assignState) installRandomWidths(seed uint64, periodIdx, parts, rank int) {
 	for _, dir := range directions {
-		for l, wt := range st.widths[dir] {
+		for l := dir.firstLayer(); l < st.layers; l++ {
+			wt := st.widths[dir][l]
 			for d := 0; d < parts; d++ {
 				if d == rank {
 					continue
@@ -317,7 +328,7 @@ func (st *assignState) installRandomWidths(seed uint64, periodIdx, parts, rank i
 func (st *assignState) installUniformWidths(b quant.BitWidth) {
 	for _, dir := range directions {
 		st.widths[dir] = make([]*widthTable, st.layers)
-		for l := range st.widths[dir] {
+		for l := dir.firstLayer(); l < st.layers; l++ {
 			st.widths[dir][l] = newWidthTable(st.lg, dir, b)
 		}
 	}

@@ -3,12 +3,14 @@ package core
 import (
 	"encoding/hex"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/partition"
 	"repro/internal/quant"
 	"repro/internal/synthetic"
 	"repro/internal/tensor"
+	"repro/internal/timing"
 )
 
 func deployTiny(t *testing.T, parts int) *Deployment {
@@ -19,6 +21,24 @@ func deployTiny(t *testing.T, parts int) *Deployment {
 
 func TestWidthTableShapes(t *testing.T) {
 	dep := deployTiny(t, 3)
+	cfg := DefaultConfig()
+	cfg.Hidden = 16
+	// An assigner's tables and traces exist for exactly the (layer,
+	// direction) pairs AnalyzeOverlap charges an exchange for: from
+	// firstLayer on, so never layer 0 backward.
+	st := newAssignState(&cfg, dep.Locals[0], dep.Dataset.Features.Cols)
+	for _, dir := range directions {
+		for l := 0; l < cfg.Layers; l++ {
+			exists := l >= dir.firstLayer()
+			if (st.widths[dir][l] != nil) != exists || (st.ranges[dir][l] != nil) != exists {
+				t.Fatalf("direction %d layer %d: width table %v, trace %v, want both present = %v",
+					dir, l, st.widths[dir][l] != nil, st.ranges[dir][l] != nil, exists)
+			}
+		}
+	}
+	if backward.firstLayer() != 1 || forward.firstLayer() != 0 {
+		t.Fatal("layer 0 must exchange forward only")
+	}
 	for _, lg := range dep.Locals {
 		fwd := newWidthTable(lg, forward, quant.B4)
 		bwd := newWidthTable(lg, backward, quant.B4)
@@ -75,9 +95,8 @@ func TestTraceForwardRanges(t *testing.T) {
 	for q, rows := range lg.SendTo {
 		for j, r := range rows {
 			mn, mx := tensor.MinMax(x.Row(int(r)))
-			want := float64(mx-mn) * float64(mx-mn)
-			if math.Abs(st.range2[forward][0][q][j]-want) > 1e-9 {
-				t.Fatalf("traced range² %v, want %v", st.range2[forward][0][q][j], want)
+			if got := st.ranges[forward][0][q][j]; got != mx-mn {
+				t.Fatalf("traced range %v, want %v", got, mx-mn)
 			}
 		}
 	}
@@ -98,8 +117,8 @@ func TestTraceBackwardRanges(t *testing.T) {
 	for p, slots := range lg.RecvFrom {
 		for j, s := range slots {
 			mn, mx := tensor.MinMax(dxFull.Row(int(s) + lg.NumLocal))
-			if want := float64(mx-mn) * float64(mx-mn); st.range2[backward][1][p][j] != want {
-				t.Fatalf("peer %d slot %d: traced range² %v, want %v", p, j, st.range2[backward][1][p][j], want)
+			if got := st.ranges[backward][1][p][j]; got != mx-mn {
+				t.Fatalf("peer %d slot %d: traced range %v, want %v", p, j, got, mx-mn)
 			}
 		}
 	}
@@ -157,66 +176,98 @@ func TestInstallUniformWidths(t *testing.T) {
 }
 
 func TestAssignWireRoundTrip(t *testing.T) {
+	// Two layers: forward cubes carry layers 0 and 1, backward cubes layer 1
+	// only (index 0 is nil in memory and absent on the wire).
 	in := traceMsg{
 		Rank:      2,
 		RecvAlpha: [][]float64{{1, 2}, nil},
-		Range2: [2][][][]float64{
-			forward:  {{{0.5}, {1.5, 2.5}}},
-			backward: {{nil, {3}}},
+		Range: [2][][][]float32{
+			forward:  {{{0.5}, {1.5, 2.5}}, {{0.25}, nil}},
+			backward: {nil, {nil, {3}}},
 		},
 	}
-	// The sideband bytes are a wire format: these are the encoder's output for
-	// the same two messages from before the structs were keyed by direction
-	// (forward cube, then backward; per direction Send, then Recv).
+	win := widthMsg{
+		Send: [2][][][]quant.BitWidth{
+			forward:  {{{quant.B2, quant.B8}, nil}, {{quant.B32, quant.B4, quant.B2, quant.B8, quant.B4}, nil}},
+			backward: {nil, {{quant.B4}, nil}},
+		},
+		Recv: [2][][][]quant.BitWidth{
+			forward:  {{nil, {quant.B4}}, {nil, nil}},
+			backward: {nil, {nil, {quant.B8}}},
+		},
+	}
+	// The sideband bytes are a wire format, pinned as hex. They were re-pinned
+	// on purpose when ranges went from float64 squares to float32 max−min,
+	// widths from one byte to a 2-bit code, and the layer-0 backward cubes
+	// left the wire. Byte by byte: the trace is rank 2, RecvAlpha
+	// [[1 2] []], the forward range cube [[[0.5] [1.5 2.5]] [[0.25] []]] and
+	// the backward one [[[] [3]]] (f32 0.5 = 0000003f); the widths are the
+	// forward Send cube with codes B2,B8 = 0b1000 = 08 and
+	// B32,B4,B2,B8 | B4 = 0b10000111 | 0b01 = 87 01, forward Recv (B4 = 01),
+	// backward Send (01) and backward Recv (B8 = 02).
 	const (
-		wantTrace = "020000000200000002000000000000000000f03f0000000000000040000000000100000002000000" +
-			"01000000000000000000e03f02000000000000000000f83f00000000000004400100000002000000" +
-			"00000000010000000000000000000840"
-		wantWidths = "0100000002000000020000000208000000000100000002000000000000000100000004" +
-			"0000000001000000010000000100000008"
+		wantTrace = "02000000" + "02000000" + "02000000000000000000f03f0000000000000040" + "00000000" +
+			"02000000" + "02000000" + "010000000000003f" + "020000000000c03f00002040" +
+			"02000000" + "010000000000803e" + "00000000" +
+			"01000000" + "02000000" + "00000000" + "0100000000004040"
+		wantWidths = "02000000" + "02000000" + "0200000008" + "00000000" + "02000000" + "050000008701" + "00000000" +
+			"02000000" + "02000000" + "00000000" + "0100000001" + "02000000" + "00000000" + "00000000" +
+			"01000000" + "02000000" + "0100000001" + "00000000" +
+			"01000000" + "02000000" + "00000000" + "0100000002"
 	)
-	if got := hex.EncodeToString(encodeTrace(&in)); got != wantTrace {
+	enc := encodeTrace(&in)
+	if got := hex.EncodeToString(enc); got != wantTrace {
 		t.Fatalf("encodeTrace bytes changed:\n got  %s\n want %s", got, wantTrace)
 	}
 	var out traceMsg
-	if err := decodeTrace(encodeTrace(&in), &out); err != nil {
+	if err := decodeTrace(enc, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Rank != 2 || out.Range2[forward][0][1][1] != 2.5 || out.Range2[backward][0][1][0] != 3 {
-		t.Fatalf("trace round trip mangled: %+v", out)
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("trace round trip mangled:\n got  %+v\n want %+v", out, in)
 	}
 
-	win := widthMsg{
-		Send: [2][][][]quant.BitWidth{forward: {{{quant.B2, quant.B8}, nil}}, backward: {}},
-		Recv: [2][][][]quant.BitWidth{forward: {{nil, {quant.B4}}}, backward: {{{quant.B8}}}},
-	}
-	enc := encodeWidths(&win)
-	if got := hex.EncodeToString(enc); got != wantWidths {
+	wenc := encodeWidths(&win)
+	if got := hex.EncodeToString(wenc); got != wantWidths {
 		t.Fatalf("encodeWidths bytes changed:\n got  %s\n want %s", got, wantWidths)
 	}
 	var wout widthMsg
-	if err := decodeWidths(enc, &wout); err != nil {
+	if err := decodeWidths(wenc, &wout); err != nil {
 		t.Fatal(err)
 	}
-	if wout.Send[forward][0][0][0] != quant.B2 || wout.Send[forward][0][0][1] != quant.B8 ||
-		wout.Recv[forward][0][1][0] != quant.B4 || wout.Recv[backward][0][0][0] != quant.B8 {
-		t.Fatalf("width round trip mangled: %+v", wout)
+	if !reflect.DeepEqual(wout, win) {
+		t.Fatalf("width round trip mangled:\n got  %+v\n want %+v", wout, win)
+	}
+
+	// Every Valid width has a code, and every code decodes to a Valid width.
+	for _, w := range []quant.BitWidth{quant.B2, quant.B4, quant.B8, quant.B32} {
+		if c := widthCode(w); codeWidths[c] != w {
+			t.Errorf("width %d encodes as %d, which decodes as %d", w, c, codeWidths[c])
+		}
 	}
 
 	// Truncated payloads must error, never panic or over-allocate: the
-	// length prefixes are validated against the remaining bytes.
-	tr := encodeTrace(&in)
-	for _, cut := range []int{0, 1, 5, len(tr) / 2, len(tr) - 1} {
+	// length prefixes are validated against the remaining bytes. So must a
+	// trailing byte, and a set padding bit after the last 2-bit code.
+	for _, cut := range []int{0, 1, 5, len(enc) / 2, len(enc) - 1} {
 		var m traceMsg
-		if err := decodeTrace(tr[:cut], &m); err == nil {
+		if err := decodeTrace(enc[:cut], &m); err == nil {
 			t.Errorf("trace truncated at %d decoded without error", cut)
 		}
 	}
-	for _, cut := range []int{1, len(enc) / 2, len(enc) - 1} {
+	for _, cut := range []int{1, len(wenc) / 2, len(wenc) - 1} {
 		var m widthMsg
-		if err := decodeWidths(enc[:cut], &m); err == nil {
+		if err := decodeWidths(wenc[:cut], &m); err == nil {
 			t.Errorf("widths truncated at %d decoded without error", cut)
 		}
+	}
+	if err := decodeTrace(append(enc[:len(enc):len(enc)], 0), &traceMsg{}); err == nil {
+		t.Error("trace with a trailing byte decoded without error")
+	}
+	padded := append([]byte(nil), wenc...)
+	padded[12] |= 0x10 // the byte holding B2,B8: slots 2 and 3 are padding
+	if err := decodeWidths(padded, &widthMsg{}); err == nil {
+		t.Error("widths with a set padding bit decoded without error")
 	}
 }
 
@@ -231,18 +282,20 @@ func TestAssignmentAllocationBound(t *testing.T) {
 	reports := make([]*traceMsg, 3)
 	for r, lg := range dep.Locals {
 		st := newAssignState(&cfg, lg, dep.Dataset.Features.Cols)
-		m := &traceMsg{Rank: r, Range2: st.range2, RecvAlpha: make([][]float64, 3)}
+		m := &traceMsg{Rank: r, Range: st.ranges, RecvAlpha: make([][]float64, 3)}
 		for p := range m.RecvAlpha {
 			m.RecvAlpha[p] = make([]float64, len(lg.RecvFrom[p]))
 		}
 		reports[r] = m
 	}
 	widths := &widthMsg{}
-	for _, cube := range []*[][][]quant.BitWidth{&widths.Send[forward], &widths.Recv[forward], &widths.Send[backward], &widths.Recv[backward]} {
-		*cube = emptyWidthGrid(cfg.Layers, 3)
-		for l := range *cube {
-			for d := range (*cube)[l] {
-				(*cube)[l][d] = quant.UniformWidths(len(dep.Locals[0].SendTo[d]), quant.B4)
+	for _, dir := range directions {
+		for _, cube := range []*[][][]quant.BitWidth{&widths.Send[dir], &widths.Recv[dir]} {
+			*cube = emptyWidthGrid(dir, cfg.Layers, 3)
+			for l := dir.firstLayer(); l < cfg.Layers; l++ {
+				for d := range (*cube)[l] {
+					(*cube)[l][d] = quant.UniformWidths(len(dep.Locals[0].SendTo[d]), quant.B4)
+				}
 			}
 		}
 	}
@@ -302,5 +355,100 @@ func TestAdaQPWidthsAdaptAfterAssignment(t *testing.T) {
 	}
 	if q == 0 {
 		t.Fatal("no traffic recorded")
+	}
+}
+
+// TestAssignChargeIsSlowestSolve: the master solves its problems side by
+// side, so an assignment round charges rank 0 the slowest problem's solve,
+// not the sum. Each (layer, direction) keeps a different share of its traced
+// rows, so the five problems differ in group count. On links with no
+// per-byte cost the smaller payloads move no clock, so the frozen round
+// (which charges the sum) must differ by exactly sum − max: on rank 0 as
+// Assign, on every other rank as the Idle spent waiting for the scatter.
+func TestAssignChargeIsSlowestSolve(t *testing.T) {
+	dep := deployTiny(t, 3)
+	cfg := DefaultConfig()
+	cfg.Hidden = 16
+	cfg.GroupSize = 1 // one group per message
+	model := *timing.Default()
+	model.Bandwidth = math.Inf(1)
+
+	newStates := func() []*assignState {
+		states := make([]*assignState, len(dep.Locals))
+		for r, lg := range dep.Locals {
+			st := newAssignState(&cfg, lg, dep.Dataset.Features.Cols)
+			rng := tensor.NewRNG(uint64(r + 1))
+			for _, dir := range directions {
+				for l := dir.firstLayer(); l < cfg.Layers; l++ {
+					keep := 2*l + int(dir) + 1 // keep 1/keep of the rows
+					for p, rs := range st.ranges[dir][l] {
+						rs = rs[:(len(rs)+keep-1)/keep]
+						for j := range rs {
+							rs[j] = rng.Float32()
+						}
+						st.ranges[dir][l][p] = rs
+					}
+				}
+			}
+			states[r] = st
+		}
+		return states
+	}
+	var costs []timing.Seconds
+	var slowest, sum timing.Seconds
+	states := newStates()
+	for _, dir := range directions {
+		for l := dir.firstLayer(); l < cfg.Layers; l++ {
+			groups := 0
+			for src, st := range states {
+				for dst, rs := range st.ranges[dir][l] {
+					if dst != src {
+						groups += len(rs)
+					}
+				}
+			}
+			c := solveCost(groups)
+			costs = append(costs, c)
+			slowest = max(slowest, c)
+			sum += c
+		}
+	}
+	if len(costs) != 2*cfg.Layers-1 || costs[0] == costs[1] || costs[1] == costs[2] {
+		t.Fatalf("per-problem costs %v: want 5 problems of unequal size", costs)
+	}
+
+	inprocess, err := LookupTransport(TransportInprocess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(round func(Transport, *assignState) error) []*timing.Clock {
+		states := newStates()
+		rt := inprocess(TransportSpec{Parts: len(states), Model: &model})
+		if err := rt.Run(1, func(dev Transport) error { return round(dev, states[dev.Rank()]) }); err != nil {
+			t.Fatal(err)
+		}
+		return rt.Clocks()
+	}
+	got := run(func(dev Transport, st *assignState) error { return runAssignment(dev, &cfg, st) })
+	ref := run(func(dev Transport, st *assignState) error {
+		_, err := refRunAssignment(dev, &cfg, st)
+		return err
+	})
+
+	if a := got[0].Spent(timing.Assign); a != slowest {
+		t.Fatalf("rank 0 Assign %v, want the slowest solve %v (costs %v)", a, slowest, costs)
+	}
+	const eps = 1e-12
+	if a := ref[0].Spent(timing.Assign); math.Abs(float64(a-sum)) > eps {
+		t.Fatalf("reference rank 0 Assign %v, want the sum %v", a, sum)
+	}
+	for r := 1; r < len(got); r++ {
+		shrink := ref[r].Spent(timing.Idle) - got[r].Spent(timing.Idle)
+		if math.Abs(float64(shrink-(sum-slowest))) > eps {
+			t.Errorf("rank %d: Idle shrank by %v, want %v", r, shrink, sum-slowest)
+		}
+		if got[r].Spent(timing.Assign) != 0 {
+			t.Errorf("rank %d charged Assign %v: only the master solves", r, got[r].Spent(timing.Assign))
+		}
 	}
 }

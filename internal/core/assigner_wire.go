@@ -16,27 +16,49 @@ import (
 //
 //	f64 slice:   [u32 len] len × float64
 //	f64 grid:    [u32 len] len × f64 slice
-//	f64 cube:    [u32 len] len × f64 grid
-//	width slice: [u32 len] len × 1 byte
-//	traceMsg:    [u32 rank] RecvAlpha grid · forward, backward Range2 cubes
+//	f32 slice:   [u32 len] len × float32
+//	f32 cube:    [u32 len] len × ([u32 len] len × f32 slice)
+//	width slice: [u32 len] ⌈len/4⌉ bytes of 2-bit codes, slot j in bits
+//	             2(j mod 4) of byte j/4; codes 0–3 are B2, B4, B8, B32 and
+//	             the padding bits of the last byte are zero
+//	width cube:  [u32 len] len × ([u32 len] len × width slice)
+//	traceMsg:    [u32 rank] RecvAlpha f64 grid · forward, backward range
+//	             f32 cubes (max−min per row; the master squares it)
 //	widthMsg:    forward Send · Recv, backward Send · Recv width cubes
 //
-// Decoders validate every length against the remaining bytes, so a
-// corrupted stream errors instead of panicking or over-allocating.
-// Encoders size their buffer from the message first (the *Size functions
-// mirror the append* ones), so a payload is one allocation, not a slice
-// grown a doubling at a time on every assignment epoch.
+// Every cube of a direction starts at its first exchanged layer: the
+// backward cubes carry layers 1…L−1, since layer 0 has no backward exchange
+// (direction.firstLayer). Decoders validate every length against the
+// remaining bytes and reject trailing bytes and non-zero padding, so a
+// corrupted stream errors instead of panicking or over-allocating, and a
+// payload that decodes re-encodes to itself. Encoders size their buffer from
+// the message first (the *Size functions mirror the append* ones), so a
+// payload is one allocation, not a slice grown a doubling at a time on every
+// assignment epoch.
+
+// codeWidths maps a 2-bit width code to its width: every code is Valid.
+var codeWidths = [4]quant.BitWidth{quant.B2, quant.B4, quant.B8, quant.B32}
+
+func widthCode(w quant.BitWidth) byte {
+	for c, cw := range codeWidths {
+		if cw == w {
+			return byte(c)
+		}
+	}
+	panic(fmt.Sprintf("core: width %d has no wire code", w))
+}
+
+// packedWidthBytes is the size of n 2-bit width codes.
+func packedWidthBytes(n int) int { return (n + 3) / 4 }
+
+// exchanged returns the layers of a per-layer cube that direction dir ships:
+// those from dir.firstLayer() on.
+func exchanged[T any](c []T, dir direction) []T {
+	return c[min(len(c), dir.firstLayer()):]
+}
 
 func appendU32(b []byte, v uint32) []byte {
 	return binary.LittleEndian.AppendUint32(b, v)
-}
-
-func appendF64Slice(b []byte, xs []float64) []byte {
-	b = appendU32(b, uint32(len(xs)))
-	for _, x := range xs {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
-	}
-	return b
 }
 
 func f64GridSize(g [][]float64) int {
@@ -47,10 +69,13 @@ func f64GridSize(g [][]float64) int {
 	return size
 }
 
-func f64CubeSize(c [][][]float64) int {
+func f32CubeSize(c [][][]float32) int {
 	size := 4
 	for _, g := range c {
-		size += f64GridSize(g)
+		size += 4
+		for _, s := range g {
+			size += 4 + 4*len(s)
+		}
 	}
 	return size
 }
@@ -60,7 +85,7 @@ func widthCubeSize(c [][][]quant.BitWidth) int {
 	for _, g := range c {
 		size += 4
 		for _, ws := range g {
-			size += 4 + len(ws)
+			size += 4 + packedWidthBytes(len(ws))
 		}
 	}
 	return size
@@ -69,23 +94,36 @@ func widthCubeSize(c [][][]quant.BitWidth) int {
 func appendF64Grid(b []byte, g [][]float64) []byte {
 	b = appendU32(b, uint32(len(g)))
 	for _, s := range g {
-		b = appendF64Slice(b, s)
+		b = appendU32(b, uint32(len(s)))
+		for _, x := range s {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
 	}
 	return b
 }
 
-func appendF64Cube(b []byte, c [][][]float64) []byte {
+func appendF32Cube(b []byte, c [][][]float32) []byte {
 	b = appendU32(b, uint32(len(c)))
 	for _, g := range c {
-		b = appendF64Grid(b, g)
+		b = appendU32(b, uint32(len(g)))
+		for _, s := range g {
+			b = appendU32(b, uint32(len(s)))
+			for _, x := range s {
+				b = binary.LittleEndian.AppendUint32(b, math.Float32bits(x))
+			}
+		}
 	}
 	return b
 }
 
 func appendWidthSlice(b []byte, ws []quant.BitWidth) []byte {
 	b = appendU32(b, uint32(len(ws)))
-	for _, w := range ws {
-		b = append(b, byte(w))
+	for lo := 0; lo < len(ws); lo += 4 {
+		var packed byte
+		for j, w := range ws[lo:min(lo+4, len(ws))] {
+			packed |= widthCode(w) << (2 * j)
+		}
+		b = append(b, packed)
 	}
 	return b
 }
@@ -132,17 +170,12 @@ func (r *wireReader) length(elemSize int, what string) int {
 	return n
 }
 
-func (r *wireReader) f64Slice(what string) []float64 {
-	n := r.length(8, what)
-	if r.err != nil || n == 0 {
-		return nil
+// end fails the read unless every byte of the payload was consumed.
+func (r *wireReader) end() error {
+	if r.err == nil && r.off != len(r.b) {
+		r.err = fmt.Errorf("core: assignment payload has %d trailing bytes", len(r.b)-r.off)
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
-		r.off += 8
-	}
-	return out
+	return r.err
 }
 
 func (r *wireReader) f64Grid(what string) [][]float64 {
@@ -152,43 +185,84 @@ func (r *wireReader) f64Grid(what string) [][]float64 {
 	}
 	out := make([][]float64, n)
 	for i := range out {
-		out[i] = r.f64Slice(what)
+		m := r.length(8, what)
+		if r.err != nil {
+			return nil
+		}
+		if m == 0 {
+			continue
+		}
+		s := make([]float64, m)
+		for j := range s {
+			s[j] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
+			r.off += 8
+		}
+		out[i] = s
 	}
 	return out
 }
 
-func (r *wireReader) f64Cube(what string) [][][]float64 {
+// f32Cube reads a cube into layers skip… of a per-layer cube.
+func (r *wireReader) f32Cube(skip int, what string) [][][]float32 {
 	n := r.length(4, what)
 	if r.err != nil {
 		return nil
 	}
-	out := make([][][]float64, n)
-	for i := range out {
-		out[i] = r.f64Grid(what)
+	out := make([][][]float32, skip+n)
+	for i := skip; i < len(out); i++ {
+		m := r.length(4, what)
+		if r.err != nil {
+			return nil
+		}
+		g := make([][]float32, m)
+		for j := range g {
+			k := r.length(4, what)
+			if r.err != nil {
+				return nil
+			}
+			if k == 0 {
+				continue
+			}
+			s := make([]float32, k)
+			for x := range s {
+				s[x] = math.Float32frombits(binary.LittleEndian.Uint32(r.b[r.off:]))
+				r.off += 4
+			}
+			g[j] = s
+		}
+		out[i] = g
 	}
 	return out
 }
 
 func (r *wireReader) widthSlice(what string) []quant.BitWidth {
-	n := r.length(1, what)
+	n := r.length(0, what)
+	if r.err == nil && packedWidthBytes(n) > len(r.b)-r.off {
+		r.fail(what)
+	}
 	if r.err != nil || n == 0 {
 		return nil
 	}
 	out := make([]quant.BitWidth, n)
-	for i := range out {
-		out[i] = quant.BitWidth(r.b[r.off])
-		r.off++
+	for j := range out {
+		out[j] = codeWidths[r.b[r.off+j/4]>>(2*(j%4))&3]
+	}
+	r.off += packedWidthBytes(n)
+	if pad := n % 4; pad != 0 && r.b[r.off-1]>>(2*pad) != 0 {
+		r.err = fmt.Errorf("core: assignment payload has non-zero padding at %s (offset %d)", what, r.off-1)
+		return nil
 	}
 	return out
 }
 
-func (r *wireReader) widthCube(what string) [][][]quant.BitWidth {
+// widthCube reads a cube into layers skip… of a per-layer cube.
+func (r *wireReader) widthCube(skip int, what string) [][][]quant.BitWidth {
 	n := r.length(4, what)
 	if r.err != nil {
 		return nil
 	}
-	out := make([][][]quant.BitWidth, n)
-	for i := range out {
+	out := make([][][]quant.BitWidth, skip+n)
+	for i := skip; i < len(out); i++ {
 		m := r.length(4, what)
 		if r.err != nil {
 			return nil
@@ -204,13 +278,13 @@ func (r *wireReader) widthCube(what string) [][][]quant.BitWidth {
 
 func encodeTrace(m *traceMsg) []byte {
 	size := 4 + f64GridSize(m.RecvAlpha)
-	for _, cube := range m.Range2 {
-		size += f64CubeSize(cube)
+	for _, dir := range directions {
+		size += f32CubeSize(exchanged(m.Range[dir], dir))
 	}
 	b := appendU32(make([]byte, 0, size), uint32(m.Rank))
 	b = appendF64Grid(b, m.RecvAlpha)
-	for _, cube := range m.Range2 {
-		b = appendF64Cube(b, cube)
+	for _, dir := range directions {
+		b = appendF32Cube(b, exchanged(m.Range[dir], dir))
 	}
 	return b
 }
@@ -225,20 +299,20 @@ func decodeTrace(b []byte, m *traceMsg) error {
 	}
 	m.RecvAlpha = r.f64Grid("RecvAlpha")
 	for _, dir := range directions {
-		m.Range2[dir] = r.f64Cube("Range2")
+		m.Range[dir] = r.f32Cube(dir.firstLayer(), "Range")
 	}
-	return r.err
+	return r.end()
 }
 
 func encodeWidths(m *widthMsg) []byte {
 	size := 0
 	for _, dir := range directions {
-		size += widthCubeSize(m.Send[dir]) + widthCubeSize(m.Recv[dir])
+		size += widthCubeSize(exchanged(m.Send[dir], dir)) + widthCubeSize(exchanged(m.Recv[dir], dir))
 	}
 	b := make([]byte, 0, size)
 	for _, dir := range directions {
-		b = appendWidthCube(b, m.Send[dir])
-		b = appendWidthCube(b, m.Recv[dir])
+		b = appendWidthCube(b, exchanged(m.Send[dir], dir))
+		b = appendWidthCube(b, exchanged(m.Recv[dir], dir))
 	}
 	return b
 }
@@ -246,8 +320,8 @@ func encodeWidths(m *widthMsg) []byte {
 func decodeWidths(b []byte, m *widthMsg) error {
 	r := &wireReader{b: b}
 	for _, dir := range directions {
-		m.Send[dir] = r.widthCube("Send")
-		m.Recv[dir] = r.widthCube("Recv")
+		m.Send[dir] = r.widthCube(dir.firstLayer(), "Send")
+		m.Recv[dir] = r.widthCube(dir.firstLayer(), "Recv")
 	}
-	return r.err
+	return r.end()
 }

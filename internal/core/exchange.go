@@ -35,6 +35,12 @@ const (
 // directions lists both, in the order the assignment sideband ships them.
 var directions = [2]direction{forward, backward}
 
+// firstLayer is the lowest layer with an exchange in direction d. Layer 0
+// has no backward exchange: nothing upstream of the input features needs
+// their gradient. Width tables, traces and the assigner's problems exist for
+// (layer, d) with l >= d.firstLayer() and for no other pair.
+func (d direction) firstLayer() int { return int(d) }
+
 // sent returns, per peer, the wire list of what a device sends in direction
 // d: its local rows the peer needs (SendTo) forward, the halo slots the peer
 // owns (RecvFrom) backward.
