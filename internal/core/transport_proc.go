@@ -12,10 +12,11 @@ import (
 // their simulated clocks) run in the parent process, but every collective
 // payload is serialized into a length-prefixed frame and routed through a
 // fleet of worker OS processes over Unix-domain sockets before its
-// receiver may consume it. Rank r's outgoing frames enter the fleet at
-// worker r mod W, hop to the destination rank's worker, and come back to
-// the parent — so codec wire formats, not pointers, are what devices
-// exchange, and byte accounting can be checked against real framed bytes.
+// receiver may consume it. The fleet is a star: rank r's outgoing frames go
+// to worker r mod W, which sends them straight back to the parent, and
+// workers never talk to each other — so codec wire formats, not pointers,
+// are what devices exchange, and byte accounting can be checked against
+// real framed bytes.
 // Everything a device ships in one collective — its post — enters the fleet
 // as one vectored write; package wire documents the data path behind it.
 //
@@ -118,8 +119,7 @@ func (f *procFleet) start(deliver func(parcel), fail func(error)) error {
 	return nil
 }
 
-// send ships one post into the fleet as one write; a device's post enters
-// at worker src mod W.
+// send ships one post into the fleet as one write, to worker src mod W.
 func (f *procFleet) send(post []parcel) error {
 	frames := make([]wire.Frame, len(post))
 	for i, p := range post {

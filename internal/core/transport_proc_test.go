@@ -55,8 +55,10 @@ func TestProcWireByteAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Expected traffic, recomputed independently of the backend.
-	var frames, payloadBytes, sentBytes, interBytes uint64
+	// Expected traffic, recomputed independently of the backend: a frame
+	// goes to the worker of its source rank's shard and straight back.
+	var frames, payloadBytes, sentBytes uint64
+	perWorker := make([]wire.Stats, workers)
 	for r := 0; r < rounds; r++ {
 		for src := 0; src < n; src++ {
 			for dst := 0; dst < n; dst++ {
@@ -67,9 +69,8 @@ func TestProcWireByteAccounting(t *testing.T) {
 				frames++
 				payloadBytes += uint64(l)
 				sentBytes += uint64(wire.FrameSize(l))
-				if src%workers != dst%workers {
-					interBytes += uint64(wire.FrameSize(l))
-				}
+				perWorker[src%workers].Frames++
+				perWorker[src%workers].Bytes += uint64(wire.FrameSize(l))
 			}
 		}
 	}
@@ -85,10 +86,12 @@ func TestProcWireByteAccounting(t *testing.T) {
 	if stats.DeliveredBytes != stats.SentBytes {
 		t.Errorf("DeliveredBytes = %d, want SentBytes = %d", stats.DeliveredBytes, stats.SentBytes)
 	}
-	if stats.InterWorkerBytes != interBytes {
-		t.Errorf("InterWorkerBytes = %d, want %d", stats.InterWorkerBytes, interBytes)
-	}
 	checkWireConservation(t, stats, workers)
+	for i, ws := range stats.Workers {
+		if ws != perWorker[i] {
+			t.Errorf("worker %d echoed %+v, want its source shard's frames %+v", i, ws, perWorker[i])
+		}
+	}
 
 	// The backend's payload ledger must equal the frames' payload bytes:
 	// framed traffic minus framing overhead, nothing moved in memory only.
@@ -107,28 +110,23 @@ func TestProcWireByteAccounting(t *testing.T) {
 }
 
 // checkWireConservation asserts the cross-process conservation laws that
-// hold for any gracefully-completed run: every sent frame routed exactly
-// once, worker reads = parent sends + inter-worker receives, worker
-// writes = parent deliveries + inter-worker sends.
+// hold for any gracefully-completed run: every sent frame came back, and
+// the workers echoed exactly the frames and bytes the parent sent.
 func checkWireConservation(t *testing.T, stats wire.PoolStats, workers int) {
 	t.Helper()
 	if len(stats.Workers) != workers {
 		t.Fatalf("got %d worker stats reports, want %d — workers not interviewed at shutdown", len(stats.Workers), workers)
 	}
-	var routed, read, written uint64
+	var echoed wire.Stats
 	for _, ws := range stats.Workers {
-		routed += ws.FramesRouted
-		read += ws.BytesRead
-		written += ws.BytesWritten
+		echoed.Frames += ws.Frames
+		echoed.Bytes += ws.Bytes
 	}
-	if routed != stats.SentFrames {
-		t.Errorf("sum FramesRouted = %d, want SentFrames = %d", routed, stats.SentFrames)
+	if stats.DeliveredFrames != stats.SentFrames || stats.DeliveredBytes != stats.SentBytes {
+		t.Errorf("delivered %d frames / %d bytes, sent %d / %d", stats.DeliveredFrames, stats.DeliveredBytes, stats.SentFrames, stats.SentBytes)
 	}
-	if read != stats.SentBytes+stats.InterWorkerBytes {
-		t.Errorf("sum BytesRead = %d, want SentBytes+InterWorkerBytes = %d", read, stats.SentBytes+stats.InterWorkerBytes)
-	}
-	if written != stats.DeliveredBytes+stats.InterWorkerBytes {
-		t.Errorf("sum BytesWritten = %d, want DeliveredBytes+InterWorkerBytes = %d", written, stats.DeliveredBytes+stats.InterWorkerBytes)
+	if echoed.Frames != stats.SentFrames || echoed.Bytes != stats.SentBytes {
+		t.Errorf("workers echoed %d frames / %d bytes, parent sent %d / %d", echoed.Frames, echoed.Bytes, stats.SentFrames, stats.SentBytes)
 	}
 }
 
@@ -260,8 +258,8 @@ func TestProcTrainingSerializesPayloads(t *testing.T) {
 		t.Errorf("only %d payload bytes crossed the wire but the ledger claims %d moved — some payloads skipped serialization",
 			wirePayload, moved)
 	}
-	t.Logf("training moved %d payload bytes in %d frames (%d framed bytes, %d inter-worker)",
-		moved, stats.SentFrames, stats.SentBytes, stats.InterWorkerBytes)
+	t.Logf("training moved %d payload bytes in %d frames (%d framed bytes)",
+		moved, stats.SentFrames, stats.SentBytes)
 }
 
 // TestProcAbortReapsWorkers kills a run from inside a device body and

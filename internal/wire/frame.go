@@ -3,10 +3,11 @@
 // machinery that moves those frames between OS processes over Unix-domain
 // sockets. The parent process runs the simulated devices and their clocks;
 // every collective payload is serialized into a frame, shipped to the
-// worker process owning the source rank's shard, routed (possibly through
-// a second worker) and delivered back to the parent for the destination
-// rank — so codec wire formats cross a real kernel socket instead of being
-// handed over as pointers.
+// worker process owning the source rank's shard and sent straight back to
+// the parent by that worker, which delivers it to the destination rank — so
+// codec wire formats cross a real kernel socket, twice, instead of being
+// handed over as pointers. The fleet is a star: the parent is the hub, each
+// worker a spoke, and workers never talk to each other.
 //
 // Frame layout (all integers little-endian):
 //
@@ -25,13 +26,13 @@
 // Data path. Batching lives at the stream level, never in the frame format.
 // Everything one device ships in one collective — a post — leaves the
 // parent as one vectored write with the payloads in place (conn.writeFrames).
-// A worker is a router: it decodes through a frameReader, whose payloads
-// alias one reusable per-connection buffer, copies each routed frame into
-// its target connection's pending buffer and flushes the moment its input
-// holds no further complete frame — so a steady-state forward allocates
-// nothing and no frame is ever held across a blocking read. The parent's
-// reader decodes the same way and clones each payload for its consumer.
-// ReadFrame is the allocating decoder for callers that keep the payload.
+// A worker is an echo: it decodes through a frameReader, whose payloads
+// alias one reusable buffer, and writes the run of complete frames it holds
+// back out of that buffer the moment its input holds no further complete
+// frame — so a steady-state echo copies and allocates nothing and no frame
+// is ever held across a blocking read. The parent's reader decodes the same
+// way and clones each payload for its consumer. ReadFrame is the
+// allocating decoder for callers that keep the payload.
 package wire
 
 import (
@@ -59,11 +60,11 @@ const (
 	MaxPayload = 1 << 28
 )
 
-// Frame ops. OpHello identifies a freshly dialed connection (Src is the
-// dialer: a worker index, or ParentID for the parent). OpReady is a
-// worker's startup acknowledgment to the parent. OpData carries one
-// collective payload from Src to Dst. OpShutdown asks a worker to stop;
-// it answers with OpStats (its data-plane accounting) and exits.
+// Frame ops. OpHello opens the parent's connection to a worker (Src is
+// ParentID). OpReady is a worker's startup acknowledgment to the parent.
+// OpData carries one collective payload from Src to Dst. OpShutdown asks a
+// worker to stop; it answers with OpStats (its data-plane accounting) and
+// exits.
 const (
 	OpHello byte = iota + 1
 	OpReady
@@ -227,26 +228,18 @@ func ReadFrame(r io.Reader) (Frame, error) {
 }
 
 // Stats is one worker process's data-plane accounting, reported in its
-// OpStats payload at shutdown. Only OpData frames are counted, at their
-// full framed size.
+// OpStats payload at shutdown: the data frames it read from the parent and
+// echoed back, and their framed bytes.
 type Stats struct {
-	// BytesRead is the framed bytes of data frames this worker read (from
-	// the parent and from peer workers).
-	BytesRead uint64
-	// BytesWritten is the framed bytes of data frames this worker wrote
-	// (to the parent and to peer workers).
-	BytesWritten uint64
-	// FramesRouted counts the data frames this worker received from the
-	// parent as the owner of their source shard.
-	FramesRouted uint64
+	Frames uint64
+	Bytes  uint64
 }
 
-const statsLen = 24
+const statsLen = 16
 
 func appendStats(dst []byte, s Stats) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, s.BytesRead)
-	dst = binary.LittleEndian.AppendUint64(dst, s.BytesWritten)
-	return binary.LittleEndian.AppendUint64(dst, s.FramesRouted)
+	dst = binary.LittleEndian.AppendUint64(dst, s.Frames)
+	return binary.LittleEndian.AppendUint64(dst, s.Bytes)
 }
 
 func parseStats(b []byte) (Stats, error) {
@@ -254,8 +247,7 @@ func parseStats(b []byte) (Stats, error) {
 		return Stats{}, fmt.Errorf("wire: stats payload is %d bytes, want %d", len(b), statsLen)
 	}
 	return Stats{
-		BytesRead:    binary.LittleEndian.Uint64(b),
-		BytesWritten: binary.LittleEndian.Uint64(b[8:]),
-		FramesRouted: binary.LittleEndian.Uint64(b[16:]),
+		Frames: binary.LittleEndian.Uint64(b),
+		Bytes:  binary.LittleEndian.Uint64(b[8:]),
 	}, nil
 }

@@ -16,7 +16,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Op: OpData, Seq: 42, Src: 7, Dst: 2, Payload: []byte("quantized rows")},
 		{Op: OpData, Seq: 1 << 30, Src: 65000, Dst: 65001, Payload: bytes.Repeat([]byte{0xA5}, 3*readChunk+17)},
 		{Op: OpShutdown, Src: ParentID},
-		{Op: OpStats, Src: 1, Payload: appendStats(nil, Stats{BytesRead: 1, BytesWritten: 2, FramesRouted: 3})},
+		{Op: OpStats, Src: 1, Payload: appendStats(nil, Stats{Frames: 3, Bytes: 2})},
 	}
 	var stream []byte
 	for _, f := range cases {
@@ -117,7 +117,7 @@ func TestFrameDecodeErrors(t *testing.T) {
 }
 
 func TestStatsRoundTrip(t *testing.T) {
-	want := Stats{BytesRead: 1 << 40, BytesWritten: 7, FramesRouted: 123456}
+	want := Stats{Frames: 123456, Bytes: 1 << 40}
 	got, err := parseStats(appendStats(nil, want))
 	if err != nil {
 		t.Fatal(err)

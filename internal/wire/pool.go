@@ -24,10 +24,6 @@ type PoolStats struct {
 	// DeliveredFrames/DeliveredBytes count data frames workers wrote back
 	// to the parent.
 	DeliveredFrames, DeliveredBytes uint64
-	// InterWorkerBytes counts the framed bytes of frames whose source and
-	// destination ranks live on different workers — the worker-to-worker
-	// hop between the parent's send and the delivery.
-	InterWorkerBytes uint64
 }
 
 // Add accumulates o into s (for callers aggregating across pool
@@ -35,9 +31,8 @@ type PoolStats struct {
 func (s *PoolStats) Add(o PoolStats) {
 	for i, ws := range o.Workers {
 		if i < len(s.Workers) {
-			s.Workers[i].BytesRead += ws.BytesRead
-			s.Workers[i].BytesWritten += ws.BytesWritten
-			s.Workers[i].FramesRouted += ws.FramesRouted
+			s.Workers[i].Frames += ws.Frames
+			s.Workers[i].Bytes += ws.Bytes
 		} else {
 			s.Workers = append(s.Workers, ws)
 		}
@@ -46,7 +41,6 @@ func (s *PoolStats) Add(o PoolStats) {
 	s.SentBytes += o.SentBytes
 	s.DeliveredFrames += o.DeliveredFrames
 	s.DeliveredBytes += o.DeliveredBytes
-	s.InterWorkerBytes += o.InterWorkerBytes
 }
 
 // poolProc is one worker process from the parent's side.
@@ -70,10 +64,11 @@ func (pp *poolProc) acknowledge() error {
 	}
 }
 
-// Pool is the parent side of a worker fleet: it re-executes the current
-// binary into worker processes, connects to each over its Unix socket,
-// and routes data frames by source shard. Delivered frames arrive on the
-// onData callback from internal reader goroutines; onError reports a
+// Pool is the hub of a worker fleet: it re-executes the current binary
+// into worker processes, connects to each over its Unix socket, and sends
+// every data frame to the worker owning its source rank's shard, which
+// sends it straight back. Delivered frames arrive on the onData callback
+// from internal reader goroutines, one per worker; onError reports a
 // broken fleet (a dead worker or socket) outside any send call.
 type Pool struct {
 	workers int
@@ -83,15 +78,9 @@ type Pool struct {
 
 	sentFrames, sentBytes           atomic.Uint64
 	deliveredFrames, deliveredBytes atomic.Uint64
-	interBytes                      atomic.Uint64
 
 	shuttingDown atomic.Bool
 	readers      sync.WaitGroup
-	// delivered is signaled, once shutdown began, after every frame handed
-	// over and when a reader ends (readerEnded). One slot: it carries "look
-	// again", not a count.
-	delivered   chan struct{}
-	readerEnded atomic.Bool
 
 	mu      sync.Mutex
 	stats   []Stats
@@ -111,20 +100,15 @@ func StartPool(dir string, workers int, onData func(Frame), onError func(error))
 		return nil, fmt.Errorf("wire: resolve executable for re-exec: %w", err)
 	}
 	p := &Pool{
-		workers:   workers,
-		onData:    onData,
-		onError:   onError,
-		delivered: make(chan struct{}, 1),
-		stats:     make([]Stats, workers),
-		statsOK:   make([]bool, workers),
+		workers: workers,
+		onData:  onData,
+		onError: onError,
+		stats:   make([]Stats, workers),
+		statsOK: make([]bool, workers),
 	}
 	for i := 0; i < workers; i++ {
 		cmd := exec.Command(exe)
-		cmd.Env = append(os.Environ(),
-			envWorker+"="+strconv.Itoa(i),
-			envDir+"="+dir,
-			envWorkers+"="+strconv.Itoa(workers),
-		)
+		cmd.Env = append(os.Environ(), envWorker+"="+strconv.Itoa(i), envDir+"="+dir)
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
 			p.Kill()
@@ -178,15 +162,16 @@ func (p *Pool) fail(err error) {
 // shutdown) or a read error.
 func (p *Pool) readLoop(i int, pp *poolProc) {
 	defer p.readers.Done()
-	defer func() {
-		p.readerEnded.Store(true)
-		p.progress()
-	}()
 	fr := newFrameReader(pp.conn.c)
 	for {
 		f, err := fr.next()
-		if err == nil && f.Op == OpReady {
+		switch {
+		case err != nil:
+		case f.Op == OpReady:
 			err = pp.acknowledge()
+		case f.Op == OpData && int(f.Src)%p.workers != i:
+			// A worker echoes; it cannot have been sent another shard's frame.
+			err = fmt.Errorf("frame from rank %d is not of this worker's shard", f.Src)
 		}
 		if err != nil {
 			if !p.shuttingDown.Load() {
@@ -201,7 +186,6 @@ func (p *Pool) readLoop(i int, pp *poolProc) {
 			// The reader's buffer is reused; the consumer owns its payload.
 			f.Payload = slices.Clone(f.Payload)
 			p.onData(f)
-			p.progress()
 		case OpStats:
 			s, err := parseStats(f.Payload)
 			p.mu.Lock()
@@ -213,26 +197,16 @@ func (p *Pool) readLoop(i int, pp *poolProc) {
 	}
 }
 
-// progress wakes a Shutdown that is waiting for in-flight frames.
-func (p *Pool) progress() {
-	if p.shuttingDown.Load() {
-		select {
-		case p.delivered <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// Send routes one data frame into the fleet: a post of one.
+// Send sends one data frame into the fleet: a post of one.
 func (p *Pool) Send(f Frame) error {
 	return p.SendPost([]Frame{f})
 }
 
-// SendPost routes a post — the data frames one rank ships in one collective
-// — into the fleet via the worker owning the source rank's shard, as one
-// vectored write (frames of different source shards go out as one write per
-// run of equal shards). Safe for concurrent use. The payloads are fully
-// written before SendPost returns, so the caller may reuse them and post.
+// SendPost sends a post — the data frames one rank ships in one collective
+// — to the worker owning the source rank's shard, as one vectored write
+// (frames of different source shards go out as one write per run of equal
+// shards). Safe for concurrent use. The payloads are fully written before
+// SendPost returns, so the caller may reuse them and post.
 func (p *Pool) SendPost(post []Frame) error {
 	for len(post) > 0 {
 		shard := int(post[0].Src) % p.workers
@@ -244,15 +218,8 @@ func (p *Pool) SendPost(post []Frame) error {
 		if err != nil {
 			return fmt.Errorf("wire: send to worker %d: %w", shard, err)
 		}
-		inter := 0
-		for _, f := range post[:k] {
-			if int(f.Dst)%p.workers != shard {
-				inter += FrameSize(len(f.Payload))
-			}
-		}
 		p.sentFrames.Add(uint64(k))
 		p.sentBytes.Add(uint64(n))
-		p.interBytes.Add(uint64(inter))
 		post = post[k:]
 	}
 	return nil
@@ -262,19 +229,20 @@ func (p *Pool) snapshot() PoolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return PoolStats{
-		Workers:          append([]Stats(nil), p.stats...),
-		SentFrames:       p.sentFrames.Load(),
-		SentBytes:        p.sentBytes.Load(),
-		DeliveredFrames:  p.deliveredFrames.Load(),
-		DeliveredBytes:   p.deliveredBytes.Load(),
-		InterWorkerBytes: p.interBytes.Load(),
+		Workers:         append([]Stats(nil), p.stats...),
+		SentFrames:      p.sentFrames.Load(),
+		SentBytes:       p.sentBytes.Load(),
+		DeliveredFrames: p.deliveredFrames.Load(),
+		DeliveredBytes:  p.deliveredBytes.Load(),
 	}
 }
 
 // Shutdown asks every worker to stop, collects their stats reports, and
 // reaps the processes — killing any that fail to exit within the reap
-// timeout, so a wedged worker can never leak past a run. It returns the
-// pool's aggregated stats and the first problem encountered (nil on a
+// timeout, so a wedged worker can never leak past a run. A worker echoes
+// in order on its one connection, so every frame sent to it is back before
+// its report: once the reports are in, so is every frame. Shutdown returns
+// the pool's aggregated stats and the first problem encountered (nil on a
 // fully graceful shutdown).
 func (p *Pool) Shutdown() (PoolStats, error) {
 	p.shuttingDown.Store(true)
@@ -282,20 +250,6 @@ func (p *Pool) Shutdown() (PoolStats, error) {
 	keep := func(err error) {
 		if firstErr == nil && err != nil {
 			firstErr = err
-		}
-	}
-	// A worker answers OpShutdown as soon as it reads it, but a frame bound
-	// for it may still be with a peer. Every frame sent comes back exactly
-	// once, so wait for the stragglers before asking — unless a reader is
-	// gone, and with it the frames it would have brought.
-	timeout := time.After(reapTimeout)
-drain:
-	for p.deliveredFrames.Load() < p.sentFrames.Load() && !p.readerEnded.Load() {
-		select {
-		case <-p.delivered:
-		case <-timeout:
-			keep(errors.New("wire: frames still in flight at shutdown"))
-			break drain
 		}
 	}
 	for i, pp := range p.procs {

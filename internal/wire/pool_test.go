@@ -54,10 +54,10 @@ func (c *collector) waitFor(t *testing.T, n int) []Frame {
 }
 
 // TestPoolRoundTrip spawns a real two-worker fleet (re-exec over Unix
-// sockets), routes frames between four ranks — same-shard, cross-shard,
-// and self-addressed — and checks that every payload comes back intact
-// and that the shutdown stats reports obey the pool's conservation
-// invariants.
+// sockets), sends frames between four ranks — same-shard, cross-shard, and
+// self-addressed — and checks that every payload comes back intact, that
+// each worker echoed exactly the frames of its source shard, and that the
+// shutdown stats reports obey the pool's conservation invariants.
 func TestPoolRoundTrip(t *testing.T) {
 	const workers = 2
 	col := newCollector()
@@ -75,12 +75,13 @@ func TestPoolRoundTrip(t *testing.T) {
 
 	// Every ordered (src, dst) pair over 4 ranks, each with a distinct
 	// payload. Ranks 0,2 live on worker 0 and ranks 1,3 on worker 1, so
-	// the set covers same-shard, cross-shard, and src==dst routing.
+	// the set covers same-shard, cross-shard, and src==dst frames.
 	type sent struct {
 		f Frame
 	}
 	var sends []sent
-	var wantSentBytes, wantInterBytes uint64
+	var wantSentBytes uint64
+	wantWorker := make([]Stats, workers)
 	seq := uint32(0)
 	for src := 0; src < 4; src++ {
 		for dst := 0; dst < 4; dst++ {
@@ -88,9 +89,8 @@ func TestPoolRoundTrip(t *testing.T) {
 			f := Frame{Op: OpData, Seq: seq, Src: uint16(src), Dst: uint16(dst), Payload: payload}
 			sends = append(sends, sent{f})
 			wantSentBytes += uint64(FrameSize(len(payload)))
-			if src%workers != dst%workers {
-				wantInterBytes += uint64(FrameSize(len(payload)))
-			}
+			wantWorker[src%workers].Frames++
+			wantWorker[src%workers].Bytes += uint64(FrameSize(len(payload)))
 			seq++
 		}
 	}
@@ -139,38 +139,32 @@ func TestPoolRoundTrip(t *testing.T) {
 	if stats.DeliveredBytes != stats.SentBytes {
 		t.Errorf("DeliveredBytes = %d, want SentBytes = %d", stats.DeliveredBytes, stats.SentBytes)
 	}
-	if stats.InterWorkerBytes != wantInterBytes {
-		t.Errorf("InterWorkerBytes = %d, want %d", stats.InterWorkerBytes, wantInterBytes)
+	for i, ws := range stats.Workers {
+		if ws != wantWorker[i] {
+			t.Errorf("worker %d echoed %+v, want the frames of its source shard, %+v", i, ws, wantWorker[i])
+		}
 	}
 	checkConservation(t, stats, workers)
 }
 
 // checkConservation asserts what holds for every gracefully shut down
-// pool: every frame sent came back, every sent frame was routed exactly
-// once, worker reads are parent sends plus the inter-worker hop's receive
-// side, and worker writes are parent deliveries plus its send side.
+// pool: every frame sent came back, and the workers' reports add up to
+// what the parent sent.
 func checkConservation(t *testing.T, stats PoolStats, workers int) {
 	t.Helper()
 	if len(stats.Workers) != workers {
 		t.Fatalf("got %d worker reports, want %d", len(stats.Workers), workers)
 	}
-	var routed, read, written uint64
+	var sum Stats
 	for _, ws := range stats.Workers {
-		routed += ws.FramesRouted
-		read += ws.BytesRead
-		written += ws.BytesWritten
+		sum.Frames += ws.Frames
+		sum.Bytes += ws.Bytes
 	}
 	if stats.DeliveredFrames != stats.SentFrames || stats.DeliveredBytes != stats.SentBytes {
 		t.Errorf("delivered %d frames / %d bytes, sent %d / %d", stats.DeliveredFrames, stats.DeliveredBytes, stats.SentFrames, stats.SentBytes)
 	}
-	if routed != stats.SentFrames {
-		t.Errorf("sum FramesRouted = %d, want SentFrames = %d", routed, stats.SentFrames)
-	}
-	if read != stats.SentBytes+stats.InterWorkerBytes {
-		t.Errorf("sum BytesRead = %d, want SentBytes+InterWorkerBytes = %d", read, stats.SentBytes+stats.InterWorkerBytes)
-	}
-	if written != stats.DeliveredBytes+stats.InterWorkerBytes {
-		t.Errorf("sum BytesWritten = %d, want DeliveredBytes+InterWorkerBytes = %d", written, stats.DeliveredBytes+stats.InterWorkerBytes)
+	if sum.Frames != stats.SentFrames || sum.Bytes != stats.SentBytes {
+		t.Errorf("workers echoed %d frames / %d bytes, parent sent %d / %d", sum.Frames, sum.Bytes, stats.SentFrames, stats.SentBytes)
 	}
 }
 
@@ -188,8 +182,9 @@ func devicePost(seq uint32, src, n int, payload func(dst int) []byte) []Frame {
 
 // TestPoolMixedPost sends, as single posts through a real two-worker
 // fleet, every kind of frame the data path treats differently: same-shard
-// and cross-shard, empty, small, and one past the pending-buffer limit that
-// is written through. All come back intact and the books balance.
+// and cross-shard, empty, small, and several times larger than a reader's
+// initial buffer, which grows to hold it. All come back intact and the
+// books balance.
 func TestPoolMixedPost(t *testing.T) {
 	const workers, ranks = 2, 8
 	col := newCollector()
@@ -205,7 +200,7 @@ func TestPoolMixedPost(t *testing.T) {
 			case (src + 1) % ranks:
 				return nil
 			case (src + 2) % ranks:
-				return bytes.Repeat([]byte{byte(src), byte(dst), 0xEE}, (pendingLimit+3)/3+1)
+				return bytes.Repeat([]byte{byte(src), byte(dst), 0xEE}, readChunk+1)
 			}
 			return bytes.Repeat([]byte{byte(16*src + dst)}, 100*dst+src)
 		}
@@ -244,9 +239,9 @@ func TestPoolMixedPost(t *testing.T) {
 }
 
 // TestPoolShutdownRightAfterPost shuts the fleet down with a post still in
-// flight, over and over: Shutdown must wait for the frames that are with a
-// peer worker, and every worker must flush what it holds and count it
-// before it reports, or the books of some iteration will not balance.
+// flight, over and over: every worker must echo what it holds before it
+// reports, and Shutdown must not return before the echoes are delivered, or
+// the books of some iteration will not balance.
 func TestPoolShutdownRightAfterPost(t *testing.T) {
 	const workers, ranks = 2, 8
 	iterations := 200
@@ -305,6 +300,41 @@ func TestPoolSecondReadyIsProtocolError(t *testing.T) {
 	}
 	<-pp.ready
 	p.readers.Wait()
+}
+
+// TestPoolRejectsAnotherShardsFrame: the parent sends worker i only frames
+// from ranks of shard i, and a worker echoes, so a frame from another
+// shard coming back on i's connection is a protocol error — reported
+// through onError, never delivered.
+func TestPoolRejectsAnotherShardsFrame(t *testing.T) {
+	ours, theirs := net.Pipe()
+	defer ours.Close()
+	defer theirs.Close()
+	errc := make(chan error, 1)
+	var delivered atomic.Uint64
+	p := &Pool{workers: 2, onData: func(Frame) { delivered.Add(1) }, onError: func(err error) { errc <- err }}
+	pp := &poolProc{conn: &conn{c: ours}, ready: make(chan struct{})}
+	p.readers.Add(1)
+	go p.readLoop(1, pp)
+	var in []byte
+	in = AppendFrame(in, Frame{Op: OpReady, Src: 1})
+	in = AppendFrame(in, Frame{Op: OpData, Src: 3, Dst: 0, Payload: []byte("shard 1: fine")})
+	in = AppendFrame(in, Frame{Op: OpData, Src: 2, Dst: 1, Payload: []byte("shard 0: not here")})
+	if _, err := theirs.Write(in); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-errc:
+		if !strings.Contains(err.Error(), "not of this worker's shard") {
+			t.Errorf("onError got %v, want the protocol error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a frame of another shard was not reported")
+	}
+	p.readers.Wait()
+	if n := delivered.Load(); n != 1 {
+		t.Errorf("%d frames delivered, want only the one of the worker's own shard", n)
+	}
 }
 
 // BenchmarkPoolForward is the data path under the load wire-yelp puts on

@@ -99,6 +99,14 @@ func shortFrame(err error, where string) error {
 	return err
 }
 
+// consumed returns the last n bytes next consumed, as one slice of the
+// buffer. Frames next returned since it last read the stream sit back to
+// back there, so a run of them is one slice; it is valid until next reads
+// the stream again, which it does only when buffered is false.
+func (fr *frameReader) consumed(n int) []byte {
+	return fr.buf[fr.r-n : fr.r]
+}
+
 // buffered reports whether the next frame is already complete in the
 // buffer, that is, whether next would return it without reading the stream.
 func (fr *frameReader) buffered() bool {

@@ -14,14 +14,13 @@ import (
 )
 
 // The proc-sharded backend re-executes its own binary to get worker
-// processes; this environment triple is the re-exec mode marker. Env vars
+// processes; this environment pair is the re-exec mode marker. Env vars
 // rather than argv flags so any host binary — CLIs, daemons, `go test`
 // binaries with their own flag sets — can enter worker mode without
 // fighting its flag parser.
 const (
-	envWorker  = "ADAQP_WIRE_WORKER"
-	envDir     = "ADAQP_WIRE_DIR"
-	envWorkers = "ADAQP_WIRE_WORKERS"
+	envWorker = "ADAQP_WIRE_WORKER"
+	envDir    = "ADAQP_WIRE_DIR"
 )
 
 const (
@@ -51,50 +50,34 @@ func MaybeWorker() {
 		return
 	}
 	index, err := strconv.Atoi(v)
-	workers, err2 := strconv.Atoi(os.Getenv(envWorkers))
 	dir := os.Getenv(envDir)
-	if err != nil || err2 != nil || dir == "" || index < 0 || index >= workers {
-		fmt.Fprintf(os.Stderr, "wire worker: bad re-exec environment %s=%q %s=%q %s=%q\n",
-			envWorker, v, envWorkers, os.Getenv(envWorkers), envDir, dir)
+	if err != nil || dir == "" || index < 0 {
+		fmt.Fprintf(os.Stderr, "wire worker: bad re-exec environment %s=%q %s=%q\n", envWorker, v, envDir, dir)
 		os.Exit(2)
 	}
-	if err := runWorker(dir, index, workers); err != nil {
+	if err := runWorker(dir, index); err != nil {
 		fmt.Fprintf(os.Stderr, "wire worker %d: %v\n", index, err)
 		os.Exit(1)
 	}
 	os.Exit(0)
 }
 
-// pendingLimit bounds a connection's pending buffer: a frame that would
-// take it past the limit flushes it first, and a frame larger than the
-// limit is written through without being copied.
-const pendingLimit = 256 << 10
-
-// conn is a socket with a write lock, so frames from concurrent writers
-// interleave at frame granularity, never mid-frame. It has two ways in:
-// writeFrames puts a post on the wire at once, enqueue defers to flush.
+// conn is the parent's end of one worker's socket, with a write lock so
+// posts from concurrent device goroutines interleave at frame granularity,
+// never mid-frame.
 type conn struct {
 	c    net.Conn
 	mu   sync.Mutex
-	pend []byte      // enqueued frames not yet written
-	hdrs []byte      // writeFrames' encoded headers
-	vecs [][]byte    // writeFrames' header and payload slices
+	hdrs []byte      // encoded headers
+	vecs [][]byte    // header and payload slices
 	bufs net.Buffers // vecs as WriteTo consumes it (a field so it is not reallocated per write)
 }
 
 // writeFrames writes frames as one vectored write — each header from a
-// reused buffer, each payload in place — behind anything still pending. It
-// returns their framed size.
+// reused buffer, each payload in place. It returns their framed size.
 func (wc *conn) writeFrames(frames ...Frame) (int, error) {
 	wc.mu.Lock()
 	defer wc.mu.Unlock()
-	if err := wc.flushLocked(); err != nil {
-		return 0, err
-	}
-	return wc.writeLocked(frames...)
-}
-
-func (wc *conn) writeLocked(frames ...Frame) (int, error) {
 	// Grown up front: vecs holds slices of hdrs, which must not move.
 	wc.hdrs = slices.Grow(wc.hdrs[:0], len(frames)*FrameOverhead)
 	wc.vecs = wc.vecs[:0]
@@ -114,41 +97,6 @@ func (wc *conn) writeLocked(frames ...Frame) (int, error) {
 	return size, err
 }
 
-// enqueue copies f's encoding into the pending buffer; the caller owes a
-// flush before it next blocks. f.Payload may alias a buffer the caller is
-// about to reuse.
-func (wc *conn) enqueue(f Frame) error {
-	wc.mu.Lock()
-	defer wc.mu.Unlock()
-	if size := FrameSize(len(f.Payload)); len(wc.pend)+size > pendingLimit {
-		if err := wc.flushLocked(); err != nil {
-			return err
-		}
-		if size > pendingLimit {
-			_, err := wc.writeLocked(f)
-			return err
-		}
-	}
-	wc.pend = AppendFrame(wc.pend, f)
-	return nil
-}
-
-// flush writes the pending buffer out, if any.
-func (wc *conn) flush() error {
-	wc.mu.Lock()
-	defer wc.mu.Unlock()
-	return wc.flushLocked()
-}
-
-func (wc *conn) flushLocked() error {
-	if len(wc.pend) == 0 {
-		return nil
-	}
-	_, err := wc.c.Write(wc.pend)
-	wc.pend = wc.pend[:0]
-	return err
-}
-
 func dialRetry(path string, timeout time.Duration) (net.Conn, error) {
 	deadline := time.Now().Add(timeout)
 	for {
@@ -163,84 +111,48 @@ func dialRetry(path string, timeout time.Duration) (net.Conn, error) {
 	}
 }
 
-// workerState is one worker process's routing state. The worker owns the
-// ranks congruent to its index mod the worker count: the parent sends it
-// every data frame originating from those ranks, and it forwards each to
-// the destination shard's owner (itself included), which delivers the
-// frame back to the parent.
+// workerState is one worker process: the far end of one spoke of the star.
+// Its only data connection is the parent's, and every data frame the parent
+// sends it goes straight back on that connection, byte for byte and in
+// order. Workers never talk to each other.
 //
-// One goroutine serves each inbound connection. It enqueues routed frames
-// on their target connections and flushes every target as soon as its own
-// input holds no further complete frame — never on a timer, never holding a
-// frame across a blocking read — so however many frames one read brought in
-// leave in one write per target.
+// The echo is the reader's buffer itself: the complete frames one read
+// brought in sit back to back in it and leave in one write the moment the
+// input holds no further complete frame — never on a timer, never held
+// across a blocking read, never copied.
 type workerState struct {
-	index   int
-	workers int
+	index int
 
-	mu     sync.Mutex
-	peers  []*conn // outbound connections, dialed by us
-	parent *conn
-
-	parentSet chan struct{} // closed once the parent's connection arrived
-	done      chan struct{} // closed when shutdown begins
+	claimed   atomic.Bool   // a connection has identified itself as the parent
+	parentSet chan struct{} // closed once one did
 	result    chan error    // first terminal outcome (nil = clean shutdown)
-
-	bytesRead    atomic.Uint64
-	bytesWritten atomic.Uint64
-	framesRouted atomic.Uint64
 }
 
-func newWorkerState(index, workers int) *workerState {
+func newWorkerState(index int) *workerState {
 	return &workerState{
 		index:     index,
-		workers:   workers,
-		peers:     make([]*conn, workers),
 		parentSet: make(chan struct{}),
-		done:      make(chan struct{}),
 		result:    make(chan error, 1),
 	}
 }
 
-func runWorker(dir string, index, workers int) error {
+func runWorker(dir string, index int) error {
 	l, err := net.Listen("unix", SocketPath(dir, index))
 	if err != nil {
 		return err
 	}
 	defer l.Close()
 
-	w := newWorkerState(index, workers)
+	w := newWorkerState(index)
 	go w.acceptLoop(l)
 
-	// Dial every other worker's socket (our outbound routing channels),
-	// retrying while peers are still binding theirs.
-	for j := 0; j < workers; j++ {
-		if j == index {
-			continue
-		}
-		c, err := dialRetry(SocketPath(dir, j), dialTimeout)
-		if err != nil {
-			return fmt.Errorf("dial peer %d: %w", j, err)
-		}
-		pc := &conn{c: c}
-		if _, err := pc.writeFrames(Frame{Op: OpHello, Src: uint16(index)}); err != nil {
-			return fmt.Errorf("hello to peer %d: %w", j, err)
-		}
-		w.mu.Lock()
-		w.peers[j] = pc
-		w.mu.Unlock()
-	}
-
-	// The parent dials us like a peer does; once its connection is
-	// identified, acknowledge readiness. The parent holds all data
-	// traffic until every worker has acknowledged.
+	// A parent that never dials is gone: do not outlive it.
 	select {
 	case <-w.parentSet:
+	case err := <-w.result:
+		return err
 	case <-time.After(dialTimeout):
 		return errors.New("parent connection never arrived")
-	}
-	if _, err := w.parent.writeFrames(Frame{Op: OpReady, Src: uint16(index)}); err != nil {
-		return fmt.Errorf("ready ack: %w", err)
 	}
 	return <-w.result
 }
@@ -256,154 +168,67 @@ func (w *workerState) acceptLoop(l net.Listener) {
 	for {
 		c, err := l.Accept()
 		if err != nil {
-			select {
-			case <-w.done:
-			default:
-				w.fail(fmt.Errorf("accept: %w", err))
-			}
+			// After a clean shutdown this is the listener closing, and the
+			// outcome is already decided.
+			w.fail(fmt.Errorf("accept: %w", err))
 			return
 		}
 		go w.handleConn(c)
 	}
 }
 
-// handleConn identifies a freshly accepted connection by its hello frame
-// and runs the matching reader loop.
+// handleConn serves a freshly accepted connection if its hello frame is the
+// parent's. There is one parent: any other connection, and a second one
+// claiming to be the parent, is a protocol error and is dropped.
 func (w *workerState) handleConn(c net.Conn) {
 	fr := newFrameReader(c)
 	hello, err := fr.next()
-	if err != nil || hello.Op != OpHello {
+	if err != nil || hello.Op != OpHello || hello.Src != ParentID || !w.claimed.CompareAndSwap(false, true) {
 		c.Close()
 		return
 	}
-	if hello.Src == ParentID {
-		w.mu.Lock()
-		dup := w.parent != nil
-		if !dup {
-			w.parent = &conn{c: c}
-		}
-		w.mu.Unlock()
-		if dup {
-			// There is one parent: a second claim is a protocol error, and
-			// the connection making it is dropped.
-			c.Close()
-			return
-		}
-		close(w.parentSet)
-		w.parentLoop(fr)
-		return
-	}
-	// Inbound peer connection: frames another worker routed to us for
-	// delivery. Wait for the parent connection — it is the only place
-	// these frames can go.
-	<-w.parentSet
-	w.peerLoop(fr)
+	close(w.parentSet)
+	w.fail(w.parentLoop(c, fr))
 }
 
-// peerLoop delivers the frames one peer routed here to the parent.
-func (w *workerState) peerLoop(fr *frameReader) {
+// parentLoop acknowledges readiness, then echoes the parent's data frames
+// until OpShutdown, which it answers with the worker's OpStats. It is the
+// only writer to the parent.
+func (w *workerState) parentLoop(c net.Conn, fr *frameReader) error {
+	if _, err := c.Write(AppendFrame(nil, Frame{Op: OpReady, Src: uint16(w.index)})); err != nil {
+		return fmt.Errorf("ready ack: %w", err)
+	}
+	var s Stats
+	held := 0 // framed bytes of data frames read and not yet echoed
 	for {
 		f, err := fr.next()
 		if err != nil {
-			// A peer closing its outbound connection is how shutdown
-			// looks from here; a mid-run crash surfaces in the parent as
-			// a dead worker process, so it is not reported again.
-			return
+			return fmt.Errorf("parent read: %w", err)
 		}
-		if f.Op == OpData {
-			w.bytesRead.Add(uint64(FrameSize(len(f.Payload))))
-			err = w.forward(w.parent, f)
-		}
-		if err == nil && !fr.buffered() {
-			err = w.parent.flush()
-		}
-		if err != nil {
-			w.fail(fmt.Errorf("deliver to parent: %w", err))
-			return
-		}
-	}
-}
-
-// parentLoop services the parent connection: data frames are routed to
-// their destination shard, OpShutdown flushes every target, answers with
-// OpStats and ends the worker.
-func (w *workerState) parentLoop(fr *frameReader) {
-	for {
-		f, err := fr.next()
-		if err != nil {
-			w.fail(fmt.Errorf("parent read: %w", err))
-			return
-		}
+		size := FrameSize(len(f.Payload))
 		switch f.Op {
 		case OpData:
-			w.bytesRead.Add(uint64(FrameSize(len(f.Payload))))
-			w.framesRouted.Add(1)
-			err = w.route(f)
-		case OpShutdown:
-			close(w.done)
-			if err = w.flushAll(); err == nil {
-				_, err = w.parent.writeFrames(Frame{
-					Op:  OpStats,
-					Src: uint16(w.index),
-					Payload: appendStats(nil, Stats{
-						BytesRead:    w.bytesRead.Load(),
-						BytesWritten: w.bytesWritten.Load(),
-						FramesRouted: w.framesRouted.Load(),
-					}),
-				})
+			s.Frames++
+			s.Bytes += uint64(size)
+			held += size
+			if !fr.buffered() {
+				_, err = c.Write(fr.consumed(held))
+				held = 0
 			}
-			w.fail(err)
-			return
-		}
-		if err == nil && !fr.buffered() {
-			err = w.flushAll()
+		case OpShutdown:
+			// The data frames that came in with it leave first, then the report.
+			if held > 0 {
+				_, err = c.Write(fr.consumed(held + size)[:held])
+			}
+			if err == nil {
+				_, err = c.Write(AppendFrame(nil, Frame{Op: OpStats, Src: uint16(w.index), Payload: appendStats(nil, s)}))
+			}
+			return err
+		default:
+			return fmt.Errorf("unexpected op %d from the parent", f.Op)
 		}
 		if err != nil {
-			w.fail(err)
-			return
+			return fmt.Errorf("echo to parent: %w", err)
 		}
 	}
-}
-
-func (w *workerState) route(f Frame) error {
-	shard := int(f.Dst) % w.workers
-	target := w.target(shard)
-	if target == nil {
-		return fmt.Errorf("no connection to peer %d", shard)
-	}
-	if err := w.forward(target, f); err != nil {
-		return fmt.Errorf("route to shard %d: %w", shard, err)
-	}
-	return nil
-}
-
-// forward enqueues f on target. The frame is counted first: once the parent
-// holds the run's last frame it may send OpShutdown, and parentLoop answers
-// with these counters from another goroutine.
-func (w *workerState) forward(target *conn, f Frame) error {
-	w.bytesWritten.Add(uint64(FrameSize(len(f.Payload))))
-	return target.enqueue(f)
-}
-
-// target is where frames for shard go: the parent for our own shard, else
-// the outbound connection to its owner (nil while it is not dialed yet).
-func (w *workerState) target(shard int) *conn {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if shard == w.index {
-		return w.parent
-	}
-	return w.peers[shard]
-}
-
-// flushAll flushes every target this worker writes data frames to.
-func (w *workerState) flushAll() error {
-	for shard := 0; shard < w.workers; shard++ {
-		if pc := w.target(shard); pc != nil {
-			if err := pc.flush(); err != nil {
-				return fmt.Errorf("flush to shard %d: %w", shard, err)
-			}
-		}
-	}
-	return nil
 }

@@ -4,60 +4,47 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 )
 
-// pipeFleet is a worker fleet without processes or sockets: workerStates in
-// this process, every connection a net.Pipe. The test plays the parent; its
-// end of worker i's parent connection is parents[i]. net.Pipe is unbuffered
-// — a Write returns once the other side has read every byte — so what a
-// worker holds and what it has let go is observable exactly.
-type pipeFleet struct {
-	workers []*workerState
-	parents []net.Conn
-}
+// The tests below run a workerState in this process, without a process or
+// a socket: every connection is a net.Pipe and the test plays the parent.
+// net.Pipe is unbuffered — a Write returns once the other side has read
+// every byte — so what a worker holds and what it has let go is observable
+// exactly.
 
-func newPipeFleet(t *testing.T, workers int) *pipeFleet {
+// dialParent connects to w as its parent, takes the ready acknowledgment,
+// and returns the parent's end.
+func dialParent(t *testing.T, w *workerState) net.Conn {
 	t.Helper()
-	fl := &pipeFleet{}
-	for i := 0; i < workers; i++ {
-		fl.workers = append(fl.workers, newWorkerState(i, workers))
+	parent := dialPipe(t, w, Frame{Op: OpHello, Src: ParentID})
+	if f := readFrameWithin(t, parent); f.Op != OpReady || f.Src != uint16(w.index) {
+		t.Fatalf("worker %d opened with %+v, want its ready acknowledgment", w.index, f)
 	}
-	// Peer connections first, as runWorker dials them before the parent is
-	// answered: i's outbound to j is j's inbound from i.
-	for i, w := range fl.workers {
-		for j, peer := range fl.workers {
-			if i == j {
-				continue
-			}
-			out, in := net.Pipe()
-			t.Cleanup(func() { out.Close(); in.Close() })
-			w.peers[j] = &conn{c: out}
-			go peer.handleConn(in)
-			if _, err := w.peers[j].writeFrames(Frame{Op: OpHello, Src: uint16(i)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for _, w := range fl.workers {
-		fl.parents = append(fl.parents, dialPipeParent(t, w))
-	}
-	return fl
+	return parent
 }
 
-// dialPipeParent connects to w claiming to be the parent and returns the
-// caller's end, once w has a parent.
-func dialPipeParent(t *testing.T, w *workerState) net.Conn {
+// dialPipe connects to w, sends hello, and returns the caller's end.
+func dialPipe(t *testing.T, w *workerState, hello Frame) net.Conn {
 	t.Helper()
 	ours, theirs := net.Pipe()
 	t.Cleanup(func() { ours.Close(); theirs.Close() })
 	go w.handleConn(theirs)
-	if _, err := ours.Write(AppendFrame(nil, Frame{Op: OpHello, Src: ParentID})); err != nil {
+	if _, err := ours.Write(AppendFrame(nil, hello)); err != nil {
 		t.Fatal(err)
 	}
-	<-w.parentSet
 	return ours
+}
+
+// expectClosed fails unless the worker closed c without writing to it.
+func expectClosed(t *testing.T, c net.Conn, what string) {
+	t.Helper()
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := c.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("%s: read ended with %v, want io.EOF (closed by the worker)", what, err)
+	}
 }
 
 // readFrameWithin reads one frame from c or fails the test after five seconds:
@@ -73,69 +60,97 @@ func readFrameWithin(t *testing.T, c net.Conn) Frame {
 	return f
 }
 
-// TestWorkerForwardSteadyStateAllocs pins the forwarding path's contract:
-// once buffers are warm a forwarded frame allocates nothing — neither on
-// the worker that routes it nor on the one that delivers it — so a worker's
-// garbage collector never runs. Each run forwards one same-shard frame (one
-// hop) and one cross-shard frame (two hops) of the benchmark's mean size.
-// Exact counts hold in normal builds only; under -race the body still runs,
-// for the detector's benefit.
+// echo writes wire — whole encoded frames — to the worker and requires the
+// same bytes back on the same connection. It sets no deadline: arming one
+// allocates, and this is the allocation test's body.
+func echo(t *testing.T, parent net.Conn, wire, back []byte) {
+	t.Helper()
+	if _, err := parent.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(parent, back[:len(wire)]); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back[:len(wire)], wire) {
+		t.Fatal("frames changed in flight")
+	}
+}
+
+// TestWorkerForwardSteadyStateAllocs pins the echo's contract: once buffers
+// are warm an echoed frame allocates nothing, so a worker's garbage
+// collector never runs. Each run sends, at the benchmark's mean size, one
+// frame addressed to a rank of the worker's own shard and one addressed to
+// another worker's: in a star both come straight back from the worker they
+// entered. Exact counts hold in normal builds only; under -race the body
+// still runs, for the detector's benefit.
 func TestWorkerForwardSteadyStateAllocs(t *testing.T) {
-	fl := newPipeFleet(t, 2)
+	parent := dialParent(t, newWorkerState(0))
 	payload := bytes.Repeat([]byte{0x5A}, 9<<10)
 	sameShard := AppendFrame(nil, Frame{Op: OpData, Seq: 1, Src: 0, Dst: 2, Payload: payload})
 	crossShard := AppendFrame(nil, Frame{Op: OpData, Seq: 2, Src: 0, Dst: 1, Payload: payload})
 	back := make([]byte, len(sameShard))
-	forward := func(wire []byte, from net.Conn) {
-		if _, err := fl.parents[0].Write(wire); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := io.ReadFull(from, back); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(back, wire) {
-			t.Fatal("frame changed in flight")
-		}
-	}
 	allocs := testing.AllocsPerRun(200, func() {
-		forward(sameShard, fl.parents[0])
-		forward(crossShard, fl.parents[1])
+		echo(t, parent, sameShard, back)
+		echo(t, parent, crossShard, back)
 	})
 	if !raceEnabled && allocs != 0 {
-		t.Errorf("forwarding two frames allocated %v times, want 0", allocs)
+		t.Errorf("echoing two frames allocated %v times, want 0", allocs)
 	}
 }
 
 // TestWorkerHoldsNothingAcrossBlockingRead: one and a half frames arrive,
 // then silence. The complete frame must come out although the worker's next
-// read blocks — the flush rule is "no further complete frame buffered", not
+// read blocks — the echo rule is "no further complete frame buffered", not
 // "input drained".
 func TestWorkerHoldsNothingAcrossBlockingRead(t *testing.T) {
-	fl := newPipeFleet(t, 2)
-	for _, dst := range []uint16{2, 1} { // delivered by worker 0 itself, then through worker 1
+	parent := dialParent(t, newWorkerState(0))
+	for _, dst := range []uint16{2, 1} { // a rank of the worker's own shard, then another worker's
 		first := Frame{Op: OpData, Seq: 5, Src: 0, Dst: dst, Payload: []byte("whole")}
 		second := AppendFrame(nil, Frame{Op: OpData, Seq: 6, Src: 0, Dst: dst, Payload: []byte("torn in two")})
 		half := len(second) / 2
-		if _, err := fl.parents[0].Write(append(AppendFrame(nil, first), second[:half]...)); err != nil {
+		if _, err := parent.Write(append(AppendFrame(nil, first), second[:half]...)); err != nil {
 			t.Fatal(err)
 		}
-		from := fl.parents[int(dst)%2]
-		checkFrame(t, 0, readFrameWithin(t, from), first)
-		if _, err := fl.parents[0].Write(second[half:]); err != nil {
+		checkFrame(t, 0, readFrameWithin(t, parent), first)
+		if _, err := parent.Write(second[half:]); err != nil {
 			t.Fatal(err)
 		}
-		if got := readFrameWithin(t, from); got.Seq != 6 || string(got.Payload) != "torn in two" {
+		if got := readFrameWithin(t, parent); got.Seq != 6 || string(got.Payload) != "torn in two" {
 			t.Fatalf("second frame arrived as %+v", got)
 		}
 	}
 }
 
+// TestWorkerEchoesARunInOneWrite: frames that arrive in one read leave in
+// one write, in order, straight out of the reader's buffer. net.Pipe hands
+// a reader at most one write per Read, so a run that came back through a
+// single Read left the worker as a single write.
+func TestWorkerEchoesARunInOneWrite(t *testing.T) {
+	parent := dialParent(t, newWorkerState(1))
+	var run []byte
+	for seq, size := range []int{0, 1, 1000, 100} {
+		run = AppendFrame(run, Frame{Op: OpData, Seq: uint32(seq), Src: 1, Dst: uint16(seq), Payload: bytes.Repeat([]byte{byte(seq + 1)}, size)})
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := parent.Write(run); err != nil {
+			t.Fatal(err)
+		}
+		parent.SetReadDeadline(time.Now().Add(5 * time.Second))
+		back := make([]byte, len(run)+1)
+		n, err := parent.Read(back)
+		if err != nil || !bytes.Equal(back[:n], run) {
+			t.Fatalf("round %d: one read brought %d of the run's %d bytes back (err %v), want all of them, unchanged", i, n, len(run), err)
+		}
+	}
+}
+
 // TestWorkerShutdownFlushesBeforeStats: data frames and OpShutdown arriving
-// in one read leave no time for the flush rule to fire between them, so the
-// shutdown itself must put the pending frames on the wire before the stats
-// report — which already counts them.
+// in one read leave no time for the echo rule to fire between them, so the
+// shutdown itself must put the held frames on the wire before the stats
+// report — which counts them.
 func TestWorkerShutdownFlushesBeforeStats(t *testing.T) {
-	fl := newPipeFleet(t, 1)
+	w := newWorkerState(0)
+	parent := dialParent(t, w)
 	var in []byte
 	var want uint64
 	for seq := uint32(0); seq < 3; seq++ {
@@ -144,15 +159,15 @@ func TestWorkerShutdownFlushesBeforeStats(t *testing.T) {
 		want += uint64(FrameSize(len(f.Payload)))
 	}
 	in = AppendFrame(in, Frame{Op: OpShutdown, Src: ParentID})
-	if _, err := fl.parents[0].Write(in); err != nil {
+	if _, err := parent.Write(in); err != nil {
 		t.Fatal(err)
 	}
 	for seq := uint32(0); seq < 3; seq++ {
-		if f := readFrameWithin(t, fl.parents[0]); f.Op != OpData || f.Seq != seq {
+		if f := readFrameWithin(t, parent); f.Op != OpData || f.Seq != seq {
 			t.Fatalf("frame %d out of the worker is %+v, want data frame %d", seq, f, seq)
 		}
 	}
-	f := readFrameWithin(t, fl.parents[0])
+	f := readFrameWithin(t, parent)
 	if f.Op != OpStats {
 		t.Fatalf("after the data frames: %+v, want the stats report", f)
 	}
@@ -160,10 +175,10 @@ func TestWorkerShutdownFlushesBeforeStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats != (Stats{BytesRead: want, BytesWritten: want, FramesRouted: 3}) {
-		t.Errorf("stats %+v, want %d bytes read and written in 3 frames", stats, want)
+	if stats != (Stats{Frames: 3, Bytes: want}) {
+		t.Errorf("stats %+v, want %d bytes in 3 frames", stats, want)
 	}
-	if err := <-fl.workers[0].result; err != nil {
+	if err := <-w.result; err != nil {
 		t.Errorf("worker ended with %v after a clean shutdown", err)
 	}
 }
@@ -172,15 +187,49 @@ func TestWorkerShutdownFlushesBeforeStats(t *testing.T) {
 // the parent is a protocol error. It is closed, and the worker goes on
 // serving the real parent.
 func TestWorkerSecondParentHelloIsDropped(t *testing.T) {
-	fl := newPipeFleet(t, 1)
-	impostor := dialPipeParent(t, fl.workers[0])
-	impostor.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := impostor.Read(make([]byte, 1)); err != io.EOF {
-		t.Fatalf("second parent connection: read ended with %v, want io.EOF (closed by the worker)", err)
-	}
-	f := Frame{Op: OpData, Seq: 1, Payload: []byte("still routing")}
-	if _, err := fl.parents[0].Write(AppendFrame(nil, f)); err != nil {
+	w := newWorkerState(0)
+	parent := dialParent(t, w)
+	expectClosed(t, dialPipe(t, w, Frame{Op: OpHello, Src: ParentID}), "second parent connection")
+	f := Frame{Op: OpData, Seq: 1, Payload: []byte("still echoing")}
+	if _, err := parent.Write(AppendFrame(nil, f)); err != nil {
 		t.Fatal(err)
 	}
-	checkFrame(t, 0, readFrameWithin(t, fl.parents[0]), f)
+	checkFrame(t, 0, readFrameWithin(t, parent), f)
+}
+
+// TestWorkerServesOnlyTheParent: workers have no peers. A connection that
+// introduces itself as another worker, or opens with anything but a hello,
+// is closed, and neither takes the parent's place: the parent that comes
+// after is served.
+func TestWorkerServesOnlyTheParent(t *testing.T) {
+	w := newWorkerState(0)
+	expectClosed(t, dialPipe(t, w, Frame{Op: OpHello, Src: 1}), "hello from a worker")
+	expectClosed(t, dialPipe(t, w, Frame{Op: OpData, Src: ParentID, Payload: []byte("no hello")}), "data before hello")
+	parent := dialParent(t, w)
+	f := Frame{Op: OpData, Seq: 9, Src: 3, Dst: 4, Payload: []byte("served")}
+	if _, err := parent.Write(AppendFrame(nil, f)); err != nil {
+		t.Fatal(err)
+	}
+	checkFrame(t, 0, readFrameWithin(t, parent), f)
+}
+
+// TestWorkerRejectsUnexpectedOp: the parent sends data frames and one
+// OpShutdown, nothing else. Any other op on its connection ends the worker
+// with an error — never a silent drop, and never an echo.
+func TestWorkerRejectsUnexpectedOp(t *testing.T) {
+	for _, op := range []byte{OpHello, OpReady, OpStats} {
+		w := newWorkerState(0)
+		parent := dialParent(t, w)
+		if _, err := parent.Write(AppendFrame(nil, Frame{Op: op, Src: ParentID})); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-w.result:
+			if err == nil || !strings.Contains(err.Error(), "unexpected op") {
+				t.Errorf("op %d: worker ended with %v, want the protocol error", op, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("op %d: worker kept going", op)
+		}
+	}
 }

@@ -246,11 +246,12 @@ const (
 	// devices run ahead of stragglers up to TransportSpec.Staleness
 	// collectives.
 	TransportShardedAsync = core.TransportShardedAsync
-	// TransportProcSharded shards payload routing across
-	// TransportSpec.Workers separate OS processes connected by Unix-domain
-	// sockets: every collective payload is serialized into a
-	// length-prefixed frame and crosses a real kernel socket before its
-	// receiver may consume it, while simulated clocks stay bit-identical
+	// TransportProcSharded shards payload delivery across
+	// TransportSpec.Workers separate OS processes, each connected to this
+	// one by a Unix-domain socket: every collective payload is serialized
+	// into a length-prefixed frame and crosses a real kernel socket to the
+	// source rank's worker and back before its receiver may consume it,
+	// while simulated clocks stay bit-identical
 	// to the in-process reference. Binaries hosting this backend must call
 	// wire.MaybeWorker (internal/wire) first thing in main.
 	TransportProcSharded = core.TransportProcSharded
