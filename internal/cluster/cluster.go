@@ -317,17 +317,90 @@ func All2AllTime(model *timing.CostModel, bytes [][]int) timing.Seconds {
 	return total
 }
 
-// AllReduceTime returns what one device's share of a ring allreduce over
-// bytes payload bytes costs on an n-device runtime: the bandwidth-optimal
-// 2·(N−1)/N · bytes · θ + 2·(N−1)·γ. Every runtime backend must charge
-// this same formula so simulated clocks stay identical across transports.
-func AllReduceTime(model *timing.CostModel, n, rank, bytes int) timing.Seconds {
+// AllReduceTime returns what one allreduce of bytes payload bytes costs
+// every device of an n-device runtime: the cheapest of the three textbook
+// schedules (Thakur, Rabenseifner & Gropp, "Optimization of Collective
+// Communication Operations in MPICH", 2005) under the cost model. With
+// p = 2^⌊log₂N⌋:
+//
+//   - ring: 2(N−1) steps of B/N, rank r sending to r+1;
+//   - recursive doubling: log₂p exchanges of B, step k pairing r with
+//     r XOR 2^k;
+//   - Rabenseifner: log₂p recursive-halving exchanges of B/2^(k+1), then
+//     the mirrored recursive-doubling all-gather.
+//
+// When N is not a power of two, the two log-step schedules first fold the
+// first 2(N−p) ranks in pairs, even into odd, and unfold them after. Each
+// step costs its slowest pair, θ·bytes + γ — the rule ring all2all rounds
+// follow — so the schedule and its charge are the same on every rank. Every
+// runtime backend must charge this same function so simulated clocks stay
+// identical across transports, whatever moves underneath.
+func AllReduceTime(model *timing.CostModel, n, bytes int) timing.Seconds {
+	costs := allReduceCosts(model, n, bytes)
+	return slices.Min(costs[:])
+}
+
+// The allreduce schedules AllReduceTime picks from, indexing
+// allReduceCosts.
+const (
+	ringSchedule = iota
+	doublingSchedule
+	rabenseifnerSchedule
+	numSchedules
+)
+
+// allReduceCosts returns each schedule's charge for one allreduce of bytes
+// payload bytes on n devices.
+func allReduceCosts(model *timing.CostModel, n, bytes int) [numSchedules]timing.Seconds {
+	var costs [numSchedules]timing.Seconds
 	if n <= 1 {
-		return 0
+		return costs
 	}
-	frac := 2 * float64(n-1) / float64(n)
-	return timing.Seconds(frac*float64(bytes)*model.Theta(rank, (rank+1)%n)) +
-		timing.Seconds(2*float64(n-1)*model.Gamma())
+	b := float64(bytes)
+	step := func(theta, b float64) timing.Seconds {
+		return timing.Seconds(theta*b + model.Gamma())
+	}
+	var ring float64
+	for r := 0; r < n; r++ {
+		ring = max(ring, model.Theta(r, (r+1)%n))
+	}
+	costs[ringSchedule] = timing.Seconds(2*(n-1)) * step(ring, b/float64(n))
+
+	// MPICH's fold: rank 2i+1 (i < rem) stands in for 2i and itself, every
+	// rank from 2·rem on stands in for itself alone.
+	p := 1
+	for p*2 <= n {
+		p *= 2
+	}
+	rem := n - p
+	rankOf := func(v int) int {
+		if v < rem {
+			return 2*v + 1
+		}
+		return v + rem
+	}
+	var fold timing.Seconds
+	if rem > 0 {
+		var in, out float64
+		for i := 0; i < rem; i++ {
+			in = max(in, model.Theta(2*i, 2*i+1))
+			out = max(out, model.Theta(2*i+1, 2*i))
+		}
+		fold = step(in, b) + step(out, b)
+	}
+	costs[doublingSchedule] = fold
+	costs[rabenseifnerSchedule] = fold
+	half := b
+	for mask := 1; mask < p; mask *= 2 {
+		var theta float64
+		for v := 0; v < p; v++ {
+			theta = max(theta, model.Theta(rankOf(v), rankOf(v^mask)))
+		}
+		half /= 2 // a halving exchange and its mirror in the all-gather
+		costs[doublingSchedule] += step(theta, b)
+		costs[rabenseifnerSchedule] += 2 * step(theta, half)
+	}
+	return costs
 }
 
 // GatherTime returns what a gather into root costs every device for the
@@ -373,8 +446,8 @@ func BroadcastTime(model *timing.CostModel, bytes [][]int, root, last int) timin
 
 // AllReduceSum sums the given matrices elementwise across devices; every
 // device ends with the identical total (summed in rank order, so the
-// result is deterministic). Time is charged per the bandwidth-optimal ring
-// allreduce: 2·(N−1)/N · bytes · θ + 2·(N−1)·γ.
+// result is deterministic). Time is charged as AllReduceTime, the cheapest
+// textbook schedule, the same on every device.
 func (d *Device) AllReduceSum(ms []*tensor.Matrix) {
 	c := d.c
 	d.Barrier()
@@ -400,7 +473,7 @@ func (d *Device) AllReduceSum(ms []*tensor.Matrix) {
 	for _, m := range ms {
 		bytes += len(m.Data) * 4
 	}
-	d.Clock().Advance(timing.Comm, AllReduceTime(c.model, c.n, d.rank, bytes))
+	d.Clock().Advance(timing.Comm, AllReduceTime(c.model, c.n, bytes))
 	c.sync()
 	for i := range ms {
 		ms[i].CopyFrom(sums[i])

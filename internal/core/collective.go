@@ -447,9 +447,10 @@ func (d *device) RingAll2All(payloads [][]byte) [][]byte {
 	return received
 }
 
-// AllReduceSum sums matrices elementwise across devices and charges the
-// ring all-reduce of the time model, whatever moves underneath. What moves is
-// a reduce at rank 0 and a broadcast back, 2(N−1) parcels: every peer ships
+// AllReduceSum sums matrices elementwise across devices and charges
+// cluster.AllReduceTime, the cheapest textbook schedule of the modelled
+// testbed, whatever moves underneath. What moves is a reduce at rank 0 and a
+// broadcast back, 2(N−1) parcels: every peer ships
 // its matrices to rank 0 as raw float32 bits, rank 0 adds them to its own in
 // rank order — the same float additions as the reference, so the result is
 // bit-identical — and ships the sums to every peer. Both directions are
@@ -477,7 +478,7 @@ func (d *device) AllReduceSum(ms []*tensor.Matrix) {
 	for _, m := range ms {
 		bytes += 4 * len(m.Data)
 	}
-	d.Clock().Advance(timing.Comm, cluster.AllReduceTime(e.model, e.n, d.rank, bytes))
+	d.Clock().Advance(timing.Comm, cluster.AllReduceTime(e.model, e.n, bytes))
 	d.complete()
 }
 

@@ -5,9 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/partition"
 	"repro/internal/synthetic"
+	"repro/internal/tensor"
+	"repro/internal/timing"
 )
 
 // TestTransportConformance runs every registered backend through the
@@ -18,7 +21,8 @@ func TestTransportConformance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, parts := range []int{2, 4} {
+		// 3 is not a power of two: the all-reduce charge folds a pair.
+		for _, parts := range []int{2, 3, 4} {
 			vs := ConformTransport(f, parts)
 			for _, v := range vs {
 				t.Errorf("%s parts=%d: %v", name, parts, v)
@@ -313,6 +317,21 @@ func (d lateWaitDev) StartScatter(root int, payloads [][]byte) PendingCollective
 	return lateScatter{d.Transport, root, payloads}
 }
 
+// ringChargeDev sums correctly but still charges every all-reduce as the
+// ring, 2(N−1)·(θ·B/N + γ), whichever schedule is cheaper.
+type ringChargeDev struct{ Transport }
+
+func (d ringChargeDev) AllReduceSum(ms []*tensor.Matrix) {
+	d.Transport.AllReduceSum(ms)
+	n, bytes := d.Size(), 0
+	for _, m := range ms {
+		bytes += 4 * len(m.Data)
+	}
+	model := d.Model()
+	ring := timing.Seconds(2*(n-1)) * timing.Seconds(model.Theta(0, 1)*float64(bytes)/float64(n)+model.Gamma())
+	d.Clock().Advance(timing.Comm, ring-cluster.AllReduceTime(model, n, bytes))
+}
+
 func TestConformanceCatchesBrokenTransports(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -321,6 +340,7 @@ func TestConformanceCatchesBrokenTransports(t *testing.T) {
 	}{
 		{"no-op barrier", brokenFactory(func(d Transport) Transport { return noBarrierDev{d} }), "barrier"},
 		{"uncharged all2all", brokenFactory(func(d Transport) Transport { return unchargedDev{d} }), "all2all-clock-charge"},
+		{"ring-charged all-reduce", brokenFactory(func(d Transport) Transport { return ringChargeDev{d} }), "allreduce-clock-charge"},
 		{"recycled buffers", brokenFactory(func(d Transport) Transport { return &scratchDev{Transport: d} }), "payload-ownership"},
 		{"eager-wait split-phase", brokenFactory(func(d Transport) Transport { return eagerWaitDev{d} }), "overlap-charge"},
 		{"late-wait split-phase", brokenFactory(func(d Transport) Transport { return lateWaitDev{d} }), "overlap-charge"},

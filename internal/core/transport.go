@@ -39,8 +39,8 @@ type Transport interface {
 	// RingAll2All exchanges per-destination buffers over the ring schedule,
 	// charging Comm round by round.
 	RingAll2All(payloads [][]byte) [][]byte
-	// AllReduceSum sums matrices elementwise across devices (ring-allreduce
-	// time model).
+	// AllReduceSum sums matrices elementwise across devices, charging
+	// cluster.AllReduceTime (the cheapest textbook schedule).
 	AllReduceSum(ms []*tensor.Matrix)
 	// GatherBytes collects every device's payload at root.
 	GatherBytes(root int, payload []byte) [][]byte

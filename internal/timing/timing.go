@@ -11,7 +11,10 @@
 //   - compute: FLOPs ÷ effective device throughput;
 //   - network: per-message cost θ·bytes + γ (the affine cost model of
 //     Sarvotham et al. that the paper's Eqn. 10 uses), with ring all2all
-//     charged round by round, each round as slow as its slowest link.
+//     charged round by round, each round as slow as its slowest link, and
+//     the gradient all-reduce charged as the cheapest textbook schedule
+//     (ring, recursive doubling or Rabenseifner's), step by step under the
+//     same slowest-link rule.
 //
 // Calibration targets V100-class compute (~8 TFLOP/s effective on GNN
 // kernels) and 100 Gbps links, matching the paper's cluster. The absolute
