@@ -215,9 +215,8 @@ func BenchmarkEpochAdaQP(b *testing.B) {
 
 // BenchmarkEpochTransports measures one training epoch per registered
 // runtime backend through the Engine API — the per-backend cost of the
-// transport seam itself — plus the sharded-async backend with a bounded
-// worker pool and a relaxed staleness bound (its async fast path), and a
-// SANCUS blocking/overlap pair demonstrating the split-phase schedule.
+// transport seam itself — plus a SANCUS blocking/overlap pair
+// demonstrating the split-phase schedule.
 // Every sub-benchmark reports the run's simulated wall-clock as
 // sim-wallclock-sec (that the overlap variant's simulated epoch is shorter
 // than the blocking one's is asserted by core's TestOverlapReducesWallClock).
@@ -239,11 +238,6 @@ func BenchmarkEpochTransports(b *testing.B) {
 	for _, tr := range adaqp.Transports() {
 		b.Run(tr, func(b *testing.B) { run(b, adaqp.WithTransport(adaqp.TransportSpec{Name: tr})) })
 	}
-	b.Run("sharded-async-stale8", func(b *testing.B) {
-		run(b, adaqp.WithTransport(adaqp.TransportSpec{
-			Name: adaqp.TransportShardedAsync, Workers: 2, Staleness: 8,
-		}))
-	})
 	// The overlap pair: same SANCUS job, blocking vs split-phase schedule.
 	// Fixed-seed losses are bit-identical; sim-wallclock-sec must drop.
 	b.Run("sancus-blocking", func(b *testing.B) {
@@ -252,7 +246,7 @@ func BenchmarkEpochTransports(b *testing.B) {
 	b.Run("sancus-sharded-overlap", func(b *testing.B) {
 		run(b, adaqp.WithMethod(adaqp.SANCUS),
 			adaqp.WithTransport(adaqp.TransportSpec{
-				Name: adaqp.TransportShardedAsync, Workers: 2, Staleness: 8, Overlap: true,
+				Name: adaqp.TransportShardedAsync, Workers: 2, Overlap: true,
 			}))
 	})
 }

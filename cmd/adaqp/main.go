@@ -6,8 +6,8 @@
 //	adaqp -dataset products-sim -model gcn -method adaqp -parts 4 -epochs 100
 //	adaqp -dataset yelp-sim -model sage -method pipegcn -parts 8
 //	adaqp -dataset tiny -method vanilla -codec uniform -bits 8
-//	adaqp -dataset tiny -method sancus -transport sharded-async -staleness 8 -workers 4
-//	adaqp -dataset tiny -method sancus -transport sharded-async -staleness 8 -overlap
+//	adaqp -dataset tiny -method sancus -transport sharded-async -workers 4
+//	adaqp -dataset tiny -method sancus -transport sharded-async -overlap
 //	adaqp -dataset tiny -method adaqp -chaos-stragglers 1 -chaos-slow 4 -chaos-crash-epoch 20
 //
 // The -method, -codec, -transport and -dataset usage strings list whatever
@@ -39,7 +39,6 @@ func main() {
 		codec    = flag.String("codec", "", "message codec override: "+strings.Join(adaqp.Codecs(), ", "))
 		tport    = flag.String("transport", "", "runtime backend: "+strings.Join(adaqp.Transports(), ", "))
 		workers  = flag.Int("workers", 0, "worker pool size for pooled transports (0 = one per CPU)")
-		stale    = flag.Int("staleness", 0, "collectives a device may run ahead on async transports")
 		overlap  = flag.Bool("overlap", false, "split-phase collectives: hide broadcast wire time behind central-graph compute")
 		sockDir  = flag.String("socket-dir", "", "socket directory root for the proc-sharded transport (empty = system temp)")
 		parts    = flag.Int("parts", 4, "number of devices")
@@ -92,7 +91,7 @@ func main() {
 		Dataset: *dataset, Scale: *scale,
 		Model: *model, Method: *method,
 		Codec: *codec, Transport: *tport,
-		Workers: *workers, Staleness: *stale, Overlap: *overlap, SocketDir: *sockDir,
+		Workers: *workers, Overlap: *overlap, SocketDir: *sockDir,
 		Parts: *parts, Epochs: *epochs, Hidden: *hidden,
 		LR: *lr, Dropout: dropout, Lambda: lambda, EvalEvery: evalEach,
 		GroupSize: *group, ReassignPeriod: *period,

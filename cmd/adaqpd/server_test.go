@@ -163,14 +163,18 @@ func TestSubmitValidation(t *testing.T) {
 // name, never silently ignored.
 func TestRemovedSpecFieldIs400(t *testing.T) {
 	ts, sched := testServer(t)
-	rec := httptest.NewRecorder()
-	body := `{"dataset":"tiny","codec":"uniform","density":0.1}`
-	ts.Config.Handler.ServeHTTP(rec, httptest.NewRequest("POST", "/jobs", strings.NewReader(body)))
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", rec.Code)
-	}
-	if !strings.Contains(rec.Body.String(), `unknown field \"density\"`) {
-		t.Errorf("error body %q does not name the unknown field", rec.Body.String())
+	for field, body := range map[string]string{
+		"density":   `{"dataset":"tiny","codec":"uniform","density":0.1}`,
+		"staleness": `{"dataset":"tiny","transport":"sharded-async","staleness":4}`,
+	} {
+		rec := httptest.NewRecorder()
+		ts.Config.Handler.ServeHTTP(rec, httptest.NewRequest("POST", "/jobs", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400", field, rec.Code)
+		}
+		if !strings.Contains(rec.Body.String(), `unknown field \"`+field+`\"`) {
+			t.Errorf("%s: error body %q does not name the unknown field", field, rec.Body.String())
+		}
 	}
 	if n := len(sched.Sessions()); n != 0 {
 		t.Errorf("%d sessions admitted, want 0", n)
@@ -333,7 +337,7 @@ func TestHealthzAndMetricsAndDrain(t *testing.T) {
 	// An overlap-scheduled SANCUS job must surface its hidden wire time in
 	// the monotonic overlap counter and in /metrics.
 	overlapJob := `{"dataset":"tiny","scale":0.25,"parts":2,"method":"sancus","epochs":2,
-		"hidden":8,"eval_every":0,"transport":"sharded-async","staleness":4,"overlap":true}`
+		"hidden":8,"eval_every":0,"transport":"sharded-async","overlap":true}`
 	_, job = postJob(t, ts, overlapJob)
 	if final := waitTerminal(t, ts, job.ID); final.Status != "done" {
 		t.Fatalf("overlap job status = %q (error %q), want done", final.Status, final.Error)

@@ -1,5 +1,5 @@
 // Multi-process wire backend demo: the same AdaQP training run on the
-// in-process reference transport and on proc-sharded, where every codec
+// in-process transport and on proc-sharded, where every codec
 // payload is serialized into a length-prefixed frame and routed through
 // worker OS processes over Unix-domain sockets. The loss curves must be
 // bit-identical — the wire changes where bytes travel, never what they

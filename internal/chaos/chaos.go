@@ -172,9 +172,8 @@ func NewPlan(spec Spec, parts int) (*FaultPlan, error) {
 			case comp && link:
 				// Heterogeneous stragglers: alternate the bottleneck so a
 				// cluster can hold both a compute-bound and a
-				// bandwidth-bound slow device at once — the blocking
-				// backend pays both on every collective, the staleness
-				// bound decouples them.
+				// bandwidth-bound slow device at once; synchronized
+				// collectives make every device pay both.
 				if i%2 == 0 {
 					p.Slowdown[r] = spec.SlowFactor
 				} else {

@@ -26,12 +26,12 @@ import (
 //     (src,dst) pair is unique per collective — so the receiver releases
 //     each delivered buffer into its own arena (ReleaseAll) once decoded.
 //     Because every device both sends and receives through the same
-//     rendezvous, buffer counts stay balanced and, on the sharded-async
-//     backend, a buffer cannot be recycled before its lagging receiver
-//     consumed it: release happens on the consuming side.
+//     rendezvous, buffer counts stay balanced and a buffer cannot be
+//     recycled before its lagging receiver consumed it: release happens
+//     on the consuming side.
 //   - Gather / Scatter / Broadcast payloads are NEVER pooled: Broadcast
-//     hands the same slice to every receiver, and the sharded backend's
-//     run-ahead lets stragglers re-read posted buffers, so those paths
+//     hands the same slice to every receiver, and the root leaves the
+//     collective before its receivers have read it, so those paths
 //     keep plain allocations (they are rare — assignment epochs and
 //     evaluation sidebands).
 //   - Matrix scratch from GetMat is DIRTY: the caller must overwrite every

@@ -27,8 +27,8 @@ import (
 //     transport concern: the plan only fixes the site.
 //
 // The wrapper is a decorator rather than a hook inside the collective
-// engine because it must also wrap the reference backend and
-// user-registered transports. A training run issues the same per-device
+// engine because it must also wrap user-registered transports, which need
+// not run on the engine. A training run issues the same per-device
 // sequence of charged collectives on every backend, so the op counter below
 // — and with it the whole failure schedule — is identical across backends
 // by construction.

@@ -162,9 +162,8 @@ type CodecFactory func(env *CodecEnv) (MessageCodec, error)
 // width tables). The declaration is part of the codec contract: a codec
 // that does NOT declare state must produce bit-identical training results
 // when a fresh instance replaces it at any epoch boundary — which is what
-// lets the sharded-async backend's run-ahead hold per-device instances
-// for the whole run without re-synchronizing them. ConformCodec verifies
-// the discipline on both transport backends.
+// lets crash recovery restart it without a checkpoint. ConformCodec
+// verifies the discipline on the in-process and sharded-async backends.
 type StatefulCodec interface {
 	MessageCodec
 	// Stateful reports whether instances carry cross-epoch mutable state.

@@ -12,14 +12,16 @@ import (
 	"repro/internal/timing"
 )
 
-// This file is the one collective engine behind the sharded-async and
-// proc-sharded backends. The engine owns everything the simulated clock
-// depends on — the sequence-numbered coordination record (who posted, at
-// what simulated time, shipping how many bytes to whom), the charge rules
-// (package cluster's pure functions, timing.FinishDeferred), the byte
-// ledger, abort and unwinding — and every Transport method exactly once.
-// Payload bytes never enter the record: they reach their receiver through
-// a delivery, and the engine's charges cannot depend on when they do.
+// This file is the one collective engine behind every built-in backend:
+// inprocess, sharded-async and proc-sharded. The engine owns everything the
+// simulated clock depends on — the sequence-numbered coordination record
+// (who posted, at what simulated time, shipping how many bytes to whom), the
+// charge rules (package cluster's pure functions, timing.FinishDeferred),
+// the byte ledger, abort and unwinding — and every Transport method exactly
+// once. Every charged collective is synchronous: it aligns on its slowest
+// arrival, as the paper's training does. Payload bytes never enter the
+// record: they reach their receiver through a delivery, and the engine's
+// charges cannot depend on when they do.
 
 // parcel is one payload in flight, addressed by the collective it belongs
 // to and its two ends.
@@ -29,8 +31,8 @@ type parcel struct {
 }
 
 // delivery is how posted payloads reach their receivers: pointers handed
-// straight back (transport_sharded.go) or frames through a fleet of worker
-// processes (transport_proc.go). A device sends everything it ships in one
+// straight back (inprocess and sharded-async) or frames through a fleet of
+// worker processes (proc-sharded). A device sends everything it ships in one
 // collective as one post, so a transport can put it on the wire as one
 // write. A delivery guarantees exactly-once hand-off: every parcel sent is
 // delivered exactly once, with the same key and the payload's bytes, from
@@ -74,11 +76,11 @@ type abortRun struct{}
 
 // coll is one sequence number's coordination record.
 type coll struct {
-	op      string
-	arrived int
-	posted  []bool
-	at      []timing.Seconds // poster's clock at post time
-	sizes   [][]int          // sizes[src][dst]: bytes src ships to dst (nil row: nothing)
+	op       string
+	arrived  int
+	finished int              // devices done with it; the last one prunes it
+	at       []timing.Seconds // poster's clock at post time
+	sizes    [][]int          // sizes[src][dst]: bytes src ships to dst (nil row: nothing)
 }
 
 func (c *coll) maxAt() timing.Seconds {
@@ -93,11 +95,6 @@ type engine struct {
 	n     int
 	model *timing.CostModel
 	dlv   delivery
-	// stale is the run-ahead bound: a device may enter a blocking
-	// collective at most stale sequence numbers past the slowest device's
-	// last completed one, and beyond 0 the one-to-many collectives stop
-	// waiting for devices they do not depend on.
-	stale int
 	// slots bounds how many devices execute at a time; a device blocked in
 	// a wait gives its slot up, so fewer slots than devices cannot
 	// deadlock.
@@ -110,14 +107,17 @@ type engine struct {
 	bytesMoved [][]int64 // with clocks, the only state that outlives a Run
 	colls      map[int]*coll
 	inbox      map[frameKey][]byte
-	done       []int // collectives completed per device
-	minDone    int   // every sequence below this is completed everywhere and pruned
 	aborted    bool
 	abortErr   error // first delivery failure (nil when a body failed)
 }
 
-func newEngine(spec TransportSpec, slots, stale int, dlv delivery) *engine {
+// newEngine builds the engine for spec.Parts devices, slots of them
+// executing at a time, with payloads moving through dlv.
+func newEngine(spec TransportSpec, slots int, dlv delivery) *engine {
 	n := spec.Parts
+	if n <= 0 {
+		panic("core: a runtime needs at least one device")
+	}
 	model := spec.Model
 	if model == nil {
 		model = timing.Default()
@@ -126,7 +126,6 @@ func newEngine(spec TransportSpec, slots, stale int, dlv delivery) *engine {
 		n:          n,
 		model:      model,
 		dlv:        dlv,
-		stale:      max(stale, 0),
 		slots:      make(chan struct{}, min(slots, n)),
 		clocks:     make([]*timing.Clock, n),
 		bytesMoved: make([][]int64, n),
@@ -160,7 +159,6 @@ func (e *engine) Run(seed uint64, body func(Transport) error) error {
 	inbox := make(map[frameKey][]byte)
 	e.mu.Lock()
 	e.colls, e.inbox = make(map[int]*coll), inbox
-	e.done, e.minDone = make([]int, e.n), 0
 	e.aborted, e.abortErr = false, nil
 	e.mu.Unlock()
 	// deliver writes this Run's inbox, so a straggling hand-off from a
@@ -191,7 +189,7 @@ func (e *engine) Run(seed uint64, body func(Transport) error) error {
 			}()
 			e.slots <- struct{}{}
 			defer func() { <-e.slots }()
-			dev := &device{e: e, rank: rank, rng: cluster.DeviceRNG(seed, rank)}
+			dev := &device{e: e, rank: rank, rng: deviceRNG(seed, rank)}
 			if errs[rank] = body(dev); errs[rank] != nil {
 				e.abort(nil)
 			}
@@ -211,6 +209,12 @@ func (e *engine) Run(seed uint64, body func(Transport) error) error {
 		return wireErr
 	}
 	return stopErr
+}
+
+// deviceRNG derives device rank's private deterministic RNG for a run
+// seeded with seed.
+func deviceRNG(seed uint64, rank int) *tensor.RNG {
+	return tensor.NewRNG(seed ^ (uint64(rank+1) * 0x9e3779b97f4a7c15))
 }
 
 // abort unwinds every device; err is non-nil when the delivery failed.
@@ -274,22 +278,17 @@ func (d *device) Clock() *timing.Clock     { return d.e.clocks[d.rank] }
 func (d *device) Model() *timing.CostModel { return d.e.model }
 func (d *device) Rand() *tensor.RNG        { return d.rng }
 
-// next claims this device's next sequence number. A blocking collective
-// first waits out the run-ahead bound; a split-phase Start must not (it
-// is non-blocking by contract, and at staleness 0 waiting here would
-// deadlock the start-all/wait-all schedule) — its collective counts
-// against the bound once its Wait completes it.
-func (d *device) next(blocking bool) int {
+// next claims this device's next sequence number. It never waits: every
+// record and payload is keyed by its sequence number, so a device may post
+// the next collective while a peer is still finishing this one.
+func (d *device) next() int {
 	seq := d.seq
 	d.seq++
-	if blocking {
-		d.e.wait(func() bool { return seq-d.e.minDone <= d.e.stale })
-	}
 	return seq
 }
 
 // send hands one post to the delivery. Self-sends never happen: a device's
-// own payload stays a local pointer, like the reference returns it.
+// own payload stays a local pointer and is returned as it is.
 func (d *device) send(post ...parcel) {
 	if err := d.e.dlv.send(post); err != nil {
 		d.e.fail(err)
@@ -335,36 +334,36 @@ func (d *device) post(seq int, op string, sizes []int) timing.Seconds {
 	}
 	c, ok := e.colls[seq]
 	if !ok {
-		c = &coll{op: op, posted: make([]bool, e.n), at: make([]timing.Seconds, e.n), sizes: make([][]int, e.n)}
+		c = &coll{op: op, at: make([]timing.Seconds, e.n), sizes: make([][]int, e.n)}
 		e.colls[seq] = c
 	}
 	if c.op != op {
 		e.mu.Unlock()
 		panic(fmt.Sprintf("core: collective %d is %s on one device and %s on another (devices diverged)", seq, c.op, op))
 	}
-	c.posted[d.rank], c.at[d.rank], c.sizes[d.rank] = true, now, sizes
+	c.at[d.rank], c.sizes[d.rank] = now, sizes
 	c.arrived++
 	e.cond.Broadcast()
 	e.mu.Unlock()
 	return now
 }
 
-// waitFor blocks until src has posted sequence seq — every device when src
-// is negative — and returns the record.
-func (d *device) waitFor(seq, src int) *coll {
+// waitAll blocks until every device has posted sequence seq and returns
+// the record.
+func (d *device) waitAll(seq int) *coll {
 	e := d.e
 	var c *coll
 	e.wait(func() bool {
 		c = e.colls[seq]
-		return c != nil && (c.arrived == e.n || src >= 0 && c.posted[src])
+		return c != nil && c.arrived == e.n
 	})
 	return c
 }
 
 // rendezvous waits for every device to post seq and charges the gap to the
-// slowest arrival to Idle — the entry of every lockstep collective.
+// slowest arrival to Idle — the entry of every charged collective.
 func (d *device) rendezvous(seq int) *coll {
-	c := d.waitFor(seq, -1)
+	c := d.waitAll(seq)
 	d.Clock().AdvanceTo(timing.Idle, c.maxAt())
 	return c
 }
@@ -400,41 +399,37 @@ func (d *device) recvPeers(seq int, own []byte) [][]byte {
 	return out
 }
 
-// complete marks this device done with one more collective, advancing the
-// run-ahead horizon and pruning records every device has consumed.
-func (d *device) complete() {
+// complete marks this device done with collective seq; the last device
+// done prunes its record.
+func (d *device) complete(seq int) {
 	e := d.e
 	e.mu.Lock()
-	e.done[d.rank]++
-	for low := slices.Min(e.done); e.minDone < low; e.minDone++ {
-		delete(e.colls, e.minDone)
+	c := e.colls[seq]
+	if c.finished++; c.finished == e.n {
+		delete(e.colls, seq)
 	}
-	e.cond.Broadcast()
 	e.mu.Unlock()
 }
 
 // Barrier aligns all devices; everyone's clock advances to the slowest
-// arrival (gap charged to Idle). A barrier is inherently synchronous, so
-// it rendezvouses at every staleness bound.
+// arrival (gap charged to Idle).
 func (d *device) Barrier() {
-	seq := d.next(true)
+	seq := d.next()
 	d.post(seq, opBarrier, nil)
 	d.rendezvous(seq)
-	d.complete()
+	d.complete(seq)
 }
 
-// RingAll2All exchanges per-destination buffers over the ring schedule.
-// Every device's payload is a dependency of every other device, so the
-// collective rendezvouses at any staleness; arrival gaps are charged to
-// Idle and each round costs as much as its slowest link, round by round in
-// schedule order — the same float additions as the reference, so clocks
-// agree to the last bit.
+// RingAll2All exchanges per-destination buffers over the ring schedule
+// (Fig. 8): arrival gaps are charged to Idle and each of the N−1 rounds
+// costs as much as its slowest link, round by round in schedule order — the
+// straggler effect of §2.2.
 func (d *device) RingAll2All(payloads [][]byte) [][]byte {
 	e := d.e
 	if len(payloads) != e.n {
 		panic(fmt.Sprintf("core: %s got %d payloads for %d devices", opRing, len(payloads), e.n))
 	}
-	seq := d.next(true)
+	seq := d.next()
 	sizes := d.sendPeers(seq, payloads)
 	d.post(seq, opRing, sizes)
 	c := d.rendezvous(seq)
@@ -443,22 +438,21 @@ func (d *device) RingAll2All(payloads [][]byte) [][]byte {
 	}
 	e.addBytes(d.rank, sizes)
 	received := d.recvPeers(seq, nil)
-	d.complete()
+	d.complete(seq)
 	return received
 }
 
 // AllReduceSum sums matrices elementwise across devices and charges
 // cluster.AllReduceTime, the cheapest textbook schedule of the modelled
 // testbed, whatever moves underneath. What moves is a reduce at rank 0 and a
-// broadcast back, 2(N−1) parcels: every peer ships
-// its matrices to rank 0 as raw float32 bits, rank 0 adds them to its own in
-// rank order — the same float additions as the reference, so the result is
-// bit-identical — and ships the sums to every peer. Both directions are
-// serialized copies, so a device may keep mutating its matrices while a
-// straggler has yet to read.
+// broadcast back, 2(N−1) parcels: every peer ships its matrices to rank 0 as
+// raw float32 bits, rank 0 adds them to its own in rank order — so the
+// result is deterministic — and ships the sums to every peer. Both
+// directions are serialized copies, so a device may keep mutating its
+// matrices while a straggler has yet to read.
 func (d *device) AllReduceSum(ms []*tensor.Matrix) {
 	e := d.e
-	seq := d.next(true)
+	seq := d.next()
 	if d.rank != 0 {
 		d.send(parcel{frameKey{seq, d.rank, 0}, appendMats(ms)})
 	}
@@ -479,16 +473,14 @@ func (d *device) AllReduceSum(ms []*tensor.Matrix) {
 		bytes += 4 * len(m.Data)
 	}
 	d.Clock().Advance(timing.Comm, cluster.AllReduceTime(e.model, e.n, bytes))
-	d.complete()
+	d.complete(seq)
 }
 
-// GatherBytes collects every device's payload at root. At staleness 0
-// every device aligns on the slowest arrival and charges the slowest
-// incoming transfer (the reference model); beyond it, senders charge only
-// their own transfer and run ahead — only root pays for stragglers.
+// GatherBytes collects every device's payload at root: every device aligns
+// on the slowest arrival and charges the slowest incoming transfer.
 func (d *device) GatherBytes(root int, payload []byte) [][]byte {
 	e := d.e
-	seq := d.next(true)
+	seq := d.next()
 	var sizes []int
 	if d.rank != root {
 		sizes = make([]int, e.n)
@@ -496,25 +488,21 @@ func (d *device) GatherBytes(root int, payload []byte) [][]byte {
 		d.send(parcel{frameKey{seq, d.rank, root}, payload})
 	}
 	d.post(seq, opGather, sizes)
-	if e.stale > 0 && d.rank != root {
-		d.Clock().Advance(timing.Comm, e.model.TransferTime(d.rank, root, len(payload)))
-	} else {
-		c := d.rendezvous(seq)
-		d.Clock().Advance(timing.Comm, cluster.GatherTime(e.model, c.sizes, root))
-	}
+	c := d.rendezvous(seq)
+	d.Clock().Advance(timing.Comm, cluster.GatherTime(e.model, c.sizes, root))
 	var out [][]byte
 	if d.rank == root {
 		out = d.recvPeers(seq, payload)
 	} else {
 		e.addBytes(d.rank, sizes)
 	}
-	d.complete()
+	d.complete(seq)
 	return out
 }
 
 // ScatterBytes distributes payloads[i] from root to device i (max outgoing
-// transfer charged; scatter bytes are never counted — assignment metadata,
-// matching the reference ledger). payloads is only read on root.
+// transfer charged; scatter bytes are never counted — they are assignment
+// metadata, not messages). payloads is only read on root.
 func (d *device) ScatterBytes(root int, payloads [][]byte) []byte {
 	return d.startOneToMany(opScatter, root, payloads).Wait()
 }
@@ -525,11 +513,10 @@ func (d *device) BroadcastBytes(root int, payload []byte) []byte {
 	return d.startOneToMany(opBroadcast, root, d.replicate(payload)).Wait()
 }
 
-// StartScatter begins a split-phase scatter. Start never blocks (not even
-// on the run-ahead bound) and root's payloads leave immediately; Wait
-// performs the rendezvous and charges the blocking schedule through
-// timing.FinishDeferred, so compute issued in between hides wire time as
-// Overlap.
+// StartScatter begins a split-phase scatter. Start never blocks and root's
+// payloads leave immediately; Wait performs the rendezvous and charges the
+// blocking schedule through timing.FinishDeferred, so compute issued in
+// between hides wire time as Overlap.
 func (d *device) StartScatter(root int, payloads [][]byte) PendingCollective {
 	return d.startOneToMany(opStartScatter, root, payloads)
 }
@@ -547,7 +534,6 @@ type pending struct {
 	d         *device
 	seq, root int
 	broadcast bool // sequential-send timing and byte-accounted; else scatter
-	blocking  bool
 	start     timing.Seconds
 	own       []byte // root's self-delivery, never sent
 	done      bool
@@ -558,11 +544,10 @@ type pending struct {
 func (d *device) startOneToMany(op string, root int, payloads [][]byte) *pending {
 	p := &pending{
 		d:         d,
+		seq:       d.next(),
 		root:      root,
 		broadcast: op == opBroadcast || op == opStartBroadcast,
-		blocking:  op == opBroadcast || op == opScatter,
 	}
-	p.seq = d.next(p.blocking)
 	var sizes []int
 	if d.rank == root {
 		if len(payloads) != d.e.n {
@@ -575,36 +560,19 @@ func (d *device) startOneToMany(op string, root int, payloads [][]byte) *pending
 	return p
 }
 
-// Wait completes the collective. At staleness 0 it aligns on the slowest
-// Start and charges the whole transfer, like the reference. Beyond it a
-// device depends only on root's post: root charges the whole transfer, a
-// scatter receiver its own slice, a broadcast receiver the sequential
-// prefix up to its own turn — late receivers never delay early ones.
+// Wait completes the collective: it aligns on the slowest Start and charges
+// the whole transfer through timing.FinishDeferred. A blocking form waits
+// at once, so nothing is hidden and the charge is the blocking one.
 func (p *pending) Wait() []byte {
 	if p.done {
 		panic("core: split-phase handle waited twice")
 	}
 	p.done = true
 	d, e, root := p.d, p.d.e, p.root
-	partial := e.stale > 0 && d.rank != root
-	var c *coll
-	var align, wire timing.Seconds
-	if e.stale > 0 {
-		c = d.waitFor(p.seq, root)
-		align = c.at[root]
-	} else {
-		c = d.waitFor(p.seq, -1)
-		align = c.maxAt()
-	}
-	switch {
-	case p.broadcast && partial:
-		wire = cluster.BroadcastTime(e.model, c.sizes, root, d.rank)
-	case p.broadcast:
-		wire = cluster.BroadcastTime(e.model, c.sizes, root, e.n-1)
-	case partial:
-		wire = e.model.TransferTime(root, d.rank, c.sizes[root][d.rank])
-	default:
-		wire = cluster.ScatterTime(e.model, c.sizes, root)
+	c := d.waitAll(p.seq)
+	wire := cluster.ScatterTime(e.model, c.sizes, root)
+	if p.broadcast {
+		wire = cluster.BroadcastTime(e.model, c.sizes, root)
 	}
 	out := p.own
 	if d.rank != root {
@@ -612,15 +580,8 @@ func (p *pending) Wait() []byte {
 	} else if p.broadcast {
 		e.addBytes(root, c.sizes[root])
 	}
-	if p.blocking {
-		// Not FinishDeferred: a blocking receiver that arrives after a
-		// relaxed root's transfer ended still pays it in full.
-		d.Clock().AdvanceTo(timing.Idle, align)
-		d.Clock().Advance(timing.Comm, wire)
-	} else {
-		timing.FinishDeferred(d.Clock(), p.start, align, wire)
-	}
-	d.complete()
+	timing.FinishDeferred(d.Clock(), p.start, c.maxAt(), wire)
+	d.complete(p.seq)
 	return out
 }
 
@@ -629,22 +590,22 @@ func (d *device) RawAll2All(payloads [][]byte) [][]byte {
 	if len(payloads) != d.e.n {
 		panic(fmt.Sprintf("core: %s got %d payloads for %d devices", opRawRing, len(payloads), d.e.n))
 	}
-	seq := d.next(true)
+	seq := d.next()
 	d.sendPeers(seq, payloads)
 	d.post(seq, opRawRing, nil)
 	received := d.recvPeers(seq, nil)
-	d.complete()
+	d.complete(seq)
 	return received
 }
 
 // RawAllGather shares one buffer from every device with every device,
 // charging no time (metrics sideband).
 func (d *device) RawAllGather(payload []byte) [][]byte {
-	seq := d.next(true)
+	seq := d.next()
 	d.sendPeers(seq, d.replicate(payload))
 	d.post(seq, opRawGather, nil)
 	out := d.recvPeers(seq, payload)
-	d.complete()
+	d.complete(seq)
 	return out
 }
 

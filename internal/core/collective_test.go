@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/tensor"
 	"repro/internal/timing"
 )
@@ -51,7 +52,8 @@ func runWithin(t *testing.T, rt Runtime, body func(Transport) error) error {
 	}
 }
 
-// engineOf returns the collective engine behind rt (nil for the reference).
+// engineOf returns the collective engine behind rt (nil for a runtime that
+// is not one).
 func engineOf(rt Runtime) *engine {
 	switch r := rt.(type) {
 	case *engine:
@@ -168,7 +170,7 @@ func TestRunErrorPropagationAndReuse(t *testing.T) {
 		baseline := goruntime.NumGoroutine()
 		var lossy atomic.Bool // the wire loses everything rank 0 sends
 		lossy.Store(true)
-		rt := newEngine(TransportSpec{Parts: parts, Model: dyadicModel()}, 2, 0, &tappedDelivery{tap: func(post []parcel) []parcel {
+		rt := newEngine(TransportSpec{Parts: parts, Model: dyadicModel()}, 2, &tappedDelivery{tap: func(post []parcel) []parcel {
 			if lossy.Load() && len(post) > 0 && post[0].src == 0 {
 				return nil
 			}
@@ -249,7 +251,7 @@ func TestAllReduceMovesTwoBlobsPerPeer(t *testing.T) {
 	blob := int64(len(appendMats(cancellingMats(0))))
 	for _, n := range []int{2, 3, 8} {
 		var parcels, wireBytes atomic.Int64
-		rt := newEngine(TransportSpec{Parts: n}, 2, 0, &tappedDelivery{tap: func(post []parcel) []parcel {
+		rt := newEngine(TransportSpec{Parts: n}, 2, &tappedDelivery{tap: func(post []parcel) []parcel {
 			for _, p := range post {
 				parcels.Add(1)
 				wireBytes.Add(int64(len(p.payload)))
@@ -276,51 +278,80 @@ func TestAllReduceMovesTwoBlobsPerPeer(t *testing.T) {
 
 // TestAllReduceMatchesReferenceBits: on inputs whose sum depends on the order
 // of the additions, with devices arriving at different simulated times, every
-// engine-backed transport — and the engine over a delivery that hands rank
-// 0's sums over late and out of order — ends with the reference cluster's
-// bits on every device and the reference's clocks.
+// registered transport — and the engine over a delivery that hands rank 0's
+// sums over late and out of order — ends with the bits of a plain rank-order
+// sum on every device, and with the clocks of a rendezvous at the slowest
+// arrival followed by AllReduceTime's charge.
 func TestAllReduceMatchesReferenceBits(t *testing.T) {
-	const parts = 5
-	run := func(name string, rt Runtime) ([][]float32, []*timing.Clock) {
-		sums := make([][]float32, parts)
+	const parts, rounds = 5, 2
+	model := dyadicModel()
+	arrive := func(rank, round int) timing.Seconds { return timing.Seconds(1+(rank+round)%3) / 8 }
+
+	// The reference: each round's inputs summed in rank order, and each
+	// device's clock, Comp and Idle after the rounds (every value is dyadic,
+	// so the sums are exact in any order).
+	want := make([]float32, 0)
+	now := make([]timing.Seconds, parts)
+	comp := make([]timing.Seconds, parts)
+	idle := make([]timing.Seconds, parts)
+	for round := 0; round < rounds; round++ {
+		sums := cancellingMats(round)
+		for r := 1; r < parts; r++ {
+			for i, m := range cancellingMats(r + round) {
+				sums[i].AddInPlace(m)
+			}
+		}
+		bytes := 0
+		for _, m := range sums {
+			want = append(want, m.Data...)
+			bytes += 4 * len(m.Data)
+		}
+		var latest timing.Seconds
+		for r := range now {
+			comp[r] += arrive(r, round)
+			latest = max(latest, now[r]+arrive(r, round))
+		}
+		for r := range now {
+			idle[r] += latest - now[r] - arrive(r, round)
+			now[r] = latest + cluster.AllReduceTime(model, parts, bytes)
+		}
+	}
+
+	spec := TransportSpec{Parts: parts, Workers: 2, Model: model}
+	runtimes := map[string]Runtime{"engine over a reordering delivery": newEngine(spec, 2, &reorderDelivery{})}
+	for _, name := range TransportNames() {
+		f, err := LookupTransport(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtimes[name] = f(spec)
+	}
+	for name, rt := range runtimes {
+		got := make([][]float32, parts)
 		if err := runWithin(t, rt, func(dev Transport) error {
-			for round := 0; round < 2; round++ {
-				dev.Clock().Advance(timing.Comp, timing.Seconds(1+(dev.Rank()+round)%3)/8)
+			for round := 0; round < rounds; round++ {
+				dev.Clock().Advance(timing.Comp, arrive(dev.Rank(), round))
 				ms := cancellingMats(dev.Rank() + round)
 				dev.AllReduceSum(ms)
 				for _, m := range ms {
-					sums[dev.Rank()] = append(sums[dev.Rank()], m.Data...)
+					got[dev.Rank()] = append(got[dev.Rank()], m.Data...)
 				}
 			}
 			return nil
 		}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		return sums, rt.Clocks()
-	}
-	spec := TransportSpec{Parts: parts, Workers: 2, Model: dyadicModel()}
-	reference, err := LookupTransport(TransportInprocess)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, wantClocks := run(TransportInprocess, reference(spec))
-	runtimes := map[string]Runtime{
-		TransportShardedAsync:               newShardedRuntime(spec),
-		TransportProcSharded:                newProcRuntime(spec),
-		"engine over a reordering delivery": newEngine(spec, 2, 0, &reorderDelivery{}),
-	}
-	for name, rt := range runtimes {
-		got, clocks := run(name, rt)
-		for r := range want {
-			for i := range want[r] {
-				if math.Float32bits(got[r][i]) != math.Float32bits(want[r][i]) {
-					t.Errorf("%s: rank %d element %d = %v (%#08x), reference %v (%#08x)", name, r, i,
-						got[r][i], math.Float32bits(got[r][i]), want[r][i], math.Float32bits(want[r][i]))
+		for r, ck := range rt.Clocks() {
+			for i := range want {
+				if math.Float32bits(got[r][i]) != math.Float32bits(want[i]) {
+					t.Errorf("%s: rank %d element %d = %v (%#08x), rank-order sum %v (%#08x)", name, r, i,
+						got[r][i], math.Float32bits(got[r][i]), want[i], math.Float32bits(want[i]))
 					break
 				}
 			}
-			if g, w := clocks[r], wantClocks[r]; g.Now() != w.Now() || fmt.Sprint(g.Breakdown()) != fmt.Sprint(w.Breakdown()) {
-				t.Errorf("%s: rank %d clock %v %v, reference %v %v", name, r, g.Now(), g.Breakdown(), w.Now(), w.Breakdown())
+			if ck.Now() != now[r] || ck.Spent(timing.Comp) != comp[r] || ck.Spent(timing.Idle) != idle[r] ||
+				ck.Spent(timing.Comm) != now[r]-comp[r]-idle[r] {
+				t.Errorf("%s: rank %d clock %v %v, want %v (comp %v, idle %v)", name, r, ck.Now(), ck.Breakdown(), now[r], comp[r], idle[r])
 			}
 		}
 	}
@@ -331,7 +362,7 @@ func TestAllReduceMatchesReferenceBits(t *testing.T) {
 			reversed[i].AddInPlace(m)
 		}
 	}
-	firstRound := want[0][:len(reversed[0].Data)+len(reversed[1].Data)]
+	firstRound := want[:len(reversed[0].Data)+len(reversed[1].Data)]
 	if fmt.Sprint(append(append([]float32(nil), reversed[0].Data...), reversed[1].Data...)) == fmt.Sprint(firstRound) {
 		t.Error("the inputs sum to the same bits in reverse rank order; they do not test the order")
 	}
@@ -350,7 +381,7 @@ func TestAllReduceCorruptBlobFailsTheRun(t *testing.T) {
 		{0, 3, "rank 3 decoding rank 0's sums"},
 	} {
 		// One bad link: the payload from src to dst arrives a byte short.
-		rt := newEngine(TransportSpec{Parts: parts}, 2, 0, &tappedDelivery{tap: func(post []parcel) []parcel {
+		rt := newEngine(TransportSpec{Parts: parts}, 2, &tappedDelivery{tap: func(post []parcel) []parcel {
 			post = append([]parcel(nil), post...)
 			for i, p := range post {
 				if p.src == tc.src && p.dst == tc.dst {
@@ -490,56 +521,53 @@ func (l *payloadLog) StartScatter(root int, p [][]byte) PendingCollective {
 
 // TestEngineChargesIgnoreDeliveryTiming proves the seam: the engine over a
 // delivery that reorders, delays and copies conforms exactly like the
-// pointer delivery, and on the scripted workload — lockstep and with the
-// staleness relaxations on — ends with the same clocks, the same payloads
-// and the same byte ledger. Charges come from the coordination record
-// alone.
+// pointer delivery, and on the scripted workload ends with the same clocks,
+// the same payloads and the same byte ledger. Charges come from the
+// coordination record alone.
 func TestEngineChargesIgnoreDeliveryTiming(t *testing.T) {
-	factory := func(stale int, dlv func() delivery) RuntimeFactory {
-		return func(spec TransportSpec) Runtime { return newEngine(spec, 2, stale, dlv()) }
+	factory := func(dlv func() delivery) RuntimeFactory {
+		return func(spec TransportSpec) Runtime { return newEngine(spec, 2, dlv()) }
 	}
 	pointer := func() delivery { return &pointerDelivery{} }
 	reorder := func() delivery { return &reorderDelivery{} }
 	for _, parts := range []int{4, 6} {
-		for _, v := range ConformTransport(factory(0, reorder), parts) {
+		for _, v := range ConformTransport(factory(reorder), parts) {
 			t.Errorf("parts=%d: %v", parts, v)
 		}
-		for _, v := range ConformTransportChaos(factory(0, reorder), parts) {
+		for _, v := range ConformTransportChaos(factory(reorder), parts) {
 			t.Errorf("parts=%d chaos: %v", parts, v)
 		}
-		for _, stale := range []int{0, 8} {
-			run := func(dlv func() delivery) (Runtime, [][][]byte) {
-				rt := factory(stale, dlv)(TransportSpec{Parts: parts})
-				logs := make([][][]byte, parts)
-				err := rt.Run(1, func(dev Transport) error {
-					l := &payloadLog{Transport: dev}
-					defer func() { logs[dev.Rank()] = l.got }()
-					return conformScript(l)
-				})
-				if err != nil {
-					t.Fatalf("parts=%d staleness=%d: %v", parts, stale, err)
-				}
-				return rt, logs
+		run := func(dlv func() delivery) (Runtime, [][][]byte) {
+			rt := factory(dlv)(TransportSpec{Parts: parts})
+			logs := make([][][]byte, parts)
+			err := rt.Run(1, func(dev Transport) error {
+				l := &payloadLog{Transport: dev}
+				defer func() { logs[dev.Rank()] = l.got }()
+				return conformScript(l)
+			})
+			if err != nil {
+				t.Fatalf("parts=%d: %v", parts, err)
 			}
-			want, wantLogs := run(pointer)
-			got, gotLogs := run(reorder)
-			label := fmt.Sprintf("parts=%d staleness=%d", parts, stale)
-			for r := 0; r < parts; r++ {
-				if g, w := got.Clocks()[r], want.Clocks()[r]; g.Now() != w.Now() || fmt.Sprint(g.Breakdown()) != fmt.Sprint(w.Breakdown()) {
-					t.Errorf("%s: rank %d clock %v %v, pointer delivery %v %v", label, r, g.Now(), g.Breakdown(), w.Now(), w.Breakdown())
-				}
-				if len(gotLogs[r]) != len(wantLogs[r]) {
-					t.Fatalf("%s: rank %d received %d payloads, pointer delivery %d", label, r, len(gotLogs[r]), len(wantLogs[r]))
-				}
-				for i := range wantLogs[r] {
-					if !bytes.Equal(gotLogs[r][i], wantLogs[r][i]) {
-						t.Errorf("%s: rank %d payload %d differs from the pointer delivery's", label, r, i)
-					}
+			return rt, logs
+		}
+		want, wantLogs := run(pointer)
+		got, gotLogs := run(reorder)
+		label := fmt.Sprintf("parts=%d", parts)
+		for r := 0; r < parts; r++ {
+			if g, w := got.Clocks()[r], want.Clocks()[r]; g.Now() != w.Now() || fmt.Sprint(g.Breakdown()) != fmt.Sprint(w.Breakdown()) {
+				t.Errorf("%s: rank %d clock %v %v, pointer delivery %v %v", label, r, g.Now(), g.Breakdown(), w.Now(), w.Breakdown())
+			}
+			if len(gotLogs[r]) != len(wantLogs[r]) {
+				t.Fatalf("%s: rank %d received %d payloads, pointer delivery %d", label, r, len(gotLogs[r]), len(wantLogs[r]))
+			}
+			for i := range wantLogs[r] {
+				if !bytes.Equal(gotLogs[r][i], wantLogs[r][i]) {
+					t.Errorf("%s: rank %d payload %d differs from the pointer delivery's", label, r, i)
 				}
 			}
-			if g, w := fmt.Sprint(got.BytesMoved()), fmt.Sprint(want.BytesMoved()); g != w {
-				t.Errorf("%s: byte ledger %s, pointer delivery %s", label, g, w)
-			}
+		}
+		if g, w := fmt.Sprint(got.BytesMoved()), fmt.Sprint(want.BytesMoved()); g != w {
+			t.Errorf("%s: byte ledger %s, pointer delivery %s", label, g, w)
 		}
 	}
 }

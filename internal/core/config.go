@@ -2,8 +2,8 @@
 // synchronous baseline, AdaQP (adaptive message quantization +
 // central/marginal computation–communication parallelization), the
 // uniform-bit-width ablations, and the staleness-based comparison systems
-// PipeGCN and SANCUS — all running on the in-process cluster runtime with
-// real numerics and simulated device/network timing.
+// PipeGCN and SANCUS — all running on one synchronous collective runtime
+// with real numerics and simulated device/network timing.
 package core
 
 import (
@@ -168,18 +168,13 @@ type Config struct {
 	codecFactory CodecFactory
 
 	// Transport selects the runtime backend registered with
-	// RegisterTransport. Empty selects the in-process cluster.
+	// RegisterTransport. Empty selects TransportInprocess.
 	Transport string
 
 	// TransportWorkers bounds how many devices execute concurrently on
 	// transports that multiplex devices onto a worker pool (sharded-async).
 	// 0 means one worker per available CPU.
 	TransportWorkers int
-
-	// TransportStaleness is how many collective operations a device may
-	// run ahead of the slowest straggler on async transports. 0 keeps
-	// lockstep semantics, bit-identical to the in-process cluster.
-	TransportStaleness int
 
 	// TransportOverlap switches the trainer's exchange hot loop to the
 	// split-phase collective schedule: all of an exchange's sends are
@@ -304,9 +299,6 @@ func (c *Config) validate() error {
 	}
 	if c.TransportWorkers < 0 {
 		return fmt.Errorf("core: transport workers must be >= 0, got %d", c.TransportWorkers)
-	}
-	if c.TransportStaleness < 0 {
-		return fmt.Errorf("core: transport staleness must be >= 0, got %d", c.TransportStaleness)
 	}
 	if c.Faults.Enabled() {
 		if err := c.Faults.Validate(); err != nil {

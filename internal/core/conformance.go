@@ -20,7 +20,7 @@ import (
 // specification: collective payload delivery, receiver buffer ownership,
 // simulated clock charging (Comm/Idle split), byte accounting, and the
 // silence of the Raw* metrics sideband, plus a scripted run compared
-// field-by-field against the in-process reference.
+// field-by-field against the in-process backend.
 
 // Violation is one conformance failure: Check names the contract clause
 // ("barrier-clock", "payload-ownership", ...), Detail says what diverged.
@@ -44,7 +44,7 @@ func (c *vioCollector) addf(check, format string, args ...any) {
 }
 
 // ConformTransport verifies a runtime backend against the synchronous
-// (staleness-0) Transport collective contract with parts devices, using
+// Transport collective contract with parts devices, using
 // the default cost model. It returns nil when the backend conforms; each
 // Violation pinpoints a contract clause the backend broke. parts >= 2 is
 // required to exercise cross-device traffic.
@@ -685,12 +685,12 @@ func conformScript(dev Transport) error {
 }
 
 // checkReferenceParity runs conformScript on the candidate and on the
-// in-process reference and requires identical per-device simulated clocks
+// in-process backend and requires identical per-device simulated clocks
 // (total and per category) and byte accounting.
 func checkReferenceParity(f RuntimeFactory, parts int, col *vioCollector) {
 	ref, err := LookupTransport(TransportInprocess)
 	if err != nil {
-		col.addf("reference-parity", "no in-process reference registered: %v", err)
+		col.addf("reference-parity", "no in-process backend registered: %v", err)
 		return
 	}
 	cand := runBody(f, parts, col, conformScript)

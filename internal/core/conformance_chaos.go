@@ -122,14 +122,14 @@ func checkChaosDelivery(f RuntimeFactory, parts int, plan *chaos.FaultPlan, name
 }
 
 // checkChaosParity runs the scripted mixed-collective workload under the
-// plan on the candidate and on the in-process reference — both through the
+// plan on the candidate and on the in-process backend — both through the
 // same fault wrapper — and requires identical per-device clocks per
 // category. The byte ledger must additionally equal the fault-free
 // reference's: faults charge simulated time only.
 func checkChaosParity(f RuntimeFactory, parts int, plan *chaos.FaultPlan, name string, col *vioCollector) {
 	ref, err := LookupTransport(TransportInprocess)
 	if err != nil {
-		col.addf("chaos-clock-parity", "no in-process reference registered: %v", err)
+		col.addf("chaos-clock-parity", "no in-process backend registered: %v", err)
 		return
 	}
 	cand := runBody(faultFactory(f, plan, nil), parts, col, conformScript)

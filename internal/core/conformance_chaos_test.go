@@ -68,13 +68,6 @@ func TestChaosSlowdownDeterminism(t *testing.T) {
 			t.Errorf("%s: reported %d stragglers, want 2", tr, a.Faults.Stragglers)
 		}
 	}
-	// The async backend's staleness relaxation must not disturb the fault
-	// schedule: losses stay equal at positive staleness too.
-	cfg := confTrainConfig(CodecFP32)
-	cfg.Transport = TransportShardedAsync
-	cfg.TransportStaleness = 4
-	cfg.Faults = spec
-	lossParity(t, "sharded staleness=4", ref, confTrain(t, dep, cfg))
 }
 
 // TestChaosTransientRetries: transient failures charge retries without
@@ -176,11 +169,6 @@ func TestChaosCrashRecovery(t *testing.T) {
 				t.Errorf("%s/%s: recovery time %v, want the restart penalty 50", tr, codec, got.Faults.RecoveryTime)
 			}
 		}
-		cfg := base
-		cfg.Transport = TransportShardedAsync
-		cfg.TransportStaleness = 4
-		cfg.Faults = spec
-		lossParity(t, "sharded staleness=4/"+codec, ref, confTrain(t, dep, cfg))
 	}
 }
 

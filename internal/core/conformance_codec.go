@@ -29,7 +29,7 @@ import (
 //     transport backends.
 //   - codec-reproducibility / codec-backend-parity: fixed-seed runs must
 //     be bit-identical run-to-run on each backend, and across the
-//     in-process and sharded-async backends at staleness 0.
+//     in-process and sharded-async backends.
 
 // codecConformConfig is the small fixed training scenario the stateful
 // checks run: 4 epochs so re-assignment periods and SANCUS staleness
@@ -80,7 +80,7 @@ func probeValue(rank, row, col int) float32 {
 }
 
 // checkCodecExchange runs one epoch-0, layer-0 forward exchange on the
-// in-process reference backend and checks decode-of-encode error bounds
+// in-process backend and checks decode-of-encode error bounds
 // and the byte ledger against the codec's declarations.
 func checkCodecExchange(f CodecFactory, dep *Deployment, cfg Config, col *vioCollector) {
 	codecExchangeCheck(f, dep, cfg, 8, probeValue, col)
@@ -94,7 +94,7 @@ func codecExchangeCheck(f CodecFactory, dep *Deployment, cfg Config, dim int, fi
 	locals := dep.Locals
 	runtimeFor, err := LookupTransport(TransportInprocess)
 	if err != nil {
-		col.addf("setup", "no in-process reference transport: %v", err)
+		col.addf("setup", "no in-process transport: %v", err)
 		return
 	}
 	// Build every device's codec before the runtime starts: factories take
@@ -283,7 +283,7 @@ func checkCodecStateDiscipline(f CodecFactory, dep *Deployment, cfg Config, col 
 }
 
 // checkCodecReproducibility requires fixed-seed bit-reproducibility on
-// each backend and bit-identical cross-backend parity at staleness 0.
+// each backend and bit-identical cross-backend parity.
 func checkCodecReproducibility(f CodecFactory, dep *Deployment, cfg Config, col *vioCollector) {
 	train := func(tr string) (*metrics.RunResult, error) {
 		c := cfg
@@ -310,7 +310,7 @@ func checkCodecReproducibility(f CodecFactory, dep *Deployment, cfg Config, col 
 			ref = a
 		} else if ref != nil {
 			if desc := runDivergence(ref, a, true); desc != "" {
-				col.addf("codec-backend-parity", "in-process vs %s at staleness 0 diverged (%s)", tr, desc)
+				col.addf("codec-backend-parity", "in-process vs %s diverged (%s)", tr, desc)
 			}
 		}
 	}
@@ -318,7 +318,7 @@ func checkCodecReproducibility(f CodecFactory, dep *Deployment, cfg Config, col 
 
 // runDivergence describes the first bitwise difference between two runs,
 // or returns "" when they match. withTime additionally compares the
-// simulated clocks (guaranteed across backends only at staleness 0).
+// simulated clocks.
 func runDivergence(a, b *metrics.RunResult, withTime bool) string {
 	if len(a.Epochs) != len(b.Epochs) {
 		return fmt.Sprintf("%d epoch records vs %d", len(a.Epochs), len(b.Epochs))

@@ -167,8 +167,8 @@ func TestCodecConformanceCatchesBrokenCodecs(t *testing.T) {
 }
 
 // TestStatefulDeclarations pins which built-in codecs declare cross-epoch
-// state — the declaration is part of the contract the sharded-async
-// run-ahead relies on.
+// state — the declaration is part of the contract crash recovery relies
+// on.
 func TestStatefulDeclarations(t *testing.T) {
 	want := map[string]bool{
 		CodecFP32:     false,

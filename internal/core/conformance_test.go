@@ -71,7 +71,7 @@ func confTrain(t *testing.T, dep *Deployment, cfg Config) *metrics.RunResult {
 // TestTransportLossParity trains the same fixed-seed scenario on every
 // registered transport with every registered codec and requires
 // bit-identical loss curves, epoch sim-times, final accuracy and byte
-// accounting at staleness 0.
+// accounting.
 func TestTransportLossParity(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
 	dep := Deploy(ds, 4, GCN, partition.Block)
@@ -89,35 +89,12 @@ func TestTransportLossParity(t *testing.T) {
 	}
 }
 
-// TestShardedStalenessLossParity pins the async guarantee: because
-// payloads are sequence-matched (never stale data), loss curves and final
-// accuracy stay bit-identical at any staleness bound and worker count —
-// only the simulated time changes.
-func TestShardedStalenessLossParity(t *testing.T) {
-	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
-	dep := Deploy(ds, 4, GCN, partition.Block)
-	// Adaptive and SANCUS exercise the gather/scatter and broadcast paths;
-	// PipeGCN pins that the stale halos it carries across epochs survive
-	// the run-ahead.
-	for _, codec := range []string{CodecAdaptive, CodecSancus, CodecPipeGCN} {
-		ref := confTrain(t, dep, confTrainConfig(codec))
-		for _, stale := range []int{1, 4, 16} {
-			cfg := confTrainConfig(codec)
-			cfg.Transport = TransportShardedAsync
-			cfg.TransportStaleness = stale
-			cfg.TransportWorkers = 2
-			got := confTrain(t, dep, cfg)
-			compareRuns(t, codec, ref, got, false)
-		}
-	}
-}
-
 // TestOverlapLossParity pins the overlap schedule's core guarantee: with
 // TransportOverlap set the SANCUS payload routing is unchanged, so loss
 // curves, accuracies and byte ledgers stay bit-identical to the blocking
-// schedule — only where the simulated time lands changes. At staleness 0
-// both backends run the identical split-phase schedule through
-// timing.FinishDeferred, so between them even the clocks must agree.
+// schedule — only where the simulated time lands changes. Every backend
+// runs the identical split-phase schedule through timing.FinishDeferred, so
+// between them even the clocks must agree, at any worker count.
 func TestOverlapLossParity(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
 	dep := Deploy(ds, 4, GCN, partition.Block)
@@ -132,10 +109,8 @@ func TestOverlapLossParity(t *testing.T) {
 	sh.Transport = TransportShardedAsync
 	compareRuns(t, "sharded overlap vs inprocess overlap", inproc, confTrain(t, dep, sh), true)
 
-	stale := sh
-	stale.TransportStaleness = 8
-	stale.TransportWorkers = 2
-	compareRuns(t, "sharded overlap staleness=8", inproc, confTrain(t, dep, stale), false)
+	sh.TransportWorkers = 2
+	compareRuns(t, "sharded overlap on 2 workers vs inprocess overlap", inproc, confTrain(t, dep, sh), true)
 }
 
 // TestOverlapReducesWallClock: hiding broadcast wire time behind the
@@ -174,7 +149,7 @@ func TestOverlapChaosLossParity(t *testing.T) {
 }
 
 // compareRuns requires bit-identical convergence; withTime additionally
-// requires identical simulated clocks (only guaranteed at staleness 0).
+// requires identical simulated clocks.
 // It reports via runDivergence so the conformance suite and the parity
 // tests share one definition of "bit-identical".
 func compareRuns(t *testing.T, label string, ref, got *metrics.RunResult, withTime bool) {
@@ -184,37 +159,11 @@ func compareRuns(t *testing.T, label string, ref, got *metrics.RunResult, withTi
 	}
 }
 
-// TestShardedStalenessReducesIdle checks the async backend actually models
-// straggler tolerance: on a broadcast-heavy SANCUS run over a skewed cost
-// model, a positive staleness bound must not increase simulated wall-clock
-// and must strictly reduce it when stragglers exist.
-func TestShardedStalenessReducesIdle(t *testing.T) {
-	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
-	dep := Deploy(ds, 4, GCN, partition.Block)
-	run := func(stale int) *metrics.RunResult {
-		cfg := confTrainConfig(CodecSancus)
-		cfg.Transport = TransportShardedAsync
-		cfg.TransportStaleness = stale
-		res, err := TrainDeployed(dep, cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	sync, async := run(0), run(8)
-	if async.WallClock > sync.WallClock {
-		t.Errorf("staleness 8 wall-clock %v exceeds lockstep %v", async.WallClock, sync.WallClock)
-	}
-	if async.WallClock == sync.WallClock {
-		t.Errorf("staleness 8 wall-clock %v identical to lockstep — async relaxation had no effect", async.WallClock)
-	}
-}
-
 // ---- deliberately broken transports: the conformance suite must catch
 // each class of contract violation ----
 
 // wrappedRuntime lets a stub intercept individual Transport methods while
-// delegating everything else to the in-process reference.
+// delegating everything else to the in-process backend.
 type wrappedRuntime struct {
 	Runtime
 	wrap func(Transport) Transport

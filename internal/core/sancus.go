@@ -107,8 +107,8 @@ func (c *sancusCodec) exchange(env *ExchangeEnv, epoch, l int, h, xFull *tensor.
 
 	payloadFor := func(src int) []byte {
 		if src == rank && broadcast && len(c.topo.boundary[rank]) > 0 {
-			// Broadcast payloads are shared by every receiver and may be
-			// re-read under run-ahead, so they are never pooled.
+			// Broadcast payloads are shared by every receiver and read
+			// after the root has moved on, so they are never pooled.
 			return appendAllRows(make([]byte, 0, 4*len(myBoundary.Data)), myBoundary)
 		}
 		return nil

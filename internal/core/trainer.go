@@ -35,7 +35,7 @@ func Train(ds *synthetic.Dataset, parts int, cfg Config, model *timing.CostModel
 //
 // The run is assembled from the two pluggable seams: cfg's message codec
 // (defaulting per cfg.Method) moves boundary messages, and cfg's transport
-// backend (defaulting to the in-process cluster) moves bytes.
+// backend (defaulting to TransportInprocess) moves bytes.
 func TrainDeployed(dep *Deployment, cfg Config, model *timing.CostModel) (*metrics.RunResult, error) {
 	return TrainDeployedCtx(context.Background(), dep, cfg, model)
 }
@@ -95,7 +95,6 @@ func TrainDeployedCtx(ctx context.Context, dep *Deployment, cfg Config, model *t
 		Parts:     parts,
 		Model:     model,
 		Workers:   cfg.TransportWorkers,
-		Staleness: cfg.TransportStaleness,
 		Overlap:   cfg.TransportOverlap,
 		SocketDir: cfg.TransportSocketDir,
 	})

@@ -6,23 +6,23 @@ import (
 	"sync"
 
 	"repro/internal/chaos"
-	"repro/internal/cluster"
 	"repro/internal/tensor"
 	"repro/internal/timing"
 )
 
 // Transport is the device-side communication surface the trainer and the
-// message codecs are written against. The in-process cluster.Device is the
-// independent reference implementation; the collective engine
-// (collective.go) implements the contract once for the sharded-async and
-// proc-sharded backends, which differ only in how a payload is delivered.
-// User-registered backends satisfy the same contract without the training
-// loop changing.
+// message codecs are written against. The collective engine
+// (collective.go) implements the contract once for every built-in backend
+// — inprocess, sharded-async and proc-sharded differ only in how many
+// devices execute at a time and how a payload is delivered — and the
+// conformance suites (ConformTransport, ConformTransportChaos) are its
+// independent check. User-registered backends satisfy the same contract
+// without the training loop changing.
 //
-// Collective semantics follow package cluster: every collective must be
-// entered by all devices of the runtime, payload buffers are owned by the
-// receiver after the call, and simulated time is charged to the device
-// clock (Raw* variants charge nothing — metrics sideband).
+// Every collective must be entered by all devices of the runtime, payload
+// buffers are owned by the receiver after the call, and simulated time is
+// charged to the device clock by package cluster's cost functions (Raw*
+// variants charge nothing — metrics sideband).
 type Transport interface {
 	// Rank is this device's id in [0, Size).
 	Rank() int
@@ -66,13 +66,14 @@ type Transport interface {
 }
 
 // PendingCollective is the handle of an in-flight split-phase collective.
-// Wait must be called exactly once per handle, in Start order (FIFO) —
-// the completion schedule is part of the deterministic clock contract.
-// It is an alias of the cluster-level handle so the reference backend's
-// methods satisfy Transport directly.
-type PendingCollective = cluster.PendingBytes
-
-var _ Transport = (*cluster.Device)(nil)
+// Wait blocks until every device has started the collective, charges this
+// device's clock via timing.FinishDeferred and returns the same bytes the
+// blocking form would. Wait must be called exactly once per handle, in
+// Start order (FIFO) — the completion schedule is part of the
+// deterministic clock contract.
+type PendingCollective interface {
+	Wait() []byte
+}
 
 // Runtime launches one Transport per device and runs a training body on
 // each. It owns the aggregate measurements a run reports.
@@ -89,9 +90,9 @@ type Runtime interface {
 }
 
 // TransportSpec carries everything a RuntimeFactory needs to build one
-// run's runtime. Backends ignore knobs they have no use for: the
-// in-process cluster is always synchronous and fully parallel, so it reads
-// only Parts and Model.
+// run's runtime. Backends ignore knobs they have no use for: inprocess
+// executes every device at once over in-memory buffers, so it reads only
+// Parts and Model.
 type TransportSpec struct {
 	// Parts is the simulated device count.
 	Parts int
@@ -100,10 +101,6 @@ type TransportSpec struct {
 	// Workers bounds how many devices execute concurrently on backends
 	// that multiplex devices onto a worker pool (<= 0 = one per CPU).
 	Workers int
-	// Staleness is how many collective operations a device may run ahead
-	// of the slowest straggler on async backends (0 = lockstep, matching
-	// the in-process reference bit for bit).
-	Staleness int
 	// Overlap reports that the run's trainer uses the split-phase
 	// schedule (Config.TransportOverlap). The built-in backends always
 	// provide the split-phase methods, so they ignore it; custom
@@ -125,20 +122,9 @@ type TransportSpec struct {
 // RuntimeFactory builds a Runtime for one training run.
 type RuntimeFactory func(spec TransportSpec) Runtime
 
-// inprocessRuntime adapts cluster.Cluster to the Runtime interface.
-type inprocessRuntime struct {
-	clu *cluster.Cluster
-}
-
-func (r inprocessRuntime) Size() int               { return r.clu.Size() }
-func (r inprocessRuntime) Clocks() []*timing.Clock { return r.clu.Clocks() }
-func (r inprocessRuntime) BytesMoved() [][]int64   { return r.clu.BytesMoved() }
-func (r inprocessRuntime) Run(seed uint64, body func(Transport) error) error {
-	return r.clu.Run(seed, func(dev *cluster.Device) error { return body(dev) })
-}
-
-// TransportInprocess is the default transport: goroutine devices exchanging
-// in-memory buffers under the simulated cost model.
+// TransportInprocess is the default transport: the collective engine with
+// one goroutine and one execution slot per device, handing payloads over
+// by pointer under the simulated cost model.
 const TransportInprocess = "inprocess"
 
 // registry is the name → value table behind RegisterCodec and
@@ -199,6 +185,6 @@ func TransportNames() []string { return transportRegistry.names() }
 
 func init() {
 	RegisterTransport(TransportInprocess, func(spec TransportSpec) Runtime {
-		return inprocessRuntime{clu: cluster.New(spec.Parts, spec.Model)}
+		return newEngine(spec, spec.Parts, &pointerDelivery{})
 	})
 }

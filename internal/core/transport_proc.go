@@ -29,27 +29,20 @@ import (
 // is where the per-run socket directory is created (default the system
 // temp directory).
 //
-// Time model: identical to the lockstep reference — the engine in
-// collective.go runs at staleness 0, so every collective is a full
-// rendezvous whose coordination record (arrival clocks, payload sizes)
-// stays in the parent, and Idle/Comm charges reproduce the in-process
-// cluster bit for bit even though payload delivery crosses the kernel.
-// TransportSpec.Staleness is ignored: run-ahead is a scheduling relaxation
-// of the in-memory backend, and this backend exists to pin the wire, not
-// to relax it.
+// Time model: the engine in collective.go, as on inprocess — every
+// collective's coordination record (arrival clocks, payload sizes) stays in
+// the parent, so Idle/Comm charges are bit-identical to inprocess even
+// though payload delivery crosses the kernel.
 const TransportProcSharded = "proc-sharded"
 
 func init() {
 	RegisterTransport(TransportProcSharded, newProcRuntime)
 }
 
-// newProcRuntime builds the engine at staleness 0 with one execution slot
-// per device and the worker fleet as its delivery.
+// newProcRuntime builds the engine with one execution slot per device and
+// the worker fleet as its delivery.
 func newProcRuntime(spec TransportSpec) Runtime {
 	n := spec.Parts
-	if n <= 0 {
-		panic("core: proc-sharded needs at least one device")
-	}
 	if n >= wire.ParentID {
 		panic(fmt.Sprintf("core: proc-sharded supports at most %d devices, got %d", wire.ParentID-1, n))
 	}
@@ -58,7 +51,7 @@ func newProcRuntime(spec TransportSpec) Runtime {
 		workers = 2
 	}
 	fleet := &procFleet{workers: min(workers, n), socketBase: spec.SocketDir}
-	return &procRuntime{engine: newEngine(spec, n, 0, fleet), s: fleet}
+	return &procRuntime{engine: newEngine(spec, n, fleet), s: fleet}
 }
 
 // procRuntime is the engine plus access to its fleet's wire accounting.

@@ -209,8 +209,8 @@ const (
 
 // Transport is the device-side communication surface; Runtime launches
 // one Transport per device. A RuntimeFactory builds a Runtime from a
-// RuntimeSpec (device count, cost model, worker pool size, staleness
-// bound, overlap flag, fault plan).
+// RuntimeSpec (device count, cost model, worker pool size, overlap flag,
+// socket directory, fault plan).
 //
 // RuntimeSpec was previously exported as TransportSpec; that name now
 // names the grouped WithTransport option instead.
@@ -242,17 +242,16 @@ const (
 	// per device, synchronous collectives.
 	TransportInprocess = core.TransportInprocess
 	// TransportShardedAsync multiplexes devices onto a bounded worker pool
-	// (TransportSpec.Workers) with non-blocking sends that let fast
-	// devices run ahead of stragglers up to TransportSpec.Staleness
-	// collectives.
+	// (TransportSpec.Workers); results and simulated clocks stay
+	// bit-identical to the in-process backend.
 	TransportShardedAsync = core.TransportShardedAsync
 	// TransportProcSharded shards payload delivery across
 	// TransportSpec.Workers separate OS processes, each connected to this
 	// one by a Unix-domain socket: every collective payload is serialized
 	// into a length-prefixed frame and crosses a real kernel socket to the
 	// source rank's worker and back before its receiver may consume it,
-	// while simulated clocks stay bit-identical
-	// to the in-process reference. Binaries hosting this backend must call
+	// while simulated clocks stay bit-identical to the in-process
+	// backend. Binaries hosting this backend must call
 	// wire.MaybeWorker (internal/wire) first thing in main.
 	TransportProcSharded = core.TransportProcSharded
 )
@@ -294,7 +293,7 @@ type CodecViolation = core.Violation
 // accounting against the declared wire sizes, statelessness-or-declared-
 // state discipline under instance rebuilds on both transport backends,
 // and fixed-seed loss-curve reproducibility including cross-backend
-// parity at staleness 0. Run it against any custom codec before training
+// parity. Run it against any custom codec before training
 // with it:
 //
 //	f, _ := adaqp.LookupCodec("my-codec")

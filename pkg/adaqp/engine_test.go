@@ -350,9 +350,9 @@ func TestAnalyzeAndPairBytes(t *testing.T) {
 }
 
 // TestShardedTransportPublicAPI drives the sharded-async backend through
-// the options surface: a lockstep run must match the in-process transport
-// bit for bit, and a bounded pool with a staleness window must preserve
-// the loss curve while only the simulated schedule changes.
+// the options surface: with the default pool and with a pool smaller than
+// the device count, runs must match the in-process transport bit for bit,
+// losses and simulated clocks alike.
 func TestShardedTransportPublicAPI(t *testing.T) {
 	ds := adaqp.MustLoadDataset("tiny", 1)
 	eng, err := adaqp.New(ds, tinyOpts(adaqp.WithMethod(adaqp.SANCUS))...)
@@ -363,33 +363,22 @@ func TestShardedTransportPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lockstep, err := eng.Run(adaqp.WithTransport(adaqp.TransportSpec{Name: adaqp.TransportShardedAsync}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	async, err := eng.Run(adaqp.WithTransport(adaqp.TransportSpec{
-		Name: adaqp.TransportShardedAsync, Workers: 2, Staleness: 8,
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ref.Epochs {
-		if lockstep.Epochs[i].Loss != ref.Epochs[i].Loss {
-			t.Fatalf("epoch %d: lockstep sharded loss %v != in-process %v", i, lockstep.Epochs[i].Loss, ref.Epochs[i].Loss)
+	for _, workers := range []int{0, 2} {
+		sharded, err := eng.Run(adaqp.WithTransport(adaqp.TransportSpec{Name: adaqp.TransportShardedAsync, Workers: workers}))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if lockstep.Epochs[i].SimTime != ref.Epochs[i].SimTime {
-			t.Fatalf("epoch %d: lockstep sharded sim time %v != in-process %v", i, lockstep.Epochs[i].SimTime, ref.Epochs[i].SimTime)
+		for i := range ref.Epochs {
+			if sharded.Epochs[i].Loss != ref.Epochs[i].Loss {
+				t.Fatalf("workers=%d epoch %d: sharded loss %v != in-process %v", workers, i, sharded.Epochs[i].Loss, ref.Epochs[i].Loss)
+			}
+			if sharded.Epochs[i].SimTime != ref.Epochs[i].SimTime {
+				t.Fatalf("workers=%d epoch %d: sharded sim time %v != in-process %v", workers, i, sharded.Epochs[i].SimTime, ref.Epochs[i].SimTime)
+			}
 		}
-		if async.Epochs[i].Loss != ref.Epochs[i].Loss {
-			t.Fatalf("epoch %d: staleness-8 loss %v != in-process %v", i, async.Epochs[i].Loss, ref.Epochs[i].Loss)
-		}
-	}
-	if async.WallClock > ref.WallClock {
-		t.Fatalf("staleness-8 wall-clock %v exceeds synchronous %v", async.WallClock, ref.WallClock)
 	}
 	for name, opt := range map[string]adaqp.Option{
 		"spec-workers":      adaqp.WithTransport(adaqp.TransportSpec{Workers: -1}),
-		"spec-staleness":    adaqp.WithTransport(adaqp.TransportSpec{Staleness: -1}),
 		"spec-bits":         adaqp.WithCodec(adaqp.CodecSpec{UniformBits: 3}),
 		"spec-sancus-drift": adaqp.WithCodec(adaqp.CodecSpec{SancusMaxStale: 3}),
 	} {

@@ -22,7 +22,6 @@ type JobSpec struct {
 	Codec     string `json:"codec,omitempty"`     // message-codec override
 	Transport string `json:"transport,omitempty"` // runtime backend
 	Workers   int    `json:"workers,omitempty"`
-	Staleness int    `json:"staleness,omitempty"`
 	// Overlap enables the split-phase collective schedule that hides
 	// wire time behind central-graph compute (TransportSpec.Overlap).
 	Overlap bool `json:"overlap,omitempty"`
@@ -100,11 +99,10 @@ func (j JobSpec) Options() ([]Option, error) {
 	// The transport and codec fields map onto the grouped specs — the
 	// same structs programmatic callers hand to WithTransport/WithCodec —
 	// so the JSON/flag path and the Go API cannot drift.
-	if j.Transport != "" || j.Workers != 0 || j.Staleness != 0 || j.Overlap || j.SocketDir != "" {
+	if j.Transport != "" || j.Workers != 0 || j.Overlap || j.SocketDir != "" {
 		opts = append(opts, WithTransport(TransportSpec{
 			Name:      j.Transport,
 			Workers:   j.Workers,
-			Staleness: j.Staleness,
 			Overlap:   j.Overlap,
 			SocketDir: j.SocketDir,
 		}))

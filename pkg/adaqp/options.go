@@ -100,14 +100,6 @@ type TransportSpec struct {
 	// (TransportShardedAsync); 0 uses one worker per available CPU. The
 	// in-process backend ignores it.
 	Workers int
-	// Staleness is how many collective operations a device may run ahead
-	// of the slowest straggler on async backends. 0 keeps lockstep
-	// semantics — results and simulated clocks bit-identical to the
-	// in-process reference; positive bounds keep results bit-identical
-	// but let fast devices overlap one-to-many collectives with
-	// stragglers' work, reducing simulated idle time. The in-process
-	// backend ignores it.
-	Staleness int
 	// Overlap switches the trainer's exchange loop to the split-phase
 	// collective schedule: an exchange's sends all start before any is
 	// consumed, so wire time hides behind central-graph compute and is
@@ -128,12 +120,8 @@ func WithTransport(spec TransportSpec) Option {
 		if spec.Workers < 0 {
 			return fmt.Errorf("adaqp: workers must be >= 0, got %d", spec.Workers)
 		}
-		if spec.Staleness < 0 {
-			return fmt.Errorf("adaqp: staleness bound must be >= 0, got %d", spec.Staleness)
-		}
 		s.cfg.Transport = spec.Name
 		s.cfg.TransportWorkers = spec.Workers
-		s.cfg.TransportStaleness = spec.Staleness
 		s.cfg.TransportOverlap = spec.Overlap
 		s.cfg.TransportSocketDir = spec.SocketDir
 		return nil
