@@ -246,7 +246,7 @@ func BenchmarkEpochTransports(b *testing.B) {
 	b.Run("sancus-sharded-overlap", func(b *testing.B) {
 		run(b, adaqp.WithMethod(adaqp.SANCUS),
 			adaqp.WithTransport(adaqp.TransportSpec{
-				Name: adaqp.TransportShardedAsync, Workers: 2, Overlap: true,
+				Name: adaqp.TransportShardedAsync, Overlap: true,
 			}))
 	})
 }

@@ -6,8 +6,8 @@
 //	adaqp -dataset products-sim -model gcn -method adaqp -parts 4 -epochs 100
 //	adaqp -dataset yelp-sim -model sage -method pipegcn -parts 8
 //	adaqp -dataset tiny -method vanilla -codec uniform -bits 8
-//	adaqp -dataset tiny -method sancus -transport sharded-async -workers 4
-//	adaqp -dataset tiny -method sancus -transport sharded-async -overlap
+//	adaqp -dataset tiny -method vanilla -transport proc-sharded -workers 4
+//	adaqp -dataset tiny -method sancus -overlap
 //	adaqp -dataset tiny -method adaqp -chaos-stragglers 1 -chaos-slow 4 -chaos-crash-epoch 20
 //
 // The -method, -codec, -transport and -dataset usage strings list whatever
@@ -38,8 +38,8 @@ func main() {
 		method   = flag.String("method", "adaqp", "training system: "+strings.Join(methodNames(), ", "))
 		codec    = flag.String("codec", "", "message codec override: "+strings.Join(adaqp.Codecs(), ", "))
 		tport    = flag.String("transport", "", "runtime backend: "+strings.Join(adaqp.Transports(), ", "))
-		workers  = flag.Int("workers", 0, "worker pool size for pooled transports (0 = one per CPU)")
-		overlap  = flag.Bool("overlap", false, "split-phase collectives: hide broadcast wire time behind central-graph compute")
+		workers  = flag.Int("workers", 0, "proc-sharded worker process count (0 = 2, clamped to -parts)")
+		overlap  = flag.Bool("overlap", false, "sancus only: start broadcasts split-phase, hiding wire time behind central-graph compute")
 		sockDir  = flag.String("socket-dir", "", "socket directory root for the proc-sharded transport (empty = system temp)")
 		parts    = flag.Int("parts", 4, "number of devices")
 		epochs   = flag.Int("epochs", 100, "training epochs")

@@ -77,7 +77,6 @@ func (s *faultStats) snapshot() (retries int64, retryTime timing.Seconds, crashe
 func faultFactory(f RuntimeFactory, plan *chaos.FaultPlan, stats *faultStats) RuntimeFactory {
 	return func(spec TransportSpec) Runtime {
 		spec.Model = plan.ApplyToModel(spec.Model)
-		spec.Faults = plan
 		return &faultRuntime{inner: f(spec), plan: plan, stats: stats}
 	}
 }

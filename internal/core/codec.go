@@ -163,7 +163,7 @@ type CodecFactory func(env *CodecEnv) (MessageCodec, error)
 // that does NOT declare state must produce bit-identical training results
 // when a fresh instance replaces it at any epoch boundary — which is what
 // lets crash recovery restart it without a checkpoint. ConformCodec
-// verifies the discipline on the in-process and sharded-async backends.
+// verifies the discipline.
 type StatefulCodec interface {
 	MessageCodec
 	// Stateful reports whether instances carry cross-epoch mutable state.

@@ -13,15 +13,16 @@ import (
 )
 
 // This file is the one collective engine behind every built-in backend:
-// inprocess, sharded-async and proc-sharded. The engine owns everything the
-// simulated clock depends on — the sequence-numbered coordination record
-// (who posted, at what simulated time, shipping how many bytes to whom), the
-// charge rules (package cluster's pure functions, timing.FinishDeferred),
-// the byte ledger, abort and unwinding — and every Transport method exactly
-// once. Every charged collective is synchronous: it aligns on its slowest
-// arrival, as the paper's training does. Payload bytes never enter the
-// record: they reach their receiver through a delivery, and the engine's
-// charges cannot depend on when they do.
+// inprocess (alias sharded-async) and proc-sharded. Every device is one
+// goroutine, multiplexed by the Go scheduler. The engine owns everything
+// the simulated clock depends on — the sequence-numbered coordination
+// record (who posted, at what simulated time, shipping how many bytes to
+// whom), the charge rules (package cluster's pure functions,
+// timing.FinishDeferred), the byte ledger, abort and unwinding — and every
+// Transport method exactly once. Every charged collective is synchronous:
+// it aligns on its slowest arrival, as the paper's training does. Payload
+// bytes never enter the record: they reach their receiver through a
+// delivery, and the engine's charges cannot depend on when they do.
 
 // parcel is one payload in flight, addressed by the collective it belongs
 // to and its two ends.
@@ -31,13 +32,12 @@ type parcel struct {
 }
 
 // delivery is how posted payloads reach their receivers: pointers handed
-// straight back (inprocess and sharded-async) or frames through a fleet of
-// worker processes (proc-sharded). A device sends everything it ships in one
-// collective as one post, so a transport can put it on the wire as one
-// write. A delivery guarantees exactly-once hand-off: every parcel sent is
-// delivered exactly once, with the same key and the payload's bytes, from
-// any goroutine, at any later time, in any order; the receiver owns the
-// delivered buffer.
+// straight back (inprocess) or frames through a fleet of worker processes
+// (proc-sharded). A device sends everything it ships in one collective as
+// one post, so a transport can put it on the wire as one write. A delivery
+// guarantees exactly-once hand-off: every parcel sent is delivered exactly
+// once, with the same key and the payload's bytes, from any goroutine, at
+// any later time, in any order; the receiver owns the delivered buffer.
 type delivery interface {
 	// start readies the delivery for one Run. fail reports a broken
 	// delivery outside any send call.
@@ -95,10 +95,6 @@ type engine struct {
 	n     int
 	model *timing.CostModel
 	dlv   delivery
-	// slots bounds how many devices execute at a time; a device blocked in
-	// a wait gives its slot up, so fewer slots than devices cannot
-	// deadlock.
-	slots chan struct{}
 
 	clocks []*timing.Clock
 
@@ -111,9 +107,9 @@ type engine struct {
 	abortErr   error // first delivery failure (nil when a body failed)
 }
 
-// newEngine builds the engine for spec.Parts devices, slots of them
-// executing at a time, with payloads moving through dlv.
-func newEngine(spec TransportSpec, slots int, dlv delivery) *engine {
+// newEngine builds the engine for spec.Parts devices, one goroutine each,
+// with payloads moving through dlv.
+func newEngine(spec TransportSpec, dlv delivery) *engine {
 	n := spec.Parts
 	if n <= 0 {
 		panic("core: a runtime needs at least one device")
@@ -126,7 +122,6 @@ func newEngine(spec TransportSpec, slots int, dlv delivery) *engine {
 		n:          n,
 		model:      model,
 		dlv:        dlv,
-		slots:      make(chan struct{}, min(slots, n)),
 		clocks:     make([]*timing.Clock, n),
 		bytesMoved: make([][]int64, n),
 	}
@@ -187,8 +182,6 @@ func (e *engine) Run(seed uint64, body func(Transport) error) error {
 					}
 				}
 			}()
-			e.slots <- struct{}{}
-			defer func() { <-e.slots }()
 			dev := &device{e: e, rank: rank, rng: deviceRNG(seed, rank)}
 			if errs[rank] = body(dev); errs[rank] != nil {
 				e.abort(nil)
@@ -228,17 +221,12 @@ func (e *engine) abort(err error) {
 	e.mu.Unlock()
 }
 
-// wait blocks until pred holds (evaluated under the engine lock), giving
-// up this device's execution slot while blocked. Panics with abortRun if
-// the run was aborted.
+// wait blocks until pred holds (evaluated under the engine lock). Panics
+// with abortRun if the run was aborted.
 func (e *engine) wait(pred func() bool) {
 	e.mu.Lock()
 	for !e.aborted && !pred() {
-		<-e.slots
 		e.cond.Wait()
-		e.mu.Unlock()
-		e.slots <- struct{}{}
-		e.mu.Lock()
 	}
 	aborted := e.aborted
 	e.mu.Unlock()

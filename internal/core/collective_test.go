@@ -96,8 +96,7 @@ func TestRunErrorPropagationAndReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Two workers: worker processes on proc-sharded, and on
-		// sharded-async fewer execution slots than devices.
+		// Two worker processes on proc-sharded.
 		spec := TransportSpec{Parts: parts, Workers: 2, Model: dyadicModel()}
 		fresh := f(spec)
 		if err := runWithin(t, fresh, reuseScript); err != nil {
@@ -170,7 +169,7 @@ func TestRunErrorPropagationAndReuse(t *testing.T) {
 		baseline := goruntime.NumGoroutine()
 		var lossy atomic.Bool // the wire loses everything rank 0 sends
 		lossy.Store(true)
-		rt := newEngine(TransportSpec{Parts: parts, Model: dyadicModel()}, 2, &tappedDelivery{tap: func(post []parcel) []parcel {
+		rt := newEngine(TransportSpec{Parts: parts, Model: dyadicModel()}, &tappedDelivery{tap: func(post []parcel) []parcel {
 			if lossy.Load() && len(post) > 0 && post[0].src == 0 {
 				return nil
 			}
@@ -251,7 +250,7 @@ func TestAllReduceMovesTwoBlobsPerPeer(t *testing.T) {
 	blob := int64(len(appendMats(cancellingMats(0))))
 	for _, n := range []int{2, 3, 8} {
 		var parcels, wireBytes atomic.Int64
-		rt := newEngine(TransportSpec{Parts: n}, 2, &tappedDelivery{tap: func(post []parcel) []parcel {
+		rt := newEngine(TransportSpec{Parts: n}, &tappedDelivery{tap: func(post []parcel) []parcel {
 			for _, p := range post {
 				parcels.Add(1)
 				wireBytes.Add(int64(len(p.payload)))
@@ -318,7 +317,7 @@ func TestAllReduceMatchesReferenceBits(t *testing.T) {
 	}
 
 	spec := TransportSpec{Parts: parts, Workers: 2, Model: model}
-	runtimes := map[string]Runtime{"engine over a reordering delivery": newEngine(spec, 2, &reorderDelivery{})}
+	runtimes := map[string]Runtime{"engine over a reordering delivery": newEngine(spec, &reorderDelivery{})}
 	for _, name := range TransportNames() {
 		f, err := LookupTransport(name)
 		if err != nil {
@@ -381,7 +380,7 @@ func TestAllReduceCorruptBlobFailsTheRun(t *testing.T) {
 		{0, 3, "rank 3 decoding rank 0's sums"},
 	} {
 		// One bad link: the payload from src to dst arrives a byte short.
-		rt := newEngine(TransportSpec{Parts: parts}, 2, &tappedDelivery{tap: func(post []parcel) []parcel {
+		rt := newEngine(TransportSpec{Parts: parts}, &tappedDelivery{tap: func(post []parcel) []parcel {
 			post = append([]parcel(nil), post...)
 			for i, p := range post {
 				if p.src == tc.src && p.dst == tc.dst {
@@ -526,7 +525,7 @@ func (l *payloadLog) StartScatter(root int, p [][]byte) PendingCollective {
 // coordination record alone.
 func TestEngineChargesIgnoreDeliveryTiming(t *testing.T) {
 	factory := func(dlv func() delivery) RuntimeFactory {
-		return func(spec TransportSpec) Runtime { return newEngine(spec, 2, dlv()) }
+		return func(spec TransportSpec) Runtime { return newEngine(spec, dlv()) }
 	}
 	pointer := func() delivery { return &pointerDelivery{} }
 	reorder := func() delivery { return &reorderDelivery{} }

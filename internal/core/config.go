@@ -171,19 +171,18 @@ type Config struct {
 	// RegisterTransport. Empty selects TransportInprocess.
 	Transport string
 
-	// TransportWorkers bounds how many devices execute concurrently on
-	// transports that multiplex devices onto a worker pool (sharded-async).
-	// 0 means one worker per available CPU.
+	// TransportWorkers is proc-sharded's worker process count; 0 means 2,
+	// clamped to the device count. No other built-in transport reads it.
 	TransportWorkers int
 
-	// TransportOverlap switches the trainer's exchange hot loop to the
-	// split-phase collective schedule: all of an exchange's sends are
-	// started before any is consumed, so central-graph compute runs inside
-	// the wire window and hidden latency is recorded under
-	// timing.Overlap instead of charged to Comm/Idle. Payload routing is
-	// unchanged, so fixed-seed loss curves stay bit-identical to the
-	// blocking schedule; only the simulated clocks improve. Off by
-	// default.
+	// TransportOverlap is read by the sancus codec alone: it starts each
+	// layer's broadcasts split-phase, runs the central-graph compute
+	// inside the wire window and records the hidden latency under
+	// timing.Overlap instead of charging it to Comm/Idle. Payload routing
+	// is unchanged, so fixed-seed loss curves stay bit-identical to the
+	// blocking schedule; only the simulated clocks improve. AdaQP's and
+	// PipeGCN's overlap is their codec's own schedule and always on; every
+	// other codec ignores the knob. Off by default.
 	TransportOverlap bool
 
 	// TransportSocketDir roots the per-run Unix-domain socket directories

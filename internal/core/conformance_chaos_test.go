@@ -202,17 +202,14 @@ func TestChaosCrashRecoversPaperCodec(t *testing.T) {
 		base := confTrainConfig(codec)
 		base.Epochs, base.ReassignPeriod = 8, 5
 		ref := confTrain(t, dep, base)
-		for _, tr := range []string{TransportInprocess, TransportShardedAsync} {
-			for _, epoch := range []int{4, 5, 6} {
-				cfg := base
-				cfg.Transport = tr
-				cfg.Faults = chaos.Spec{Seed: 5, CrashEpoch: epoch, RestartPenalty: 50}
-				got := confTrain(t, dep, cfg)
-				label := fmt.Sprintf("%s/%s crash at epoch %d", tr, codec, epoch)
-				lossParity(t, label, ref, got)
-				if got.Faults.Crashes != 1 {
-					t.Errorf("%s: counted %d crashes, want 1", label, got.Faults.Crashes)
-				}
+		for _, epoch := range []int{4, 5, 6} {
+			cfg := base
+			cfg.Faults = chaos.Spec{Seed: 5, CrashEpoch: epoch, RestartPenalty: 50}
+			got := confTrain(t, dep, cfg)
+			label := fmt.Sprintf("%s crash at epoch %d", codec, epoch)
+			lossParity(t, label, ref, got)
+			if got.Faults.Crashes != 1 {
+				t.Errorf("%s: counted %d crashes, want 1", label, got.Faults.Crashes)
 			}
 		}
 	}

@@ -25,11 +25,9 @@ import (
 //     wire-byte measurements are built from.
 //   - codec-state-discipline: a codec that does not declare cross-epoch
 //     state (StatefulCodec) must survive having its instance rebuilt at
-//     every epoch boundary with a bit-identical loss curve, on both
-//     transport backends.
-//   - codec-reproducibility / codec-backend-parity: fixed-seed runs must
-//     be bit-identical run-to-run on each backend, and across the
-//     in-process and sharded-async backends.
+//     every epoch boundary with a bit-identical loss curve.
+//   - codec-reproducibility: fixed-seed runs must be bit-identical
+//     run-to-run.
 
 // codecConformConfig is the small fixed training scenario the stateful
 // checks run: 4 epochs so re-assignment periods and SANCUS staleness
@@ -246,7 +244,7 @@ func (c *epochSwappedCodec) EpochEnd(env *ExchangeEnv, epoch int) error {
 // checkCodecStateDiscipline enforces statelessness-or-declared-state: a
 // codec that does not declare cross-epoch state must be swap-invariant —
 // rebuilding its instances at every epoch boundary must not change the
-// loss curve — on both transport backends.
+// loss curve.
 func checkCodecStateDiscipline(f CodecFactory, dep *Deployment, cfg Config, col *vioCollector) {
 	probe, err := f(&CodecEnv{
 		Cfg: &cfg, Locals: dep.Locals, Rank: 0,
@@ -259,60 +257,40 @@ func checkCodecStateDiscipline(f CodecFactory, dep *Deployment, cfg Config, col 
 	if sc, ok := probe.(StatefulCodec); ok && sc.Stateful() {
 		return // declared state: instance swaps are allowed to diverge
 	}
-	for _, tr := range []string{TransportInprocess, TransportShardedAsync} {
-		refCfg := cfg
-		refCfg.Transport = tr
-		refCfg.codecFactory = f
-		ref, err := TrainDeployed(dep, refCfg, nil)
-		if err != nil {
-			col.addf("codec-state-discipline", "%s: training failed: %v", tr, err)
-			continue
-		}
-		swapCfg := refCfg
-		swapCfg.codecFactory = rebuildEachEpoch(f)
-		swapped, err := TrainDeployed(dep, swapCfg, nil)
-		if err != nil {
-			col.addf("codec-state-discipline", "%s: training with per-epoch instance rebuilds failed: %v", tr, err)
-			continue
-		}
-		if desc := runDivergence(ref, swapped, false); desc != "" {
-			col.addf("codec-state-discipline",
-				"%s: undeclared cross-epoch state — rebuilding instances at epoch boundaries changed the run (%s); declare it via StatefulCodec", tr, desc)
-		}
+	refCfg := cfg
+	refCfg.codecFactory = f
+	ref, err := TrainDeployed(dep, refCfg, nil)
+	if err != nil {
+		col.addf("codec-state-discipline", "training failed: %v", err)
+		return
+	}
+	swapCfg := refCfg
+	swapCfg.codecFactory = rebuildEachEpoch(f)
+	swapped, err := TrainDeployed(dep, swapCfg, nil)
+	if err != nil {
+		col.addf("codec-state-discipline", "training with per-epoch instance rebuilds failed: %v", err)
+		return
+	}
+	if desc := runDivergence(ref, swapped, false); desc != "" {
+		col.addf("codec-state-discipline",
+			"undeclared cross-epoch state — rebuilding instances at epoch boundaries changed the run (%s); declare it via StatefulCodec", desc)
 	}
 }
 
-// checkCodecReproducibility requires fixed-seed bit-reproducibility on
-// each backend and bit-identical cross-backend parity.
+// checkCodecReproducibility requires fixed-seed bit-reproducibility.
 func checkCodecReproducibility(f CodecFactory, dep *Deployment, cfg Config, col *vioCollector) {
-	train := func(tr string) (*metrics.RunResult, error) {
-		c := cfg
-		c.Transport = tr
-		c.codecFactory = f
-		return TrainDeployed(dep, c, nil)
+	cfg.codecFactory = f
+	var runs [2]*metrics.RunResult
+	for i := range runs {
+		res, err := TrainDeployed(dep, cfg, nil)
+		if err != nil {
+			col.addf("codec-reproducibility", "training failed: %v", err)
+			return
+		}
+		runs[i] = res
 	}
-	var ref *metrics.RunResult
-	for _, tr := range []string{TransportInprocess, TransportShardedAsync} {
-		a, err := train(tr)
-		if err != nil {
-			col.addf("codec-reproducibility", "%s: training failed: %v", tr, err)
-			return
-		}
-		b, err := train(tr)
-		if err != nil {
-			col.addf("codec-reproducibility", "%s: training failed: %v", tr, err)
-			return
-		}
-		if desc := runDivergence(a, b, true); desc != "" {
-			col.addf("codec-reproducibility", "%s: two identical fixed-seed runs diverged (%s)", tr, desc)
-		}
-		if tr == TransportInprocess {
-			ref = a
-		} else if ref != nil {
-			if desc := runDivergence(ref, a, true); desc != "" {
-				col.addf("codec-backend-parity", "in-process vs %s diverged (%s)", tr, desc)
-			}
-		}
+	if desc := runDivergence(runs[0], runs[1], true); desc != "" {
+		col.addf("codec-reproducibility", "two identical fixed-seed runs diverged (%s)", desc)
 	}
 }
 

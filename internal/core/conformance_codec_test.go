@@ -12,8 +12,7 @@ import (
 
 // TestCodecConformanceAllRegistered runs every registered codec through
 // the codec-contract suite: decode-of-encode error bounds, byte
-// accounting, state discipline and fixed-seed reproducibility across
-// both transport backends.
+// accounting, state discipline and fixed-seed reproducibility.
 func TestCodecConformanceAllRegistered(t *testing.T) {
 	for _, name := range CodecNames() {
 		f, err := LookupCodec(name)

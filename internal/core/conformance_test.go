@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -27,21 +28,6 @@ func TestTransportConformance(t *testing.T) {
 			for _, v := range vs {
 				t.Errorf("%s parts=%d: %v", name, parts, v)
 			}
-		}
-	}
-}
-
-// TestShardedWorkerPoolConformance pins that multiplexing devices onto a
-// worker pool smaller than the device count changes neither semantics nor
-// simulated time — even a single execution slot must conform.
-func TestShardedWorkerPoolConformance(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		f := func(spec TransportSpec) Runtime {
-			spec.Workers = workers
-			return newShardedRuntime(spec)
-		}
-		for _, v := range ConformTransport(f, 5) {
-			t.Errorf("workers=%d: %v", workers, v)
 		}
 	}
 }
@@ -92,25 +78,33 @@ func TestTransportLossParity(t *testing.T) {
 // TestOverlapLossParity pins the overlap schedule's core guarantee: with
 // TransportOverlap set the SANCUS payload routing is unchanged, so loss
 // curves, accuracies and byte ledgers stay bit-identical to the blocking
-// schedule — only where the simulated time lands changes. Every backend
-// runs the identical split-phase schedule through timing.FinishDeferred, so
-// between them even the clocks must agree, at any worker count.
+// schedule — only where the simulated time lands changes.
 func TestOverlapLossParity(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
 	dep := Deploy(ds, 4, GCN, partition.Block)
 	blocking := confTrain(t, dep, confTrainConfig(CodecSancus))
-
 	ovl := confTrainConfig(CodecSancus)
 	ovl.TransportOverlap = true
-	inproc := confTrain(t, dep, ovl)
-	compareRuns(t, "inprocess overlap vs blocking", blocking, inproc, false)
+	compareRuns(t, "overlap vs blocking", blocking, confTrain(t, dep, ovl), false)
+}
 
-	sh := ovl
-	sh.Transport = TransportShardedAsync
-	compareRuns(t, "sharded overlap vs inprocess overlap", inproc, confTrain(t, dep, sh), true)
-
-	sh.TransportWorkers = 2
-	compareRuns(t, "sharded overlap on 2 workers vs inprocess overlap", inproc, confTrain(t, dep, sh), true)
+// TestOverlapKnobIsSancusOnly pins the knob's scope: only SANCUS's
+// broadcast reads TransportOverlap. AdaQP's and PipeGCN's overlap is their
+// codec's own schedule, always on, so for them (and for fp32) the knob
+// changes no loss, clock or byte.
+func TestOverlapKnobIsSancusOnly(t *testing.T) {
+	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
+	dep := Deploy(ds, 4, GCN, partition.Block)
+	for _, codec := range []string{CodecFP32, CodecAdaptive, CodecPipeGCN} {
+		off := confTrain(t, dep, confTrainConfig(codec))
+		cfg := confTrainConfig(codec)
+		cfg.TransportOverlap = true
+		on := confTrain(t, dep, cfg)
+		compareRuns(t, codec+" overlap on vs off", off, on, true)
+		if !slices.Equal(on.PerDevice, off.PerDevice) {
+			t.Errorf("%s: overlap on per-device time %v, off %v", codec, on.PerDevice, off.PerDevice)
+		}
+	}
 }
 
 // TestOverlapReducesWallClock: hiding broadcast wire time behind the

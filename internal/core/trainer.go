@@ -95,7 +95,6 @@ func TrainDeployedCtx(ctx context.Context, dep *Deployment, cfg Config, model *t
 		Parts:     parts,
 		Model:     model,
 		Workers:   cfg.TransportWorkers,
-		Overlap:   cfg.TransportOverlap,
 		SocketDir: cfg.TransportSocketDir,
 	})
 

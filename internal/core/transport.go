@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/chaos"
 	"repro/internal/tensor"
 	"repro/internal/timing"
 )
@@ -13,11 +12,10 @@ import (
 // Transport is the device-side communication surface the trainer and the
 // message codecs are written against. The collective engine
 // (collective.go) implements the contract once for every built-in backend
-// — inprocess, sharded-async and proc-sharded differ only in how many
-// devices execute at a time and how a payload is delivered — and the
-// conformance suites (ConformTransport, ConformTransportChaos) are its
-// independent check. User-registered backends satisfy the same contract
-// without the training loop changing.
+// — inprocess and proc-sharded differ only in how a payload is delivered —
+// and the conformance suites (ConformTransport, ConformTransportChaos) are
+// its independent check. User-registered backends satisfy the same
+// contract without the training loop changing.
 //
 // Every collective must be entered by all devices of the runtime, payload
 // buffers are owned by the receiver after the call, and simulated time is
@@ -91,41 +89,33 @@ type Runtime interface {
 
 // TransportSpec carries everything a RuntimeFactory needs to build one
 // run's runtime. Backends ignore knobs they have no use for: inprocess
-// executes every device at once over in-memory buffers, so it reads only
-// Parts and Model.
+// reads only Parts and Model.
 type TransportSpec struct {
 	// Parts is the simulated device count.
 	Parts int
-	// Model is the hardware cost model (nil = timing.Default()).
+	// Model is the hardware cost model (nil = timing.Default()). Under a
+	// fault plan it already reflects the plan's slowed links.
 	Model *timing.CostModel
-	// Workers bounds how many devices execute concurrently on backends
-	// that multiplex devices onto a worker pool (<= 0 = one per CPU).
+	// Workers is proc-sharded's worker process count (<= 0 = 2, clamped
+	// to Parts). No other built-in backend reads it.
 	Workers int
-	// Overlap reports that the run's trainer uses the split-phase
-	// schedule (Config.TransportOverlap). The built-in backends always
-	// provide the split-phase methods, so they ignore it; custom
-	// factories may inspect it.
-	Overlap bool
 	// SocketDir is where socket-backed backends (TransportProcSharded)
 	// root their per-run Unix-domain socket directories; empty uses the
 	// system temp directory. In-memory backends ignore it.
 	SocketDir string
-	// Faults is the run's materialized fault plan, or nil for a clean
-	// run. Fault injection is applied centrally (the runtime is wrapped
-	// so every device's charged collectives pass through the fault
-	// schedule) and Model already reflects the plan's slowed links;
-	// backends need not interpret the plan, but custom factories may
-	// inspect it.
-	Faults *chaos.FaultPlan
 }
 
 // RuntimeFactory builds a Runtime for one training run.
 type RuntimeFactory func(spec TransportSpec) Runtime
 
 // TransportInprocess is the default transport: the collective engine with
-// one goroutine and one execution slot per device, handing payloads over
-// by pointer under the simulated cost model.
+// one goroutine per device, handing payloads over by pointer under the
+// simulated cost model.
 const TransportInprocess = "inprocess"
+
+// TransportShardedAsync is a second name for TransportInprocess, kept for
+// callers that still name it.
+const TransportShardedAsync = "sharded-async"
 
 // registry is the name → value table behind RegisterCodec and
 // RegisterTransport: filled at init time, read by every run.
@@ -184,7 +174,33 @@ func LookupTransport(name string) (RuntimeFactory, error) { return transportRegi
 func TransportNames() []string { return transportRegistry.names() }
 
 func init() {
-	RegisterTransport(TransportInprocess, func(spec TransportSpec) Runtime {
-		return newEngine(spec, spec.Parts, &pointerDelivery{})
-	})
+	RegisterTransport(TransportInprocess, newInprocess)
+	RegisterTransport(TransportShardedAsync, newInprocess)
 }
+
+// newInprocess builds the engine over the pointer delivery.
+func newInprocess(spec TransportSpec) Runtime { return newEngine(spec, &pointerDelivery{}) }
+
+// pointerDelivery hands every payload straight to the engine: the buffer
+// the sender posted is the buffer its one receiver gets. Safe because each
+// buffer has exactly one consumer, which releases it into its own arena
+// only after decoding, and nothing is kept of the sender's payloads
+// container — callers may reuse theirs (core.Arena.Payloads) while a
+// straggler has yet to receive.
+type pointerDelivery struct {
+	deliver func(parcel)
+}
+
+func (p *pointerDelivery) start(deliver func(parcel), _ func(error)) error {
+	p.deliver = deliver
+	return nil
+}
+
+func (p *pointerDelivery) send(post []parcel) error {
+	for _, pc := range post {
+		p.deliver(pc)
+	}
+	return nil
+}
+
+func (p *pointerDelivery) stop(bool) error { return nil }

@@ -39,8 +39,7 @@ func init() {
 	RegisterTransport(TransportProcSharded, newProcRuntime)
 }
 
-// newProcRuntime builds the engine with one execution slot per device and
-// the worker fleet as its delivery.
+// newProcRuntime builds the engine with the worker fleet as its delivery.
 func newProcRuntime(spec TransportSpec) Runtime {
 	n := spec.Parts
 	if n >= wire.ParentID {
@@ -51,7 +50,7 @@ func newProcRuntime(spec TransportSpec) Runtime {
 		workers = 2
 	}
 	fleet := &procFleet{workers: min(workers, n), socketBase: spec.SocketDir}
-	return &procRuntime{engine: newEngine(spec, n, fleet), s: fleet}
+	return &procRuntime{engine: newEngine(spec, fleet), s: fleet}
 }
 
 // procRuntime is the engine plus access to its fleet's wire accounting.

@@ -22,6 +22,36 @@ func ringPayload(src, dst, r int) []byte {
 	return append(p, bytes.Repeat([]byte{byte(16*src + dst)}, (src+1)*(dst+2)+r)...)
 }
 
+// TestProcDefaultWorkers pins what Workers means at its zero value: two
+// worker processes, however many devices there are. Every rank ships a
+// ring round, so both workers echo frames and report.
+func TestProcDefaultWorkers(t *testing.T) {
+	const n = 4
+	rt := newProcRuntime(TransportSpec{Parts: n}).(*procRuntime)
+	err := rt.Run(1, func(tr Transport) error {
+		payloads := make([][]byte, n)
+		for dst := range payloads {
+			if dst != tr.Rank() {
+				payloads[dst] = ringPayload(tr.Rank(), dst, 0)
+			}
+		}
+		tr.RingAll2All(payloads)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := rt.WireStats().Workers
+	if len(ws) != 2 {
+		t.Fatalf("Workers 0 on %d parts collected %d worker reports, want 2", n, len(ws))
+	}
+	for i, w := range ws {
+		if w.Frames == 0 {
+			t.Errorf("worker %d echoed no frames", i)
+		}
+	}
+}
+
 // TestProcWireByteAccounting runs a ring-only workload on the
 // proc-sharded backend and reconciles its byte ledgers against the real
 // framed traffic: every payload byte must have crossed a socket inside a

@@ -13,8 +13,8 @@
 //	    via RegisterCodec)
 //	    ▼
 //	Transport — how bytes move between devices
-//	    (inprocess reference, sharded-async, proc-sharded; extensible
-//	    via RegisterTransport)
+//	    (inprocess reference, proc-sharded; extensible via
+//	    RegisterTransport)
 //
 // Quickstart:
 //
@@ -209,8 +209,8 @@ const (
 
 // Transport is the device-side communication surface; Runtime launches
 // one Transport per device. A RuntimeFactory builds a Runtime from a
-// RuntimeSpec (device count, cost model, worker pool size, overlap flag,
-// socket directory, fault plan).
+// RuntimeSpec (device count, cost model, proc-sharded's worker process
+// count, socket directory).
 //
 // RuntimeSpec was previously exported as TransportSpec; that name now
 // names the grouped WithTransport option instead.
@@ -241,12 +241,11 @@ const (
 	// TransportInprocess is the default in-process backend: one goroutine
 	// per device, synchronous collectives.
 	TransportInprocess = core.TransportInprocess
-	// TransportShardedAsync multiplexes devices onto a bounded worker pool
-	// (TransportSpec.Workers); results and simulated clocks stay
-	// bit-identical to the in-process backend.
+	// TransportShardedAsync is a second name for TransportInprocess.
 	TransportShardedAsync = core.TransportShardedAsync
 	// TransportProcSharded shards payload delivery across
-	// TransportSpec.Workers separate OS processes, each connected to this
+	// TransportSpec.Workers separate OS processes (0 = 2, clamped to the
+	// device count), each connected to this
 	// one by a Unix-domain socket: every collective payload is serialized
 	// into a length-prefixed frame and crosses a real kernel socket to the
 	// source rank's worker and back before its receiver may consume it,
@@ -291,9 +290,8 @@ type CodecViolation = core.Violation
 // run would build it) against the codec contract with parts devices:
 // decode-of-encode within the declared error bound, exact byte
 // accounting against the declared wire sizes, statelessness-or-declared-
-// state discipline under instance rebuilds on both transport backends,
-// and fixed-seed loss-curve reproducibility including cross-backend
-// parity. Run it against any custom codec before training
+// state discipline under instance rebuilds, and fixed-seed loss-curve
+// reproducibility. Run it against any custom codec before training
 // with it:
 //
 //	f, _ := adaqp.LookupCodec("my-codec")

@@ -21,9 +21,12 @@ type JobSpec struct {
 	Method    string `json:"method,omitempty"`    // training system (ParseMethod)
 	Codec     string `json:"codec,omitempty"`     // message-codec override
 	Transport string `json:"transport,omitempty"` // runtime backend
-	Workers   int    `json:"workers,omitempty"`
-	// Overlap enables the split-phase collective schedule that hides
-	// wire time behind central-graph compute (TransportSpec.Overlap).
+	// Workers is proc-sharded's worker process count
+	// (TransportSpec.Workers; 0 = 2, clamped to parts).
+	Workers int `json:"workers,omitempty"`
+	// Overlap starts the sancus codec's broadcasts split-phase, hiding
+	// wire time behind central-graph compute; other codecs ignore it
+	// (TransportSpec.Overlap).
 	Overlap bool `json:"overlap,omitempty"`
 	// SocketDir roots the Unix-domain socket directories of socket-backed
 	// transports (TransportSpec.SocketDir).

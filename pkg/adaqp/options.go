@@ -87,30 +87,28 @@ func WithCostModel(m *CostModel) Option {
 }
 
 // TransportSpec groups every transport-facing knob behind one option:
-// which runtime backend moves bytes and how it schedules devices. The
-// zero value of every field is the engine default, and WithTransport
-// replaces the whole transport configuration with the spec — unlike the
-// per-knob options it supersedes, two WithTransport calls do not merge.
+// which runtime backend moves bytes and with what. The zero value of every
+// field is the engine default, and WithTransport replaces the whole
+// transport configuration with the spec — unlike the per-knob options it
+// supersedes, two WithTransport calls do not merge.
 type TransportSpec struct {
 	// Name selects the runtime backend (any name in Transports());
 	// empty selects TransportInprocess.
 	Name string
-	// Workers bounds how many simulated devices execute concurrently on
-	// backends that multiplex devices onto a worker pool
-	// (TransportShardedAsync); 0 uses one worker per available CPU. The
-	// in-process backend ignores it.
+	// Workers is TransportProcSharded's worker process count; 0 uses 2,
+	// clamped to the device count. No other built-in backend reads it.
 	Workers int
-	// Overlap switches the trainer's exchange loop to the split-phase
-	// collective schedule: an exchange's sends all start before any is
-	// consumed, so wire time hides behind central-graph compute and is
+	// Overlap is read by the sancus codec alone: its broadcasts start
+	// split-phase, so wire time hides behind central-graph compute and is
 	// recorded under the Overlap phase instead of charged to Comm/Idle.
 	// Payload routing is unchanged — fixed-seed loss curves stay
-	// bit-identical to the blocking schedule on every backend.
+	// bit-identical to the blocking schedule. AdaQP's and PipeGCN's
+	// overlap is their codec's own schedule and always on; every other
+	// codec ignores the knob.
 	Overlap bool
 	// SocketDir roots the per-run Unix-domain socket directories of
-	// socket-backed backends (TransportProcSharded, where Workers is the
-	// worker process count). Empty uses the system temp directory;
-	// in-memory backends ignore it.
+	// socket-backed backends (TransportProcSharded). Empty uses the system
+	// temp directory; in-memory backends ignore it.
 	SocketDir string
 }
 

@@ -267,7 +267,7 @@ func TestJobSpecOptionsMatchExplicit(t *testing.T) {
 	spec := JobSpec{
 		Dataset: "tiny", Scale: 0.5,
 		Model: "sage", Method: "uniform", Codec: CodecUniform,
-		Transport: TransportShardedAsync, Workers: 2, Overlap: true,
+		Transport: TransportProcSharded, Workers: 2, Overlap: true,
 		Parts: 3, Epochs: 9, Layers: 2, Hidden: 24, LR: 0.02,
 		Dropout: &dropout, Lambda: &lambda, EvalEvery: &evalEvery,
 		GroupSize: 50, ReassignPeriod: 7, UniformBits: 4, Seed: 11,
@@ -285,7 +285,7 @@ func TestJobSpecOptionsMatchExplicit(t *testing.T) {
 	if err := explicit.apply([]Option{
 		WithModel(GraphSAGE), WithMethod(AdaQPUniform),
 		WithCodec(CodecSpec{Name: CodecUniform, UniformBits: 4}),
-		WithTransport(TransportSpec{Name: TransportShardedAsync, Workers: 2, Overlap: true}),
+		WithTransport(TransportSpec{Name: TransportProcSharded, Workers: 2, Overlap: true}),
 		WithParts(3), WithEpochs(9), WithLayers(2), WithHidden(24), WithLR(0.02),
 		WithDropout(0), WithLambda(0.25), WithEvalEvery(0),
 		WithGroupSize(50), WithReassignPeriod(7), WithSeed(11),
