@@ -95,7 +95,9 @@ type widthMsg struct {
 // widths tables are updated in place. Master compute time is charged to
 // timing.Assign; gather/scatter communication is charged by the
 // collectives; non-master devices block (Idle) until results arrive —
-// exactly the paper's "blocks the current training worker".
+// exactly the paper's "blocks the current training worker". The codec
+// calls it only after a tracing epoch, so every round's widths are shipped
+// by a later epoch: none runs after the run's last.
 func runAssignment(dev Transport, cfg *Config, st *assignState) error {
 	n := dev.Size()
 	report := st.report(dev.Rank())

@@ -66,10 +66,14 @@ func (*mixedCoder) passes() (int, int) { return 1, 1 }
 //   - uniform: every message at Config.UniformBits, installed once (32 bits
 //     ships raw fp32 rows, overlap schedule intact);
 //   - random: widths sampled uniformly from {2,4,8} per message, re-drawn
-//     every ReassignPeriod epochs (Table 6's ablation);
+//     after every period that has a successor (Table 6's ablation);
 //   - adaptive: AdaQP — epoch 0 at full precision, messages traced on the
-//     last epoch of every period and the bi-objective problem re-solved from
-//     the traces.
+//     bootstrap epoch and the last epoch of every period that has a
+//     successor, and the bi-objective problem re-solved from the traces.
+//
+// Both re-assigning policies move their tables on under periodEnds, so a
+// period is ReassignPeriod epochs for either, and no round runs for widths
+// no epoch would use.
 type quantCodec struct {
 	name  string         // registry name: the width policy
 	bits  quant.BitWidth // uniform only: the one width
@@ -106,10 +110,18 @@ func (c *quantCodec) fullPrecision(epoch int) bool {
 	return c.bits == quant.B32 || c.name == CodecAdaptive && epoch == 0
 }
 
+// periodEnds reports whether a re-assignment period ends after epoch: the
+// widths move on after every ReassignPeriod epochs, but only when an epoch
+// follows to use them.
+func periodEnds(cfg *Config, epoch int) bool {
+	return epoch < cfg.Epochs-1 && (epoch+1)%cfg.ReassignPeriod == 0
+}
+
 // tracing reports whether epoch's messages are traced for the assigner: the
-// bootstrap epoch and the last epoch of each re-assignment period.
+// bootstrap epoch and the last epoch of each period, each only when a later
+// epoch ships at the widths solved from them.
 func (c *quantCodec) tracing(cfg *Config, epoch int) bool {
-	return c.name == CodecAdaptive && (epoch == 0 || (epoch+1)%cfg.ReassignPeriod == 0)
+	return c.name == CodecAdaptive && (periodEnds(cfg, epoch) || epoch == 0 && cfg.Epochs > 1)
 }
 
 func (c *quantCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.Matrix) error {
@@ -139,12 +151,12 @@ func (c *quantCodec) run(env *ExchangeEnv, dir direction, epoch, l int, src, dst
 	return env.stage(&c.coder, overlapped, dir, l, src, dst)
 }
 
-// EpochEnd moves the width tables on at a period boundary: random re-draws
-// them, adaptive re-solves the assignment from this epoch's traces.
+// EpochEnd moves the width tables on for the next period: random draws
+// period (epoch+1)/ReassignPeriod's, adaptive re-solves the assignment from
+// this epoch's traces.
 func (c *quantCodec) EpochEnd(env *ExchangeEnv, epoch int) error {
-	period := env.Cfg.ReassignPeriod
-	if c.name == CodecRandom && epoch > 0 && epoch%period == 0 {
-		c.st.installRandomWidths(env.Cfg.Seed, epoch/period, env.Dev.Size(), env.Dev.Rank())
+	if c.name == CodecRandom && periodEnds(env.Cfg, epoch) {
+		c.st.installRandomWidths(env.Cfg.Seed, (epoch+1)/env.Cfg.ReassignPeriod, env.Dev.Size(), env.Dev.Rank())
 	}
 	if c.tracing(env.Cfg, epoch) {
 		return runAssignment(env.Dev, env.Cfg, c.st)

@@ -192,9 +192,9 @@ func TestChaosCrashCatchesLostCodecState(t *testing.T) {
 // (width tables, traces) moves only in EpochEnd, which a doomed epoch never
 // reaches, so its empty checkpoint replays a crash bit for bit — whether the
 // crash lands on a tracing epoch (4: the replay rewrites the traces the
-// assigner then solves from), on the period boundary where random re-draws
-// its widths and adaptive first ships at the solved ones (5), or on a plain
-// epoch (6).
+// assigner then solves from), on the first epoch of a period, which random
+// and adaptive ship at the widths re-drawn and solved after epoch 4 (5), or
+// on a plain epoch (6).
 func TestChaosCrashRecoversPaperCodec(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
 	dep := Deploy(ds, 4, GCN, partition.Block)
