@@ -203,7 +203,7 @@ func BenchmarkEpochVanilla(b *testing.B) {
 }
 
 func BenchmarkEpochAdaQP(b *testing.B) {
-	// Two epochs: bootstrap + one quantized epoch.
+	// Two epochs: the 8-bit bootstrap + one at the solved widths.
 	eng := benchEngine(b, 2, adaqp.WithMethod(adaqp.AdaQP))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

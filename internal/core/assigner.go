@@ -37,6 +37,11 @@ type assignState struct {
 	widths [2][]*widthTable
 }
 
+// bootstrapBits is the width of every message before the first assignment
+// round has solved any: AdaQP's bootstrap epoch 0 ships at it, and a solved
+// table missing a message falls back to it.
+const bootstrapBits = quant.B8
+
 func newAssignState(cfg *Config, lg *partition.LocalGraph, inDim int) *assignState {
 	st := &assignState{lg: lg, layers: cfg.Layers, dims: messageDims(cfg, inDim)}
 	st.alphaSq = make([]float64, lg.NumHalo)
@@ -61,7 +66,7 @@ func newAssignState(cfg *Config, lg *partition.LocalGraph, inDim int) *assignSta
 			}
 		}
 	}
-	st.installUniformWidths(quant.B8)
+	st.installUniformWidths(bootstrapBits)
 	return st
 }
 
@@ -282,7 +287,7 @@ func fixWidths(ws *[]quant.BitWidth, want int) {
 	if len(*ws) == want {
 		return
 	}
-	*ws = quant.UniformWidths(want, quant.B8)
+	*ws = quant.UniformWidths(want, bootstrapBits)
 }
 
 // pairDeterministicWidths derives a width table both sides of a pair can

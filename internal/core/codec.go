@@ -61,6 +61,11 @@ type ExchangeEnv struct {
 	// Scratch is this device's hot-loop allocator (see Arena). May be nil,
 	// in which case every Arena method degrades to plain allocation.
 	Scratch *Arena
+	// Round is this device's stochastic-rounding stream, derived from
+	// (Cfg.Seed, rank) apart from Dev.Rand's dropout stream and saved with
+	// it at a crash checkpoint. A codec that rounds stochastically draws
+	// from Round, so its draws never shift the dropout masks.
+	Round *tensor.RNG
 
 	costs [][2]StageCosts // per layer, per direction
 	halo  [][]int32       // lazily-built haloIdx cache, one list per peer

@@ -41,7 +41,7 @@ type mixedCoder struct {
 
 func (m *mixedCoder) encode(e *ExchangeEnv, p int, x *tensor.Matrix, idx []int32) ([]byte, error) {
 	return quant.AppendQuantizedMixedRanges(e.Scratch.GetBuf(quant.MixedSize(m.wt.send[p], x.Cols)),
-		x, idx, m.wt.send[p], m.ranges, e.Dev.Rand())
+		x, idx, m.wt.send[p], m.ranges, e.Round)
 }
 
 func (m *mixedCoder) decode(e *ExchangeEnv, p int, buf []byte, dst *tensor.Matrix, idx []int32, add bool) error {
@@ -67,9 +67,10 @@ func (*mixedCoder) passes() (int, int) { return 1, 1 }
 //     ships raw fp32 rows, overlap schedule intact);
 //   - random: widths sampled uniformly from {2,4,8} per message, re-drawn
 //     after every period that has a successor (Table 6's ablation);
-//   - adaptive: AdaQP — epoch 0 at full precision, messages traced on the
-//     bootstrap epoch and the last epoch of every period that has a
-//     successor, and the bi-objective problem re-solved from the traces.
+//   - adaptive: AdaQP — the bootstrap epoch 0 ships at the uniform
+//     bootstrapBits tables newAssignState installs, messages are traced on
+//     it and on the last epoch of every period that has a successor, and
+//     the bi-objective problem is re-solved from the traces.
 //
 // Both re-assigning policies move their tables on under periodEnds, so a
 // period is ReassignPeriod epochs for either, and no round runs for widths
@@ -103,13 +104,6 @@ func newQuantCodec(name string) CodecFactory {
 
 func (c *quantCodec) Name() string { return c.name }
 
-// fullPrecision reports whether epoch's messages travel as raw fp32 rows:
-// every epoch of the 32-bit passthrough, and AdaQP's bootstrap epoch 0 (no
-// widths assigned yet). The overlapped schedule is active either way.
-func (c *quantCodec) fullPrecision(epoch int) bool {
-	return c.bits == quant.B32 || c.name == CodecAdaptive && epoch == 0
-}
-
 // periodEnds reports whether a re-assignment period ends after epoch: the
 // widths move on after every ReassignPeriod epochs, but only when an epoch
 // follows to use them.
@@ -133,19 +127,15 @@ func (c *quantCodec) Backward(env *ExchangeEnv, epoch, l int, dxFull, dxLocal *t
 }
 
 // run is one overlapped exchange of layer l in direction dir at the current
-// width table. A tracing epoch also feeds the scanned row ranges to the
-// assigner's tracer.
+// width table; the 32-bit passthrough ships raw fp32 rows. A tracing epoch
+// also feeds the scanned row ranges to the assigner's tracer.
 func (c *quantCodec) run(env *ExchangeEnv, dir direction, epoch, l int, src, dst *tensor.Matrix) error {
-	fp, trace := c.fullPrecision(epoch), c.tracing(env.Cfg, epoch)
-	var ranges []quant.RowRange
-	if !fp || trace {
-		ranges = env.ranges(dir, src)
-	}
-	if trace {
-		c.st.trace(env, dir, l, ranges)
-	}
-	if fp {
+	if c.st == nil {
 		return env.stage(fpCoder{}, overlapped, dir, l, src, dst)
+	}
+	ranges := env.ranges(dir, src)
+	if c.tracing(env.Cfg, epoch) {
+		c.st.trace(env, dir, l, ranges)
 	}
 	c.coder = mixedCoder{wt: c.st.widths[dir][l], ranges: ranges}
 	return env.stage(&c.coder, overlapped, dir, l, src, dst)
@@ -170,27 +160,32 @@ func (c *quantCodec) EpochEnd(env *ExchangeEnv, epoch int) error {
 func (c *quantCodec) Stateful() bool { return c.name != CodecUniform }
 
 // CheckpointState / RestoreCheckpoint: nothing to save. The width tables
-// change only in EpochEnd, which a doomed epoch never reaches, and a tracing
-// epoch's replay rewrites the traces its doomed attempt wrote, bit for bit.
+// change only in EpochEnd, which a doomed epoch never reaches, a tracing
+// epoch's replay rewrites the traces its doomed attempt wrote, bit for bit,
+// and the rounding stream (ExchangeEnv.Round) is the worker's to save.
 func (c *quantCodec) CheckpointState() any { return nil }
 
 func (c *quantCodec) RestoreCheckpoint(any) {}
 
 // ForwardErrorBound: one quantization step at the narrowest width an epoch-0
-// message can get — random may sample 2 bits.
+// message can get — random may sample 2 bits, adaptive ships the bootstrap
+// width.
 func (c *quantCodec) ForwardErrorBound(mn, mx float32, _ int) float64 {
-	if c.fullPrecision(0) {
+	if c.st == nil {
 		return 0
 	}
 	b := c.bits
-	if c.name == CodecRandom {
+	switch c.name {
+	case CodecRandom:
 		b = quant.B2
+	case CodecAdaptive:
+		b = bootstrapBits
 	}
 	return float64(mx-mn) / float64(b.Levels())
 }
 
 func (c *quantCodec) ForwardWireSizes(lg *partition.LocalGraph, dim int) []int {
-	if c.fullPrecision(0) {
+	if c.st == nil {
 		return fpAll2AllBytes(lg, dim)
 	}
 	out := make([]int, lg.Parts)

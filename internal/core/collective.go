@@ -204,10 +204,17 @@ func (e *engine) Run(seed uint64, body func(Transport) error) error {
 	return stopErr
 }
 
-// deviceRNG derives device rank's private deterministic RNG for a run
-// seeded with seed.
+// deviceRNG derives device rank's private deterministic dropout stream for
+// a run seeded with seed.
 func deviceRNG(seed uint64, rank int) *tensor.RNG {
 	return tensor.NewRNG(seed ^ (uint64(rank+1) * 0x9e3779b97f4a7c15))
+}
+
+// roundingRNG derives device rank's stochastic-rounding stream
+// (ExchangeEnv.Round) for a run seeded with seed: the same (seed, rank) as
+// deviceRNG under a distinct multiplier, so the two streams are unrelated.
+func roundingRNG(seed uint64, rank int) *tensor.RNG {
+	return tensor.NewRNG(seed ^ (uint64(rank+1) * 0xd1b54a32d192ed03))
 }
 
 // abort unwinds every device; err is non-nil when the delivery failed.

@@ -197,6 +197,12 @@ type Config struct {
 	// without registering them.
 	transportFactory RuntimeFactory
 
+	// faultPlan, when non-nil, is the run's fault plan in place of the one
+	// materialized from Faults. It is the chaos tests' seam for plans no
+	// Spec can express: a crash in epoch 0, whose CrashEpoch is Spec's
+	// "no crash".
+	faultPlan *chaos.FaultPlan
+
 	// isolateArena makes the run use throwaway scratch arenas instead of
 	// the process-wide recycled pool. Conformance training runs over
 	// candidate transports set it: a backend that violates buffer

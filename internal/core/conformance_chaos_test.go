@@ -190,11 +190,13 @@ func TestChaosCrashCatchesLostCodecState(t *testing.T) {
 
 // TestChaosCrashRecoversPaperCodec: the quantizing codec's cross-epoch state
 // (width tables, traces) moves only in EpochEnd, which a doomed epoch never
-// reaches, so its empty checkpoint replays a crash bit for bit — whether the
-// crash lands on a tracing epoch (4: the replay rewrites the traces the
-// assigner then solves from), on the first epoch of a period, which random
-// and adaptive ship at the widths re-drawn and solved after epoch 4 (5), or
-// on a plain epoch (6).
+// reaches, so its empty checkpoint — with the device's rounding stream, which
+// the worker saves next to the dropout stream — replays a crash bit for bit,
+// whether the crash lands on adaptive's quantized, traced bootstrap epoch
+// (0), on a tracing epoch (4: the replay rewrites the traces the assigner
+// then solves from), on the first epoch of a period, which random and
+// adaptive ship at the widths re-drawn and solved after epoch 4 (5), or on a
+// plain epoch (6).
 func TestChaosCrashRecoversPaperCodec(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
 	dep := Deploy(ds, 4, GCN, partition.Block)
@@ -202,9 +204,17 @@ func TestChaosCrashRecoversPaperCodec(t *testing.T) {
 		base := confTrainConfig(codec)
 		base.Epochs, base.ReassignPeriod = 8, 5
 		ref := confTrain(t, dep, base)
-		for _, epoch := range []int{4, 5, 6} {
+		for _, epoch := range []int{0, 4, 5, 6} {
 			cfg := base
 			cfg.Faults = chaos.Spec{Seed: 5, CrashEpoch: epoch, RestartPenalty: 50}
+			if epoch == 0 {
+				plan, err := chaos.NewPlan(chaos.Spec{Seed: 5, CrashEpoch: 1, RestartPenalty: 50}, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plan.CrashEpoch = 0
+				cfg.faultPlan = plan
+			}
 			got := confTrain(t, dep, cfg)
 			label := fmt.Sprintf("%s crash at epoch %d", codec, epoch)
 			lossParity(t, label, ref, got)

@@ -137,7 +137,7 @@ func codecExchangeCheck(f CodecFactory, dep *Deployment, cfg Config, dim int, fi
 		}
 		// The arena is pre-poisoned: a codec that hands out pooled scratch
 		// without overwriting it fails the round-trip bound loudly.
-		env := &ExchangeEnv{Dev: dev, Graph: lg, Cfg: &cfg, Scratch: dirtyArena(dim), costs: make([][2]StageCosts, cfg.Layers)}
+		env := &ExchangeEnv{Dev: dev, Graph: lg, Cfg: &cfg, Scratch: dirtyArena(dim), Round: roundingRNG(cfg.Seed, r), costs: make([][2]StageCosts, cfg.Layers)}
 		if err := codec.Forward(env, 0, 0, h, xFull); err != nil {
 			forwardFailed.Store(true)
 			col.addf("codec-roundtrip", "rank %d epoch-0 forward failed: %v", r, err)

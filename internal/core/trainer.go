@@ -81,14 +81,16 @@ func TrainDeployedCtx(ctx context.Context, dep *Deployment, cfg Config, model *t
 	// Fault injection wraps the runtime centrally — the backend stays
 	// fault-agnostic, and both backends derive their cost model (slowed
 	// straggler links) through the same path.
-	var plan *chaos.FaultPlan
-	var fstats *faultStats
-	if cfg.Faults.Enabled() {
-		p, err := chaos.NewPlan(cfg.Faults, parts)
-		if err != nil {
+	plan := cfg.faultPlan
+	if plan == nil && cfg.Faults.Enabled() {
+		var err error
+		if plan, err = chaos.NewPlan(cfg.Faults, parts); err != nil {
 			return nil, err
 		}
-		plan, fstats = p, &faultStats{}
+	}
+	var fstats *faultStats
+	if plan != nil {
+		fstats = &faultStats{}
 		runtimeFor = faultFactory(runtimeFor, plan, fstats)
 	}
 	rt := runtimeFor(TransportSpec{
@@ -160,7 +162,7 @@ func TrainDeployedCtx(ctx context.Context, dep *Deployment, cfg Config, model *t
 		if cfg.isolateArena {
 			scratch = NewArena()
 		}
-		w.env = &ExchangeEnv{Dev: dev, Graph: w.lg, Cfg: &cfg, Scratch: scratch, costs: w.model.costs}
+		w.env = &ExchangeEnv{Dev: dev, Graph: w.lg, Cfg: &cfg, Scratch: scratch, Round: roundingRNG(cfg.Seed, dev.Rank()), costs: w.model.costs}
 		if !cfg.isolateArena {
 			// Hand the arena — freelists intact — to the next run in this
 			// process, so repeated runs stay warm without re-allocating.
@@ -316,8 +318,8 @@ func (w *worker) checkCrashSupport() error {
 // attempt whose results the crash destroys, rolls back to the checkpoint,
 // and the crashed rank pays the restart downtime before the cluster
 // resynchronizes. The caller then re-runs the epoch — the replay is
-// bit-identical to the attempt (same parameters, optimizer moments and RNG
-// stream), so only the simulated clocks grow.
+// bit-identical to the attempt (same parameters, optimizer moments, dropout
+// and rounding streams), so only the simulated clocks grow.
 func (w *worker) crashAndRecover(epoch int) error {
 	cp := w.checkpoint()
 	if _, err := w.trainEpoch(epoch); err != nil {
@@ -337,18 +339,19 @@ func (w *worker) crashAndRecover(epoch int) error {
 
 // deviceCheckpoint is one device's epoch-boundary training state: model
 // parameters with their optimizer moments, the optimizer step count, the
-// RNG stream position and — for checkpoint-capable stateful codecs — the
-// codec's cross-epoch state.
+// dropout and rounding stream positions and — for checkpoint-capable
+// stateful codecs — the codec's cross-epoch state.
 type deviceCheckpoint struct {
 	params   []nn.ParamCheckpoint
 	step     int
 	rng      tensor.RNGState
+	round    tensor.RNGState
 	codec    any
 	hasCodec bool
 }
 
 func (w *worker) checkpoint() *deviceCheckpoint {
-	cp := &deviceCheckpoint{step: w.opt.StepCount(), rng: w.dev.Rand().State()}
+	cp := &deviceCheckpoint{step: w.opt.StepCount(), rng: w.dev.Rand().State(), round: w.env.Round.State()}
 	for _, p := range w.model.params() {
 		cp.params = append(cp.params, p.Checkpoint())
 	}
@@ -366,6 +369,7 @@ func (w *worker) restore(cp *deviceCheckpoint) {
 	}
 	w.opt.SetStepCount(cp.step)
 	w.dev.Rand().SetState(cp.rng)
+	w.env.Round.SetState(cp.round)
 	if cp.hasCodec {
 		w.codec.(CodecCheckpointer).RestoreCheckpoint(cp.codec)
 	}

@@ -410,7 +410,8 @@ func TestEpochBitsWithAndWithoutAVX2(t *testing.T) {
 		epochBitsWithAndWithoutAVX2(t, Deploy(synthetic.MustLoad("products-sim", 0.1), 4, GCN, partition.Block), 64, 2)
 	})
 	t.Run("halo-reddit", func(t *testing.T) {
-		// Three epochs: the first is AdaQP's full-precision bootstrap.
+		// Three epochs: AdaQP's bootstrap at the uniform 8-bit tables, then
+		// two at the widths solved from its traces.
 		epochBitsWithAndWithoutAVX2(t, Deploy(synthetic.MustLoad("reddit-sim", 0.1), 8, GCN, partition.Hash), 16, 3)
 	})
 }

@@ -30,7 +30,9 @@ type Transport interface {
 	Clock() *timing.Clock
 	// Model is the shared hardware cost model.
 	Model() *timing.CostModel
-	// Rand is this device's private deterministic RNG.
+	// Rand is this device's private deterministic dropout stream. Codecs
+	// round from ExchangeEnv.Round instead, so the masks do not depend on
+	// the codec.
 	Rand() *tensor.RNG
 	// Barrier aligns all devices (stragglers charged to Idle).
 	Barrier()

@@ -169,7 +169,9 @@ type MessageCodec = core.MessageCodec
 type CodecFactory = core.CodecFactory
 
 // CodecEnv is the construction-time context a CodecFactory receives;
-// ExchangeEnv is the per-device runtime context handed to codec calls.
+// ExchangeEnv is the per-device runtime context handed to codec calls. A
+// custom codec that rounds stochastically draws from ExchangeEnv.Round,
+// the device's rounding stream, never from Dev.Rand(), the dropout stream.
 // Both are re-exported so custom codecs can be written against the
 // public package alone.
 type (
