@@ -96,17 +96,21 @@ func timeRFC(t time.Time) string {
 	return t.UTC().Format(time.RFC3339Nano)
 }
 
+// sessionJSON builds the status document from one status read, taken
+// first: a session is terminal only once its finish is recorded, so the
+// timestamps read after a terminal status always include the finish time.
 func sessionJSON(h *adaqp.SessionHandle) jobJSON {
+	st := h.Status()
 	sub, start, fin := h.Times()
 	j := jobJSON{
 		ID:         h.ID(),
-		Status:     h.Status().String(),
+		Status:     st.String(),
 		EpochsDone: h.EpochsDone(),
 		Submitted:  timeRFC(sub),
 		Started:    timeRFC(start),
 		Finished:   timeRFC(fin),
 	}
-	if h.Status() == adaqp.SessionFailed || h.Status() == adaqp.SessionCanceled {
+	if st == adaqp.SessionFailed || st == adaqp.SessionCanceled {
 		if _, err := h.Result(); err != nil {
 			j.Error = err.Error()
 		}
@@ -247,14 +251,11 @@ func (s *server) cancel(w http.ResponseWriter, r *http.Request) {
 	}
 	if h.Status().Terminal() {
 		doc := sessionJSON(h)
-		if known, err := s.sched.Remove(h.ID()); known && err == nil {
-			doc.Removed = true
-			writeJSON(w, http.StatusOK, doc)
-			return
-		}
-		// Terminal status but the finish is not recorded yet (the worker
-		// is mid-bookkeeping) — fall through to the cancel path; a later
-		// DELETE can remove the record.
+		// A terminal session is always removable; false only means a
+		// concurrent DELETE or eviction removed it first.
+		doc.Removed, _ = s.sched.Remove(h.ID())
+		writeJSON(w, http.StatusOK, doc)
+		return
 	}
 	h.Cancel()
 	writeJSON(w, http.StatusAccepted, sessionJSON(h))

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/pkg/adaqp"
 )
@@ -82,7 +81,6 @@ func TestDeleteRemovesTerminalRecord(t *testing.T) {
 	ts, _ := testServer(t, adaqp.WithMaxConcurrentSessions(1))
 	_, job := postJob(t, ts, tinyJob)
 	waitTerminal(t, ts, job.ID)
-	waitFinishTimestamp(t, ts, job.ID)
 
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+job.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
@@ -100,25 +98,5 @@ func TestDeleteRemovesTerminalRecord(t *testing.T) {
 	}
 	if resp := getJSON(t, ts.URL+"/jobs/"+job.ID, nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET removed job = %d, want 404", resp.StatusCode)
-	}
-}
-
-// waitFinishTimestamp waits for the finish timestamp to land in the status
-// document: Remove requires the recorded finish, which trails the status
-// flip by the worker's bookkeeping.
-func waitFinishTimestamp(t *testing.T, ts *httptest.Server, id string) {
-	t.Helper()
-	deadline := time.After(10 * time.Second)
-	for {
-		var job jobJSON
-		getJSON(t, ts.URL+"/jobs/"+id, &job)
-		if job.Finished != "" {
-			return
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("job %s never recorded a finish timestamp", id)
-		case <-time.After(time.Millisecond):
-		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -391,4 +392,97 @@ func TestSpecFieldsReachTraining(t *testing.T) {
 	if res.Codec != "uniform" {
 		t.Fatalf("codec = %q, want uniform (spec field lost?)", res.Codec)
 	}
+}
+
+// TestStatusDocumentsCarryTimestamps queues many 1-epoch jobs behind a
+// long one, cancels every fourth while it is queued, then releases the
+// queue and polls every job in a tight loop. Every done, failed or
+// canceled document must carry finished_at and every running or done one
+// started_at: a client timing a job from its last status document must
+// never find a terminal status without its finish time.
+func TestStatusDocumentsCarryTimestamps(t *testing.T) {
+	const jobs, pollers = 32, 4
+	ts, _ := testServer(t, adaqp.WithMaxConcurrentSessions(1), adaqp.WithQueueDepth(jobs))
+	oneEpoch := `{"dataset":"tiny","scale":0.25,"parts":2,"method":"vanilla","epochs":1,"hidden":8,"eval_every":0}`
+
+	check := func(doc jobJSON, where string) {
+		terminal := doc.Status == "done" || doc.Status == "failed" || doc.Status == "canceled"
+		if terminal && doc.Finished == "" {
+			t.Errorf("%s: %s document without finished_at: %+v", where, doc.Status, doc)
+		}
+		if (doc.Status == "running" || doc.Status == "done") && doc.Started == "" {
+			t.Errorf("%s: %s document without started_at: %+v", where, doc.Status, doc)
+		}
+	}
+	del := func(id string) jobJSON {
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var doc jobJSON
+		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+			t.Fatal(err)
+		}
+		check(doc, "DELETE")
+		return doc
+	}
+
+	_, blocker := postJob(t, ts, longJob)
+	waitRunning(t, ts, blocker.ID)
+	ids := []string{blocker.ID}
+	for i := 0; i < jobs; i++ {
+		resp, job := postJob(t, ts, oneEpoch)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d = %d, want 202", i, resp.StatusCode)
+		}
+		check(job, "POST")
+		if i%4 == 3 {
+			if doc := del(job.ID); doc.Status != "canceled" {
+				t.Fatalf("DELETE of queued job %s left it %q, want canceled", job.ID, doc.Status)
+			}
+		}
+		ids = append(ids, job.ID)
+	}
+
+	queue := make(chan string, len(ids))
+	for _, id := range ids {
+		queue <- id
+	}
+	close(queue)
+	var wg sync.WaitGroup
+	for p := 0; p < pollers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for id := range queue {
+				deadline := time.Now().Add(30 * time.Second)
+				for {
+					resp, err := http.Get(ts.URL + "/jobs/" + id)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					var doc jobJSON
+					err = json.NewDecoder(resp.Body).Decode(&doc)
+					resp.Body.Close()
+					if err != nil || resp.StatusCode != http.StatusOK {
+						t.Errorf("GET /jobs/%s = %d: %v", id, resp.StatusCode, err)
+						return
+					}
+					check(doc, "GET")
+					if doc.Status != "queued" && doc.Status != "running" {
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Errorf("job %s stuck at %q", id, doc.Status)
+						return
+					}
+				}
+			}
+		}()
+	}
+	del(blocker.ID) // releases the queue while the pollers watch
+	wg.Wait()
 }

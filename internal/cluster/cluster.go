@@ -3,9 +3,11 @@
 // all-reduce, a gather, a scatter, a sequential broadcast — costs a device
 // under a timing.CostModel, given how many bytes each device ships to each
 // other. They move no data and keep no state. The collective engine behind
-// every runtime backend (internal/core) charges its clocks through them, and
-// the conformance suites and the overlap analysis price collectives with the
-// same functions, so each cost rule is written once.
+// every runtime backend (internal/core) charges its clocks through them.
+// The conformance suites price the ring all2all and the all-reduce through
+// the same functions, but re-derive the gather, scatter, broadcast,
+// split-phase and overlap charges from timing.CostModel.TransferTime loops,
+// as a reference independent of this package.
 package cluster
 
 import (

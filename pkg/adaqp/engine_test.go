@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/pkg/adaqp"
@@ -101,6 +102,10 @@ func TestCodecRegistryLookup(t *testing.T) {
 	}
 }
 
+// registerDelegating registers the test codec once per process: the
+// registry panics on a second registration, which -count > 1 would make.
+var registerDelegating sync.Once
+
 // TestCustomCodecRegistration registers a delegating codec under a new
 // name and trains with it: the registry, not the Method switch, selects
 // the scheme, so the run must match the built-in bit for bit.
@@ -109,7 +114,7 @@ func TestCustomCodecRegistration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaqp.RegisterCodec("test-delegating-fp32", fp32)
+	registerDelegating.Do(func() { adaqp.RegisterCodec("test-delegating-fp32", fp32) })
 
 	ds := adaqp.MustLoadDataset("tiny", 1)
 	eng, err := adaqp.New(ds, tinyOpts()...)
