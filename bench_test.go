@@ -29,7 +29,7 @@ import (
 // iteration stays in the hundreds of milliseconds.
 var benchProfile = experiments.Profile{
 	Name: "bench", Scale: 0.08, FeatureCap: 64, Hidden: 32,
-	EpochsLong: 10, EpochsShort: 3, Runs: 1, EvalEvery: 5,
+	EpochsLong: 10, EpochsShort: 3, EvalEvery: 5, Seeds: []uint64{1},
 }
 
 // runExperiment times one registry experiment on a fresh Runner per

@@ -1,8 +1,9 @@
-// Scaling study (Table 7 flavor): throughput of Vanilla vs AdaQP as the
-// same graph is spread over 2 → 24 devices. More partitions mean a higher
-// remote-neighbor ratio (Table 1), so communication grows while per-device
-// computation shrinks — the regime where message quantization pays off,
-// until fixed per-message overheads dominate at very high device counts.
+// Scaling study: throughput of Vanilla vs AdaQP as the same graph is spread
+// over 2 → 24 devices, the sweep `cmd/paper` does not print (its Table 7 is
+// the 24-device point alone). More partitions mean a higher remote-neighbor
+// ratio (Table 1), so communication grows while per-device computation
+// shrinks — the regime where message quantization pays off, until fixed
+// per-message overheads dominate at very high device counts.
 //
 //	go run ./examples/scaling
 package main

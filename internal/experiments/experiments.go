@@ -1,12 +1,15 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§2.2 motivation and §5). A Cell is one fixed-seed training; a
-// Runner trains each Cell an invocation asks for once; every table and
-// figure is a view that turns the Runner's results into a typed Report;
+// evaluation (§2.2 motivation and §5). A Cell is one fixed-seed training of
+// one codec; a Runner trains each Cell an invocation asks for once; every
+// table and figure is a view that turns the Runner's results into a typed
+// Report, with each accuracy set against Vanilla on the same seeds;
 // Experiments is the registry `cmd/paper -table N` / `-figure N` indexes.
 package experiments
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -28,17 +31,20 @@ type Profile struct {
 	// EpochsLong is for accuracy/convergence experiments; EpochsShort for
 	// timing-only experiments.
 	EpochsLong, EpochsShort int
-	Runs                    int // repeats for mean±std (paper: 3)
 	EvalEvery               int
+	// Seeds are the seeds every accuracy cell trains at (the paper
+	// repeats 3 runs). Timing cells read Seeds[0] alone: the simulated
+	// clock is exact per seed.
+	Seeds []uint64
 }
 
 // Profiles are what `cmd/paper -profile` accepts: quick, the default,
 // takes about a minute for the whole suite; standard is for overnight
 // runs; full mirrors the paper's setup on the whole registry (hours).
 var Profiles = []Profile{
-	{Name: "quick", Scale: 0.15, FeatureCap: 96, Hidden: 48, EpochsLong: 60, EpochsShort: 5, Runs: 1, EvalEvery: 5},
-	{Name: "standard", Scale: 0.5, Hidden: 128, EpochsLong: 200, EpochsShort: 10, Runs: 3, EvalEvery: 5},
-	{Name: "full", Scale: 1, Hidden: 256, EpochsLong: 250, EpochsShort: 20, Runs: 3, EvalEvery: 5},
+	{Name: "quick", Scale: 0.15, FeatureCap: 96, Hidden: 48, EpochsLong: 60, EpochsShort: 5, EvalEvery: 5, Seeds: []uint64{1}},
+	{Name: "standard", Scale: 0.5, Hidden: 128, EpochsLong: 200, EpochsShort: 10, EvalEvery: 5, Seeds: []uint64{1, 1001, 2001}},
+	{Name: "full", Scale: 1, Hidden: 256, EpochsLong: 250, EpochsShort: 20, EvalEvery: 5, Seeds: []uint64{1, 1001, 2001}},
 }
 
 var (
@@ -46,8 +52,15 @@ var (
 	// counts; setting names one the paper's way, machines × devices in each.
 	partsFor = map[string][]int{"reddit-sim": {2, 4}, "yelp-sim": {2, 4}, "products-sim": {4, 8}, "amazon-sim": {4, 8}}
 	setting  = map[int]string{2: "2M-1D", 4: "2M-2D", 8: "2M-4D", 24: "6M-4D"}
-	// rival is the published system Table 4 sets beside Vanilla and AdaQP.
-	rival = map[core.ModelKind]core.Method{core.GCN: core.SANCUS, core.GraphSAGE: core.PipeGCN}
+	// rival is the codec of the published system Table 4 sets beside
+	// Vanilla and AdaQP.
+	rival = map[core.ModelKind]string{core.GCN: core.CodecSancus, core.GraphSAGE: core.CodecPipeGCN}
+	// names is what the paper calls each codec's system and, for the two
+	// width schemes Table 6 compares, the scheme.
+	names = map[string]struct{ system, scheme string }{
+		core.CodecFP32: {system: "Vanilla"}, core.CodecSancus: {system: "SANCUS"}, core.CodecPipeGCN: {system: "PipeGCN"},
+		core.CodecAdaptive: {"AdaQP", "Adaptive"}, core.CodecRandom: {scheme: "Uniform"},
+	}
 )
 
 // Cell is one fixed-seed training and the Runner's memo key: everything
@@ -60,7 +73,7 @@ type Cell struct {
 	FeatureCap int
 	Parts      int
 	Model      core.ModelKind
-	Method     core.Method
+	Codec      string
 
 	Hidden, Epochs, EvalEvery, GroupSize, ReassignPeriod int
 	Lambda                                               float64
@@ -69,7 +82,7 @@ type Cell struct {
 
 func (c Cell) config() core.Config {
 	cfg := core.DefaultConfig()
-	cfg.Model, cfg.Method, cfg.Seed = c.Model, c.Method, c.Seed
+	cfg.Model, cfg.Codec, cfg.Seed = c.Model, c.Codec, c.Seed
 	cfg.Hidden, cfg.Epochs, cfg.EvalEvery = c.Hidden, c.Epochs, c.EvalEvery
 	cfg.GroupSize, cfg.Lambda, cfg.ReassignPeriod = c.GroupSize, c.Lambda, c.ReassignPeriod
 	return cfg
@@ -96,27 +109,35 @@ type Runner struct {
 // failure is what deploy and train panic with and Experiment.Run returns.
 type failure struct{ err error }
 
-// cell is at the profile's size with the paper's AdaQP knobs and seed 1.
-func (r *Runner) cell(dataset string, parts int, model core.ModelKind, method core.Method, epochs int) Cell {
+// cell is at the profile's size and first seed with the paper's AdaQP knobs.
+func (r *Runner) cell(dataset string, parts int, model core.ModelKind, codec string, epochs int) Cell {
 	p, def := r.Profile, core.DefaultConfig()
 	return Cell{
-		Dataset: dataset, Scale: p.Scale, FeatureCap: p.FeatureCap, Parts: parts, Model: model, Method: method,
+		Dataset: dataset, Scale: p.Scale, FeatureCap: p.FeatureCap, Parts: parts, Model: model, Codec: codec,
 		Hidden: p.Hidden, Epochs: epochs, EvalEvery: p.EvalEvery, GroupSize: def.GroupSize, Lambda: def.Lambda,
 		// Re-assign roughly 4 times per run regardless of length.
-		ReassignPeriod: max(epochs/4, 2), Seed: 1,
+		ReassignPeriod: max(epochs/4, 2), Seed: p.Seeds[0],
 	}
 }
 
+// vanilla is c's baseline: c trained by Vanilla, with the AdaQP knobs fp32
+// ignores at their cell defaults, so every knob setting shares one Vanilla.
+func (r *Runner) vanilla(c Cell) Cell {
+	v := r.cell(c.Dataset, c.Parts, c.Model, core.CodecFP32, c.Epochs)
+	c.Codec, c.GroupSize, c.Lambda, c.ReassignPeriod = v.Codec, v.GroupSize, v.Lambda, v.ReassignPeriod
+	return c
+}
+
 // grid lists, in the paper's row order, the cells of Table 4's dataset ×
-// setting × model × method grid that keep accepts (nil: all). Every
+// setting × model × codec grid that keep accepts (nil: all). Every
 // experiment that walks the grid, whole or in part, filters this one loop.
 func (r *Runner) grid(epochs int, keep func(Cell) bool) []Cell {
 	var cells []Cell
 	for _, name := range []string{"reddit-sim", "yelp-sim", "products-sim", "amazon-sim"} {
 		for _, parts := range partsFor[name] {
 			for _, mk := range []core.ModelKind{core.GCN, core.GraphSAGE} {
-				for _, m := range []core.Method{core.Vanilla, rival[mk], core.AdaQP} {
-					if c := r.cell(name, parts, mk, m, epochs); keep == nil || keep(c) {
+				for _, codec := range []string{core.CodecFP32, rival[mk], core.CodecAdaptive} {
+					if c := r.cell(name, parts, mk, codec, epochs); keep == nil || keep(c) {
 						cells = append(cells, c)
 					}
 				}
@@ -159,7 +180,7 @@ func (r *Runner) train(c Cell) *metrics.RunResult {
 		dep := r.deploy(c)
 		res, err := core.TrainDeployed(dep, c.config(), modelFor(dep.Dataset))
 		if err != nil {
-			panic(failure{fmt.Errorf("%s %s on %s/%d: %w", c.Model, c.Method, c.Dataset, c.Parts, err)})
+			panic(failure{fmt.Errorf("%s %s on %s/%d: %w", c.Model, c.Codec, c.Dataset, c.Parts, err)})
 		}
 		r.Trainings++
 		r.runs[c] = res
@@ -167,16 +188,47 @@ func (r *Runner) train(c Cell) *metrics.RunResult {
 	return r.runs[c]
 }
 
-// summarize is Table 4's accuracy (%) and throughput cells: c over the
-// profile's runs, seeds 1, 1001, 2001, …
-func (r *Runner) summarize(c Cell) (MeanStd, float64) {
-	var runs []*metrics.RunResult
-	for i := 0; i < r.Profile.Runs; i++ {
-		c.Seed = uint64(1000*i + 1)
-		runs = append(runs, r.train(c))
+// accuracy is c's test accuracy cell (%) over the profile's seeds: Paired
+// against vanilla(c) at the same seeds, or, on Vanilla's own row, its median.
+func (r *Runner) accuracy(c Cell) any {
+	var acc, diff []float64
+	var sum float64
+	for _, c.Seed = range r.Profile.Seeds {
+		a := 100 * r.train(c).FinalTest
+		d := a - 100*r.train(r.vanilla(c)).FinalTest
+		acc, diff, sum = append(acc, a), append(diff, d), sum+d
 	}
-	s := metrics.Summarize(runs)
-	return MeanStd{100 * s.MeanAcc, 100 * s.StdAcc}, s.MeanThroughput
+	if c.Codec == core.CodecFP32 {
+		return median(acc)
+	}
+	p, n := Paired{Median: median(acc), Delta: median(diff)}, float64(len(diff))
+	for _, d := range diff {
+		p.SD += (d - sum/n) * (d - sum/n) / max(n-1, 1)
+		switch {
+		case d > 0:
+			p.Up++
+		case d < 0:
+			p.Down++
+		default:
+			p.Tie++
+		}
+	}
+	p.SD = math.Sqrt(p.SD)
+	return p
+}
+
+// median of xs, which it sorts.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	return (xs[(len(xs)-1)/2] + xs[len(xs)/2]) / 2
+}
+
+// overVanilla is c's throughput over vanilla(c)'s, nil on Vanilla's own row.
+func (r *Runner) overVanilla(c Cell) any {
+	if c.Codec == core.CodecFP32 {
+		return nil
+	}
+	return r.train(c).Throughput() / r.train(r.vanilla(c)).Throughput()
 }
 
 // realNodeCounts are the sizes of the datasets the -sim graphs stand in for.

@@ -20,7 +20,7 @@ import (
 // under a second while still executing its full code path.
 var smoke = Profile{
 	Name: "smoke", Scale: 0.05, FeatureCap: 24, Hidden: 16,
-	EpochsLong: 3, EpochsShort: 2, Runs: 1, EvalEvery: 2,
+	EpochsLong: 3, EpochsShort: 2, EvalEvery: 2, Seeds: []uint64{1},
 }
 
 var updateGolden = flag.Bool("update-golden", false,
@@ -141,9 +141,10 @@ func spliceFields(line string, fields []string) string {
 	return b.String()
 }
 
-// Each cell trains once: of the 166 trainings the parent's `-all` ran, 89
-// are distinct. Table 5/9 and Fig. 9/12 are views over Table 4's runs,
-// Table 6 trains only its Uniform rows and Fig. 11 all but its λ = 0.5 row.
+// Each cell trains once: `-all` asks for 370 trainings, 89 of them
+// distinct. Table 5/9 and Fig. 9/12 are views over Table 4's runs, Table 6
+// trains only its Uniform rows and Fig. 11 all but its λ = 0.5 row, and
+// their Vanilla baselines are Table 4's.
 func TestEachCellTrainsOnce(t *testing.T) {
 	report(t, "t4")
 	s := smokeAll()
@@ -193,7 +194,7 @@ func TestRunReturnsTrainingErrors(t *testing.T) {
 		"lambda":  func(c *Cell) { c.Lambda = 2 },
 	} {
 		e := Experiment{ID: "t0", Build: func(r *Runner) *Report {
-			c := r.cell("reddit-sim", 2, core.GCN, core.AdaQP, 2)
+			c := r.cell("reddit-sim", 2, core.GCN, core.CodecAdaptive, 2)
 			turn(&c)
 			r.train(c)
 			return &Report{}
@@ -212,14 +213,14 @@ func TestRunReturnsTrainingErrors(t *testing.T) {
 func TestEvalIsOffTheClock(t *testing.T) {
 	r := &Runner{Profile: smoke}
 	for _, c := range []Cell{
-		r.cell("reddit-sim", 4, core.GCN, core.Vanilla, 6),
-		r.cell("reddit-sim", 4, core.GCN, core.SANCUS, 6),
-		r.cell("reddit-sim", 4, core.GCN, core.AdaQP, 6),
-		r.cell("products-sim", 4, core.GraphSAGE, core.PipeGCN, 6),
-		r.cell("products-sim", 4, core.GraphSAGE, core.AdaQP, 6),
-		r.cell("products-sim", 4, core.GraphSAGE, core.AdaQPRandom, 6),
+		r.cell("reddit-sim", 4, core.GCN, core.CodecFP32, 6),
+		r.cell("reddit-sim", 4, core.GCN, core.CodecSancus, 6),
+		r.cell("reddit-sim", 4, core.GCN, core.CodecAdaptive, 6),
+		r.cell("products-sim", 4, core.GraphSAGE, core.CodecPipeGCN, 6),
+		r.cell("products-sim", 4, core.GraphSAGE, core.CodecAdaptive, 6),
+		r.cell("products-sim", 4, core.GraphSAGE, core.CodecRandom, 6),
 	} {
-		g := c.Model.String() + " " + c.Method.String()
+		g := c.Model.String() + " " + c.Codec
 		with := r.train(c)
 		c.EvalEvery = 0
 		without := r.train(c)
@@ -246,11 +247,11 @@ func TestEvalIsOffTheClock(t *testing.T) {
 // Reflection walks the fields so that one added later is covered too.
 func TestMemoKeyIsTheWholeCell(t *testing.T) {
 	r := &Runner{Profile: smoke}
-	base := r.cell("reddit-sim", 2, core.GCN, core.AdaQP, 4)
+	base := r.cell("reddit-sim", 2, core.GCN, core.CodecAdaptive, 4)
 	base.Lambda = 0.25
 	turned := map[string]any{
 		"Dataset": "yelp-sim", "Scale": synthetic.Scale(0.04), "FeatureCap": 16, "Parts": 3,
-		"Model": core.GraphSAGE, "Method": core.AdaQPRandom, "Hidden": 8, "Epochs": 5, "EvalEvery": 0,
+		"Model": core.GraphSAGE, "Codec": core.CodecRandom, "Hidden": 8, "Epochs": 5, "EvalEvery": 0,
 		"GroupSize": 7, "Lambda": 0.75, "ReassignPeriod": 3, "Seed": uint64(2),
 	}
 	train := func(c Cell) int {
@@ -276,6 +277,69 @@ func TestMemoKeyIsTheWholeCell(t *testing.T) {
 		if train(c) != 0 || train(base) != 0 {
 			t.Errorf("%s: a cell already trained trained again", name)
 		}
+	}
+}
+
+// At a profile of three seeds, a cell's accuracy is paired seed by seed with
+// the Vanilla training at the same seed: the cell equals a hand computation
+// from those six trainings, and asking for it trains nothing else. Vanilla's
+// own row is its median alone, the throughput and speed-up read the first
+// seed, and one deployment serves every seed. The cell's differences take
+// both signs, and their median is not the difference of the medians.
+func TestPairedSeeds(t *testing.T) {
+	p := smoke
+	p.Scale, p.Seeds = 1, []uint64{5, 2, 9}
+	r := &Runner{Profile: p}
+	c := r.cell("tiny", 2, core.GCN, core.CodecPipeGCN, 6)
+	got, vanilla, speedUp := r.accuracy(c), r.accuracy(r.vanilla(c)), r.overVanilla(c)
+	if r.Trainings != 6 || len(r.deps) != 1 || c.Seed != 5 {
+		t.Fatalf("%d trainings on %d deployments from seed %d, want 6 on 1 from seed 5", r.Trainings, len(r.deps), c.Seed)
+	}
+
+	var acc, base, diff []float64
+	var want Paired
+	for _, seed := range p.Seeds {
+		a := c
+		a.Seed = seed
+		v := a
+		v.Codec = core.CodecFP32
+		x, y := 100*r.train(a).FinalTest, 100*r.train(v).FinalTest
+		d := x - y
+		acc, base, diff = append(acc, x), append(base, y), append(diff, d)
+		switch {
+		case d > 0:
+			want.Up++
+		case d < 0:
+			want.Down++
+		default:
+			want.Tie++
+		}
+	}
+	if r.Trainings != 6 {
+		t.Fatalf("the hand computation trained %d more cells: the pairing used other seeds", r.Trainings-6)
+	}
+	mid := func(xs []float64) float64 { return slices.Sorted(slices.Values(xs))[1] }
+	m := (diff[0] + diff[1] + diff[2]) / 3
+	want.Median, want.Delta = mid(acc), mid(diff)
+	if base[0] == base[1] && base[1] == base[2] || want.Up == 0 || want.Down == 0 || want.Delta == mid(acc)-mid(base) {
+		t.Fatalf("accuracies %v against Vanilla's %v cannot tell a pairing from another", acc, base)
+	}
+	want.SD = math.Sqrt(((diff[0]-m)*(diff[0]-m) + (diff[1]-m)*(diff[1]-m) + (diff[2]-m)*(diff[2]-m)) / 2)
+	pc, ok := got.(Paired)
+	if !ok || pc.Median != want.Median || pc.Delta != want.Delta || math.Abs(pc.SD-want.SD) > 1e-9 ||
+		pc.Up != want.Up || pc.Tie != want.Tie || pc.Down != want.Down {
+		t.Errorf("paired cell %#v, want %#v (accuracies %v, Vanilla %v)", got, want, acc, base)
+	}
+	if vanilla != mid(base) {
+		t.Errorf("Vanilla's cell %#v, want its median %v alone", vanilla, mid(base))
+	}
+	v := c
+	v.Codec = core.CodecFP32
+	if speedUp != r.train(c).Throughput()/r.train(v).Throughput() {
+		t.Errorf("speed-up %v does not read seed %d", speedUp, c.Seed)
+	}
+	if s := (Column{Prec: 2}).format(Paired{82.314, -0.125, 0.05, 2, 0, 1}); s != "82.31 Δ-0.12±0.05 +2/=0/-1" {
+		t.Errorf("a paired cell prints as %q", s)
 	}
 }
 
@@ -341,7 +405,7 @@ func TestTable6Smoke(t *testing.T) {
 	rep, t4 := report(t, "t6"), report(t, "t4")
 	var adaptive [][]any
 	for _, row := range t4.Rows {
-		if row[0] == "products-sim" && row[3] == core.AdaQP.String() {
+		if row[0] == "products-sim" && row[3] == "AdaQP" {
 			adaptive = append(adaptive, []any{row[1], row[2], "Adaptive", row[4], row[5]})
 		}
 	}
@@ -407,10 +471,10 @@ func TestFigure10BreakdownSumsToClock(t *testing.T) {
 		rows++
 		for d, b := range res.PerDevice {
 			if sum, wall := float64(b.Total()), float64(res.WallClock); math.Abs(sum-wall) > 1e-9*wall {
-				t.Errorf("%s %s/%d device %d: categories sum to %v, wall-clock %v", c.Method, c.Dataset, c.Parts, d, sum, wall)
+				t.Errorf("%s %s/%d device %d: categories sum to %v, wall-clock %v", c.Codec, c.Dataset, c.Parts, d, sum, wall)
 			}
-			if quantizes := b.Quant > 0; quantizes != (c.Method == core.AdaQP) {
-				t.Errorf("%s %s/%d device %d: Quant %v", c.Method, c.Dataset, c.Parts, d, b.Quant)
+			if quantizes := b.Quant > 0; quantizes != (c.Codec == core.CodecAdaptive) {
+				t.Errorf("%s %s/%d device %d: Quant %v", c.Codec, c.Dataset, c.Parts, d, b.Quant)
 			}
 		}
 	}
@@ -426,7 +490,7 @@ func TestFigure10BreakdownSumsToClock(t *testing.T) {
 
 func TestLoadDatasetFeatureCap(t *testing.T) {
 	r := &Runner{Profile: smoke}
-	if dep := r.deploy(r.cell("yelp-sim", 2, core.GCN, core.Vanilla, 1)); dep.Dataset.Features.Cols != smoke.FeatureCap {
+	if dep := r.deploy(r.cell("yelp-sim", 2, core.GCN, core.CodecFP32, 1)); dep.Dataset.Features.Cols != smoke.FeatureCap {
 		t.Fatalf("feature cap not applied: %d cols", dep.Dataset.Features.Cols)
 	}
 }

@@ -14,7 +14,7 @@ import (
 func figure2(r *Runner) *Report {
 	rep := &Report{Columns: []Column{{Name: "Device Pair"}, {Name: "Data size (MB)", Prec: 3}}}
 	var sizes []float64
-	for src, row := range core.PairBytesFirstLayer(r.deploy(r.cell("amazon-sim", 4, core.GCN, core.Vanilla, 1))) {
+	for src, row := range core.PairBytesFirstLayer(r.deploy(r.cell("amazon-sim", 4, core.GCN, core.CodecFP32, 1))) {
 		for dst, b := range row {
 			if src != dst {
 				sizes = append(sizes, float64(b)/1e6)
@@ -48,7 +48,7 @@ func figure9And12(r *Runner) *Report {
 	for _, c := range r.grid(r.Profile.EpochsLong, func(c Cell) bool { return c.Parts == partsFor[c.Dataset][0] }) {
 		xs, ys := r.train(c).Curve()
 		for i := range xs {
-			rep.add(c.Dataset, c.Model.String(), setting[c.Parts], c.Method.String(), xs[i], ys[i])
+			rep.add(c.Dataset, c.Model.String(), setting[c.Parts], names[c.Codec].system, xs[i], ys[i])
 		}
 	}
 	return rep
@@ -60,11 +60,11 @@ func figure10(r *Runner) *Report {
 	rep := &Report{Columns: []Column{colDataset, colParts, colMethod,
 		{Name: "Comm(s)", Prec: 4}, {Name: "Comp(s)", Prec: 4}, {Name: "Quant(s)", Prec: 4},
 		{Name: "Train(s)", Prec: 2, Panel: true}, {Name: "Assign(s)", Prec: 2}}}
-	for _, c := range r.grid(r.Profile.EpochsShort*4, func(c Cell) bool { return c.Model == core.GCN && c.Method != core.SANCUS }) {
+	for _, c := range r.grid(r.Profile.EpochsShort*4, func(c Cell) bool { return c.Model == core.GCN && c.Codec != core.CodecSancus }) {
 		c.EvalEvery = 0
 		res := r.train(c)
 		per := res.PerEpoch()
-		rep.add(c.Dataset, setting[c.Parts], c.Method.String(), float64(per.Comm+per.Idle), float64(per.Comp), float64(per.Quant),
+		rep.add(c.Dataset, setting[c.Parts], names[c.Codec].system, float64(per.Comm+per.Idle), float64(per.Comp), float64(per.Quant),
 			float64(res.WallClock-res.AssignTime), float64(res.AssignTime))
 	}
 	return rep
@@ -85,10 +85,9 @@ func figure11(r *Runner) *Report {
 		{"period", []any{10, 25, 50}, func(c *Cell, v any) { c.ReassignPeriod = v.(int) }},
 	} {
 		for _, v := range knob.values {
-			c := r.cell("products-sim", 8, core.GCN, core.AdaQP, r.Profile.EpochsLong)
+			c := r.cell("products-sim", 8, core.GCN, core.CodecAdaptive, r.Profile.EpochsLong)
 			knob.turn(&c, v)
-			res := r.train(c)
-			rep.add(knob.name, v, 100*res.FinalTest, float64(res.AssignTime))
+			rep.add(knob.name, v, r.accuracy(c), float64(r.train(c).AssignTime))
 		}
 	}
 	return rep

@@ -17,7 +17,7 @@ type Report struct {
 	Title   string // "Table 4 — Training performance comparison"
 	Profile string
 	Columns []Column
-	// Rows hold one cell per column: a string, int, float64 or MeanStd, or
+	// Rows hold one cell per column: a string, int, float64 or Paired, or
 	// nil where the row has no value (Vanilla's speed-up over itself).
 	Rows  [][]any
 	Notes []string // printed under the rows, one per line
@@ -30,13 +30,19 @@ type Report struct {
 // Column names one column and fixes how its numbers print.
 type Column struct {
 	Name      string // "" for an annotation of the column to its left
-	Prec      int    // decimals of float64 and MeanStd cells
-	Pre, Post string // printed around a float64: "", "%" or "(", "x)"
+	Prec      int    // decimals of float64 and Paired cells
+	Pre, Post string // printed around a float64 or a median: "", "%" or "(", "x)"
 	Panel     bool   // first column of a figure's next panel: a bar precedes it
 }
 
-// MeanStd is a cell summarizing repeated runs, printed as mean±std.
-type MeanStd struct{ Mean, Std float64 }
+// Paired is an accuracy over a profile's seeds set against Vanilla's at
+// the same seeds: the median, then the per-seed differences' median, sample
+// SD (0 at one seed) and how many are above, at and below zero. It prints
+// as "82.31 Δ+0.12±0.05 +2/=0/-1".
+type Paired struct {
+	Median, Delta, SD float64
+	Up, Tie, Down     int
+}
 
 func (r *Report) add(cells ...any) { r.Rows = append(r.Rows, cells) }
 
@@ -51,8 +57,8 @@ func (c Column) format(cell any) string {
 		return strconv.Itoa(v)
 	case float64:
 		return c.Pre + f(v) + c.Post
-	case MeanStd:
-		return f(v.Mean) + "±" + f(v.Std)
+	case Paired:
+		return fmt.Sprintf("%s%s%s Δ%+.*f±%s +%d/=%d/-%d", c.Pre, f(v.Median), c.Post, c.Prec, v.Delta, f(v.SD), v.Up, v.Tie, v.Down)
 	}
 	panic(fmt.Sprintf("experiments: column %q holds a %T", c.Name, cell))
 }

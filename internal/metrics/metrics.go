@@ -1,8 +1,8 @@
 // Package metrics collects the measurements the paper reports: convergence
 // curves (epoch → validation accuracy), per-epoch time breakdowns
 // (communication / computation / quantization, Fig. 10a), wall-clock
-// decomposition (training vs bit-width assignment, Fig. 10b), throughput
-// and summary statistics over repeated runs (Table 4's mean ± std).
+// decomposition (training vs bit-width assignment, Fig. 10b) and
+// throughput.
 package metrics
 
 import (
@@ -223,46 +223,4 @@ func (r *RunResult) Curve() (xs []int, ys []float64) {
 		}
 	}
 	return xs, ys
-}
-
-// Summary holds mean ± std over repeated runs (Table 4 reports 3 runs).
-type Summary struct {
-	MeanAcc, StdAcc float64
-	MeanThroughput  float64
-	MeanWallClock   timing.Seconds
-	Runs            int
-}
-
-// Summarize aggregates repeated runs of the same configuration.
-func Summarize(runs []*RunResult) Summary {
-	s := Summary{Runs: len(runs)}
-	if len(runs) == 0 {
-		return s
-	}
-	var accs []float64
-	for _, r := range runs {
-		accs = append(accs, r.FinalTest)
-		s.MeanThroughput += r.Throughput()
-		s.MeanWallClock += r.WallClock
-	}
-	s.MeanThroughput /= float64(len(runs))
-	s.MeanWallClock /= timing.Seconds(len(runs))
-	s.MeanAcc, s.StdAcc = MeanStd(accs)
-	return s
-}
-
-// MeanStd returns the mean and (population) standard deviation.
-func MeanStd(xs []float64) (mean, std float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	for _, x := range xs {
-		std += (x - mean) * (x - mean)
-	}
-	std = math.Sqrt(std / float64(len(xs)))
-	return mean, std
 }

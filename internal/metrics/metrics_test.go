@@ -76,29 +76,3 @@ func TestCurveSkipsNaN(t *testing.T) {
 		t.Fatalf("curve %v %v", xs, ys)
 	}
 }
-
-func TestSummarize(t *testing.T) {
-	a, b := result(), result()
-	b.FinalTest = 0.85
-	s := Summarize([]*RunResult{a, b})
-	if s.Runs != 2 {
-		t.Fatal("runs")
-	}
-	if math.Abs(s.MeanAcc-0.8) > 1e-12 || math.Abs(s.StdAcc-0.05) > 1e-12 {
-		t.Fatalf("mean/std %v %v", s.MeanAcc, s.StdAcc)
-	}
-	if Summarize(nil).Runs != 0 {
-		t.Fatal("empty summarize")
-	}
-}
-
-func TestMeanStd(t *testing.T) {
-	m, s := MeanStd([]float64{1, 2, 3})
-	if m != 2 || math.Abs(s-math.Sqrt(2.0/3.0)) > 1e-12 {
-		t.Fatalf("mean %v std %v", m, s)
-	}
-	m, s = MeanStd(nil)
-	if m != 0 || s != 0 {
-		t.Fatal("empty MeanStd")
-	}
-}

@@ -238,9 +238,10 @@ type FeatureConfig struct {
 }
 
 // SynthesizeFeatures draws node features from class-conditioned Gaussians
-// and optionally smooths them over the graph. Smoothing makes neighborhood
-// aggregation genuinely informative, so GNNs beat linear models on these
-// graphs — the property the paper's accuracy comparisons rely on.
+// and optionally smooths them over the graph, mixing each node's features
+// with its neighbors' mean. That copies the neighborhood's signal into the
+// node's own row: under Block partitions, training with every halo row
+// zeroed scores as well as fp32 (ROADMAP item 2).
 func SynthesizeFeatures(g *graph.CSR, labels []int, numClasses int, cfg FeatureConfig) *tensor.Matrix {
 	rng := tensor.NewRNG(cfg.Seed)
 	classMeans := tensor.New(numClasses, cfg.Dim)

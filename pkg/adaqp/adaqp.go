@@ -142,8 +142,6 @@ type (
 	// structured form of the Fig. 10 breakdown for programmatic
 	// consumers.
 	PhaseBreakdown = metrics.PhaseBreakdown
-	// Summary holds mean ± std over repeated runs.
-	Summary = metrics.Summary
 	// FaultStats counts a run's injected faults and recovery work.
 	FaultStats = metrics.FaultStats
 )
@@ -156,9 +154,6 @@ type (
 // seconds of downtime. The zero value injects nothing; Seed (default 1)
 // drives the schedule.
 type FaultSpec = chaos.Spec
-
-// Summarize aggregates repeated runs of the same configuration.
-func Summarize(runs []*Result) Summary { return metrics.Summarize(runs) }
 
 // MessageCodec is the pluggable boundary-message scheme (see package
 // core's docs for the contract). Custom codecs registered before New are
