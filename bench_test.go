@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bitassign"
 	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -138,31 +137,6 @@ func BenchmarkDequantize2Bit(b *testing.B) {
 		if err := quant.DequantizeRows(stream, dst, nil, 1000, quant.B2); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkBitAssignSolve(b *testing.B) {
-	rng := tensor.NewRNG(1)
-	const pairs = 56 // 8 devices
-	var msgs []bitassign.Message
-	slots := map[int]int{}
-	for i := 0; i < 20000; i++ {
-		pair := rng.Intn(pairs)
-		msgs = append(msgs, bitassign.Message{
-			Pair: pair, Slot: slots[pair], Dim: 256, Beta: rng.Float64() * 10,
-		})
-		slots[pair]++
-	}
-	theta := make([]float64, pairs)
-	gamma := make([]float64, pairs)
-	for i := range theta {
-		theta[i] = 8e-11
-		gamma[i] = 1e-3
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := bitassign.NewProblem(msgs, 100, theta, gamma, 0.5)
-		p.Solve()
 	}
 }
 

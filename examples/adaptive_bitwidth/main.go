@@ -2,14 +2,19 @@
 // population with skewed variance contributions β across imbalanced device
 // pairs, then sweeps λ from pure-throughput (0) to pure-fidelity (1) and
 // shows how the solved assignment migrates between 2, 4 and 8 bits — the
-// trade-off of the paper's Eqn. 12. The trained comparisons are in
-// `go run ./cmd/paper -table 4,6` (systems; uniform vs adaptive widths).
+// trade-off of the paper's Eqn. 12. It exits non-zero unless the sweep
+// trades as Eqn. 12 says it must: max time never falls and variance never
+// rises as λ grows, λ = 1 is all 8-bit, and at λ = 0.5 the straggler pair
+// gets fewer bits on average than the others. The trained comparisons are
+// in `go run ./cmd/paper -table 4,6` (systems; uniform vs adaptive widths).
 //
 //	go run ./examples/adaptive_bitwidth
 package main
 
 import (
 	"fmt"
+	"log"
+	"math"
 
 	"repro/internal/bitassign"
 	"repro/internal/quant"
@@ -57,6 +62,7 @@ func main() {
 
 	fmt.Printf("%d messages over %d device pairs (pair 0→1 is 4x oversized)\n\n", len(msgs), devices*(devices-1))
 	fmt.Printf("%-8s %8s %8s %8s %14s %12s\n", "lambda", "#2-bit", "#4-bit", "#8-bit", "variance", "maxTime(ms)")
+	lastVariance, lastTime := math.Inf(1), math.Inf(-1)
 	for _, lambda := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 1} {
 		prob := bitassign.NewProblem(msgs, 50, theta, gamma, lambda)
 		widths := prob.Solve()
@@ -67,6 +73,13 @@ func main() {
 		}
 		fmt.Printf("%-8.2f %8d %8d %8d %14.3f %12.3f\n",
 			lambda, counts[quant.B2], counts[quant.B4], counts[quant.B8], variance, 1000*maxTime)
+		if variance > lastVariance || maxTime < lastTime {
+			log.Fatalf("λ=%.2f: variance %v, max time %v after %v, %v at the smaller λ", lambda, variance, maxTime, lastVariance, lastTime)
+		}
+		if lambda == 1 && counts[quant.B8] != len(widths) {
+			log.Fatalf("λ=1: %d of %d groups at 8 bits", counts[quant.B8], len(widths))
+		}
+		lastVariance, lastTime = variance, maxTime
 	}
 
 	// Show the straggler effect: at λ=0.5, compare the average width of
@@ -81,7 +94,10 @@ func main() {
 		s[1] += float64(len(g.Members))
 		sum[heavy] = s
 	}
-	fmt.Printf("\nλ=0.5 average assigned width: straggler pair %.2f bits, other pairs %.2f bits\n",
-		sum[true][0]/sum[true][1], sum[false][0]/sum[false][1])
+	heavy, light := sum[true][0]/sum[true][1], sum[false][0]/sum[false][1]
+	fmt.Printf("\nλ=0.5 average assigned width: straggler pair %.2f bits, other pairs %.2f bits\n", heavy, light)
+	if heavy >= light {
+		log.Fatalf("λ=0.5: the straggler pair's %.2f bits are not below the other pairs' %.2f", heavy, light)
+	}
 	fmt.Println("(the minimax time objective pushes the straggler pair toward lower precision)")
 }

@@ -136,8 +136,9 @@ func main() {
 	}
 
 	fmt.Printf("\nper-device phases of AdaQP with the slow link:\n")
-	for _, p := range ada[1].Phases() {
-		fmt.Printf("  %v\n", p)
+	for d, p := range ada[1].Phases() {
+		fmt.Printf("  dev %d: comp=%.4fs comm=%.4fs quant=%.4fs idle=%.4fs assign=%.4fs overlap=%.4fs\n",
+			d, p.Comp, p.Comm, p.Quant, p.Idle, p.Assign, p.Overlap)
 	}
 	fmt.Printf("\nthe slow link paces every ring round, so every device's Comm rises under\n")
 	fmt.Printf("both methods. Vanilla's loss curve is bit-identical; AdaQP's assigner\n")

@@ -5,17 +5,19 @@
 // (Eqn. 10 + Eqn. 11, scalarized as Eqn. 12) is solved to pick each
 // group's width from B = {2, 4, 8}.
 //
-// The paper hands the scalarized MILP to GUROBI; offline we use a greedy
-// upgrade pass followed by single-move local search, which the tests show
-// matches exhaustive enumeration on every small instance tried (the
-// objective's marginal gains are diminishing in width, which is what makes
-// greedy strong here).
+// The paper hands the scalarized MILP to GUROBI; Solve finds the same
+// optimum without one. At a fixed straggler time the variance term
+// separates by pair, so Solve builds each pair's (bytes, variance) Pareto
+// frontier by dynamic programming and sweeps the straggler time over the
+// frontiers' times (see Solve for the tie rule and the cost).
 package bitassign
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/quant"
 )
@@ -60,26 +62,14 @@ func NewProblem(msgs []Message, groupSize int, theta, gamma []float64, lambda fl
 	for i, m := range msgs {
 		byPair[m.Pair] = append(byPair[m.Pair], i)
 	}
-	pairs := make([]int, 0, len(byPair))
-	for pair := range byPair {
-		pairs = append(pairs, pair)
-	}
-	sort.Ints(pairs)
-	for _, pair := range pairs {
+	for _, pair := range slices.Sorted(maps.Keys(byPair)) {
 		idx := byPair[pair]
-		sort.Slice(idx, func(a, b int) bool {
-			if msgs[idx[a]].Beta != msgs[idx[b]].Beta {
-				return msgs[idx[a]].Beta > msgs[idx[b]].Beta
-			}
-			return msgs[idx[a]].Slot < msgs[idx[b]].Slot
+		slices.SortFunc(idx, func(a, b int) int {
+			return cmp.Or(cmp.Compare(msgs[b].Beta, msgs[a].Beta), msgs[a].Slot-msgs[b].Slot)
 		})
 		for lo := 0; lo < len(idx); lo += groupSize {
-			hi := lo + groupSize
-			if hi > len(idx) {
-				hi = len(idx)
-			}
 			g := Group{Pair: pair, Dim: msgs[idx[lo]].Dim}
-			for _, mi := range idx[lo:hi] {
+			for _, mi := range idx[lo:min(lo+groupSize, len(idx))] {
 				g.Beta += msgs[mi].Beta
 				g.Members = append(g.Members, mi)
 			}
@@ -110,17 +100,7 @@ func (p *Problem) Objective(widths []quant.BitWidth) (variance, maxTime, scalar 
 	if len(widths) != len(p.Groups) {
 		panic(fmt.Sprintf("bitassign: %d widths for %d groups", len(widths), len(p.Groups)))
 	}
-	pairBytes := map[int]int{}
-	for i, g := range p.Groups {
-		variance += varTerm(g.Beta, widths[i])
-		pairBytes[g.Pair] += p.groupBytes(&p.Groups[i], widths[i])
-	}
-	for pair, bytes := range pairBytes {
-		t := p.Theta[pair]*float64(bytes) + p.Gamma[pair]
-		if t > maxTime {
-			maxTime = t
-		}
-	}
+	variance, maxTime = p.eval(func(i int) quant.BitWidth { return widths[i] })
 	varNorm, timeNorm := p.normalizers()
 	scalar = p.Lambda*variance/varNorm + (1-p.Lambda)*maxTime/timeNorm
 	return variance, maxTime, scalar
@@ -129,19 +109,8 @@ func (p *Problem) Objective(widths []quant.BitWidth) (variance, maxTime, scalar 
 // normalizers returns (variance at all-2-bit, time at all-8-bit), both
 // clamped away from zero.
 func (p *Problem) normalizers() (float64, float64) {
-	var v float64
-	pairBytes := map[int]int{}
-	for i, g := range p.Groups {
-		v += varTerm(g.Beta, quant.B2)
-		pairBytes[g.Pair] += p.groupBytes(&p.Groups[i], quant.B8)
-	}
-	var t float64
-	for pair, bytes := range pairBytes {
-		tt := p.Theta[pair]*float64(bytes) + p.Gamma[pair]
-		if tt > t {
-			t = tt
-		}
-	}
+	v, _ := p.eval(func(int) quant.BitWidth { return quant.B2 })
+	_, t := p.eval(func(int) quant.BitWidth { return quant.B8 })
 	if v <= 0 {
 		v = 1
 	}
@@ -151,132 +120,177 @@ func (p *Problem) normalizers() (float64, float64) {
 	return v, t
 }
 
-// Solve returns one width per group minimizing the scalarized objective:
-// greedy upgrades from all-2-bit, then single-move local search (both
-// upgrades and downgrades) to a local optimum.
+// eval returns Eqn. 11's variance and Eqn. 10's straggler time when group
+// i has width w(i).
+func (p *Problem) eval(w func(i int) quant.BitWidth) (variance, maxTime float64) {
+	pairBytes := map[int]int{}
+	for i := range p.Groups {
+		g := &p.Groups[i]
+		variance += varTerm(g.Beta, w(i))
+		pairBytes[g.Pair] += p.groupBytes(g, w(i))
+	}
+	for pair, bytes := range pairBytes {
+		maxTime = max(maxTime, p.pairTime(pair, bytes))
+	}
+	return variance, maxTime
+}
+
+// Solve returns one width per group minimizing Eqn. 12's scalar exactly.
 //
-// Moves are evaluated incrementally: a single group's width change shifts
-// one variance term and one pair's time, and the minimax term is
-// re-evaluated in O(1) by tracking the top-two pair times. Each sweep is
-// O(G) and a solve takes O(G) sweeps, so the sweep's inner loop is what a
-// solve costs: it runs on dense per-group tables (pair index, variance term
-// and wire bytes at each width) with no map lookups. A 230-group solve
-// takes about a millisecond (BenchmarkSolve); the benchmark harness's
-// bitassign.solve_ms, which also times NewProblem's grouping and sorting of
-// some 20 000 messages, reads about 3 ms on its halo-reddit workload.
+// At a fixed straggler time Z the variance term separates by pair: each
+// pair independently takes its least-variance assignment whose time is at
+// most Z. So Solve builds every pair's (bytes, variance) Pareto frontier by
+// dynamic programming over the pair's groups, then sweeps Z upward over the
+// frontier points' times, starting at the largest all-2-bit pair time. At
+// each Z every pair takes its last frontier point with time ≤ Z, and the
+// lowest λ'·ΣV + μ'·Z wins. Ties go to the smallest Z; at that Z each pair
+// holds its least-variance point, and of equal-variance points the one with
+// the fewest bytes.
+//
+// A pair with g groups and a frontier of F points costs O(g·F) twice (the
+// frontier, then its replay for the chosen point's widths), and the sweep
+// O(P log P) over all P frontier points. F is at most the number of distinct
+// byte totals: about g² when a pair's groups share one dimension and one
+// member count, as NewProblem builds them from one layer's messages.
 func (p *Problem) Solve() []quant.BitWidth {
-	n := len(p.Groups)
-	widths := make([]quant.BitWidth, n)
-	if n == 0 {
+	widths := make([]quant.BitWidth, len(p.Groups))
+	if len(widths) == 0 {
 		return widths
 	}
 	varNorm, timeNorm := p.normalizers()
 	lam, mu := p.Lambda/varNorm, (1-p.Lambda)/timeNorm
 
-	// Dense pair indices, in order of first appearance among the groups.
-	pairOf := make([]int, n)
+	// Groups per pair, pairs in order of first appearance.
 	dense := make([]int, len(p.Theta))
-	for i := range dense {
-		dense[i] = -1
-	}
-	var pairTheta, pairGamma []float64
-	for i := range p.Groups {
-		pair := p.Groups[i].Pair
-		if dense[pair] < 0 {
-			dense[pair] = len(pairTheta)
-			pairTheta = append(pairTheta, p.Theta[pair])
-			pairGamma = append(pairGamma, p.Gamma[pair])
+	var pairs []int
+	var members [][]int
+	for i, g := range p.Groups {
+		if dense[g.Pair] == 0 {
+			pairs = append(pairs, g.Pair)
+			members = append(members, nil)
+			dense[g.Pair] = len(pairs)
 		}
-		pairOf[i] = dense[pair]
+		k := dense[g.Pair] - 1
+		members[k] = append(members[k], i)
 	}
-	// Per-group variance term and wire bytes at each candidate width.
-	// level[i] indexes quant.Candidates; every group starts at 2 bits.
-	levels := len(quant.Candidates)
-	varAt := make([]float64, n*levels)
-	bytesAt := make([]int, n*levels)
-	for i := range p.Groups {
-		g := &p.Groups[i]
-		for k, w := range quant.Candidates {
-			varAt[i*levels+k] = varTerm(g.Beta, w)
-			bytesAt[i*levels+k] = p.groupBytes(g, w)
-		}
+	fronts := make([][]point, len(pairs))
+	var d dp
+	events := 0
+	z := math.Inf(-1)
+	for k, pair := range pairs {
+		fronts[k] = slices.Clone(d.frontier(p, members[k], false))
+		events += len(fronts[k]) - 1
+		z = max(z, p.pairTime(pair, fronts[k][0].bytes))
 	}
-	level := make([]int, n)
 
-	// State: per-pair bytes, total variance, and the pair-time top-2.
-	pairBytes := make([]float64, len(pairTheta))
+	// Start at the smallest feasible Z; every later frontier point is an
+	// event that raises Z to its time.
+	type event struct {
+		t          float64
+		pair, next int
+	}
+	queue := make([]event, 0, events)
+	at := make([]int, len(pairs)) // each pair's point at the current Z
 	variance := 0.0
-	for i := range p.Groups {
-		variance += varAt[i*levels]
-		pairBytes[pairOf[i]] += float64(bytesAt[i*levels])
-	}
-	// top-two pair times (values only; recomputed as needed).
-	recomputeTop2 := func() (z1, z2 float64, z1idx int) {
-		z1, z2, z1idx = -1, -1, -1
-		for idx := range pairBytes {
-			t := pairTheta[idx]*pairBytes[idx] + pairGamma[idx]
-			if t > z1 {
-				z2 = z1
-				z1, z1idx = t, idx
-			} else if t > z2 {
-				z2 = t
+	for k, f := range fronts {
+		for i := 1; i < len(f); i++ {
+			if t := p.pairTime(pairs[k], f[i].bytes); t <= z {
+				at[k] = i
+			} else {
+				queue = append(queue, event{t, k, i})
 			}
 		}
-		return z1, z2, z1idx
+		variance += f[at[k]].variance
 	}
-	z1, z2, z1idx := recomputeTop2()
-	cur := lam*variance + mu*z1
-
-	// evalMove returns the score after moving group i to level k.
-	evalMove := func(i, k int) float64 {
-		idx := pairOf[i]
-		at, to := i*levels+level[i], i*levels+k
-		dv := varAt[to] - varAt[at]
-		db := float64(bytesAt[to] - bytesAt[at])
-		newT := pairTheta[idx]*(pairBytes[idx]+db) + pairGamma[idx]
-		// New max: the changed pair vs the best of the others.
-		others := z1
-		if idx == z1idx {
-			others = z2
+	slices.SortFunc(queue, func(a, b event) int { return cmp.Compare(a.t, b.t) })
+	best, bestScore := slices.Clone(at), lam*variance+mu*z
+	for i := 0; i < len(queue); {
+		// Equal times within a pair (rounding) come in any order: keep the last.
+		for z = queue[i].t; i < len(queue) && queue[i].t == z; i++ {
+			if e := queue[i]; e.next > at[e.pair] {
+				variance += fronts[e.pair][e.next].variance - fronts[e.pair][at[e.pair]].variance
+				at[e.pair] = e.next
+			}
 		}
-		z := newT
-		if others > z {
-			z = others
+		if s := lam*variance + mu*z; s < bestScore {
+			bestScore = s
+			copy(best, at)
 		}
-		return lam*(variance+dv) + mu*z
 	}
 
-	// Each move changes one group by one level; the number of productive
-	// moves is bounded by 2·n·levels in practice. Cap defensively.
-	for iter := 0; iter < 8*n+64; iter++ {
-		bestGain := 1e-15
-		bestIdx, bestLevel := -1, 0
-		for i := range level {
-			if k := level[i] + 1; k < levels {
-				if gain := cur - evalMove(i, k); gain > bestGain {
-					bestGain, bestIdx, bestLevel = gain, i, k
-				}
-			}
-			if k := level[i] - 1; k >= 0 {
-				if gain := cur - evalMove(i, k); gain > bestGain {
-					bestGain, bestIdx, bestLevel = gain, i, k
-				}
-			}
+	levels := len(quant.Candidates)
+	for k, gs := range members {
+		d.frontier(p, gs, true)
+		for j, s := best[k], len(gs)-1; s >= 0; s-- {
+			from := d.from[d.starts[s]+j]
+			widths[gs[s]] = quant.Candidates[from%levels]
+			j = from / levels
 		}
-		if bestIdx < 0 {
-			break
-		}
-		at, to := bestIdx*levels+level[bestIdx], bestIdx*levels+bestLevel
-		variance += varAt[to] - varAt[at]
-		pairBytes[pairOf[bestIdx]] += float64(bytesAt[to] - bytesAt[at])
-		level[bestIdx] = bestLevel
-		z1, z2, z1idx = recomputeTop2()
-		cur = lam*variance + mu*z1
-	}
-	for i, k := range level {
-		widths[i] = quant.Candidates[k]
 	}
 	return widths
+}
+
+// point is one (bytes, variance) trade-off of a pair.
+type point struct {
+	bytes    int
+	variance float64
+}
+
+// dp is the frontier's dynamic program, its buffers reused across pairs.
+type dp struct {
+	front, next []point
+	// With a trail, from[starts[s]+j] is point j's predecessor index after
+	// group s, times len(quant.Candidates), plus its width's index.
+	from, starts []int
+}
+
+// frontier returns the Pareto frontier of the groups gs (indices into
+// p.Groups): bytes ascending, variance strictly descending. Each group
+// offers every point so far at each width in quant.Candidates; a candidate
+// survives only if no other has at most its bytes and no more variance, the
+// earlier point and then the narrower width winning exact ties. The result
+// is d's buffer, valid until the next call.
+func (d *dp) frontier(p *Problem, gs []int, trail bool) []point {
+	var step [3]point // B = {2, 4, 8}
+	var at [3]int
+	d.front = append(d.front[:0], point{})
+	d.from, d.starts = d.from[:0], d.starts[:0]
+	for _, gi := range gs {
+		for w, b := range quant.Candidates {
+			step[w] = point{p.groupBytes(&p.Groups[gi], b), varTerm(p.Groups[gi].Beta, b)}
+		}
+		d.starts = append(d.starts, len(d.from))
+		d.next, at = d.next[:0], [3]int{}
+		for {
+			w, c := -1, point{}
+			for k := range at {
+				if at[k] == len(d.front) {
+					continue
+				}
+				e := point{d.front[at[k]].bytes + step[k].bytes, d.front[at[k]].variance + step[k].variance}
+				if w < 0 || e.bytes < c.bytes || e.bytes == c.bytes && e.variance < c.variance {
+					w, c = k, e
+				}
+			}
+			if w < 0 {
+				break
+			}
+			if len(d.next) == 0 || c.variance < d.next[len(d.next)-1].variance {
+				d.next = append(d.next, c)
+				if trail {
+					d.from = append(d.from, at[w]*len(quant.Candidates)+w)
+				}
+			}
+			at[w]++
+		}
+		d.front, d.next = d.next, d.front
+	}
+	return d.front
+}
+
+// pairTime is Eqn. 10's t_i for a pair sending the given bytes.
+func (p *Problem) pairTime(pair, bytes int) float64 {
+	return p.Theta[pair]*float64(bytes) + p.Gamma[pair]
 }
 
 // SolveExhaustive enumerates all 3^G assignments (for tests / tiny
@@ -286,46 +300,30 @@ func (p *Problem) SolveExhaustive(maxGroups int) []quant.BitWidth {
 	if n > maxGroups {
 		panic(fmt.Sprintf("bitassign: exhaustive solve on %d groups (cap %d)", n, maxGroups))
 	}
-	widths := make([]quant.BitWidth, n)
-	best := make([]quant.BitWidth, n)
+	widths, best := make([]quant.BitWidth, n), make([]quant.BitWidth, n)
 	bestScore := math.Inf(1)
-	options := []quant.BitWidth{quant.B2, quant.B4, quant.B8}
-	var rec func(i int)
-	rec = func(i int) {
-		if i == n {
-			_, _, s := p.Objective(widths)
-			if s < bestScore {
-				bestScore = s
-				copy(best, widths)
-			}
-			return
+	for code := range int(math.Pow(3, float64(n))) {
+		for i, c := 0, code; i < n; i, c = i+1, c/3 {
+			widths[i] = quant.Candidates[c%3]
 		}
-		for _, w := range options {
-			widths[i] = w
-			rec(i + 1)
+		if _, _, s := p.Objective(widths); s < bestScore {
+			bestScore = s
+			copy(best, widths)
 		}
 	}
-	rec(0)
 	return best
 }
 
 // ExpandToSlots maps group widths back to per-message widths, returned as
 // widthsByPair[pair][slot].
 func (p *Problem) ExpandToSlots(groupWidths []quant.BitWidth) map[int][]quant.BitWidth {
-	// Determine slot counts per pair.
-	maxSlot := map[int]int{}
+	slots := map[int]int{}
 	for _, m := range p.Messages {
-		if m.Slot+1 > maxSlot[m.Pair] {
-			maxSlot[m.Pair] = m.Slot + 1
-		}
+		slots[m.Pair] = max(slots[m.Pair], m.Slot+1)
 	}
 	out := map[int][]quant.BitWidth{}
-	for pair, n := range maxSlot {
-		ws := make([]quant.BitWidth, n)
-		for i := range ws {
-			ws[i] = quant.B8 // safe default for unassigned slots
-		}
-		out[pair] = ws
+	for pair, n := range slots {
+		out[pair] = slices.Repeat([]quant.BitWidth{quant.B8}, n) // safe default for unassigned slots
 	}
 	for gi, g := range p.Groups {
 		for _, mi := range g.Members {

@@ -1,9 +1,10 @@
 package bitassign
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/quant"
 	"repro/internal/tensor"
@@ -111,40 +112,113 @@ func TestLambdaExtremes(t *testing.T) {
 	}
 }
 
-func TestSolveMatchesExhaustiveSmall(t *testing.T) {
-	for seed := uint64(0); seed < 20; seed++ {
-		rng := tensor.NewRNG(seed)
-		p := randomProblem(rng, 6+rng.Intn(4), 1+rng.Intn(3), 1, 0.3+0.4*rng.Float64())
-		if len(p.Groups) > 8 {
-			continue
+// checkLocallyOptimal fails unless widths score no worse than every
+// uniform assignment and no single group's width change lowers the scalar.
+func checkLocallyOptimal(t *testing.T, name string, p *Problem, widths []quant.BitWidth) {
+	t.Helper()
+	if len(widths) != len(p.Groups) {
+		t.Fatalf("%s: %d widths for %d groups", name, len(widths), len(p.Groups))
+	}
+	_, _, s := p.Objective(widths)
+	for _, b := range quant.Candidates {
+		if _, _, u := p.Objective(quant.UniformWidths(len(p.Groups), b)); u < s-1e-12 {
+			t.Fatalf("%s: scalar %v, all-%d-bit %v", name, s, b, u)
 		}
-		got := p.Solve()
-		best := p.SolveExhaustive(8)
-		_, _, sGot := p.Objective(got)
-		_, _, sBest := p.Objective(best)
-		// Greedy+local-search should be within a hair of optimal.
-		if sGot > sBest*1.02+1e-12 {
-			t.Fatalf("seed %d: greedy %v vs optimal %v (gap %.2f%%)",
-				seed, sGot, sBest, 100*(sGot/sBest-1))
+	}
+	moved := slices.Clone(widths)
+	for i := range moved {
+		for _, b := range quant.Candidates {
+			moved[i] = b
+			if _, _, m := p.Objective(moved); m < s-1e-12 {
+				t.Fatalf("%s: group %d %d-bit → %d-bit lowers the scalar %v to %v", name, i, widths[i], b, s, m)
+			}
+		}
+		moved[i] = widths[i]
+	}
+}
+
+// heterogeneousLinks scales every pair's θ by 1–4× and γ by 0–1×, so the
+// straggler pair is not simply the one with the most bytes.
+func heterogeneousLinks(rng *tensor.RNG, p *Problem) {
+	for i := range p.Theta {
+		p.Theta[i] *= 1 + 3*rng.Float64()
+		p.Gamma[i] *= rng.Float64()
+	}
+}
+
+func TestSolveMatchesExhaustiveSmall(t *testing.T) {
+	for seed := uint64(0); seed < 2000; seed++ {
+		rng := tensor.NewRNG(seed)
+		lambda := rng.Float64()
+		if seed%4 == 0 {
+			lambda = float64(seed / 4 % 2) // the extremes, where ties abound
+		}
+		p := randomProblem(rng, 1+rng.Intn(8), 1+rng.Intn(3), 1+rng.Intn(2), lambda)
+		heterogeneousLinks(rng, p)
+		if seed%5 == 0 {
+			for i := range p.Groups {
+				p.Groups[i].Beta = float64(rng.Intn(3)) // ties, and β = 0
+			}
+		}
+		_, _, sGot := p.Objective(p.Solve())
+		_, _, sBest := p.Objective(p.SolveExhaustive(8))
+		if math.Abs(sGot-sBest) > 1e-12 {
+			t.Fatalf("seed %d (%d groups, λ=%v): Solve %v, exhaustive %v", seed, len(p.Groups), lambda, sGot, sBest)
 		}
 	}
 }
 
 func TestSolveNeverWorseThanUniform(t *testing.T) {
-	err := quick.Check(func(seed uint64) bool {
+	for seed := uint64(0); seed < 1000; seed++ {
 		rng := tensor.NewRNG(seed)
 		p := randomProblem(rng, 10+rng.Intn(60), 1+rng.Intn(6), 1+rng.Intn(8), 0.5)
 		_, _, s := p.Objective(p.Solve())
 		for _, b := range quant.Candidates {
-			_, _, u := p.Objective(quant.UniformWidths(len(p.Groups), b))
-			if s > u+1e-12 {
-				return false
+			if _, _, u := p.Objective(quant.UniformWidths(len(p.Groups), b)); s > u+1e-12 {
+				t.Fatalf("seed %d: scalar %v, all-%d-bit %v", seed, s, b, u)
 			}
 		}
-		return true
-	}, &quick.Config{MaxCount: 30})
-	if err != nil {
-		t.Fatal(err)
+	}
+}
+
+// TestSolveLocallyOptimalOnRandomShapes runs Solve on random problems of
+// every shape the trainer produces: few and many pairs, groups of one and
+// of many, λ across its range, pair ids that are sparse in Theta,
+// heterogeneous links, and equal-β ties.
+func TestSolveLocallyOptimalOnRandomShapes(t *testing.T) {
+	rng := tensor.NewRNG(41)
+	for trial := 0; trial < 300; trial++ {
+		nPairs := 1 + rng.Intn(56)
+		nMsgs := rng.Intn(900)
+		groupSize := 1 + rng.Intn(40)
+		lambda := []float64{0, 0.1, 0.5, 0.9, 1}[rng.Intn(5)]
+		p := randomProblem(rng, nMsgs, nPairs, groupSize, lambda)
+		heterogeneousLinks(rng, p)
+		if trial%7 == 0 {
+			for i := range p.Groups {
+				p.Groups[i].Beta = float64(rng.Intn(3)) // ties, and β = 0
+			}
+		}
+		name := fmt.Sprintf("trial %d (%d groups, %d pairs, λ=%v)", trial, len(p.Groups), nPairs, lambda)
+		checkLocallyOptimal(t, name, p, p.Solve())
+	}
+}
+
+// TestSolveGroupsInAnyPairOrder feeds Solve hand-built groups whose pairs
+// are neither sorted nor contiguous and whose dims differ within a pair —
+// NewProblem never produces that, but Groups is an exported field.
+func TestSolveGroupsInAnyPairOrder(t *testing.T) {
+	rng := tensor.NewRNG(43)
+	theta, gamma := uniformCost(12)
+	for trial := 0; trial < 50; trial++ {
+		p := &Problem{Theta: theta, Gamma: gamma, Lambda: 0.5}
+		for g := 0; g < 40; g++ {
+			p.Groups = append(p.Groups, Group{
+				Pair: []int{11, 2, 7, 2, 0}[rng.Intn(5)], Dim: 8 + rng.Intn(600),
+				Beta: rng.Float64() * 5, Members: make([]int, 1+rng.Intn(9)),
+			})
+		}
+		checkLocallyOptimal(t, fmt.Sprintf("trial %d", trial), p, p.Solve())
 	}
 }
 
@@ -164,17 +238,21 @@ func TestHighBetaGetsMoreBits(t *testing.T) {
 	}
 }
 
-func TestStragglerDrivenDowngrade(t *testing.T) {
-	// Pair 0 carries 50× the data of pair 1. The minimax time objective is
-	// dominated by pair 0, so its widths are pushed down while pair 1 can
-	// stay high.
+// stragglerProblem: pair 0 carries 50× the data of pair 1, in groups of 10.
+func stragglerProblem(lambda float64) *Problem {
 	var msgs []Message
 	for i := 0; i < 50; i++ {
 		msgs = append(msgs, Message{Pair: 0, Slot: i, Dim: 256, Beta: 1})
 	}
 	msgs = append(msgs, Message{Pair: 1, Slot: 0, Dim: 256, Beta: 1})
 	theta, gamma := uniformCost(2)
-	p := NewProblem(msgs, 10, theta, gamma, 0.5)
+	return NewProblem(msgs, 10, theta, gamma, lambda)
+}
+
+func TestStragglerDrivenDowngrade(t *testing.T) {
+	// The minimax time objective is dominated by pair 0, so its widths are
+	// pushed down while pair 1 can stay high.
+	p := stragglerProblem(0.5)
 	widths := p.Solve()
 	var heavy, light float64
 	var nh, nl int
@@ -189,6 +267,36 @@ func TestStragglerDrivenDowngrade(t *testing.T) {
 	}
 	if heavy/float64(nh) > light/float64(nl) {
 		t.Fatalf("straggler pair got avg %.1f bits vs light pair %.1f", heavy/float64(nh), light/float64(nl))
+	}
+}
+
+// TestSolveTieRule: at λ = 0 only the straggler time counts, so every
+// assignment that keeps pair 0 at 2 bits ties with all-2-bit. Solve breaks
+// the tie toward the least variance at that time: the light pair widens,
+// since its bytes cost no straggler time.
+func TestSolveTieRule(t *testing.T) {
+	p := stragglerProblem(0)
+	widths := p.Solve()
+	for i, g := range p.Groups {
+		if g.Pair == 0 && widths[i] != quant.B2 {
+			t.Fatalf("straggler group %d got %d bits", i, widths[i])
+		}
+	}
+	v, _, s := p.Objective(widths)
+	v2, _, s2 := p.Objective(quant.UniformWidths(len(p.Groups), quant.B2))
+	if s != s2 {
+		t.Fatalf("scalar %v, all-2-bit %v", s, s2)
+	}
+	if v >= v2 {
+		t.Fatalf("variance %v not below all-2-bit %v", v, v2)
+	}
+
+	// Of equal-variance assignments the fewest bytes: a β = 0 group on the
+	// light pair gains nothing from bits, so it stays at 2 even though
+	// widening it would cost no straggler time either.
+	p.Groups = append(p.Groups, Group{Pair: 1, Dim: 256, Members: []int{0}})
+	if w := p.Solve()[len(p.Groups)-1]; w != quant.B2 {
+		t.Fatalf("β = 0 group got %d bits", w)
 	}
 }
 
@@ -242,4 +350,29 @@ func TestSolveExhaustiveCapPanics(t *testing.T) {
 		}
 	}()
 	p.SolveExhaustive(5)
+}
+
+// BenchmarkSolve times one solve at the shape of the halo-reddit benchmark
+// workload's layer-0 problem — 20 400 messages of dim 602 over 56 pairs,
+// built through NewProblem — at the default group size and at one message
+// per group, the slowest size a job may ask for.
+func BenchmarkSolve(b *testing.B) {
+	rng := tensor.NewRNG(1)
+	const pairs = 56
+	msgs := make([]Message, 20400)
+	slots := make([]int, pairs)
+	for i := range msgs {
+		pair := rng.Intn(pairs)
+		msgs[i] = Message{Pair: pair, Slot: slots[pair], Dim: 602, Beta: rng.Float64() * 10}
+		slots[pair]++
+	}
+	theta, gamma := uniformCost(pairs)
+	for _, groupSize := range []int{100, 1} {
+		b.Run(fmt.Sprintf("group=%d", groupSize), func(b *testing.B) {
+			p := NewProblem(msgs, groupSize, theta, gamma, 0.5)
+			for b.Loop() {
+				p.Solve()
+			}
+		})
+	}
 }

@@ -228,8 +228,9 @@ func solveAllProblems(dev Transport, cfg *Config, st *assignState, reports []*tr
 }
 
 // solveCost is the simulated host time of solving one problem of the given
-// group count. The greedy move loop is O(groups²) objective evaluations in
-// the worst case; the constants are a modelling choice, not a measurement.
+// group count. Its constants model the paper's solve (the scalarized MILP
+// handed to a solver on the master), not the time this host's
+// bitassign.Solve takes; they are a modelling choice, not a measurement.
 func solveCost(groups int) timing.Seconds {
 	return timing.Seconds(1e-3 + 5e-8*float64(groups*groups))
 }

@@ -8,6 +8,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/timing"
 )
@@ -122,41 +123,10 @@ func (f FaultStats) Any() bool {
 	return f.Stragglers > 0 || f.Retries > 0 || f.Crashes > 0
 }
 
-// PhaseBreakdown is one device's per-phase simulated time — the
-// structured form of the Fig. 10 breakdown for programmatic consumers
-// (examples, dashboards), replacing hand-rolled per-field prints.
-// Overlap is hidden — not additional — time; see Breakdown.
-type PhaseBreakdown struct {
-	Device  int
-	Comp    timing.Seconds
-	Comm    timing.Seconds
-	Quant   timing.Seconds
-	Idle    timing.Seconds
-	Assign  timing.Seconds
-	Overlap timing.Seconds
-}
-
-// Total returns the device's wall-clock phase sum (Overlap excluded).
-func (p PhaseBreakdown) Total() timing.Seconds {
-	return p.Comp + p.Comm + p.Quant + p.Idle + p.Assign
-}
-
-func (p PhaseBreakdown) String() string {
-	return fmt.Sprintf("dev %d: comp=%.4fs comm=%.4fs quant=%.4fs idle=%.4fs assign=%.4fs overlap=%.4fs",
-		p.Device, p.Comp, p.Comm, p.Quant, p.Idle, p.Assign, p.Overlap)
-}
-
-// Phases returns the per-device phase breakdowns of the run.
-func (r *RunResult) Phases() []PhaseBreakdown {
-	out := make([]PhaseBreakdown, len(r.PerDevice))
-	for i, b := range r.PerDevice {
-		out[i] = PhaseBreakdown{
-			Device: i,
-			Comp:   b.Comp, Comm: b.Comm, Quant: b.Quant,
-			Idle: b.Idle, Assign: b.Assign, Overlap: b.Overlap,
-		}
-	}
-	return out
+// Phases returns the run's per-device breakdowns (index = device), a copy
+// of PerDevice for programmatic consumers (examples, dashboards).
+func (r *RunResult) Phases() []Breakdown {
+	return slices.Clone(r.PerDevice)
 }
 
 // OverlapSeconds sums, across all devices, the seconds compute and

@@ -137,11 +137,6 @@ type (
 	EpochStat = metrics.EpochStat
 	// Breakdown aggregates simulated time by category.
 	Breakdown = metrics.Breakdown
-	// PhaseBreakdown is one device's per-phase simulated time
-	// (Comp/Comm/Quant/Idle/Assign/Overlap), via Result.Phases — the
-	// structured form of the Fig. 10 breakdown for programmatic
-	// consumers.
-	PhaseBreakdown = metrics.PhaseBreakdown
 	// FaultStats counts a run's injected faults and recovery work.
 	FaultStats = metrics.FaultStats
 )
