@@ -91,12 +91,7 @@ func PairBytesFirstLayer(dep *Deployment) [][]int {
 	dim := dep.Dataset.Features.Cols
 	out := make([][]int, n)
 	for src, lg := range dep.Locals {
-		out[src] = make([]int, n)
-		for dst := range lg.SendTo {
-			if dst != src {
-				out[src][dst] = 4 * dim * len(lg.SendTo[dst])
-			}
-		}
+		out[src] = fpAll2AllBytes(lg, dim)
 	}
 	return out
 }

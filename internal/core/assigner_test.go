@@ -339,7 +339,7 @@ func TestAdaQPWidthsAdaptAfterAssignment(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", 1)
 	cfg := tinyConfig(AdaQP)
 	cfg.Lambda = 0.3
-	res, err := Train(ds, 3, cfg, nil)
+	res, err := trainBlock(ds, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,6 +21,16 @@ import (
 // simulated clock charging (Comm/Idle split), byte accounting, and the
 // silence of the Raw* metrics sideband, plus a scripted run compared
 // field-by-field against the in-process backend.
+//
+// Each clause is checked in one place. The rooted collectives (gather,
+// scatter, broadcast, and the split-phase scatter and broadcast waited at
+// once) are rows of one table, rootedCases: each row names its root, its
+// payload sizes, its reference rule (the slowest transfer or the sum of
+// transfers, folded here from TransferTime, never read from package
+// cluster) and whether BytesMoved records its transfers. The entry charge
+// (expectCharge), the byte ledger (compareLedger), ring delivery and
+// ownership (ringRounds) and clock parity (compareClock) are one helper
+// each; the chaos suite reuses the last three.
 
 // Violation is one conformance failure: Check names the contract clause
 // ("barrier-clock", "payload-ownership", ...), Detail says what diverged.
@@ -56,11 +66,9 @@ func ConformTransport(f RuntimeFactory, parts int) []Violation {
 	checkBarrier(f, parts, col)
 	checkRingAll2All(f, parts, col)
 	checkAllReduce(f, parts, col)
-	checkGather(f, parts, col)
-	checkScatter(f, parts, col)
-	checkBroadcast(f, parts, col)
-	checkSplitBroadcast(f, parts, col)
-	checkSplitScatter(f, parts, col)
+	for _, c := range rootedCases(parts) {
+		checkRooted(f, parts, c, col)
+	}
 	checkOverlapCharge(f, parts, col)
 	checkRawSideband(f, parts, col)
 	checkReferenceParity(f, parts, col)
@@ -85,6 +93,48 @@ func skew(dev Transport) (own, max timing.Seconds) {
 	return own, timing.Seconds(dev.Size())
 }
 
+// expectCharge is the entry charge of every blocking collective on a
+// device that skew delayed by own: Idle is the straggler gap max−own,
+// Comm is want (the reference rule, described by rule), and no Overlap is
+// recorded — a blocking form is Start followed at once by Wait, so no
+// compute runs inside its window.
+func expectCharge(col *vioCollector, check string, dev Transport, own, max, want timing.Seconds, rule string) {
+	r, ck := dev.Rank(), dev.Clock()
+	if comm := ck.Spent(timing.Comm); comm != want {
+		col.addf(check, "rank %d charged %v to Comm, want %s %v", r, comm, rule, want)
+	}
+	if idle := ck.Spent(timing.Idle); idle != max-own {
+		col.addf(check, "rank %d charged %v to Idle, want the straggler gap %v", r, idle, max-own)
+	}
+	if ov := ck.Spent(timing.Overlap); ov != 0 {
+		col.addf(check, "rank %d recorded %v Overlap with no compute inside the window, want 0", r, ov)
+	}
+}
+
+// compareLedger requires the byte ledger got to equal want pair by pair.
+func compareLedger(col *vioCollector, check, label string, got, want [][]int64) {
+	for s := range want {
+		for d := range want[s] {
+			if got[s][d] != want[s][d] {
+				col.addf(check, "%s: pair (%d,%d) recorded %d bytes, want %d", label, s, d, got[s][d], want[s][d])
+			}
+		}
+	}
+}
+
+// compareClock requires a device clock to equal a reference clock: total
+// time and every category, Overlap included.
+func compareClock(col *vioCollector, check, label string, rank int, got, want *timing.Clock) {
+	if got.Now() != want.Now() {
+		col.addf(check, "%s: rank %d clock %v, reference %v", label, rank, got.Now(), want.Now())
+	}
+	for cat := timing.Comm; cat <= timing.Overlap; cat++ {
+		if got.Spent(cat) != want.Spent(cat) {
+			col.addf(check, "%s: rank %d charged %v to %v, reference %v", label, rank, got.Spent(cat), cat, want.Spent(cat))
+		}
+	}
+}
+
 // checkBarrier: all devices must rendezvous (no device passes before every
 // device arrived) and align clocks to the slowest arrival, charging the
 // gap to Idle.
@@ -103,9 +153,7 @@ func checkBarrier(f RuntimeFactory, parts int, col *vioCollector) {
 		if now := dev.Clock().Now(); now != max {
 			col.addf("barrier-clock", "rank %d clock %v after barrier, want alignment to slowest arrival %v", dev.Rank(), now, max)
 		}
-		if idle := dev.Clock().Spent(timing.Idle); idle != max-own {
-			col.addf("barrier-clock", "rank %d charged %v to Idle, want the straggler gap %v", dev.Rank(), idle, max-own)
-		}
+		expectCharge(col, "barrier-clock", dev, own, max, 0, "no wire time")
 		return nil
 	})
 }
@@ -124,6 +172,17 @@ func ringSizes(parts int) [][]int {
 	return sizes
 }
 
+// ringSend returns rank r's RingAll2All payloads of the given round.
+func ringSend(r int, sizes [][]int, round int) [][]byte {
+	p := make([][]byte, len(sizes))
+	for q := range p {
+		if q != r {
+			p[q] = pattern(sizes[r][q], r, q, round)
+		}
+	}
+	return p
+}
+
 // pattern fills a deterministic, (src,dst,round)-tagged payload.
 func pattern(n, src, dst, round int) []byte {
 	buf := make([]byte, n)
@@ -133,6 +192,42 @@ func pattern(n, src, dst, round int) []byte {
 	return buf
 }
 
+// ringRounds runs two RingAll2All rounds of ringSizes payloads on dev.
+// After each round every peer's payload must have arrived intact and the
+// self slot must be nil (check deliver); after the second, the buffers the
+// first returned must be untouched — they belong to the device now, and a
+// later collective must not recycle them (check own). between runs after
+// the first round.
+func ringRounds(dev Transport, col *vioCollector, deliver, own, label string, between func()) {
+	r, parts := dev.Rank(), dev.Size()
+	sizes := ringSizes(parts)
+	round := func(n int) [][]byte {
+		got := dev.RingAll2All(ringSend(r, sizes, n))
+		for p := range parts {
+			var want []byte
+			if p != r {
+				want = pattern(sizes[p][r], p, r, n)
+			}
+			if (got[p] == nil) != (want == nil) || !bytes.Equal(got[p], want) {
+				col.addf(deliver, "%s: rank %d received a wrong round-%d payload from %d", label, r, n, p)
+			}
+		}
+		return got
+	}
+	first := round(0)
+	between()
+	snapshot := make([][]byte, parts)
+	for p, b := range first {
+		snapshot[p] = append([]byte(nil), b...)
+	}
+	round(1)
+	for p := range parts {
+		if !bytes.Equal(first[p], snapshot[p]) {
+			col.addf(own, "%s: rank %d's buffer from %d was overwritten by a later collective", label, r, p)
+		}
+	}
+}
+
 // checkRingAll2All: payload delivery, receiver buffer ownership across
 // calls, the round-by-round Comm charge, entry Idle alignment, and byte
 // accounting.
@@ -140,63 +235,20 @@ func checkRingAll2All(f RuntimeFactory, parts int, col *vioCollector) {
 	sizes := ringSizes(parts)
 	perCall := cluster.All2AllTime(timing.Default(), sizes)
 	rt := runBody(f, parts, col, func(dev Transport) error {
-		r := dev.Rank()
 		own, max := skew(dev)
-		makePayloads := func(round int) [][]byte {
-			p := make([][]byte, parts)
-			for q := range p {
-				if q != r {
-					p[q] = pattern(sizes[r][q], r, q, round)
-				}
-			}
-			return p
-		}
-		first := dev.RingAll2All(makePayloads(0))
-		for p := 0; p < parts; p++ {
-			if p == r {
-				if first[p] != nil {
-					col.addf("all2all-payload", "rank %d received a non-nil self payload", r)
-				}
-				continue
-			}
-			if !bytes.Equal(first[p], pattern(sizes[p][r], p, r, 0)) {
-				col.addf("all2all-payload", "rank %d received wrong payload from %d", r, p)
-			}
-		}
-		if comm := dev.Clock().Spent(timing.Comm); comm != perCall {
-			col.addf("all2all-clock-charge", "rank %d charged %v to Comm, want the ring schedule's %v", r, comm, perCall)
-		}
-		if idle := dev.Clock().Spent(timing.Idle); idle != max-own {
-			col.addf("all2all-clock-charge", "rank %d charged %v to Idle, want the entry-wait gap %v", r, idle, max-own)
-		}
-		// Ownership: the buffers returned by the first call belong to this
-		// device now — a second collective must not recycle them.
-		snapshot := make([][]byte, parts)
-		for p, b := range first {
-			snapshot[p] = append([]byte(nil), b...)
-		}
-		second := dev.RingAll2All(makePayloads(1))
-		for p := 0; p < parts; p++ {
-			if p == r {
-				continue
-			}
-			if !bytes.Equal(first[p], snapshot[p]) {
-				col.addf("payload-ownership", "rank %d's buffer from %d was overwritten by a later collective", r, p)
-			}
-			if !bytes.Equal(second[p], pattern(sizes[p][r], p, r, 1)) {
-				col.addf("all2all-payload", "rank %d received wrong second-round payload from %d", r, p)
-			}
-		}
+		ringRounds(dev, col, "all2all-payload", "payload-ownership", "all2all", func() {
+			expectCharge(col, "all2all-clock-charge", dev, own, max, perCall, "the ring schedule's")
+		})
 		return nil
 	})
-	moved := rt.BytesMoved()
-	for s := range moved {
-		for d := range moved[s] {
-			if moved[s][d] != int64(2*sizes[s][d]) {
-				col.addf("byte-accounting", "pair (%d,%d) recorded %d bytes, want %d", s, d, moved[s][d], 2*sizes[s][d])
-			}
+	want := make([][]int64, parts)
+	for s := range want {
+		want[s] = make([]int64, parts)
+		for d, n := range sizes[s] {
+			want[s][d] = int64(2 * n)
 		}
 	}
+	compareLedger(col, "byte-accounting", "all2all", rt.BytesMoved(), want)
 }
 
 // checkAllReduce: deterministic rank-ordered sums identical on every
@@ -231,275 +283,150 @@ func checkAllReduce(f RuntimeFactory, parts int, col *vioCollector) {
 				break
 			}
 		}
-		if comm := dev.Clock().Spent(timing.Comm); comm != wantComm {
-			col.addf("allreduce-clock-charge", "rank %d charged %v to Comm, want the cheapest schedule's %v", r, comm, wantComm)
-		}
-		if idle := dev.Clock().Spent(timing.Idle); idle != max-own {
-			col.addf("allreduce-clock-charge", "rank %d charged %v to Idle, want %v", r, idle, max-own)
-		}
+		expectCharge(col, "allreduce-clock-charge", dev, own, max, wantComm, "the cheapest schedule's")
 		return nil
 	})
 }
 
-// checkGather: root collects every payload, non-roots return nil, every
-// device charges the slowest incoming transfer, senders are accounted.
-func checkGather(f RuntimeFactory, parts int, col *vioCollector) {
-	root := parts - 1
-	model := timing.Default()
-	size := func(r int) int { return 24 * (r + 1) }
-	var wantComm timing.Seconds
-	for src := 0; src < parts; src++ {
-		if src == root {
-			continue
-		}
-		if t := model.TransferTime(src, root, size(src)); t > wantComm {
-			wantComm = t
+// refRule folds the TransferTime of a rooted collective's transfers into
+// the Comm it charges every device.
+type refRule struct {
+	name string
+	fold func(acc, t timing.Seconds) timing.Seconds
+}
+
+var (
+	slowestTransfer = refRule{"the slowest transfer", func(acc, t timing.Seconds) timing.Seconds { return max(acc, t) }}
+	sumOfTransfers  = refRule{"the sum of transfers", func(acc, t timing.Seconds) timing.Seconds { return acc + t }}
+)
+
+// rootedCase is one row of the rooted-collective clause: a collective in
+// which root sends to (or, for a gather, receives from) every other
+// device, size(peer) bytes each way.
+type rootedCase struct {
+	op    string // opGather, opScatter or opBroadcast
+	split bool   // StartX(...).Wait() instead of the blocking form
+	// payload and charge name the Check of a wrong delivery and of a
+	// wrong entry charge.
+	payload, charge string
+	root            int
+	size            func(peer int) int
+	round           int // pattern tag
+	rule            refRule
+	logged          bool // BytesMoved records the transfers
+}
+
+// rootedCases is the rooted clause's table.
+func rootedCases(parts int) []rootedCase {
+	return []rootedCase{
+		{op: opGather, payload: "gather-payload", charge: "gather-clock-charge", root: parts - 1,
+			size: func(p int) int { return 24 * (p + 1) }, round: 0, rule: slowestTransfer, logged: true},
+		// Scatter payloads are root-authored control state, not device
+		// traffic: the reference leaves them out of the byte ledger.
+		{op: opScatter, payload: "scatter-payload", charge: "scatter-clock-charge", root: parts / 2,
+			size: func(p int) int { return 16 * (p + 2) }, round: 2, rule: slowestTransfer},
+		{op: opBroadcast, payload: "broadcast-payload", charge: "broadcast-clock-charge", root: 1 % parts,
+			size: func(int) int { return 80 }, round: 3, rule: sumOfTransfers, logged: true},
+		// A split-phase collective whose Wait immediately follows Start
+		// must be indistinguishable from the blocking one.
+		{op: opBroadcast, split: true, payload: "split-payload", charge: "split-broadcast-charge", root: 1 % parts,
+			size: func(int) int { return 88 }, round: 11, rule: sumOfTransfers, logged: true},
+		{op: opScatter, split: true, payload: "split-payload", charge: "split-scatter-charge", root: parts / 2,
+			size: func(p int) int { return 20 * (p + 2) }, round: 12, rule: slowestTransfer},
+	}
+}
+
+// transfers calls fn for each of c's transfers: root to every peer, or
+// every peer to root for a gather.
+func (c rootedCase) transfers(parts int, fn func(src, dst, size int)) {
+	for peer := range parts {
+		switch {
+		case peer == c.root:
+		case c.op == opGather:
+			fn(peer, c.root, c.size(peer))
+		default:
+			fn(c.root, peer, c.size(peer))
 		}
 	}
-	rt := runBody(f, parts, col, func(dev Transport) error {
-		r := dev.Rank()
-		own, max := skew(dev)
-		out := dev.GatherBytes(root, pattern(size(r), r, root, 0))
+}
+
+// reference is the Comm every device is charged: c.rule folded over the
+// transfers' TransferTime.
+func (c rootedCase) reference(model *timing.CostModel, parts int) timing.Seconds {
+	var ref timing.Seconds
+	c.transfers(parts, func(src, dst, size int) { ref = c.rule.fold(ref, model.TransferTime(src, dst, size)) })
+	return ref
+}
+
+// run performs c's collective on dev and returns what the device received
+// next to what it should have received: a gather's root holds every
+// device's payload and the other ranks nil, a scatter delivers each rank
+// its own slice, a broadcast delivers root's payload everywhere.
+func (c rootedCase) run(dev Transport) (got, want [][]byte) {
+	r, parts, root := dev.Rank(), dev.Size(), c.root
+	if c.op == opGather {
+		got = dev.GatherBytes(root, pattern(c.size(r), r, root, c.round))
 		if r == root {
-			for src := 0; src < parts; src++ {
-				if out == nil || !bytes.Equal(out[src], pattern(size(src), src, root, 0)) {
-					col.addf("gather-payload", "root %d holds wrong payload from %d", root, src)
-				}
-			}
-		} else if out != nil {
-			col.addf("gather-payload", "non-root rank %d received a gather result", r)
-		}
-		if comm := dev.Clock().Spent(timing.Comm); comm != wantComm {
-			col.addf("gather-clock-charge", "rank %d charged %v to Comm, want slowest incoming transfer %v", r, comm, wantComm)
-		}
-		if idle := dev.Clock().Spent(timing.Idle); idle != max-own {
-			col.addf("gather-clock-charge", "rank %d charged %v to Idle, want %v", r, idle, max-own)
-		}
-		return nil
-	})
-	moved := rt.BytesMoved()
-	for s := range moved {
-		for d := range moved[s] {
-			want := int64(0)
-			if s != root && d == root {
-				want = int64(size(s))
-			}
-			if moved[s][d] != want {
-				col.addf("byte-accounting", "gather pair (%d,%d) recorded %d bytes, want %d", s, d, moved[s][d], want)
+			for src := range parts {
+				want = append(want, pattern(c.size(src), src, root, c.round))
 			}
 		}
+		return got, want
 	}
-}
-
-// checkScatter: each device receives exactly its slice from root, charged
-// as the slowest outgoing transfer.
-func checkScatter(f RuntimeFactory, parts int, col *vioCollector) {
-	root := parts / 2
-	model := timing.Default()
-	size := func(d int) int { return 16 * (d + 2) }
-	var wantComm timing.Seconds
-	for dst := 0; dst < parts; dst++ {
-		if dst == root {
-			continue
+	// slice is what root sends dst; a broadcast sends everyone its own.
+	slice := func(dst int) []byte {
+		if c.op == opBroadcast {
+			dst = root
 		}
-		if t := model.TransferTime(root, dst, size(dst)); t > wantComm {
-			wantComm = t
-		}
+		return pattern(c.size(dst), root, dst, c.round)
 	}
-	rt := runBody(f, parts, col, func(dev Transport) error {
-		r := dev.Rank()
-		own, max := skew(dev)
-		var payloads [][]byte
+	var out []byte
+	if c.op == opScatter {
+		var send [][]byte
 		if r == root {
-			payloads = make([][]byte, parts)
-			for dst := range payloads {
-				payloads[dst] = pattern(size(dst), root, dst, 2)
+			for dst := range parts {
+				send = append(send, slice(dst))
 			}
 		}
-		out := dev.ScatterBytes(root, payloads)
-		if !bytes.Equal(out, pattern(size(r), root, r, 2)) {
-			col.addf("scatter-payload", "rank %d received a wrong scatter slice from %d", r, root)
+		if c.split {
+			out = dev.StartScatter(root, send).Wait()
+		} else {
+			out = dev.ScatterBytes(root, send)
 		}
-		if comm := dev.Clock().Spent(timing.Comm); comm != wantComm {
-			col.addf("scatter-clock-charge", "rank %d charged %v to Comm, want slowest outgoing transfer %v", r, comm, wantComm)
-		}
-		if idle := dev.Clock().Spent(timing.Idle); idle != max-own {
-			col.addf("scatter-clock-charge", "rank %d charged %v to Idle, want %v", r, idle, max-own)
-		}
-		return nil
-	})
-	// The reference deliberately leaves scatter out of the byte ledger
-	// (its payloads are root-authored control state, not device traffic);
-	// backends must match, or BytesMoved diverges across transports.
-	moved := rt.BytesMoved()
-	for s := range moved {
-		for d := range moved[s] {
-			if moved[s][d] != 0 {
-				col.addf("byte-accounting", "scatter pair (%d,%d) recorded %d bytes, want 0 (scatter is not byte-accounted)", s, d, moved[s][d])
-			}
-		}
-	}
-}
-
-// checkBroadcast: every device ends with root's payload and charges the
-// sequential-broadcast total; root's sends are byte-accounted.
-func checkBroadcast(f RuntimeFactory, parts int, col *vioCollector) {
-	root := 1 % parts
-	model := timing.Default()
-	const size = 80
-	var wantComm timing.Seconds
-	for dst := 0; dst < parts; dst++ {
-		if dst != root {
-			wantComm += model.TransferTime(root, dst, size)
-		}
-	}
-	rt := runBody(f, parts, col, func(dev Transport) error {
-		r := dev.Rank()
-		own, max := skew(dev)
-		var payload []byte
+	} else {
+		var send []byte
 		if r == root {
-			payload = pattern(size, root, root, 3)
+			send = slice(root)
 		}
-		out := dev.BroadcastBytes(root, payload)
-		if !bytes.Equal(out, pattern(size, root, root, 3)) {
-			col.addf("broadcast-payload", "rank %d received a wrong broadcast payload from %d", r, root)
-		}
-		if comm := dev.Clock().Spent(timing.Comm); comm != wantComm {
-			col.addf("broadcast-clock-charge", "rank %d charged %v to Comm, want sequential broadcast %v", r, comm, wantComm)
-		}
-		if idle := dev.Clock().Spent(timing.Idle); idle != max-own {
-			col.addf("broadcast-clock-charge", "rank %d charged %v to Idle, want %v", r, idle, max-own)
-		}
-		return nil
-	})
-	moved := rt.BytesMoved()
-	for s := range moved {
-		for d := range moved[s] {
-			want := int64(0)
-			if s == root && d != root {
-				want = size
-			}
-			if moved[s][d] != want {
-				col.addf("byte-accounting", "broadcast pair (%d,%d) recorded %d bytes, want %d", s, d, moved[s][d], want)
-			}
+		if c.split {
+			out = dev.StartBroadcast(root, send).Wait()
+		} else {
+			out = dev.BroadcastBytes(root, send)
 		}
 	}
+	return [][]byte{out}, [][]byte{slice(r)}
 }
 
-// checkSplitBroadcast: a split-phase broadcast whose Wait immediately
-// follows Start must be indistinguishable from the blocking collective —
-// same payload, same Comm/Idle charges bit for bit, nothing recorded as
-// Overlap (no compute ran inside the window), same byte ledger.
-func checkSplitBroadcast(f RuntimeFactory, parts int, col *vioCollector) {
-	root := 1 % parts
-	model := timing.Default()
-	const size = 88
-	var wantComm timing.Seconds
-	for dst := 0; dst < parts; dst++ {
-		if dst != root {
-			wantComm += model.TransferTime(root, dst, size)
-		}
-	}
+// checkRooted checks one rootedCases row: payloads, the entry charge
+// against the row's reference rule, and the row's byte ledger.
+func checkRooted(f RuntimeFactory, parts int, c rootedCase, col *vioCollector) {
+	ref := c.reference(timing.Default(), parts)
 	rt := runBody(f, parts, col, func(dev Transport) error {
-		r := dev.Rank()
 		own, max := skew(dev)
-		var payload []byte
-		if r == root {
-			payload = pattern(size, root, root, 11)
+		if got, want := c.run(dev); (got == nil) != (want == nil) || !slices.EqualFunc(got, want, bytes.Equal) {
+			col.addf(c.payload, "rank %d holds a wrong %s result from root %d (split %v)", dev.Rank(), c.op, c.root, c.split)
 		}
-		out := dev.StartBroadcast(root, payload).Wait()
-		if !bytes.Equal(out, pattern(size, root, root, 11)) {
-			col.addf("split-payload", "rank %d received a wrong split-broadcast payload from %d", r, root)
-		}
-		if comm := dev.Clock().Spent(timing.Comm); comm != wantComm {
-			col.addf("split-broadcast-charge", "rank %d charged %v to Comm, want the blocking sequential broadcast %v", r, comm, wantComm)
-		}
-		if idle := dev.Clock().Spent(timing.Idle); idle != max-own {
-			col.addf("split-broadcast-charge", "rank %d charged %v to Idle, want %v", r, idle, max-own)
-		}
-		if ov := dev.Clock().Spent(timing.Overlap); ov != 0 {
-			col.addf("split-broadcast-charge", "rank %d recorded %v Overlap with no compute inside the window, want 0", r, ov)
-		}
+		expectCharge(col, c.charge, dev, own, max, ref, c.rule.name)
 		return nil
 	})
-	moved := rt.BytesMoved()
-	for s := range moved {
-		for d := range moved[s] {
-			want := int64(0)
-			if s == root && d != root {
-				want = size
-			}
-			if moved[s][d] != want {
-				col.addf("byte-accounting", "split-broadcast pair (%d,%d) recorded %d bytes, want %d", s, d, moved[s][d], want)
-			}
-		}
+	want := make([][]int64, parts)
+	for s := range want {
+		want[s] = make([]int64, parts)
 	}
-}
-
-// checkSplitScatter: the scatter analogue of checkSplitBroadcast —
-// immediate Wait equals the blocking charge (slowest outgoing transfer),
-// no Overlap, and scatter stays out of the byte ledger.
-func checkSplitScatter(f RuntimeFactory, parts int, col *vioCollector) {
-	root := parts / 2
-	model := timing.Default()
-	size := func(d int) int { return 20 * (d + 2) }
-	var wantComm timing.Seconds
-	for dst := 0; dst < parts; dst++ {
-		if dst == root {
-			continue
-		}
-		if t := model.TransferTime(root, dst, size(dst)); t > wantComm {
-			wantComm = t
-		}
+	if c.logged {
+		c.transfers(parts, func(src, dst, size int) { want[src][dst] = int64(size) })
 	}
-	rt := runBody(f, parts, col, func(dev Transport) error {
-		r := dev.Rank()
-		own, max := skew(dev)
-		var payloads [][]byte
-		if r == root {
-			payloads = make([][]byte, parts)
-			for dst := range payloads {
-				payloads[dst] = pattern(size(dst), root, dst, 12)
-			}
-		}
-		out := dev.StartScatter(root, payloads).Wait()
-		if !bytes.Equal(out, pattern(size(r), root, r, 12)) {
-			col.addf("split-payload", "rank %d received a wrong split-scatter slice from %d", r, root)
-		}
-		if comm := dev.Clock().Spent(timing.Comm); comm != wantComm {
-			col.addf("split-scatter-charge", "rank %d charged %v to Comm, want the blocking slowest outgoing transfer %v", r, comm, wantComm)
-		}
-		if idle := dev.Clock().Spent(timing.Idle); idle != max-own {
-			col.addf("split-scatter-charge", "rank %d charged %v to Idle, want %v", r, idle, max-own)
-		}
-		if ov := dev.Clock().Spent(timing.Overlap); ov != 0 {
-			col.addf("split-scatter-charge", "rank %d recorded %v Overlap with no compute inside the window, want 0", r, ov)
-		}
-		return nil
-	})
-	moved := rt.BytesMoved()
-	for s := range moved {
-		for d := range moved[s] {
-			if moved[s][d] != 0 {
-				col.addf("byte-accounting", "split-scatter pair (%d,%d) recorded %d bytes, want 0 (scatter is not byte-accounted)", s, d, moved[s][d])
-			}
-		}
-	}
-}
-
-// compareOverlapClock compares a device's clock to a reference clock that
-// applied the canonical charging rule (timing.FinishDeferred) to the same
-// schedule.
-func compareOverlapClock(col *vioCollector, label string, dev Transport, ref *timing.Clock) {
-	ck := dev.Clock()
-	if ck.Now() != ref.Now() {
-		col.addf("overlap-charge", "%s: rank %d clock %v, canonical schedule %v", label, dev.Rank(), ck.Now(), ref.Now())
-	}
-	for _, cat := range []timing.Category{timing.Comm, timing.Idle, timing.Overlap} {
-		if ck.Spent(cat) != ref.Spent(cat) {
-			col.addf("overlap-charge", "%s: rank %d charged %v to %v, canonical schedule %v", label, dev.Rank(), ck.Spent(cat), cat, ref.Spent(cat))
-		}
-	}
+	compareLedger(col, "byte-accounting", c.charge, rt.BytesMoved(), want)
 }
 
 // checkOverlapCharge: compute issued between Start and Wait must hide the
@@ -510,36 +437,34 @@ func compareOverlapClock(col *vioCollector, label string, dev Transport, ref *ti
 // is bitwise. Three schedules: full hide (with skewed ranks), partial
 // hide, and two handles in flight waited FIFO.
 func checkOverlapCharge(f RuntimeFactory, parts int, col *vioCollector) {
-	model := timing.Default()
 	const size = 96
-	root := parts - 1
-	var wire timing.Seconds
-	for dst := 0; dst < parts; dst++ {
-		if dst != root {
-			wire += model.TransferTime(root, dst, size)
-		}
+	wire := func(root int) timing.Seconds {
+		bc := rootedCase{op: opBroadcast, root: root, size: func(int) int { return size }, rule: sumOfTransfers}
+		return bc.reference(timing.Default(), parts)
 	}
+	root := parts - 1
 	align := timing.Seconds(parts) // slowest skewed rank's Start
-	hide := align + 2*wire         // out-computes the window on every rank
+	hide := align + 2*wire(root)   // out-computes the window on every rank
+	payload := func(dev Transport, root, round int) []byte {
+		if dev.Rank() != root {
+			return nil
+		}
+		return pattern(size, root, root, round)
+	}
 
 	// Full hide: every rank computes past align+wire before waiting.
 	runBody(f, parts, col, func(dev Transport) error {
-		r := dev.Rank()
 		own, _ := skew(dev)
-		var payload []byte
-		if r == root {
-			payload = pattern(size, root, root, 13)
-		}
-		p := dev.StartBroadcast(root, payload)
+		p := dev.StartBroadcast(root, payload(dev, root, 13))
 		dev.Clock().Advance(timing.Comp, hide)
 		if out := p.Wait(); !bytes.Equal(out, pattern(size, root, root, 13)) {
-			col.addf("split-payload", "rank %d received a wrong overlapped broadcast payload from %d", r, root)
+			col.addf("split-payload", "rank %d received a wrong overlapped broadcast payload from %d", dev.Rank(), root)
 		}
 		ref := timing.NewClock()
 		ref.Advance(timing.Comp, own)
 		ref.Advance(timing.Comp, hide)
-		timing.FinishDeferred(ref, own, align, wire)
-		compareOverlapClock(col, "full-hide", dev, ref)
+		timing.FinishDeferred(ref, own, align, wire(root))
+		compareClock(col, "overlap-charge", "full-hide", dev.Rank(), dev.Clock(), ref)
 		return nil
 	})
 
@@ -547,52 +472,31 @@ func checkOverlapCharge(f RuntimeFactory, parts int, col *vioCollector) {
 	// the wire time — the tail must be charged to Comm, the covered half
 	// recorded as Overlap.
 	runBody(f, parts, col, func(dev Transport) error {
-		r := dev.Rank()
-		var payload []byte
-		if r == root {
-			payload = pattern(size, root, root, 14)
-		}
-		p := dev.StartBroadcast(root, payload)
-		dev.Clock().Advance(timing.Comp, wire/2)
+		p := dev.StartBroadcast(root, payload(dev, root, 14))
+		dev.Clock().Advance(timing.Comp, wire(root)/2)
 		p.Wait()
 		ref := timing.NewClock()
-		ref.Advance(timing.Comp, wire/2)
-		timing.FinishDeferred(ref, 0, 0, wire)
-		compareOverlapClock(col, "partial-hide", dev, ref)
+		ref.Advance(timing.Comp, wire(root)/2)
+		timing.FinishDeferred(ref, 0, 0, wire(root))
+		compareClock(col, "overlap-charge", "partial-hide", dev.Rank(), dev.Clock(), ref)
 		return nil
 	})
 
 	// Two in flight, waited FIFO: both windows open before either closes.
 	runBody(f, parts, col, func(dev Transport) error {
-		r := dev.Rank()
-		var p0, p1 []byte
-		if r == 0 {
-			p0 = pattern(size, 0, 0, 15)
-		}
-		if r == 1%parts {
-			p1 = pattern(size, 1%parts, 1%parts, 16)
-		}
-		h0 := dev.StartBroadcast(0, p0)
-		h1 := dev.StartBroadcast(1%parts, p1)
+		r0, r1 := 0, 1%parts
+		h0 := dev.StartBroadcast(r0, payload(dev, r0, 15))
+		h1 := dev.StartBroadcast(r1, payload(dev, r1, 16))
 		dev.Clock().Advance(timing.Comp, hide)
 		got0, got1 := h0.Wait(), h1.Wait()
-		if !bytes.Equal(got0, pattern(size, 0, 0, 15)) || !bytes.Equal(got1, pattern(size, 1%parts, 1%parts, 16)) {
-			col.addf("split-payload", "rank %d received wrong payloads from two in-flight broadcasts", r)
-		}
-		var wire0, wire1 timing.Seconds
-		for dst := 0; dst < parts; dst++ {
-			if dst != 0 {
-				wire0 += model.TransferTime(0, dst, size)
-			}
-			if dst != 1%parts {
-				wire1 += model.TransferTime(1%parts, dst, size)
-			}
+		if !bytes.Equal(got0, pattern(size, r0, r0, 15)) || !bytes.Equal(got1, pattern(size, r1, r1, 16)) {
+			col.addf("split-payload", "rank %d received wrong payloads from two in-flight broadcasts", dev.Rank())
 		}
 		ref := timing.NewClock()
 		ref.Advance(timing.Comp, hide)
-		timing.FinishDeferred(ref, 0, 0, wire0)
-		timing.FinishDeferred(ref, 0, 0, wire1)
-		compareOverlapClock(col, "two-in-flight", dev, ref)
+		timing.FinishDeferred(ref, 0, 0, wire(r0))
+		timing.FinishDeferred(ref, 0, 0, wire(r1))
+		compareClock(col, "overlap-charge", "two-in-flight", dev.Rank(), dev.Clock(), ref)
 		return nil
 	})
 }
@@ -695,24 +599,8 @@ func checkReferenceParity(f RuntimeFactory, parts int, col *vioCollector) {
 	}
 	cand := runBody(f, parts, col, conformScript)
 	want := runBody(ref, parts, col, conformScript)
-	cats := []timing.Category{timing.Comm, timing.Comp, timing.Quant, timing.Idle, timing.Assign, timing.Overlap}
-	for r := 0; r < parts; r++ {
-		got, exp := cand.Clocks()[r], want.Clocks()[r]
-		if got.Now() != exp.Now() {
-			col.addf("reference-parity", "rank %d clock %v, reference %v (diff %g)", r, got.Now(), exp.Now(), math.Abs(float64(got.Now()-exp.Now())))
-		}
-		for _, cat := range cats {
-			if got.Spent(cat) != exp.Spent(cat) {
-				col.addf("reference-parity", "rank %d charged %v to %v, reference %v", r, got.Spent(cat), cat, exp.Spent(cat))
-			}
-		}
+	for r, ck := range want.Clocks() {
+		compareClock(col, "reference-parity", "scripted run", r, cand.Clocks()[r], ck)
 	}
-	gotB, wantB := cand.BytesMoved(), want.BytesMoved()
-	for s := range wantB {
-		for d := range wantB[s] {
-			if gotB[s][d] != wantB[s][d] {
-				col.addf("reference-parity", "pair (%d,%d) moved %d bytes, reference %d", s, d, gotB[s][d], wantB[s][d])
-			}
-		}
-	}
+	compareLedger(col, "reference-parity", "scripted run", cand.BytesMoved(), want.BytesMoved())
 }

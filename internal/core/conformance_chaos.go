@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/chaos"
@@ -80,43 +79,8 @@ func ConformTransportChaos(f RuntimeFactory, parts int) []Violation {
 // deliver exact payloads and leave the first round's buffers untouched —
 // injection must never corrupt data or recycle receiver-owned memory.
 func checkChaosDelivery(f RuntimeFactory, parts int, plan *chaos.FaultPlan, name string, col *vioCollector) {
-	sizes := ringSizes(parts)
 	runBody(faultFactory(f, plan, nil), parts, col, func(dev Transport) error {
-		r := dev.Rank()
-		makePayloads := func(round int) [][]byte {
-			p := make([][]byte, parts)
-			for q := range p {
-				if q != r {
-					p[q] = pattern(sizes[r][q], r, q, round)
-				}
-			}
-			return p
-		}
-		first := dev.RingAll2All(makePayloads(0))
-		for p := 0; p < parts; p++ {
-			if p == r {
-				continue
-			}
-			if !bytes.Equal(first[p], pattern(sizes[p][r], p, r, 0)) {
-				col.addf("chaos-delivery", "plan %s: rank %d received wrong payload from %d", name, r, p)
-			}
-		}
-		snapshot := make([][]byte, parts)
-		for p, b := range first {
-			snapshot[p] = append([]byte(nil), b...)
-		}
-		second := dev.RingAll2All(makePayloads(1))
-		for p := 0; p < parts; p++ {
-			if p == r {
-				continue
-			}
-			if !bytes.Equal(first[p], snapshot[p]) {
-				col.addf("chaos-ownership", "plan %s: rank %d's buffer from %d was overwritten during a faulted collective", name, r, p)
-			}
-			if !bytes.Equal(second[p], pattern(sizes[p][r], p, r, 1)) {
-				col.addf("chaos-delivery", "plan %s: rank %d received wrong second-round payload from %d", name, r, p)
-			}
-		}
+		ringRounds(dev, col, "chaos-delivery", "chaos-ownership", "plan "+name, func() {})
 		return nil
 	})
 }
@@ -125,7 +89,8 @@ func checkChaosDelivery(f RuntimeFactory, parts int, plan *chaos.FaultPlan, name
 // plan on the candidate and on the in-process backend — both through the
 // same fault wrapper — and requires identical per-device clocks per
 // category. The byte ledger must additionally equal the fault-free
-// reference's: faults charge simulated time only.
+// reference's: faults charge simulated time only, so retries re-charge
+// time, not bytes.
 func checkChaosParity(f RuntimeFactory, parts int, plan *chaos.FaultPlan, name string, col *vioCollector) {
 	ref, err := LookupTransport(TransportInprocess)
 	if err != nil {
@@ -135,26 +100,10 @@ func checkChaosParity(f RuntimeFactory, parts int, plan *chaos.FaultPlan, name s
 	cand := runBody(faultFactory(f, plan, nil), parts, col, conformScript)
 	want := runBody(faultFactory(ref, plan, nil), parts, col, conformScript)
 	clean := runBody(ref, parts, col, conformScript)
-	cats := []timing.Category{timing.Comm, timing.Comp, timing.Quant, timing.Idle, timing.Assign, timing.Overlap}
-	for r := 0; r < parts; r++ {
-		got, exp := cand.Clocks()[r], want.Clocks()[r]
-		if got.Now() != exp.Now() {
-			col.addf("chaos-clock-parity", "plan %s: rank %d clock %v, wrapped reference %v", name, r, got.Now(), exp.Now())
-		}
-		for _, cat := range cats {
-			if got.Spent(cat) != exp.Spent(cat) {
-				col.addf("chaos-clock-parity", "plan %s: rank %d charged %v to %v, wrapped reference %v", name, r, got.Spent(cat), cat, exp.Spent(cat))
-			}
-		}
+	for r, ck := range want.Clocks() {
+		compareClock(col, "chaos-clock-parity", "plan "+name, r, cand.Clocks()[r], ck)
 	}
-	gotB, cleanB := cand.BytesMoved(), clean.BytesMoved()
-	for s := range cleanB {
-		for d := range cleanB[s] {
-			if gotB[s][d] != cleanB[s][d] {
-				col.addf("chaos-byte-accounting", "plan %s: pair (%d,%d) moved %d bytes under faults, fault-free reference %d — retries must re-charge time, not bytes", name, s, d, gotB[s][d], cleanB[s][d])
-			}
-		}
-	}
+	compareLedger(col, "chaos-byte-accounting", "plan "+name+" vs fault-free", cand.BytesMoved(), clean.BytesMoved())
 }
 
 // checkChaosRetryCharge verifies the transient-failure cost model exactly:
@@ -192,13 +141,7 @@ func checkChaosRetryCharge(f RuntimeFactory, parts int, col *vioCollector) {
 	perCall := cluster.All2AllTime(timing.Default(), sizes)
 	runBody(faultFactory(f, plan, nil), parts, col, func(dev Transport) error {
 		r := dev.Rank()
-		payloads := make([][]byte, parts)
-		for q := range payloads {
-			if q != r {
-				payloads[q] = pattern(sizes[r][q], r, q, 0)
-			}
-		}
-		dev.RingAll2All(payloads)
+		dev.RingAll2All(ringSend(r, sizes, 0))
 		wantComm := perCall
 		var wantIdle timing.Seconds
 		backoff := timing.Seconds(plan.Spec.Backoff)

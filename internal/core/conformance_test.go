@@ -15,7 +15,7 @@ import (
 )
 
 // TestTransportConformance runs every registered backend through the
-// collective-contract suite at two cluster sizes.
+// collective-contract suite at three cluster sizes.
 func TestTransportConformance(t *testing.T) {
 	for _, name := range TransportNames() {
 		f, err := LookupTransport(name)
@@ -275,6 +275,41 @@ func (d ringChargeDev) AllReduceSum(ms []*tensor.Matrix) {
 	d.Clock().Advance(timing.Comm, ring-cluster.AllReduceTime(model, n, bytes))
 }
 
+// sumGatherDev delivers a gather correctly but charges it as the sum of
+// the incoming transfers instead of the slowest one.
+type sumGatherDev struct{ Transport }
+
+func (d sumGatherDev) GatherBytes(root int, payload []byte) [][]byte {
+	all := d.RawAllGather(payload)
+	d.Barrier()
+	var sum timing.Seconds
+	for src, p := range all {
+		if src != root {
+			sum += d.Model().TransferTime(src, root, len(p))
+		}
+	}
+	d.Clock().Advance(timing.Comm, sum)
+	if d.Rank() != root {
+		return nil
+	}
+	return all
+}
+
+// scatterBroadcastDev routes a broadcast through ScatterBytes, so it is
+// charged as the slowest outgoing transfer instead of their sum.
+type scatterBroadcastDev struct{ Transport }
+
+func (d scatterBroadcastDev) BroadcastBytes(root int, payload []byte) []byte {
+	var slices [][]byte
+	if d.Rank() == root {
+		slices = make([][]byte, d.Size())
+		for i := range slices {
+			slices[i] = payload
+		}
+	}
+	return d.ScatterBytes(root, slices)
+}
+
 func TestConformanceCatchesBrokenTransports(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -287,6 +322,8 @@ func TestConformanceCatchesBrokenTransports(t *testing.T) {
 		{"recycled buffers", brokenFactory(func(d Transport) Transport { return &scratchDev{Transport: d} }), "payload-ownership"},
 		{"eager-wait split-phase", brokenFactory(func(d Transport) Transport { return eagerWaitDev{d} }), "overlap-charge"},
 		{"late-wait split-phase", brokenFactory(func(d Transport) Transport { return lateWaitDev{d} }), "overlap-charge"},
+		{"gather charged as the sum", brokenFactory(func(d Transport) Transport { return sumGatherDev{d} }), "gather-clock-charge"},
+		{"broadcast routed through scatter", brokenFactory(func(d Transport) Transport { return scatterBroadcastDev{d} }), "broadcast-clock-charge"},
 	}
 	for _, tc := range cases {
 		vs := ConformTransport(tc.factory, 4)

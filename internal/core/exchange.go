@@ -85,12 +85,6 @@ func appendAllRows(dst []byte, x *tensor.Matrix) []byte {
 	return dst
 }
 
-// rowsToBytes serializes x's rows idx as little-endian float32 into a
-// fresh buffer. Hot paths use appendRows with an arena buffer instead.
-func rowsToBytes(x *tensor.Matrix, idx []int32) []byte {
-	return appendRows(make([]byte, 0, 4*len(idx)*x.Cols), x, idx)
-}
-
 // bytesToRows deserializes buf into dst rows rows[i]+rowOffset.
 func bytesToRows(buf []byte, dst *tensor.Matrix, rows []int32, rowOffset int) error {
 	if len(buf) != 4*len(rows)*dst.Cols {

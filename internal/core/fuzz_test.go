@@ -32,7 +32,7 @@ func FuzzCodecDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(m)
-	f.Add(rowsToBytes(x, idx))
+	f.Add(appendRows(nil, x, idx))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dst := tensor.New(4, 8)

@@ -233,11 +233,14 @@ func TestAnalyzeOverlapConsistency(t *testing.T) {
 			t.Fatalf("device %d: non-positive costs %+v", d.Device, d)
 		}
 	}
-	// Higher width → more comm time.
-	rep8 := AnalyzeOverlap(dep, cfg, quant.B8, nil)
-	for i := range rep {
-		if rep8[i].CommSeconds <= rep[i].CommSeconds {
-			t.Fatalf("device %d: 8-bit comm %v not above 2-bit %v", i, rep8[i].CommSeconds, rep[i].CommSeconds)
+	// Higher width → more comm time. The 32-bit passthrough must analyze
+	// as full precision, not panic in the packing size math.
+	for _, b := range []quant.BitWidth{quant.B8, quant.B32} {
+		wide := AnalyzeOverlap(dep, cfg, b, nil)
+		for i := range rep {
+			if wide[i].CommSeconds <= rep[i].CommSeconds {
+				t.Fatalf("device %d: %d-bit comm %v not above 2-bit %v", i, b, wide[i].CommSeconds, rep[i].CommSeconds)
+			}
 		}
 	}
 }

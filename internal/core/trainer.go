@@ -22,16 +22,10 @@ import (
 // waiting at a collective) and returns without final evaluation.
 var ErrCanceled = errors.New("core: training run canceled")
 
-// Train runs one full training job of cfg.Method over ds partitioned
-// parts ways (block partitioner) and returns the measured result. model may
-// be nil for the default V100/100Gbps calibration.
-func Train(ds *synthetic.Dataset, parts int, cfg Config, model *timing.CostModel) (*metrics.RunResult, error) {
-	dep := Deploy(ds, parts, cfg.Model, partition.Block)
-	return TrainDeployed(dep, cfg, model)
-}
-
-// TrainDeployed is Train over an existing Deployment (lets experiments
-// reuse one partitioning across methods, as the paper's comparisons do).
+// TrainDeployed runs one full training job over an existing Deployment
+// (lets experiments reuse one partitioning across methods, as the paper's
+// comparisons do) and returns the measured result. model may be nil for
+// the default V100/100Gbps calibration.
 //
 // The run is assembled from the two pluggable seams: cfg's message codec
 // (defaulting per cfg.Method) moves boundary messages, and cfg's transport

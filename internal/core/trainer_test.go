@@ -19,6 +19,12 @@ import (
 	"repro/internal/timing"
 )
 
+// trainBlock trains cfg over ds block-partitioned parts ways on the
+// default cost model.
+func trainBlock(ds *synthetic.Dataset, parts int, cfg Config) (*metrics.RunResult, error) {
+	return TrainDeployed(Deploy(ds, parts, cfg.Model, partition.Block), cfg, nil)
+}
+
 func tinyConfig(m Method) Config {
 	cfg := DefaultConfig()
 	cfg.Method = m
@@ -35,7 +41,7 @@ func TestVanillaSinglePartitionLearns(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", 1)
 	cfg := tinyConfig(Vanilla)
 	cfg.Epochs = 60
-	res, err := Train(ds, 1, cfg, nil)
+	res, err := trainBlock(ds, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +56,11 @@ func TestVanillaDistributedMatchesSingle(t *testing.T) {
 	cfg := tinyConfig(Vanilla)
 	cfg.Dropout = 0 // dropout RNG streams differ per device; disable for exact comparison
 	cfg.Epochs = 8
-	single, err := Train(ds, 1, cfg, nil)
+	single, err := trainBlock(ds, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := Train(ds, 3, cfg, nil)
+	multi, err := trainBlock(ds, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +81,7 @@ func TestAllMethodsRun(t *testing.T) {
 		for _, model := range []ModelKind{GCN, GraphSAGE} {
 			cfg := tinyConfig(m)
 			cfg.Model = model
-			res, err := Train(ds, 2, cfg, nil)
+			res, err := trainBlock(ds, 2, cfg)
 			if err != nil {
 				t.Fatalf("%v/%v: %v", m, model, err)
 			}
@@ -96,7 +102,7 @@ func TestMultiLabelTraining(t *testing.T) {
 	cfg := tinyConfig(AdaQP)
 	cfg.Model = GraphSAGE
 	cfg.Epochs = 15
-	res, err := Train(ds, 2, cfg, nil)
+	res, err := trainBlock(ds, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +217,7 @@ func TestFinalEvalSharesOneForwardPass(t *testing.T) {
 			rt = &rawCountingRuntime{Runtime: inprocess(spec)}
 			return rt
 		}
-		res, err := Train(ds, 3, cfg, nil)
+		res, err := trainBlock(ds, 3, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

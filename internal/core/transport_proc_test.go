@@ -230,7 +230,7 @@ func TestProcTrainingSerializesPayloads(t *testing.T) {
 	cfg.Epochs = 6
 	cfg.EvalEvery = 3
 
-	ref, err := Train(ds, 3, cfg, nil)
+	ref, err := trainBlock(ds, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestProcTrainingSerializesPayloads(t *testing.T) {
 		captured = newProcRuntime(spec).(*procRuntime)
 		return captured
 	}
-	got, err := Train(ds, 3, procCfg, nil)
+	got, err := trainBlock(ds, 3, procCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

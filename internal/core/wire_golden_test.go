@@ -90,7 +90,7 @@ func TestWireGoldenFrames(t *testing.T) {
 				return err
 			}
 			// Full-precision formats are lossless: require bit-exact values.
-			if !bytes.Equal(rowsToBytes(dst, order), p) {
+			if !bytes.Equal(appendRows(nil, dst, order), p) {
 				t.Fatal("fp32 wire round-trip not bit-exact")
 			}
 			return nil
@@ -112,25 +112,25 @@ func TestWireGoldenFrames(t *testing.T) {
 		{"uniform_b2", 0, quantized(quant.B2, 100), dequantRows(quant.B2)},
 		{"uniform_b4", 1, quantized(quant.B4, 101), dequantRows(quant.B4)},
 		{"uniform_b8", 2, quantized(quant.B8, 102), dequantRows(quant.B8)},
-		{"uniform_b32", 3, rowsToBytes(x, idx), fullRows},
+		{"uniform_b32", 3, appendRows(nil, x, idx), fullRows},
 		// Adaptive codec: grouped mixed-width layout for packable widths,
 		// fp32 passthrough at B32.
 		{"adaptive_b2", 8, mixed(quant.B2, 120), dequantMixed(quant.B2)},
 		{"adaptive_b4", 9, mixed(quant.B4, 121), dequantMixed(quant.B4)},
 		{"adaptive_b8", 10, mixed(quant.B8, 122), dequantMixed(quant.B8)},
-		{"adaptive_b32", 11, rowsToBytes(x, []int32{2, 1, 0}), fullRowsAt([]int32{2, 1, 0})},
+		{"adaptive_b32", 11, appendRows(nil, x, []int32{2, 1, 0}), fullRowsAt([]int32{2, 1, 0})},
 		// Random-assignment codec shares the mixed grouped layout with a
 		// different width vector per round; same wire grammar.
 		{"random_b2", 12, mixed(quant.B2, 130), dequantMixed(quant.B2)},
 		{"random_b4", 13, mixed(quant.B4, 131), dequantMixed(quant.B4)},
 		{"random_b8", 14, mixed(quant.B8, 132), dequantMixed(quant.B8)},
-		{"random_b32", 15, rowsToBytes(x2, []int32{1, 0, 2}), fullRowsAt([]int32{1, 0, 2})},
+		{"random_b32", 15, appendRows(nil, x2, []int32{1, 0, 2}), fullRowsAt([]int32{1, 0, 2})},
 		// Full-precision row formats (inherently 32-bit): fp32 baseline,
 		// pipegcn's stale exchange, sancus' broadcast all serialize rows
 		// as little-endian float32.
-		{"fp32_b32", 16, rowsToBytes(x, idx), fullRows},
-		{"pipegcn_b32", 17, rowsToBytes(x2, idx), fullRows},
-		{"sancus_b32", 18, rowsToBytes(negated, idx), fullRows},
+		{"fp32_b32", 16, appendRows(nil, x, idx), fullRows},
+		{"pipegcn_b32", 17, appendRows(nil, x2, idx), fullRows},
+		{"sancus_b32", 18, appendRows(nil, negated, idx), fullRows},
 	}
 
 	if *updateGolden {

@@ -111,24 +111,3 @@ func (e *Engine) Run(opts ...Option) (*Result, error) {
 	}
 	return sess.Run()
 }
-
-// Analyze computes, without training, each device's per-epoch
-// communication time at uniform width bits and its central/marginal
-// computation split — the paper's §2.2 overlap-potential measurement.
-func (e *Engine) Analyze(bits int) ([]DeviceOverlap, error) {
-	b, err := parseBits(bits)
-	if err != nil {
-		return nil, err
-	}
-	dep := e.deployment(&e.base)
-	return core.AnalyzeOverlap(dep, e.base.cfg, b, e.base.model), nil
-}
-
-// DeviceOverlap is one device's analytical timing decomposition.
-type DeviceOverlap = core.DeviceOverlap
-
-// PairBytes returns the full-precision bytes each device pair transfers
-// in the first layer's forward pass (the paper's Fig. 2 measurement).
-func (e *Engine) PairBytes() [][]int {
-	return core.PairBytesFirstLayer(e.deployment(&e.base))
-}

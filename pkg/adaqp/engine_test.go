@@ -314,46 +314,6 @@ func TestEngineRunRecordsCodec(t *testing.T) {
 	}
 }
 
-func TestAnalyzeAndPairBytes(t *testing.T) {
-	ds := adaqp.MustLoadDataset("tiny", 1)
-	eng, err := adaqp.New(ds, adaqp.WithParts(4), adaqp.WithHidden(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := eng.Analyze(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep) != 4 {
-		t.Fatalf("want 4 device reports, got %d", len(rep))
-	}
-	if _, err := eng.Analyze(5); err == nil {
-		t.Fatal("invalid bit-width must error")
-	}
-	// The 32-bit passthrough must analyze as full precision, not panic in
-	// the packing size math.
-	fp, err := eng.Analyze(32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rep {
-		if fp[i].CommSeconds <= rep[i].CommSeconds {
-			t.Fatalf("device %d: full-precision comm %v not above 2-bit %v",
-				i, fp[i].CommSeconds, rep[i].CommSeconds)
-		}
-	}
-	pairs := eng.PairBytes()
-	var total int
-	for _, row := range pairs {
-		for _, b := range row {
-			total += b
-		}
-	}
-	if total <= 0 {
-		t.Fatal("no cross-device traffic reported for a 4-way partition")
-	}
-}
-
 // TestShardedTransportPublicAPI: the transport and codec options reject
 // negative values, and the sharded-async name resolves to a backend that
 // passes the public conformance surface.
