@@ -9,6 +9,10 @@
 //	adaqp -dataset tiny -method vanilla -transport proc-sharded -workers 4
 //	adaqp -dataset tiny -method sancus -overlap
 //	adaqp -dataset tiny -method adaqp -chaos-stragglers 1 -chaos-slow 4 -chaos-crash-epoch 20
+//	adaqp -partinfo -dataset products-sim -parts 8
+//
+// -partinfo trains nothing: it compares the partitioners' quality
+// statistics for -dataset, -scale, -parts and -model and exits.
 //
 // The -method, -codec, -transport and -dataset usage strings list whatever
 // is currently registered, so custom registrations show up automatically.
@@ -52,6 +56,7 @@ func main() {
 		bits     = flag.Int("bits", 2, "uniform bit-width for -method uniform and -codec uniform (2|4|8|32)")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		evalEach = flag.Int("eval-every", 5, "epochs between validation evaluations")
+		partinfo = flag.Bool("partinfo", false, "print partition-quality statistics for -dataset, -scale, -parts and -model, then exit")
 
 		chaosStragglers = flag.Int("chaos-stragglers", 0, "devices slowed by the fault plan (0 = no stragglers)")
 		chaosSlow       = flag.Float64("chaos-slow", 0, "straggler compute slowdown factor (> 1)")
@@ -64,6 +69,12 @@ func main() {
 		chaosSeed       = flag.Uint64("chaos-seed", 0, "fault-plan seed (0 = default 1)")
 	)
 	flag.Parse()
+	if *partinfo {
+		if err := printPartInfo(*dataset, *scale, *parts, *model); err != nil {
+			fatal(err)
+		}
+		return
+	}
 
 	// A -codec override beats the -method default, so an unregistered name
 	// must be rejected up front with the registry-derived usage — not
@@ -151,6 +162,42 @@ func main() {
 		fmt.Printf("faults           stragglers %d  retries %d (%.3fs)  crashes %d (%.3fs recovery)\n",
 			f.Stragglers, f.Retries, f.RetryTime, f.Crashes, f.RecoveryTime)
 	}
+}
+
+// printPartInfo compares the partitioners side by side — edge cut, balance,
+// remote-neighbor ratio and the central/marginal decomposition (the §2.2
+// numbers) — then prints LDG's per-partition sizes.
+func printPartInfo(dataset string, scale float64, parts int, model string) error {
+	ds, err := adaqp.LoadDataset(dataset, scale)
+	if err != nil {
+		return err
+	}
+	mk, err := adaqp.ParseModelKind(model)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("dataset %v, %d partitions\n\n", ds, parts)
+	fmt.Printf("%-9s %10s %9s %10s %18s %16s\n",
+		"Strategy", "EdgeCut", "Cut%", "Imbalance", "RemoteNbrRatio", "MarginalFrac")
+	var ldg adaqp.PartitionStats
+	for _, s := range []adaqp.Strategy{adaqp.LDG, adaqp.BlockPartition, adaqp.HashPartition} {
+		eng, err := adaqp.New(ds, adaqp.WithParts(parts), adaqp.WithModel(mk), adaqp.WithPartitioner(s))
+		if err != nil {
+			return err
+		}
+		st := eng.Deployment().Stats
+		if s == adaqp.LDG {
+			ldg = st
+		}
+		fmt.Printf("%-9s %10d %8.2f%% %9.3f %17.2f%% %15.2f%%\n",
+			s, st.EdgeCut, 100*float64(st.EdgeCut)/float64(st.TotalEdges),
+			st.Imbalance, 100*st.RemoteNeighborAvg, 100*st.MarginalFraction)
+	}
+	fmt.Printf("\nper-partition (LDG):\n%-6s %8s %8s %10s\n", "part", "local", "halo", "marginal")
+	for p := range ldg.LocalPerPart {
+		fmt.Printf("%-6d %8d %8d %10d\n", p, ldg.LocalPerPart[p], ldg.HaloPerPart[p], ldg.MarginalPerPart[p])
+	}
+	return nil
 }
 
 // methodNames lists the accepted -method values from the Method registry

@@ -67,7 +67,6 @@ type resultJSON struct {
 	ID         string  `json:"id"`
 	Dataset    string  `json:"dataset"`
 	Model      string  `json:"model"`
-	Method     string  `json:"method"`
 	Codec      string  `json:"codec"`
 	Parts      int     `json:"parts"`
 	Epochs     int     `json:"epochs"`
@@ -227,7 +226,7 @@ func (s *server) result(w http.ResponseWriter, r *http.Request) {
 	}
 	out := resultJSON{
 		ID:      h.ID(),
-		Dataset: res.Dataset, Model: res.Model, Method: res.Method,
+		Dataset: res.Dataset, Model: res.Model,
 		Codec: res.Codec, Parts: res.Parts,
 		Epochs:    len(res.Epochs),
 		FinalVal:  res.FinalVal,

@@ -114,7 +114,7 @@ func TestSubmitPollResultRoundTrip(t *testing.T) {
 	if resp := getJSON(t, ts.URL+"/jobs/"+job.ID+"/result", &res); resp.StatusCode != http.StatusOK {
 		t.Fatalf("result = %d, want 200", resp.StatusCode)
 	}
-	if res.Dataset != "tiny" || res.Method != "Vanilla" || res.Codec != "fp32" ||
+	if res.Dataset != "tiny" || res.Codec != "fp32" ||
 		res.Parts != 2 || res.Epochs != 2 {
 		t.Fatalf("result = %+v", res)
 	}

@@ -32,8 +32,8 @@ func TestCodecSteadyStateAllocs(t *testing.T) {
 		a := NewArena()
 		dst := tensor.New(rows, dim)
 		warm := func() {
-			buf := appendAllRows(a.GetBuf(4*rows*dim), x)
-			if err := bytesToAllRows(buf, dst); err != nil {
+			buf := appendRows(a.GetBuf(4*rows*dim), x, idx)
+			if err := readRows(buf, dst, idx, false); err != nil {
 				t.Fatal(err)
 			}
 			a.PutBuf(buf)

@@ -11,9 +11,9 @@ import (
 // Fig. 3 (computation of all nodes vs marginal nodes only).
 type DeviceOverlap struct {
 	Device int
-	// CommSeconds is the time this device spends moving quantized
-	// marginal-node messages per epoch (its own links, summed over layers
-	// and both passes).
+	// CommSeconds is the ring time the simulator charges every device per
+	// epoch for the quantized marginal-node messages: the sum over layers
+	// and both passes of each ring round's slowest pair (RingAll2All).
 	CommSeconds timing.Seconds
 	// CentralComp / MarginalComp are the per-epoch computation shares of
 	// central and marginal nodes; TotalComp = CentralComp + MarginalComp.
@@ -41,9 +41,8 @@ func AnalyzeOverlap(dep *Deployment, cfg Config, b quant.BitWidth, model *timing
 	// L−1 backward exchanges, each paid round by round with the slowest
 	// pair setting the round's pace (the straggler effect of §2.2). All
 	// devices advance together through rounds, so this is charged to every
-	// device; per-device variation then comes from its own pair times.
+	// device.
 	var ringComm timing.Seconds
-	ownComm := make([]timing.Seconds, parts)
 	for l := 0; l < cfg.Layers; l++ {
 		for _, dir := range directions {
 			if l < dir.firstLayer() {
@@ -59,25 +58,17 @@ func AnalyzeOverlap(dep *Deployment, cfg Config, b quant.BitWidth, model *timing
 				}
 			}
 			ringComm += cluster.All2AllTime(model, bytes)
-			for src := range bytes {
-				for dst, by := range bytes[src] {
-					ownComm[src] += model.TransferTime(src, dst, by)
-				}
-			}
 		}
 	}
 
 	out := make([]DeviceOverlap, parts)
 	for rank, lg := range dep.Locals {
 		dm := newDeviceModel(&cfg, lg, ds.Features.Cols, ds.NumClasses, model)
-		o := DeviceOverlap{Device: rank}
+		o := DeviceOverlap{Device: rank, CommSeconds: ringComm}
 		for _, c := range dm.costs {
 			o.CentralComp += c[forward].Central + c[backward].Central
 			o.MarginalComp += c[forward].Marginal + c[backward].Marginal
 		}
-		// The device is busy for the synchronized ring duration; weight
-		// slightly by its own link load so per-device texture survives.
-		o.CommSeconds = (ringComm + ownComm[rank]) / 2
 		o.TotalComp = o.CentralComp + o.MarginalComp
 		out[rank] = o
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/quant"
 )
@@ -94,10 +93,7 @@ func widthCubeSize(c [][][]quant.BitWidth) int {
 func appendF64Grid(b []byte, g [][]float64) []byte {
 	b = appendU32(b, uint32(len(g)))
 	for _, s := range g {
-		b = appendU32(b, uint32(len(s)))
-		for _, x := range s {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
-		}
+		b = appendF64s(appendU32(b, uint32(len(s))), s)
 	}
 	return b
 }
@@ -107,10 +103,7 @@ func appendF32Cube(b []byte, c [][][]float32) []byte {
 	for _, g := range c {
 		b = appendU32(b, uint32(len(g)))
 		for _, s := range g {
-			b = appendU32(b, uint32(len(s)))
-			for _, x := range s {
-				b = binary.LittleEndian.AppendUint32(b, math.Float32bits(x))
-			}
+			b = appendF32s(appendU32(b, uint32(len(s))), s)
 		}
 	}
 	return b
@@ -192,12 +185,9 @@ func (r *wireReader) f64Grid(what string) [][]float64 {
 		if m == 0 {
 			continue
 		}
-		s := make([]float64, m)
-		for j := range s {
-			s[j] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
-			r.off += 8
-		}
-		out[i] = s
+		out[i] = make([]float64, m)
+		readF64s(out[i], r.b[r.off:], false)
+		r.off += 8 * m
 	}
 	return out
 }
@@ -223,12 +213,9 @@ func (r *wireReader) f32Cube(skip int, what string) [][][]float32 {
 			if k == 0 {
 				continue
 			}
-			s := make([]float32, k)
-			for x := range s {
-				s[x] = math.Float32frombits(binary.LittleEndian.Uint32(r.b[r.off:]))
-				r.off += 4
-			}
-			g[j] = s
+			g[j] = make([]float32, k)
+			readF32s(g[j], r.b[r.off:], false)
+			r.off += 4 * k
 		}
 		out[i] = g
 	}

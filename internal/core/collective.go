@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 
@@ -618,9 +617,7 @@ func appendMats(ms []*tensor.Matrix) []byte {
 	for _, m := range ms {
 		b = binary.LittleEndian.AppendUint32(b, uint32(m.Rows))
 		b = binary.LittleEndian.AppendUint32(b, uint32(m.Cols))
-		for _, v := range m.Data {
-			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
-		}
+		b = appendF32s(b, m.Data)
 	}
 	return b
 }
@@ -640,15 +637,7 @@ func readMats(ms []*tensor.Matrix, b []byte, add bool) error {
 			int(binary.LittleEndian.Uint32(b)) != m.Rows || int(binary.LittleEndian.Uint32(b[4:])) != m.Cols {
 			return fmt.Errorf("matrix %d is truncated or not %dx%d", i, m.Rows, m.Cols)
 		}
-		for j, data := 0, b[8:]; j < n; j++ {
-			v := math.Float32frombits(binary.LittleEndian.Uint32(data[4*j:]))
-			if add {
-				m.Data[j] += v
-			} else {
-				m.Data[j] = v
-			}
-		}
-		b = b[8+4*n:]
+		b = readF32s(m.Data, b[8:], add)
 	}
 	if len(b) != 0 {
 		return fmt.Errorf("matrix stream has %d trailing bytes", len(b))

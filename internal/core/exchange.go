@@ -58,73 +58,79 @@ func (d direction) filled(lg *partition.LocalGraph) [][]int32 {
 	return (d ^ 1).sent(lg)
 }
 
-// appendRows appends x's rows idx as little-endian float32 to dst and
-// returns the extended slice. Every appended byte is overwritten, so a
-// dirty pooled buffer is a valid dst.
-func appendRows(dst []byte, x *tensor.Matrix, idx []int32) []byte {
-	off := len(dst)
-	dst = quant.Grow(dst, 4*len(idx)*x.Cols)
-	for _, r := range idx {
-		for _, v := range x.Row(int(r)) {
-			binary.LittleEndian.PutUint32(dst[off:], math.Float32bits(v))
-			off += 4
-		}
-	}
-	return dst
-}
+// The fp32 wire format: a float payload is its values' IEEE-754 bit
+// patterns, little-endian, back to back. appendF32s/readF32s and their
+// float64 twins are its only writer and reader; every caller checks a
+// payload's length before it reads one.
 
-// appendAllRows appends every row of x in order (the idx == 0..Rows-1
-// special case, without materializing an index list).
-func appendAllRows(dst []byte, x *tensor.Matrix) []byte {
+// appendF32s appends v to dst and returns the extended slice. Every
+// appended byte is overwritten, so a dirty pooled buffer is a valid dst.
+func appendF32s(dst []byte, v []float32) []byte {
 	off := len(dst)
-	dst = quant.Grow(dst, 4*len(x.Data))
-	for _, v := range x.Data {
-		binary.LittleEndian.PutUint32(dst[off:], math.Float32bits(v))
+	dst = quant.Grow(dst, 4*len(v))
+	for _, x := range v {
+		binary.LittleEndian.PutUint32(dst[off:], math.Float32bits(x))
 		off += 4
 	}
 	return dst
 }
 
-// bytesToRows deserializes buf into dst rows rows[i]+rowOffset.
-func bytesToRows(buf []byte, dst *tensor.Matrix, rows []int32, rowOffset int) error {
-	if len(buf) != 4*len(rows)*dst.Cols {
-		return fmt.Errorf("core: halo payload is %d bytes, want %d", len(buf), 4*len(rows)*dst.Cols)
-	}
-	off := 0
-	for _, r := range rows {
-		row := dst.Row(int(r) + rowOffset)
-		for j := range row {
-			row[j] = math.Float32frombits(binary.LittleEndian.Uint32(buf[off:]))
-			off += 4
+// readF32s stores the first len(dst) values of b into dst — added to what
+// dst holds when add is set — and returns the rest of b.
+func readF32s(dst []float32, b []byte, add bool) []byte {
+	if add {
+		for i := range dst {
+			dst[i] += math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+		}
+	} else {
+		for i := range dst {
+			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
 		}
 	}
-	return nil
+	return b[4*len(dst):]
 }
 
-// bytesToAllRows deserializes buf into every row of dst in order,
-// overwriting all of dst (so a dirty arena matrix is a valid dst).
-func bytesToAllRows(buf []byte, dst *tensor.Matrix) error {
-	if len(buf) != 4*len(dst.Data) {
-		return fmt.Errorf("core: halo payload is %d bytes, want %d", len(buf), 4*len(dst.Data))
+// appendF64s is appendF32s for float64 values.
+func appendF64s(dst []byte, v []float64) []byte {
+	off := len(dst)
+	dst = quant.Grow(dst, 8*len(v))
+	for _, x := range v {
+		binary.LittleEndian.PutUint64(dst[off:], math.Float64bits(x))
+		off += 8
 	}
-	for i := range dst.Data {
-		dst.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-	}
-	return nil
+	return dst
 }
 
-// addBytesToRows is bytesToRows with += semantics (backward scatter-add).
-func addBytesToRows(buf []byte, dst *tensor.Matrix, rows []int32) error {
-	if len(buf) != 4*len(rows)*dst.Cols {
-		return fmt.Errorf("core: grad payload is %d bytes, want %d", len(buf), 4*len(rows)*dst.Cols)
-	}
-	off := 0
-	for _, r := range rows {
-		row := dst.Row(int(r))
-		for j := range row {
-			row[j] += math.Float32frombits(binary.LittleEndian.Uint32(buf[off:]))
-			off += 4
+// readF64s is readF32s for float64 values.
+func readF64s(dst []float64, b []byte, add bool) []byte {
+	if add {
+		for i := range dst {
+			dst[i] += math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 		}
+	} else {
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+	}
+	return b[8*len(dst):]
+}
+
+// appendRows appends x's rows idx to dst in the fp32 wire format.
+func appendRows(dst []byte, x *tensor.Matrix, idx []int32) []byte {
+	for _, r := range idx {
+		dst = appendF32s(dst, x.Row(int(r)))
+	}
+	return dst
+}
+
+// readRows lands an appendRows payload in dst's rows idx: stored, or added
+// to them when add is set (several peers may target the same row).
+func readRows(buf []byte, dst *tensor.Matrix, idx []int32, add bool) error {
+	if len(buf) != 4*len(idx)*dst.Cols {
+		return fmt.Errorf("core: row payload is %d bytes, want %d", len(buf), 4*len(idx)*dst.Cols)
+	}
+	for _, r := range idx {
+		buf = readF32s(dst.Row(int(r)), buf, add)
 	}
 	return nil
 }
@@ -163,10 +169,7 @@ func (fpCoder) encode(e *ExchangeEnv, _ int, x *tensor.Matrix, idx []int32) ([]b
 }
 
 func (fpCoder) decode(_ *ExchangeEnv, _ int, buf []byte, dst *tensor.Matrix, idx []int32, add bool) error {
-	if add {
-		return addBytesToRows(buf, dst, idx)
-	}
-	return bytesToRows(buf, dst, idx, 0)
+	return readRows(buf, dst, idx, add)
 }
 
 func (fpCoder) passes() (int, int) { return 0, 0 }

@@ -48,8 +48,8 @@ func FuzzCodecDecode(f *testing.F) {
 		_ = quant.DequantizeMixedAdd(data, dst, rows, mixed)
 
 		// Full-precision rows (fp32 / pipegcn / sancus payloads).
-		_ = bytesToRows(data, dst, rows, 1)
-		_ = addBytesToRows(data, dst, rows)
+		_ = readRows(data, dst, rows, false)
+		_ = readRows(data, dst, rows, true)
 	})
 }
 

@@ -109,7 +109,7 @@ func (c *sancusCodec) exchange(env *ExchangeEnv, epoch, l int, h, xFull *tensor.
 		if src == rank && broadcast && len(c.topo.boundary[rank]) > 0 {
 			// Broadcast payloads are shared by every receiver and read
 			// after the root has moved on, so they are never pooled.
-			return appendAllRows(make([]byte, 0, 4*len(myBoundary.Data)), myBoundary)
+			return appendF32s(make([]byte, 0, 4*len(myBoundary.Data)), myBoundary.Data)
 		}
 		return nil
 	}
@@ -130,16 +130,16 @@ func (c *sancusCodec) exchange(env *ExchangeEnv, epoch, l int, h, xFull *tensor.
 		if src == rank || len(got) == 0 || len(lg.RecvFrom[src]) == 0 {
 			continue
 		}
-		nRows := len(c.topo.boundary[src])
-		tmp := a.GetMat(nRows, xFull.Cols)
-		if err := bytesToAllRows(got, tmp); err != nil {
-			return fmt.Errorf("sancus: rank %d from %d: %w", rank, src, err)
+		// got is src's whole boundary block; only the rows this device
+		// needs are decoded, straight into the cache.
+		cols := xFull.Cols
+		if want := 4 * len(c.topo.boundary[src]) * cols; len(got) != want {
+			return fmt.Errorf("sancus: rank %d from %d: boundary payload is %d bytes, want %d", rank, src, len(got), want)
 		}
-		cache := c.cache[l]
 		for j, slot := range lg.RecvFrom[src] {
-			copy(cache.Row(int(slot)), tmp.Row(int(c.topo.recvMap[src][rank][j])))
+			k := int(c.topo.recvMap[src][rank][j])
+			readF32s(c.cache[l].Row(int(slot)), got[4*k*cols:], false)
 		}
-		a.PutMat(tmp)
 	}
 	if broadcast {
 		if c.last[l] != nil && c.last[l].SameShape(myBoundary) {

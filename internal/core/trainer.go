@@ -1,8 +1,8 @@
 package core
 
 import (
+	"cmp"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -97,7 +97,6 @@ func TrainDeployedCtx(ctx context.Context, dep *Deployment, cfg Config, model *t
 	res := &metrics.RunResult{
 		Dataset: ds.Name,
 		Model:   cfg.Model.String(),
-		Method:  cfg.Method.String(),
 		Codec:   codecName,
 		Parts:   parts,
 	}
@@ -233,8 +232,8 @@ func (w *worker) run() error {
 	var final *tensor.Matrix
 	finalVal := math.NaN()
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		if canceled := w.pollCancel(); canceled {
-			return ErrCanceled
+		if canceled, err := w.pollCancel(); err != nil || canceled {
+			return cmp.Or(err, ErrCanceled)
 		}
 		if w.plan != nil && w.plan.CrashRank >= 0 && epoch == w.plan.CrashEpoch {
 			if err := w.crashAndRecover(epoch); err != nil {
@@ -258,7 +257,9 @@ func (w *worker) run() error {
 			if err != nil {
 				return err
 			}
-			valAcc = w.score(logits, w.ld.val)
+			if valAcc, err = w.score(logits, w.ld.val); err != nil {
+				return err
+			}
 			if last {
 				final, finalVal = logits, valAcc
 			}
@@ -281,9 +282,14 @@ func (w *worker) run() error {
 		if final, err = w.evalLogits(); err != nil {
 			return err
 		}
-		finalVal = w.score(final, w.ld.val)
+		if finalVal, err = w.score(final, w.ld.val); err != nil {
+			return err
+		}
 	}
-	test := w.score(final, w.ld.test)
+	test, err := w.score(final, w.ld.test)
+	if err != nil {
+		return err
+	}
 	if w.dev.Rank() == 0 {
 		w.res.FinalTest = test
 		w.res.FinalVal = finalVal
@@ -398,7 +404,11 @@ func (w *worker) trainEpoch(epoch int) (float64, error) {
 	}
 	w.dev.AllReduceSum(w.grads)
 	w.opt.Step(w.model.params())
-	return w.globalSum(loss), nil
+	sum, err := w.sumAcross(loss)
+	if err != nil {
+		return 0, err
+	}
+	return sum[0], nil
 }
 
 // forward runs the layer loop. For train=true the codec's halo exchange
@@ -474,37 +484,37 @@ func (w *worker) backward(epoch int, dlogits *tensor.Matrix) error {
 
 // pollCancel agrees across all devices whether the run's context has been
 // canceled. Cancellation arrives asynchronously, so devices may observe it
-// at different times; every device shares its local observation over the
-// metrics sideband and the union decides, guaranteeing either all devices
-// stop at this epoch boundary or none do (a device stopping alone would
-// leave the others deadlocked at the next collective). Runs under a
-// non-cancellable context skip the exchange entirely.
-func (w *worker) pollCancel() bool {
+// at different times; every device shares its local observation (a 0 or 1
+// flag) over the metrics sideband and a positive sum cancels, guaranteeing
+// either all devices stop at this epoch boundary or none do (a device
+// stopping alone would leave the others deadlocked at the next
+// collective). Runs under a non-cancellable context skip the exchange
+// entirely.
+func (w *worker) pollCancel() (bool, error) {
 	if w.ctx == nil || w.ctx.Done() == nil {
-		return false
+		return false, nil
 	}
-	flag := []byte{0}
+	flag := 0.0
 	if w.ctx.Err() != nil {
-		flag[0] = 1
+		flag = 1
 	}
-	for _, b := range w.dev.RawAllGather(flag) {
-		if len(b) > 0 && b[0] != 0 {
-			return true
-		}
-	}
-	return false
+	sum, err := w.sumAcross(flag)
+	return err == nil && sum[0] > 0, err
 }
 
-// globalSum sums a scalar across devices over the metrics sideband.
-func (w *worker) globalSum(x float64) float64 {
-	buf := make([]byte, 8)
-	binary.LittleEndian.PutUint64(buf, math.Float64bits(x))
-	all := w.dev.RawAllGather(buf)
-	var sum float64
-	for _, b := range all {
-		sum += math.Float64frombits(binary.LittleEndian.Uint64(b))
+// sumAcross sums vals element-wise across devices over the metrics
+// sideband, in rank order from zero, so every device holds the same bits.
+// A peer payload of the wrong length fails the run instead of being read.
+func (w *worker) sumAcross(vals ...float64) ([]float64, error) {
+	want := 8 * len(vals)
+	sum := make([]float64, len(vals))
+	for p, b := range w.dev.RawAllGather(appendF64s(make([]byte, 0, want), vals)) {
+		if len(b) != want {
+			return nil, fmt.Errorf("rank %d: sideband payload from rank %d is %d bytes, want %d", w.dev.Rank(), p, len(b), want)
+		}
+		readF64s(sum, b, true)
 	}
-	return sum
+	return sum, nil
 }
 
 // evalLogits runs the evaluation forward pass: full precision, no dropout,
@@ -516,7 +526,7 @@ func (w *worker) evalLogits() (*tensor.Matrix, error) {
 // score computes accuracy (single-label) or micro-F1 (multi-label) of
 // logits over the masked local rows, aggregated globally. Uncharged
 // (metrics sideband).
-func (w *worker) score(logits *tensor.Matrix, mask []bool) float64 {
+func (w *worker) score(logits *tensor.Matrix, mask []bool) (float64, error) {
 	var counts [3]float64
 	if w.task == synthetic.SingleLabel {
 		for i := 0; i < logits.Rows; i++ {
@@ -548,26 +558,19 @@ func (w *worker) score(logits *tensor.Matrix, mask []bool) float64 {
 			}
 		}
 	}
-	buf := make([]byte, 24)
-	for i, c := range counts {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(c))
-	}
-	all := w.dev.RawAllGather(buf)
-	var tot [3]float64
-	for _, b := range all {
-		for i := range tot {
-			tot[i] += math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-		}
+	tot, err := w.sumAcross(counts[:]...)
+	if err != nil {
+		return 0, err
 	}
 	if w.task == synthetic.SingleLabel {
 		if tot[1] == 0 {
-			return 0
+			return 0, nil
 		}
-		return tot[0] / tot[1]
+		return tot[0] / tot[1], nil
 	}
 	denom := 2*tot[0] + tot[1] + tot[2]
 	if denom == 0 {
-		return 0
+		return 0, nil
 	}
-	return 2 * tot[0] / denom
+	return 2 * tot[0] / denom, nil
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -195,6 +197,44 @@ func (rt *rawCountingRuntime) Run(seed uint64, body func(Transport) error) error
 	return rt.Runtime.Run(seed, func(tr Transport) error {
 		return body(rawCountingTransport{Transport: tr, rt: rt})
 	})
+}
+
+// shortGatherDev cuts one byte off every peer's metrics-sideband payload.
+type shortGatherDev struct{ Transport }
+
+func (d shortGatherDev) RawAllGather(p []byte) [][]byte {
+	all := d.Transport.RawAllGather(p)
+	for src, b := range all {
+		if src != d.Rank() && len(b) > 0 {
+			all[src] = b[:len(b)-1]
+		}
+	}
+	return all
+}
+
+// TestSidebandShortPayloadFailsTheRun: a peer's truncated sideband payload
+// (the loss sum under a plain context, the cancel poll under a cancellable
+// one) fails the run with an error naming the peer instead of crashing the
+// process.
+func TestSidebandShortPayloadFailsTheRun(t *testing.T) {
+	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
+	dep := Deploy(ds, 2, GCN, partition.Block)
+	cfg := confTrainConfig(CodecFP32)
+	cfg.transportFactory = brokenFactory(func(d Transport) Transport { return shortGatherDev{d} })
+	// Every device sees a short payload; whichever fails first is reported.
+	check := func(label string, err error) {
+		t.Helper()
+		if err == nil || !(strings.Contains(err.Error(), "rank 0: sideband payload from rank 1 is 7 bytes, want 8") ||
+			strings.Contains(err.Error(), "rank 1: sideband payload from rank 0 is 7 bytes, want 8")) {
+			t.Errorf("%s: err = %v, want a short sideband payload naming the peer", label, err)
+		}
+	}
+	_, err := TrainDeployed(dep, cfg, nil)
+	check("plain context", err)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err = TrainDeployedCtx(ctx, dep, cfg, nil)
+	check("cancellable context", err)
 }
 
 // TestFinalEvalSharesOneForwardPass pins the evaluation schedule of a run:

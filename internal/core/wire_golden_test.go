@@ -86,7 +86,7 @@ func TestWireGoldenFrames(t *testing.T) {
 	fullRowsAt := func(order []int32) func([]byte) error {
 		return func(p []byte) error {
 			dst := tensor.New(3, 8)
-			if err := bytesToRows(p, dst, order, 0); err != nil {
+			if err := readRows(p, dst, order, false); err != nil {
 				return err
 			}
 			// Full-precision formats are lossless: require bit-exact values.

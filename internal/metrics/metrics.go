@@ -74,7 +74,6 @@ func (b Breakdown) String() string {
 type RunResult struct {
 	Dataset string
 	Model   string
-	Method  string
 	// Codec names the message codec the run used (registry name).
 	Codec string
 	Parts int

@@ -433,7 +433,3 @@ func RowVarianceBound(h []float32, b BitWidth) float64 {
 	s := float64(mx-mn) / float64(b.Levels())
 	return float64(len(h)) * s * s / 6
 }
-
-// FullPrecisionSize returns the bytes for rows×dim float32 (the Vanilla
-// wire size).
-func FullPrecisionSize(rows, dim int) int { return rows * dim * 4 }

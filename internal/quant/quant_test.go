@@ -185,7 +185,7 @@ func TestDequantizeRowsSizeMismatch(t *testing.T) {
 func TestCompressionRatio(t *testing.T) {
 	// Large rows: 2-bit ≈ 16×, 4-bit ≈ 8×, 8-bit ≈ 4× (minus header).
 	ratio := func(b BitWidth) float64 {
-		return float64(FullPrecisionSize(100, 1024)) / float64(WireSize(100, 1024, b))
+		return float64(4*100*1024) / float64(WireSize(100, 1024, b))
 	}
 	r := ratio(B2)
 	if r < 12 || r > 16 {
