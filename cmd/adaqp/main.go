@@ -43,8 +43,7 @@ func main() {
 		codec    = flag.String("codec", "", "message codec override: "+strings.Join(adaqp.Codecs(), ", "))
 		tport    = flag.String("transport", "", "runtime backend: "+strings.Join(adaqp.Transports(), ", "))
 		workers  = flag.Int("workers", 0, "proc-sharded worker process count (0 = 2, clamped to -parts)")
-		overlap  = flag.Bool("overlap", false, "sancus only: start broadcasts split-phase, hiding wire time behind central-graph compute")
-		sockDir  = flag.String("socket-dir", "", "socket directory root for the proc-sharded transport (empty = system temp)")
+		overlap  = flag.Bool("overlap", false, "sancus only: start broadcasts split-phase; the roots' broadcasts are charged as concurrent, and what that hides (compute and other broadcasts) is booked as overlap")
 		parts    = flag.Int("parts", 4, "number of devices")
 		epochs   = flag.Int("epochs", 100, "training epochs")
 		hidden   = flag.Int("hidden", 256, "hidden dimension")
@@ -102,7 +101,7 @@ func main() {
 		Dataset: *dataset, Scale: *scale,
 		Model: *model, Method: *method,
 		Codec: *codec, Transport: *tport,
-		Workers: *workers, Overlap: *overlap, SocketDir: *sockDir,
+		Workers: *workers, Overlap: *overlap,
 		Parts: *parts, Epochs: *epochs, Hidden: *hidden,
 		LR: *lr, Dropout: dropout, Lambda: lambda, EvalEvery: evalEach,
 		GroupSize: *group, ReassignPeriod: *period,

@@ -296,5 +296,5 @@ func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
 	writef("adaqpd_fault_retry_seconds_total", "Simulated seconds spent on fault retries and backoff.", float64(f.RetryTime))
 	write("adaqpd_fault_crashes_total", "counter", "Injected device crashes recovered from checkpoints.", f.Crashes)
 	writef("adaqpd_fault_recovery_seconds_total", "Simulated seconds of crash downtime and recovery.", float64(f.RecoveryTime))
-	writef("adaqpd_overlap_seconds_total", "Simulated seconds compute and collectives ran concurrently (AdaQP/PipeGCN schedules, split-phase overlap).", float64(s.sched.OverlapTotal()))
+	writef("adaqpd_overlap_seconds_total", "Simulated seconds booked as overlap: compute run concurrently with collectives (AdaQP/PipeGCN schedules) and, under sancus split-phase broadcasts, also the wire time of broadcasts charged as concurrent.", float64(s.sched.OverlapTotal()))
 }

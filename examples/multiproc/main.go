@@ -1,10 +1,11 @@
 // Multi-process wire backend demo: the same AdaQP training run on the
 // in-process transport and on proc-sharded, where every codec
 // payload is serialized into a length-prefixed frame and routed through
-// worker OS processes over Unix-domain sockets. The loss curves must be
-// bit-identical — the wire changes where bytes travel, never what they
-// decode to — so the program self-checks parity and exits non-zero on
-// any divergence.
+// worker OS processes, each born holding one end of a Unix-domain socket
+// pair with the parent, so nothing is created on the filesystem. The loss
+// curves must be bit-identical — the wire changes where bytes travel,
+// never what they decode to — so the program self-checks parity and exits
+// non-zero on any divergence.
 //
 //	go run ./examples/multiproc
 package main

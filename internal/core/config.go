@@ -175,20 +175,20 @@ type Config struct {
 	// clamped to the device count. No other built-in transport reads it.
 	TransportWorkers int
 
-	// TransportOverlap is read by the sancus codec alone: it starts each
-	// layer's broadcasts split-phase, runs the central-graph compute
-	// inside the wire window and records the hidden latency under
-	// timing.Overlap instead of charging it to Comm/Idle. Payload routing
-	// is unchanged, so fixed-seed loss curves stay bit-identical to the
-	// blocking schedule; only the simulated clocks improve. AdaQP's and
-	// PipeGCN's overlap is their codec's own schedule and always on; every
-	// other codec ignores the knob. Off by default.
+	// TransportOverlap is read by the sancus codec alone: it starts all of
+	// a layer's broadcasts split-phase, runs the central-graph compute,
+	// then waits on each in turn. Every Wait charges from the common start
+	// (timing.FinishDeferred), so the roots' broadcasts are charged as if
+	// they ran concurrently — the slowest root's wire time, not the sum
+	// the blocking schedule charges — and whatever a Wait finds already
+	// elapsed since that start is recorded under timing.Overlap: the
+	// compute, and the wire time earlier Waits charged. So Overlap is not
+	// only compute hidden behind messages. Payload routing is unchanged,
+	// so fixed-seed loss curves stay bit-identical to the blocking
+	// schedule; only the simulated clocks change. AdaQP's and PipeGCN's
+	// overlap is their codec's own schedule and always on; every other
+	// codec ignores the knob. Off by default.
 	TransportOverlap bool
-
-	// TransportSocketDir roots the per-run Unix-domain socket directories
-	// of socket-backed transports (proc-sharded). Empty uses the system
-	// temp directory; in-memory backends ignore it.
-	TransportSocketDir string
 
 	// transportFactory, when non-nil, builds the run's runtime directly,
 	// bypassing the registry lookup. It is the transport-conformance

@@ -80,11 +80,14 @@ func buildSancusTopology(lgs []*partition.LocalGraph) *sancusTopology {
 // refreshing it with any broadcasts that happened this epoch.
 //
 // When overlap is set the broadcasts run split-phase: all n are started
-// before any is consumed, and layer l's central-graph forward compute is
-// charged inside the open wire window — the paper's
-// computation–communication parallelization — so the wire time each
-// device would have idled through lands under timing.Overlap instead.
-// Payload construction, routing and decode order are identical either
+// before any is consumed, layer l's central-graph forward compute is
+// charged inside the open window, and each Wait charges from the common
+// start (timing.FinishDeferred). So the n roots' broadcasts are charged as
+// concurrent — the slowest one's wire time, not the sum the blocking
+// schedule charges — and what a Wait finds already elapsed lands under
+// timing.Overlap: the central compute (the paper's computation–
+// communication parallelization) and the wire time of the broadcasts
+// waited on before it. Payload construction, routing and decode order are identical either
 // way, so loss curves do not depend on the schedule; the caller charges
 // the remaining Marginal (overlap) or Total (blocking) compute.
 func (c *sancusCodec) exchange(env *ExchangeEnv, epoch, l int, h, xFull *tensor.Matrix, overlap bool) error {

@@ -88,10 +88,9 @@ func TrainDeployedCtx(ctx context.Context, dep *Deployment, cfg Config, model *t
 		runtimeFor = faultFactory(runtimeFor, plan, fstats)
 	}
 	rt := runtimeFor(TransportSpec{
-		Parts:     parts,
-		Model:     model,
-		Workers:   cfg.TransportWorkers,
-		SocketDir: cfg.TransportSocketDir,
+		Parts:   parts,
+		Model:   model,
+		Workers: cfg.TransportWorkers,
 	})
 
 	res := &metrics.RunResult{

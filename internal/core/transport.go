@@ -101,10 +101,6 @@ type TransportSpec struct {
 	// Workers is proc-sharded's worker process count (<= 0 = 2, clamped
 	// to Parts). No other built-in backend reads it.
 	Workers int
-	// SocketDir is where socket-backed backends (TransportProcSharded)
-	// root their per-run Unix-domain socket directories; empty uses the
-	// system temp directory. In-memory backends ignore it.
-	SocketDir string
 }
 
 // RuntimeFactory builds a Runtime for one training run.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"sync"
 
 	"repro/internal/wire"
@@ -11,7 +10,7 @@ import (
 // TransportProcSharded is the multi-process runtime: device bodies (and
 // their simulated clocks) run in the parent process, but every collective
 // payload is serialized into a length-prefixed frame and routed through a
-// fleet of worker OS processes over Unix-domain sockets before its
+// fleet of worker OS processes over Unix-domain socket pairs before its
 // receiver may consume it. The fleet is a star: rank r's outgoing frames go
 // to worker r mod W, which sends them straight back to the parent, and
 // workers never talk to each other — so codec wire formats, not pointers,
@@ -21,13 +20,13 @@ import (
 // as one vectored write; package wire documents the data path behind it.
 //
 // Process model: the backend re-executes its own binary (wire.MaybeWorker
-// is the worker entry point, armed by environment variables) once per
-// Run, and reaps the fleet before Run returns — gracefully via a
-// shutdown/stats handshake when the run ends or is canceled, by kill when
-// the wire itself broke. TransportSpec.Workers is the worker process
-// count (default 2, clamped to the device count); TransportSpec.SocketDir
-// is where the per-run socket directory is created (default the system
-// temp directory).
+// is the worker entry point, armed by an environment variable) once per
+// Run, each worker born holding its end of a socket pair with the parent,
+// so a Run creates nothing on the filesystem. It reaps the fleet before
+// Run returns — gracefully via a shutdown/stats handshake when the run
+// ends or is canceled, by kill when the wire itself broke.
+// TransportSpec.Workers is the worker process count (default 2, clamped to
+// the device count).
 //
 // Time model: the engine in collective.go, as on inprocess — every
 // collective's coordination record (arrival clocks, payload sizes) stays in
@@ -49,7 +48,7 @@ func newProcRuntime(spec TransportSpec) Runtime {
 	if workers <= 0 {
 		workers = 2
 	}
-	fleet := &procFleet{workers: min(workers, n), socketBase: spec.SocketDir}
+	fleet := &procFleet{workers: min(workers, n)}
 	return &procRuntime{engine: newEngine(spec, fleet), s: fleet}
 }
 
@@ -74,40 +73,24 @@ func (r *procRuntime) WireStats() wire.PoolStats {
 // procFleet is the frame delivery: one worker fleet per Run, every payload
 // a wire.Frame whose freshly-read copy the receiver owns outright.
 type procFleet struct {
-	workers    int
-	socketBase string
+	workers int
 
 	pool *wire.Pool // set between start and stop
-	dir  string
 
 	mu    sync.Mutex
 	stats wire.PoolStats // accumulated across Runs
 }
 
-// start brings up a fresh worker fleet in a new socket directory.
+// start brings up a fresh worker fleet.
 func (f *procFleet) start(deliver func(parcel), fail func(error)) error {
-	var dir string
-	var err error
-	if f.socketBase == "" {
-		dir, err = os.MkdirTemp("", "adaqp-wire-")
-	} else {
-		if err := os.MkdirAll(f.socketBase, 0o755); err != nil {
-			return fmt.Errorf("core: proc-sharded socket dir: %w", err)
-		}
-		dir, err = os.MkdirTemp(f.socketBase, "run-")
-	}
-	if err != nil {
-		return fmt.Errorf("core: proc-sharded socket dir: %w", err)
-	}
 	onData := func(fr wire.Frame) {
 		deliver(parcel{frameKey{int(fr.Seq), int(fr.Src), int(fr.Dst)}, fr.Payload})
 	}
-	pool, err := wire.StartPool(dir, f.workers, onData, fail)
+	pool, err := wire.StartPool("", f.workers, onData, fail)
 	if err != nil {
-		os.RemoveAll(dir)
 		return err
 	}
-	f.pool, f.dir = pool, dir
+	f.pool = pool
 	return nil
 }
 
@@ -126,13 +109,11 @@ func (f *procFleet) send(post []parcel) error {
 	return f.pool.SendPost(frames)
 }
 
-// stop reaps the worker fleet and removes the socket directory. A healthy
-// or body-aborted run shuts down gracefully (collecting worker stats); a
-// broken wire is killed outright.
+// stop reaps the worker fleet. A healthy or body-aborted run shuts down
+// gracefully (collecting worker stats); a broken wire is killed outright.
 func (f *procFleet) stop(broken bool) error {
-	pool, dir := f.pool, f.dir
-	f.pool, f.dir = nil, ""
-	defer os.RemoveAll(dir)
+	pool := f.pool
+	f.pool = nil
 	if broken {
 		pool.Kill()
 		return nil

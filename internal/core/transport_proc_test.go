@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/synthetic"
@@ -293,13 +290,12 @@ func TestProcTrainingSerializesPayloads(t *testing.T) {
 }
 
 // TestProcAbortReapsWorkers kills a run from inside a device body and
-// checks the abort path: the error surfaces, the worker fleet and socket
-// directory are fully reaped, and the same runtime can immediately start
-// a fresh, fully-functional fleet.
+// checks the abort path: the error surfaces, the worker fleet is fully
+// reaped, and the same runtime can immediately start a fresh,
+// fully-functional fleet.
 func TestProcAbortReapsWorkers(t *testing.T) {
-	base := t.TempDir()
 	const n, workers = 3, 2
-	rt := newProcRuntime(TransportSpec{Parts: n, Workers: workers, SocketDir: base}).(*procRuntime)
+	rt := newProcRuntime(TransportSpec{Parts: n, Workers: workers}).(*procRuntime)
 
 	boom := errors.New("device body failed")
 	err := rt.Run(3, func(tr Transport) error {
@@ -315,10 +311,9 @@ func TestProcAbortReapsWorkers(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("Run error = %v, want the device body's error", err)
 	}
-	if rt.s.pool != nil || rt.s.dir != "" {
-		t.Fatal("aborted run left the worker pool or socket dir attached")
+	if rt.s.pool != nil {
+		t.Fatal("aborted run left the worker pool attached")
 	}
-	assertNoRunDirs(t, base)
 	// A body abort (the cancel path) still shuts the fleet down
 	// gracefully: every worker is interviewed for its stats report before
 	// being reaped. Only a broken wire skips the interview.
@@ -342,46 +337,4 @@ func TestProcAbortReapsWorkers(t *testing.T) {
 		t.Fatal("recovery run moved no frames")
 	}
 	checkWireConservation(t, stats, workers)
-	assertNoRunDirs(t, base)
-}
-
-// TestProcSocketDirKnob pins the SocketDir contract: sockets live in a
-// fresh run-* directory under the configured base while the run executes,
-// and the directory is removed when the run ends.
-func TestProcSocketDirKnob(t *testing.T) {
-	base := t.TempDir()
-	const n, workers = 2, 2
-	rt := newProcRuntime(TransportSpec{Parts: n, Workers: workers, SocketDir: base}).(*procRuntime)
-
-	err := rt.Run(5, func(tr Transport) error {
-		tr.Barrier()
-		if tr.Rank() == 0 {
-			runs, err := filepath.Glob(filepath.Join(base, "run-*"))
-			if err != nil || len(runs) != 1 {
-				return fmt.Errorf("want exactly one run-* dir under %s during the run, got %v (%v)", base, runs, err)
-			}
-			for i := 0; i < workers; i++ {
-				sock := wire.SocketPath(runs[0], i)
-				if _, err := os.Stat(sock); err != nil {
-					return fmt.Errorf("worker socket missing mid-run: %v", err)
-				}
-				if !strings.HasPrefix(sock, base) {
-					return fmt.Errorf("socket %s escaped the configured base %s", sock, base)
-				}
-			}
-		}
-		tr.Barrier()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertNoRunDirs(t, base)
-}
-
-func assertNoRunDirs(t *testing.T, base string) {
-	t.Helper()
-	if runs, _ := filepath.Glob(filepath.Join(base, "run-*")); len(runs) != 0 {
-		t.Fatalf("socket run dirs leaked after the run ended: %v", runs)
-	}
 }

@@ -1,7 +1,8 @@
 // Package wire is the process plumbing behind the proc-sharded transport
 // backend: a length-prefixed binary frame format plus the parent/worker
 // machinery that moves those frames between OS processes over Unix-domain
-// sockets. The parent process runs the simulated devices and their clocks;
+// socket pairs, one per worker, each handed to its worker at spawn. The
+// parent process runs the simulated devices and their clocks;
 // every collective payload is serialized into a frame, shipped to the
 // worker process owning the source rank's shard and sent straight back to
 // the parent by that worker, which delivers it to the destination rank — so
@@ -14,7 +15,7 @@
 //	offset  size  field
 //	0       4     length of the rest of the frame (header + payload)
 //	4       1     format version (currently 1)
-//	5       1     op (OpHello, OpReady, OpData, OpShutdown, OpStats)
+//	5       1     op (OpReady, OpData, OpShutdown, OpStats)
 //	6       4     seq — collective sequence number
 //	10      2     src rank
 //	12      2     dst rank
@@ -60,21 +61,20 @@ const (
 	MaxPayload = 1 << 28
 )
 
-// Frame ops. OpHello opens the parent's connection to a worker (Src is
-// ParentID). OpReady is a worker's startup acknowledgment to the parent.
+// Frame ops. OpReady is a worker's startup acknowledgment to the parent.
 // OpData carries one collective payload from Src to Dst. OpShutdown asks a
 // worker to stop; it answers with OpStats (its data-plane accounting) and
-// exits.
+// exits. Op 1 (a retired hello) and 0 are invalid.
 const (
-	OpHello byte = iota + 1
-	OpReady
+	OpReady byte = iota + 2
 	OpData
 	OpShutdown
 	OpStats
 )
 
-// ParentID marks the parent process in an OpHello Src field. Device ranks
-// are uint16, so a runtime may have at most ParentID devices.
+// ParentID is the Src of the frames the parent itself originates
+// (OpShutdown). Device ranks are uint16, so a runtime may have at most
+// ParentID devices.
 const ParentID = 0xFFFF
 
 // Frame is one decoded wire frame.
@@ -137,7 +137,7 @@ func parseHeader(h []byte) (Frame, error) {
 		return Frame{}, fmt.Errorf("%w: %d", ErrBadVersion, h[0])
 	}
 	op := h[1]
-	if op < OpHello || op > OpStats {
+	if op < OpReady || op > OpStats {
 		return Frame{}, fmt.Errorf("%w: %d", ErrBadOp, op)
 	}
 	return Frame{

@@ -10,7 +10,6 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	cases := []Frame{
-		{Op: OpHello, Src: ParentID},
 		{Op: OpReady, Src: 3},
 		{Op: OpData, Seq: 0, Src: 0, Dst: 1},
 		{Op: OpData, Seq: 42, Src: 7, Dst: 2, Payload: []byte("quantized rows")},
@@ -84,6 +83,10 @@ func TestFrameDecodeErrors(t *testing.T) {
 	badVersion[4] = 99
 	badOp := append([]byte(nil), valid...)
 	badOp[5] = 0
+	// Op 1 opened the parent's connection when workers were dialed; they
+	// inherit it now, and the byte is invalid.
+	retiredHello := append([]byte(nil), valid...)
+	retiredHello[5] = 1
 
 	cases := []struct {
 		name string
@@ -98,6 +101,7 @@ func TestFrameDecodeErrors(t *testing.T) {
 		{"oversized length", oversized, ErrFrameTooLarge},
 		{"bad version", badVersion, ErrBadVersion},
 		{"bad op", badOp, ErrBadOp},
+		{"retired hello op", retiredHello, ErrBadOp},
 	}
 	for _, tc := range cases {
 		if _, _, err := ParseFrame(tc.in); !errors.Is(err, tc.want) {

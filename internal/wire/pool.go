@@ -12,6 +12,15 @@ import (
 	"time"
 )
 
+const (
+	// startTimeout bounds how long StartPool waits for a worker's ready
+	// acknowledgment; it only matters when a process failed to come up.
+	startTimeout = 10 * time.Second
+	// reapTimeout bounds how long Shutdown waits for a worker to
+	// acknowledge and exit before killing it.
+	reapTimeout = 5 * time.Second
+)
+
 // PoolStats aggregates one pool lifetime's data-plane accounting: the
 // parent's own counters plus every worker's OpStats report. All byte
 // counts are framed sizes of OpData frames.
@@ -65,11 +74,12 @@ func (pp *poolProc) acknowledge() error {
 }
 
 // Pool is the hub of a worker fleet: it re-executes the current binary
-// into worker processes, connects to each over its Unix socket, and sends
-// every data frame to the worker owning its source rank's shard, which
-// sends it straight back. Delivered frames arrive on the onData callback
-// from internal reader goroutines, one per worker; onError reports a
-// broken fleet (a dead worker or socket) outside any send call.
+// into worker processes, each born holding one end of its own socket pair
+// with the parent, and sends every data frame to the worker owning its
+// source rank's shard, which sends it straight back. Delivered frames
+// arrive on the onData callback from internal reader goroutines, one per
+// worker; onError reports a broken fleet (a dead worker or socket) outside
+// any send call.
 type Pool struct {
 	workers int
 	procs   []*poolProc
@@ -87,10 +97,13 @@ type Pool struct {
 	statsOK []bool
 }
 
-// StartPool spawns workers worker processes rooted at dir and blocks
-// until every one acknowledged readiness. onData receives every delivered
-// data frame (payload freshly allocated, caller-owned); both callbacks
-// may be invoked from internal goroutines.
+// StartPool spawns workers worker processes and blocks until every one
+// acknowledged readiness. Each worker inherits its connection at spawn, so
+// nothing is created on the filesystem: dir is ignored, and stays only for
+// callers that still pass one. onData receives every delivered data frame
+// (payload freshly allocated, caller-owned); both callbacks may be invoked
+// from internal goroutines. On systems without Unix-domain socket pairs it
+// returns an error.
 func StartPool(dir string, workers int, onData func(Frame), onError func(error)) (*Pool, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("wire: pool needs at least one worker, got %d", workers)
@@ -108,33 +121,22 @@ func StartPool(dir string, workers int, onData func(Frame), onError func(error))
 	}
 	for i := 0; i < workers; i++ {
 		cmd := exec.Command(exe)
-		cmd.Env = append(os.Environ(), envWorker+"="+strconv.Itoa(i), envDir+"="+dir)
+		cmd.Env = append(os.Environ(), envWorker+"="+strconv.Itoa(i))
 		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
+		c, err := spawn(cmd)
+		if err != nil {
 			p.Kill()
 			return nil, fmt.Errorf("wire: start worker %d: %w", i, err)
 		}
-		pp := &poolProc{cmd: cmd, ready: make(chan struct{}), waitDone: make(chan struct{})}
+		pp := &poolProc{cmd: cmd, conn: &conn{c: c}, ready: make(chan struct{}), waitDone: make(chan struct{})}
 		p.procs = append(p.procs, pp)
-		go func(i int, pp *poolProc) {
+		go func() {
 			pp.waitErr = pp.cmd.Wait()
 			close(pp.waitDone)
 			if !p.shuttingDown.Load() {
 				p.fail(fmt.Errorf("wire: worker %d exited mid-run: %v", i, pp.waitErr))
 			}
-		}(i, pp)
-	}
-	for i, pp := range p.procs {
-		c, err := dialRetry(SocketPath(dir, i), dialTimeout)
-		if err != nil {
-			p.Kill()
-			return nil, fmt.Errorf("wire: dial worker %d (is wire.MaybeWorker wired into this binary's main/TestMain?): %w", i, err)
-		}
-		pp.conn = &conn{c: c}
-		if _, err := pp.conn.writeFrames(Frame{Op: OpHello, Src: ParentID}); err != nil {
-			p.Kill()
-			return nil, fmt.Errorf("wire: hello to worker %d: %w", i, err)
-		}
+		}()
 		p.readers.Add(1)
 		go p.readLoop(i, pp)
 	}
@@ -143,10 +145,10 @@ func StartPool(dir string, workers int, onData func(Frame), onError func(error))
 		case <-pp.ready:
 		case <-pp.waitDone:
 			p.Kill()
-			return nil, fmt.Errorf("wire: worker %d exited before ready: %v", i, pp.waitErr)
-		case <-time.After(dialTimeout):
+			return nil, fmt.Errorf("wire: worker %d exited before ready (is wire.MaybeWorker wired into this binary's main/TestMain?): %v", i, pp.waitErr)
+		case <-time.After(startTimeout):
 			p.Kill()
-			return nil, fmt.Errorf("wire: worker %d never reported ready", i)
+			return nil, fmt.Errorf("wire: worker %d never reported ready (is wire.MaybeWorker wired into this binary's main/TestMain?)", i)
 		}
 	}
 	return p, nil
@@ -294,12 +296,8 @@ func (p *Pool) Shutdown() (PoolStats, error) {
 func (p *Pool) Kill() {
 	p.shuttingDown.Store(true)
 	for _, pp := range p.procs {
-		if pp.cmd.Process != nil {
-			pp.cmd.Process.Kill()
-		}
-		if pp.conn != nil {
-			pp.conn.c.Close()
-		}
+		pp.cmd.Process.Kill()
+		pp.conn.c.Close()
 	}
 	for _, pp := range p.procs {
 		select {

@@ -53,8 +53,8 @@ func (c *collector) waitFor(t *testing.T, n int) []Frame {
 	}
 }
 
-// TestPoolRoundTrip spawns a real two-worker fleet (re-exec over Unix
-// sockets), sends frames between four ranks — same-shard, cross-shard, and
+// TestPoolRoundTrip spawns a real two-worker fleet (re-exec, each worker
+// holding one end of a Unix-domain socket pair), sends frames between four ranks — same-shard, cross-shard, and
 // self-addressed — and checks that every payload comes back intact, that
 // each worker echoed exactly the frames of its source shard, and that the
 // shutdown stats reports obey the pool's conservation invariants.
@@ -62,7 +62,7 @@ func TestPoolRoundTrip(t *testing.T) {
 	const workers = 2
 	col := newCollector()
 	errc := make(chan error, 8)
-	pool, err := StartPool(t.TempDir(), workers, col.onData, func(err error) { errc <- err })
+	pool, err := StartPool("", workers, col.onData, func(err error) { errc <- err })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestPoolMixedPost(t *testing.T) {
 	const workers, ranks = 2, 8
 	col := newCollector()
 	errc := make(chan error, 8)
-	pool, err := StartPool(t.TempDir(), workers, col.onData, func(err error) { errc <- err })
+	pool, err := StartPool("", workers, col.onData, func(err error) { errc <- err })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestPoolShutdownRightAfterPost(t *testing.T) {
 	}
 	for i := 0; i < iterations; i++ {
 		var delivered atomic.Uint64
-		pool, err := StartPool(t.TempDir(), workers, func(Frame) { delivered.Add(1) }, func(err error) { t.Errorf("iteration %d: %v", i, err) })
+		pool, err := StartPool("", workers, func(Frame) { delivered.Add(1) }, func(err error) { t.Errorf("iteration %d: %v", i, err) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,7 +344,7 @@ func TestPoolRejectsAnotherShardsFrame(t *testing.T) {
 func BenchmarkPoolForward(b *testing.B) {
 	const workers, ranks, size = 2, 8, 9 << 10
 	delivered := make(chan struct{}, ranks) // a post's deliveries never block the reader
-	pool, err := StartPool(b.TempDir(), workers, func(Frame) { delivered <- struct{}{} }, func(err error) { b.Error(err) })
+	pool, err := StartPool("", workers, func(Frame) { delivered <- struct{}{} }, func(err error) { b.Error(err) })
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func BenchmarkPoolForward(b *testing.B) {
 // callback from the forced teardown.
 func TestPoolKill(t *testing.T) {
 	errc := make(chan error, 8)
-	pool, err := StartPool(t.TempDir(), 2, func(Frame) {}, func(err error) { errc <- err })
+	pool, err := StartPool("", 2, func(Frame) {}, func(err error) { errc <- err })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,6 +394,86 @@ func TestPoolKill(t *testing.T) {
 	select {
 	case err := <-errc:
 		t.Fatalf("Kill leaked an error callback: %v", err)
+	default:
+	}
+}
+
+// TestPoolWorkerKilled: SIGKILL of worker 0 in a live two-worker fleet is
+// reported through onError twice, each time naming worker 0 — by its exit,
+// and by its connection's EOF, which arrives only if no sibling holds a
+// copy of the dead worker's end. Kill then reaps both processes, and a
+// fresh pool works.
+func TestPoolWorkerKilled(t *testing.T) {
+	errc := make(chan error, 8)
+	pool, err := StartPool("", 2, func(Frame) {}, func(err error) { errc <- err })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.procs[0].cmd.Process.Kill(); err != nil {
+		pool.Kill()
+		t.Fatal(err)
+	}
+	var exited, broken bool
+	for !exited || !broken {
+		select {
+		case err := <-errc:
+			msg := err.Error()
+			if !strings.Contains(msg, "worker 0") {
+				t.Errorf("onError got %v, want an error naming worker 0", err)
+			}
+			exited = exited || strings.Contains(msg, "exited mid-run")
+			broken = broken || strings.Contains(msg, "connection")
+		case <-time.After(startTimeout):
+			pool.Kill()
+			t.Fatalf("after SIGKILL of worker 0: exit reported %v, connection error reported %v", exited, broken)
+		}
+	}
+	pool.Kill()
+	for i, pp := range pool.procs {
+		select {
+		case <-pp.waitDone:
+		default:
+			t.Errorf("worker %d not reaped when Kill returned", i)
+		}
+	}
+
+	col := newCollector()
+	fresh, err := StartPool("", 2, col.onData, func(err error) { t.Errorf("fresh pool: %v", err) })
+	if err != nil {
+		t.Fatalf("fresh pool after a worker death: %v", err)
+	}
+	defer fresh.Kill()
+	f := Frame{Op: OpData, Seq: 1, Src: 1, Dst: 0, Payload: []byte("after the death")}
+	if err := fresh.Send(f); err != nil {
+		t.Fatal(err)
+	}
+	checkFrame(t, 0, col.waitFor(t, 1)[0], f)
+	stats, err := fresh.Shutdown()
+	if err != nil {
+		t.Fatalf("fresh pool shutdown: %v", err)
+	}
+	checkConservation(t, stats, 2)
+}
+
+// TestPoolOrphanedWorkerExits: a worker whose parent lets go of its end of
+// the pair — no Kill, no OpShutdown — reads EOF and exits on its own while
+// its sibling lives on. Had the sibling inherited a copy of that end, the
+// EOF would never arrive.
+func TestPoolOrphanedWorkerExits(t *testing.T) {
+	pool, err := StartPool("", 2, func(Frame) {}, func(error) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Kill()
+	pool.procs[0].conn.c.Close()
+	select {
+	case <-pool.procs[0].waitDone:
+	case <-time.After(startTimeout):
+		t.Fatal("worker 0 outlived its connection to the parent")
+	}
+	select {
+	case <-pool.procs[1].waitDone:
+		t.Fatalf("worker 1 exited with its sibling: %v", pool.procs[1].waitErr)
 	default:
 	}
 }

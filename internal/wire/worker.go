@@ -1,41 +1,24 @@
 package wire
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"os"
-	"path/filepath"
 	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
-	"time"
 )
 
 // The proc-sharded backend re-executes its own binary to get worker
-// processes; this environment pair is the re-exec mode marker. Env vars
-// rather than argv flags so any host binary — CLIs, daemons, `go test`
-// binaries with their own flag sets — can enter worker mode without
-// fighting its flag parser.
-const (
-	envWorker = "ADAQP_WIRE_WORKER"
-	envDir    = "ADAQP_WIRE_DIR"
-)
+// processes; this environment variable is the re-exec mode marker and
+// carries the worker's index. An env var rather than an argv flag so any
+// host binary — CLIs, daemons, `go test` binaries with their own flag
+// sets — can enter worker mode without fighting its flag parser.
+const envWorker = "ADAQP_WIRE_WORKER"
 
-const (
-	// dialTimeout bounds socket dials and startup handshakes; it only
-	// matters when a process failed to come up at all.
-	dialTimeout = 10 * time.Second
-	// reapTimeout bounds how long Shutdown waits for a worker to
-	// acknowledge and exit before killing it.
-	reapTimeout = 5 * time.Second
-)
-
-// SocketPath is worker index's listening socket inside dir.
-func SocketPath(dir string, index int) string {
-	return filepath.Join(dir, fmt.Sprintf("w%d.sock", index))
-}
+// parentFD is the descriptor a worker inherits its end of the parent's
+// socket pair as: the first of exec.Cmd.ExtraFiles.
+const parentFD = 3
 
 // MaybeWorker turns the current process into a wire worker when the
 // re-exec environment is present, and never returns in that case. Every
@@ -50,16 +33,29 @@ func MaybeWorker() {
 		return
 	}
 	index, err := strconv.Atoi(v)
-	dir := os.Getenv(envDir)
-	if err != nil || dir == "" || index < 0 {
-		fmt.Fprintf(os.Stderr, "wire worker: bad re-exec environment %s=%q %s=%q\n", envWorker, v, envDir, dir)
+	if err != nil || index < 0 {
+		fmt.Fprintf(os.Stderr, "wire worker: bad re-exec environment %s=%q\n", envWorker, v)
 		os.Exit(2)
 	}
-	if err := runWorker(dir, index); err != nil {
+	if err := runWorker(index); err != nil {
 		fmt.Fprintf(os.Stderr, "wire worker %d: %v\n", index, err)
 		os.Exit(1)
 	}
 	os.Exit(0)
+}
+
+// runWorker serves the parent on the connection this process inherited.
+// Nothing else holds the parent's end, so a parent that dies or closes it
+// ends the worker with a read error: a worker never outlives its parent.
+func runWorker(index int) error {
+	f := os.NewFile(parentFD, "wire-parent")
+	c, err := net.FileConn(f)
+	f.Close()
+	if err != nil {
+		return fmt.Errorf("inherited parent socket (fd %d): %w", parentFD, err)
+	}
+	defer c.Close()
+	return parentLoop(c, index)
 }
 
 // conn is the parent's end of one worker's socket, with a write lock so
@@ -97,22 +93,8 @@ func (wc *conn) writeFrames(frames ...Frame) (int, error) {
 	return size, err
 }
 
-func dialRetry(path string, timeout time.Duration) (net.Conn, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		c, err := net.Dial("unix", path)
-		if err == nil {
-			return c, nil
-		}
-		if time.Now().After(deadline) {
-			return nil, err
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// workerState is one worker process: the far end of one spoke of the star.
-// Its only data connection is the parent's, and every data frame the parent
+// parentLoop is one worker process: the far end of one spoke of the star.
+// Its only connection is the parent's, and every data frame the parent
 // sends it goes straight back on that connection, byte for byte and in
 // order. Workers never talk to each other.
 //
@@ -120,84 +102,14 @@ func dialRetry(path string, timeout time.Duration) (net.Conn, error) {
 // brought in sit back to back in it and leave in one write the moment the
 // input holds no further complete frame — never on a timer, never held
 // across a blocking read, never copied.
-type workerState struct {
-	index int
-
-	claimed   atomic.Bool   // a connection has identified itself as the parent
-	parentSet chan struct{} // closed once one did
-	result    chan error    // first terminal outcome (nil = clean shutdown)
-}
-
-func newWorkerState(index int) *workerState {
-	return &workerState{
-		index:     index,
-		parentSet: make(chan struct{}),
-		result:    make(chan error, 1),
-	}
-}
-
-func runWorker(dir string, index int) error {
-	l, err := net.Listen("unix", SocketPath(dir, index))
-	if err != nil {
-		return err
-	}
-	defer l.Close()
-
-	w := newWorkerState(index)
-	go w.acceptLoop(l)
-
-	// A parent that never dials is gone: do not outlive it.
-	select {
-	case <-w.parentSet:
-	case err := <-w.result:
-		return err
-	case <-time.After(dialTimeout):
-		return errors.New("parent connection never arrived")
-	}
-	return <-w.result
-}
-
-func (w *workerState) fail(err error) {
-	select {
-	case w.result <- err:
-	default:
-	}
-}
-
-func (w *workerState) acceptLoop(l net.Listener) {
-	for {
-		c, err := l.Accept()
-		if err != nil {
-			// After a clean shutdown this is the listener closing, and the
-			// outcome is already decided.
-			w.fail(fmt.Errorf("accept: %w", err))
-			return
-		}
-		go w.handleConn(c)
-	}
-}
-
-// handleConn serves a freshly accepted connection if its hello frame is the
-// parent's. There is one parent: any other connection, and a second one
-// claiming to be the parent, is a protocol error and is dropped.
-func (w *workerState) handleConn(c net.Conn) {
-	fr := newFrameReader(c)
-	hello, err := fr.next()
-	if err != nil || hello.Op != OpHello || hello.Src != ParentID || !w.claimed.CompareAndSwap(false, true) {
-		c.Close()
-		return
-	}
-	close(w.parentSet)
-	w.fail(w.parentLoop(c, fr))
-}
-
-// parentLoop acknowledges readiness, then echoes the parent's data frames
-// until OpShutdown, which it answers with the worker's OpStats. It is the
-// only writer to the parent.
-func (w *workerState) parentLoop(c net.Conn, fr *frameReader) error {
-	if _, err := c.Write(AppendFrame(nil, Frame{Op: OpReady, Src: uint16(w.index)})); err != nil {
+//
+// It acknowledges readiness, then echoes the parent's data frames until
+// OpShutdown, which it answers with the worker's OpStats.
+func parentLoop(c net.Conn, index int) error {
+	if _, err := c.Write(AppendFrame(nil, Frame{Op: OpReady, Src: uint16(index)})); err != nil {
 		return fmt.Errorf("ready ack: %w", err)
 	}
+	fr := newFrameReader(c)
 	var s Stats
 	held := 0 // framed bytes of data frames read and not yet echoed
 	for {
@@ -221,7 +133,7 @@ func (w *workerState) parentLoop(c net.Conn, fr *frameReader) error {
 				_, err = c.Write(fr.consumed(held + size)[:held])
 			}
 			if err == nil {
-				_, err = c.Write(AppendFrame(nil, Frame{Op: OpStats, Src: uint16(w.index), Payload: appendStats(nil, s)}))
+				_, err = c.Write(AppendFrame(nil, Frame{Op: OpStats, Src: uint16(index), Payload: appendStats(nil, s)}))
 			}
 			return err
 		default:

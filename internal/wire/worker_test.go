@@ -9,42 +9,25 @@ import (
 	"time"
 )
 
-// The tests below run a workerState in this process, without a process or
-// a socket: every connection is a net.Pipe and the test plays the parent.
-// net.Pipe is unbuffered — a Write returns once the other side has read
-// every byte — so what a worker holds and what it has let go is observable
-// exactly.
+// The tests below run a worker's parentLoop in this process, without a
+// process or a socket pair: its connection is a net.Pipe and the test plays
+// the parent. net.Pipe is unbuffered — a Write returns once the other side
+// has read every byte — so what a worker holds and what it has let go is
+// observable exactly.
 
-// dialParent connects to w as its parent, takes the ready acknowledgment,
-// and returns the parent's end.
-func dialParent(t *testing.T, w *workerState) net.Conn {
-	t.Helper()
-	parent := dialPipe(t, w, Frame{Op: OpHello, Src: ParentID})
-	if f := readFrameWithin(t, parent); f.Op != OpReady || f.Src != uint16(w.index) {
-		t.Fatalf("worker %d opened with %+v, want its ready acknowledgment", w.index, f)
-	}
-	return parent
-}
-
-// dialPipe connects to w, sends hello, and returns the caller's end.
-func dialPipe(t *testing.T, w *workerState, hello Frame) net.Conn {
+// startWorker serves worker index's loop on one end of a pipe, as a worker
+// process serves its inherited socket, takes the ready acknowledgment, and
+// returns the parent's end and the loop's outcome.
+func startWorker(t *testing.T, index int) (net.Conn, <-chan error) {
 	t.Helper()
 	ours, theirs := net.Pipe()
 	t.Cleanup(func() { ours.Close(); theirs.Close() })
-	go w.handleConn(theirs)
-	if _, err := ours.Write(AppendFrame(nil, hello)); err != nil {
-		t.Fatal(err)
+	result := make(chan error, 1)
+	go func() { result <- parentLoop(theirs, index) }()
+	if f := readFrameWithin(t, ours); f.Op != OpReady || f.Src != uint16(index) {
+		t.Fatalf("worker %d opened with %+v, want its ready acknowledgment", index, f)
 	}
-	return ours
-}
-
-// expectClosed fails unless the worker closed c without writing to it.
-func expectClosed(t *testing.T, c net.Conn, what string) {
-	t.Helper()
-	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := c.Read(make([]byte, 1)); err != io.EOF {
-		t.Fatalf("%s: read ended with %v, want io.EOF (closed by the worker)", what, err)
-	}
+	return ours, result
 }
 
 // readFrameWithin reads one frame from c or fails the test after five seconds:
@@ -84,7 +67,7 @@ func echo(t *testing.T, parent net.Conn, wire, back []byte) {
 // entered. Exact counts hold in normal builds only; under -race the body
 // still runs, for the detector's benefit.
 func TestWorkerForwardSteadyStateAllocs(t *testing.T) {
-	parent := dialParent(t, newWorkerState(0))
+	parent, _ := startWorker(t, 0)
 	payload := bytes.Repeat([]byte{0x5A}, 9<<10)
 	sameShard := AppendFrame(nil, Frame{Op: OpData, Seq: 1, Src: 0, Dst: 2, Payload: payload})
 	crossShard := AppendFrame(nil, Frame{Op: OpData, Seq: 2, Src: 0, Dst: 1, Payload: payload})
@@ -103,7 +86,7 @@ func TestWorkerForwardSteadyStateAllocs(t *testing.T) {
 // read blocks — the echo rule is "no further complete frame buffered", not
 // "input drained".
 func TestWorkerHoldsNothingAcrossBlockingRead(t *testing.T) {
-	parent := dialParent(t, newWorkerState(0))
+	parent, _ := startWorker(t, 0)
 	for _, dst := range []uint16{2, 1} { // a rank of the worker's own shard, then another worker's
 		first := Frame{Op: OpData, Seq: 5, Src: 0, Dst: dst, Payload: []byte("whole")}
 		second := AppendFrame(nil, Frame{Op: OpData, Seq: 6, Src: 0, Dst: dst, Payload: []byte("torn in two")})
@@ -126,7 +109,7 @@ func TestWorkerHoldsNothingAcrossBlockingRead(t *testing.T) {
 // a reader at most one write per Read, so a run that came back through a
 // single Read left the worker as a single write.
 func TestWorkerEchoesARunInOneWrite(t *testing.T) {
-	parent := dialParent(t, newWorkerState(1))
+	parent, _ := startWorker(t, 1)
 	var run []byte
 	for seq, size := range []int{0, 1, 1000, 100} {
 		run = AppendFrame(run, Frame{Op: OpData, Seq: uint32(seq), Src: 1, Dst: uint16(seq), Payload: bytes.Repeat([]byte{byte(seq + 1)}, size)})
@@ -149,8 +132,7 @@ func TestWorkerEchoesARunInOneWrite(t *testing.T) {
 // shutdown itself must put the held frames on the wire before the stats
 // report — which counts them.
 func TestWorkerShutdownFlushesBeforeStats(t *testing.T) {
-	w := newWorkerState(0)
-	parent := dialParent(t, w)
+	parent, result := startWorker(t, 0)
 	var in []byte
 	var want uint64
 	for seq := uint32(0); seq < 3; seq++ {
@@ -178,53 +160,22 @@ func TestWorkerShutdownFlushesBeforeStats(t *testing.T) {
 	if stats != (Stats{Frames: 3, Bytes: want}) {
 		t.Errorf("stats %+v, want %d bytes in 3 frames", stats, want)
 	}
-	if err := <-w.result; err != nil {
+	if err := <-result; err != nil {
 		t.Errorf("worker ended with %v after a clean shutdown", err)
 	}
-}
-
-// TestWorkerSecondParentHelloIsDropped: a second connection claiming to be
-// the parent is a protocol error. It is closed, and the worker goes on
-// serving the real parent.
-func TestWorkerSecondParentHelloIsDropped(t *testing.T) {
-	w := newWorkerState(0)
-	parent := dialParent(t, w)
-	expectClosed(t, dialPipe(t, w, Frame{Op: OpHello, Src: ParentID}), "second parent connection")
-	f := Frame{Op: OpData, Seq: 1, Payload: []byte("still echoing")}
-	if _, err := parent.Write(AppendFrame(nil, f)); err != nil {
-		t.Fatal(err)
-	}
-	checkFrame(t, 0, readFrameWithin(t, parent), f)
-}
-
-// TestWorkerServesOnlyTheParent: workers have no peers. A connection that
-// introduces itself as another worker, or opens with anything but a hello,
-// is closed, and neither takes the parent's place: the parent that comes
-// after is served.
-func TestWorkerServesOnlyTheParent(t *testing.T) {
-	w := newWorkerState(0)
-	expectClosed(t, dialPipe(t, w, Frame{Op: OpHello, Src: 1}), "hello from a worker")
-	expectClosed(t, dialPipe(t, w, Frame{Op: OpData, Src: ParentID, Payload: []byte("no hello")}), "data before hello")
-	parent := dialParent(t, w)
-	f := Frame{Op: OpData, Seq: 9, Src: 3, Dst: 4, Payload: []byte("served")}
-	if _, err := parent.Write(AppendFrame(nil, f)); err != nil {
-		t.Fatal(err)
-	}
-	checkFrame(t, 0, readFrameWithin(t, parent), f)
 }
 
 // TestWorkerRejectsUnexpectedOp: the parent sends data frames and one
 // OpShutdown, nothing else. Any other op on its connection ends the worker
 // with an error — never a silent drop, and never an echo.
 func TestWorkerRejectsUnexpectedOp(t *testing.T) {
-	for _, op := range []byte{OpHello, OpReady, OpStats} {
-		w := newWorkerState(0)
-		parent := dialParent(t, w)
+	for _, op := range []byte{OpReady, OpStats} {
+		parent, result := startWorker(t, 0)
 		if _, err := parent.Write(AppendFrame(nil, Frame{Op: op, Src: ParentID})); err != nil {
 			t.Fatal(err)
 		}
 		select {
-		case err := <-w.result:
+		case err := <-result:
 			if err == nil || !strings.Contains(err.Error(), "unexpected op") {
 				t.Errorf("op %d: worker ended with %v, want the protocol error", op, err)
 			}

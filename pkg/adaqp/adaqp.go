@@ -202,7 +202,7 @@ const (
 // Transport is the device-side communication surface; Runtime launches
 // one Transport per device. A RuntimeFactory builds a Runtime from a
 // RuntimeSpec (device count, cost model, proc-sharded's worker process
-// count, socket directory).
+// count).
 //
 // RuntimeSpec was previously exported as TransportSpec; that name now
 // names the grouped WithTransport option instead.

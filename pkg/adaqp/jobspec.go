@@ -24,12 +24,13 @@ type JobSpec struct {
 	// Workers is proc-sharded's worker process count
 	// (TransportSpec.Workers; 0 = 2, clamped to parts).
 	Workers int `json:"workers,omitempty"`
-	// Overlap starts the sancus codec's broadcasts split-phase, hiding
-	// wire time behind central-graph compute; other codecs ignore it
-	// (TransportSpec.Overlap).
+	// Overlap starts the sancus codec's broadcasts split-phase: the roots'
+	// broadcasts are charged as concurrent, and what that hides (compute
+	// and other roots' broadcasts) is booked as Overlap; other codecs
+	// ignore it (TransportSpec.Overlap).
 	Overlap bool `json:"overlap,omitempty"`
-	// SocketDir roots the Unix-domain socket directories of socket-backed
-	// transports (TransportSpec.SocketDir).
+	// SocketDir is accepted and ignored (see TransportSpec.SocketDir): no
+	// path a job names is ever created.
 	SocketDir string `json:"socket_dir,omitempty"`
 
 	Parts  int `json:"parts,omitempty"`
@@ -102,12 +103,11 @@ func (j JobSpec) Options() ([]Option, error) {
 	// The transport and codec fields map onto the grouped specs — the
 	// same structs programmatic callers hand to WithTransport/WithCodec —
 	// so the JSON/flag path and the Go API cannot drift.
-	if j.Transport != "" || j.Workers != 0 || j.Overlap || j.SocketDir != "" {
+	if j.Transport != "" || j.Workers != 0 || j.Overlap {
 		opts = append(opts, WithTransport(TransportSpec{
-			Name:      j.Transport,
-			Workers:   j.Workers,
-			Overlap:   j.Overlap,
-			SocketDir: j.SocketDir,
+			Name:    j.Transport,
+			Workers: j.Workers,
+			Overlap: j.Overlap,
 		}))
 	}
 	if j.Parts != 0 {

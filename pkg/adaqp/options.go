@@ -99,16 +99,18 @@ type TransportSpec struct {
 	// clamped to the device count. No other built-in backend reads it.
 	Workers int
 	// Overlap is read by the sancus codec alone: its broadcasts start
-	// split-phase, so wire time hides behind central-graph compute and is
-	// recorded under the Overlap phase instead of charged to Comm/Idle.
-	// Payload routing is unchanged — fixed-seed loss curves stay
-	// bit-identical to the blocking schedule. AdaQP's and PipeGCN's
-	// overlap is their codec's own schedule and always on; every other
-	// codec ignores the knob.
+	// split-phase and are waited on after the central-graph compute. The
+	// roots' broadcasts are then charged as concurrent — the slowest one's
+	// wire time, not the sum — and everything a Wait finds already
+	// elapsed, compute and earlier broadcasts' wire time alike, is booked
+	// under the Overlap phase. Payload routing is unchanged — fixed-seed
+	// loss curves stay bit-identical to the blocking schedule. AdaQP's and
+	// PipeGCN's overlap is their codec's own schedule and always on; every
+	// other codec ignores the knob.
 	Overlap bool
-	// SocketDir roots the per-run Unix-domain socket directories of
-	// socket-backed backends (TransportProcSharded). Empty uses the system
-	// temp directory; in-memory backends ignore it.
+	// SocketDir is ignored: proc-sharded workers inherit their sockets at
+	// spawn, so no backend creates a socket directory. It stays so callers
+	// that still set it compile.
 	SocketDir string
 }
 
@@ -121,7 +123,6 @@ func WithTransport(spec TransportSpec) Option {
 		s.cfg.Transport = spec.Name
 		s.cfg.TransportWorkers = spec.Workers
 		s.cfg.TransportOverlap = spec.Overlap
-		s.cfg.TransportSocketDir = spec.SocketDir
 		return nil
 	}
 }

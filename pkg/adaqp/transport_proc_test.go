@@ -1,6 +1,9 @@
 package adaqp_test
 
 import (
+	"context"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/pkg/adaqp"
@@ -11,8 +14,7 @@ import (
 // give bit-identical loss curves even though every codec payload is
 // serialized into frames and routed through real worker processes over
 // Unix-domain sockets. Covered on a quickstart-size deployment and a
-// larger multi-part one with a bigger worker fleet and an explicit
-// socket-dir override.
+// larger multi-part one with a bigger worker fleet.
 func TestProcBackendLossParity(t *testing.T) {
 	ds := adaqp.MustLoadDataset("tiny", 1)
 	deployments := []struct {
@@ -28,11 +30,7 @@ func TestProcBackendLossParity(t *testing.T) {
 		{
 			name: "multipart-6part-3workers",
 			opts: []adaqp.Option{adaqp.WithParts(6)},
-			proc: adaqp.TransportSpec{
-				Name:      adaqp.TransportProcSharded,
-				Workers:   3,
-				SocketDir: t.TempDir(),
-			},
+			proc: adaqp.TransportSpec{Name: adaqp.TransportProcSharded, Workers: 3},
 		},
 	}
 	methods := []adaqp.Method{adaqp.Vanilla, adaqp.AdaQP}
@@ -73,5 +71,34 @@ func TestProcBackendLossParity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestProcJobIgnoresHostileSocketDir: a job's socket_dir names a path the
+// daemon's client picked, and a proc-sharded run creates nothing on the
+// filesystem — so the job trains to completion and the path never appears.
+func TestProcJobIgnoresHostileSocketDir(t *testing.T) {
+	client := filepath.Join(t.TempDir(), "client")
+	sched, err := adaqp.NewScheduler(adaqp.WithMaxConcurrentSessions(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sched.Drain(context.Background())
+	h, err := sched.SubmitSpec(adaqp.JobSpec{
+		Dataset: "tiny", Epochs: 1,
+		Transport: adaqp.TransportProcSharded,
+		SocketDir: filepath.Join(client, "made"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st := h.Status(); st != adaqp.SessionDone {
+		t.Fatalf("job ended %v, want %v", st, adaqp.SessionDone)
+	}
+	if _, err := os.Stat(client); !os.IsNotExist(err) {
+		t.Fatalf("the job's socket_dir was acted on: stat %s = %v", client, err)
 	}
 }
