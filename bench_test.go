@@ -227,11 +227,10 @@ func BenchmarkEpochTransports(b *testing.B) {
 
 // BenchmarkEpochChaos measures what deterministic fault injection costs a
 // training run: the same 4-epoch job fault-free and under each fault
-// family (straggler slowdowns, transient retries, crash + checkpoint
-// recovery). Faults charge simulated time, not real time, so the gap over
-// the clean sub-benchmark is the real-time price of the fault wrapper and
-// the crash path's checkpoint/restore/replay — the number the chaos gate
-// keeps bounded.
+// family (straggler slowdowns, transient retries, a crash and restart).
+// Faults charge simulated time, not real time, and the crashed epoch runs
+// once, so the gap over the clean sub-benchmark is the real-time price of
+// the fault wrapper alone.
 func BenchmarkEpochChaos(b *testing.B) {
 	cases := []struct {
 		name string

@@ -63,7 +63,7 @@ func main() {
 		chaosFailRate   = flag.Float64("chaos-fail-rate", 0, "transient collective failure probability in [0,1)")
 		chaosRetries    = flag.Int("chaos-retries", 0, "max retries per failed collective (0 = default 3)")
 		chaosBackoff    = flag.Float64("chaos-backoff", 0, "initial retry backoff in simulated seconds (0 = default)")
-		chaosCrash      = flag.Int("chaos-crash-epoch", 0, "epoch (>= 1) at whose end one device crashes and restarts (0 = never)")
+		chaosCrash      = flag.Int("chaos-crash-epoch", 0, "0-based index (>= 1) of the epoch in which one device crashes and restarts (0 = never)")
 		chaosRestart    = flag.Float64("chaos-restart", 0, "crash restart penalty in simulated seconds (0 = default)")
 		chaosSeed       = flag.Uint64("chaos-seed", 0, "fault-plan seed (0 = default 1)")
 	)

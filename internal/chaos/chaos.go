@@ -8,8 +8,8 @@
 // every transport backend. That keeps the repo's central invariant intact
 // — fixed seed ⇒ bit-identical loss curves — because faults only ever
 // charge simulated *time*; the numerics (payloads, reductions, RNG
-// streams) are never perturbed, and a crash is recovered by replaying the
-// doomed epoch from a checkpoint rather than by diverging.
+// streams) are never perturbed, and a crash is a clock event: the crashed
+// epoch runs once and its lost attempt is charged as time.
 package chaos
 
 import (
@@ -50,14 +50,14 @@ type Spec struct {
 	// 0 defaults to 0.05 when FailRate > 0.
 	Backoff float64 `json:"backoff_s,omitempty"`
 
-	// CrashEpoch k (>= 1) makes one seed-chosen device crash at the end
-	// of epoch k, before the epoch's results are committed; the run
-	// restores every device's epoch-(k-1) checkpoint and replays the
-	// epoch. 0 disables crashes.
+	// CrashEpoch k (>= 1) makes one seed-chosen device crash in the epoch
+	// of 0-based index k, before the epoch's results are committed. The
+	// epoch runs once; every device is charged its training part a second
+	// time, as the attempt the crash destroyed. 0 disables crashes.
 	CrashEpoch int `json:"crash_epoch,omitempty"`
 	// RestartPenalty is the simulated downtime (seconds) the crashed
-	// device pays to restart from its checkpoint. 0 defaults to 5 when
-	// CrashEpoch > 0.
+	// device pays to restart, charged as Idle; the others wait for it at
+	// the restart rendezvous. 0 defaults to 5 when CrashEpoch > 0.
 	RestartPenalty float64 `json:"restart_penalty_s,omitempty"`
 }
 
@@ -135,9 +135,9 @@ type FaultPlan struct {
 	// CrashRank is the device that crashes, or -1 when no crash is
 	// scheduled.
 	CrashRank int
-	// CrashEpoch is the epoch index at whose end CrashRank crashes
-	// (meaningful only when CrashRank >= 0; epochs past the run's budget
-	// simply never crash).
+	// CrashEpoch is the 0-based index of the epoch in which CrashRank
+	// crashes (meaningful only when CrashRank >= 0; epochs past the run's
+	// budget simply never crash).
 	CrashEpoch int
 }
 

@@ -23,8 +23,10 @@ import (
 //     Idle. Retries move no extra payload bytes — the byte ledger of a
 //     faulted run must equal the fault-free ledger, and the chaos
 //     conformance mode checks exactly that;
-//   - crash/restart is a trainer-level protocol (worker.run), not a
-//     transport concern: the plan only fixes the site.
+//   - crash/restart: the trainer runs the crashed epoch once and then
+//     asks the device to charge the crash (restart): the attempt the
+//     crash destroyed — the epoch's own clock deltas, charged again — the
+//     crashed rank's restart downtime, and a restart rendezvous.
 //
 // The wrapper is a decorator rather than a hook inside the collective
 // engine because it must also wrap user-registered transports, which need
@@ -192,6 +194,42 @@ func (d *faultDevice) chargeSlowdown() {
 			ck.Advance(timing.Comp, work*timing.Seconds(s-1))
 		}
 	}
+	d.last = ck.Now()
+}
+
+// crashesIn reports whether the plan's crash lands in epoch. A nil device
+// (a run without faults) never crashes.
+func (d *faultDevice) crashesIn(epoch int) bool {
+	return d != nil && d.plan.CrashRank >= 0 && epoch == d.plan.CrashEpoch
+}
+
+// restart charges the plan's crash once the crashed epoch's training part
+// has run; before is the clock's breakdown at the part's start. The
+// attempt the crash destroyed cost what the part cost, so each category's
+// delta since before is charged again — Overlap annotated, the rest
+// advanced — with the part's slowdown and transient failures in it. The
+// crashed rank then pays the restart penalty as Idle, and the restart
+// rendezvous lets survivors absorb that downtime as Idle, like any
+// straggler wait. None of this goes through the plan: the lost attempt
+// already paid its slowdown and failures, and a restart is not a
+// collective of the training schedule, so the slowdown window skips these
+// charges and later collectives keep the fault-free op indices (and with
+// them the fault-free failure schedule).
+func (d *faultDevice) restart(before map[timing.Category]timing.Seconds) {
+	ck := d.Transport.Clock()
+	// A fixed order, not the map's: the clock must be bit-identical run to run.
+	for _, cat := range []timing.Category{timing.Comm, timing.Comp, timing.Quant, timing.Idle, timing.Assign} {
+		ck.Advance(cat, ck.Spent(cat)-before[cat])
+	}
+	ck.AddOverlap(ck.Spent(timing.Overlap) - before[timing.Overlap])
+	if d.Transport.Rank() == d.plan.CrashRank {
+		penalty := timing.Seconds(d.plan.Spec.RestartPenalty)
+		ck.Advance(timing.Idle, penalty)
+		d.stats.addCrash(penalty)
+	}
+	d.Transport.Barrier()
+	// The part ended at its gradient all-reduce, a charged collective, so
+	// no local work awaits its slowdown charge: the window restarts here.
 	d.last = ck.Now()
 }
 

@@ -62,9 +62,9 @@ type ExchangeEnv struct {
 	// in which case every Arena method degrades to plain allocation.
 	Scratch *Arena
 	// Round is this device's stochastic-rounding stream, derived from
-	// (Cfg.Seed, rank) apart from Dev.Rand's dropout stream and saved with
-	// it at a crash checkpoint. A codec that rounds stochastically draws
-	// from Round, so its draws never shift the dropout masks.
+	// (Cfg.Seed, rank) apart from Dev.Rand's dropout stream. A codec that
+	// rounds stochastically draws from Round, so its draws never shift the
+	// dropout masks.
 	Round *tensor.RNG
 
 	costs [][2]StageCosts // per layer, per direction
@@ -161,34 +161,6 @@ func (s *RunShared) sancusTopo(locals []*partition.LocalGraph) *sancusTopology {
 type CodecFactory func(env *CodecEnv) (MessageCodec, error)
 
 // ---- optional codec-contract interfaces, enforced by ConformCodec ----
-
-// StatefulCodec is implemented by codecs whose instances carry mutable
-// cross-epoch state (staleness caches, stale halos, solved
-// width tables). The declaration is part of the codec contract: a codec
-// that does NOT declare state must produce bit-identical training results
-// when a fresh instance replaces it at any epoch boundary — which is what
-// lets crash recovery restart it without a checkpoint. ConformCodec
-// verifies the discipline.
-type StatefulCodec interface {
-	MessageCodec
-	// Stateful reports whether instances carry cross-epoch mutable state.
-	Stateful() bool
-}
-
-// CodecCheckpointer is implemented by stateful codecs whose cross-epoch
-// state can be snapshotted at an epoch boundary and restored, enabling the
-// trainer's crash/restart recovery under a fault plan: every device
-// checkpoints before the doomed epoch and rolls back to replay it bit for
-// bit. Stateless codecs need no checkpoint; a stateful codec without this
-// interface is rejected when the fault plan schedules a crash.
-type CodecCheckpointer interface {
-	MessageCodec
-	// CheckpointState deep-copies this instance's cross-epoch state.
-	CheckpointState() any
-	// RestoreCheckpoint restores state captured by CheckpointState on
-	// this same instance.
-	RestoreCheckpoint(state any)
-}
 
 // LossyCodec is implemented by codecs whose decoded epoch-0 forward
 // messages differ from the sent rows. Codecs that do not implement it

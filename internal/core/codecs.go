@@ -154,19 +154,6 @@ func (c *quantCodec) EpochEnd(env *ExchangeEnv, epoch int) error {
 	return nil
 }
 
-// Stateful: random's tables depend on how many periods have elapsed and
-// adaptive's are solved from collected traces, so a rebuilt instance would
-// rewind them. Uniform's never change.
-func (c *quantCodec) Stateful() bool { return c.name != CodecUniform }
-
-// CheckpointState / RestoreCheckpoint: nothing to save. The width tables
-// change only in EpochEnd, which a doomed epoch never reaches, a tracing
-// epoch's replay rewrites the traces its doomed attempt wrote, bit for bit,
-// and the rounding stream (ExchangeEnv.Round) is the worker's to save.
-func (c *quantCodec) CheckpointState() any { return nil }
-
-func (c *quantCodec) RestoreCheckpoint(any) {}
-
 // ForwardErrorBound: one quantization step at the narrowest width an epoch-0
 // message can get — random may sample 2 bits, adaptive ships the bootstrap
 // width.
@@ -261,9 +248,6 @@ func (c *pipegcnCodec) Backward(env *ExchangeEnv, epoch, l int, dxFull, dxLocal 
 
 func (c *pipegcnCodec) EpochEnd(*ExchangeEnv, int) error { return nil }
 
-// Stateful: the one-epoch-stale halo and gradient caches.
-func (c *pipegcnCodec) Stateful() bool { return true }
-
 // ForwardWireSizes: epoch 0 performs the plain full-precision exchange.
 func (c *pipegcnCodec) ForwardWireSizes(lg *partition.LocalGraph, dim int) []int {
 	return fpAll2AllBytes(lg, dim)
@@ -313,9 +297,6 @@ func (c *sancusCodec) Backward(env *ExchangeEnv, epoch, l int, dxFull, dxLocal *
 }
 
 func (c *sancusCodec) EpochEnd(*ExchangeEnv, int) error { return nil }
-
-// Stateful: the historical embedding caches and per-layer broadcast ages.
-func (c *sancusCodec) Stateful() bool { return true }
 
 // ForwardWireSizes: at epoch 0 every device broadcasts its boundary rows
 // (the union of its SendTo sets) to every peer.

@@ -30,9 +30,9 @@ import (
 //     exponential backoff charged to Idle — verified against a hand
 //     computation on a single collective.
 //   - chaos-crash-recovery: a full training run with a scheduled crash
-//     must replay the doomed epoch bit-identically (same loss curve and
-//     final accuracy as the fault-free run) while wall-clock grows by the
-//     restart downtime.
+//     must match the fault-free run bit for bit — loss curve, final
+//     accuracy and byte ledger — while wall-clock grows by the lost
+//     attempt and the restart downtime.
 
 // chaosConformPlans is the fault-plan matrix every backend must survive:
 // compute stragglers, link stragglers, transient failures, and all three
@@ -161,9 +161,9 @@ func checkChaosRetryCharge(f RuntimeFactory, parts int, col *vioCollector) {
 }
 
 // checkChaosCrashRecovery trains a small fixed-seed scenario with a
-// scheduled device crash and requires the recovery to be invisible in the
-// results: loss curve and accuracies bit-identical to the fault-free run,
-// exactly one crash counted, and wall-clock grown by the downtime.
+// scheduled device crash and requires the crash to be invisible in the
+// results: loss curve, accuracies and byte ledger bit-identical to the
+// fault-free run, exactly one crash counted, and wall-clock grown.
 func checkChaosCrashRecovery(f RuntimeFactory, parts int, col *vioCollector) {
 	ds, err := synthetic.Load("tiny", synthetic.Scale(1))
 	if err != nil {
@@ -180,18 +180,17 @@ func checkChaosCrashRecovery(f RuntimeFactory, parts int, col *vioCollector) {
 		return
 	}
 	crashCfg := cfg
-	crashCfg.Faults = chaos.Spec{Seed: 5, CrashEpoch: 2, RestartPenalty: 1000}
+	// A crash in epoch 1 of 4: two gradient all-reduces follow the restart,
+	// so a fault that starts after it reaches the loss curve, not only the
+	// final accuracy.
+	crashCfg.Faults = chaos.Spec{Seed: 5, CrashEpoch: 1, RestartPenalty: 1000}
 	crash, err := TrainDeployed(dep, crashCfg, nil)
 	if err != nil {
 		col.addf("chaos-crash-recovery", "training with a scheduled crash failed: %v", err)
 		return
 	}
-	// The doomed epoch's collectives genuinely re-move payload bytes (the
-	// replay is real traffic), so compare everything except the ledger.
-	cmp := *crash
-	cmp.BytesMoved = ref.BytesMoved
-	if desc := runDivergence(ref, &cmp, false); desc != "" {
-		col.addf("chaos-crash-recovery", "crash/restart changed the training results (%s); the replayed epoch must be bit-identical", desc)
+	if desc := runDivergence(ref, crash, false); desc != "" {
+		col.addf("chaos-crash-recovery", "crash/restart changed the training results or the byte ledger (%s)", desc)
 	}
 	if crash.Faults.Crashes != 1 {
 		col.addf("chaos-crash-recovery", "run counted %d crashes, want exactly 1", crash.Faults.Crashes)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -30,13 +31,11 @@ func TestTransportChaosConformance(t *testing.T) {
 	}
 }
 
-// lossParity compares everything except the byte ledger (a crashed run's
-// doomed epoch genuinely re-moves bytes) and the clocks.
+// lossParity compares everything except the clocks: the loss curve, the
+// accuracies and the byte ledger.
 func lossParity(t *testing.T, label string, ref, got *metrics.RunResult) {
 	t.Helper()
-	cmp := *got
-	cmp.BytesMoved = ref.BytesMoved
-	if desc := runDivergence(ref, &cmp, false); desc != "" {
+	if desc := runDivergence(ref, got, false); desc != "" {
 		t.Errorf("%s: faulted run diverged from fault-free (%s)", label, desc)
 	}
 }
@@ -103,40 +102,26 @@ func TestChaosTransientRetries(t *testing.T) {
 	}
 }
 
-// countingCodec is fp32 plus one piece of real cross-epoch state: the
-// number of forward exchanges this device has run. Forward checks the
-// count against (epoch, layer) before advancing it, so a crash whose
-// restore does not roll the count back fails the replayed epoch.
+// countingCodec is fp32 plus a count of the forward exchanges this device
+// has run, checked against (epoch, layer) before each one: a crash that ran
+// an epoch's training part twice, or skipped it, fails the run.
 type countingCodec struct {
 	MessageCodec
 	layers, forwards int
-	// restore is false in the broken twin, whose RestoreCheckpoint is a
-	// no-op.
-	restore bool
 }
 
 // countingConfig is confTrainConfig with cfg.Codec naming a countingCodec
 // injected through the factory seam, so it never enters the registry.
-func countingConfig(restore bool) Config {
+func countingConfig() Config {
 	cfg := confTrainConfig("counting")
 	cfg.codecFactory = func(env *CodecEnv) (MessageCodec, error) {
 		c, err := newFP32Codec(env)
 		if err != nil {
 			return nil, err
 		}
-		return &countingCodec{MessageCodec: c, layers: env.Cfg.Layers, restore: restore}, nil
+		return &countingCodec{MessageCodec: c, layers: env.Cfg.Layers}, nil
 	}
 	return cfg
-}
-
-func (c *countingCodec) Stateful() bool { return true }
-
-func (c *countingCodec) CheckpointState() any { return c.forwards }
-
-func (c *countingCodec) RestoreCheckpoint(state any) {
-	if c.restore {
-		c.forwards = state.(int)
-	}
 }
 
 func (c *countingCodec) Forward(env *ExchangeEnv, epoch, layer int, h, xFull *tensor.Matrix) error {
@@ -147,14 +132,20 @@ func (c *countingCodec) Forward(env *ExchangeEnv, epoch, layer int, h, xFull *te
 	return c.MessageCodec.Forward(env, epoch, layer, h, xFull)
 }
 
-// TestChaosCrashRecovery: a scheduled crash replays the doomed epoch bit
-// for bit on every backend — including through a codec whose checkpoint
-// carries state the replay depends on — and counts exactly one crash.
+// TestChaosCrashRecovery: a scheduled crash leaves every registered codec's
+// loss curve, accuracies and byte ledger bit-identical to the fault-free
+// run on every backend, runs the crashed epoch's training part once (the
+// counting codec), and counts one crash whose recovery time is the restart
+// penalty.
 func TestChaosCrashRecovery(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
 	dep := Deploy(ds, 4, GCN, partition.Block)
 	spec := chaos.Spec{Seed: 5, CrashEpoch: 3, RestartPenalty: 50}
-	for _, base := range []Config{confTrainConfig(CodecFP32), countingConfig(true)} {
+	bases := []Config{countingConfig()}
+	for _, codec := range CodecNames() {
+		bases = append(bases, confTrainConfig(codec))
+	}
+	for _, base := range bases {
 		codec := base.Codec
 		ref := confTrain(t, dep, base)
 		for _, tr := range TransportNames() {
@@ -173,31 +164,13 @@ func TestChaosCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestChaosCrashCatchesLostCodecState is TestChaosCrashRecovery's mutation
-// check: the counting codec's twin ignores its checkpoint, so the replayed
-// epoch must fail instead of passing as a clean recovery.
-func TestChaosCrashCatchesLostCodecState(t *testing.T) {
-	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
-	dep := Deploy(ds, 4, GCN, partition.Block)
-	for _, tr := range TransportNames() {
-		cfg := countingConfig(false)
-		cfg.Transport = tr
-		cfg.Faults = chaos.Spec{Seed: 5, CrashEpoch: 3, RestartPenalty: 50}
-		if _, err := TrainDeployed(dep, cfg, nil); err == nil || !strings.Contains(err.Error(), "forward count") {
-			t.Errorf("%s: crash over a codec that drops its checkpoint: got err %v, want the forward-count check", tr, err)
-		}
-	}
-}
-
-// TestChaosCrashRecoversPaperCodec: the quantizing codec's cross-epoch state
-// (width tables, traces) moves only in EpochEnd, which a doomed epoch never
-// reaches, so its empty checkpoint — with the device's rounding stream, which
-// the worker saves next to the dropout stream — replays a crash bit for bit,
-// whether the crash lands on adaptive's quantized, traced bootstrap epoch
-// (0), on a tracing epoch (4: the replay rewrites the traces the assigner
-// then solves from), on the first epoch of a period, which random and
-// adaptive ship at the widths re-drawn and solved after epoch 4 (5), or on a
-// plain epoch (6).
+// TestChaosCrashRecoversPaperCodec: a crash may land anywhere in the
+// period cycle of the codecs whose widths move between epochs — on
+// adaptive's quantized, traced bootstrap epoch (0), on a tracing epoch (4:
+// the assigner then solves from its traces), on the first epoch of a
+// period, which random and adaptive ship at the widths re-drawn and solved
+// after epoch 4 (5), or on a plain epoch (6) — and the results still equal
+// the fault-free run's.
 func TestChaosCrashRecoversPaperCodec(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
 	dep := Deploy(ds, 4, GCN, partition.Block)
@@ -226,19 +199,117 @@ func TestChaosCrashRecoversPaperCodec(t *testing.T) {
 	}
 }
 
-// TestChaosCrashRejectsUncheckpointableCodec: a stateful codec without
-// checkpoint support cannot replay a crashed epoch; scheduling a crash
-// with one must fail loudly instead of silently diverging.
-func TestChaosCrashRejectsUncheckpointableCodec(t *testing.T) {
-	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
-	dep := Deploy(ds, 4, GCN, partition.Block)
-	for _, codec := range []string{CodecPipeGCN, CodecSancus} {
-		cfg := confTrainConfig(codec)
-		cfg.Faults = chaos.Spec{Seed: 5, CrashEpoch: 3}
-		_, err := TrainDeployed(dep, cfg, nil)
-		if err == nil || !strings.Contains(err.Error(), "checkpoint") {
-			t.Errorf("%s: crash plan with stateful uncheckpointable codec: got err %v, want checkpoint-support rejection", codec, err)
+// partProbe records, on rank 0, the simulated clock at which one epoch's
+// training part starts (its first Forward) and ends (EpochEnd is the next
+// codec call).
+type partProbe struct {
+	MessageCodec
+	epoch      int
+	start, end *timing.Seconds
+}
+
+func (p partProbe) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.Matrix) error {
+	if epoch == p.epoch && l == 0 && env.Dev.Rank() == 0 {
+		*p.start = env.Dev.Clock().Now()
+	}
+	return p.MessageCodec.Forward(env, epoch, l, h, xFull)
+}
+
+func (p partProbe) EpochEnd(env *ExchangeEnv, epoch int) error {
+	if epoch == p.epoch && env.Dev.Rank() == 0 {
+		*p.end = env.Dev.Clock().Now()
+	}
+	return p.MessageCodec.EpochEnd(env, epoch)
+}
+
+// TestChaosCrashCharge pins what a crash costs: from the crash epoch on,
+// every epoch ends later than in the run without the crash by exactly the
+// crashed epoch's training-part duration (the lost attempt) plus the
+// restart penalty. It holds for fp32 and adaptive, without stragglers and
+// with one compute straggler that is the crashed rank itself: the penalty
+// is downtime, which the straggler's slowdown does not stretch.
+func TestChaosCrashCharge(t *testing.T) {
+	dep := deployTiny(t, 4)
+	const crashEpoch, penalty = 3, 50
+	for _, codec := range []string{CodecFP32, CodecAdaptive} {
+		inner, err := LookupCodec(codec)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for _, faults := range []chaos.Spec{{Seed: 5}, {Seed: 6, Stragglers: 1, SlowFactor: 3}} {
+			label := fmt.Sprintf("%s stragglers=%d", codec, faults.Stragglers)
+			var start, end timing.Seconds
+			cfg := confTrainConfig(codec)
+			cfg.Faults = faults
+			cfg.codecFactory = func(env *CodecEnv) (MessageCodec, error) {
+				c, err := inner(env)
+				return partProbe{c, crashEpoch, &start, &end}, err
+			}
+			ref := confTrain(t, dep, cfg)
+			cfg.codecFactory = nil
+			cfg.Faults.CrashEpoch, cfg.Faults.RestartPenalty = crashEpoch, penalty
+			if plan, err := chaos.NewPlan(cfg.Faults, 4); err != nil || plan.StragglerCount() != faults.Stragglers ||
+				(faults.Stragglers > 0 && plan.Slowdown[plan.CrashRank] <= 1) {
+				t.Fatalf("%s: plan %v (err %v) is not the one this test describes", label, plan, err)
+			}
+			got := confTrain(t, dep, cfg)
+			if end <= start {
+				t.Fatalf("%s: training part of epoch %d measured as [%v, %v]", label, crashEpoch, start, end)
+			}
+			for e := range got.Epochs {
+				want := ref.Epochs[e].SimTime
+				if e >= crashEpoch {
+					want += end - start + penalty
+				}
+				if d := math.Abs(float64(got.Epochs[e].SimTime - want)); d > 1e-12*float64(want) {
+					t.Errorf("%s: epoch %d ends at %.17g, want %.17g (fault-free + lost part %v + penalty %v)",
+						label, e, float64(got.Epochs[e].SimTime), float64(want), end-start, penalty)
+				}
+			}
+		}
+	}
+}
+
+// TestChaosCrashKeepsFailureSchedule: a crash consumes no index of the
+// transient-failure schedule — the lost attempt is charged from the clock,
+// not re-run — so under FailRate 0.2 every epoch after the crash advances
+// the clock by what it advances it in the run without the crash and
+// retries as many collectives. Per-epoch retry counts are read from runs
+// cut after each epoch: an n-epoch fp32 run is the prefix of a longer one.
+func TestChaosCrashKeepsFailureSchedule(t *testing.T) {
+	dep := deployTiny(t, 4)
+	const crashEpoch = 2
+	run := func(epochs int, crash bool) *metrics.RunResult {
+		cfg := confTrainConfig(CodecFP32)
+		cfg.Epochs = epochs
+		cfg.Faults = chaos.Spec{Seed: 5, FailRate: 0.2}
+		if crash {
+			cfg.Faults.CrashEpoch, cfg.Faults.RestartPenalty = crashEpoch, 50
+		}
+		return confTrain(t, dep, cfg)
+	}
+	epochs := confTrainConfig(CodecFP32).Epochs
+	ref, got := run(epochs, false), run(epochs, true)
+	tol := 1e-12 * float64(got.WallClock)
+	for e := crashEpoch + 1; e < epochs; e++ {
+		want := ref.Epochs[e].SimTime - ref.Epochs[e-1].SimTime
+		if d := got.Epochs[e].SimTime - got.Epochs[e-1].SimTime; math.Abs(float64(d-want)) > tol {
+			t.Errorf("epoch %d advanced the clock by %.17g after the crash, %.17g without it", e, float64(d), float64(want))
+		}
+	}
+	var through []int64 // retries through the crash epoch and each later one
+	for n := crashEpoch + 1; n <= epochs; n++ {
+		a, b := ref, got
+		if n < epochs {
+			a, b = run(n, false), run(n, true)
+		}
+		if a.Faults.Retries != b.Faults.Retries {
+			t.Errorf("through epoch %d: %d retries with the crash, %d without", n-1, b.Faults.Retries, a.Faults.Retries)
+		}
+		through = append(through, a.Faults.Retries)
+	}
+	if through[len(through)-1] == through[0] {
+		t.Fatalf("no transient failure after epoch %d: the schedule check compared nothing", crashEpoch)
 	}
 }
 

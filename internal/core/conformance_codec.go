@@ -23,13 +23,10 @@ import (
 //     exchange must match the wire sizes the codec reports
 //     (WireAccountant) — the numbers All2AllRoundTime and the paper's
 //     wire-byte measurements are built from.
-//   - codec-state-discipline: a codec that does not declare cross-epoch
-//     state (StatefulCodec) must survive having its instance rebuilt at
-//     every epoch boundary with a bit-identical loss curve.
 //   - codec-reproducibility: fixed-seed runs must be bit-identical
 //     run-to-run.
 
-// codecConformConfig is the small fixed training scenario the stateful
+// codecConformConfig is the small fixed training scenario the training
 // checks run: 4 epochs so re-assignment periods and SANCUS staleness
 // bounds all trigger at least once.
 func codecConformConfig() Config {
@@ -66,7 +63,6 @@ func ConformCodec(f CodecFactory, parts int) []Violation {
 	}
 	col := &vioCollector{}
 	checkCodecExchange(f, dep, cfg, col)
-	checkCodecStateDiscipline(f, dep, cfg, col)
 	checkCodecReproducibility(f, dep, cfg, col)
 	return col.v
 }
@@ -197,83 +193,6 @@ func codecExchangeCheck(f CodecFactory, dep *Deployment, cfg Config, dim int, fi
 				col.addf("codec-byte-accounting", "pair (%d,%d) moved %d bytes, codec declared %d", s, d, moved[s][d], declared[s][d])
 			}
 		}
-	}
-}
-
-// rebuildEachEpoch wraps f so the built codec is replaced by a fresh
-// instance after every EpochEnd — the probe behind the state-discipline
-// check.
-func rebuildEachEpoch(f CodecFactory) CodecFactory {
-	return func(env *CodecEnv) (MessageCodec, error) {
-		inner, err := f(env)
-		if err != nil {
-			return nil, err
-		}
-		return &epochSwappedCodec{f: f, env: env, inner: inner}, nil
-	}
-}
-
-type epochSwappedCodec struct {
-	f     CodecFactory
-	env   *CodecEnv
-	inner MessageCodec
-}
-
-func (c *epochSwappedCodec) Name() string { return c.inner.Name() }
-
-func (c *epochSwappedCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.Matrix) error {
-	return c.inner.Forward(env, epoch, l, h, xFull)
-}
-
-func (c *epochSwappedCodec) Backward(env *ExchangeEnv, epoch, l int, dxFull, dxLocal *tensor.Matrix) error {
-	return c.inner.Backward(env, epoch, l, dxFull, dxLocal)
-}
-
-func (c *epochSwappedCodec) EpochEnd(env *ExchangeEnv, epoch int) error {
-	if err := c.inner.EpochEnd(env, epoch); err != nil {
-		return err
-	}
-	fresh, err := c.f(c.env)
-	if err != nil {
-		return err
-	}
-	c.inner = fresh
-	return nil
-}
-
-// checkCodecStateDiscipline enforces statelessness-or-declared-state: a
-// codec that does not declare cross-epoch state must be swap-invariant —
-// rebuilding its instances at every epoch boundary must not change the
-// loss curve.
-func checkCodecStateDiscipline(f CodecFactory, dep *Deployment, cfg Config, col *vioCollector) {
-	probe, err := f(&CodecEnv{
-		Cfg: &cfg, Locals: dep.Locals, Rank: 0,
-		InDim: dep.Dataset.Features.Cols, Shared: &RunShared{},
-	})
-	if err != nil {
-		col.addf("codec-construction", "building an instance failed: %v", err)
-		return
-	}
-	if sc, ok := probe.(StatefulCodec); ok && sc.Stateful() {
-		return // declared state: instance swaps are allowed to diverge
-	}
-	refCfg := cfg
-	refCfg.codecFactory = f
-	ref, err := TrainDeployed(dep, refCfg, nil)
-	if err != nil {
-		col.addf("codec-state-discipline", "training failed: %v", err)
-		return
-	}
-	swapCfg := refCfg
-	swapCfg.codecFactory = rebuildEachEpoch(f)
-	swapped, err := TrainDeployed(dep, swapCfg, nil)
-	if err != nil {
-		col.addf("codec-state-discipline", "training with per-epoch instance rebuilds failed: %v", err)
-		return
-	}
-	if desc := runDivergence(ref, swapped, false); desc != "" {
-		col.addf("codec-state-discipline",
-			"undeclared cross-epoch state — rebuilding instances at epoch boundaries changed the run (%s); declare it via StatefulCodec", desc)
 	}
 }
 

@@ -6,13 +6,12 @@ import (
 	"testing"
 
 	"repro/internal/partition"
-	"repro/internal/synthetic"
 	"repro/internal/tensor"
 )
 
 // TestCodecConformanceAllRegistered runs every registered codec through
 // the codec-contract suite: decode-of-encode error bounds, byte
-// accounting, state discipline and fixed-seed reproducibility.
+// accounting and fixed-seed reproducibility.
 func TestCodecConformanceAllRegistered(t *testing.T) {
 	for _, name := range CodecNames() {
 		f, err := LookupCodec(name)
@@ -85,34 +84,6 @@ func (c noisyCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.Mat
 	return nil
 }
 
-// sneakyStateCodec carries undeclared cross-epoch state: from its second
-// epoch on, an instance scales every decoded halo row, so a fresh
-// instance behaves differently from an aged one.
-type sneakyStateCodec struct {
-	delegated
-	epochs int
-}
-
-func (c *sneakyStateCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.Matrix) error {
-	if err := c.delegated.Forward(env, epoch, l, h, xFull); err != nil {
-		return err
-	}
-	if c.epochs > 0 {
-		for i := env.Graph.NumLocal; i < xFull.Rows; i++ {
-			row := xFull.Row(i)
-			for j := range row {
-				row[j] *= 1.01
-			}
-		}
-	}
-	return nil
-}
-
-func (c *sneakyStateCodec) EpochEnd(env *ExchangeEnv, epoch int) error {
-	c.epochs++
-	return c.delegated.EpochEnd(env, epoch)
-}
-
 // flakyCounter makes flakyCodec's perturbation depend on process-global
 // history — the codec is not reproducible run to run.
 var flakyCounter atomic.Int64
@@ -145,7 +116,6 @@ func TestCodecConformanceCatchesBrokenCodecs(t *testing.T) {
 	}{
 		{"lying wire sizes", wrapCodec(t, func(c MessageCodec) MessageCodec { return lyingBytesCodec{c} }), "codec-byte-accounting"},
 		{"undeclared loss", wrapCodec(t, func(c MessageCodec) MessageCodec { return noisyCodec{delegated{c}} }), "codec-roundtrip"},
-		{"undeclared state", wrapCodec(t, func(c MessageCodec) MessageCodec { return &sneakyStateCodec{delegated: delegated{c}} }), "codec-state-discipline"},
 		{"global nondeterminism", wrapCodec(t, func(c MessageCodec) MessageCodec { return flakyCodec{delegated{c}} }), "codec-reproducibility"},
 	}
 	for _, tc := range cases {
@@ -162,39 +132,5 @@ func TestCodecConformanceCatchesBrokenCodecs(t *testing.T) {
 				t.Errorf("conformance missed the violation (want a %q check); got %v", tc.wantCheck, vs)
 			}
 		})
-	}
-}
-
-// TestStatefulDeclarations pins which built-in codecs declare cross-epoch
-// state — the declaration is part of the contract crash recovery relies
-// on.
-func TestStatefulDeclarations(t *testing.T) {
-	want := map[string]bool{
-		CodecFP32:     false,
-		CodecUniform:  false,
-		CodecRandom:   true,
-		CodecAdaptive: true,
-		CodecPipeGCN:  true,
-		CodecSancus:   true,
-	}
-	cfg := codecConformConfig()
-	if err := cfg.validate(); err != nil {
-		t.Fatal(err)
-	}
-	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
-	dep := Deploy(ds, 4, GCN, partition.Block)
-	for name, stateful := range want {
-		f, err := LookupCodec(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := f(&CodecEnv{Cfg: &cfg, Locals: dep.Locals, Rank: 0, InDim: ds.Features.Cols, Shared: &RunShared{}})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		sc, ok := c.(StatefulCodec)
-		if got := ok && sc.Stateful(); got != stateful {
-			t.Errorf("%s: Stateful() = %v, want %v", name, got, stateful)
-		}
 	}
 }

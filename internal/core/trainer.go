@@ -144,9 +144,8 @@ func TrainDeployedCtx(ctx context.Context, dep *Deployment, cfg Config, model *t
 			denom:     denom,
 			posWeight: posWeight,
 			codec:     codec,
-			plan:      plan,
-			fstats:    fstats,
 		}
+		w.fault, _ = dev.(*faultDevice)
 		w.ld = shardData(ds, w.lg)
 		w.model = newDeviceModel(&cfg, w.lg, ds.Features.Cols, ds.NumClasses, dev.Model())
 		w.opt = nn.NewAdam(cfg.LR)
@@ -206,11 +205,9 @@ type worker struct {
 	codec MessageCodec
 	env   *ExchangeEnv
 
-	// plan/fstats are non-nil only when the run injects faults; the
-	// worker's part is the crash/restart protocol (crashAndRecover), the
-	// rest lives in the transport wrapper (chaos_transport.go).
-	plan   *chaos.FaultPlan
-	fstats *faultStats
+	// fault is dev's fault wrapper, nil unless the run injects faults
+	// (chaos_transport.go); the worker only tells it when a crash lands.
+	fault *faultDevice
 
 	// Steady-state scratch reused across epochs (shapes are static per
 	// device): per-layer xFull/dxLocal blocks, the flat grads list handed
@@ -222,9 +219,6 @@ type worker struct {
 
 func (w *worker) run() error {
 	cfg := w.cfg
-	if err := w.checkCrashSupport(); err != nil {
-		return err
-	}
 	// final holds the last epoch's evaluation logits: the parameters do not
 	// change after that epoch's optimizer step, so the final test/val
 	// scores read the same forward pass instead of repeating it.
@@ -234,12 +228,13 @@ func (w *worker) run() error {
 		if canceled, err := w.pollCancel(); err != nil || canceled {
 			return cmp.Or(err, ErrCanceled)
 		}
-		if w.plan != nil && w.plan.CrashRank >= 0 && epoch == w.plan.CrashEpoch {
-			if err := w.crashAndRecover(epoch); err != nil {
-				return err
-			}
+		var loss float64
+		var err error
+		if w.fault.crashesIn(epoch) {
+			loss, err = w.crashAndRecover(epoch)
+		} else {
+			loss, err = w.trainEpoch(epoch)
 		}
-		loss, err := w.trainEpoch(epoch)
 		if err != nil {
 			return fmt.Errorf("rank %d epoch %d: %w", w.dev.Rank(), epoch, err)
 		}
@@ -296,82 +291,19 @@ func (w *worker) run() error {
 	return nil
 }
 
-// checkCrashSupport rejects, symmetrically on all ranks, fault plans that
-// schedule a crash while the codec carries cross-epoch state it cannot
-// checkpoint — restarting such a codec would silently diverge from the
-// fault-free run instead of replaying it bit for bit.
-func (w *worker) checkCrashSupport() error {
-	if w.plan == nil || w.plan.CrashRank < 0 || w.plan.CrashEpoch >= w.cfg.Epochs {
-		return nil
+// crashAndRecover runs the epoch in which the plan's device crashes. The
+// simulated crash destroys no state in the process, so the epoch runs once
+// — its loss, gradients, bytes and transient failures are the fault-free
+// run's — and the clocks then pay for what a real crash costs: the attempt
+// it destroyed, the restart downtime and the restart rendezvous
+// (faultDevice.restart).
+func (w *worker) crashAndRecover(epoch int) (float64, error) {
+	before := w.dev.Clock().Breakdown()
+	loss, err := w.trainEpoch(epoch)
+	if err == nil {
+		w.fault.restart(before)
 	}
-	if sc, ok := w.codec.(StatefulCodec); ok && sc.Stateful() {
-		if _, ok := w.codec.(CodecCheckpointer); !ok {
-			return fmt.Errorf("core: codec %q carries cross-epoch state without checkpoint support; it cannot recover from the fault plan's crash at epoch %d", w.codec.Name(), w.plan.CrashEpoch)
-		}
-	}
-	return nil
-}
-
-// crashAndRecover simulates the plan's device crash during this epoch:
-// every device checkpoints its epoch-boundary state, runs the doomed
-// attempt whose results the crash destroys, rolls back to the checkpoint,
-// and the crashed rank pays the restart downtime before the cluster
-// resynchronizes. The caller then re-runs the epoch — the replay is
-// bit-identical to the attempt (same parameters, optimizer moments, dropout
-// and rounding streams), so only the simulated clocks grow.
-func (w *worker) crashAndRecover(epoch int) error {
-	cp := w.checkpoint()
-	if _, err := w.trainEpoch(epoch); err != nil {
-		return fmt.Errorf("rank %d doomed epoch %d: %w", w.dev.Rank(), epoch, err)
-	}
-	w.restore(cp)
-	if w.dev.Rank() == w.plan.CrashRank {
-		penalty := timing.Seconds(w.plan.Spec.RestartPenalty)
-		w.dev.Clock().Advance(timing.Idle, penalty)
-		w.fstats.addCrash(penalty)
-	}
-	// Restart rendezvous: survivors absorb the crashed device's downtime
-	// as Idle, exactly like any straggler wait.
-	w.dev.Barrier()
-	return nil
-}
-
-// deviceCheckpoint is one device's epoch-boundary training state: model
-// parameters with their optimizer moments, the optimizer step count, the
-// dropout and rounding stream positions and — for checkpoint-capable
-// stateful codecs — the codec's cross-epoch state.
-type deviceCheckpoint struct {
-	params   []nn.ParamCheckpoint
-	step     int
-	rng      tensor.RNGState
-	round    tensor.RNGState
-	codec    any
-	hasCodec bool
-}
-
-func (w *worker) checkpoint() *deviceCheckpoint {
-	cp := &deviceCheckpoint{step: w.opt.StepCount(), rng: w.dev.Rand().State(), round: w.env.Round.State()}
-	for _, p := range w.model.params() {
-		cp.params = append(cp.params, p.Checkpoint())
-	}
-	if c, ok := w.codec.(CodecCheckpointer); ok {
-		cp.codec, cp.hasCodec = c.CheckpointState(), true
-	}
-	return cp
-}
-
-// restore rolls the device back to cp. Param.Restore copies data in place,
-// so cached matrix pointers (w.grads, scratch blocks) stay valid.
-func (w *worker) restore(cp *deviceCheckpoint) {
-	for i, p := range w.model.params() {
-		p.Restore(cp.params[i])
-	}
-	w.opt.SetStepCount(cp.step)
-	w.dev.Rand().SetState(cp.rng)
-	w.env.Round.SetState(cp.round)
-	if cp.hasCodec {
-		w.codec.(CodecCheckpointer).RestoreCheckpoint(cp.codec)
-	}
+	return loss, err
 }
 
 // trainEpoch runs one synchronous training epoch and returns the global

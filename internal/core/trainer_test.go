@@ -405,7 +405,7 @@ func (c featureWatchCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *ten
 // TestLayerZeroFeaturesSurviveEveryPass: worker.forward copies the device's
 // features into layer 0's xFull once, when it allocates it. They must still
 // be there at every later training pass — after evaluation passes, which
-// share the block; after a crashed epoch and its rollback; and under
+// share the block; after a crashed epoch, which runs once; and under
 // pipegcn, which fills halo rows from a cache and receives into scratch.
 func TestLayerZeroFeaturesSurviveEveryPass(t *testing.T) {
 	const parts = 4
@@ -415,7 +415,7 @@ func TestLayerZeroFeaturesSurviveEveryPass(t *testing.T) {
 		faults chaos.Spec
 		passes int64 // training passes per device
 	}{
-		{CodecFP32, chaos.Spec{Seed: 5, CrashEpoch: 3, RestartPenalty: 50}, 6 + 1},
+		{CodecFP32, chaos.Spec{Seed: 5, CrashEpoch: 3, RestartPenalty: 50}, 6},
 		{CodecPipeGCN, chaos.Spec{}, 6},
 	} {
 		inner, err := LookupCodec(tc.codec)

@@ -59,13 +59,13 @@ func figure9And12(r *Runner) *Report {
 func figure10(r *Runner) *Report {
 	rep := &Report{Columns: []Column{colDataset, colParts, colMethod,
 		{Name: "Comm(s)", Prec: 4}, {Name: "Comp(s)", Prec: 4}, {Name: "Quant(s)", Prec: 4},
-		{Name: "Train(s)", Prec: 2, Panel: true}, {Name: "Assign(s)", Prec: 2}}}
+		{Name: "Train(s)", Prec: 2, Panel: true}, {Name: "Assign(ms)", Prec: 2}}}
 	for _, c := range r.grid(r.Profile.EpochsShort*4, func(c Cell) bool { return c.Model == core.GCN && c.Codec != core.CodecSancus }) {
 		c.EvalEvery = 0
 		res := r.train(c)
 		per := res.PerEpoch()
 		rep.add(c.Dataset, setting[c.Parts], names[c.Codec].system, float64(per.Comm+per.Idle), float64(per.Comp), float64(per.Quant),
-			float64(res.WallClock-res.AssignTime), float64(res.AssignTime))
+			float64(res.WallClock-res.AssignTime), 1e3*float64(res.AssignTime))
 	}
 	return rep
 }

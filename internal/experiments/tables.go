@@ -72,10 +72,10 @@ func table4(r *Runner) *Report {
 // first-seed runs.
 func table5And9(r *Runner) *Report {
 	rep := &Report{Columns: []Column{colDataset, colParts, colModel, colMethod,
-		{Name: "Wall-clock (s)", Prec: 2}, {Name: "Assign (s)", Prec: 2}}}
+		{Name: "Wall-clock (s)", Prec: 2}, {Name: "Assign (ms)", Prec: 2}}}
 	for _, c := range r.grid(r.Profile.EpochsLong, nil) {
 		res := r.train(c)
-		rep.add(c.Dataset, setting[c.Parts], c.Model.String(), names[c.Codec].system, float64(res.WallClock), float64(res.AssignTime))
+		rep.add(c.Dataset, setting[c.Parts], c.Model.String(), names[c.Codec].system, float64(res.WallClock), 1e3*float64(res.AssignTime))
 	}
 	return rep
 }

@@ -113,7 +113,7 @@ type FaultStats struct {
 	// Crashes counts device crash/restart events.
 	Crashes int64
 	// RecoveryTime is the simulated restart downtime crashed devices paid
-	// (the replayed epochs' cost shows up in WallClock, not here).
+	// (the lost attempts' cost shows up in WallClock, not here).
 	RecoveryTime timing.Seconds
 }
 

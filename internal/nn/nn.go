@@ -35,31 +35,6 @@ func NewParam(name string, rows, cols int) *Param {
 // ZeroGrad clears the gradient.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
-// ParamCheckpoint is a deep copy of one parameter's trainable state — its
-// value and Adam moments. Gradients are transient within an epoch and not
-// captured.
-type ParamCheckpoint struct {
-	value, m, v []float32
-}
-
-// Checkpoint deep-copies p's value and optimizer moments.
-func (p *Param) Checkpoint() ParamCheckpoint {
-	return ParamCheckpoint{
-		value: append([]float32(nil), p.Value.Data...),
-		m:     append([]float32(nil), p.m.Data...),
-		v:     append([]float32(nil), p.v.Data...),
-	}
-}
-
-// Restore copies a checkpoint taken from this parameter back into it. The
-// parameter's matrices keep their identity, so cached pointers to
-// Value/Grad (e.g. a trainer's flat gradient list) stay valid.
-func (p *Param) Restore(c ParamCheckpoint) {
-	copy(p.Value.Data, c.value)
-	copy(p.m.Data, c.m)
-	copy(p.v.Data, c.v)
-}
-
 // NumElements returns the parameter size.
 func (p *Param) NumElements() int { return len(p.Value.Data) }
 
@@ -364,15 +339,6 @@ func (a *Adam) Step(params []*Param) {
 		}
 	}
 }
-
-// StepCount returns how many updates have been applied — the state behind
-// the bias-correction schedule.
-func (a *Adam) StepCount() int { return a.step }
-
-// SetStepCount rewinds (or advances) the bias-correction schedule; paired
-// with Param.Restore when a crash-recovery checkpoint rolls a device back
-// to an epoch boundary.
-func (a *Adam) SetStepCount(n int) { a.step = n }
 
 // String describes the optimizer configuration.
 func (a *Adam) String() string { return fmt.Sprintf("Adam(lr=%g)", a.LR) }

@@ -131,9 +131,9 @@ func (r *RNG) Split() *RNG {
 }
 
 // RNGState is a snapshot of a generator's full state, including the
-// cached Box-Muller half. Restoring it replays the stream bit for bit —
-// crash-recovery checkpoints rely on that to keep replayed epochs
-// identical to the run they roll back.
+// cached Box-Muller half. Restoring it replays the stream bit for bit;
+// internal/quant's rounding generator loads the stream into locals and
+// stores it back through it.
 type RNGState struct {
 	S        [4]uint64
 	HasGauss bool

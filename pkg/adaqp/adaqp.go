@@ -145,8 +145,9 @@ type (
 // WithFaultPlan): Stragglers devices slowed by SlowFactor (compute) and/or
 // LinkFactor (outgoing links), transient collective failures at FailRate
 // retried up to MaxRetries times with exponential Backoff, and a device
-// crash at CrashEpoch recovered from a checkpoint after RestartPenalty
-// seconds of downtime. The zero value injects nothing; Seed (default 1)
+// crash in the epoch of 0-based index CrashEpoch, which charges every
+// device the lost attempt and the crashed one RestartPenalty seconds of
+// downtime. The zero value injects nothing; Seed (default 1)
 // drives the schedule.
 type FaultSpec = chaos.Spec
 
@@ -170,11 +171,10 @@ type (
 )
 
 // Optional codec-contract declarations, enforced by VerifyCodec:
-// StatefulCodec declares cross-epoch instance state, LossyCodec bounds
-// the epoch-0 decode error, and WireAccountant reports exact wire sizes
-// for the byte ledger (every codec must implement WireAccountant).
+// LossyCodec bounds the epoch-0 decode error, and WireAccountant reports
+// exact wire sizes for the byte ledger (every codec must implement
+// WireAccountant).
 type (
-	StatefulCodec  = core.StatefulCodec
 	LossyCodec     = core.LossyCodec
 	WireAccountant = core.WireAccountant
 )
@@ -264,11 +264,12 @@ func VerifyTransport(f RuntimeFactory, parts int) []TransportViolation {
 
 // VerifyTransportChaos is VerifyTransport's chaos mode: the collective
 // contract re-verified under a matrix of fault plans (compute stragglers,
-// slowed links, transient failures with retry/backoff, a device crash with
-// checkpoint/restart). It checks that faults never corrupt payloads or
-// buffer ownership, that fault charging matches the wrapped in-process
-// reference clock-for-clock, that retries re-charge time but never bytes,
-// and that a crashed training run replays the doomed epoch bit-identically.
+// slowed links, transient failures with retry/backoff, a device crash and
+// restart). It checks that faults never corrupt payloads or buffer
+// ownership, that fault charging matches the wrapped in-process reference
+// clock-for-clock, that retries re-charge time but never bytes, and that a
+// crashed training run's results and byte ledger equal the fault-free
+// run's.
 // Run it — in addition to VerifyTransport — before training on any custom
 // backend that will face fault injection.
 func VerifyTransportChaos(f RuntimeFactory, parts int) []TransportViolation {

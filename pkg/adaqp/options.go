@@ -293,10 +293,10 @@ func WithEvalEvery(n int) Option {
 
 // WithFaultPlan injects deterministic faults into the run: straggler
 // devices (compute and/or link slowdowns), transient collective failures
-// with bounded retry/backoff, and a device crash with checkpoint/restart
-// recovery. The zero FaultSpec injects nothing. Faults charge simulated
-// time only — the loss curve, accuracies and (crashes aside) the byte
-// ledger stay bit-identical to the fault-free run with the same seed, and
+// with bounded retry/backoff, and a device crash and restart. The zero
+// FaultSpec injects nothing. Faults charge simulated time only — the loss
+// curve, accuracies and byte ledger stay bit-identical to the fault-free
+// run with the same seed, and
 // the whole fault schedule derives from spec.Seed, so repeated runs and
 // both transport backends see identical faults. Result.Faults reports
 // what was injected.
