@@ -151,9 +151,9 @@ func main() {
 	fmt.Printf("\ncodec            %s\n", res.Codec)
 	fmt.Printf("test accuracy    %.4f\n", res.FinalTest)
 	fmt.Printf("throughput       %.3f epoch/s (simulated)\n", res.Throughput())
-	fmt.Printf("wall-clock       %.2fs (assign %.2fs)\n", res.WallClock, res.AssignTime)
-	fmt.Printf("per-epoch        comm %.4fs  comp %.4fs  quant %.4fs  idle %.4fs\n",
-		per.Comm, per.Comp, per.Quant, per.Idle)
+	fmt.Printf("wall-clock       %.2fs (assign %s)\n", res.WallClock, ms(float64(res.AssignTime)))
+	fmt.Printf("per-epoch        comm %s  comp %s  quant %s  idle %s\n",
+		ms(float64(per.Comm)), ms(float64(per.Comp)), ms(float64(per.Quant)), ms(float64(per.Idle)))
 	if ovl := res.OverlapSeconds(); ovl > 0 {
 		fmt.Printf("overlap          %.3gs of compute and messages ran concurrently (summed over devices)\n", ovl)
 	}
@@ -201,6 +201,17 @@ func printPartInfo(dataset string, scale float64, parts int, model string) error
 
 // methodNames lists the accepted -method values from the Method registry
 // (ParseMethod is case-insensitive, so usage shows the lowercase forms).
+// ms prints a simulated duration in milliseconds to three significant
+// digits (at least two decimals), so a non-zero charge never prints as 0.
+func ms(seconds float64) string {
+	v := 1e3 * seconds
+	prec := 2
+	if v > 0 {
+		prec = max(prec, 2-int(math.Floor(math.Log10(v))))
+	}
+	return fmt.Sprintf("%.*fms", prec, v)
+}
+
 func methodNames() []string {
 	var names []string
 	for _, m := range adaqp.Methods() {

@@ -181,9 +181,8 @@ func (a *Arena) PutMat(m *tensor.Matrix) {
 
 // Payloads returns a length-n all-nil container for staging per-peer
 // payloads. The container itself is reused across calls on the same
-// arena, which is safe because the transports do not retain it:
-// the in-process backend copies the refs out under its barrier and the
-// sharded backend copies the container before posting.
+// arena, which is safe because no transport retains it: a collective
+// copies the refs into its post before it returns.
 func (a *Arena) Payloads(n int) [][]byte {
 	if a == nil {
 		return make([][]byte, n)

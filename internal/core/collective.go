@@ -45,9 +45,9 @@ type delivery interface {
 	// a receiver. The post slice is the caller's again once it returns, and
 	// no payload is retained unless it is the very buffer later delivered.
 	send(post []parcel) error
-	// stop reaps whatever start brought up; broken reports that the
-	// delivery itself failed mid-run.
-	stop(broken bool) error
+	// stop ends the Run for the delivery: failed reports that a body
+	// returned an error, broken that the delivery itself failed mid-run.
+	stop(failed, broken bool) error
 }
 
 // Collective op tags, used to catch devices whose collective sequences
@@ -191,7 +191,8 @@ func (e *engine) Run(seed uint64, body func(Transport) error) error {
 	e.mu.Lock()
 	wireErr := e.abortErr
 	e.mu.Unlock()
-	stopErr := e.dlv.stop(wireErr != nil)
+	failed := slices.ContainsFunc(errs, func(err error) bool { return err != nil })
+	stopErr := e.dlv.stop(failed, wireErr != nil)
 	for _, err := range errs {
 		if err != nil {
 			return err

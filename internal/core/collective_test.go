@@ -451,7 +451,7 @@ func (r *reorderDelivery) send(post []parcel) error {
 	return nil
 }
 
-func (r *reorderDelivery) stop(bool) error {
+func (r *reorderDelivery) stop(bool, bool) error {
 	r.mu.Lock()
 	r.stopped = true
 	r.cond.Signal()

@@ -201,4 +201,4 @@ func (p *pointerDelivery) send(post []parcel) error {
 	return nil
 }
 
-func (p *pointerDelivery) stop(bool) error { return nil }
+func (p *pointerDelivery) stop(bool, bool) error { return nil }

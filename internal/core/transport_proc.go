@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/wire"
 )
@@ -20,11 +22,18 @@ import (
 // as one vectored write; package wire documents the data path behind it.
 //
 // Process model: the backend re-executes its own binary (wire.MaybeWorker
-// is the worker entry point, armed by an environment variable) once per
-// Run, each worker born holding its end of a socket pair with the parent,
-// so a Run creates nothing on the filesystem. It reaps the fleet before
-// Run returns — gracefully via a shutdown/stats handshake when the run
-// ends or is canceled, by kill when the wire itself broke.
+// is the worker entry point, armed by an environment variable) into a
+// fleet of workers, each born holding its end of a socket pair with the
+// parent, so a Run creates nothing on the filesystem. Workers are echoes
+// and hold no run state, so a fleet outlives the Run that spawned it: a Run
+// that ends healthy asks every worker for its report (which also fences
+// the fleet — nothing of the Run is left in flight) and hands the fleet
+// back, and the next Run with the same worker count, from any runtime in
+// the process, takes it instead of spawning one. At most one fleet per
+// worker count waits idle, for fleetLinger, before it is shut down. A Run
+// whose body failed or was canceled shuts its fleet down gracefully, and a
+// broken wire kills it; a worker that dies while its fleet is idle gets
+// the fleet killed, never handed out.
 // TransportSpec.Workers is the worker process count (default 2, clamped to
 // the device count).
 //
@@ -33,6 +42,12 @@ import (
 // the parent, so Idle/Comm charges are bit-identical to inprocess even
 // though payload delivery crosses the kernel.
 const TransportProcSharded = "proc-sharded"
+
+// fleetLinger is how long a fleet handed back by a healthy Run waits for
+// the next one before it is shut down: long enough to bridge the gaps
+// between a caller's back-to-back Runs, short enough that a process done
+// with proc-sharded is soon rid of its workers.
+const fleetLinger = 2 * time.Second
 
 func init() {
 	RegisterTransport(TransportProcSharded, newProcRuntime)
@@ -60,8 +75,9 @@ type procRuntime struct {
 
 // WireStats reports the framed-byte accounting accumulated over every Run
 // this runtime has executed (parent counters plus per-worker reports; see
-// wire.PoolStats). Populated on graceful shutdowns only — a broken fleet
-// is killed, not interviewed.
+// wire.PoolStats). Each Run contributes what its fleet did for it alone:
+// the report a healthy Run ends with, or the graceful shutdown after a
+// failed body. A broken fleet is killed, not interviewed.
 func (r *procRuntime) WireStats() wire.PoolStats {
 	r.s.mu.Lock()
 	defer r.s.mu.Unlock()
@@ -70,27 +86,32 @@ func (r *procRuntime) WireStats() wire.PoolStats {
 	return out
 }
 
-// procFleet is the frame delivery: one worker fleet per Run, every payload
-// a wire.Frame whose freshly-read copy the receiver owns outright.
+// procFleet is the frame delivery: a worker fleet held for the length of
+// a Run, every payload a wire.Frame whose delivered copy the receiver owns
+// outright.
 type procFleet struct {
 	workers int
 
-	pool *wire.Pool // set between start and stop
+	fleet *warmFleet // set between start and stop
 
 	mu    sync.Mutex
 	stats wire.PoolStats // accumulated across Runs
 }
 
-// start brings up a fresh worker fleet.
+// start takes the idle fleet of this worker count, or spawns one.
 func (f *procFleet) start(deliver func(parcel), fail func(error)) error {
 	onData := func(fr wire.Frame) {
-		deliver(parcel{frameKey{int(fr.Seq), int(fr.Src), int(fr.Dst)}, fr.Payload})
+		// The frame's bytes are the pool reader's until this returns. The
+		// copy gets its arena size class's capacity (a nil arena's GetBuf),
+		// so the receiver's arena files it where a sender's GetBuf looks.
+		payload := append((*Arena)(nil).GetBuf(len(fr.Payload)), fr.Payload...)
+		deliver(parcel{frameKey{int(fr.Seq), int(fr.Src), int(fr.Dst)}, payload})
 	}
-	pool, err := wire.StartPool("", f.workers, onData, fail)
+	wf, err := acquireFleet(f.workers, onData, fail)
 	if err != nil {
 		return err
 	}
-	f.pool = pool
+	f.fleet = wf
 	return nil
 }
 
@@ -106,21 +127,148 @@ func (f *procFleet) send(post []parcel) error {
 			Payload: p.payload,
 		}
 	}
-	return f.pool.SendPost(frames)
+	return f.fleet.pool.SendPost(frames)
 }
 
-// stop reaps the worker fleet. A healthy or body-aborted run shuts down
-// gracefully (collecting worker stats); a broken wire is killed outright.
-func (f *procFleet) stop(broken bool) error {
-	pool := f.pool
-	f.pool = nil
-	if broken {
-		pool.Kill()
+// stop ends the Run's hold on the fleet. A healthy Run's fleet reports and
+// goes back for the next Run; a failed body's is shut down gracefully
+// (collecting worker stats); a broken wire's is killed outright.
+func (f *procFleet) stop(failed, broken bool) error {
+	wf := f.fleet
+	f.fleet = nil
+	var stats wire.PoolStats
+	var err error
+	switch {
+	case broken:
+		wf.pool.Kill()
 		return nil
+	case failed:
+		stats, err = wf.pool.Shutdown()
+	default:
+		if stats, err = wf.pool.Report(); err != nil {
+			wf.pool.Kill()
+		} else {
+			wf.release()
+		}
 	}
-	stats, err := pool.Shutdown()
 	f.mu.Lock()
 	f.stats.Add(stats)
 	f.mu.Unlock()
 	return err
+}
+
+// warmFleet is one worker fleet and the Run holding it, if any.
+type warmFleet struct {
+	workers int
+	pool    *wire.Pool
+	onData  atomic.Pointer[func(wire.Frame)] // the holding Run's; nil while idle
+
+	// Guarded by idleFleets.
+	fail   func(error) // the holding Run's; nil while idle
+	broken bool        // a worker or socket died: never handed out again
+	linger *time.Timer // while idle: shuts the fleet down
+}
+
+// idleFleets holds the fleets handed back by healthy Runs, at most one per
+// worker count, and guards every warmFleet's Run-holding state.
+var idleFleets = struct {
+	sync.Mutex
+	byWorkers map[int]*warmFleet
+}{byWorkers: map[int]*warmFleet{}}
+
+// acquireFleet hands a Run the idle fleet of workers workers, or spawns
+// one, with the Run's callbacks installed.
+func acquireFleet(workers int, onData func(wire.Frame), fail func(error)) (*warmFleet, error) {
+	idleFleets.Lock()
+	wf := idleFleets.byWorkers[workers]
+	if wf != nil {
+		wf.unidle()
+		wf.hold(onData, fail)
+	}
+	idleFleets.Unlock()
+	if wf != nil {
+		return wf, nil
+	}
+	wf = &warmFleet{workers: workers}
+	wf.hold(onData, fail)
+	pool, err := wire.StartPool("", workers, wf.deliver, wf.onError)
+	if err != nil {
+		return nil, err
+	}
+	wf.pool = pool
+	return wf, nil
+}
+
+// unidle takes the fleet out of the idle set, if it waits there, and
+// reports whether it did. The caller holds idleFleets.
+func (wf *warmFleet) unidle() bool {
+	if idleFleets.byWorkers[wf.workers] != wf {
+		return false
+	}
+	delete(idleFleets.byWorkers, wf.workers)
+	wf.linger.Stop()
+	return true
+}
+
+// hold installs a Run's callbacks (under idleFleets, or before the pool
+// exists).
+func (wf *warmFleet) hold(onData func(wire.Frame), fail func(error)) {
+	wf.onData.Store(&onData)
+	wf.fail = fail
+}
+
+// deliver passes a delivered frame to the holding Run. A fenced fleet has
+// nothing in flight while idle, so a frame then is dropped.
+func (wf *warmFleet) deliver(fr wire.Frame) {
+	if onData := wf.onData.Load(); onData != nil {
+		(*onData)(fr)
+	}
+}
+
+// onError marks the fleet broken and tells the holding Run; an idle fleet
+// that breaks leaves the idle set and is killed.
+func (wf *warmFleet) onError(err error) {
+	idleFleets.Lock()
+	wf.broken = true
+	fail := wf.fail
+	idle := wf.unidle()
+	idleFleets.Unlock()
+	if fail != nil {
+		fail(err)
+	}
+	if idle {
+		wf.pool.Kill()
+	}
+}
+
+// release hands a reported fleet back: it waits idle for the next Run of
+// its worker count unless a fleet of that count already waits (a surplus
+// fleet is shut down) or it broke since its report (killed).
+func (wf *warmFleet) release() {
+	idleFleets.Lock()
+	wf.onData.Store(nil)
+	wf.fail = nil
+	broken := wf.broken
+	keep := !broken && idleFleets.byWorkers[wf.workers] == nil
+	if keep {
+		idleFleets.byWorkers[wf.workers] = wf
+		wf.linger = time.AfterFunc(fleetLinger, wf.expire)
+	}
+	idleFleets.Unlock()
+	switch {
+	case broken:
+		wf.pool.Kill()
+	case !keep:
+		wf.pool.Shutdown()
+	}
+}
+
+// expire shuts the fleet down if it is still idle when its linger ends.
+func (wf *warmFleet) expire() {
+	idleFleets.Lock()
+	idle := wf.unidle()
+	idleFleets.Unlock()
+	if idle {
+		wf.pool.Shutdown()
+	}
 }

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	goruntime "runtime"
 	"testing"
+	"time"
 
 	"repro/internal/synthetic"
 	"repro/internal/tensor"
@@ -311,7 +314,7 @@ func TestProcAbortReapsWorkers(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("Run error = %v, want the device body's error", err)
 	}
-	if rt.s.pool != nil {
+	if rt.s.fleet != nil {
 		t.Fatal("aborted run left the worker pool attached")
 	}
 	// A body abort (the cancel path) still shuts the fleet down
@@ -337,4 +340,247 @@ func TestProcAbortReapsWorkers(t *testing.T) {
 		t.Fatal("recovery run moved no frames")
 	}
 	checkWireConservation(t, stats, workers)
+}
+
+// ringBody is rounds RingAll2All rounds of ringPayload over n ranks, each
+// received payload checked.
+func ringBody(n, rounds int) func(Transport) error {
+	return func(tr Transport) error {
+		for r := 0; r < rounds; r++ {
+			payloads := make([][]byte, n)
+			for dst := range payloads {
+				if dst != tr.Rank() {
+					payloads[dst] = ringPayload(tr.Rank(), dst, r)
+				}
+			}
+			got := tr.RingAll2All(payloads)
+			for src := range got {
+				if src != tr.Rank() && !bytes.Equal(got[src], ringPayload(src, tr.Rank(), r)) {
+					return fmt.Errorf("rank %d round %d: payload from %d corrupted in flight", tr.Rank(), r, src)
+				}
+			}
+		}
+		return nil
+	}
+}
+
+// idleFleet returns the fleet of workers workers waiting for a Run, if any.
+func idleFleet(workers int) *warmFleet {
+	idleFleets.Lock()
+	defer idleFleets.Unlock()
+	return idleFleets.byWorkers[workers]
+}
+
+// shutIdleFleets shuts every idle fleet down now, as its linger would, so
+// a test starts with no fleet handed back by an earlier one.
+func shutIdleFleets() {
+	idleFleets.Lock()
+	var idle []*warmFleet
+	for _, wf := range idleFleets.byWorkers {
+		wf.linger.Stop()
+		idle = append(idle, wf)
+	}
+	clear(idleFleets.byWorkers)
+	idleFleets.Unlock()
+	for _, wf := range idle {
+		wf.pool.Shutdown()
+	}
+}
+
+// TestProcFleetOutlivesRun: back-to-back Runs on two runtimes share one
+// fleet — the second spawns nothing — and each runtime's WireStats holds
+// its own Run's traffic alone, conserved.
+func TestProcFleetOutlivesRun(t *testing.T) {
+	const n, workers = 4, 2
+	shutIdleFleets()
+	var pools []*wire.Pool
+	for i := range 2 {
+		rt := newProcRuntime(TransportSpec{Parts: n, Workers: workers}).(*procRuntime)
+		if err := rt.Run(uint64(i), ringBody(n, i+1)); err != nil {
+			t.Fatal(err)
+		}
+		wf := idleFleet(workers)
+		if wf == nil {
+			t.Fatalf("run %d handed no fleet back", i)
+		}
+		pools = append(pools, wf.pool)
+		stats := rt.WireStats()
+		if want := uint64((i + 1) * n * (n - 1)); stats.SentFrames != want {
+			t.Errorf("run %d: its runtime counts %d frames sent, want its own %d", i, stats.SentFrames, want)
+		}
+		checkWireConservation(t, stats, workers)
+	}
+	if pools[0] != pools[1] {
+		t.Errorf("the second Run spawned workers %v; the first Run's %v were idle", pools[1].PIDs(), pools[0].PIDs())
+	}
+}
+
+// TestProcIdleWorkerDeath: a worker SIGKILLed while its fleet is idle gets
+// the fleet out of the idle set, and the next Run spawns a fresh fleet and
+// trains bit-identically to in-process.
+func TestProcIdleWorkerDeath(t *testing.T) {
+	const workers = 2
+	shutIdleFleets()
+	ds := synthetic.MustLoad("tiny", 1)
+	cfg := tinyConfig(AdaQP)
+	cfg.Epochs = 4
+	cfg.EvalEvery = 2
+	ref, err := trainBlock(ds, 3, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	procCfg := cfg
+	procCfg.Transport = TransportProcSharded
+	procCfg.TransportWorkers = workers
+	if _, err := trainBlock(ds, 3, procCfg); err != nil {
+		t.Fatal(err)
+	}
+	dead := idleFleet(workers)
+	if dead == nil {
+		t.Fatal("healthy run handed no fleet back")
+	}
+	victim, err := os.FindProcess(dead.pool.PIDs()[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := victim.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	// Well inside the linger, which would retire the fleet anyway.
+	for deadline := time.Now().Add(fleetLinger / 2); idleFleet(workers) == dead; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a fleet whose worker died is still idle")
+		}
+	}
+	got, err := trainBlock(ds, 3, procCfg)
+	if err != nil {
+		t.Fatalf("run after an idle worker's death: %v", err)
+	}
+	for i := range ref.Epochs {
+		if got.Epochs[i].Loss != ref.Epochs[i].Loss {
+			t.Errorf("epoch %d loss %v != in-process %v", i, got.Epochs[i].Loss, ref.Epochs[i].Loss)
+		}
+	}
+	if got.FinalTest != ref.FinalTest || got.WallClock != ref.WallClock {
+		t.Errorf("final test %v, wall-clock %v; in-process %v, %v", got.FinalTest, got.WallClock, ref.FinalTest, ref.WallClock)
+	}
+	if fresh := idleFleet(workers); fresh == nil || fresh == dead {
+		t.Errorf("the run after the death handed back %v, want a fresh fleet", fresh)
+	}
+}
+
+// TestProcFailedRunKeepsNoFleet: a Run whose body fails, or whose wire
+// breaks, never hands its fleet back — not even one it took warm.
+func TestProcFailedRunKeepsNoFleet(t *testing.T) {
+	const n, workers = 3, 2
+	boom := errors.New("device body failed")
+	for _, tc := range []struct {
+		name string
+		body func(rt *procRuntime) func(Transport) error
+	}{
+		{"body error", func(*procRuntime) func(Transport) error {
+			return func(tr Transport) error {
+				tr.Barrier()
+				if tr.Rank() == 1 {
+					return boom
+				}
+				tr.Barrier()
+				return nil
+			}
+		}},
+		{"broken wire", func(rt *procRuntime) func(Transport) error {
+			return func(tr Transport) error {
+				if tr.Rank() == 0 {
+					if p, err := os.FindProcess(rt.s.fleet.pool.PIDs()[0]); err == nil {
+						p.Kill()
+					}
+				}
+				return ringBody(n, 1000)(tr)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			shutIdleFleets()
+			rt := newProcRuntime(TransportSpec{Parts: n, Workers: workers}).(*procRuntime)
+			if err := rt.Run(1, ringBody(n, 1)); err != nil {
+				t.Fatal(err)
+			}
+			if idleFleet(workers) == nil {
+				t.Fatal("healthy run handed no fleet back")
+			}
+			if err := rt.Run(2, tc.body(rt)); err == nil {
+				t.Fatal("the failing Run returned nil")
+			}
+			if wf := idleFleet(workers); wf != nil {
+				t.Errorf("the failed Run handed back fleet %v", wf.pool.PIDs())
+			}
+		})
+	}
+}
+
+// TestProcExchangeSteadyStateAllocs pins the arena balance on a warm
+// fleet: a RingAll2All of arena payloads allocates on proc-sharded what it
+// does in-process plus one copy per delivered frame and one frame list per
+// post, n(n−1) + n per round. Each copy has its arena size class's
+// capacity, so the receiver's arena files it where the sender's next
+// GetBuf looks; a copy that misses the class makes every GetBuf miss too,
+// two allocations per frame.
+func TestProcExchangeSteadyStateAllocs(t *testing.T) {
+	const n, size, warm, rounds = 4, 9 << 10, 20, 50
+	shutIdleFleets()
+	perRound := func(f RuntimeFactory) float64 {
+		rt := f(TransportSpec{Parts: n, Workers: 2})
+		var before, after goruntime.MemStats
+		err := rt.Run(1, func(tr Transport) error {
+			a := NewArena()
+			fill := make([]byte, size)
+			round := func(r int) error {
+				fill[size-1] = byte(r)
+				payloads := a.Payloads(n)
+				for dst := range payloads {
+					if dst != tr.Rank() {
+						payloads[dst] = append(a.GetBuf(size), fill...)
+					}
+				}
+				got := tr.RingAll2All(payloads)
+				for src, p := range got {
+					if src != tr.Rank() && (len(p) != size || p[size-1] != byte(r)) {
+						return fmt.Errorf("rank %d round %d: bad payload from %d", tr.Rank(), r, src)
+					}
+				}
+				a.ReleaseAll(got)
+				return nil
+			}
+			for r := range warm {
+				if err := round(r); err != nil {
+					return err
+				}
+			}
+			tr.Barrier()
+			if tr.Rank() == 0 {
+				goruntime.ReadMemStats(&before)
+			}
+			tr.Barrier()
+			for r := range rounds {
+				if err := round(r); err != nil {
+					return err
+				}
+			}
+			tr.Barrier()
+			if tr.Rank() == 0 {
+				goruntime.ReadMemStats(&after)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(after.Mallocs-before.Mallocs) / rounds
+	}
+	inproc := perRound(newInprocess)
+	proc := perRound(newProcRuntime)
+	t.Logf("allocations per round: inprocess %.1f, proc-sharded %.1f", inproc, proc)
+	if frames := n * (n - 1); !raceEnabled && proc-inproc >= float64(2*frames) {
+		t.Errorf("proc-sharded allocates %.1f times per round against in-process's %.1f plus %d copies and %d posts: the senders' GetBuf misses", proc, inproc, frames, n)
+	}
 }

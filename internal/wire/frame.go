@@ -32,8 +32,15 @@
 // back out of that buffer the moment its input holds no further complete
 // frame — so a steady-state echo copies and allocates nothing and no frame
 // is ever held across a blocking read. The parent's reader decodes the same
-// way and clones each payload for its consumer. ReadFrame is the
-// allocating decoder for callers that keep the payload.
+// way and hands each payload to its consumer in place, valid until the
+// consumer returns; a consumer that keeps it copies it into storage of its
+// own. ReadFrame is the allocating decoder for callers that keep the
+// payload.
+//
+// Lifetime. A fleet lives until Shutdown or Kill, across any number of
+// Reports: an OpStats request makes each worker report what it echoed since
+// its previous report and serve on, and the reports are a fence — each
+// comes after every echo of a frame sent before it.
 package wire
 
 import (
@@ -62,9 +69,11 @@ const (
 )
 
 // Frame ops. OpReady is a worker's startup acknowledgment to the parent.
-// OpData carries one collective payload from Src to Dst. OpShutdown asks a
-// worker to stop; it answers with OpStats (its data-plane accounting) and
-// exits. Op 1 (a retired hello) and 0 are invalid.
+// OpData carries one collective payload from Src to Dst. OpStats from the
+// parent asks a worker for its report; it answers with OpStats (its
+// data-plane accounting since its previous report) and serves on.
+// OpShutdown asks the same and then ends the worker. Op 1 (a retired hello)
+// and 0 are invalid.
 const (
 	OpReady byte = iota + 2
 	OpData
@@ -228,8 +237,8 @@ func ReadFrame(r io.Reader) (Frame, error) {
 }
 
 // Stats is one worker process's data-plane accounting, reported in its
-// OpStats payload at shutdown: the data frames it read from the parent and
-// echoed back, and their framed bytes.
+// OpStats payload: the data frames it read from the parent and echoed back
+// since its previous report, and their framed bytes.
 type Stats struct {
 	Frames uint64
 	Bytes  uint64

@@ -1,11 +1,11 @@
 package wire
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"os/exec"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -16,17 +16,16 @@ const (
 	// startTimeout bounds how long StartPool waits for a worker's ready
 	// acknowledgment; it only matters when a process failed to come up.
 	startTimeout = 10 * time.Second
-	// reapTimeout bounds how long Shutdown waits for a worker to
-	// acknowledge and exit before killing it.
+	// reapTimeout bounds how long Report and Shutdown wait for the workers'
+	// reports, and Shutdown for a worker to exit before killing it.
 	reapTimeout = 5 * time.Second
 )
 
-// PoolStats aggregates one pool lifetime's data-plane accounting: the
-// parent's own counters plus every worker's OpStats report. All byte
-// counts are framed sizes of OpData frames.
+// PoolStats is a pool's data-plane accounting between two reports (or
+// since StartPool): the parent's own counters plus every worker's OpStats
+// report. All byte counts are framed sizes of OpData frames.
 type PoolStats struct {
-	// Workers holds each worker process's shutdown report, indexed by
-	// worker.
+	// Workers holds each worker process's report, indexed by worker.
 	Workers []Stats
 	// SentFrames/SentBytes count data frames the parent wrote to workers.
 	SentFrames, SentBytes uint64
@@ -35,8 +34,8 @@ type PoolStats struct {
 	DeliveredFrames, DeliveredBytes uint64
 }
 
-// Add accumulates o into s (for callers aggregating across pool
-// lifetimes, e.g. one per training run).
+// Add accumulates o into s (for callers aggregating across reports, e.g.
+// one per training run).
 func (s *PoolStats) Add(o PoolStats) {
 	for i, ws := range o.Workers {
 		if i < len(s.Workers) {
@@ -57,6 +56,7 @@ type poolProc struct {
 	cmd      *exec.Cmd
 	conn     *conn
 	ready    chan struct{}
+	reports  chan Stats // the worker's OpStats answers, one per request
 	waitDone chan struct{}
 	waitErr  error
 }
@@ -79,7 +79,8 @@ func (pp *poolProc) acknowledge() error {
 // source rank's shard, which sends it straight back. Delivered frames
 // arrive on the onData callback from internal reader goroutines, one per
 // worker; onError reports a broken fleet (a dead worker or socket) outside
-// any send call.
+// any send call. A fleet outlives any number of Reports: it ends with
+// Shutdown or Kill.
 type Pool struct {
 	workers int
 	procs   []*poolProc
@@ -91,19 +92,16 @@ type Pool struct {
 
 	shuttingDown atomic.Bool
 	readers      sync.WaitGroup
-
-	mu      sync.Mutex
-	stats   []Stats
-	statsOK []bool
 }
 
 // StartPool spawns workers worker processes and blocks until every one
 // acknowledged readiness. Each worker inherits its connection at spawn, so
 // nothing is created on the filesystem: dir is ignored, and stays only for
-// callers that still pass one. onData receives every delivered data frame
-// (payload freshly allocated, caller-owned); both callbacks may be invoked
-// from internal goroutines. On systems without Unix-domain socket pairs it
-// returns an error.
+// callers that still pass one. onData receives every delivered data frame;
+// its payload aliases the reader's buffer and is valid only until onData
+// returns, so a consumer that keeps the bytes copies them into storage of
+// its choosing. Both callbacks may be invoked from internal goroutines. On
+// systems without Unix-domain socket pairs it returns an error.
 func StartPool(dir string, workers int, onData func(Frame), onError func(error)) (*Pool, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("wire: pool needs at least one worker, got %d", workers)
@@ -116,8 +114,6 @@ func StartPool(dir string, workers int, onData func(Frame), onError func(error))
 		workers: workers,
 		onData:  onData,
 		onError: onError,
-		stats:   make([]Stats, workers),
-		statsOK: make([]bool, workers),
 	}
 	for i := 0; i < workers; i++ {
 		cmd := exec.Command(exe)
@@ -128,7 +124,7 @@ func StartPool(dir string, workers int, onData func(Frame), onError func(error))
 			p.Kill()
 			return nil, fmt.Errorf("wire: start worker %d: %w", i, err)
 		}
-		pp := &poolProc{cmd: cmd, conn: &conn{c: c}, ready: make(chan struct{}), waitDone: make(chan struct{})}
+		pp := &poolProc{cmd: cmd, conn: &conn{c: c}, ready: make(chan struct{}), reports: make(chan Stats, 1), waitDone: make(chan struct{})}
 		p.procs = append(p.procs, pp)
 		go func() {
 			pp.waitErr = pp.cmd.Wait()
@@ -160,8 +156,8 @@ func (p *Pool) fail(err error) {
 	}
 }
 
-// readLoop services one worker connection until its OpStats report (clean
-// shutdown) or a read error.
+// readLoop services one worker connection until it ends: at EOF after a
+// shutdown, or at a read or protocol error.
 func (p *Pool) readLoop(i int, pp *poolProc) {
 	defer p.readers.Done()
 	fr := newFrameReader(pp.conn.c)
@@ -174,6 +170,15 @@ func (p *Pool) readLoop(i int, pp *poolProc) {
 		case f.Op == OpData && int(f.Src)%p.workers != i:
 			// A worker echoes; it cannot have been sent another shard's frame.
 			err = fmt.Errorf("frame from rank %d is not of this worker's shard", f.Src)
+		case f.Op == OpStats:
+			var s Stats
+			if s, err = parseStats(f.Payload); err == nil {
+				select {
+				case pp.reports <- s:
+				default:
+					err = errors.New("stats report nobody asked for")
+				}
+			}
 		}
 		if err != nil {
 			if !p.shuttingDown.Load() {
@@ -181,22 +186,21 @@ func (p *Pool) readLoop(i int, pp *poolProc) {
 			}
 			return
 		}
-		switch f.Op {
-		case OpData:
+		if f.Op == OpData {
 			p.deliveredFrames.Add(1)
 			p.deliveredBytes.Add(uint64(FrameSize(len(f.Payload))))
-			// The reader's buffer is reused; the consumer owns its payload.
-			f.Payload = slices.Clone(f.Payload)
 			p.onData(f)
-		case OpStats:
-			s, err := parseStats(f.Payload)
-			p.mu.Lock()
-			p.stats[i] = s
-			p.statsOK[i] = err == nil
-			p.mu.Unlock()
-			return
 		}
 	}
+}
+
+// PIDs returns the worker processes' ids, by worker index.
+func (p *Pool) PIDs() []int {
+	pids := make([]int, len(p.procs))
+	for i, pp := range p.procs {
+		pids[i] = pp.cmd.Process.Pid
+	}
+	return pids
 }
 
 // Send sends one data frame into the fleet: a post of one.
@@ -227,67 +231,77 @@ func (p *Pool) SendPost(post []Frame) error {
 	return nil
 }
 
-func (p *Pool) snapshot() PoolStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return PoolStats{
-		Workers:         append([]Stats(nil), p.stats...),
-		SentFrames:      p.sentFrames.Load(),
-		SentBytes:       p.sentBytes.Load(),
-		DeliveredFrames: p.deliveredFrames.Load(),
-		DeliveredBytes:  p.deliveredBytes.Load(),
-	}
+// Report asks every worker for its accounting since its previous report
+// and returns the fleet's, parent counters included; the fleet keeps
+// serving. A worker answers in order on its one connection, after echoing
+// every frame sent to it before the request, so Report is also a fence:
+// once it returns, every frame sent before it has been delivered, and none
+// is in flight. Call it with no send in progress. On an error — a request
+// that could not be written, or a worker silent past the reap timeout — the
+// fleet's state is unknown: Kill it.
+func (p *Pool) Report() (PoolStats, error) {
+	return p.interview(OpStats)
 }
 
-// Shutdown asks every worker to stop, collects their stats reports, and
-// reaps the processes — killing any that fail to exit within the reap
-// timeout, so a wedged worker can never leak past a run. A worker echoes
-// in order on its one connection, so every frame sent to it is back before
-// its report: once the reports are in, so is every frame. Shutdown returns
-// the pool's aggregated stats and the first problem encountered (nil on a
+// interview sends op to every worker and collects the report each answers
+// it with. It returns what arrived and the first problem.
+func (p *Pool) interview(op byte) (PoolStats, error) {
+	var firstErr error
+	asked := make([]bool, len(p.procs))
+	for i, pp := range p.procs {
+		if _, err := pp.conn.writeFrames(Frame{Op: op, Src: ParentID}); err != nil {
+			firstErr = cmp.Or(firstErr, fmt.Errorf("wire: op %d to worker %d: %w", op, i, err))
+			continue
+		}
+		asked[i] = true
+	}
+	stats := PoolStats{Workers: make([]Stats, len(p.procs))}
+	deadline := time.NewTimer(reapTimeout)
+	defer deadline.Stop()
+collect:
+	for i, pp := range p.procs {
+		if !asked[i] {
+			continue
+		}
+		select {
+		case stats.Workers[i] = <-pp.reports:
+		case <-deadline.C:
+			firstErr = cmp.Or(firstErr, fmt.Errorf("wire: worker %d returned no stats", i))
+			break collect
+		}
+	}
+	stats.SentFrames = p.sentFrames.Swap(0)
+	stats.SentBytes = p.sentBytes.Swap(0)
+	stats.DeliveredFrames = p.deliveredFrames.Swap(0)
+	stats.DeliveredBytes = p.deliveredBytes.Swap(0)
+	return stats, firstErr
+}
+
+// Shutdown asks every worker to stop, collects their reports (what each
+// echoed since its previous one), and reaps the processes — killing any
+// that fail to exit within the reap timeout, so a wedged worker can never
+// leak past a run. As with Report, once the reports are in, so is every
+// frame; no callback runs after Shutdown returns. Shutdown returns the
+// stats since the last report and the first problem encountered (nil on a
 // fully graceful shutdown).
 func (p *Pool) Shutdown() (PoolStats, error) {
 	p.shuttingDown.Store(true)
-	var firstErr error
-	keep := func(err error) {
-		if firstErr == nil && err != nil {
-			firstErr = err
-		}
-	}
-	for i, pp := range p.procs {
-		if _, err := pp.conn.writeFrames(Frame{Op: OpShutdown, Src: ParentID}); err != nil {
-			keep(fmt.Errorf("wire: shutdown to worker %d: %w", i, err))
-		}
-	}
-	readersDone := make(chan struct{})
-	go func() { p.readers.Wait(); close(readersDone) }()
-	select {
-	case <-readersDone:
-	case <-time.After(reapTimeout):
-		keep(errors.New("wire: workers did not acknowledge shutdown"))
-	}
+	stats, err := p.interview(OpShutdown)
 	for i, pp := range p.procs {
 		select {
 		case <-pp.waitDone:
 		case <-time.After(reapTimeout):
 			pp.cmd.Process.Kill()
 			<-pp.waitDone
-			keep(fmt.Errorf("wire: worker %d killed after shutdown timeout", i))
+			err = cmp.Or(err, fmt.Errorf("wire: worker %d killed after shutdown timeout", i))
 		}
 		if pp.waitErr != nil {
-			keep(fmt.Errorf("wire: worker %d exit: %v", i, pp.waitErr))
+			err = cmp.Or(err, fmt.Errorf("wire: worker %d exit: %v", i, pp.waitErr))
 		}
 		pp.conn.c.Close()
 	}
-	stats := p.snapshot()
-	p.mu.Lock()
-	for i, ok := range p.statsOK {
-		if !ok {
-			keep(fmt.Errorf("wire: worker %d returned no stats", i))
-		}
-	}
-	p.mu.Unlock()
-	return stats, firstErr
+	p.readers.Wait()
+	return stats, err
 }
 
 // Kill force-terminates the fleet without a handshake (the abort path:

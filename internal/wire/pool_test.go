@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,8 +12,9 @@ import (
 	"time"
 )
 
-// collector gathers delivered frames from the pool's reader goroutines
-// and lets the test block until an expected count arrived.
+// collector gathers delivered frames from the pool's reader goroutines —
+// copying each payload, which is the reader's until onData returns — and
+// lets the test block until an expected count arrived.
 type collector struct {
 	mu     sync.Mutex
 	frames []Frame
@@ -24,6 +26,7 @@ func newCollector() *collector {
 }
 
 func (c *collector) onData(f Frame) {
+	f.Payload = slices.Clone(f.Payload)
 	c.mu.Lock()
 	c.frames = append(c.frames, f)
 	c.mu.Unlock()
@@ -274,6 +277,46 @@ func TestPoolShutdownRightAfterPost(t *testing.T) {
 	}
 }
 
+// TestPoolReportIsAFence asks for a report right after each post, over and
+// over, on one fleet: the report must not return before every echo ahead of
+// it was delivered, must count only what was sent since the previous
+// report, and must leave the fleet serving. The final Shutdown reports
+// nothing, since nothing was sent after the last report.
+func TestPoolReportIsAFence(t *testing.T) {
+	const workers, ranks = 2, 8
+	var delivered atomic.Uint64
+	pool, err := StartPool("", workers, func(Frame) { delivered.Add(1) }, func(err error) { t.Errorf("pool: %v", err) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Kill()
+	for i := 0; i < 200; i++ {
+		post := devicePost(uint32(i), i%ranks, ranks, func(dst int) []byte { return bytes.Repeat([]byte{byte(dst)}, 1000*dst+i) })
+		if err := pool.SendPost(post); err != nil {
+			t.Fatal(err)
+		}
+		stats, err := pool.Report()
+		if err != nil {
+			t.Fatalf("iteration %d: report: %v", i, err)
+		}
+		if got := delivered.Swap(0); stats.SentFrames != ranks-1 || got != ranks-1 {
+			t.Fatalf("iteration %d: report counts %d frames sent, %d delivered before it returned, want %d each", i, stats.SentFrames, got, ranks-1)
+		}
+		checkConservation(t, stats, workers)
+		if t.Failed() {
+			t.Fatalf("iteration %d: %+v", i, stats)
+		}
+	}
+	stats, err := pool.Shutdown()
+	if err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	checkConservation(t, stats, workers)
+	if stats.SentFrames != 0 || stats.Workers[0] != (Stats{}) || stats.Workers[1] != (Stats{}) {
+		t.Errorf("shutdown after the last report reported %+v, want nothing", stats)
+	}
+}
+
 // TestPoolSecondReadyIsProtocolError: a worker acknowledges readiness once.
 // A second OpReady fails the pool through onError instead of panicking the
 // parent.
@@ -299,6 +342,34 @@ func TestPoolSecondReadyIsProtocolError(t *testing.T) {
 		t.Fatal("a second OpReady was not reported")
 	}
 	<-pp.ready
+	p.readers.Wait()
+}
+
+// TestPoolUnaskedReportIsProtocolError: a worker reports once per request,
+// and the parent has at most one outstanding, so a second report before
+// the first was taken fails the pool through onError.
+func TestPoolUnaskedReportIsProtocolError(t *testing.T) {
+	ours, theirs := net.Pipe()
+	defer ours.Close()
+	defer theirs.Close()
+	errc := make(chan error, 1)
+	p := &Pool{workers: 1, onError: func(err error) { errc <- err }}
+	pp := &poolProc{conn: &conn{c: ours}, ready: make(chan struct{}), reports: make(chan Stats, 1)}
+	p.readers.Add(1)
+	go p.readLoop(0, pp)
+	report := AppendFrame(nil, Frame{Op: OpStats, Payload: appendStats(nil, Stats{})})
+	if _, err := theirs.Write(append(report, report...)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-errc:
+		if !strings.Contains(err.Error(), "nobody asked for") {
+			t.Errorf("onError got %v, want the protocol error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a second report was not reported")
+	}
+	<-pp.reports
 	p.readers.Wait()
 }
 

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"slices"
@@ -46,7 +47,7 @@ func MaybeWorker() {
 
 // runWorker serves the parent on the connection this process inherited.
 // Nothing else holds the parent's end, so a parent that dies or closes it
-// ends the worker with a read error: a worker never outlives its parent.
+// ends the worker at its next read: a worker never outlives its parent.
 func runWorker(index int) error {
 	f := os.NewFile(parentFD, "wire-parent")
 	c, err := net.FileConn(f)
@@ -103,17 +104,23 @@ func (wc *conn) writeFrames(frames ...Frame) (int, error) {
 // input holds no further complete frame — never on a timer, never held
 // across a blocking read, never copied.
 //
-// It acknowledges readiness, then echoes the parent's data frames until
-// OpShutdown, which it answers with the worker's OpStats.
+// It acknowledges readiness, then echoes the parent's data frames. An
+// OpStats request it answers with an OpStats report of what it echoed since
+// its previous report, and keeps serving; OpShutdown it answers the same
+// way, then ends.
 func parentLoop(c net.Conn, index int) error {
 	if _, err := c.Write(AppendFrame(nil, Frame{Op: OpReady, Src: uint16(index)})); err != nil {
 		return fmt.Errorf("ready ack: %w", err)
 	}
 	fr := newFrameReader(c)
 	var s Stats
+	var report []byte
 	held := 0 // framed bytes of data frames read and not yet echoed
 	for {
 		f, err := fr.next()
+		if err == io.EOF {
+			return nil // the parent let go, between frames: nothing is held
+		}
 		if err != nil {
 			return fmt.Errorf("parent read: %w", err)
 		}
@@ -127,15 +134,21 @@ func parentLoop(c net.Conn, index int) error {
 				_, err = c.Write(fr.consumed(held))
 				held = 0
 			}
-		case OpShutdown:
-			// The data frames that came in with it leave first, then the report.
+		case OpStats, OpShutdown:
+			// The data frames that came in with it leave first, then the
+			// report: once the parent has it, it has every echo before it.
 			if held > 0 {
 				_, err = c.Write(fr.consumed(held + size)[:held])
+				held = 0
 			}
 			if err == nil {
-				_, err = c.Write(AppendFrame(nil, Frame{Op: OpStats, Src: uint16(index), Payload: appendStats(nil, s)}))
+				report = AppendFrame(report[:0], Frame{Op: OpStats, Src: uint16(index), Payload: appendStats(nil, s)})
+				_, err = c.Write(report)
+				s = Stats{}
 			}
-			return err
+			if f.Op == OpShutdown {
+				return err
+			}
 		default:
 			return fmt.Errorf("unexpected op %d from the parent", f.Op)
 		}

@@ -165,22 +165,59 @@ func TestWorkerShutdownFlushesBeforeStats(t *testing.T) {
 	}
 }
 
-// TestWorkerRejectsUnexpectedOp: the parent sends data frames and one
-// OpShutdown, nothing else. Any other op on its connection ends the worker
-// with an error — never a silent drop, and never an echo.
-func TestWorkerRejectsUnexpectedOp(t *testing.T) {
-	for _, op := range []byte{OpReady, OpStats} {
-		parent, result := startWorker(t, 0)
-		if _, err := parent.Write(AppendFrame(nil, Frame{Op: op, Src: ParentID})); err != nil {
+// TestWorkerReportsAndKeepsServing: an OpStats request arriving in one
+// read with data frames is answered after their echoes, with what the
+// worker echoed since its previous report, and the worker serves on; the
+// next report counts from zero.
+func TestWorkerReportsAndKeepsServing(t *testing.T) {
+	parent, result := startWorker(t, 0)
+	for round := 1; round <= 3; round++ {
+		var in []byte
+		var want uint64
+		for seq := uint32(0); seq < uint32(round); seq++ {
+			f := Frame{Op: OpData, Seq: seq, Payload: bytes.Repeat([]byte{byte(seq)}, 7*round)}
+			in = AppendFrame(in, f)
+			want += uint64(FrameSize(len(f.Payload)))
+		}
+		in = AppendFrame(in, Frame{Op: OpStats, Src: ParentID})
+		if _, err := parent.Write(in); err != nil {
 			t.Fatal(err)
 		}
-		select {
-		case err := <-result:
-			if err == nil || !strings.Contains(err.Error(), "unexpected op") {
-				t.Errorf("op %d: worker ended with %v, want the protocol error", op, err)
+		for seq := uint32(0); seq < uint32(round); seq++ {
+			if f := readFrameWithin(t, parent); f.Op != OpData || f.Seq != seq {
+				t.Fatalf("round %d: frame %d out of the worker is %+v, want data frame %d", round, seq, f, seq)
 			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("op %d: worker kept going", op)
 		}
+		f := readFrameWithin(t, parent)
+		if f.Op != OpStats {
+			t.Fatalf("round %d: after the data frames: %+v, want the stats report", round, f)
+		}
+		if stats, err := parseStats(f.Payload); err != nil || stats != (Stats{Frames: uint64(round), Bytes: want}) {
+			t.Errorf("round %d: report %+v (%v), want %d bytes in %d frames", round, stats, err, want, round)
+		}
+	}
+	select {
+	case err := <-result:
+		t.Fatalf("worker ended after a report: %v", err)
+	default:
+	}
+}
+
+// TestWorkerRejectsUnexpectedOp: the parent sends data frames, stats
+// requests and one OpShutdown, nothing else. Any other op on its
+// connection ends the worker with an error — never a silent drop, and
+// never an echo.
+func TestWorkerRejectsUnexpectedOp(t *testing.T) {
+	parent, result := startWorker(t, 0)
+	if _, err := parent.Write(AppendFrame(nil, Frame{Op: OpReady, Src: ParentID})); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-result:
+		if err == nil || !strings.Contains(err.Error(), "unexpected op") {
+			t.Errorf("worker ended with %v, want the protocol error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("worker kept going")
 	}
 }
