@@ -182,6 +182,24 @@ func TestRemovedSpecFieldIs400(t *testing.T) {
 	}
 }
 
+// TestBadScaleIs400: a negative scale is refused with an error naming it,
+// never trained at full size under a cache entry of its own.
+func TestBadScaleIs400(t *testing.T) {
+	ts, sched := testServer(t)
+	rec := httptest.NewRecorder()
+	body := `{"dataset":"tiny","scale":-3,"parts":2,"epochs":1,"hidden":8}`
+	ts.Config.Handler.ServeHTTP(rec, httptest.NewRequest("POST", "/jobs", strings.NewReader(body)))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400", rec.Code)
+	}
+	if !strings.Contains(rec.Body.String(), "scale -3") {
+		t.Errorf("error body %q does not name the scale", rec.Body.String())
+	}
+	if n := len(sched.Sessions()); n != 0 {
+		t.Errorf("%d sessions admitted, want 0", n)
+	}
+}
+
 // TestOversizedSpecIs413: the body is capped before decoding, wherever the
 // excess sits — inside the spec or as padding after it.
 func TestOversizedSpecIs413(t *testing.T) {

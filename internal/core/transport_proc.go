@@ -26,14 +26,16 @@ import (
 // fleet of workers, each born holding its end of a socket pair with the
 // parent, so a Run creates nothing on the filesystem. Workers are echoes
 // and hold no run state, so a fleet outlives the Run that spawned it: a Run
-// that ends healthy asks every worker for its report (which also fences
-// the fleet — nothing of the Run is left in flight) and hands the fleet
-// back, and the next Run with the same worker count, from any runtime in
-// the process, takes it instead of spawning one. At most one fleet per
-// worker count waits idle, for fleetLinger, before it is shut down. A Run
-// whose body failed or was canceled shuts its fleet down gracefully, and a
-// broken wire kills it; a worker that dies while its fleet is idle gets
-// the fleet killed, never handed out.
+// that ends healthy hands the fleet back as it is — every collective
+// receives each parcel it sent before it returns, so once every body has
+// returned nil nothing of the Run is in flight — and the next Run with the
+// same worker count, from any runtime in the process, takes it instead of
+// spawning one. At most one fleet per worker count waits idle, for
+// fleetLinger, before it is shut down. A Run whose body failed or was
+// canceled shuts its fleet down gracefully (a half-close: each worker
+// echoes what it holds and exits), and a broken wire kills it; a worker
+// that dies while its fleet is idle gets the fleet killed, never handed
+// out.
 // TransportSpec.Workers is the worker process count (default 2, clamped to
 // the device count).
 //
@@ -74,16 +76,15 @@ type procRuntime struct {
 }
 
 // WireStats reports the framed-byte accounting accumulated over every Run
-// this runtime has executed (parent counters plus per-worker reports; see
-// wire.PoolStats). Each Run contributes what its fleet did for it alone:
-// the report a healthy Run ends with, or the graceful shutdown after a
-// failed body. A broken fleet is killed, not interviewed.
+// this runtime has executed (the pool's counters; see wire.PoolStats).
+// Each Run contributes what its fleet counted while the Run held it, up to
+// the hand-back after a healthy Run or the graceful shutdown after a
+// failed body, so a completed Run delivered every frame it sent. A broken
+// fleet's Run contributes nothing.
 func (r *procRuntime) WireStats() wire.PoolStats {
 	r.s.mu.Lock()
 	defer r.s.mu.Unlock()
-	out := r.s.stats
-	out.Workers = append([]wire.Stats(nil), out.Workers...)
-	return out
+	return r.s.stats
 }
 
 // procFleet is the frame delivery: a worker fleet held for the length of
@@ -92,7 +93,8 @@ func (r *procRuntime) WireStats() wire.PoolStats {
 type procFleet struct {
 	workers int
 
-	fleet *warmFleet // set between start and stop
+	fleet *warmFleet     // set between start and stop
+	taken wire.PoolStats // the fleet's counts when the Run took it
 
 	mu    sync.Mutex
 	stats wire.PoolStats // accumulated across Runs
@@ -112,6 +114,7 @@ func (f *procFleet) start(deliver func(parcel), fail func(error)) error {
 		return err
 	}
 	f.fleet = wf
+	f.taken = wf.pool.Stats()
 	return nil
 }
 
@@ -130,29 +133,27 @@ func (f *procFleet) send(post []parcel) error {
 	return f.fleet.pool.SendPost(frames)
 }
 
-// stop ends the Run's hold on the fleet. A healthy Run's fleet reports and
-// goes back for the next Run; a failed body's is shut down gracefully
-// (collecting worker stats); a broken wire's is killed outright.
+// stop ends the Run's hold on the fleet. A healthy Run's fleet goes back
+// for the next Run; a failed body's is shut down gracefully; a broken
+// wire's is killed outright.
 func (f *procFleet) stop(failed, broken bool) error {
 	wf := f.fleet
 	f.fleet = nil
-	var stats wire.PoolStats
+	var end wire.PoolStats
 	var err error
 	switch {
 	case broken:
 		wf.pool.Kill()
 		return nil
 	case failed:
-		stats, err = wf.pool.Shutdown()
+		end, err = wf.pool.Shutdown()
 	default:
-		if stats, err = wf.pool.Report(); err != nil {
-			wf.pool.Kill()
-		} else {
-			wf.release()
-		}
+		// Read before the hand-back: the next Run may take the fleet at once.
+		end = wf.pool.Stats()
+		wf.release()
 	}
 	f.mu.Lock()
-	f.stats.Add(stats)
+	f.stats.Add(end.Sub(f.taken))
 	f.mu.Unlock()
 	return err
 }
@@ -217,8 +218,8 @@ func (wf *warmFleet) hold(onData func(wire.Frame), fail func(error)) {
 	wf.fail = fail
 }
 
-// deliver passes a delivered frame to the holding Run. A fenced fleet has
-// nothing in flight while idle, so a frame then is dropped.
+// deliver passes a delivered frame to the holding Run. A fleet handed back
+// has nothing in flight while idle, so a frame then is dropped.
 func (wf *warmFleet) deliver(fr wire.Frame) {
 	if onData := wf.onData.Load(); onData != nil {
 		(*onData)(fr)
@@ -241,9 +242,9 @@ func (wf *warmFleet) onError(err error) {
 	}
 }
 
-// release hands a reported fleet back: it waits idle for the next Run of
-// its worker count unless a fleet of that count already waits (a surplus
-// fleet is shut down) or it broke since its report (killed).
+// release hands a healthy Run's fleet back: it waits idle for the next Run
+// of its worker count unless a fleet of that count already waits (a
+// surplus fleet is shut down) or it broke during the Run (killed).
 func (wf *warmFleet) release() {
 	idleFleets.Lock()
 	wf.onData.Store(nil)

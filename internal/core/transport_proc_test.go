@@ -23,10 +23,11 @@ func ringPayload(src, dst, r int) []byte {
 }
 
 // TestProcDefaultWorkers pins what Workers means at its zero value: two
-// worker processes, however many devices there are. Every rank ships a
-// ring round, so both workers echo frames and report.
+// worker processes, however many devices there are, which carry every
+// frame of a ring round.
 func TestProcDefaultWorkers(t *testing.T) {
 	const n = 4
+	shutIdleFleets()
 	rt := newProcRuntime(TransportSpec{Parts: n}).(*procRuntime)
 	err := rt.Run(1, func(tr Transport) error {
 		payloads := make([][]byte, n)
@@ -41,22 +42,25 @@ func TestProcDefaultWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := rt.WireStats().Workers
-	if len(ws) != 2 {
-		t.Fatalf("Workers 0 on %d parts collected %d worker reports, want 2", n, len(ws))
+	wf := idleFleet(2)
+	if wf == nil {
+		t.Fatalf("Workers 0 on %d parts handed back no two-worker fleet", n)
 	}
-	for i, w := range ws {
-		if w.Frames == 0 {
-			t.Errorf("worker %d echoed no frames", i)
-		}
+	if pids := wf.pool.PIDs(); len(pids) != 2 {
+		t.Fatalf("Workers 0 on %d parts ran %d worker processes, want 2", n, len(pids))
 	}
+	stats := rt.WireStats()
+	if stats.SentFrames != n*(n-1) {
+		t.Errorf("%d frames crossed the fleet, want %d", stats.SentFrames, n*(n-1))
+	}
+	checkWireConservation(t, stats)
 }
 
 // TestProcWireByteAccounting runs a ring-only workload on the
 // proc-sharded backend and reconciles its byte ledgers against the real
 // framed traffic: every payload byte must have crossed a socket inside a
-// frame, and the parent's counters, the workers' counters, and the
-// backend's BytesMoved ledger must all agree exactly.
+// frame, and the pool's counters and the backend's BytesMoved ledger must
+// agree exactly.
 func TestProcWireByteAccounting(t *testing.T) {
 	const n, workers, rounds = 4, 2, 3
 	rt := newProcRuntime(TransportSpec{Parts: n, Workers: workers}).(*procRuntime)
@@ -88,7 +92,6 @@ func TestProcWireByteAccounting(t *testing.T) {
 	// Expected traffic, recomputed independently of the backend: a frame
 	// goes to the worker of its source rank's shard and straight back.
 	var frames, payloadBytes, sentBytes uint64
-	perWorker := make([]wire.Stats, workers)
 	for r := 0; r < rounds; r++ {
 		for src := 0; src < n; src++ {
 			for dst := 0; dst < n; dst++ {
@@ -99,8 +102,6 @@ func TestProcWireByteAccounting(t *testing.T) {
 				frames++
 				payloadBytes += uint64(l)
 				sentBytes += uint64(wire.FrameSize(l))
-				perWorker[src%workers].Frames++
-				perWorker[src%workers].Bytes += uint64(wire.FrameSize(l))
 			}
 		}
 	}
@@ -116,12 +117,7 @@ func TestProcWireByteAccounting(t *testing.T) {
 	if stats.DeliveredBytes != stats.SentBytes {
 		t.Errorf("DeliveredBytes = %d, want SentBytes = %d", stats.DeliveredBytes, stats.SentBytes)
 	}
-	checkWireConservation(t, stats, workers)
-	for i, ws := range stats.Workers {
-		if ws != perWorker[i] {
-			t.Errorf("worker %d echoed %+v, want its source shard's frames %+v", i, ws, perWorker[i])
-		}
-	}
+	checkWireConservation(t, stats)
 
 	// The backend's payload ledger must equal the frames' payload bytes:
 	// framed traffic minus framing overhead, nothing moved in memory only.
@@ -139,24 +135,12 @@ func TestProcWireByteAccounting(t *testing.T) {
 	}
 }
 
-// checkWireConservation asserts the cross-process conservation laws that
-// hold for any gracefully-completed run: every sent frame came back, and
-// the workers echoed exactly the frames and bytes the parent sent.
-func checkWireConservation(t *testing.T, stats wire.PoolStats, workers int) {
+// checkWireConservation asserts the conservation law that holds for any
+// completed run: every frame sent came back, byte for byte.
+func checkWireConservation(t *testing.T, stats wire.PoolStats) {
 	t.Helper()
-	if len(stats.Workers) != workers {
-		t.Fatalf("got %d worker stats reports, want %d — workers not interviewed at shutdown", len(stats.Workers), workers)
-	}
-	var echoed wire.Stats
-	for _, ws := range stats.Workers {
-		echoed.Frames += ws.Frames
-		echoed.Bytes += ws.Bytes
-	}
 	if stats.DeliveredFrames != stats.SentFrames || stats.DeliveredBytes != stats.SentBytes {
 		t.Errorf("delivered %d frames / %d bytes, sent %d / %d", stats.DeliveredFrames, stats.DeliveredBytes, stats.SentFrames, stats.SentBytes)
-	}
-	if echoed.Frames != stats.SentFrames || echoed.Bytes != stats.SentBytes {
-		t.Errorf("workers echoed %d frames / %d bytes, parent sent %d / %d", echoed.Frames, echoed.Bytes, stats.SentFrames, stats.SentBytes)
 	}
 }
 
@@ -216,7 +200,7 @@ func TestProcWireStatsInvariants(t *testing.T) {
 	if stats.DeliveredBytes != stats.SentBytes {
 		t.Errorf("DeliveredBytes = %d, want SentBytes = %d", stats.DeliveredBytes, stats.SentBytes)
 	}
-	checkWireConservation(t, stats, workers)
+	checkWireConservation(t, stats)
 }
 
 // TestProcTrainingSerializesPayloads trains AdaQP on the proc-sharded
@@ -267,7 +251,7 @@ func TestProcTrainingSerializesPayloads(t *testing.T) {
 	if stats.DeliveredBytes != stats.SentBytes {
 		t.Errorf("DeliveredBytes = %d, want SentBytes = %d", stats.DeliveredBytes, stats.SentBytes)
 	}
-	checkWireConservation(t, stats, 2)
+	checkWireConservation(t, stats)
 
 	// Every ledgered payload byte is a non-self delivery, so it must have
 	// crossed the wire inside a frame: the framed traffic minus framing
@@ -292,13 +276,29 @@ func TestProcTrainingSerializesPayloads(t *testing.T) {
 		moved, stats.SentFrames, stats.SentBytes)
 }
 
+// stopRecorder is a runtime's fleet with the outcome of each stop kept,
+// which Run reports only when no body failed.
+type stopRecorder struct {
+	*procFleet
+	stopErrs []error
+}
+
+func (r *stopRecorder) stop(failed, broken bool) error {
+	err := r.procFleet.stop(failed, broken)
+	r.stopErrs = append(r.stopErrs, err)
+	return err
+}
+
 // TestProcAbortReapsWorkers kills a run from inside a device body and
-// checks the abort path: the error surfaces, the worker fleet is fully
-// reaped, and the same runtime can immediately start a fresh,
+// checks the abort path: the error surfaces, the worker fleet is shut down
+// gracefully — every worker reads the half-close's EOF and exits 0, none
+// is killed — and the same runtime can immediately start a fresh,
 // fully-functional fleet.
 func TestProcAbortReapsWorkers(t *testing.T) {
 	const n, workers = 3, 2
 	rt := newProcRuntime(TransportSpec{Parts: n, Workers: workers}).(*procRuntime)
+	rec := &stopRecorder{procFleet: rt.s}
+	rt.engine.dlv = rec
 
 	boom := errors.New("device body failed")
 	err := rt.Run(3, func(tr Transport) error {
@@ -318,11 +318,11 @@ func TestProcAbortReapsWorkers(t *testing.T) {
 		t.Fatal("aborted run left the worker pool attached")
 	}
 	// A body abort (the cancel path) still shuts the fleet down
-	// gracefully: every worker is interviewed for its stats report before
-	// being reaped. Only a broken wire skips the interview.
-	if got := rt.WireStats(); len(got.Workers) != workers {
-		t.Fatalf("aborted run collected %d worker stats reports, want %d — workers were not gracefully reaped", len(got.Workers), workers)
+	// gracefully; only a broken wire kills it.
+	if len(rec.stopErrs) != 1 || rec.stopErrs[0] != nil {
+		t.Fatalf("the aborted run's shutdown: %v, want one graceful shutdown", rec.stopErrs)
 	}
+	checkWireConservation(t, rt.WireStats())
 
 	// The next Run on the same runtime must bring up a fresh fleet.
 	err = rt.Run(4, func(tr Transport) error {
@@ -339,7 +339,7 @@ func TestProcAbortReapsWorkers(t *testing.T) {
 	if stats.SentFrames == 0 {
 		t.Fatal("recovery run moved no frames")
 	}
-	checkWireConservation(t, stats, workers)
+	checkWireConservation(t, stats)
 }
 
 // ringBody is rounds RingAll2All rounds of ringPayload over n ranks, each
@@ -389,7 +389,7 @@ func shutIdleFleets() {
 
 // TestProcFleetOutlivesRun: back-to-back Runs on two runtimes share one
 // fleet — the second spawns nothing — and each runtime's WireStats holds
-// its own Run's traffic alone, conserved.
+// its own Run's traffic alone, every frame sent delivered.
 func TestProcFleetOutlivesRun(t *testing.T) {
 	const n, workers = 4, 2
 	shutIdleFleets()
@@ -404,11 +404,20 @@ func TestProcFleetOutlivesRun(t *testing.T) {
 			t.Fatalf("run %d handed no fleet back", i)
 		}
 		pools = append(pools, wf.pool)
-		stats := rt.WireStats()
-		if want := uint64((i + 1) * n * (n - 1)); stats.SentFrames != want {
-			t.Errorf("run %d: its runtime counts %d frames sent, want its own %d", i, stats.SentFrames, want)
+		want := wire.PoolStats{SentFrames: uint64((i + 1) * n * (n - 1))}
+		for r := range i + 1 {
+			for src := range n {
+				for dst := range n {
+					if src != dst {
+						want.SentBytes += uint64(wire.FrameSize(len(ringPayload(src, dst, r))))
+					}
+				}
+			}
 		}
-		checkWireConservation(t, stats, workers)
+		want.DeliveredFrames, want.DeliveredBytes = want.SentFrames, want.SentBytes
+		if stats := rt.WireStats(); stats != want {
+			t.Errorf("run %d: its runtime counts %+v, want its own Run's %+v", i, stats, want)
+		}
 	}
 	if pools[0] != pools[1] {
 		t.Errorf("the second Run spawned workers %v; the first Run's %v were idle", pools[1].PIDs(), pools[0].PIDs())

@@ -2,6 +2,7 @@ package synthetic
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -88,14 +89,18 @@ func LookupSpec(name string) (Spec, error) {
 }
 
 // Load builds the named dataset at the given scale with a fixed per-dataset
-// seed, so every experiment in the repo sees identical data.
+// seed, so every experiment in the repo sees identical data. Scale 0 means
+// 1; a negative or non-finite scale is an error.
 func Load(name string, scale Scale) (*Dataset, error) {
 	s, err := LookupSpec(name)
 	if err != nil {
 		return nil, err
 	}
-	if scale <= 0 {
+	switch {
+	case scale == 0:
 		scale = 1
+	case !(scale > 0) || math.IsInf(float64(scale), 1):
+		return nil, fmt.Errorf("synthetic: scale %v is not a positive finite number", float64(scale))
 	}
 	s.Nodes = int(float64(s.Nodes) * float64(scale))
 	s.Edges = int(float64(s.Edges) * float64(scale))

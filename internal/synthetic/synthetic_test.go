@@ -1,7 +1,9 @@
 package synthetic
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/tensor"
@@ -224,6 +226,36 @@ func TestScaleChangesSize(t *testing.T) {
 	micro := MustLoad("tiny", 0.001)
 	if micro.NumNodes() < 2*micro.NumClasses {
 		t.Fatalf("scale floor broken: %d nodes", micro.NumNodes())
+	}
+}
+
+// TestLoadRejectsBadScale: a scale is a positive finite factor, or 0 for
+// the default 1. Anything else is an error naming the value, never a
+// silent full-size or degenerate dataset.
+func TestLoadRejectsBadScale(t *testing.T) {
+	for _, tc := range []struct {
+		scale Scale
+		ok    bool
+	}{
+		{-3, false},
+		{Scale(math.NaN()), false},
+		{Scale(math.Inf(1)), false},
+		{Scale(math.Inf(-1)), false},
+		{0, true},
+		{0.25, true},
+	} {
+		ds, err := Load("tiny", tc.scale)
+		switch {
+		case tc.ok && (err != nil || ds == nil):
+			t.Errorf("scale %v: %v, want a dataset", float64(tc.scale), err)
+		case !tc.ok && err == nil:
+			t.Errorf("scale %v: loaded %d nodes, want an error", float64(tc.scale), ds.NumNodes())
+		case !tc.ok && !strings.Contains(err.Error(), fmt.Sprint(float64(tc.scale))):
+			t.Errorf("scale %v: error %q does not name the value", float64(tc.scale), err)
+		}
+	}
+	if a, b := MustLoad("tiny", 0), MustLoad("tiny", 1); a.NumNodes() != b.NumNodes() || a.Graph.NumEdges() != b.Graph.NumEdges() {
+		t.Errorf("scale 0 built %d nodes / %d edges, scale 1 %d / %d", a.NumNodes(), a.Graph.NumEdges(), b.NumNodes(), b.Graph.NumEdges())
 	}
 }
 

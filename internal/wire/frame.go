@@ -15,7 +15,7 @@
 //	offset  size  field
 //	0       4     length of the rest of the frame (header + payload)
 //	4       1     format version (currently 1)
-//	5       1     op (OpReady, OpData, OpShutdown, OpStats)
+//	5       1     op (OpReady, OpData)
 //	6       4     seq — collective sequence number
 //	10      2     src rank
 //	12      2     dst rank
@@ -38,9 +38,11 @@
 // payload.
 //
 // Lifetime. A fleet lives until Shutdown or Kill, across any number of
-// Reports: an OpStats request makes each worker report what it echoed since
-// its previous report and serve on, and the reports are a fence — each
-// comes after every echo of a frame sent before it.
+// uses: a worker holds no state but what it has not yet echoed. Shutdown
+// half-closes every worker's connection; the worker echoes what it holds,
+// reads EOF between frames and exits, and the parent's reader delivers
+// every echo before it reads that EOF. The parent's own frame counters are
+// the accounting (Pool.Stats).
 package wire
 
 import (
@@ -69,21 +71,16 @@ const (
 )
 
 // Frame ops. OpReady is a worker's startup acknowledgment to the parent.
-// OpData carries one collective payload from Src to Dst. OpStats from the
-// parent asks a worker for its report; it answers with OpStats (its
-// data-plane accounting since its previous report) and serves on.
-// OpShutdown asks the same and then ends the worker. Op 1 (a retired hello)
-// and 0 are invalid.
+// OpData carries one collective payload from Src to Dst, parent to worker
+// and back. Every other op byte is invalid.
 const (
 	OpReady byte = iota + 2
 	OpData
-	OpShutdown
-	OpStats
 )
 
-// ParentID is the Src of the frames the parent itself originates
-// (OpShutdown). Device ranks are uint16, so a runtime may have at most
-// ParentID devices.
+// ParentID is the largest uint16, kept out of the rank space: device
+// ranks are uint16 below it, so a runtime may have at most ParentID
+// devices.
 const ParentID = 0xFFFF
 
 // Frame is one decoded wire frame.
@@ -146,7 +143,7 @@ func parseHeader(h []byte) (Frame, error) {
 		return Frame{}, fmt.Errorf("%w: %d", ErrBadVersion, h[0])
 	}
 	op := h[1]
-	if op < OpReady || op > OpStats {
+	if op != OpReady && op != OpData {
 		return Frame{}, fmt.Errorf("%w: %d", ErrBadOp, op)
 	}
 	return Frame{
@@ -234,29 +231,4 @@ func ReadFrame(r io.Reader) (Frame, error) {
 		f.Payload = payload
 	}
 	return f, nil
-}
-
-// Stats is one worker process's data-plane accounting, reported in its
-// OpStats payload: the data frames it read from the parent and echoed back
-// since its previous report, and their framed bytes.
-type Stats struct {
-	Frames uint64
-	Bytes  uint64
-}
-
-const statsLen = 16
-
-func appendStats(dst []byte, s Stats) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, s.Frames)
-	return binary.LittleEndian.AppendUint64(dst, s.Bytes)
-}
-
-func parseStats(b []byte) (Stats, error) {
-	if len(b) != statsLen {
-		return Stats{}, fmt.Errorf("wire: stats payload is %d bytes, want %d", len(b), statsLen)
-	}
-	return Stats{
-		Frames: binary.LittleEndian.Uint64(b),
-		Bytes:  binary.LittleEndian.Uint64(b[8:]),
-	}, nil
 }

@@ -14,8 +14,6 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Op: OpData, Seq: 0, Src: 0, Dst: 1},
 		{Op: OpData, Seq: 42, Src: 7, Dst: 2, Payload: []byte("quantized rows")},
 		{Op: OpData, Seq: 1 << 30, Src: 65000, Dst: 65001, Payload: bytes.Repeat([]byte{0xA5}, 3*readChunk+17)},
-		{Op: OpShutdown, Src: ParentID},
-		{Op: OpStats, Src: 1, Payload: appendStats(nil, Stats{Frames: 3, Bytes: 2})},
 	}
 	var stream []byte
 	for _, f := range cases {
@@ -83,10 +81,6 @@ func TestFrameDecodeErrors(t *testing.T) {
 	badVersion[4] = 99
 	badOp := append([]byte(nil), valid...)
 	badOp[5] = 0
-	// Op 1 opened the parent's connection when workers were dialed; they
-	// inherit it now, and the byte is invalid.
-	retiredHello := append([]byte(nil), valid...)
-	retiredHello[5] = 1
 
 	cases := []struct {
 		name string
@@ -101,7 +95,6 @@ func TestFrameDecodeErrors(t *testing.T) {
 		{"oversized length", oversized, ErrFrameTooLarge},
 		{"bad version", badVersion, ErrBadVersion},
 		{"bad op", badOp, ErrBadOp},
-		{"retired hello op", retiredHello, ErrBadOp},
 	}
 	for _, tc := range cases {
 		if _, _, err := ParseFrame(tc.in); !errors.Is(err, tc.want) {
@@ -120,17 +113,24 @@ func TestFrameDecodeErrors(t *testing.T) {
 	}
 }
 
-func TestStatsRoundTrip(t *testing.T) {
-	want := Stats{Frames: 123456, Bytes: 1 << 40}
-	got, err := parseStats(appendStats(nil, want))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("stats round trip: %+v != %+v", got, want)
-	}
-	if _, err := parseStats([]byte{1, 2, 3}); err == nil {
-		t.Fatal("parseStats accepted a short payload")
+// TestRetiredOpsAreBadOps: the protocol is OpReady and OpData. Op 1
+// opened the parent's connection when workers were dialed (they inherit it
+// now); ops 4 and 5 were a shutdown request and a stats report (a worker
+// now ends at EOF, and the parent counts for itself). Each is ErrBadOp to
+// both decoders, like 0 and anything above.
+func TestRetiredOpsAreBadOps(t *testing.T) {
+	for _, op := range []byte{0, 1, 4, 5, 6, 0xFF} {
+		b := AppendFrame(nil, Frame{Op: OpData, Src: 1, Payload: []byte("payload")})
+		b[5] = op
+		if _, _, err := ParseFrame(b); !errors.Is(err, ErrBadOp) {
+			t.Errorf("op %d: ParseFrame err = %v, want ErrBadOp", op, err)
+		}
+		if _, err := ReadFrame(bytes.NewReader(b)); !errors.Is(err, ErrBadOp) {
+			t.Errorf("op %d: ReadFrame err = %v, want ErrBadOp", op, err)
+		}
+		if _, err := newFrameReader(bytes.NewReader(b)).next(); !errors.Is(err, ErrBadOp) {
+			t.Errorf("op %d: frameReader err = %v, want ErrBadOp", op, err)
+		}
 	}
 }
 
@@ -149,7 +149,7 @@ func FuzzFrameDecode(f *testing.F) {
 	oversized := append([]byte(nil), valid...)
 	oversized[0], oversized[1], oversized[2], oversized[3] = 0xFF, 0xFF, 0xFF, 0xFF
 	f.Add(oversized) // hostile length prefix
-	f.Add(AppendFrame(valid[:len(valid):len(valid)], Frame{Op: OpStats, Src: 4, Payload: appendStats(nil, Stats{})}))
+	f.Add(AppendFrame(valid[:len(valid):len(valid)], Frame{Op: OpReady, Src: 4}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// ParseFrame: walk as many frames as the input holds; each
@@ -165,9 +165,6 @@ func FuzzFrameDecode(f *testing.F) {
 			}
 			if got := AppendFrame(nil, fr); !bytes.Equal(got, rest[:n]) {
 				t.Fatalf("re-encode of an accepted frame diverged from the wire bytes")
-			}
-			if fr.Op == OpStats {
-				_, _ = parseStats(fr.Payload)
 			}
 			rest = rest[n:]
 		}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"strconv"
@@ -16,39 +17,36 @@ const (
 	// startTimeout bounds how long StartPool waits for a worker's ready
 	// acknowledgment; it only matters when a process failed to come up.
 	startTimeout = 10 * time.Second
-	// reapTimeout bounds how long Report and Shutdown wait for the workers'
-	// reports, and Shutdown for a worker to exit before killing it.
+	// reapTimeout bounds how long Shutdown waits for a worker to exit after
+	// its half-close before killing it.
 	reapTimeout = 5 * time.Second
 )
 
-// PoolStats is a pool's data-plane accounting between two reports (or
-// since StartPool): the parent's own counters plus every worker's OpStats
-// report. All byte counts are framed sizes of OpData frames.
+// PoolStats is a pool's data-plane accounting, kept by the parent alone:
+// OpData frames and their framed sizes. A pool counts from StartPool on;
+// Sub takes the part between two snapshots.
 type PoolStats struct {
-	// Workers holds each worker process's report, indexed by worker.
-	Workers []Stats
 	// SentFrames/SentBytes count data frames the parent wrote to workers.
 	SentFrames, SentBytes uint64
-	// DeliveredFrames/DeliveredBytes count data frames workers wrote back
+	// DeliveredFrames/DeliveredBytes count data frames workers echoed back
 	// to the parent.
 	DeliveredFrames, DeliveredBytes uint64
 }
 
-// Add accumulates o into s (for callers aggregating across reports, e.g.
-// one per training run).
+// Add accumulates o into s (for callers aggregating across uses of a
+// pool, e.g. one per training run).
 func (s *PoolStats) Add(o PoolStats) {
-	for i, ws := range o.Workers {
-		if i < len(s.Workers) {
-			s.Workers[i].Frames += ws.Frames
-			s.Workers[i].Bytes += ws.Bytes
-		} else {
-			s.Workers = append(s.Workers, ws)
-		}
-	}
 	s.SentFrames += o.SentFrames
 	s.SentBytes += o.SentBytes
 	s.DeliveredFrames += o.DeliveredFrames
 	s.DeliveredBytes += o.DeliveredBytes
+}
+
+// Sub returns what s counts beyond start, an earlier snapshot of the same
+// pool.
+func (s PoolStats) Sub(start PoolStats) PoolStats {
+	return PoolStats{s.SentFrames - start.SentFrames, s.SentBytes - start.SentBytes,
+		s.DeliveredFrames - start.DeliveredFrames, s.DeliveredBytes - start.DeliveredBytes}
 }
 
 // poolProc is one worker process from the parent's side.
@@ -56,7 +54,6 @@ type poolProc struct {
 	cmd      *exec.Cmd
 	conn     *conn
 	ready    chan struct{}
-	reports  chan Stats // the worker's OpStats answers, one per request
 	waitDone chan struct{}
 	waitErr  error
 }
@@ -79,8 +76,7 @@ func (pp *poolProc) acknowledge() error {
 // source rank's shard, which sends it straight back. Delivered frames
 // arrive on the onData callback from internal reader goroutines, one per
 // worker; onError reports a broken fleet (a dead worker or socket) outside
-// any send call. A fleet outlives any number of Reports: it ends with
-// Shutdown or Kill.
+// any send call. A fleet serves until Shutdown or Kill.
 type Pool struct {
 	workers int
 	procs   []*poolProc
@@ -124,7 +120,7 @@ func StartPool(dir string, workers int, onData func(Frame), onError func(error))
 			p.Kill()
 			return nil, fmt.Errorf("wire: start worker %d: %w", i, err)
 		}
-		pp := &poolProc{cmd: cmd, conn: &conn{c: c}, ready: make(chan struct{}), reports: make(chan Stats, 1), waitDone: make(chan struct{})}
+		pp := &poolProc{cmd: cmd, conn: &conn{c: c}, ready: make(chan struct{}), waitDone: make(chan struct{})}
 		p.procs = append(p.procs, pp)
 		go func() {
 			pp.waitErr = pp.cmd.Wait()
@@ -157,7 +153,8 @@ func (p *Pool) fail(err error) {
 }
 
 // readLoop services one worker connection until it ends: at EOF after a
-// shutdown, or at a read or protocol error.
+// shutdown, or at a read or protocol error. It counts a data frame before
+// it hands it to onData.
 func (p *Pool) readLoop(i int, pp *poolProc) {
 	defer p.readers.Done()
 	fr := newFrameReader(pp.conn.c)
@@ -167,29 +164,19 @@ func (p *Pool) readLoop(i int, pp *poolProc) {
 		case err != nil:
 		case f.Op == OpReady:
 			err = pp.acknowledge()
-		case f.Op == OpData && int(f.Src)%p.workers != i:
+		case int(f.Src)%p.workers != i:
 			// A worker echoes; it cannot have been sent another shard's frame.
 			err = fmt.Errorf("frame from rank %d is not of this worker's shard", f.Src)
-		case f.Op == OpStats:
-			var s Stats
-			if s, err = parseStats(f.Payload); err == nil {
-				select {
-				case pp.reports <- s:
-				default:
-					err = errors.New("stats report nobody asked for")
-				}
-			}
+		default:
+			p.deliveredFrames.Add(1)
+			p.deliveredBytes.Add(uint64(FrameSize(len(f.Payload))))
+			p.onData(f)
 		}
 		if err != nil {
 			if !p.shuttingDown.Load() {
 				p.fail(fmt.Errorf("wire: worker %d connection: %w", i, err))
 			}
 			return
-		}
-		if f.Op == OpData {
-			p.deliveredFrames.Add(1)
-			p.deliveredBytes.Add(uint64(FrameSize(len(f.Payload))))
-			p.onData(f)
 		}
 	}
 }
@@ -231,62 +218,34 @@ func (p *Pool) SendPost(post []Frame) error {
 	return nil
 }
 
-// Report asks every worker for its accounting since its previous report
-// and returns the fleet's, parent counters included; the fleet keeps
-// serving. A worker answers in order on its one connection, after echoing
-// every frame sent to it before the request, so Report is also a fence:
-// once it returns, every frame sent before it has been delivered, and none
-// is in flight. Call it with no send in progress. On an error — a request
-// that could not be written, or a worker silent past the reap timeout — the
-// fleet's state is unknown: Kill it.
-func (p *Pool) Report() (PoolStats, error) {
-	return p.interview(OpStats)
+// Stats returns the pool's counts since StartPool. A frame whose delivery
+// the caller has seen is in them.
+func (p *Pool) Stats() PoolStats {
+	return PoolStats{
+		SentFrames:      p.sentFrames.Load(),
+		SentBytes:       p.sentBytes.Load(),
+		DeliveredFrames: p.deliveredFrames.Load(),
+		DeliveredBytes:  p.deliveredBytes.Load(),
+	}
 }
 
-// interview sends op to every worker and collects the report each answers
-// it with. It returns what arrived and the first problem.
-func (p *Pool) interview(op byte) (PoolStats, error) {
-	var firstErr error
-	asked := make([]bool, len(p.procs))
-	for i, pp := range p.procs {
-		if _, err := pp.conn.writeFrames(Frame{Op: op, Src: ParentID}); err != nil {
-			firstErr = cmp.Or(firstErr, fmt.Errorf("wire: op %d to worker %d: %w", op, i, err))
-			continue
-		}
-		asked[i] = true
-	}
-	stats := PoolStats{Workers: make([]Stats, len(p.procs))}
-	deadline := time.NewTimer(reapTimeout)
-	defer deadline.Stop()
-collect:
-	for i, pp := range p.procs {
-		if !asked[i] {
-			continue
-		}
-		select {
-		case stats.Workers[i] = <-pp.reports:
-		case <-deadline.C:
-			firstErr = cmp.Or(firstErr, fmt.Errorf("wire: worker %d returned no stats", i))
-			break collect
-		}
-	}
-	stats.SentFrames = p.sentFrames.Swap(0)
-	stats.SentBytes = p.sentBytes.Swap(0)
-	stats.DeliveredFrames = p.deliveredFrames.Swap(0)
-	stats.DeliveredBytes = p.deliveredBytes.Swap(0)
-	return stats, firstErr
-}
-
-// Shutdown asks every worker to stop, collects their reports (what each
-// echoed since its previous one), and reaps the processes — killing any
-// that fail to exit within the reap timeout, so a wedged worker can never
-// leak past a run. As with Report, once the reports are in, so is every
-// frame; no callback runs after Shutdown returns. Shutdown returns the
-// stats since the last report and the first problem encountered (nil on a
-// fully graceful shutdown).
+// Shutdown ends the fleet gracefully. It half-closes every worker's
+// connection, so each worker echoes what it holds, reads EOF and exits; it
+// waits for every exit, killing a worker still running after the reap
+// timeout so a wedged one never leaks past a run, and then for the
+// readers, which deliver every echo before they read their worker's EOF.
+// No callback runs after Shutdown returns. It returns the pool's counts
+// since StartPool and the first problem (nil when every worker exited 0 on
+// its own). Call it with no send in progress.
 func (p *Pool) Shutdown() (PoolStats, error) {
 	p.shuttingDown.Store(true)
-	stats, err := p.interview(OpShutdown)
+	var err error
+	for i, pp := range p.procs {
+		// Every connection is a socket-pair end (spawn).
+		if cerr := pp.conn.c.(*net.UnixConn).CloseWrite(); cerr != nil {
+			err = cmp.Or(err, fmt.Errorf("wire: half-close worker %d: %w", i, cerr))
+		}
+	}
 	for i, pp := range p.procs {
 		select {
 		case <-pp.waitDone:
@@ -298,10 +257,12 @@ func (p *Pool) Shutdown() (PoolStats, error) {
 		if pp.waitErr != nil {
 			err = cmp.Or(err, fmt.Errorf("wire: worker %d exit: %v", i, pp.waitErr))
 		}
-		pp.conn.c.Close()
 	}
 	p.readers.Wait()
-	return stats, err
+	for _, pp := range p.procs {
+		pp.conn.c.Close()
+	}
+	return p.Stats(), err
 }
 
 // Kill force-terminates the fleet without a handshake (the abort path:

@@ -104,17 +104,15 @@ func (wc *conn) writeFrames(frames ...Frame) (int, error) {
 // input holds no further complete frame — never on a timer, never held
 // across a blocking read, never copied.
 //
-// It acknowledges readiness, then echoes the parent's data frames. An
-// OpStats request it answers with an OpStats report of what it echoed since
-// its previous report, and keeps serving; OpShutdown it answers the same
-// way, then ends.
+// It acknowledges readiness, then echoes the parent's data frames until
+// EOF, which the parent's half-close (Shutdown) or its death brings. At
+// EOF nothing is held: the echo rule wrote every complete frame before the
+// read that found it. Any op but data from the parent is a protocol error.
 func parentLoop(c net.Conn, index int) error {
 	if _, err := c.Write(AppendFrame(nil, Frame{Op: OpReady, Src: uint16(index)})); err != nil {
 		return fmt.Errorf("ready ack: %w", err)
 	}
 	fr := newFrameReader(c)
-	var s Stats
-	var report []byte
 	held := 0 // framed bytes of data frames read and not yet echoed
 	for {
 		f, err := fr.next()
@@ -124,36 +122,15 @@ func parentLoop(c net.Conn, index int) error {
 		if err != nil {
 			return fmt.Errorf("parent read: %w", err)
 		}
-		size := FrameSize(len(f.Payload))
-		switch f.Op {
-		case OpData:
-			s.Frames++
-			s.Bytes += uint64(size)
-			held += size
-			if !fr.buffered() {
-				_, err = c.Write(fr.consumed(held))
-				held = 0
-			}
-		case OpStats, OpShutdown:
-			// The data frames that came in with it leave first, then the
-			// report: once the parent has it, it has every echo before it.
-			if held > 0 {
-				_, err = c.Write(fr.consumed(held + size)[:held])
-				held = 0
-			}
-			if err == nil {
-				report = AppendFrame(report[:0], Frame{Op: OpStats, Src: uint16(index), Payload: appendStats(nil, s)})
-				_, err = c.Write(report)
-				s = Stats{}
-			}
-			if f.Op == OpShutdown {
-				return err
-			}
-		default:
+		if f.Op != OpData {
 			return fmt.Errorf("unexpected op %d from the parent", f.Op)
 		}
-		if err != nil {
-			return fmt.Errorf("echo to parent: %w", err)
+		held += FrameSize(len(f.Payload))
+		if !fr.buffered() {
+			if _, err := c.Write(fr.consumed(held)); err != nil {
+				return fmt.Errorf("echo to parent: %w", err)
+			}
+			held = 0
 		}
 	}
 }

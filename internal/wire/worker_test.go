@@ -127,20 +127,15 @@ func TestWorkerEchoesARunInOneWrite(t *testing.T) {
 	}
 }
 
-// TestWorkerShutdownFlushesBeforeStats: data frames and OpShutdown arriving
-// in one read leave no time for the echo rule to fire between them, so the
-// shutdown itself must put the held frames on the wire before the stats
-// report — which counts them.
-func TestWorkerShutdownFlushesBeforeStats(t *testing.T) {
+// TestWorkerEndsCleanAtEOF: a worker serves until the parent lets go.
+// Data frames arriving in one read are echoed, and the EOF after them ends
+// the worker without an error: nothing is held at a frame boundary.
+func TestWorkerEndsCleanAtEOF(t *testing.T) {
 	parent, result := startWorker(t, 0)
 	var in []byte
-	var want uint64
 	for seq := uint32(0); seq < 3; seq++ {
-		f := Frame{Op: OpData, Seq: seq, Payload: bytes.Repeat([]byte{byte(seq)}, 10*int(seq))}
-		in = AppendFrame(in, f)
-		want += uint64(FrameSize(len(f.Payload)))
+		in = AppendFrame(in, Frame{Op: OpData, Seq: seq, Payload: bytes.Repeat([]byte{byte(seq)}, 10*int(seq))})
 	}
-	in = AppendFrame(in, Frame{Op: OpShutdown, Src: ParentID})
 	if _, err := parent.Write(in); err != nil {
 		t.Fatal(err)
 	}
@@ -149,75 +144,44 @@ func TestWorkerShutdownFlushesBeforeStats(t *testing.T) {
 			t.Fatalf("frame %d out of the worker is %+v, want data frame %d", seq, f, seq)
 		}
 	}
-	f := readFrameWithin(t, parent)
-	if f.Op != OpStats {
-		t.Fatalf("after the data frames: %+v, want the stats report", f)
-	}
-	stats, err := parseStats(f.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats != (Stats{Frames: 3, Bytes: want}) {
-		t.Errorf("stats %+v, want %d bytes in 3 frames", stats, want)
-	}
-	if err := <-result; err != nil {
-		t.Errorf("worker ended with %v after a clean shutdown", err)
-	}
-}
-
-// TestWorkerReportsAndKeepsServing: an OpStats request arriving in one
-// read with data frames is answered after their echoes, with what the
-// worker echoed since its previous report, and the worker serves on; the
-// next report counts from zero.
-func TestWorkerReportsAndKeepsServing(t *testing.T) {
-	parent, result := startWorker(t, 0)
-	for round := 1; round <= 3; round++ {
-		var in []byte
-		var want uint64
-		for seq := uint32(0); seq < uint32(round); seq++ {
-			f := Frame{Op: OpData, Seq: seq, Payload: bytes.Repeat([]byte{byte(seq)}, 7*round)}
-			in = AppendFrame(in, f)
-			want += uint64(FrameSize(len(f.Payload)))
-		}
-		in = AppendFrame(in, Frame{Op: OpStats, Src: ParentID})
-		if _, err := parent.Write(in); err != nil {
-			t.Fatal(err)
-		}
-		for seq := uint32(0); seq < uint32(round); seq++ {
-			if f := readFrameWithin(t, parent); f.Op != OpData || f.Seq != seq {
-				t.Fatalf("round %d: frame %d out of the worker is %+v, want data frame %d", round, seq, f, seq)
-			}
-		}
-		f := readFrameWithin(t, parent)
-		if f.Op != OpStats {
-			t.Fatalf("round %d: after the data frames: %+v, want the stats report", round, f)
-		}
-		if stats, err := parseStats(f.Payload); err != nil || stats != (Stats{Frames: uint64(round), Bytes: want}) {
-			t.Errorf("round %d: report %+v (%v), want %d bytes in %d frames", round, stats, err, want, round)
-		}
-	}
+	parent.Close()
 	select {
 	case err := <-result:
-		t.Fatalf("worker ended after a report: %v", err)
-	default:
-	}
-}
-
-// TestWorkerRejectsUnexpectedOp: the parent sends data frames, stats
-// requests and one OpShutdown, nothing else. Any other op on its
-// connection ends the worker with an error — never a silent drop, and
-// never an echo.
-func TestWorkerRejectsUnexpectedOp(t *testing.T) {
-	parent, result := startWorker(t, 0)
-	if _, err := parent.Write(AppendFrame(nil, Frame{Op: OpReady, Src: ParentID})); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-result:
-		if err == nil || !strings.Contains(err.Error(), "unexpected op") {
-			t.Errorf("worker ended with %v, want the protocol error", err)
+		if err != nil {
+			t.Errorf("worker ended with %v at EOF", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("worker kept going")
+		t.Fatal("worker kept going after EOF")
+	}
+}
+
+// TestWorkerRejectsUnexpectedOp: the parent sends data frames and nothing
+// else. Any other op on its connection ends the worker with an error —
+// never a silent drop, and never an echo: a ready acknowledgment is
+// unexpected, and ops 4 and 5 (a retired shutdown request and stats
+// report) do not decode.
+func TestWorkerRejectsUnexpectedOp(t *testing.T) {
+	for _, tc := range []struct {
+		op   byte
+		want string
+	}{
+		{OpReady, "unexpected op"},
+		{4, "unknown frame op"},
+		{5, "unknown frame op"},
+	} {
+		parent, result := startWorker(t, 0)
+		f := AppendFrame(nil, Frame{Op: OpData, Src: ParentID})
+		f[5] = tc.op
+		if _, err := parent.Write(f); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-result:
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("op %d: worker ended with %v, want %q", tc.op, err, tc.want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("op %d: worker kept going", tc.op)
+		}
 	}
 }
