@@ -1,23 +1,25 @@
-// Command adaqp trains one GNN with a chosen training system and prints
+// Command adaqp trains one GNN with a chosen message codec — the training
+// system: fp32 is Vanilla, adaptive (the default) is AdaQP — and prints
 // the convergence trace, accuracy, throughput and time breakdown.
 //
 // Usage:
 //
-//	adaqp -dataset products-sim -model gcn -method adaqp -parts 4 -epochs 100
-//	adaqp -dataset yelp-sim -model sage -method pipegcn -parts 8
-//	adaqp -dataset tiny -method vanilla -codec uniform -bits 8
-//	adaqp -dataset tiny -method vanilla -transport proc-sharded -workers 4
-//	adaqp -dataset tiny -method sancus -overlap
-//	adaqp -dataset tiny -method adaqp -chaos-stragglers 1 -chaos-slow 4 -chaos-crash-epoch 20
+//	adaqp -dataset products-sim -model gcn -codec adaptive -parts 4 -epochs 100
+//	adaqp -dataset yelp-sim -model sage -codec pipegcn -parts 8
+//	adaqp -dataset tiny -codec uniform -bits 8
+//	adaqp -dataset tiny -codec fp32 -transport proc-sharded -workers 4
+//	adaqp -dataset tiny -codec sancus -overlap
+//	adaqp -dataset tiny -chaos-stragglers 1 -chaos-slow 4 -chaos-crash-epoch 20
 //	adaqp -partinfo -dataset products-sim -parts 8
 //
 // -partinfo trains nothing: it compares the partitioners' quality
 // statistics for -dataset, -scale, -parts and -model and exits.
 //
-// The -method, -codec, -transport and -dataset usage strings list whatever
-// is currently registered, so custom registrations show up automatically.
-// A -codec override beats the -method default; naming an unregistered
-// codec exits non-zero with the registered names.
+// The -codec, -transport and -dataset usage strings list whatever is
+// currently registered, so custom registrations show up automatically;
+// naming an unregistered one exits non-zero with the registered names.
+// -method is a deprecated alias that takes a system's paper name (adaqp,
+// vanilla, ...); -codec beats it.
 package main
 
 import (
@@ -39,8 +41,8 @@ func main() {
 		dataset  = flag.String("dataset", "tiny", "dataset name: "+strings.Join(adaqp.DatasetNames(), ", "))
 		scale    = flag.Float64("scale", 1, "dataset scale factor")
 		model    = flag.String("model", "gcn", "gcn | sage")
-		method   = flag.String("method", "adaqp", "training system: "+strings.Join(methodNames(), ", "))
-		codec    = flag.String("codec", "", "message codec override: "+strings.Join(adaqp.Codecs(), ", "))
+		codec    = flag.String("codec", "", "message codec, the training system (default adaptive): "+strings.Join(adaqp.Codecs(), ", "))
+		method   = flag.String("method", "", "deprecated alias for -codec by paper name (adaqp, vanilla, ...); -codec beats it")
 		tport    = flag.String("transport", "", "runtime backend: "+strings.Join(adaqp.Transports(), ", "))
 		workers  = flag.Int("workers", 0, "proc-sharded worker process count (0 = 2, clamped to -parts)")
 		overlap  = flag.Bool("overlap", false, "sancus only: start broadcasts split-phase; the roots' broadcasts are charged as concurrent, and what that hides (compute and other broadcasts) is booked as overlap")
@@ -52,7 +54,7 @@ func main() {
 		lambda   = flag.Float64("lambda", 0.5, "variance/time trade-off λ ∈ [0,1]")
 		group    = flag.Int("group", 100, "message group size")
 		period   = flag.Int("period", 50, "bit-width re-assignment period (epochs)")
-		bits     = flag.Int("bits", 2, "uniform bit-width for -method uniform and -codec uniform (2|4|8|32)")
+		bits     = flag.Int("bits", 2, "uniform bit-width for -codec uniform (2|4|8|32)")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		evalEach = flag.Int("eval-every", 5, "epochs between validation evaluations")
 		partinfo = flag.Bool("partinfo", false, "print partition-quality statistics for -dataset, -scale, -parts and -model, then exit")
@@ -75,23 +77,8 @@ func main() {
 		return
 	}
 
-	// A -codec override beats the -method default, so an unregistered name
-	// must be rejected up front with the registry-derived usage — not
-	// silently resolved to the method's codec, and not a late training
-	// error with no guidance.
-	if *codec != "" {
-		if _, err := adaqp.LookupCodec(*codec); err != nil {
-			fmt.Fprintf(os.Stderr, "adaqp: unknown codec %q (-codec overrides the -method default)\n", *codec)
-			fmt.Fprintf(os.Stderr, "registered codecs: %s\n", strings.Join(adaqp.Codecs(), ", "))
-			os.Exit(2)
-		}
-	}
-	if *tport != "" {
-		if _, err := adaqp.LookupTransport(*tport); err != nil {
-			fmt.Fprintf(os.Stderr, "adaqp: unknown transport %q\n", *tport)
-			fmt.Fprintf(os.Stderr, "registered transports: %s\n", strings.Join(adaqp.Transports(), ", "))
-			os.Exit(2)
-		}
+	if *codec == "" && *method == "" {
+		*codec = adaqp.CodecAdaptive
 	}
 
 	// Flags populate the same declarative JobSpec cmd/adaqpd accepts as
@@ -116,11 +103,11 @@ func main() {
 	if chaos.Enabled() {
 		spec.Chaos = &chaos
 	}
-	ds, err := spec.Load()
+	opts, err := spec.Options()
 	if err != nil {
 		fatal(err)
 	}
-	opts, err := spec.Options()
+	ds, err := spec.Load()
 	if err != nil {
 		fatal(err)
 	}
@@ -139,17 +126,19 @@ func main() {
 	}
 	// Already validated by spec.Options; parsed again only for display.
 	mk, _ := adaqp.ParseModelKind(*model)
-	m, _ := adaqp.ParseMethod(*method)
-	fmt.Printf("dataset %v\nmodel %v  method %v  parts %d  epochs %d\n\n",
-		ds, mk, m, *parts, *epochs)
+	sess, err := eng.Session()
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("dataset %v\nmodel %v  codec %v  parts %d  epochs %d\n\n",
+		ds, mk, sess.Codec(), *parts, *epochs)
 
-	res, err := eng.Run()
+	res, err := sess.Run()
 	if err != nil {
 		fatal(err)
 	}
 	per := res.PerEpoch()
-	fmt.Printf("\ncodec            %s\n", res.Codec)
-	fmt.Printf("test accuracy    %.4f\n", res.FinalTest)
+	fmt.Printf("\ntest accuracy    %.4f\n", res.FinalTest)
 	fmt.Printf("throughput       %.3f epoch/s (simulated)\n", res.Throughput())
 	fmt.Printf("wall-clock       %.2fs (assign %s)\n", res.WallClock, ms(float64(res.AssignTime)))
 	fmt.Printf("per-epoch        comm %s  comp %s  quant %s  idle %s\n",
@@ -199,8 +188,6 @@ func printPartInfo(dataset string, scale float64, parts int, model string) error
 	return nil
 }
 
-// methodNames lists the accepted -method values from the Method registry
-// (ParseMethod is case-insensitive, so usage shows the lowercase forms).
 // ms prints a simulated duration in milliseconds to three significant
 // digits (at least two decimals), so a non-zero charge never prints as 0.
 func ms(seconds float64) string {
@@ -210,14 +197,6 @@ func ms(seconds float64) string {
 		prec = max(prec, 2-int(math.Floor(math.Log10(v))))
 	}
 	return fmt.Sprintf("%.*fms", prec, v)
-}
-
-func methodNames() []string {
-	var names []string
-	for _, m := range adaqp.Methods() {
-		names = append(names, strings.ToLower(m.String()))
-	}
-	return names
 }
 
 func fatal(err error) {

@@ -21,7 +21,7 @@
 //
 // Example:
 //
-//	curl -s localhost:8080/jobs -d '{"dataset":"tiny","method":"adaqp","epochs":60}'
+//	curl -s localhost:8080/jobs -d '{"dataset":"tiny","codec":"adaptive","epochs":60}'
 //	curl -s localhost:8080/jobs/job-1
 //	curl -s localhost:8080/jobs/job-1/result
 //

@@ -13,7 +13,7 @@ import (
 
 // chaosTinyJob is tinyJob plus an explicit chaos block: one 3× compute
 // straggler, transient failures with retries, and a crash at epoch 1.
-const chaosTinyJob = `{"dataset":"tiny","scale":0.25,"parts":2,"method":"vanilla","epochs":3,
+const chaosTinyJob = `{"dataset":"tiny","scale":0.25,"parts":2,"codec":"fp32","epochs":3,
 	"hidden":8,"eval_every":0,"seed":7,
 	"chaos":{"seed":3,"stragglers":1,"slow_factor":3,"fail_rate":0.3,"max_retries":2,
 	         "backoff_s":0.01,"crash_epoch":1,"restart_penalty_s":10}}`

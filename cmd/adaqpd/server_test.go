@@ -60,10 +60,10 @@ func getJSON(t *testing.T, url string, v any) *http.Response {
 }
 
 // tinyJob is a fast fixed-seed job spec (a few ms of training).
-const tinyJob = `{"dataset":"tiny","scale":0.25,"parts":2,"method":"vanilla","epochs":2,"hidden":8,"eval_every":0}`
+const tinyJob = `{"dataset":"tiny","scale":0.25,"parts":2,"codec":"fp32","epochs":2,"hidden":8,"eval_every":0}`
 
 // longJob cannot finish within the test unless canceled.
-const longJob = `{"dataset":"tiny","scale":0.25,"parts":2,"method":"vanilla","epochs":100000,"hidden":8,"eval_every":0}`
+const longJob = `{"dataset":"tiny","scale":0.25,"parts":2,"codec":"fp32","epochs":100000,"hidden":8,"eval_every":0}`
 
 func waitTerminal(t *testing.T, ts *httptest.Server, id string) jobJSON {
 	t.Helper()
@@ -166,7 +166,7 @@ func TestRemovedSpecFieldIs400(t *testing.T) {
 	ts, sched := testServer(t)
 	for field, body := range map[string]string{
 		"density":   `{"dataset":"tiny","codec":"uniform","density":0.1}`,
-		"staleness": `{"dataset":"tiny","transport":"sharded-async","staleness":4}`,
+		"staleness": `{"dataset":"tiny","transport":"inprocess","staleness":4}`,
 	} {
 		rec := httptest.NewRecorder()
 		ts.Config.Handler.ServeHTTP(rec, httptest.NewRequest("POST", "/jobs", strings.NewReader(body)))
@@ -194,6 +194,24 @@ func TestBadScaleIs400(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "scale -3") {
 		t.Errorf("error body %q does not name the scale", rec.Body.String())
+	}
+	if n := len(sched.Sessions()); n != 0 {
+		t.Errorf("%d sessions admitted, want 0", n)
+	}
+}
+
+// TestPartsCeilingIs400: a spec past the parts ceiling is refused by name
+// at admission, before any dataset, deployment or worker process exists.
+func TestPartsCeilingIs400(t *testing.T) {
+	ts, sched := testServer(t)
+	rec := httptest.NewRecorder()
+	body := `{"dataset":"tiny","parts":65535,"transport":"proc-sharded"}`
+	ts.Config.Handler.ServeHTTP(rec, httptest.NewRequest("POST", "/jobs", strings.NewReader(body)))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400", rec.Code)
+	}
+	if !strings.Contains(rec.Body.String(), "parts 65535") {
+		t.Errorf("error body %q does not name the parts", rec.Body.String())
 	}
 	if n := len(sched.Sessions()); n != 0 {
 		t.Errorf("%d sessions admitted, want 0", n)
@@ -355,8 +373,8 @@ func TestHealthzAndMetricsAndDrain(t *testing.T) {
 
 	// An overlap-scheduled SANCUS job must surface its hidden wire time in
 	// the monotonic overlap counter and in /metrics.
-	overlapJob := `{"dataset":"tiny","scale":0.25,"parts":2,"method":"sancus","epochs":2,
-		"hidden":8,"eval_every":0,"transport":"sharded-async","overlap":true}`
+	overlapJob := `{"dataset":"tiny","scale":0.25,"parts":2,"codec":"sancus","epochs":2,
+		"hidden":8,"eval_every":0,"transport":"inprocess","overlap":true}`
 	_, job = postJob(t, ts, overlapJob)
 	if final := waitTerminal(t, ts, job.ID); final.Status != "done" {
 		t.Fatalf("overlap job status = %q (error %q), want done", final.Status, final.Error)
@@ -395,8 +413,8 @@ func TestHealthzAndMetricsAndDrain(t *testing.T) {
 // and transport fields and verifies they reach the run via the result doc.
 func TestSpecFieldsReachTraining(t *testing.T) {
 	ts, _ := testServer(t, adaqp.WithMaxConcurrentSessions(1))
-	spec := `{"dataset":"tiny","scale":0.25,"parts":2,"method":"vanilla","codec":"uniform",
-	          "bits":4,"transport":"sharded-async","workers":2,"epochs":2,"hidden":8,"eval_every":0,"seed":3}`
+	spec := `{"dataset":"tiny","scale":0.25,"parts":2,"codec":"uniform",
+	          "bits":4,"transport":"inprocess","workers":2,"epochs":2,"hidden":8,"eval_every":0,"seed":3}`
 	resp, job := postJob(t, ts, spec)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d, want 202", resp.StatusCode)
@@ -421,7 +439,7 @@ func TestSpecFieldsReachTraining(t *testing.T) {
 func TestStatusDocumentsCarryTimestamps(t *testing.T) {
 	const jobs, pollers = 32, 4
 	ts, _ := testServer(t, adaqp.WithMaxConcurrentSessions(1), adaqp.WithQueueDepth(jobs))
-	oneEpoch := `{"dataset":"tiny","scale":0.25,"parts":2,"method":"vanilla","epochs":1,"hidden":8,"eval_every":0}`
+	oneEpoch := `{"dataset":"tiny","scale":0.25,"parts":2,"codec":"fp32","epochs":1,"hidden":8,"eval_every":0}`
 
 	check := func(doc jobJSON, where string) {
 		terminal := doc.Status == "done" || doc.Status == "failed" || doc.Status == "canceled"

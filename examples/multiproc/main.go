@@ -33,7 +33,7 @@ func main() {
 
 	eng, err := adaqp.New(ds,
 		adaqp.WithParts(4),
-		adaqp.WithMethod(adaqp.AdaQP),
+		adaqp.WithCodec(adaqp.CodecSpec{Name: adaqp.CodecAdaptive}),
 		adaqp.WithHidden(32),
 		adaqp.WithEpochs(20),
 		adaqp.WithEvalEvery(5))

@@ -53,18 +53,18 @@ func main() {
 		100*float64(dep.Stats.EdgeCut)/float64(dep.Stats.TotalEdges),
 		100*dep.Stats.RemoteNeighborAvg)
 
-	// 3. Train with both systems on the same partitioning; each method
-	// resolves to its message codec (fp32 ring all2all vs adaptively
-	// quantized messages with computation–communication overlap).
+	// 3. Train with both systems on the same partitioning; a system is its
+	// message codec: fp32 ring all2all is Vanilla, adaptively quantized
+	// messages with computation–communication overlap are AdaQP.
 	var runs []*adaqp.Result
-	for _, method := range []adaqp.Method{adaqp.Vanilla, adaqp.AdaQP} {
-		res, err := eng.Run(adaqp.WithMethod(method))
+	for _, codec := range []string{adaqp.CodecFP32, adaqp.CodecAdaptive} {
+		res, err := eng.Run(adaqp.WithCodec(adaqp.CodecSpec{Name: codec}))
 		if err != nil {
 			log.Fatal(err)
 		}
 		per := res.PerEpoch()
-		fmt.Printf("%-8s codec=%-8s test acc %.3f | %.2f epoch/s | per-epoch comm %.4fs comp %.4fs quant %.4fs\n",
-			method, res.Codec, res.FinalTest, res.Throughput(), per.Comm+per.Idle, per.Comp, per.Quant)
+		fmt.Printf("codec=%-8s test acc %.3f | %.2f epoch/s | per-epoch comm %.4fs comp %.4fs quant %.4fs\n",
+			res.Codec, res.FinalTest, res.Throughput(), per.Comm+per.Idle, per.Comp, per.Quant)
 		runs = append(runs, res)
 	}
 

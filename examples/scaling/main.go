@@ -31,16 +31,17 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		tp := map[adaqp.Method]float64{}
-		for _, m := range []adaqp.Method{adaqp.Vanilla, adaqp.AdaQP} {
-			res, err := eng.Run(adaqp.WithMethod(m))
+		tp := map[string]float64{}
+		for _, codec := range []string{adaqp.CodecFP32, adaqp.CodecAdaptive} {
+			res, err := eng.Run(adaqp.WithCodec(adaqp.CodecSpec{Name: codec}))
 			if err != nil {
 				log.Fatal(err)
 			}
-			tp[m] = res.Throughput()
+			tp[codec] = res.Throughput()
 		}
+		van, ada := tp[adaqp.CodecFP32], tp[adaqp.CodecAdaptive]
 		fmt.Printf("%-8d %14.3f %14.3f %9.2fx %17.1f%%\n",
-			parts, tp[adaqp.Vanilla], tp[adaqp.AdaQP], tp[adaqp.AdaQP]/tp[adaqp.Vanilla],
+			parts, van, ada, ada/van,
 			100*eng.Deployment().Stats.RemoteNeighborAvg)
 	}
 }

@@ -65,11 +65,11 @@ func shipped(r *adaqp.Result) int64 {
 	return n
 }
 
-// train runs method on ds under model.
-func train(ds *adaqp.Dataset, method adaqp.Method, model *adaqp.CostModel) *adaqp.Result {
+// train runs codec on ds under model.
+func train(ds *adaqp.Dataset, codec string, model *adaqp.CostModel) *adaqp.Result {
 	eng, err := adaqp.New(ds,
 		adaqp.WithParts(parts),
-		adaqp.WithMethod(method),
+		adaqp.WithCodec(adaqp.CodecSpec{Name: codec}),
 		adaqp.WithHidden(32),
 		adaqp.WithEpochs(30),
 		adaqp.WithEvalEvery(0),
@@ -89,20 +89,20 @@ func main() {
 	ds := adaqp.MustLoadDataset("tiny", 1)
 	fmt.Printf("dataset: %v; device %d's outgoing links %dx slower in the slow runs\n", ds, slowRank, slowdown)
 	fmt.Printf("(link MB: bytes device %d ships; loss: the last epoch's)\n\n", slowRank)
-	fmt.Printf("%-8s %10s %10s %7s %14s %14s %12s %12s\n", "method", "clean (s)", "slow (s)", "ratio",
+	fmt.Printf("%-8s %10s %10s %7s %14s %14s %12s %12s\n", "codec", "clean (s)", "slow (s)", "ratio",
 		"link MB clean", "link MB slow", "loss clean", "loss slow")
 
-	runs := map[adaqp.Method][2]*adaqp.Result{}
-	for _, method := range []adaqp.Method{adaqp.Vanilla, adaqp.AdaQP} {
-		clean, slow := train(ds, method, commodityModel()), train(ds, method, slowLinkModel())
-		runs[method] = [2]*adaqp.Result{clean, slow}
+	runs := map[string][2]*adaqp.Result{}
+	for _, codec := range []string{adaqp.CodecFP32, adaqp.CodecAdaptive} {
+		clean, slow := train(ds, codec, commodityModel()), train(ds, codec, slowLinkModel())
+		runs[codec] = [2]*adaqp.Result{clean, slow}
 		last := len(clean.Epochs) - 1
-		fmt.Printf("%-8v %10.4f %10.4f %6.2fx %14.3f %14.3f %12.6f %12.6f\n", method,
+		fmt.Printf("%-8v %10.4f %10.4f %6.2fx %14.3f %14.3f %12.6f %12.6f\n", codec,
 			clean.WallClock, slow.WallClock, float64(slow.WallClock)/float64(clean.WallClock),
 			float64(shipped(clean))/1e6, float64(shipped(slow))/1e6, clean.Epochs[last].Loss, slow.Epochs[last].Loss)
 
 		if slow.WallClock <= clean.WallClock {
-			log.Fatalf("%v: wall-clock %.4fs with the slow link, not above %.4fs without", method, slow.WallClock, clean.WallClock)
+			log.Fatalf("%v: wall-clock %.4fs with the slow link, not above %.4fs without", codec, slow.WallClock, clean.WallClock)
 		}
 		// The slow link paces the synchronized rounds: every device waits
 		// for it, not only the one that owns it.
@@ -110,14 +110,14 @@ func main() {
 		for d := range slowPhases {
 			if slowPhases[d].Comm <= cleanPhases[d].Comm {
 				log.Fatalf("%v: device %d's Comm %.4fs with the slow link, not above %.4fs without",
-					method, d, slowPhases[d].Comm, cleanPhases[d].Comm)
+					codec, d, slowPhases[d].Comm, cleanPhases[d].Comm)
 			}
 		}
 	}
 
 	// Vanilla ships fp32 messages whatever the links cost: the same bytes
 	// and, since link costs charge simulated time only, the same loss curve.
-	van := runs[adaqp.Vanilla]
+	van := runs[adaqp.CodecFP32]
 	for i := range van[0].Epochs {
 		if van[0].Epochs[i].Loss != van[1].Epochs[i].Loss {
 			log.Fatalf("Vanilla epoch %d: loss %v with the slow link, %v without: link costs must never touch numerics",
@@ -129,7 +129,7 @@ func main() {
 	}
 	// AdaQP's assigner sees the slow links in Eqn. 10 and ships fewer bytes
 	// over them, so its widths — and therefore its loss curve — differ.
-	ada := runs[adaqp.AdaQP]
+	ada := runs[adaqp.CodecAdaptive]
 	if shipped(ada[1]) >= shipped(ada[0]) {
 		log.Fatalf("AdaQP shipped %d bytes over the slow links, not fewer than the %d it ships without the slowdown",
 			shipped(ada[1]), shipped(ada[0]))
@@ -141,7 +141,7 @@ func main() {
 			d, p.Comp, p.Comm, p.Quant, p.Idle, p.Assign, p.Overlap)
 	}
 	fmt.Printf("\nthe slow link paces every ring round, so every device's Comm rises under\n")
-	fmt.Printf("both methods. Vanilla's loss curve is bit-identical; AdaQP's assigner\n")
+	fmt.Printf("both systems. Vanilla's loss curve is bit-identical; AdaQP's assigner\n")
 	fmt.Printf("answers by shipping %.1f%% fewer bytes over the slow links.\n",
 		100*(1-float64(shipped(ada[1]))/float64(shipped(ada[0]))))
 }

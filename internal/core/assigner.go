@@ -292,8 +292,8 @@ func fixWidths(ws *[]quant.BitWidth, want int) {
 }
 
 // pairDeterministicWidths derives a width table both sides of a pair can
-// compute independently — used by the uniform-random ablation
-// (AdaQPRandom), where no master scatter happens. The stream is seeded by
+// compute independently — used by the uniform-random ablation (the
+// random codec), where no master scatter happens. The stream is seeded by
 // (seed, period index, layer, direction, src, dst) so sender and receiver
 // agree exactly.
 func pairDeterministicWidths(seed uint64, period, layer int, dir direction, src, dst, n int) *tensor.RNG {
@@ -332,7 +332,7 @@ func (st *assignState) installRandomWidths(seed uint64, periodIdx, parts, rank i
 	}
 }
 
-// installUniformWidths sets every message's width to b (AdaQPUniform).
+// installUniformWidths sets every message's width to b (the uniform codec).
 func (st *assignState) installUniformWidths(b quant.BitWidth) {
 	for _, dir := range directions {
 		st.widths[dir] = make([]*widthTable, st.layers)

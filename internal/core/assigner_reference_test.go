@@ -473,7 +473,7 @@ func TestAdaQPTrainingMatchesReference(t *testing.T) {
 		t.Run(d.dataset, func(t *testing.T) {
 			dep := Deploy(refDataset(t, d.dataset, 16, 1), d.parts, GCN, d.strategy)
 			cfg := DefaultConfig()
-			cfg.Method = AdaQP
+			cfg.Codec = CodecAdaptive
 			cfg.Hidden = 16
 			cfg.Epochs = 7
 			cfg.EvalEvery = 3

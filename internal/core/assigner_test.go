@@ -337,7 +337,7 @@ func TestAdaQPWidthsAdaptAfterAssignment(t *testing.T) {
 	// assigner rounds' sideband outweighs that saving, so traffic cannot
 	// show the adaptation: only simulated time and traffic are checked.
 	ds := synthetic.MustLoad("tiny", 1)
-	cfg := tinyConfig(AdaQP)
+	cfg := tinyConfig(CodecAdaptive)
 	cfg.Lambda = 0.3
 	res, err := trainBlock(ds, 3, cfg)
 	if err != nil {

@@ -12,22 +12,6 @@ import (
 	"repro/internal/tensor"
 )
 
-func TestCodecForMethodAllResolvable(t *testing.T) {
-	// Every training method must map to a registered codec.
-	for _, m := range Methods() {
-		name, err := CodecForMethod(m)
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		if _, err := LookupCodec(name); err != nil {
-			t.Fatalf("%v → %q: %v", m, name, err)
-		}
-	}
-	if _, err := CodecForMethod(Method(99)); err == nil {
-		t.Fatal("unknown method must not map to a codec")
-	}
-}
-
 func TestCodecRegistryContents(t *testing.T) {
 	names := CodecNames()
 	have := map[string]bool{}
@@ -66,34 +50,6 @@ func TestTransportRegistry(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("TransportNames missing %q: %v", TransportInprocess, TransportNames())
-	}
-}
-
-func TestParseMethodRoundTrip(t *testing.T) {
-	for _, m := range Methods() {
-		got, err := ParseMethod(m.String())
-		if err != nil {
-			t.Fatalf("ParseMethod(%q): %v", m.String(), err)
-		}
-		if got != m {
-			t.Fatalf("ParseMethod(%q) = %v, want %v", m.String(), got, m)
-		}
-	}
-	// CLI short forms and case-insensitivity.
-	for s, want := range map[string]Method{
-		"uniform": AdaQPUniform, "random": AdaQPRandom,
-		"VANILLA": Vanilla, "AdAqP": AdaQP, "Sancus": SANCUS, "PipeGCN": PipeGCN,
-	} {
-		got, err := ParseMethod(s)
-		if err != nil {
-			t.Fatalf("ParseMethod(%q): %v", s, err)
-		}
-		if got != want {
-			t.Fatalf("ParseMethod(%q) = %v, want %v", s, got, want)
-		}
-	}
-	if _, err := ParseMethod("quantum"); err == nil {
-		t.Fatal("unknown method string must error")
 	}
 }
 

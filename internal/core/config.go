@@ -45,87 +45,11 @@ func ParseModelKind(s string) (ModelKind, error) {
 	return 0, fmt.Errorf("core: unknown model kind %q (want gcn or sage)", s)
 }
 
-// Method selects the training system.
-type Method int
-
-const (
-	// Vanilla is synchronous full-precision full-graph training (§2.2).
-	Vanilla Method = iota
-	// AdaQP is the paper's system: adaptive quantization + overlap.
-	AdaQP
-	// AdaQPUniform quantizes every message at Config.UniformBits with
-	// AdaQP's overlap (used for Table 2's 2-bit measurement).
-	AdaQPUniform
-	// AdaQPRandom samples each message's width uniformly from {2,4,8}
-	// (Table 6's "Uniform" sampling scheme ablation).
-	AdaQPRandom
-	// PipeGCN overlaps communication with computation across iterations
-	// using one-epoch-stale boundary messages (Wan et al., 2022b).
-	PipeGCN
-	// SANCUS avoids communication via sequential broadcasts skipped under
-	// a staleness bound, with historical embeddings in between (Peng et
-	// al., 2022).
-	SANCUS
-)
-
-// methods is the one table behind String, Methods, ParseMethod and
-// CodecForMethod, indexed by Method.
-var methods = [...]struct {
-	name  string // Method.String
-	short string // CLI short form ParseMethod also accepts, if any
-	codec string // default message codec
-}{
-	Vanilla:      {"Vanilla", "", CodecFP32},
-	AdaQP:        {"AdaQP", "", CodecAdaptive},
-	AdaQPUniform: {"AdaQP-uniform", "uniform", CodecUniform},
-	AdaQPRandom:  {"AdaQP-random", "random", CodecRandom},
-	PipeGCN:      {"PipeGCN", "", CodecPipeGCN},
-	SANCUS:       {"SANCUS", "", CodecSancus},
-}
-
-func (m Method) String() string {
-	if m < 0 || int(m) >= len(methods) {
-		return fmt.Sprintf("Method(%d)", int(m))
-	}
-	return methods[m].name
-}
-
-// Methods lists every training system in declaration order.
-func Methods() []Method {
-	ms := make([]Method, len(methods))
-	for i := range ms {
-		ms[i] = Method(i)
-	}
-	return ms
-}
-
-// ParseMethod is the inverse of Method.String, also accepting the CLI
-// short forms ("uniform", "random"), case-insensitively.
-func ParseMethod(s string) (Method, error) {
-	lower := strings.ToLower(s)
-	for m, row := range methods {
-		if lower == strings.ToLower(row.name) || row.short != "" && lower == row.short {
-			return Method(m), nil
-		}
-	}
-	return 0, fmt.Errorf("core: unknown method %q (want one of %v)", s, Methods())
-}
-
-// CodecForMethod returns the codec a training method uses by default.
-// Config.Codec overrides it.
-func CodecForMethod(m Method) (string, error) {
-	if m < 0 || int(m) >= len(methods) {
-		return "", fmt.Errorf("core: no codec for method %v", m)
-	}
-	return methods[m].codec, nil
-}
-
 // Config holds everything one training run needs. Defaults follow the
 // paper's unified hyper-parameters (Appendix B): 3 layers, hidden 256,
 // LayerNorm, Adam lr 0.01, dropout per dataset, λ = 0.5.
 type Config struct {
-	Model  ModelKind
-	Method Method
+	Model ModelKind
 
 	Layers  int // number of GNN layers
 	Hidden  int // hidden dimension
@@ -143,7 +67,7 @@ type Config struct {
 	Lambda         float64
 	ReassignPeriod int
 
-	// UniformBits is the width used by AdaQPUniform.
+	// UniformBits is the width the uniform codec quantizes at.
 	UniformBits quant.BitWidth
 
 	// SANCUS staleness: a device re-broadcasts its boundary embeddings
@@ -156,9 +80,9 @@ type Config struct {
 	// random-width ablation.
 	Seed uint64
 
-	// Codec overrides the message codec the run uses. Empty selects the
-	// Method's default (see CodecForMethod); any name registered with
-	// RegisterCodec is accepted.
+	// Codec names the message codec, which is what tells the training
+	// systems apart: any name registered with RegisterCodec. Empty selects
+	// CodecFP32, the Vanilla baseline.
 	Codec string
 
 	// codecFactory, when non-nil, builds the run's codec instances
@@ -227,7 +151,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Model:          GCN,
-		Method:         Vanilla,
 		Layers:         3,
 		Hidden:         256,
 		LR:             0.01,

@@ -23,11 +23,11 @@ func TestSancusMovesFewerBytesThanVanilla(t *testing.T) {
 	// backward messages, so its total traffic must be well below Vanilla's.
 	ds := synthetic.MustLoad("tiny", 1)
 	dep := Deploy(ds, 3, GCN, partition.Block)
-	van, err := TrainDeployed(dep, tinyConfig(Vanilla), byteBound())
+	van, err := TrainDeployed(dep, tinyConfig(CodecFP32), byteBound())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := tinyConfig(SANCUS)
+	cfg := tinyConfig(CodecSancus)
 	cfg.SancusMaxStale = 6
 	san, err := TrainDeployed(dep, cfg, byteBound())
 	if err != nil {
@@ -50,9 +50,9 @@ func TestSancusBroadcastsOnEveryRefreshBound(t *testing.T) {
 	// rarely-broadcasting run must move strictly fewer bytes.
 	ds := synthetic.MustLoad("tiny", 1)
 	dep := Deploy(ds, 3, GCN, partition.Block)
-	fresh := tinyConfig(SANCUS)
+	fresh := tinyConfig(CodecSancus)
 	fresh.SancusMaxStale = 1
-	stale := tinyConfig(SANCUS)
+	stale := tinyConfig(CodecSancus)
 	stale.SancusMaxStale = 100
 	stale.SancusDrift = 1e9
 	rf, err := TrainDeployed(dep, fresh, byteBound())
@@ -80,10 +80,10 @@ func TestPipeGCNMatchesVanillaLossAtEpochZero(t *testing.T) {
 	// and the trajectories may diverge.
 	ds := synthetic.MustLoad("tiny", 1)
 	dep := Deploy(ds, 3, GraphSAGE, partition.Block)
-	cfgV := tinyConfig(Vanilla)
+	cfgV := tinyConfig(CodecFP32)
 	cfgV.Model = GraphSAGE
 	cfgV.Dropout = 0
-	cfgP := tinyConfig(PipeGCN)
+	cfgP := tinyConfig(CodecPipeGCN)
 	cfgP.Model = GraphSAGE
 	cfgP.Dropout = 0
 	van, err := TrainDeployed(dep, cfgV, nil)
@@ -105,9 +105,9 @@ func TestPipeGCNOverlapReducesEpochTime(t *testing.T) {
 	// the same deployment.
 	ds := synthetic.MustLoad("tiny", 1)
 	dep := Deploy(ds, 4, GraphSAGE, partition.Block)
-	cfgV := tinyConfig(Vanilla)
+	cfgV := tinyConfig(CodecFP32)
 	cfgV.Model = GraphSAGE
-	cfgP := tinyConfig(PipeGCN)
+	cfgP := tinyConfig(CodecPipeGCN)
 	cfgP.Model = GraphSAGE
 	van, err := TrainDeployed(dep, cfgV, nil)
 	if err != nil {
@@ -129,7 +129,7 @@ func TestPipeGCNOverlapReducesEpochTime(t *testing.T) {
 func TestAdaQPReportsOverlapSeconds(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", 1)
 	dep := Deploy(ds, 3, GCN, partition.Block)
-	cfg := tinyConfig(AdaQP)
+	cfg := tinyConfig(CodecAdaptive)
 	clocks := captureClocks(t, &cfg)
 	res, err := TrainDeployed(dep, cfg, nil)
 	if err != nil {
@@ -152,7 +152,7 @@ func TestUniformBitsOrderTraffic(t *testing.T) {
 	dep := Deploy(ds, 3, GCN, partition.Block)
 	var prev int64 = -1
 	for _, b := range []quant.BitWidth{quant.B2, quant.B4, quant.B8} {
-		cfg := tinyConfig(AdaQPUniform)
+		cfg := tinyConfig(CodecUniform)
 		cfg.UniformBits = b
 		res, err := TrainDeployed(dep, cfg, nil)
 		if err != nil {
@@ -164,7 +164,7 @@ func TestUniformBitsOrderTraffic(t *testing.T) {
 		}
 		prev = bytes
 	}
-	van, err := TrainDeployed(dep, tinyConfig(Vanilla), nil)
+	van, err := TrainDeployed(dep, tinyConfig(CodecFP32), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestDeterministicRuns(t *testing.T) {
 	// regardless of goroutine scheduling.
 	ds := synthetic.MustLoad("tiny", 1)
 	dep := Deploy(ds, 3, GCN, partition.Block)
-	cfg := tinyConfig(AdaQP)
+	cfg := tinyConfig(CodecAdaptive)
 	a, err := TrainDeployed(dep, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -200,8 +200,8 @@ func TestDeterministicRuns(t *testing.T) {
 func TestSeedChangesTrajectory(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", 1)
 	dep := Deploy(ds, 2, GCN, partition.Block)
-	cfg1 := tinyConfig(Vanilla)
-	cfg2 := tinyConfig(Vanilla)
+	cfg1 := tinyConfig(CodecFP32)
+	cfg2 := tinyConfig(CodecFP32)
 	cfg2.Seed = 999
 	a, err := TrainDeployed(dep, cfg1, nil)
 	if err != nil {
@@ -281,28 +281,14 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestMethodAndModelStrings(t *testing.T) {
-	for m, want := range map[Method]string{
-		Vanilla: "Vanilla", AdaQP: "AdaQP", AdaQPUniform: "AdaQP-uniform",
-		AdaQPRandom: "AdaQP-random", PipeGCN: "PipeGCN", SANCUS: "SANCUS",
-	} {
-		if m.String() != want {
-			t.Fatalf("%d → %q", m, m.String())
-		}
-	}
-	if GCN.String() != "GCN" || GraphSAGE.String() != "GraphSAGE" {
-		t.Fatal("model strings")
-	}
-}
-
 func TestEvalDoesNotChargeClock(t *testing.T) {
 	// Two runs differing only in evaluation frequency must report the
 	// same simulated wall-clock (metrics are out-of-band).
 	ds := synthetic.MustLoad("tiny", 1)
 	dep := Deploy(ds, 2, GCN, partition.Block)
-	cfgNoEval := tinyConfig(Vanilla)
+	cfgNoEval := tinyConfig(CodecFP32)
 	cfgNoEval.EvalEvery = 0
-	cfgEval := tinyConfig(Vanilla)
+	cfgEval := tinyConfig(CodecFP32)
 	cfgEval.EvalEvery = 1
 	a, err := TrainDeployed(dep, cfgNoEval, nil)
 	if err != nil {

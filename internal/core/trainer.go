@@ -23,12 +23,12 @@ import (
 var ErrCanceled = errors.New("core: training run canceled")
 
 // TrainDeployed runs one full training job over an existing Deployment
-// (lets experiments reuse one partitioning across methods, as the paper's
+// (lets experiments reuse one partitioning across codecs, as the paper's
 // comparisons do) and returns the measured result. model may be nil for
 // the default V100/100Gbps calibration.
 //
 // The run is assembled from the two pluggable seams: cfg's message codec
-// (defaulting per cfg.Method) moves boundary messages, and cfg's transport
+// (defaulting to CodecFP32) moves boundary messages, and cfg's transport
 // backend (defaulting to TransportInprocess) moves bytes.
 func TrainDeployed(dep *Deployment, cfg Config, model *timing.CostModel) (*metrics.RunResult, error) {
 	return TrainDeployedCtx(context.Background(), dep, cfg, model)
@@ -42,30 +42,17 @@ func TrainDeployedCtx(ctx context.Context, dep *Deployment, cfg Config, model *t
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	codecName := cfg.Codec
-	factory := cfg.codecFactory
+	cfg.Codec = cmp.Or(cfg.Codec, CodecFP32)
+	cfg.Transport = cmp.Or(cfg.Transport, TransportInprocess)
+	factory, runtimeFor := cfg.codecFactory, cfg.transportFactory
+	var err error
 	if factory == nil {
-		var err error
-		if codecName == "" {
-			codecName, err = CodecForMethod(cfg.Method)
-			if err != nil {
-				return nil, err
-			}
-		}
-		factory, err = LookupCodec(codecName)
-		if err != nil {
+		if factory, err = LookupCodec(cfg.Codec); err != nil {
 			return nil, err
 		}
 	}
-	runtimeFor := cfg.transportFactory
 	if runtimeFor == nil {
-		transportName := cfg.Transport
-		if transportName == "" {
-			transportName = TransportInprocess
-		}
-		var err error
-		runtimeFor, err = LookupTransport(transportName)
-		if err != nil {
+		if runtimeFor, err = LookupTransport(cfg.Transport); err != nil {
 			return nil, err
 		}
 	}
@@ -77,7 +64,6 @@ func TrainDeployedCtx(ctx context.Context, dep *Deployment, cfg Config, model *t
 	// straggler links) through the same path.
 	plan := cfg.faultPlan
 	if plan == nil && cfg.Faults.Enabled() {
-		var err error
 		if plan, err = chaos.NewPlan(cfg.Faults, parts); err != nil {
 			return nil, err
 		}
@@ -96,7 +82,7 @@ func TrainDeployedCtx(ctx context.Context, dep *Deployment, cfg Config, model *t
 	res := &metrics.RunResult{
 		Dataset: ds.Name,
 		Model:   cfg.Model.String(),
-		Codec:   codecName,
+		Codec:   cfg.Codec,
 		Parts:   parts,
 	}
 	denom := float64(synthetic.MaskedCount(ds.TrainMask))
@@ -125,7 +111,7 @@ func TrainDeployedCtx(ctx context.Context, dep *Deployment, cfg Config, model *t
 	}
 
 	shared := dep.runShared()
-	err := rt.Run(cfg.Seed, func(dev Transport) error {
+	err = rt.Run(cfg.Seed, func(dev Transport) error {
 		codec, err := factory(&CodecEnv{
 			Cfg:    &cfg,
 			Locals: dep.Locals,

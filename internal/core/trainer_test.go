@@ -27,9 +27,9 @@ func trainBlock(ds *synthetic.Dataset, parts int, cfg Config) (*metrics.RunResul
 	return TrainDeployed(Deploy(ds, parts, cfg.Model, partition.Block), cfg, nil)
 }
 
-func tinyConfig(m Method) Config {
+func tinyConfig(codec string) Config {
 	cfg := DefaultConfig()
-	cfg.Method = m
+	cfg.Codec = codec
 	cfg.Hidden = 32
 	cfg.Epochs = 12
 	cfg.EvalEvery = 4
@@ -41,7 +41,7 @@ func tinyConfig(m Method) Config {
 
 func TestVanillaSinglePartitionLearns(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", 1)
-	cfg := tinyConfig(Vanilla)
+	cfg := tinyConfig(CodecFP32)
 	cfg.Epochs = 60
 	res, err := trainBlock(ds, 1, cfg)
 	if err != nil {
@@ -55,7 +55,7 @@ func TestVanillaSinglePartitionLearns(t *testing.T) {
 
 func TestVanillaDistributedMatchesSingle(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", 1)
-	cfg := tinyConfig(Vanilla)
+	cfg := tinyConfig(CodecFP32)
 	cfg.Dropout = 0 // dropout RNG streams differ per device; disable for exact comparison
 	cfg.Epochs = 8
 	single, err := trainBlock(ds, 1, cfg)
@@ -79,29 +79,29 @@ func TestVanillaDistributedMatchesSingle(t *testing.T) {
 
 func TestAllMethodsRun(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", 1)
-	for _, m := range []Method{Vanilla, AdaQP, AdaQPUniform, AdaQPRandom, PipeGCN, SANCUS} {
+	for _, codec := range []string{CodecFP32, CodecAdaptive, CodecUniform, CodecRandom, CodecPipeGCN, CodecSancus} {
 		for _, model := range []ModelKind{GCN, GraphSAGE} {
-			cfg := tinyConfig(m)
+			cfg := tinyConfig(codec)
 			cfg.Model = model
 			res, err := trainBlock(ds, 2, cfg)
 			if err != nil {
-				t.Fatalf("%v/%v: %v", m, model, err)
+				t.Fatalf("%v/%v: %v", codec, model, err)
 			}
 			last := res.Epochs[len(res.Epochs)-1]
 			if math.IsNaN(last.Loss) || math.IsInf(last.Loss, 0) {
-				t.Fatalf("%v/%v: non-finite loss %v", m, model, last.Loss)
+				t.Fatalf("%v/%v: non-finite loss %v", codec, model, last.Loss)
 			}
 			if res.WallClock <= 0 {
-				t.Fatalf("%v/%v: no simulated time elapsed", m, model)
+				t.Fatalf("%v/%v: no simulated time elapsed", codec, model)
 			}
-			t.Logf("%v/%v: loss=%.4f test=%.3f wall=%.3fs", m, model, last.Loss, res.FinalTest, res.WallClock)
+			t.Logf("%v/%v: loss=%.4f test=%.3f wall=%.3fs", codec, model, last.Loss, res.FinalTest, res.WallClock)
 		}
 	}
 }
 
 func TestMultiLabelTraining(t *testing.T) {
 	ds := synthetic.MustLoad("tiny-multi", 1)
-	cfg := tinyConfig(AdaQP)
+	cfg := tinyConfig(CodecAdaptive)
 	cfg.Model = GraphSAGE
 	cfg.Epochs = 15
 	res, err := trainBlock(ds, 2, cfg)
@@ -125,11 +125,11 @@ func TestAdaQPFasterThanVanilla(t *testing.T) {
 	model.Latency = 1e-7
 	ds := synthetic.MustLoad("tiny", 1)
 	dep := Deploy(ds, 4, GCN, 0)
-	van, err := TrainDeployed(dep, tinyConfig(Vanilla), model)
+	van, err := TrainDeployed(dep, tinyConfig(CodecFP32), model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ada, err := TrainDeployed(dep, tinyConfig(AdaQP), model)
+	ada, err := TrainDeployed(dep, tinyConfig(CodecAdaptive), model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +144,9 @@ func TestAdaQPFasterThanVanilla(t *testing.T) {
 func TestUniform2BitCompression(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", 1)
 	dep := Deploy(ds, 4, GCN, 0)
-	cfg := tinyConfig(AdaQPUniform)
+	cfg := tinyConfig(CodecUniform)
 	cfg.UniformBits = quant.B2
-	van, err := TrainDeployed(dep, tinyConfig(Vanilla), nil)
+	van, err := TrainDeployed(dep, tinyConfig(CodecFP32), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestFinalEvalSharesOneForwardPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	train := func(evalEvery int) (*metrics.RunResult, int64) {
-		cfg := tinyConfig(AdaQP)
+		cfg := tinyConfig(CodecAdaptive)
 		cfg.EvalEvery = evalEvery
 		var rt *rawCountingRuntime
 		cfg.transportFactory = func(spec TransportSpec) Runtime {
@@ -263,7 +263,7 @@ func TestFinalEvalSharesOneForwardPass(t *testing.T) {
 		}
 		return res, rt.rawAll2All.Load()
 	}
-	layers := int64(tinyConfig(AdaQP).Layers)
+	layers := int64(tinyConfig(CodecAdaptive).Layers)
 
 	// 12 epochs, eval every 4: epochs 0, 4, 8 and the last one, 11.
 	every4, raw := train(4)
@@ -299,7 +299,7 @@ func TestLayerZeroInputGradientIsNeverComputed(t *testing.T) {
 	const parts = 3
 	ds := synthetic.MustLoad("tiny", 1)
 	for _, kind := range []ModelKind{GCN, GraphSAGE} {
-		cfg := tinyConfig(Vanilla)
+		cfg := tinyConfig(CodecFP32)
 		cfg.Model, cfg.Layers, cfg.Epochs = kind, 3, 4
 		cfg.Hidden = 24 // unlike tiny's 32 features: input width tells layer 0 from layer 1
 		dep := Deploy(ds, parts, kind, partition.Block)
@@ -351,7 +351,7 @@ func TestLayerZeroInputGradientIsNeverComputed(t *testing.T) {
 func TestLayerZeroHoldsNoInputGradient(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", 1)
 	for _, kind := range []ModelKind{GCN, GraphSAGE} {
-		cfg := tinyConfig(Vanilla)
+		cfg := tinyConfig(CodecFP32)
 		cfg.Model, cfg.Layers = kind, 3
 		lg := Deploy(ds, 2, kind, partition.Block).Locals[0]
 		dm := newDeviceModel(&cfg, lg, ds.Features.Cols, ds.NumClasses, timing.Default())
@@ -476,7 +476,7 @@ func epochBitsWithAndWithoutAVX2(t *testing.T, dep *Deployment, hidden, epochs i
 			}
 		}
 		cfg := DefaultConfig()
-		cfg.Method, cfg.Hidden, cfg.Epochs, cfg.EvalEvery, cfg.ReassignPeriod = AdaQP, hidden, epochs, 1, 1
+		cfg.Codec, cfg.Hidden, cfg.Epochs, cfg.EvalEvery, cfg.ReassignPeriod = CodecAdaptive, hidden, epochs, 1, 1
 		res, err := TrainDeployed(dep, cfg, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -111,10 +111,6 @@ type RuntimeFactory func(spec TransportSpec) Runtime
 // simulated cost model.
 const TransportInprocess = "inprocess"
 
-// TransportShardedAsync is a second name for TransportInprocess, kept for
-// callers that still name it.
-const TransportShardedAsync = "sharded-async"
-
 // registry is the name → value table behind RegisterCodec and
 // RegisterTransport: filled at init time, read by every run.
 type registry[T any] struct {
@@ -171,10 +167,7 @@ func LookupTransport(name string) (RuntimeFactory, error) { return transportRegi
 // TransportNames lists the registered backends, sorted.
 func TransportNames() []string { return transportRegistry.names() }
 
-func init() {
-	RegisterTransport(TransportInprocess, newInprocess)
-	RegisterTransport(TransportShardedAsync, newInprocess)
-}
+func init() { RegisterTransport(TransportInprocess, newInprocess) }
 
 // newInprocess builds the engine over the pointer delivery.
 func newInprocess(spec TransportSpec) Runtime { return newEngine(spec, &pointerDelivery{}) }

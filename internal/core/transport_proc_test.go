@@ -210,7 +210,7 @@ func TestProcWireStatsInvariants(t *testing.T) {
 // reference.
 func TestProcTrainingSerializesPayloads(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", 1)
-	cfg := tinyConfig(AdaQP)
+	cfg := tinyConfig(CodecAdaptive)
 	cfg.Epochs = 6
 	cfg.EvalEvery = 3
 
@@ -431,7 +431,7 @@ func TestProcIdleWorkerDeath(t *testing.T) {
 	const workers = 2
 	shutIdleFleets()
 	ds := synthetic.MustLoad("tiny", 1)
-	cfg := tinyConfig(AdaQP)
+	cfg := tinyConfig(CodecAdaptive)
 	cfg.Epochs = 4
 	cfg.EvalEvery = 2
 	ref, err := trainBlock(ds, 3, cfg)

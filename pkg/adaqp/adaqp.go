@@ -8,8 +8,9 @@
 //	Engine / Session (this package)
 //	    │  functional options, per-epoch callbacks
 //	    ▼
-//	MessageCodec — how boundary messages are encoded and scheduled
-//	    (fp32, uniform, adaptive, random, pipegcn, sancus; extensible
+//	MessageCodec — how boundary messages are encoded and scheduled,
+//	    which is what tells the training systems apart (fp32 = Vanilla,
+//	    adaptive = AdaQP, uniform, random, pipegcn, sancus; extensible
 //	    via RegisterCodec)
 //	    ▼
 //	Transport — how bytes move between devices
@@ -21,14 +22,14 @@
 //	ds := adaqp.MustLoadDataset("tiny", 1)
 //	eng, err := adaqp.New(ds,
 //	    adaqp.WithParts(4),
-//	    adaqp.WithMethod(adaqp.AdaQP),
+//	    adaqp.WithCodec(adaqp.CodecSpec{Name: adaqp.CodecAdaptive}),
 //	    adaqp.WithEpochs(60))
 //	if err != nil { ... }
 //	res, err := eng.Run()
 //
 // One Engine owns one dataset and one partitioning; Sessions derived from
 // it override training options while reusing the deployment, which is how
-// the paper's method comparisons hold the partitioning fixed.
+// the paper's system comparisons hold the partitioning fixed.
 package adaqp
 
 import (
@@ -40,29 +41,8 @@ import (
 	"repro/internal/timing"
 )
 
-// Core model/method enums, re-exported so callers never import internals.
-type (
-	// Method selects the training system.
-	Method = core.Method
-	// ModelKind selects the GNN architecture.
-	ModelKind = core.ModelKind
-)
-
-// Training systems.
-const (
-	// Vanilla is synchronous full-precision full-graph training.
-	Vanilla = core.Vanilla
-	// AdaQP is the paper's system: adaptive quantization + overlap.
-	AdaQP = core.AdaQP
-	// AdaQPUniform quantizes every message at CodecSpec.UniformBits.
-	AdaQPUniform = core.AdaQPUniform
-	// AdaQPRandom samples each message's width uniformly from {2,4,8}.
-	AdaQPRandom = core.AdaQPRandom
-	// PipeGCN overlaps communication across iterations via staleness.
-	PipeGCN = core.PipeGCN
-	// SANCUS avoids communication via staleness-bounded broadcasts.
-	SANCUS = core.SANCUS
-)
+// ModelKind selects the GNN architecture.
+type ModelKind = core.ModelKind
 
 // GNN architectures.
 const (
@@ -71,13 +51,6 @@ const (
 	// GraphSAGE uses mean aggregation concatenated with self embeddings.
 	GraphSAGE = core.GraphSAGE
 )
-
-// Methods lists every training system in declaration order.
-func Methods() []Method { return core.Methods() }
-
-// ParseMethod is the inverse of Method.String, also accepting CLI short
-// forms ("uniform", "random"), case-insensitively.
-func ParseMethod(s string) (Method, error) { return core.ParseMethod(s) }
 
 // ParseModelKind is the inverse of ModelKind.String, also accepting "sage".
 func ParseModelKind(s string) (ModelKind, error) { return core.ParseModelKind(s) }
@@ -189,23 +162,20 @@ func LookupCodec(name string) (CodecFactory, error) { return core.LookupCodec(na
 // Codecs lists the registered message codecs, sorted.
 func Codecs() []string { return core.CodecNames() }
 
-// Built-in codec names.
+// Built-in codec names, one per training system of the paper.
 const (
-	CodecFP32     = core.CodecFP32
-	CodecUniform  = core.CodecUniform
-	CodecRandom   = core.CodecRandom
-	CodecAdaptive = core.CodecAdaptive
-	CodecPipeGCN  = core.CodecPipeGCN
-	CodecSancus   = core.CodecSancus
+	CodecFP32     = core.CodecFP32     // Vanilla: full-precision, synchronous (the default)
+	CodecUniform  = core.CodecUniform  // AdaQP's overlap, every message at CodecSpec.UniformBits
+	CodecRandom   = core.CodecRandom   // AdaQP's overlap, widths sampled from {2,4,8}
+	CodecAdaptive = core.CodecAdaptive // AdaQP: adaptive widths plus overlap
+	CodecPipeGCN  = core.CodecPipeGCN  // PipeGCN: one-epoch-stale boundary messages
+	CodecSancus   = core.CodecSancus   // SANCUS: staleness-bounded broadcasts
 )
 
 // Transport is the device-side communication surface; Runtime launches
 // one Transport per device. A RuntimeFactory builds a Runtime from a
 // RuntimeSpec (device count, cost model, proc-sharded's worker process
 // count).
-//
-// RuntimeSpec was previously exported as TransportSpec; that name now
-// names the grouped WithTransport option instead.
 type (
 	Transport      = core.Transport
 	Runtime        = core.Runtime
@@ -233,8 +203,6 @@ const (
 	// TransportInprocess is the default in-process backend: one goroutine
 	// per device, synchronous collectives.
 	TransportInprocess = core.TransportInprocess
-	// TransportShardedAsync is a second name for TransportInprocess.
-	TransportShardedAsync = core.TransportShardedAsync
 	// TransportProcSharded shards payload delivery across
 	// TransportSpec.Workers separate OS processes (0 = 2, clamped to the
 	// device count), each connected to this

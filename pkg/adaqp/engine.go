@@ -1,6 +1,7 @@
 package adaqp
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sync"
@@ -13,9 +14,9 @@ import (
 // usable; construct with New.
 //
 // An Engine is safe for sequential reuse: deriving Sessions with
-// different methods, codecs or hyper-parameters reuses the cached
-// deployment, which is how the paper holds partitioning fixed across
-// method comparisons. Runs must not execute concurrently on one Engine.
+// different codecs or hyper-parameters reuses the cached deployment,
+// which is how the paper holds partitioning fixed across system
+// comparisons. Runs must not execute concurrently on one Engine.
 type Engine struct {
 	ds   *Dataset
 	base settings
@@ -100,7 +101,14 @@ func (s *Session) Run() (*Result, error) {
 // bit-identical to Run.
 func (s *Session) RunContext(ctx context.Context) (*Result, error) {
 	dep := s.eng.deployment(&s.set)
-	return core.TrainDeployedCtx(ctx, dep, s.set.cfg, s.set.model)
+	cfg := s.set.cfg
+	cfg.Codec = s.Codec()
+	return core.TrainDeployedCtx(ctx, dep, cfg, s.set.model)
+}
+
+// Codec returns the name of the message codec the session trains with.
+func (s *Session) Codec() string {
+	return cmp.Or(s.set.cfg.Codec, s.set.methodCodec, CodecFP32)
 }
 
 // Run is shorthand for Session(opts...).Run().

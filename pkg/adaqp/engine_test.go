@@ -59,7 +59,8 @@ func TestOptionValidation(t *testing.T) {
 		"sancus":    adaqp.WithCodec(adaqp.CodecSpec{SancusDrift: -0.1, SancusMaxStale: 2}),
 		"maxstale":  adaqp.WithCodec(adaqp.CodecSpec{SancusDrift: 0.1}),
 		"costmodel": adaqp.WithCostModel(nil),
-		"method":    adaqp.WithMethod(adaqp.Method(42)),
+		"workers":   adaqp.WithTransport(adaqp.TransportSpec{Workers: -1}),
+		"drift":     adaqp.WithCodec(adaqp.CodecSpec{SancusMaxStale: 3}),
 		"model":     adaqp.WithModel(adaqp.ModelKind(42)),
 	}
 	for name, opt := range bad {
@@ -107,8 +108,7 @@ func TestCodecRegistryLookup(t *testing.T) {
 var registerDelegating sync.Once
 
 // TestCustomCodecRegistration registers a delegating codec under a new
-// name and trains with it: the registry, not the Method switch, selects
-// the scheme, so the run must match the built-in bit for bit.
+// name and trains with it: the registry selects the scheme, so the run must match the built-in bit for bit.
 func TestCustomCodecRegistration(t *testing.T) {
 	fp32, err := adaqp.LookupCodec(adaqp.CodecFP32)
 	if err != nil {
@@ -121,11 +121,11 @@ func TestCustomCodecRegistration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := eng.Run(adaqp.WithMethod(adaqp.Vanilla))
+	ref, err := eng.Run(adaqp.WithCodec(adaqp.CodecSpec{Name: adaqp.CodecFP32}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.Run(adaqp.WithMethod(adaqp.Vanilla), adaqp.WithCodec(adaqp.CodecSpec{Name: "test-delegating-fp32"}))
+	got, err := eng.Run(adaqp.WithCodec(adaqp.CodecSpec{Name: "test-delegating-fp32"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +205,11 @@ func TestFP32PassthroughParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, err := eng.Run(adaqp.WithMethod(adaqp.Vanilla))
+	fp, err := eng.Run(adaqp.WithCodec(adaqp.CodecSpec{Name: adaqp.CodecFP32}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pass, err := eng.Run(adaqp.WithMethod(adaqp.AdaQPUniform), adaqp.WithCodec(adaqp.CodecSpec{UniformBits: 32}))
+	pass, err := eng.Run(adaqp.WithCodec(adaqp.CodecSpec{Name: adaqp.CodecUniform, UniformBits: 32}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestFP32PassthroughParity(t *testing.T) {
 	}
 	// And a genuinely quantized width must NOT match — the parity above is
 	// meaningful only if quantization normally changes the trajectory.
-	q2, err := eng.Run(adaqp.WithMethod(adaqp.AdaQPUniform), adaqp.WithCodec(adaqp.CodecSpec{UniformBits: 2}))
+	q2, err := eng.Run(adaqp.WithCodec(adaqp.CodecSpec{Name: adaqp.CodecUniform, UniformBits: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestEpochCallback(t *testing.T) {
 	ds := adaqp.MustLoadDataset("tiny", 1)
 	var seen []adaqp.EpochStat
 	eng, err := adaqp.New(ds, tinyOpts(
-		adaqp.WithMethod(adaqp.AdaQP),
+		adaqp.WithCodec(adaqp.CodecSpec{Name: adaqp.CodecAdaptive}),
 		adaqp.WithEpochCallback(func(e adaqp.EpochStat) { seen = append(seen, e) }))...)
 	if err != nil {
 		t.Fatal(err)
@@ -272,16 +272,16 @@ func TestSessionsShareDeployment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := eng.Session(adaqp.WithMethod(adaqp.Vanilla))
+	a, err := eng.Session(adaqp.WithCodec(adaqp.CodecSpec{Name: adaqp.CodecFP32}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := eng.Session(adaqp.WithMethod(adaqp.SANCUS))
+	b, err := eng.Session(adaqp.WithCodec(adaqp.CodecSpec{Name: adaqp.CodecSancus}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Deployment() != b.Deployment() {
-		t.Fatal("method overrides must reuse the engine's partitioning")
+		t.Fatal("codec overrides must reuse the engine's partitioning")
 	}
 	c, err := eng.Session(adaqp.WithParts(2))
 	if err != nil {
@@ -294,7 +294,7 @@ func TestSessionsShareDeployment(t *testing.T) {
 
 func TestEngineRunRecordsCodec(t *testing.T) {
 	ds := adaqp.MustLoadDataset("tiny", 1)
-	eng, err := adaqp.New(ds, tinyOpts(adaqp.WithMethod(adaqp.AdaQP))...)
+	eng, err := adaqp.New(ds, tinyOpts(adaqp.WithCodec(adaqp.CodecSpec{Name: adaqp.CodecAdaptive}))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,38 +314,7 @@ func TestEngineRunRecordsCodec(t *testing.T) {
 	}
 }
 
-// TestShardedTransportPublicAPI: the transport and codec options reject
-// negative values, and the sharded-async name resolves to a backend that
-// passes the public conformance surface.
-func TestShardedTransportPublicAPI(t *testing.T) {
-	ds := adaqp.MustLoadDataset("tiny", 1)
-	for name, opt := range map[string]adaqp.Option{
-		"spec-workers":      adaqp.WithTransport(adaqp.TransportSpec{Workers: -1}),
-		"spec-bits":         adaqp.WithCodec(adaqp.CodecSpec{UniformBits: 3}),
-		"spec-sancus-drift": adaqp.WithCodec(adaqp.CodecSpec{SancusMaxStale: 3}),
-	} {
-		if _, err := adaqp.New(ds, opt); err == nil {
-			t.Fatalf("option %q with a negative value must error", name)
-		}
-	}
-	if vs := adaqp.VerifyTransport(func(spec adaqp.RuntimeSpec) adaqp.Runtime {
-		f, err := adaqp.LookupTransport(adaqp.TransportShardedAsync)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f(spec)
-	}, 4); len(vs) != 0 {
-		t.Fatalf("public conformance surface reported violations: %v", vs)
-	}
-}
-
 func TestParseRoundTripPublic(t *testing.T) {
-	for _, m := range adaqp.Methods() {
-		got, err := adaqp.ParseMethod(m.String())
-		if err != nil || got != m {
-			t.Fatalf("ParseMethod(%q) = %v, %v", m.String(), got, err)
-		}
-	}
 	for _, k := range []adaqp.ModelKind{adaqp.GCN, adaqp.GraphSAGE} {
 		got, err := adaqp.ParseModelKind(k.String())
 		if err != nil || got != k {

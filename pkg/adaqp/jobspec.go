@@ -7,10 +7,9 @@ import "fmt"
 // and cmd/adaqpd's job JSON cannot drift. Zero values (nil for the pointer
 // fields whose zero is meaningful) mean "engine default".
 //
-// String fields (Model, Method, Codec, Transport) are registry names, so
-// custom codecs and transports registered before submission are usable
-// from JSON jobs too; unknown names fail Options with the registered set
-// in the error.
+// String fields (Model, Codec, Transport) are registry names, so custom
+// codecs and transports registered before submission are usable from JSON
+// jobs too; unknown names fail Options with the registered set in the error.
 type JobSpec struct {
 	// Dataset is the registered dataset name (required) and Scale its
 	// size factor (0 = 1.0, the registry's reference size).
@@ -18,8 +17,8 @@ type JobSpec struct {
 	Scale   float64 `json:"scale,omitempty"`
 
 	Model     string `json:"model,omitempty"`     // gcn | sage
-	Method    string `json:"method,omitempty"`    // training system (ParseMethod)
-	Codec     string `json:"codec,omitempty"`     // message-codec override
+	Method    string `json:"method,omitempty"`    // deprecated paper name of a codec; Codec beats it
+	Codec     string `json:"codec,omitempty"`     // message codec: the training system
 	Transport string `json:"transport,omitempty"` // runtime backend
 	// Workers is proc-sharded's worker process count
 	// (TransportSpec.Workers; 0 = 2, clamped to parts).
@@ -58,6 +57,13 @@ type JobSpec struct {
 	Chaos *FaultSpec `json:"chaos,omitempty"`
 }
 
+// Ceilings on what one job spec may ask for: partitioning allocates two
+// parts-long slices per part, and the paper's largest cluster has 24.
+const (
+	maxJobParts   = 1024
+	maxJobWorkers = 64
+)
+
 // Load loads the spec's dataset (Scale 0 = 1.0).
 func (j JobSpec) Load() (*Dataset, error) {
 	if j.Dataset == "" {
@@ -75,20 +81,22 @@ func (j JobSpec) Load() (*Dataset, error) {
 // full validation (including codec/transport registry lookups) when
 // applied by New, Session or Scheduler.Submit.
 func (j JobSpec) Options() ([]Option, error) {
-	var opts []Option
+	if j.Parts > maxJobParts {
+		return nil, fmt.Errorf("adaqp: parts %d exceeds the limit of %d", j.Parts, maxJobParts)
+	}
+	if j.Workers > maxJobWorkers {
+		return nil, fmt.Errorf("adaqp: workers %d exceeds the limit of %d", j.Workers, maxJobWorkers)
+	}
+	opts, err := j.methodOptions()
+	if err != nil {
+		return nil, err
+	}
 	if j.Model != "" {
 		mk, err := ParseModelKind(j.Model)
 		if err != nil {
 			return nil, err
 		}
 		opts = append(opts, WithModel(mk))
-	}
-	if j.Method != "" {
-		m, err := ParseMethod(j.Method)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, WithMethod(m))
 	}
 	if j.Codec != "" {
 		if _, err := LookupCodec(j.Codec); err != nil {

@@ -11,10 +11,11 @@ import (
 
 // settings is the resolved configuration an Engine or Session runs with.
 type settings struct {
-	cfg      core.Config
-	parts    int
-	strategy partition.Strategy
-	model    *timing.CostModel // nil = DefaultCostModel
+	cfg         core.Config
+	parts       int
+	strategy    partition.Strategy
+	model       *timing.CostModel // nil = DefaultCostModel
+	methodCodec string            // a deprecated method's codec, used while cfg.Codec is empty
 }
 
 func defaultSettings() settings {
@@ -41,17 +42,6 @@ func WithParts(n int) Option {
 			return fmt.Errorf("adaqp: parts must be >= 1, got %d", n)
 		}
 		s.parts = n
-		return nil
-	}
-}
-
-// WithMethod selects the training system (default Vanilla).
-func WithMethod(m Method) Option {
-	return func(s *settings) error {
-		if _, err := core.CodecForMethod(m); err != nil {
-			return fmt.Errorf("adaqp: %w", err)
-		}
-		s.cfg.Method = m
 		return nil
 	}
 }
@@ -132,8 +122,8 @@ func WithTransport(spec TransportSpec) Option {
 // engine's current setting (every codec knob's default is non-zero), so
 // a spec overrides only what it names.
 type CodecSpec struct {
-	// Name overrides the message codec (any name in Codecs()); empty
-	// keeps the current selection (by default, derived from the method).
+	// Name selects the message codec, and so the training system (any
+	// name in Codecs()); empty keeps the current selection (CodecFP32).
 	Name string
 	// UniformBits is the width the uniform codec quantizes at: 2, 4, 8,
 	// or 32 for the full-precision passthrough (default 2).

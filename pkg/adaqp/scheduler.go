@@ -359,11 +359,13 @@ func (sc *Scheduler) evictLocked(now time.Time) {
 // plus extra programmatic options applied after the spec's — how cmd/adaqpd
 // turns job JSON into sessions.
 func (sc *Scheduler) SubmitSpec(spec JobSpec, extra ...Option) (*SessionHandle, error) {
-	ds, err := sc.dataset(spec)
+	// Options first: a spec past a ceiling is refused before its dataset
+	// is loaded.
+	opts, err := spec.Options()
 	if err != nil {
 		return nil, err
 	}
-	opts, err := spec.Options()
+	ds, err := sc.dataset(spec)
 	if err != nil {
 		return nil, err
 	}

@@ -19,7 +19,7 @@ func TestSchedulerChaosJobAccumulatesFaultTotals(t *testing.T) {
 	evalEvery := 0
 	spec := JobSpec{
 		Dataset: "tiny", Scale: 0.25,
-		Method: "vanilla", Parts: 2, Epochs: 4, Hidden: 8,
+		Codec: CodecFP32, Parts: 2, Epochs: 4, Hidden: 8,
 		EvalEvery: &evalEvery, Seed: 7,
 		Chaos: &FaultSpec{
 			Seed: 3, Stragglers: 1, SlowFactor: 3,

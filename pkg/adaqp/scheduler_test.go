@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,7 +16,7 @@ import (
 func schedTestOptions() []Option {
 	return []Option{
 		WithParts(2),
-		WithMethod(AdaQP),
+		WithCodec(CodecSpec{Name: CodecAdaptive}),
 		WithEpochs(6),
 		WithHidden(16),
 		WithReassignPeriod(2),
@@ -98,7 +99,7 @@ func waitEpochs(t *testing.T, h *SessionHandle, n int) {
 // unless canceled.
 func longJob() []Option {
 	return []Option{
-		WithParts(2), WithMethod(Vanilla), WithEpochs(100000),
+		WithParts(2), WithCodec(CodecSpec{Name: CodecFP32}), WithEpochs(100000),
 		WithHidden(8), WithEvalEvery(0),
 	}
 }
@@ -118,7 +119,7 @@ func TestSchedulerCancelStopsTrainingAndFreesSlot(t *testing.T) {
 	waitEpochs(t, running, 1)
 
 	queued, err := sched.Submit(ds,
-		WithParts(2), WithMethod(Vanilla), WithEpochs(2), WithHidden(8), WithEvalEvery(0))
+		WithParts(2), WithCodec(CodecSpec{Name: CodecFP32}), WithEpochs(2), WithHidden(8), WithEvalEvery(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +552,7 @@ func TestSchedulerRetentionAndRemoveSemantics(t *testing.T) {
 		WithSessionRetention(1, 0))
 
 	short := []Option{
-		WithParts(2), WithMethod(Vanilla), WithEpochs(1),
+		WithParts(2), WithCodec(CodecSpec{Name: CodecFP32}), WithEpochs(1),
 		WithHidden(8), WithEvalEvery(0),
 	}
 	var handles []*SessionHandle
@@ -718,7 +719,7 @@ func TestSchedulerManyConcurrentJobs(t *testing.T) {
 			for i := 0; i < jobsPerClient; i++ {
 				for {
 					h, err := sched.Submit(ds,
-						WithParts(2), WithMethod(Vanilla), WithEpochs(1),
+						WithParts(2), WithCodec(CodecSpec{Name: CodecFP32}), WithEpochs(1),
 						WithHidden(8), WithEvalEvery(0),
 						WithSeed(uint64(client*jobsPerClient+i+1)))
 					if errors.Is(err, ErrQueueFull) {
@@ -764,7 +765,7 @@ func TestJobSpecOptionsMatchExplicit(t *testing.T) {
 	dropout, lambda, evalEvery := 0.0, 0.25, 0
 	spec := JobSpec{
 		Dataset: "tiny", Scale: 0.5,
-		Model: "sage", Method: "uniform", Codec: CodecUniform,
+		Model: "sage", Codec: CodecUniform,
 		Transport: TransportProcSharded, Workers: 2, Overlap: true,
 		Parts: 3, Epochs: 9, Layers: 2, Hidden: 24, LR: 0.02,
 		Dropout: &dropout, Lambda: &lambda, EvalEvery: &evalEvery,
@@ -781,8 +782,7 @@ func TestJobSpecOptionsMatchExplicit(t *testing.T) {
 
 	explicit := defaultSettings()
 	if err := explicit.apply([]Option{
-		WithModel(GraphSAGE), WithMethod(AdaQPUniform),
-		WithCodec(CodecSpec{Name: CodecUniform, UniformBits: 4}),
+		WithModel(GraphSAGE), WithCodec(CodecSpec{Name: CodecUniform, UniformBits: 4}),
 		WithTransport(TransportSpec{Name: TransportProcSharded, Workers: 2, Overlap: true}),
 		WithParts(3), WithEpochs(9), WithLayers(2), WithHidden(24), WithLR(0.02),
 		WithDropout(0), WithLambda(0.25), WithEvalEvery(0),
@@ -802,10 +802,27 @@ func TestJobSpecOptionsMatchExplicit(t *testing.T) {
 	if _, err := (JobSpec{Dataset: "tiny", Transport: "no-such"}).Options(); err == nil {
 		t.Fatal("unknown transport accepted")
 	}
-	if _, err := (JobSpec{Dataset: "tiny", Method: "no-such"}).Options(); err == nil {
-		t.Fatal("unknown method accepted")
-	}
 	if _, err := (JobSpec{}).Load(); err == nil {
 		t.Fatal("empty dataset accepted")
+	}
+}
+
+// TestSubmitSpecCeilingsComeFirst: a spec past the parts or workers
+// ceiling is refused by name before its dataset is resolved — the unknown
+// dataset below would fail too, but the ceiling must answer first — and
+// before any deployment or worker process exists.
+func TestSubmitSpecCeilingsComeFirst(t *testing.T) {
+	sched := newTestScheduler(t)
+	for field, spec := range map[string]JobSpec{
+		"parts 70000": {Dataset: "no-such", Parts: 70000},
+		"workers 65":  {Dataset: "no-such", Transport: TransportProcSharded, Workers: 65},
+	} {
+		_, err := sched.SubmitSpec(spec)
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s: error %v does not name the field", field, err)
+		}
+	}
+	if n := len(sched.Sessions()); n != 0 {
+		t.Errorf("%d sessions admitted, want 0", n)
 	}
 }

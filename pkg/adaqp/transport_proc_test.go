@@ -33,7 +33,7 @@ func TestProcBackendLossParity(t *testing.T) {
 			proc: adaqp.TransportSpec{Name: adaqp.TransportProcSharded, Workers: 3},
 		},
 	}
-	methods := []adaqp.Method{adaqp.Vanilla, adaqp.AdaQP}
+	codecs := []string{adaqp.CodecFP32, adaqp.CodecAdaptive}
 
 	for _, dep := range deployments {
 		t.Run(dep.name, func(t *testing.T) {
@@ -48,26 +48,26 @@ func TestProcBackendLossParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, m := range methods {
-				ref, err := eng.Run(adaqp.WithMethod(m))
+			for _, codec := range codecs {
+				ref, err := eng.Run(adaqp.WithCodec(adaqp.CodecSpec{Name: codec}))
 				if err != nil {
-					t.Fatalf("method %v in-process run: %v", m, err)
+					t.Fatalf("codec %v in-process run: %v", codec, err)
 				}
-				got, err := eng.Run(adaqp.WithMethod(m), adaqp.WithTransport(dep.proc))
+				got, err := eng.Run(adaqp.WithCodec(adaqp.CodecSpec{Name: codec}), adaqp.WithTransport(dep.proc))
 				if err != nil {
-					t.Fatalf("method %v proc-sharded run: %v", m, err)
+					t.Fatalf("codec %v proc-sharded run: %v", codec, err)
 				}
 				if len(got.Epochs) != len(ref.Epochs) {
-					t.Fatalf("method %v: epoch count %d vs %d", m, len(got.Epochs), len(ref.Epochs))
+					t.Fatalf("codec %v: epoch count %d vs %d", codec, len(got.Epochs), len(ref.Epochs))
 				}
 				for i := range ref.Epochs {
 					if got.Epochs[i].Loss != ref.Epochs[i].Loss {
-						t.Errorf("method %v epoch %d: proc-sharded loss %.9f != in-process %.9f (must be bit-identical)",
-							m, i, got.Epochs[i].Loss, ref.Epochs[i].Loss)
+						t.Errorf("codec %v epoch %d: proc-sharded loss %.9f != in-process %.9f (must be bit-identical)",
+							codec, i, got.Epochs[i].Loss, ref.Epochs[i].Loss)
 					}
 				}
 				if got.FinalTest != ref.FinalTest {
-					t.Errorf("method %v: final test accuracy %.6f != %.6f", m, got.FinalTest, ref.FinalTest)
+					t.Errorf("codec %v: final test accuracy %.6f != %.6f", codec, got.FinalTest, ref.FinalTest)
 				}
 			}
 		})
