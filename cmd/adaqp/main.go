@@ -199,7 +199,9 @@ func ms(seconds float64) string {
 	return fmt.Sprintf("%.*fms", prec, v)
 }
 
+// fatal prints err under one "adaqp: " prefix (the library's own errors
+// already carry it) and exits 1.
 func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "adaqp: %v\n", err)
+	fmt.Fprintf(os.Stderr, "adaqp: %s\n", strings.TrimPrefix(err.Error(), "adaqp: "))
 	os.Exit(1)
 }

@@ -24,7 +24,7 @@ func TestWidthTableShapes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Hidden = 16
 	// An assigner's tables and traces exist for exactly the (layer,
-	// direction) pairs AnalyzeOverlap charges an exchange for: from
+	// direction) pairs the trainer and Predict charge an exchange for: from
 	// firstLayer on, so never layer 0 backward.
 	st := newAssignState(&cfg, dep.Locals[0], dep.Dataset.Features.Cols)
 	for _, dir := range directions {

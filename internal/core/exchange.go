@@ -245,7 +245,7 @@ const (
 // under sched: backward serial compute, send-side kernels, the exchange
 // (Idle/Comm inside the collective), receive-side kernels, the compute
 // the messages failed to hide, forward serial compute. It is the only
-// place compute hides behind Comm.
+// place compute hides behind Comm, and Predict charges through it too.
 func (e *ExchangeEnv) stage(c rowCoder, sched schedule, dir direction, l int, src, dst *tensor.Matrix) error {
 	clock, model, costs := e.Dev.Clock(), e.Dev.Model(), e.costs[l][dir]
 	serial, hidden := costs.Total, timing.Seconds(0)
@@ -328,6 +328,16 @@ func fpAll2AllBytes(lg *partition.LocalGraph, dim int) []int {
 	out := make([]int, lg.Parts)
 	for q := range out {
 		out[q] = 4 * dim * len(lg.SendTo[q])
+	}
+	return out
+}
+
+// PairBytesFirstLayer returns the full-precision bytes each device pair
+// transfers in the first GNN layer's forward pass — Fig. 2's measurement.
+func PairBytesFirstLayer(dep *Deployment) [][]int {
+	out := make([][]int, len(dep.Locals))
+	for src, lg := range dep.Locals {
+		out[src] = fpAll2AllBytes(lg, dep.Dataset.Features.Cols)
 	}
 	return out
 }

@@ -216,35 +216,6 @@ func TestSeedChangesTrajectory(t *testing.T) {
 	}
 }
 
-func TestAnalyzeOverlapConsistency(t *testing.T) {
-	ds := synthetic.MustLoad("tiny", 1)
-	dep := Deploy(ds, 4, GCN, partition.Block)
-	cfg := DefaultConfig()
-	cfg.Hidden = 32
-	rep := AnalyzeOverlap(dep, cfg, quant.B2, nil)
-	if len(rep) != 4 {
-		t.Fatalf("expected 4 device reports, got %d", len(rep))
-	}
-	for _, d := range rep {
-		if d.TotalComp != d.CentralComp+d.MarginalComp {
-			t.Fatalf("device %d: total != central+marginal", d.Device)
-		}
-		if d.TotalComp <= 0 || d.CommSeconds <= 0 {
-			t.Fatalf("device %d: non-positive costs %+v", d.Device, d)
-		}
-	}
-	// Higher width → more comm time. The 32-bit passthrough must analyze
-	// as full precision, not panic in the packing size math.
-	for _, b := range []quant.BitWidth{quant.B8, quant.B32} {
-		wide := AnalyzeOverlap(dep, cfg, b, nil)
-		for i := range rep {
-			if wide[i].CommSeconds <= rep[i].CommSeconds {
-				t.Fatalf("device %d: %d-bit comm %v not above 2-bit %v", i, b, wide[i].CommSeconds, rep[i].CommSeconds)
-			}
-		}
-	}
-}
-
 func TestPairBytesFirstLayer(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", 1)
 	dep := Deploy(ds, 3, GCN, partition.Block)

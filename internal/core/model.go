@@ -181,8 +181,9 @@ func computeLayerCosts(lg *partition.LocalGraph, l *gnnLayer, model *timing.Cost
 type deviceModel struct {
 	kind   ModelKind
 	layers []*gnnLayer
-	costs  [][2]StageCosts // per layer, per direction
-	ps     []*nn.Param     // cached params() result (the set is static)
+	costs  [][2]StageCosts  // per layer, per direction
+	ps     []*nn.Param      // cached params() result (the set is static)
+	grads  []*tensor.Matrix // cached gradients() result
 }
 
 func newDeviceModel(cfg *Config, lg *partition.LocalGraph, inDim, numClasses int, model *timing.CostModel) *deviceModel {
@@ -210,6 +211,17 @@ func (dm *deviceModel) params() []*nn.Param {
 		}
 	}
 	return dm.ps
+}
+
+// gradients returns the parameters' gradient matrices: the operand of the
+// per-epoch all-reduce.
+func (dm *deviceModel) gradients() []*tensor.Matrix {
+	if dm.grads == nil {
+		for _, p := range dm.params() {
+			dm.grads = append(dm.grads, p.Grad)
+		}
+	}
+	return dm.grads
 }
 
 func (dm *deviceModel) zeroGrads() {

@@ -196,11 +196,9 @@ type worker struct {
 	fault *faultDevice
 
 	// Steady-state scratch reused across epochs (shapes are static per
-	// device): per-layer xFull/dxLocal blocks, the flat grads list handed
-	// to AllReduceSum, and the cached parameter list.
+	// device): per-layer xFull/dxLocal blocks.
 	xFull   []*tensor.Matrix
 	dxLocal []*tensor.Matrix
-	grads   []*tensor.Matrix
 }
 
 func (w *worker) run() error {
@@ -314,12 +312,7 @@ func (w *worker) trainEpoch(epoch int) (float64, error) {
 	// messages (§1 fn. 1); under the default latency it is latency-bound,
 	// charged as the cheapest textbook schedule — on halo-reddit's 8 parts
 	// 3.6 ms of AdaQP's ≈ 58 ms simulated epoch (≈ 6 %; 21 % as a ring).
-	if w.grads == nil {
-		for _, p := range w.model.params() {
-			w.grads = append(w.grads, p.Grad)
-		}
-	}
-	w.dev.AllReduceSum(w.grads)
+	w.dev.AllReduceSum(w.model.gradients())
 	w.opt.Step(w.model.params())
 	sum, err := w.sumAcross(loss)
 	if err != nil {

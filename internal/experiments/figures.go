@@ -33,8 +33,9 @@ func figure2(r *Runner) *Report {
 func figure3(r *Runner) *Report {
 	rep := &Report{Columns: []Column{{Name: "Device"}, {Name: "All (s)", Prec: 4}, {Name: "Marginal (s)", Prec: 4},
 		{Name: "Ratio (%)", Prec: 1, Post: "%"}}}
-	for _, d := range r.overlap() {
-		rep.add("Device"+strconv.Itoa(d.Device), float64(d.TotalComp), float64(d.MarginalComp), 100*float64(d.MarginalComp/d.TotalComp))
+	for dev, d := range r.overlap() {
+		all := d.Central + d.Marginal
+		rep.add("Device"+strconv.Itoa(dev), float64(all), float64(d.Marginal), 100*float64(d.Marginal/all))
 	}
 	return rep
 }

@@ -32,14 +32,20 @@ func table1(r *Runner) *Report {
 	return rep
 }
 
-// overlap is the analytic (no training) per-device comm/comp split behind
+// overlap is the predicted (no training) per-device comm/comp split behind
 // Table 2 and Fig. 3: products-sim on 8 partitions at 2-bit, always at the
 // registry's full scale with the paper's hidden size 256.
-func (r *Runner) overlap() []core.DeviceOverlap {
+func (r *Runner) overlap() []core.DeviceEpoch {
 	c := r.cell("products-sim", 8, core.GCN, core.CodecUniform, 1)
 	c.Scale, c.FeatureCap, c.Hidden = 1, 0, 256
 	dep := r.deploy(c)
-	return core.AnalyzeOverlap(dep, c.config(), quant.B2, modelFor(dep.Dataset))
+	cfg := c.config()
+	cfg.UniformBits = quant.B2
+	pred, err := core.Predict(dep, cfg, modelFor(dep.Dataset))
+	if err != nil {
+		panic(failure{err})
+	}
+	return pred
 }
 
 // table2 — central-node computation vs marginal-node communication at
@@ -47,12 +53,12 @@ func (r *Runner) overlap() []core.DeviceOverlap {
 // overlap to hide central computation completely (§2.2).
 func table2(r *Runner) *Report {
 	rep := &Report{Columns: []Column{{Name: "Device"}, {Name: "comm. (s)", Prec: 4}, {Name: "Comp. (s)", Prec: 4}, {Name: "hidden?"}}}
-	for _, d := range r.overlap() {
+	for dev, d := range r.overlap() {
 		hidden := "yes"
-		if d.CentralComp > d.CommSeconds {
+		if d.Central > d.Ring {
 			hidden = "NO"
 		}
-		rep.add("Device"+strconv.Itoa(d.Device), float64(d.CommSeconds), float64(d.CentralComp), hidden)
+		rep.add("Device"+strconv.Itoa(dev), float64(d.Ring), float64(d.Central), hidden)
 	}
 	return rep
 }

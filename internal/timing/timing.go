@@ -123,10 +123,10 @@ const (
 	// Overlap is bookkeeping-only: seconds during which compute and a
 	// collective ran concurrently. It never advances the clock — those
 	// seconds already elapsed under Comp (split-phase start/wait, where the
-	// hidden wire time goes uncharged) or under Comm (the closed-form
-	// schedules of core's stage, where the hidden compute goes uncharged) —
-	// and is excluded from wall-clock totals; it exists so breakdowns show
-	// how much a schedule managed to hide.
+	// hidden wire time goes uncharged) or under Comm (core's layer-stage
+	// rule ExchangeEnv.stage, where the hidden compute goes uncharged) — and
+	// is excluded from wall-clock totals; it exists so breakdowns show how
+	// much a schedule managed to hide.
 	Overlap
 )
 
@@ -176,9 +176,9 @@ func (c *Clock) AdvanceTo(cat Category, t Seconds) {
 // AddOverlap records dt seconds during which compute and a collective ran
 // concurrently. Unlike Advance it never moves the clock: the seconds
 // already elapsed, charged once — to Comp when FinishDeferred hides wire
-// time behind compute, to Comm when a closed-form schedule hides compute
-// behind wire time — so this only annotates the breakdown. Non-positive dt
-// is a no-op.
+// time behind compute, to Comm when core's ExchangeEnv.stage hides compute
+// behind a layer stage's messages — so this only annotates the breakdown.
+// Non-positive dt is a no-op.
 func (c *Clock) AddOverlap(dt Seconds) {
 	if dt > 0 {
 		c.breakdown[Overlap] += dt

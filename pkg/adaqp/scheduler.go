@@ -176,10 +176,16 @@ type Scheduler struct {
 	// (name, scale). Datasets are read-only during training (each session
 	// shards its own copies), so one instance safely serves every
 	// concurrent session; caching keeps admission from regenerating the
-	// same synthetic graph for every job of a load burst.
+	// same synthetic graph for every job of a load burst. A full cache is
+	// emptied before the next insert, so a stream of distinct scales cannot
+	// grow the daemon without bound.
 	dsMu    sync.Mutex
 	dsCache map[dsKey]*Dataset
 }
+
+// maxCachedDatasets caps the dataset cache above the handful of (name,
+// scale) keys a steady job mix cycles through.
+const maxCachedDatasets = 4
 
 type dsKey struct {
 	name  string
@@ -387,6 +393,9 @@ func (sc *Scheduler) dataset(spec JobSpec) (*Dataset, error) {
 	ds, err := spec.Load()
 	if err != nil {
 		return nil, err
+	}
+	if len(sc.dsCache) == maxCachedDatasets {
+		clear(sc.dsCache)
 	}
 	sc.dsCache[key] = ds
 	return ds, nil

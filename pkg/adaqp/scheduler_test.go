@@ -826,3 +826,23 @@ func TestSubmitSpecCeilingsComeFirst(t *testing.T) {
 		t.Errorf("%d sessions admitted, want 0", n)
 	}
 }
+
+// TestDatasetCacheIsBounded: a stream of distinct scales leaves at most
+// maxCachedDatasets datasets cached, and every call still resolves the
+// dataset at its own scale.
+func TestDatasetCacheIsBounded(t *testing.T) {
+	sched := newTestScheduler(t)
+	for i := 0; i < 3*maxCachedDatasets; i++ {
+		spec := JobSpec{Dataset: "tiny", Scale: 1 + 0.25*float64(i)}
+		ds, err := sched.dataset(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := MustLoadDataset("tiny", spec.Scale); ds.NumNodes() != want.NumNodes() {
+			t.Fatalf("scale %v: %d nodes, want %d", spec.Scale, ds.NumNodes(), want.NumNodes())
+		}
+		if n := len(sched.dsCache); n > maxCachedDatasets {
+			t.Fatalf("after %d scales the cache holds %d datasets, cap %d", i+1, n, maxCachedDatasets)
+		}
+	}
+}
