@@ -29,14 +29,13 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/wire"
 	"repro/pkg/adaqp"
 )
 
 func main() {
 	// The proc-sharded transport re-executes this binary as its worker
 	// processes; in that mode the process never reaches flag parsing.
-	wire.MaybeWorker()
+	adaqp.MaybeWorker()
 	var (
 		dataset  = flag.String("dataset", "tiny", "dataset name: "+strings.Join(adaqp.DatasetNames(), ", "))
 		scale    = flag.Float64("scale", 1, "dataset scale factor")

@@ -42,7 +42,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/wire"
 	"repro/pkg/adaqp"
 )
 
@@ -50,7 +49,7 @@ func main() {
 	// Jobs running the proc-sharded transport re-execute this binary as
 	// their worker processes; in that mode the process never reaches flag
 	// parsing.
-	wire.MaybeWorker()
+	adaqp.MaybeWorker()
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		maxConc      = flag.Int("max-concurrent", 2, "training sessions executing simultaneously")

@@ -19,14 +19,13 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/wire"
 	"repro/pkg/adaqp"
 )
 
 func main() {
 	// This binary re-executes itself as the proc-sharded worker fleet;
 	// worker processes never return from MaybeWorker.
-	wire.MaybeWorker()
+	adaqp.MaybeWorker()
 
 	ds := adaqp.MustLoadDataset("tiny", 1)
 	fmt.Printf("dataset: %v\n\n", ds)

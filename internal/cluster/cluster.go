@@ -33,9 +33,10 @@ func All2AllRoundTime(model *timing.CostModel, bytes [][]int, round int) timing.
 
 // All2AllTime returns what one ring all2all with the given per-destination
 // sizes (bytes[src][dst]) costs: its rounds' charges, summed in schedule
-// order. The overlap analysis and the conformance suites price exchanges
-// with it. The bit-width assigner does not: bitassign.Objective takes
-// Eqn. 10's maximum over all pairs instead of a sum of rounds.
+// order. The conformance suites price exchanges with it; the engine
+// charges each round with All2AllRoundTime as it runs. The bit-width
+// assigner does not: bitassign.Objective takes Eqn. 10's maximum over all
+// pairs instead of a sum of rounds.
 func All2AllTime(model *timing.CostModel, bytes [][]int) timing.Seconds {
 	n := len(bytes)
 	var total timing.Seconds

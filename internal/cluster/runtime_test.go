@@ -1,7 +1,6 @@
 package cluster_test
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -203,31 +202,6 @@ func TestAllReduceChargeUnderSkewedLinks(t *testing.T) {
 	}
 }
 
-func TestGatherScatter(t *testing.T) {
-	const n = 3
-	run(t, n, nil, func(d core.Transport) error {
-		gathered := d.GatherBytes(0, []byte{byte(d.Rank() + 100)})
-		if d.Rank() == 0 {
-			for r := 0; r < n; r++ {
-				if gathered[r][0] != byte(r+100) {
-					return fmt.Errorf("gather slot %d = %v", r, gathered[r])
-				}
-			}
-		} else if gathered != nil {
-			return fmt.Errorf("non-root got gather results")
-		}
-		var out [][]byte
-		if d.Rank() == 0 {
-			out = [][]byte{{0}, {11}, {22}}
-		}
-		mine := d.ScatterBytes(0, out)
-		if mine[0] != byte(11*d.Rank()) {
-			return fmt.Errorf("rank %d scatter got %v", d.Rank(), mine)
-		}
-		return nil
-	})
-}
-
 func TestBroadcastSequentialTiming(t *testing.T) {
 	// Broadcast charges the SUM over destinations (sequential sends),
 	// unlike ring all2all's per-round max.
@@ -271,79 +245,6 @@ func TestBarrierAlignsClocks(t *testing.T) {
 	}
 	if idle := rt.Clocks()[2].Spent(timing.Idle); idle != 0 {
 		t.Fatalf("rank2 idle %v", idle)
-	}
-}
-
-func TestRawAll2AllUncharged(t *testing.T) {
-	const n = 3
-	rt := run(t, n, nil, func(d core.Transport) error {
-		payloads := make([][]byte, n)
-		for q := 0; q < n; q++ {
-			if q != d.Rank() {
-				payloads[q] = make([]byte, 1_000_000)
-			}
-		}
-		got := d.RawAll2All(payloads)
-		for p := 0; p < n; p++ {
-			if p != d.Rank() && len(got[p]) != 1_000_000 {
-				return fmt.Errorf("raw delivery broken")
-			}
-		}
-		return nil
-	})
-	for r, cl := range rt.Clocks() {
-		if cl.Now() != 0 {
-			t.Fatalf("rank %d charged %v by raw exchange", r, cl.Now())
-		}
-	}
-}
-
-func TestRawAllGather(t *testing.T) {
-	const n = 4
-	run(t, n, nil, func(d core.Transport) error {
-		buf := make([]byte, 8)
-		binary.LittleEndian.PutUint64(buf, uint64(d.Rank()*7))
-		all := d.RawAllGather(buf)
-		for p := 0; p < n; p++ {
-			if binary.LittleEndian.Uint64(all[p]) != uint64(p*7) {
-				return fmt.Errorf("allgather slot %d wrong", p)
-			}
-		}
-		return nil
-	})
-}
-
-// TestBytesMovedAccounting: the ledger counts what the charged collectives
-// ship — ring payloads, gathers into root and broadcasts out of it — and
-// nothing for scatters or the uncharged sideband.
-func TestBytesMovedAccounting(t *testing.T) {
-	const n = 3
-	rt := run(t, n, nil, func(d core.Transport) error {
-		payloads := make([][]byte, n)
-		for q := range payloads {
-			if q != d.Rank() {
-				payloads[q] = make([]byte, 100*(d.Rank()+1)+q)
-			}
-		}
-		d.RingAll2All(payloads)
-		d.GatherBytes(0, make([]byte, 7))
-		var bcast []byte
-		if d.Rank() == 2 {
-			bcast = make([]byte, 1000)
-		}
-		d.BroadcastBytes(2, bcast)
-		d.ScatterBytes(0, [][]byte{{1}, {2}, {3}})
-		d.RawAll2All(payloads)
-		d.RawAllGather(make([]byte, 50))
-		return nil
-	})
-	want := [][]int64{
-		{0, 101, 102},
-		{200 + 7, 0, 202},
-		{300 + 7 + 1000, 301 + 1000, 0},
-	}
-	if got := rt.BytesMoved(); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("bytes moved %v, want %v", got, want)
 	}
 }
 

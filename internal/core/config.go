@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/chaos"
@@ -167,10 +168,13 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate fills defaults for zero-valued fields and sanity-checks the
-// configuration, including that the selected codec and transport are
-// registered.
-func (c *Config) Validate() error {
+// maxTransportWorkers is the most worker processes a run may ask
+// proc-sharded for.
+const maxTransportWorkers = 64
+
+// Validate checks the configuration (see validate) and that the selected
+// codec and transport are registered.
+func (c Config) Validate() error {
 	if err := c.validate(); err != nil {
 		return err
 	}
@@ -187,51 +191,46 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// validate fills defaults for zero-valued fields and sanity-checks.
-func (c *Config) validate() error {
-	if c.Layers <= 0 {
-		c.Layers = 3
-	}
-	if c.Hidden <= 0 {
-		c.Hidden = 256
-	}
-	if c.LR <= 0 {
-		c.LR = 0.01
-	}
-	if c.Epochs <= 0 {
-		c.Epochs = 200
-	}
-	if c.GroupSize <= 0 {
-		c.GroupSize = 100
-	}
-	if c.Lambda < 0 || c.Lambda > 1 {
-		return fmt.Errorf("core: lambda %v outside [0,1]", c.Lambda)
-	}
-	if c.ReassignPeriod <= 0 {
-		c.ReassignPeriod = 50
-	}
-	if c.UniformBits == 0 {
-		c.UniformBits = quant.B2
-	}
-	if !c.UniformBits.Valid() {
-		return fmt.Errorf("core: invalid uniform bit-width %d", c.UniformBits)
-	}
-	if c.SancusDrift <= 0 {
-		c.SancusDrift = 0.05
-	}
-	if c.SancusMaxStale <= 0 {
-		c.SancusMaxStale = 8
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.TransportWorkers < 0 {
-		return fmt.Errorf("core: transport workers must be >= 0, got %d", c.TransportWorkers)
+// validate checks every field against its range and fills nothing:
+// DefaultConfig is the one table of defaults, and every caller starts
+// from it. Each error names the field and the value training would use.
+func (c Config) validate() error {
+	switch lr := float64(c.LR); {
+	case c.Model != GCN && c.Model != GraphSAGE:
+		return fmt.Errorf("core: model kind %d is not gcn or sage", int(c.Model))
+	case c.Layers < 1:
+		return fmt.Errorf("core: layers %d must be >= 1", c.Layers)
+	case c.Hidden < 1:
+		return fmt.Errorf("core: hidden %d must be >= 1", c.Hidden)
+	case !(lr > 0) || math.IsInf(lr, 1):
+		return fmt.Errorf("core: lr %v is not a positive finite float32", c.LR)
+	case !(c.Dropout >= 0 && c.Dropout < 1):
+		return fmt.Errorf("core: dropout %v outside [0, 1)", c.Dropout)
+	case c.Epochs < 1:
+		return fmt.Errorf("core: epochs %d must be >= 1", c.Epochs)
+	case c.EvalEvery < 0:
+		return fmt.Errorf("core: eval-every %d must be >= 0", c.EvalEvery)
+	case c.GroupSize < 1:
+		return fmt.Errorf("core: group size %d must be >= 1", c.GroupSize)
+	case !(c.Lambda >= 0 && c.Lambda <= 1):
+		return fmt.Errorf("core: lambda %v outside [0, 1]", c.Lambda)
+	case c.ReassignPeriod < 1:
+		return fmt.Errorf("core: reassign period %d must be >= 1", c.ReassignPeriod)
+	case !c.UniformBits.Valid():
+		return fmt.Errorf("core: bits %d is not a bit-width (want 2, 4, 8 or 32)", c.UniformBits)
+	case !(c.SancusDrift > 0):
+		return fmt.Errorf("core: sancus drift %v must be > 0", c.SancusDrift)
+	case c.SancusMaxStale < 1:
+		return fmt.Errorf("core: sancus max-stale %d must be >= 1", c.SancusMaxStale)
+	case c.Seed == 0:
+		return fmt.Errorf("core: seed must be non-zero, got 0")
+	case c.TransportWorkers < 0 || c.TransportWorkers > maxTransportWorkers:
+		return fmt.Errorf("core: workers %d outside [0, %d]", c.TransportWorkers, maxTransportWorkers)
 	}
 	if c.Faults.Enabled() {
-		if err := c.Faults.Validate(); err != nil {
-			return err
-		}
+		// Spec.Validate fills the fault defaults, here in c's copy only;
+		// chaos.NewPlan fills them again when it materializes the plan.
+		return c.Faults.Validate()
 	}
 	return nil
 }

@@ -502,9 +502,10 @@ func checkOverlapCharge(f RuntimeFactory, parts int, col *vioCollector) {
 }
 
 // checkRawSideband: Raw* collectives move correct data but charge nothing
-// — they model out-of-band metrics, not the system under study.
+// and stay out of BytesMoved — they model out-of-band metrics, not the
+// system under study.
 func checkRawSideband(f RuntimeFactory, parts int, col *vioCollector) {
-	runBody(f, parts, col, func(dev Transport) error {
+	rt := runBody(f, parts, col, func(dev Transport) error {
 		r := dev.Rank()
 		payloads := make([][]byte, parts)
 		for q := range payloads {
@@ -529,6 +530,11 @@ func checkRawSideband(f RuntimeFactory, parts int, col *vioCollector) {
 		}
 		return nil
 	})
+	none := make([][]int64, parts)
+	for s := range none {
+		none[s] = make([]int64, parts)
+	}
+	compareLedger(col, "raw-ledger", "Raw* collectives", rt.BytesMoved(), none)
 }
 
 // conformScript is a fixed mixed-collective workload; the candidate's

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/partition"
@@ -235,20 +236,22 @@ func TestPairBytesFirstLayer(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	cfg := Config{Lambda: 2}
-	if err := cfg.validate(); err == nil {
-		t.Fatal("lambda > 1 must be rejected")
+	cfg := DefaultConfig()
+	cfg.Lambda = 2
+	if err := cfg.validate(); err == nil || !strings.Contains(err.Error(), "lambda 2") {
+		t.Fatalf("lambda > 1 must be rejected by name: %v", err)
 	}
-	cfg = Config{UniformBits: 3}
-	if err := cfg.validate(); err == nil {
-		t.Fatal("invalid bit-width must be rejected")
+	cfg = DefaultConfig()
+	cfg.UniformBits = 3
+	if err := cfg.validate(); err == nil || !strings.Contains(err.Error(), "bits 3") {
+		t.Fatalf("invalid bit-width must be rejected by name: %v", err)
 	}
-	cfg = Config{}
-	if err := cfg.validate(); err != nil {
-		t.Fatalf("zero config should default cleanly: %v", err)
+	// validate fills nothing: DefaultConfig is the one table of defaults.
+	if err := (Config{}).validate(); err == nil {
+		t.Fatal("Config{} must be refused")
 	}
-	if cfg.Layers != 3 || cfg.Hidden != 256 || cfg.ReassignPeriod != 50 {
-		t.Fatalf("defaults not applied: %+v", cfg)
+	if err := DefaultConfig().validate(); err != nil {
+		t.Fatalf("DefaultConfig must validate: %v", err)
 	}
 }
 

@@ -28,10 +28,11 @@ func TestPredictMatchesTraining(t *testing.T) {
 					dep := Deploy(ds, parts, mk, strategy)
 					for _, c := range codecs {
 						cfg := DefaultConfig()
-						cfg.Model, cfg.Codec, cfg.UniformBits = mk, c.name, c.bits
+						cfg.Model, cfg.Codec = mk, c.name
 						cfg.Hidden, cfg.Epochs, cfg.EvalEvery = 16, 2, 0
 						name := fmt.Sprintf("%s/%v/%d parts/%v/%s", ds.Name, strategy, parts, mk, c.name)
 						if c.bits != 0 {
+							cfg.UniformBits = c.bits
 							name += fmt.Sprintf("@%d", c.bits)
 						}
 						res, err := TrainDeployed(dep, cfg, nil)
@@ -85,7 +86,7 @@ func TestPredictTerms(t *testing.T) {
 	// Wider messages take longer on the ring. The 32-bit passthrough ships
 	// fp32 rows, so it rings exactly as fp32 does (and must not reach the
 	// packing size math).
-	fp := predict(CodecFP32, 0)
+	fp := predict(CodecFP32, cfg.UniformBits)
 	for _, b := range []quant.BitWidth{quant.B8, quant.B32} {
 		for r, d := range predict(CodecUniform, b) {
 			if d.Ring <= narrow[r].Ring {

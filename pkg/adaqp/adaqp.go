@@ -39,6 +39,7 @@ import (
 	"repro/internal/partition"
 	"repro/internal/synthetic"
 	"repro/internal/timing"
+	"repro/internal/wire"
 )
 
 // ModelKind selects the GNN architecture.
@@ -210,10 +211,16 @@ const (
 	// into a length-prefixed frame and crosses a real kernel socket to the
 	// source rank's worker and back before its receiver may consume it,
 	// while simulated clocks stay bit-identical to the in-process
-	// backend. Binaries hosting this backend must call
-	// wire.MaybeWorker (internal/wire) first thing in main.
+	// backend. Binaries hosting this backend must call MaybeWorker first
+	// thing in main.
 	TransportProcSharded = core.TransportProcSharded
 )
+
+// MaybeWorker turns the process into a proc-sharded worker when the
+// backend started it as one, and then never returns. Every binary that
+// runs TransportProcSharded re-executes itself for its workers, so it must
+// call MaybeWorker first thing in main (or in TestMain).
+func MaybeWorker() { wire.MaybeWorker() }
 
 // TransportViolation is one conformance failure reported by
 // VerifyTransport.

@@ -44,28 +44,37 @@ func TestNewDefaults(t *testing.T) {
 func TestOptionValidation(t *testing.T) {
 	ds := adaqp.MustLoadDataset("tiny", 1)
 	bad := map[string]adaqp.Option{
-		"parts":     adaqp.WithParts(0),
-		"epochs":    adaqp.WithEpochs(0),
-		"layers":    adaqp.WithLayers(0),
-		"hidden":    adaqp.WithHidden(-1),
-		"lr":        adaqp.WithLR(0),
-		"dropout":   adaqp.WithDropout(1.5),
-		"lambda":    adaqp.WithLambda(2),
-		"group":     adaqp.WithGroupSize(0),
-		"period":    adaqp.WithReassignPeriod(0),
-		"bits":      adaqp.WithCodec(adaqp.CodecSpec{UniformBits: 3}),
-		"seed":      adaqp.WithSeed(0),
-		"eval":      adaqp.WithEvalEvery(-1),
-		"sancus":    adaqp.WithCodec(adaqp.CodecSpec{SancusDrift: -0.1, SancusMaxStale: 2}),
-		"maxstale":  adaqp.WithCodec(adaqp.CodecSpec{SancusDrift: 0.1}),
-		"costmodel": adaqp.WithCostModel(nil),
-		"workers":   adaqp.WithTransport(adaqp.TransportSpec{Workers: -1}),
-		"drift":     adaqp.WithCodec(adaqp.CodecSpec{SancusMaxStale: 3}),
-		"model":     adaqp.WithModel(adaqp.ModelKind(42)),
+		"parts":      adaqp.WithParts(0),
+		"epochs":     adaqp.WithEpochs(0),
+		"layers":     adaqp.WithLayers(0),
+		"hidden":     adaqp.WithHidden(-1),
+		"lr":         adaqp.WithLR(0),
+		"dropout":    adaqp.WithDropout(1.5),
+		"lambda":     adaqp.WithLambda(2),
+		"group":      adaqp.WithGroupSize(0),
+		"period":     adaqp.WithReassignPeriod(0),
+		"bits":       adaqp.WithCodec(adaqp.CodecSpec{UniformBits: 3}),
+		"seed":       adaqp.WithSeed(0),
+		"eval":       adaqp.WithEvalEvery(-1),
+		"sancus":     adaqp.WithCodec(adaqp.CodecSpec{SancusDrift: -0.1, SancusMaxStale: 2}),
+		"max-stale":  adaqp.WithCodec(adaqp.CodecSpec{SancusDrift: 0.1}),
+		"cost model": adaqp.WithCostModel(nil),
+		"workers":    adaqp.WithTransport(adaqp.TransportSpec{Workers: -1}),
+		"drift":      adaqp.WithCodec(adaqp.CodecSpec{SancusMaxStale: 3}),
+		"model":      adaqp.WithModel(adaqp.ModelKind(42)),
+		// Past the ceilings, and values a conversion would have hidden:
+		// 258 wraps to a valid uint8 width, 1e40 is +Inf as a float32.
+		"bits 258":   adaqp.WithCodec(adaqp.CodecSpec{UniformBits: 258}),
+		"lr +Inf":    adaqp.WithLR(1e40),
+		"parts 1025": adaqp.WithParts(1025),
+		"workers 65": adaqp.WithTransport(adaqp.TransportSpec{Name: adaqp.TransportProcSharded, Workers: 65}),
 	}
 	for name, opt := range bad {
-		if _, err := adaqp.New(ds, opt); err == nil {
-			t.Fatalf("option %q with an invalid value must error", name)
+		// New deploys nothing and starts no process: the refusal is the
+		// options' validation alone.
+		_, err := adaqp.New(ds, opt)
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("option %q with an invalid value: error %v does not name it", name, err)
 		}
 	}
 }

@@ -57,36 +57,20 @@ type JobSpec struct {
 	Chaos *FaultSpec `json:"chaos,omitempty"`
 }
 
-// Ceilings on what one job spec may ask for: partitioning allocates two
-// parts-long slices per part, and the paper's largest cluster has 24.
-const (
-	maxJobParts   = 1024
-	maxJobWorkers = 64
-)
-
 // Load loads the spec's dataset (Scale 0 = 1.0).
 func (j JobSpec) Load() (*Dataset, error) {
 	if j.Dataset == "" {
 		return nil, fmt.Errorf("adaqp: job spec needs a dataset (have %v)", DatasetNames())
 	}
-	scale := j.Scale
-	if scale == 0 {
-		scale = 1
-	}
-	return LoadDataset(j.Dataset, scale)
+	return LoadDataset(j.Dataset, j.Scale)
 }
 
 // Options converts the spec into engine options, leaving engine defaults
-// in place for zero-valued fields. The returned options still pass through
-// full validation (including codec/transport registry lookups) when
-// applied by New, Session or Scheduler.Submit.
+// in place for zero-valued fields. It validates them once, applied to the
+// engine defaults — every range and registry name, with no dataset loaded
+// — so a bad spec is refused here; New, Session and Scheduler.Submit
+// validate them again with whatever they are combined with.
 func (j JobSpec) Options() ([]Option, error) {
-	if j.Parts > maxJobParts {
-		return nil, fmt.Errorf("adaqp: parts %d exceeds the limit of %d", j.Parts, maxJobParts)
-	}
-	if j.Workers > maxJobWorkers {
-		return nil, fmt.Errorf("adaqp: workers %d exceeds the limit of %d", j.Workers, maxJobWorkers)
-	}
 	opts, err := j.methodOptions()
 	if err != nil {
 		return nil, err
@@ -97,16 +81,6 @@ func (j JobSpec) Options() ([]Option, error) {
 			return nil, err
 		}
 		opts = append(opts, WithModel(mk))
-	}
-	if j.Codec != "" {
-		if _, err := LookupCodec(j.Codec); err != nil {
-			return nil, err
-		}
-	}
-	if j.Transport != "" {
-		if _, err := LookupTransport(j.Transport); err != nil {
-			return nil, err
-		}
 	}
 	// The transport and codec fields map onto the grouped specs — the
 	// same structs programmatic callers hand to WithTransport/WithCodec —
@@ -156,6 +130,10 @@ func (j JobSpec) Options() ([]Option, error) {
 	}
 	if j.Chaos != nil {
 		opts = append(opts, WithFaultPlan(*j.Chaos))
+	}
+	s := defaultSettings()
+	if err := s.apply(opts); err != nil {
+		return nil, err
 	}
 	return opts, nil
 }

@@ -4,14 +4,14 @@ import (
 	"os"
 	"testing"
 
-	"repro/internal/wire"
+	"repro/pkg/adaqp"
 )
 
 // TestMain lets this test binary serve as its own proc-sharded worker:
 // tests running the proc-sharded backend re-execute the running binary to
-// get their worker processes (wire.MaybeWorker never returns in that
+// get their worker processes (MaybeWorker never returns in that
 // mode).
 func TestMain(m *testing.M) {
-	wire.MaybeWorker()
+	adaqp.MaybeWorker()
 	os.Exit(m.Run())
 }

@@ -34,12 +34,17 @@ func (s *settings) apply(opts []Option) error {
 	return s.cfg.Validate()
 }
 
+// maxParts is the most simulated devices one engine may partition a graph
+// across: partitioning allocates two parts-long slices per part, and the
+// paper's largest cluster has 24.
+const maxParts = 1024
+
 // WithParts sets the number of simulated devices the graph is partitioned
-// across (default 4).
+// across (default 4, at most 1024).
 func WithParts(n int) Option {
 	return func(s *settings) error {
-		if n < 1 {
-			return fmt.Errorf("adaqp: parts must be >= 1, got %d", n)
+		if n < 1 || n > maxParts {
+			return fmt.Errorf("adaqp: parts %d outside [1, %d]", n, maxParts)
 		}
 		s.parts = n
 		return nil
@@ -49,9 +54,6 @@ func WithParts(n int) Option {
 // WithModel selects the GNN architecture (default GCN).
 func WithModel(k ModelKind) Option {
 	return func(s *settings) error {
-		if k != GCN && k != GraphSAGE {
-			return fmt.Errorf("adaqp: unknown model kind %d", int(k))
-		}
 		s.cfg.Model = k
 		return nil
 	}
@@ -85,8 +87,9 @@ type TransportSpec struct {
 	// Name selects the runtime backend (any name in Transports());
 	// empty selects TransportInprocess.
 	Name string
-	// Workers is TransportProcSharded's worker process count; 0 uses 2,
-	// clamped to the device count. No other built-in backend reads it.
+	// Workers is TransportProcSharded's worker process count, at most 64;
+	// 0 uses 2, clamped to the device count. No other built-in backend
+	// reads it.
 	Workers int
 	// Overlap is read by the sancus codec alone: its broadcasts start
 	// split-phase and are waited on after the central-graph compute. The
@@ -107,9 +110,6 @@ type TransportSpec struct {
 // WithTransport sets the run's transport configuration to spec.
 func WithTransport(spec TransportSpec) Option {
 	return func(s *settings) error {
-		if spec.Workers < 0 {
-			return fmt.Errorf("adaqp: workers must be >= 0, got %d", spec.Workers)
-		}
 		s.cfg.Transport = spec.Name
 		s.cfg.TransportWorkers = spec.Workers
 		s.cfg.TransportOverlap = spec.Overlap
@@ -144,15 +144,18 @@ func WithCodec(spec CodecSpec) Option {
 			s.cfg.Codec = spec.Name
 		}
 		if spec.UniformBits != 0 {
-			b, err := parseBits(spec.UniformBits)
-			if err != nil {
-				return err
+			// A width that does not fit is refused here: the conversion
+			// would wrap 258 to a valid 2.
+			b := quant.BitWidth(spec.UniformBits)
+			if int(b) != spec.UniformBits {
+				return fmt.Errorf("adaqp: bits %d is not a bit-width (want 2, 4, 8 or 32)", spec.UniformBits)
 			}
 			s.cfg.UniformBits = b
 		}
 		if spec.SancusDrift != 0 || spec.SancusMaxStale != 0 {
-			if spec.SancusDrift <= 0 || spec.SancusMaxStale < 1 {
-				return fmt.Errorf("adaqp: sancus drift must be positive and maxStale >= 1")
+			if spec.SancusDrift == 0 || spec.SancusMaxStale == 0 {
+				return fmt.Errorf("adaqp: set sancus drift and max-stale together, got %v and %d",
+					spec.SancusDrift, spec.SancusMaxStale)
 			}
 			s.cfg.SancusDrift = spec.SancusDrift
 			s.cfg.SancusMaxStale = spec.SancusMaxStale
@@ -164,9 +167,6 @@ func WithCodec(spec CodecSpec) Option {
 // WithEpochs sets the training epoch budget.
 func WithEpochs(n int) Option {
 	return func(s *settings) error {
-		if n < 1 {
-			return fmt.Errorf("adaqp: epochs must be >= 1, got %d", n)
-		}
 		s.cfg.Epochs = n
 		return nil
 	}
@@ -175,9 +175,6 @@ func WithEpochs(n int) Option {
 // WithLayers sets the number of GNN layers (default 3).
 func WithLayers(n int) Option {
 	return func(s *settings) error {
-		if n < 1 {
-			return fmt.Errorf("adaqp: layers must be >= 1, got %d", n)
-		}
 		s.cfg.Layers = n
 		return nil
 	}
@@ -186,9 +183,6 @@ func WithLayers(n int) Option {
 // WithHidden sets the hidden dimension (default 256).
 func WithHidden(n int) Option {
 	return func(s *settings) error {
-		if n < 1 {
-			return fmt.Errorf("adaqp: hidden must be >= 1, got %d", n)
-		}
 		s.cfg.Hidden = n
 		return nil
 	}
@@ -197,9 +191,6 @@ func WithHidden(n int) Option {
 // WithLR sets the Adam learning rate (default 0.01).
 func WithLR(lr float64) Option {
 	return func(s *settings) error {
-		if lr <= 0 {
-			return fmt.Errorf("adaqp: learning rate must be positive, got %v", lr)
-		}
 		s.cfg.LR = float32(lr)
 		return nil
 	}
@@ -208,9 +199,6 @@ func WithLR(lr float64) Option {
 // WithDropout sets the dropout probability (default 0.5).
 func WithDropout(p float64) Option {
 	return func(s *settings) error {
-		if p < 0 || p >= 1 {
-			return fmt.Errorf("adaqp: dropout must be in [0,1), got %v", p)
-		}
 		s.cfg.Dropout = float32(p)
 		return nil
 	}
@@ -228,9 +216,6 @@ func WithLambda(l float64) Option {
 // WithGroupSize sets the assigner's message group size (default 100).
 func WithGroupSize(n int) Option {
 	return func(s *settings) error {
-		if n < 1 {
-			return fmt.Errorf("adaqp: group size must be >= 1, got %d", n)
-		}
 		s.cfg.GroupSize = n
 		return nil
 	}
@@ -240,30 +225,15 @@ func WithGroupSize(n int) Option {
 // (default 50).
 func WithReassignPeriod(n int) Option {
 	return func(s *settings) error {
-		if n < 1 {
-			return fmt.Errorf("adaqp: reassign period must be >= 1, got %d", n)
-		}
 		s.cfg.ReassignPeriod = n
 		return nil
 	}
-}
-
-// parseBits converts an integer width into the quant layer's type.
-func parseBits(bits int) (quant.BitWidth, error) {
-	b := quant.BitWidth(bits)
-	if !b.Valid() {
-		return 0, fmt.Errorf("adaqp: bit-width must be 2, 4, 8 or 32, got %d", bits)
-	}
-	return b, nil
 }
 
 // WithSeed sets the seed driving weight init, dropout and stochastic
 // rounding (default 1).
 func WithSeed(seed uint64) Option {
 	return func(s *settings) error {
-		if seed == 0 {
-			return fmt.Errorf("adaqp: seed must be non-zero")
-		}
 		s.cfg.Seed = seed
 		return nil
 	}
@@ -273,9 +243,6 @@ func WithSeed(seed uint64) Option {
 // disables periodic evaluation (final test accuracy is always computed).
 func WithEvalEvery(n int) Option {
 	return func(s *settings) error {
-		if n < 0 {
-			return fmt.Errorf("adaqp: eval-every must be >= 0, got %d", n)
-		}
 		s.cfg.EvalEvery = n
 		return nil
 	}

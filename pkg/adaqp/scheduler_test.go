@@ -816,6 +816,8 @@ func TestSubmitSpecCeilingsComeFirst(t *testing.T) {
 	for field, spec := range map[string]JobSpec{
 		"parts 70000": {Dataset: "no-such", Parts: 70000},
 		"workers 65":  {Dataset: "no-such", Transport: TransportProcSharded, Workers: 65},
+		"bits 258":    {Dataset: "no-such", UniformBits: 258},
+		"lr +Inf":     {Dataset: "no-such", LR: 1e40},
 	} {
 		_, err := sched.SubmitSpec(spec)
 		if err == nil || !strings.Contains(err.Error(), field) {
