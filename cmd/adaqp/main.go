@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strconv"
 	"strings"
 
 	"repro/pkg/adaqp"
@@ -69,6 +70,16 @@ func main() {
 		chaosSeed       = flag.Uint64("chaos-seed", 0, "fault-plan seed (0 = default 1)")
 	)
 	flag.Parse()
+	// JobSpec reads a zero in these fields as "engine default", so an
+	// explicit 0 would train at the default under a header that prints 0.
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "parts", "epochs", "hidden", "lr", "group", "period", "bits", "seed":
+			if v, err := strconv.ParseFloat(f.Value.String(), 64); err == nil && v == 0 {
+				fatal(fmt.Errorf("-%s %s would train at the engine default; give a non-zero value", f.Name, f.Value))
+			}
+		}
+	})
 	if *partinfo {
 		if err := printPartInfo(*dataset, *scale, *parts, *model); err != nil {
 			fatal(err)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"repro/internal/partition"
 	"repro/internal/quant"
 	"repro/internal/tensor"
@@ -39,6 +37,15 @@ type MessageCodec interface {
 	// re-assignment. Every device calls it after every epoch, so codecs may
 	// use collectives here.
 	EpochEnd(env *ExchangeEnv, epoch int) error
+	// ForwardWireSizes returns the per-destination payload bytes of this
+	// device's epoch-0, layer-0 forward exchange at message dimension dim:
+	// the sizes ConformCodec holds the transport's byte ledger (which drives
+	// All2AllRoundTime and the paper's wire-byte measurements) to.
+	ForwardWireSizes(lg *partition.LocalGraph, dim int) []int
+	// ForwardErrorBound returns the worst-case per-element absolute error
+	// of one decoded epoch-0 forward row whose values span [mn, mx] over
+	// dim columns; 0 means the codec decodes exactly.
+	ForwardErrorBound(mn, mx float32, dim int) float64
 }
 
 // StageCosts is the simulated compute cost of one layer stage (forward or
@@ -138,52 +145,13 @@ type CodecEnv struct {
 	Rank int
 	// InDim is the input feature dimension (the layer-0 message width).
 	InDim int
-	// Shared carries per-run state built once and read by all devices.
-	Shared *RunShared
 }
 
 // Graph returns the constructing device's local graph.
 func (e *CodecEnv) Graph() *partition.LocalGraph { return e.Locals[e.Rank] }
 
-// RunShared holds lazily-built per-run state shared across devices.
-type RunShared struct {
-	sancusOnce sync.Once
-	sancus     *sancusTopology
-}
-
-// sancusTopo builds (once) and returns the global broadcast layout.
-func (s *RunShared) sancusTopo(locals []*partition.LocalGraph) *sancusTopology {
-	s.sancusOnce.Do(func() { s.sancus = buildSancusTopology(locals) })
-	return s.sancus
-}
-
 // CodecFactory builds one device's codec instance for one training run.
 type CodecFactory func(env *CodecEnv) (MessageCodec, error)
-
-// ---- optional codec-contract interfaces, enforced by ConformCodec ----
-
-// LossyCodec is implemented by codecs whose decoded epoch-0 forward
-// messages differ from the sent rows. Codecs that do not implement it
-// must decode epoch-0 forward messages exactly.
-type LossyCodec interface {
-	MessageCodec
-	// ForwardErrorBound returns the worst-case per-element absolute error
-	// of one decoded epoch-0 forward row whose values span [mn, mx] over
-	// dim columns.
-	ForwardErrorBound(mn, mx float32, dim int) float64
-}
-
-// WireAccountant reports the exact bytes a codec puts on the wire, so
-// the transport's byte ledger (which drives All2AllRoundTime and the
-// paper's wire-byte measurements) can be cross-checked against the wire
-// format. Every codec must implement it; ConformCodec compares the
-// declared sizes against the bytes the transport actually accounted.
-type WireAccountant interface {
-	MessageCodec
-	// ForwardWireSizes returns the per-destination payload bytes of this
-	// device's epoch-0, layer-0 forward exchange at message dimension dim.
-	ForwardWireSizes(lg *partition.LocalGraph, dim int) []int
-}
 
 // Registry names of the built-in codecs.
 const (

@@ -29,6 +29,8 @@ func (fp32Codec) ForwardWireSizes(lg *partition.LocalGraph, dim int) []int {
 	return fpAll2AllBytes(lg, dim)
 }
 
+func (fp32Codec) ForwardErrorBound(float32, float32, int) float64 { return 0 }
+
 // ---- shared quantized exchange with the overlap schedule ----
 
 // mixedCoder ships rows at per-slot bit-widths (the quant mixed-width
@@ -253,6 +255,8 @@ func (c *pipegcnCodec) ForwardWireSizes(lg *partition.LocalGraph, dim int) []int
 	return fpAll2AllBytes(lg, dim)
 }
 
+func (c *pipegcnCodec) ForwardErrorBound(float32, float32, int) float64 { return 0 }
+
 // ---- sancus: staleness-bounded sequential broadcast ----
 
 type sancusCodec struct {
@@ -264,7 +268,7 @@ type sancusCodec struct {
 
 func newSancusCodec(env *CodecEnv) (MessageCodec, error) {
 	return &sancusCodec{
-		topo:  env.Shared.sancusTopo(env.Locals),
+		topo:  buildSancusTopology(env.Locals),
 		cache: make([]*tensor.Matrix, env.Cfg.Layers),
 		last:  make([]*tensor.Matrix, env.Cfg.Layers),
 		age:   make([]int, env.Cfg.Layers),
@@ -313,3 +317,6 @@ func (c *sancusCodec) ForwardWireSizes(lg *partition.LocalGraph, dim int) []int 
 	}
 	return out
 }
+
+// ForwardErrorBound: broadcasts carry raw fp32 rows.
+func (c *sancusCodec) ForwardErrorBound(float32, float32, int) float64 { return 0 }

@@ -570,3 +570,76 @@ func TestEngineChargesIgnoreDeliveryTiming(t *testing.T) {
 		}
 	}
 }
+
+func TestRunAllRanks(t *testing.T) {
+	var mask atomic.Int64
+	err := newInprocess(TransportSpec{Parts: 5}).Run(1, func(d Transport) error {
+		mask.Add(1 << d.Rank())
+		if d.Size() != 5 {
+			return fmt.Errorf("size %d", d.Size())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mask.Load() != 31 {
+		t.Fatalf("ranks mask %b", mask.Load())
+	}
+}
+
+func TestRunPropagatesError(t *testing.T) {
+	boom := errors.New("boom")
+	err := newInprocess(TransportSpec{Parts: 3}).Run(1, func(d Transport) error {
+		if d.Rank() == 1 {
+			return boom
+		}
+		d.Barrier() // unwound when rank 1 fails, never completed
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("want boom, got %v", err)
+	}
+}
+
+// TestAllReduceChargeUnderSkewedLinks: under a non-uniform PairTheta every
+// rank still charges AllReduceTime's one schedule value, the slowest pair
+// of each step.
+func TestAllReduceChargeUnderSkewedLinks(t *testing.T) {
+	const n, rows = 6, 64
+	model := dyadicModel()
+	skewed := *model
+	skewed.PairTheta = make([][]float64, n)
+	for s := range skewed.PairTheta {
+		skewed.PairTheta[s] = make([]float64, n)
+		for d := range skewed.PairTheta[s] {
+			skewed.PairTheta[s][d] = float64(1+(3*s+d)%5) / model.Bandwidth
+		}
+	}
+	rt := newInprocess(TransportSpec{Parts: n, Model: &skewed})
+	err := rt.Run(1, func(d Transport) error {
+		d.AllReduceSum([]*tensor.Matrix{tensor.New(rows, rows)})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cluster.AllReduceTime(&skewed, n, 4*rows*rows)
+	if uniform := cluster.AllReduceTime(model, n, 4*rows*rows); want <= uniform {
+		t.Errorf("slower links charged %v, not above the uniform model's %v", want, uniform)
+	}
+	for r, cl := range rt.Clocks() {
+		if got := cl.Spent(timing.Comm); got != want {
+			t.Errorf("rank %d charged %v under a skewed PairTheta, want %v on every rank", r, got, want)
+		}
+	}
+}
+
+func TestNewPanicsOnZeroDevices(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	newInprocess(TransportSpec{})
+}

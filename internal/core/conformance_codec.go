@@ -17,12 +17,12 @@ import (
 // mirroring what ConformTransport does for runtime backends. The checks:
 //
 //   - codec-roundtrip: an epoch-0 forward exchange must deliver every
-//     halo row within the codec's declared per-element error bound
-//     (LossyCodec), exactly for codecs that declare no loss.
+//     halo row within the codec's ForwardErrorBound, exactly where that
+//     bound is 0.
 //   - codec-byte-accounting: the transport's byte ledger after that
-//     exchange must match the wire sizes the codec reports
-//     (WireAccountant) — the numbers All2AllRoundTime and the paper's
-//     wire-byte measurements are built from.
+//     exchange must match the codec's ForwardWireSizes — the numbers
+//     All2AllRoundTime and the paper's wire-byte measurements are built
+//     from.
 //   - codec-reproducibility: fixed-seed runs must be bit-identical
 //     run-to-run.
 
@@ -98,21 +98,16 @@ func codecExchangeCheck(f CodecFactory, dep *Deployment, cfg Config, dim int, fi
 	// collective* cannot be survived by any harness: the codec has
 	// desynchronized its own collective schedule. Symmetric failures are
 	// reported cleanly below.)
-	shared := &RunShared{}
 	codecs := make([]MessageCodec, parts)
 	declared := make([][]int, parts)
 	for r := 0; r < parts; r++ {
-		codec, err := f(&CodecEnv{Cfg: &cfg, Locals: locals, Rank: r, InDim: dim, Shared: shared})
+		codec, err := f(&CodecEnv{Cfg: &cfg, Locals: locals, Rank: r, InDim: dim})
 		if err != nil {
 			col.addf("codec-construction", "rank %d: building codec: %v", r, err)
 			return
 		}
 		codecs[r] = codec
-		if wa, ok := codec.(WireAccountant); ok {
-			declared[r] = wa.ForwardWireSizes(locals[r], dim)
-		} else {
-			col.addf("codec-byte-accounting", "codec %q does not declare its wire sizes (implement WireAccountant)", codec.Name())
-		}
+		declared[r] = codec.ForwardWireSizes(locals[r], dim)
 	}
 	rt := runtimeFor(TransportSpec{Parts: parts})
 	var forwardFailed atomic.Bool
@@ -139,7 +134,6 @@ func codecExchangeCheck(f CodecFactory, dep *Deployment, cfg Config, dim int, fi
 			col.addf("codec-roundtrip", "rank %d epoch-0 forward failed: %v", r, err)
 			return nil
 		}
-		lossy, isLossy := codec.(LossyCodec)
 		for p := 0; p < parts; p++ {
 			if p == r {
 				continue
@@ -151,11 +145,7 @@ func codecExchangeCheck(f CodecFactory, dep *Deployment, cfg Config, dim int, fi
 					want[c] = fill(p, srcRow, c)
 				}
 				mn, mx := tensor.MinMax(want)
-				var lim float64
-				if isLossy {
-					lim = lossy.ForwardErrorBound(mn, mx, dim)
-				}
-				lim += 1e-6
+				lim := codec.ForwardErrorBound(mn, mx, dim) + 1e-6
 				got := xFull.Row(lg.NumLocal + int(slot))
 				for c := range want {
 					if diff := math.Abs(float64(got[c] - want[c])); diff > lim {
@@ -181,9 +171,6 @@ func codecExchangeCheck(f CodecFactory, dep *Deployment, cfg Config, dim int, fi
 	}
 	moved := rt.BytesMoved()
 	for s := 0; s < parts; s++ {
-		if declared[s] == nil {
-			continue // missing WireAccountant already reported
-		}
 		if len(declared[s]) != parts {
 			col.addf("codec-byte-accounting", "rank %d declared %d destination sizes, want %d", s, len(declared[s]), parts)
 			continue

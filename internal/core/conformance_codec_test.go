@@ -46,15 +46,6 @@ func wrapCodec(t *testing.T, wrap func(MessageCodec) MessageCodec) CodecFactory 
 	}
 }
 
-// delegated forwards the optional WireAccountant declaration of the
-// wrapped codec, so a stub breaking one contract clause does not also
-// trip the byte-accounting check.
-type delegated struct{ MessageCodec }
-
-func (d delegated) ForwardWireSizes(lg *partition.LocalGraph, dim int) []int {
-	return d.MessageCodec.(WireAccountant).ForwardWireSizes(lg, dim)
-}
-
 // lyingBytesCodec reports wire sizes that do not match its payloads.
 type lyingBytesCodec struct{ MessageCodec }
 
@@ -69,10 +60,10 @@ func (c lyingBytesCodec) ForwardWireSizes(lg *partition.LocalGraph, _ int) []int
 }
 
 // noisyCodec corrupts decoded halo rows while declaring no loss.
-type noisyCodec struct{ delegated }
+type noisyCodec struct{ MessageCodec }
 
 func (c noisyCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.Matrix) error {
-	if err := c.delegated.Forward(env, epoch, l, h, xFull); err != nil {
+	if err := c.MessageCodec.Forward(env, epoch, l, h, xFull); err != nil {
 		return err
 	}
 	for i := env.Graph.NumLocal; i < xFull.Rows; i++ {
@@ -88,10 +79,10 @@ func (c noisyCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.Mat
 // history — the codec is not reproducible run to run.
 var flakyCounter atomic.Int64
 
-type flakyCodec struct{ delegated }
+type flakyCodec struct{ MessageCodec }
 
 func (c flakyCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.Matrix) error {
-	if err := c.delegated.Forward(env, epoch, l, h, xFull); err != nil {
+	if err := c.MessageCodec.Forward(env, epoch, l, h, xFull); err != nil {
 		return err
 	}
 	if epoch > 0 {
@@ -115,8 +106,8 @@ func TestCodecConformanceCatchesBrokenCodecs(t *testing.T) {
 		wantCheck string
 	}{
 		{"lying wire sizes", wrapCodec(t, func(c MessageCodec) MessageCodec { return lyingBytesCodec{c} }), "codec-byte-accounting"},
-		{"undeclared loss", wrapCodec(t, func(c MessageCodec) MessageCodec { return noisyCodec{delegated{c}} }), "codec-roundtrip"},
-		{"global nondeterminism", wrapCodec(t, func(c MessageCodec) MessageCodec { return flakyCodec{delegated{c}} }), "codec-reproducibility"},
+		{"undeclared loss", wrapCodec(t, func(c MessageCodec) MessageCodec { return noisyCodec{c} }), "codec-roundtrip"},
+		{"global nondeterminism", wrapCodec(t, func(c MessageCodec) MessageCodec { return flakyCodec{c} }), "codec-reproducibility"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

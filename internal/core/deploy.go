@@ -15,16 +15,7 @@ type Deployment struct {
 	Assignment *partition.Assignment
 	Locals     []*partition.LocalGraph
 	Stats      partition.Stats
-
-	// shared caches run-shared state that depends only on the deployment's
-	// topology (the SANCUS broadcast layout), so repeated runs over the
-	// same deployment — experiments, the scheduler, benchmarks — build it
-	// once instead of once per run.
-	shared RunShared
 }
-
-// runShared returns the deployment-lifetime RunShared instance.
-func (d *Deployment) runShared() *RunShared { return &d.shared }
 
 // Deploy prepares the global graph for the model kind (GCN: self-loops +
 // symmetric normalization; GraphSAGE: mean normalization), partitions it

@@ -19,7 +19,8 @@ import (
 // SancusMaxStale epochs. Historical embeddings are treated as constants in
 // the backward pass, so no embedding gradients cross devices.
 
-// sancusTopology is the static broadcast layout shared by all devices.
+// sancusTopology is the static broadcast layout. Every device builds the
+// same one from the run's local graphs.
 type sancusTopology struct {
 	// boundary[p] lists p's boundary rows (union of every SendTo set),
 	// sorted ascending — the broadcast payload row order.

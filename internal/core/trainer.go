@@ -110,14 +110,12 @@ func TrainDeployedCtx(ctx context.Context, dep *Deployment, cfg Config, model *t
 		}
 	}
 
-	shared := dep.runShared()
 	err = rt.Run(cfg.Seed, func(dev Transport) error {
 		codec, err := factory(&CodecEnv{
 			Cfg:    &cfg,
 			Locals: dep.Locals,
 			Rank:   dev.Rank(),
 			InDim:  ds.Features.Cols,
-			Shared: shared,
 		})
 		if err != nil {
 			return err

@@ -428,14 +428,6 @@ func Hadamard(a, b *Matrix) *Matrix {
 	return out
 }
 
-// HadamardInPlace computes m ⊙= o.
-func (m *Matrix) HadamardInPlace(o *Matrix) {
-	mustSameShape("HadamardInPlace", m, o)
-	for i, v := range o.Data {
-		m.Data[i] *= v
-	}
-}
-
 // RowSlice returns a new matrix holding rows [lo, hi) of m (copied).
 func (m *Matrix) RowSlice(lo, hi int) *Matrix {
 	if lo < 0 || hi > m.Rows || lo > hi {

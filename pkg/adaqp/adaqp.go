@@ -126,7 +126,9 @@ type (
 type FaultSpec = chaos.Spec
 
 // MessageCodec is the pluggable boundary-message scheme (see package
-// core's docs for the contract). Custom codecs registered before New are
+// core's docs for the contract). Besides its three exchange hooks a codec
+// declares its epoch-0 forward wire sizes and decode error bound, which
+// VerifyCodec holds it to. Custom codecs registered before New are
 // selectable with WithCodec.
 type MessageCodec = core.MessageCodec
 
@@ -142,15 +144,6 @@ type CodecFactory = core.CodecFactory
 type (
 	CodecEnv    = core.CodecEnv
 	ExchangeEnv = core.ExchangeEnv
-)
-
-// Optional codec-contract declarations, enforced by VerifyCodec:
-// LossyCodec bounds the epoch-0 decode error, and WireAccountant reports
-// exact wire sizes for the byte ledger (every codec must implement
-// WireAccountant).
-type (
-	LossyCodec     = core.LossyCodec
-	WireAccountant = core.WireAccountant
 )
 
 // RegisterCodec makes a message codec selectable by name.
@@ -256,11 +249,11 @@ type CodecViolation = core.Violation
 
 // VerifyCodec checks a message codec (built by f, exactly as a training
 // run would build it) against the codec contract with parts devices:
-// decode-of-encode within the declared error bound, exact byte
-// accounting against the declared wire sizes, statelessness-or-declared-
-// state discipline under instance rebuilds, and fixed-seed loss-curve
-// reproducibility. Run it against any custom codec before training
-// with it:
+// round trip (an epoch-0 forward exchange decodes within the codec's
+// ForwardErrorBound), byte accounting (the transport's byte ledger equals
+// its ForwardWireSizes) and reproducibility (two fixed-seed runs are
+// bit-identical). Run it against any custom codec before training with
+// it:
 //
 //	f, _ := adaqp.LookupCodec("my-codec")
 //	if vs := adaqp.VerifyCodec(f, 4); len(vs) > 0 { ... }

@@ -59,9 +59,13 @@ func WithModel(k ModelKind) Option {
 	}
 }
 
-// WithPartitioner selects the partitioning strategy (default block).
+// WithPartitioner selects the partitioning strategy (default block): LDG,
+// HashPartition or BlockPartition.
 func WithPartitioner(st Strategy) Option {
 	return func(s *settings) error {
+		if st != partition.LDG && st != partition.Hash && st != partition.Block {
+			return fmt.Errorf("adaqp: partitioner %v is not ldg, hash or block", st)
+		}
 		s.strategy = st
 		return nil
 	}

@@ -228,44 +228,6 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 	}
 }
 
-// TestSchedulerQueueFull fills the single worker slot and the queue with
-// training sessions, then requires the next Submit to be rejected with the
-// typed ErrQueueFull and a drained scheduler to reject with ErrDraining.
-func TestSchedulerQueueFull(t *testing.T) {
-	ds := MustLoadDataset("tiny", 0.25)
-	sched := newTestScheduler(t, WithMaxConcurrentSessions(1), WithQueueDepth(1),
-		WithRetryAfter(100*time.Millisecond))
-
-	running, err := sched.Submit(ds, longJob()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitEpochs(t, running, 1) // the worker slot is now provably occupied
-	queued, err := sched.Submit(ds, longJob()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := sched.Submit(ds, longJob()...); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("overflow submit error = %v, want ErrQueueFull", err)
-	}
-	if got := sched.RetryAfter(); got != 100*time.Millisecond {
-		t.Fatalf("retry-after = %v, want 100ms", got)
-	}
-	if got := sched.Counters().Rejected; got != 1 {
-		t.Fatalf("rejected counter = %d, want 1", got)
-	}
-
-	running.Cancel()
-	queued.Cancel()
-	if err := sched.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sched.Submit(ds, longJob()...); !errors.Is(err, ErrDraining) {
-		t.Fatalf("post-drain submit error = %v, want ErrDraining", err)
-	}
-}
-
 // TestQueueFullRejectsWithTypedError fills the single worker slot and the
 // queue with fake sessions, then requires the next submission to be
 // rejected with the typed ErrQueueFull, the admitted sessions to complete,
@@ -540,53 +502,6 @@ func TestSessionsListedInSubmissionOrder(t *testing.T) {
 	}
 	if _, ok := sched.Session("job-999"); ok {
 		t.Fatal("Session(job-999) unexpectedly found")
-	}
-}
-
-// TestSchedulerRetentionAndRemoveSemantics checks the retention bound and
-// the terminal-only Remove contract on training sessions through the
-// public API.
-func TestSchedulerRetentionAndRemoveSemantics(t *testing.T) {
-	ds := MustLoadDataset("tiny", 0.25)
-	sched := newTestScheduler(t, WithMaxConcurrentSessions(1), WithQueueDepth(4),
-		WithSessionRetention(1, 0))
-
-	short := []Option{
-		WithParts(2), WithCodec(CodecSpec{Name: CodecFP32}), WithEpochs(1),
-		WithHidden(8), WithEvalEvery(0),
-	}
-	var handles []*SessionHandle
-	for i := 0; i < 3; i++ {
-		h, err := sched.Submit(ds, short...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := h.Wait(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		handles = append(handles, h)
-	}
-	if got := len(sched.Sessions()); got != 1 {
-		t.Fatalf("retained %d sessions under a retention bound of 1, want 1", got)
-	}
-	if _, ok := sched.Session(handles[0].ID()); ok {
-		t.Error("oldest terminal session survived the retention bound")
-	}
-
-	running, err := sched.Submit(ds, longJob()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitEpochs(t, running, 1)
-	if known, err := sched.Remove(running.ID()); !known || !errors.Is(err, ErrSessionNotTerminal) {
-		t.Fatalf("Remove(running) = (%v, %v), want (true, ErrSessionNotTerminal)", known, err)
-	}
-	running.Cancel()
-	if _, err := running.Wait(context.Background()); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("canceled session error = %v, want ErrCanceled", err)
-	}
-	if known, _ := sched.Remove("job-999"); known {
-		t.Error("Remove of an unknown id reported it as known")
 	}
 }
 
