@@ -122,10 +122,16 @@ func main() {
 		fatal(err)
 	}
 	// Stream the convergence trace as epochs complete instead of
-	// post-processing RunResult internals.
+	// post-processing RunResult internals. The table, and the blank line
+	// that opens it, appear only when some epoch was evaluated.
+	var traced bool
 	opts = append(opts, adaqp.WithEpochCallback(func(e adaqp.EpochStat) {
 		if math.IsNaN(e.ValAcc) {
 			return
+		}
+		if !traced {
+			fmt.Println()
+			traced = true
 		}
 		fmt.Printf("epoch %4d  loss %.4f  val %.4f  t=%.3fs\n", e.Epoch, e.Loss, e.ValAcc, e.SimTime)
 	}))
@@ -140,7 +146,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("dataset %v\nmodel %v  codec %v  parts %d  epochs %d\n\n",
+	fmt.Printf("dataset %v\nmodel %v  codec %v  parts %d  epochs %d\n",
 		ds, mk, sess.Codec(), *parts, *epochs)
 
 	res, err := sess.Run()
@@ -148,16 +154,17 @@ func main() {
 		fatal(err)
 	}
 	per := res.PerEpoch()
-	fmt.Printf("\ntest accuracy    %.4f\n", res.FinalTest)
-	fmt.Printf("throughput       %.3f epoch/s (simulated)\n", res.Throughput())
-	fmt.Printf("wall-clock       %.2fs (assign %s)\n", res.WallClock, ms(float64(res.AssignTime)))
-	fmt.Printf("per-epoch        comm %s  comp %s  quant %s  idle %s\n",
+	fmt.Printf("\nvalidation accuracy  %.4f\n", res.FinalVal)
+	fmt.Printf("test accuracy        %.4f\n", res.FinalTest)
+	fmt.Printf("throughput           %.3f epoch/s (simulated)\n", res.Throughput())
+	fmt.Printf("wall-clock           %.2fs (assign %s)\n", res.WallClock, ms(float64(res.AssignTime)))
+	fmt.Printf("per-epoch            comm %s  comp %s  quant %s  idle %s\n",
 		ms(float64(per.Comm)), ms(float64(per.Comp)), ms(float64(per.Quant)), ms(float64(per.Idle)))
 	if ovl := res.OverlapSeconds(); ovl > 0 {
-		fmt.Printf("overlap          %.3gs of compute and messages ran concurrently (summed over devices)\n", ovl)
+		fmt.Printf("overlap              %.3gs of compute and messages ran concurrently (summed over devices)\n", ovl)
 	}
 	if f := res.Faults; f.Any() {
-		fmt.Printf("faults           stragglers %d  retries %d (%.3fs)  crashes %d (%.3fs recovery)\n",
+		fmt.Printf("faults               stragglers %d  retries %d (%.3fs)  crashes %d (%.3fs recovery)\n",
 			f.Stragglers, f.Retries, f.RetryTime, f.Crashes, f.RecoveryTime)
 	}
 }

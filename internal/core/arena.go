@@ -24,11 +24,13 @@ import (
 //     or release the buffer afterwards.
 //   - RingAll2All / RawAll2All deliveries have exactly one consumer — the
 //     (src,dst) pair is unique per collective — so the receiver releases
-//     each delivered buffer into its own arena (ReleaseAll) once decoded.
-//     Because every device both sends and receives through the same
-//     rendezvous, buffer counts stay balanced and a buffer cannot be
-//     recycled before its lagging receiver consumed it: release happens
-//     on the consuming side.
+//     each delivered buffer into its own arena (ReleaseAll) once decoded,
+//     and a buffer cannot be recycled before its lagging receiver consumed
+//     it: release happens on the consuming side. A device gets back as
+//     many buffers per collective as it gave away, but not of the same
+//     sizes: what its peers send it differs from what it sends them, so
+//     some of its size classes fill up (to arenaMaxFreeBufs, dropping the
+//     rest) while others stay empty and GetBuf allocates.
 //   - Gather / Scatter / Broadcast payloads are NEVER pooled: Broadcast
 //     hands the same slice to every receiver, and the root leaves the
 //     collective before its receivers have read it, so those paths
@@ -62,7 +64,9 @@ const (
 func NewArena() *Arena { return &Arena{} }
 
 // pooledArenas recycles whole arenas — freelists, matrix scratch and
-// payload containers intact — between runs in the same process.
+// payload containers intact — between runs in the same process. It is a
+// sync.Pool, so the garbage collector drops an arena that waits in it
+// across two collections: a run that starts after them starts cold.
 var pooledArenas sync.Pool
 
 // NewPooledArena returns an arena recycled from a finished run (warm

@@ -71,7 +71,7 @@ func newAssignState(cfg *Config, lg *partition.LocalGraph, inDim int) *assignSta
 }
 
 // trace records max−min of each row this device sends in direction dir at
-// layer l, from the exchange's own scan of those rows (env.ranges).
+// layer l, from the ranges the exchange quantizes them with (env.ranges).
 func (st *assignState) trace(env *ExchangeEnv, dir direction, l int, ranges []quant.RowRange) {
 	for p, out := range st.ranges[dir][l] {
 		for j, r := range env.wireRows(dir, p) {

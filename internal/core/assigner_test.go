@@ -91,7 +91,7 @@ func TestTraceForwardRanges(t *testing.T) {
 	x := tensor.New(lg.NumLocal, dep.Dataset.Features.Cols)
 	x.FillUniform(tensor.NewRNG(1), -3, 3)
 	env := &ExchangeEnv{Graph: lg}
-	st.trace(env, forward, 0, env.ranges(forward, x))
+	st.trace(env, forward, 0, env.ranges(forward, 0, x))
 	for q, rows := range lg.SendTo {
 		for j, r := range rows {
 			mn, mx := tensor.MinMax(x.Row(int(r)))
@@ -113,7 +113,7 @@ func TestTraceBackwardRanges(t *testing.T) {
 	// The dirty arena hands out NaN-poisoned ranges: every halo row's entry
 	// must be overwritten by the scan.
 	env := &ExchangeEnv{Graph: lg, Scratch: dirtyArena(cfg.Hidden)}
-	st.trace(env, backward, 1, env.ranges(backward, dxFull))
+	st.trace(env, backward, 1, env.ranges(backward, 1, dxFull))
 	for p, slots := range lg.RecvFrom {
 		for j, s := range slots {
 			mn, mx := tensor.MinMax(dxFull.Row(int(s) + lg.NumLocal))

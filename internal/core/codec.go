@@ -77,6 +77,11 @@ type ExchangeEnv struct {
 	costs [][2]StageCosts // per layer, per direction
 	halo  [][]int32       // lazily-built haloIdx cache, one list per peer
 	sent  [2][]int32      // lazily-built sentRows cache, per direction
+
+	// inputRanges holds the value ranges of the layer-0 forward rows (the
+	// Deployment's static ranges0); nil outside the trainer, where ranges
+	// scans them.
+	inputRanges []quant.RowRange
 }
 
 // HaloIdx returns the xFull row indices of the halo slots received from
@@ -101,27 +106,43 @@ func (e *ExchangeEnv) HaloIdx(p int) []int32 {
 // Built once per direction and cached on the env.
 func (e *ExchangeEnv) sentRows(dir direction) []int32 {
 	if e.sent[dir] == nil {
-		marked := make([]bool, e.Graph.NumLocal+e.Graph.NumHalo)
-		for p := 0; p < e.Graph.Parts; p++ {
-			for _, r := range e.wireRows(dir, p) {
-				marked[r] = true
-			}
+		lists := make([][]int32, e.Graph.Parts)
+		for p := range lists {
+			lists[p] = e.wireRows(dir, p)
 		}
-		e.sent[dir] = []int32{}
-		for r, m := range marked {
-			if m {
-				e.sent[dir] = append(e.sent[dir], int32(r))
-			}
-		}
+		e.sent[dir] = unionRows(e.Graph.NumLocal+e.Graph.NumHalo, lists)
 	}
 	return e.sent[dir]
 }
 
-// ranges scans every row of m this device sends in direction dir exactly
-// once, however many peers receive it, and returns the ranges indexed by row
-// of m. The result is arena scratch: valid until the next ranges call on
-// this env, entries of unsent rows arbitrary.
-func (e *ExchangeEnv) ranges(dir direction, m *tensor.Matrix) []quant.RowRange {
+// unionRows returns, ascending, the rows of an n-row matrix that at least
+// one of lists names.
+func unionRows(n int, lists [][]int32) []int32 {
+	marked := make([]bool, n)
+	for _, l := range lists {
+		for _, r := range l {
+			marked[r] = true
+		}
+	}
+	rows := []int32{}
+	for r, m := range marked {
+		if m {
+			rows = append(rows, int32(r))
+		}
+	}
+	return rows
+}
+
+// ranges returns the value ranges of the rows of m that this device sends
+// in direction dir at layer l, indexed by row of m; entries of unsent rows
+// are arbitrary. Layer 0's forward rows are the input features, whose
+// ranges the trainer hands over once (inputRanges, shared and read-only);
+// anything else is scanned, each sent row exactly once however many peers
+// receive it, into arena scratch valid until the next scan on this env.
+func (e *ExchangeEnv) ranges(dir direction, l int, m *tensor.Matrix) []quant.RowRange {
+	if dir == forward && l == 0 && e.inputRanges != nil {
+		return e.inputRanges
+	}
 	ranges := e.Scratch.RowRanges(m.Rows)
 	quant.RowRanges(ranges, m, e.sentRows(dir))
 	return ranges

@@ -37,6 +37,21 @@ func captureClocks(t *testing.T, cfg *Config) func() []*timing.Clock {
 	return func() []*timing.Clock { return rt.Clocks() }
 }
 
+// goldenVariants are the runs the golden tests pin: every built-in codec,
+// plus uniform's 32-bit passthrough.
+var goldenVariants = []struct {
+	label, codec string
+	bits         quant.BitWidth
+}{
+	{CodecFP32, CodecFP32, quant.B2},
+	{CodecUniform, CodecUniform, quant.B2},
+	{"uniform@32", CodecUniform, quant.B32},
+	{CodecRandom, CodecRandom, quant.B2},
+	{CodecAdaptive, CodecAdaptive, quant.B2},
+	{CodecPipeGCN, CodecPipeGCN, quant.B2},
+	{CodecSancus, CodecSancus, quant.B2},
+}
+
 // TestCodecGolden is the absolute fixed-seed oracle for "bit-identical"
 // refactors of the message path: for every built-in codec (plus uniform's
 // 32-bit passthrough) × {GCN, GraphSAGE} × {3, 4} parts on the tiny dataset
@@ -52,19 +67,6 @@ func TestCodecGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("fixture generated on amd64; %s may fuse multiply-adds and round differently", runtime.GOARCH)
 	}
-	type variant struct {
-		label, codec string
-		bits         quant.BitWidth
-	}
-	variants := []variant{
-		{CodecFP32, CodecFP32, quant.B2},
-		{CodecUniform, CodecUniform, quant.B2},
-		{"uniform@32", CodecUniform, quant.B32},
-		{CodecRandom, CodecRandom, quant.B2},
-		{CodecAdaptive, CodecAdaptive, quant.B2},
-		{CodecPipeGCN, CodecPipeGCN, quant.B2},
-		{CodecSancus, CodecSancus, quant.B2},
-	}
 	hex := func(v float64) string { return fmt.Sprintf("%016x", math.Float64bits(v)) }
 	balanced := timing.Default()
 	balanced.Latency = 1e-6
@@ -77,7 +79,7 @@ func TestCodecGolden(t *testing.T) {
 	for _, model := range []ModelKind{GCN, GraphSAGE} {
 		for _, parts := range []int{3, 4} {
 			dep := Deploy(ds, parts, model, partition.Block)
-			for _, v := range variants {
+			for _, v := range goldenVariants {
 				cfg := DefaultConfig()
 				cfg.Model, cfg.Codec, cfg.UniformBits = model, v.codec, v.bits
 				cfg.Hidden, cfg.Epochs, cfg.EvalEvery = 16, 7, 3
@@ -104,24 +106,31 @@ func TestCodecGolden(t *testing.T) {
 		}
 	}
 
-	if *updateCodecGolden {
-		if err := os.WriteFile(codecGoldenFile, got.Bytes(), 0o644); err != nil {
+	checkGolden(t, codecGoldenFile, got.Bytes(), *updateCodecGolden, "-update-codec-golden")
+}
+
+// checkGolden compares got with the committed golden file line by line, or
+// rewrites the file when update is set (flag names the flag that does).
+func checkGolden(t *testing.T, file string, got []byte, update bool, flag string) {
+	t.Helper()
+	if update {
+		if err := os.WriteFile(file, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(codecGoldenFile)
+	want, err := os.ReadFile(file)
 	if err != nil {
-		t.Fatalf("%v (generate with -update-codec-golden)", err)
+		t.Fatalf("%v (generate with %s)", err, flag)
 	}
-	if bytes.Equal(got.Bytes(), want) {
+	if bytes.Equal(got, want) {
 		return
 	}
-	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
 	for i := 0; i < len(gl) && i < len(wl); i++ {
 		if gl[i] != wl[i] {
-			t.Fatalf("codec golden drifted at line %d:\n got %s\nwant %s", i+1, gl[i], wl[i])
+			t.Fatalf("%s drifted at line %d:\n got %s\nwant %s", file, i+1, gl[i], wl[i])
 		}
 	}
-	t.Fatalf("codec golden drifted: %d lines, want %d", len(gl), len(wl))
+	t.Fatalf("%s drifted: %d lines, want %d", file, len(gl), len(wl))
 }

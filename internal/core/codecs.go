@@ -34,7 +34,7 @@ func (fp32Codec) ForwardErrorBound(float32, float32, int) float64 { return 0 }
 // ---- shared quantized exchange with the overlap schedule ----
 
 // mixedCoder ships rows at per-slot bit-widths (the quant mixed-width
-// stream). ranges holds the range of every row this stage sends, scanned
+// stream). ranges holds the range of every row this stage sends, found
 // once however many peers receive the row.
 type mixedCoder struct {
 	wt     *widthTable
@@ -130,12 +130,12 @@ func (c *quantCodec) Backward(env *ExchangeEnv, epoch, l int, dxFull, dxLocal *t
 
 // run is one overlapped exchange of layer l in direction dir at the current
 // width table; the 32-bit passthrough ships raw fp32 rows. A tracing epoch
-// also feeds the scanned row ranges to the assigner's tracer.
+// also feeds the sent rows' ranges to the assigner's tracer.
 func (c *quantCodec) run(env *ExchangeEnv, dir direction, epoch, l int, src, dst *tensor.Matrix) error {
 	if c.st == nil {
 		return env.stage(fpCoder{}, overlapped, dir, l, src, dst)
 	}
-	ranges := env.ranges(dir, src)
+	ranges := env.ranges(dir, l, src)
 	if c.tracing(env.Cfg, epoch) {
 		c.st.trace(env, dir, l, ranges)
 	}

@@ -24,9 +24,6 @@ type gnnLayer struct {
 	relu *nn.ReLU
 	drop *nn.Dropout
 
-	// saved activations for backward
-	aggIn *tensor.Matrix // GCN: Â·X_full; SAGE: concat — the Linear input
-
 	// steady-state scratch (shapes are fixed per device): the aggregation
 	// output and the backward input-gradient block. Both are fully
 	// (over)written on every use — SpMM overwrites, SpMMT zero-fills.
@@ -69,16 +66,23 @@ func (l *gnnLayer) forward(lg *partition.LocalGraph, xFull *tensor.Matrix, rng *
 	if l.agg == nil {
 		l.agg = tensor.New(lg.NumLocal, l.inDim)
 	}
-	agg := l.agg
-	lg.Adj.SpMM(agg, xFull)
-	var linIn *tensor.Matrix
+	lg.Adj.SpMM(l.agg, xFull)
+	var self *tensor.Matrix
 	if l.kind == GraphSAGE {
-		self := xFull.RowSlice(0, lg.NumLocal)
-		linIn = tensor.ConcatCols(self, agg)
-	} else {
-		linIn = agg
+		self = xFull.RowSlice(0, lg.NumLocal)
 	}
-	l.aggIn = linIn
+	return l.dense(self, l.agg, rng, train)
+}
+
+// dense is the layer after its aggregation: the Linear over agg (GCN) or
+// over [self ‖ agg] (GraphSAGE; self is the local rows of the layer input),
+// then norm, activation and dropout. It reads self and agg and writes
+// neither, so they may be shared.
+func (l *gnnLayer) dense(self, agg *tensor.Matrix, rng *tensor.RNG, train bool) *tensor.Matrix {
+	linIn := agg
+	if l.kind == GraphSAGE {
+		linIn = tensor.ConcatCols(self, agg)
+	}
 	z := l.lin.Forward(linIn)
 	if l.last {
 		return z

@@ -38,28 +38,12 @@ func buildSancusTopology(lgs []*partition.LocalGraph) *sancusTopology {
 	}
 	for p := 0; p < n; p++ {
 		lg := lgs[p]
-		// Dense position table over p's local rows (SendTo entries are local
-		// row indices): dedup and index without maps or sorting — walking
-		// the table in row order yields the sorted boundary directly.
+		rows := unionRows(lg.NumLocal, lg.SendTo)
+		// pos[r] is local row r's position in the boundary (SendTo entries
+		// are local row indices).
 		pos := make([]int32, lg.NumLocal)
-		for i := range pos {
-			pos[i] = -1
-		}
-		count := 0
-		for q := 0; q < n; q++ {
-			for _, r := range lg.SendTo[q] {
-				if pos[r] < 0 {
-					pos[r] = 0
-					count++
-				}
-			}
-		}
-		rows := make([]int32, 0, count)
-		for r := 0; r < lg.NumLocal; r++ {
-			if pos[r] == 0 {
-				pos[r] = int32(len(rows))
-				rows = append(rows, int32(r))
-			}
+		for i, r := range rows {
+			pos[r] = int32(i)
 		}
 		t.boundary[p] = rows
 		t.recvMap[p] = make([][]int32, n)

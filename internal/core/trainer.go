@@ -85,31 +85,6 @@ func TrainDeployedCtx(ctx context.Context, dep *Deployment, cfg Config, model *t
 		Codec:   cfg.Codec,
 		Parts:   parts,
 	}
-	denom := float64(synthetic.MaskedCount(ds.TrainMask))
-	// Positive-class weight for multi-label BCE: with a handful of
-	// positives among 100+ classes, unweighted BCE stalls in the trivial
-	// all-negative solution for hundreds of epochs (the paper trains Yelp
-	// and AmazonProducts for 1000+ epochs; our reduced budgets need the
-	// standard neg/pos re-weighting instead).
-	posWeight := 1.0
-	if ds.Task == synthetic.MultiLabel {
-		var pos float64
-		for _, v := range ds.Labels.Data {
-			if v > 0.5 {
-				pos++
-			}
-		}
-		if pos > 0 {
-			posWeight = (float64(len(ds.Labels.Data)) - pos) / pos
-		}
-		if posWeight > 25 {
-			posWeight = 25
-		}
-		if posWeight < 1 {
-			posWeight = 1
-		}
-	}
-
 	err = rt.Run(cfg.Seed, func(dev Transport) error {
 		codec, err := factory(&CodecEnv{
 			Cfg:    &cfg,
@@ -120,24 +95,27 @@ func TrainDeployedCtx(ctx context.Context, dep *Deployment, cfg Config, model *t
 		if err != nil {
 			return err
 		}
+		shared, own := dep.static(dev.Rank())
 		w := &worker{
 			ctx: ctx,
 			dev: dev, cfg: &cfg, res: res,
 			lg:        dep.Locals[dev.Rank()],
+			ld:        own.ld,
+			agg0:      own.agg0,
 			task:      ds.Task,
-			denom:     denom,
-			posWeight: posWeight,
+			denom:     shared.denom,
+			posWeight: shared.posWeight,
 			codec:     codec,
 		}
 		w.fault, _ = dev.(*faultDevice)
-		w.ld = shardData(ds, w.lg)
 		w.model = newDeviceModel(&cfg, w.lg, ds.Features.Cols, ds.NumClasses, dev.Model())
 		w.opt = nn.NewAdam(cfg.LR)
 		scratch := NewPooledArena()
 		if cfg.isolateArena {
 			scratch = NewArena()
 		}
-		w.env = &ExchangeEnv{Dev: dev, Graph: w.lg, Cfg: &cfg, Scratch: scratch, Round: roundingRNG(cfg.Seed, dev.Rank()), costs: w.model.costs}
+		w.env = &ExchangeEnv{Dev: dev, Graph: w.lg, Cfg: &cfg, Scratch: scratch, Round: roundingRNG(cfg.Seed, dev.Rank()),
+			costs: w.model.costs, inputRanges: own.ranges0}
 		if !cfg.isolateArena {
 			// Hand the arena — freelists intact — to the next run in this
 			// process, so repeated runs stay warm without re-allocating.
@@ -179,7 +157,8 @@ type worker struct {
 	cfg       *Config
 	res       *metrics.RunResult
 	lg        *partition.LocalGraph
-	ld        *localData
+	ld        *localData     // shared with every Run on the Deployment: read only
+	agg0      *tensor.Matrix // layer 0's exact aggregate, likewise (deviceStatic)
 	model     *deviceModel
 	opt       *nn.Adam
 	task      synthetic.Task
@@ -320,8 +299,10 @@ func (w *worker) trainEpoch(epoch int) (float64, error) {
 }
 
 // forward runs the layer loop. For train=true the codec's halo exchange
-// and timing schedule applies; eval uses the uncharged raw exchange at
-// full precision.
+// and timing schedule applies. Evaluation is full precision and
+// uncharged: layer 0 is the dense part over the Deployment's exact
+// aggregate of the input features (agg0), which no Run can change, and
+// every later layer fills its halo rows through the raw exchange.
 func (w *worker) forward(epoch int, train bool) (*tensor.Matrix, error) {
 	cfg := w.cfg
 	h := w.ld.x
@@ -337,6 +318,10 @@ func (w *worker) forward(epoch int, train bool) (*tensor.Matrix, error) {
 	}
 	for l := 0; l < cfg.Layers; l++ {
 		lay := w.model.layers[l]
+		if !train && l == 0 {
+			h = lay.dense(h, w.agg0, w.dev.Rand(), false)
+			continue
+		}
 		// Per-layer scratch: above layer 0 the local rows are re-copied,
 		// and every halo row is rewritten by the exchange, so reuse across
 		// epochs (and between train and eval passes) is safe.
@@ -426,7 +411,8 @@ func (w *worker) sumAcross(vals ...float64) ([]float64, error) {
 }
 
 // evalLogits runs the evaluation forward pass: full precision, no dropout,
-// uncharged raw halo exchanges, no RNG draws.
+// no RNG draws, uncharged, with a raw halo exchange at every layer but the
+// first (see forward).
 func (w *worker) evalLogits() (*tensor.Matrix, error) {
 	return w.forward(-1, false)
 }

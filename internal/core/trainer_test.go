@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -238,17 +239,21 @@ func TestSidebandShortPayloadFailsTheRun(t *testing.T) {
 }
 
 // TestFinalEvalSharesOneForwardPass pins the evaluation schedule of a run:
-// one full-precision forward pass (Layers raw halo exchanges) per
-// evaluated epoch, and the final test/val scores read the last epoch's
-// pass instead of repeating it twice on unchanged parameters. Evaluation
-// consumes no RNG and raw collectives are uncharged, so the scores cannot
-// depend on how often the run evaluated.
+// one full-precision forward pass per evaluated epoch, with a raw halo
+// exchange at every layer but the first (layer 0 reads the Deployment's
+// static aggregate of the input features), and the final test/val scores
+// read the last epoch's pass instead of repeating it twice on unchanged
+// parameters. Evaluation consumes no RNG and raw collectives are
+// uncharged, so the scores cannot depend on how often the run evaluated.
+// Both runs share one Deployment, whose static data the first builds and
+// the second reuses.
 func TestFinalEvalSharesOneForwardPass(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", 1)
 	inprocess, err := LookupTransport(TransportInprocess)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dep := Deploy(ds, 3, GCN, partition.Block)
 	train := func(evalEvery int) (*metrics.RunResult, int64) {
 		cfg := tinyConfig(CodecAdaptive)
 		cfg.EvalEvery = evalEvery
@@ -257,27 +262,36 @@ func TestFinalEvalSharesOneForwardPass(t *testing.T) {
 			rt = &rawCountingRuntime{Runtime: inprocess(spec)}
 			return rt
 		}
-		res, err := trainBlock(ds, 3, cfg)
+		res, err := TrainDeployed(dep, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res, rt.rawAll2All.Load()
 	}
-	layers := int64(tinyConfig(CodecAdaptive).Layers)
+	exchanges := int64(tinyConfig(CodecAdaptive).Layers - 1)
 
 	// 12 epochs, eval every 4: epochs 0, 4, 8 and the last one, 11.
 	every4, raw := train(4)
-	if want := 4 * layers; raw != want {
-		t.Errorf("eval every 4: %d raw halo exchanges, want %d (4 evaluated epochs × %d layers, final scores included)", raw, want, layers)
+	if want := 4 * exchanges; raw != want {
+		t.Errorf("eval every 4: %d raw halo exchanges, want %d (4 evaluated epochs × %d layers above the first, final scores included)", raw, want, exchanges)
 	}
 	if last := every4.Epochs[len(every4.Epochs)-1]; every4.FinalVal != last.ValAcc {
 		t.Errorf("FinalVal %v differs from the last epoch's ValAcc %v", every4.FinalVal, last.ValAcc)
 	}
+	// The static data's blocks, by address: a rebuild would replace them.
+	static := func() (blocks []any) {
+		for r := range dep.st.devices {
+			d := &dep.st.devices[r]
+			blocks = append(blocks, d.ld, d.agg0, &d.ranges0[0])
+		}
+		return blocks
+	}
+	built := static()
 
 	// Evaluation off: the final scores need exactly one pass of their own.
 	never, raw := train(0)
-	if raw != layers {
-		t.Errorf("eval off: %d raw halo exchanges, want %d (one final pass)", raw, layers)
+	if raw != exchanges {
+		t.Errorf("eval off: %d raw halo exchanges, want %d (one final pass)", raw, exchanges)
 	}
 	if never.FinalTest != every4.FinalTest || never.FinalVal != every4.FinalVal {
 		t.Errorf("final scores depend on the eval schedule: test %v vs %v, val %v vs %v",
@@ -287,6 +301,9 @@ func TestFinalEvalSharesOneForwardPass(t *testing.T) {
 		if never.Epochs[i].Loss != every4.Epochs[i].Loss {
 			t.Fatalf("epoch %d: loss depends on the eval schedule", i)
 		}
+	}
+	if len(built) != 3*3 || !slices.Equal(static(), built) {
+		t.Errorf("the second run on the Deployment rebuilt its static data")
 	}
 }
 
@@ -404,8 +421,8 @@ func (c featureWatchCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *ten
 
 // TestLayerZeroFeaturesSurviveEveryPass: worker.forward copies the device's
 // features into layer 0's xFull once, when it allocates it. They must still
-// be there at every later training pass — after evaluation passes, which
-// share the block; after a crashed epoch, which runs once; and under
+// be there at every later training pass — after evaluation passes; after
+// a crashed epoch, which runs once; and under
 // pipegcn, which fills halo rows from a cache and receives into scratch.
 func TestLayerZeroFeaturesSurviveEveryPass(t *testing.T) {
 	const parts = 4
@@ -453,18 +470,24 @@ func TestEpochBitsWithAndWithoutAVX2(t *testing.T) {
 		t.Skip("no AVX2 kernels on this host or in this build: both runs would be the Go loops")
 	}
 	t.Run("products-sim", func(t *testing.T) {
-		epochBitsWithAndWithoutAVX2(t, Deploy(synthetic.MustLoad("products-sim", 0.1), 4, GCN, partition.Block), 64, 2)
+		ds := synthetic.MustLoad("products-sim", 0.1)
+		epochBitsWithAndWithoutAVX2(t, func() *Deployment { return Deploy(ds, 4, GCN, partition.Block) }, 64, 2)
 	})
 	t.Run("halo-reddit", func(t *testing.T) {
 		// Three epochs: AdaQP's bootstrap at the uniform 8-bit tables, then
 		// two at the widths solved from its traces.
-		epochBitsWithAndWithoutAVX2(t, Deploy(synthetic.MustLoad("reddit-sim", 0.1), 8, GCN, partition.Hash), 16, 3)
+		ds := synthetic.MustLoad("reddit-sim", 0.1)
+		epochBitsWithAndWithoutAVX2(t, func() *Deployment { return Deploy(ds, 8, GCN, partition.Hash) }, 16, 3)
 	})
 }
 
-func epochBitsWithAndWithoutAVX2(t *testing.T, dep *Deployment, hidden, epochs int) {
-	ds := dep.Dataset
+// epochBitsWithAndWithoutAVX2 deploys afresh for each side, so each side
+// also builds the Deployment's static data (evaluation's layer-0 aggregate,
+// the feature ranges) with its own kernels.
+func epochBitsWithAndWithoutAVX2(t *testing.T, deploy func() *Deployment, hidden, epochs int) {
 	epoch := func() (bits []uint64) {
+		dep := deploy()
+		ds := dep.Dataset
 		add := func(vs ...float64) {
 			for _, v := range vs {
 				bits = append(bits, math.Float64bits(v))
