@@ -17,7 +17,6 @@ type gnnLayer struct {
 	last  bool
 	kind  ModelKind
 	inDim int
-	out   int
 
 	lin  *nn.Linear
 	ln   *nn.LayerNorm
@@ -37,7 +36,7 @@ func newGNNLayer(kind ModelKind, idx int, inDim, outDim int, last bool, dropout 
 		linIn = 2 * inDim
 	}
 	l := &gnnLayer{
-		idx: idx, last: last, kind: kind, inDim: inDim, out: outDim,
+		idx: idx, last: last, kind: kind, inDim: inDim,
 		lin: nn.NewLinear(layerName(idx), linIn, outDim, rng),
 	}
 	if !last {
@@ -94,18 +93,18 @@ func (l *gnnLayer) dense(self, agg *tensor.Matrix, rng *tensor.RNG, train bool) 
 
 // backward consumes the gradient of this layer's output over local rows and
 // returns the gradient w.r.t. xFull (halo rows included; they are the
-// "embedding gradients"/errors to ship back to their owners). When
-// needInput is false (layer 0) nothing reads that gradient, so neither half
-// of it is computed — not the dense dz·Wᵀ, not the transposed aggregation —
-// and nil is returned; weight gradients are always accumulated.
-func (l *gnnLayer) backward(lg *partition.LocalGraph, dout *tensor.Matrix, needInput bool) *tensor.Matrix {
+// "embedding gradients"/errors to ship back to their owners). Nothing reads
+// layer 0's, so neither half of it is computed there — not the dense dz·Wᵀ,
+// not the transposed aggregation — and nil is returned; weight gradients are
+// always accumulated.
+func (l *gnnLayer) backward(lg *partition.LocalGraph, dout *tensor.Matrix) *tensor.Matrix {
 	dz := dout
 	if !l.last {
 		dz = l.drop.Backward(dz)
 		dz = l.relu.Backward(dz)
 		dz = l.ln.Backward(dz)
 	}
-	if !needInput {
+	if l.idx == 0 {
 		l.lin.BackwardParams(dz)
 		return nil
 	}
@@ -130,60 +129,80 @@ func (l *gnnLayer) backward(lg *partition.LocalGraph, dout *tensor.Matrix, needI
 	return dxFull
 }
 
+// work is one kernel of a layer's stage as the clock charges it: a product
+// or aggregation by the name and shape tensor.KernelHook reports, or an
+// elementwise proxy. runs is false for work charged but never run.
+type work struct {
+	name   string
+	kernel string
+	shape  [3]int
+	runs   bool
+}
+
+// time is w's simulated cost: the clock's only compute charge.
+func (w work) time(model *timing.CostModel) timing.Seconds {
+	switch w.kernel {
+	case "SpMM", "SpMMT":
+		return model.SpMMTime(w.shape[0], w.shape[1])
+	case "elementwise":
+		return model.ElementwiseTime(w.shape[0])
+	}
+	return model.DenseTime(w.shape[0], w.shape[1], w.shape[2])
+}
+
+// inventory lists, in the order their charges add up, the kernels of one
+// direction of l over rows local rows holding nnz edges. One proxy, of 3
+// passes forward and 4 backward, stands for norm, ReLU and dropout.
+func (l *gnnLayer) inventory(dir direction, rows, nnz int) []work {
+	in, linIn, out, input := l.inDim, l.lin.W.Value.Rows, l.lin.W.Value.Cols, l.idx > 0
+	ws := []work{
+		{"aggregate", "SpMM", [3]int{nnz, in}, true},
+		{"linear", "MatMul", [3]int{rows, linIn, out}, true},
+		{"norm+relu+dropout", "elementwise", [3]int{3 * rows * out}, true},
+	}
+	if dir == backward {
+		ws = []work{
+			{"linear.dW", "TMatMul", [3]int{linIn, rows, out}, true},
+			{"linear.dX", "MatMulT", [3]int{rows, out, linIn}, input},
+			{"aggregate.T", "SpMMT", [3]int{nnz, in}, input},
+			{"dropout+relu+norm.T", "elementwise", [3]int{4 * rows * out}, true},
+		}
+	}
+	if l.last {
+		return ws[:len(ws)-1]
+	}
+	return ws
+}
+
 // computeLayerCosts returns the simulated compute cost of one layer on one
 // device, per direction, split into the central and marginal shares used by
-// AdaQP's overlap schedule. The split is computed from per-row work: a row's
-// aggregation cost is proportional to its edge count and its dense cost to
-// the layer dims; central rows touch only local columns, so their
+// AdaQP's overlap schedule: the sum of the layer's inventory over each
+// class's rows and edges. Central rows touch only local columns, so their
 // computation can proceed while halo messages are in flight (§2.2).
 func computeLayerCosts(lg *partition.LocalGraph, l *gnnLayer, model *timing.CostModel) [2]StageCosts {
-	nnzCentral, nnzMarginal := 0, 0
-	for i := 0; i < lg.NumLocal; i++ {
-		d := lg.Adj.Degree(i)
-		if lg.Marginal[i] {
-			nnzMarginal += d
-		} else {
-			nnzCentral += d
-		}
+	nnzMarginal := 0
+	for _, i := range lg.MarginalRows {
+		nnzMarginal += lg.Adj.Degree(int(i))
 	}
-	nC, nM := len(lg.CentralRows), len(lg.MarginalRows)
-	linIn := l.inDim
-	if l.kind == GraphSAGE {
-		linIn = 2 * l.inDim
-	}
-	rowFwd := func(nnz, rows int) timing.Seconds {
-		t := model.SpMMTime(nnz, l.inDim)
-		t += model.DenseTime(rows, linIn, l.out)
-		if !l.last {
-			t += model.ElementwiseTime(3 * rows * l.out)
+	charge := func(dir direction, rows, nnz int) (t timing.Seconds) {
+		for _, w := range l.inventory(dir, rows, nnz) {
+			t += w.time(model)
 		}
 		return t
 	}
-	// Backward: two GEMMs (dW and d-input), the transposed aggregation,
-	// and the activation/norm backward elementwise work.
-	rowBwd := func(nnz, rows int) timing.Seconds {
-		t := model.DenseTime(linIn, rows, l.out) // dW = Xᵀ·dZ
-		t += model.DenseTime(rows, l.out, linIn) // dX = dZ·Wᵀ
-		t += model.SpMMTime(nnz, l.inDim)
-		if !l.last {
-			t += model.ElementwiseTime(4 * rows * l.out)
-		}
-		return t
+	var costs [2]StageCosts
+	for _, dir := range directions {
+		c := charge(dir, len(lg.CentralRows), lg.Adj.NumEdges()-nnzMarginal)
+		m := charge(dir, len(lg.MarginalRows), nnzMarginal)
+		costs[dir] = StageCosts{Total: c + m, Central: c, Marginal: m}
 	}
-	split := func(central, marginal timing.Seconds) StageCosts {
-		return StageCosts{Total: central + marginal, Central: central, Marginal: marginal}
-	}
-	return [2]StageCosts{
-		forward:  split(rowFwd(nnzCentral, nC), rowFwd(nnzMarginal, nM)),
-		backward: split(rowBwd(nnzCentral, nC), rowBwd(nnzMarginal, nM)),
-	}
+	return costs
 }
 
 // deviceModel is the full L-layer model replica on one device. All devices
 // construct it from the same seed, so initial weights are identical
 // replicas, as in data-parallel training.
 type deviceModel struct {
-	kind   ModelKind
 	layers []*gnnLayer
 	costs  [][2]StageCosts  // per layer, per direction
 	ps     []*nn.Param      // cached params() result (the set is static)
@@ -192,13 +211,8 @@ type deviceModel struct {
 
 func newDeviceModel(cfg *Config, lg *partition.LocalGraph, inDim, numClasses int, model *timing.CostModel) *deviceModel {
 	rng := tensor.NewRNG(cfg.Seed) // identical on every device
-	dm := &deviceModel{kind: cfg.Model}
-	dims := make([]int, cfg.Layers+1)
-	dims[0] = inDim
-	for i := 1; i < cfg.Layers; i++ {
-		dims[i] = cfg.Hidden
-	}
-	dims[cfg.Layers] = numClasses
+	dm := &deviceModel{}
+	dims := append(messageDims(cfg, inDim), numClasses)
 	for i := 0; i < cfg.Layers; i++ {
 		last := i == cfg.Layers-1
 		l := newGNNLayer(cfg.Model, i, dims[i], dims[i+1], last, cfg.Dropout, rng)

@@ -350,9 +350,8 @@ func (w *worker) backward(epoch int, dlogits *tensor.Matrix) error {
 	d := dlogits
 	for l := cfg.Layers - 1; l >= 0; l-- {
 		lay := w.model.layers[l]
-		needInput := l > 0
-		dxFull := lay.backward(w.lg, d, needInput)
-		if !needInput {
+		dxFull := lay.backward(w.lg, d)
+		if l == 0 {
 			// Layer 0 has no backward exchange on any codec.
 			w.dev.Clock().Advance(timing.Comp, w.model.costs[l][backward].Total)
 			return nil

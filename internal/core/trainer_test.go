@@ -2,12 +2,10 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"reflect"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -307,60 +305,6 @@ func TestFinalEvalSharesOneForwardPass(t *testing.T) {
 	}
 }
 
-// TestLayerZeroInputGradientIsNeverComputed is a census of the dense
-// a × bᵀ products of a training run, taken through tensor's test hook: per
-// epoch every device asks for exactly one per layer above the first — the
-// dz·Wᵀ whose result travels on — and none shaped like layer 0's input
-// gradient, which nothing reads.
-func TestLayerZeroInputGradientIsNeverComputed(t *testing.T) {
-	const parts = 3
-	ds := synthetic.MustLoad("tiny", 1)
-	for _, kind := range []ModelKind{GCN, GraphSAGE} {
-		cfg := tinyConfig(CodecFP32)
-		cfg.Model, cfg.Layers, cfg.Epochs = kind, 3, 4
-		cfg.Hidden = 24 // unlike tiny's 32 features: input width tells layer 0 from layer 1
-		dep := Deploy(ds, parts, kind, partition.Block)
-		dims := []int{ds.Features.Cols, cfg.Hidden, cfg.Hidden, ds.NumClasses}
-		linIn := func(l int) int {
-			if kind == GraphSAGE {
-				return 2 * dims[l]
-			}
-			return dims[l]
-		}
-		want := map[[3]int]int{}
-		for _, lg := range dep.Locals {
-			for l := 1; l < cfg.Layers; l++ {
-				want[[3]int{lg.NumLocal, dims[l+1], linIn(l)}] += cfg.Epochs
-			}
-		}
-		var mu sync.Mutex
-		got := map[[3]int]int{}
-		tensor.MatMulTHook = func(rows, inner, cols int) {
-			mu.Lock()
-			got[[3]int{rows, inner, cols}]++
-			mu.Unlock()
-		}
-		_, err := TrainDeployed(dep, cfg, nil)
-		tensor.MatMulTHook = nil
-		if err != nil {
-			t.Fatal(err)
-		}
-		total := 0
-		for shape, n := range got {
-			total += n
-			if shape[2] == linIn(0) {
-				t.Errorf("%v: %d products of shape %v: layer 0's input gradient was computed", kind, n, shape)
-			}
-		}
-		if perDevice := float64(total) / float64(parts*cfg.Epochs); perDevice != float64(cfg.Layers-1) {
-			t.Errorf("%v: %v a×bᵀ products per device per epoch, want layers−1 = %d", kind, perDevice, cfg.Layers-1)
-		}
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("%v: census by (rows, inner, cols) %v, want %v", kind, got, want)
-		}
-	}
-}
-
 // TestLayerZeroHoldsNoInputGradient walks one device's model through a
 // forward and a backward pass the way worker.backward does and then looks
 // inside every layer's Linear: the input-gradient scratch (rows × in floats,
@@ -383,7 +327,7 @@ func TestLayerZeroHoldsNoInputGradient(t *testing.T) {
 		d := tensor.New(lg.NumLocal, ds.NumClasses)
 		d.FillUniform(rng, -1, 1)
 		for l := cfg.Layers - 1; l >= 0; l-- {
-			dxFull := dm.layers[l].backward(lg, d, l > 0)
+			dxFull := dm.layers[l].backward(lg, d)
 			if l > 0 {
 				d = dxFull.RowSlice(0, lg.NumLocal)
 			} else if dxFull != nil {
@@ -524,7 +468,7 @@ func epochBitsWithAndWithoutAVX2(t *testing.T, deploy func() *Deployment, hidden
 		loss, d := nn.SoftmaxCrossEntropyScaled(h, ld.labels, ld.train, 100)
 		add(loss)
 		for l := cfg.Layers - 1; l >= 0; l-- {
-			if dxFull := dm.layers[l].backward(lg, d, l > 0); l > 0 {
+			if dxFull := dm.layers[l].backward(lg, d); l > 0 {
 				addMat(dxFull)
 				d = dxFull.RowSlice(0, lg.NumLocal)
 			}

@@ -181,6 +181,9 @@ func (g *CSR) SpMM(out, x *tensor.Matrix) {
 		panic(fmt.Sprintf("graph: SpMM shape mismatch graph %dx%d, x %dx%d, out %dx%d",
 			g.N, g.Cols, x.Rows, x.Cols, out.Rows, out.Cols))
 	}
+	if tensor.KernelHook != nil {
+		tensor.KernelHook("SpMM", [3]int{len(g.ColIdx), x.Cols})
+	}
 	// The sequential path skips the closure entirely: one passed to
 	// parallelOver always heap-escapes (the go statement leaks it).
 	if !parallelizable(g.N) {
@@ -214,6 +217,9 @@ func (g *CSR) SpMMT(out, y *tensor.Matrix) {
 	if y.Rows != g.N || out.Rows != g.Cols || out.Cols != y.Cols {
 		panic(fmt.Sprintf("graph: SpMMT shape mismatch graph %dx%d, y %dx%d, out %dx%d",
 			g.N, g.Cols, y.Rows, y.Cols, out.Rows, out.Cols))
+	}
+	if tensor.KernelHook != nil {
+		tensor.KernelHook("SpMMT", [3]int{len(g.ColIdx), y.Cols})
 	}
 	out.Zero()
 	for u := 0; u < g.N; u++ {

@@ -157,6 +157,9 @@ func MatMulInto(out, a, b *Matrix) {
 	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
 		panic("tensor: MatMulInto shape mismatch")
 	}
+	if KernelHook != nil {
+		KernelHook("MatMul", [3]int{a.Rows, a.Cols, b.Cols})
+	}
 	if !parallelizable(a.Rows) {
 		matMulRange(out, a, b, 0, a.Rows)
 		return
@@ -236,8 +239,8 @@ func MatMulTInto(out, a, b *Matrix) {
 	if out.Rows != a.Rows || out.Cols != b.Rows {
 		panic("tensor: MatMulTInto shape mismatch")
 	}
-	if MatMulTHook != nil {
-		MatMulTHook(a.Rows, a.Cols, b.Rows)
+	if KernelHook != nil {
+		KernelHook("MatMulT", [3]int{a.Rows, a.Cols, b.Rows})
 	}
 	// The vector kernel takes whole groups of eight output columns from a
 	// copy of b transposed once per call; the columns past them, and every
@@ -257,10 +260,10 @@ func MatMulTInto(out, a, b *Matrix) {
 	parallelRows(a.Rows, func(lo, hi int) { matMulTRange(out, a, b, bt, vecCols, lo, hi) })
 }
 
-// MatMulTHook, when non-nil, is called with (rows, inner, cols) of every
-// MatMulTInto. It is a test hook — a census of which products a caller
-// asks for — and nothing outside tests sets it.
-var MatMulTHook func(rows, inner, cols int)
+// KernelHook, when non-nil, is called with the name and shape of every
+// MatMul, TMatMul or MatMulT as (m, k, n) and graph's SpMM or SpMMT as (nnz,
+// cols): a test-only census of the work a run asks for (CI greps for that).
+var KernelHook func(kernel string, shape [3]int)
 
 // transposePool keeps MatMulTInto's transposed copies of b between calls.
 var transposePool = sync.Pool{New: func() any { return new([]float32) }}
@@ -314,6 +317,9 @@ func TMatMulInto(out, a, b *Matrix) {
 	}
 	if out.Rows != a.Cols || out.Cols != b.Cols {
 		panic("tensor: TMatMulInto shape mismatch")
+	}
+	if KernelHook != nil {
+		KernelHook("TMatMul", [3]int{a.Cols, a.Rows, b.Cols})
 	}
 	out.Zero()
 	if !parallelizable(a.Cols) {
