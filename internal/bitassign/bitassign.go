@@ -15,7 +15,6 @@ package bitassign
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 
@@ -53,30 +52,70 @@ type Problem struct {
 // NewProblem groups msgs per pair (sorted by β descending, chunks of
 // groupSize) and returns a ready-to-solve instance. theta/gamma are
 // indexed by pair id.
+//
+// Pairs come in ascending order; within a pair, ties in β go to the lower
+// slot (NaN β sorts below every number). The messages are bucketed by pair
+// into one flat slice of keys, each bucket sorted in place, and every
+// group's Members share one backing array.
 func NewProblem(msgs []Message, groupSize int, theta, gamma []float64, lambda float64) *Problem {
 	if groupSize <= 0 {
 		groupSize = 1
 	}
 	p := &Problem{Messages: msgs, Theta: theta, Gamma: gamma, Lambda: lambda}
-	byPair := map[int][]int{}
-	for i, m := range msgs {
-		byPair[m.Pair] = append(byPair[m.Pair], i)
+	// start[pair] is where the pair's bucket begins in keys, and after the
+	// fill where the next pair's does.
+	pairs := pairCount(msgs)
+	start := make([]int, pairs+1)
+	for _, m := range msgs {
+		start[m.Pair+1]++
 	}
-	for _, pair := range slices.Sorted(maps.Keys(byPair)) {
-		idx := byPair[pair]
-		slices.SortFunc(idx, func(a, b int) int {
-			return cmp.Or(cmp.Compare(msgs[b].Beta, msgs[a].Beta), msgs[a].Slot-msgs[b].Slot)
+	groups := 0
+	for pair := range pairs {
+		groups += (start[pair+1] + groupSize - 1) / groupSize
+		start[pair+1] += start[pair]
+	}
+	type key struct {
+		beta  float64
+		slot  int
+		index int
+	}
+	keys := make([]key, len(msgs))
+	for i, m := range msgs {
+		keys[start[m.Pair]] = key{m.Beta, m.Slot, i}
+		start[m.Pair]++
+	}
+
+	members := make([]int, len(msgs))
+	p.Groups = make([]Group, 0, groups)
+	lo := 0
+	for pair := range pairs {
+		bucket := keys[lo:start[pair]]
+		slices.SortFunc(bucket, func(a, b key) int {
+			return cmp.Or(cmp.Compare(b.beta, a.beta), a.slot-b.slot)
 		})
-		for lo := 0; lo < len(idx); lo += groupSize {
-			g := Group{Pair: pair, Dim: msgs[idx[lo]].Dim}
-			for _, mi := range idx[lo:min(lo+groupSize, len(idx))] {
-				g.Beta += msgs[mi].Beta
-				g.Members = append(g.Members, mi)
-			}
-			p.Groups = append(p.Groups, g)
+		for j, k := range bucket {
+			members[lo+j] = k.index
 		}
+		for g := 0; g < len(bucket); g += groupSize {
+			end := min(g+groupSize, len(bucket))
+			grp := Group{Pair: pair, Dim: msgs[bucket[g].index].Dim, Members: members[lo+g : lo+end : lo+end]}
+			for _, k := range bucket[g:end] {
+				grp.Beta += k.beta
+			}
+			p.Groups = append(p.Groups, grp)
+		}
+		lo = start[pair]
 	}
 	return p
+}
+
+// pairCount is one more than the greatest pair id among msgs.
+func pairCount(msgs []Message) int {
+	n := 0
+	for _, m := range msgs {
+		n = max(n, m.Pair+1)
+	}
+	return n
 }
 
 // groupBytes returns the wire bytes group g costs at width b (header + packed
@@ -315,15 +354,24 @@ func (p *Problem) SolveExhaustive(maxGroups int) []quant.BitWidth {
 }
 
 // ExpandToSlots maps group widths back to per-message widths, returned as
-// widthsByPair[pair][slot].
-func (p *Problem) ExpandToSlots(groupWidths []quant.BitWidth) map[int][]quant.BitWidth {
-	slots := map[int]int{}
+// widthsByPair[pair][slot]: one entry per pair up to the greatest that
+// carries a message, nil for the pairs that carry none, and 8 bits for a
+// slot no message names.
+func (p *Problem) ExpandToSlots(groupWidths []quant.BitWidth) [][]quant.BitWidth {
+	slots := make([]int, pairCount(p.Messages))
 	for _, m := range p.Messages {
 		slots[m.Pair] = max(slots[m.Pair], m.Slot+1)
 	}
-	out := map[int][]quant.BitWidth{}
+	total := 0
+	for _, n := range slots {
+		total += n
+	}
+	all := slices.Repeat([]quant.BitWidth{quant.B8}, total) // safe default for unassigned slots
+	out := make([][]quant.BitWidth, len(slots))
 	for pair, n := range slots {
-		out[pair] = slices.Repeat([]quant.BitWidth{quant.B8}, n) // safe default for unassigned slots
+		if n > 0 {
+			out[pair], all = all[:n:n], all[n:]
+		}
 	}
 	for gi, g := range p.Groups {
 		for _, mi := range g.Members {

@@ -352,21 +352,44 @@ func TestSolveExhaustiveCapPanics(t *testing.T) {
 	p.SolveExhaustive(5)
 }
 
-// BenchmarkSolve times one solve at the shape of the halo-reddit benchmark
-// workload's layer-0 problem — 20 400 messages of dim 602 over 56 pairs,
-// built through NewProblem — at the default group size and at one message
-// per group, the slowest size a job may ask for.
-func BenchmarkSolve(b *testing.B) {
+// redditMessages is the halo-reddit benchmark workload's layer-0 problem:
+// 20 400 messages of dim 602 over 56 pairs.
+func redditMessages() (msgs []Message, theta, gamma []float64) {
 	rng := tensor.NewRNG(1)
 	const pairs = 56
-	msgs := make([]Message, 20400)
+	msgs = make([]Message, 20400)
 	slots := make([]int, pairs)
 	for i := range msgs {
 		pair := rng.Intn(pairs)
 		msgs[i] = Message{Pair: pair, Slot: slots[pair], Dim: 602, Beta: rng.Float64() * 10}
 		slots[pair]++
 	}
-	theta, gamma := uniformCost(pairs)
+	theta, gamma = uniformCost(pairs)
+	return msgs, theta, gamma
+}
+
+// BenchmarkNewProblem times building the halo-reddit layer-0 problem — the
+// grouping the master repeats for every problem of every assignment round —
+// and expanding a solution back to slots.
+func BenchmarkNewProblem(b *testing.B) {
+	msgs, theta, gamma := redditMessages()
+	widths := make([]quant.BitWidth, 0, len(msgs))
+	for _, groupSize := range []int{100, 1} {
+		b.Run(fmt.Sprintf("group=%d", groupSize), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				p := NewProblem(msgs, groupSize, theta, gamma, 0.5)
+				p.ExpandToSlots(widths[:len(p.Groups)])
+			}
+		})
+	}
+}
+
+// BenchmarkSolve times one solve of the halo-reddit layer-0 problem at the
+// default group size and at one message per group, the slowest size a job
+// may ask for.
+func BenchmarkSolve(b *testing.B) {
+	msgs, theta, gamma := redditMessages()
 	for _, groupSize := range []int{100, 1} {
 		b.Run(fmt.Sprintf("group=%d", groupSize), func(b *testing.B) {
 			p := NewProblem(msgs, groupSize, theta, gamma, 0.5)

@@ -175,7 +175,7 @@ func solveAllProblems(dev Transport, cfg *Config, st *assignState, reports []*tr
 	type solved struct {
 		layer  int
 		dir    direction
-		widths map[int][]quant.BitWidth // pair → per-slot widths
+		widths [][]quant.BitWidth // per pair, per slot; nil for a pair without messages
 		cost   timing.Seconds
 	}
 	var wg sync.WaitGroup

@@ -241,7 +241,7 @@ func refSolveAllProblems(dev Transport, cfg *Config, st *assignState, reports []
 	type solved struct {
 		layer  int
 		dir    direction
-		widths map[int][]quant.BitWidth
+		widths [][]quant.BitWidth
 		groups int
 	}
 	var wg sync.WaitGroup

@@ -3,9 +3,11 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/partition"
+	"repro/internal/synthetic"
 	"repro/internal/tensor"
 	"repro/internal/timing"
 )
@@ -205,6 +207,60 @@ func TestExchangeDecodeErrorNamesPeer(t *testing.T) {
 			}
 			if want := fmt.Sprintf("rank %d from %d: %v", r, first, boom); err.Error() != want {
 				t.Fatalf("dir=%d rank %d: error %q, want %q", dir, r, err, want)
+			}
+		}
+	}
+}
+
+// TestRangeScanCensus counts every row-range scan (tensor.MinMax, through
+// tensor.KernelHook) of an AdaQP run on tiny and wants the encoder to scan
+// nothing itself: each exchange at layers ≥ 1 scans each distinct row it
+// sends exactly once, however many peers receive it, and layer 0's forward
+// rows — the input features — are scanned once per device when the
+// Deployment's static data is built, never during training. Hidden differs
+// from tiny's 32 features, so a scan's length tells layer 0 from the rest.
+func TestRangeScanCensus(t *testing.T) {
+	ds := synthetic.MustLoad("tiny", 1)
+	for _, layers := range []int{2, 3} {
+		cfg := tinyConfig(CodecAdaptive)
+		cfg.Layers, cfg.Epochs, cfg.EvalEvery, cfg.Hidden = layers, 6, 0, 24
+		dep := Deploy(ds, 3, GCN, partition.LDG)
+
+		want := map[int]int{}
+		for rank, lg := range dep.Locals {
+			fwd := len(unionRows(lg.NumLocal, lg.SendTo))
+			bwd := len(unionRows(lg.NumHalo, lg.RecvFrom))
+			if fwd == 0 || bwd == 0 {
+				t.Fatalf("rank %d sends nothing: the census would prove nothing", rank)
+			}
+			want[ds.Features.Cols] += fwd
+			want[cfg.Hidden] += cfg.Epochs * (layers - 1) * (fwd + bwd)
+		}
+
+		var mu sync.Mutex
+		got := map[int]int{}
+		tensor.KernelHook = func(k string, shape [3]int) {
+			if k != "MinMax" {
+				return
+			}
+			mu.Lock()
+			got[shape[0]]++
+			mu.Unlock()
+		}
+		_, err := TrainDeployed(dep, cfg, nil)
+		tensor.KernelHook = nil
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[ds.Features.Cols] != want[ds.Features.Cols] {
+			t.Errorf("layers %d: %d scans of layer 0's forward rows, want %d: one per sent row, at deployment", layers, got[ds.Features.Cols], want[ds.Features.Cols])
+		}
+		if got[cfg.Hidden] != want[cfg.Hidden] {
+			t.Errorf("layers %d: %d scans at layers ≥ 1, want %d: one per distinct sent row per exchange", layers, got[cfg.Hidden], want[cfg.Hidden])
+		}
+		for n, c := range got {
+			if n != ds.Features.Cols && n != cfg.Hidden {
+				t.Errorf("layers %d: %d scans of length %d, none expected", layers, c, n)
 			}
 		}
 	}

@@ -4,11 +4,7 @@ package quant
 
 // Without the assembly cpu.Vector is always false and nothing reaches these.
 
-func roundMaskAVX2(t *[codeChunk]float32, h []float32, mn, inv float32) (draw uint64, ok bool) {
-	panic("quant: no AVX2 kernels in this build")
-}
-
-func roundFinishAVX2(dst []byte, t *[codeChunk]float32, draws *[codeChunk]uint32, b int) {
+func roundAVX2(dst []byte, h []float32, mn, inv float32, b int, s *[4]uint64, draws *[codeChunk]uint64) (ok bool) {
 	panic("quant: no AVX2 kernels in this build")
 }
 

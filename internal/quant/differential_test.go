@@ -225,6 +225,17 @@ func FuzzQuantizeRowMatchesReference(f *testing.F) {
 		f.Add(wide(), uint8(w), uint64(11+w))
 		f.Add(seedRow(sparse...), uint8(w), uint64(14+w))
 	}
+	// reddit-sim's width: a post-ReLU row, and a dense row whose one
+	// minimum is the first element of its second chunk.
+	relu := make([]float32, 602)
+	fillReLUSparse(relu, tensor.NewRNG(17))
+	f.Add(seedRow(relu...), uint8(0), uint64(17))
+	boundary := make([]float32, 602)
+	for i, rng := 0, tensor.NewRNG(18); i < len(boundary); i++ {
+		boundary[i] = rng.Float32() + 1
+	}
+	boundary[codeChunk] = 0
+	f.Add(seedRow(boundary...), uint8(2), uint64(18))
 	f.Fuzz(func(t *testing.T, raw []byte, width uint8, seed uint64) {
 		n := len(raw) / 4
 		if n == 0 || n > 700 {
@@ -240,38 +251,64 @@ func FuzzQuantizeRowMatchesReference(f *testing.F) {
 
 // TestAppendEncodersMatchReference holds the whole-stream encoders to a
 // per-row oracle loop: same bytes, same generator end state, with and
-// without an index list.
+// without an index list. Each row shape fills every row of the matrix, and
+// one more matrix puts row r's minimum at column r mod 64, so every offset
+// of a chunk is a row's only non-drawing element. The widths give every
+// vector length 8–64 of a chunk with and without a 1–7 element tail, tails
+// alone, several chunks, and reddit-sim's 602 columns.
 func TestAppendEncodersMatchReference(t *testing.T) {
-	// 37 columns is one vector group of 32 and a scalar tail; 100 is a full
-	// chunk, a 32-group and a tail.
-	for _, cols := range []int{37, 100} {
-		x := tensor.New(23, cols)
-		fillReLUSparse(x.Data, tensor.NewRNG(5))
-		idx := []int32{22, 0, 7, 7, 13, 1}
-		for _, b := range Candidates {
-			for _, rows := range [][]int32{nil, idx} {
-				eachKernel(func(kernel string) {
-					rng, ref := tensor.NewRNG(9), tensor.NewRNG(9)
-					got := AppendQuantizedRows([]byte{0xEE}, x, rows, b, rng)
-					want := []byte{0xEE}
-					n := x.Rows
-					if rows != nil {
-						n = len(rows)
-					}
-					for i := 0; i < n; i++ {
-						r := i
-						if rows != nil {
-							r = int(rows[i])
+	const rows = 64
+	type matrix struct {
+		name string
+		fill func(x *tensor.Matrix, rng *tensor.RNG)
+	}
+	var matrices []matrix
+	for _, shape := range rowShapes {
+		matrices = append(matrices, matrix{shape.name, func(x *tensor.Matrix, rng *tensor.RNG) {
+			for r := range x.Rows {
+				shape.fill(x.Row(r), rng)
+			}
+		}})
+	}
+	matrices = append(matrices, matrix{"minimum-at-row-offset", func(x *tensor.Matrix, rng *tensor.RNG) {
+		for r := range x.Rows {
+			row := x.Row(r)
+			for i := range row {
+				row[i] = 1 + rng.Float32()
+			}
+			row[r%codeChunk%len(row)] = 0
+		}
+	}})
+	idx := []int32{22, 0, 7, 7, 13, 1, 63, 40}
+	for _, cols := range []int{5, 8, 13, 37, 64, 71, 100, 602} {
+		for _, m := range matrices {
+			x := tensor.New(rows, cols)
+			m.fill(x, tensor.NewRNG(uint64(cols)))
+			for _, b := range Candidates {
+				for _, sel := range [][]int32{nil, idx} {
+					eachKernel(func(kernel string) {
+						rng, ref := tensor.NewRNG(9), tensor.NewRNG(9)
+						got := AppendQuantizedRows([]byte{0xEE}, x, sel, b, rng)
+						want := []byte{0xEE}
+						n := x.Rows
+						if sel != nil {
+							n = len(sel)
 						}
-						want = refAppendRow(want, x.Row(r), b, ref)
-					}
-					if !bytes.Equal(got, want) {
-						t.Fatalf("%s B%d cols %d idx=%v: AppendQuantizedRows differs from the reference stream", kernel, b, cols, rows != nil)
-					}
-					if rng.State() != ref.State() {
-						t.Fatalf("%s B%d cols %d idx=%v: generator state diverged", kernel, b, cols, rows != nil)
-					}
-				})
+						for i := 0; i < n; i++ {
+							r := i
+							if sel != nil {
+								r = int(sel[i])
+							}
+							want = refAppendRow(want, x.Row(r), b, ref)
+						}
+						if !bytes.Equal(got, want) {
+							t.Fatalf("%s %s B%d cols %d idx=%v: AppendQuantizedRows differs from the reference stream", m.name, kernel, b, cols, sel != nil)
+						}
+						if rng.State() != ref.State() {
+							t.Fatalf("%s %s B%d cols %d idx=%v: generator state diverged", m.name, kernel, b, cols, sel != nil)
+						}
+					})
+				}
 			}
 		}
 	}

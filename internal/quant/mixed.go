@@ -93,9 +93,11 @@ func appendStream(dst []byte, size int, x *tensor.Matrix, idx []int32, n int, wi
 				r = int(idx[i])
 			}
 			row := x.Row(r)
-			rg := rangeOf(row)
+			var rg RowRange
 			if ranges != nil {
 				rg = ranges[r]
+			} else {
+				rg = rangeOf(row)
 			}
 			meta := quantizeRow(row, rg, b, out[headerBytes:end], &g)
 			binary.LittleEndian.PutUint32(out, math.Float32bits(meta.Zero))

@@ -12,12 +12,20 @@
 // The Go loops in this file define the bytes and the values: which elements
 // draw and in what order (QuantizeRow), LSB-first packing (pack), and
 // float32(code)*S + Z with the multiply rounded before the add
-// (dequantizeGo). On amd64 with AVX2 (cpu.Vector) the multiple-of-8 prefix
-// of every 64-element chunk is rounded and packed, and of every row
-// de-quantized — stored or accumulated — by the kernels of round_amd64.s and
-// dequant_amd64.s, held to those loops as bits by the differential tests;
-// the loops take the remaining 1–7 elements, whatever the vector rounder
-// declines, and every other host.
+// (dequantizeGo). On amd64 with AVX2 (cpu.Vector) two kernels stand in for
+// them, held to those loops as bits by the differential tests: roundAVX2
+// (round_amd64.s) rounds and packs the multiple-of-8 prefix of every
+// 64-element chunk in one call — t, the draw mask and the range check in
+// registers, one generator step per drawing element in element order, the
+// draws spread to their lanes, packed codes straight into the wire buffer
+// — and dequantizeAVX2 (dequant_amd64.s) de-quantizes the multiple-of-8
+// prefix of every row, stored or accumulated. The loops take the remaining
+// 1–7 elements, every chunk the rounder declines (a NaN t, or one outside
+// [0, 2^24)), and every other host.
+//
+// An encoder scans each row's range once: callers that send a row to
+// several peers pass ranges found once (RowRanges) and the encoder does not
+// scan again.
 package quant
 
 import (
@@ -109,23 +117,21 @@ func RowRanges(dst []RowRange, x *tensor.Matrix, idx []int32) {
 // loads the caller's xoshiro256** state once, every row kernel runs it from
 // locals, and the call stores it back at the end. The stream is exactly
 // tensor.RNG's, so interleaving with other users of the same RNG is
-// unchanged. It also carries the vector rounder's two chunk buffers, so they
-// are cleared once per call, not once per chunk.
+// unchanged. It also carries the vector rounder's scratch, so that is
+// cleared once per call, not once per chunk.
 type gen struct {
-	s0, s1, s2, s3 uint64
+	s [4]uint64
 
-	t     [codeChunk]float32 // roundMaskAVX2's (h[i]-mn)*inv
-	draws [codeChunk]uint32  // the draws of the elements that drew, each < 2^24
+	draws [codeChunk]uint64 // roundAVX2's scratch: a chunk's states, then its draws
 }
 
 func loadGen(rng *tensor.RNG) gen {
-	s := rng.State().S
-	return gen{s0: s[0], s1: s[1], s2: s[2], s3: s[3]}
+	return gen{s: rng.State().S}
 }
 
 func (g *gen) store(rng *tensor.RNG) {
 	st := rng.State()
-	st.S = [4]uint64{g.s0, g.s1, g.s2, g.s3}
+	st.S = g.s
 	rng.SetState(st)
 }
 
@@ -192,8 +198,8 @@ const codeChunk = 64
 // is rounded by the scalar kernel into one code per byte and packed from
 // there. Both draw for the same elements in the same order.
 func (g *gen) round(dst []byte, h []float32, mn, inv float32, b BitWidth, roundUp uint32) {
-	if n8 := len(h) &^ 7; cpu.Vector(len(h)) && roundUp != 0 &&
-		g.roundVector(dst[:n8*int(b)/8], h[:n8], mn, inv, b) {
+	if n8 := len(h) &^ 7; cpu.Vector(len(h)) &&
+		roundAVX2(dst[:n8*int(b)/8], h[:n8], mn, inv, int(b), &g.s, &g.draws) {
 		dst, h = dst[n8*int(b)/8:], h[n8:]
 		if len(h) == 0 {
 			return
@@ -204,44 +210,11 @@ func (g *gen) round(dst []byte, h []float32, mn, inv float32, b BitWidth, roundU
 	pack(dst, codes[:], b)
 }
 
-// roundVector is round for a multiple of 8 elements (at most codeChunk) of a
-// row whose 1/scale did not overflow. AVX2 computes every t and finds the
-// elements that draw, the generator steps once for each of them in element
-// order, and AVX2 turns t and the draws into packed codes. It reports false,
-// having drawn and written nothing, when some t is NaN or outside [0, 2^24):
-// the scalar kernel must round those.
-func (g *gen) roundVector(dst []byte, h []float32, mn, inv float32, b BitWidth) bool {
-	mask, ok := roundMaskAVX2(&g.t, h, mn, inv)
-	if !ok {
-		return false
-	}
-	// An element that does not draw has t = ±0: its fraction is ±0, and no
-	// draw is below that — not the zero its slot starts with, not one an
-	// earlier chunk left there.
-	draws := &g.draws
-	s0, s1, s2, s3 := g.s0, g.s1, g.s2, g.s3
-	for ; mask != 0; mask &= mask - 1 {
-		// One xoshiro256** step — tensor.RNG.Float32's, as in roundScalar.
-		r := bits.RotateLeft64(s1*5, 7) * 9
-		x := s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= x
-		s3 = bits.RotateLeft64(s3, 45)
-		draws[bits.TrailingZeros64(mask)] = uint32(r >> 40)
-	}
-	g.s0, g.s1, g.s2, g.s3 = s0, s1, s2, s3
-	roundFinishAVX2(dst, &g.t, draws, int(b))
-	return true
-}
-
 // roundScalar rounds one element at a time to one code per byte: the
 // portable kernel, and the one every input the vector kernel declines falls
 // back to.
 func (g *gen) roundScalar(codes []uint8, h []float32, mn, inv float32, maxCode, roundUp uint32) {
-	s0, s1, s2, s3 := g.s0, g.s1, g.s2, g.s3
+	s0, s1, s2, s3 := g.s[0], g.s[1], g.s[2], g.s[3]
 	codes = codes[:len(h)]
 	for i, v := range h {
 		t := (v - mn) * inv
@@ -267,7 +240,7 @@ func (g *gen) roundScalar(codes []uint8, h []float32, mn, inv float32, maxCode, 
 		}
 		codes[i] = uint8(code)
 	}
-	g.s0, g.s1, g.s2, g.s3 = s0, s1, s2, s3
+	g.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // pack fills dst with one-per-byte codes packed at width b, LSB-first; codes

@@ -261,8 +261,9 @@ func MatMulTInto(out, a, b *Matrix) {
 }
 
 // KernelHook, when non-nil, is called with the name and shape of every
-// MatMul, TMatMul or MatMulT as (m, k, n) and graph's SpMM or SpMMT as (nnz,
-// cols): a test-only census of the work a run asks for (CI greps for that).
+// MatMul, TMatMul or MatMulT as (m, k, n), graph's SpMM or SpMMT as (nnz,
+// cols) and MinMax as (len): a test-only census of the work a run asks for
+// (CI greps for that).
 var KernelHook func(kernel string, shape [3]int)
 
 // transposePool keeps MatMulTInto's transposed copies of b between calls.
@@ -536,6 +537,9 @@ func (m *Matrix) MaxAbs() float32 {
 // the wire (quant.RowMeta.Zero, the golden frames): the contract is
 // load-bearing, and the AVX2 path is held to minMaxGo as bits.
 func MinMax(v []float32) (mn, mx float32) {
+	if KernelHook != nil {
+		KernelHook("MinMax", [3]int{len(v)})
+	}
 	if !cpu.Vector(len(v)) {
 		return minMaxGo(v)
 	}
