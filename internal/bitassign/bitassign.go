@@ -42,7 +42,10 @@ type Group struct {
 // round).
 type Problem struct {
 	Messages []Message
-	Groups   []Group
+	// Groups holds each pair's groups contiguously, pairs in ascending
+	// order: NewProblem's layout, which Solve reads and a hand-built
+	// problem must keep.
+	Groups []Group
 	// Per-pair affine time model: t_i = Theta[i]·bytes_i + Gamma[i].
 	Theta, Gamma []float64
 	// Lambda trades variance (λ→1) against time (λ→0), Eqn. 12.
@@ -64,7 +67,10 @@ func NewProblem(msgs []Message, groupSize int, theta, gamma []float64, lambda fl
 	p := &Problem{Messages: msgs, Theta: theta, Gamma: gamma, Lambda: lambda}
 	// start[pair] is where the pair's bucket begins in keys, and after the
 	// fill where the next pair's does.
-	pairs := pairCount(msgs)
+	pairs := 0
+	for _, m := range msgs {
+		pairs = max(pairs, m.Pair+1)
+	}
 	start := make([]int, pairs+1)
 	for _, m := range msgs {
 		start[m.Pair+1]++
@@ -109,18 +115,9 @@ func NewProblem(msgs []Message, groupSize int, theta, gamma []float64, lambda fl
 	return p
 }
 
-// pairCount is one more than the greatest pair id among msgs.
-func pairCount(msgs []Message) int {
-	n := 0
-	for _, m := range msgs {
-		n = max(n, m.Pair+1)
-	}
-	return n
-}
-
-// groupBytes returns the wire bytes group g costs at width b (header + packed
+// bytes returns the wire bytes group g costs at width b (header + packed
 // codes per member row).
-func (p *Problem) groupBytes(g *Group, b quant.BitWidth) int {
+func (g *Group) bytes(b quant.BitWidth) int {
 	return len(g.Members) * (8 + b.PackedSize(g.Dim))
 }
 
@@ -162,14 +159,14 @@ func (p *Problem) normalizers() (float64, float64) {
 // eval returns Eqn. 11's variance and Eqn. 10's straggler time when group
 // i has width w(i).
 func (p *Problem) eval(w func(i int) quant.BitWidth) (variance, maxTime float64) {
-	pairBytes := map[int]int{}
+	pairBytes := make([]int, len(p.Theta))
 	for i := range p.Groups {
 		g := &p.Groups[i]
 		variance += varTerm(g.Beta, w(i))
-		pairBytes[g.Pair] += p.groupBytes(g, w(i))
+		pairBytes[g.Pair] += g.bytes(w(i))
 	}
-	for pair, bytes := range pairBytes {
-		maxTime = max(maxTime, p.pairTime(pair, bytes))
+	for _, g := range p.Groups {
+		maxTime = max(maxTime, p.pairTime(g.Pair, pairBytes[g.Pair]))
 	}
 	return variance, maxTime
 }
@@ -191,6 +188,9 @@ func (p *Problem) eval(w func(i int) quant.BitWidth) (variance, maxTime float64)
 // O(P log P) over all P frontier points. F is at most the number of distinct
 // byte totals: about g² when a pair's groups share one dimension and one
 // member count, as NewProblem builds them from one layer's messages.
+//
+// Solve walks Groups in NewProblem's layout (see Problem.Groups) and panics,
+// naming the pair, on groups that break it.
 func (p *Problem) Solve() []quant.BitWidth {
 	widths := make([]quant.BitWidth, len(p.Groups))
 	if len(widths) == 0 {
@@ -199,27 +199,16 @@ func (p *Problem) Solve() []quant.BitWidth {
 	varNorm, timeNorm := p.normalizers()
 	lam, mu := p.Lambda/varNorm, (1-p.Lambda)/timeNorm
 
-	// Groups per pair, pairs in order of first appearance.
-	dense := make([]int, len(p.Theta))
-	var pairs []int
-	var members [][]int
-	for i, g := range p.Groups {
-		if dense[g.Pair] == 0 {
-			pairs = append(pairs, g.Pair)
-			members = append(members, nil)
-			dense[g.Pair] = len(pairs)
-		}
-		k := dense[g.Pair] - 1
-		members[k] = append(members[k], i)
-	}
-	fronts := make([][]point, len(pairs))
+	runs := p.pairRuns()
+	pairs := len(runs) - 1
+	fronts := make([][]point, pairs)
 	var d dp
 	events := 0
 	z := math.Inf(-1)
-	for k, pair := range pairs {
-		fronts[k] = slices.Clone(d.frontier(p, members[k], false))
+	for k := range pairs {
+		fronts[k] = slices.Clone(d.frontier(p.Groups[runs[k]:runs[k+1]], false))
 		events += len(fronts[k]) - 1
-		z = max(z, p.pairTime(pair, fronts[k][0].bytes))
+		z = max(z, p.pairTime(p.Groups[runs[k]].Pair, fronts[k][0].bytes))
 	}
 
 	// Start at the smallest feasible Z; every later frontier point is an
@@ -229,11 +218,12 @@ func (p *Problem) Solve() []quant.BitWidth {
 		pair, next int
 	}
 	queue := make([]event, 0, events)
-	at := make([]int, len(pairs)) // each pair's point at the current Z
+	at := make([]int, pairs) // each pair's point at the current Z
 	variance := 0.0
 	for k, f := range fronts {
+		pair := p.Groups[runs[k]].Pair
 		for i := 1; i < len(f); i++ {
-			if t := p.pairTime(pairs[k], f[i].bytes); t <= z {
+			if t := p.pairTime(pair, f[i].bytes); t <= z {
 				at[k] = i
 			} else {
 				queue = append(queue, event{t, k, i})
@@ -258,15 +248,33 @@ func (p *Problem) Solve() []quant.BitWidth {
 	}
 
 	levels := len(quant.Candidates)
-	for k, gs := range members {
-		d.frontier(p, gs, true)
-		for j, s := best[k], len(gs)-1; s >= 0; s-- {
+	for k := range pairs {
+		run := widths[runs[k]:runs[k+1]]
+		d.frontier(p.Groups[runs[k]:runs[k+1]], true)
+		for j, s := best[k], len(run)-1; s >= 0; s-- {
 			from := d.from[d.starts[s]+j]
-			widths[gs[s]] = quant.Candidates[from%levels]
+			run[s] = quant.Candidates[from%levels]
 			j = from / levels
 		}
 	}
 	return widths
+}
+
+// pairRuns returns where each pair's run of groups starts in p.Groups,
+// followed by len(p.Groups). It panics, naming the pair, if a pair's
+// groups are split apart or pairs come out of ascending order.
+func (p *Problem) pairRuns() []int {
+	runs := []int{0}
+	for i := 1; i < len(p.Groups); i++ {
+		prev, pair := p.Groups[i-1].Pair, p.Groups[i].Pair
+		if pair < prev {
+			panic(fmt.Sprintf("bitassign: group %d of pair %d follows pair %d's: each pair's groups must be contiguous, pairs ascending", i, pair, prev))
+		}
+		if pair != prev {
+			runs = append(runs, i)
+		}
+	}
+	return append(runs, len(p.Groups))
 }
 
 // point is one (bytes, variance) trade-off of a pair.
@@ -283,20 +291,20 @@ type dp struct {
 	from, starts []int
 }
 
-// frontier returns the Pareto frontier of the groups gs (indices into
-// p.Groups): bytes ascending, variance strictly descending. Each group
-// offers every point so far at each width in quant.Candidates; a candidate
-// survives only if no other has at most its bytes and no more variance, the
-// earlier point and then the narrower width winning exact ties. The result
-// is d's buffer, valid until the next call.
-func (d *dp) frontier(p *Problem, gs []int, trail bool) []point {
+// frontier returns the Pareto frontier of one pair's run of groups: bytes
+// ascending, variance strictly descending. Each group offers every point so
+// far at each width in quant.Candidates; a candidate survives only if no
+// other has at most its bytes and no more variance, the earlier point and
+// then the narrower width winning exact ties. The result is d's buffer,
+// valid until the next call.
+func (d *dp) frontier(gs []Group, trail bool) []point {
 	var step [3]point // B = {2, 4, 8}
 	var at [3]int
 	d.front = append(d.front[:0], point{})
 	d.from, d.starts = d.from[:0], d.starts[:0]
-	for _, gi := range gs {
+	for i := range gs {
 		for w, b := range quant.Candidates {
-			step[w] = point{p.groupBytes(&p.Groups[gi], b), varTerm(p.Groups[gi].Beta, b)}
+			step[w] = point{gs[i].bytes(b), varTerm(gs[i].Beta, b)}
 		}
 		d.starts = append(d.starts, len(d.from))
 		d.next, at = d.next[:0], [3]int{}
@@ -351,33 +359,4 @@ func (p *Problem) SolveExhaustive(maxGroups int) []quant.BitWidth {
 		}
 	}
 	return best
-}
-
-// ExpandToSlots maps group widths back to per-message widths, returned as
-// widthsByPair[pair][slot]: one entry per pair up to the greatest that
-// carries a message, nil for the pairs that carry none, and 8 bits for a
-// slot no message names.
-func (p *Problem) ExpandToSlots(groupWidths []quant.BitWidth) [][]quant.BitWidth {
-	slots := make([]int, pairCount(p.Messages))
-	for _, m := range p.Messages {
-		slots[m.Pair] = max(slots[m.Pair], m.Slot+1)
-	}
-	total := 0
-	for _, n := range slots {
-		total += n
-	}
-	all := slices.Repeat([]quant.BitWidth{quant.B8}, total) // safe default for unassigned slots
-	out := make([][]quant.BitWidth, len(slots))
-	for pair, n := range slots {
-		if n > 0 {
-			out[pair], all = all[:n:n], all[n:]
-		}
-	}
-	for gi, g := range p.Groups {
-		for _, mi := range g.Members {
-			m := p.Messages[mi]
-			out[m.Pair][m.Slot] = groupWidths[gi]
-		}
-	}
-	return out
 }

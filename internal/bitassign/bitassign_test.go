@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/quant"
@@ -204,10 +205,10 @@ func TestSolveLocallyOptimalOnRandomShapes(t *testing.T) {
 	}
 }
 
-// TestSolveGroupsInAnyPairOrder feeds Solve hand-built groups whose pairs
-// are neither sorted nor contiguous and whose dims differ within a pair —
+// TestSolveHandBuiltGroups feeds Solve hand-built groups in NewProblem's
+// layout whose pair ids skip and whose dims differ within a pair —
 // NewProblem never produces that, but Groups is an exported field.
-func TestSolveGroupsInAnyPairOrder(t *testing.T) {
+func TestSolveHandBuiltGroups(t *testing.T) {
 	rng := tensor.NewRNG(43)
 	theta, gamma := uniformCost(12)
 	for trial := 0; trial < 50; trial++ {
@@ -218,8 +219,28 @@ func TestSolveGroupsInAnyPairOrder(t *testing.T) {
 				Beta: rng.Float64() * 5, Members: make([]int, 1+rng.Intn(9)),
 			})
 		}
+		slices.SortStableFunc(p.Groups, func(a, b Group) int { return a.Pair - b.Pair })
 		checkLocallyOptimal(t, fmt.Sprintf("trial %d", trial), p, p.Solve())
 	}
+}
+
+// TestSolveSplitPairPanics: a hand-built problem whose pair 2 has its groups
+// split apart by pair 5's breaks the layout Solve reads, and Solve says
+// which pair.
+func TestSolveSplitPairPanics(t *testing.T) {
+	theta, gamma := uniformCost(6)
+	p := &Problem{Theta: theta, Gamma: gamma, Lambda: 0.5, Groups: []Group{
+		{Pair: 2, Dim: 8, Beta: 1, Members: []int{0}},
+		{Pair: 5, Dim: 8, Beta: 1, Members: []int{1}},
+		{Pair: 2, Dim: 8, Beta: 1, Members: []int{2}},
+	}}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "pair 2") {
+			t.Fatalf("panic %q does not name pair 2", msg)
+		}
+	}()
+	p.Solve()
 }
 
 func TestHighBetaGetsMoreBits(t *testing.T) {
@@ -300,35 +321,6 @@ func TestSolveTieRule(t *testing.T) {
 	}
 }
 
-func TestExpandToSlots(t *testing.T) {
-	msgs := []Message{
-		{Pair: 7, Slot: 0, Dim: 8, Beta: 5},
-		{Pair: 7, Slot: 1, Dim: 8, Beta: 1},
-		{Pair: 3, Slot: 0, Dim: 8, Beta: 2},
-	}
-	theta := make([]float64, 10)
-	gamma := make([]float64, 10)
-	for i := range theta {
-		theta[i] = 1e-10
-	}
-	p := NewProblem(msgs, 1, theta, gamma, 0.5)
-	widths := make([]quant.BitWidth, len(p.Groups))
-	for i := range widths {
-		widths[i] = quant.B4
-	}
-	slots := p.ExpandToSlots(widths)
-	if len(slots[7]) != 2 || len(slots[3]) != 1 {
-		t.Fatalf("slot shapes wrong: %v", slots)
-	}
-	for _, ws := range slots {
-		for _, w := range ws {
-			if w != quant.B4 {
-				t.Fatalf("expanded width %d", w)
-			}
-		}
-	}
-}
-
 func TestEmptyProblem(t *testing.T) {
 	theta, gamma := uniformCost(1)
 	p := NewProblem(nil, 5, theta, gamma, 0.5)
@@ -368,18 +360,15 @@ func redditMessages() (msgs []Message, theta, gamma []float64) {
 	return msgs, theta, gamma
 }
 
-// BenchmarkNewProblem times building the halo-reddit layer-0 problem — the
-// grouping the master repeats for every problem of every assignment round —
-// and expanding a solution back to slots.
+// BenchmarkNewProblem times building the halo-reddit layer-0 problem: the
+// grouping the master repeats for every problem of every assignment round.
 func BenchmarkNewProblem(b *testing.B) {
 	msgs, theta, gamma := redditMessages()
-	widths := make([]quant.BitWidth, 0, len(msgs))
 	for _, groupSize := range []int{100, 1} {
 		b.Run(fmt.Sprintf("group=%d", groupSize), func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				p := NewProblem(msgs, groupSize, theta, gamma, 0.5)
-				p.ExpandToSlots(widths[:len(p.Groups)])
+				NewProblem(msgs, groupSize, theta, gamma, 0.5)
 			}
 		})
 	}
@@ -393,6 +382,7 @@ func BenchmarkSolve(b *testing.B) {
 	for _, groupSize := range []int{100, 1} {
 		b.Run(fmt.Sprintf("group=%d", groupSize), func(b *testing.B) {
 			p := NewProblem(msgs, groupSize, theta, gamma, 0.5)
+			b.ReportAllocs()
 			for b.Loop() {
 				p.Solve()
 			}

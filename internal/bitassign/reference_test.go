@@ -9,7 +9,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
@@ -43,26 +42,6 @@ func refNewProblem(msgs []Message, groupSize int, theta, gamma []float64, lambda
 	return p
 }
 
-// refExpandToSlots is ExpandToSlots as it stood before pairs were indexed
-// densely: pair → per-slot widths in a map.
-func refExpandToSlots(p *Problem, groupWidths []quant.BitWidth) map[int][]quant.BitWidth {
-	slots := map[int]int{}
-	for _, m := range p.Messages {
-		slots[m.Pair] = max(slots[m.Pair], m.Slot+1)
-	}
-	out := map[int][]quant.BitWidth{}
-	for pair, n := range slots {
-		out[pair] = slices.Repeat([]quant.BitWidth{quant.B8}, n)
-	}
-	for gi, g := range p.Groups {
-		for _, mi := range g.Members {
-			m := p.Messages[mi]
-			out[m.Pair][m.Slot] = groupWidths[gi]
-		}
-	}
-	return out
-}
-
 // groupBits is groups with each β as its bits, so that reflect.DeepEqual
 // holds a NaN β equal to itself.
 func groupBits(groups []Group) []any {
@@ -76,8 +55,7 @@ func groupBits(groups []Group) []any {
 // TestNewProblemMatchesReference builds problems whose messages arrive with
 // their pairs interleaved, whose β repeat (ties broken by slot) and include
 // NaN, on pairs that skip ids, and wants NewProblem's groups deeply equal to
-// the oracle's for group sizes 1, 7 and 100 — and ExpandToSlots' tables
-// equal to the map-based expansion.
+// the oracle's for group sizes 1, 7 and 100.
 func TestNewProblemMatchesReference(t *testing.T) {
 	rng := tensor.NewRNG(61)
 	betas := []float64{0, 1, 2.5, 2.5, 7, math.NaN(), math.Inf(1)}
@@ -104,21 +82,6 @@ func TestNewProblemMatchesReference(t *testing.T) {
 			want := refNewProblem(msgs, groupSize, theta, gamma, 0.5)
 			if !reflect.DeepEqual(groupBits(got.Groups), groupBits(want.Groups)) {
 				t.Fatalf("%s: groups differ from the reference\n got  %+v\n want %+v", name, got.Groups, want.Groups)
-			}
-			widths := make([]quant.BitWidth, len(got.Groups))
-			for i := range widths {
-				widths[i] = quant.Candidates[rng.Intn(len(quant.Candidates))]
-			}
-			dense, ref := got.ExpandToSlots(widths), refExpandToSlots(want, widths)
-			for pair, ws := range dense {
-				if !slices.Equal(ws, ref[pair]) || (ws == nil) != (ref[pair] == nil) {
-					t.Fatalf("%s: pair %d expands to %v, reference %v", name, pair, ws, ref[pair])
-				}
-			}
-			for pair := range ref {
-				if pair >= len(dense) {
-					t.Fatalf("%s: pair %d missing from the expansion", name, pair)
-				}
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/bitassign"
@@ -24,9 +25,10 @@ type assignState struct {
 	layers int
 	dims   []int // dims[l] = dimension of layer-l messages (layer input)
 
-	// alphaSq[slot] = Σ_{v ∈ N_T(k)} α²_{k,v}: the receiver-side factor of
-	// β (Theorem 3) for each of this device's halo slots. Static.
-	alphaSq []float64
+	// recvAlpha[p][j] = Σ_{v ∈ N_T(k)} α²_{k,v} for the halo slot
+	// RecvFrom[p][j]: the receiver-side factor of β (Theorem 3) in wire
+	// order, as the trace ships it. Static.
+	recvAlpha [][]float64
 
 	// ranges[dir][l][peer][j] is the traced max−min of the j-th message
 	// sent to peer at layer l (wire order dir.sent), refreshed on tracing
@@ -38,13 +40,12 @@ type assignState struct {
 }
 
 // bootstrapBits is the width of every message before the first assignment
-// round has solved any: AdaQP's bootstrap epoch 0 ships at it, and a solved
-// table missing a message falls back to it.
+// round has solved any: AdaQP's bootstrap epoch 0 ships at it.
 const bootstrapBits = quant.B8
 
 func newAssignState(cfg *Config, lg *partition.LocalGraph, inDim int) *assignState {
 	st := &assignState{lg: lg, layers: cfg.Layers, dims: messageDims(cfg, inDim)}
-	st.alphaSq = make([]float64, lg.NumHalo)
+	perSlot := make([]float64, lg.NumHalo) // Σα² by halo slot
 	for u := 0; u < lg.NumLocal; u++ {
 		ws := lg.Adj.EdgeWeights(u)
 		for k, v := range lg.Adj.Neighbors(u) {
@@ -53,8 +54,15 @@ func newAssignState(cfg *Config, lg *partition.LocalGraph, inDim int) *assignSta
 				if ws != nil {
 					w = ws[k]
 				}
-				st.alphaSq[int(v)-lg.NumLocal] += float64(w) * float64(w)
+				perSlot[int(v)-lg.NumLocal] += float64(w) * float64(w)
 			}
+		}
+	}
+	st.recvAlpha = make([][]float64, lg.Parts)
+	for p, slots := range lg.RecvFrom {
+		st.recvAlpha[p] = make([]float64, len(slots))
+		for j, slot := range slots {
+			st.recvAlpha[p][j] = perSlot[slot]
 		}
 	}
 	for _, dir := range directions {
@@ -145,21 +153,15 @@ func runAssignment(dev Transport, cfg *Config, st *assignState) error {
 // report is the trace device rank sends the master: its traced ranges and
 // the Σα² of every halo slot in wire order.
 func (st *assignState) report(rank int) traceMsg {
-	m := traceMsg{Rank: rank, Range: st.ranges, RecvAlpha: make([][]float64, st.lg.Parts)}
-	for p, slots := range st.lg.RecvFrom {
-		as := make([]float64, len(slots))
-		for j, slot := range slots {
-			as[j] = st.alphaSq[slot]
-		}
-		m.RecvAlpha[p] = as
-	}
-	return m
+	return traceMsg{Rank: rank, RecvAlpha: st.recvAlpha, Range: st.ranges}
 }
 
 // solveAllProblems builds and solves one Problem per (layer, direction) on
 // the master, in parallel goroutines (the paper's thread pool, step 3),
-// and packages per-device width tables. Returns the simulated solve cost:
-// the slowest problem's, since the problems run side by side.
+// each writing its groups' widths straight into every device's width
+// tables. A pair's table is sized from the sender's report and hung on both
+// endpoints. Returns the simulated solve cost: the slowest problem's, since
+// the problems run side by side.
 func solveAllProblems(dev Transport, cfg *Config, st *assignState, reports []*traceMsg) ([]*widthMsg, timing.Seconds) {
 	n := len(reports)
 	model := dev.Model()
@@ -172,59 +174,51 @@ func solveAllProblems(dev Transport, cfg *Config, st *assignState, reports []*tr
 		}
 	}
 
-	type solved struct {
-		layer  int
-		dir    direction
-		widths [][]quant.BitWidth // per pair, per slot; nil for a pair without messages
-		cost   timing.Seconds
-	}
-	var wg sync.WaitGroup
-	results := make(chan solved, 2*st.layers)
-	launch := func(layer int, dir direction) {
-		defer wg.Done()
-		msgs := problemMessages(reports, layer, dir, st.dims[layer])
-		prob := bitassign.NewProblem(msgs, cfg.GroupSize, theta, gamma, cfg.Lambda)
-		widths := prob.Solve()
-		results <- solved{layer: layer, dir: dir, widths: prob.ExpandToSlots(widths), cost: solveCost(len(prob.Groups))}
-	}
-	for _, dir := range directions {
-		for l := dir.firstLayer(); l < st.layers; l++ {
-			wg.Add(1)
-			go launch(l, dir)
-		}
-	}
-	wg.Wait()
-	close(results)
-
 	out := make([]*widthMsg, n)
 	for r := range out {
 		out[r] = &widthMsg{}
 		for _, dir := range directions {
-			out[r].Send[dir], out[r].Recv[dir] = emptyWidthGrid(dir, st.layers, n), emptyWidthGrid(dir, st.layers, n)
+			out[r].Send[dir], out[r].Recv[dir] = make([][][]quant.BitWidth, st.layers), make([][][]quant.BitWidth, st.layers)
+			for l := dir.firstLayer(); l < st.layers; l++ {
+				out[r].Send[dir][l], out[r].Recv[dir][l] = make([][]quant.BitWidth, n), make([][]quant.BitWidth, n)
+			}
 		}
 	}
-	var slowest timing.Seconds
-	for s := range results {
-		slowest = max(slowest, s.cost)
-		for pair, ws := range s.widths {
-			src, dst := pair/n, pair%n
-			out[src].Send[s.dir][s.layer][dst] = ws
-			out[dst].Recv[s.dir][s.layer][src] = ws
-		}
-	}
-	// Fill the tables the solver did not cover (pairs with no messages)
-	// with sizes from the reports so width tables always match wire sizes.
-	for r := 0; r < n; r++ {
+	for src, rep := range reports {
 		for _, dir := range directions {
 			for l := dir.firstLayer(); l < st.layers; l++ {
-				for d := 0; d < n; d++ {
-					fixWidths(&out[r].Send[dir][l][d], len(reports[r].Range[dir][l][d]))
-					fixWidths(&out[r].Recv[dir][l][d], len(reports[d].Range[dir][l][r]))
+				for dst, rs := range rep.Range[dir][l] {
+					if dst == src {
+						continue // a device sends itself nothing
+					}
+					ws := make([]quant.BitWidth, len(rs))
+					out[src].Send[dir][l][dst], out[dst].Recv[dir][l][src] = ws, ws
 				}
 			}
 		}
 	}
-	return out, slowest
+
+	var wg sync.WaitGroup
+	costs := make([]timing.Seconds, 2*st.layers)
+	for _, dir := range directions {
+		for l := dir.firstLayer(); l < st.layers; l++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				msgs := problemMessages(reports, l, dir, st.dims[l])
+				prob := bitassign.NewProblem(msgs, cfg.GroupSize, theta, gamma, cfg.Lambda)
+				for g, w := range prob.Solve() {
+					for _, mi := range prob.Groups[g].Members {
+						m := &msgs[mi]
+						out[m.Pair/n].Send[dir][l][m.Pair%n][m.Slot] = w
+					}
+				}
+				costs[2*l+int(dir)] = solveCost(len(prob.Groups))
+			}()
+		}
+	}
+	wg.Wait()
+	return out, slices.Max(costs)
 }
 
 // solveCost is the simulated host time of solving one problem of the given
@@ -274,21 +268,6 @@ func problemMessages(reports []*traceMsg, layer int, dir direction, dim int) []b
 		}
 	}
 	return msgs
-}
-
-func emptyWidthGrid(dir direction, layers, n int) [][][]quant.BitWidth {
-	g := make([][][]quant.BitWidth, layers)
-	for l := dir.firstLayer(); l < layers; l++ {
-		g[l] = make([][]quant.BitWidth, n)
-	}
-	return g
-}
-
-func fixWidths(ws *[]quant.BitWidth, want int) {
-	if len(*ws) == want {
-		return
-	}
-	*ws = quant.UniformWidths(want, bootstrapBits)
 }
 
 // pairDeterministicWidths derives a width table both sides of a pair can

@@ -256,7 +256,7 @@ func refSolveAllProblems(dev Transport, cfg *Config, st *assignState, reports []
 				defer wg.Done()
 				msgs := refProblemMessages(reports, layer, dir, st.dims[layer])
 				prob := bitassign.NewProblem(msgs, cfg.GroupSize, theta, gamma, cfg.Lambda)
-				results <- solved{layer, dir, prob.ExpandToSlots(prob.Solve()), len(prob.Groups)}
+				results <- solved{layer, dir, refExpandToSlots(prob, prob.Solve()), len(prob.Groups)}
 			}(l, dir)
 		}
 	}
@@ -292,6 +292,52 @@ func refSolveAllProblems(dev Transport, cfg *Config, st *assignState, reports []
 		}
 	}
 	return out, total
+}
+
+// refExpandToSlots maps group widths back to per-message widths, returned
+// as widthsByPair[pair][slot]: one entry per pair up to the greatest that
+// carries a message, nil for the pairs that carry none, and 8 bits for a
+// slot no message names.
+func refExpandToSlots(p *bitassign.Problem, groupWidths []quant.BitWidth) [][]quant.BitWidth {
+	var slots []int
+	for _, m := range p.Messages {
+		for len(slots) <= m.Pair {
+			slots = append(slots, 0)
+		}
+		slots[m.Pair] = max(slots[m.Pair], m.Slot+1)
+	}
+	out := make([][]quant.BitWidth, len(slots))
+	for pair, n := range slots {
+		if n > 0 {
+			out[pair] = quant.UniformWidths(n, quant.B8)
+		}
+	}
+	for gi, g := range p.Groups {
+		for _, mi := range g.Members {
+			m := p.Messages[mi]
+			out[m.Pair][m.Slot] = groupWidths[gi]
+		}
+	}
+	return out
+}
+
+// emptyWidthGrid is one direction's per-layer, per-peer width cube with
+// no tables in it, nil below dir.firstLayer().
+func emptyWidthGrid(dir direction, layers, n int) [][][]quant.BitWidth {
+	g := make([][][]quant.BitWidth, layers)
+	for l := dir.firstLayer(); l < layers; l++ {
+		g[l] = make([][]quant.BitWidth, n)
+	}
+	return g
+}
+
+// fixWidths replaces a table whose length is not the wire size with one of
+// bootstrapBits widths.
+func fixWidths(ws *[]quant.BitWidth, want int) {
+	if len(*ws) == want {
+		return
+	}
+	*ws = quant.UniformWidths(want, bootstrapBits)
 }
 
 func refProblemMessages(reports []*refTraceMsg, layer int, dir direction, dim int) []bitassign.Message {

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/partition"
 	"repro/internal/quant"
 	"repro/internal/synthetic"
 	"repro/internal/tensor"
@@ -16,7 +15,7 @@ import (
 func deployTiny(t *testing.T, parts int) *Deployment {
 	t.Helper()
 	ds := synthetic.MustLoad("tiny", 1)
-	return Deploy(ds, parts, GCN, partition.Block)
+	return testDeploy(ds, parts, GCN)
 }
 
 func TestWidthTableShapes(t *testing.T) {
@@ -53,32 +52,50 @@ func TestWidthTableShapes(t *testing.T) {
 	}
 }
 
+// TestAssignStateAlphaSq: the receiver-side Σα² table has one entry per
+// halo slot in wire order, positive for every slot an edge references (GCN
+// sym-norm weights are positive), zero for the rest, and equal to the sum
+// of the slot's squared edge weights.
 func TestAssignStateAlphaSq(t *testing.T) {
 	dep := deployTiny(t, 2)
 	cfg := DefaultConfig()
 	cfg.Hidden = 16
 	lg := dep.Locals[0]
 	st := newAssignState(&cfg, lg, dep.Dataset.Features.Cols)
-	if len(st.alphaSq) != lg.NumHalo {
-		t.Fatalf("alphaSq length %d, want %d", len(st.alphaSq), lg.NumHalo)
-	}
-	// Each halo slot that is actually referenced by an edge must have a
-	// positive Σα² (GCN sym-norm weights are positive).
+	want := make([]float64, lg.NumHalo)
 	referenced := make([]bool, lg.NumHalo)
 	for u := 0; u < lg.NumLocal; u++ {
-		for _, v := range lg.Adj.Neighbors(u) {
-			if int(v) >= lg.NumLocal {
-				referenced[int(v)-lg.NumLocal] = true
+		ws := lg.Adj.EdgeWeights(u)
+		for k, v := range lg.Adj.Neighbors(u) {
+			if s := int(v) - lg.NumLocal; s >= 0 {
+				w := 1.0
+				if ws != nil {
+					w = float64(ws[k])
+				}
+				referenced[s] = true
+				want[s] += w * w
 			}
 		}
 	}
-	for s, ref := range referenced {
-		if ref && st.alphaSq[s] <= 0 {
-			t.Fatalf("referenced halo slot %d has Σα² = %v", s, st.alphaSq[s])
+	if len(st.recvAlpha) != lg.Parts {
+		t.Fatalf("recvAlpha covers %d peers, want %d", len(st.recvAlpha), lg.Parts)
+	}
+	slots := 0
+	for p, wire := range lg.RecvFrom {
+		if len(st.recvAlpha[p]) != len(wire) {
+			t.Fatalf("peer %d: %d Σα² entries for %d halo slots", p, len(st.recvAlpha[p]), len(wire))
 		}
-		if !ref && st.alphaSq[s] != 0 {
-			t.Fatalf("unreferenced halo slot %d has Σα² = %v", s, st.alphaSq[s])
+		for j, s := range wire {
+			got := st.recvAlpha[p][j]
+			if referenced[s] && got <= 0 || !referenced[s] && got != 0 || got != want[s] {
+				t.Fatalf("peer %d wire position %d (halo slot %d, referenced %v): Σα² = %v, want %v",
+					p, j, s, referenced[s], got, want[s])
+			}
 		}
+		slots += len(wire)
+	}
+	if slots == 0 {
+		t.Fatal("no halo slots: the check exercised nothing")
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/partition"
 	"repro/internal/quant"
 	"repro/internal/synthetic"
 	"repro/internal/timing"
@@ -78,7 +77,7 @@ func TestCodecGolden(t *testing.T) {
 	var got bytes.Buffer
 	for _, model := range []ModelKind{GCN, GraphSAGE} {
 		for _, parts := range []int{3, 4} {
-			dep := Deploy(ds, parts, model, partition.Block)
+			dep := testDeploy(ds, parts, model)
 			for _, v := range goldenVariants {
 				cfg := DefaultConfig()
 				cfg.Model, cfg.Codec, cfg.UniformBits = model, v.codec, v.bits

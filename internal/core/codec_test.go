@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/partition"
 	"repro/internal/quant"
 	"repro/internal/synthetic"
 	"repro/internal/tensor"
@@ -77,7 +76,7 @@ func TestParseModelKindRoundTrip(t *testing.T) {
 // codec's declared error bound (exactly, for codecs declaring no loss).
 func TestCodecForwardRoundTripTable(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
-	dep := Deploy(ds, 3, GCN, partition.Block)
+	dep := testDeploy(ds, 3, GCN)
 	zero := func(_, _, _ int) float32 { return 0 }
 	cases := []struct {
 		label string

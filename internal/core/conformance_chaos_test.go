@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/metrics"
-	"repro/internal/partition"
 	"repro/internal/synthetic"
 	"repro/internal/tensor"
 	"repro/internal/timing"
@@ -46,7 +45,7 @@ func lossParity(t *testing.T, label string, ref, got *metrics.RunResult) {
 // bit-identical including clocks, and wall-clock strictly grows.
 func TestChaosSlowdownDeterminism(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
-	dep := Deploy(ds, 4, GCN, partition.Block)
+	dep := testDeploy(ds, 4, GCN)
 	spec := chaos.Spec{Seed: 3, Stragglers: 2, SlowFactor: 3, LinkFactor: 2}
 	ref := confTrain(t, dep, confTrainConfig(CodecFP32))
 	for _, tr := range TransportNames() {
@@ -75,7 +74,7 @@ func TestChaosSlowdownDeterminism(t *testing.T) {
 // on every backend.
 func TestChaosTransientRetries(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
-	dep := Deploy(ds, 4, GCN, partition.Block)
+	dep := testDeploy(ds, 4, GCN)
 	spec := chaos.Spec{Seed: 9, FailRate: 0.3, MaxRetries: 2, Backoff: 0.01}
 	ref := confTrain(t, dep, confTrainConfig(CodecFP32))
 	var retries []int64
@@ -139,7 +138,7 @@ func (c *countingCodec) Forward(env *ExchangeEnv, epoch, layer int, h, xFull *te
 // penalty.
 func TestChaosCrashRecovery(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
-	dep := Deploy(ds, 4, GCN, partition.Block)
+	dep := testDeploy(ds, 4, GCN)
 	spec := chaos.Spec{Seed: 5, CrashEpoch: 3, RestartPenalty: 50}
 	bases := []Config{countingConfig()}
 	for _, codec := range CodecNames() {
@@ -173,7 +172,7 @@ func TestChaosCrashRecovery(t *testing.T) {
 // the fault-free run's.
 func TestChaosCrashRecoversPaperCodec(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
-	dep := Deploy(ds, 4, GCN, partition.Block)
+	dep := testDeploy(ds, 4, GCN)
 	for _, codec := range []string{CodecAdaptive, CodecRandom} {
 		base := confTrainConfig(codec)
 		base.Epochs, base.ReassignPeriod = 8, 5
@@ -400,7 +399,7 @@ func TestChaosConformanceCatchesBrokenTransports(t *testing.T) {
 // with links intact.
 func TestFaultPlanLinkSlowdownChargesMore(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
-	dep := Deploy(ds, 4, GCN, partition.Block)
+	dep := testDeploy(ds, 4, GCN)
 	run := func(link float64) timing.Seconds {
 		cfg := confTrainConfig(CodecFP32)
 		cfg.Faults = chaos.Spec{Seed: 4, Stragglers: 2, SlowFactor: 1.5, LinkFactor: link}

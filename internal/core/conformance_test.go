@@ -8,7 +8,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/metrics"
-	"repro/internal/partition"
 	"repro/internal/synthetic"
 	"repro/internal/tensor"
 	"repro/internal/timing"
@@ -60,7 +59,7 @@ func confTrain(t *testing.T, dep *Deployment, cfg Config) *metrics.RunResult {
 // accounting.
 func TestTransportLossParity(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
-	dep := Deploy(ds, 4, GCN, partition.Block)
+	dep := testDeploy(ds, 4, GCN)
 	for _, codec := range CodecNames() {
 		ref := confTrain(t, dep, confTrainConfig(codec))
 		for _, name := range TransportNames() {
@@ -81,7 +80,7 @@ func TestTransportLossParity(t *testing.T) {
 // schedule — only where the simulated time lands changes.
 func TestOverlapLossParity(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
-	dep := Deploy(ds, 4, GCN, partition.Block)
+	dep := testDeploy(ds, 4, GCN)
 	blocking := confTrain(t, dep, confTrainConfig(CodecSancus))
 	ovl := confTrainConfig(CodecSancus)
 	ovl.TransportOverlap = true
@@ -94,7 +93,7 @@ func TestOverlapLossParity(t *testing.T) {
 // changes no loss, clock or byte.
 func TestOverlapKnobIsSancusOnly(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
-	dep := Deploy(ds, 4, GCN, partition.Block)
+	dep := testDeploy(ds, 4, GCN)
 	for _, codec := range []string{CodecFP32, CodecAdaptive, CodecPipeGCN} {
 		off := confTrain(t, dep, confTrainConfig(codec))
 		cfg := confTrainConfig(codec)
@@ -112,7 +111,7 @@ func TestOverlapKnobIsSancusOnly(t *testing.T) {
 // epoch, and the hidden seconds must be visible under the Overlap phase.
 func TestOverlapReducesWallClock(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
-	dep := Deploy(ds, 4, GCN, partition.Block)
+	dep := testDeploy(ds, 4, GCN)
 	blocking := confTrain(t, dep, confTrainConfig(CodecSancus))
 	cfg := confTrainConfig(CodecSancus)
 	cfg.TransportOverlap = true
@@ -130,7 +129,7 @@ func TestOverlapReducesWallClock(t *testing.T) {
 // backend — faults and overlap both perturb simulated time only.
 func TestOverlapChaosLossParity(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
-	dep := Deploy(ds, 4, GCN, partition.Block)
+	dep := testDeploy(ds, 4, GCN)
 	base := confTrainConfig(CodecSancus)
 	base.Faults = chaos.Spec{Seed: 14, Stragglers: 2, SlowFactor: 2, LinkFactor: 3, FailRate: 0.3, MaxRetries: 3, Backoff: 0.02}
 	ref := confTrain(t, dep, base)

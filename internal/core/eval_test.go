@@ -38,7 +38,7 @@ func TestEvalGolden(t *testing.T) {
 	for _, name := range []string{"tiny", "tiny-multi"} {
 		ds := synthetic.MustLoad(name, 1)
 		for _, model := range []ModelKind{GCN, GraphSAGE} {
-			dep := Deploy(ds, 3, model, partition.Block)
+			dep := testDeploy(ds, 3, model)
 			for _, transport := range []string{TransportInprocess, TransportProcSharded} {
 				for _, v := range goldenVariants {
 					cfg := DefaultConfig()
@@ -143,11 +143,11 @@ func TestConcurrentRunsShareOneDeployment(t *testing.T) {
 			cfgs[i].Model, cfgs[i].Codec, cfgs[i].UniformBits = tc.model, codec, quant.B4
 			cfgs[i].Hidden, cfgs[i].Epochs, cfgs[i].EvalEvery, cfgs[i].ReassignPeriod = 16, 4, 1, 2
 			var err error
-			if alone[i], err = TrainDeployed(Deploy(ds, 3, tc.model, partition.Block), cfgs[i], nil); err != nil {
+			if alone[i], err = TrainDeployed(testDeploy(ds, 3, tc.model), cfgs[i], nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		dep := Deploy(ds, 3, tc.model, partition.Block)
+		dep := testDeploy(ds, 3, tc.model)
 		var wg sync.WaitGroup
 		var errs [2]error
 		for i := range pair {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/partition"
 	"repro/internal/quant"
 	"repro/internal/synthetic"
 	"repro/internal/tensor"
@@ -60,7 +59,7 @@ func FuzzCodecDecode(f *testing.F) {
 // reject trailing bytes and set padding bits, so a decoded payload is
 // consumed whole).
 func FuzzAssignWireDecode(f *testing.F) {
-	dep := Deploy(synthetic.MustLoad("tiny", 1), 3, GCN, partition.Block)
+	dep := testDeploy(synthetic.MustLoad("tiny", 1), 3, GCN)
 	cfg := DefaultConfig()
 	cfg.Hidden = 16
 	st := newAssignState(&cfg, dep.Locals[1], dep.Dataset.Features.Cols)

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/partition"
 	"repro/internal/quant"
 	"repro/internal/synthetic"
 	"repro/internal/timing"
@@ -23,7 +22,7 @@ func TestSancusMovesFewerBytesThanVanilla(t *testing.T) {
 	// SANCUS skips broadcasts under its staleness bound and never sends
 	// backward messages, so its total traffic must be well below Vanilla's.
 	ds := synthetic.MustLoad("tiny", 1)
-	dep := Deploy(ds, 3, GCN, partition.Block)
+	dep := testDeploy(ds, 3, GCN)
 	van, err := TrainDeployed(dep, tinyConfig(CodecFP32), byteBound())
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +49,7 @@ func TestSancusBroadcastsOnEveryRefreshBound(t *testing.T) {
 	// a huge drift threshold and large MaxStale it broadcasts rarely. The
 	// rarely-broadcasting run must move strictly fewer bytes.
 	ds := synthetic.MustLoad("tiny", 1)
-	dep := Deploy(ds, 3, GCN, partition.Block)
+	dep := testDeploy(ds, 3, GCN)
 	fresh := tinyConfig(CodecSancus)
 	fresh.SancusMaxStale = 1
 	stale := tinyConfig(CodecSancus)
@@ -80,7 +79,7 @@ func TestPipeGCNMatchesVanillaLossAtEpochZero(t *testing.T) {
 	// first loss must equal Vanilla's exactly; staleness kicks in later
 	// and the trajectories may diverge.
 	ds := synthetic.MustLoad("tiny", 1)
-	dep := Deploy(ds, 3, GraphSAGE, partition.Block)
+	dep := testDeploy(ds, 3, GraphSAGE)
 	cfgV := tinyConfig(CodecFP32)
 	cfgV.Model = GraphSAGE
 	cfgV.Dropout = 0
@@ -105,7 +104,7 @@ func TestPipeGCNOverlapReducesEpochTime(t *testing.T) {
 	// with computation, so its simulated time must undercut Vanilla's on
 	// the same deployment.
 	ds := synthetic.MustLoad("tiny", 1)
-	dep := Deploy(ds, 4, GraphSAGE, partition.Block)
+	dep := testDeploy(ds, 4, GraphSAGE)
 	cfgV := tinyConfig(CodecFP32)
 	cfgV.Model = GraphSAGE
 	cfgP := tinyConfig(CodecPipeGCN)
@@ -129,7 +128,7 @@ func TestPipeGCNOverlapReducesEpochTime(t *testing.T) {
 // to its clock.
 func TestAdaQPReportsOverlapSeconds(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", 1)
-	dep := Deploy(ds, 3, GCN, partition.Block)
+	dep := testDeploy(ds, 3, GCN)
 	cfg := tinyConfig(CodecAdaptive)
 	clocks := captureClocks(t, &cfg)
 	res, err := TrainDeployed(dep, cfg, nil)
@@ -150,7 +149,7 @@ func TestAdaQPReportsOverlapSeconds(t *testing.T) {
 func TestUniformBitsOrderTraffic(t *testing.T) {
 	// 2-bit < 4-bit < 8-bit < full precision in total bytes moved.
 	ds := synthetic.MustLoad("tiny", 1)
-	dep := Deploy(ds, 3, GCN, partition.Block)
+	dep := testDeploy(ds, 3, GCN)
 	var prev int64 = -1
 	for _, b := range []quant.BitWidth{quant.B2, quant.B4, quant.B8} {
 		cfg := tinyConfig(CodecUniform)
@@ -178,7 +177,7 @@ func TestDeterministicRuns(t *testing.T) {
 	// Same config, same deployment → bit-identical losses and accuracy,
 	// regardless of goroutine scheduling.
 	ds := synthetic.MustLoad("tiny", 1)
-	dep := Deploy(ds, 3, GCN, partition.Block)
+	dep := testDeploy(ds, 3, GCN)
 	cfg := tinyConfig(CodecAdaptive)
 	a, err := TrainDeployed(dep, cfg, nil)
 	if err != nil {
@@ -200,7 +199,7 @@ func TestDeterministicRuns(t *testing.T) {
 
 func TestSeedChangesTrajectory(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", 1)
-	dep := Deploy(ds, 2, GCN, partition.Block)
+	dep := testDeploy(ds, 2, GCN)
 	cfg1 := tinyConfig(CodecFP32)
 	cfg2 := tinyConfig(CodecFP32)
 	cfg2.Seed = 999
@@ -219,7 +218,7 @@ func TestSeedChangesTrajectory(t *testing.T) {
 
 func TestPairBytesFirstLayer(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", 1)
-	dep := Deploy(ds, 3, GCN, partition.Block)
+	dep := testDeploy(ds, 3, GCN)
 	pairs := PairBytesFirstLayer(dep)
 	dim := ds.Features.Cols
 	for src, lg := range dep.Locals {
@@ -259,7 +258,7 @@ func TestEvalDoesNotChargeClock(t *testing.T) {
 	// Two runs differing only in evaluation frequency must report the
 	// same simulated wall-clock (metrics are out-of-band).
 	ds := synthetic.MustLoad("tiny", 1)
-	dep := Deploy(ds, 2, GCN, partition.Block)
+	dep := testDeploy(ds, 2, GCN)
 	cfgNoEval := tinyConfig(CodecFP32)
 	cfgNoEval.EvalEvery = 0
 	cfgEval := tinyConfig(CodecFP32)

@@ -61,7 +61,7 @@ func TestPredictMatchesTraining(t *testing.T) {
 
 // TestPredictTerms checks the per-epoch terms Table 2 and Fig. 3 print.
 func TestPredictTerms(t *testing.T) {
-	dep := Deploy(synthetic.MustLoad("tiny", 1), 4, GCN, partition.Block)
+	dep := testDeploy(synthetic.MustLoad("tiny", 1), 4, GCN)
 	cfg := DefaultConfig()
 	cfg.Hidden, cfg.Epochs = 32, 1
 	predict := func(codec string, b quant.BitWidth) []DeviceEpoch {
@@ -101,7 +101,7 @@ func TestPredictTerms(t *testing.T) {
 
 // TestPredictRefuses checks that Predict answers only for what it models.
 func TestPredictRefuses(t *testing.T) {
-	dep := Deploy(synthetic.MustLoad("tiny", 1), 2, GCN, partition.Block)
+	dep := testDeploy(synthetic.MustLoad("tiny", 1), 2, GCN)
 	for _, codec := range []string{CodecAdaptive, CodecRandom, CodecPipeGCN, CodecSancus} {
 		cfg := DefaultConfig()
 		cfg.Codec = codec

@@ -20,10 +20,17 @@ import (
 	"repro/internal/timing"
 )
 
-// trainBlock trains cfg over ds block-partitioned parts ways on the
+// testDeploy deploys ds parts ways for model on the partitioner every
+// core test uses unless it picks one on purpose. It is Block, the
+// partitioner codec_golden.txt and eval_golden.txt were captured on.
+func testDeploy(ds *synthetic.Dataset, parts int, model ModelKind) *Deployment {
+	return Deploy(ds, parts, model, partition.Block)
+}
+
+// trainBlock trains cfg over ds split parts ways by testDeploy, on the
 // default cost model.
 func trainBlock(ds *synthetic.Dataset, parts int, cfg Config) (*metrics.RunResult, error) {
-	return TrainDeployed(Deploy(ds, parts, cfg.Model, partition.Block), cfg, nil)
+	return TrainDeployed(testDeploy(ds, parts, cfg.Model), cfg, nil)
 }
 
 func tinyConfig(codec string) Config {
@@ -123,7 +130,7 @@ func TestAdaQPFasterThanVanilla(t *testing.T) {
 	model := timing.Default()
 	model.Latency = 1e-7
 	ds := synthetic.MustLoad("tiny", 1)
-	dep := Deploy(ds, 4, GCN, 0)
+	dep := Deploy(ds, 4, GCN, partition.LDG)
 	van, err := TrainDeployed(dep, tinyConfig(CodecFP32), model)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +149,7 @@ func TestAdaQPFasterThanVanilla(t *testing.T) {
 
 func TestUniform2BitCompression(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", 1)
-	dep := Deploy(ds, 4, GCN, 0)
+	dep := Deploy(ds, 4, GCN, partition.LDG)
 	cfg := tinyConfig(CodecUniform)
 	cfg.UniformBits = quant.B2
 	van, err := TrainDeployed(dep, tinyConfig(CodecFP32), nil)
@@ -217,7 +224,7 @@ func (d shortGatherDev) RawAllGather(p []byte) [][]byte {
 // process.
 func TestSidebandShortPayloadFailsTheRun(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", synthetic.Scale(1))
-	dep := Deploy(ds, 2, GCN, partition.Block)
+	dep := testDeploy(ds, 2, GCN)
 	cfg := confTrainConfig(CodecFP32)
 	cfg.transportFactory = brokenFactory(func(d Transport) Transport { return shortGatherDev{d} })
 	// Every device sees a short payload; whichever fails first is reported.
@@ -251,7 +258,7 @@ func TestFinalEvalSharesOneForwardPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep := Deploy(ds, 3, GCN, partition.Block)
+	dep := testDeploy(ds, 3, GCN)
 	train := func(evalEvery int) (*metrics.RunResult, int64) {
 		cfg := tinyConfig(CodecAdaptive)
 		cfg.EvalEvery = evalEvery
@@ -314,7 +321,7 @@ func TestLayerZeroHoldsNoInputGradient(t *testing.T) {
 	for _, kind := range []ModelKind{GCN, GraphSAGE} {
 		cfg := tinyConfig(CodecFP32)
 		cfg.Model, cfg.Layers = kind, 3
-		lg := Deploy(ds, 2, kind, partition.Block).Locals[0]
+		lg := testDeploy(ds, 2, kind).Locals[0]
 		dm := newDeviceModel(&cfg, lg, ds.Features.Cols, ds.NumClasses, timing.Default())
 		rng := tensor.NewRNG(1)
 		h := tensor.New(lg.NumLocal, ds.Features.Cols)
@@ -370,7 +377,7 @@ func (c featureWatchCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *ten
 // pipegcn, which fills halo rows from a cache and receives into scratch.
 func TestLayerZeroFeaturesSurviveEveryPass(t *testing.T) {
 	const parts = 4
-	dep := Deploy(synthetic.MustLoad("tiny", 1), parts, GCN, partition.Block)
+	dep := testDeploy(synthetic.MustLoad("tiny", 1), parts, GCN)
 	for _, tc := range []struct {
 		codec  string
 		faults chaos.Spec
@@ -415,7 +422,7 @@ func TestEpochBitsWithAndWithoutAVX2(t *testing.T) {
 	}
 	t.Run("products-sim", func(t *testing.T) {
 		ds := synthetic.MustLoad("products-sim", 0.1)
-		epochBitsWithAndWithoutAVX2(t, func() *Deployment { return Deploy(ds, 4, GCN, partition.Block) }, 64, 2)
+		epochBitsWithAndWithoutAVX2(t, func() *Deployment { return testDeploy(ds, 4, GCN) }, 64, 2)
 	})
 	t.Run("halo-reddit", func(t *testing.T) {
 		// Three epochs: AdaQP's bootstrap at the uniform 8-bit tables, then
