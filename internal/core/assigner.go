@@ -126,6 +126,9 @@ func runAssignment(dev Transport, cfg *Config, st *assignState) error {
 			}
 			reports[r] = &m
 		}
+		if err := checkTraces(reports, st.layers); err != nil {
+			return err
+		}
 		msgs, solveCost := solveAllProblems(dev, cfg, st, reports)
 		dev.Clock().Advance(timing.Assign, solveCost)
 		scattered = make([][]byte, n)
@@ -154,6 +157,43 @@ func runAssignment(dev Transport, cfg *Config, st *assignState) error {
 // the Σα² of every halo slot in wire order.
 func (st *assignState) report(rank int) traceMsg {
 	return traceMsg{Rank: rank, RecvAlpha: st.recvAlpha, Range: st.ranges}
+}
+
+// checkTraces holds the decoded traces to the shape the master reads before
+// it solves: Σα² for every peer, a trace for every layer and peer, and no
+// pair tracing more forward rows than its receiver has Σα² for.
+// problemMessages and the width tables index nothing else, so a trace that
+// decodes cleanly but disagrees with its peers fails the round here instead
+// of panicking inside a solver goroutine.
+func checkTraces(reports []*traceMsg, layers int) error {
+	n := len(reports)
+	for r, rep := range reports {
+		if len(rep.RecvAlpha) != n {
+			return fmt.Errorf("core: rank %d's trace has Σα² for %d peers, want %d", r, len(rep.RecvAlpha), n)
+		}
+	}
+	for src, rep := range reports {
+		for _, dir := range directions {
+			if len(rep.Range[dir]) != layers {
+				return fmt.Errorf("core: rank %d's trace has %d layers, want %d", src, len(rep.Range[dir]), layers)
+			}
+			for l := dir.firstLayer(); l < layers; l++ {
+				if len(rep.Range[dir][l]) != n {
+					return fmt.Errorf("core: rank %d's trace of layer %d has %d peers, want %d", src, l, len(rep.Range[dir][l]), n)
+				}
+				if dir != forward {
+					continue
+				}
+				for dst, rs := range rep.Range[dir][l] {
+					if have := len(reports[dst].RecvAlpha[src]); dst != src && len(rs) > have {
+						return fmt.Errorf("core: rank %d traces %d forward rows to rank %d at layer %d, but rank %d has Σα² for %d halo rows from rank %d",
+							src, len(rs), dst, l, dst, have, src)
+					}
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // solveAllProblems builds and solves one Problem per (layer, direction) on

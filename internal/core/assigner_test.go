@@ -4,7 +4,9 @@ import (
 	"encoding/hex"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/quant"
 	"repro/internal/synthetic"
@@ -466,5 +468,40 @@ func TestAssignChargeIsSlowestSolve(t *testing.T) {
 		if got[r].Spent(timing.Assign) != 0 {
 			t.Errorf("rank %d charged Assign %v: only the master solves", r, got[r].Spent(timing.Assign))
 		}
+	}
+}
+
+// TestAssignRejectsDisagreeingTraces: a trace that decodes cleanly but
+// disagrees with its peers — rank 1 ships Σα² for only half of each halo
+// list — fails the round with an error that names rank 1 and a peer that
+// traced rows to it, instead of panicking in a solver goroutine, and every
+// device returns.
+func TestAssignRejectsDisagreeingTraces(t *testing.T) {
+	dep := deployTiny(t, 3)
+	cfg := DefaultConfig()
+	cfg.Hidden = 16
+	states := make([]*assignState, len(dep.Locals))
+	for r, lg := range dep.Locals {
+		states[r] = newAssignState(&cfg, lg, dep.Dataset.Features.Cols)
+	}
+	for p, a := range states[1].recvAlpha {
+		states[1].recvAlpha[p] = a[:len(a)/2]
+	}
+	inprocess, err := LookupTransport(TransportInprocess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := inprocess(TransportSpec{Parts: len(states), Model: timing.Default()})
+	done := make(chan error, 1)
+	go func() {
+		done <- rt.Run(1, func(dev Transport) error { return runAssignment(dev, &cfg, states[dev.Rank()]) })
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "rank 0 traces") || !strings.Contains(err.Error(), "to rank 1") {
+			t.Fatalf("round with rank 1's Σα² rows halved returned %v, want an error naming ranks 0 and 1", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("round with rank 1's Σα² rows halved did not return")
 	}
 }

@@ -69,10 +69,7 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	tensor.MatMulInto(y, x, l.W.Value)
 	brow := l.B.Value.Row(0)
 	for i := 0; i < y.Rows; i++ {
-		row := y.Row(i)
-		for j := range row {
-			row[j] += brow[j]
-		}
+		tensor.Axpy(y.Row(i), brow, 1) // 1·b is b, so this is y += b
 	}
 	return y
 }
@@ -100,10 +97,7 @@ func (l *Linear) BackwardParams(dy *tensor.Matrix) {
 	l.W.Grad.AddInPlace(l.dw)
 	brow := l.B.Grad.Row(0)
 	for i := 0; i < dy.Rows; i++ {
-		row := dy.Row(i)
-		for j := range row {
-			brow[j] += row[j]
-		}
+		tensor.Axpy(brow, dy.Row(i), 1)
 	}
 }
 

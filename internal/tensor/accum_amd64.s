@@ -15,27 +15,22 @@ DATA accumMask<>+56(SB)/8, $0
 GLOBL accumMask<>(SB), RODATA|NOPTR, $64
 
 // ROW adds one k's term to one row of the tile: acc += alpha*b with b's
-// sixteen columns in Y8 and Y9 — unless alpha is ±0, which the Go loops skip
-// (0·Inf would be NaN); doubling the bits drops the sign, so only ±0 gives
-// zero and a NaN does not. Operands are ordered as in axpyAVX2: b first in
-// the multiply, the product first in the add.
-#define ROW(alpha, acc0, acc1, next) \
-	MOVL         alpha, AX        \
-	ADDL         AX, AX           \
-	JZ           next             \
+// sixteen columns in Y8 and Y9, a ±0 alpha included — its term is ±0 while b
+// is finite, and the callers run the kernel only then. Operands are ordered
+// as in axpyAVX2: b first in the multiply, the product first in the add.
+#define ROW(alpha, acc0, acc1) \
 	VBROADCASTSS alpha, Y10       \
 	VMULPS       Y10, Y8, Y11     \
 	VMULPS       Y10, Y9, Y12     \
 	VADDPS       acc0, Y11, acc0  \
-	VADDPS       acc1, Y12, acc1  \
-next:
+	VADDPS       acc1, Y12, acc1
 
 // ROWS4 is one k of the whole tile; STEP moves on to the next k.
-#define ROWS4(n1, n2, n3, n4) \
-	ROW((DX), Y0, Y1, n1)         \
-	ROW((DX)(R9*1), Y2, Y3, n2)   \
-	ROW((DX)(R9*2), Y4, Y5, n3)   \
-	ROW((DX)(R10*1), Y6, Y7, n4)
+#define ROWS4 \
+	ROW((DX), Y0, Y1)         \
+	ROW((DX)(R9*1), Y2, Y3)   \
+	ROW((DX)(R9*2), Y4, Y5)   \
+	ROW((DX)(R10*1), Y6, Y7)
 
 #define STEP(loop) \
 	ADDQ R11, DX \
@@ -145,14 +140,14 @@ start:
 full:
 	VMOVUPS (BX), Y8
 	VMOVUPS 32(BX), Y9
-	ROWS4(f1, f2, f3, f4)
+	ROWS4
 	STEP(full)
 	JMP  store
 
 masked:
 	VMASKMOVPS (BX), Y14, Y8
 	VMASKMOVPS 32(BX), Y15, Y9
-	ROWS4(m1, m2, m3, m4)
+	ROWS4
 	STEP(masked)
 
 store:

@@ -129,6 +129,45 @@ func TestAccumulateSpecials(t *testing.T) {
 	}
 }
 
+// TestAccumulateDispatch holds the two checks that let MatMulInto and
+// TMatMulInto run accumAVX2: allFinite says yes to every finite value — ±0,
+// both ends of the denormals, ±MaxFloat32 — and no to each infinity and NaN
+// at every position; hasNaN says no to every value but a NaN, infinities
+// included, and yes to each NaN at every position. Every differential test
+// above would still pass with a check that never let the kernel run, since
+// the Go loop is their oracle; this one would not.
+func TestAccumulateDispatch(t *testing.T) {
+	var finite, special []float32
+	for _, u := range axpySpecials {
+		if v := math.Float32frombits(u); math.IsInf(float64(v), 0) || v != v {
+			special = append(special, v)
+		} else {
+			finite = append(finite, v)
+		}
+	}
+	for n := 1; n <= 19; n++ {
+		v := make([]float32, n)
+		for i := range v {
+			v[i] = finite[(i+n)%len(finite)]
+		}
+		if !allFinite(v) || hasNaN(v) {
+			t.Fatalf("%v: allFinite %v, hasNaN %v; want true, false", v, allFinite(v), hasNaN(v))
+		}
+		for pos := range v {
+			for _, s := range special {
+				w := append([]float32(nil), v...)
+				w[pos] = s
+				if allFinite(w) {
+					t.Fatalf("allFinite is true with %v at %d of %d", s, pos, n)
+				}
+				if got, want := hasNaN(w), s != s; got != want {
+					t.Fatalf("hasNaN is %v with %v at %d of %d", got, s, pos, n)
+				}
+			}
+		}
+	}
+}
+
 // FuzzAccumulateMatchesPortable reinterprets raw bytes as a and b so the
 // fuzzer reaches bit patterns and shapes the tables do not name.
 func FuzzAccumulateMatchesPortable(f *testing.F) {

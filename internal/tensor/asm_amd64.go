@@ -26,10 +26,12 @@ func dotColsAVX2(out, a, bt []float32)
 //
 //	dst[r][j] = ((init + α(r,0)·b[0][j]) + α(r,1)·b[1][j]) + …
 //
-// with α(r,kk) = a[r*aRowStride + kk*aKStride], a term skipped when its α is
-// ±0 (a NaN α is not skipped), and init the value dst[r][j] holds when load
-// is set and +0 otherwise. Per element that is the chain of Axpy calls it
-// replaces. rows, n >= 1; k >= 0; strides in elements.
+// with α(r,kk) = a[r*aRowStride + kk*aKStride] and init the value dst[r][j]
+// holds when load is set and +0 otherwise. Every term is added, a ±0 α's
+// too. Per element that is the chain of Axpy calls it replaces, which skips
+// those, wherever no skipped term would have been 0·±Inf or 0·NaN — what
+// matMulRange and tMatMulRange make sure of. rows, n >= 1; k >= 0; strides
+// in elements.
 //
 //go:noescape
 func accumAVX2(dst *float32, rows, n int, a *float32, aRowStride, aKStride int, b *float32, k int, load bool)

@@ -167,9 +167,16 @@ func MatMulInto(out, a, b *Matrix) {
 	parallelRows(a.Rows, func(lo, hi int) { matMulRange(out, a, b, lo, hi) })
 }
 
+// matMulRange fills rows [lo, hi) of out. The Go loop skips a term whose α
+// is ±0 and accumAVX2 adds it, which gives the same bits exactly when the
+// term is ±0: every sum starts at +0, a sum under round-to-nearest is −0
+// only when both its addends are, so no sum is ever −0 and adding ±0 leaves
+// it as it was. The term is ±0 wherever its row of b is finite, so one scan
+// of b — O(k·n) against the range's O(rows·k·n) — sends the range to the
+// kernel.
 func matMulRange(out, a, b *Matrix, lo, hi int) {
 	inner, n := a.Cols, b.Cols
-	if cpu.Vector(n) && inner > 0 && lo < hi {
+	if cpu.Vector(n) && inner > 0 && lo < hi && allFinite(b.Data[:inner*n]) {
 		// Slicing first holds the kernel's reads and writes to the matrices.
 		o, ar, br := out.Data[lo*n:hi*n], a.Data[lo*inner:hi*inner], b.Data[:inner*n]
 		accumAVX2(&o[0], hi-lo, n, &ar[0], inner, 1, &br[0], inner, false)
@@ -331,6 +338,13 @@ func TMatMulInto(out, a, b *Matrix) {
 	parallelRows(a.Cols, func(lo, hi int) { tMatMulRange(out, a, b, lo, hi) })
 }
 
+// tMatMulRange adds rows [lo, hi) of aᵀ × b into out. accumAVX2 adds the
+// terms of ±0 αs, which the Go loop skips; as in matMulRange that changes no
+// bit unless such a term is 0·±Inf or 0·NaN, and then the sum it enters is
+// NaN from there on. Here b is the long operand and the range of out the
+// short one, so the range is checked after the kernel rather than b before
+// it: a range without a NaN is the Go loop's, bit for bit, and one with a
+// NaN is computed again by the Go loop.
 func tMatMulRange(out, a, b *Matrix, lo, hi int) {
 	m, n := a.Cols, b.Cols
 	if cpu.Vector(n) && lo < hi {
@@ -344,7 +358,10 @@ func tMatMulRange(out, a, b *Matrix, lo, hi int) {
 			ar, br := a.Data[k0*m+lo:(k1-1)*m+hi], b.Data[k0*n:k1*n]
 			accumAVX2(&o[0], hi-lo, n, &ar[0], 1, m, &br[0], k1-k0, true)
 		}
-		return
+		if !hasNaN(o) {
+			return
+		}
+		clear(o)
 	}
 	for k := 0; k < a.Rows; k++ {
 		arow := a.Data[k*a.Cols : (k+1)*a.Cols]
@@ -355,6 +372,27 @@ func tMatMulRange(out, a, b *Matrix, lo, hi int) {
 			}
 		}
 	}
+}
+
+// allFinite reports whether no element of v is ±Inf or NaN: x − x is +0 for
+// every finite x and NaN otherwise.
+func allFinite(v []float32) bool {
+	for _, x := range v {
+		if x-x != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// hasNaN reports whether some element of v is NaN.
+func hasNaN(v []float32) bool {
+	for _, x := range v {
+		if x != x {
+			return true
+		}
+	}
+	return false
 }
 
 // tMatMulChunk is how many rows of a and b one pass of tMatMulRange's kernel
@@ -407,9 +445,7 @@ func Add(a, b *Matrix) *Matrix {
 // AddInPlace computes m += o.
 func (m *Matrix) AddInPlace(o *Matrix) {
 	mustSameShape("AddInPlace", m, o)
-	for i, v := range o.Data {
-		m.Data[i] += v
-	}
+	Axpy(m.Data, o.Data, 1) // 1·v is v, so each element is m + v
 }
 
 // Scale multiplies every element by alpha, in place.
