@@ -117,11 +117,7 @@ func (l *gnnLayer) backward(lg *partition.LocalGraph, dout *tensor.Matrix) *tens
 		dSelf, dAgg := dLinIn.SplitCols(l.inDim)
 		lg.Adj.SpMMT(dxFull, dAgg)
 		for i := 0; i < lg.NumLocal; i++ {
-			row := dxFull.Row(i)
-			src := dSelf.Row(i)
-			for j, v := range src {
-				row[j] += v
-			}
+			tensor.Axpy(dxFull.Row(i), dSelf.Row(i), 1) // 1·v is v, so this is row += src
 		}
 	} else {
 		lg.Adj.SpMMT(dxFull, dLinIn)

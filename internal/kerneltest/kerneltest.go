@@ -1,6 +1,7 @@
 // Package kerneltest is the one differential harness behind the tests of the
-// assembly kernels in internal/tensor and internal/quant: a kernel's vector
-// path and the Go loop it stands in for must write the same bits, and
+// assembly kernels in internal/tensor, internal/quant and internal/nn
+// (LayerNorm, ReLU and Dropout's passes, nn's kernel_test.go): a kernel's
+// vector path and the Go loop it stands in for must write the same bits, and
 // nothing else.
 package kerneltest
 
@@ -17,6 +18,25 @@ import (
 // allocator's choice (it differs under -race), so a NaN equals any NaN.
 func Same[T float32 | uint8](a, b T) bool {
 	return bitsOf(a) == bitsOf(b) || a != a && b != b
+}
+
+// portableFuses is whether the compiler turns a float32 multiply and add in
+// Go code into one fused operation (GOAMD64=v3, arm64, ...). The assembly
+// never fuses, so on such a build a kernel and its Go loop legitimately
+// differ: (1+2⁻¹²)² rounds to 1+2⁻¹¹ and the sum below is 0, while a fused
+// multiply-add keeps the 2⁻²⁴.
+var portableFuses = mulAdd(math.Float32frombits(0x3F800800), math.Float32frombits(0x3F800800), -math.Float32frombits(0x3F801000)) != 0
+
+//go:noinline
+func mulAdd(x, y, z float32) float32 { return x*y + z }
+
+// SkipIfPortableFuses skips t on a build whose Go code fuses multiply-adds:
+// there the kernels, unfused by contract, are not its Go loops' bits.
+func SkipIfPortableFuses(t testing.TB) {
+	t.Helper()
+	if portableFuses {
+		t.Skip("this build fuses multiply-adds in Go code; the assembly is unfused by contract")
+	}
 }
 
 // Widths are the row lengths the differential tests sweep: every split into

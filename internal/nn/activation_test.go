@@ -95,7 +95,7 @@ func mustSameBits(t *testing.T, what string, got, want []float32) {
 func TestReLUMatchesReference(t *testing.T) {
 	rng := tensor.NewRNG(11)
 	r := &ReLU{}
-	for _, n := range []int{1, 7, 64, 1000, 333} { // grows, then reuses, the scratch
+	for _, n := range []int{1, 7, 8, 9, 15, 16, 17, 64, 1000, 333} { // grows, then reuses, the scratch
 		x, dy := activationInput(rng, n), activationInput(rng, n)
 		wantOut, wantMask := reluForwardRef(x.Data)
 		mustSameBits(t, "ReLU.Forward", r.Forward(x).Data, wantOut)
@@ -107,7 +107,7 @@ func TestDropoutMatchesReference(t *testing.T) {
 	fill := tensor.NewRNG(13)
 	for _, p := range []float32{0.5, 0.1, 0.9, 1} {
 		dp := &Dropout{P: p}
-		for _, n := range []int{1, 7, 64, 1000, 333} {
+		for _, n := range []int{1, 7, 8, 9, 15, 16, 17, 64, 1000, 333} {
 			x := activationInput(fill, n)
 			rng, ref := tensor.NewRNG(uint64(n)), tensor.NewRNG(uint64(n))
 			wantOut, wantMask := dropoutForwardRef(x.Data, p, ref)

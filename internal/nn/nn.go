@@ -136,12 +136,7 @@ func (r *ReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
 		r.mask = make([]uint32, len(x.Data))
 	}
 	r.mask = r.mask[:len(x.Data)]
-	out, mask := r.out.Data[:len(x.Data)], r.mask[:len(x.Data)]
-	for i, v := range x.Data {
-		m := laneMask(v > 0)
-		out[i] = math.Float32frombits(math.Float32bits(v) & m)
-		mask[i] = m
-	}
+	reluForward(r.out.Data, r.mask, x.Data)
 	return r.out
 }
 
@@ -151,16 +146,20 @@ func (r *ReLU) Backward(dy *tensor.Matrix) *tensor.Matrix {
 		panic("nn: ReLU.Backward shape mismatch")
 	}
 	r.dxm = ensure(r.dxm, dy.Rows, dy.Cols)
-	out, mask := r.dxm.Data[:len(dy.Data)], r.mask[:len(dy.Data)]
-	for i, v := range dy.Data {
-		out[i] = math.Float32frombits(math.Float32bits(v) & mask[i])
-	}
+	reluBackward(r.dxm.Data, dy.Data, r.mask)
 	return r.dxm
 }
 
 // LayerNorm normalizes each row to zero mean/unit variance then applies a
 // learned affine transform (the Norm Function of the paper's training
 // configuration, Appendix B).
+//
+// A row's mean and variance are float64 sums taken one element at a time in
+// column order, and its Σ dy·γ and Σ (dy·γ)·x̂ in Backward float32 sums taken
+// the same way: those chains are the API, as the per-element operations are
+// (normalizeGo, paramGradsGo, inputGradGo). Forward runs four rows' mean and
+// variance chains side by side (meanVar4); the per-element passes are AVX2
+// kernels where cpu.Vector says so.
 type LayerNorm struct {
 	Gamma, Beta *Param
 	eps         float32
@@ -187,7 +186,6 @@ func (ln *LayerNorm) Params() []*Param { return []*Param{ln.Gamma, ln.Beta} }
 func (ln *LayerNorm) Forward(x *tensor.Matrix) *tensor.Matrix {
 	d := x.Cols
 	ln.out = ensure(ln.out, x.Rows, d)
-	out := ln.out
 	ln.xhat = ensure(ln.xhat, x.Rows, d)
 	if cap(ln.invStd) < x.Rows {
 		ln.invStd = make([]float32, x.Rows)
@@ -195,29 +193,66 @@ func (ln *LayerNorm) Forward(x *tensor.Matrix) *tensor.Matrix {
 	ln.invStd = ln.invStd[:x.Rows]
 	g := ln.Gamma.Value.Row(0)
 	b := ln.Beta.Value.Row(0)
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		var mean float64
-		for _, v := range row {
-			mean += float64(v)
+	var mean, vr [4]float64
+	for lo := 0; lo < x.Rows; lo += 4 {
+		k := min(4, x.Rows-lo)
+		if k == 4 {
+			mean, vr = meanVar4(x.Data[lo*d:(lo+4)*d], d)
+		} else {
+			for r := range k {
+				mean[r], vr[r] = meanVar(x.Row(lo + r))
+			}
 		}
-		mean /= float64(d)
-		var vr float64
-		for _, v := range row {
-			dv := float64(v) - mean
-			vr += dv * dv
-		}
-		vr /= float64(d)
-		inv := float32(1 / math.Sqrt(vr+float64(ln.eps)))
-		ln.invStd[i] = inv
-		xh := ln.xhat.Row(i)
-		orow := out.Row(i)
-		for j, v := range row {
-			xh[j] = (v - float32(mean)) * inv
-			orow[j] = g[j]*xh[j] + b[j]
+		for r := range k {
+			i := lo + r
+			inv := float32(1 / math.Sqrt(vr[r]+float64(ln.eps)))
+			ln.invStd[i] = inv
+			normalize(ln.xhat.Row(i), ln.out.Row(i), x.Row(i), g, b, float32(mean[r]), inv)
 		}
 	}
-	return out
+	return ln.out
+}
+
+// meanVar returns row's mean and variance, each a float64 sum in column
+// order divided by the width.
+func meanVar(row []float32) (mean, vr float64) {
+	for _, v := range row {
+		mean += float64(v)
+	}
+	mean /= float64(len(row))
+	for _, v := range row {
+		dv := float64(v) - mean
+		vr += dv * dv
+	}
+	return mean, vr / float64(len(row))
+}
+
+// meanVar4 is meanVar of each of the four d-wide rows of x, with the four
+// rows' chains interleaved: every row's sums are the ones meanVar takes.
+func meanVar4(x []float32, d int) (mean, vr [4]float64) {
+	r0, r1, r2, r3 := x[:d], x[d:2*d], x[2*d:3*d], x[3*d:4*d]
+	r1, r2, r3 = r1[:d], r2[:d], r3[:d] // lengths the prover can see
+	var s0, s1, s2, s3 float64
+	for j, v := range r0 {
+		s0 += float64(v)
+		s1 += float64(r1[j])
+		s2 += float64(r2[j])
+		s3 += float64(r3[j])
+	}
+	n := float64(d)
+	m0, m1, m2, m3 := s0/n, s1/n, s2/n, s3/n
+	var q0, q1, q2, q3 float64
+	for j, v := range r0 {
+		e0 := float64(v) - m0
+		e1 := float64(r1[j]) - m1
+		e2 := float64(r2[j]) - m2
+		e3 := float64(r3[j]) - m3
+		q0 += e0 * e0
+		q1 += e1 * e1
+		q2 += e2 * e2
+		q3 += e3 * e3
+	}
+	return [4]float64{m0, m1, m2, m3}, [4]float64{q0 / n, q1 / n, q2 / n, q3 / n}
 }
 
 // Backward returns dx and accumulates dγ, dβ.
@@ -225,33 +260,36 @@ func (ln *LayerNorm) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	if ln.xhat == nil {
 		panic("nn: LayerNorm.Backward before Forward")
 	}
+	if dy.Rows != ln.xhat.Rows || dy.Cols != ln.xhat.Cols {
+		panic("nn: LayerNorm.Backward shape mismatch")
+	}
 	d := dy.Cols
 	ln.dxm = ensure(ln.dxm, dy.Rows, d)
-	out := ln.dxm
 	g := ln.Gamma.Value.Row(0)
 	gg := ln.Gamma.Grad.Row(0)
 	gb := ln.Beta.Grad.Row(0)
 	invD := 1 / float32(d)
+	// Row by row, so that each column of dγ and dβ adds its rows in
+	// ascending order.
 	for i := 0; i < dy.Rows; i++ {
-		dyr := dy.Row(i)
-		xh := ln.xhat.Row(i)
-		// dγ += dy ⊙ x̂ ; dβ += dy
-		var sumDxhat, sumDxhatXhat float32
-		for j, v := range dyr {
-			gg[j] += v * xh[j]
-			gb[j] += v
-			dxh := v * g[j]
-			sumDxhat += dxh
-			sumDxhatXhat += dxh * xh[j]
-		}
-		inv := ln.invStd[i]
-		orow := out.Row(i)
-		for j, v := range dyr {
-			dxh := v * g[j]
-			orow[j] = inv * (dxh - invD*sumDxhat - xh[j]*invD*sumDxhatXhat)
-		}
+		dyr, xh := dy.Row(i), ln.xhat.Row(i)
+		s1, s2 := gradSums(dyr, xh, g)
+		paramGrads(gg, gb, dyr, xh)
+		inputGrad(ln.dxm.Row(i), dyr, g, xh, ln.invStd[i], invD, invD*s1, s2)
 	}
-	return out
+	return ln.dxm
+}
+
+// gradSums returns Σ dy·γ and Σ (dy·γ)·x̂ over one row, each a float32 sum
+// in column order.
+func gradSums(dy, xh, g []float32) (s1, s2 float32) {
+	xh, g = xh[:len(dy)], g[:len(dy)]
+	for j, v := range dy {
+		dxh := v * g[j]
+		s1 += dxh
+		s2 += dxh * xh[j]
+	}
+	return s1, s2
 }
 
 // Dropout zeroes activations with probability p during training, scaling
@@ -276,19 +314,15 @@ func (dp *Dropout) Forward(x *tensor.Matrix, rng *tensor.RNG, train bool) *tenso
 		dp.mask = make([]float32, len(x.Data))
 	}
 	dp.mask = dp.mask[:len(x.Data)]
-	out, mask, scaleBits := dp.out.Data[:len(x.Data)], dp.mask[:len(x.Data)], math.Float32bits(scale)
+	out, mask := dp.out.Data[:len(x.Data)], dp.mask
 	// One draw per element, in order, a buffer of them at a time: the
 	// generator runs from registers while it fills one.
 	var draws [256]uint32
 	for lo := 0; lo < len(out); lo += len(draws) {
 		xs := x.Data[lo:min(lo+len(draws), len(out))]
-		d, o, mk := draws[:len(xs)], out[lo:lo+len(xs)], mask[lo:lo+len(xs)]
+		d := draws[:len(xs)]
 		rng.FillUint24(d)
-		for i, v := range xs {
-			m := laneMask(float32(d[i])/(1<<24) < keep) // rng.Float32() < keep
-			o[i] = math.Float32frombits(math.Float32bits(v*scale) & m)
-			mk[i] = math.Float32frombits(scaleBits & m)
-		}
+		dropoutForward(out[lo:lo+len(xs)], mask[lo:lo+len(xs)], xs, d, keep, scale)
 	}
 	return dp.out
 }
@@ -298,12 +332,12 @@ func (dp *Dropout) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	if dp.mask == nil {
 		return dy
 	}
-	dp.dxm = ensure(dp.dxm, dy.Rows, dy.Cols)
-	out := dp.dxm
-	for i, v := range dy.Data {
-		out.Data[i] = v * dp.mask[i]
+	if len(dp.mask) != len(dy.Data) {
+		panic("nn: Dropout.Backward shape mismatch")
 	}
-	return out
+	dp.dxm = ensure(dp.dxm, dy.Rows, dy.Cols)
+	dropoutBackward(dp.dxm.Data, dy.Data, dp.mask)
+	return dp.dxm
 }
 
 // Adam is the optimizer used throughout the paper's experiments

@@ -74,7 +74,7 @@ func poisonSkipped(rng *RNG, a, b *Matrix) {
 // in any other order), a third zeros, skipped terms that would poison the
 // sum, and specials in every operand.
 func TestAccumulateMatchesPortable(t *testing.T) {
-	skipIfPortableFuses(t)
+	kerneltest.SkipIfPortableFuses(t)
 	rng := NewRNG(43)
 	for _, n := range kerneltest.Widths() {
 		for ki, k := range []int{0, 1, 127, 128, 129, 1000} {
@@ -108,7 +108,7 @@ func TestAccumulateMatchesPortable(t *testing.T) {
 // sum that is otherwise ordinary, as the scale and as the scaled row, with
 // the inner length straddling one chunk boundary of tMatMulRange.
 func TestAccumulateSpecials(t *testing.T) {
-	skipIfPortableFuses(t)
+	kerneltest.SkipIfPortableFuses(t)
 	rng := NewRNG(47)
 	const m, n = 5, 19 // a four-row tile and a single row; one whole vector and a masked one
 	for _, u := range axpySpecials {
@@ -182,7 +182,7 @@ func FuzzAccumulateMatchesPortable(f *testing.F) {
 	}
 	f.Add(ordinary, uint8(11), uint8(34), uint8(0))
 	f.Fuzz(func(t *testing.T, raw []byte, kk, nn, off uint8) {
-		skipIfPortableFuses(t)
+		kerneltest.SkipIfPortableFuses(t)
 		k, n := 1+int(kk)%(tMatMulChunk+8), 1+int(nn%80)
 		// raw holds b (k rows of n), then as many rows of a as are left.
 		m := (len(raw)/4 - k*n) / k

@@ -38,24 +38,6 @@ func fillAxpy(rng *RNG, v []float32) {
 	}
 }
 
-// portableFuses is whether the compiler turned axpyGo's multiply and add
-// into one fused operation (GOAMD64=v3, arm64, ...). The assembly never
-// fuses, so on such a build the two legitimately differ: (1+2⁻¹²)² rounds to
-// 1+2⁻¹¹ and the sum below is 0, while a fused multiply-add keeps the 2⁻²⁴.
-var portableFuses = func() bool {
-	x := math.Float32frombits(0x3F800800)
-	dst := []float32{-math.Float32frombits(0x3F801000)}
-	axpyGo(dst, []float32{x}, x)
-	return dst[0] != 0
-}()
-
-func skipIfPortableFuses(t testing.TB) {
-	t.Helper()
-	if portableFuses {
-		t.Skip("this build fuses multiply-adds in Go code; the assembly is unfused by contract")
-	}
-}
-
 // checkAxpyMatchesPortable holds Axpy to axpyGo on a dst that starts off
 // elements into its buffer.
 func checkAxpyMatchesPortable(t testing.TB, dst, src []float32, alpha float32, off int) {
@@ -65,7 +47,7 @@ func checkAxpyMatchesPortable(t testing.TB, dst, src []float32, alpha float32, o
 }
 
 func TestAxpyMatchesPortable(t *testing.T) {
-	skipIfPortableFuses(t)
+	kerneltest.SkipIfPortableFuses(t)
 	if !cpu.AVX2 {
 		t.Log("no AVX2 on this host: Axpy is the portable loop")
 	}
@@ -108,7 +90,7 @@ func TestAxpyMatchesPortable(t *testing.T) {
 // 0–9 of a sentinel-filled buffer: nothing outside dst may move, src is
 // read-only, and a longer src changes nothing.
 func TestAxpyStaysInsideSlice(t *testing.T) {
-	skipIfPortableFuses(t)
+	kerneltest.SkipIfPortableFuses(t)
 	lengths := []int{0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 39, 40, 41, 47, 63, 64, 65, 100, 130}
 	src := make([]float32, 160)
 	for i := range src {
@@ -145,7 +127,7 @@ func FuzzAxpyMatchesPortable(f *testing.F) {
 	f.Add(make([]byte, 8*33), uint32(0x7FC00001), uint8(3), uint8(5))
 	f.Add(make([]byte, 8*9), uint32(0xFF800000), uint8(9), uint8(1))
 	f.Fuzz(func(t *testing.T, raw []byte, alphaBits uint32, doff, soff uint8) {
-		skipIfPortableFuses(t)
+		kerneltest.SkipIfPortableFuses(t)
 		n := len(raw) / 8
 		if n > 1024 {
 			return
@@ -184,7 +166,7 @@ func mustEqualBits(t *testing.T, what string, got, want *Matrix) {
 // for every output width 1–70 (every vector/tail split) and for a row count
 // that fans out across goroutines.
 func TestDenseKernelsMatchNaiveBits(t *testing.T) {
-	skipIfPortableFuses(t)
+	kerneltest.SkipIfPortableFuses(t)
 	rng := NewRNG(17)
 	for n := 1; n <= 70; n++ {
 		rows := 5
@@ -220,7 +202,7 @@ func TestDenseKernelsMatchNaiveBits(t *testing.T) {
 }
 
 func TestMatrixAXPYAndScatterAddBits(t *testing.T) {
-	skipIfPortableFuses(t)
+	kerneltest.SkipIfPortableFuses(t)
 	rng := NewRNG(23)
 	for _, cols := range []int{1, 7, 8, 33, 64, 70} {
 		m, o := randomMatrix(rng, 6, cols), randomMatrix(rng, 6, cols)

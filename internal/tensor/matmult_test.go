@@ -34,7 +34,7 @@ func checkMatMulTMatchesDot(t testing.TB, a, b *Matrix, off int) {
 }
 
 func TestMatMulTMatchesDot(t *testing.T) {
-	skipIfPortableFuses(t)
+	kerneltest.SkipIfPortableFuses(t)
 	if !cpu.AVX2 {
 		t.Log("no AVX2 on this host: MatMulT is dot")
 	}
@@ -65,7 +65,7 @@ func TestMatMulTMatchesDot(t *testing.T) {
 // signed zeros (a sum of −0 products is +0, because s starts at +0),
 // infinities of both signs meeting in one group, denormal products, NaNs.
 func TestMatMulTSpecials(t *testing.T) {
-	skipIfPortableFuses(t)
+	kerneltest.SkipIfPortableFuses(t)
 	rng := NewRNG(31)
 	const rows, k, n = 2, 11, 19 // two groups of four and a tail of three; two vectors and a scalar tail
 	for _, u := range axpySpecials {
@@ -103,7 +103,7 @@ func TestMatMulTSpecials(t *testing.T) {
 // offset 0–9 of their buffers: nothing outside out may move, and a and b are
 // read-only.
 func TestMatMulTStaysInsideSlices(t *testing.T) {
-	skipIfPortableFuses(t)
+	kerneltest.SkipIfPortableFuses(t)
 	shapes := [][3]int{{1, 1, 8}, {3, 4, 8}, {2, 5, 9}, {3, 7, 31}, {2, 8, 32}, {3, 3, 33}, {1, 6, 40}, {2, 9, 47}, {2, 4, 64}, {1, 13, 78}}
 	for off := 0; off <= 9; off++ {
 		for _, sh := range shapes {
@@ -146,7 +146,7 @@ func FuzzMatMulTMatchesDot(f *testing.F) {
 	}
 	f.Add(ordinary, uint8(11), uint8(34), uint8(0))
 	f.Fuzz(func(t *testing.T, raw []byte, kk, nn, off uint8) {
-		skipIfPortableFuses(t)
+		kerneltest.SkipIfPortableFuses(t)
 		k, n := int(kk%40), 1+int(nn%80)
 		// raw holds b (n rows of k), then as many rows of a as are left.
 		rows := 0
