@@ -132,13 +132,20 @@ func (s *deviceStatic) build(ds *synthetic.Dataset, lg *partition.LocalGraph) {
 	quant.RowRanges(s.ranges0, s.ld.x, unionRows(lg.NumLocal, lg.SendTo))
 }
 
-// localData is the per-device shard of features, labels and masks.
+// localData is the per-device shard of features, labels and masks, and
+// the training loss's inputs: the rows train marks, ascending, with their
+// labels or targets gathered and an all-true mask over them.
 type localData struct {
 	x          *tensor.Matrix
 	labels     []int          // single-label
 	y          *tensor.Matrix // multi-label targets
 	train, val []bool
 	test       []bool
+
+	lossRows   []int32
+	lossLabels []int          // single-label
+	lossY      *tensor.Matrix // multi-label
+	lossMask   []bool
 }
 
 func shardData(ds *synthetic.Dataset, lg *partition.LocalGraph) *localData {
@@ -165,5 +172,29 @@ func shardData(ds *synthetic.Dataset, lg *partition.LocalGraph) *localData {
 	} else {
 		ld.y = ds.Labels.GatherRows(idx)
 	}
+	ld.gatherLoss()
 	return ld
+}
+
+// gatherLoss builds the loss's rows, labels or targets and mask from train.
+func (ld *localData) gatherLoss() {
+	var rows []int
+	for i, t := range ld.train {
+		if t {
+			rows = append(rows, i)
+		}
+	}
+	ld.lossRows = make([]int32, len(rows))
+	ld.lossMask = make([]bool, len(rows))
+	for k, i := range rows {
+		ld.lossRows[k], ld.lossMask[k] = int32(i), true
+	}
+	if ld.y != nil {
+		ld.lossY = ld.y.GatherRows(rows)
+		return
+	}
+	ld.lossLabels = make([]int, len(rows))
+	for k, i := range rows {
+		ld.lossLabels[k] = ld.labels[i]
+	}
 }

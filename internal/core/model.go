@@ -12,6 +12,13 @@ import (
 // gnnLayer is one GNN layer on one device. GCN computes
 // σ(LN(Â·X_full·W + b)); GraphSAGE computes σ(LN([X_self ‖ mean(X_nbr)]·W
 // + b)). The last layer skips norm/activation/dropout and emits logits.
+//
+// A layer runs over an explicit list of its device's local rows, in
+// ascending order: a hidden layer over all of them, since the next layer
+// reads every one, and the last layer over the rows its reader reads — the
+// loss's in a training pass, all of them in evaluation. The simulated clock
+// charges every row all the same (inventory), as the paper's dense autograd
+// computes them.
 type gnnLayer struct {
 	idx   int
 	last  bool
@@ -23,11 +30,17 @@ type gnnLayer struct {
 	relu *nn.ReLU
 	drop *nn.Dropout
 
-	// steady-state scratch (shapes are fixed per device): the aggregation
-	// output and the backward input-gradient block. Both are fully
-	// (over)written on every use — SpMM overwrites, SpMMT zero-fills.
-	agg    *tensor.Matrix
-	dxFull *tensor.Matrix
+	// every lists all local rows. rows is the list of the latest forward,
+	// which its backward reads.
+	every, rows []int32
+
+	// steady-state scratch (shapes are fixed per device), each holding
+	// every local row and used over the leading len(rows): the aggregation
+	// output, GraphSAGE's [self ‖ agg] block and the backward input-gradient
+	// block. All are fully (over)written on every use — SpMM overwrites,
+	// the concatenation copies, SpMMT zero-fills.
+	agg, cat *tensor.Matrix
+	dxFull   *tensor.Matrix
 }
 
 func newGNNLayer(kind ModelKind, idx int, inDim, outDim int, last bool, dropout float32, rng *tensor.RNG) *gnnLayer {
@@ -60,27 +73,40 @@ func (l *gnnLayer) params() []*nn.Param {
 }
 
 // forward consumes xFull ((numLocal+numHalo)×inDim with halo rows already
-// filled) and returns the layer output over local rows.
+// filled) and returns the layer output over every local row.
 func (l *gnnLayer) forward(lg *partition.LocalGraph, xFull *tensor.Matrix, rng *tensor.RNG, train bool) *tensor.Matrix {
+	return l.forwardRows(lg, xFull, l.every, rng, train)
+}
+
+// forwardRows is forward over rows, ascending local rows: row k of the
+// output is local row rows[k]'s. Only the last layer is given fewer than
+// every row.
+func (l *gnnLayer) forwardRows(lg *partition.LocalGraph, xFull *tensor.Matrix, rows []int32, rng *tensor.RNG, train bool) *tensor.Matrix {
 	if l.agg == nil {
 		l.agg = tensor.New(lg.NumLocal, l.inDim)
 	}
-	lg.Adj.SpMM(l.agg, xFull)
-	var self *tensor.Matrix
-	if l.kind == GraphSAGE {
-		self = xFull.RowSlice(0, lg.NumLocal)
-	}
-	return l.dense(self, l.agg, rng, train)
+	agg := leading(l.agg, len(rows))
+	lg.Adj.SpMMRows(agg, xFull, rows)
+	return l.dense(xFull, rows, agg, rng, train)
 }
 
-// dense is the layer after its aggregation: the Linear over agg (GCN) or
-// over [self ‖ agg] (GraphSAGE; self is the local rows of the layer input),
-// then norm, activation and dropout. It reads self and agg and writes
-// neither, so they may be shared.
-func (l *gnnLayer) dense(self, agg *tensor.Matrix, rng *tensor.RNG, train bool) *tensor.Matrix {
+// dense is the layer after its aggregation over rows: the Linear over agg
+// (GCN) or over [self ‖ agg] (GraphSAGE; self is row rows[k] of x, the
+// layer input, beside row k of agg), then norm, activation and dropout. It
+// reads x and agg and writes neither, so they may be shared.
+func (l *gnnLayer) dense(x *tensor.Matrix, rows []int32, agg *tensor.Matrix, rng *tensor.RNG, train bool) *tensor.Matrix {
+	l.rows = rows
 	linIn := agg
 	if l.kind == GraphSAGE {
-		linIn = tensor.ConcatCols(self, agg)
+		if l.cat == nil {
+			l.cat = tensor.New(len(l.every), 2*l.inDim)
+		}
+		linIn = leading(l.cat, len(rows))
+		for k, r := range rows {
+			c := linIn.Row(k)
+			copy(c[:l.inDim], x.Row(int(r)))
+			copy(c[l.inDim:], agg.Row(k))
+		}
 	}
 	z := l.lin.Forward(linIn)
 	if l.last {
@@ -91,12 +117,25 @@ func (l *gnnLayer) dense(self, agg *tensor.Matrix, rng *tensor.RNG, train bool) 
 	return l.drop.Forward(h, rng, train)
 }
 
-// backward consumes the gradient of this layer's output over local rows and
-// returns the gradient w.r.t. xFull (halo rows included; they are the
-// "embedding gradients"/errors to ship back to their owners). Nothing reads
-// layer 0's, so neither half of it is computed there — not the dense dz·Wᵀ,
-// not the transposed aggregation — and nil is returned; weight gradients are
-// always accumulated.
+// leading returns a view of m's first rows rows.
+func leading(m *tensor.Matrix, rows int) *tensor.Matrix {
+	return &tensor.Matrix{Rows: rows, Cols: m.Cols, Data: m.Data[:rows*m.Cols]}
+}
+
+// backward consumes the gradient of this layer's output over the rows of
+// its latest forward and returns the gradient w.r.t. xFull (halo rows
+// included; they are the "embedding gradients"/errors to ship back to their
+// owners). Nothing reads layer 0's, so neither half of it is computed there
+// — not the dense dz·Wᵀ, not the transposed aggregation — and nil is
+// returned; weight gradients are always accumulated.
+//
+// On the last layer a training pass's rows are the loss's, whose gradient
+// is +0 on every other row. Each row left out would only add ±0 terms to
+// sums that start at +0, so are never −0 and do not change, and the other
+// terms keep their order: dW, db and the returned gradient are the bits of
+// the pass over every row. The one exception is a non-finite activation
+// in a row the loss does not read: over every row its 0·Inf or 0·NaN term
+// makes dW NaN, here it is never multiplied.
 func (l *gnnLayer) backward(lg *partition.LocalGraph, dout *tensor.Matrix) *tensor.Matrix {
 	dz := dout
 	if !l.last {
@@ -115,12 +154,12 @@ func (l *gnnLayer) backward(lg *partition.LocalGraph, dout *tensor.Matrix) *tens
 	dxFull := l.dxFull
 	if l.kind == GraphSAGE {
 		dSelf, dAgg := dLinIn.SplitCols(l.inDim)
-		lg.Adj.SpMMT(dxFull, dAgg)
-		for i := 0; i < lg.NumLocal; i++ {
-			tensor.Axpy(dxFull.Row(i), dSelf.Row(i), 1) // 1·v is v, so this is row += src
+		lg.Adj.SpMMTRows(dxFull, dAgg, l.rows)
+		for k, r := range l.rows {
+			tensor.Axpy(dxFull.Row(int(r)), dSelf.Row(k), 1) // 1·v is v, so this is row += src
 		}
 	} else {
-		lg.Adj.SpMMT(dxFull, dLinIn)
+		lg.Adj.SpMMTRows(dxFull, dLinIn, l.rows)
 	}
 	return dxFull
 }
@@ -208,10 +247,15 @@ type deviceModel struct {
 func newDeviceModel(cfg *Config, lg *partition.LocalGraph, inDim, numClasses int, model *timing.CostModel) *deviceModel {
 	rng := tensor.NewRNG(cfg.Seed) // identical on every device
 	dm := &deviceModel{}
+	every := make([]int32, lg.NumLocal)
+	for i := range every {
+		every[i] = int32(i)
+	}
 	dims := append(messageDims(cfg, inDim), numClasses)
 	for i := 0; i < cfg.Layers; i++ {
 		last := i == cfg.Layers-1
 		l := newGNNLayer(cfg.Model, i, dims[i], dims[i+1], last, cfg.Dropout, rng)
+		l.every = every
 		dm.layers = append(dm.layers, l)
 		dm.costs = append(dm.costs, computeLayerCosts(lg, l, model))
 	}

@@ -101,10 +101,14 @@ type kernelCall struct {
 // counts every product and aggregation of a training run through
 // tensor.KernelHook, by kind and shape, and wants exactly: every epoch, the
 // inventory's running entries over all local rows (central and marginal
-// summed); the final evaluation's forward, whose layer 0 has no
-// aggregation; and, once per device, the Deployment's static layer-0
-// aggregate. Layer 0's input gradient — dz·Wᵀ and the transposed
-// aggregation, charged but skipped — must not appear.
+// summed) for the hidden layers, and over the loss's rows and their edges
+// for the last layer; the final evaluation's forward over all local rows,
+// whose layer 0 has no aggregation; and, once per device, the Deployment's
+// static layer-0 aggregate. Layer 0's input gradient — dz·Wᵀ and the
+// transposed aggregation, charged but skipped — must not appear. The clock
+// charges the last layer's training work over all local rows, as the
+// paper's dense autograd runs it (TestLayerCostsFoldMatchesClosedForm); the
+// host computes only the rows the loss reads.
 func TestLayerInventoryCensus(t *testing.T) {
 	ds := synthetic.MustLoad("tiny", 1)
 	for _, kind := range []ModelKind{GCN, GraphSAGE} {
@@ -129,9 +133,18 @@ func TestLayerInventoryCensus(t *testing.T) {
 				for _, lg := range dep.Locals {
 					dm := newDeviceModel(&cfg, lg, ds.Features.Cols, ds.NumClasses, timing.Default())
 					rows, nnz := len(lg.CentralRows)+len(lg.MarginalRows), lg.Adj.NumEdges()
+					lossRows := shardData(ds, lg).lossRows
+					lossNNZ := 0
+					for _, r := range lossRows {
+						lossNNZ += lg.Adj.Degree(int(r))
+					}
 					for _, l := range dm.layers {
-						declare(l.idx, l.inventory(forward, rows, nnz), cfg.Epochs, "train")
-						declare(l.idx, l.inventory(backward, rows, nnz), cfg.Epochs, "train")
+						trainRows, trainNNZ := rows, nnz
+						if l.last {
+							trainRows, trainNNZ = len(lossRows), lossNNZ
+						}
+						declare(l.idx, l.inventory(forward, trainRows, trainNNZ), cfg.Epochs, "train")
+						declare(l.idx, l.inventory(backward, trainRows, trainNNZ), cfg.Epochs, "train")
 						eval := l.inventory(forward, rows, nnz)
 						if l.idx == 0 { // evaluation reads the static aggregate instead
 							if eval[0].name != "aggregate" {

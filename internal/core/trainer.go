@@ -271,16 +271,16 @@ func (w *worker) crashAndRecover(epoch int) (float64, error) {
 // training loss.
 func (w *worker) trainEpoch(epoch int) (float64, error) {
 	w.model.zeroGrads()
-	logits, err := w.forward(epoch, true)
+	logits, err := w.forward(epoch, true) // over the loss's rows
 	if err != nil {
 		return 0, err
 	}
 	var loss float64
 	var dlogits *tensor.Matrix
 	if w.task == synthetic.SingleLabel {
-		loss, dlogits = nn.SoftmaxCrossEntropyScaled(logits, w.ld.labels, w.ld.train, w.denom)
+		loss, dlogits = nn.SoftmaxCrossEntropyScaled(logits, w.ld.lossLabels, w.ld.lossMask, w.denom)
 	} else {
-		loss, dlogits = nn.SigmoidBCEWeighted(logits, w.ld.y, w.ld.train, w.denom, w.posWeight)
+		loss, dlogits = nn.SigmoidBCEWeighted(logits, w.ld.lossY, w.ld.lossMask, w.denom, w.posWeight)
 	}
 	if err := w.backward(epoch, dlogits); err != nil {
 		return 0, err
@@ -299,8 +299,9 @@ func (w *worker) trainEpoch(epoch int) (float64, error) {
 }
 
 // forward runs the layer loop. For train=true the codec's halo exchange
-// and timing schedule applies. Evaluation is full precision and
-// uncharged: layer 0 is the dense part over the Deployment's exact
+// and timing schedule applies, and the logits are the loss's rows' only
+// (ld.lossRows). Evaluation is full precision, uncharged and over every
+// local row: layer 0 is the dense part over the Deployment's exact
 // aggregate of the input features (agg0), which no Run can change, and
 // every later layer fills its halo rows through the raw exchange.
 func (w *worker) forward(epoch int, train bool) (*tensor.Matrix, error) {
@@ -319,7 +320,7 @@ func (w *worker) forward(epoch int, train bool) (*tensor.Matrix, error) {
 	for l := 0; l < cfg.Layers; l++ {
 		lay := w.model.layers[l]
 		if !train && l == 0 {
-			h = lay.dense(h, w.agg0, w.dev.Rand(), false)
+			h = lay.dense(h, lay.every, w.agg0, w.dev.Rand(), false)
 			continue
 		}
 		// Per-layer scratch: above layer 0 the local rows are re-copied,
@@ -339,7 +340,11 @@ func (w *worker) forward(epoch int, train bool) (*tensor.Matrix, error) {
 		if err := w.codec.Forward(w.env, epoch, l, h, xFull); err != nil {
 			return nil, err
 		}
-		h = lay.forward(w.lg, xFull, w.dev.Rand(), true)
+		rows := lay.every
+		if lay.last {
+			rows = w.ld.lossRows
+		}
+		h = lay.forwardRows(w.lg, xFull, rows, w.dev.Rand(), true)
 	}
 	return h, nil
 }

@@ -184,18 +184,45 @@ func (g *CSR) SpMM(out, x *tensor.Matrix) {
 	if tensor.KernelHook != nil {
 		tensor.KernelHook("SpMM", [3]int{len(g.ColIdx), x.Cols})
 	}
-	// The sequential path skips the closure entirely: one passed to
-	// parallelOver always heap-escapes (the go statement leaks it).
-	if !parallelizable(g.N) {
-		g.spMMRange(out, x, 0, g.N)
-		return
-	}
-	parallelOver(g.N, func(lo, hi int) { g.spMMRange(out, x, lo, hi) })
+	g.spMM(out, x, nil, g.N)
 }
 
-func (g *CSR) spMMRange(out, x *tensor.Matrix, lo, hi int) {
-	for u := lo; u < hi; u++ {
-		orow := out.Row(u)
+// SpMMRows is SpMM over the listed rows of A: row k of out is row rows[k]
+// of A × X, computed by the same per-row loop, so its bits are SpMM's row
+// rows[k]. rows must ascend strictly within [0, N); out must be
+// len(rows)×F. It reports itself to tensor.KernelHook as the SpMM of the
+// rows' edges.
+func (g *CSR) SpMMRows(out, x *tensor.Matrix, rows []int32) {
+	nnz := g.rowEdges("SpMMRows", rows)
+	if x.Rows != g.Cols || out.Rows != len(rows) || out.Cols != x.Cols {
+		panic(fmt.Sprintf("graph: SpMMRows shape mismatch graph %dx%d, %d rows, x %dx%d, out %dx%d",
+			g.N, g.Cols, len(rows), x.Rows, x.Cols, out.Rows, out.Cols))
+	}
+	if tensor.KernelHook != nil {
+		tensor.KernelHook("SpMM", [3]int{nnz, x.Cols})
+	}
+	g.spMM(out, x, rows, len(rows))
+}
+
+// spMM fills the n rows of out, split over parallelOver's workers: row k is
+// graph row rows[k], or row k itself when rows is nil.
+func (g *CSR) spMM(out, x *tensor.Matrix, rows []int32, n int) {
+	// The sequential path skips the closure entirely: one passed to
+	// parallelOver always heap-escapes (the go statement leaks it).
+	if !parallelizable(n) {
+		g.spMMRange(out, x, rows, 0, n)
+		return
+	}
+	parallelOver(n, func(lo, hi int) { g.spMMRange(out, x, rows, lo, hi) })
+}
+
+func (g *CSR) spMMRange(out, x *tensor.Matrix, rows []int32, lo, hi int) {
+	for k := lo; k < hi; k++ {
+		u := k
+		if rows != nil {
+			u = int(rows[k])
+		}
+		orow := out.Row(k)
 		for j := range orow {
 			orow[j] = 0
 		}
@@ -221,9 +248,38 @@ func (g *CSR) SpMMT(out, y *tensor.Matrix) {
 	if tensor.KernelHook != nil {
 		tensor.KernelHook("SpMMT", [3]int{len(g.ColIdx), y.Cols})
 	}
+	g.spMMT(out, y, nil, g.N)
+}
+
+// SpMMTRows is SpMMT over the listed rows of A: row k of y is row rows[k]'s
+// gradient, scattered to that row's neighbours, rows in ascending order.
+// Each element of out so receives the terms SpMMT would add from the same
+// rows, in the same order; a row left out adds nothing, where SpMMT would
+// add its terms. rows must ascend strictly within [0, N); y must be
+// len(rows)×F and out Cols×F, zeroed first. It reports itself to
+// tensor.KernelHook as the SpMMT of the rows' edges.
+func (g *CSR) SpMMTRows(out, y *tensor.Matrix, rows []int32) {
+	nnz := g.rowEdges("SpMMTRows", rows)
+	if y.Rows != len(rows) || out.Rows != g.Cols || out.Cols != y.Cols {
+		panic(fmt.Sprintf("graph: SpMMTRows shape mismatch graph %dx%d, %d rows, y %dx%d, out %dx%d",
+			g.N, g.Cols, len(rows), y.Rows, y.Cols, out.Rows, out.Cols))
+	}
+	if tensor.KernelHook != nil {
+		tensor.KernelHook("SpMMT", [3]int{nnz, y.Cols})
+	}
+	g.spMMT(out, y, rows, len(rows))
+}
+
+// spMMT zeroes out and scatters the n rows of y: row k is graph row
+// rows[k]'s, or row k's itself when rows is nil.
+func (g *CSR) spMMT(out, y *tensor.Matrix, rows []int32, n int) {
 	out.Zero()
-	for u := 0; u < g.N; u++ {
-		yrow := y.Row(u)
+	for k := 0; k < n; k++ {
+		u := k
+		if rows != nil {
+			u = int(rows[k])
+		}
+		yrow := y.Row(k)
 		start, end := g.RowPtr[u], g.RowPtr[u+1]
 		for p := start; p < end; p++ {
 			w := float32(1)
@@ -233,6 +289,20 @@ func (g *CSR) SpMMT(out, y *tensor.Matrix) {
 			tensor.Axpy(out.Row(int(g.ColIdx[p])), yrow, w)
 		}
 	}
+}
+
+// rowEdges returns how many edges the listed rows hold, and panics, naming
+// op, unless rows ascend strictly within [0, N).
+func (g *CSR) rowEdges(op string, rows []int32) int {
+	nnz, prev := 0, int32(-1)
+	for k, u := range rows {
+		if u <= prev || int(u) >= g.N {
+			panic(fmt.Sprintf("graph: %s row %d (list position %d) is out of range [0, %d) or not above the row before it", op, u, k, g.N))
+		}
+		nnz += int(g.RowPtr[u+1] - g.RowPtr[u])
+		prev = u
+	}
+	return nnz
 }
 
 // parallelizable reports whether parallelOver would fan out over n rows:

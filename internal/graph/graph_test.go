@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -151,9 +154,12 @@ func TestSpMMMatchesNaive(t *testing.T) {
 }
 
 // TestSparseKernelsMatchNaiveBits holds SpMM and SpMMT to edge-by-edge
-// loops that add each output element's terms in edge order, as float32 bits:
-// every feature width 1–70 (every vector/tail split of tensor.Axpy), with
-// weights and without, and one graph large enough to fan out.
+// loops that add each output element's terms in edge order, as float32 bits,
+// and SpMMRows and SpMMTRows to SpMM and SpMMT on the same rows: every
+// feature width 1–70 (every vector/tail split of tensor.Axpy), with weights
+// and without, and graphs large enough to fan out (row lists of 560 and 700
+// rows among them). The row lists are empty, one row, every fifth row left
+// out, and all rows.
 func TestSparseKernelsMatchNaiveBits(t *testing.T) {
 	rng := tensor.NewRNG(29)
 	mustEqualBits := func(what string, f int, got, want *tensor.Matrix) {
@@ -195,8 +201,134 @@ func TestSparseKernelsMatchNaiveBits(t *testing.T) {
 			got.Fill(float32(math.NaN())) // SpMMT zeroes first
 			g.SpMMT(got, x)
 			mustEqualBits("SpMMT", f, got, want)
+
+			for _, rows := range rowLists(n) {
+				if k := checkRowKernels(g, x, rows); k != "" {
+					t.Fatalf("width %d, %d of %d rows: %s", f, len(rows), n, k)
+				}
+			}
 		}
 	}
+}
+
+// rowLists returns the row lists the row kernels are checked on: none, one,
+// every fifth row left out, and all n.
+func rowLists(n int) [][]int32 {
+	var most, all []int32
+	for u := 0; u < n; u++ {
+		if u%5 != 2 {
+			most = append(most, int32(u))
+		}
+		all = append(all, int32(u))
+	}
+	return [][]int32{{}, {int32(n / 2)}, most, all}
+}
+
+// checkRowKernels holds SpMMRows over rows to SpMM's rows of x, and
+// SpMMTRows of those rows' block of x to SpMMT of x with every other row
+// +0, as bits (a NaN equals any NaN). It returns what differs, or "".
+func checkRowKernels(g *CSR, x *tensor.Matrix, rows []int32) string {
+	f := x.Cols
+	full := tensor.New(g.N, f)
+	g.SpMM(full, x)
+	got := tensor.New(len(rows), f)
+	got.Fill(float32(math.NaN())) // SpMMRows overwrites
+	g.SpMMRows(got, x, rows)
+	for k, u := range rows {
+		if i := firstDiff(got.Row(k), full.Row(int(u))); i >= 0 {
+			return fmt.Sprintf("SpMMRows row %d (graph row %d) column %d = %v, SpMM %v", k, u, i, got.Row(k)[i], full.Row(int(u))[i])
+		}
+	}
+
+	// SpMMT reads a Cols-row y, so the rows' block is taken from a square
+	// graph's x and the rest of y is +0.
+	y, block := tensor.New(g.N, f), tensor.New(len(rows), f)
+	for k, u := range rows {
+		copy(y.Row(int(u)), x.Row(int(u)))
+		copy(block.Row(k), x.Row(int(u)))
+	}
+	want := tensor.New(g.Cols, f)
+	g.SpMMT(want, y)
+	back := tensor.New(g.Cols, f)
+	back.Fill(float32(math.NaN())) // SpMMTRows zeroes first
+	g.SpMMTRows(back, block, rows)
+	if i := firstDiff(back.Data, want.Data); i >= 0 {
+		return fmt.Sprintf("SpMMTRows element %d = %v, SpMMT %v", i, back.Data[i], want.Data[i])
+	}
+	return ""
+}
+
+// firstDiff returns the first index where a and b differ as bits, a NaN
+// equal to any NaN, or -1.
+func firstDiff(a, b []float32) int {
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) && !(a[i] != a[i] && b[i] != b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestRowKernelsRefuseBadRows: a row out of range, repeated or out of order
+// panics in both row kernels, naming the kernel.
+func TestRowKernelsRefuseBadRows(t *testing.T) {
+	g := pathGraph(5)
+	x := tensor.New(5, 3)
+	for _, rows := range [][]int32{{-1}, {5}, {1, 1}, {3, 2}, {0, 4, 9}} {
+		for _, op := range []string{"SpMMRows", "SpMMTRows"} {
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), op) {
+						t.Errorf("%s over rows %v: recovered %v, want a panic naming %s", op, rows, r, op)
+					}
+				}()
+				if op == "SpMMRows" {
+					g.SpMMRows(tensor.New(len(rows), 3), x, rows)
+				} else {
+					g.SpMMTRows(tensor.New(5, 3), tensor.New(len(rows), 3), rows)
+				}
+			}()
+		}
+	}
+}
+
+// FuzzSpMMRowsMatchesSpMM holds the row kernels to SpMM and SpMMT on the
+// same rows (checkRowKernels) over fuzzed graphs, row lists and values: raw
+// is read as a node count, a width, a weighting, a row mask of one bit per
+// node and then x's leading elements as float32 bits (NaN, ±Inf, ±0 and
+// denormals included); x's other elements are drawn from seed.
+func FuzzSpMMRowsMatchesSpMM(f *testing.F) {
+	f.Add(uint64(1), []byte{20, 5, 1, 0xb5, 0x5a, 0x0f})
+	f.Add(uint64(2), []byte{200, 16, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add(uint64(3), []byte{7, 9, 1, 0x41, 0, 0, 0xc0, 0x7f, 0, 0, 0x80, 0xff, 0, 0, 0, 0x80, 1, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, seed uint64, raw []byte) {
+		if len(raw) < 3 {
+			return
+		}
+		n, width, weighted := 1+3*int(raw[0]), 1+int(raw[1])%40, raw[2]&1 == 1
+		raw = raw[3:]
+		mask := raw[:min(len(raw), (n+7)/8)]
+		raw = raw[len(mask):]
+		rng := tensor.NewRNG(seed)
+		g := randomGraph(rng, n, 4*n)
+		if weighted {
+			g.NormalizeWeights(NormSym)
+		}
+		var rows []int32
+		for u := 0; u < n; u++ {
+			if u/8 < len(mask) && mask[u/8]>>(u%8)&1 == 1 {
+				rows = append(rows, int32(u))
+			}
+		}
+		x := tensor.New(n, width)
+		x.FillUniform(rng, -1, 1)
+		for i := 0; i+4 <= len(raw) && i/4 < len(x.Data); i += 4 {
+			x.Data[i/4] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i:]))
+		}
+		if k := checkRowKernels(g, x, rows); k != "" {
+			t.Fatalf("%d nodes, width %d, %d rows: %s", n, width, len(rows), k)
+		}
+	})
 }
 
 // TestSpMMTIsTranspose: for any graph A and matrices x, y:

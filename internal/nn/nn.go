@@ -101,11 +101,19 @@ func (l *Linear) BackwardParams(dy *tensor.Matrix) {
 	}
 }
 
-// ensure returns m if it already has the wanted shape, else a fresh
-// matrix. Callers fully overwrite the result, so stale contents are fine.
+// ensure returns m if it already has the wanted shape, m's storage in that
+// shape if it holds enough elements (a module that alternates two shapes,
+// as the output layer's Linear does between training and evaluation rows,
+// allocates each at most once), else a fresh matrix. Callers fully
+// overwrite the result, so stale contents are fine.
 func ensure(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
-	if m != nil && m.Rows == rows && m.Cols == cols {
+	switch {
+	case m == nil:
+		return tensor.New(rows, cols)
+	case m.Rows == rows && m.Cols == cols:
 		return m
+	case cap(m.Data) >= rows*cols:
+		return &tensor.Matrix{Rows: rows, Cols: cols, Data: m.Data[:rows*cols]}
 	}
 	return tensor.New(rows, cols)
 }
