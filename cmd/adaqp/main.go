@@ -18,8 +18,6 @@
 // The -codec, -transport and -dataset usage strings list whatever is
 // currently registered, so custom registrations show up automatically;
 // naming an unregistered one exits non-zero with the registered names.
-// -method is a deprecated alias that takes a system's paper name (adaqp,
-// vanilla, ...); -codec beats it.
 package main
 
 import (
@@ -42,7 +40,6 @@ func main() {
 		scale    = flag.Float64("scale", 1, "dataset scale factor")
 		model    = flag.String("model", "gcn", "gcn | sage")
 		codec    = flag.String("codec", "", "message codec, the training system (default adaptive): "+strings.Join(adaqp.Codecs(), ", "))
-		method   = flag.String("method", "", "deprecated alias for -codec by paper name (adaqp, vanilla, ...); -codec beats it")
 		tport    = flag.String("transport", "", "runtime backend: "+strings.Join(adaqp.Transports(), ", "))
 		workers  = flag.Int("workers", 0, "proc-sharded worker process count (0 = 2, clamped to -parts)")
 		overlap  = flag.Bool("overlap", false, "sancus only: start broadcasts split-phase; the roots' broadcasts are charged as concurrent, and what that hides (compute and other broadcasts) is booked as overlap")
@@ -87,7 +84,7 @@ func main() {
 		return
 	}
 
-	if *codec == "" && *method == "" {
+	if *codec == "" {
 		*codec = adaqp.CodecAdaptive
 	}
 
@@ -96,8 +93,7 @@ func main() {
 	// construction path — the two front ends cannot drift.
 	spec := adaqp.JobSpec{
 		Dataset: *dataset, Scale: *scale,
-		Model: *model, Method: *method,
-		Codec: *codec, Transport: *tport,
+		Model: *model, Codec: *codec, Transport: *tport,
 		Workers: *workers, Overlap: *overlap,
 		Parts: *parts, Epochs: *epochs, Hidden: *hidden,
 		LR: *lr, Dropout: dropout, Lambda: lambda, EvalEvery: evalEach,

@@ -129,9 +129,9 @@ func TestTraceBackwardRanges(t *testing.T) {
 	st := newAssignState(&cfg, lg, dep.Dataset.Features.Cols)
 	dxFull := tensor.New(lg.NumLocal+lg.NumHalo, cfg.Hidden)
 	dxFull.FillUniform(tensor.NewRNG(2), -1, 1)
-	// The dirty arena hands out NaN-poisoned ranges: every halo row's entry
+	// The dirty env hands out NaN-poisoned ranges: every halo row's entry
 	// must be overwritten by the scan.
-	env := &ExchangeEnv{Graph: lg, Scratch: dirtyArena(cfg.Hidden)}
+	env := dirtyEnv(&ExchangeEnv{Graph: lg})
 	st.trace(env, backward, 1, env.ranges(backward, 1, dxFull))
 	for p, slots := range lg.RecvFrom {
 		for j, s := range slots {

@@ -65,9 +65,10 @@ type ExchangeEnv struct {
 	Graph *partition.LocalGraph
 	// Cfg is the run configuration (shared, read-only).
 	Cfg *Config
-	// Scratch is this device's hot-loop allocator (see Arena). May be nil,
-	// in which case every Arena method degrades to plain allocation.
-	Scratch *Arena
+	// Pool is the Deployment's payload pool, shared with every device and
+	// Run on it (see Arena). May be nil, in which case payloads are plain
+	// allocations.
+	Pool *Arena
 	// Round is this device's stochastic-rounding stream, derived from
 	// (Cfg.Seed, rank) apart from Dev.Rand's dropout stream. A codec that
 	// rounds stochastically draws from Round, so its draws never shift the
@@ -77,6 +78,11 @@ type ExchangeEnv struct {
 	costs [][2]StageCosts // per layer, per direction
 	halo  [][]int32       // lazily-built haloIdx cache, one list per peer
 	sent  [2][]int32      // lazily-built sentRows cache, per direction
+
+	// Scratch reused across calls on this env: the exchange's per-peer
+	// payload container and ranges' scan target.
+	peerBufs  [][]byte
+	rowRanges []quant.RowRange
 
 	// inputRanges holds the value ranges of the layer-0 forward rows (the
 	// Deployment's static ranges0); nil outside the trainer, where ranges
@@ -138,14 +144,30 @@ func unionRows(n int, lists [][]int32) []int32 {
 // are arbitrary. Layer 0's forward rows are the input features, whose
 // ranges the trainer hands over once (inputRanges, shared and read-only);
 // anything else is scanned, each sent row exactly once however many peers
-// receive it, into arena scratch valid until the next scan on this env.
+// receive it, into the env's scratch, valid until the next scan on this env.
 func (e *ExchangeEnv) ranges(dir direction, l int, m *tensor.Matrix) []quant.RowRange {
 	if dir == forward && l == 0 && e.inputRanges != nil {
 		return e.inputRanges
 	}
-	ranges := e.Scratch.RowRanges(m.Rows)
+	if cap(e.rowRanges) < m.Rows {
+		e.rowRanges = make([]quant.RowRange, m.Rows)
+	}
+	ranges := e.rowRanges[:m.Rows]
 	quant.RowRanges(ranges, m, e.sentRows(dir))
 	return ranges
+}
+
+// payloads returns a length-n all-nil container for staging per-peer
+// payloads. It is one slice reused across exchanges on this env, which is
+// safe because no transport retains it: a collective copies the refs into
+// its post before it returns.
+func (e *ExchangeEnv) payloads(n int) [][]byte {
+	if cap(e.peerBufs) < n {
+		e.peerBufs = make([][]byte, n)
+	}
+	p := e.peerBufs[:n]
+	clear(p)
+	return p
 }
 
 // ForwardCosts returns layer l's forward-stage compute costs.

@@ -42,7 +42,7 @@ type mixedCoder struct {
 }
 
 func (m *mixedCoder) encode(e *ExchangeEnv, p int, x *tensor.Matrix, idx []int32) ([]byte, error) {
-	return quant.AppendQuantizedMixedRanges(e.Scratch.GetBuf(quant.MixedSize(m.wt.send[p], x.Cols)),
+	return quant.AppendQuantizedMixedRanges(e.Pool.GetBuf(quant.MixedSize(m.wt.send[p], x.Cols)),
 		x, idx, m.wt.send[p], m.ranges, e.Round)
 }
 
@@ -187,7 +187,7 @@ func (c *quantCodec) ForwardWireSizes(lg *partition.LocalGraph, dim int) []int {
 // ---- pipegcn: cross-iteration pipelining with 1-epoch staleness ----
 
 type pipegcnCodec struct {
-	pipeHalo []*tensor.Matrix // per layer: last received halo block
+	pipeHalo []*tensor.Matrix // per layer: last received halo, in an xFull-shaped block's halo rows
 	pipeGrad []*tensor.Matrix // per layer: last received remote gradients
 }
 
@@ -206,27 +206,16 @@ func (c *pipegcnCodec) Forward(env *ExchangeEnv, epoch, l int, h, xFull *tensor.
 		if err := env.stage(fpCoder{}, sequential, forward, l, h, xFull); err != nil {
 			return err
 		}
-		c.pipeHalo[l] = xFull.RowSlice(lg.NumLocal, xFull.Rows)
+		c.pipeHalo[l] = xFull.Clone()
 		return nil
 	}
-	// Use last epoch's halo block (1-epoch staleness) while the fresh
-	// exchange overlaps with this epoch's computation.
-	stale := c.pipeHalo[l]
-	for i := 0; i < lg.NumHalo; i++ {
-		copy(xFull.Row(lg.NumLocal+i), stale.Row(i))
-	}
-	// Receive the fresh halo into arena scratch (only its halo rows are
-	// written and read), then double-buffer: the now-dead stale block
-	// becomes next epoch's cache.
-	fresh := env.Scratch.GetMat(xFull.Rows, xFull.Cols)
-	if err := env.stage(fpCoder{}, pipelined, forward, l, h, fresh); err != nil {
-		return err
-	}
-	for i := 0; i < lg.NumHalo; i++ {
-		copy(stale.Row(i), fresh.Row(lg.NumLocal+i))
-	}
-	env.Scratch.PutMat(fresh)
-	return nil
+	// Use last epoch's halo (1-epoch staleness) while the fresh exchange
+	// overlaps with this epoch's computation. After the copy the stale rows
+	// are dead, so the fresh halo lands in the same block (only its halo
+	// rows are written and read) — no new matrix.
+	halo := c.pipeHalo[l]
+	copy(xFull.Data[lg.NumLocal*xFull.Cols:], halo.Data[lg.NumLocal*halo.Cols:])
+	return env.stage(fpCoder{}, pipelined, forward, l, h, halo)
 }
 
 func (c *pipegcnCodec) Backward(env *ExchangeEnv, epoch, l int, dxFull, dxLocal *tensor.Matrix) error {
@@ -263,6 +252,7 @@ type sancusCodec struct {
 	topo  *sancusTopology
 	cache []*tensor.Matrix // per layer: cached halo rows
 	last  []*tensor.Matrix // per layer: my boundary rows at last broadcast
+	next  []*tensor.Matrix // per layer: scratch my boundary rows are gathered into
 	age   []int
 }
 
@@ -271,6 +261,7 @@ func newSancusCodec(env *CodecEnv) (MessageCodec, error) {
 		topo:  buildSancusTopology(env.Locals),
 		cache: make([]*tensor.Matrix, env.Cfg.Layers),
 		last:  make([]*tensor.Matrix, env.Cfg.Layers),
+		next:  make([]*tensor.Matrix, env.Cfg.Layers),
 		age:   make([]int, env.Cfg.Layers),
 	}, nil
 }

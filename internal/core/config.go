@@ -128,13 +128,6 @@ type Config struct {
 	// "no crash".
 	faultPlan *chaos.FaultPlan
 
-	// isolateArena makes the run use throwaway scratch arenas instead of
-	// the process-wide recycled pool. Conformance training runs over
-	// candidate transports set it: a backend that violates buffer
-	// ownership would otherwise release aliased buffers into the shared
-	// pool and corrupt every later run in the process.
-	isolateArena bool
-
 	// Faults declares the run's injected faults (stragglers, transient
 	// collective failures, crash/restart). The zero value injects
 	// nothing. Faults charge simulated time only, so the loss curve

@@ -173,7 +173,6 @@ func checkChaosCrashRecovery(f RuntimeFactory, parts int, col *vioCollector) {
 	dep := Deploy(ds, parts, GCN, partition.Block)
 	cfg := codecConformConfig()
 	cfg.transportFactory = f
-	cfg.isolateArena = true
 	ref, err := TrainDeployed(dep, cfg, nil)
 	if err != nil {
 		col.addf("chaos-crash-recovery", "fault-free training failed: %v", err)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/partition"
+	"repro/internal/quant"
 	"repro/internal/synthetic"
 	"repro/internal/tensor"
 )
@@ -126,9 +127,9 @@ func codecExchangeCheck(f CodecFactory, dep *Deployment, cfg Config, dim int, fi
 		for i := 0; i < lg.NumLocal; i++ {
 			copy(xFull.Row(i), h.Row(i))
 		}
-		// The arena is pre-poisoned: a codec that hands out pooled scratch
-		// without overwriting it fails the round-trip bound loudly.
-		env := &ExchangeEnv{Dev: dev, Graph: lg, Cfg: &cfg, Scratch: dirtyArena(dim), Round: roundingRNG(cfg.Seed, r), costs: make([][2]StageCosts, cfg.Layers)}
+		// The env's scratch is pre-poisoned: a codec that reads pooled
+		// memory without overwriting it fails the round-trip bound loudly.
+		env := dirtyEnv(&ExchangeEnv{Dev: dev, Graph: lg, Cfg: &cfg, Round: roundingRNG(cfg.Seed, r), costs: make([][2]StageCosts, cfg.Layers)})
 		if err := codec.Forward(env, 0, 0, h, xFull); err != nil {
 			forwardFailed.Store(true)
 			col.addf("codec-roundtrip", "rank %d epoch-0 forward failed: %v", r, err)
@@ -233,4 +234,27 @@ func runDivergence(a, b *metrics.RunResult, withTime bool) string {
 		return fmt.Sprintf("wall clock %v vs %v", a.WallClock, b.WallClock)
 	}
 	return ""
+}
+
+// dirtyEnv primes e with poisoned scratch and returns it: a payload pool
+// whose freelists hold byte buffers full of 0xA5, and row-range scratch full
+// of NaN. The conformance exchange check and the evaluation and assigner
+// tests run codecs against it, so a codec that reads pooled memory it did
+// not overwrite produces loudly wrong values instead of silently correct
+// zeroes.
+func dirtyEnv(e *ExchangeEnv) *ExchangeEnv {
+	e.Pool = NewArena(1)
+	for n := 1 << arenaMinBits; n <= 1<<16; n <<= 2 {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = 0xA5
+		}
+		e.Pool.PutBuf(b)
+	}
+	nan := float32(math.NaN())
+	e.rowRanges = make([]quant.RowRange, 1<<10)
+	for i := range e.rowRanges {
+		e.rowRanges[i] = quant.RowRange{Min: nan, Max: nan}
+	}
+	return e
 }

@@ -188,7 +188,7 @@ type unchargedDev struct{ Transport }
 func (d unchargedDev) RingAll2All(p [][]byte) [][]byte { return d.Transport.RawAll2All(p) }
 
 // scratchDev violates receiver ownership: it copies results into a
-// per-device scratch arena it recycles on the next collective.
+// per-device scratch it reuses on the next collective.
 type scratchDev struct {
 	Transport
 	scratch [][]byte

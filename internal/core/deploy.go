@@ -20,6 +20,9 @@ type Deployment struct {
 	Stats      partition.Stats
 
 	st staticData // see static
+
+	poolOnce sync.Once
+	pool     *Arena // see payloadPool
 }
 
 // Deploy prepares the global graph for the model kind (GCN: self-loops +
@@ -87,6 +90,14 @@ func (d *Deployment) static(rank int) (*staticData, *deviceStatic) {
 	dev := &s.devices[rank]
 	dev.once.Do(func() { dev.build(d.Dataset, d.Locals[rank]) })
 	return s, dev
+}
+
+// payloadPool returns the Deployment's payload pool, created by the first
+// Run that asks: one pool for every device and every Run, concurrent Runs
+// included, so warm Runs find the buffers earlier Runs released.
+func (d *Deployment) payloadPool() *Arena {
+	d.poolOnce.Do(func() { d.pool = NewArena(len(d.Locals)) })
+	return d.pool
 }
 
 // lossWeights returns the training loss's normaliser (the global count of

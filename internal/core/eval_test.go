@@ -94,7 +94,7 @@ func TestStaticDataMatchesAHaloExchange(t *testing.T) {
 				if !sameBits(st.ld.x.Data, xFull.Data[:lg.NumLocal*xFull.Cols]) {
 					t.Errorf("%s %v device %d: shard features differ from the dataset's rows", name, model, r)
 				}
-				env := &ExchangeEnv{Graph: lg, Scratch: dirtyArena(ds.Features.Cols)}
+				env := dirtyEnv(&ExchangeEnv{Graph: lg})
 				scanned := env.ranges(forward, 0, st.ld.x)
 				for _, row := range env.sentRows(forward) {
 					if st.ranges0[row] != scanned[row] {

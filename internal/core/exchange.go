@@ -17,8 +17,8 @@ import (
 // The reverse (backward) exchange ships gradient rows of halo slots back to
 // their owners, which scatter-add them into local gradient rows.
 //
-// Hot-path payload buffers come from the device's Arena and are released
-// by the receiver after decode; see the ownership rules on Arena.
+// Hot-path payload buffers come from the Deployment's payload pool and are
+// released by the receiver after decode; see the ownership rules on Arena.
 
 // direction is which way a layer's messages travel. The paper calls
 // features, embeddings and embedding gradients alike "messages"; what tells
@@ -136,7 +136,7 @@ func readRows(buf []byte, dst *tensor.Matrix, idx []int32, add bool) error {
 }
 
 // gatherRowsInto copies x's rows idx into dst's rows 0..len(idx)-1,
-// overwriting all of dst (a dirty arena matrix is a valid dst).
+// overwriting all of dst (a dirty scratch block is a valid dst).
 func gatherRowsInto(dst, x *tensor.Matrix, idx []int32) {
 	for i, r := range idx {
 		copy(dst.Row(i), x.Row(int(r)))
@@ -148,7 +148,7 @@ func gatherRowsInto(dst, x *tensor.Matrix, idx []int32) {
 // zero-size or live in a field of their codec instance and are passed by
 // pointer, so handing one to exchange never allocates.
 type rowCoder interface {
-	// encode serializes rows idx of x for peer into an arena buffer whose
+	// encode serializes rows idx of x for peer into a pooled buffer whose
 	// ownership passes to the transport.
 	encode(e *ExchangeEnv, peer int, x *tensor.Matrix, idx []int32) ([]byte, error)
 	// decode lands peer's payload in dst rows idx: stored when add is false
@@ -165,7 +165,7 @@ type rowCoder interface {
 type fpCoder struct{}
 
 func (fpCoder) encode(e *ExchangeEnv, _ int, x *tensor.Matrix, idx []int32) ([]byte, error) {
-	return appendRows(e.Scratch.GetBuf(4*len(idx)*x.Cols), x, idx), nil
+	return appendRows(e.Pool.GetBuf(4*len(idx)*x.Cols), x, idx), nil
 }
 
 func (fpCoder) decode(_ *ExchangeEnv, _ int, buf []byte, dst *tensor.Matrix, idx []int32, add bool) error {
@@ -191,9 +191,9 @@ func (e *ExchangeEnv) wireRows(dir direction, p int) []int32 {
 // their owners, who add them into their local rows. raw moves the bytes
 // over the uncharged sideband (evaluation).
 func (e *ExchangeEnv) exchange(c rowCoder, dir direction, raw bool, src, dst *tensor.Matrix) error {
-	dev, a := e.Dev, e.Scratch
+	dev := e.Dev
 	n := dev.Size()
-	payloads := a.Payloads(n)
+	payloads := e.payloads(n)
 	for p := 0; p < n; p++ {
 		idx := e.wireRows(dir, p)
 		if p == dev.Rank() || len(idx) == 0 {
@@ -220,7 +220,7 @@ func (e *ExchangeEnv) exchange(c rowCoder, dir direction, raw bool, src, dst *te
 			return fmt.Errorf("rank %d from %d: %w", dev.Rank(), p, err)
 		}
 	}
-	a.ReleaseAll(recv)
+	e.Pool.ReleaseAll(recv)
 	return nil
 }
 

@@ -81,7 +81,7 @@ func runStage(t *testing.T, c rowCoder, sched schedule, dir direction, costs [2]
 				src.Row(i)[j] = float32(100*r + 10*i + j)
 			}
 		}
-		env := &ExchangeEnv{Dev: dev, Graph: lg, Scratch: NewArena(), costs: [][2]StageCosts{costs}}
+		env := &ExchangeEnv{Dev: dev, Graph: lg, Pool: NewArena(1), costs: [][2]StageCosts{costs}}
 		dsts[r], errs[r] = dst, env.stage(c, sched, dir, 0, src, dst)
 		return nil
 	}); err != nil {

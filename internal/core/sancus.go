@@ -82,8 +82,10 @@ func (c *sancusCodec) exchange(env *ExchangeEnv, epoch, l int, h, xFull *tensor.
 	if c.cache[l] == nil || c.cache[l].Cols != xFull.Cols {
 		c.cache[l] = tensor.New(lg.NumHalo, xFull.Cols)
 	}
-	a := env.Scratch
-	myBoundary := a.GetMat(len(c.topo.boundary[rank]), h.Cols)
+	if c.next[l] == nil || c.next[l].Cols != h.Cols {
+		c.next[l] = tensor.New(len(c.topo.boundary[rank]), h.Cols)
+	}
+	myBoundary := c.next[l]
 	gatherRowsInto(myBoundary, h, c.topo.boundary[rank])
 
 	broadcast := true
@@ -130,16 +132,13 @@ func (c *sancusCodec) exchange(env *ExchangeEnv, epoch, l int, h, xFull *tensor.
 		}
 	}
 	if broadcast {
-		if c.last[l] != nil && c.last[l].SameShape(myBoundary) {
-			c.last[l].CopyFrom(myBoundary)
-		} else {
-			c.last[l] = myBoundary.Clone()
-		}
+		// The block just sent is the new reference; the old one is the
+		// next call's scratch.
+		c.last[l], c.next[l] = myBoundary, c.last[l]
 		c.age[l] = 0
 	} else {
 		c.age[l]++
 	}
-	a.PutMat(myBoundary)
 	for i := 0; i < lg.NumHalo; i++ {
 		copy(xFull.Row(lg.NumLocal+i), c.cache[l].Row(i))
 	}

@@ -110,17 +110,8 @@ func TrainDeployedCtx(ctx context.Context, dep *Deployment, cfg Config, model *t
 		w.fault, _ = dev.(*faultDevice)
 		w.model = newDeviceModel(&cfg, w.lg, ds.Features.Cols, ds.NumClasses, dev.Model())
 		w.opt = nn.NewAdam(cfg.LR)
-		scratch := NewPooledArena()
-		if cfg.isolateArena {
-			scratch = NewArena()
-		}
-		w.env = &ExchangeEnv{Dev: dev, Graph: w.lg, Cfg: &cfg, Scratch: scratch, Round: roundingRNG(cfg.Seed, dev.Rank()),
+		w.env = &ExchangeEnv{Dev: dev, Graph: w.lg, Cfg: &cfg, Pool: dep.payloadPool(), Round: roundingRNG(cfg.Seed, dev.Rank()),
 			costs: w.model.costs, inputRanges: own.ranges0}
-		if !cfg.isolateArena {
-			// Hand the arena — freelists intact — to the next run in this
-			// process, so repeated runs stay warm without re-allocating.
-			defer w.env.Scratch.Recycle()
-		}
 		return w.run()
 	})
 	if err != nil {

@@ -174,9 +174,9 @@ func newInprocess(spec TransportSpec) Runtime { return newEngine(spec, &pointerD
 
 // pointerDelivery hands every payload straight to the engine: the buffer
 // the sender posted is the buffer its one receiver gets. Safe because each
-// buffer has exactly one consumer, which releases it into its own arena
+// buffer has exactly one consumer, which releases it into the payload pool
 // only after decoding, and nothing is kept of the sender's payloads
-// container — callers may reuse theirs (core.Arena.Payloads) while a
+// container — callers may reuse theirs (ExchangeEnv.payloads) while a
 // straggler has yet to receive.
 type pointerDelivery struct {
 	deliver func(parcel)

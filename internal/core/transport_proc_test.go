@@ -527,28 +527,28 @@ func TestProcFailedRunKeepsNoFleet(t *testing.T) {
 	}
 }
 
-// TestProcExchangeSteadyStateAllocs pins the arena balance on a warm
-// fleet: a RingAll2All of arena payloads allocates on proc-sharded what it
-// does in-process plus one copy per delivered frame and one frame list per
-// post, n(n−1) + n per round. Each copy has its arena size class's
-// capacity, so the receiver's arena files it where the sender's next
-// GetBuf looks; a copy that misses the class makes every GetBuf miss too,
-// two allocations per frame.
+// TestProcExchangeSteadyStateAllocs pins the pool balance on a warm fleet:
+// a RingAll2All of pooled payloads allocates on proc-sharded what it does
+// in-process plus one copy per delivered frame and one frame list per post,
+// n(n−1) + n per round. Each copy has its pool size class's capacity, so
+// the receiver files it where the sender's next GetBuf looks; a copy that
+// misses the class makes every GetBuf miss too, two allocations per frame.
 func TestProcExchangeSteadyStateAllocs(t *testing.T) {
 	const n, size, warm, rounds = 4, 9 << 10, 20, 50
 	shutIdleFleets()
 	perRound := func(f RuntimeFactory) float64 {
 		rt := f(TransportSpec{Parts: n, Workers: 2})
+		pool := NewArena(n)
 		var before, after goruntime.MemStats
 		err := rt.Run(1, func(tr Transport) error {
-			a := NewArena()
+			env := &ExchangeEnv{Pool: pool}
 			fill := make([]byte, size)
 			round := func(r int) error {
 				fill[size-1] = byte(r)
-				payloads := a.Payloads(n)
+				payloads := env.payloads(n)
 				for dst := range payloads {
 					if dst != tr.Rank() {
-						payloads[dst] = append(a.GetBuf(size), fill...)
+						payloads[dst] = append(pool.GetBuf(size), fill...)
 					}
 				}
 				got := tr.RingAll2All(payloads)
@@ -557,7 +557,7 @@ func TestProcExchangeSteadyStateAllocs(t *testing.T) {
 						return fmt.Errorf("rank %d round %d: bad payload from %d", tr.Rank(), r, src)
 					}
 				}
-				a.ReleaseAll(got)
+				pool.ReleaseAll(got)
 				return nil
 			}
 			for r := range warm {

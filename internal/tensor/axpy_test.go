@@ -201,7 +201,7 @@ func TestDenseKernelsMatchNaiveBits(t *testing.T) {
 	}
 }
 
-func TestMatrixAXPYAndScatterAddBits(t *testing.T) {
+func TestMatrixAXPYBits(t *testing.T) {
 	kerneltest.SkipIfPortableFuses(t)
 	rng := NewRNG(23)
 	for _, cols := range []int{1, 7, 8, 33, 64, 70} {
@@ -212,15 +212,5 @@ func TestMatrixAXPYAndScatterAddBits(t *testing.T) {
 		}
 		m.AXPY(-0.75, o)
 		mustEqualBits(t, "AXPY", m, want)
-
-		idx := []int{4, 0, 4, 2, 5, 0}
-		want = m.Clone()
-		for i, r := range idx {
-			for j, v := range o.Row(i) {
-				want.Data[r*cols+j] += v
-			}
-		}
-		m.ScatterAddRows(idx, o)
-		mustEqualBits(t, "ScatterAddRows", m, want)
 	}
 }

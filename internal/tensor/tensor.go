@@ -13,7 +13,7 @@
 // multiply-add), a product skipped when its a element is ±0. Fixed-seed
 // losses, wire bytes and the golden files are functions of that order. In Go
 // that is a chain of Axpy calls, one per k, which is also the loop under
-// AXPY, ScatterAddRows and graph's SpMM/SpMMT. An element of a × bᵀ is dot's
+// AXPY and graph's SpMM/SpMMT. An element of a × bᵀ is dot's
 // sum instead, and dot's grouping is part of the same contract: 0, plus
 // ((p0+p1)+p2)+p3 for every four k in ascending order, plus the leftover
 // products one at a time. On amd64 with AVX2 (cpu.Vector) all three are
@@ -461,16 +461,6 @@ func (m *Matrix) AXPY(alpha float32, o *Matrix) {
 	Axpy(m.Data, o.Data, alpha)
 }
 
-// Hadamard returns the elementwise product a ⊙ b.
-func Hadamard(a, b *Matrix) *Matrix {
-	mustSameShape("Hadamard", a, b)
-	out := New(a.Rows, a.Cols)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] * b.Data[i]
-	}
-	return out
-}
-
 // RowSlice returns a new matrix holding rows [lo, hi) of m (copied).
 func (m *Matrix) RowSlice(lo, hi int) *Matrix {
 	if lo < 0 || hi > m.Rows || lo > hi {
@@ -488,16 +478,6 @@ func (m *Matrix) GatherRows(idx []int) *Matrix {
 		copy(out.Row(i), m.Row(r))
 	}
 	return out
-}
-
-// ScatterAddRows adds src's row i into m's row idx[i].
-func (m *Matrix) ScatterAddRows(idx []int, src *Matrix) {
-	if len(idx) != src.Rows || m.Cols != src.Cols {
-		panic("tensor: ScatterAddRows shape mismatch")
-	}
-	for i, r := range idx {
-		Axpy(m.Row(r), src.Row(i), 1)
-	}
 }
 
 // ConcatCols returns [a | b] (horizontal concatenation).

@@ -50,8 +50,8 @@ func WithMethod(m Method) Option {
 	}
 }
 
-// methodOptions is the one translation of JobSpec.Method (and so of
-// cmd/adaqp's -method alias): WithMethod of the parsed name, if any.
+// methodOptions is the one translation of JobSpec.Method: WithMethod of
+// the parsed name, if any.
 func (j JobSpec) methodOptions() ([]Option, error) {
 	if j.Method == "" {
 		return nil, nil
